@@ -5,7 +5,8 @@ GO  ?= go
 BIN := bin
 
 .PHONY: all build fmt-check lint vet test short race mutation fuzz-smoke \
-        bench-smoke golden bench bench-gate bench-scale bench-scale-gate clean
+        bench-smoke golden bench bench-gate bench-scale bench-scale-gate \
+        benchmark-check clean
 
 all: build lint test
 
@@ -85,6 +86,16 @@ bench-scale:
 
 bench-scale-gate:
 	GOMAXPROCS=1 $(GO) run ./bench -scale -out BENCH_scale_ci.json -gate BENCH_scale.json
+
+# benchmark-check keeps the repository benchmark (benchmark/, its own
+# module, outside `go build ./...`) compiling against the simulator: its
+# per-layer drivers import internal/{sim,link,queue,tcp,...} directly, so
+# an API change there must fail here, not later as `layers.ok` 0 in a
+# traced benchmark run.
+benchmark-check:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+	$(GO) build -C benchmark -o /dev/null ./layers
 
 clean:
 	rm -rf $(BIN) BENCH_kernel_ci.json BENCH_scale_ci.json

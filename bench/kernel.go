@@ -7,7 +7,7 @@ import (
 
 // kernelDescription names the kernel generation being measured; it is
 // recorded in BENCH_kernel.json so before/after blocks are labelled.
-const kernelDescription = "inlined 4-ary min-heap over pooled event slots, typed actor dispatch on hot paths, pluggable congestion-control policy behind a per-flow interface"
+const kernelDescription = "inlined 4-ary min-heap over pooled event slots, typed actor dispatch on hot paths, FIFO wire lanes (key reserved at post time, one heap entry per wire), pluggable congestion-control policy behind a per-flow interface"
 
 // kernelChurn drives the scheduler through n events with a rolling window
 // of 100 pending timers — the steady-state load a packet simulation
@@ -27,6 +27,59 @@ func kernelChurn(n int) {
 	for j := 0; j < 100 && j < n; j++ {
 		//lint:ignore eventcapture this benchmark measures the closure-posting path on purpose
 		s.After(units.Duration(j), tick)
+	}
+	s.Run(units.Never.Add(-units.Nanosecond))
+}
+
+// The kernel_lanes cell: wireCount wires each keep wireInFlight packets
+// propagating, every arrival sending the next packet down the same wire
+// — the heap load of a 1000-flow dumbbell (2001 links, ~33k packets in
+// flight) with the TCP, queue and link work taken out.
+const (
+	wireCount    = 2000
+	wireInFlight = 16
+	wireSpacing  = units.Duration(wireCount + 1) // gap between one wire's packets
+	wireDelay    = wireInFlight * wireSpacing
+)
+
+// wires re-posts each arrival onto the wire it came off, through that
+// wire's lane or — the reference cell — through PostAfter.
+type wires struct {
+	s     *sim.Scheduler
+	lanes []*sim.Lane // nil: every packet is its own heap entry
+	left  int
+}
+
+func (w *wires) OnEvent(op int32, _ any) {
+	if w.left > 0 {
+		w.left--
+		w.post(int(op), wireDelay)
+	}
+}
+
+func (w *wires) post(wire int, d units.Duration) {
+	if w.lanes != nil {
+		w.lanes[wire].PostAfter(d, nil)
+	} else {
+		w.s.PostAfter(d, w, int32(wire), nil)
+	}
+}
+
+// kernelLanes fires n arrivals of the pattern above. Both modes dispatch
+// the identical (time, seq) sequence; they differ only in heap depth:
+// wireCount entries with lanes, wireCount*wireInFlight without.
+func kernelLanes(n int, useLanes bool) {
+	s := sim.NewScheduler()
+	w := &wires{s: s, left: n - wireCount*wireInFlight}
+	if useLanes {
+		for i := 0; i < wireCount; i++ {
+			w.lanes = append(w.lanes, s.NewLane(w, int32(i)))
+		}
+	}
+	for j := 0; j < wireInFlight; j++ {
+		for i := 0; i < wireCount; i++ {
+			w.post(i, units.Duration(j)*wireSpacing+units.Duration(i))
+		}
 	}
 	s.Run(units.Never.Add(-units.Nanosecond))
 }

@@ -4,15 +4,21 @@
 //
 //	go run ./bench -out BENCH_kernel.json [-baseline prev.json]
 //
-// Three benchmarks run:
+// Five benchmarks run:
 //
 //   - kernel_churn: raw scheduler throughput — schedule + fire with a
 //     rolling window of pending timers, the pattern simulations produce.
+//   - kernel_lanes / kernel_lanes_heap: 2000 wires x 16 packets in flight
+//     through sim.Lane, and the same pattern with every packet its own
+//     heap entry (PostAfter) — what the lanes buy at a 32k-event backlog.
 //   - sim_long_lived: one full long-lived-flow experiment (the paper's
 //     core scenario), the end-to-end number the ROADMAP's "as fast as the
 //     hardware allows" goal is judged by.
 //   - sim_short_flows: one Poisson short-flow experiment, which stresses
 //     flow setup/teardown as well as the kernel.
+//
+// Every benchmark is measured three times and the fastest run is kept
+// (see runsPerCell).
 //
 // -baseline copies the named file's "current" block into the new file's
 // "baseline" block, so a checked-in BENCH_kernel.json carries the
@@ -62,6 +68,25 @@ type File struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Baseline   *Block `json:"baseline,omitempty"`
 	Current    Block  `json:"current"`
+}
+
+// runsPerCell is how many times each benchmark is measured; the fastest
+// run is the one reported and gated. Noise only ever adds time, and on a
+// shared runner one measurement moves 15-20% between invocations — far
+// more than the 5% the gates bound — while the fastest of three repeats
+// to a few percent.
+const runsPerCell = 3
+
+// fastestOf is testing.Benchmark repeated runsPerCell times, keeping the
+// run with the lowest ns/op.
+func fastestOf(fn func(b *testing.B)) testing.BenchmarkResult {
+	best := testing.Benchmark(fn)
+	for i := 1; i < runsPerCell; i++ {
+		if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
+			best = r
+		}
+	}
+	return best
 }
 
 func metric(r testing.BenchmarkResult, eventsPerOp int64) Metric {
@@ -118,7 +143,7 @@ func main() {
 	flag.Parse()
 
 	f := File{
-		Note:       "generated by `go run ./bench`; ns/op, allocs/op and events/sec for the event kernel and end-to-end simulations",
+		Note:       "generated by `go run ./bench`; ns/op, allocs/op and events/sec for the event kernel and end-to-end simulations (each cell the fastest of three runs)",
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Current:    Block{Kernel: *kernel, Benchmarks: map[string]Metric{}},
@@ -151,7 +176,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for name, m := range f.Current.Benchmarks {
-		fmt.Printf("%-16s %12.0f ns/op %8d allocs/op %10.3g events/sec\n",
+		fmt.Printf("%-18s %12.0f ns/op %8d allocs/op %10.3g events/sec\n",
 			name, m.NsPerOp, m.AllocsPerOp, m.EventsPerSec)
 	}
 	fmt.Printf("wrote %s\n", *out)
@@ -169,7 +194,7 @@ func main() {
 func runKernelBenchmarks(f *File) {
 	fmt.Println("kernel_churn...")
 	churnEvents := int64(1 << 20)
-	r := testing.Benchmark(func(b *testing.B) {
+	r := fastestOf(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			kernelChurn(int(churnEvents))
@@ -177,13 +202,27 @@ func runKernelBenchmarks(f *File) {
 	})
 	f.Current.Benchmarks["kernel_churn"] = metric(r, churnEvents)
 
+	for _, cell := range []struct {
+		name  string
+		lanes bool
+	}{{"kernel_lanes", true}, {"kernel_lanes_heap", false}} {
+		fmt.Println(cell.name + "...")
+		r = fastestOf(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				kernelLanes(int(churnEvents), cell.lanes)
+			}
+		})
+		f.Current.Benchmarks[cell.name] = metric(r, churnEvents)
+	}
+
 	fmt.Println("sim_long_lived...")
 	llEvents := eventsProcessed(func(reg *metrics.Registry) {
 		cfg := longLivedConfig()
 		cfg.Metrics = reg
 		experiment.RunLongLived(cfg)
 	})
-	r = testing.Benchmark(func(b *testing.B) {
+	r = fastestOf(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			experiment.RunLongLived(longLivedConfig())
@@ -197,7 +236,7 @@ func runKernelBenchmarks(f *File) {
 		cfg.Metrics = reg
 		experiment.ShortFlowAFCT(cfg)
 	})
-	r = testing.Benchmark(func(b *testing.B) {
+	r = fastestOf(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			experiment.ShortFlowAFCT(shortFlowConfig())

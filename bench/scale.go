@@ -116,7 +116,7 @@ func runScale(f *File) {
 				cfg.Metrics = reg
 				experiment.RunLongLived(cfg)
 			})
-			r := testing.Benchmark(func(b *testing.B) {
+			r := fastestOf(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					experiment.RunLongLived(scaleConfig(flows, shards))
@@ -132,7 +132,7 @@ func runScale(f *File) {
 	fabricEvents := eventsProcessed(func(reg *metrics.Registry) {
 		fabricRun(planes, perPlane, reg)
 	})
-	r := testing.Benchmark(func(b *testing.B) {
+	r := fastestOf(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			fabricRun(planes, perPlane, nil)
@@ -142,7 +142,7 @@ func runScale(f *File) {
 
 	fmt.Println("slab_senders_1m...")
 	var keep *tcp.Slab
-	r = testing.Benchmark(func(b *testing.B) {
+	r = fastestOf(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			keep = buildSlabSenders(slabRows)

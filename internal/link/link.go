@@ -27,6 +27,12 @@ type Link struct {
 	q     queue.Queue
 	dst   packet.Handler
 
+	// wire carries the packets propagating toward dst. Their arrival times
+	// are already sorted (fixed delay, increasing send times), so they
+	// queue in a sim.Lane and only the next arrival occupies the event
+	// heap.
+	wire *sim.Lane
+
 	busy      bool
 	busySince units.Time
 	busyTotal units.Duration
@@ -88,7 +94,9 @@ func New(name string, sched *sim.Scheduler, rate units.BitRate, d units.Duration
 	if d < 0 {
 		panic("link: negative delay")
 	}
-	return &Link{name: name, sched: sched, rate: rate, delay: d, q: q, dst: dst}
+	l := &Link{name: name, sched: sched, rate: rate, delay: d, q: q, dst: dst}
+	l.wire = sched.NewLane(l, opArrive)
+	return l
 }
 
 // Name returns the link's diagnostic name.
@@ -165,10 +173,10 @@ func (l *Link) finishTransmit(p *packet.Packet) {
 		if tg := l.DeliverVia(p); tg.Valid() {
 			l.sched.PostToAfter(l.delay, tg, opArrive, p)
 		} else {
-			l.sched.PostAfter(l.delay, l, opArrive, p)
+			l.wire.PostAfter(l.delay, p)
 		}
 	} else {
-		l.sched.PostAfter(l.delay, l, opArrive, p)
+		l.wire.PostAfter(l.delay, p)
 	}
 	if l.q.Len() > 0 {
 		l.startNext()

@@ -3,6 +3,8 @@ package link
 import (
 	"testing"
 
+	"bufsim/internal/audit"
+	"bufsim/internal/metrics"
 	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
@@ -230,5 +232,50 @@ func TestZeroDelayDeliversSynchronously(t *testing.T) {
 	s.Run(units.Time(800 * units.Microsecond))
 	if len(c.pkts) != 1 {
 		t.Fatalf("zero-delay link did not deliver at end of serialization")
+	}
+}
+
+// TestBurstRidesOneHeapEntry: k packets serialized back to back onto a
+// long wire are all in flight at once, yet the kernel holds one heap
+// entry for the wire (the next arrival) and k-1 lane items behind it —
+// and they arrive in order, one transmission time apart, with the
+// auditor watching both the link and the kernel.
+func TestBurstRidesOneHeapEntry(t *testing.T) {
+	const k = 8
+	s, l, c := newTestLink(t, 10*units.Mbps, 50*units.Millisecond, k)
+	aud := audit.New()
+	s.SetAuditor(aud)
+	l.SetAuditor(aud)
+	reg := metrics.New()
+	s.Instrument(reg)
+	for i := 0; i < k; i++ {
+		l.Send(mkpkt(int64(i), 1000))
+	}
+	const tx = 800 * units.Microsecond
+	s.Run(units.Epoch.Add(k * tx)) // all serialized, none arrived
+	reg.Collect()
+	heap, lane := reg.Gauge("sim.heap_depth").Value(), reg.Gauge("sim.lane_depth").Value()
+	if len(c.pkts) != 0 || s.Pending() != k || heap != 1 || lane != k-1 {
+		t.Fatalf("mid-flight: %d arrived, pending=%d heap=%v lane=%v; want 0, %d, 1, %d",
+			len(c.pkts), s.Pending(), heap, lane, k, k-1)
+	}
+	if err := s.VerifyInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(units.Epoch.Add(units.Second))
+	if len(c.pkts) != k {
+		t.Fatalf("delivered %d packets, want %d", len(c.pkts), k)
+	}
+	for i, p := range c.pkts {
+		if want := units.Epoch.Add(units.Duration(i+1)*tx + 50*units.Millisecond); p.Seq != int64(i) || c.times[i] != want {
+			t.Errorf("arrival %d: seq %d at %v, want seq %d at %v", i, p.Seq, c.times[i], i, want)
+		}
+	}
+	reg.Collect()
+	if n := reg.Counter("sim.lane_fallbacks").Value(); n != 0 {
+		t.Errorf("a fixed-delay wire took the fallback %d times", n)
+	}
+	if aud.Count() != 0 {
+		t.Fatalf("audit violations: %v", aud.Err())
 	}
 }

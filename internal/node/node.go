@@ -16,14 +16,17 @@ import (
 // switching fabric; its GSR showed "no input queueing"). A next hop is
 // usually a *link.Link, but locally attached hosts can be wired directly.
 type Router struct {
-	id     packet.NodeID
-	name   string
-	routes map[packet.NodeID]packet.Handler
+	id   packet.NodeID
+	name string
+	// routes is indexed by destination NodeID; nil means no route. The
+	// topologies allocate node IDs sequentially from zero, so the table is
+	// dense and the per-packet lookup is one bounds check.
+	routes []packet.Handler
 }
 
 // NewRouter returns an empty router.
 func NewRouter(id packet.NodeID, name string) *Router {
-	return &Router{id: id, name: name, routes: make(map[packet.NodeID]packet.Handler)}
+	return &Router{id: id, name: name}
 }
 
 // ID returns the router's node ID.
@@ -31,9 +34,15 @@ func (r *Router) ID() packet.NodeID { return r.id }
 
 // AddRoute directs traffic for dst to the next hop. Adding a duplicate
 // route panics: topologies are static and a silent overwrite hides wiring
-// bugs.
+// bugs. So does a negative destination or a nil next hop.
 func (r *Router) AddRoute(dst packet.NodeID, next packet.Handler) {
-	if _, ok := r.routes[dst]; ok {
+	if dst < 0 || next == nil {
+		panic(fmt.Sprintf("node: router %s given an invalid route (dst %d, next %v)", r.name, dst, next))
+	}
+	if int(dst) >= len(r.routes) {
+		r.routes = append(r.routes, make([]packet.Handler, int(dst)+1-len(r.routes))...)
+	}
+	if r.routes[dst] != nil {
 		panic(fmt.Sprintf("node: router %s already has a route for %d", r.name, dst))
 	}
 	r.routes[dst] = next
@@ -43,11 +52,10 @@ func (r *Router) AddRoute(dst packet.NodeID, next packet.Handler) {
 // packet's destination. An unroutable packet panics — topologies are
 // closed worlds and a miss means mis-wiring, not a runtime condition.
 func (r *Router) Handle(p *packet.Packet) {
-	next, ok := r.routes[p.Dst]
-	if !ok {
+	if uint(p.Dst) >= uint(len(r.routes)) || r.routes[p.Dst] == nil {
 		panic(fmt.Sprintf("node: router %s has no route for %v", r.name, p))
 	}
-	next.Handle(p)
+	r.routes[p.Dst].Handle(p)
 }
 
 // Host is an endpoint. Each flow terminating at the host registers an

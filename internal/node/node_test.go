@@ -44,6 +44,33 @@ func TestRouterUnroutablePanics(t *testing.T) {
 	r.Handle(&packet.Packet{Dst: 99})
 }
 
+func TestRouterSparseAndInvalidRoutes(t *testing.T) {
+	// The table is dense by NodeID but ids need not arrive in order, and a
+	// gap between two routes is still "no route".
+	r := NewRouter(1, "r1")
+	hi, lo := &sink{}, &sink{}
+	r.AddRoute(40, hi)
+	r.AddRoute(3, lo)
+	r.Handle(&packet.Packet{Dst: 40})
+	r.Handle(&packet.Packet{Dst: 3})
+	if len(hi.got) != 1 || len(lo.got) != 1 {
+		t.Errorf("routed %d/%d, want 1/1", len(hi.got), len(lo.got))
+	}
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("gap between routes", func() { r.Handle(&packet.Packet{Dst: 20}) })
+	mustPanic("negative destination", func() { r.Handle(&packet.Packet{Dst: -1}) })
+	mustPanic("negative route", func() { r.AddRoute(-1, lo) })
+	mustPanic("nil next hop", func() { r.AddRoute(5, nil) })
+}
+
 func TestHostDemuxByFlow(t *testing.T) {
 	h := NewHost(5, "h")
 	f1, f2 := &sink{}, &sink{}

@@ -71,25 +71,31 @@ func TestKernelCleanUnderAudit(t *testing.T) {
 }
 
 // FuzzSchedulerInvariants decodes an arbitrary byte stream into kernel
-// operations (schedule closure/typed, cancel, reschedule, step, run) and
-// checks the full structural invariant set after every operation, with
-// the auditor attached throughout.
+// operations (schedule closure/typed/lane, cancel, step, run) and checks
+// the full structural invariant set — heap, slots, lanes — after every
+// operation, with the auditor attached throughout.
 func FuzzSchedulerInvariants(f *testing.F) {
 	f.Add([]byte{0x00, 0x05, 0x41, 0x02, 0x83, 0x00, 0xc1, 0x07})
 	f.Add([]byte("schedule, cancel, step, repeat"))
+	f.Add([]byte{0x60, 0x00, 0x64, 0x00, 0x61, 0x00, 0x62, 0x00, 0xc1, 0x00, 0x60, 0x00, 0xc3, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		aud := audit.New()
 		s := NewScheduler()
 		s.SetAuditor(aud)
 		a := &testActor{}
+		lanes := [2]*Lane{s.NewLane(a, 0), s.NewLane(a, 1)}
 		var handles []Event
 		for i := 0; i+1 < len(data); i += 2 {
 			op, b := data[i]>>6, data[i]&0x3f
 			switch op {
 			case 0: // schedule a closure event b ticks out
 				handles = append(handles, s.After(units.Duration(b), func() {}))
-			case 1: // schedule a typed event b ticks out
-				handles = append(handles, s.PostAfter(units.Duration(b), a, int32(b), nil))
+			case 1: // typed event b ticks out: plain, or (upper half) on lane b&1
+				if b < 32 {
+					handles = append(handles, s.PostAfter(units.Duration(b), a, int32(b), nil))
+				} else {
+					lanes[b&1].PostAfter(units.Duration(b-32)/2, nil)
+				}
 			case 2: // cancel an arbitrary handle (live, fired, or recycled)
 				if len(handles) > 0 {
 					s.Cancel(handles[int(b)%len(handles)])

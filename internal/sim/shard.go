@@ -105,10 +105,13 @@ func (s *Scheduler) EnableShards(n int, lookahead units.Duration) {
 	e.views = make([]*Scheduler, n)
 	for k := range e.shards {
 		e.shards[k] = &shardRun{id: int32(k), eng: e}
-		e.views[k] = &Scheduler{eng: e, viewShard: int32(k)}
+		e.views[k] = &Scheduler{eng: e, viewShard: int32(k), laneFree: laneNil}
 	}
 	s.viewShard = globalClass
 	s.eng = e
+	// Lanes post through the engine from here on; whatever they already
+	// hold re-enters the heap under its reserved key.
+	s.spillLanes()
 	// Events scheduled before sharding was enabled carry the global
 	// class; register them for window sizing.
 	for _, en := range s.heap {
@@ -871,12 +874,7 @@ func (e *shardEngine) forward(sh *shardRun, idx int32, seqn uint64) {
 	bsl.arg = ls.arg
 	bsl.shard = ls.target
 	bsl.backRef = handleFor(sh.id+1, idx)
-	i := len(b.heap)
-	b.heap = append(b.heap, entry{at: ls.at, seq: seqn, slot: bidx})
-	b.siftUp(i)
-	if len(b.heap) > b.maxPending {
-		b.maxPending = len(b.heap)
-	}
+	b.push(entry{at: ls.at, seq: seqn, slot: bidx})
 	ls.state = lsForwarded
 	ls.fwd = Event{id: bidx + 1, gen: bsl.gen}
 	ls.fn = nil

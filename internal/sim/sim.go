@@ -1,12 +1,14 @@
 // Package sim implements the discrete-event simulation kernel that drives
-// everything else: a clock, a pending-event priority queue, and
-// cancellable timers.
+// everything else: a clock, a pending-event priority queue, cancellable
+// timers, and FIFO lanes for events that are already in order.
 //
-// The kernel is deliberately single-threaded. Determinism matters more for
-// a reproduction study than parallel speed: two runs with the same seed
-// must schedule, drop and acknowledge exactly the same packets. Events at
-// the same instant fire in the order they were scheduled (stable FIFO
-// tie-break by sequence number).
+// Determinism matters more for a reproduction study than parallel speed:
+// two runs with the same seed must schedule, drop and acknowledge exactly
+// the same packets. Every event is keyed by (time, seq), seq being the
+// order of the scheduling calls, and events fire in exactly that order —
+// so events at the same instant fire in the order they were scheduled.
+// The default kernel runs on one goroutine; EnableShards (shard.go) runs
+// the same schedule on several and reproduces that order bit for bit.
 //
 // # Throughput design
 //
@@ -27,6 +29,11 @@
 //     so steady-state simulation allocates nothing per event. The
 //     closure-based At/After remain for cold paths (experiment setup,
 //     sampling) where convenience beats the one closure allocation.
+//   - Events whose fire times are already sorted — packets propagating
+//     down one wire — go through a Lane (lane.go): each reserves its
+//     (time, seq) key when posted, but only the lane's head occupies the
+//     heap, so heap depth follows the number of wires rather than the
+//     number of packets in flight.
 package sim
 
 import (
@@ -84,6 +91,14 @@ const (
 	posSeedBase      int32 = -10
 )
 
+// slot.kind values. kind sits in the padding after defc: the slot stays
+// 64 bytes (one cache line), which the sharded engine's seed scan is
+// measurably sensitive to.
+const (
+	kindEvent uint8 = iota
+	kindLane
+)
+
 // slot is the pooled storage behind one scheduled event.
 type slot struct {
 	gen     uint32 // incremented on every recycle; stale handles mismatch
@@ -92,6 +107,7 @@ type slot struct {
 	shard   int32 // event class: owning shard, or globalClass (sequential)
 	backRef int32 // shard-local shell forwarded onto this slot (0 = none)
 	defc    bool  // cancelled mid-window; the barrier applies the removal
+	kind    uint8 // kindEvent, or kindLane: arg is the *Lane whose head this is
 	actor   Actor
 	arg     any
 	fn      func()
@@ -126,6 +142,14 @@ type Scheduler struct {
 	stopped    bool
 	aud        *audit.Auditor
 
+	// Lane storage (lane.go): one pooled slab for every lane's items,
+	// threaded into per-lane FIFOs and a free list through laneItem.next.
+	laneItems     []laneItem
+	laneFree      int32 // head of the free list, laneNil when empty
+	laneQueued    int   // items waiting behind their lane's head
+	maxLaneQueued int
+	laneFallbacks int64 // out-of-order lane posts sent through the heap
+
 	// eng is non-nil once EnableShards has attached the parallel-window
 	// engine (shard.go). viewShard distinguishes the base scheduler
 	// (globalClass) from the per-shard views the engine issues; a view
@@ -142,7 +166,7 @@ type Scheduler struct {
 
 // NewScheduler returns a scheduler with the clock at the simulation epoch.
 func NewScheduler() *Scheduler {
-	return &Scheduler{}
+	return &Scheduler{laneFree: laneNil}
 }
 
 // Now returns the current simulated time: the base clock, or the owning
@@ -160,10 +184,15 @@ func (s *Scheduler) Now() units.Time {
 // consistency. A nil auditor (the default) disables the checks.
 func (s *Scheduler) SetAuditor(a *audit.Auditor) { s.root().aud = a }
 
-// Pending returns the number of events waiting to fire.
-func (s *Scheduler) Pending() int { return len(s.root().heap) }
+// Pending returns the number of events waiting to fire: heap entries plus
+// the lane items queued behind their lane's head.
+func (s *Scheduler) Pending() int {
+	r := s.root()
+	return len(r.heap) + r.laneQueued
+}
 
-// MaxPending returns the deepest the event heap has been. Under sharding
+// MaxPending returns the deepest the event heap has been (heap entries
+// only; items queued in lanes never enter the heap). Under sharding
 // this is an approximation (per-shard peaks plus the base backlog), not
 // a globally-consistent snapshot.
 func (s *Scheduler) MaxPending() int { return s.root().maxPending }
@@ -219,6 +248,7 @@ func (s *Scheduler) release(id int32) {
 	sl.arg = nil
 	sl.fn = nil
 	sl.defc = false
+	sl.kind = kindEvent
 	if sl.backRef != 0 {
 		s.eng.releaseShell(sl.backRef)
 		sl.backRef = 0
@@ -252,6 +282,7 @@ func (s *Scheduler) scheduleBase(t units.Time, fn func(), a Actor, op int32, arg
 	sl.op = op
 	sl.arg = arg
 	sl.shard = shard
+	// push, spelled out: the extra call costs ~2% on kernel_churn.
 	i := len(s.heap)
 	s.heap = append(s.heap, entry{at: t, seq: s.seq, slot: id})
 	s.seq++
@@ -263,6 +294,16 @@ func (s *Scheduler) scheduleBase(t units.Time, fn func(), a Actor, op int32, arg
 		s.eng.noteGlobal(t, id, sl.gen)
 	}
 	return Event{id: id + 1, gen: sl.gen}
+}
+
+// push inserts e into the heap and tracks the depth high-water mark.
+func (s *Scheduler) push(e entry) {
+	i := len(s.heap)
+	s.heap = append(s.heap, e)
+	s.siftUp(i)
+	if len(s.heap) > s.maxPending {
+		s.maxPending = len(s.heap)
+	}
 }
 
 // At schedules fn to run at the absolute time t.
@@ -409,7 +450,8 @@ func (s *Scheduler) popRoot() entry {
 
 // fire pops the earliest event, advances the clock and dispatches it. The
 // slot is recycled before dispatch, so the handler is free to schedule
-// (possibly reusing the very slot that just fired).
+// (possibly reusing the very slot that just fired). A lane's head hands
+// its heap entry to the item behind it instead (fireLane).
 func (s *Scheduler) fire() {
 	top := s.heap[0]
 	if s.aud != nil {
@@ -422,8 +464,12 @@ func (s *Scheduler) fire() {
 				"heap root references slot %d with pos %d (stale or recycled slot about to fire)", top.slot, sl.pos)
 		}
 	}
-	s.popRoot()
 	sl := &s.slots[top.slot]
+	if sl.kind == kindLane {
+		s.fireLane(sl.arg.(*Lane), top)
+		return
+	}
+	s.popRoot()
 	fn, actor, op, arg := sl.fn, sl.actor, sl.op, sl.arg
 	s.release(top.slot)
 	s.now = top.at
@@ -436,7 +482,9 @@ func (s *Scheduler) fire() {
 }
 
 // Instrument registers the kernel's telemetry into reg: events processed,
-// current and peak heap depth, and the simulated clock. Values are
+// current and peak heap entries (sim.heap_depth*), current and peak lane
+// items queued behind their lane's head (sim.lane_depth*; heap + lane =
+// Pending), out-of-order lane posts, and the simulated clock. Values are
 // published by a snapshot-time collector, so instrumentation adds no
 // per-event work and cannot perturb scheduling. A nil registry is a no-op.
 func (s *Scheduler) Instrument(reg *metrics.Registry) {
@@ -447,11 +495,17 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 	events := reg.Counter("sim.events_processed")
 	depth := reg.Gauge("sim.heap_depth")
 	depthMax := reg.Gauge("sim.heap_depth_max")
+	laneDepth := reg.Gauge("sim.lane_depth")
+	laneDepthMax := reg.Gauge("sim.lane_depth_max")
+	laneFallbacks := reg.Counter("sim.lane_fallbacks")
 	clock := reg.Gauge("sim.time_seconds")
 	reg.OnCollect(func() {
 		events.Set(int64(r.Processed))
 		depth.Set(float64(len(r.heap)))
 		depthMax.Set(float64(r.maxPending))
+		laneDepth.Set(float64(r.laneQueued))
+		laneDepthMax.Set(float64(r.maxLaneQueued))
+		laneFallbacks.Set(r.laneFallbacks)
 		clock.Set(r.now.Seconds())
 	})
 }
@@ -505,8 +559,9 @@ func (s *Scheduler) Step() bool {
 }
 
 // VerifyInvariants exhaustively checks the kernel's internal structure:
-// heap order, heap-entry/slot cross-links, free-list consistency, and
-// that no slot is both pending and free. It is O(pool size) and meant for
+// heap order, heap-entry/slot cross-links, free-list consistency, that no
+// slot is both pending and free, and the lane invariants (see
+// verifyLanes). It is O(pool size) and meant for
 // tests and the fuzz harness, not the hot path. It returns the first
 // problem found, or nil.
 func (s *Scheduler) VerifyInvariants() error {
@@ -551,6 +606,9 @@ func (s *Scheduler) VerifyInvariants() error {
 	}
 	if len(s.heap)+len(s.free) != len(s.slots) {
 		return fmt.Errorf("sim: %d pending + %d free != %d slots", len(s.heap), len(s.free), len(s.slots))
+	}
+	if err := s.verifyLanes(); err != nil {
+		return err
 	}
 	if s.eng != nil {
 		return s.eng.verify()
