@@ -72,7 +72,9 @@ bench:
 # bench-gate re-measures and fails if events/sec fell more than 5%
 # below the checked-in BENCH_kernel.json — the budget the pluggable
 # congestion-control indirection (and any future abstraction on the
-# per-event path) must fit within.
+# per-event path) must fit within — or if any cell's allocs/op rose more
+# than 1%, which is how a packet path that allocates again shows up on
+# any machine.
 bench-gate:
 	GOMAXPROCS=1 $(GO) run ./bench -out BENCH_kernel_ci.json -gate BENCH_kernel.json
 
@@ -80,7 +82,8 @@ bench-gate:
 # fabric shape and the million-sender slab footprint) against the
 # checked-in BENCH_scale.json; bench-scale-gate fails if any cell's
 # events/sec fell more than 5% below it — the budget the sharded
-# engine's bookkeeping must fit within on a sequential run.
+# engine's bookkeeping must fit within on a sequential run — or its
+# allocs/op rose more than 1%.
 bench-scale:
 	GOMAXPROCS=1 $(GO) run ./bench -scale -out BENCH_scale_ci.json -baseline BENCH_scale.json
 

@@ -26,9 +26,14 @@
 //
 // -gate compares the fresh numbers against the named file's "current"
 // block and exits non-zero if any benchmark's events/sec fell by more
-// than -gate-pct percent (default 5). CI runs this against the
-// checked-in BENCH_kernel.json so an abstraction change (say, an
-// interface on the per-ACK path) cannot silently tax the kernel.
+// than -gate-pct percent (default 5), or if its allocs/op rose by more
+// than 1%. CI runs this against the checked-in BENCH_kernel.json so an
+// abstraction change (say, an interface on the per-ACK path) cannot
+// silently tax the kernel. The speed half depends on the machine; the
+// allocation half does not — the simulations are deterministic, so
+// allocs/op repeats to within a handful of runtime-internal allocations
+// on any box, and a packet path that starts allocating again moves it by
+// tens of thousands.
 package main
 
 import (
@@ -245,9 +250,14 @@ func runKernelBenchmarks(f *File) {
 	f.Current.Benchmarks["sim_short_flows"] = metric(r, sfEvents)
 }
 
+// maxAllocRisePct is how far a benchmark's allocs/op may rise over the
+// gate file's before -gate fails.
+const maxAllocRisePct = 1
+
 // checkGate fails if any benchmark shared with the gate file's
 // "current" block lost more than pct percent of its events/sec (or,
-// for event-less benchmarks, gained more than pct percent ns/op).
+// for event-less benchmarks, gained more than pct percent ns/op), or
+// allocates more than maxAllocRisePct percent more per op.
 func checkGate(path string, pct float64, fresh map[string]Metric) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -262,6 +272,11 @@ func checkGate(path string, pct float64, fresh map[string]Metric) error {
 		now, ok := fresh[name]
 		if !ok {
 			continue // gate file may carry benchmarks this build does not run
+		}
+		if limit := old.AllocsPerOp + old.AllocsPerOp*maxAllocRisePct/100; now.AllocsPerOp > limit {
+			failures = append(failures, fmt.Sprintf(
+				"%s: %d allocs/op -> %d (limit %d, +%d%%)",
+				name, old.AllocsPerOp, now.AllocsPerOp, limit, maxAllocRisePct))
 		}
 		switch {
 		case old.EventsPerSec > 0 && now.EventsPerSec > 0:

@@ -3,7 +3,9 @@ package bufsim
 import (
 	"testing"
 
+	"bufsim/internal/audit"
 	"bufsim/internal/experiment"
+	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
@@ -234,5 +236,81 @@ func TestPublicAPISmoke(t *testing.T) {
 	})
 	if res.Utilization < 0.97 {
 		t.Errorf("README quickstart utilization = %v, want ~0.99", res.Utilization)
+	}
+}
+
+// reuser is a seeded ownership bug: it sits in front of a receiver, keeps
+// the pointer to one data segment after the receiver has consumed (and
+// released) it, and puts that packet back on the wire.
+type reuser struct {
+	next, out packet.Handler
+	done      bool
+}
+
+func (r *reuser) Handle(p *packet.Packet) {
+	r.next.Handle(p)
+	if !r.done {
+		r.done = true
+		r.out.Handle(p)
+	}
+}
+
+// TestPacketOwnershipUnderAudit: packets are recycled at the TCP
+// endpoints, and audit mode polices that nobody touches one afterwards.
+// A 100-flow run obeys the rule — zero violations of any kind, with
+// every released packet poisoned — and one extra flow whose receiver
+// side re-sends a packet it no longer owns is reported as
+// packet-use-after-release by the link it re-sends into.
+func TestPacketOwnershipUnderAudit(t *testing.T) {
+	run := func(mutate bool) *audit.Auditor {
+		aud := audit.New()
+		sched := sim.NewScheduler()
+		rng := sim.NewRNG(5)
+		d := topology.NewDumbbell(topology.Config{
+			Sched:           sched,
+			RNG:             rng.Fork(),
+			BottleneckRate:  100 * units.Mbps,
+			BottleneckDelay: 5 * units.Millisecond,
+			Buffer:          queue.PacketLimit(80),
+			Stations:        101,
+			RTTMin:          40 * units.Millisecond,
+			RTTMax:          120 * units.Millisecond,
+			Auditor:         aud,
+		})
+		flows := workload.StartLongLived(d, 100, tcp.Config{SegmentSize: 1000, Variant: tcp.Sack}, rng.Fork(), units.Second)
+		if mutate {
+			st := d.Station(100)
+			raw := d.NewRawFlow(st)
+			spec := tcp.Config{Flow: raw.ID, Src: raw.Src, Dst: raw.Dst, SegmentSize: 1000}
+			snd := tcp.NewSender(spec, st.Sched(), raw.Forward)
+			rcv := tcp.NewReceiver(spec, st.Sched(), raw.Reverse)
+			pool := packet.NewPool(true)
+			snd.SetPool(pool)
+			rcv.SetPool(pool)
+			d.BindRawFlow(raw, snd, &reuser{next: rcv, out: raw.Forward})
+			snd.Start()
+		}
+		sched.Run(units.Time(5 * units.Second))
+		var drops, retransmits int64
+		for _, f := range flows {
+			retransmits += f.Sender.Stats().Retransmits
+		}
+		drops = d.Bottleneck.Queue().Stats().DroppedPackets
+		if drops == 0 || retransmits == 0 {
+			t.Fatalf("run saw %d drops and %d retransmits; it should exercise loss", drops, retransmits)
+		}
+		return aud
+	}
+	if aud := run(false); aud.Count() != 0 {
+		t.Errorf("clean run: %v", aud)
+	}
+	aud := run(true)
+	if aud.Count() == 0 {
+		t.Fatal("a packet re-sent after its release went unnoticed")
+	}
+	for _, v := range aud.Violations() {
+		if v.Invariant != "packet-use-after-release" {
+			t.Errorf("unexpected violation: %v", v)
+		}
 	}
 }

@@ -113,8 +113,9 @@ func (l *Link) Queue() queue.Queue { return l.q }
 
 // SetAuditor attaches an invariant checker: after every completed
 // transmission the link verifies its busy-time accounting against the sum
-// of per-packet transmission times and against elapsed simulated time. A
-// nil auditor (the default) disables the checks.
+// of per-packet transmission times and against elapsed simulated time,
+// and it refuses and reports any packet that was already released to its
+// pool (see packet.Pool). A nil auditor (the default) disables the checks.
 func (l *Link) SetAuditor(a *audit.Auditor) { l.aud = a }
 
 // Handle implements packet.Handler so links compose directly with routers
@@ -126,6 +127,13 @@ func (l *Link) Handle(p *packet.Packet) { l.Send(p) }
 // as with a real drop-tail router).
 func (l *Link) Send(p *packet.Packet) {
 	now := l.sched.Now()
+	if l.aud != nil && p.Released() {
+		// A poisoned packet has no meaningful size to serialize; it goes
+		// no further.
+		l.aud.Violationf(now, "link:"+l.name, "packet-use-after-release",
+			"offered a packet its endpoint had already released")
+		return
+	}
 	if !l.q.Enqueue(p, now) {
 		if l.OnDrop != nil {
 			l.OnDrop(p)
@@ -193,6 +201,10 @@ func (l *Link) finishTransmit(p *packet.Packet) {
 // one nanosecond of truncation per packet.
 func (l *Link) auditTransmit(p *packet.Packet, now units.Time) {
 	comp := "link:" + l.name
+	if p.Released() {
+		l.aud.Violationf(now, comp, "packet-use-after-release",
+			"a packet was released while the link was transmitting it")
+	}
 	l.expectedBusy += units.TransmissionTime(p.Size, l.rate)
 	if l.busyTotal != l.expectedBusy {
 		l.aud.Violationf(now, comp, "busy-accounting",

@@ -279,3 +279,43 @@ func TestBurstRidesOneHeapEntry(t *testing.T) {
 		t.Fatalf("audit violations: %v", aud.Err())
 	}
 }
+
+// TestAuditedLinkRefusesReleasedPackets: an audited link reports a packet
+// that was already released to its pool — offered after release, or
+// released while the link still held it — and an unaudited link does not
+// look.
+func TestAuditedLinkRefusesReleasedPackets(t *testing.T) {
+	count := func(aud *audit.Auditor) (n int) {
+		for _, v := range aud.Violations() {
+			if v.Invariant == "packet-use-after-release" {
+				n++
+			}
+		}
+		return n
+	}
+	poison := packet.NewPool(true)
+
+	s, l, c := newTestLink(t, 10*units.Mbps, units.Millisecond, 10)
+	aud := audit.New()
+	l.SetAuditor(aud)
+	stale := mkpkt(0, 1000)
+	poison.Put(stale)
+	l.Send(stale)
+	l.Send(mkpkt(1, 1000))
+	s.Run(units.Epoch.Add(units.Second))
+	if count(aud) != 1 || len(c.pkts) != 1 || c.pkts[0].Seq != 1 {
+		t.Errorf("released packet offered: %d reports, %d delivered; want 1 report and only the live packet delivered (%v)",
+			count(aud), len(c.pkts), aud)
+	}
+
+	s, l, _ = newTestLink(t, 10*units.Mbps, units.Millisecond, 10)
+	aud = audit.New()
+	l.SetAuditor(aud)
+	held := mkpkt(0, 1000)
+	l.Send(held)
+	poison.Put(held) // the sender let go of a packet it had handed on
+	s.Run(units.Epoch.Add(units.Second))
+	if count(aud) == 0 {
+		t.Error("a packet released while the link was transmitting it went unreported")
+	}
+}

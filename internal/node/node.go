@@ -6,7 +6,9 @@ package node
 import (
 	"fmt"
 
+	"bufsim/internal/audit"
 	"bufsim/internal/packet"
+	"bufsim/internal/sim"
 )
 
 // Router forwards packets toward their destination over per-destination
@@ -64,6 +66,18 @@ type Host struct {
 	id     packet.NodeID
 	name   string
 	agents map[packet.FlowID]packet.Handler
+
+	// lastFlow and lastAgent remember the previous delivery. A station
+	// carries one live flow at a time, so nearly every packet is for the
+	// same flow as the one before it and skips the map. lastAgent is nil
+	// when the entry is empty.
+	lastFlow  packet.FlowID
+	lastAgent packet.Handler
+
+	// aud, when non-nil, hears about packets that arrive after their
+	// endpoint released them; clock stamps the report (see SetAuditor).
+	aud   *audit.Auditor
+	clock *sim.Scheduler
 }
 
 // NewHost returns an empty host.
@@ -73,6 +87,12 @@ func NewHost(id packet.NodeID, name string) *Host {
 
 // ID returns the host's node ID.
 func (h *Host) ID() packet.NodeID { return h.id }
+
+// SetAuditor attaches an invariant checker: the host reports any packet
+// delivered to it after its endpoint released it (see packet.Pool),
+// stamped with clock's time. A nil auditor (the default) disables the
+// check.
+func (h *Host) SetAuditor(a *audit.Auditor, clock *sim.Scheduler) { h.aud, h.clock = a, clock }
 
 // Attach registers an agent to receive packets for flow f.
 func (h *Host) Attach(f packet.FlowID, agent packet.Handler) {
@@ -87,11 +107,24 @@ func (h *Host) Attach(f packet.FlowID, agent packet.Handler) {
 // flight for a detached flow are dropped silently.
 func (h *Host) Detach(f packet.FlowID) {
 	delete(h.agents, f)
+	if f == h.lastFlow {
+		h.lastAgent = nil
+	}
 }
 
 // Handle implements packet.Handler.
 func (h *Host) Handle(p *packet.Packet) {
+	if h.aud != nil && p.Released() {
+		// It then finds no agent and falls on the floor like any stray.
+		h.aud.Violationf(h.clock.Now(), "host:"+h.name, "packet-use-after-release",
+			"delivered a packet its endpoint had already released")
+	}
+	if h.lastAgent != nil && p.Flow == h.lastFlow {
+		h.lastAgent.Handle(p)
+		return
+	}
 	if a, ok := h.agents[p.Flow]; ok {
+		h.lastFlow, h.lastAgent = p.Flow, a
 		a.Handle(p)
 	}
 	// Packets for detached (finished) flows fall on the floor, like a

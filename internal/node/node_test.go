@@ -3,7 +3,9 @@ package node
 import (
 	"testing"
 
+	"bufsim/internal/audit"
 	"bufsim/internal/packet"
+	"bufsim/internal/sim"
 )
 
 type sink struct{ got []*packet.Packet }
@@ -110,4 +112,60 @@ func TestHostDuplicateAttachPanics(t *testing.T) {
 		}
 	}()
 	h.Attach(1, &sink{})
+}
+
+// TestHostDetachAfterDelivery: the host remembers the last flow it
+// delivered to, and Detach must forget it — a packet for a flow that has
+// just been delivered to and then detached still falls on the floor, a
+// second flow's cached entry survives the first one's Detach, and a flow
+// ID attached again reaches the new agent, not the remembered one.
+func TestHostDetachAfterDelivery(t *testing.T) {
+	h := NewHost(5, "h")
+	f1, f2 := &sink{}, &sink{}
+	h.Attach(1, f1)
+	h.Attach(2, f2)
+	h.Handle(&packet.Packet{Flow: 1})
+	h.Handle(&packet.Packet{Flow: 1}) // served from the remembered entry
+	h.Detach(1)
+	h.Handle(&packet.Packet{Flow: 1})
+	if len(f1.got) != 2 {
+		t.Fatalf("flow 1's agent got %d packets, want the 2 sent before Detach", len(f1.got))
+	}
+	h.Handle(&packet.Packet{Flow: 2})
+	h.Detach(1) // detaching some other (already gone) flow keeps flow 2's entry valid
+	h.Handle(&packet.Packet{Flow: 2})
+	if len(f2.got) != 2 {
+		t.Errorf("flow 2's agent got %d packets, want 2", len(f2.got))
+	}
+	again := &sink{}
+	h.Detach(2)
+	h.Attach(2, again)
+	h.Handle(&packet.Packet{Flow: 2})
+	if len(f2.got) != 2 || len(again.got) != 1 {
+		t.Errorf("after re-attach the old agent has %d packets and the new one %d, want 2 and 1", len(f2.got), len(again.got))
+	}
+}
+
+// TestHostReportsReleasedPacket: under audit a packet that reaches a host
+// after its endpoint released it is a violation, and it reaches no agent.
+func TestHostReportsReleasedPacket(t *testing.T) {
+	h := NewHost(5, "h")
+	f := &sink{}
+	h.Attach(1, f)
+	aud := audit.New()
+	h.SetAuditor(aud, sim.NewScheduler())
+	p := &packet.Packet{Flow: 1}
+	h.Handle(p)
+	if aud.Count() != 0 {
+		t.Fatalf("live packet reported: %v", aud)
+	}
+	packet.NewPool(true).Put(p)
+	h.Handle(p)
+	vs := aud.Violations()
+	if len(vs) != 1 || vs[0].Invariant != "packet-use-after-release" {
+		t.Errorf("violations = %v, want one packet-use-after-release", vs)
+	}
+	if len(f.got) != 1 {
+		t.Errorf("agent got %d packets, want only the live one", len(f.got))
+	}
 }

@@ -61,13 +61,29 @@ func (f Flags) String() string {
 	return s
 }
 
-// Packet is one segment in flight. Packets are heap-allocated and shared
-// by reference along the path; components must not retain a packet after
-// handing it downstream.
+// Packet is one segment in flight, shared by reference along its path.
+//
+// Ownership: whoever holds the pointer owns the packet until it hands it
+// downstream, and must not touch it afterwards. The path ends at a TCP
+// endpoint, and only there is a packet released: tcp.Receiver.Handle
+// returns the data segment to its Pool before it builds the ACK, and
+// tcp.Sender.Handle returns the ACK once it has read it. Nothing else
+// may call Pool.Put. A packet a queue drops, or one addressed to a
+// detached flow, is simply abandoned to the garbage collector — the
+// component that drops it cannot know which pool it came from, and drops
+// are rare enough not to matter. Sources that never see their packets
+// again (CBR, pulse, probe) allocate plainly. Under audit a released
+// packet is poisoned instead of reused (see NewPool), and every
+// audited link, queue and host reports one that shows up again.
 type Packet struct {
 	Flow FlowID
 	Src  NodeID
 	Dst  NodeID
+
+	Flags Flags
+	// Retransmitted marks retransmissions so RTT samples obey Karn's
+	// rule. It and Flags sit in what would otherwise be padding after Dst.
+	Retransmitted bool
 
 	// Seq is the segment sequence number (data packets) and Ack is the
 	// cumulative acknowledgement (ACK packets): "every segment below Ack
@@ -76,20 +92,18 @@ type Packet struct {
 	Ack int64
 
 	// Sack carries up to three selective-acknowledgement blocks on ACK
-	// packets: [start, end) ranges of segments received above Ack. Nil
+	// packets: [start, end) ranges of segments received above Ack. Empty
 	// when the receiver has nothing out of order (or SACK is disabled).
+	// The backing array survives Pool.Put, so a recycled packet carries
+	// blocks without allocating.
 	Sack [][2]int64
-
-	Flags Flags
 
 	// Size is the wire size in bytes, including an idealized header.
 	Size units.ByteSize
 
 	// Sent is when the sender's TCP put the packet on its access link;
-	// used for RTT sampling. Retransmitted marks retransmissions so RTT
-	// samples obey Karn's rule.
-	Sent          units.Time
-	Retransmitted bool
+	// used for RTT sampling.
+	Sent units.Time
 
 	// Enqueued is stamped by a queue when the packet is accepted, so the
 	// queueing delay can be measured at dequeue.

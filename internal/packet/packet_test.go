@@ -1,8 +1,10 @@
 package packet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestFlagsString(t *testing.T) {
@@ -53,5 +55,80 @@ func TestHandlerFunc(t *testing.T) {
 	h.Handle(p)
 	if got != p {
 		t.Error("HandlerFunc did not forward the packet")
+	}
+}
+
+func TestPoolRecyclesLIFO(t *testing.T) {
+	pl := NewPool(false)
+	a, b := pl.Get(), pl.Get()
+	if a == b {
+		t.Fatal("an empty pool handed out one packet twice")
+	}
+	*a = Packet{Flow: 3, Seq: 9, Flags: FlagACK, Size: 40, Sack: [][2]int64{{4, 6}, {8, 9}}}
+	*b = Packet{Flow: 4, Seq: 1, Size: 1000}
+	pl.Put(a)
+	pl.Put(b)
+	if got := pl.Get(); got != b {
+		t.Error("Get did not return the packet released last")
+	}
+	got := pl.Get()
+	if got != a {
+		t.Fatal("Get did not return the packet released first")
+	}
+	if got.Released() {
+		t.Error("a recycling pool poisoned a packet")
+	}
+	if len(got.Sack) != 0 || cap(got.Sack) != 2 {
+		t.Errorf("recycled Sack has len %d cap %d, want 0 and the old backing array's 2", len(got.Sack), cap(got.Sack))
+	}
+	got.Sack = nil
+	if !reflect.DeepEqual(*got, Packet{}) {
+		t.Errorf("recycled packet not zeroed: %+v", *got)
+	}
+	if fresh := pl.Get(); fresh == a || fresh == b {
+		t.Error("drained pool handed out a packet that is in use")
+	}
+}
+
+func TestNilPool(t *testing.T) {
+	var pl *Pool
+	p := pl.Get()
+	if p == nil || !reflect.DeepEqual(*p, Packet{}) {
+		t.Fatalf("nil pool Get = %+v, want a fresh zero packet", p)
+	}
+	p.Seq = 7
+	pl.Put(p)
+	if p.Seq != 7 || p.Released() {
+		t.Errorf("nil pool Put touched the packet: %+v", p)
+	}
+}
+
+func TestPoisoningPool(t *testing.T) {
+	pl := NewPool(true)
+	p := pl.Get()
+	*p = Packet{Flow: 3, Seq: 9, Size: 1000}
+	if p.Released() {
+		t.Fatal("live packet reports Released")
+	}
+	pl.Put(p)
+	if !p.Released() || p.Size >= 0 {
+		t.Errorf("released packet not poisoned: %+v", p)
+	}
+	if pl.Get() == p {
+		t.Error("poisoning pool reissued a released packet")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("second Put of one packet did not panic")
+		}
+	}()
+	pl.Put(p)
+}
+
+// TestPacketSize pins the layout: Flags and Retransmitted ride in the
+// padding after Dst, which keeps a packet in the 80-byte size class.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 80 {
+		t.Errorf("Packet is %d bytes, want 80", got)
 	}
 }

@@ -44,6 +44,13 @@ func (a *Audited) Unwrap() Queue { return a.inner }
 
 // Enqueue implements Queue.
 func (a *Audited) Enqueue(p *packet.Packet, now units.Time) bool {
+	if p.Released() {
+		// Not an offer the discipline should account for: the packet's
+		// endpoint already gave it back to its pool (see packet.Pool).
+		a.aud.Violationf(now, a.name, "packet-use-after-release",
+			"offered a packet its endpoint had already released")
+		return false
+	}
 	size := p.Size
 	ok := a.inner.Enqueue(p, now)
 	a.offeredPkts++
@@ -60,6 +67,10 @@ func (a *Audited) Enqueue(p *packet.Packet, now units.Time) bool {
 func (a *Audited) Dequeue(now units.Time) *packet.Packet {
 	p := a.inner.Dequeue(now)
 	if p != nil {
+		if p.Released() {
+			a.aud.Violationf(now, a.name, "packet-use-after-release",
+				"a packet was released while it was queued")
+		}
 		a.dequeuedPkts++
 		a.dequeuedBytes += p.Size
 		if p.Enqueued > now {

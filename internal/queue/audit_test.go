@@ -258,3 +258,30 @@ func TestAuditedTransparent(t *testing.T) {
 		t.Fatalf("clean run reported violations: %v", err)
 	}
 }
+
+// TestAuditedQueueReportsReleasedPackets: the wrapper turns away a packet
+// that was already released to its pool (the discipline never sees it, so
+// its books stay clean) and reports one released while it sat in the
+// queue.
+func TestAuditedQueueReportsReleasedPackets(t *testing.T) {
+	aud := audit.New()
+	w := NewAudited(NewDropTail(PacketLimit(4)), aud, "released")
+	poison := packet.NewPool(true)
+
+	stale := mkpkt(0, 1000)
+	poison.Put(stale)
+	if w.Enqueue(stale, ms(0)) || w.Len() != 0 {
+		t.Error("released packet was admitted")
+	}
+	queued := mkpkt(1, 1000)
+	w.Enqueue(queued, ms(1))
+	poison.Put(queued)
+	w.Dequeue(ms(2))
+	var got []string
+	for _, v := range aud.Violations() {
+		got = append(got, v.Invariant)
+	}
+	if len(got) < 2 || got[0] != "packet-use-after-release" || got[1] != "packet-use-after-release" {
+		t.Errorf("violations %v, want packet-use-after-release for the offer and for the dequeue", got)
+	}
+}

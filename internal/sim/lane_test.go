@@ -106,9 +106,9 @@ func TestLaneMatchesPostAfter(t *testing.T) {
 				t.Fatalf("seed %d: dispatch %d is %q with lanes, %q without", seed, i, a.log[i], b.log[i])
 			}
 		}
-		if a.s.laneFallbacks == 0 || a.s.maxLaneQueued == 0 {
-			t.Fatalf("seed %d exercised %d fallbacks and a lane depth of %d; the program should reach both",
-				seed, a.s.laneFallbacks, a.s.maxLaneQueued)
+		if a.s.laneFallbacks == 0 || a.s.maxLaneQueued == 0 || len(a.s.laneChunks) <= twinLanes {
+			t.Fatalf("seed %d exercised %d fallbacks, a lane depth of %d and %d chunks for %d lanes; the program should reach fallbacks and lanes that span chunks",
+				seed, a.s.laneFallbacks, a.s.maxLaneQueued, len(a.s.laneChunks), twinLanes)
 		}
 		if a.s.MaxPending() >= b.s.MaxPending() {
 			t.Errorf("seed %d: heap peaked at %d with lanes, %d without", seed, a.s.MaxPending(), b.s.MaxPending())
@@ -196,6 +196,7 @@ func TestLaneNegativeDelayPanics(t *testing.T) {
 // later posts on the same lane go through the engine — so the dispatch
 // order is the one an unsharded scheduler produces.
 func TestEnableShardsSpillsLanes(t *testing.T) {
+	const tailItems = 2*laneChunkLen + 1
 	run := func(shard bool) []any {
 		s := NewScheduler()
 		s.SetAuditor(audit.New())
@@ -206,9 +207,12 @@ func TestEnableShardsSpillsLanes(t *testing.T) {
 		l2.PostAfter(6, "b6")
 		l1.PostAfter(6, "a6")
 		l1.PostAfter(9, "a9")
+		for i := 0; i < tailItems; i++ { // a lane spanning several chunks
+			l2.PostAfter(units.Duration(20+i), fmt.Sprint("t", i))
+		}
 		if shard {
 			s.EnableShards(2, 100)
-			if s.Pending() != 5 || s.root().laneQueued != 0 {
+			if s.Pending() != 5+tailItems || s.root().laneQueued != 0 {
 				t.Fatalf("after EnableShards: pending=%d, %d items still in lanes", s.Pending(), s.root().laneQueued)
 			}
 			if err := s.VerifyInvariants(); err != nil {
@@ -224,7 +228,11 @@ func TestEnableShardsSpillsLanes(t *testing.T) {
 		return a.args
 	}
 	want, got := fmt.Sprint(run(false)), fmt.Sprint(run(true))
-	if want != "[a2 a5 plain6 b6 a6 b6' a9]" {
+	order := []any{"a2", "a5", "plain6", "b6", "a6", "b6'", "a9"}
+	for i := 0; i < tailItems; i++ {
+		order = append(order, fmt.Sprint("t", i))
+	}
+	if want != fmt.Sprint(order) {
 		t.Errorf("unsharded order %s", want)
 	}
 	if got != want {
@@ -238,18 +246,21 @@ func TestVerifyInvariantsCatchesLaneCorruption(t *testing.T) {
 	build := func() (*Scheduler, *Lane) {
 		s := NewScheduler()
 		ln := s.NewLane(&testActor{}, 0)
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 2*laneChunkLen+3; i++ {
 			ln.PostAfter(units.Duration(10+i), nil)
 		}
-		s.Run(10) // one item back on the free list
+		s.Run(units.Time(10 + laneChunkLen)) // first chunk drained and back on the free list
 		return s, ln
 	}
 	cases := map[string]func(*Scheduler, *Lane){
-		"unsorted items":      func(s *Scheduler, ln *Lane) { s.laneItems[ln.tail].at = 0 },
-		"head key != heap":    func(s *Scheduler, ln *Lane) { s.laneItems[ln.head].seq += 100 },
-		"leaked item":         func(s *Scheduler, ln *Lane) { s.laneFree = laneNil },
-		"item in two places":  func(s *Scheduler, ln *Lane) { s.laneItems[ln.tail].next = s.laneFree },
-		"tail not the end":    func(s *Scheduler, ln *Lane) { ln.tail = ln.head },
+		"unsorted items":      func(s *Scheduler, ln *Lane) { s.laneChunks[ln.tail][ln.toff-1].at = 0 },
+		"head key != heap":    func(s *Scheduler, ln *Lane) { s.laneChunks[ln.head][ln.hoff].seq += 100 },
+		"leaked chunk":        func(s *Scheduler, ln *Lane) { s.laneFree = laneNil },
+		"chunk in two places": func(s *Scheduler, ln *Lane) { s.laneNext[ln.tail] = s.laneFree; ln.tail = s.laneFree; ln.toff = 1 },
+		"chunk list loops":    func(s *Scheduler, ln *Lane) { s.laneNext[ln.tail] = ln.head; ln.tail = laneNil },
+		"tail not the end":    func(s *Scheduler, ln *Lane) { ln.tail = laneNil },
+		"head offset off":     func(s *Scheduler, ln *Lane) { ln.hoff = laneChunkLen },
+		"tail offset off":     func(s *Scheduler, ln *Lane) { ln.toff = 0 },
 		"queued counter off":  func(s *Scheduler, ln *Lane) { s.laneQueued++ },
 		"lane emptied in use": func(s *Scheduler, ln *Lane) { ln.head = laneNil },
 	}

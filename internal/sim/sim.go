@@ -142,9 +142,10 @@ type Scheduler struct {
 	stopped    bool
 	aud        *audit.Auditor
 
-	// Lane storage (lane.go): one pooled slab for every lane's items,
-	// threaded into per-lane FIFOs and a free list through laneItem.next.
-	laneItems     []laneItem
+	// Lane storage (lane.go): one pooled slab of item chunks for every
+	// lane, threaded into per-lane FIFOs and a free list through laneNext.
+	laneChunks    []laneChunk
+	laneNext      []int32
 	laneFree      int32 // head of the free list, laneNil when empty
 	laneQueued    int   // items waiting behind their lane's head
 	maxLaneQueued int

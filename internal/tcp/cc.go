@@ -84,7 +84,8 @@ type CongestionControl interface {
 	Recovering() bool
 
 	// OnAckReceived observes every arriving ACK before dispatch (SACK
-	// scoreboard bookkeeping lives here).
+	// scoreboard bookkeeping lives here). The sender releases p as soon
+	// as this returns, so a controller must copy what it wants to keep.
 	OnAckReceived(p *packet.Packet)
 	// OnAck reacts to the cumulative point advancing by acked segments
 	// to ack. Returning true (handled) means the controller performed

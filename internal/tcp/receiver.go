@@ -52,6 +52,10 @@ type Receiver struct {
 	// OnComplete fires once when a finite flow's data has fully arrived.
 	OnComplete func(now units.Time)
 
+	// pool is where data segments go back to and ACKs come from (see
+	// SetPool); nil means plain allocation.
+	pool *packet.Pool
+
 	// aud, when non-nil, receives invariant violations (see SetAuditor in
 	// audit.go); audNext is the auditor's high-water mark of nextExpected.
 	aud     *audit.Auditor
@@ -81,20 +85,29 @@ func NewReceiver(cfg Config, sched *sim.Scheduler, out packet.Handler) *Receiver
 	}
 }
 
+// SetPool makes the receiver release every data segment it receives into
+// pl and draw its ACKs from it (see Sender.SetPool). A nil pool (the
+// default) leaves segments to the collector and allocates each ACK.
+func (r *Receiver) SetPool(pl *packet.Pool) { r.pool = pl }
+
 // NextExpected returns the receiver's cumulative-ACK point.
 func (r *Receiver) NextExpected() int64 { return r.nextExpected }
 
 // Handle implements packet.Handler: the receiver consumes data segments.
+// It is the segment's last holder and releases it before acknowledging,
+// so the ACK reuses the same, still-cached packet.
 func (r *Receiver) Handle(p *packet.Packet) {
 	if p.IsAck() {
 		panic(fmt.Sprintf("tcp: receiver for flow %d received ACK %v", r.cfg.Flow, p))
 	}
-	if p.Flags&packet.FlagCE != 0 {
+	seq, ce := p.Seq, p.Flags&packet.FlagCE != 0
+	r.pool.Put(p)
+	if ce {
 		r.echoECE = true
 		r.CEMarksSeen++
 	}
 	switch {
-	case p.Seq == r.nextExpected:
+	case seq == r.nextExpected:
 		r.nextExpected++
 		r.ReceivedSegments++
 		// Drain any contiguous out-of-order run (each segment was
@@ -104,16 +117,16 @@ func (r *Receiver) Handle(p *packet.Packet) {
 			r.nextExpected++
 		}
 		r.onInOrder()
-	case p.Seq > r.nextExpected:
-		if r.ooo[p.Seq] {
+	case seq > r.nextExpected:
+		if r.ooo[seq] {
 			r.DupSegments++
 		} else {
-			r.ooo[p.Seq] = true
+			r.ooo[seq] = true
 			r.ReceivedSegments++
 		}
 		// Out-of-order: immediate duplicate ACK (with SACK blocks when
 		// the connection negotiated them).
-		r.sendAckFor(p.Seq)
+		r.sendAckFor(seq)
 	default:
 		// Below the cumulative point: spurious retransmission. ACK so
 		// the sender can make progress if its state is behind.
@@ -159,23 +172,20 @@ func (r *Receiver) sendAckFor(justArrived int64) {
 	r.unackedSegs = 0
 	r.sched.Cancel(r.delAck)
 	r.AcksSent++
-	var blocks [][2]int64
+	p := r.pool.Get()
+	p.Flow = r.cfg.Flow
+	p.Src = r.cfg.Dst // ACKs flow from receiver back to sender
+	p.Dst = r.cfg.Src
+	p.Ack = r.nextExpected
 	if r.cfg.Variant.generatesSack() {
-		blocks = sackBlocks(r.ooo, justArrived, 3)
+		p.Sack = sackBlocks(p.Sack, r.ooo, justArrived, 3)
 	}
-	flags := packet.FlagACK
+	p.Flags = packet.FlagACK
 	if r.echoECE {
-		flags |= packet.FlagECE
+		p.Flags |= packet.FlagECE
 		r.echoECE = false
 	}
-	r.out.Handle(&packet.Packet{
-		Flow:  r.cfg.Flow,
-		Src:   r.cfg.Dst, // ACKs flow from receiver back to sender
-		Dst:   r.cfg.Src,
-		Ack:   r.nextExpected,
-		Sack:  blocks,
-		Flags: flags,
-		Size:  r.cfg.AckSize,
-		Sent:  r.sched.Now(),
-	})
+	p.Size = r.cfg.AckSize
+	p.Sent = r.sched.Now()
+	r.out.Handle(p)
 }

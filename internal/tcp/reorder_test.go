@@ -73,7 +73,7 @@ func TestSackBlocksProperties(t *testing.T) {
 		for _, v := range raw {
 			ooo[int64(v)] = true
 		}
-		blocks := sackBlocks(ooo, int64(fresh), 3)
+		blocks := sackBlocks(nil, ooo, int64(fresh), 3)
 		if len(ooo) == 0 {
 			return blocks == nil
 		}

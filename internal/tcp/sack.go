@@ -1,8 +1,6 @@
 package tcp
 
-import (
-	"sort"
-)
+import "slices"
 
 // SACK support: the receiver reports which out-of-order segments it holds
 // (up to three [start,end) blocks per ACK, most-recent first, per RFC
@@ -115,43 +113,45 @@ func (sb *sackScoreboard) reset() {
 
 // --- Receiver-side block construction ---
 
-// sackBlocks builds up to max SACK blocks from the receiver's out-of-order
-// set: the block containing justArrived (if any) first, the remaining runs
-// in descending order, per RFC 2018's freshness rule.
-func sackBlocks(ooo map[int64]bool, justArrived int64, max int) [][2]int64 {
+// sackBlocks appends up to max SACK blocks built from the receiver's
+// out-of-order set to dst: the block containing justArrived (if any)
+// first, the remaining runs in descending order, per RFC 2018's freshness
+// rule. The receiver passes the outgoing ACK's own (recycled) Sack slice
+// as dst, so reporting blocks allocates nothing while the out-of-order
+// set fits the stack buffer below.
+func sackBlocks(dst [][2]int64, ooo map[int64]bool, justArrived int64, max int) [][2]int64 {
 	if len(ooo) == 0 {
-		return nil
+		return dst
 	}
-	segs := make([]int64, 0, len(ooo))
+	var buf [32]int64
+	segs := buf[:0]
 	for s := range ooo {
 		segs = append(segs, s)
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	slices.Sort(segs)
 
-	var runs [][2]int64
-	start := segs[0]
-	prev := segs[0]
-	for _, s := range segs[1:] {
-		if s == prev+1 {
-			prev = s
-			continue
+	n := 0
+	fresh := [2]int64{-1, -1}
+	if ooo[justArrived] && max > 0 {
+		fresh = [2]int64{justArrived, justArrived + 1}
+		for ooo[fresh[0]-1] {
+			fresh[0]--
 		}
-		runs = append(runs, [2]int64{start, prev + 1})
-		start, prev = s, s
-	}
-	runs = append(runs, [2]int64{start, prev + 1})
-
-	// Freshest-first ordering.
-	sort.Slice(runs, func(i, j int) bool {
-		ci := runs[i][0] <= justArrived && justArrived < runs[i][1]
-		cj := runs[j][0] <= justArrived && justArrived < runs[j][1]
-		if ci != cj {
-			return ci
+		for ooo[fresh[1]] {
+			fresh[1]++
 		}
-		return runs[i][0] > runs[j][0]
-	})
-	if len(runs) > max {
-		runs = runs[:max]
+		dst = append(dst, fresh)
+		n++
 	}
-	return runs
+	for i := len(segs) - 1; i >= 0 && n < max; i-- {
+		end := segs[i] + 1
+		for i > 0 && segs[i-1] == segs[i]-1 {
+			i--
+		}
+		if run := [2]int64{segs[i], end}; run != fresh {
+			dst = append(dst, run)
+			n++
+		}
+	}
+	return dst
 }

@@ -10,7 +10,7 @@ import (
 
 func TestSackBlocksConstruction(t *testing.T) {
 	ooo := map[int64]bool{5: true, 6: true, 7: true, 10: true, 12: true, 13: true}
-	blocks := sackBlocks(ooo, 10, 3)
+	blocks := sackBlocks(nil, ooo, 10, 3)
 	if len(blocks) != 3 {
 		t.Fatalf("blocks = %v", blocks)
 	}
@@ -23,10 +23,10 @@ func TestSackBlocksConstruction(t *testing.T) {
 		t.Errorf("blocks = %v", blocks)
 	}
 	// Cap respected.
-	if got := sackBlocks(map[int64]bool{1: true, 3: true, 5: true, 7: true}, 7, 3); len(got) != 3 {
+	if got := sackBlocks(nil, map[int64]bool{1: true, 3: true, 5: true, 7: true}, 7, 3); len(got) != 3 {
 		t.Errorf("cap violated: %v", got)
 	}
-	if got := sackBlocks(nil, 0, 3); got != nil {
+	if got := sackBlocks(nil, nil, 0, 3); got != nil {
 		t.Errorf("empty ooo produced %v", got)
 	}
 }

@@ -135,12 +135,17 @@ type Sender struct {
 	// the RFC 6298 RTT estimator, send timestamps and the classic
 	// controllers' window — lives in row `row` of the shared slab (see
 	// slab.go): sndUna, sndNxt, dupAcks, srtt, rttvar, haveSRTT, rto,
-	// backoff, rttSeq, rttSentAt, lastSend, cwnd, ssthresh.
-	sl  *Slab
+	// backoff, rttSeq, rttSentAt, lastSend, cwnd, ssthresh. (row comes
+	// first so that it fills the padding after the two flags.)
 	row int32
+	sl  *Slab
 
 	rtoTimer  sim.Event
 	paceTimer sim.Event
+
+	// pool is where segments come from and ACKs go back to (see SetPool);
+	// nil means plain allocation.
+	pool *packet.Pool
 
 	// aud, when non-nil, receives invariant violations (see SetAuditor in
 	// audit.go); audUna is the auditor's high-water mark of sndUna, and
@@ -210,6 +215,12 @@ func NewSenderSlab(sl *Slab, cfg Config, sched *sim.Scheduler, out packet.Handle
 	s.cc.Init(s, cfg)
 	return s
 }
+
+// SetPool makes the sender draw its segments from pl and release every
+// ACK it receives into it. The flow's receiver must share the same pool,
+// and the pool must belong to the scheduler view both run on. A nil pool
+// (the default) allocates each segment and leaves ACKs to the collector.
+func (s *Sender) SetPool(pl *packet.Pool) { s.pool = pl }
 
 // StateSlab exposes the sender's slab and row (SenderOps); congestion
 // controllers that keep their window in the slab's columns bind to it
@@ -362,18 +373,16 @@ func (s *Sender) transmit(seq int64, isRetransmit bool) {
 	if s.aud != nil {
 		s.auditSend(seq, isRetransmit, now)
 	}
-	p := &packet.Packet{
-		Flow: s.cfg.Flow,
-		Src:  s.cfg.Src,
-		Dst:  s.cfg.Dst,
-		Seq:  seq,
-		Size: s.cfg.SegmentSize,
-		Sent: now,
-
-		Retransmitted: isRetransmit,
-	}
+	p := s.pool.Get()
+	p.Flow = s.cfg.Flow
+	p.Src = s.cfg.Src
+	p.Dst = s.cfg.Dst
+	p.Seq = seq
+	p.Size = s.cfg.SegmentSize
+	p.Sent = now
+	p.Retransmitted = isRetransmit
 	if s.cfg.ECN {
-		p.Flags |= packet.FlagECT
+		p.Flags = packet.FlagECT
 	}
 	s.stats.SegmentsSent++
 	if isRetransmit {
@@ -409,26 +418,31 @@ func (s *Sender) restartRTO() {
 	}
 }
 
-// Handle implements packet.Handler: the sender receives ACKs.
+// Handle implements packet.Handler: the sender receives ACKs. It is the
+// ACK's last holder and releases it as soon as the controller has seen it,
+// so the segment this ACK clocks out reuses the same, still-cached packet.
 func (s *Sender) Handle(p *packet.Packet) {
 	if !p.IsAck() {
 		panic(fmt.Sprintf("tcp: sender for flow %d received non-ACK %v", s.cfg.Flow, p))
 	}
 	if s.finished {
+		s.pool.Put(p)
 		return
 	}
+	ack, ece := p.Ack, p.Flags&packet.FlagECE != 0
 	s.stats.AcksReceived++
 	if s.aud != nil {
-		s.auditAck(p.Ack, s.sched.Now())
+		s.auditAck(ack, s.sched.Now())
 	}
 	s.cc.OnAckReceived(p)
-	if s.cfg.ECN && p.Flags&packet.FlagECE != 0 && s.cc.OnECE() {
+	s.pool.Put(p)
+	if s.cfg.ECN && ece && s.cc.OnECE() {
 		s.stats.ECNReductions++
 	}
 	switch {
-	case p.Ack > s.sl.sndUna[s.row]:
-		s.onNewAck(p.Ack)
-	case p.Ack == s.sl.sndUna[s.row] && s.Outstanding() > 0:
+	case ack > s.sl.sndUna[s.row]:
+		s.onNewAck(ack)
+	case ack == s.sl.sndUna[s.row] && s.Outstanding() > 0:
 		s.onDupAck()
 	}
 	if s.aud != nil {

@@ -81,6 +81,10 @@ type ParkingLot struct {
 	flows    []*PathFlow
 	nextNode packet.NodeID
 	nextFlow packet.FlowID
+
+	// pool recycles every flow's packets; the chain runs on one
+	// unsharded scheduler, so one pool serves it (see Dumbbell.poolFor).
+	pool *packet.Pool
 }
 
 // PathFlow is a TCP connection entering at router From and leaving at
@@ -96,7 +100,7 @@ type PathFlow struct {
 // NewParkingLot builds the chain.
 func NewParkingLot(cfg ParkingLotConfig) *ParkingLot {
 	cfg = cfg.validate()
-	p := &ParkingLot{cfg: cfg, nextNode: 1, nextFlow: 1}
+	p := &ParkingLot{cfg: cfg, nextNode: 1, nextFlow: 1, pool: packet.NewPool(cfg.Auditor != nil)}
 	for i := 0; i <= len(cfg.Rates); i++ {
 		p.Routers = append(p.Routers, node.NewRouter(p.alloc(), fmt.Sprintf("R%d", i)))
 	}
@@ -158,6 +162,8 @@ func (p *ParkingLot) AddFlow(from, to int, rtt units.Duration, spec tcp.Config) 
 		units.Duration(rtt/2), queue.NewDropTail(queue.Unlimited()), sndHost)
 	access.SetAuditor(p.cfg.Auditor)
 	reverse.SetAuditor(p.cfg.Auditor)
+	sndHost.SetAuditor(p.cfg.Auditor, p.cfg.Sched)
+	rcvHost.SetAuditor(p.cfg.Auditor, p.cfg.Sched)
 
 	// Route the receiver's address along the chain.
 	for i := from; i < to; i++ {
@@ -171,6 +177,8 @@ func (p *ParkingLot) AddFlow(from, to int, rtt units.Duration, spec tcp.Config) 
 	spec.Dst = rcvHost.ID()
 	snd := tcp.NewSender(spec, p.cfg.Sched, access)
 	rcv := tcp.NewReceiver(spec, p.cfg.Sched, reverse)
+	snd.SetPool(p.pool)
+	rcv.SetPool(p.pool)
 	if p.cfg.Auditor != nil {
 		snd.SetAuditor(p.cfg.Auditor)
 		rcv.SetAuditor(p.cfg.Auditor)

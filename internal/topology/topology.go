@@ -179,6 +179,11 @@ type Dumbbell struct {
 	// sender's hot state lives in the dense arrays of the shard that
 	// owns it (see tcp.Slab). Unsharded, all flows share one slab.
 	slabs map[*sim.Scheduler]*tcp.Slab
+	// pools holds one packet pool per scheduler view, for the same
+	// reason: a flow's sender and receiver sit on one station, so every
+	// Get and Put on a pool happens on the shard that owns it, even for
+	// packets that crossed to the bottleneck's shard and back in between.
+	pools map[*sim.Scheduler]*packet.Pool
 }
 
 // ingressActor fires a cross-shard packet arrival inside the shard that
@@ -307,6 +312,8 @@ func (d *Dumbbell) buildStation(i int) *Station {
 		revDelay, queue.NewDropTail(queue.Unlimited()), st.senderHost)
 	st.access.SetAuditor(cfg.Auditor)
 	st.reverse.SetAuditor(cfg.Auditor)
+	st.senderHost.SetAuditor(cfg.Auditor, st.sched)
+	st.receiverHost.SetAuditor(cfg.Auditor, st.sched)
 	if d.sharded {
 		// The station's two cross-shard wires: data packets leaving the
 		// access link arrive at R1 in shard 0; packets leaving the
@@ -346,6 +353,9 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 
 	snd := tcp.NewSenderSlab(d.slabFor(st.sched), spec, st.sched, st.access)
 	rcv := tcp.NewReceiver(spec, st.sched, st.reverse)
+	pool := d.poolFor(st.sched)
+	snd.SetPool(pool)
+	rcv.SetPool(pool)
 	if d.cfg.Auditor != nil {
 		snd.SetAuditor(d.cfg.Auditor)
 		rcv.SetAuditor(d.cfg.Auditor)
@@ -376,6 +386,22 @@ func (d *Dumbbell) slabFor(view *sim.Scheduler) *tcp.Slab {
 		d.slabs[view] = sl
 	}
 	return sl
+}
+
+// poolFor returns the packet pool owned by scheduler view, creating it on
+// first use (see slabFor for why that is race-free). Under audit the pool
+// poisons what it takes back instead of recycling it, so the links,
+// queues and hosts of the topology catch any use after release.
+func (d *Dumbbell) poolFor(view *sim.Scheduler) *packet.Pool {
+	if d.pools == nil {
+		d.pools = make(map[*sim.Scheduler]*packet.Pool)
+	}
+	pl, ok := d.pools[view]
+	if !ok {
+		pl = packet.NewPool(d.cfg.Auditor != nil)
+		d.pools[view] = pl
+	}
+	return pl
 }
 
 // RawFlow is an allocation of addressing for a non-TCP flow (e.g. CBR/UDP

@@ -3,6 +3,7 @@ package topology
 import (
 	"testing"
 
+	"bufsim/internal/audit"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
@@ -285,5 +286,55 @@ func TestCustomQueueDiscipline(t *testing.T) {
 	s.Run(units.Time(40 * units.Second))
 	if util := d.Bottleneck.Utilization(busy, units.Time(20*units.Second)); util < 0.8 {
 		t.Errorf("RED bottleneck utilization = %v, want reasonable throughput", util)
+	}
+}
+
+// TestOnePoolPerView: flows on the same scheduler view share a packet
+// pool and flows on different views never do, so a pool is only ever
+// touched by the goroutine running its view; under audit the pools
+// poison instead of recycling.
+func TestOnePoolPerView(t *testing.T) {
+	build := func(shards int, aud *audit.Auditor) *Dumbbell {
+		return NewDumbbell(Config{
+			Sched:           sim.NewScheduler(),
+			BottleneckRate:  10 * units.Mbps,
+			BottleneckDelay: 10 * units.Millisecond,
+			Buffer:          queue.PacketLimit(50),
+			Stations:        6,
+			RTTMin:          100 * units.Millisecond,
+			RTTMax:          100 * units.Millisecond,
+			Shards:          shards,
+			Auditor:         aud,
+		})
+	}
+	for _, shards := range []int{1, 3} {
+		d := build(shards, nil)
+		for i := 0; i < d.NumStations(); i++ {
+			d.AddFlow(d.Station(i), tcp.Config{})
+		}
+		views := map[*sim.Scheduler]bool{}
+		for i := 0; i < d.NumStations(); i++ {
+			views[d.Station(i).Sched()] = true
+		}
+		if len(d.pools) != len(views) {
+			t.Errorf("shards=%d: %d pools for %d station views", shards, len(d.pools), len(views))
+		}
+		for view, pool := range d.pools {
+			if !views[view] {
+				t.Errorf("shards=%d: a pool belongs to a view no station runs on", shards)
+			}
+			p := pool.Get()
+			pool.Put(p)
+			if p.Released() || pool.Get() != p {
+				t.Errorf("shards=%d: pool does not recycle", shards)
+			}
+		}
+	}
+	d := build(1, audit.New())
+	pool := d.poolFor(d.Station(0).Sched())
+	p := pool.Get()
+	pool.Put(p)
+	if !p.Released() {
+		t.Error("audited dumbbell's pool does not poison released packets")
 	}
 }
