@@ -74,7 +74,8 @@ bench:
 # congestion-control indirection (and any future abstraction on the
 # per-event path) must fit within — or if any cell's allocs/op rose more
 # than 1%, which is how a packet path that allocates again shows up on
-# any machine.
+# any machine, or its events/op is not the file's: that count is exact
+# everywhere, and a change in it is a change in what is simulated.
 bench-gate:
 	GOMAXPROCS=1 $(GO) run ./bench -out BENCH_kernel_ci.json -gate BENCH_kernel.json
 
@@ -83,7 +84,7 @@ bench-gate:
 # checked-in BENCH_scale.json; bench-scale-gate fails if any cell's
 # events/sec fell more than 5% below it — the budget the sharded
 # engine's bookkeeping must fit within on a sequential run — or its
-# allocs/op rose more than 1%.
+# allocs/op rose more than 1%, or its events/op differs.
 bench-scale:
 	GOMAXPROCS=1 $(GO) run ./bench -scale -out BENCH_scale_ci.json -baseline BENCH_scale.json
 

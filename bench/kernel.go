@@ -7,7 +7,7 @@ import (
 
 // kernelDescription names the kernel generation being measured; it is
 // recorded in BENCH_kernel.json so before/after blocks are labelled.
-const kernelDescription = "inlined 4-ary min-heap over pooled event slots, typed actor dispatch on hot paths, FIFO wire lanes (key reserved at post time, one heap entry per wire, items in pooled 8-entry chunks), packets recycled at the TCP sinks through a per-view pool, pluggable congestion-control policy behind a per-flow interface"
+const kernelDescription = "inlined 4-ary min-heap over pooled event slots, typed actor dispatch on hot paths, FIFO wire lanes (key reserved at post time, one heap entry per wire, items in pooled 8-entry chunks), four-entry near run for imminent events and deferred root pop, packets recycled at the TCP sinks through a per-view pool, pluggable congestion-control policy behind a per-flow interface"
 
 // kernelChurn drives the scheduler through n events with a rolling window
 // of 100 pending timers — the steady-state load a packet simulation
@@ -80,6 +80,47 @@ func kernelLanes(n int, useLanes bool) {
 		for i := 0; i < wireCount; i++ {
 			w.post(i, units.Duration(j)*wireSpacing+units.Duration(i))
 		}
+	}
+	s.Run(units.Never.Add(-units.Nanosecond))
+}
+
+// The kernel_imminent cell: a token passes round imminentActors actors,
+// each handler posting its successor 1-500 ns ahead, over a standing
+// backlog of one far timer per actor — a link's opTxDone at 1000 flows,
+// due before anything the heap holds, with the heap as deep as the
+// dumbbell's (~2000 entries). Every token post is one the near run should
+// take; in the heap each would sift up to the root and back down.
+const (
+	imminentActors = 2000
+	imminentTokens = 2 // two in flight, so the second-rank rule is used too
+	imminentFar    = units.Duration(3600 * units.Second)
+)
+
+// ring is the actors of kernel_imminent; op is the actor's index.
+type ring struct {
+	s    *sim.Scheduler
+	left int
+}
+
+func (r *ring) OnEvent(op int32, arg any) {
+	if arg == nil || r.left == 0 {
+		return // a far timer, or the run is over
+	}
+	r.left--
+	next := (op + 1) % imminentActors
+	r.s.PostAfter(units.Duration(1+(int(next)*37)%500), r, next, r)
+}
+
+// kernelImminent fires n events: the far timers last, the token's
+// before them.
+func kernelImminent(n int) {
+	s := sim.NewScheduler()
+	r := &ring{s: s, left: n - imminentActors - imminentTokens}
+	for i := 0; i < imminentActors; i++ {
+		s.PostAfter(imminentFar+units.Duration(i), r, int32(i), nil)
+	}
+	for k := 0; k < imminentTokens; k++ {
+		s.PostAfter(units.Duration(1+k), r, int32(k*imminentActors/imminentTokens), r)
 	}
 	s.Run(units.Never.Add(-units.Nanosecond))
 }

@@ -4,13 +4,16 @@
 //
 //	go run ./bench -out BENCH_kernel.json [-baseline prev.json]
 //
-// Five benchmarks run:
+// Six benchmarks run:
 //
 //   - kernel_churn: raw scheduler throughput — schedule + fire with a
 //     rolling window of pending timers, the pattern simulations produce.
 //   - kernel_lanes / kernel_lanes_heap: 2000 wires x 16 packets in flight
 //     through sim.Lane, and the same pattern with every packet its own
 //     heap entry (PostAfter) — what the lanes buy at a 32k-event backlog.
+//   - kernel_imminent: a token passed round 2000 actors, each post due
+//     1-500 ns ahead over a backlog of 2000 far timers — a link's opTxDone,
+//     the events the near run is for.
 //   - sim_long_lived: one full long-lived-flow experiment (the paper's
 //     core scenario), the end-to-end number the ROADMAP's "as fast as the
 //     hardware allows" goal is judged by.
@@ -26,14 +29,15 @@
 //
 // -gate compares the fresh numbers against the named file's "current"
 // block and exits non-zero if any benchmark's events/sec fell by more
-// than -gate-pct percent (default 5), or if its allocs/op rose by more
-// than 1%. CI runs this against the checked-in BENCH_kernel.json so an
+// than -gate-pct percent (default 5), if its allocs/op rose by more than
+// 1%, or if its events/op is not the gate file's. CI runs this against the checked-in BENCH_kernel.json so an
 // abstraction change (say, an interface on the per-ACK path) cannot
 // silently tax the kernel. The speed half depends on the machine; the
-// allocation half does not — the simulations are deterministic, so
-// allocs/op repeats to within a handful of runtime-internal allocations
-// on any box, and a packet path that starts allocating again moves it by
-// tens of thousands.
+// other two do not — the simulations are deterministic, so events/op
+// repeats exactly and allocs/op to within a handful of runtime-internal
+// allocations on any box; a packet path that starts allocating again
+// moves allocs/op by tens of thousands, and a change that schedules one
+// event more or fewer has changed what is simulated.
 package main
 
 import (
@@ -42,6 +46,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
@@ -71,6 +76,8 @@ type File struct {
 	Note       string `json:"note"`
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GitRev     string `json:"git_rev"`
 	Baseline   *Block `json:"baseline,omitempty"`
 	Current    Block  `json:"current"`
 }
@@ -92,6 +99,20 @@ func fastestOf(fn func(b *testing.B)) testing.BenchmarkResult {
 		}
 	}
 	return best
+}
+
+// gitRev names the commit the numbers were measured on, "+dirty" when the
+// working tree differs from it, or "unknown" outside a git checkout.
+func gitRev() string {
+	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	rev := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
+		rev += "+dirty"
+	}
+	return rev
 }
 
 func metric(r testing.BenchmarkResult, eventsPerOp int64) Metric {
@@ -151,6 +172,8 @@ func main() {
 		Note:       "generated by `go run ./bench`; ns/op, allocs/op and events/sec for the event kernel and end-to-end simulations (each cell the fastest of three runs)",
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GitRev:     gitRev(),
 		Current:    Block{Kernel: *kernel, Benchmarks: map[string]Metric{}},
 	}
 
@@ -221,6 +244,15 @@ func runKernelBenchmarks(f *File) {
 		f.Current.Benchmarks[cell.name] = metric(r, churnEvents)
 	}
 
+	fmt.Println("kernel_imminent...")
+	r = fastestOf(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			kernelImminent(int(churnEvents))
+		}
+	})
+	f.Current.Benchmarks["kernel_imminent"] = metric(r, churnEvents)
+
 	fmt.Println("sim_long_lived...")
 	llEvents := eventsProcessed(func(reg *metrics.Registry) {
 		cfg := longLivedConfig()
@@ -256,8 +288,9 @@ const maxAllocRisePct = 1
 
 // checkGate fails if any benchmark shared with the gate file's
 // "current" block lost more than pct percent of its events/sec (or,
-// for event-less benchmarks, gained more than pct percent ns/op), or
-// allocates more than maxAllocRisePct percent more per op.
+// for event-less benchmarks, gained more than pct percent ns/op),
+// allocates more than maxAllocRisePct percent more per op, or processes
+// a different number of events per op.
 func checkGate(path string, pct float64, fresh map[string]Metric) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -277,6 +310,11 @@ func checkGate(path string, pct float64, fresh map[string]Metric) error {
 			failures = append(failures, fmt.Sprintf(
 				"%s: %d allocs/op -> %d (limit %d, +%d%%)",
 				name, old.AllocsPerOp, now.AllocsPerOp, limit, maxAllocRisePct))
+		}
+		if now.EventsPerOp != old.EventsPerOp {
+			failures = append(failures, fmt.Sprintf(
+				"%s: %d events/op -> %d (the count is exact on any machine: the simulated schedule changed)",
+				name, old.EventsPerOp, now.EventsPerOp))
 		}
 		switch {
 		case old.EventsPerSec > 0 && now.EventsPerSec > 0:

@@ -70,35 +70,66 @@ func TestKernelCleanUnderAudit(t *testing.T) {
 	}
 }
 
+// fuzzActor is the handler behind every event FuzzSchedulerInvariants
+// schedules. The event's argument is a byte saying what the handler does
+// when it runs, so the fuzzer reaches the paths only a handler can: pushes
+// while the firing root is still a hole, children that land in the near
+// run, cancels with a pop deferred, Stop in mid-run.
+type fuzzActor struct {
+	s       *Scheduler
+	handles []Event
+}
+
+func (a *fuzzActor) OnEvent(_ int32, arg any) { a.react(arg.(byte)) }
+
+func (a *fuzzActor) react(c byte) {
+	d := units.Duration(c & 0x0f)
+	if c&0x10 != 0 { // a typed child d ticks out, itself inert
+		a.handles = append(a.handles, a.s.PostAfter(d, a, 0, byte(0)))
+	}
+	if c&0x20 != 0 { // a closure child at half the distance, which has a child of its own
+		a.handles = append(a.handles, a.s.After(d/2, func() { a.react(0x10 | c&0x03) }))
+	}
+	if c&0x40 != 0 && len(a.handles) > 0 {
+		a.s.Cancel(a.handles[int(c&0x0f)%len(a.handles)])
+	}
+	if c&0x80 != 0 {
+		a.s.Stop()
+	}
+}
+
 // FuzzSchedulerInvariants decodes an arbitrary byte stream into kernel
-// operations (schedule closure/typed/lane, cancel, step, run) and checks
-// the full structural invariant set — heap, slots, lanes — after every
-// operation, with the auditor attached throughout.
+// operations (schedule closure/typed/lane, cancel, step, run), each
+// scheduled event carrying what its handler will do (fuzzActor), and checks
+// the full structural invariant set — heap, near run, slots, lanes — after
+// every operation, with the auditor attached throughout.
 func FuzzSchedulerInvariants(f *testing.F) {
 	f.Add([]byte{0x00, 0x05, 0x41, 0x02, 0x83, 0x00, 0xc1, 0x07})
 	f.Add([]byte("schedule, cancel, step, repeat"))
 	f.Add([]byte{0x60, 0x00, 0x64, 0x00, 0x61, 0x00, 0x62, 0x00, 0xc1, 0x00, 0x60, 0x00, 0xc3, 0x00})
+	// A backlog, then handlers that post before the root, cancel and stop.
+	f.Add([]byte{0x3f, 0x00, 0x3e, 0x00, 0x3d, 0x00, 0x3c, 0x00, 0x3b, 0x00, 0x3a, 0x00, 0x45, 0x11, 0x46, 0x3f,
+		0x02, 0x52, 0x03, 0xb3, 0xc9, 0x00, 0xc9, 0x00, 0xc0, 0x00, 0xff, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		aud := audit.New()
 		s := NewScheduler()
 		s.SetAuditor(aud)
-		a := &testActor{}
+		a := &fuzzActor{s: s}
 		lanes := [2]*Lane{s.NewLane(a, 0), s.NewLane(a, 1)}
-		var handles []Event
 		for i := 0; i+1 < len(data); i += 2 {
-			op, b := data[i]>>6, data[i]&0x3f
+			op, b, c := data[i]>>6, data[i]&0x3f, data[i+1]
 			switch op {
 			case 0: // schedule a closure event b ticks out
-				handles = append(handles, s.After(units.Duration(b), func() {}))
+				a.handles = append(a.handles, s.After(units.Duration(b), func() { a.react(c) }))
 			case 1: // typed event b ticks out: plain, or (upper half) on lane b&1
 				if b < 32 {
-					handles = append(handles, s.PostAfter(units.Duration(b), a, int32(b), nil))
+					a.handles = append(a.handles, s.PostAfter(units.Duration(b), a, int32(b), c))
 				} else {
-					lanes[b&1].PostAfter(units.Duration(b-32)/2, nil)
+					lanes[b&1].PostAfter(units.Duration(b-32)/2, c)
 				}
 			case 2: // cancel an arbitrary handle (live, fired, or recycled)
-				if len(handles) > 0 {
-					s.Cancel(handles[int(b)%len(handles)])
+				if len(a.handles) > 0 {
+					s.Cancel(a.handles[int(b)%len(a.handles)])
 				}
 			case 3: // advance: either one step or a bounded run
 				if b%2 == 0 {
@@ -107,12 +138,13 @@ func FuzzSchedulerInvariants(f *testing.F) {
 					s.Run(s.Now() + units.Time(b))
 				}
 			}
-			_ = data[i+1]
 			if err := s.VerifyInvariants(); err != nil {
 				t.Fatalf("after op %d: %v", i/2, err)
 			}
 		}
-		s.Run(s.Now() + 1000)
+		for s.Pending() > 0 { // a handler's Stop ends a Run early
+			s.Run(s.Now() + 1000)
+		}
 		if err := s.VerifyInvariants(); err != nil {
 			t.Fatal(err)
 		}

@@ -132,7 +132,7 @@ func (s *Scheduler) freeLaneChunk(c int32) {
 
 // fireLane is fire for a lane head, whose heap entry top is the root: the
 // next item's reserved key replaces the root in place (one siftDown, the
-// slot stays with the lane), or the entry is popped if the lane drained.
+// slot stays with the lane), or left as a hole (see fire) if the lane drained.
 func (s *Scheduler) fireLane(l *Lane, top entry) {
 	c := l.head
 	it := &s.laneChunks[c][l.hoff]
@@ -142,7 +142,7 @@ func (s *Scheduler) fireLane(l *Lane, top entry) {
 	if c == l.tail && l.hoff == l.toff {
 		s.freeLaneChunk(c)
 		l.head, l.tail = laneNil, laneNil
-		s.popRoot()
+		s.hole = 1
 		s.release(top.slot)
 	} else {
 		if l.hoff == laneChunkLen {
@@ -156,7 +156,9 @@ func (s *Scheduler) fireLane(l *Lane, top entry) {
 	}
 	s.now = top.at
 	s.Processed++
+	s.dispatchLane++
 	l.actor.OnEvent(l.op, arg)
+	s.settle()
 }
 
 // each calls fn for every item of the lane in FIFO order, with the chunk

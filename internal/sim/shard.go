@@ -112,6 +112,11 @@ func (s *Scheduler) EnableShards(n int, lookahead units.Duration) {
 	// Lanes post through the engine from here on; whatever they already
 	// hold re-enters the heap under its reserved key.
 	s.spillLanes()
+	// So does the near run: windows are seeded from the heap alone.
+	for s.nearN > 0 {
+		s.nearN--
+		s.push(s.near[s.nearN])
+	}
 	// Events scheduled before sharding was enabled carry the global
 	// class; register them for window sizing.
 	for _, en := range s.heap {
@@ -606,8 +611,7 @@ func (e *shardEngine) run(until units.Time) {
 		if E <= T {
 			// A global-class event is due at T: fire the whole timestamp
 			// cohort sequentially, in global (time, seq) order.
-			for len(b.heap) > 0 && b.heap[0].at == T && !b.stopped {
-				b.fire()
+			for !b.stopped && b.fire(T) {
 			}
 			continue
 		}

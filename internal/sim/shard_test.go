@@ -184,8 +184,8 @@ func (sc *shardScenario) diff(other *shardScenario) error {
 	if b.now != ob.now {
 		return fmt.Errorf("final clock %v != %v", b.now, ob.now)
 	}
-	if len(b.heap) != len(ob.heap) {
-		return fmt.Errorf("pending %d != %d", len(b.heap), len(ob.heap))
+	if b.Pending() != ob.Pending() {
+		return fmt.Errorf("pending %d != %d", b.Pending(), ob.Pending())
 	}
 	if len(sc.observer) != len(other.observer) {
 		return fmt.Errorf("observer snapshots %d != %d", len(sc.observer), len(other.observer))

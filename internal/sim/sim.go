@@ -34,6 +34,9 @@
 //     (time, seq) key when posted, but only the lane's head occupies the
 //     heap, so heap depth follows the number of wires rather than the
 //     number of packets in flight.
+//   - Events about to fire skip the sifts: one that would be first or
+//     second out of the heap waits in a four-entry sorted near run instead,
+//     and a firing root stays as a hole for its handler's first push.
 package sim
 
 import (
@@ -80,6 +83,7 @@ func handleArena(id int32) int32       { return id >> arenaShift }
 func handleIdx(id int32) int32         { return id&idxMask - 1 }
 
 // slot.pos sentinels. Non-negative pos is the heap index while pending.
+// posNear is a pending event that waits in the near run instead.
 // During a parallel window a slot seeded into a shard's local heap stores
 // posSeedBase-localIndex (always <= posSeedBase), so the owning shard can
 // remove it on cancel; posSeedFired / posSeedCancelled record how the
@@ -88,6 +92,7 @@ const (
 	posFree          int32 = -1
 	posSeedFired     int32 = -2
 	posSeedCancelled int32 = -3
+	posNear          int32 = -4
 	posSeedBase      int32 = -10
 )
 
@@ -142,6 +147,14 @@ type Scheduler struct {
 	stopped    bool
 	aud        *audit.Auditor
 
+	// near[:nearN] is the near run, at most four imminent events, latest
+	// first (the fifth place is admitNear's scratch). hole is 1 while
+	// heap[0] has fired and its pop waits for the handler's pushes (fire).
+	near                 [5]entry
+	nearN, nearMax, hole int
+	// Dispatches by source (they sum to Processed) and holes a push filled.
+	dispatchNear, dispatchLane, dispatchHeap, rootRefills int64
+
 	// Lane storage (lane.go): one pooled slab of item chunks for every
 	// lane, threaded into per-lane FIFOs and a free list through laneNext.
 	laneChunks    []laneChunk
@@ -185,15 +198,15 @@ func (s *Scheduler) Now() units.Time {
 // consistency. A nil auditor (the default) disables the checks.
 func (s *Scheduler) SetAuditor(a *audit.Auditor) { s.root().aud = a }
 
-// Pending returns the number of events waiting to fire: heap entries plus
-// the lane items queued behind their lane's head.
+// Pending returns the number of events waiting to fire: heap entries, the
+// near run, and the lane items queued behind their lane's head.
 func (s *Scheduler) Pending() int {
 	r := s.root()
-	return len(r.heap) + r.laneQueued
+	return len(r.heap) - r.hole + r.nearN + r.laneQueued
 }
 
-// MaxPending returns the deepest the event heap has been (heap entries
-// only; items queued in lanes never enter the heap). Under sharding
+// MaxPending returns the most events that have waited outside lanes at
+// once: heap entries plus the near run (sim.heap_depth_max). Under sharding
 // this is an approximation (per-shard peaks plus the base backlog), not
 // a globally-consistent snapshot.
 func (s *Scheduler) MaxPending() int { return s.root().maxPending }
@@ -209,7 +222,7 @@ func (s *Scheduler) Active(e Event) bool {
 		return false
 	}
 	sl := &s.slots[e.id-1]
-	return sl.gen == e.gen && sl.pos >= 0
+	return sl.gen == e.gen && (sl.pos >= 0 || sl.pos == posNear)
 }
 
 // EventTime returns the instant a pending event is scheduled to fire, and
@@ -221,7 +234,10 @@ func (s *Scheduler) EventTime(e Event) (units.Time, bool) {
 	if !s.Active(e) {
 		return 0, false
 	}
-	return s.heap[s.slots[e.id-1].pos].at, true
+	if pos := s.slots[e.id-1].pos; pos >= 0 {
+		return s.heap[pos].at, true
+	}
+	return s.near[s.nearIndex(e.id-1)].at, true
 }
 
 // allocSlot takes a slot from the free list, growing the pool on demand.
@@ -283,13 +299,11 @@ func (s *Scheduler) scheduleBase(t units.Time, fn func(), a Actor, op int32, arg
 	sl.op = op
 	sl.arg = arg
 	sl.shard = shard
-	// push, spelled out: the extra call costs ~2% on kernel_churn.
-	i := len(s.heap)
-	s.heap = append(s.heap, entry{at: t, seq: s.seq, slot: id})
+	e := entry{at: t, seq: s.seq, slot: id}
 	s.seq++
-	s.siftUp(i)
-	if len(s.heap) > s.maxPending {
-		s.maxPending = len(s.heap)
+	// Filling a hole saves a whole pop; shard windows seed from the heap.
+	if s.hole != 0 || s.eng != nil || !s.admitNear(e) {
+		s.push(e)
 	}
 	if shard == globalClass && s.eng != nil {
 		s.eng.noteGlobal(t, id, sl.gen)
@@ -299,11 +313,59 @@ func (s *Scheduler) scheduleBase(t units.Time, fn func(), a Actor, op int32, arg
 
 // push inserts e into the heap and tracks the depth high-water mark.
 func (s *Scheduler) push(e entry) {
+	if s.hole != 0 { // the firing root's place: one siftDown, not pop + push
+		s.hole = 0
+		s.rootRefills++
+		s.heap[0] = e
+		s.siftDown(0)
+		return
+	}
 	i := len(s.heap)
 	s.heap = append(s.heap, e)
 	s.siftUp(i)
-	if len(s.heap) > s.maxPending {
-		s.maxPending = len(s.heap)
+	s.maxPending = max(s.maxPending, len(s.heap)+s.nearN)
+}
+
+// admitNear puts e in the near run, and reports true, if e would be first
+// or second out of the heap: earlier than each of the root's children. It
+// only chooses where e waits; fire merges the run and the heap either way.
+func (s *Scheduler) admitNear(e entry) bool {
+	for c := 1; c < len(s.heap) && c <= 4; c++ {
+		if !before(e, s.heap[c]) {
+			return false
+		}
+	}
+	i := s.nearN
+	for ; i > 0 && before(s.near[i-1], e); i-- {
+		s.near[i] = s.near[i-1]
+	}
+	s.near[i] = e
+	s.slots[e.slot].pos = posNear
+	if s.nearN++; s.nearN == len(s.near) {
+		// One too many: the latest leaves for the heap, so a far event
+		// admitted while the heap was small cannot keep its place.
+		out := s.near[0]
+		s.nearN = copy(s.near[:], s.near[1:])
+		s.push(out)
+	}
+	s.nearMax = max(s.nearMax, s.nearN)
+	s.maxPending = max(s.maxPending, len(s.heap)+s.nearN)
+	return true
+}
+
+// nearIndex returns where in the near run the event in slot id waits.
+func (s *Scheduler) nearIndex(id int32) (i int) {
+	for s.near[i].slot != id {
+		i++
+	}
+	return i
+}
+
+// settle completes a deferred root pop that no push filled.
+func (s *Scheduler) settle() {
+	if s.hole != 0 {
+		s.hole = 0
+		s.popRoot()
 	}
 }
 
@@ -355,10 +417,17 @@ func (s *Scheduler) Cancel(e Event) {
 // engine's barrier (which resolves forwarded handles down to base slots).
 func (s *Scheduler) cancelBase(id int32, gen uint32) {
 	sl := &s.slots[id]
-	if sl.gen != gen || sl.pos < 0 {
+	if sl.gen != gen || sl.pos < 0 && sl.pos != posNear {
 		return
 	}
-	s.removeAt(int(sl.pos))
+	if sl.pos == posNear {
+		i := s.nearIndex(id)
+		s.nearN--
+		copy(s.near[i:s.nearN], s.near[i+1:])
+	} else {
+		s.settle() // removeAt wants a whole heap
+		s.removeAt(int(sl.pos))
+	}
 	s.release(id)
 }
 
@@ -449,28 +518,45 @@ func (s *Scheduler) popRoot() entry {
 	return top
 }
 
-// fire pops the earliest event, advances the clock and dispatches it. The
+// fire dispatches the earliest event if it is due by until. The
 // slot is recycled before dispatch, so the handler is free to schedule
 // (possibly reusing the very slot that just fired). A lane's head hands
 // its heap entry to the item behind it instead (fireLane).
-func (s *Scheduler) fire() {
-	top := s.heap[0]
+// A plain root stays in place as a hole while its handler runs: the
+// handler's first push overwrites it, and only a handler that pushed
+// nothing pays the pop (settle).
+func (s *Scheduler) fire(until units.Time) bool {
+	near := s.nearN > 0 && (len(s.heap) == 0 || before(s.near[s.nearN-1], s.heap[0]))
+	src := s.heap
+	if near {
+		src = s.near[s.nearN-1:]
+	}
+	if len(src) == 0 || src[0].at > until {
+		return false
+	}
+	top := src[0]
+	sl := &s.slots[top.slot]
 	if s.aud != nil {
 		if top.at < s.now {
 			s.aud.Violationf(s.now, "sim", "clock-monotonic",
 				"event at %v fires after clock reached %v", top.at, s.now)
 		}
-		if sl := &s.slots[top.slot]; sl.pos != 0 {
+		if near != (sl.pos == posNear) || !near && sl.pos != 0 {
 			s.aud.Violationf(s.now, "sim", "slot-heap-link",
-				"heap root references slot %d with pos %d (stale or recycled slot about to fire)", top.slot, sl.pos)
+				"next event (from the near run: %v) references slot %d with pos %d (stale or recycled slot about to fire)", near, top.slot, sl.pos)
 		}
 	}
-	sl := &s.slots[top.slot]
 	if sl.kind == kindLane {
 		s.fireLane(sl.arg.(*Lane), top)
-		return
+		return true
 	}
-	s.popRoot()
+	if near {
+		s.nearN--
+		s.dispatchNear++
+	} else {
+		s.hole = 1
+		s.dispatchHeap++
+	}
 	fn, actor, op, arg := sl.fn, sl.actor, sl.op, sl.arg
 	s.release(top.slot)
 	s.now = top.at
@@ -480,10 +566,13 @@ func (s *Scheduler) fire() {
 	} else {
 		fn()
 	}
+	s.settle()
+	return true
 }
 
 // Instrument registers the kernel's telemetry into reg: events processed,
-// current and peak heap entries (sim.heap_depth*), current and peak lane
+// by source (sim.dispatch_*, sim.root_refills), current and peak events outside
+// lanes (sim.heap_depth*, of them near: sim.near_depth_max), current and peak lane
 // items queued behind their lane's head (sim.lane_depth*; heap + lane =
 // Pending), out-of-order lane posts, and the simulated clock. Values are
 // published by a snapshot-time collector, so instrumentation adds no
@@ -500,9 +589,17 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 	laneDepthMax := reg.Gauge("sim.lane_depth_max")
 	laneFallbacks := reg.Counter("sim.lane_fallbacks")
 	clock := reg.Gauge("sim.time_seconds")
+	fromNear, fromLane := reg.Counter("sim.dispatch_near"), reg.Counter("sim.dispatch_lane")
+	fromHeap, refills := reg.Counter("sim.dispatch_heap"), reg.Counter("sim.root_refills")
+	nearMax := reg.Gauge("sim.near_depth_max")
 	reg.OnCollect(func() {
 		events.Set(int64(r.Processed))
-		depth.Set(float64(len(r.heap)))
+		fromNear.Set(r.dispatchNear)
+		fromLane.Set(r.dispatchLane)
+		fromHeap.Set(r.dispatchHeap)
+		refills.Set(r.rootRefills)
+		nearMax.Set(float64(r.nearMax))
+		depth.Set(float64(len(r.heap) - r.hole + r.nearN))
 		depthMax.Set(float64(r.maxPending))
 		laneDepth.Set(float64(r.laneQueued))
 		laneDepthMax.Set(float64(r.maxLaneQueued))
@@ -526,6 +623,7 @@ func (s *Scheduler) Stop() {
 // events remain, or Stop is called. The clock is left at `until` (or at
 // the last event time if the queue drained first and that is earlier).
 func (s *Scheduler) Run(until units.Time) {
+	s.settle() // a handler that panicked last time left its pop pending
 	if s.eng != nil {
 		if s.viewShard != globalClass {
 			panic("sim: Run called on a shard view")
@@ -534,11 +632,7 @@ func (s *Scheduler) Run(until units.Time) {
 		return
 	}
 	s.stopped = false
-	for len(s.heap) > 0 && !s.stopped {
-		if s.heap[0].at > until {
-			break
-		}
-		s.fire()
+	for !s.stopped && s.fire(until) {
 	}
 	if !s.stopped && s.now < until {
 		s.now = until
@@ -552,20 +646,26 @@ func (s *Scheduler) Step() bool {
 	if s.eng != nil {
 		panic("sim: Step is not available on a sharded scheduler")
 	}
-	if len(s.heap) == 0 {
-		return false
-	}
-	s.fire()
-	return true
+	s.settle()
+	return s.fire(units.Never)
 }
 
 // VerifyInvariants exhaustively checks the kernel's internal structure:
 // heap order, heap-entry/slot cross-links, free-list consistency, that no
-// slot is both pending and free, and the lane invariants (see
+// slot is both pending and free, the near run, that no pop is still
+// deferred (call it between events), and the lane invariants (see
 // verifyLanes). It is O(pool size) and meant for
 // tests and the fuzz harness, not the hot path. It returns the first
 // problem found, or nil.
 func (s *Scheduler) VerifyInvariants() error {
+	if s.hole != 0 {
+		return fmt.Errorf("sim: the root's deferred pop outlived its handler")
+	}
+	for i, e := range s.near[:s.nearN] {
+		if i > 0 && !before(e, s.near[i-1]) || e.at < s.now || uint(e.slot) >= uint(len(s.slots)) || s.slots[e.slot].pos != posNear {
+			return fmt.Errorf("sim: near run entry %d (at=%v seq=%d slot=%d) is out of order, in the past, or its slot is not marked near", i, e.at, e.seq, e.slot)
+		}
+	}
 	for i := 1; i < len(s.heap); i++ {
 		p := (i - 1) / 4
 		if before(s.heap[i], s.heap[p]) {
@@ -605,8 +705,8 @@ func (s *Scheduler) VerifyInvariants() error {
 			return fmt.Errorf("sim: free slot %d records pos %d", id, got)
 		}
 	}
-	if len(s.heap)+len(s.free) != len(s.slots) {
-		return fmt.Errorf("sim: %d pending + %d free != %d slots", len(s.heap), len(s.free), len(s.slots))
+	if len(s.heap)+s.nearN+len(s.free) != len(s.slots) {
+		return fmt.Errorf("sim: %d in heap + %d near + %d free != %d slots", len(s.heap), s.nearN, len(s.free), len(s.slots))
 	}
 	if err := s.verifyLanes(); err != nil {
 		return err

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"bufsim/internal/units"
@@ -215,27 +216,88 @@ func (h *Histogram) Density(i int) float64 {
 	return float64(h.bins[i]) / (float64(h.n) * w)
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100) of a sample,
-// sorting a copy. It returns 0 for an empty sample.
+// Percentile returns the p-th percentile (0 < p <= 100) of a sample, the
+// value a sort followed by linear interpolation between the two bracketing
+// order statistics gives, found by selection on a copy: linear in the
+// sample where the sort was n log n. It returns 0 for an empty sample.
 func Percentile(sample []float64, p float64) float64 {
 	if len(sample) == 0 {
 		return 0
 	}
 	s := append([]float64(nil), sample...)
-	sort.Float64s(s)
+	last := len(s) - 1
 	if p <= 0 {
-		return s[0]
+		return selectKth(s, 0)
 	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
+	rank := p / 100 * float64(last)
 	lo := int(rank)
 	frac := rank - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
+	if p >= 100 || lo >= last {
+		return selectKth(s, last)
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	a := selectKth(s, lo)
+	// Selection left nothing smaller than a behind it, so the next order
+	// statistic is the least of what follows.
+	b := s[lo+1]
+	for _, v := range s[lo+2:] {
+		if floatLess(v, b) {
+			b = v
+		}
+	}
+	return a*(1-frac) + b*frac
+}
+
+// floatLess is the order sort.Float64s uses: ascending, NaNs first.
+func floatLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectKth rearranges s so that s[k] holds the value a full sort would
+// put there, with nothing greater before it and nothing smaller after it,
+// and returns s[k]. Quickselect with a median-of-three pivot; a run of bad
+// pivots (twice the depth a balanced recursion needs) hands the remaining
+// range to the sort, so the worst case stays n log n.
+func selectKth(s []float64, k int) float64 {
+	lo, hi := 0, len(s)-1
+	for budget := 2 * bits.Len(uint(len(s))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(s[lo : hi+1])
+			break
+		}
+		mid := lo + (hi-lo)/2
+		if floatLess(s[mid], s[lo]) {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if floatLess(s[hi], s[lo]) {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if floatLess(s[hi], s[mid]) {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for floatLess(s[i], pivot) {
+				i++
+			}
+			for floatLess(pivot, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] <= pivot <= s[i..hi] and j < i; anything between is the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
 }
 
 // Mean returns the arithmetic mean of a sample (0 if empty).

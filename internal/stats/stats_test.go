@@ -3,6 +3,8 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -316,6 +318,69 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 		hc, hn := h.Bin(i)
 		if gc != hc || gn != hn {
 			t.Fatalf("bin %d changed: (%v,%d) vs (%v,%d)", i, gc, gn, hc, hn)
+		}
+	}
+}
+
+// TestPercentileMatchesSortReference: selection returns, bit for bit, what
+// sorting a copy and interpolating returned before it — over random samples
+// with heavy duplication, NaNs and infinities, already-sorted and reversed
+// input (bad pivots), and p at, below and above both ends.
+func TestPercentileMatchesSortReference(t *testing.T) {
+	reference := func(sample []float64, p float64) float64 {
+		s := append([]float64(nil), sample...)
+		sort.Float64s(s)
+		if p <= 0 {
+			return s[0]
+		}
+		if p >= 100 {
+			return s[len(s)-1]
+		}
+		rank := p / 100 * float64(len(s)-1)
+		lo := int(rank)
+		frac := rank - float64(lo)
+		if lo+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[lo]*(1-frac) + s[lo+1]*frac
+	}
+	rng := rand.New(rand.NewSource(7))
+	ps := []float64{-5, 0, 1e-9, 0.1, 1, 25, 50, 75, 90, 99, 99.9, 99.999999, 100, 250}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(300)
+		if trial%50 == 0 {
+			n = 20000 + rng.Intn(20000)
+		}
+		sample := make([]float64, n)
+		distinct := 1 + rng.Intn(n) // few distinct values: long runs of duplicates
+		for i := range sample {
+			sample[i] = float64(rng.Intn(distinct)) * 0.37
+		}
+		switch trial % 8 {
+		case 1:
+			sort.Float64s(sample)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(sample)))
+		case 3:
+			sample[rng.Intn(n)] = math.NaN()
+			sample[rng.Intn(n)] = math.Inf(1)
+			sample[rng.Intn(n)] = math.Inf(-1)
+		case 4: // organ pipe: the classic bad case for median-of-three
+			for i := range sample {
+				sample[i] = float64(min(i, n-1-i))
+			}
+		}
+		orig := append([]float64(nil), sample...)
+		for _, p := range append(ps, rng.Float64()*100) {
+			got, want := Percentile(sample, p), reference(sample, p)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: n=%d p=%v: Percentile = %v, sort reference %v", trial, n, p, got, want)
+			}
+		}
+		for i := range orig {
+			if math.Float64bits(orig[i]) != math.Float64bits(sample[i]) {
+				t.Fatalf("trial %d: Percentile mutated its input at %d", trial, i)
+			}
 		}
 	}
 }
