@@ -87,7 +87,6 @@ func SimulateAdversary(cfg AdversarySimulation, opts ...Option) AdversaryResult 
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	o := applyOptions(opts)
 	row := experiment.RunAdversaryScenario(experiment.AdversaryScenario{
 		Seed:           cfg.Seed,
 		Pattern:        cfg.Pattern,
@@ -98,8 +97,7 @@ func SimulateAdversary(cfg AdversarySimulation, opts ...Option) AdversaryResult 
 		BufferPackets:  cfg.BufferPackets,
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
-		Audit:          o.audit,
-		Cache:          o.cache,
+		RunEnv:         applyOptions(opts).env,
 	})
 	return AdversaryResult{
 		BufferPackets:    row.BufferPackets,

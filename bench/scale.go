@@ -53,7 +53,7 @@ func scaleConfig(flows, shards int) experiment.LongLivedConfig {
 		BufferPackets:  25 + flows,
 		Warmup:         units.Second,
 		Measure:        2 * units.Second,
-		Shards:         shards,
+		RunEnv:         experiment.RunEnv{Shards: shards},
 	}
 }
 

@@ -286,19 +286,8 @@ func mustValidateSpread(rtt Duration, spread Duration) {
 // longLived lowers the public config plus applied options into the
 // internal experiment config shared by Simulate and SimulateReplicated.
 func (s Simulation) longLived(o options) experiment.LongLivedConfig {
-	if o.variant != nil {
-		s.Variant = *o.variant
-	}
-	if o.paced != nil {
-		s.Paced = *o.paced
-	}
-	if o.delayedAck != nil {
-		s.DelayedAck = *o.delayedAck
-	}
-	if o.red != nil {
-		s.RED = *o.red
-	}
 	mustValidateSpread(s.Link.RTT, s.RTTSpread)
+	o.tune(&s.Variant, &s.Paced, &s.DelayedAck)
 	return experiment.LongLivedConfig{
 		Seed:           s.Seed,
 		N:              s.Flows,
@@ -307,16 +296,13 @@ func (s Simulation) longLived(o options) experiment.LongLivedConfig {
 		RTTMax:         s.Link.RTT + s.RTTSpread/2,
 		SegmentSize:    s.Link.segment(),
 		BufferPackets:  s.BufferPackets,
-		UseRED:         s.RED,
+		UseRED:         o.useRED(s.RED),
 		Variant:        s.Variant,
 		Paced:          s.Paced,
 		DelayedAck:     s.DelayedAck,
 		Warmup:         s.Warmup,
 		Measure:        s.Measure,
-		Metrics:        o.metrics,
-		Audit:          o.audit,
-		Cache:          o.cache,
-		Shards:         o.shardCount(),
+		RunEnv:         o.env,
 	}
 }
 
@@ -352,12 +338,7 @@ type ReplicatedResult struct {
 // concurrently; WithParallelism bounds the workers (default: the
 // machine's parallelism). Results are bit-identical at any worker count.
 func SimulateReplicated(cfg Simulation, replicas int, opts ...Option) ReplicatedResult {
-	o := applyOptions(opts)
-	run := cfg.longLived(o)
-	if o.parallelism != nil {
-		run.Parallelism = *o.parallelism
-	}
-	r := experiment.RunLongLivedReplicated(run, replicas)
+	r := experiment.RunLongLivedReplicated(cfg.longLived(applyOptions(opts)), replicas)
 	return ReplicatedResult{
 		Replicas:        r.Replicas,
 		MeanUtilization: r.MeanUtilization,
@@ -392,23 +373,10 @@ func SimulateSingleFlow(link Link, bufferFactor float64, seed int64, opts ...Opt
 		RTT:            link.RTT,
 		SegmentSize:    link.segment(),
 		BufferFactor:   bufferFactor,
-		Metrics:        o.metrics,
-		Audit:          o.audit,
-		Cache:          o.cache,
-		Shards:         o.shardCount(),
+		UseRED:         o.useRED(false),
+		RunEnv:         o.env,
 	}
-	if o.variant != nil {
-		run.Variant = *o.variant
-	}
-	if o.paced != nil {
-		run.Paced = *o.paced
-	}
-	if o.delayedAck != nil {
-		run.DelayedAck = *o.delayedAck
-	}
-	if o.red != nil {
-		run.UseRED = *o.red
-	}
+	o.tune(&run.Variant, &run.Paced, &run.DelayedAck)
 	r := experiment.RunSingleFlow(run)
 	return SingleFlowResult{
 		BDPPackets:    r.BDPPackets,
@@ -460,26 +428,12 @@ func SimulateShortFlows(cfg ShortFlowSimulation, opts ...Option) ShortFlowResult
 		Load:          cfg.Load,
 		FlowLength:    cfg.FlowLength,
 		MaxWindow:     cfg.MaxWindow,
-		UseRED:        cfg.RED,
+		UseRED:        o.useRED(cfg.RED),
 		Warmup:        cfg.Warmup,
 		Measure:       cfg.Measure,
-		Metrics:       o.metrics,
-		Audit:         o.audit,
-		Cache:         o.cache,
-		Shards:        o.shardCount(),
+		RunEnv:        o.env,
 	}
-	if o.variant != nil {
-		run.Variant = *o.variant
-	}
-	if o.paced != nil {
-		run.Paced = *o.paced
-	}
-	if o.delayedAck != nil {
-		run.DelayedAck = *o.delayedAck
-	}
-	if o.red != nil {
-		run.UseRED = *o.red
-	}
+	o.tune(&run.Variant, &run.Paced, &run.DelayedAck)
 	afct, completed, censored := experiment.ShortFlowAFCT(run)
 	return ShortFlowResult{AFCT: afct, Completed: completed, Censored: censored}
 }
@@ -541,26 +495,12 @@ func SimulateMix(cfg MixSimulation, opts ...Option) MixResult {
 		SegmentSize:    cfg.Link.segment(),
 		MaxWindow:      cfg.MaxWindow,
 		BufferPackets:  cfg.BufferPackets,
-		UseRED:         cfg.RED,
+		UseRED:         o.useRED(cfg.RED),
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
-		Metrics:        o.metrics,
-		Audit:          o.audit,
-		Cache:          o.cache,
-		Shards:         o.shardCount(),
+		RunEnv:         o.env,
 	}
-	if o.variant != nil {
-		run.Variant = *o.variant
-	}
-	if o.paced != nil {
-		run.Paced = *o.paced
-	}
-	if o.delayedAck != nil {
-		run.DelayedAck = *o.delayedAck
-	}
-	if o.red != nil {
-		run.UseRED = *o.red
-	}
+	o.tune(&run.Variant, &run.Paced, &run.DelayedAck)
 	out := experiment.RunMixed(run)
 	return MixResult{
 		AFCT:            out.AFCT,
@@ -627,24 +567,10 @@ func SimulateTrace(cfg TraceSimulation, opts ...Option) TraceResult {
 		SegmentSize:    cfg.Link.segment(),
 		MaxWindow:      cfg.MaxWindow,
 		BufferPackets:  cfg.BufferPackets,
-		UseRED:         cfg.RED,
-		Metrics:        o.metrics,
-		Audit:          o.audit,
-		Cache:          o.cache,
-		Shards:         o.shardCount(),
+		UseRED:         o.useRED(cfg.RED),
+		RunEnv:         o.env,
 	}
-	if o.variant != nil {
-		run.Variant = *o.variant
-	}
-	if o.paced != nil {
-		run.Paced = *o.paced
-	}
-	if o.delayedAck != nil {
-		run.DelayedAck = *o.delayedAck
-	}
-	if o.red != nil {
-		run.UseRED = *o.red
-	}
+	o.tune(&run.Variant, &run.Paced, &run.DelayedAck)
 	r := experiment.RunTrace(run)
 	return TraceResult{
 		Completed:   r.Completed,

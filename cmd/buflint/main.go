@@ -46,7 +46,7 @@ import (
 // dataflow engine: flow-aware simdeterminism, shardownership,
 // slabescape, rngconfinement, fingerprints and stale-suppression
 // checking.
-const version = "buflint version v2.0.0"
+const version = "buflint version v2.1.0"
 
 func main() {
 	args := os.Args[1:]

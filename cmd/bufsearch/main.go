@@ -96,7 +96,7 @@ func main() {
 			Target:         *target,
 			Warmup:         warmup,
 			Measure:        measure,
-			Parallelism:    *par,
+			RunEnv:         experiment.RunEnv{Parallelism: *par},
 		})
 		fmt.Printf("min buffer per CC family at %.0f%% of each family's ceiling: %v, RTT %v\n",
 			100**target, rate, rtt)
@@ -122,7 +122,7 @@ func main() {
 		Warmup:         warmup,
 		Measure:        measure,
 		Variant:        variant,
-		Parallelism:    *par,
+		RunEnv:         experiment.RunEnv{Parallelism: *par},
 	}
 
 	fmt.Printf("searching min buffer for %.1f%% utilization: %v, RTT %v, %d %v flows\n",

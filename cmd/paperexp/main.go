@@ -46,14 +46,17 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"runtime/pprof"
 	"strings"
+	"syscall"
 	"time"
 
 	"bufsim/internal/adversary"
@@ -103,7 +106,13 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	r := runner{quick: *quick, seed: *seed, csvDir: *csvDir, svgDir: *svgDir, parallel: *par, shards: *shards, workload: *wlArg, adversary: *advArg}
+	// SIGINT/SIGTERM cancel the sweeps between points (in-flight points
+	// finish and are cached); runAll then stops short of marking the
+	// interrupted experiment done.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	r := runner{quick: *quick, seed: *seed, csvDir: *csvDir, svgDir: *svgDir, workload: *wlArg, adversary: *advArg,
+		env: experiment.RunEnv{Ctx: ctx, Parallelism: *par, Shards: *shards}}
 	if *resume || *verify {
 		*cacheOn = true
 	}
@@ -115,8 +124,8 @@ func main() {
 		if *verify {
 			store.SetVerifySample(verifySample)
 		}
-		r.cache = store
-		r.resume = *resume
+		r.env.Cache = store
+		r.env.Resume = *resume
 	}
 	if *metOut != "" {
 		r.metrics = metrics.New()
@@ -125,7 +134,7 @@ func main() {
 		// Log the first violations as they happen (the auditor itself also
 		// stores a bounded sample); the summary below reports the total.
 		var logged int64
-		r.audit = audit.New(audit.OnViolation(func(v audit.Violation) {
+		r.env.Audit = audit.New(audit.OnViolation(func(v audit.Violation) {
 			if logged < 20 {
 				log.Printf("audit: %s", v)
 			}
@@ -139,37 +148,14 @@ func main() {
 			"multihop", "variants", "ecn", "harpoon", "rttspread", "codel",
 			"ccfamilies", "flashcrowd", "adversarial", "probe"}
 	}
-	// The run manifest records which experiments of this exact invocation
-	// have already printed their output, so -resume skips straight to the
-	// first unfinished one.
-	var man *runcache.RunManifest
-	if r.cache != nil {
-		runKey := runcache.Key("paperexp-run-v1", "run", struct {
-			Ids   []string
-			Quick bool
-			Seed  int64
-		}{ids, *quick, *seed})
-		man = r.cache.Run(runKey, r.resume)
+	if err := r.runAll(ids); err != nil {
+		log.Fatal(err)
 	}
-	for _, id := range ids {
-		if man.IsDone(id) {
-			fmt.Printf("=== %s === (done in a previous run, skipped)\n\n", id)
-			continue
-		}
-		start := time.Now()
-		fmt.Printf("=== %s ===\n", id)
-		if err := r.run(id); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
-		man.MarkDone(id)
-	}
-	man.Finish()
-	if r.cache != nil {
-		s := r.cache.Stats()
+	if cache := r.env.Cache; cache != nil {
+		s := cache.Stats()
 		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses (%.0f%% hit rate), %d stored, %d verified\n",
 			s.Hits, s.Misses, 100*s.HitRate(), s.Puts, s.Verified)
-		if fails := r.cache.VerifyFailures(); len(fails) > 0 {
+		if fails := cache.VerifyFailures(); len(fails) > 0 {
 			for _, f := range fails {
 				log.Printf("cache-verify: %s point %s recomputed differently", f.Kind, f.Key[:12])
 			}
@@ -189,9 +175,9 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *metOut)
 	}
-	if r.audit != nil {
-		if n := r.audit.Count(); n > 0 {
-			log.Fatalf("audit: %d invariant violation(s); first stored:\n%s", n, r.audit)
+	if aud := r.env.Audit; aud != nil {
+		if n := aud.Count(); n > 0 {
+			log.Fatalf("audit: %d invariant violation(s); first stored:\n%s", n, aud)
 		}
 		fmt.Println("audit: all invariants held")
 	}
@@ -202,26 +188,64 @@ type runner struct {
 	seed      int64
 	csvDir    string
 	svgDir    string
-	parallel  int    // worker bound for the sweeping experiments; 0 = all CPUs
-	shards    int    // parallel event shards per simulation; 0 = sequential
 	workload  string // -workload: profile preset name or .json path
 	adversary string // -adversary: restrict the adversarial sweep to one pattern
-	metrics   *metrics.Registry
-	audit     *audit.Auditor  // nil unless -audit
-	cache     *runcache.Store // nil unless -cache
-	resume    bool
+	// env is what -parallel, -shards, -audit, -cache, -resume and the
+	// signal context add up to; every experiment config embeds it as it
+	// is. Its Metrics stays nil — see telemetry.
+	env     experiment.RunEnv
+	metrics *metrics.Registry // the -metrics master dump, else nil
 }
 
 // verifySample is the fraction of cache hits -cache-verify recomputes.
 const verifySample = 0.25
 
-// child returns a fresh registry for one experiment's telemetry when
-// -metrics was requested, else nil (telemetry disabled).
-func (r runner) child() *metrics.Registry {
-	if r.metrics == nil {
-		return nil
+// runAll runs the experiments in order. With a cache, the run manifest
+// records which experiments of this exact invocation have already
+// printed their output, so -resume skips straight to the first
+// unfinished one. The sweeps return normally when the context is
+// cancelled — with the unfinished rows of their table still zero — so an
+// experiment that ends under a cancelled context is reported as
+// interrupted and never marked done, or -resume would skip it for good.
+func (r runner) runAll(ids []string) error {
+	var man *runcache.RunManifest
+	if r.env.Cache != nil {
+		runKey := runcache.Key("paperexp-run-v1", "run", struct {
+			Ids   []string
+			Quick bool
+			Seed  int64
+		}{ids, r.quick, r.seed})
+		man = r.env.Cache.Run(runKey, r.env.Resume)
 	}
-	return metrics.New()
+	for _, id := range ids {
+		if man.IsDone(id) {
+			fmt.Printf("=== %s === (done in a previous run, skipped)\n\n", id)
+			continue
+		}
+		start := time.Now()
+		fmt.Printf("=== %s ===\n", id)
+		if err := r.run(id); err != nil {
+			return err
+		}
+		if ctx := r.env.Ctx; ctx != nil && ctx.Err() != nil {
+			return fmt.Errorf("interrupted during %s; rerun with -resume", id)
+		}
+		fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
+		man.MarkDone(id)
+	}
+	man.Finish()
+	return nil
+}
+
+// telemetry is env for the experiments that publish telemetry: with
+// -metrics it carries a fresh registry for mergeMetrics to fold into the
+// master dump, else it is env itself (telemetry disabled).
+func (r runner) telemetry() experiment.RunEnv {
+	env := r.env
+	if r.metrics != nil {
+		env.Metrics = metrics.New()
+	}
+	return env
 }
 
 // mergeMetrics folds one experiment's registry into the master dump under
@@ -331,7 +355,7 @@ func (r runner) writeCSV(name string, series ...*trace.Series) error {
 }
 
 func (r runner) singleFlow(factor float64, name string) error {
-	cfg := experiment.SingleFlowConfig{BufferFactor: factor, Metrics: r.child(), Audit: r.audit, Cache: r.cache, Shards: r.shards}
+	cfg := experiment.SingleFlowConfig{BufferFactor: factor, RunEnv: r.telemetry()}
 	if r.quick {
 		cfg.Warmup, cfg.Measure = 60*units.Second, 60*units.Second
 	}
@@ -357,7 +381,7 @@ func (r runner) singleFlow(factor float64, name string) error {
 }
 
 func (r runner) windowDist() error {
-	cfg := experiment.WindowDistConfig{Seed: r.seed, N: 200, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.WindowDistConfig{Seed: r.seed, N: 200, RunEnv: r.env}
 	if r.quick {
 		cfg.N = 80
 		cfg.BottleneckRate = 20 * units.Mbps
@@ -390,7 +414,7 @@ func (r runner) windowDist() error {
 }
 
 func (r runner) minBuffer() error {
-	cfg := experiment.MinBufferConfig{Seed: r.seed, Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.MinBufferConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 20 * units.Mbps
 		cfg.Ns = []int{25, 50, 100, 200}
@@ -445,7 +469,7 @@ func (r runner) minBuffer() error {
 }
 
 func (r runner) shortFlows() error {
-	cfg := experiment.ShortFlowBufferConfig{Seed: r.seed, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.ShortFlowBufferConfig{Seed: r.seed, RunEnv: r.telemetry()}
 	if r.quick {
 		cfg.Rates = []units.BitRate{20 * units.Mbps, 60 * units.Mbps}
 		cfg.Warmup, cfg.Measure = 5*units.Second, 15*units.Second
@@ -493,7 +517,7 @@ func (r runner) shortFlows() error {
 }
 
 func (r runner) afct(sizes workload.SizeDist, name string) error {
-	cfg := experiment.AFCTComparisonConfig{Seed: r.seed, Sizes: sizes, Metrics: r.child(), Audit: r.audit, Cache: r.cache, Shards: r.shards}
+	cfg := experiment.AFCTComparisonConfig{Seed: r.seed, Sizes: sizes, RunEnv: r.telemetry()}
 	if r.quick {
 		cfg.NLong = 60
 		cfg.BottleneckRate = 20 * units.Mbps
@@ -506,7 +530,7 @@ func (r runner) afct(sizes workload.SizeDist, name string) error {
 }
 
 func (r runner) table(red bool) error {
-	cfg := experiment.UtilizationTableConfig{Seed: r.seed, UseRED: red, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.UtilizationTableConfig{Seed: r.seed, UseRED: red, RunEnv: r.telemetry()}
 	if r.quick {
 		cfg.BottleneckRate = 20 * units.Mbps
 		cfg.Ns = []int{50, 100}
@@ -526,7 +550,7 @@ func (r runner) table(red bool) error {
 }
 
 func (r runner) production() error {
-	cfg := experiment.ProductionConfig{Seed: r.seed, Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.ProductionConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.NLong = 30
 		cfg.Buffers = []int{8, 46, 300}
@@ -537,7 +561,7 @@ func (r runner) production() error {
 }
 
 func (r runner) pacing() error {
-	cfg := experiment.PacingConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.PacingConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.N = 20
 		cfg.BottleneckRate = 20 * units.Mbps
@@ -549,7 +573,7 @@ func (r runner) pacing() error {
 }
 
 func (r runner) smoothing() error {
-	cfg := experiment.SmoothingConfig{Seed: r.seed, TailAt: 20, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.SmoothingConfig{Seed: r.seed, TailAt: 20, RunEnv: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 20 * units.Mbps
 		cfg.Warmup, cfg.Measure = 8*units.Second, 30*units.Second
@@ -559,7 +583,7 @@ func (r runner) smoothing() error {
 }
 
 func (r runner) backbone() error {
-	cfg := experiment.BackboneConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.BackboneConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 600 * units.Mbps
 		cfg.N = 600
@@ -570,7 +594,7 @@ func (r runner) backbone() error {
 }
 
 func (r runner) multihop() error {
-	cfg := experiment.MultiHopConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.MultiHopConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.LinkRate = 20 * units.Mbps
 		cfg.NPerGroup = 40
@@ -581,7 +605,7 @@ func (r runner) multihop() error {
 }
 
 func (r runner) variants() error {
-	cfg := experiment.VariantConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.VariantConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.N = 60
 		cfg.BottleneckRate = 20 * units.Mbps
@@ -592,7 +616,7 @@ func (r runner) variants() error {
 }
 
 func (r runner) ecn() error {
-	cfg := experiment.ECNConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.ECNConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.N = 100
 		cfg.BottleneckRate = 40 * units.Mbps
@@ -603,7 +627,7 @@ func (r runner) ecn() error {
 }
 
 func (r runner) harpoon() error {
-	cfg := experiment.HarpoonConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.HarpoonConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 40 * units.Mbps
 		cfg.Sessions = 500
@@ -614,7 +638,7 @@ func (r runner) harpoon() error {
 }
 
 func (r runner) codel() error {
-	cfg := experiment.CoDelConfig{Seed: r.seed, Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.CoDelConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.N = 100
 		cfg.BottleneckRate = 40 * units.Mbps
@@ -630,7 +654,7 @@ func (r runner) codel() error {
 // rule RTTxC/sqrt(n). Loss-based families track the rule; BBR's curve
 // decouples from it.
 func (r runner) ccFamilies() error {
-	cfg := experiment.CCFamilyConfig{Seed: r.seed, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.CCFamilyConfig{Seed: r.seed, RunEnv: r.telemetry()}
 	if r.quick {
 		cfg.BottleneckRate = 20 * units.Mbps
 		cfg.Ns = []int{25, 50, 100}
@@ -691,7 +715,7 @@ func (r runner) ccFamilies() error {
 // profile .json); curves are rescaled to the experiment's peak load and
 // population, so they act as shapes.
 func (r runner) flashCrowd() error {
-	cfg := experiment.FlashCrowdConfig{Seed: r.seed, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume, Shards: r.shards}
+	cfg := experiment.FlashCrowdConfig{Seed: r.seed, RunEnv: r.telemetry()}
 	if r.workload != "" {
 		p, err := profile.FromArg(r.workload)
 		if err != nil {
@@ -755,7 +779,7 @@ func (r runner) flashCrowd() error {
 }
 
 func (r runner) adversarial() error {
-	cfg := experiment.AdversarialConfig{Seed: r.seed, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.AdversarialConfig{Seed: r.seed, RunEnv: r.telemetry()}
 	if r.adversary != "" {
 		p, err := adversary.ParsePattern(r.adversary)
 		if err != nil {
@@ -804,7 +828,7 @@ func (r runner) adversarial() error {
 }
 
 func (r runner) probeLadder() error {
-	cfg := experiment.ProbeLadderConfig{Seed: r.seed, Cache: r.cache}
+	cfg := experiment.ProbeLadderConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.Limits = []int{16, 64, 256}
 	}
@@ -813,7 +837,7 @@ func (r runner) probeLadder() error {
 }
 
 func (r runner) rttSpread() error {
-	cfg := experiment.RTTSpreadConfig{Seed: r.seed, Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.RTTSpreadConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.N = 100
 		cfg.BottleneckRate = 40 * units.Mbps
@@ -824,7 +848,7 @@ func (r runner) rttSpread() error {
 }
 
 func (r runner) sync() error {
-	cfg := experiment.SyncConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.SyncConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 20 * units.Mbps
 		cfg.Ns = []int{5, 30, 120}

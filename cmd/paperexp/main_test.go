@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bufsim/internal/experiment"
+	"bufsim/internal/runcache"
 )
 
 // TestRunnerQuickExperiments drives a cheap subset of the experiment ids
@@ -75,4 +79,76 @@ func TestRunnerUnknownID(t *testing.T) {
 	if err := r.run("fig99"); err == nil {
 		t.Error("unknown experiment id did not error")
 	}
+}
+
+// TestInterruptedRunIsNotMarkedDone covers what SIGINT turns into: a
+// cancelled context. The sweeps return normally under it (unfinished
+// rows zero), so runAll must report the experiment as interrupted, name
+// -resume, and leave it out of the run manifest — or the -resume run
+// would skip it for good and never print its real table.
+func TestInterruptedRunIsNotMarkedDone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real (scaled) sweep")
+	}
+	store, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := runner{quick: true, seed: 1, env: experiment.RunEnv{Ctx: ctx, Cache: store, Parallelism: 1}}
+	ids := []string{"fig10", "probe"}
+
+	err = r.runAll(ids)
+	if err == nil {
+		t.Fatal("runAll under a cancelled context reported success")
+	}
+	for _, want := range []string{"interrupted during fig10", "-resume"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+
+	// Nothing on disk may say fig10 finished.
+	manifests, _ := filepath.Glob(filepath.Join(store.Dir(), "runs", "*.json"))
+	for _, m := range manifests {
+		if data, _ := os.ReadFile(m); strings.Contains(string(data), "fig10") {
+			t.Errorf("run manifest %s records the interrupted experiment as done: %s", m, data)
+		}
+	}
+
+	// The rerun a user would make: same ids, -resume, nothing cancelled.
+	// fig10 must run for real this time, not be skipped as done.
+	r.env.Ctx, r.env.Resume = context.Background(), true
+	out := captureStdout(t, func() {
+		if err := r.runAll(ids); err != nil {
+			t.Fatalf("resumed runAll: %v", err)
+		}
+	})
+	if strings.Contains(out, "done in a previous run") {
+		t.Errorf("the interrupted experiment was skipped on resume:\n%s", out)
+	}
+	if !strings.Contains(out, "(fig10 in ") || !strings.Contains(out, "(probe in ") {
+		t.Errorf("resumed run did not finish both experiments:\n%s", out)
+	}
+}
+
+// captureStdout returns what fn printed to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stdout")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = saved }()
+	fn()
+	f.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

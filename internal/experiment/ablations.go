@@ -1,10 +1,8 @@
 package experiment
 
 import (
-	"bufsim/internal/audit"
 	"bufsim/internal/model"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -27,13 +25,8 @@ type PacingConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs every comparison under the
-	// conservation-law checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the underlying long-lived runs (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	// RunEnv: Audit and Cache reach the underlying long-lived runs.
+	RunEnv
 }
 
 func (c PacingConfig) withDefaults() PacingConfig {
@@ -69,8 +62,7 @@ func RunPacingAblation(cfg PacingConfig) PacingTable {
 		SegmentSize:    cfg.SegmentSize,
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
-		Audit:          cfg.Audit,
-		Cache:          cfg.Cache,
+		RunEnv:         cfg.cell(nil),
 	}
 	ll = ll.withDefaults()
 	meanRTT := (ll.RTTMin + ll.RTTMax) / 2
@@ -128,13 +120,8 @@ type SmoothingConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs every access-ratio point under the
-	// conservation-law checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes each access-ratio point (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	// RunEnv: every access-ratio point is cached and audited.
+	RunEnv
 }
 
 func (c SmoothingConfig) withDefaults() SmoothingConfig {
@@ -197,7 +184,7 @@ func RunSmoothing(cfg SmoothingConfig) SmoothingTable {
 	for _, ratio := range cfg.AccessRatios {
 		cfgKey := cfg
 		cfgKey.AccessRatios = []float64{ratio}
-		p := memoRun(cfg.Cache, "smoothing", cfgKey, cfg.Audit != nil, func() SmoothingPoint {
+		p := memoRun(cfg.RunEnv, "smoothing", cfgKey, func() SmoothingPoint {
 			return runSmoothingPoint(cfg, ratio, moments)
 		})
 		out.Points = append(out.Points, p)

@@ -1,18 +1,14 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"text/tabwriter"
 
 	"bufsim/internal/adversary"
-	"bufsim/internal/audit"
-	"bufsim/internal/metrics"
 	"bufsim/internal/probe"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -64,17 +60,10 @@ type AdversarialConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Parallelism bounds the sweep's worker goroutines; 0 means the
-	// machine's parallelism.
-	Parallelism int
-
-	// Metrics, Audit, Cache, Resume and Ctx observe and orchestrate the
-	// runs exactly as in LongLivedConfig.
-	Metrics *metrics.Registry
-	Audit   *audit.Auditor
-	Cache   *runcache.Store
-	Resume  bool
-	Ctx     context.Context
+	// RunEnv: the grid is cached per point, audited and resumable; the
+	// pattern runners publish no telemetry of their own, so Metrics
+	// receives the sweep statistics only.
+	RunEnv
 }
 
 func (c AdversarialConfig) withDefaults() AdversarialConfig {
@@ -136,6 +125,10 @@ type adversarialPointConfig struct {
 	PulseDuty       float64
 	Hops            int
 	Warmup, Measure units.Duration
+
+	// RunEnv is the sweep's (or the scenario's): the pattern runners
+	// read Audit, and attaching Metrics re-simulates every point.
+	RunEnv
 }
 
 // AdversarialRow is one (pattern, buffer) cell of the failure-mode
@@ -189,15 +182,10 @@ func (t AdversarialTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) 
 func RunAdversarial(cfg AdversarialConfig) AdversarialTable {
 	cfg = cfg.withDefaults()
 	rows := make(AdversarialTable, len(cfg.Patterns)*len(cfg.BufferFactors))
-	force := cfg.Metrics != nil || cfg.Audit != nil
 	runSweep(sweepSpec{
-		name:        "adversarial",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
-		metrics:     cfg.Metrics,
+		name: "adversarial",
+		cfg:  cfg,
+		env:  cfg.RunEnv,
 	}, len(rows), func(i int) {
 		pc := adversarialPointConfig{
 			Seed:            cfg.Seed,
@@ -213,9 +201,10 @@ func RunAdversarial(cfg AdversarialConfig) AdversarialTable {
 			Hops:            cfg.Hops,
 			Warmup:          cfg.Warmup,
 			Measure:         cfg.Measure,
+			RunEnv:          cfg.RunEnv,
 		}
-		rows[i] = memoRun(cfg.Cache, "adversarial", pc, force, func() AdversarialRow {
-			return runAdversarialPoint(pc, cfg.Audit)
+		rows[i] = memoRun(pc.RunEnv, "adversarial", pc, func() AdversarialRow {
+			return runAdversarialPoint(pc)
 		})
 	})
 	return rows
@@ -231,19 +220,19 @@ func adversarialBuffer(pc adversarialPointConfig) (bdp, buffer int) {
 	return bdp, buffer
 }
 
-func runAdversarialPoint(pc adversarialPointConfig, aud *audit.Auditor) AdversarialRow {
+func runAdversarialPoint(pc adversarialPointConfig) AdversarialRow {
 	_, buffer := adversarialBuffer(pc)
-	return runAdversarialAt(pc, buffer, aud)
+	return runAdversarialAt(pc, buffer)
 }
 
 // runAdversarialAt dispatches one pattern run with the per-link buffer
 // already fixed in packets.
-func runAdversarialAt(pc adversarialPointConfig, buffer int, aud *audit.Auditor) AdversarialRow {
+func runAdversarialAt(pc adversarialPointConfig, buffer int) AdversarialRow {
 	switch pc.Pattern {
 	case adversary.PatternPulse, adversary.PatternSyncAIMD:
-		return runAdversarialDumbbell(pc, buffer, aud)
+		return runAdversarialDumbbell(pc, buffer)
 	case adversary.PatternParkingLot:
-		return runAdversarialParkingLot(pc, buffer, aud)
+		return runAdversarialParkingLot(pc, buffer)
 	}
 	panic(fmt.Sprintf("experiment: unhandled adversarial pattern %v", pc.Pattern))
 }
@@ -273,9 +262,8 @@ type AdversaryScenario struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit and Cache observe the run exactly as in LongLivedConfig.
-	Audit *audit.Auditor
-	Cache *runcache.Store
+	// RunEnv: Audit and Cache; the pattern runners publish no telemetry.
+	RunEnv
 }
 
 func (c AdversaryScenario) withDefaults() AdversaryScenario {
@@ -299,8 +287,7 @@ func (c AdversaryScenario) withDefaults() AdversaryScenario {
 // reports the same row the failure-mode table would hold for it.
 func RunAdversaryScenario(cfg AdversaryScenario) AdversarialRow {
 	cfg = cfg.withDefaults()
-	force := cfg.Audit != nil
-	return memoRun(cfg.Cache, "adversary-scenario", cfg, force, func() AdversarialRow {
+	return memoRun(cfg.RunEnv, "adversary-scenario", cfg, func() AdversarialRow {
 		bdp := units.PacketsInFlight(cfg.BottleneckRate, cfg.RTT, cfg.SegmentSize)
 		pc := adversarialPointConfig{
 			Seed:            cfg.Seed,
@@ -316,14 +303,15 @@ func RunAdversaryScenario(cfg AdversaryScenario) AdversarialRow {
 			Hops:            cfg.Hops,
 			Warmup:          cfg.Warmup,
 			Measure:         cfg.Measure,
+			RunEnv:          cfg.RunEnv,
 		}
-		return runAdversarialAt(pc, cfg.BufferPackets, cfg.Audit)
+		return runAdversarialAt(pc, cfg.BufferPackets)
 	})
 }
 
 // runAdversarialDumbbell measures the pulse or AIMD pattern on the
 // standard dumbbell with a fixed RTT.
-func runAdversarialDumbbell(pc adversarialPointConfig, buffer int, aud *audit.Auditor) AdversarialRow {
+func runAdversarialDumbbell(pc adversarialPointConfig, buffer int) AdversarialRow {
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(pc.Seed)
 
@@ -335,7 +323,7 @@ func runAdversarialDumbbell(pc adversarialPointConfig, buffer int, aud *audit.Au
 		Stations:        pc.N,
 		RTTMin:          pc.RTT,
 		RTTMax:          pc.RTT,
-		Auditor:         aud,
+		Auditor:         pc.Audit,
 	})
 
 	switch pc.Pattern {
@@ -393,7 +381,7 @@ func runAdversarialDumbbell(pc adversarialPointConfig, buffer int, aud *audit.Au
 // runAdversarialParkingLot measures the load-balanced multi-bottleneck
 // pattern: N/2 through flows plus N/2 cross flows per hop, so every
 // core link carries N flows and none is "the" bottleneck.
-func runAdversarialParkingLot(pc adversarialPointConfig, buffer int, aud *audit.Auditor) AdversarialRow {
+func runAdversarialParkingLot(pc adversarialPointConfig, buffer int) AdversarialRow {
 	sched := sim.NewScheduler()
 
 	rates := make([]units.BitRate, pc.Hops)
@@ -410,7 +398,7 @@ func runAdversarialParkingLot(pc adversarialPointConfig, buffer int, aud *audit.
 		Rates:   rates,
 		Delays:  delays,
 		Buffers: buffers,
-		Auditor: aud,
+		Auditor: pc.Audit,
 	})
 	through := pc.N / 2
 	if through < 1 {
@@ -471,8 +459,10 @@ type ProbeLadderConfig struct {
 	// SegmentSize is the probe's standard packet.
 	SegmentSize units.ByteSize
 
-	// Cache, when non-nil, memoizes the table (see LongLivedConfig.Cache).
-	Cache *runcache.Store
+	// RunEnv: Cache memoizes the table. Probing is not a simulation, so
+	// the observers see nothing — they only force the table to be
+	// recomputed, as they force any cached run.
+	RunEnv
 }
 
 func (c ProbeLadderConfig) withDefaults() ProbeLadderConfig {
@@ -522,7 +512,7 @@ func (t ProbeLadderTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) 
 // overhead.
 func RunProbeLadder(cfg ProbeLadderConfig) ProbeLadderTable {
 	cfg = cfg.withDefaults()
-	return memoRun(cfg.Cache, "probe-ladder", cfg, false, func() ProbeLadderTable {
+	return memoRun(cfg.RunEnv, "probe-ladder", cfg, func() ProbeLadderTable {
 		return runProbeLadder(cfg)
 	})
 }

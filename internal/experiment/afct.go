@@ -4,10 +4,8 @@ import (
 	"math"
 	"time"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -41,27 +39,14 @@ type AFCTComparisonConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Metrics, when non-nil, receives telemetry for both regimes, merged
-	// under the regime labels ("RTT*C", "RTT*C/sqrt(n)").
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs both regimes under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes each regime's run (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
-
 	// MeanQueueIncludesWarmup reverts MeanQueue to averaging from t=0
 	// instead of the measurement window (see LongLivedConfig).
 	MeanQueueIncludesWarmup bool
 
-	// Shards requests sharded kernel execution (see LongLivedConfig.Shards).
-	// Mixed traffic is generator-driven, so the effective count is capped at
-	// two (see sharedGeneratorShards). An observer: excluded from the cache
-	// key, results bit-identical at every count.
-	Shards int
+	// RunEnv: Audit, Cache (each regime's run is memoized) and Shards
+	// reach both regimes; Metrics receives their telemetry merged under
+	// the regime labels ("RTT*C", "RTT*C/sqrt(n)").
+	RunEnv
 }
 
 func (c AFCTComparisonConfig) withDefaults() AFCTComparisonConfig {
@@ -139,26 +124,14 @@ type MixedConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Metrics, when non-nil, receives the run's telemetry (see
-	// LongLivedConfig.Metrics).
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs the scenario under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the run (see LongLivedConfig.Cache).
-	// The entry is shared with RunAFCTComparison points that lower to the
-	// same scenario.
-	Cache *runcache.Store
-
 	// MeanQueueIncludesWarmup reverts MeanQueue to averaging from t=0
 	// instead of the measurement window (see LongLivedConfig).
 	MeanQueueIncludesWarmup bool
 
-	// Shards requests sharded kernel execution (see
-	// AFCTComparisonConfig.Shards).
-	Shards int
+	// RunEnv: Metrics, Audit, Cache and Shards. The cache entry is
+	// shared with RunAFCTComparison points that lower to the same
+	// scenario.
+	RunEnv
 }
 
 // RunMixed executes one mixed-traffic scenario.
@@ -180,9 +153,7 @@ func RunMixed(cfg MixedConfig) AFCTOutcome {
 		UseRED:          cfg.UseRED,
 		Warmup:          cfg.Warmup,
 		Measure:         cfg.Measure,
-		Audit:           cfg.Audit,
-		Cache:           cfg.Cache,
-		Shards:          cfg.Shards,
+		RunEnv:          cfg.RunEnv,
 
 		MeanQueueIncludesWarmup: cfg.MeanQueueIncludesWarmup,
 	}.withDefaults()
@@ -190,7 +161,7 @@ func RunMixed(cfg MixedConfig) AFCTOutcome {
 	if buffer < 1 {
 		buffer = 1
 	}
-	return runMixedOnce(base, "mixed", buffer, cfg.Metrics)
+	return runMixedOnce(base, "mixed", buffer)
 }
 
 // AFCTComparisonResult pairs the two buffer regimes.
@@ -227,21 +198,8 @@ type TraceConfig struct {
 	// running for stragglers (default 60 s).
 	Drain units.Duration
 
-	// Metrics, when non-nil, receives the run's telemetry (see
-	// LongLivedConfig.Metrics).
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs the replay under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the replay's result (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
-
-	// Shards requests sharded kernel execution (see
-	// AFCTComparisonConfig.Shards).
-	Shards int
+	// RunEnv: Metrics, Audit, Cache and Shards.
+	RunEnv
 }
 
 // TraceResult summarizes a replayed trace.
@@ -276,7 +234,7 @@ func RunTrace(cfg TraceConfig) TraceResult {
 	if cfg.Drain == 0 {
 		cfg.Drain = 60 * units.Second
 	}
-	return memoRun(cfg.Cache, "trace", cfg, cfg.Metrics != nil || cfg.Audit != nil, func() TraceResult {
+	return memoRun(cfg.RunEnv, "trace", cfg, func() TraceResult {
 		return runTrace(cfg)
 	})
 }
@@ -340,25 +298,27 @@ func runTrace(cfg TraceConfig) TraceResult {
 	return res
 }
 
-// runMixedOnce runs one mixed-traffic scenario at one buffer size, wiring
-// telemetry into reg when non-nil. cfg must already have defaults applied.
-// With cfg.Cache set the outcome is memoized, keyed on (scenario, label,
-// buffer) — RunMixed and RunAFCTComparison share entries when they lower
-// to the same point.
-func runMixedOnce(cfg AFCTComparisonConfig, label string, buffer int, reg *metrics.Registry) AFCTOutcome {
-	type mixedKey struct {
-		Base   AFCTComparisonConfig
-		Label  string
-		Buffer int
-	}
+// mixedKey is the cache identity of one mixed-traffic run.
+type mixedKey struct {
+	Base   AFCTComparisonConfig
+	Label  string
+	Buffer int
+}
+
+// runMixedOnce runs one mixed-traffic scenario at one buffer size under
+// cfg's RunEnv. cfg must already have defaults applied. With cfg.Cache
+// set the outcome is memoized, keyed on (scenario, label, buffer) —
+// RunMixed and RunAFCTComparison share entries when they lower to the
+// same point.
+func runMixedOnce(cfg AFCTComparisonConfig, label string, buffer int) AFCTOutcome {
 	key := mixedKey{Base: cfg, Label: label, Buffer: buffer}
-	return memoRun(cfg.Cache, "mixed", key, reg != nil || cfg.Audit != nil, func() AFCTOutcome {
-		return runMixedUncached(cfg, label, buffer, reg)
+	return memoRun(cfg.RunEnv, "mixed", key, func() AFCTOutcome {
+		return runMixedUncached(cfg, label, buffer)
 	})
 }
 
 // runMixedUncached is the uncached body of runMixedOnce.
-func runMixedUncached(cfg AFCTComparisonConfig, label string, buffer int, reg *metrics.Registry) AFCTOutcome {
+func runMixedUncached(cfg AFCTComparisonConfig, label string, buffer int) AFCTOutcome {
 	wallStart := time.Now()
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(cfg.Seed)
@@ -378,7 +338,7 @@ func runMixedUncached(cfg AFCTComparisonConfig, label string, buffer int, reg *m
 		topoCfg.NewQueue = redQueueHook(buffer, cfg.SegmentSize, cfg.BottleneckRate, rng.Fork(), false)
 	}
 	d := topology.NewDumbbell(topoCfg)
-	instrumentDumbbell(reg, sched, d)
+	instrumentDumbbell(cfg.Metrics, sched, d)
 	workload.StartLongLived(d, cfg.NLong,
 		tcp.Config{
 			SegmentSize: cfg.SegmentSize,
@@ -416,7 +376,7 @@ func runMixedUncached(cfg AFCTComparisonConfig, label string, buffer int, reg *m
 	}
 	gen.Stop()
 	sched.Run(measureEnd.Add(60 * units.Second)) // drain
-	observeWallTime(reg, wallStart, sched)
+	observeWallTime(cfg.Metrics, wallStart, sched)
 	afct, completed, censored := gen.AFCT(warmEnd, measureEnd)
 	return AFCTOutcome{
 		Label: label, BufferPackets: buffer, AFCT: afct,
@@ -432,18 +392,19 @@ func RunAFCTComparison(cfg AFCTComparisonConfig) AFCTComparisonResult {
 	bdp := units.PacketsInFlight(cfg.BottleneckRate, meanRTT, cfg.SegmentSize)
 	small := SqrtRuleBuffer(float64(bdp), cfg.NLong)
 
-	var thumbReg, sqrtReg *metrics.Registry
+	// Each regime runs under the config's env with its own registry.
+	thumb, sqrt := cfg, cfg
 	if cfg.Metrics != nil {
-		thumbReg, sqrtReg = metrics.New(), metrics.New()
+		thumb.Metrics, sqrt.Metrics = metrics.New(), metrics.New()
 	}
 	res := AFCTComparisonResult{
 		BDPPackets: bdp,
-		RuleThumb:  runMixedOnce(cfg, "RTT*C", int(math.Max(1, float64(bdp))), thumbReg),
-		SqrtRule:   runMixedOnce(cfg, "RTT*C/sqrt(n)", small, sqrtReg),
+		RuleThumb:  runMixedOnce(thumb, "RTT*C", int(math.Max(1, float64(bdp)))),
+		SqrtRule:   runMixedOnce(sqrt, "RTT*C/sqrt(n)", small),
 	}
 	if cfg.Metrics != nil {
-		cfg.Metrics.Merge(res.RuleThumb.Label, thumbReg)
-		cfg.Metrics.Merge(res.SqrtRule.Label, sqrtReg)
+		cfg.Metrics.Merge(res.RuleThumb.Label, thumb.Metrics)
+		cfg.Metrics.Merge(res.SqrtRule.Label, sqrt.Metrics)
 	}
 	return res
 }

@@ -34,7 +34,7 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 			Variant:        variants[rng.Intn(len(variants))],
 			Paced:          rng.Intn(3) == 0,
 			DelayedAck:     rng.Intn(3) == 0,
-			Audit:          aud,
+			RunEnv:         RunEnv{Audit: aud},
 		}
 		switch rng.Intn(4) {
 		case 1:
@@ -60,7 +60,7 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 	afct, completed, _ := ShortFlowAFCT(ShortFlowRunConfig{
 		Seed: 42, Rate: 20 * units.Mbps, Load: 0.6, FlowLength: 10,
 		BufferPackets: 40, Warmup: 2 * units.Second, Measure: 4 * units.Second,
-		Audit: aud,
+		RunEnv: RunEnv{Audit: aud},
 	})
 	if err := aud.Err(); err != nil {
 		t.Fatalf("short flows: %v", err)
@@ -74,7 +74,7 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 		Seed: 13, NLong: 6, ShortLoad: 0.2, Sizes: workload.GeometricSize(8),
 		BottleneckRate: 20 * units.Mbps, BufferPackets: 30,
 		Warmup: 2 * units.Second, Measure: 4 * units.Second,
-		Audit: aud,
+		RunEnv: RunEnv{Audit: aud},
 	})
 	if err := aud.Err(); err != nil {
 		t.Fatalf("mixed traffic: %v", err)
@@ -100,8 +100,9 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 			Hops:            2 + rng.Intn(2),
 			Warmup:          units.Duration(1+rng.Intn(2)) * units.Second,
 			Measure:         units.Duration(2+rng.Intn(3)) * units.Second,
+			RunEnv:          RunEnv{Audit: aud},
 		}
-		row := runAdversarialPoint(pc, aud)
+		row := runAdversarialPoint(pc)
 		if err := aud.Err(); err != nil {
 			t.Fatalf("adversarial %v (%+v): %v", pc.Pattern, pc, err)
 		}

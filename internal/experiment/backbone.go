@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"bufsim/internal/audit"
-	"bufsim/internal/runcache"
 	"bufsim/internal/units"
 )
 
@@ -28,13 +26,8 @@ type BackboneConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs the scenario under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the underlying runs (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	// RunEnv: Audit and Cache reach the underlying runs.
+	RunEnv
 }
 
 func (c BackboneConfig) withDefaults() BackboneConfig {
@@ -102,8 +95,7 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 		BufferPackets:  small,
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
-		Audit:          cfg.Audit,
-		Cache:          cfg.Cache,
+		RunEnv:         cfg.cell(nil),
 	})
 	res.UtilDegradation = 1 - res.Small.Utilization
 	return res

@@ -1,14 +1,10 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
-	"bufsim/internal/audit"
-	"bufsim/internal/metrics"
-	"bufsim/internal/runcache"
 	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 )
@@ -48,17 +44,9 @@ type CCFamilyConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Parallelism bounds the sweep's worker goroutines; 0 means the
-	// machine's parallelism.
-	Parallelism int
-
-	// Metrics, Audit, Cache, Resume and Ctx observe and orchestrate the
-	// underlying runs exactly as in LongLivedConfig.
-	Metrics *metrics.Registry
-	Audit   *audit.Auditor
-	Cache   *runcache.Store
-	Resume  bool
-	Ctx     context.Context
+	// RunEnv: every probe is cached and audited, and each grid point is
+	// one more cache unit on top; Metrics receives the sweep statistics.
+	RunEnv
 }
 
 func (c CCFamilyConfig) withDefaults() CCFamilyConfig {
@@ -129,6 +117,10 @@ type ccFamilyPointConfig struct {
 	Scenario LongLivedConfig
 	Target   float64
 	SearchHi int
+
+	// RunEnv is the sweep's: attaching Metrics or Audit to the sweep
+	// re-walks every point's bisection.
+	RunEnv
 }
 
 // CCFamilyTable is the cross-family buffer-requirement dataset, in
@@ -162,13 +154,9 @@ func RunCCFamily(cfg CCFamilyConfig) CCFamilyTable {
 
 	points := make(CCFamilyTable, len(cfg.Variants)*len(cfg.Ns))
 	runSweep(sweepSpec{
-		name:        "ccfamily",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
-		metrics:     cfg.Metrics,
+		name: "ccfamily",
+		cfg:  cfg,
+		env:  cfg.RunEnv,
 	}, len(points), func(i int) {
 		v := cfg.Variants[i/len(cfg.Ns)]
 		n := cfg.Ns[i%len(cfg.Ns)]
@@ -190,8 +178,7 @@ func runCCFamilyPoint(cfg CCFamilyConfig, v tcp.Variant, n, bdp int) CCFamilyPoi
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
 		Variant:        v,
-		Audit:          cfg.Audit,
-		Cache:          cfg.Cache,
+		RunEnv:         cfg.cell(nil),
 	}
 	sqrtRule := SqrtRuleBuffer(float64(bdp), n)
 	hi := 2 * bdp
@@ -204,9 +191,8 @@ func runCCFamilyPoint(cfg CCFamilyConfig, v tcp.Variant, n, bdp int) CCFamilyPoi
 	// The whole point is one cache unit (kind "ccfamily-point") on top
 	// of the per-run memoization, so a cached sweep replays instantly
 	// instead of re-walking the bisection's probe sequence.
-	force := cfg.Metrics != nil || cfg.Audit != nil
-	key := ccFamilyPointConfig{Scenario: ll, Target: cfg.Target, SearchHi: hi}
-	return memoRun(cfg.Cache, "ccfamily-point", key, force, func() CCFamilyPoint {
+	key := ccFamilyPointConfig{Scenario: ll, Target: cfg.Target, SearchHi: hi, RunEnv: cfg.RunEnv}
+	return memoRun(key.RunEnv, "ccfamily-point", key, func() CCFamilyPoint {
 		ceiling := MeasuredUtilization(ll, hi)
 		target := cfg.Target * ceiling
 		minB := MinBufferForUtilization(ll, target, hi)

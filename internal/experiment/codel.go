@@ -1,11 +1,8 @@
 package experiment
 
 import (
-	"context"
 	"math"
 
-	"bufsim/internal/audit"
-	"bufsim/internal/runcache"
 	"bufsim/internal/units"
 )
 
@@ -30,21 +27,8 @@ type CoDelConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Parallelism bounds how many designs simulate at once; 0 means the
-	// machine's parallelism.
-	Parallelism int
-
-	// Audit, when non-nil, runs every design under the conservation-law
-	// checker; the Auditor is shared across the sweep's workers (it is
-	// concurrency-safe). See LongLivedConfig.Audit.
-	Audit *audit.Auditor
-
-	// Cache memoizes each design's run; Resume continues an interrupted
-	// sweep's checkpoint; Ctx cancels between designs. See
-	// LongLivedConfig for semantics.
-	Cache  *runcache.Store
-	Resume bool
-	Ctx    context.Context
+	// RunEnv: every design is cached and audited.
+	RunEnv
 }
 
 func (c CoDelConfig) withDefaults() CoDelConfig {
@@ -78,8 +62,7 @@ func RunCoDel(cfg CoDelConfig) CoDelTable {
 		SegmentSize:    cfg.SegmentSize,
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
-		Audit:          cfg.Audit,
-		Cache:          cfg.Cache,
+		RunEnv:         cfg.cell(nil),
 	}
 	base = base.withDefaults()
 	meanRTT := (base.RTTMin + base.RTTMax) / 2
@@ -98,12 +81,9 @@ func RunCoDel(cfg CoDelConfig) CoDelTable {
 	}
 	rows := make([]CoDelRow, len(designs))
 	runSweep(sweepSpec{
-		name:        "codel",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
+		name: "codel",
+		cfg:  cfg,
+		env:  cfg.RunEnv,
 	}, len(designs), func(i int) {
 		run := base
 		run.BufferPackets = designs[i].buffer

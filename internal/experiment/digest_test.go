@@ -46,8 +46,7 @@ var goldenDigestCases = []struct {
 				// These digests were recorded when MeanQueue's
 				// integration started at t=0; keep that epoch.
 				MeanQueueIncludesWarmup: true,
-				Cache:                   cache,
-				Shards:                  shards,
+				RunEnv:                  RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -61,8 +60,7 @@ var goldenDigestCases = []struct {
 				Paced: true, DelayedAck: true,
 				Warmup: 4 * units.Second, Measure: 8 * units.Second,
 				MeanQueueIncludesWarmup: true,
-				Cache:                   cache,
-				Shards:                  shards,
+				RunEnv:                  RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -75,8 +73,7 @@ var goldenDigestCases = []struct {
 				BufferPackets: 30, UseRED: true, ECN: true,
 				Warmup: 4 * units.Second, Measure: 8 * units.Second,
 				MeanQueueIncludesWarmup: true,
-				Cache:                   cache,
-				Shards:                  shards,
+				RunEnv:                  RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -88,7 +85,7 @@ var goldenDigestCases = []struct {
 				Seed: 13, N: 24, BottleneckRate: 20 * units.Mbps,
 				BufferPackets: 40, Variant: 4, /* Cubic */
 				Warmup: 4 * units.Second, Measure: 8 * units.Second,
-				Cache: cache, Shards: shards,
+				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -101,7 +98,7 @@ var goldenDigestCases = []struct {
 				BufferPackets: 30, Variant: 5, /* BBR */
 				DelayedAck: true,
 				Warmup:     4 * units.Second, Measure: 8 * units.Second,
-				Cache: cache, Shards: shards,
+				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -112,7 +109,7 @@ var goldenDigestCases = []struct {
 			return RunSingleFlow(SingleFlowConfig{
 				BottleneckRate: 10 * units.Mbps, BufferFactor: 1,
 				Warmup: 30 * units.Second, Measure: 40 * units.Second,
-				Cache: cache, Shards: shards,
+				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -124,7 +121,7 @@ var goldenDigestCases = []struct {
 				Seed: 5, Rate: 20 * units.Mbps, Load: 0.7,
 				FlowLength: 14, BufferPackets: 50,
 				Warmup: 4 * units.Second, Measure: 10 * units.Second,
-				Cache: cache, Shards: shards,
+				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 			return map[string]any{"afct": afct, "completed": completed, "censored": censored}
 		},
@@ -139,8 +136,7 @@ var goldenDigestCases = []struct {
 				BottleneckRate: 20 * units.Mbps, BufferPackets: 35,
 				Warmup: 5 * units.Second, Measure: 10 * units.Second,
 				MeanQueueIncludesWarmup: true,
-				Cache:                   cache,
-				Shards:                  shards,
+				RunEnv:                  RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -157,7 +153,7 @@ var goldenDigestCases = []struct {
 				Stations: 20, Profile: prof, PeakFlows: 8,
 				Buffers: []int{25, 100},
 				Warmup:  2 * units.Second, Drain: 20 * units.Second,
-				Cache: cache, Shards: shards,
+				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -175,8 +171,8 @@ var goldenDigestCases = []struct {
 			return RunTrace(TraceConfig{
 				Seed: 2, Flows: flows,
 				BottleneckRate: 10 * units.Mbps, BufferPackets: 30,
-				Drain: 20 * units.Second,
-				Cache: cache, Shards: shards,
+				Drain:  20 * units.Second,
+				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},

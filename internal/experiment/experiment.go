@@ -6,19 +6,21 @@
 // Scaling: every config carries its own rates, flow counts and durations,
 // so tests can run scaled-down instances while the benchmarks run the
 // published parameters.
+//
+// Observers and execution policy: every config embeds one RunEnv
+// (runenv.go) — telemetry registry, auditor, run cache and resume flag,
+// context, worker bound, shard count. None of it can change a result,
+// and the type itself keeps it out of the cache key; see RunEnv and
+// DESIGN.md, "Run cache".
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
 
-	"bufsim/internal/audit"
-	"bufsim/internal/metrics"
 	"bufsim/internal/packet"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
@@ -61,49 +63,16 @@ type LongLivedConfig struct {
 	// Paced enables sender pacing (the TR's small-buffer remedy).
 	Paced bool
 
-	// Metrics, when non-nil, receives the run's telemetry (scheduler,
-	// bottleneck queue and link, TCP aggregates). Telemetry only observes:
-	// the packet trace is identical with Metrics nil or set.
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs the scenario under the conservation-law
-	// checker (see internal/audit): kernel, queues, links and TCP
-	// endpoints report invariant violations into it. Like Metrics, audit
-	// only observes — results are bit-identical with Audit nil or set.
-	Audit *audit.Auditor
-
 	// MeanQueueIncludesWarmup reverts MeanQueue to the legacy behaviour of
 	// averaging the bottleneck occupancy from t=0 instead of from the end
 	// of the warmup window. Only the pinned-digest determinism tests set
 	// it; new callers want the unbiased measurement-window default.
 	MeanQueueIncludesWarmup bool
 
-	// Parallelism bounds worker goroutines when this config drives a
-	// multi-run driver (RunLongLivedReplicated); 0 means the machine's
-	// parallelism. A single RunLongLived is always one goroutine.
-	Parallelism int
-
-	// Cache, when non-nil, memoizes the run's result in the
-	// content-addressed run cache: a repeat run with the same semantic
-	// config replays the stored result instead of re-simulating. The
-	// cache observes only — results are bit-identical with Cache nil or
-	// set. Runs with Metrics or Audit attached always simulate (the
-	// hooks need a live run) but still warm the cache.
-	Cache *runcache.Store
-
-	// Resume, with Cache set, continues the sweep checkpoint left by an
-	// interrupted replicated run instead of starting a fresh record.
-	Resume bool
-
-	// Ctx, when non-nil, cancels a replicated sweep between points
-	// (in-flight points finish). A single RunLongLived ignores it.
-	Ctx context.Context
-
-	// Shards requests sharded (parallel) kernel execution with the given
-	// number of event shards (see topology.Config.Shards). Sharding is an
-	// observer: results are bit-identical at every shard count, so like
-	// Metrics and Parallelism the field is excluded from the cache key.
-	Shards int
+	// RunEnv carries the observers and execution policy. RunLongLived
+	// reads Metrics, Audit, Cache and Shards; RunLongLivedReplicated
+	// also Resume, Ctx and Parallelism.
+	RunEnv
 }
 
 func (c LongLivedConfig) withDefaults() LongLivedConfig {
@@ -178,7 +147,7 @@ func redQueueHook(bufferPkts int, segment units.ByteSize, rate units.BitRate, re
 // replayed from the cache instead of re-simulated.
 func RunLongLived(cfg LongLivedConfig) LongLivedResult {
 	cfg = cfg.withDefaults()
-	return memoRun(cfg.Cache, "long-lived", cfg, cfg.Metrics != nil || cfg.Audit != nil, func() LongLivedResult {
+	return memoRun(cfg.RunEnv, "long-lived", cfg, func() LongLivedResult {
 		return runLongLived(cfg)
 	})
 }
@@ -355,11 +324,7 @@ func RunLongLivedReplicated(cfg LongLivedConfig, k int) ReplicatedResult {
 			Base LongLivedConfig
 			K    int
 		}{cfg, k},
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
-		metrics:     cfg.Metrics,
+		env: cfg.RunEnv,
 	}, k, func(i int) {
 		run := cfg
 		run.Seed = cfg.Seed + int64(i)

@@ -1,17 +1,14 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"text/tabwriter"
 	"time"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -49,14 +46,8 @@ type ProfileRunConfig struct {
 	// before being counted censored (default 30s, as ShortFlowAFCT).
 	Drain units.Duration
 
-	// Metrics, Audit and Cache follow LongLivedConfig's semantics.
-	Metrics *metrics.Registry
-	Audit   *audit.Auditor
-	Cache   *runcache.Store
-
-	// Shards requests sharded kernel execution (see
-	// AFCTComparisonConfig.Shards).
-	Shards int
+	// RunEnv: Metrics, Audit, Cache and Shards.
+	RunEnv
 }
 
 func (c ProfileRunConfig) withDefaults() ProfileRunConfig {
@@ -116,15 +107,16 @@ func RunProfile(cfg ProfileRunConfig) ProfileRunResult {
 	if cfg.Source == nil {
 		panic("experiment: ProfileRunConfig requires a Source")
 	}
-	return memoRun(cfg.Cache, "profile", cfg, cfg.Metrics != nil || cfg.Audit != nil, func() ProfileRunResult {
+	return memoRun(cfg.RunEnv, "profile", cfg, func() ProfileRunResult {
 		return runProfileUncached(cfg)
 	})
 }
 
-// runProfileUncached is the uncached body of RunProfile; cfg has
-// defaults applied. The build-up sequence (scheduler, RNG forks,
-// topology, generator) matches runShortFlowAFCT step for step so a
-// stationary source reproduces it draw for draw.
+// runProfileUncached is the uncached body of RunProfile, and of
+// ShortFlowAFCT (a stationary Poisson source — the pinned short-flow
+// digest holds the build-up sequence of scheduler, RNG forks, topology
+// and generator to what that scenario has always drawn); cfg has
+// defaults applied.
 func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 	wallStart := time.Now()
 	sched := sim.NewScheduler()
@@ -236,19 +228,11 @@ type FlashCrowdConfig struct {
 
 	Warmup, Measure, Drain units.Duration
 
-	// Metrics, Audit, Cache, Resume, Parallelism and Ctx follow
-	// LongLivedConfig's semantics; the sweep is checkpointed and
-	// resumable like every other cached sweep.
-	Metrics     *metrics.Registry
-	Audit       *audit.Auditor
-	Cache       *runcache.Store
-	Resume      bool
-	Parallelism int
-	Ctx         context.Context
-
-	// Shards requests sharded kernel execution for every swept point
-	// (see AFCTComparisonConfig.Shards).
-	Shards int
+	// RunEnv: the sweep is checkpointed and resumable like every other
+	// cached sweep, and Shards reaches every swept point. With Metrics
+	// set each point is re-run with a child registry merged under
+	// "buffer=...".
+	RunEnv
 }
 
 func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
@@ -368,17 +352,10 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 	src := flashCrowdSource(cfg)
 	bdp := float64(units.PacketsInFlight(cfg.BottleneckRate, cfg.MeanRTT, cfg.SegmentSize))
 	out := make(FlashCrowdTable, len(cfg.Buffers))
-	runSweep(sweepSpec{
-		name:        "flashcrowd",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
-		metrics:     cfg.Metrics,
-	}, len(cfg.Buffers), func(k int) {
-		buffer := cfg.Buffers[k]
-		res := RunProfile(ProfileRunConfig{
+	// point is one swept buffer's scenario; the sweep shards its cells.
+	point := func(buffer int, env RunEnv) ProfileRunConfig {
+		env.Shards = cfg.Shards
+		return ProfileRunConfig{
 			Seed:          cfg.Seed,
 			Rate:          cfg.BottleneckRate,
 			MeanRTT:       cfg.MeanRTT,
@@ -389,10 +366,16 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 			Warmup:        cfg.Warmup,
 			Measure:       cfg.Measure,
 			Drain:         cfg.Drain,
-			Audit:         cfg.Audit,
-			Cache:         cfg.Cache,
-			Shards:        cfg.Shards,
-		})
+			RunEnv:        env,
+		}
+	}
+	runSweep(sweepSpec{
+		name: "flashcrowd",
+		cfg:  cfg,
+		env:  cfg.RunEnv,
+	}, len(cfg.Buffers), func(k int) {
+		buffer := cfg.Buffers[k]
+		res := RunProfile(point(buffer, cfg.cell(nil)))
 		out[k] = FlashCrowdRow{
 			Buffer:      buffer,
 			BufferBDP:   float64(buffer) / bdp,
@@ -416,21 +399,7 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 				continue // point never ran (cancelled sweep)
 			}
 			child := metrics.New()
-			RunProfile(ProfileRunConfig{
-				Seed:          cfg.Seed,
-				Rate:          cfg.BottleneckRate,
-				MeanRTT:       cfg.MeanRTT,
-				SegmentSize:   cfg.SegmentSize,
-				BufferPackets: r.Buffer,
-				Source:        src,
-				Stations:      cfg.Stations,
-				Warmup:        cfg.Warmup,
-				Measure:       cfg.Measure,
-				Drain:         cfg.Drain,
-				Metrics:       child,
-				Cache:         cfg.Cache,
-				Shards:        cfg.Shards,
-			})
+			RunProfile(point(r.Buffer, cfg.cell(child)))
 			cfg.Metrics.Merge(fmt.Sprintf("buffer=%d", r.Buffer), child)
 		}
 	}

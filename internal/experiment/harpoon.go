@@ -3,9 +3,7 @@ package experiment
 import (
 	"math"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -36,15 +34,9 @@ type HarpoonConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs both phases under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes each phase's run keyed on the
-	// buffer limit, so calibration and per-factor points are shared
-	// across runs that sweep different factor lists (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	// RunEnv: Audit and Cache; each phase's run is memoized keyed on the
+	// config plus that phase's buffer limit.
+	RunEnv
 }
 
 func (c HarpoonConfig) withDefaults() HarpoonConfig {
@@ -120,7 +112,7 @@ func runHarpoonOnce(cfg HarpoonConfig, buffer int) harpoonRun {
 		Base   HarpoonConfig
 		Buffer int
 	}{cfgKey, buffer}
-	return memoRun(cfg.Cache, "harpoon-run", key, cfg.Audit != nil, func() harpoonRun {
+	return memoRun(cfg.RunEnv, "harpoon-run", key, func() harpoonRun {
 		return runHarpoonUncached(cfg, queue.PacketLimit(buffer))
 	})
 }

@@ -1,12 +1,9 @@
 package experiment
 
 import (
-	"context"
 	"math"
 	"sort"
 
-	"bufsim/internal/audit"
-	"bufsim/internal/runcache"
 	"bufsim/internal/units"
 )
 
@@ -30,21 +27,8 @@ type MinBufferConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Parallelism bounds how many ladder probes simulate at once; 0 means
-	// the machine's parallelism.
-	Parallelism int
-
-	// Audit, when non-nil, runs every ladder probe under the
-	// conservation-law checker; the Auditor is shared across the sweep's
-	// workers (it is concurrency-safe). See LongLivedConfig.Audit.
-	Audit *audit.Auditor
-
-	// Cache memoizes each ladder probe; Resume continues an interrupted
-	// sweep's checkpoint; Ctx cancels between probes. See
-	// LongLivedConfig for semantics.
-	Cache  *runcache.Store
-	Resume bool
-	Ctx    context.Context
+	// RunEnv: every ladder probe is cached and audited.
+	RunEnv
 }
 
 func (c MinBufferConfig) withDefaults() MinBufferConfig {
@@ -138,12 +122,9 @@ func RunMinBufferSweep(cfg MinBufferConfig) MinBufferResult {
 		utils[ni] = make([]float64, len(ladders[ni]))
 	}
 	runSweep(sweepSpec{
-		name:        "min-buffer",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
+		name: "min-buffer",
+		cfg:  cfg,
+		env:  cfg.RunEnv,
 	}, len(probes), func(k int) {
 		p := probes[k]
 		n := cfg.Ns[p.nIdx]
@@ -158,8 +139,7 @@ func RunMinBufferSweep(cfg MinBufferConfig) MinBufferResult {
 			BufferPackets:   p.buffer,
 			Warmup:          cfg.Warmup,
 			Measure:         cfg.Measure,
-			Audit:           cfg.Audit,
-			Cache:           cfg.Cache,
+			RunEnv:          cfg.cell(nil),
 		})
 		utils[p.nIdx][p.rung] = r.Utilization
 	})

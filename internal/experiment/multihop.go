@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"bufsim/internal/audit"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -29,13 +27,8 @@ type MultiHopConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs the chain under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the result (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	// RunEnv: Audit and Cache.
+	RunEnv
 }
 
 func (c MultiHopConfig) withDefaults() MultiHopConfig {
@@ -82,7 +75,7 @@ type MultiHopResult struct {
 // the result is memoized.
 func RunMultiHop(cfg MultiHopConfig) MultiHopResult {
 	cfg = cfg.withDefaults()
-	return memoRun(cfg.Cache, "multihop", cfg, cfg.Audit != nil, func() MultiHopResult {
+	return memoRun(cfg.RunEnv, "multihop", cfg, func() MultiHopResult {
 		return runMultiHop(cfg)
 	})
 }

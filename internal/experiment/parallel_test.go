@@ -3,26 +3,11 @@ package experiment
 import (
 	"encoding/json"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"bufsim/internal/metrics"
 	"bufsim/internal/units"
 )
-
-func TestParallelForCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{-1, 0, 1, 4, 100} {
-		var hits [57]int32
-		parallelFor(workers, len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
-			}
-		}
-	}
-	// n = 0 must be a no-op.
-	parallelFor(4, 0, func(int) { t.Fatal("fn called for n=0") })
-}
 
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
@@ -129,7 +114,7 @@ func TestLongLivedMetricsPopulated(t *testing.T) {
 		BottleneckRate: 10 * units.Mbps,
 		Warmup:         3 * units.Second,
 		Measure:        5 * units.Second,
-		Metrics:        reg,
+		RunEnv:         RunEnv{Metrics: reg},
 	})
 	snap := reg.Snapshot()
 	for _, name := range []string{

@@ -24,7 +24,7 @@ func TestSweepCrashResume(t *testing.T) {
 		Ns:   []int{3, 4}, Factors: []float64{0.5, 1}, // 4 cells
 		BottleneckRate: 10 * units.Mbps,
 		Warmup:         1 * units.Second, Measure: 2 * units.Second,
-		Parallelism: 1, // deterministic interruption point
+		RunEnv: RunEnv{Parallelism: 1}, // deterministic interruption point
 	}
 	total := len(base.Ns) * len(base.Factors)
 	want := RunUtilizationTable(base) // uninterrupted, uncached baseline

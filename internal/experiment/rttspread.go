@@ -1,11 +1,8 @@
 package experiment
 
 import (
-	"context"
 	"math"
 
-	"bufsim/internal/audit"
-	"bufsim/internal/runcache"
 	"bufsim/internal/units"
 )
 
@@ -28,21 +25,9 @@ type RTTSpreadConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Parallelism bounds how many spreads simulate at once; 0 means the
-	// machine's parallelism.
-	Parallelism int
-
-	// Audit, when non-nil, runs every spread under the conservation-law
-	// checker; the Auditor is shared across the sweep's workers (it is
-	// concurrency-safe). See LongLivedConfig.Audit.
-	Audit *audit.Auditor
-
-	// Cache memoizes each spread's two runs (window distribution and
-	// long-lived); Resume continues an interrupted sweep's checkpoint;
-	// Ctx cancels between spreads. See LongLivedConfig for semantics.
-	Cache  *runcache.Store
-	Resume bool
-	Ctx    context.Context
+	// RunEnv: each spread's two runs (window distribution and long-lived)
+	// are cached and audited.
+	RunEnv
 }
 
 func (c RTTSpreadConfig) withDefaults() RTTSpreadConfig {
@@ -86,12 +71,9 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 
 	out := make([]RTTSpreadPoint, len(cfg.Spreads))
 	runSweep(sweepSpec{
-		name:        "rtt-spread",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
+		name: "rtt-spread",
+		cfg:  cfg,
+		env:  cfg.RunEnv,
 	}, len(cfg.Spreads), func(i int) {
 		spread := cfg.Spreads[i]
 		// RunWindowDist gives both the utilization inputs and the
@@ -108,8 +90,7 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 			BufferFactor:    cfg.BufferFactor,
 			Warmup:          cfg.Warmup,
 			Measure:         cfg.Measure,
-			Audit:           cfg.Audit,
-			Cache:           cfg.Cache,
+			RunEnv:          cfg.cell(nil),
 		})
 		cov := 0.0
 		if wd.Mean > 0 {
@@ -125,8 +106,7 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 			BufferPackets:  buffer,
 			Warmup:         cfg.Warmup,
 			Measure:        cfg.Measure,
-			Audit:          cfg.Audit,
-			Cache:          cfg.Cache,
+			RunEnv:         cfg.cell(nil),
 		})
 		out[i] = RTTSpreadPoint{
 			Spread:      spread,

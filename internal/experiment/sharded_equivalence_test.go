@@ -90,8 +90,7 @@ func TestShardedAuditZeroViolations(t *testing.T) {
 				Seed: 7, N: 24, BottleneckRate: 20 * units.Mbps,
 				BufferPackets: 40,
 				Warmup:        4 * units.Second, Measure: 8 * units.Second,
-				Audit:  aud,
-				Shards: n,
+				RunEnv: RunEnv{Audit: aud, Shards: n},
 			})
 			if vs := aud.Violations(); len(vs) != 0 {
 				t.Fatalf("audit reported %d violations under %d shards; first: %s", len(vs), n, vs[0])

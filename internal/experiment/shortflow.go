@@ -1,19 +1,13 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
 	"bufsim/internal/model"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
-	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
-	"bufsim/internal/topology"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -42,29 +36,13 @@ type ShortFlowBufferConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Metrics, when non-nil, receives per-point telemetry: after the
-	// bisection settles each point is re-run at its MinBuffer with a child
-	// registry, merged in under a "rate=...,len=..." prefix. The re-run is
-	// separate from the searched runs, so the reported points are identical
-	// with Metrics nil or set.
-	Metrics *metrics.Registry
-
-	// Parallelism bounds how many (rate, length) points simulate at once;
-	// 0 means the machine's parallelism.
-	Parallelism int
-
-	// Audit, when non-nil, runs every probe under the conservation-law
-	// checker; the Auditor is shared across the sweep's workers (it is
-	// concurrency-safe). See LongLivedConfig.Audit.
-	Audit *audit.Auditor
-
-	// Cache memoizes every probe the bisection makes (baseline and each
-	// bisection step), so a resumed or repeated sweep replays the search
-	// from cache; Resume continues an interrupted sweep's checkpoint;
-	// Ctx cancels between points. See LongLivedConfig for semantics.
-	Cache  *runcache.Store
-	Resume bool
-	Ctx    context.Context
+	// RunEnv: every probe the bisection makes (baseline and each step)
+	// is cached and audited. With Metrics set, after the bisection
+	// settles each point is re-run at its MinBuffer with a child
+	// registry, merged in under a "rate=...,len=..." prefix; the re-run is
+	// separate from the searched runs, so the reported points are
+	// identical with Metrics nil or set.
+	RunEnv
 }
 
 func (c ShortFlowBufferConfig) withDefaults() ShortFlowBufferConfig {
@@ -148,21 +126,9 @@ type ShortFlowRunConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Metrics, when non-nil, receives the run's telemetry (see
-	// LongLivedConfig.Metrics).
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs the scenario under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the run's (AFCT, completed,
-	// censored) outcome (see LongLivedConfig.Cache).
-	Cache *runcache.Store
-
-	// Shards requests sharded kernel execution (see
-	// AFCTComparisonConfig.Shards).
-	Shards int
+	// RunEnv: Metrics, Audit, Cache (the memoized value is the (AFCT,
+	// completed, censored) outcome) and Shards.
+	RunEnv
 }
 
 func (c ShortFlowRunConfig) withDefaults() ShortFlowRunConfig {
@@ -198,64 +164,39 @@ type shortFlowOutcome struct {
 // completion time over the measurement window, the number of completed
 // flows, and the number censored (started in the window, unfinished after
 // the drain period). With cfg.Cache set the outcome is memoized.
+//
+// The scenario is the profile scenario with a stationary Poisson source
+// (see runProfileUncached); only the cache identity — kind "short-flow",
+// keyed on this config — is its own.
 func ShortFlowAFCT(cfg ShortFlowRunConfig) (units.Duration, int, int) {
 	cfg = cfg.withDefaults()
-	out := memoRun(cfg.Cache, "short-flow", cfg, cfg.Metrics != nil || cfg.Audit != nil, func() shortFlowOutcome {
-		afct, completed, censored := runShortFlowAFCT(cfg)
-		return shortFlowOutcome{AFCT: afct, Completed: completed, Censored: censored}
+	out := memoRun(cfg.RunEnv, "short-flow", cfg, func() shortFlowOutcome {
+		res := runProfileUncached(ProfileRunConfig{
+			Seed:          cfg.Seed,
+			Rate:          cfg.Rate,
+			MeanRTT:       cfg.MeanRTT,
+			SegmentSize:   cfg.SegmentSize,
+			BufferPackets: cfg.BufferPackets,
+			Source: workload.PoissonSource{
+				Load:  cfg.Load,
+				Sizes: workload.FixedSize(cfg.FlowLength),
+				TCP: tcp.Config{
+					SegmentSize: cfg.SegmentSize,
+					MaxWindow:   cfg.MaxWindow,
+					Variant:     cfg.Variant,
+					DelayedAck:  cfg.DelayedAck,
+					Paced:       cfg.Paced,
+				},
+			},
+			Stations: cfg.Stations,
+			UseRED:   cfg.UseRED,
+			Warmup:   cfg.Warmup,
+			Measure:  cfg.Measure,
+			RunEnv:   cfg.RunEnv,
+		}.withDefaults())
+		return shortFlowOutcome{AFCT: res.AFCT, Completed: res.Completed, Censored: res.Censored}
 	})
 	return out.AFCT, out.Completed, out.Censored
-}
-
-// runShortFlowAFCT is the uncached body of ShortFlowAFCT; cfg has
-// defaults applied.
-func runShortFlowAFCT(cfg ShortFlowRunConfig) (units.Duration, int, int) {
-	wallStart := time.Now()
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(cfg.Seed)
-	limit := queue.Unlimited()
-	if cfg.BufferPackets > 0 {
-		limit = queue.PacketLimit(cfg.BufferPackets)
-	}
-	topoCfg := topology.Config{
-		Sched:           sched,
-		RNG:             rng.Fork(),
-		BottleneckRate:  cfg.Rate,
-		BottleneckDelay: 10 * units.Millisecond,
-		Buffer:          limit,
-		Stations:        cfg.Stations,
-		RTTMin:          cfg.MeanRTT * 6 / 10,
-		RTTMax:          cfg.MeanRTT * 14 / 10,
-		Auditor:         cfg.Audit,
-		Shards:          sharedGeneratorShards(cfg.Shards),
-	}
-	if cfg.UseRED {
-		topoCfg.NewQueue = redQueueHook(cfg.BufferPackets, cfg.SegmentSize, cfg.Rate, rng.Fork(), false)
-	}
-	d := topology.NewDumbbell(topoCfg)
-	instrumentDumbbell(cfg.Metrics, sched, d)
-	gen := workload.NewShortFlows(workload.ShortFlowConfig{
-		Dumbbell: d,
-		RNG:      rng.Fork(),
-		Load:     cfg.Load,
-		Sizes:    workload.FixedSize(cfg.FlowLength),
-		TCP: tcp.Config{
-			SegmentSize: cfg.SegmentSize,
-			MaxWindow:   cfg.MaxWindow,
-			Variant:     cfg.Variant,
-			DelayedAck:  cfg.DelayedAck,
-			Paced:       cfg.Paced,
-		},
-	})
-	gen.Start()
-	warmEnd := units.Epoch.Add(cfg.Warmup)
-	measureEnd := warmEnd.Add(cfg.Measure)
-	sched.Run(measureEnd)
-	gen.Stop()
-	// Drain so flows that started in the window can complete.
-	sched.Run(measureEnd.Add(30 * units.Second))
-	observeWallTime(cfg.Metrics, wallStart, sched)
-	return gen.AFCT(warmEnd, measureEnd)
 }
 
 // shortFlowAFCT adapts the Fig. 8 sweep's parameters to ShortFlowAFCT.
@@ -271,9 +212,7 @@ func shortFlowAFCT(cfg ShortFlowBufferConfig, rate units.BitRate, flowLen int64,
 		Stations:    cfg.Stations,
 		Warmup:      cfg.Warmup,
 		Measure:     cfg.Measure,
-		Metrics:     reg,
-		Audit:       cfg.Audit,
-		Cache:       cfg.Cache,
+		RunEnv:      cfg.cell(reg),
 	}
 	if buffer.Packets > 0 {
 		run.BufferPackets = buffer.Packets
@@ -299,13 +238,9 @@ func RunShortFlowBuffer(cfg ShortFlowBufferConfig) ShortFlowBufferTable {
 	}
 	out := make([]ShortFlowBufferPoint, len(tasks))
 	runSweep(sweepSpec{
-		name:        "short-flow-buffer",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
-		metrics:     cfg.Metrics,
+		name: "short-flow-buffer",
+		cfg:  cfg,
+		env:  cfg.RunEnv,
 	}, len(tasks), func(k int) {
 		rate, flowLen := tasks[k].rate, tasks[k].flowLen
 		moments := model.MomentsForFlowLength(flowLen, 2, cfg.MaxWindow)

@@ -3,10 +3,7 @@ package experiment
 import (
 	"time"
 
-	"bufsim/internal/audit"
-	"bufsim/internal/metrics"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -44,22 +41,10 @@ type SingleFlowConfig struct {
 	// the same buffer — the sawtooth under early, randomized drops.
 	UseRED bool
 
-	// Metrics, when non-nil, receives the run's telemetry (see
-	// LongLivedConfig.Metrics).
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs the scenario under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the result, time series included
-	// (see LongLivedConfig.Cache).
-	Cache *runcache.Store
-
-	// Shards requests sharded kernel execution (see
-	// LongLivedConfig.Shards). With one station the effective count is at
-	// most two (bottleneck shard + station shard).
-	Shards int
+	// RunEnv: Metrics, Audit, Cache (the memoized result includes the time
+	// series) and Shards — with one station at most two shards take effect
+	// (bottleneck shard + station shard).
+	RunEnv
 }
 
 func (c SingleFlowConfig) withDefaults() SingleFlowConfig {
@@ -106,7 +91,7 @@ type SingleFlowResult struct {
 // result is memoized.
 func RunSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
 	cfg = cfg.withDefaults()
-	return memoRun(cfg.Cache, "single-flow", cfg, cfg.Metrics != nil || cfg.Audit != nil, func() SingleFlowResult {
+	return memoRun(cfg.RunEnv, "single-flow", cfg, func() SingleFlowResult {
 		return runSingleFlow(cfg)
 	})
 }

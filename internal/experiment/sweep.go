@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"bufsim/internal/metrics"
 	"bufsim/internal/runcache"
 )
 
@@ -19,34 +18,29 @@ import (
 // invalidates the whole cache at once. See DESIGN.md, "Run cache".
 const cacheSalt = "bufsim-results-v1"
 
-// digestIgnore lists the config fields that never change what a run
-// computes: observers (Metrics, Audit), the cache plumbing itself
-// (Cache, Resume), and execution policy (Parallelism, Ctx, Shards —
-// sharded runs are bit-identical to sequential ones by the kernel's
-// equivalence contract). Everything else in a config is semantic and
-// part of the cache key — the reflection completeness test in
-// digest_coverage_test.go enforces that split.
-var digestIgnore = runcache.IgnoreFields("Metrics", "Audit", "Cache", "Resume", "Parallelism", "Ctx", "Shards")
-
 // pointKey is the cache key for one computation of the given kind.
+// Everything in cfg is semantic and part of the key except its RunEnv
+// (see there) — the reflection completeness test in
+// digest_coverage_test.go enforces that split.
 func pointKey(kind string, cfg any) string {
-	return runcache.Key(cacheSalt, kind, cfg, digestIgnore)
+	return runcache.Key(cacheSalt, kind, cfg)
 }
 
-// memoRun memoizes one deterministic computation in the cache. With a
-// nil cache it just computes. force bypasses the lookup (used when
-// telemetry or audit hooks are attached, which require actually running
-// the simulation); the result is still stored, warming the cache.
+// memoRun memoizes one deterministic computation in env's cache. With no
+// cache it just computes. A live env (telemetry or audit attached, which
+// require actually running the simulation) bypasses the lookup; the
+// result is still stored, warming the cache.
 //
 // When verification sampling is on, a sampled hit is recomputed and
 // compared byte-for-byte with the stored blob; a mismatch is recorded
 // on the store and the freshly computed value wins.
-func memoRun[T any](cache *runcache.Store, kind string, cfg any, force bool, compute func() T) T {
+func memoRun[T any](env RunEnv, kind string, cfg any, compute func() T) T {
+	cache := env.Cache
 	if cache == nil {
 		return compute()
 	}
 	key := pointKey(kind, cfg)
-	if !force {
+	if !env.live() {
 		if blob, ok := cache.Get(key); ok {
 			var v T
 			if err := json.Unmarshal(blob, &v); err == nil {
@@ -77,44 +71,41 @@ type sweepSpec struct {
 	// cfg is the sweep-level config; its digest identifies the
 	// checkpoint, so a resumed run with different parameters starts a
 	// fresh record instead of trusting stale progress.
-	cfg         any
-	cache       *runcache.Store
-	resume      bool
-	ctx         context.Context
-	parallelism int
-	metrics     *metrics.Registry
+	cfg any
+	// env is the sweep's own RunEnv: cache and checkpoint policy,
+	// cancellation, worker bound, and the registry the stats go to.
+	env RunEnv
 }
 
-// runSweep replaces bare parallelFor fan-out for the sweep drivers: it
+// runSweep is the fan-out every sweep driver goes through: it
 // dispatches point(0..n-1) across a worker pool, checkpoints progress to
 // the cache's sweep manifest after every completed point, honours
 // context cancellation between points (in-flight points finish), and
-// publishes per-point timing and cache hit-rate stats to the spec's
+// publishes per-point timing and cache hit-rate stats to the env's
 // metrics registry once the queue drains.
 //
 // Cancellation returns ctx.Err(); the points completed so far have
 // written their slots (and their cache entries), so a rerun with resume
-// replays them as hits and only computes the remainder. Like
-// parallelFor, results are bit-identical regardless of worker count —
-// the orchestrator only observes.
+// replays them as hits and only computes the remainder. Each point writes
+// only its own slot, so results are bit-identical regardless of worker
+// count — the orchestrator only observes.
 func runSweep(spec sweepSpec, n int, point func(i int)) error {
-	ctx := spec.ctx
+	env := spec.env
+	ctx := env.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var man *runcache.SweepManifest
-	if spec.cache != nil {
-		man = spec.cache.Sweep(spec.name, pointKey("sweep:"+spec.name, spec.cfg), n, spec.resume)
+	var before runcache.Stats
+	if env.Cache != nil {
+		man = env.Cache.Sweep(spec.name, pointKey("sweep:"+spec.name, spec.cfg), n, env.Resume)
+		before = env.Cache.Stats()
 	}
 	resumedPoints := man.DoneCount()
-	var before runcache.Stats
-	if spec.cache != nil {
-		before = spec.cache.Stats()
-	}
 	start := time.Now()
 	durations := make([]time.Duration, n)
 
-	workers := spec.parallelism
+	workers := env.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -146,7 +137,7 @@ dispatch:
 	close(jobs)
 	wg.Wait()
 
-	publishSweepStats(spec, n, resumedPoints, durations, start, before)
+	publishSweepStats(env, n, resumedPoints, durations, start, before)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -157,8 +148,8 @@ dispatch:
 // publishSweepStats surfaces orchestrator observations through the
 // existing metrics registry. It runs on one goroutine after the worker
 // pool has drained (the Registry is not goroutine-safe).
-func publishSweepStats(spec sweepSpec, n, resumed int, durations []time.Duration, start time.Time, before runcache.Stats) {
-	reg := spec.metrics
+func publishSweepStats(env RunEnv, n, resumed int, durations []time.Duration, start time.Time, before runcache.Stats) {
+	reg := env.Metrics
 	if reg == nil {
 		return
 	}
@@ -181,8 +172,8 @@ func publishSweepStats(spec sweepSpec, n, resumed int, durations []time.Duration
 		reg.Gauge("sweep.point_wall_seconds_mean").Set(sum.Seconds() / float64(completed))
 		reg.Gauge("sweep.point_wall_seconds_max").SetMax(max.Seconds())
 	}
-	if spec.cache != nil {
-		after := spec.cache.Stats()
+	if env.Cache != nil {
+		after := env.Cache.Stats()
 		delta := runcache.Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
 		reg.Counter("sweep.cache_hits").Add(delta.Hits)
 		reg.Counter("sweep.cache_misses").Add(delta.Misses)

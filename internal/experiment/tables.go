@@ -1,15 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
 	"bufsim/internal/model"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -36,29 +33,14 @@ type UtilizationTableConfig struct {
 
 	UseRED bool // ablation: run the same table under RED
 
-	// Parallelism bounds how many cells simulate at once; 0 means the
-	// machine's parallelism. Results are identical at any setting.
-	Parallelism int
-
 	Warmup, Measure units.Duration
 
-	// Metrics, when non-nil, receives per-cell telemetry: each (n, factor)
-	// cell runs with its own child registry, merged in deterministic cell
-	// order under an "n=...,factor=..." prefix once the sweep finishes.
-	// Rows are byte-identical with Metrics nil or set, at any Parallelism.
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs every cell under the conservation-law
-	// checker; the Auditor is shared across the sweep's workers (it is
-	// concurrency-safe). See LongLivedConfig.Audit.
-	Audit *audit.Auditor
-
-	// Cache memoizes each cell's run; Resume continues an interrupted
-	// sweep's checkpoint; Ctx cancels the sweep between cells. See
-	// LongLivedConfig for semantics.
-	Cache  *runcache.Store
-	Resume bool
-	Ctx    context.Context
+	// RunEnv: every cell is cached and audited. With Metrics set each
+	// (n, factor) cell runs with its own child registry, merged in
+	// deterministic cell order under an "n=...,factor=..." prefix once the
+	// sweep finishes. Rows are byte-identical with Metrics nil or set, at
+	// any Parallelism.
+	RunEnv
 }
 
 func (c UtilizationTableConfig) withDefaults() UtilizationTableConfig {
@@ -118,28 +100,24 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 		}
 	}
 	rows := make([]UtilizationRow, len(cells))
-	var cellRegs []*metrics.Registry
+	// One child registry per cell, all nil without telemetry.
+	cellRegs := make([]*metrics.Registry, len(cells))
 	if cfg.Metrics != nil {
-		cellRegs = make([]*metrics.Registry, len(cells))
 		for k := range cellRegs {
 			cellRegs[k] = metrics.New()
 		}
 	}
 	runSweep(sweepSpec{
-		name:        "utilization-table",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
-		metrics:     cfg.Metrics,
+		name: "utilization-table",
+		cfg:  cfg,
+		env:  cfg.RunEnv,
 	}, len(cells), func(k int) {
 		n := cfg.Ns[cells[k].n]
 		factor := cfg.Factors[cells[k].factorIdx]
 		gauss := model.LongFlowGaussian{N: n, BDP: float64(bdp)}
 		sqrtRule := float64(bdp) / math.Sqrt(float64(n))
 		buffer := int(math.Max(1, math.Round(factor*sqrtRule)))
-		run := LongLivedConfig{
+		r := RunLongLived(LongLivedConfig{
 			Seed:            cfg.Seed + int64(n)*100 + int64(factor*10),
 			N:               n,
 			BottleneckRate:  cfg.BottleneckRate,
@@ -151,13 +129,8 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 			UseRED:          cfg.UseRED,
 			Warmup:          cfg.Warmup,
 			Measure:         cfg.Measure,
-			Audit:           cfg.Audit,
-			Cache:           cfg.Cache,
-		}
-		if cellRegs != nil {
-			run.Metrics = cellRegs[k]
-		}
-		r := RunLongLived(run)
+			RunEnv:          cfg.cell(cellRegs[k]),
+		})
 		rows[k] = UtilizationRow{
 			N: n, Factor: factor, Packets: buffer,
 			RAMMbit:   float64(buffer) * float64(cfg.SegmentSize.Bits()) / 1e6,
@@ -166,11 +139,11 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 			LossRate:  r.LossRate,
 		}
 	})
-	for k := range cellRegs {
-		if rows[k].N == 0 {
-			continue // cell never ran (cancelled sweep)
+	for k, reg := range cellRegs {
+		if reg == nil || rows[k].N == 0 {
+			continue // no telemetry, or the cell never ran (cancelled sweep)
 		}
-		cfg.Metrics.Merge(fmt.Sprintf("n=%d,factor=%g", rows[k].N, rows[k].Factor), cellRegs[k])
+		cfg.Metrics.Merge(fmt.Sprintf("n=%d,factor=%g", rows[k].N, rows[k].Factor), reg)
 	}
 	return rows
 }
@@ -197,21 +170,9 @@ type ProductionConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs every buffer point under the
-	// conservation-law checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Parallelism bounds how many buffer points simulate at once; 0
-	// means the machine's parallelism. Points are independent
-	// simulations, so rows are identical at any setting.
-	Parallelism int
-
-	// Cache memoizes each buffer point; Resume continues an interrupted
-	// sweep's checkpoint; Ctx cancels between points. See
-	// LongLivedConfig for semantics.
-	Cache  *runcache.Store
-	Resume bool
-	Ctx    context.Context
+	// RunEnv: every buffer point is cached and audited; the points are
+	// independent simulations, so rows are identical at any Parallelism.
+	RunEnv
 }
 
 func (c ProductionConfig) withDefaults() ProductionConfig {
@@ -270,19 +231,16 @@ func RunProduction(cfg ProductionConfig) ProductionTable {
 
 	rows := make(ProductionTable, len(cfg.Buffers))
 	runSweep(sweepSpec{
-		name:        "production",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
+		name: "production",
+		cfg:  cfg,
+		env:  cfg.RunEnv,
 	}, len(cfg.Buffers), func(bi int) {
 		buffer := cfg.Buffers[bi]
 		// The per-point key is the config narrowed to this one buffer,
 		// so the same point is shared across different Buffers lists.
 		cfgKey := cfg
 		cfgKey.Buffers = []int{buffer}
-		rows[bi] = memoRun(cfg.Cache, "production", cfgKey, cfg.Audit != nil, func() ProductionRow {
+		rows[bi] = memoRun(cfg.cell(nil), "production", cfgKey, func() ProductionRow {
 			return runProductionPoint(cfg, buffer, bdp)
 		})
 	})

@@ -3,9 +3,7 @@ package experiment
 import (
 	"math"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
@@ -31,13 +29,9 @@ type WindowDistConfig struct {
 	Warmup, Measure units.Duration
 	SampleEvery     units.Duration
 
-	// Audit, when non-nil, runs the scenario under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the result, samples and histogram
-	// included (see LongLivedConfig.Cache).
-	Cache *runcache.Store
+	// RunEnv: Audit and Cache (the memoized result includes samples and
+	// histogram).
+	RunEnv
 }
 
 func (c WindowDistConfig) withDefaults() WindowDistConfig {
@@ -94,7 +88,7 @@ type WindowDistResult struct {
 // result is memoized.
 func RunWindowDist(cfg WindowDistConfig) WindowDistResult {
 	cfg = cfg.withDefaults()
-	return memoRun(cfg.Cache, "window-dist", cfg, cfg.Audit != nil, func() WindowDistResult {
+	return memoRun(cfg.RunEnv, "window-dist", cfg, func() WindowDistResult {
 		return runWindowDist(cfg)
 	})
 }

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -10,49 +9,43 @@ import (
 
 // DigestField is the static mirror of TestDigestCoversEveryField: every
 // exported field of an experiment config struct must be visible to the
-// runcache digest, or listed in the package's runcache.IgnoreFields set.
+// runcache digest, or belong to a digest-ignored type.
 //
-// The digest walks configs by reflection. Struct fields whose own kind
-// is func, chan or unsafe.Pointer are *silently skipped* — a semantic
-// field of such a type would not move the cache key, so two different
-// runs would share a cached result. Values of those kinds reached any
-// deeper (a slice of funcs, a pointer to a chan) panic at digest time.
-// Map keys must be scalars or the digest panics. This analyzer reports
-// all three hazards at compile time, plus IgnoreFields entries that no
-// longer match any field (a typo there silently un-ignores nothing and
-// may shadow a future field).
+// The digest walks configs by reflection and skips two things on purpose:
+// struct fields whose type declares the DigestIgnore marker method
+// (experiment.RunEnv — observers and execution policy), and struct
+// fields whose own kind is func, chan or unsafe.Pointer. The second skip
+// is *silent* — a semantic field of such a type would not move the cache
+// key, so two different runs would share a cached result — and the first
+// is the only sanctioned home for a value like that. Values of those
+// kinds reached any deeper (a slice of funcs, a pointer to a chan) panic
+// at digest time, and so do map keys that are not scalars. This analyzer
+// reports all three hazards at compile time, anywhere outside a
+// digest-ignored type.
 //
-// The analyzer activates on any package that calls runcache.IgnoreFields,
-// and checks every exported struct type in it named *Config.
+// The rule is structural, not nominal: a field is exempt because of what
+// its type declares, never because of what it is called. The analyzer
+// activates on any package that declares a digest-ignored type or holds
+// one in a struct, and checks every exported struct type in it named
+// *Config.
 var DigestField = &Analyzer{
 	Name: "digestfield",
-	Doc: "every exported field of a *Config struct must be digestable by runcache.Key or listed " +
-		"in IgnoreFields; silently-skipped kinds (func/chan/unsafe) and panicking shapes are errors",
+	Doc: "every exported field of a *Config struct must be digestable by runcache.Key or belong to a " +
+		"DigestIgnore-marked type; silently-skipped kinds (func/chan/unsafe) and panicking shapes are errors",
 	AppliesTo: func(pkgPath string) bool {
-		// Cheap pre-filter; the real trigger is the IgnoreFields call.
+		// Cheap pre-filter; the real trigger is a digest-ignored type.
 		return strings.HasPrefix(pkgPath, "bufsim/")
 	},
 	Run: runDigestField,
 }
 
 func runDigestField(pass *Pass) error {
-	ignored := collectIgnoreFields(pass)
-	if ignored == nil {
-		return nil // package does not digest configs
+	type config struct {
+		ts *ast.TypeSpec
+		st *types.Struct
 	}
-	usedIgnores := make(map[string]bool)
-	var ignorePos token.Pos
-
-	// Find the IgnoreFields call position for stale-entry reports.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && isIgnoreFieldsCall(pass, call) && ignorePos == token.NoPos {
-				ignorePos = call.Pos()
-			}
-			return true
-		})
-	}
-
+	var configs []config
+	digests := false // the package declares or holds a digest-ignored type
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -61,7 +54,7 @@ func runDigestField(pass *Pass) error {
 			}
 			for _, spec := range gd.Specs {
 				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+				if !ok {
 					continue
 				}
 				obj, ok := pass.Info.Defs[ts.Name]
@@ -72,60 +65,40 @@ func runDigestField(pass *Pass) error {
 				if !ok {
 					continue
 				}
-				checkConfigStruct(pass, ts, st, ignored, usedIgnores)
+				digests = digests || markedIgnored(obj.Type())
+				for i := 0; i < st.NumFields(); i++ {
+					digests = digests || markedIgnored(st.Field(i).Type())
+				}
+				if ts.Name.IsExported() && strings.HasSuffix(ts.Name.Name, "Config") {
+					configs = append(configs, config{ts, st})
+				}
 			}
 		}
 	}
-
-	for name := range ignored {
-		if !usedIgnores[name] && ignorePos != token.NoPos {
-			pass.Reportf(ignorePos, "IgnoreFields entry %q matches no exported field of any config struct; remove it or fix the name", name)
-		}
+	if !digests {
+		return nil // package does not digest configs
+	}
+	for _, c := range configs {
+		checkConfigStruct(pass, c.ts, c.st)
 	}
 	return nil
 }
 
-// collectIgnoreFields returns the union of string arguments to every
-// runcache.IgnoreFields call in the package, or nil if there is none.
-func collectIgnoreFields(pass *Pass) map[string]bool {
-	var ignored map[string]bool
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isIgnoreFieldsCall(pass, call) {
-				return true
-			}
-			if ignored == nil {
-				ignored = make(map[string]bool)
-			}
-			for _, arg := range call.Args {
-				tv, ok := pass.Info.Types[arg]
-				if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-					continue
-				}
-				ignored[constant.StringVal(tv.Value)] = true
-			}
-			return true
-		})
-	}
-	return ignored
-}
-
-func isIgnoreFieldsCall(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+// markedIgnored mirrors runcache's rule: t is a struct type that declares
+// a value-receiver DigestIgnore method itself. A struct that merely
+// embeds such a type has the method promoted into its method set (a
+// selection path longer than one step) and is digested as usual.
+func markedIgnored(t types.Type) bool {
+	if _, ok := t.Underlying().(*types.Struct); !ok {
 		return false
 	}
-	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Name() != "IgnoreFields" || fn.Pkg() == nil {
-		return false
-	}
-	return strings.HasSuffix(fn.Pkg().Path(), "runcache")
+	sel := types.NewMethodSet(t).Lookup(nil, "DigestIgnore")
+	return sel != nil && len(sel.Index()) == 1
 }
 
 // checkConfigStruct verifies every exported field of one config struct,
 // reporting at the field's declaration so the fix is one click away.
-func checkConfigStruct(pass *Pass, ts *ast.TypeSpec, st *types.Struct, ignored, usedIgnores map[string]bool) {
+func checkConfigStruct(pass *Pass, ts *ast.TypeSpec, st *types.Struct) {
 	stExpr, ok := ts.Type.(*ast.StructType)
 	if !ok {
 		return
@@ -143,11 +116,7 @@ func checkConfigStruct(pass *Pass, ts *ast.TypeSpec, st *types.Struct, ignored, 
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if !f.Exported() {
-			continue
-		}
-		if ignored[f.Name()] {
-			usedIgnores[f.Name()] = true
+		if !f.Exported() || markedIgnored(f.Type()) {
 			continue
 		}
 		pos, ok := fieldPos[f.Name()]
@@ -155,7 +124,7 @@ func checkConfigStruct(pass *Pass, ts *ast.TypeSpec, st *types.Struct, ignored, 
 			pos = ts.Pos()
 		}
 		path := ts.Name.Name + "." + f.Name()
-		checkDigestable(pass, pos, path, f.Type(), ignored, usedIgnores, true, make(map[types.Type]bool))
+		checkDigestable(pass, pos, path, f.Type(), true, make(map[types.Type]bool))
 	}
 }
 
@@ -175,7 +144,7 @@ func embeddedFieldName(e ast.Expr) string {
 // records whether t is the declared type of a struct field: at that
 // level func/chan/unsafe kinds are silently skipped by the digest; any
 // deeper they panic.
-func checkDigestable(pass *Pass, pos token.Pos, path string, t types.Type, ignored, usedIgnores map[string]bool, structField bool, visited map[types.Type]bool) {
+func checkDigestable(pass *Pass, pos token.Pos, path string, t types.Type, structField bool, visited map[types.Type]bool) {
 	if visited[t] {
 		return
 	}
@@ -195,36 +164,32 @@ func checkDigestable(pass *Pass, pos token.Pos, path string, t types.Type, ignor
 		// Digested via the concrete type at runtime; nothing to check
 		// statically.
 	case *types.Pointer:
-		checkDigestable(pass, pos, path, u.Elem(), ignored, usedIgnores, false, visited)
+		checkDigestable(pass, pos, path, u.Elem(), false, visited)
 	case *types.Slice:
-		checkDigestable(pass, pos, path+"[]", u.Elem(), ignored, usedIgnores, false, visited)
+		checkDigestable(pass, pos, path+"[]", u.Elem(), false, visited)
 	case *types.Array:
-		checkDigestable(pass, pos, path+"[]", u.Elem(), ignored, usedIgnores, false, visited)
+		checkDigestable(pass, pos, path+"[]", u.Elem(), false, visited)
 	case *types.Map:
 		if !scalarMapKey(u.Key()) {
 			pass.Reportf(pos, "%s has map key type %s, which runcache.Key cannot canonicalize (it panics at digest time); key maps by scalars", path, u.Key())
 		}
-		checkDigestable(pass, pos, path+"[...]", u.Elem(), ignored, usedIgnores, false, visited)
+		checkDigestable(pass, pos, path+"[...]", u.Elem(), false, visited)
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
 			f := u.Field(i)
-			if !f.Exported() {
+			if !f.Exported() || markedIgnored(f.Type()) {
 				continue
 			}
-			if ignored[f.Name()] {
-				usedIgnores[f.Name()] = true
-				continue
-			}
-			checkDigestable(pass, pos, path+"."+f.Name(), f.Type(), ignored, usedIgnores, true, visited)
+			checkDigestable(pass, pos, path+"."+f.Name(), f.Type(), true, visited)
 		}
 	}
 }
 
 func reportUndigestable(pass *Pass, pos token.Pos, path, kind string, structField bool) {
 	if structField {
-		pass.Reportf(pos, "%s (kind %s) is silently skipped by the runcache digest, so it would not move the cache key; list it in IgnoreFields if it is an observer, or make it digestable", path, kind)
+		pass.Reportf(pos, "%s (kind %s) is silently skipped by the runcache digest, so it would not move the cache key; move it into a DigestIgnore-marked type if it is an observer, or make it digestable", path, kind)
 	} else {
-		pass.Reportf(pos, "%s reaches a %s value, which runcache.Key panics on at digest time; restructure the field or list it in IgnoreFields", path, kind)
+		pass.Reportf(pos, "%s reaches a %s value, which runcache.Key panics on at digest time; restructure the field or move it into a DigestIgnore-marked type", path, kind)
 	}
 }
 

@@ -4,15 +4,20 @@
 // additions to an attack harness — silently vanish from the cache key.
 package advcfg
 
-import (
-	"bufsim/internal/runcache"
-	"bufsim/internal/units"
-)
+import "bufsim/internal/units"
 
-var digestIgnore = runcache.IgnoreFields("Audit", "Cache")
+// RunEnv mirrors experiment.RunEnv.
+type RunEnv struct {
+	Audit *int
+	Cache *int
+}
+
+// DigestIgnore marks RunEnv as invisible to runcache.Key.
+func (RunEnv) DigestIgnore() {}
 
 // PatternConfig mirrors the real adversarial point config: only scalar
-// semantic knobs, so every field reaches the key.
+// semantic knobs beside the embedded env, so every field reaches the
+// key.
 type PatternConfig struct {
 	Seed       int64
 	Pattern    int
@@ -22,8 +27,7 @@ type PatternConfig struct {
 	PeakFactor float64
 	Factors    []float64
 
-	Audit *int // ignored: observer
-	Cache *int // ignored: cache plumbing
+	RunEnv // ignored by type: observer and cache plumbing
 }
 
 // BadHarnessConfig collects the hazards an attack harness invites:
@@ -35,4 +39,5 @@ type BadHarnessConfig struct {
 	OnBurst func(int)     // want `BadHarnessConfig\.OnBurst \(kind func\) is silently skipped by the runcache digest`
 	Drops   chan int64    // want `BadHarnessConfig\.Drops \(kind chan\) is silently skipped by the runcache digest`
 	Phases  []func() bool // want `BadHarnessConfig\.Phases\[\] reaches a func value`
+	RunEnv
 }

@@ -5,12 +5,16 @@
 // silently vanish from the cache key.
 package profilecfg
 
-import (
-	"bufsim/internal/runcache"
-	"bufsim/internal/units"
-)
+import "bufsim/internal/units"
 
-var digestIgnore = runcache.IgnoreFields("Metrics", "Cache")
+// runEnv mirrors experiment.RunEnv; the marker works on an unexported
+// type just the same.
+type runEnv struct {
+	Metrics *int
+	Cache   *int
+}
+
+func (runEnv) DigestIgnore() {}
 
 type curve []struct {
 	T units.Duration
@@ -28,8 +32,7 @@ type ProfileConfig struct {
 	Source     interface{ String() string }
 	Buffers    []int
 
-	Metrics *int // ignored: observer
-	Cache   *int // ignored: cache plumbing
+	runEnv // ignored by type: observer and cache plumbing
 }
 
 // BadEngineConfig collects the hazards a traffic engine invites: hooks
@@ -41,4 +44,5 @@ type BadEngineConfig struct {
 	OnLaunch func(int64)   // want `BadEngineConfig\.OnLaunch \(kind func\) is silently skipped by the runcache digest`
 	Progress chan float64  // want `BadEngineConfig\.Progress \(kind chan\) is silently skipped by the runcache digest`
 	Stages   []func() bool // want `BadEngineConfig\.Stages\[\] reaches a func value`
+	runEnv
 }

@@ -7,11 +7,12 @@
 // (salt, kind, config) and memoizing the result as a JSON blob on disk,
 // so a warm sweep replays from the cache instead of re-simulating.
 //
-// The digest deliberately ignores fields that do not change the numbers a
+// The digest deliberately ignores values that do not change the numbers a
 // run produces (telemetry sinks, audit hooks, parallelism, the cache
-// handle itself); the caller names those via IgnoreFields. The salt
-// encodes the code version: any change to simulation semantics must bump
-// the salt, which invalidates every cached entry at once (see DESIGN.md).
+// handle itself); their type says so with a DigestIgnore marker method.
+// The salt encodes the code version: any change to simulation semantics
+// must bump the salt, which invalidates every cached entry at once (see
+// DESIGN.md).
 package runcache
 
 import (
@@ -25,25 +26,27 @@ import (
 	"strconv"
 )
 
-// Option adjusts how Key canonicalizes a configuration.
-type Option func(*digestOptions)
+// ignorer is the marker a struct type declares (a value-receiver
+// DigestIgnore method) to keep every field of that type out of the
+// digest, whatever the field is named and however deep it sits. It is for
+// observers and execution policy, never for simulation semantics.
+var ignorer = reflect.TypeOf((*interface{ DigestIgnore() })(nil)).Elem()
 
-type digestOptions struct {
-	ignore map[string]bool
-}
-
-// IgnoreFields excludes struct fields with the given names (at any
-// nesting depth) from the digest. Use it for fields that carry
-// observers or execution policy rather than simulation semantics.
-func IgnoreFields(names ...string) Option {
-	return func(o *digestOptions) {
-		if o.ignore == nil {
-			o.ignore = make(map[string]bool, len(names))
-		}
-		for _, n := range names {
-			o.ignore[n] = true
+// ignored reports whether struct type t declares the marker itself.
+// Embedding promotes methods, so a config that embeds an ignored type
+// has DigestIgnore in its method set too; it is told apart by the
+// embedded field that already carries it, and is digested as usual
+// (minus that field).
+func ignored(t reflect.Type) bool {
+	if t.Kind() != reflect.Struct || !t.Implements(ignorer) {
+		return false
+	}
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.Anonymous && f.Type.Implements(ignorer) {
+			return false
 		}
 	}
+	return true
 }
 
 // Key returns the content address for one run: a hex SHA-256 over the
@@ -55,25 +58,22 @@ func IgnoreFields(names ...string) Option {
 // type names are NOT part of the encoding — the kind string carries the
 // semantic identity of the computation — but the concrete type behind an
 // interface value is, since different implementations of e.g. a size
-// distribution mean different workloads. Unexported fields, funcs and
-// channels are skipped. Digesting an unsupported value (e.g. a bare
-// func) panics: configs must stay digestable.
-func Key(salt, kind string, cfg any, opts ...Option) string {
-	var o digestOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
+// distribution mean different workloads. Unexported fields, funcs,
+// channels and fields of a DigestIgnore-marked struct type are skipped.
+// Digesting an unsupported value (e.g. a bare func) panics: configs must
+// stay digestable.
+func Key(salt, kind string, cfg any) string {
 	h := sha256.New()
 	io.WriteString(h, salt)
 	h.Write([]byte{0})
 	io.WriteString(h, kind)
 	h.Write([]byte{0})
-	encodeValue(h, reflect.ValueOf(cfg), &o)
+	encodeValue(h, reflect.ValueOf(cfg))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // encodeValue writes the canonical encoding of v to w.
-func encodeValue(w hash.Hash, v reflect.Value, o *digestOptions) {
+func encodeValue(w hash.Hash, v reflect.Value) {
 	if !v.IsValid() {
 		io.WriteString(w, "nil")
 		return
@@ -84,10 +84,10 @@ func encodeValue(w hash.Hash, v reflect.Value, o *digestOptions) {
 			// An absent option digests like its zero value, so a
 			// config that never mentions a knob shares entries with
 			// one that sets it to the default explicitly.
-			encodeValue(w, reflect.Zero(v.Type().Elem()), o)
+			encodeValue(w, reflect.Zero(v.Type().Elem()))
 			return
 		}
-		encodeValue(w, v.Elem(), o)
+		encodeValue(w, v.Elem())
 	case reflect.Interface:
 		if v.IsNil() {
 			io.WriteString(w, "nil")
@@ -99,14 +99,14 @@ func encodeValue(w hash.Hash, v reflect.Value, o *digestOptions) {
 		io.WriteString(w, "(")
 		io.WriteString(w, concreteTypeName(elem.Type()))
 		io.WriteString(w, ")")
-		encodeValue(w, elem, o)
+		encodeValue(w, elem)
 	case reflect.Struct:
 		t := v.Type()
 		names := make([]string, 0, t.NumField())
 		byName := make(map[string]reflect.Value, t.NumField())
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			if !f.IsExported() || o.ignore[f.Name] {
+			if !f.IsExported() || ignored(f.Type) {
 				continue
 			}
 			switch f.Type.Kind() {
@@ -121,7 +121,7 @@ func encodeValue(w hash.Hash, v reflect.Value, o *digestOptions) {
 		for _, n := range names {
 			io.WriteString(w, n)
 			io.WriteString(w, "=")
-			encodeValue(w, byName[n], o)
+			encodeValue(w, byName[n])
 			io.WriteString(w, ";")
 		}
 		io.WriteString(w, "}")
@@ -139,14 +139,14 @@ func encodeValue(w hash.Hash, v reflect.Value, o *digestOptions) {
 		for _, k := range keys {
 			io.WriteString(w, k)
 			io.WriteString(w, ":")
-			encodeValue(w, byKey[k], o)
+			encodeValue(w, byKey[k])
 			io.WriteString(w, ";")
 		}
 		io.WriteString(w, "]")
 	case reflect.Slice, reflect.Array:
 		io.WriteString(w, "[")
 		for i := 0; i < v.Len(); i++ {
-			encodeValue(w, v.Index(i), o)
+			encodeValue(w, v.Index(i))
 			io.WriteString(w, ";")
 		}
 		io.WriteString(w, "]")

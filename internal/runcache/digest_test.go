@@ -107,19 +107,55 @@ func TestKeyInterfaceConcreteType(t *testing.T) {
 	}
 }
 
-func TestKeyIgnoreFields(t *testing.T) {
-	type cfg struct {
-		Seed        int64
-		Parallelism int
+// Observers stands in for experiment.RunEnv: a struct type that declares
+// the DigestIgnore marker.
+type Observers struct {
+	Parallelism int
+	Sink        *int
+}
+
+func (Observers) DigestIgnore() {}
+
+func TestKeySkipsDigestIgnoredTypes(t *testing.T) {
+	// scenario embeds the marked type, so the marker method is promoted
+	// into its own method set — it must still be digested field by field.
+	type scenario struct {
+		Seed int64
+		Observers
 	}
-	ignore := IgnoreFields("Parallelism")
-	a := Key("s", "k", cfg{Seed: 1, Parallelism: 0}, ignore)
-	b := Key("s", "k", cfg{Seed: 1, Parallelism: 16}, ignore)
-	if a != b {
-		t.Fatalf("ignored field changed the digest")
+	// point nests a scenario under a named field and carries a marked
+	// value under a name of its own: skipping goes by type, at any depth.
+	type point struct {
+		Base   scenario
+		Buffer int
+		Env    Observers
 	}
-	if Key("s", "k", cfg{Seed: 2}, ignore) == a {
+	sink := 7
+	quiet := point{Base: scenario{Seed: 1}, Buffer: 10}
+	watched := point{
+		Base:   scenario{Seed: 1, Observers: Observers{Parallelism: 16, Sink: &sink}},
+		Buffer: 10,
+		Env:    Observers{Parallelism: 4},
+	}
+	a := Key("s", "k", quiet)
+	if Key("s", "k", watched) != a {
+		t.Fatalf("a field of a DigestIgnore type changed the digest")
+	}
+	if Key("s", "k", point{Base: scenario{Seed: 2}, Buffer: 10}) == a {
+		t.Fatalf("a struct that only embeds a DigestIgnore type was skipped whole: its semantic field no longer changes the digest")
+	}
+	if Key("s", "k", point{Base: scenario{Seed: 1}, Buffer: 11}) == a {
 		t.Fatalf("semantic field no longer changes the digest")
+	}
+	// The marked type is invisible, not merely constant: the key is the
+	// one the same structs have without it.
+	type bareScenario struct{ Seed int64 }
+	type barePoint struct {
+		Base   bareScenario
+		Buffer int
+	}
+	if Key("s", "k", barePoint{Base: bareScenario{Seed: 1}, Buffer: 10}) != a {
+		t.Fatalf("a DigestIgnore field left a trace in the encoding")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"bufsim/internal/audit"
+	"bufsim/internal/experiment"
 	"bufsim/internal/metrics"
 	"bufsim/internal/runcache"
 )
@@ -64,24 +65,38 @@ var openedCaches sync.Map // dir -> *Cache
 type Option func(*options)
 
 type options struct {
-	variant     *Variant
-	paced       *bool
-	delayedAck  *bool
-	red         *bool
-	metrics     *Registry
-	parallelism *int
-	shards      *int
-	audit       *Auditor
-	cache       *Cache
-	workload    Workload
+	variant    *Variant
+	paced      *bool
+	delayedAck *bool
+	red        *bool
+	// env is what WithMetrics, WithAudit, WithCache, WithParallelism and
+	// WithShards set; every Simulate* hands it to its experiment config
+	// whole. Unset knobs are the zero value, which the experiment layer
+	// reads as "off" (sequential kernel, the machine's parallelism).
+	env      experiment.RunEnv
+	workload Workload
 }
 
-// shardCount resolves WithShards: zero when unset (sequential kernel).
-func (o options) shardCount() int {
-	if o.shards == nil {
-		return 0
+// tune overwrites a lowered config's congestion-control switches with
+// the ones the options set, leaving the rest as the config had them.
+func (o options) tune(variant *Variant, paced, delayedAck *bool) {
+	if o.variant != nil {
+		*variant = *o.variant
 	}
-	return *o.shards
+	if o.paced != nil {
+		*paced = *o.paced
+	}
+	if o.delayedAck != nil {
+		*delayedAck = *o.delayedAck
+	}
+}
+
+// useRED resolves WithRED against the config's own RED switch.
+func (o options) useRED(cfg bool) bool {
+	if o.red != nil {
+		return *o.red
+	}
+	return cfg
 }
 
 func applyOptions(opts []Option) options {
@@ -121,8 +136,9 @@ func WithDelayedACK(on bool) Option {
 }
 
 // WithRED switches the bottleneck from drop-tail to Random Early
-// Detection. Only Simulate honours it; the short-flow, mix and trace
-// scenarios study drop-tail buffers.
+// Detection sized to the same buffer. Every Simulate* honours it;
+// scenarios whose buffer may be unlimited (ShortFlows, Trace, Profile
+// with BufferPackets 0) must set a positive buffer to use it.
 func WithRED(on bool) Option {
 	return func(o *options) { o.red = &on }
 }
@@ -134,7 +150,7 @@ func WithRED(on bool) Option {
 // setting; only wall-clock time changes. Single-run entry points ignore
 // it — one simulation is always one goroutine.
 func WithParallelism(n int) Option {
-	return func(o *options) { o.parallelism = &n }
+	return func(o *options) { o.env.Parallelism = n }
 }
 
 // WithShards runs the simulation's event kernel on n parallel shards:
@@ -151,7 +167,7 @@ func WithParallelism(n int) Option {
 // effective count at two — the generator's bookkeeping serializes the
 // stations onto one shard.
 func WithShards(n int) Option {
-	return func(o *options) { o.shards = &n }
+	return func(o *options) { o.env.Shards = n }
 }
 
 // WithWorkload overrides the traffic driving a SimulateProfile run with
@@ -171,7 +187,7 @@ func WithWorkload(w Workload) Option {
 // (reg.WriteJSON dumps them). Telemetry never perturbs the simulation:
 // the same seed yields identical packets with or without it.
 func WithMetrics(reg *Registry) Option {
-	return func(o *options) { o.metrics = reg }
+	return func(o *options) { o.env.Metrics = reg }
 }
 
 // WithAudit runs the simulation under the conservation-law checker: every
@@ -182,7 +198,7 @@ func WithMetrics(reg *Registry) Option {
 // The same Auditor may be shared by concurrent runs (SimulateReplicated);
 // it is concurrency-safe.
 func WithAudit(aud *Auditor) Option {
-	return func(o *options) { o.audit = aud }
+	return func(o *options) { o.env.Audit = aud }
 }
 
 // WithCache memoizes the run in a content-addressed result cache rooted
@@ -198,7 +214,7 @@ func WithAudit(aud *Auditor) Option {
 func WithCache(dir string) Option {
 	return func(o *options) {
 		if c, ok := openedCaches.Load(dir); ok {
-			o.cache = c.(*Cache)
+			o.env.Cache = c.(*Cache)
 			return
 		}
 		c, err := runcache.Open(dir)
@@ -206,12 +222,12 @@ func WithCache(dir string) Option {
 			panic(fmt.Sprintf("bufsim: WithCache(%q): %v", dir, err))
 		}
 		actual, _ := openedCaches.LoadOrStore(dir, c)
-		o.cache = actual.(*Cache)
+		o.env.Cache = actual.(*Cache)
 	}
 }
 
 // WithCacheStore is WithCache for a store the caller opened (or
 // configured — e.g. verification sampling via SetVerifySample) itself.
 func WithCacheStore(c *Cache) Option {
-	return func(o *options) { o.cache = c }
+	return func(o *options) { o.env.Cache = c }
 }

@@ -214,7 +214,7 @@ func SimulateProfile(cfg ProfileSimulation, opts ...Option) ProfileResult {
 	if w == nil {
 		panic("bufsim: ProfileSimulation requires a Workload (config field or WithWorkload)")
 	}
-	run := experiment.ProfileRunConfig{
+	res := experiment.RunProfile(experiment.ProfileRunConfig{
 		Seed:          cfg.Seed,
 		Rate:          cfg.Link.Rate,
 		MeanRTT:       cfg.Link.RTT,
@@ -222,19 +222,12 @@ func SimulateProfile(cfg ProfileSimulation, opts ...Option) ProfileResult {
 		BufferPackets: cfg.BufferPackets,
 		Source:        overrideWorkloadTCP(w, o),
 		Stations:      cfg.Stations,
-		UseRED:        cfg.RED,
+		UseRED:        o.useRED(cfg.RED),
 		Warmup:        cfg.Warmup,
 		Measure:       cfg.Measure,
 		Drain:         cfg.Drain,
-		Metrics:       o.metrics,
-		Audit:         o.audit,
-		Cache:         o.cache,
-		Shards:        o.shardCount(),
-	}
-	if o.red != nil {
-		run.UseRED = *o.red
-	}
-	res := experiment.RunProfile(run)
+		RunEnv:        o.env,
+	})
 	return ProfileResult{
 		Utilization: res.Utilization,
 		LossRate:    res.LossRate,
@@ -255,19 +248,8 @@ func SimulateProfile(cfg ProfileSimulation, opts ...Option) ProfileResult {
 // every other entry point. Unknown Source implementations pass through
 // untouched.
 func overrideWorkloadTCP(w Workload, o options) Workload {
-	if o.variant == nil && o.paced == nil && o.delayedAck == nil {
-		return w
-	}
 	apply := func(c tcp.Config) tcp.Config {
-		if o.variant != nil {
-			c.Variant = *o.variant
-		}
-		if o.paced != nil {
-			c.Paced = *o.paced
-		}
-		if o.delayedAck != nil {
-			c.DelayedAck = *o.delayedAck
-		}
+		o.tune(&c.Variant, &c.Paced, &c.DelayedAck)
 		return c
 	}
 	switch s := w.(type) {
