@@ -4,7 +4,7 @@
 GO  ?= go
 BIN := bin
 
-.PHONY: all build fmt-check lint vet test short race mutation fuzz-smoke \
+.PHONY: all build fmt-check lint onebed vet test short race mutation fuzz-smoke \
         bench-smoke golden bench bench-gate bench-scale bench-scale-gate \
         benchmark-check clean
 
@@ -27,8 +27,21 @@ fmt-check:
 # tree — including cmd/buflint and internal/lint themselves — through
 # go vet's unitchecker protocol. Blocking: any finding fails the build,
 # and so does a stale //lint:ignore. See DESIGN.md "Static analysis".
-lint: $(BIN)/buflint
+lint: $(BIN)/buflint onebed
 	$(GO) vet -vettool=$(abspath $(BIN)/buflint) ./...
+
+# onebed keeps internal/experiment to one test bed: a scheduler or a
+# topology built in any non-test file there other than bed.go is a
+# hand-rolled copy of the apparatus and fails the build. See DESIGN.md
+# "Test bed".
+onebed:
+	@stray="$$(grep -nE 'sim\.NewScheduler\(|topology\.NewDumbbell\(|topology\.NewParkingLot\(' \
+		internal/experiment/*.go | grep -vE '^internal/experiment/(bed|[a-z_]*_test)\.go:')"; \
+	if [ -n "$$stray" ]; then \
+		echo "onebed: build the scenario on internal/experiment/bed.go instead:" >&2; \
+		echo "$$stray" >&2; \
+		exit 1; \
+	fi
 
 $(BIN)/buflint: FORCE
 	$(GO) build -o $(BIN)/buflint ./cmd/buflint

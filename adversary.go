@@ -80,9 +80,9 @@ type AdversaryResult struct {
 }
 
 // SimulateAdversary runs one adversarial pattern and reports how the
-// chosen buffer fares against it. WithAudit and WithCache compose as
-// with Simulate; the TCP-shaping options do not apply — the patterns
-// fix their own transport behaviour by design.
+// chosen buffer fares against it. WithMetrics, WithAudit and WithCache
+// compose as with Simulate; the TCP-shaping options do not apply — the
+// patterns fix their own transport behaviour by design.
 func SimulateAdversary(cfg AdversarySimulation, opts ...Option) AdversaryResult {
 	if err := cfg.Validate(); err != nil {
 		panic(err)

@@ -65,7 +65,6 @@ package bufsim
 
 import (
 	"fmt"
-	"io"
 
 	"bufsim/internal/experiment"
 	"bufsim/internal/model"
@@ -513,14 +512,6 @@ func SimulateMix(cfg MixSimulation, opts ...Option) MixResult {
 // TraceFlow is one recorded flow for SimulateTrace: when it starts
 // (relative to the simulation start) and its size in segments.
 type TraceFlow = workload.FlowSpec
-
-// ParseTrace reads a "start_seconds,size_segments" CSV of flows (comments
-// and a header line tolerated), for replay with SimulateTrace. Rows must
-// be ordered by start time; out-of-order rows are an error.
-//
-// Deprecated: use ReadFlows, which additionally accepts JSON flow
-// records.
-func ParseTrace(r io.Reader) ([]TraceFlow, error) { return workload.ParseTrace(r) }
 
 // TraceSimulation configures SimulateTrace: replay recorded flows over a
 // bottleneck with a given buffer.

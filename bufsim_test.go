@@ -179,7 +179,7 @@ func TestSimulateTraceReplaysCSV(t *testing.T) {
 		t.Skip("simulation run")
 	}
 	csv := "start_seconds,size_segments\n0.0,14\n0.5,30\n1.0,14\n1.5,8\n"
-	flows, err := ParseTrace(strings.NewReader(csv))
+	flows, err := ReadFlows(strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}

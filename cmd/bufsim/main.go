@@ -216,19 +216,7 @@ func runAndPrint(link bufsim.Link, cfg bufsim.Simulation, skip bool, metricsPath
 		100*res.Utilization, 100*res.LossRate, res.MeanQueuePackets, 100*res.RetransmitFraction)
 	fmt.Printf("queueing delay:  mean %v, P99 %v; fairness %.3f\n",
 		res.QueueDelayMean, res.QueueDelayP99, res.Fairness)
-	if reg != nil {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := reg.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("telemetry:       written to %s\n", metricsPath)
-	}
+	writeTelemetry(reg, metricsPath)
 	if aud != nil {
 		if err := aud.Err(); err != nil {
 			log.Fatalf("audit: %v", err)
@@ -264,10 +252,12 @@ func runAdversaryAndPrint(arg string, cfg bufsim.AdversarySimulation, skip bool,
 	if skip {
 		return
 	}
-	if metricsPath != "" {
-		log.Fatal("-metrics is not supported with -adversary (the pattern runners publish no telemetry)")
-	}
 	var opts []bufsim.Option
+	var reg *bufsim.Registry
+	if metricsPath != "" {
+		reg = bufsim.NewRegistry()
+		opts = append(opts, bufsim.WithMetrics(reg))
+	}
 	var aud *bufsim.Auditor
 	if auditOn {
 		aud = bufsim.NewAuditor()
@@ -284,6 +274,7 @@ func runAdversaryAndPrint(arg string, cfg bufsim.AdversarySimulation, skip bool,
 	if res.SyncIndex != 0 {
 		fmt.Printf("sync index:      %.2f (1.0 = the desynchronized CLT prediction)\n", res.SyncIndex)
 	}
+	writeTelemetry(reg, metricsPath)
 	if aud != nil {
 		if err := aud.Err(); err != nil {
 			log.Fatalf("audit: %v", err)
@@ -304,6 +295,25 @@ func runAdversaryAndPrint(arg string, cfg bufsim.AdversarySimulation, skip bool,
 	if res.Utilization < 0.98 {
 		fmt.Println("note: below 98% utilization — the pattern defeated this buffer")
 	}
+}
+
+// writeTelemetry dumps a run's registry to path as JSON; a nil registry
+// (no -metrics) writes nothing.
+func writeTelemetry(reg *bufsim.Registry, path string) {
+	if reg == nil {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := reg.WriteJSON(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("telemetry:       written to %s\n", path)
 }
 
 // profileScenario carries the -workload invocation: a profile shape (a
@@ -396,19 +406,7 @@ func runProfileAndPrint(sc profileScenario, skip bool, metricsPath string, audit
 		100*res.Utilization, 100*res.LossRate, res.MeanQueue, res.PeakQueue)
 	fmt.Printf("flows:           peak n(t) %.0f (mean %.1f), %d launched; AFCT %v over %d completed (%d censored)\n",
 		res.PeakActive, res.MeanActive, res.Generated, res.AFCT, res.Completed, res.Censored)
-	if reg != nil {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := reg.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("telemetry:       written to %s\n", metricsPath)
-	}
+	writeTelemetry(reg, metricsPath)
 	if aud != nil {
 		if err := aud.Err(); err != nil {
 			log.Fatalf("audit: %v", err)

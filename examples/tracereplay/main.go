@@ -25,7 +25,7 @@ func main() {
 		log.Fatalf("open trace: %v (run from the repository root)", err)
 	}
 	defer f.Close()
-	flows, err := bufsim.ParseTrace(f)
+	flows, err := bufsim.ReadFlows(f)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,10 +2,9 @@ package experiment
 
 import (
 	"bufsim/internal/model"
-	"bufsim/internal/queue"
-	"bufsim/internal/sim"
+	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
-	"bufsim/internal/topology"
+	"bufsim/internal/trace"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -120,7 +119,7 @@ type SmoothingConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// RunEnv: every access-ratio point is cached and audited.
+	// RunEnv: every access-ratio point is cached, audited and instrumented.
 	RunEnv
 }
 
@@ -194,71 +193,48 @@ func RunSmoothing(cfg SmoothingConfig) SmoothingTable {
 
 // runSmoothingPoint measures one access ratio; cfg has defaults applied.
 func runSmoothingPoint(cfg SmoothingConfig, ratio float64, moments model.BurstMoments) SmoothingPoint {
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(cfg.Seed)
-	d := topology.NewDumbbell(topology.Config{
-		Sched:           sched,
-		RNG:             rng.Fork(),
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: 10 * units.Millisecond,
-		Buffer:          queue.Unlimited(),
-		AccessRate:      units.BitRate(ratio * float64(cfg.BottleneckRate)),
-		Stations:        cfg.Stations,
-		RTTMin:          60 * units.Millisecond,
-		RTTMax:          140 * units.Millisecond,
-		Auditor:         cfg.Audit,
+	b := newBed(bedConfig{
+		env:        cfg.RunEnv,
+		seed:       cfg.Seed,
+		rate:       cfg.BottleneckRate,
+		delay:      10 * units.Millisecond,
+		rttMin:     60 * units.Millisecond,
+		rttMax:     140 * units.Millisecond,
+		stations:   cfg.Stations,
+		accessRate: units.BitRate(ratio * float64(cfg.BottleneckRate)),
 	})
 	gen := workload.NewShortFlows(workload.ShortFlowConfig{
-		Dumbbell: d,
-		RNG:      rng.Fork(),
+		Dumbbell: b.d,
+		RNG:      b.rng.Fork(),
 		Load:     cfg.Load,
 		Sizes:    workload.FixedSize(cfg.FlowLen),
 		TCP:      tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: cfg.MaxWindow},
 	})
 	gen.Start()
 
-	warmEnd := units.Epoch.Add(cfg.Warmup)
-	sched.Run(warmEnd)
 	// Sample the queue during the window (arrival sampling, matching the
 	// model's P(Q >= b) seen by arrivals).
-	probe := &queueProbe{sched: sched, d: d, period: units.Millisecond, tailAt: cfg.TailAt}
-	sched.PostAfter(probe.period, probe, 0, nil)
-	sched.Run(warmEnd.Add(cfg.Measure))
+	var depth *trace.Series
+	b.measure(cfg.Warmup, cfg.Measure, func() {
+		depth = b.sample("queue_pkts", units.Millisecond,
+			func() float64 { return float64(b.d.Bottleneck.Queue().Len()) })
+	})
 	gen.Stop()
 
 	p := SmoothingPoint{
 		AccessRatio: ratio,
+		MeanQueue:   stats.Mean(depth.Values),
 		ModelMG1:    moments.QueueTail(cfg.Load, float64(cfg.TailAt)),
 		ModelMD1:    model.MD1QueueTail(cfg.Load, float64(cfg.TailAt)),
 	}
-	if probe.samples > 0 {
-		p.TailProb = float64(probe.exceed) / float64(probe.samples)
-		p.MeanQueue = probe.occupancy / float64(probe.samples)
+	exceed := 0
+	for _, q := range depth.Values {
+		if q >= float64(cfg.TailAt) {
+			exceed++
+		}
+	}
+	if n := depth.Len(); n > 0 {
+		p.TailProb = float64(exceed) / float64(n)
 	}
 	return p
-}
-
-// queueProbe periodically samples the bottleneck queue through the
-// kernel's typed-event path: one actor for the whole run instead of one
-// rescheduled closure per sample.
-type queueProbe struct {
-	sched  *sim.Scheduler
-	d      *topology.Dumbbell
-	period units.Duration
-	tailAt int
-
-	samples   int64
-	exceed    int64
-	occupancy float64
-}
-
-// OnEvent implements sim.Actor.
-func (p *queueProbe) OnEvent(int32, any) {
-	q := p.d.Bottleneck.Queue().Len()
-	p.samples++
-	p.occupancy += float64(q)
-	if q >= p.tailAt {
-		p.exceed++
-	}
-	p.sched.PostAfter(p.period, p, 0, nil)
 }

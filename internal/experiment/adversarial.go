@@ -11,7 +11,7 @@ import (
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
-	"bufsim/internal/topology"
+	"bufsim/internal/trace"
 	"bufsim/internal/units"
 )
 
@@ -60,9 +60,10 @@ type AdversarialConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// RunEnv: the grid is cached per point, audited and resumable; the
-	// pattern runners publish no telemetry of their own, so Metrics
-	// receives the sweep statistics only.
+	// RunEnv: the grid is cached per point, audited and resumable. The
+	// points run in parallel and a registry is not goroutine-safe, so
+	// they are not instrumented: Metrics receives the sweep statistics
+	// only.
 	RunEnv
 }
 
@@ -126,8 +127,7 @@ type adversarialPointConfig struct {
 	Hops            int
 	Warmup, Measure units.Duration
 
-	// RunEnv is the sweep's (or the scenario's): the pattern runners
-	// read Audit, and attaching Metrics re-simulates every point.
+	// RunEnv is the sweep's cell env, or the scenario's own.
 	RunEnv
 }
 
@@ -201,7 +201,7 @@ func RunAdversarial(cfg AdversarialConfig) AdversarialTable {
 			Hops:            cfg.Hops,
 			Warmup:          cfg.Warmup,
 			Measure:         cfg.Measure,
-			RunEnv:          cfg.RunEnv,
+			RunEnv:          cfg.cell(nil),
 		}
 		rows[i] = memoRun(pc.RunEnv, "adversarial", pc, func() AdversarialRow {
 			return runAdversarialPoint(pc)
@@ -262,7 +262,7 @@ type AdversaryScenario struct {
 
 	Warmup, Measure units.Duration
 
-	// RunEnv: Audit and Cache; the pattern runners publish no telemetry.
+	// RunEnv: Metrics, Audit and Cache.
 	RunEnv
 }
 
@@ -312,20 +312,15 @@ func RunAdversaryScenario(cfg AdversaryScenario) AdversarialRow {
 // runAdversarialDumbbell measures the pulse or AIMD pattern on the
 // standard dumbbell with a fixed RTT.
 func runAdversarialDumbbell(pc adversarialPointConfig, buffer int) AdversarialRow {
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(pc.Seed)
-
-	d := topology.NewDumbbell(topology.Config{
-		Sched:           sched,
-		BottleneckRate:  pc.BottleneckRate,
-		BottleneckDelay: pc.RTT / 10,
-		Buffer:          queue.PacketLimit(buffer),
-		Stations:        pc.N,
-		RTTMin:          pc.RTT,
-		RTTMax:          pc.RTT,
-		Auditor:         pc.Audit,
+	b := newBed(bedConfig{
+		env:      pc.RunEnv,
+		seed:     pc.Seed,
+		rate:     pc.BottleneckRate,
+		delay:    pc.RTT / 10,
+		rttMin:   pc.RTT,
+		stations: pc.N,
+		buffer:   buffer,
 	})
-
 	switch pc.Pattern {
 	case adversary.PatternPulse:
 		adversary.Pulse{
@@ -334,44 +329,32 @@ func runAdversarialDumbbell(pc adversarialPointConfig, buffer int) AdversarialRo
 			Period:     pc.PulsePeriod,
 			Duty:       pc.PulseDuty,
 			PacketSize: pc.SegmentSize,
-		}.Bind(d, rng.Fork()).Start()
+		}.Bind(b.d, b.rng.Fork()).Start()
 	case adversary.PatternSyncAIMD:
 		adversary.SyncAIMD{
 			N:   pc.N,
 			TCP: tcp.Config{SegmentSize: pc.SegmentSize},
-		}.Bind(d, rng.Fork()).Start()
+		}.Bind(b.d, b.rng.Fork()).Start()
 	}
 
-	warmEnd := units.Epoch.Add(pc.Warmup)
-	sched.Run(warmEnd)
-	busy := d.Bottleneck.BusyTime()
-	qs := d.Bottleneck.Queue().Stats()
-	d.DropTail.ResetOccupancy(warmEnd)
-
-	var sampler *windowSampler
-	if pc.Pattern == adversary.PatternSyncAIMD {
-		sampler = &windowSampler{sched: sched, d: d, every: 10 * units.Millisecond}
-		sched.PostAfter(sampler.every, sampler, 0, nil)
-	}
-	measureEnd := warmEnd.Add(pc.Measure)
-	sched.Run(measureEnd)
+	var aggregate *trace.Series
+	w := b.measure(pc.Warmup, pc.Measure, func() {
+		if pc.Pattern == adversary.PatternSyncAIMD {
+			aggregate = b.sample("aggregate_window", 10*units.Millisecond, b.d.AggregateWindow)
+		}
+	})
 
 	row := AdversarialRow{
 		Pattern:       pc.Pattern,
 		BufferFactor:  pc.BufferFactor,
 		BufferPackets: buffer,
-		Utilization:   d.Bottleneck.Utilization(busy, warmEnd),
-		MeanQueue:     d.DropTail.MeanOccupancy(measureEnd),
-		PeakQueue:     d.DropTail.MaxOccupancy(),
+		Utilization:   w.Utilization,
+		LossRate:      w.LossRate,
+		MeanQueue:     w.MeanQueue,
+		PeakQueue:     w.PeakQueue,
 	}
-	now := d.Bottleneck.Queue().Stats()
-	offered := (now.EnqueuedPackets - qs.EnqueuedPackets) + (now.DroppedPackets - qs.DroppedPackets)
-	if offered > 0 {
-		row.LossRate = float64(now.DroppedPackets-qs.DroppedPackets) / float64(offered)
-	}
-	if sampler != nil {
-		mean, sd := fitNormal(sampler.samples)
-		if mean > 0 {
+	if aggregate != nil {
+		if mean, sd := fitNormal(aggregate.Values); mean > 0 {
 			row.SyncIndex = (sd / mean) / (sawtoothCoV / math.Sqrt(float64(pc.N)))
 		}
 	}
@@ -380,44 +363,19 @@ func runAdversarialDumbbell(pc adversarialPointConfig, buffer int) AdversarialRo
 
 // runAdversarialParkingLot measures the load-balanced multi-bottleneck
 // pattern: N/2 through flows plus N/2 cross flows per hop, so every
-// core link carries N flows and none is "the" bottleneck.
+// core link carries N flows and none is "the" bottleneck. The row holds
+// the worst link's utilization and queue, and the chain's pooled loss.
 func runAdversarialParkingLot(pc adversarialPointConfig, buffer int) AdversarialRow {
-	sched := sim.NewScheduler()
-
-	rates := make([]units.BitRate, pc.Hops)
-	delays := make([]units.Duration, pc.Hops)
-	buffers := make([]queue.Limit, pc.Hops)
-	for i := 0; i < pc.Hops; i++ {
-		rates[i] = pc.BottleneckRate
-		// The chain's one-way core delay must fit inside RTT/2.
-		delays[i] = pc.RTT / units.Duration(4*pc.Hops)
-		buffers[i] = queue.PacketLimit(buffer)
-	}
-	p := topology.NewParkingLot(topology.ParkingLotConfig{
-		Sched:   sched,
-		Rates:   rates,
-		Delays:  delays,
-		Buffers: buffers,
-		Auditor: pc.Audit,
-	})
+	// The chain's one-way core delay must fit inside RTT/2.
+	b := newLot(pc.RunEnv, pc.Hops, pc.BottleneckRate, pc.RTT/units.Duration(4*pc.Hops), buffer)
 	through := pc.N / 2
 	if through < 1 {
 		through = 1
 	}
 	load := adversary.ParkingLotLoad{Through: through, PerHop: pc.N - through, RTT: pc.RTT}
-	load.Build(sched, p, tcp.Config{SegmentSize: pc.SegmentSize})
+	load.Build(b.sched, b.p, tcp.Config{SegmentSize: pc.SegmentSize})
 
-	warmEnd := units.Epoch.Add(pc.Warmup)
-	sched.Run(warmEnd)
-	busy := make([]units.Duration, pc.Hops)
-	qs := make([]queue.Stats, pc.Hops)
-	for i, l := range p.Links {
-		busy[i] = l.BusyTime()
-		qs[i] = l.Queue().Stats()
-		p.DropTails[i].ResetOccupancy(warmEnd)
-	}
-	measureEnd := warmEnd.Add(pc.Measure)
-	sched.Run(measureEnd)
+	ws := b.measure(pc.Warmup, pc.Measure, nil)
 
 	row := AdversarialRow{
 		Pattern:       pc.Pattern,
@@ -426,23 +384,16 @@ func runAdversarialParkingLot(pc adversarialPointConfig, buffer int) Adversarial
 		Utilization:   1,
 	}
 	var dropped, offered int64
-	for i, l := range p.Links {
-		if u := l.Utilization(busy[i], warmEnd); u < row.Utilization {
-			row.Utilization = u
+	for _, w := range ws {
+		row.Utilization = math.Min(row.Utilization, w.Utilization)
+		row.MeanQueue = math.Max(row.MeanQueue, w.MeanQueue)
+		if w.PeakQueue > row.PeakQueue {
+			row.PeakQueue = w.PeakQueue
 		}
-		now := l.Queue().Stats()
-		dropped += now.DroppedPackets - qs[i].DroppedPackets
-		offered += (now.EnqueuedPackets - qs[i].EnqueuedPackets) + (now.DroppedPackets - qs[i].DroppedPackets)
-		if m := p.DropTails[i].MeanOccupancy(measureEnd); m > row.MeanQueue {
-			row.MeanQueue = m
-		}
-		if pk := p.DropTails[i].MaxOccupancy(); pk > row.PeakQueue {
-			row.PeakQueue = pk
-		}
+		dropped += w.dropped
+		offered += w.offered
 	}
-	if offered > 0 {
-		row.LossRate = float64(dropped) / float64(offered)
-	}
+	row.LossRate = lossRate(dropped, offered)
 	return row
 }
 

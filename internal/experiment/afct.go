@@ -2,13 +2,9 @@ package experiment
 
 import (
 	"math"
-	"time"
 
 	"bufsim/internal/metrics"
-	"bufsim/internal/queue"
-	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
-	"bufsim/internal/topology"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -39,15 +35,14 @@ type AFCTComparisonConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// MeanQueueIncludesWarmup reverts MeanQueue to averaging from t=0
-	// instead of the measurement window (see LongLivedConfig).
-	MeanQueueIncludesWarmup bool
-
 	// RunEnv: Audit, Cache (each regime's run is memoized) and Shards
 	// reach both regimes; Metrics receives their telemetry merged under
 	// the regime labels ("RTT*C", "RTT*C/sqrt(n)").
 	RunEnv
 }
+
+// DigestRetired implements runcache's retired-field hook.
+func (AFCTComparisonConfig) DigestRetired() map[string]any { return retiredMeanQueueEpoch }
 
 func (c AFCTComparisonConfig) withDefaults() AFCTComparisonConfig {
 	if c.NLong == 0 {
@@ -124,10 +119,6 @@ type MixedConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// MeanQueueIncludesWarmup reverts MeanQueue to averaging from t=0
-	// instead of the measurement window (see LongLivedConfig).
-	MeanQueueIncludesWarmup bool
-
 	// RunEnv: Metrics, Audit, Cache and Shards. The cache entry is
 	// shared with RunAFCTComparison points that lower to the same
 	// scenario.
@@ -154,8 +145,6 @@ func RunMixed(cfg MixedConfig) AFCTOutcome {
 		Warmup:          cfg.Warmup,
 		Measure:         cfg.Measure,
 		RunEnv:          cfg.RunEnv,
-
-		MeanQueueIncludesWarmup: cfg.MeanQueueIncludesWarmup,
 	}.withDefaults()
 	buffer := cfg.BufferPackets
 	if buffer < 1 {
@@ -207,7 +196,7 @@ type TraceResult struct {
 	Completed   int
 	Censored    int
 	AFCT        units.Duration
-	Utilization float64 // over [first arrival, last arrival]
+	Utilization float64 // over [first arrival, last arrival + Drain]
 }
 
 // RunTrace replays the trace and reports completion statistics. With
@@ -234,54 +223,40 @@ func RunTrace(cfg TraceConfig) TraceResult {
 	if cfg.Drain == 0 {
 		cfg.Drain = 60 * units.Second
 	}
-	return memoRun(cfg.RunEnv, "trace", cfg, func() TraceResult {
+	// v2: Utilization of a trace whose flows all start at one instant
+	// was reported as 0; entries from before the fix must not replay.
+	return memoRun(cfg.RunEnv, "trace-v2", cfg, func() TraceResult {
 		return runTrace(cfg)
 	})
 }
 
 // runTrace is the uncached body of RunTrace; cfg has defaults applied.
+// The window runs from the first arrival to Drain past the last.
 func runTrace(cfg TraceConfig) TraceResult {
-	limit := queue.Unlimited()
-	if cfg.BufferPackets > 0 {
-		limit = queue.PacketLimit(cfg.BufferPackets)
-	}
-	wallStart := time.Now()
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(cfg.Seed)
-	topoCfg := topology.Config{
-		Sched:           sched,
-		RNG:             rng.Fork(),
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: 10 * units.Millisecond,
-		Buffer:          limit,
-		Stations:        cfg.Stations,
-		RTTMin:          cfg.RTTMin,
-		RTTMax:          cfg.RTTMax,
-		Auditor:         cfg.Audit,
-		Shards:          sharedGeneratorShards(cfg.Shards),
-	}
-	if cfg.UseRED {
-		topoCfg.NewQueue = redQueueHook(cfg.BufferPackets, cfg.SegmentSize, cfg.BottleneckRate, rng.Fork(), false)
-	}
-	d := topology.NewDumbbell(topoCfg)
-	instrumentDumbbell(cfg.Metrics, sched, d)
-	records := workload.Replay(d, cfg.Flows, tcp.Config{
+	b := newBed(bedConfig{
+		env:      cfg.RunEnv,
+		seed:     cfg.Seed,
+		rate:     cfg.BottleneckRate,
+		delay:    10 * units.Millisecond,
+		rttMin:   cfg.RTTMin,
+		rttMax:   cfg.RTTMax,
+		stations: cfg.Stations,
+		shards:   sharedGeneratorShards(cfg.Shards),
+		buffer:   cfg.BufferPackets,
+		segment:  cfg.SegmentSize,
+		red:      cfg.UseRED,
+	})
+	records := workload.Replay(b.d, cfg.Flows, tcp.Config{
 		SegmentSize: cfg.SegmentSize,
 		MaxWindow:   cfg.MaxWindow,
 		Variant:     cfg.Variant,
 		DelayedAck:  cfg.DelayedAck,
 		Paced:       cfg.Paced,
 	})
-	last := units.Epoch.Add(cfg.Flows[len(cfg.Flows)-1].Start)
-	first := units.Epoch.Add(cfg.Flows[0].Start)
-	sched.Run(first)
-	busy := d.Bottleneck.BusyTime()
-	sched.Run(last.Add(cfg.Drain))
+	first, last := cfg.Flows[0].Start, cfg.Flows[len(cfg.Flows)-1].Start
+	w := b.measure(first, last-first+cfg.Drain, nil)
 
-	res := TraceResult{}
-	if last > first {
-		res.Utilization = float64(d.Bottleneck.BusyTime()-busy) / float64(last.Sub(first)+cfg.Drain)
-	}
+	res := TraceResult{Utilization: w.Utilization}
 	var sum units.Duration
 	for _, r := range records {
 		if r.Completed == units.Never {
@@ -294,7 +269,6 @@ func runTrace(cfg TraceConfig) TraceResult {
 	if res.Completed > 0 {
 		res.AFCT = sum / units.Duration(res.Completed)
 	}
-	observeWallTime(cfg.Metrics, wallStart, sched)
 	return res
 }
 
@@ -319,69 +293,45 @@ func runMixedOnce(cfg AFCTComparisonConfig, label string, buffer int) AFCTOutcom
 
 // runMixedUncached is the uncached body of runMixedOnce.
 func runMixedUncached(cfg AFCTComparisonConfig, label string, buffer int) AFCTOutcome {
-	wallStart := time.Now()
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(cfg.Seed)
-	topoCfg := topology.Config{
-		Sched:           sched,
-		RNG:             rng.Fork(),
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: cfg.BottleneckDelay,
-		Buffer:          queue.PacketLimit(buffer),
-		Stations:        cfg.NLong + 50,
-		RTTMin:          cfg.RTTMin,
-		RTTMax:          cfg.RTTMax,
-		Auditor:         cfg.Audit,
-		Shards:          sharedGeneratorShards(cfg.Shards),
+	b := newBed(bedConfig{
+		env:      cfg.RunEnv,
+		seed:     cfg.Seed,
+		rate:     cfg.BottleneckRate,
+		delay:    cfg.BottleneckDelay,
+		rttMin:   cfg.RTTMin,
+		rttMax:   cfg.RTTMax,
+		stations: cfg.NLong + 50,
+		shards:   sharedGeneratorShards(cfg.Shards),
+		buffer:   buffer,
+		segment:  cfg.SegmentSize,
+		red:      cfg.UseRED,
+	})
+	long := tcp.Config{
+		SegmentSize: cfg.SegmentSize,
+		Variant:     cfg.Variant,
+		DelayedAck:  cfg.DelayedAck,
+		Paced:       cfg.Paced,
 	}
-	if cfg.UseRED {
-		topoCfg.NewQueue = redQueueHook(buffer, cfg.SegmentSize, cfg.BottleneckRate, rng.Fork(), false)
-	}
-	d := topology.NewDumbbell(topoCfg)
-	instrumentDumbbell(cfg.Metrics, sched, d)
-	workload.StartLongLived(d, cfg.NLong,
-		tcp.Config{
-			SegmentSize: cfg.SegmentSize,
-			Variant:     cfg.Variant,
-			DelayedAck:  cfg.DelayedAck,
-			Paced:       cfg.Paced,
-		}, rng.Fork(), cfg.Warmup/2)
+	workload.StartLongLived(b.d, cfg.NLong, long, b.rng.Fork(), cfg.Warmup/2)
+	short := long
+	short.MaxWindow = cfg.MaxWindow
 	gen := workload.NewShortFlows(workload.ShortFlowConfig{
-		Dumbbell: d,
-		RNG:      rng.Fork(),
+		Dumbbell: b.d,
+		RNG:      b.rng.Fork(),
 		Load:     cfg.ShortLoad,
 		Sizes:    cfg.Sizes,
-		TCP: tcp.Config{
-			SegmentSize: cfg.SegmentSize,
-			MaxWindow:   cfg.MaxWindow,
-			Variant:     cfg.Variant,
-			DelayedAck:  cfg.DelayedAck,
-			Paced:       cfg.Paced,
-		},
+		TCP:      short,
 	})
 	gen.Start()
 
-	warmEnd := units.Epoch.Add(cfg.Warmup)
-	sched.Run(warmEnd)
-	if d.DropTail != nil && !cfg.MeanQueueIncludesWarmup {
-		d.DropTail.ResetOccupancy(warmEnd)
-	}
-	busySnap := d.Bottleneck.BusyTime()
-	measureEnd := warmEnd.Add(cfg.Measure)
-	sched.Run(measureEnd)
-	util := d.Bottleneck.Utilization(busySnap, warmEnd)
-	meanQ := 0.0
-	if d.DropTail != nil {
-		meanQ = d.DropTail.MeanOccupancy(measureEnd)
-	}
+	w := b.measure(cfg.Warmup, cfg.Measure, nil)
 	gen.Stop()
-	sched.Run(measureEnd.Add(60 * units.Second)) // drain
-	observeWallTime(cfg.Metrics, wallStart, sched)
-	afct, completed, censored := gen.AFCT(warmEnd, measureEnd)
+	b.drain(60 * units.Second)
+	afct, completed, censored := gen.AFCT(w.from, w.to)
 	return AFCTOutcome{
 		Label: label, BufferPackets: buffer, AFCT: afct,
 		Completed: completed, Censored: censored,
-		Utilization: util, MeanQueue: meanQ,
+		Utilization: w.Utilization, MeanQueue: w.MeanQueue,
 	}
 }
 

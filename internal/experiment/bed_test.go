@@ -1,0 +1,121 @@
+package experiment
+
+import (
+	"reflect"
+	"testing"
+
+	"bufsim/internal/adversary"
+	"bufsim/internal/metrics"
+	"bufsim/internal/model"
+	"bufsim/internal/units"
+	"bufsim/internal/workload"
+)
+
+// TestTelemetryReachesEveryBody runs each of the twelve scenario bodies
+// with and without a registry: the bed instruments whenever one is
+// attached, so every body must publish scheduler telemetry, and — the
+// observer contract — return exactly what it returns unobserved.
+func TestTelemetryReachesEveryBody(t *testing.T) {
+	const warmup, measure = 2 * units.Second, 3 * units.Second
+	rate := 10 * units.Mbps
+	point := func(p adversary.Pattern, env RunEnv) adversarialPointConfig {
+		return adversarialPointConfig{
+			Seed: 3, Pattern: p, N: 6, BottleneckRate: rate,
+			RTT: 80 * units.Millisecond, SegmentSize: units.DefaultSegment,
+			PulsePeakFactor: 4, PulsePeriod: 200 * units.Millisecond, PulseDuty: 0.25,
+			Hops: 2, Warmup: warmup, Measure: measure, RunEnv: env,
+		}
+	}
+	bodies := []struct {
+		name string
+		run  func(env RunEnv) any
+	}{
+		{"runLongLived", func(env RunEnv) any {
+			return runLongLived(LongLivedConfig{
+				Seed: 1, N: 6, BottleneckRate: rate, BufferPackets: 20,
+				Warmup: warmup, Measure: measure, RunEnv: env,
+			}.withDefaults())
+		}},
+		{"runSingleFlow", func(env RunEnv) any {
+			return runSingleFlow(SingleFlowConfig{
+				Warmup: warmup, Measure: measure, RunEnv: env,
+			}.withDefaults())
+		}},
+		{"runTrace", func(env RunEnv) any {
+			return RunTrace(TraceConfig{
+				Seed:           2,
+				Flows:          []workload.FlowSpec{{Start: 0, Size: 20}, {Start: units.Second, Size: 8}},
+				BottleneckRate: rate, BufferPackets: 20,
+				Drain: 5 * units.Second, RunEnv: env,
+			})
+		}},
+		{"runMixedUncached", func(env RunEnv) any {
+			return runMixedUncached(AFCTComparisonConfig{
+				Seed: 3, NLong: 4, BottleneckRate: rate,
+				Warmup: warmup, Measure: measure, RunEnv: env,
+			}.withDefaults(), "mixed", 20)
+		}},
+		{"runProfileUncached", func(env RunEnv) any {
+			return runProfileUncached(ProfileRunConfig{
+				Seed: 4, Rate: rate, BufferPackets: 20,
+				Source: workload.PoissonSource{Load: 0.5, Sizes: workload.FixedSize(10)},
+				Warmup: warmup, Measure: measure, Drain: 5 * units.Second, RunEnv: env,
+			}.withDefaults())
+		}},
+		{"runHarpoonUncached", func(env RunEnv) any {
+			return runHarpoonUncached(HarpoonConfig{
+				Seed: 5, BottleneckRate: rate, Sessions: 30,
+				MeanThink: 500 * units.Millisecond,
+				Warmup:    warmup, Measure: measure, RunEnv: env,
+			}.withDefaults(), 20)
+		}},
+		{"runProductionPoint", func(env RunEnv) any {
+			cfg := ProductionConfig{
+				Seed: 6, BottleneckRate: rate, NLong: 6,
+				Warmup: warmup, Measure: measure,
+			}.withDefaults()
+			return runProductionPoint(cfg, env, 20, 100)
+		}},
+		{"runSmoothingPoint", func(env RunEnv) any {
+			cfg := SmoothingConfig{
+				Seed: 7, BottleneckRate: rate, Stations: 10,
+				Warmup: warmup, Measure: measure, RunEnv: env,
+			}.withDefaults()
+			return runSmoothingPoint(cfg, 1, model.MomentsForFlowLength(cfg.FlowLen, 2, cfg.MaxWindow))
+		}},
+		{"runWindowDist", func(env RunEnv) any {
+			return runWindowDist(WindowDistConfig{
+				Seed: 8, N: 6, BottleneckRate: rate,
+				Warmup: warmup, Measure: measure, RunEnv: env,
+			}.withDefaults())
+		}},
+		{"runAdversarialDumbbell", func(env RunEnv) any {
+			return runAdversarialDumbbell(point(adversary.PatternSyncAIMD, env), 20)
+		}},
+		{"runMultiHop", func(env RunEnv) any {
+			return runMultiHop(MultiHopConfig{
+				Seed: 9, LinkRate: rate, NPerGroup: 3,
+				Warmup: warmup, Measure: measure, RunEnv: env,
+			}.withDefaults())
+		}},
+		{"runAdversarialParkingLot", func(env RunEnv) any {
+			return runAdversarialParkingLot(point(adversary.PatternParkingLot, env), 20)
+		}},
+	}
+	for _, body := range bodies {
+		t.Run(body.name, func(t *testing.T) {
+			reg := metrics.New()
+			observed, plain := body.run(RunEnv{Metrics: reg}), body.run(RunEnv{})
+			if !reflect.DeepEqual(observed, plain) {
+				t.Errorf("telemetry perturbed the run:\n  off: %+v\n  on:  %+v", plain, observed)
+			}
+			snap := reg.Snapshot()
+			if snap.Counters["sim.events_processed"] <= 0 {
+				t.Errorf("no scheduler telemetry: counters %v", snap.Counters)
+			}
+			if snap.Gauges["sim.wall_seconds"] <= 0 {
+				t.Errorf("no wall time published: gauges %v", snap.Gauges)
+			}
+		})
+	}
+}

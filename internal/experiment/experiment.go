@@ -1,6 +1,9 @@
 // Package experiment reproduces the paper's evaluation: every figure and
-// table in §5 has a driver here that builds the scenario, runs it, and
-// returns the same rows or series the paper reports. The drivers are what
+// table in §5 has a driver here that returns the same rows or series the
+// paper reports. A driver does not assemble its own simulation: it
+// describes a test bed (bed.go — the one place a scheduler and a
+// topology are built, warmed up, measured over a window and drained),
+// starts its traffic on it and reads the window. The drivers are what
 // cmd/paperexp and the repository benchmarks call.
 //
 // Scaling: every config carries its own rates, flow counts and durations,
@@ -17,14 +20,10 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"bufsim/internal/packet"
-	"bufsim/internal/queue"
-	"bufsim/internal/sim"
 	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
-	"bufsim/internal/topology"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -63,17 +62,20 @@ type LongLivedConfig struct {
 	// Paced enables sender pacing (the TR's small-buffer remedy).
 	Paced bool
 
-	// MeanQueueIncludesWarmup reverts MeanQueue to the legacy behaviour of
-	// averaging the bottleneck occupancy from t=0 instead of from the end
-	// of the warmup window. Only the pinned-digest determinism tests set
-	// it; new callers want the unbiased measurement-window default.
-	MeanQueueIncludesWarmup bool
-
 	// RunEnv carries the observers and execution policy. RunLongLived
 	// reads Metrics, Audit, Cache and Shards; RunLongLivedReplicated
 	// also Resume, Ctx and Parallelism.
 	RunEnv
 }
+
+// retiredMeanQueueEpoch keeps the cache keys of the configs that carried
+// MeanQueueIncludesWarmup (a test-only switch to the legacy t=0
+// occupancy epoch) where they were with the flag off, so deleting the
+// field left every warm cache warm. Drop it at the next cacheSalt bump.
+var retiredMeanQueueEpoch = map[string]any{"MeanQueueIncludesWarmup": false}
+
+// DigestRetired implements runcache's retired-field hook.
+func (LongLivedConfig) DigestRetired() map[string]any { return retiredMeanQueueEpoch }
 
 func (c LongLivedConfig) withDefaults() LongLivedConfig {
 	if c.SegmentSize == 0 {
@@ -125,23 +127,6 @@ type LongLivedResult struct {
 	Fairness float64
 }
 
-// redQueueHook returns a topology.Config.NewQueue constructor building a
-// RED bottleneck with conventional thresholds scaled to bufferPkts (and
-// optional ECN marking), drawing its drop randomness from redRNG. Every
-// scenario that honours UseRED goes through this one helper so RED means
-// the same thing everywhere.
-func redQueueHook(bufferPkts int, segment units.ByteSize, rate units.BitRate, redRNG *sim.RNG, ecn bool) func() queue.Queue {
-	if bufferPkts <= 0 {
-		panic("experiment: UseRED requires BufferPackets > 0 (RED thresholds scale with the physical buffer)")
-	}
-	meanPkt := units.TransmissionTime(segment, rate)
-	return func() queue.Queue {
-		redCfg := queue.DefaultRED(bufferPkts, meanPkt, redRNG.Float64)
-		redCfg.MarkECN = ecn
-		return queue.NewRED(redCfg)
-	}
-}
-
 // RunLongLived executes one long-lived-flow scenario. With cfg.Cache
 // set, a previously computed result for the same semantic config is
 // replayed from the cache instead of re-simulated.
@@ -170,95 +155,61 @@ func sharedGeneratorShards(n int) int {
 // runLongLived is the uncached body of RunLongLived; cfg has defaults
 // applied.
 func runLongLived(cfg LongLivedConfig) LongLivedResult {
-	wallStart := time.Now()
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(cfg.Seed)
-
-	topoCfg := topology.Config{
-		Sched:           sched,
-		RNG:             rng.Fork(),
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: cfg.BottleneckDelay,
-		Buffer:          queue.PacketLimit(cfg.BufferPackets),
-		Stations:        cfg.N,
-		RTTMin:          cfg.RTTMin,
-		RTTMax:          cfg.RTTMax,
-		Auditor:         cfg.Audit,
-		Shards:          cfg.Shards,
-	}
-	if cfg.ECN && !cfg.UseRED {
-		panic("experiment: ECN requires UseRED (a marking-capable queue)")
-	}
-	if cfg.UseCoDel && cfg.UseRED {
-		panic("experiment: UseCoDel and UseRED are mutually exclusive")
-	}
-	if cfg.UseCoDel {
-		topoCfg.NewQueue = func() queue.Queue {
-			return queue.NewCoDel(queue.CoDelConfig{Limit: queue.PacketLimit(cfg.BufferPackets)})
-		}
-	}
-	if cfg.UseRED {
-		topoCfg.NewQueue = redQueueHook(cfg.BufferPackets, cfg.SegmentSize, cfg.BottleneckRate, rng.Fork(), cfg.ECN)
-	}
-	d := topology.NewDumbbell(topoCfg)
-	instrumentDumbbell(cfg.Metrics, sched, d)
-
-	spec := tcp.Config{
+	b := newBed(bedConfig{
+		env:      cfg.RunEnv,
+		seed:     cfg.Seed,
+		rate:     cfg.BottleneckRate,
+		delay:    cfg.BottleneckDelay,
+		rttMin:   cfg.RTTMin,
+		rttMax:   cfg.RTTMax,
+		stations: cfg.N,
+		shards:   cfg.Shards,
+		buffer:   cfg.BufferPackets,
+		segment:  cfg.SegmentSize,
+		red:      cfg.UseRED,
+		ecn:      cfg.ECN,
+		codel:    cfg.UseCoDel,
+	})
+	d := b.d
+	// Stagger starts across half the warmup so slow-start bursts do not
+	// synchronize artificially.
+	workload.StartLongLived(d, cfg.N, tcp.Config{
 		SegmentSize: cfg.SegmentSize,
 		MaxWindow:   cfg.MaxWindow,
 		Variant:     cfg.Variant,
 		DelayedAck:  cfg.DelayedAck,
 		Paced:       cfg.Paced,
 		ECN:         cfg.ECN,
-	}
-	// Stagger starts across half the warmup so slow-start bursts do not
-	// synchronize artificially.
-	workload.StartLongLived(d, cfg.N, spec, rng.Fork(), cfg.Warmup/2)
+	}, b.rng.Fork(), cfg.Warmup/2)
 
-	warmEnd := units.Epoch.Add(cfg.Warmup)
-	sched.Run(warmEnd)
-	if d.DropTail != nil && !cfg.MeanQueueIncludesWarmup {
-		d.DropTail.ResetOccupancy(warmEnd)
-	}
-	// Record per-packet queueing delays from here on. The reservoir is
+	// Per-packet queueing delays over the window. The reservoir is
 	// bounded to keep long runs flat in memory; beyond it we keep a
 	// running mean only (P99 over the first million delays is plenty).
 	var delays []float64
 	var delaySum units.Duration
 	var delayN int64
-	d.Bottleneck.OnDequeue = func(_ *packet.Packet, queued units.Duration) {
-		delaySum += queued
-		delayN++
-		if len(delays) < 1<<20 {
-			delays = append(delays, float64(queued))
-		}
-	}
-	busySnap := d.Bottleneck.BusyTime()
-	statsSnap := d.Bottleneck.Queue().Stats()
 	type sendSnap struct{ sent, rtx int64 }
 	senderSnaps := make([]sendSnap, len(d.Flows()))
-	for i, f := range d.Flows() {
-		st := f.Sender.Stats()
-		senderSnaps[i] = sendSnap{st.SegmentsSent, st.Retransmits}
-	}
+	w := b.measure(cfg.Warmup, cfg.Measure, func() {
+		d.Bottleneck.OnDequeue = func(_ *packet.Packet, queued units.Duration) {
+			delaySum += queued
+			delayN++
+			if len(delays) < 1<<20 {
+				delays = append(delays, float64(queued))
+			}
+		}
+		for i, f := range d.Flows() {
+			st := f.Sender.Stats()
+			senderSnaps[i] = sendSnap{st.SegmentsSent, st.Retransmits}
+		}
+	})
 
-	end := warmEnd.Add(cfg.Measure)
-	sched.Run(end)
-
-	qs := d.Bottleneck.Queue().Stats()
-	offered := (qs.EnqueuedPackets - statsSnap.EnqueuedPackets) + (qs.DroppedPackets - statsSnap.DroppedPackets)
-	loss := 0.0
-	if offered > 0 {
-		loss = float64(qs.DroppedPackets-statsSnap.DroppedPackets) / float64(offered)
-	}
 	res := LongLivedResult{
 		N:             cfg.N,
 		BufferPackets: cfg.BufferPackets,
-		Utilization:   d.Bottleneck.Utilization(busySnap, warmEnd),
-		LossRate:      loss,
-	}
-	if d.DropTail != nil {
-		res.MeanQueue = d.DropTail.MeanOccupancy(end)
+		Utilization:   w.Utilization,
+		LossRate:      w.LossRate,
+		MeanQueue:     w.MeanQueue,
 	}
 	var sent, rtx int64
 	perFlow := make([]float64, len(d.Flows()))
@@ -278,7 +229,6 @@ func runLongLived(cfg LongLivedConfig) LongLivedResult {
 		res.QueueDelayMean = delaySum / units.Duration(delayN)
 		res.QueueDelayP99 = units.Duration(stats.Percentile(delays, 99))
 	}
-	observeWallTime(cfg.Metrics, wallStart, sched)
 	return res
 }
 

@@ -486,3 +486,21 @@ func TestFitNormal(t *testing.T) {
 		t.Errorf("sd = %v", sd)
 	}
 }
+
+// TestTraceUtilizationOneInstant pins the bugfix: the utilization window
+// is [first arrival, last arrival + Drain], which is not empty when
+// every flow starts at the same instant. It used to read 0 there.
+func TestTraceUtilizationOneInstant(t *testing.T) {
+	res := RunTrace(TraceConfig{
+		Flows:          []workload.FlowSpec{{Start: 0, Size: 5000}},
+		BottleneckRate: 10 * units.Mbps,
+	})
+	if res.Completed != 1 {
+		t.Fatalf("completed %d flows, want 1", res.Completed)
+	}
+	// 5000 segments of 1000 bytes keep a 10 Mb/s link busy for 4 s of
+	// the default 60 s drain.
+	if res.Utilization < 0.066 || res.Utilization > 0.068 {
+		t.Errorf("utilization = %v, want ~0.0667", res.Utilization)
+	}
+}

@@ -5,14 +5,10 @@ import (
 	"io"
 	"math"
 	"text/tabwriter"
-	"time"
 
 	"bufsim/internal/metrics"
-	"bufsim/internal/queue"
-	"bufsim/internal/sim"
+	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
-	"bufsim/internal/topology"
-	"bufsim/internal/trace"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 	"bufsim/internal/workload/profile"
@@ -118,76 +114,40 @@ func RunProfile(cfg ProfileRunConfig) ProfileRunResult {
 // and generator to what that scenario has always drawn); cfg has
 // defaults applied.
 func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
-	wallStart := time.Now()
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(cfg.Seed)
-	limit := queue.Unlimited()
-	if cfg.BufferPackets > 0 {
-		limit = queue.PacketLimit(cfg.BufferPackets)
-	}
-	topoCfg := topology.Config{
-		Sched:           sched,
-		RNG:             rng.Fork(),
-		BottleneckRate:  cfg.Rate,
-		BottleneckDelay: 10 * units.Millisecond,
-		Buffer:          limit,
-		Stations:        cfg.Stations,
-		RTTMin:          cfg.MeanRTT * 6 / 10,
-		RTTMax:          cfg.MeanRTT * 14 / 10,
-		Auditor:         cfg.Audit,
-		Shards:          sharedGeneratorShards(cfg.Shards),
-	}
-	if cfg.UseRED {
-		topoCfg.NewQueue = redQueueHook(cfg.BufferPackets, cfg.SegmentSize, cfg.Rate, rng.Fork(), false)
-	}
-	d := topology.NewDumbbell(topoCfg)
-	instrumentDumbbell(cfg.Metrics, sched, d)
-	drv := cfg.Source.Bind(d, rng.Fork())
+	b := newBed(bedConfig{
+		env:      cfg.RunEnv,
+		seed:     cfg.Seed,
+		rate:     cfg.Rate,
+		delay:    10 * units.Millisecond,
+		rttMin:   cfg.MeanRTT * 6 / 10,
+		rttMax:   cfg.MeanRTT * 14 / 10,
+		stations: cfg.Stations,
+		shards:   sharedGeneratorShards(cfg.Shards),
+		buffer:   cfg.BufferPackets,
+		segment:  cfg.SegmentSize,
+		red:      cfg.UseRED,
+	})
+	drv := cfg.Source.Bind(b.d, b.rng.Fork())
 	drv.Start()
-
-	active := trace.NewSampler(sched, "active", 100*units.Millisecond,
+	active := b.sample("active", 100*units.Millisecond,
 		func() float64 { return float64(drv.Active()) })
 
-	warmEnd := units.Epoch.Add(cfg.Warmup)
-	sched.Run(warmEnd)
-	busySnap := d.Bottleneck.BusyTime()
-	statsSnap := d.Bottleneck.Queue().Stats()
-	if d.DropTail != nil {
-		d.DropTail.ResetOccupancy(warmEnd)
-	}
-
-	measureEnd := warmEnd.Add(cfg.Measure)
-	sched.Run(measureEnd)
-
-	res := ProfileRunResult{
-		Utilization: d.Bottleneck.Utilization(busySnap, warmEnd),
-	}
-	qs := d.Bottleneck.Queue().Stats()
-	offered := (qs.EnqueuedPackets - statsSnap.EnqueuedPackets) + (qs.DroppedPackets - statsSnap.DroppedPackets)
-	if offered > 0 {
-		res.LossRate = float64(qs.DroppedPackets-statsSnap.DroppedPackets) / float64(offered)
-	}
-	if d.DropTail != nil {
-		res.MeanQueue = d.DropTail.MeanOccupancy(measureEnd)
-		res.PeakQueue = d.DropTail.MaxOccupancy()
-	}
-	series := active.Series().Window(cfg.Warmup.Seconds(), measureEnd.Sub(units.Epoch).Seconds())
-	for _, v := range series.Values {
-		res.MeanActive += v
-		if v > res.PeakActive {
-			res.PeakActive = v
-		}
-	}
-	if series.Len() > 0 {
-		res.MeanActive /= float64(series.Len())
-	}
-
+	w := b.measure(cfg.Warmup, cfg.Measure, nil)
+	active = w.of(active)
 	drv.Stop()
 	// Drain so flows that started in the window can complete.
-	sched.Run(measureEnd.Add(cfg.Drain))
-	observeWallTime(cfg.Metrics, wallStart, sched)
-	res.Generated = drv.Generated()
-	res.AFCT, res.Completed, res.Censored = workload.RecordAFCT(drv.Records(), warmEnd, measureEnd)
+	b.drain(cfg.Drain)
+
+	res := ProfileRunResult{
+		Utilization: w.Utilization,
+		LossRate:    w.LossRate,
+		MeanQueue:   w.MeanQueue,
+		PeakQueue:   w.PeakQueue,
+		MeanActive:  stats.Mean(active.Values),
+		PeakActive:  active.Max(),
+		Generated:   drv.Generated(),
+	}
+	res.AFCT, res.Completed, res.Censored = workload.RecordAFCT(drv.Records(), w.from, w.to)
 	return res
 }
 

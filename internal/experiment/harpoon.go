@@ -3,11 +3,8 @@ package experiment
 import (
 	"math"
 
-	"bufsim/internal/queue"
-	"bufsim/internal/sim"
+	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
-	"bufsim/internal/topology"
-	"bufsim/internal/trace"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -34,8 +31,8 @@ type HarpoonConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// RunEnv: Audit and Cache; each phase's run is memoized keyed on the
-	// config plus that phase's buffer limit.
+	// RunEnv: Metrics, Audit and Cache; each phase's run is memoized keyed
+	// on the config plus that phase's buffer limit.
 	RunEnv
 }
 
@@ -113,60 +110,43 @@ func runHarpoonOnce(cfg HarpoonConfig, buffer int) harpoonRun {
 		Buffer int
 	}{cfgKey, buffer}
 	return memoRun(cfg.RunEnv, "harpoon-run", key, func() harpoonRun {
-		return runHarpoonUncached(cfg, queue.PacketLimit(buffer))
+		return runHarpoonUncached(cfg, buffer)
 	})
 }
 
 // runHarpoonUncached is the uncached body of runHarpoonOnce.
-func runHarpoonUncached(cfg HarpoonConfig, limit queue.Limit) harpoonRun {
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(cfg.Seed)
+func runHarpoonUncached(cfg HarpoonConfig, buffer int) harpoonRun {
 	stations := cfg.Sessions
 	if stations > 200 {
 		stations = 200 // sessions share stations round-robin
 	}
-	d := topology.NewDumbbell(topology.Config{
-		Sched:           sched,
-		RNG:             rng.Fork(),
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: 10 * units.Millisecond,
-		Buffer:          limit,
-		Stations:        stations,
-		RTTMin:          cfg.RTTMin,
-		RTTMax:          cfg.RTTMax,
-		Auditor:         cfg.Audit,
+	b := newBed(bedConfig{
+		env:      cfg.RunEnv,
+		seed:     cfg.Seed,
+		rate:     cfg.BottleneckRate,
+		delay:    10 * units.Millisecond,
+		rttMin:   cfg.RTTMin,
+		rttMax:   cfg.RTTMax,
+		stations: stations,
+		buffer:   buffer,
 	})
 	g := workload.NewSessions(workload.SessionConfig{
-		Dumbbell:  d,
-		RNG:       rng.Fork(),
+		Dumbbell:  b.d,
+		RNG:       b.rng.Fork(),
 		Sessions:  cfg.Sessions,
 		Sizes:     cfg.Sizes,
 		MeanThink: cfg.MeanThink,
 		TCP:       tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: 64},
 	})
 	g.Start()
-
-	active := trace.NewSampler(sched, "active", 100*units.Millisecond,
+	active := b.sample("active", 100*units.Millisecond,
 		func() float64 { return float64(g.Active()) })
 
-	warmEnd := units.Epoch.Add(cfg.Warmup)
-	sched.Run(warmEnd)
-	busy := d.Bottleneck.BusyTime()
-	t0 := g.Transfers
-	end := warmEnd.Add(cfg.Measure)
-	sched.Run(end)
-
-	series := active.Series().Window(cfg.Warmup.Seconds(), end.Sub(units.Epoch).Seconds())
-	var meanActive float64
-	for _, v := range series.Values {
-		meanActive += v
-	}
-	if series.Len() > 0 {
-		meanActive /= float64(series.Len())
-	}
+	var t0 int64
+	w := b.measure(cfg.Warmup, cfg.Measure, func() { t0 = g.Transfers })
 	return harpoonRun{
-		Util:       d.Bottleneck.Utilization(busy, warmEnd),
-		MeanActive: meanActive,
+		Util:       w.Utilization,
+		MeanActive: stats.Mean(w.of(active).Values),
 		Transfers:  g.Transfers - t0,
 	}
 }

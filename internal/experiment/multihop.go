@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bufsim/internal/queue"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -27,7 +26,7 @@ type MultiHopConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// RunEnv: Audit and Cache.
+	// RunEnv: Metrics, Audit and Cache.
 	RunEnv
 }
 
@@ -83,7 +82,6 @@ func RunMultiHop(cfg MultiHopConfig) MultiHopResult {
 // runMultiHop is the uncached body of RunMultiHop; cfg has defaults
 // applied.
 func runMultiHop(cfg MultiHopConfig) MultiHopResult {
-	sched := sim.NewScheduler()
 	rng := sim.NewRNG(cfg.Seed)
 
 	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
@@ -93,14 +91,8 @@ func runMultiHop(cfg MultiHopConfig) MultiHopResult {
 	if buffer < 1 {
 		buffer = 1
 	}
-
-	p := topology.NewParkingLot(topology.ParkingLotConfig{
-		Sched:   sched,
-		Rates:   []units.BitRate{cfg.LinkRate, cfg.LinkRate},
-		Delays:  []units.Duration{5 * units.Millisecond, 5 * units.Millisecond},
-		Buffers: []queue.Limit{queue.PacketLimit(buffer), queue.PacketLimit(buffer)},
-		Auditor: cfg.Audit,
-	})
+	b := newLot(cfg.RunEnv, 2, cfg.LinkRate, 5*units.Millisecond, buffer)
+	p := b.p
 
 	rtt := func() units.Duration {
 		return units.Duration(rng.Uniform(float64(cfg.RTTMin), float64(cfg.RTTMax)))
@@ -114,41 +106,29 @@ func runMultiHop(cfg MultiHopConfig) MultiHopResult {
 				crossing = append(crossing, f)
 			}
 			start := units.Epoch.Add(units.Duration(rng.Uniform(0, float64(cfg.Warmup/2))))
-			sched.PostAt(start, f.Sender, tcp.OpStart, nil)
+			b.sched.PostAt(start, f.Sender, tcp.OpStart, nil)
 		}
 	}
 
-	warmEnd := units.Epoch.Add(cfg.Warmup)
-	sched.Run(warmEnd)
-	var busy [2]units.Duration
-	var qs [2]queue.Stats
-	for i := range p.Links {
-		busy[i] = p.Links[i].BusyTime()
-		qs[i] = p.Links[i].Queue().Stats()
+	// crossSent and hop1 count the window's segments: snapshotted at its
+	// start, differenced at its end.
+	crossSent := func() (n int64) {
+		for _, f := range crossing {
+			n += f.Sender.Stats().SegmentsSent
+		}
+		return n
 	}
-	crossSnap := make([]int64, len(crossing))
-	for i, f := range crossing {
-		crossSnap[i] = f.Sender.Stats().SegmentsSent
-	}
-	hop1Snap := p.Links[0].DeliveredPackets()
-
-	sched.Run(warmEnd.Add(cfg.Measure))
+	var crossSnap, hop1Snap int64
+	ws := b.measure(cfg.Warmup, cfg.Measure, func() {
+		crossSnap, hop1Snap = crossSent(), p.Links[0].DeliveredPackets()
+	})
 
 	res := MultiHopResult{BufferPackets: buffer, FlowsPerLink: perLink}
-	for i := range p.Links {
-		res.Util[i] = p.Links[i].Utilization(busy[i], warmEnd)
-		now := p.Links[i].Queue().Stats()
-		offered := (now.EnqueuedPackets - qs[i].EnqueuedPackets) + (now.DroppedPackets - qs[i].DroppedPackets)
-		if offered > 0 {
-			res.LossRate[i] = float64(now.DroppedPackets-qs[i].DroppedPackets) / float64(offered)
-		}
-	}
-	var crossSent int64
-	for i, f := range crossing {
-		crossSent += f.Sender.Stats().SegmentsSent - crossSnap[i]
+	for i, w := range ws {
+		res.Util[i], res.LossRate[i] = w.Utilization, w.LossRate
 	}
 	if hop1 := p.Links[0].DeliveredPackets() - hop1Snap; hop1 > 0 {
-		res.CrossingShare = float64(crossSent) / float64(hop1)
+		res.CrossingShare = float64(crossSent()-crossSnap) / float64(hop1)
 	}
 	return res
 }

@@ -1,12 +1,8 @@
 package experiment
 
 import (
-	"time"
-
-	"bufsim/internal/queue"
-	"bufsim/internal/sim"
+	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
-	"bufsim/internal/topology"
 	"bufsim/internal/trace"
 	"bufsim/internal/units"
 )
@@ -99,62 +95,43 @@ func RunSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
 // runSingleFlow is the uncached body of RunSingleFlow; cfg has defaults
 // applied.
 func runSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
-	wallStart := time.Now()
-	sched := sim.NewScheduler()
 	bdp := units.PacketsInFlight(cfg.BottleneckRate, cfg.RTT, cfg.SegmentSize)
 	buffer := int(cfg.BufferFactor * float64(bdp))
 	if buffer < 1 {
 		buffer = 1
 	}
-
-	topoCfg := topology.Config{
-		Sched:           sched,
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: cfg.RTT / 4,
-		Buffer:          queue.PacketLimit(buffer),
-		Stations:        1,
-		RTTMin:          cfg.RTT,
-		RTTMax:          cfg.RTT,
-		Auditor:         cfg.Audit,
-		Shards:          cfg.Shards,
-	}
-	if cfg.UseRED {
-		topoCfg.NewQueue = redQueueHook(buffer, cfg.SegmentSize, cfg.BottleneckRate, sim.NewRNG(cfg.Seed).Fork(), false)
-	}
-	d := topology.NewDumbbell(topoCfg)
-	instrumentDumbbell(cfg.Metrics, sched, d)
-	f := d.AddFlow(d.Station(0), tcp.Config{
+	b := newBed(bedConfig{
+		env:      cfg.RunEnv,
+		seed:     cfg.Seed,
+		rate:     cfg.BottleneckRate,
+		delay:    cfg.RTT / 4,
+		rttMin:   cfg.RTT,
+		stations: 1,
+		shards:   cfg.Shards,
+		buffer:   buffer,
+		segment:  cfg.SegmentSize,
+		red:      cfg.UseRED,
+	})
+	f := b.d.AddFlow(b.d.Station(0), tcp.Config{
 		SegmentSize: cfg.SegmentSize,
 		Variant:     cfg.Variant,
 		DelayedAck:  cfg.DelayedAck,
 		Paced:       cfg.Paced,
 	})
 	f.Sender.Start()
+	cwnd := b.sample("cwnd_pkts", cfg.SampleEvery, f.Sender.Cwnd)
+	qlen := b.sample("queue_pkts", cfg.SampleEvery,
+		func() float64 { return float64(b.d.Bottleneck.Queue().Len()) })
 
-	cwnd := trace.NewSampler(sched, "cwnd_pkts", cfg.SampleEvery, f.Sender.Cwnd)
-	qlen := trace.NewSampler(sched, "queue_pkts", cfg.SampleEvery,
-		func() float64 { return float64(d.Bottleneck.Queue().Len()) })
-
-	warmEnd := units.Epoch.Add(cfg.Warmup)
-	sched.Run(warmEnd)
-	busySnap := d.Bottleneck.BusyTime()
-	end := warmEnd.Add(cfg.Measure)
-	sched.Run(end)
-
+	w := b.measure(cfg.Warmup, cfg.Measure, nil)
 	res := SingleFlowResult{
 		BDPPackets:    bdp,
 		BufferPackets: buffer,
-		Utilization:   d.Bottleneck.Utilization(busySnap, warmEnd),
-		Cwnd:          cwnd.Series().Window(cfg.Warmup.Seconds(), end.Sub(units.Epoch).Seconds()),
-		Queue:         qlen.Series().Window(cfg.Warmup.Seconds(), end.Sub(units.Epoch).Seconds()),
+		Utilization:   w.Utilization,
+		Cwnd:          w.of(cwnd),
+		Queue:         w.of(qlen),
 	}
 	res.MinQueueSeen = res.Queue.Min()
-	for _, v := range res.Queue.Values {
-		res.MeanQueue += v
-	}
-	if n := res.Queue.Len(); n > 0 {
-		res.MeanQueue /= float64(n)
-	}
-	observeWallTime(cfg.Metrics, wallStart, sched)
+	res.MeanQueue = stats.Mean(res.Queue.Values)
 	return res
 }

@@ -6,11 +6,8 @@ import (
 
 	"bufsim/internal/metrics"
 	"bufsim/internal/model"
-	"bufsim/internal/queue"
-	"bufsim/internal/sim"
+	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
-	"bufsim/internal/topology"
-	"bufsim/internal/trace"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -240,72 +237,54 @@ func RunProduction(cfg ProductionConfig) ProductionTable {
 		// so the same point is shared across different Buffers lists.
 		cfgKey := cfg
 		cfgKey.Buffers = []int{buffer}
-		rows[bi] = memoRun(cfg.cell(nil), "production", cfgKey, func() ProductionRow {
-			return runProductionPoint(cfg, buffer, bdp)
+		env := cfg.cell(nil)
+		rows[bi] = memoRun(env, "production", cfgKey, func() ProductionRow {
+			return runProductionPoint(cfg, env, buffer, bdp)
 		})
 	})
 	return rows
 }
 
-// runProductionPoint simulates one Fig. 11 buffer point.
-func runProductionPoint(cfg ProductionConfig, buffer int, bdp float64) ProductionRow {
-	{
-		sched := sim.NewScheduler()
-		rng := sim.NewRNG(cfg.Seed)
-		d := topology.NewDumbbell(topology.Config{
-			Sched:           sched,
-			RNG:             rng.Fork(),
-			BottleneckRate:  cfg.BottleneckRate,
-			BottleneckDelay: cfg.BottleneckDelay,
-			Buffer:          queue.PacketLimit(buffer),
-			Stations:        cfg.NLong + 100,
-			RTTMin:          cfg.RTTMin,
-			RTTMax:          cfg.RTTMax,
-			Auditor:         cfg.Audit,
-		})
-		workload.StartLongLived(d, cfg.NLong,
-			tcp.Config{SegmentSize: cfg.SegmentSize}, rng.Fork(), cfg.Warmup/2)
-		gen := workload.NewShortFlows(workload.ShortFlowConfig{
-			Dumbbell: d,
-			RNG:      rng.Fork(),
-			Load:     cfg.ShortLoad,
-			Sizes:    cfg.Pareto,
-			TCP:      tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: 43},
-		})
-		gen.Start()
+// runProductionPoint simulates one Fig. 11 buffer point under env.
+func runProductionPoint(cfg ProductionConfig, env RunEnv, buffer int, bdp float64) ProductionRow {
+	b := newBed(bedConfig{
+		env:      env,
+		seed:     cfg.Seed,
+		rate:     cfg.BottleneckRate,
+		delay:    cfg.BottleneckDelay,
+		rttMin:   cfg.RTTMin,
+		rttMax:   cfg.RTTMax,
+		stations: cfg.NLong + 100,
+		buffer:   buffer,
+	})
+	workload.StartLongLived(b.d, cfg.NLong,
+		tcp.Config{SegmentSize: cfg.SegmentSize}, b.rng.Fork(), cfg.Warmup/2)
+	gen := workload.NewShortFlows(workload.ShortFlowConfig{
+		Dumbbell: b.d,
+		RNG:      b.rng.Fork(),
+		Load:     cfg.ShortLoad,
+		Sizes:    cfg.Pareto,
+		TCP:      tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: 43},
+	})
+	gen.Start()
+	concurrent := b.sample("concurrent", 100*units.Millisecond,
+		func() float64 { return float64(cfg.NLong + gen.Active()) })
 
-		concurrent := trace.NewSampler(sched, "concurrent", 100*units.Millisecond,
-			func() float64 { return float64(cfg.NLong + gen.Active()) })
+	w := b.measure(cfg.Warmup, cfg.Measure, nil)
+	gen.Stop()
+	b.drain(30 * units.Second)
+	afct, completed, _ := gen.AFCT(w.from, w.to)
 
-		warmEnd := units.Epoch.Add(cfg.Warmup)
-		sched.Run(warmEnd)
-		busySnap := d.Bottleneck.BusyTime()
-		measureEnd := warmEnd.Add(cfg.Measure)
-		sched.Run(measureEnd)
-		util := d.Bottleneck.Utilization(busySnap, warmEnd)
-		gen.Stop()
-		sched.Run(measureEnd.Add(30 * units.Second))
-		afct, completed, _ := gen.AFCT(warmEnd, measureEnd)
-
-		series := concurrent.Series().Window(cfg.Warmup.Seconds(), measureEnd.Sub(units.Epoch).Seconds())
-		meanConc := 0.0
-		for _, v := range series.Values {
-			meanConc += v
-		}
-		if series.Len() > 0 {
-			meanConc /= float64(series.Len())
-		}
-
-		effN := int(math.Max(1, meanConc))
-		gauss := model.LongFlowGaussian{N: effN, BDP: bdp}
-		return ProductionRow{
-			Buffer:          buffer,
-			SqrtRuleRatio:   float64(buffer) / (bdp / math.Sqrt(float64(effN))),
-			Utilization:     util,
-			ModelUtil:       gauss.Utilization(float64(buffer)),
-			MeanConcurrent:  meanConc,
-			AFCT:            afct,
-			ShortsCompleted: completed,
-		}
+	meanConc := stats.Mean(w.of(concurrent).Values)
+	effN := int(math.Max(1, meanConc))
+	gauss := model.LongFlowGaussian{N: effN, BDP: bdp}
+	return ProductionRow{
+		Buffer:          buffer,
+		SqrtRuleRatio:   float64(buffer) / (bdp / math.Sqrt(float64(effN))),
+		Utilization:     w.Utilization,
+		ModelUtil:       gauss.Utilization(float64(buffer)),
+		MeanConcurrent:  meanConc,
+		AFCT:            afct,
+		ShortsCompleted: completed,
 	}
 }

@@ -3,11 +3,9 @@ package experiment
 import (
 	"math"
 
-	"bufsim/internal/queue"
-	"bufsim/internal/sim"
 	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
-	"bufsim/internal/topology"
+	"bufsim/internal/trace"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -29,8 +27,8 @@ type WindowDistConfig struct {
 	Warmup, Measure units.Duration
 	SampleEvery     units.Duration
 
-	// RunEnv: Audit and Cache (the memoized result includes samples and
-	// histogram).
+	// RunEnv: Metrics, Audit and Cache (the memoized result includes
+	// samples and histogram).
 	RunEnv
 }
 
@@ -93,52 +91,30 @@ func RunWindowDist(cfg WindowDistConfig) WindowDistResult {
 	})
 }
 
-// windowSampler records the aggregate congestion window at a fixed
-// period through the kernel's typed-event path (one actor, no closure
-// per sample).
-type windowSampler struct {
-	sched   *sim.Scheduler
-	d       *topology.Dumbbell
-	every   units.Duration
-	samples []float64
-}
-
-// OnEvent implements sim.Actor.
-func (s *windowSampler) OnEvent(int32, any) {
-	s.samples = append(s.samples, s.d.AggregateWindow())
-	s.sched.PostAfter(s.every, s, 0, nil)
-}
-
 // runWindowDist is the uncached body of RunWindowDist; cfg has defaults
 // applied.
 func runWindowDist(cfg WindowDistConfig) WindowDistResult {
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(cfg.Seed)
-
 	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
 	bdp := float64(units.PacketsInFlight(cfg.BottleneckRate, meanRTT, cfg.SegmentSize))
 	buffer := int(math.Max(1, cfg.BufferFactor*bdp/math.Sqrt(float64(cfg.N))))
 
-	d := topology.NewDumbbell(topology.Config{
-		Sched:           sched,
-		RNG:             rng.Fork(),
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: cfg.BottleneckDelay,
-		Buffer:          queue.PacketLimit(buffer),
-		Stations:        cfg.N,
-		RTTMin:          cfg.RTTMin,
-		RTTMax:          cfg.RTTMax,
-		Auditor:         cfg.Audit,
+	b := newBed(bedConfig{
+		env:      cfg.RunEnv,
+		seed:     cfg.Seed,
+		rate:     cfg.BottleneckRate,
+		delay:    cfg.BottleneckDelay,
+		rttMin:   cfg.RTTMin,
+		rttMax:   cfg.RTTMax,
+		stations: cfg.N,
+		buffer:   buffer,
 	})
-	workload.StartLongLived(d, cfg.N, tcp.Config{SegmentSize: cfg.SegmentSize}, rng.Fork(), cfg.Warmup/2)
+	workload.StartLongLived(b.d, cfg.N, tcp.Config{SegmentSize: cfg.SegmentSize}, b.rng.Fork(), cfg.Warmup/2)
 
-	warmEnd := units.Epoch.Add(cfg.Warmup)
-	sched.Run(warmEnd)
-
-	sampler := &windowSampler{sched: sched, d: d, every: cfg.SampleEvery}
-	sched.PostAfter(sampler.every, sampler, 0, nil)
-	sched.Run(warmEnd.Add(cfg.Measure))
-	samples := sampler.samples
+	var aggregate *trace.Series
+	b.measure(cfg.Warmup, cfg.Measure, func() {
+		aggregate = b.sample("aggregate_window", cfg.SampleEvery, b.d.AggregateWindow)
+	})
+	samples := aggregate.Values
 
 	mean, sd := fitNormal(samples)
 	lo, hi := mean-5*sd, mean+5*sd

@@ -24,13 +24,12 @@ type jsonFlowRecord struct {
 //   - JSON — an array of {"start": "1.5s", "size": 30} records, where
 //     "start" is a duration string in the package's notation or a bare
 //     number of seconds;
-//   - CSV — the legacy two-column start_seconds,size_segments form
-//     accepted by ParseTrace ('#' comments and a header line tolerated).
+//   - CSV — the two-column start_seconds,size_segments form ('#'
+//     comments and a header line tolerated).
 //
 // In both formats records must be ordered by start time: a trace is a
 // timeline, and an out-of-order row means a corrupted or mis-merged
-// input, so ReadFlows reports it instead of silently resorting the way
-// ParseTrace did.
+// input, so ReadFlows reports it instead of silently resorting.
 func ReadFlows(r io.Reader) ([]FlowSpec, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -39,7 +38,7 @@ func ReadFlows(r io.Reader) ([]FlowSpec, error) {
 	if first := firstByte(data); first == '[' || first == '{' {
 		return readFlowsJSON(data)
 	}
-	return parseTraceCSV(bytes.NewReader(data), true)
+	return parseTraceCSV(bytes.NewReader(data))
 }
 
 // firstByte returns the first non-whitespace byte, or 0 if none.

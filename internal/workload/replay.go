@@ -23,28 +23,15 @@ type FlowSpec struct {
 	Size  int64 // segments
 }
 
-// ParseTrace reads a flow trace in the two-column CSV form
+// parseTraceCSV scans the two-column CSV trace form
 //
 //	start_seconds,size_segments
 //
 // (comments starting with '#' and blank lines are skipped; a header line
-// is tolerated). Rows must be ordered by start time: a trace is a
-// timeline, and an out-of-order row means a corrupted or mis-merged
-// input, so ParseTrace reports it. It shares ReadFlows's CSV semantics
-// exactly — earlier revisions silently re-sorted out-of-order rows, which
-// hid exactly the corrupted inputs the ordering check exists to catch.
-//
-// Deprecated: use ReadFlows, which additionally accepts JSON flow
-// records.
-func ParseTrace(r io.Reader) ([]FlowSpec, error) {
-	return parseTraceCSV(r, true)
-}
-
-// parseTraceCSV scans the two-column CSV trace form. With strict set,
-// rows whose start time precedes the previous row's are an error — a
-// recorded trace is a timeline, and silently reordering it hides
-// corrupted or mis-merged inputs.
-func parseTraceCSV(r io.Reader, strict bool) ([]FlowSpec, error) {
+// is tolerated). Rows whose start time precedes the previous row's are
+// an error — a recorded trace is a timeline, and silently reordering it
+// hides corrupted or mis-merged inputs.
+func parseTraceCSV(r io.Reader) ([]FlowSpec, error) {
 	var specs []FlowSpec
 	sc := bufio.NewScanner(r)
 	line := 0
@@ -75,7 +62,7 @@ func parseTraceCSV(r io.Reader, strict bool) ([]FlowSpec, error) {
 		if start < 0 || math.IsNaN(start) || math.IsInf(start, 0) || size <= 0 {
 			return nil, fmt.Errorf("workload: trace line %d: start %v / size %d out of range", line, start, size)
 		}
-		if strict && start < prevStart {
+		if start < prevStart {
 			return nil, fmt.Errorf("workload: trace line %d: start %vs precedes previous row (%vs); flow records must be ordered by start time", line, start, prevStart)
 		}
 		prevStart = start

@@ -16,7 +16,7 @@ start_seconds,size_segments
 
 2.25,100
 `
-	specs, err := ParseTrace(strings.NewReader(in))
+	specs, err := ReadFlows(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +43,12 @@ func TestParseTraceErrors(t *testing.T) {
 		"bad start row": "0.1,5\n(oops),5\n",
 	}
 	for name, in := range cases {
-		if _, err := ParseTrace(strings.NewReader(in)); err == nil {
+		if _, err := ReadFlows(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
 	// Empty trace is fine.
-	specs, err := ParseTrace(strings.NewReader("# nothing\n"))
+	specs, err := ReadFlows(strings.NewReader("# nothing\n"))
 	if err != nil || len(specs) != 0 {
 		t.Errorf("empty trace: %v %v", specs, err)
 	}
@@ -87,7 +87,7 @@ func TestReplayRunsTrace(t *testing.T) {
 func TestReplayEndToEndFromCSV(t *testing.T) {
 	s, d, _ := testDumbbell(10, 100, 10*units.Mbps)
 	csv := "0.0,14\n0.2,14\n0.4,30\n0.6,8\n0.8,14\n"
-	specs, err := ParseTrace(strings.NewReader(csv))
+	specs, err := ReadFlows(strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
