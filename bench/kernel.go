@@ -7,7 +7,7 @@ import (
 
 // kernelDescription names the kernel generation being measured; it is
 // recorded in BENCH_kernel.json so before/after blocks are labelled.
-const kernelDescription = "inlined 4-ary min-heap over pooled event slots, typed actor dispatch on hot paths, FIFO wire lanes (key reserved at post time, one heap entry per wire, items in pooled 8-entry chunks), four-entry near run for imminent events and deferred root pop, packets recycled at the TCP sinks through a per-view pool, pluggable congestion-control policy behind a per-flow interface"
+const kernelDescription = "inlined 4-ary min-heap over pooled event slots, typed actor dispatch on hot paths, FIFO wire lanes (key reserved at post time, one heap entry per wire, items in pooled 8-entry chunks), four-entry near run for imminent events and deferred root pop, packets recycled through a per-view pool at the TCP sinks and at the link that drops them (unsharded views), TCP reassembly and SACK state as sorted runs in reused slices, pluggable congestion-control policy behind a per-flow interface"
 
 // kernelChurn drives the scheduler through n events with a rolling window
 // of 100 pending timers — the steady-state load a packet simulation

@@ -255,18 +255,41 @@ func (r *reuser) Handle(p *packet.Packet) {
 	}
 }
 
+// keeper is the same bug at the other release point: a queue that keeps
+// the packet it rejects — which its link then releases — and offers it to
+// the link again when the next packet arrives.
+type keeper struct {
+	queue.Queue
+	link packet.Handler
+	kept *packet.Packet
+}
+
+func (k *keeper) Enqueue(p *packet.Packet, now units.Time) bool {
+	if old := k.kept; old != nil {
+		k.kept = nil
+		k.link.Handle(old)
+	}
+	ok := k.Queue.Enqueue(p, now)
+	if !ok {
+		k.kept = p
+	}
+	return ok
+}
+
 // TestPacketOwnershipUnderAudit: packets are recycled at the TCP
-// endpoints, and audit mode polices that nobody touches one afterwards.
-// A 100-flow run obeys the rule — zero violations of any kind, with
-// every released packet poisoned — and one extra flow whose receiver
-// side re-sends a packet it no longer owns is reported as
-// packet-use-after-release by the link it re-sends into.
+// endpoints and at the bottleneck that drops them, and audit mode polices
+// that nobody touches one afterwards. A 100-flow run obeys the rule —
+// zero violations of any kind, with every released packet poisoned. One
+// extra flow whose receiver side re-sends a packet it no longer owns is
+// reported as packet-use-after-release by the link it re-sends into, and
+// so is a bottleneck queue that re-offers the packets it rejected.
 func TestPacketOwnershipUnderAudit(t *testing.T) {
-	run := func(mutate bool) *audit.Auditor {
+	const clean, reusingReceiver, keepingQueue = 0, 1, 2
+	run := func(bug int) *audit.Auditor {
 		aud := audit.New()
 		sched := sim.NewScheduler()
 		rng := sim.NewRNG(5)
-		d := topology.NewDumbbell(topology.Config{
+		cfg := topology.Config{
 			Sched:           sched,
 			RNG:             rng.Fork(),
 			BottleneckRate:  100 * units.Mbps,
@@ -276,9 +299,20 @@ func TestPacketOwnershipUnderAudit(t *testing.T) {
 			RTTMin:          40 * units.Millisecond,
 			RTTMax:          120 * units.Millisecond,
 			Auditor:         aud,
-		})
+		}
+		var kp *keeper
+		if bug == keepingQueue {
+			cfg.NewQueue = func() queue.Queue {
+				kp = &keeper{Queue: queue.NewDropTail(cfg.Buffer)}
+				return kp
+			}
+		}
+		d := topology.NewDumbbell(cfg)
+		if kp != nil {
+			kp.link = d.Bottleneck
+		}
 		flows := workload.StartLongLived(d, 100, tcp.Config{SegmentSize: 1000, Variant: tcp.Sack}, rng.Fork(), units.Second)
-		if mutate {
+		if bug == reusingReceiver {
 			st := d.Station(100)
 			raw := d.NewRawFlow(st)
 			spec := tcp.Config{Flow: raw.ID, Src: raw.Src, Dst: raw.Dst, SegmentSize: 1000}
@@ -301,16 +335,24 @@ func TestPacketOwnershipUnderAudit(t *testing.T) {
 		}
 		return aud
 	}
-	if aud := run(false); aud.Count() != 0 {
+	if aud := run(clean); aud.Count() != 0 {
 		t.Errorf("clean run: %v", aud)
 	}
-	aud := run(true)
-	if aud.Count() == 0 {
-		t.Fatal("a packet re-sent after its release went unnoticed")
-	}
-	for _, v := range aud.Violations() {
-		if v.Invariant != "packet-use-after-release" {
-			t.Errorf("unexpected violation: %v", v)
+	for _, c := range []struct {
+		bug  int
+		what string
+	}{
+		{reusingReceiver, "a packet re-sent after its release"},
+		{keepingQueue, "a rejected packet re-offered after its release"},
+	} {
+		aud := run(c.bug)
+		if aud.Count() == 0 {
+			t.Fatalf("%s went unnoticed", c.what)
+		}
+		for _, v := range aud.Violations() {
+			if v.Invariant != "packet-use-after-release" {
+				t.Errorf("%s: unexpected violation: %v", c.what, v)
+			}
 		}
 	}
 }

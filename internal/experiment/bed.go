@@ -6,6 +6,7 @@ import (
 
 	"bufsim/internal/link"
 	"bufsim/internal/metrics"
+	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
@@ -124,6 +125,26 @@ func instrumentDumbbell(reg *metrics.Registry, sched *sim.Scheduler, d *topology
 	d.Bottleneck.Instrument(reg, "bottleneck")
 	tel := tcp.NewTelemetry(reg)
 	d.OnAddFlow = func(f *topology.Flow) { tel.Track(f.Sender) }
+	instrumentPools(reg, d.PoolStats)
+}
+
+// instrumentPools publishes a topology's packet-pool counts at snapshot
+// time: packets allocated (packet.pool_news), packets recycled
+// (packet.pool_reuses) and dropped packets returned by the link that
+// dropped them (packet.pool_drop_releases).
+func instrumentPools(reg *metrics.Registry, stats func() packet.PoolStats) {
+	if reg == nil {
+		return
+	}
+	news := reg.Counter("packet.pool_news")
+	reuses := reg.Counter("packet.pool_reuses")
+	drops := reg.Counter("packet.pool_drop_releases")
+	reg.OnCollect(func() {
+		st := stats()
+		news.Set(st.News)
+		reuses.Set(st.Reuses)
+		drops.Set(st.DropReleases)
+	})
 }
 
 // measure is rig.measure for the one bottleneck.
@@ -150,6 +171,7 @@ func newLot(env RunEnv, hops int, rate units.BitRate, delay units.Duration, buff
 		Sched: b.sched, Rates: rates, Delays: delays, Buffers: buffers, Auditor: env.Audit,
 	})
 	b.sched.Instrument(env.Metrics)
+	instrumentPools(env.Metrics, b.p.PoolStats)
 	for i, l := range b.p.Links {
 		name := fmt.Sprintf("core%d", i)
 		queue.Instrument(env.Metrics, name, l.Queue())

@@ -13,8 +13,9 @@ import (
 
 // TestTelemetryReachesEveryBody runs each of the twelve scenario bodies
 // with and without a registry: the bed instruments whenever one is
-// attached, so every body must publish scheduler telemetry, and — the
-// observer contract — return exactly what it returns unobserved.
+// attached, so every body must publish scheduler and packet-pool
+// telemetry, and — the observer contract — return exactly what it returns
+// unobserved.
 func TestTelemetryReachesEveryBody(t *testing.T) {
 	const warmup, measure = 2 * units.Second, 3 * units.Second
 	rate := 10 * units.Mbps
@@ -115,6 +116,11 @@ func TestTelemetryReachesEveryBody(t *testing.T) {
 			}
 			if snap.Gauges["sim.wall_seconds"] <= 0 {
 				t.Errorf("no wall time published: gauges %v", snap.Gauges)
+			}
+			// Every body here carries TCP flows, and their packets come
+			// from the topology's pool.
+			if snap.Counters["packet.pool_news"]+snap.Counters["packet.pool_reuses"] <= 0 {
+				t.Errorf("no packet-pool telemetry: counters %v", snap.Counters)
 			}
 		})
 	}

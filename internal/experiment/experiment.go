@@ -185,7 +185,11 @@ func runLongLived(cfg LongLivedConfig) LongLivedResult {
 	// Per-packet queueing delays over the window. The reservoir is
 	// bounded to keep long runs flat in memory; beyond it we keep a
 	// running mean only (P99 over the first million delays is plenty).
-	var delays []float64
+	// It is sized once: the bottleneck cannot start more packets in the
+	// window than it can serialize, plus the one in progress at its end.
+	const reservoir = 1 << 20
+	delays := make([]float64, 0, min(reservoir,
+		units.PacketsInFlight(cfg.BottleneckRate, cfg.Measure, cfg.SegmentSize)+1))
 	var delaySum units.Duration
 	var delayN int64
 	type sendSnap struct{ sent, rtx int64 }
@@ -194,7 +198,7 @@ func runLongLived(cfg LongLivedConfig) LongLivedResult {
 		d.Bottleneck.OnDequeue = func(_ *packet.Packet, queued units.Duration) {
 			delaySum += queued
 			delayN++
-			if len(delays) < 1<<20 {
+			if len(delays) < reservoir {
 				delays = append(delays, float64(queued))
 			}
 		}

@@ -40,6 +40,10 @@ type Link struct {
 	deliveredPackets int64
 	deliveredBytes   units.ByteSize
 
+	// dropPool, when non-nil, takes back every packet the queue rejects
+	// (see SetDropPool).
+	dropPool *packet.Pool
+
 	// aud, when non-nil, receives busy-time and delivery-consistency
 	// violations; expectedBusy is the exact sum of per-packet transmission
 	// times, maintained only while auditing.
@@ -50,8 +54,6 @@ type Link struct {
 	// together with the queueing delay it experienced. Experiments use it
 	// to build queueing-delay distributions.
 	OnDequeue func(p *packet.Packet, queued units.Duration)
-	// OnDrop, if set, observes packets rejected by the queue.
-	OnDrop func(p *packet.Packet)
 
 	// DeliverVia, if set, routes each packet's arrival event to the shard
 	// that owns the far end of the wire (see sim.Target): propagation is
@@ -118,6 +120,12 @@ func (l *Link) Queue() queue.Queue { return l.q }
 // pool (see packet.Pool). A nil auditor (the default) disables the checks.
 func (l *Link) SetAuditor(a *audit.Auditor) { l.aud = a }
 
+// SetDropPool makes the link release every packet its queue rejects into
+// pl, the pool the packets' endpoints draw from. The link must run on the
+// scheduler view that owns pl (see packet.Packet on ownership); a nil pool
+// (the default) leaves rejected packets to the garbage collector.
+func (l *Link) SetDropPool(pl *packet.Pool) { l.dropPool = pl }
+
 // Handle implements packet.Handler so links compose directly with routers
 // and protocol agents.
 func (l *Link) Handle(p *packet.Packet) { l.Send(p) }
@@ -135,9 +143,7 @@ func (l *Link) Send(p *packet.Packet) {
 		return
 	}
 	if !l.q.Enqueue(p, now) {
-		if l.OnDrop != nil {
-			l.OnDrop(p)
-		}
+		l.dropPool.PutDropped(p)
 		return
 	}
 	if !l.busy {

@@ -82,22 +82,41 @@ func TestDeliveryPreservesOrder(t *testing.T) {
 
 func TestQueueOverflowDrops(t *testing.T) {
 	s, l, c := newTestLink(t, units.Mbps, 0, 2)
-	var dropped []*packet.Packet
-	l.OnDrop = func(p *packet.Packet) { dropped = append(dropped, p) }
+	pool := packet.NewPool(false)
+	l.SetDropPool(pool)
+	var sent []*packet.Packet
+	for i := int64(0); i < 6; i++ {
+		p := pool.Get()
+		*p = *mkpkt(i, 1000)
+		sent = append(sent, p)
+	}
 	// First packet starts transmitting immediately (dequeued), next two
 	// occupy the buffer, the rest drop.
-	for i := int64(0); i < 6; i++ {
-		l.Send(mkpkt(i, 1000))
+	for _, p := range sent {
+		l.Send(p)
 	}
 	s.Run(units.Time(units.Second))
 	if len(c.pkts) != 3 {
 		t.Fatalf("delivered %d packets, want 3", len(c.pkts))
 	}
-	if len(dropped) != 3 {
-		t.Fatalf("dropped %d packets, want 3", len(dropped))
+	if c.pkts[2].Seq != 2 {
+		t.Errorf("last delivery seq %d, want 2 (tail drop)", c.pkts[2].Seq)
 	}
-	if dropped[0].Seq != 3 {
-		t.Errorf("first drop seq %d, want 3 (tail drop)", dropped[0].Seq)
+	if n := l.Queue().Stats().DroppedPackets; n != 3 {
+		t.Fatalf("dropped %d packets, want 3", n)
+	}
+	// The link released what the queue rejected, and nothing else, into
+	// its drop pool.
+	if n := pool.Stats().DropReleases; n != 3 {
+		t.Fatalf("%d packets released to the drop pool, want 3", n)
+	}
+	for i := 5; i >= 3; i-- {
+		if pool.Get() != sent[i] {
+			t.Errorf("the drop pool does not hold rejected packet %d", i)
+		}
+	}
+	if st := pool.Stats(); st.Reuses != 3 || st.News != 6 {
+		t.Errorf("pool stats %+v after taking three packets back out", st)
 	}
 }
 

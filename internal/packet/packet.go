@@ -64,17 +64,24 @@ func (f Flags) String() string {
 // Packet is one segment in flight, shared by reference along its path.
 //
 // Ownership: whoever holds the pointer owns the packet until it hands it
-// downstream, and must not touch it afterwards. The path ends at a TCP
-// endpoint, and only there is a packet released: tcp.Receiver.Handle
-// returns the data segment to its Pool before it builds the ACK, and
-// tcp.Sender.Handle returns the ACK once it has read it. Nothing else
-// may call Pool.Put. A packet a queue drops, or one addressed to a
-// detached flow, is simply abandoned to the garbage collector — the
-// component that drops it cannot know which pool it came from, and drops
-// are rare enough not to matter. Sources that never see their packets
-// again (CBR, pulse, probe) allocate plainly. Under audit a released
-// packet is poisoned instead of reused (see NewPool), and every
-// audited link, queue and host reports one that shows up again.
+// downstream, and must not touch it afterwards. A packet is released to
+// its Pool where its path ends, and there are three such places:
+// tcp.Receiver.Handle returns the data segment before it builds the ACK,
+// tcp.Sender.Handle returns the ACK once it has read it, and
+// link.Link.Send returns a packet its queue has just rejected (PutDropped)
+// — if the topology gave the link a pool. A topology does so only where
+// the link runs on the scheduler view whose endpoints draw from that pool
+// (a Pool belongs to one goroutine): every unsharded dumbbell, every
+// fabric plane, the parking lot's core links. The bottleneck of a sharded
+// dumbbell runs on shard 0 while the endpoints and their pools live on the
+// station shards, so it gets no pool and its drops are abandoned to the
+// garbage collector, as are packets for a detached flow and packets a
+// queue drops after admitting them (CoDel). Nothing else may call
+// Pool.Put. Sources that never see their packets again (CBR, pulse,
+// probe) allocate plainly; a dropped one joins the pool of the link that
+// dropped it. Under audit a released packet is poisoned instead of reused
+// (see NewPool), and every audited link, queue and host reports one that
+// shows up again.
 type Packet struct {
 	Flow FlowID
 	Src  NodeID

@@ -125,6 +125,48 @@ func TestPoisoningPool(t *testing.T) {
 	pl.Put(p)
 }
 
+// TestPutDropped: a pool takes back every dropped packet of its own, and
+// of packets it never allocated only as many as it has — so a CBR or
+// pulse source whose losses nobody draws on cannot grow it without bound.
+// A poisoning pool stamps them all.
+func TestPutDropped(t *testing.T) {
+	pl := NewPool(false)
+	for i := 0; i < 100; i++ {
+		pl.PutDropped(new(Packet))
+	}
+	if st := pl.Stats(); st.DropReleases != 0 || len(pl.free) != 0 {
+		t.Fatalf("a pool that allocated nothing kept %d foreign packets (%+v)", len(pl.free), st)
+	}
+	own := []*Packet{pl.Get(), pl.Get(), pl.Get()}
+	for _, p := range own {
+		pl.PutDropped(p)
+	}
+	for i := 0; i < 100; i++ {
+		pl.PutDropped(new(Packet))
+	}
+	if st := pl.Stats(); st != (PoolStats{News: 3, DropReleases: 3}) || len(pl.free) != 3 {
+		t.Errorf("pool holds %d packets with stats %+v, want its own 3", len(pl.free), st)
+	}
+	if pl.Get() != own[2] {
+		t.Error("a dropped packet did not come back out of the pool")
+	}
+	if st := pl.Stats(); st.Reuses != 1 {
+		t.Errorf("stats %+v after one reuse", st)
+	}
+
+	var none *Pool
+	none.PutDropped(new(Packet)) // no pool: nothing happens
+	if none.Stats() != (PoolStats{}) {
+		t.Error("a nil pool counted something")
+	}
+	poison := NewPool(true)
+	p := new(Packet)
+	poison.PutDropped(p)
+	if !p.Released() || poison.Stats().DropReleases != 1 {
+		t.Error("a poisoning pool did not stamp a dropped packet")
+	}
+}
+
 // TestPacketSize pins the layout: Flags and Retransmitted ride in the
 // padding after Dst, which keeps a packet in the 80-byte size class.
 func TestPacketSize(t *testing.T) {

@@ -19,6 +19,24 @@ const (
 type Pool struct {
 	free   []*Packet
 	poison bool
+	stats  PoolStats
+}
+
+// PoolStats counts what a pool was asked for: News is the Gets that had to
+// allocate, Reuses the Gets a released packet served, DropReleases the
+// packets that came back through PutDropped. News that stops growing while
+// DropReleases keeps up with the queue's drops says that what a run still
+// allocates is its in-flight population, not its losses.
+type PoolStats struct {
+	News, Reuses, DropReleases int64
+}
+
+// Stats returns the pool's counts so far; a nil pool has none.
+func (pl *Pool) Stats() PoolStats {
+	if pl == nil {
+		return PoolStats{}
+	}
+	return pl.stats
 }
 
 // NewPool returns an empty pool. With poison set — audit mode — Put stamps
@@ -30,9 +48,14 @@ func NewPool(poison bool) *Pool { return &Pool{poison: poison} }
 // Get returns a packet with every field zero and Sack empty (its capacity
 // may be left over from an earlier life).
 func (pl *Pool) Get() *Packet {
-	if pl == nil || len(pl.free) == 0 {
+	if pl == nil {
 		return new(Packet)
 	}
+	if len(pl.free) == 0 {
+		pl.stats.News++
+		return new(Packet)
+	}
+	pl.stats.Reuses++
 	n := len(pl.free) - 1
 	p := pl.free[n]
 	pl.free[n] = nil
@@ -55,6 +78,20 @@ func (pl *Pool) Put(p *Packet) {
 	}
 	*p = Packet{Sack: p.Sack[:0]}
 	pl.free = append(pl.free, p)
+}
+
+// PutDropped is Put for the link whose queue has just rejected p: the
+// packet's path ended there instead of at a TCP endpoint. The link cannot
+// tell a pool packet from one a CBR or pulse source allocated, so the pool
+// takes a dropped packet only while it holds fewer than it has ever
+// allocated: that is always so for its own, and it keeps a source nobody
+// draws for from filling the pool with its losses.
+func (pl *Pool) PutDropped(p *Packet) {
+	if pl == nil || !pl.poison && len(pl.free) >= int(pl.stats.News) {
+		return
+	}
+	pl.stats.DropReleases++
+	pl.Put(p)
 }
 
 // Released reports whether a poisoning Pool has taken p back. Audited

@@ -115,7 +115,7 @@ func (r *Receiver) auditState(now units.Time) {
 			"nextExpected moved backwards: %d after %d", r.nextExpected, r.audNext)
 	}
 	r.audNext = r.nextExpected
-	if r.ooo[r.nextExpected] {
+	if r.ooo.has(r.nextExpected) {
 		r.aud.Violationf(now, comp, "reassembly-drain",
 			"segment %d is buffered out-of-order but is the next expected", r.nextExpected)
 	}
@@ -125,7 +125,7 @@ func (r *Receiver) auditState(now units.Time) {
 	}
 	if r.finished && (r.ReceivedSegments != r.cfg.TotalSegments || len(r.ooo) != 0) {
 		r.aud.Violationf(now, comp, "completion",
-			"finished with %d of %d distinct segments and %d still out-of-order",
+			"finished with %d of %d distinct segments and %d runs still out-of-order",
 			r.ReceivedSegments, r.cfg.TotalSegments, len(r.ooo))
 	}
 }

@@ -12,10 +12,10 @@ import (
 // window, lowest unrepaired hole first.
 type sackCC struct {
 	aimd
-	sb *sackScoreboard
+	sb sackScoreboard
 }
 
-func newSackCC() *sackCC { return &sackCC{sb: newScoreboard()} }
+func newSackCC() *sackCC { return &sackCC{} }
 
 // OnAckReceived folds the ACK's SACK blocks into the scoreboard before
 // the ACK is dispatched.
@@ -50,7 +50,7 @@ func (c *sackCC) OnLoss() {
 	c.sl.cwnd[c.row] = c.sl.ssthresh[c.row]
 	una := c.ops.SndUna()
 	c.ops.Retransmit(una)
-	c.sb.rtxed[una] = true
+	c.sb.rtxed.add(una)
 	c.ops.RestartRTO()
 	c.fillPipe()
 }
@@ -67,7 +67,7 @@ func (c *sackCC) fillPipe() {
 	for c.sb.pipe(c.ops.SndUna(), c.ops.SndNxt()) < c.ops.UsableWindow() {
 		if hole := c.sb.nextHole(c.ops.SndUna(), c.ops.SndNxt()); hole >= 0 {
 			c.ops.Retransmit(hole)
-			c.sb.rtxed[hole] = true
+			c.sb.rtxed.add(hole)
 			continue
 		}
 		if !c.ops.CanSendNew() {

@@ -5,7 +5,9 @@ import (
 	"sort"
 	"testing"
 
+	"bufsim/internal/link"
 	"bufsim/internal/packet"
+	"bufsim/internal/queue"
 	"bufsim/internal/sim"
 	"bufsim/internal/units"
 )
@@ -64,6 +66,64 @@ func TestPooledLoopAllocatesNothing(t *testing.T) {
 			t.Errorf("%v: %v allocations per round trip without a pool, want at least one per ACK (%d)", v, n, window)
 		}
 	}
+
+	// The same over a lossy path: a real link in the forward direction
+	// whose eight-packet queue overflows in slow start and also rejects
+	// every 29th segment, with the pool as its drop pool. Out-of-order
+	// arrivals, SACK blocks, the scoreboard, fast retransmits and timeouts
+	// then run all the time, and none of it allocates once the run slices
+	// have seen their widest spread; a rejected packet costs a Put, where
+	// without the drop pool it costs the allocation of its replacement.
+	for _, v := range []Variant{Reno, Sack} {
+		lossy := func(pool, dropPool *packet.Pool) (allocs float64, drops int64) {
+			s := sim.NewScheduler()
+			cfg := Config{Flow: 1, Variant: v, MaxWindow: window}
+			rev := &wire{sched: s}
+			rcv := NewReceiver(cfg, s, rev)
+			q := &everyKth{Queue: queue.NewDropTail(queue.PacketLimit(8)), k: 29}
+			fwd := link.New("lossy", s, units.Gbps, 10*units.Millisecond, q, rcv)
+			fwd.SetDropPool(dropPool)
+			snd := NewSender(cfg, s, fwd)
+			rev.dst = snd
+			snd.SetPool(pool)
+			rcv.SetPool(pool)
+			snd.Start()
+			until := units.Epoch.Add(20 * units.Second)
+			s.Run(until)
+			before := q.Stats().DroppedPackets + q.rejected
+			// One measured call of 1000 round trips: AllocsPerRun
+			// divides in integers, and a loss every few round trips
+			// must not round to nothing.
+			allocs = testing.AllocsPerRun(1, func() {
+				until = until.Add(1000 * 20 * units.Millisecond)
+				s.Run(until)
+			})
+			return allocs, q.Stats().DroppedPackets + q.rejected - before
+		}
+		pool := packet.NewPool(false)
+		n, drops := lossy(pool, pool)
+		if n != 0 || drops < 100 {
+			t.Errorf("%v: %v allocations in 1000 lossy round trips with %d drops, want 0 and at least 100", v, n, drops)
+		}
+		if n, _ := lossy(packet.NewPool(false), nil); n == 0 {
+			t.Errorf("%v: no allocations on the lossy path without a drop pool: the test measures nothing", v)
+		}
+	}
+}
+
+// everyKth is a queue that also rejects every k-th packet offered.
+type everyKth struct {
+	queue.Queue
+	k, n     int
+	rejected int64
+}
+
+func (q *everyKth) Enqueue(p *packet.Packet, now units.Time) bool {
+	if q.n++; q.n%q.k == 0 {
+		q.rejected++
+		return false
+	}
+	return q.Queue.Enqueue(p, now)
 }
 
 // TestPoolDoesNotChangeBehaviour: a lossy transfer — fast retransmits,
@@ -139,9 +199,8 @@ func sackBlocksReference(ooo map[int64]bool, justArrived int64, max int) [][2]in
 }
 
 // TestSackBlocksMatchesReference checks sackBlocks against the reference
-// on random out-of-order sets — small and dense enough to merge into few
-// runs, and large enough to outgrow the stack buffer — and that it reuses
-// the slice it is given.
+// on random out-of-order sets — dense enough to merge into few runs and
+// sparse enough to leave many — and that it reuses the slice it is given.
 func TestSackBlocksMatchesReference(t *testing.T) {
 	rng := sim.NewRNG(11)
 	for trial := 0; trial < 2000; trial++ {
@@ -157,7 +216,7 @@ func TestSackBlocksMatchesReference(t *testing.T) {
 		max := 1 + rng.Intn(4)
 		want := sackBlocksReference(ooo, just, max)
 		dst := make([][2]int64, 0, 4)
-		got := sackBlocks(dst, ooo, just, max)
+		got := sackBlocks(dst, runsOf(ooo), just, max)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("ooo %v just %d max %d: got %v, want %v", ooo, just, max, got, want)
 		}

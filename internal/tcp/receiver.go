@@ -23,7 +23,7 @@ type Receiver struct {
 	out   packet.Handler // reverse path toward the sender
 
 	nextExpected int64
-	ooo          map[int64]bool // out-of-order segments above nextExpected
+	ooo          seqRuns // out-of-order segments above nextExpected
 
 	unackedSegs int // in-order segments not yet acknowledged (delayed ACK)
 	delAck      sim.Event
@@ -80,7 +80,6 @@ func NewReceiver(cfg Config, sched *sim.Scheduler, out packet.Handler) *Receiver
 		cfg:         cfg,
 		sched:       sched,
 		out:         out,
-		ooo:         make(map[int64]bool),
 		CompletedAt: units.Never,
 	}
 }
@@ -110,19 +109,19 @@ func (r *Receiver) Handle(p *packet.Packet) {
 	case seq == r.nextExpected:
 		r.nextExpected++
 		r.ReceivedSegments++
-		// Drain any contiguous out-of-order run (each segment was
-		// already counted in ReceivedSegments when it arrived).
-		for r.ooo[r.nextExpected] {
-			delete(r.ooo, r.nextExpected)
-			r.nextExpected++
+		// Drain the out-of-order run this arrival reaches, if any (each
+		// segment was already counted in ReceivedSegments when it
+		// arrived).
+		if len(r.ooo) > 0 && r.ooo[0][0] == r.nextExpected {
+			r.nextExpected = r.ooo[0][1]
+			r.ooo.trim(r.nextExpected)
 		}
 		r.onInOrder()
 	case seq > r.nextExpected:
-		if r.ooo[seq] {
-			r.DupSegments++
-		} else {
-			r.ooo[seq] = true
+		if r.ooo.add(seq) {
 			r.ReceivedSegments++
+		} else {
+			r.DupSegments++
 		}
 		// Out-of-order: immediate duplicate ACK (with SACK blocks when
 		// the connection negotiated them).

@@ -73,7 +73,7 @@ func TestSackBlocksProperties(t *testing.T) {
 		for _, v := range raw {
 			ooo[int64(v)] = true
 		}
-		blocks := sackBlocks(nil, ooo, int64(fresh), 3)
+		blocks := sackBlocks(nil, runsOf(ooo), int64(fresh), 3)
 		if len(ooo) == 0 {
 			return blocks == nil
 		}
@@ -104,7 +104,7 @@ func TestSackBlocksProperties(t *testing.T) {
 
 func TestScoreboardPipeNeverNegative(t *testing.T) {
 	f := func(blocks []uint8, una8, nxt8 uint8) bool {
-		sb := newScoreboard()
+		var sb sackScoreboard
 		una := int64(una8 % 64)
 		nxt := una + int64(nxt8%64)
 		var bs [][2]int64

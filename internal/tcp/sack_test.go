@@ -9,7 +9,7 @@ import (
 )
 
 func TestSackBlocksConstruction(t *testing.T) {
-	ooo := map[int64]bool{5: true, 6: true, 7: true, 10: true, 12: true, 13: true}
+	ooo := runsOf(map[int64]bool{5: true, 6: true, 7: true, 10: true, 12: true, 13: true})
 	blocks := sackBlocks(nil, ooo, 10, 3)
 	if len(blocks) != 3 {
 		t.Fatalf("blocks = %v", blocks)
@@ -23,7 +23,7 @@ func TestSackBlocksConstruction(t *testing.T) {
 		t.Errorf("blocks = %v", blocks)
 	}
 	// Cap respected.
-	if got := sackBlocks(nil, map[int64]bool{1: true, 3: true, 5: true, 7: true}, 7, 3); len(got) != 3 {
+	if got := sackBlocks(nil, runsOf(map[int64]bool{1: true, 3: true, 5: true, 7: true}), 7, 3); len(got) != 3 {
 		t.Errorf("cap violated: %v", got)
 	}
 	if got := sackBlocks(nil, nil, 0, 3); got != nil {
@@ -32,13 +32,11 @@ func TestSackBlocksConstruction(t *testing.T) {
 }
 
 func TestScoreboardUpdateAndPipe(t *testing.T) {
-	sb := newScoreboard()
-	newly := sb.update([][2]int64{{5, 8}}, 0)
-	if newly != 3 {
-		t.Errorf("newly = %d, want 3", newly)
-	}
-	if sb.update([][2]int64{{5, 8}}, 0) != 0 {
-		t.Error("re-reporting counted as new")
+	var sb sackScoreboard
+	sb.update([][2]int64{{5, 8}}, 0)
+	sb.update([][2]int64{{5, 8}}, 0) // re-reporting changes nothing
+	if n := sb.sacked.count(0, 100); n != 3 {
+		t.Errorf("%d segments SACKed, want 3", n)
 	}
 	if sb.highSacked != 8 {
 		t.Errorf("highSacked = %d", sb.highSacked)
@@ -57,7 +55,7 @@ func TestScoreboardUpdateAndPipe(t *testing.T) {
 	if hole := sb.nextHole(0, 12); hole != 0 {
 		t.Errorf("nextHole = %d, want 0", hole)
 	}
-	sb.rtxed[0] = true
+	sb.rtxed.add(0)
 	if got := sb.pipe(0, 12); got != 5 {
 		t.Errorf("pipe after rtx = %d, want 5", got)
 	}
@@ -66,16 +64,16 @@ func TestScoreboardUpdateAndPipe(t *testing.T) {
 	}
 	// Advance clears below the new una.
 	sb.advance(6)
-	if sb.sacked[5] || sb.rtxed[0] {
+	if sb.sacked.has(5) || sb.rtxed.has(0) {
 		t.Error("advance did not clear old state")
 	}
-	if !sb.sacked[6] || !sb.sacked[7] {
+	if !sb.sacked.has(6) || !sb.sacked.has(7) {
 		t.Error("advance dropped live state")
 	}
 }
 
 func TestScoreboardLostRule(t *testing.T) {
-	sb := newScoreboard()
+	var sb sackScoreboard
 	sb.update([][2]int64{{4, 5}}, 0)
 	// highSacked = 5: lost(s) iff 5 >= s+3 -> s <= 2.
 	for s, want := range map[int64]bool{0: true, 1: true, 2: true, 3: false} {

@@ -82,8 +82,9 @@ type ParkingLot struct {
 	nextNode packet.NodeID
 	nextFlow packet.FlowID
 
-	// pool recycles every flow's packets; the chain runs on one
-	// unsharded scheduler, so one pool serves it (see Dumbbell.poolFor).
+	// pool recycles every flow's packets, at the endpoints and at the
+	// core links that drop them; the chain runs on one unsharded
+	// scheduler, so one pool serves it (see Dumbbell.poolFor).
 	pool *packet.Pool
 }
 
@@ -116,6 +117,7 @@ func NewParkingLot(cfg ParkingLotConfig) *ParkingLot {
 		}
 		l := link.New(fmt.Sprintf("core%d", i), cfg.Sched, rate, cfg.Delays[i], q, p.Routers[i+1])
 		l.SetAuditor(cfg.Auditor)
+		l.SetDropPool(p.pool)
 		p.Links = append(p.Links, l)
 	}
 	return p
@@ -126,6 +128,9 @@ func (p *ParkingLot) alloc() packet.NodeID {
 	p.nextNode++
 	return id
 }
+
+// PoolStats returns the packet pool's counts.
+func (p *ParkingLot) PoolStats() packet.PoolStats { return p.pool.Stats() }
 
 // Flows returns all flows added so far.
 func (p *ParkingLot) Flows() []*PathFlow { return p.flows }

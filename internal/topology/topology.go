@@ -217,7 +217,13 @@ func NewDumbbell(cfg Config) *Dumbbell {
 	}
 	d.Bottleneck = link.New("bottleneck", d.view0, cfg.BottleneckRate, cfg.BottleneckDelay, q, d.R2)
 	d.Bottleneck.SetAuditor(cfg.Auditor)
-	if d.sharded {
+	if !d.sharded {
+		// One view runs the bottleneck and every station, so the packets
+		// the bottleneck drops go back to the pool they were drawn from.
+		// Sharded, the pools belong to the station shards and the drops
+		// stay with the garbage collector (see packet.Packet).
+		d.Bottleneck.SetDropPool(d.poolFor(d.view0))
+	} else {
 		d.r1In = d.view0.TargetFor(&ingressActor{next: d.R1})
 		d.ingress = make(map[packet.NodeID]sim.Target)
 		d.Bottleneck.DeliverVia = func(p *packet.Packet) sim.Target { return d.ingress[p.Dst] }
@@ -402,6 +408,18 @@ func (d *Dumbbell) poolFor(view *sim.Scheduler) *packet.Pool {
 		d.pools[view] = pl
 	}
 	return pl
+}
+
+// PoolStats returns the packet pools' counts, summed over the views.
+func (d *Dumbbell) PoolStats() packet.PoolStats {
+	var sum packet.PoolStats
+	for _, pl := range d.pools {
+		st := pl.Stats()
+		sum.News += st.News
+		sum.Reuses += st.Reuses
+		sum.DropReleases += st.DropReleases
+	}
+	return sum
 }
 
 // RawFlow is an allocation of addressing for a non-TCP flow (e.g. CBR/UDP

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"bufsim/internal/audit"
+	"bufsim/internal/link"
+	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
@@ -292,7 +294,8 @@ func TestCustomQueueDiscipline(t *testing.T) {
 // TestOnePoolPerView: flows on the same scheduler view share a packet
 // pool and flows on different views never do, so a pool is only ever
 // touched by the goroutine running its view; under audit the pools
-// poison instead of recycling.
+// poison instead of recycling; and a link gets a drop pool only where it
+// runs on the pool's view.
 func TestOnePoolPerView(t *testing.T) {
 	build := func(shards int, aud *audit.Auditor) *Dumbbell {
 		return NewDumbbell(Config{
@@ -336,5 +339,45 @@ func TestOnePoolPerView(t *testing.T) {
 	pool.Put(p)
 	if !p.Released() {
 		t.Error("audited dumbbell's pool does not poison released packets")
+	}
+
+	// A link that drops releases into a pool exactly where it runs on the
+	// view whose endpoints draw from that pool: an unsharded dumbbell's
+	// bottleneck, a fabric plane's, the parking lot's core links — and not
+	// a sharded dumbbell's bottleneck, which runs on shard 0 while the
+	// pools belong to the station shards.
+	overflow := func(l *link.Link, pool *packet.Pool, limit int) int64 {
+		for i := 0; i < limit+2; i++ { // one transmitting, limit queued, one rejected
+			p := pool.Get()
+			p.Size = 1000
+			l.Send(p)
+		}
+		return l.Queue().Stats().DroppedPackets
+	}
+	for _, shards := range []int{1, 2} {
+		d := build(shards, nil)
+		drops := overflow(d.Bottleneck, d.poolFor(d.Station(0).Sched()), 50)
+		if got, want := d.PoolStats().DropReleases, int64(2-shards); drops != 1 || got != want {
+			t.Errorf("shards=%d: %d drops, %d released to a pool, want 1 and %d", shards, drops, got, want)
+		}
+	}
+	fab := NewFabric(FabricConfig{Sched: sim.NewScheduler(), Planes: 2, Plane: fabricPlaneTemplate, RNG: sim.NewRNG(1)})
+	for k := 0; k < fab.Planes(); k++ {
+		d := fab.Plane(k)
+		drops := overflow(d.Bottleneck, d.poolFor(d.Station(0).Sched()), 60)
+		if got := d.PoolStats().DropReleases; drops != 1 || got != 1 {
+			t.Errorf("fabric plane %d: %d drops, %d released to its pool, want 1 and 1", k, drops, got)
+		}
+	}
+	lot := NewParkingLot(ParkingLotConfig{
+		Sched:   sim.NewScheduler(),
+		Rates:   []units.BitRate{10 * units.Mbps, 10 * units.Mbps},
+		Delays:  []units.Duration{units.Millisecond, units.Millisecond},
+		Buffers: []queue.Limit{queue.PacketLimit(5), queue.PacketLimit(5)},
+	})
+	for i, l := range lot.Links {
+		if drops := overflow(l, lot.pool, 5); drops != 1 || lot.PoolStats().DropReleases != int64(i+1) {
+			t.Errorf("parking-lot core link %d: %d drops, %d released in all, want 1 and %d", i, drops, lot.PoolStats().DropReleases, i+1)
+		}
 	}
 }
