@@ -191,6 +191,28 @@ type TraceConfig struct {
 	RunEnv
 }
 
+func (c TraceConfig) withDefaults() TraceConfig {
+	if c.SegmentSize == 0 {
+		c.SegmentSize = units.DefaultSegment
+	}
+	if c.MaxWindow == 0 {
+		c.MaxWindow = 43
+	}
+	if c.Stations == 0 {
+		c.Stations = 50
+	}
+	if c.RTTMin == 0 {
+		c.RTTMin = 60 * units.Millisecond
+	}
+	if c.RTTMax == 0 {
+		c.RTTMax = 140 * units.Millisecond
+	}
+	if c.Drain == 0 {
+		c.Drain = 60 * units.Second
+	}
+	return c
+}
+
 // TraceResult summarizes a replayed trace.
 type TraceResult struct {
 	Completed   int
@@ -205,24 +227,7 @@ func RunTrace(cfg TraceConfig) TraceResult {
 	if len(cfg.Flows) == 0 {
 		return TraceResult{}
 	}
-	if cfg.SegmentSize == 0 {
-		cfg.SegmentSize = units.DefaultSegment
-	}
-	if cfg.MaxWindow == 0 {
-		cfg.MaxWindow = 43
-	}
-	if cfg.Stations == 0 {
-		cfg.Stations = 50
-	}
-	if cfg.RTTMin == 0 {
-		cfg.RTTMin = 60 * units.Millisecond
-	}
-	if cfg.RTTMax == 0 {
-		cfg.RTTMax = 140 * units.Millisecond
-	}
-	if cfg.Drain == 0 {
-		cfg.Drain = 60 * units.Second
-	}
+	cfg = cfg.withDefaults()
 	// v2: Utilization of a trace whose flows all start at one instant
 	// was reported as 0; entries from before the fix must not replay.
 	return memoRun(cfg.RunEnv, "trace-v2", cfg, func() TraceResult {

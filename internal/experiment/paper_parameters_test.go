@@ -1,0 +1,115 @@
+package experiment
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// paperConfigs is digestConfigs with each config's own defaults applied
+// to the zero value: the parameters a full-scale (not -quick) run uses.
+// A config with no defaults of its own (it is lowered into one that has
+// them, or is a cache key built from resolved values) stands as it is.
+var paperConfigs = []any{
+	LongLivedConfig{}.withDefaults(),
+	SingleFlowConfig{}.withDefaults(),
+	WindowDistConfig{}.withDefaults(),
+	ShortFlowRunConfig{}.withDefaults(),
+	ShortFlowBufferConfig{}.withDefaults(),
+	MixedConfig{},
+	TraceConfig{}.withDefaults(),
+	AFCTComparisonConfig{}.withDefaults(),
+	UtilizationTableConfig{}.withDefaults(),
+	ProductionConfig{}.withDefaults(),
+	MinBufferConfig{}.withDefaults(),
+	CoDelConfig{}.withDefaults(),
+	RTTSpreadConfig{}.withDefaults(),
+	SyncConfig{}.withDefaults(),
+	ECNConfig{}.withDefaults(),
+	VariantConfig{}.withDefaults(),
+	BackboneConfig{}.withDefaults(),
+	PacingConfig{}.withDefaults(),
+	SmoothingConfig{}.withDefaults(),
+	CCFamilyConfig{}.withDefaults(),
+	ccFamilyPointConfig{},
+	MultiHopConfig{}.withDefaults(),
+	HarpoonConfig{}.withDefaults(),
+	ProfileRunConfig{}.withDefaults(),
+	FlashCrowdConfig{}.withDefaults(),
+	AdversarialConfig{}.withDefaults(),
+	adversarialPointConfig{},
+	AdversaryScenario{}.withDefaults(),
+	ProbeLadderConfig{}.withDefaults(),
+}
+
+// parameterLines appends one "Type.Field=value" line per non-zero
+// exported field of v, flattening embedded structs under the outer
+// type's name and skipping RunEnv (observers are not parameters).
+func parameterLines(lines []string, typeName string, v reflect.Value) []string {
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		switch {
+		case !f.IsExported() || f.Type == runEnvType || fv.IsZero():
+		case f.Anonymous && fv.Kind() == reflect.Struct:
+			lines = parameterLines(lines, typeName, fv)
+		default:
+			lines = append(lines, fmt.Sprintf("%s.%s=%v", typeName, f.Name, fv.Interface()))
+		}
+	}
+	return lines
+}
+
+// TestPaperParameters pins the paper-scale parameters. -quick overrides
+// rates, warm-ups and windows, so nothing else in the suite would notice
+// a default sliding (Measure from 40 s to 60 s, a 5 ms bottleneck delay
+// becoming 10 ms). testdata/golden/paper_parameters.txt is the parameter
+// table EXPERIMENTS.md points at; re-record it with -update only for a
+// deliberate change of an experiment's published parameters.
+func TestPaperParameters(t *testing.T) {
+	if len(paperConfigs) != len(digestConfigs) {
+		t.Fatalf("paperConfigs has %d entries, digestConfigs %d", len(paperConfigs), len(digestConfigs))
+	}
+	var lines []string
+	for i, cfg := range paperConfigs {
+		typ := reflect.TypeOf(cfg)
+		if want := reflect.TypeOf(digestConfigs[i]); typ != want {
+			t.Fatalf("paperConfigs[%d] is %v, digestConfigs[%d] is %v: keep the two lists in step", i, typ, i, want)
+		}
+		lines = parameterLines(lines, typ.Name(), reflect.ValueOf(cfg))
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+
+	path := filepath.Join("testdata", "golden", "paper_parameters.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (record with -update)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	pinned := map[string]bool{}
+	for _, l := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
+		pinned[l] = true
+	}
+	for _, l := range lines {
+		if !pinned[l] {
+			t.Errorf("not in %s: %s", path, l)
+		}
+		delete(pinned, l)
+	}
+	for l := range pinned {
+		t.Errorf("gone from the defaults: %s", l)
+	}
+}
