@@ -88,16 +88,14 @@ func SimulateAdversary(cfg AdversarySimulation, opts ...Option) AdversaryResult 
 		panic(err)
 	}
 	row := experiment.RunAdversaryScenario(experiment.AdversaryScenario{
-		Seed:           cfg.Seed,
-		Pattern:        cfg.Pattern,
-		N:              cfg.Flows,
-		BottleneckRate: cfg.Link.Rate,
-		RTT:            cfg.Link.RTT,
-		SegmentSize:    cfg.Link.segment(),
-		BufferPackets:  cfg.BufferPackets,
-		Warmup:         cfg.Warmup,
-		Measure:        cfg.Measure,
-		RunEnv:         applyOptions(opts).env,
+		Seed:    cfg.Seed,
+		Pattern: cfg.Pattern,
+		AdversaryCohort: experiment.AdversaryCohort{
+			N:    cfg.Flows,
+			Path: cfg.Link.fixedPath(cfg.Warmup, cfg.Measure),
+		},
+		BufferPackets: cfg.BufferPackets,
+		RunEnv:        applyOptions(opts).env,
 	})
 	return AdversaryResult{
 		BufferPackets:    row.BufferPackets,

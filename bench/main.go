@@ -53,7 +53,9 @@ import (
 
 	"bufsim/internal/experiment"
 	"bufsim/internal/metrics"
+	"bufsim/internal/tcp"
 	"bufsim/internal/units"
+	"bufsim/internal/workload"
 )
 
 // Metric is one benchmark's headline numbers.
@@ -130,17 +132,21 @@ func metric(r testing.BenchmarkResult, eventsPerOp int64) Metric {
 
 func longLivedConfig() experiment.LongLivedConfig {
 	return experiment.LongLivedConfig{
-		Seed: 1, N: 30, BottleneckRate: 20 * units.Mbps,
-		BufferPackets: 50,
-		Warmup:        5 * units.Second, Measure: 15 * units.Second,
+		Seed: 1, N: 30, BufferPackets: 50,
+		Path: experiment.Path{BottleneckRate: 20 * units.Mbps, Warmup: 5 * units.Second, Measure: 15 * units.Second},
 	}
 }
 
-func shortFlowConfig() experiment.ShortFlowRunConfig {
-	return experiment.ShortFlowRunConfig{
-		Seed: 1, Rate: 20 * units.Mbps, Load: 0.7,
-		FlowLength: 14, BufferPackets: 50,
-		Warmup: 3 * units.Second, Measure: 10 * units.Second,
+// shortFlowConfig is the paper's short-flow scenario: the profile body
+// under a stationary Poisson source of 14-segment flows.
+func shortFlowConfig() experiment.ProfileRunConfig {
+	return experiment.ProfileRunConfig{
+		Seed: 1, BufferPackets: 50,
+		Path: experiment.Path{BottleneckRate: 20 * units.Mbps, Warmup: 3 * units.Second, Measure: 10 * units.Second},
+		Source: workload.PoissonSource{
+			Load: 0.7, Sizes: workload.FixedSize(14),
+			TCP: tcp.Config{SegmentSize: units.DefaultSegment, MaxWindow: 43},
+		},
 	}
 }
 
@@ -271,12 +277,12 @@ func runKernelBenchmarks(f *File) {
 	sfEvents := eventsProcessed(func(reg *metrics.Registry) {
 		cfg := shortFlowConfig()
 		cfg.Metrics = reg
-		experiment.ShortFlowAFCT(cfg)
+		experiment.RunProfile(cfg)
 	})
 	r = fastestOf(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			experiment.ShortFlowAFCT(shortFlowConfig())
+			experiment.RunProfile(shortFlowConfig())
 		}
 	})
 	f.Current.Benchmarks["sim_short_flows"] = metric(r, sfEvents)

@@ -47,13 +47,11 @@ var (
 
 func scaleConfig(flows, shards int) experiment.LongLivedConfig {
 	return experiment.LongLivedConfig{
-		Seed:           1,
-		N:              flows,
-		BottleneckRate: units.BitRate(flows) * 2 * units.Mbps,
-		BufferPackets:  25 + flows,
-		Warmup:         units.Second,
-		Measure:        2 * units.Second,
-		RunEnv:         experiment.RunEnv{Shards: shards},
+		Seed:          1,
+		N:             flows,
+		Path:          experiment.Path{BottleneckRate: units.BitRate(flows) * 2 * units.Mbps, Warmup: units.Second, Measure: 2 * units.Second},
+		BufferPackets: 25 + flows,
+		RunEnv:        experiment.RunEnv{Shards: shards},
 	}
 }
 

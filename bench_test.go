@@ -322,7 +322,7 @@ func BenchmarkMultiHop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiment.MultiHopConfig{Seed: 1}
 		if !*paperScale {
-			cfg.LinkRate = 20 * units.Mbps
+			cfg.BottleneckRate = 20 * units.Mbps
 			cfg.NPerGroup = 40
 			cfg.Warmup, cfg.Measure = 10*units.Second, 20*units.Second
 		}
@@ -434,9 +434,8 @@ func BenchmarkCoDelComparison(b *testing.B) {
 func BenchmarkKernelEventThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiment.RunLongLived(experiment.LongLivedConfig{
-			Seed: 1, N: 100, BottleneckRate: units.OC3,
+			Seed: 1, N: 100, Path: experiment.Path{BottleneckRate: units.OC3, Warmup: 5 * units.Second, Measure: 10 * units.Second},
 			BufferPackets: 194,
-			Warmup:        5 * units.Second, Measure: 10 * units.Second,
 		})
 		b.ReportMetric(100*res.Utilization, "util%")
 	}

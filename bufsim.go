@@ -159,6 +159,35 @@ func (l Link) segment() ByteSize {
 	return l.SegmentSize
 }
 
+// path lowers the link and a scenario's window onto the experiment
+// layer's Path, with station RTTs across [RTT-spread/2, RTT+spread/2].
+func (l Link) path(spread, warmup, measure Duration) experiment.Path {
+	return experiment.Path{
+		BottleneckRate: l.Rate,
+		RTTMin:         l.RTT - spread/2,
+		RTTMax:         l.RTT + spread/2,
+		SegmentSize:    l.segment(),
+		Warmup:         warmup,
+		Measure:        measure,
+	}
+}
+
+// fixedPath is path for the scenarios that put every flow at exactly
+// Link.RTT.
+func (l Link) fixedPath(warmup, measure Duration) experiment.Path {
+	p := l.path(0, warmup, measure)
+	p.RTTMax = 0
+	return p
+}
+
+// shortFlowPath is path for the short-flow scenarios, whose stations
+// spread +-40% around Link.RTT.
+func (l Link) shortFlowPath(warmup, measure Duration) experiment.Path {
+	p := l.path(0, warmup, measure)
+	p.RTTMin, p.RTTMax = l.RTT*6/10, l.RTT*14/10
+	return p
+}
+
 // BDP returns the link's bandwidth-delay product in packets.
 func (l Link) BDP() int {
 	return units.PacketsInFlight(l.Rate, l.RTT, l.segment())
@@ -288,20 +317,15 @@ func (s Simulation) longLived(o options) experiment.LongLivedConfig {
 	mustValidateSpread(s.Link.RTT, s.RTTSpread)
 	o.tune(&s.Variant, &s.Paced, &s.DelayedAck)
 	return experiment.LongLivedConfig{
-		Seed:           s.Seed,
-		N:              s.Flows,
-		BottleneckRate: s.Link.Rate,
-		RTTMin:         s.Link.RTT - s.RTTSpread/2,
-		RTTMax:         s.Link.RTT + s.RTTSpread/2,
-		SegmentSize:    s.Link.segment(),
-		BufferPackets:  s.BufferPackets,
-		UseRED:         o.useRED(s.RED),
-		Variant:        s.Variant,
-		Paced:          s.Paced,
-		DelayedAck:     s.DelayedAck,
-		Warmup:         s.Warmup,
-		Measure:        s.Measure,
-		RunEnv:         o.env,
+		Seed:          s.Seed,
+		N:             s.Flows,
+		Path:          s.Link.path(s.RTTSpread, s.Warmup, s.Measure),
+		BufferPackets: s.BufferPackets,
+		UseRED:        o.useRED(s.RED),
+		Variant:       s.Variant,
+		Paced:         s.Paced,
+		DelayedAck:    s.DelayedAck,
+		RunEnv:        o.env,
 	}
 }
 
@@ -324,12 +348,7 @@ func Simulate(cfg Simulation, opts ...Option) SimulationResult {
 
 // ReplicatedResult aggregates a Simulate scenario across independent
 // seeds: utilization statistics with the spread a single run cannot show.
-type ReplicatedResult struct {
-	Replicas        int
-	MeanUtilization float64
-	StdDev          float64
-	Min, Max        float64
-}
+type ReplicatedResult = experiment.ReplicatedResult
 
 // SimulateReplicated runs the Simulate scenario under replicas different
 // seeds (cfg.Seed, cfg.Seed+1, ...) and reports utilization statistics —
@@ -337,14 +356,7 @@ type ReplicatedResult struct {
 // concurrently; WithParallelism bounds the workers (default: the
 // machine's parallelism). Results are bit-identical at any worker count.
 func SimulateReplicated(cfg Simulation, replicas int, opts ...Option) ReplicatedResult {
-	r := experiment.RunLongLivedReplicated(cfg.longLived(applyOptions(opts)), replicas)
-	return ReplicatedResult{
-		Replicas:        r.Replicas,
-		MeanUtilization: r.MeanUtilization,
-		StdDev:          r.StdDev,
-		Min:             r.Min,
-		Max:             r.Max,
-	}
+	return experiment.RunLongLivedReplicated(cfg.longLived(applyOptions(opts)), replicas)
 }
 
 // SingleFlowResult is the outcome of SimulateSingleFlow: summary metrics
@@ -367,13 +379,11 @@ type SingleFlowResult struct {
 func SimulateSingleFlow(link Link, bufferFactor float64, seed int64, opts ...Option) SingleFlowResult {
 	o := applyOptions(opts)
 	run := experiment.SingleFlowConfig{
-		Seed:           seed,
-		BottleneckRate: link.Rate,
-		RTT:            link.RTT,
-		SegmentSize:    link.segment(),
-		BufferFactor:   bufferFactor,
-		UseRED:         o.useRED(false),
-		RunEnv:         o.env,
+		Seed:         seed,
+		Path:         link.fixedPath(0, 0),
+		BufferFactor: bufferFactor,
+		UseRED:       o.useRED(false),
+		RunEnv:       o.env,
 	}
 	o.tune(&run.Variant, &run.Paced, &run.DelayedAck)
 	r := experiment.RunSingleFlow(run)
@@ -418,23 +428,20 @@ type ShortFlowResult struct {
 // and reports the average flow completion time — the §4/§5.1.2 metric.
 func SimulateShortFlows(cfg ShortFlowSimulation, opts ...Option) ShortFlowResult {
 	o := applyOptions(opts)
-	run := experiment.ShortFlowRunConfig{
-		Seed:          cfg.Seed,
-		Rate:          cfg.Link.Rate,
-		MeanRTT:       cfg.Link.RTT,
-		SegmentSize:   cfg.Link.segment(),
-		BufferPackets: cfg.BufferPackets,
-		Load:          cfg.Load,
-		FlowLength:    cfg.FlowLength,
-		MaxWindow:     cfg.MaxWindow,
-		UseRED:        o.useRED(cfg.RED),
-		Warmup:        cfg.Warmup,
-		Measure:       cfg.Measure,
-		RunEnv:        o.env,
+	tcpCfg := tcp.Config{SegmentSize: cfg.Link.segment(), MaxWindow: cfg.MaxWindow}
+	if tcpCfg.MaxWindow == 0 {
+		tcpCfg.MaxWindow = 43
 	}
-	o.tune(&run.Variant, &run.Paced, &run.DelayedAck)
-	afct, completed, censored := experiment.ShortFlowAFCT(run)
-	return ShortFlowResult{AFCT: afct, Completed: completed, Censored: censored}
+	o.tune(&tcpCfg.Variant, &tcpCfg.Paced, &tcpCfg.DelayedAck)
+	r := experiment.RunProfile(experiment.ProfileRunConfig{
+		Seed:          cfg.Seed,
+		Path:          cfg.Link.shortFlowPath(cfg.Warmup, cfg.Measure),
+		BufferPackets: cfg.BufferPackets,
+		Source:        workload.PoissonSource{Load: cfg.Load, Sizes: workload.FixedSize(cfg.FlowLength), TCP: tcpCfg},
+		UseRED:        o.useRED(cfg.RED),
+		RunEnv:        o.env,
+	})
+	return ShortFlowResult{AFCT: r.AFCT, Completed: r.Completed, Censored: r.Censored}
 }
 
 // MixSimulation configures SimulateMix: long-lived flows competing with
@@ -484,20 +491,17 @@ func SimulateMix(cfg MixSimulation, opts ...Option) MixResult {
 		sizes = workload.GeometricSize(14)
 	}
 	run := experiment.MixedConfig{
-		Seed:           cfg.Seed,
-		NLong:          cfg.LongFlows,
-		ShortLoad:      cfg.ShortLoad,
-		Sizes:          sizes,
-		BottleneckRate: cfg.Link.Rate,
-		RTTMin:         cfg.Link.RTT - cfg.RTTSpread/2,
-		RTTMax:         cfg.Link.RTT + cfg.RTTSpread/2,
-		SegmentSize:    cfg.Link.segment(),
-		MaxWindow:      cfg.MaxWindow,
-		BufferPackets:  cfg.BufferPackets,
-		UseRED:         o.useRED(cfg.RED),
-		Warmup:         cfg.Warmup,
-		Measure:        cfg.Measure,
-		RunEnv:         o.env,
+		AFCTComparisonConfig: experiment.AFCTComparisonConfig{
+			Seed:      cfg.Seed,
+			NLong:     cfg.LongFlows,
+			ShortLoad: cfg.ShortLoad,
+			Sizes:     sizes,
+			Path:      cfg.Link.path(cfg.RTTSpread, cfg.Warmup, cfg.Measure),
+			MaxWindow: cfg.MaxWindow,
+			UseRED:    o.useRED(cfg.RED),
+			RunEnv:    o.env,
+		},
+		BufferPackets: cfg.BufferPackets,
 	}
 	o.tune(&run.Variant, &run.Paced, &run.DelayedAck)
 	out := experiment.RunMixed(run)
@@ -529,13 +533,9 @@ type TraceSimulation struct {
 	RED bool
 }
 
-// TraceResult summarizes a replayed trace.
-type TraceResult struct {
-	Completed   int
-	Censored    int
-	AFCT        Duration
-	Utilization float64
-}
+// TraceResult summarizes a replayed trace; Utilization covers first
+// arrival to the end of the drain.
+type TraceResult = experiment.TraceResult
 
 // Validate reports configuration errors before a run starts; see
 // Simulation.Validate.
@@ -550,25 +550,16 @@ func SimulateTrace(cfg TraceSimulation, opts ...Option) TraceResult {
 	o := applyOptions(opts)
 	mustValidateSpread(cfg.Link.RTT, cfg.RTTSpread)
 	run := experiment.TraceConfig{
-		Seed:           cfg.Seed,
-		Flows:          cfg.Flows,
-		BottleneckRate: cfg.Link.Rate,
-		RTTMin:         cfg.Link.RTT - cfg.RTTSpread/2,
-		RTTMax:         cfg.Link.RTT + cfg.RTTSpread/2,
-		SegmentSize:    cfg.Link.segment(),
-		MaxWindow:      cfg.MaxWindow,
-		BufferPackets:  cfg.BufferPackets,
-		UseRED:         o.useRED(cfg.RED),
-		RunEnv:         o.env,
+		Seed:          cfg.Seed,
+		Flows:         cfg.Flows,
+		Path:          cfg.Link.path(cfg.RTTSpread, 0, 0),
+		MaxWindow:     cfg.MaxWindow,
+		BufferPackets: cfg.BufferPackets,
+		UseRED:        o.useRED(cfg.RED),
+		RunEnv:        o.env,
 	}
 	o.tune(&run.Variant, &run.Paced, &run.DelayedAck)
-	r := experiment.RunTrace(run)
-	return TraceResult{
-		Completed:   r.Completed,
-		Censored:    r.Censored,
-		AFCT:        r.AFCT,
-		Utilization: r.Utilization,
-	}
+	return experiment.RunTrace(run)
 }
 
 // Pareto returns the heavy-tailed flow-size distribution used by the

@@ -85,18 +85,21 @@ func main() {
 		flowCounts = append(flowCounts, n)
 	}
 
+	path := experiment.Path{
+		BottleneckRate: rate,
+		RTTMin:         rtt - spread/2,
+		RTTMax:         rtt + spread/2,
+		SegmentSize:    units.ByteSize(*segment),
+		Warmup:         warmup,
+		Measure:        measure,
+	}
 	if *compareCC {
 		table := experiment.RunCCFamily(experiment.CCFamilyConfig{
-			Seed:           *seed,
-			Ns:             flowCounts,
-			BottleneckRate: rate,
-			RTTMin:         rtt - spread/2,
-			RTTMax:         rtt + spread/2,
-			SegmentSize:    units.ByteSize(*segment),
-			Target:         *target,
-			Warmup:         warmup,
-			Measure:        measure,
-			RunEnv:         experiment.RunEnv{Parallelism: *par},
+			Seed:   *seed,
+			Ns:     flowCounts,
+			Path:   path,
+			Target: *target,
+			RunEnv: experiment.RunEnv{Parallelism: *par},
 		})
 		fmt.Printf("min buffer per CC family at %.0f%% of each family's ceiling: %v, RTT %v\n",
 			100**target, rate, rtt)
@@ -110,19 +113,13 @@ func main() {
 	}
 	flows := &flowCounts[0]
 
-	bdp := units.PacketsInFlight(rate, rtt, units.ByteSize(*segment))
-	sqrtRule := experiment.SqrtRuleBuffer(float64(bdp), *flows)
+	bdp, sqrtRule := path.BDP(), path.SqrtRule(*flows)
 	cfg := experiment.LongLivedConfig{
-		Seed:           *seed,
-		N:              *flows,
-		BottleneckRate: rate,
-		RTTMin:         rtt - spread/2,
-		RTTMax:         rtt + spread/2,
-		SegmentSize:    units.ByteSize(*segment),
-		Warmup:         warmup,
-		Measure:        measure,
-		Variant:        variant,
-		RunEnv:         experiment.RunEnv{Parallelism: *par},
+		Seed:    *seed,
+		N:       *flows,
+		Path:    path,
+		Variant: variant,
+		RunEnv:  experiment.RunEnv{Parallelism: *par},
 	}
 
 	fmt.Printf("searching min buffer for %.1f%% utilization: %v, RTT %v, %d %v flows\n",

@@ -596,7 +596,7 @@ func (r runner) backbone() error {
 func (r runner) multihop() error {
 	cfg := experiment.MultiHopConfig{Seed: r.seed, RunEnv: r.env}
 	if r.quick {
-		cfg.LinkRate = 20 * units.Mbps
+		cfg.BottleneckRate = 20 * units.Mbps
 		cfg.NPerGroup = 40
 		cfg.Warmup, cfg.Measure = 10*units.Second, 20*units.Second
 	}

@@ -19,9 +19,8 @@ import (
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) experiment.LongLivedResult {
 		return experiment.RunLongLived(experiment.LongLivedConfig{
-			Seed: seed, N: 20, BottleneckRate: 10 * units.Mbps,
+			Seed: seed, N: 20, Path: experiment.Path{BottleneckRate: 10 * units.Mbps, Warmup: 5 * units.Second, Measure: 10 * units.Second},
 			BufferPackets: 40,
-			Warmup:        5 * units.Second, Measure: 10 * units.Second,
 		})
 	}
 	a, b := run(42), run(42)

@@ -16,13 +16,10 @@ import (
 type PacingConfig struct {
 	Seed int64
 
-	N              int
-	BottleneckRate units.BitRate
-	RTTMin, RTTMax units.Duration
-	SegmentSize    units.ByteSize
-	BufferFactors  []float64 // multiples of RTTxC/sqrt(n)
-
-	Warmup, Measure units.Duration
+	N int
+	// Path defaults to the long-lived scenario at 40 Mb/s.
+	Path
+	BufferFactors []float64 // multiples of RTTxC/sqrt(n)
 
 	// RunEnv: Audit and Cache reach the underlying long-lived runs.
 	RunEnv
@@ -32,9 +29,7 @@ func (c PacingConfig) withDefaults() PacingConfig {
 	if c.N == 0 {
 		c.N = 25
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 40 * units.Mbps
-	}
+	c.Path = c.Path.or(longLivedPath.at(40 * units.Mbps))
 	if len(c.BufferFactors) == 0 {
 		c.BufferFactors = []float64{0.25, 0.5, 1}
 	}
@@ -52,33 +47,17 @@ type PacingPoint struct {
 // RunPacingAblation executes the pacing comparison.
 func RunPacingAblation(cfg PacingConfig) PacingTable {
 	cfg = cfg.withDefaults()
-	ll := LongLivedConfig{
-		Seed:           cfg.Seed,
-		N:              cfg.N,
-		BottleneckRate: cfg.BottleneckRate,
-		RTTMin:         cfg.RTTMin,
-		RTTMax:         cfg.RTTMax,
-		SegmentSize:    cfg.SegmentSize,
-		Warmup:         cfg.Warmup,
-		Measure:        cfg.Measure,
-		RunEnv:         cfg.cell(nil),
-	}
-	ll = ll.withDefaults()
-	meanRTT := (ll.RTTMin + ll.RTTMax) / 2
-	bdp := float64(units.PacketsInFlight(ll.BottleneckRate, meanRTT, ll.SegmentSize))
-
 	var out []PacingPoint
 	for _, f := range cfg.BufferFactors {
-		buffer := int(f * float64(SqrtRuleBuffer(bdp, cfg.N)))
-		if buffer < 1 {
-			buffer = 1
+		unpaced := LongLivedConfig{
+			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
+			BufferPackets: cfg.sqrtRuleTimes(f, cfg.N),
+			RunEnv:        cfg.cell(nil),
 		}
-		unpaced := ll
-		unpaced.BufferPackets = buffer
 		paced := unpaced
 		paced.Paced = true
 		out = append(out, PacingPoint{
-			BufferPackets: buffer,
+			BufferPackets: unpaced.BufferPackets,
 			Factor:        f,
 			UtilUnpaced:   RunLongLived(unpaced).Utilization,
 			UtilPaced:     RunLongLived(paced).Utilization,
@@ -100,12 +79,12 @@ func RunPacingAblation(cfg PacingConfig) PacingTable {
 type SmoothingConfig struct {
 	Seed int64
 
-	BottleneckRate units.BitRate
-	Load           float64
-	FlowLen        int64
-	MaxWindow      int
-	SegmentSize    units.ByteSize
-	Stations       int
+	// Path defaults to smoothingPath.
+	Path
+	Load      float64
+	FlowLen   int64
+	MaxWindow int
+	Stations  int
 
 	// AccessRatios are access-link rates as multiples of the bottleneck:
 	// 10x approximates the paper's "infinite speed" worst case; ratios
@@ -117,16 +96,24 @@ type SmoothingConfig struct {
 	// TailAt is the queue depth at which P(Q >= b) is measured.
 	TailAt int
 
-	Warmup, Measure units.Duration
-
 	// RunEnv: every access-ratio point is cached, audited and instrumented.
 	RunEnv
 }
 
+// smoothingPath is the short-flow scenario at 40 Mb/s, watched for a
+// minute.
+var smoothingPath = Path{
+	BottleneckRate:  40 * units.Mbps,
+	BottleneckDelay: 10 * units.Millisecond,
+	RTTMin:          60 * units.Millisecond,
+	RTTMax:          140 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+	Warmup:          10 * units.Second,
+	Measure:         60 * units.Second,
+}
+
 func (c SmoothingConfig) withDefaults() SmoothingConfig {
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 40 * units.Mbps
-	}
+	c.Path = c.Path.or(smoothingPath)
 	if c.Load == 0 {
 		c.Load = 0.8
 	}
@@ -136,9 +123,6 @@ func (c SmoothingConfig) withDefaults() SmoothingConfig {
 	if c.MaxWindow == 0 {
 		c.MaxWindow = 43
 	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
 	if c.Stations == 0 {
 		c.Stations = 50
 	}
@@ -147,12 +131,6 @@ func (c SmoothingConfig) withDefaults() SmoothingConfig {
 	}
 	if c.TailAt == 0 {
 		c.TailAt = 20
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 60 * units.Second
 	}
 	return c
 }
@@ -196,10 +174,7 @@ func runSmoothingPoint(cfg SmoothingConfig, ratio float64, moments model.BurstMo
 	b := newBed(bedConfig{
 		env:        cfg.RunEnv,
 		seed:       cfg.Seed,
-		rate:       cfg.BottleneckRate,
-		delay:      10 * units.Millisecond,
-		rttMin:     60 * units.Millisecond,
-		rttMax:     140 * units.Millisecond,
+		Path:       cfg.Path,
 		stations:   cfg.Stations,
 		accessRate: units.BitRate(ratio * float64(cfg.BottleneckRate)),
 	})
@@ -215,7 +190,7 @@ func runSmoothingPoint(cfg SmoothingConfig, ratio float64, moments model.BurstMo
 	// Sample the queue during the window (arrival sampling, matching the
 	// model's P(Q >= b) seen by arrivals).
 	var depth *trace.Series
-	b.measure(cfg.Warmup, cfg.Measure, func() {
+	b.measure(func() {
 		depth = b.sample("queue_pkts", units.Millisecond,
 			func() float64 { return float64(b.d.Bottleneck.Queue().Len()) })
 	})

@@ -11,12 +11,10 @@ func TestRunPacingAblationHelpsTinyBuffers(t *testing.T) {
 		t.Skip("paired simulation runs")
 	}
 	points := RunPacingAblation(PacingConfig{
-		Seed:           11,
-		N:              20,
-		BottleneckRate: 20 * units.Mbps,
-		BufferFactors:  []float64{0.25, 1},
-		Warmup:         10 * units.Second,
-		Measure:        20 * units.Second,
+		Seed:          11,
+		N:             20,
+		Path:          Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
+		BufferFactors: []float64{0.25, 1},
 	})
 	if len(points) != 2 {
 		t.Fatalf("got %d points", len(points))
@@ -41,14 +39,12 @@ func TestRunSmoothingSlowAccessReducesTail(t *testing.T) {
 		t.Skip("paired simulation runs")
 	}
 	points := RunSmoothing(SmoothingConfig{
-		Seed:           12,
-		BottleneckRate: 20 * units.Mbps,
-		Load:           0.75,
-		FlowLen:        30,
-		TailAt:         15,
-		AccessRatios:   []float64{10, 0.25},
-		Warmup:         8 * units.Second,
-		Measure:        40 * units.Second,
+		Seed:         12,
+		Path:         Path{BottleneckRate: 20 * units.Mbps, Warmup: 8 * units.Second, Measure: 40 * units.Second},
+		Load:         0.75,
+		FlowLen:      30,
+		TailAt:       15,
+		AccessRatios: []float64{10, 0.25},
 	}).Points
 	if len(points) != 2 {
 		t.Fatalf("got %d points", len(points))

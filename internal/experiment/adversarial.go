@@ -34,19 +34,32 @@ type AdversarialConfig struct {
 
 	// Patterns defaults to every registered adversarial pattern.
 	Patterns []adversary.Pattern
-	// N is the pattern's cohort size: pulse trains, AIMD flows, or
-	// flows per core link in the parking lot.
-	N int
-
-	BottleneckRate units.BitRate
-	// RTT is every flow's two-way propagation delay; a single value on
-	// purpose (equal RTTs are part of the attack).
-	RTT         units.Duration
-	SegmentSize units.ByteSize
+	AdversaryCohort
 
 	// BufferFactors ladder the buffer as multiples of the BDP; note the
 	// sqrt(n) rule's 1/sqrt(N) lives inside this range.
 	BufferFactors []float64
+
+	// RunEnv: the grid is cached per point, audited and resumable. The
+	// points run in parallel and a registry is not goroutine-safe, so
+	// they are not instrumented: Metrics receives the sweep statistics
+	// only.
+	RunEnv
+}
+
+// AdversaryCohort is what the grid and the single scenario share: the
+// cohort, the path it attacks and the patterns' shape.
+type AdversaryCohort struct {
+	// N is the pattern's cohort size: pulse trains, AIMD flows, or
+	// flows per core link in the parking lot.
+	N int
+
+	// Path defaults to adversarialPath. RTTMin is every flow's two-way
+	// propagation delay; a single value on purpose (equal RTTs are part
+	// of the attack). The bottleneck's share of it is the pattern's —
+	// a tenth on the dumbbell, a quarter spread over the parking lot's
+	// hops — unless BottleneckDelay says otherwise.
+	Path
 
 	// PulsePeakFactor is the pulse pattern's aggregate on-phase rate as
 	// a multiple of the bottleneck; PulsePeriod and PulseDuty shape the
@@ -57,37 +70,22 @@ type AdversarialConfig struct {
 
 	// Hops is the parking-lot chain length.
 	Hops int
-
-	Warmup, Measure units.Duration
-
-	// RunEnv: the grid is cached per point, audited and resumable. The
-	// points run in parallel and a registry is not goroutine-safe, so
-	// they are not instrumented: Metrics receives the sweep statistics
-	// only.
-	RunEnv
 }
 
-func (c AdversarialConfig) withDefaults() AdversarialConfig {
-	if len(c.Patterns) == 0 {
-		for i := range adversary.PatternNames() {
-			c.Patterns = append(c.Patterns, adversary.Pattern(i))
-		}
-	}
+// adversarialPath is the hostile bed: 40 Mb/s and one fixed 100 ms RTT.
+var adversarialPath = Path{
+	BottleneckRate: 40 * units.Mbps,
+	RTTMin:         100 * units.Millisecond,
+	SegmentSize:    units.DefaultSegment,
+	Warmup:         10 * units.Second,
+	Measure:        30 * units.Second,
+}
+
+func (c AdversaryCohort) withDefaults() AdversaryCohort {
 	if c.N == 0 {
 		c.N = 16
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 40 * units.Mbps
-	}
-	if c.RTT == 0 {
-		c.RTT = 100 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
-	if len(c.BufferFactors) == 0 {
-		c.BufferFactors = []float64{0.05, 0.125, 0.25, 0.5, 1.0}
-	}
+	c.Path = c.Path.or(adversarialPath)
 	if c.PulsePeakFactor == 0 {
 		c.PulsePeakFactor = 4
 	}
@@ -100,35 +98,30 @@ func (c AdversarialConfig) withDefaults() AdversarialConfig {
 	if c.Hops == 0 {
 		c.Hops = 3
 	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * units.Second
+	return c
+}
+
+func (c AdversarialConfig) withDefaults() AdversarialConfig {
+	if len(c.Patterns) == 0 {
+		for i := range adversary.PatternNames() {
+			c.Patterns = append(c.Patterns, adversary.Pattern(i))
+		}
 	}
-	if c.Measure == 0 {
-		c.Measure = 30 * units.Second
+	c.AdversaryCohort = c.AdversaryCohort.withDefaults()
+	if len(c.BufferFactors) == 0 {
+		c.BufferFactors = []float64{0.05, 0.125, 0.25, 0.5, 1.0}
 	}
 	return c
 }
 
 // adversarialPointConfig is the semantic identity of one grid point for
-// the run cache: only the fields that change what the point computes,
+// the run cache: the scenario at the point's buffer plus the ladder
+// factor its row reports — only what changes what the point computes,
 // so extending the sweep's pattern list or factor ladder replays the
 // untouched points as hits.
 type adversarialPointConfig struct {
-	Seed            int64
-	Pattern         adversary.Pattern
-	N               int
-	BottleneckRate  units.BitRate
-	RTT             units.Duration
-	SegmentSize     units.ByteSize
-	BufferFactor    float64
-	PulsePeakFactor float64
-	PulsePeriod     units.Duration
-	PulseDuty       float64
-	Hops            int
-	Warmup, Measure units.Duration
-
-	// RunEnv is the sweep's cell env, or the scenario's own.
-	RunEnv
+	AdversaryScenario
+	BufferFactor float64
 }
 
 // AdversarialRow is one (pattern, buffer) cell of the failure-mode
@@ -187,98 +180,53 @@ func RunAdversarial(cfg AdversarialConfig) AdversarialTable {
 		cfg:  cfg,
 		env:  cfg.RunEnv,
 	}, len(rows), func(i int) {
-		pc := adversarialPointConfig{
+		factor := cfg.BufferFactors[i%len(cfg.BufferFactors)]
+		pc := adversarialPointConfig{AdversaryScenario{
 			Seed:            cfg.Seed,
 			Pattern:         cfg.Patterns[i/len(cfg.BufferFactors)],
-			N:               cfg.N,
-			BottleneckRate:  cfg.BottleneckRate,
-			RTT:             cfg.RTT,
-			SegmentSize:     cfg.SegmentSize,
-			BufferFactor:    cfg.BufferFactors[i%len(cfg.BufferFactors)],
-			PulsePeakFactor: cfg.PulsePeakFactor,
-			PulsePeriod:     cfg.PulsePeriod,
-			PulseDuty:       cfg.PulseDuty,
-			Hops:            cfg.Hops,
-			Warmup:          cfg.Warmup,
-			Measure:         cfg.Measure,
+			AdversaryCohort: cfg.AdversaryCohort,
+			BufferPackets:   max(1, int(factor*float64(cfg.BDP()))),
 			RunEnv:          cfg.cell(nil),
-		}
+		}, factor}
 		rows[i] = memoRun(pc.RunEnv, "adversarial", pc, func() AdversarialRow {
-			return runAdversarialPoint(pc)
+			return runAdversarialAt(pc.AdversaryScenario, factor)
 		})
 	})
 	return rows
 }
 
-// adversarialBuffer sizes the per-link buffer for one point.
-func adversarialBuffer(pc adversarialPointConfig) (bdp, buffer int) {
-	bdp = units.PacketsInFlight(pc.BottleneckRate, pc.RTT, pc.SegmentSize)
-	buffer = int(pc.BufferFactor * float64(bdp))
-	if buffer < 1 {
-		buffer = 1
-	}
-	return bdp, buffer
-}
-
-func runAdversarialPoint(pc adversarialPointConfig) AdversarialRow {
-	_, buffer := adversarialBuffer(pc)
-	return runAdversarialAt(pc, buffer)
-}
-
-// runAdversarialAt dispatches one pattern run with the per-link buffer
-// already fixed in packets.
-func runAdversarialAt(pc adversarialPointConfig, buffer int) AdversarialRow {
-	switch pc.Pattern {
+// runAdversarialAt dispatches one pattern run; factor is what the row
+// reports as its buffer's multiple of the BDP.
+func runAdversarialAt(sc AdversaryScenario, factor float64) AdversarialRow {
+	switch sc.Pattern {
 	case adversary.PatternPulse, adversary.PatternSyncAIMD:
-		return runAdversarialDumbbell(pc, buffer)
+		return runAdversarialDumbbell(sc, factor)
 	case adversary.PatternParkingLot:
-		return runAdversarialParkingLot(pc, buffer)
+		return runAdversarialParkingLot(sc, factor)
 	}
-	panic(fmt.Sprintf("experiment: unhandled adversarial pattern %v", pc.Pattern))
+	panic(fmt.Sprintf("experiment: unhandled adversarial pattern %v", sc.Pattern))
 }
 
 // AdversaryScenario is the single-scenario counterpart of the
-// RunAdversarial grid: one pattern against one explicit buffer, with
-// the zero fields defaulting as in AdversarialConfig. It backs the
-// bufsim CLI's -adversary flag, where the buffer arrives in packets
+// RunAdversarial grid: one pattern against one explicit buffer. It backs
+// the bufsim CLI's -adversary flag, where the buffer arrives in packets
 // rather than as a BDP multiple.
 type AdversaryScenario struct {
 	Seed    int64
 	Pattern adversary.Pattern
-	// N is the cohort size (see AdversarialConfig.N).
-	N int
-
-	BottleneckRate units.BitRate
-	RTT            units.Duration
-	SegmentSize    units.ByteSize
+	AdversaryCohort
 	// BufferPackets is the per-bottleneck buffer; 0 defaults to the
 	// rule-of-thumb BDP.
 	BufferPackets int
-
-	PulsePeakFactor float64
-	PulsePeriod     units.Duration
-	PulseDuty       float64
-	Hops            int
-
-	Warmup, Measure units.Duration
 
 	// RunEnv: Metrics, Audit and Cache.
 	RunEnv
 }
 
 func (c AdversaryScenario) withDefaults() AdversaryScenario {
-	base := AdversarialConfig{
-		N: c.N, BottleneckRate: c.BottleneckRate, RTT: c.RTT,
-		SegmentSize: c.SegmentSize, PulsePeakFactor: c.PulsePeakFactor,
-		PulsePeriod: c.PulsePeriod, PulseDuty: c.PulseDuty, Hops: c.Hops,
-		Warmup: c.Warmup, Measure: c.Measure,
-	}.withDefaults()
-	c.N, c.BottleneckRate, c.RTT = base.N, base.BottleneckRate, base.RTT
-	c.SegmentSize, c.PulsePeakFactor = base.SegmentSize, base.PulsePeakFactor
-	c.PulsePeriod, c.PulseDuty, c.Hops = base.PulsePeriod, base.PulseDuty, base.Hops
-	c.Warmup, c.Measure = base.Warmup, base.Measure
+	c.AdversaryCohort = c.AdversaryCohort.withDefaults()
 	if c.BufferPackets < 1 {
-		c.BufferPackets = units.PacketsInFlight(c.BottleneckRate, c.RTT, c.SegmentSize)
+		c.BufferPackets = c.BDP()
 	}
 	return c
 }
@@ -288,66 +236,47 @@ func (c AdversaryScenario) withDefaults() AdversaryScenario {
 func RunAdversaryScenario(cfg AdversaryScenario) AdversarialRow {
 	cfg = cfg.withDefaults()
 	return memoRun(cfg.RunEnv, "adversary-scenario", cfg, func() AdversarialRow {
-		bdp := units.PacketsInFlight(cfg.BottleneckRate, cfg.RTT, cfg.SegmentSize)
-		pc := adversarialPointConfig{
-			Seed:            cfg.Seed,
-			Pattern:         cfg.Pattern,
-			N:               cfg.N,
-			BottleneckRate:  cfg.BottleneckRate,
-			RTT:             cfg.RTT,
-			SegmentSize:     cfg.SegmentSize,
-			BufferFactor:    float64(cfg.BufferPackets) / float64(bdp),
-			PulsePeakFactor: cfg.PulsePeakFactor,
-			PulsePeriod:     cfg.PulsePeriod,
-			PulseDuty:       cfg.PulseDuty,
-			Hops:            cfg.Hops,
-			Warmup:          cfg.Warmup,
-			Measure:         cfg.Measure,
-			RunEnv:          cfg.RunEnv,
-		}
-		return runAdversarialAt(pc, cfg.BufferPackets)
+		return runAdversarialAt(cfg, float64(cfg.BufferPackets)/float64(cfg.BDP()))
 	})
 }
 
 // runAdversarialDumbbell measures the pulse or AIMD pattern on the
 // standard dumbbell with a fixed RTT.
-func runAdversarialDumbbell(pc adversarialPointConfig, buffer int) AdversarialRow {
+func runAdversarialDumbbell(sc AdversaryScenario, factor float64) AdversarialRow {
 	b := newBed(bedConfig{
-		env:      pc.RunEnv,
-		seed:     pc.Seed,
-		rate:     pc.BottleneckRate,
-		delay:    pc.RTT / 10,
-		rttMin:   pc.RTT,
-		stations: pc.N,
-		buffer:   buffer,
+		env:      sc.RunEnv,
+		seed:     sc.Seed,
+		Path:     sc.Path.delayOr(sc.RTTMin / 10),
+		stations: sc.N,
+		buffer:   sc.BufferPackets,
 	})
-	switch pc.Pattern {
+	switch sc.Pattern {
 	case adversary.PatternPulse:
 		adversary.Pulse{
-			Senders:    pc.N,
-			PeakRate:   units.BitRate(pc.PulsePeakFactor * float64(pc.BottleneckRate)),
-			Period:     pc.PulsePeriod,
-			Duty:       pc.PulseDuty,
-			PacketSize: pc.SegmentSize,
+			Senders:    sc.N,
+			PeakRate:   units.BitRate(sc.PulsePeakFactor * float64(sc.BottleneckRate)),
+			Period:     sc.PulsePeriod,
+			Duty:       sc.PulseDuty,
+			PacketSize: sc.SegmentSize,
 		}.Bind(b.d, b.rng.Fork()).Start()
 	case adversary.PatternSyncAIMD:
 		adversary.SyncAIMD{
-			N:   pc.N,
-			TCP: tcp.Config{SegmentSize: pc.SegmentSize},
+			N:   sc.N,
+			TCP: tcp.Config{SegmentSize: sc.SegmentSize},
 		}.Bind(b.d, b.rng.Fork()).Start()
 	}
 
 	var aggregate *trace.Series
-	w := b.measure(pc.Warmup, pc.Measure, func() {
-		if pc.Pattern == adversary.PatternSyncAIMD {
+	w := b.measure(func() {
+		if sc.Pattern == adversary.PatternSyncAIMD {
 			aggregate = b.sample("aggregate_window", 10*units.Millisecond, b.d.AggregateWindow)
 		}
 	})
 
 	row := AdversarialRow{
-		Pattern:       pc.Pattern,
-		BufferFactor:  pc.BufferFactor,
-		BufferPackets: buffer,
+		Pattern:       sc.Pattern,
+		BufferFactor:  factor,
+		BufferPackets: sc.BufferPackets,
 		Utilization:   w.Utilization,
 		LossRate:      w.LossRate,
 		MeanQueue:     w.MeanQueue,
@@ -355,7 +284,7 @@ func runAdversarialDumbbell(pc adversarialPointConfig, buffer int) AdversarialRo
 	}
 	if aggregate != nil {
 		if mean, sd := fitNormal(aggregate.Values); mean > 0 {
-			row.SyncIndex = (sd / mean) / (sawtoothCoV / math.Sqrt(float64(pc.N)))
+			row.SyncIndex = (sd / mean) / (sawtoothCoV / math.Sqrt(float64(sc.N)))
 		}
 	}
 	return row
@@ -365,22 +294,19 @@ func runAdversarialDumbbell(pc adversarialPointConfig, buffer int) AdversarialRo
 // pattern: N/2 through flows plus N/2 cross flows per hop, so every
 // core link carries N flows and none is "the" bottleneck. The row holds
 // the worst link's utilization and queue, and the chain's pooled loss.
-func runAdversarialParkingLot(pc adversarialPointConfig, buffer int) AdversarialRow {
+func runAdversarialParkingLot(sc AdversaryScenario, factor float64) AdversarialRow {
 	// The chain's one-way core delay must fit inside RTT/2.
-	b := newLot(pc.RunEnv, pc.Hops, pc.BottleneckRate, pc.RTT/units.Duration(4*pc.Hops), buffer)
-	through := pc.N / 2
-	if through < 1 {
-		through = 1
-	}
-	load := adversary.ParkingLotLoad{Through: through, PerHop: pc.N - through, RTT: pc.RTT}
-	load.Build(b.sched, b.p, tcp.Config{SegmentSize: pc.SegmentSize})
+	b := newLot(sc.RunEnv, sc.Hops, sc.Path.delayOr(sc.RTTMin/units.Duration(4*sc.Hops)), sc.BufferPackets)
+	through := max(1, sc.N/2)
+	load := adversary.ParkingLotLoad{Through: through, PerHop: sc.N - through, RTT: sc.RTTMin}
+	load.Build(b.sched, b.p, tcp.Config{SegmentSize: sc.SegmentSize})
 
-	ws := b.measure(pc.Warmup, pc.Measure, nil)
+	ws := b.measure(nil)
 
 	row := AdversarialRow{
-		Pattern:       pc.Pattern,
-		BufferFactor:  pc.BufferFactor,
-		BufferPackets: buffer,
+		Pattern:       sc.Pattern,
+		BufferFactor:  factor,
+		BufferPackets: sc.BufferPackets,
 		Utilization:   1,
 	}
 	var dropped, offered int64

@@ -15,14 +15,13 @@ import (
 // a full-BDP buffer.
 func quickAdversarial() AdversarialConfig {
 	return AdversarialConfig{
-		Seed:           11,
-		N:              8,
-		BottleneckRate: 20 * units.Mbps,
-		RTT:            80 * units.Millisecond,
-		BufferFactors:  []float64{0.1, 1.0},
-		Hops:           2,
-		Warmup:         2 * units.Second,
-		Measure:        4 * units.Second,
+		Seed: 11,
+		AdversaryCohort: AdversaryCohort{
+			N:    8,
+			Path: Path{BottleneckRate: 20 * units.Mbps, RTTMin: 80 * units.Millisecond, Warmup: 2 * units.Second, Measure: 4 * units.Second},
+			Hops: 2,
+		},
+		BufferFactors: []float64{0.1, 1.0},
 	}
 }
 
@@ -134,7 +133,7 @@ func TestAdversarialDefaults(t *testing.T) {
 	if len(cfg.Patterns) != len(adversary.PatternNames()) {
 		t.Errorf("default patterns = %v", cfg.Patterns)
 	}
-	if cfg.N == 0 || cfg.BottleneckRate == 0 || cfg.RTT == 0 || len(cfg.BufferFactors) == 0 {
+	if cfg.N == 0 || cfg.BottleneckRate == 0 || cfg.RTTMin == 0 || len(cfg.BufferFactors) == 0 {
 		t.Errorf("defaults incomplete: %+v", cfg)
 	}
 	if cfg.PulsePeakFactor <= 1 {

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"math"
-
 	"bufsim/internal/metrics"
 	"bufsim/internal/tcp"
 	"bufsim/internal/units"
@@ -15,14 +13,12 @@ import (
 type AFCTComparisonConfig struct {
 	Seed int64
 
-	NLong           int
-	ShortLoad       float64           // fraction of bottleneck offered by short flows
-	Sizes           workload.SizeDist // short-flow length distribution
-	BottleneckRate  units.BitRate
-	BottleneckDelay units.Duration
-	RTTMin, RTTMax  units.Duration
-	SegmentSize     units.ByteSize
-	MaxWindow       int // short flows' receiver cap
+	NLong     int
+	ShortLoad float64           // fraction of bottleneck offered by short flows
+	Sizes     workload.SizeDist // short-flow length distribution
+	// Path defaults to afctPath.
+	Path
+	MaxWindow int // short flows' receiver cap
 
 	// Variant, DelayedAck and Paced apply to every sender (long-lived and
 	// short), as in LongLivedConfig.
@@ -33,16 +29,22 @@ type AFCTComparisonConfig struct {
 	// regime's buffer.
 	UseRED bool
 
-	Warmup, Measure units.Duration
-
 	// RunEnv: Audit, Cache (each regime's run is memoized) and Shards
 	// reach both regimes; Metrics receives their telemetry merged under
 	// the regime labels ("RTT*C", "RTT*C/sqrt(n)").
 	RunEnv
 }
 
-// DigestRetired implements runcache's retired-field hook.
-func (AFCTComparisonConfig) DigestRetired() map[string]any { return retiredMeanQueueEpoch }
+// afctPath is Fig. 9's bed: 50 Mb/s, the wide RTT range.
+var afctPath = Path{
+	BottleneckRate:  50 * units.Mbps,
+	BottleneckDelay: 10 * units.Millisecond,
+	RTTMin:          60 * units.Millisecond,
+	RTTMax:          140 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+	Warmup:          20 * units.Second,
+	Measure:         40 * units.Second,
+}
 
 func (c AFCTComparisonConfig) withDefaults() AFCTComparisonConfig {
 	if c.NLong == 0 {
@@ -54,29 +56,9 @@ func (c AFCTComparisonConfig) withDefaults() AFCTComparisonConfig {
 	if c.Sizes == nil {
 		c.Sizes = workload.GeometricSize(14)
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 50 * units.Mbps
-	}
-	if c.BottleneckDelay == 0 {
-		c.BottleneckDelay = 10 * units.Millisecond
-	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 60 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 140 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
+	c.Path = c.Path.or(afctPath)
 	if c.MaxWindow == 0 {
 		c.MaxWindow = 43
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 20 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 40 * units.Second
 	}
 	return c
 }
@@ -92,65 +74,24 @@ type AFCTOutcome struct {
 	MeanQueue     float64 // packets
 }
 
-// MixedConfig is one mixed-traffic run: long-lived flows plus Poisson
-// short flows over a single drop-tail bottleneck of explicit buffer size.
-// It is the single-buffer building block RunAFCTComparison pairs up, and
-// the scenario the public API exposes as SimulateMix.
+// MixedConfig is one mixed-traffic run: the Fig. 9 scenario — long-lived
+// flows plus Poisson short flows over a single bottleneck — at one
+// explicit buffer size. It is the single-buffer building block
+// RunAFCTComparison pairs up, and the scenario the public API exposes as
+// SimulateMix.
 type MixedConfig struct {
-	Seed int64
-
-	NLong           int
-	ShortLoad       float64
-	Sizes           workload.SizeDist
-	BottleneckRate  units.BitRate
-	BottleneckDelay units.Duration
-	RTTMin, RTTMax  units.Duration
-	SegmentSize     units.ByteSize
-	MaxWindow       int
-	BufferPackets   int
-
-	// Variant, DelayedAck and Paced apply to every sender, as in
-	// LongLivedConfig.
-	Variant    tcp.Variant
-	DelayedAck bool
-	Paced      bool
-	// UseRED switches the bottleneck to RED sized to BufferPackets.
-	UseRED bool
-
-	Warmup, Measure units.Duration
-
-	// RunEnv: Metrics, Audit, Cache and Shards. The cache entry is
-	// shared with RunAFCTComparison points that lower to the same
-	// scenario.
-	RunEnv
+	// AFCTComparisonConfig is the scenario, RunEnv included: Metrics,
+	// Audit, Cache and Shards. UseRED sizes RED to BufferPackets.
+	AFCTComparisonConfig
+	BufferPackets int
 }
 
-// RunMixed executes one mixed-traffic scenario.
+// RunMixed executes one mixed-traffic scenario. The cache entry is
+// shared with a RunAFCTComparison regime that lowers to the same point.
 func RunMixed(cfg MixedConfig) AFCTOutcome {
-	base := AFCTComparisonConfig{
-		Seed:            cfg.Seed,
-		NLong:           cfg.NLong,
-		ShortLoad:       cfg.ShortLoad,
-		Sizes:           cfg.Sizes,
-		BottleneckRate:  cfg.BottleneckRate,
-		BottleneckDelay: cfg.BottleneckDelay,
-		RTTMin:          cfg.RTTMin,
-		RTTMax:          cfg.RTTMax,
-		SegmentSize:     cfg.SegmentSize,
-		MaxWindow:       cfg.MaxWindow,
-		Variant:         cfg.Variant,
-		DelayedAck:      cfg.DelayedAck,
-		Paced:           cfg.Paced,
-		UseRED:          cfg.UseRED,
-		Warmup:          cfg.Warmup,
-		Measure:         cfg.Measure,
-		RunEnv:          cfg.RunEnv,
-	}.withDefaults()
-	buffer := cfg.BufferPackets
-	if buffer < 1 {
-		buffer = 1
-	}
-	return runMixedOnce(base, "mixed", buffer)
+	cfg.AFCTComparisonConfig = cfg.AFCTComparisonConfig.withDefaults()
+	cfg.BufferPackets = max(1, cfg.BufferPackets)
+	return runMixedOnce(cfg, "mixed")
 }
 
 // AFCTComparisonResult pairs the two buffer regimes.
@@ -166,13 +107,14 @@ type AFCTComparisonResult struct {
 type TraceConfig struct {
 	Seed int64
 
-	Flows          []workload.FlowSpec
-	BottleneckRate units.BitRate
-	RTTMin, RTTMax units.Duration
-	SegmentSize    units.ByteSize
-	MaxWindow      int
-	BufferPackets  int // 0 = unlimited
-	Stations       int
+	Flows []workload.FlowSpec
+	// Path: BottleneckRate is the caller's, the rest defaults to
+	// tracePath. Warmup and Measure are not read — the window is the
+	// trace's own, first arrival to Drain past the last.
+	Path
+	MaxWindow     int
+	BufferPackets int // 0 = unlimited
+	Stations      int
 
 	// Variant, DelayedAck and Paced apply to every replayed sender, as in
 	// LongLivedConfig.
@@ -191,21 +133,21 @@ type TraceConfig struct {
 	RunEnv
 }
 
+// tracePath is the short-flow bed without a window (see TraceConfig).
+var tracePath = Path{
+	BottleneckDelay: 10 * units.Millisecond,
+	RTTMin:          60 * units.Millisecond,
+	RTTMax:          140 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+}
+
 func (c TraceConfig) withDefaults() TraceConfig {
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
+	c.Path = c.Path.or(tracePath)
 	if c.MaxWindow == 0 {
 		c.MaxWindow = 43
 	}
 	if c.Stations == 0 {
 		c.Stations = 50
-	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 60 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 140 * units.Millisecond
 	}
 	if c.Drain == 0 {
 		c.Drain = 60 * units.Second
@@ -228,9 +170,7 @@ func RunTrace(cfg TraceConfig) TraceResult {
 		return TraceResult{}
 	}
 	cfg = cfg.withDefaults()
-	// v2: Utilization of a trace whose flows all start at one instant
-	// was reported as 0; entries from before the fix must not replay.
-	return memoRun(cfg.RunEnv, "trace-v2", cfg, func() TraceResult {
+	return memoRun(cfg.RunEnv, "trace", cfg, func() TraceResult {
 		return runTrace(cfg)
 	})
 }
@@ -238,17 +178,16 @@ func RunTrace(cfg TraceConfig) TraceResult {
 // runTrace is the uncached body of RunTrace; cfg has defaults applied.
 // The window runs from the first arrival to Drain past the last.
 func runTrace(cfg TraceConfig) TraceResult {
+	path := cfg.Path
+	first, last := cfg.Flows[0].Start, cfg.Flows[len(cfg.Flows)-1].Start
+	path.Warmup, path.Measure = first, last-first+cfg.Drain
 	b := newBed(bedConfig{
 		env:      cfg.RunEnv,
 		seed:     cfg.Seed,
-		rate:     cfg.BottleneckRate,
-		delay:    10 * units.Millisecond,
-		rttMin:   cfg.RTTMin,
-		rttMax:   cfg.RTTMax,
+		Path:     path,
 		stations: cfg.Stations,
 		shards:   sharedGeneratorShards(cfg.Shards),
 		buffer:   cfg.BufferPackets,
-		segment:  cfg.SegmentSize,
 		red:      cfg.UseRED,
 	})
 	records := workload.Replay(b.d, cfg.Flows, tcp.Config{
@@ -258,8 +197,7 @@ func runTrace(cfg TraceConfig) TraceResult {
 		DelayedAck:  cfg.DelayedAck,
 		Paced:       cfg.Paced,
 	})
-	first, last := cfg.Flows[0].Start, cfg.Flows[len(cfg.Flows)-1].Start
-	w := b.measure(first, last-first+cfg.Drain, nil)
+	w := b.measure(nil)
 
 	res := TraceResult{Utilization: w.Utilization}
 	var sum units.Duration
@@ -277,38 +215,31 @@ func runTrace(cfg TraceConfig) TraceResult {
 	return res
 }
 
-// mixedKey is the cache identity of one mixed-traffic run.
+// mixedKey is the cache identity of one mixed-traffic run: the scenario
+// at its buffer, and the label its outcome carries.
 type mixedKey struct {
-	Base   AFCTComparisonConfig
-	Label  string
-	Buffer int
+	Base  MixedConfig
+	Label string
 }
 
-// runMixedOnce runs one mixed-traffic scenario at one buffer size under
-// cfg's RunEnv. cfg must already have defaults applied. With cfg.Cache
-// set the outcome is memoized, keyed on (scenario, label, buffer) —
-// RunMixed and RunAFCTComparison share entries when they lower to the
-// same point.
-func runMixedOnce(cfg AFCTComparisonConfig, label string, buffer int) AFCTOutcome {
-	key := mixedKey{Base: cfg, Label: label, Buffer: buffer}
-	return memoRun(cfg.RunEnv, "mixed", key, func() AFCTOutcome {
-		return runMixedUncached(cfg, label, buffer)
+// runMixedOnce runs one mixed-traffic scenario under cfg's RunEnv. cfg
+// must already have defaults applied. With cfg.Cache set the outcome is
+// memoized.
+func runMixedOnce(cfg MixedConfig, label string) AFCTOutcome {
+	return memoRun(cfg.RunEnv, "mixed", mixedKey{cfg, label}, func() AFCTOutcome {
+		return runMixedUncached(cfg, label)
 	})
 }
 
 // runMixedUncached is the uncached body of runMixedOnce.
-func runMixedUncached(cfg AFCTComparisonConfig, label string, buffer int) AFCTOutcome {
+func runMixedUncached(cfg MixedConfig, label string) AFCTOutcome {
 	b := newBed(bedConfig{
 		env:      cfg.RunEnv,
 		seed:     cfg.Seed,
-		rate:     cfg.BottleneckRate,
-		delay:    cfg.BottleneckDelay,
-		rttMin:   cfg.RTTMin,
-		rttMax:   cfg.RTTMax,
+		Path:     cfg.Path,
 		stations: cfg.NLong + 50,
 		shards:   sharedGeneratorShards(cfg.Shards),
-		buffer:   buffer,
-		segment:  cfg.SegmentSize,
+		buffer:   cfg.BufferPackets,
 		red:      cfg.UseRED,
 	})
 	long := tcp.Config{
@@ -329,12 +260,12 @@ func runMixedUncached(cfg AFCTComparisonConfig, label string, buffer int) AFCTOu
 	})
 	gen.Start()
 
-	w := b.measure(cfg.Warmup, cfg.Measure, nil)
+	w := b.measure(nil)
 	gen.Stop()
 	b.drain(60 * units.Second)
 	afct, completed, censored := gen.AFCT(w.from, w.to)
 	return AFCTOutcome{
-		Label: label, BufferPackets: buffer, AFCT: afct,
+		Label: label, BufferPackets: cfg.BufferPackets, AFCT: afct,
 		Completed: completed, Censored: censored,
 		Utilization: w.Utilization, MeanQueue: w.MeanQueue,
 	}
@@ -343,19 +274,18 @@ func runMixedUncached(cfg AFCTComparisonConfig, label string, buffer int) AFCTOu
 // RunAFCTComparison executes the Fig. 9 experiment.
 func RunAFCTComparison(cfg AFCTComparisonConfig) AFCTComparisonResult {
 	cfg = cfg.withDefaults()
-	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
-	bdp := units.PacketsInFlight(cfg.BottleneckRate, meanRTT, cfg.SegmentSize)
-	small := SqrtRuleBuffer(float64(bdp), cfg.NLong)
+	bdp := cfg.BDP()
 
 	// Each regime runs under the config's env with its own registry.
-	thumb, sqrt := cfg, cfg
+	thumb := MixedConfig{AFCTComparisonConfig: cfg, BufferPackets: max(1, bdp)}
+	sqrt := MixedConfig{AFCTComparisonConfig: cfg, BufferPackets: cfg.SqrtRule(cfg.NLong)}
 	if cfg.Metrics != nil {
 		thumb.Metrics, sqrt.Metrics = metrics.New(), metrics.New()
 	}
 	res := AFCTComparisonResult{
 		BDPPackets: bdp,
-		RuleThumb:  runMixedOnce(thumb, "RTT*C", int(math.Max(1, float64(bdp)))),
-		SqrtRule:   runMixedOnce(sqrt, "RTT*C/sqrt(n)", small),
+		RuleThumb:  runMixedOnce(thumb, "RTT*C"),
+		SqrtRule:   runMixedOnce(sqrt, "RTT*C/sqrt(n)"),
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Merge(res.RuleThumb.Label, thumb.Metrics)

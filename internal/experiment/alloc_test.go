@@ -26,18 +26,17 @@ func TestLossyRunAllocationBudget(t *testing.T) {
 		// 30 long-lived Reno flows over two simulated seconds, drop-tail.
 		{"long-lived", 2000, func() float64 {
 			return runLongLived(LongLivedConfig{
-				Seed: 1, N: 30, BottleneckRate: 60 * units.Mbps, BufferPackets: 55,
-				Warmup: units.Second, Measure: units.Second,
+				Seed: 1, N: 30, Path: Path{BottleneckRate: 60 * units.Mbps, Warmup: units.Second, Measure: units.Second}, BufferPackets: 55,
 			}.withDefaults()).LossRate
 		}},
 		// 194 fourteen-segment SACK flows set up and torn down through a
 		// RED queue.
 		{"SACK churn", 3300, func() float64 {
 			return runProfileUncached(ProfileRunConfig{
-				Seed: 1, Rate: 12 * units.Mbps, BufferPackets: 16, UseRED: true,
+				Seed: 1, Path: Path{BottleneckRate: 12 * units.Mbps, Warmup: units.Second, Measure: units.Second}, BufferPackets: 16, UseRED: true,
 				Source: workload.PoissonSource{Load: 0.95, Sizes: workload.FixedSize(14),
 					TCP: tcp.Config{Variant: tcp.Sack, MaxWindow: 32}},
-				Warmup: units.Second, Measure: units.Second, Drain: 2 * units.Second,
+				Drain: 2 * units.Second,
 			}.withDefaults()).LossRate
 		}},
 	}

@@ -25,16 +25,14 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		aud := audit.New()
 		cfg := LongLivedConfig{
-			Seed:           rng.Int63n(1 << 30),
-			N:              2 + rng.Intn(12),
-			BottleneckRate: units.BitRate(5+rng.Intn(20)) * units.Mbps,
-			BufferPackets:  4 + rng.Intn(60),
-			Warmup:         units.Duration(1+rng.Intn(2)) * units.Second,
-			Measure:        units.Duration(2+rng.Intn(3)) * units.Second,
-			Variant:        variants[rng.Intn(len(variants))],
-			Paced:          rng.Intn(3) == 0,
-			DelayedAck:     rng.Intn(3) == 0,
-			RunEnv:         RunEnv{Audit: aud},
+			Seed:          rng.Int63n(1 << 30),
+			N:             2 + rng.Intn(12),
+			Path:          Path{BottleneckRate: units.BitRate(5+rng.Intn(20)) * units.Mbps, Warmup: units.Duration(1+rng.Intn(2)) * units.Second, Measure: units.Duration(2+rng.Intn(3)) * units.Second},
+			BufferPackets: 4 + rng.Intn(60),
+			Variant:       variants[rng.Intn(len(variants))],
+			Paced:         rng.Intn(3) == 0,
+			DelayedAck:    rng.Intn(3) == 0,
+			RunEnv:        RunEnv{Audit: aud},
 		}
 		switch rng.Intn(4) {
 		case 1:
@@ -57,11 +55,9 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 	// Short-flow and mixed workloads exercise finite flows, slow-start
 	// completion accounting and the trace generator under audit.
 	aud := audit.New()
-	afct, completed, _ := ShortFlowAFCT(ShortFlowRunConfig{
-		Seed: 42, Rate: 20 * units.Mbps, Load: 0.6, FlowLength: 10,
-		BufferPackets: 40, Warmup: 2 * units.Second, Measure: 4 * units.Second,
-		RunEnv: RunEnv{Audit: aud},
-	})
+	short := RunProfile(shortFlowRun(42, 20*units.Mbps, 0.6, 10, 40,
+		2*units.Second, 4*units.Second, RunEnv{Audit: aud}))
+	afct, completed := short.AFCT, short.Completed
 	if err := aud.Err(); err != nil {
 		t.Fatalf("short flows: %v", err)
 	}
@@ -70,12 +66,11 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 	}
 
 	aud = audit.New()
-	RunMixed(MixedConfig{
+	RunMixed(MixedConfig{AFCTComparisonConfig{
 		Seed: 13, NLong: 6, ShortLoad: 0.2, Sizes: workload.GeometricSize(8),
-		BottleneckRate: 20 * units.Mbps, BufferPackets: 30,
-		Warmup: 2 * units.Second, Measure: 4 * units.Second,
+		Path:   Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second, Measure: 4 * units.Second},
 		RunEnv: RunEnv{Audit: aud},
-	})
+	}, 30})
 	if err := aud.Err(); err != nil {
 		t.Fatalf("mixed traffic: %v", err)
 	}
@@ -86,28 +81,30 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 	// randomized point runs one under audit too.
 	for i := 0; i < 6; i++ {
 		aud := audit.New()
-		pc := adversarialPointConfig{
-			Seed:            rng.Int63n(1 << 30),
-			Pattern:         adversary.Pattern(i % len(adversary.PatternNames())),
-			N:               2 + rng.Intn(10),
-			BottleneckRate:  units.BitRate(10+rng.Intn(20)) * units.Mbps,
-			RTT:             units.Duration(40+rng.Intn(80)) * units.Millisecond,
-			SegmentSize:     units.DefaultSegment,
-			BufferFactor:    0.05 + rng.Float64(),
-			PulsePeakFactor: 2 + rng.Float64()*4,
-			PulsePeriod:     units.Duration(100+rng.Intn(200)) * units.Millisecond,
-			PulseDuty:       0.1 + rng.Float64()*0.5,
-			Hops:            2 + rng.Intn(2),
-			Warmup:          units.Duration(1+rng.Intn(2)) * units.Second,
-			Measure:         units.Duration(2+rng.Intn(3)) * units.Second,
-			RunEnv:          RunEnv{Audit: aud},
+		sc := AdversaryScenario{
+			Seed:    rng.Int63n(1 << 30),
+			Pattern: adversary.Pattern(i % len(adversary.PatternNames())),
+			AdversaryCohort: AdversaryCohort{N: 2 + rng.Intn(10), Path: Path{
+				BottleneckRate: units.BitRate(10+rng.Intn(20)) * units.Mbps,
+				RTTMin:         units.Duration(40+rng.Intn(80)) * units.Millisecond,
+				SegmentSize:    units.DefaultSegment,
+			}},
+			RunEnv: RunEnv{Audit: aud},
 		}
-		row := runAdversarialPoint(pc)
+		factor := 0.05 + rng.Float64()
+		sc.PulsePeakFactor = 2 + rng.Float64()*4
+		sc.PulsePeriod = units.Duration(100+rng.Intn(200)) * units.Millisecond
+		sc.PulseDuty = 0.1 + rng.Float64()*0.5
+		sc.Hops = 2 + rng.Intn(2)
+		sc.Warmup = units.Duration(1+rng.Intn(2)) * units.Second
+		sc.Measure = units.Duration(2+rng.Intn(3)) * units.Second
+		sc.BufferPackets = max(1, int(factor*float64(sc.BDP())))
+		row := runAdversarialAt(sc, factor)
 		if err := aud.Err(); err != nil {
-			t.Fatalf("adversarial %v (%+v): %v", pc.Pattern, pc, err)
+			t.Fatalf("adversarial %v (%+v): %v", sc.Pattern, sc, err)
 		}
 		if row.Utilization < 0 || row.Utilization > 1.000001 {
-			t.Fatalf("adversarial %v: utilization %v out of range", pc.Pattern, row.Utilization)
+			t.Fatalf("adversarial %v: utilization %v out of range", sc.Pattern, row.Utilization)
 		}
 	}
 }
@@ -117,8 +114,8 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 // produce identical results, field for field.
 func TestAuditDoesNotPerturbResults(t *testing.T) {
 	cfg := LongLivedConfig{
-		Seed: 7, N: 8, BottleneckRate: 15 * units.Mbps, BufferPackets: 20,
-		Warmup: 2 * units.Second, Measure: 4 * units.Second, UseRED: true,
+		Seed: 7, N: 8, Path: Path{BottleneckRate: 15 * units.Mbps, Warmup: 2 * units.Second, Measure: 4 * units.Second}, BufferPackets: 20,
+		UseRED: true,
 	}
 	base := RunLongLived(cfg)
 	aud := audit.New()

@@ -15,45 +15,37 @@ import (
 type BackboneConfig struct {
 	Seed int64
 
-	BottleneckRate units.BitRate
-	N              int
-	RTTMin, RTTMax units.Duration
-	SegmentSize    units.ByteSize
+	N int
+	// Path defaults to backbonePath.
+	Path
 
 	// BufferFraction scales the classical one-second buffer
 	// (1s x C): the paper ran 0.005.
 	BufferFraction float64
 
-	Warmup, Measure units.Duration
-
 	// RunEnv: Audit and Cache reach the underlying runs.
 	RunEnv
 }
 
+// backbonePath is an OC48-class link with backbone-wide RTTs; thousands
+// of flows settle fast, so the windows are short.
+var backbonePath = Path{
+	BottleneckRate:  units.OC48,
+	BottleneckDelay: 5 * units.Millisecond,
+	RTTMin:          60 * units.Millisecond,
+	RTTMax:          140 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+	Warmup:          10 * units.Second,
+	Measure:         20 * units.Second,
+}
+
 func (c BackboneConfig) withDefaults() BackboneConfig {
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = units.OC48
-	}
 	if c.N == 0 {
 		c.N = 2500
 	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 60 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 140 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
+	c.Path = c.Path.or(backbonePath)
 	if c.BufferFraction == 0 {
 		c.BufferFraction = 0.005
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 20 * units.Second
 	}
 	return c
 }
@@ -76,26 +68,15 @@ type BackboneResult struct {
 func RunBackbone(cfg BackboneConfig) BackboneResult {
 	cfg = cfg.withDefaults()
 	oneSec := units.PacketsInFlight(cfg.BottleneckRate, units.Second, cfg.SegmentSize)
-	small := int(float64(oneSec) * cfg.BufferFraction)
-	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
-	bdp := units.PacketsInFlight(cfg.BottleneckRate, meanRTT, cfg.SegmentSize)
-
 	res := BackboneResult{
 		OneSecondBuffer: oneSec,
-		SmallBuffer:     small,
-		SqrtRule:        SqrtRuleBuffer(float64(bdp), cfg.N),
+		SmallBuffer:     int(float64(oneSec) * cfg.BufferFraction),
+		SqrtRule:        cfg.SqrtRule(cfg.N),
 	}
 	res.Small = RunLongLived(LongLivedConfig{
-		Seed:           cfg.Seed,
-		N:              cfg.N,
-		BottleneckRate: cfg.BottleneckRate,
-		RTTMin:         cfg.RTTMin,
-		RTTMax:         cfg.RTTMax,
-		SegmentSize:    cfg.SegmentSize,
-		BufferPackets:  small,
-		Warmup:         cfg.Warmup,
-		Measure:        cfg.Measure,
-		RunEnv:         cfg.cell(nil),
+		Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
+		BufferPackets: res.SmallBuffer,
+		RunEnv:        cfg.cell(nil),
 	})
 	res.UtilDegradation = 1 - res.Small.Utilization
 	return res

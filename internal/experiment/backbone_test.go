@@ -11,11 +11,9 @@ func TestRunBackboneSmallBufferNoDegradation(t *testing.T) {
 		t.Skip("backbone-scale simulation")
 	}
 	res := RunBackbone(BackboneConfig{
-		Seed:           1,
-		BottleneckRate: 600 * units.Mbps,
-		N:              600,
-		Warmup:         8 * units.Second,
-		Measure:        15 * units.Second,
+		Seed: 1,
+		Path: Path{BottleneckRate: 600 * units.Mbps, Warmup: 8 * units.Second, Measure: 15 * units.Second},
+		N:    600,
 	})
 	// Structure: 1s x 600 Mb/s = 75000 packets; 0.5% = 375.
 	if res.OneSecondBuffer != 75000 || res.SmallBuffer != 375 {

@@ -23,27 +23,25 @@ import (
 // in the package — so a scenario body reads "describe the bed, start the
 // traffic, read the window". See DESIGN.md, "Test bed".
 
-// bedConfig describes the dumbbell one scenario runs on.
+// bedConfig describes the dumbbell one scenario runs on: the config's
+// Path, and what the body adds to it.
 type bedConfig struct {
 	env  RunEnv // Metrics and Audit observe the run
 	seed int64
 
-	rate       units.BitRate
-	delay      units.Duration // bottleneck one-way propagation
+	// Path is the scenario's, defaults applied. Station RTTs are drawn
+	// off the seed's first fork; a fixed RTT (RTTMax 0) forks nothing, so
+	// the first fork goes to RED or the traffic — the single-flow and
+	// adversarial scenarios' order. SegmentSize is RED's mean packet.
+	Path
 	stations   int
 	accessRate units.BitRate // 0: the topology's 10x bottleneck
-	// Station RTTs are drawn from [rttMin, rttMax] off the seed's first
-	// fork. rttMax 0 puts every station at rttMin and forks nothing, so
-	// the first fork goes to RED or the traffic — the single-flow and
-	// adversarial scenarios' order.
-	rttMin, rttMax units.Duration
 	// shards is the kernel shard request: env.Shards where a scenario
 	// shards fully, sharedGeneratorShards(env.Shards) where a generator
 	// drives it, 0 where it never shards.
 	shards int
 
-	buffer  int            // bottleneck buffer in packets; 0 is unlimited
-	segment units.ByteSize // RED's mean packet
+	buffer int // bottleneck buffer in packets; 0 is unlimited
 	// red, ecn and codel pick the discipline as in LongLivedConfig;
 	// drop-tail when all are false.
 	red, ecn, codel bool
@@ -61,21 +59,21 @@ type bed struct {
 }
 
 func newBed(c bedConfig) *bed {
-	b := &bed{rig: newRig(c.env), rng: sim.NewRNG(c.seed)}
+	b := &bed{rig: newRig(c.env, c.Path), rng: sim.NewRNG(c.seed)}
 	tc := topology.Config{
 		Sched:           b.sched,
-		BottleneckRate:  c.rate,
-		BottleneckDelay: c.delay,
+		BottleneckRate:  c.BottleneckRate,
+		BottleneckDelay: c.BottleneckDelay,
 		Buffer:          queue.PacketLimit(c.buffer),
 		AccessRate:      c.accessRate,
 		Stations:        c.stations,
-		RTTMin:          c.rttMin,
-		RTTMax:          c.rttMin,
+		RTTMin:          c.RTTMin,
+		RTTMax:          c.RTTMin,
 		Auditor:         c.env.Audit,
 		Shards:          c.shards,
 	}
-	if c.rttMax != 0 {
-		tc.RTTMax, tc.RNG = c.rttMax, b.rng.Fork()
+	if c.RTTMax != 0 {
+		tc.RTTMax, tc.RNG = c.RTTMax, b.rng.Fork()
 	}
 	if c.ecn && !c.red {
 		panic("experiment: ECN requires UseRED (a marking-capable queue)")
@@ -89,7 +87,7 @@ func newBed(c bedConfig) *bed {
 		}
 	}
 	if c.red {
-		tc.NewQueue = redQueueHook(c.buffer, c.segment, c.rate, b.rng.Fork(), c.ecn)
+		tc.NewQueue = redQueueHook(c.buffer, c.SegmentSize, c.BottleneckRate, b.rng.Fork(), c.ecn)
 	}
 	b.d = topology.NewDumbbell(tc)
 	instrumentDumbbell(c.env.Metrics, b.sched, b.d)
@@ -148,24 +146,23 @@ func instrumentPools(reg *metrics.Registry, stats func() packet.PoolStats) {
 }
 
 // measure is rig.measure for the one bottleneck.
-func (b *bed) measure(warmup, measure units.Duration, atWarmEnd func()) window {
-	return b.rig.measure(warmup, measure, atWarmEnd)[0]
-}
+func (b *bed) measure(atWarmEnd func()) window { return b.rig.measure(atWarmEnd)[0] }
 
 // lot is the parking-lot bed: hops identical drop-tail core links in a
-// chain, measured link by link.
+// chain, each at the path's bottleneck rate and delay, measured link by
+// link.
 type lot struct {
 	rig
 	p *topology.ParkingLot
 }
 
-func newLot(env RunEnv, hops int, rate units.BitRate, delay units.Duration, buffer int) *lot {
-	b := &lot{rig: newRig(env)}
+func newLot(env RunEnv, hops int, path Path, buffer int) *lot {
+	b := &lot{rig: newRig(env, path)}
 	rates := make([]units.BitRate, hops)
 	delays := make([]units.Duration, hops)
 	buffers := make([]queue.Limit, hops)
 	for i := range rates {
-		rates[i], delays[i], buffers[i] = rate, delay, queue.PacketLimit(buffer)
+		rates[i], delays[i], buffers[i] = path.BottleneckRate, path.BottleneckDelay, queue.PacketLimit(buffer)
 	}
 	b.p = topology.NewParkingLot(topology.ParkingLotConfig{
 		Sched: b.sched, Rates: rates, Delays: delays, Buffers: buffers, Auditor: env.Audit,
@@ -182,10 +179,12 @@ func newLot(env RunEnv, hops int, rate units.BitRate, delay units.Duration, buff
 }
 
 // rig is what the two beds share: the scheduler, one tap per measured
-// link, and the run's wall clock.
+// link, the path's warm-up and window, and the run's wall clock.
 type rig struct {
 	sched *sim.Scheduler
 	taps  []tap
+	// warmup and window are the path's Warmup and Measure.
+	warmup, window units.Duration
 	// publishWall reports the wall time since the rig was built to the
 	// run's registry; measure and drain call it, so the last one to run
 	// the scheduler leaves the run's total. The start time never leaves
@@ -193,9 +192,9 @@ type rig struct {
 	publishWall func()
 }
 
-func newRig(env RunEnv) rig {
+func newRig(env RunEnv, path Path) rig {
 	sched, start := sim.NewScheduler(), time.Now()
-	return rig{sched: sched, publishWall: func() {
+	return rig{sched: sched, warmup: path.Warmup, window: path.Measure, publishWall: func() {
 		if env.Metrics == nil {
 			return
 		}
@@ -244,8 +243,8 @@ func lossRate(dropped, offered int64) float64 {
 // only. Then atWarmEnd (nil for none) lets the body snapshot its own
 // counters or start a window-only sampler, the window runs, each tap is
 // read and the wall-clock cost so far is published.
-func (r *rig) measure(warmup, measure units.Duration, atWarmEnd func()) []window {
-	from := units.Epoch.Add(warmup)
+func (r *rig) measure(atWarmEnd func()) []window {
+	from := units.Epoch.Add(r.warmup)
 	r.sched.Run(from)
 	for i := range r.taps {
 		t := &r.taps[i]
@@ -257,7 +256,7 @@ func (r *rig) measure(warmup, measure units.Duration, atWarmEnd func()) []window
 	if atWarmEnd != nil {
 		atWarmEnd()
 	}
-	to := from.Add(measure)
+	to := from.Add(r.window)
 	r.sched.Run(to)
 
 	ws := make([]window, len(r.taps))

@@ -19,12 +19,13 @@ import (
 func TestTelemetryReachesEveryBody(t *testing.T) {
 	const warmup, measure = 2 * units.Second, 3 * units.Second
 	rate := 10 * units.Mbps
-	point := func(p adversary.Pattern, env RunEnv) adversarialPointConfig {
-		return adversarialPointConfig{
-			Seed: 3, Pattern: p, N: 6, BottleneckRate: rate,
-			RTT: 80 * units.Millisecond, SegmentSize: units.DefaultSegment,
-			PulsePeakFactor: 4, PulsePeriod: 200 * units.Millisecond, PulseDuty: 0.25,
-			Hops: 2, Warmup: warmup, Measure: measure, RunEnv: env,
+	point := func(p adversary.Pattern, env RunEnv) AdversaryScenario {
+		return AdversaryScenario{
+			Seed: 3, Pattern: p, BufferPackets: 20, RunEnv: env,
+			AdversaryCohort: AdversaryCohort{
+				N: 6, Path: Path{BottleneckRate: rate, RTTMin: 80 * units.Millisecond, SegmentSize: units.DefaultSegment, Warmup: warmup, Measure: measure},
+				PulsePeakFactor: 4, PulsePeriod: 200 * units.Millisecond, PulseDuty: 0.25, Hops: 2,
+			},
 		}
 	}
 	bodies := []struct {
@@ -33,74 +34,73 @@ func TestTelemetryReachesEveryBody(t *testing.T) {
 	}{
 		{"runLongLived", func(env RunEnv) any {
 			return runLongLived(LongLivedConfig{
-				Seed: 1, N: 6, BottleneckRate: rate, BufferPackets: 20,
-				Warmup: warmup, Measure: measure, RunEnv: env,
+				Seed: 1, N: 6, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, BufferPackets: 20,
+				RunEnv: env,
 			}.withDefaults())
 		}},
 		{"runSingleFlow", func(env RunEnv) any {
 			return runSingleFlow(SingleFlowConfig{
-				Warmup: warmup, Measure: measure, RunEnv: env,
+				Path: Path{Warmup: warmup, Measure: measure}, RunEnv: env,
 			}.withDefaults())
 		}},
 		{"runTrace", func(env RunEnv) any {
 			return RunTrace(TraceConfig{
-				Seed:           2,
-				Flows:          []workload.FlowSpec{{Start: 0, Size: 20}, {Start: units.Second, Size: 8}},
-				BottleneckRate: rate, BufferPackets: 20,
+				Seed:  2,
+				Flows: []workload.FlowSpec{{Start: 0, Size: 20}, {Start: units.Second, Size: 8}},
+				Path:  Path{BottleneckRate: rate}, BufferPackets: 20,
 				Drain: 5 * units.Second, RunEnv: env,
 			})
 		}},
 		{"runMixedUncached", func(env RunEnv) any {
-			return runMixedUncached(AFCTComparisonConfig{
-				Seed: 3, NLong: 4, BottleneckRate: rate,
-				Warmup: warmup, Measure: measure, RunEnv: env,
-			}.withDefaults(), "mixed", 20)
+			return runMixedUncached(MixedConfig{AFCTComparisonConfig{
+				Seed: 3, NLong: 4, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure},
+				RunEnv: env,
+			}.withDefaults(), 20}, "mixed")
 		}},
 		{"runProfileUncached", func(env RunEnv) any {
 			return runProfileUncached(ProfileRunConfig{
-				Seed: 4, Rate: rate, BufferPackets: 20,
+				Seed: 4, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, BufferPackets: 20,
 				Source: workload.PoissonSource{Load: 0.5, Sizes: workload.FixedSize(10)},
-				Warmup: warmup, Measure: measure, Drain: 5 * units.Second, RunEnv: env,
+				Drain:  5 * units.Second, RunEnv: env,
 			}.withDefaults())
 		}},
 		{"runHarpoonUncached", func(env RunEnv) any {
 			return runHarpoonUncached(HarpoonConfig{
-				Seed: 5, BottleneckRate: rate, Sessions: 30,
+				Seed: 5, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, Sessions: 30,
 				MeanThink: 500 * units.Millisecond,
-				Warmup:    warmup, Measure: measure, RunEnv: env,
+				RunEnv:    env,
 			}.withDefaults(), 20)
 		}},
 		{"runProductionPoint", func(env RunEnv) any {
 			cfg := ProductionConfig{
-				Seed: 6, BottleneckRate: rate, NLong: 6,
-				Warmup: warmup, Measure: measure,
+				Seed: 6, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, NLong: 6,
 			}.withDefaults()
 			return runProductionPoint(cfg, env, 20, 100)
 		}},
 		{"runSmoothingPoint", func(env RunEnv) any {
 			cfg := SmoothingConfig{
-				Seed: 7, BottleneckRate: rate, Stations: 10,
-				Warmup: warmup, Measure: measure, RunEnv: env,
+				Seed: 7, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, Stations: 10,
+				RunEnv: env,
 			}.withDefaults()
 			return runSmoothingPoint(cfg, 1, model.MomentsForFlowLength(cfg.FlowLen, 2, cfg.MaxWindow))
 		}},
 		{"runWindowDist", func(env RunEnv) any {
 			return runWindowDist(WindowDistConfig{
-				Seed: 8, N: 6, BottleneckRate: rate,
-				Warmup: warmup, Measure: measure, RunEnv: env,
+				Seed: 8, N: 6, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure},
+				RunEnv: env,
 			}.withDefaults())
 		}},
 		{"runAdversarialDumbbell", func(env RunEnv) any {
-			return runAdversarialDumbbell(point(adversary.PatternSyncAIMD, env), 20)
+			return runAdversarialDumbbell(point(adversary.PatternSyncAIMD, env), 0.25)
 		}},
 		{"runMultiHop", func(env RunEnv) any {
 			return runMultiHop(MultiHopConfig{
-				Seed: 9, LinkRate: rate, NPerGroup: 3,
-				Warmup: warmup, Measure: measure, RunEnv: env,
+				Seed: 9, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, NPerGroup: 3,
+				RunEnv: env,
 			}.withDefaults())
 		}},
 		{"runAdversarialParkingLot", func(env RunEnv) any {
-			return runAdversarialParkingLot(point(adversary.PatternParkingLot, env), 20)
+			return runAdversarialParkingLot(point(adversary.PatternParkingLot, env), 0.25)
 		}},
 	}
 	for _, body := range bodies {

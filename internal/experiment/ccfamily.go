@@ -34,15 +34,12 @@ type CCFamilyConfig struct {
 	// to every registered variant.
 	Variants []tcp.Variant
 
-	BottleneckRate units.BitRate
-	RTTMin, RTTMax units.Duration
-	SegmentSize    units.ByteSize
+	// Path defaults to the long-lived scenario at OC3.
+	Path
 
 	// Target is the fraction of each variant's own large-buffer
 	// utilization ceiling the min-buffer search must reach.
 	Target float64
-
-	Warmup, Measure units.Duration
 
 	// RunEnv: every probe is cached and audited, and each grid point is
 	// one more cache unit on top; Metrics receives the sweep statistics.
@@ -56,26 +53,9 @@ func (c CCFamilyConfig) withDefaults() CCFamilyConfig {
 	if len(c.Variants) == 0 {
 		c.Variants = tcp.Variants()
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = units.OC3
-	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 60 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 100 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
+	c.Path = c.Path.or(longLivedPath.at(units.OC3))
 	if c.Target == 0 {
 		c.Target = 0.95
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 20 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 40 * units.Second
 	}
 	return c
 }
@@ -149,9 +129,6 @@ func (t CCFamilyTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
 // probes depend on each other).
 func RunCCFamily(cfg CCFamilyConfig) CCFamilyTable {
 	cfg = cfg.withDefaults()
-	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
-	bdp := units.PacketsInFlight(cfg.BottleneckRate, meanRTT, cfg.SegmentSize)
-
 	points := make(CCFamilyTable, len(cfg.Variants)*len(cfg.Ns))
 	runSweep(sweepSpec{
 		name: "ccfamily",
@@ -160,34 +137,17 @@ func RunCCFamily(cfg CCFamilyConfig) CCFamilyTable {
 	}, len(points), func(i int) {
 		v := cfg.Variants[i/len(cfg.Ns)]
 		n := cfg.Ns[i%len(cfg.Ns)]
-		points[i] = runCCFamilyPoint(cfg, v, n, bdp)
+		points[i] = runCCFamilyPoint(cfg, v, n)
 	})
 	return points
 }
 
 // runCCFamilyPoint measures one (variant, n) grid point: ceiling,
 // min-buffer bisection, and utilization at the sqrt-rule buffer.
-func runCCFamilyPoint(cfg CCFamilyConfig, v tcp.Variant, n, bdp int) CCFamilyPoint {
-	ll := LongLivedConfig{
-		Seed:           cfg.Seed,
-		N:              n,
-		BottleneckRate: cfg.BottleneckRate,
-		RTTMin:         cfg.RTTMin,
-		RTTMax:         cfg.RTTMax,
-		SegmentSize:    cfg.SegmentSize,
-		Warmup:         cfg.Warmup,
-		Measure:        cfg.Measure,
-		Variant:        v,
-		RunEnv:         cfg.cell(nil),
-	}
-	sqrtRule := SqrtRuleBuffer(float64(bdp), n)
-	hi := 2 * bdp
-	if hi < 4*sqrtRule {
-		hi = 4 * sqrtRule
-	}
-	if hi < 4 {
-		hi = 4
-	}
+func runCCFamilyPoint(cfg CCFamilyConfig, v tcp.Variant, n int) CCFamilyPoint {
+	ll := LongLivedConfig{Seed: cfg.Seed, N: n, Path: cfg.Path, Variant: v, RunEnv: cfg.cell(nil)}
+	bdp, sqrtRule := cfg.BDP(), cfg.SqrtRule(n)
+	hi := max(2*bdp, 4*sqrtRule, 4)
 	// The whole point is one cache unit (kind "ccfamily-point") on top
 	// of the per-run memoization, so a cached sweep replays instantly
 	// instead of re-walking the bisection's probe sequence.

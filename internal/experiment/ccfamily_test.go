@@ -10,12 +10,10 @@ import (
 
 func scaledCCFamilyConfig() CCFamilyConfig {
 	return CCFamilyConfig{
-		Seed:           7,
-		Ns:             []int{20, 80},
-		Variants:       []tcp.Variant{tcp.Reno, tcp.Cubic, tcp.BBR},
-		BottleneckRate: 20 * units.Mbps,
-		Warmup:         5 * units.Second,
-		Measure:        10 * units.Second,
+		Seed:     7,
+		Ns:       []int{20, 80},
+		Variants: []tcp.Variant{tcp.Reno, tcp.Cubic, tcp.BBR},
+		Path:     Path{BottleneckRate: 20 * units.Mbps, Warmup: 5 * units.Second, Measure: 10 * units.Second},
 	}
 }
 

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"math"
-
 	"bufsim/internal/units"
 )
 
@@ -20,12 +18,9 @@ import (
 type CoDelConfig struct {
 	Seed int64
 
-	N              int
-	BottleneckRate units.BitRate
-	RTTMin, RTTMax units.Duration
-	SegmentSize    units.ByteSize
-
-	Warmup, Measure units.Duration
+	N int
+	// Path defaults to the long-lived scenario at OC3.
+	Path
 
 	// RunEnv: every design is cached and audited.
 	RunEnv
@@ -35,9 +30,7 @@ func (c CoDelConfig) withDefaults() CoDelConfig {
 	if c.N == 0 {
 		c.N = 200
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = units.OC3
-	}
+	c.Path = c.Path.or(longLivedPath.at(units.OC3))
 	return c
 }
 
@@ -53,31 +46,15 @@ type CoDelRow struct {
 // RunCoDel executes the comparison. Rows run in parallel.
 func RunCoDel(cfg CoDelConfig) CoDelTable {
 	cfg = cfg.withDefaults()
-	base := LongLivedConfig{
-		Seed:           cfg.Seed,
-		N:              cfg.N,
-		BottleneckRate: cfg.BottleneckRate,
-		RTTMin:         cfg.RTTMin,
-		RTTMax:         cfg.RTTMax,
-		SegmentSize:    cfg.SegmentSize,
-		Warmup:         cfg.Warmup,
-		Measure:        cfg.Measure,
-		RunEnv:         cfg.cell(nil),
-	}
-	base = base.withDefaults()
-	meanRTT := (base.RTTMin + base.RTTMax) / 2
-	bdp := units.PacketsInFlight(base.BottleneckRate, meanRTT, base.SegmentSize)
-	sqrtRule := SqrtRuleBuffer(float64(bdp), cfg.N)
-
-	type design struct {
+	ruleOfThumb := max(1, cfg.BDP())
+	designs := []struct {
 		label  string
 		buffer int
 		codel  bool
-	}
-	designs := []design{
-		{"droptail sqrt(n)", sqrtRule, false},
-		{"droptail RTTxC", int(math.Max(1, float64(bdp))), false},
-		{"codel (RTTxC capacity)", int(math.Max(1, float64(bdp))), true},
+	}{
+		{"droptail sqrt(n)", cfg.SqrtRule(cfg.N), false},
+		{"droptail RTTxC", ruleOfThumb, false},
+		{"codel (RTTxC capacity)", ruleOfThumb, true},
 	}
 	rows := make([]CoDelRow, len(designs))
 	runSweep(sweepSpec{
@@ -85,13 +62,15 @@ func RunCoDel(cfg CoDelConfig) CoDelTable {
 		cfg:  cfg,
 		env:  cfg.RunEnv,
 	}, len(designs), func(i int) {
-		run := base
-		run.BufferPackets = designs[i].buffer
-		run.UseCoDel = designs[i].codel
-		r := RunLongLived(run)
+		d := designs[i]
+		r := RunLongLived(LongLivedConfig{
+			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
+			BufferPackets: d.buffer, UseCoDel: d.codel,
+			RunEnv: cfg.cell(nil),
+		})
 		rows[i] = CoDelRow{
-			Label:         designs[i].label,
-			BufferPackets: designs[i].buffer,
+			Label:         d.label,
+			BufferPackets: d.buffer,
 			Utilization:   r.Utilization,
 			QueueDelayP99: r.QueueDelayP99,
 			LossRate:      r.LossRate,

@@ -11,11 +11,9 @@ func TestRunCoDelComparison(t *testing.T) {
 		t.Skip("three simulation runs")
 	}
 	rows := RunCoDel(CoDelConfig{
-		Seed:           1,
-		N:              100,
-		BottleneckRate: 40 * units.Mbps,
-		Warmup:         10 * units.Second,
-		Measure:        20 * units.Second,
+		Seed: 1,
+		N:    100,
+		Path: Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
 	})
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
@@ -55,9 +53,8 @@ func TestCoDelAndREDMutuallyExclusive(t *testing.T) {
 		}
 	}()
 	RunLongLived(LongLivedConfig{
-		N: 2, BottleneckRate: units.Mbps, BufferPackets: 10,
+		N: 2, Path: Path{BottleneckRate: units.Mbps, Warmup: units.Second, Measure: units.Second}, BufferPackets: 10,
 		UseRED: true, UseCoDel: true,
-		Warmup: units.Second, Measure: units.Second,
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bufsim/internal/adversary"
 	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
 	"bufsim/internal/runcache"
@@ -21,7 +22,6 @@ var digestConfigs = []any{
 	LongLivedConfig{},
 	SingleFlowConfig{},
 	WindowDistConfig{},
-	ShortFlowRunConfig{},
 	ShortFlowBufferConfig{},
 	MixedConfig{},
 	TraceConfig{},
@@ -70,7 +70,9 @@ var (
 //     observability on would needlessly re-simulate;
 //   - every other exported field does (perturbing it changes the cache
 //     key) — otherwise the cache would serve stale results for a config
-//     that means something different.
+//     that means something different. The fields of an embedded struct
+//     (Path, a config inside a config) are perturbed one at a time, so a
+//     leak is reported as Path.RTTMax, not Path.
 func TestDigestCoversEveryField(t *testing.T) {
 	store, err := runcache.Open(t.TempDir())
 	if err != nil {
@@ -99,36 +101,90 @@ func TestDigestCoversEveryField(t *testing.T) {
 				t.Fatalf("%s does not embed RunEnv", typ.Name())
 			}
 			base := pointKey("completeness", cfg)
-			for i := 0; i < typ.NumField(); i++ {
-				f := typ.Field(i)
-				if !f.IsExported() {
-					continue
-				}
-				mutated := reflect.New(typ).Elem()
-				mutated.Set(reflect.ValueOf(cfg))
-				fv := mutated.Field(i)
-				if f.Type == runEnvType {
-					// One field at a time, so a single leak is named.
-					for j := 0; j < observed.NumField(); j++ {
-						fv.Set(reflect.Zero(runEnvType))
-						fv.Field(j).Set(observed.Field(j))
-						if pointKey("completeness", mutated.Interface()) != base {
-							t.Errorf("RunEnv.%s reaches the digest; attaching it would force a re-simulation", runEnvType.Field(j).Name)
+			// sweep perturbs every field of the struct at index path at
+			// (nil: the config itself) in a fresh copy of cfg.
+			var sweep func(prefix string, st reflect.Type, at []int)
+			sweep = func(prefix string, st reflect.Type, at []int) {
+				for i := 0; i < st.NumField(); i++ {
+					f, name := st.Field(i), prefix+st.Field(i).Name
+					if !f.IsExported() {
+						continue
+					}
+					mutated := reflect.New(typ).Elem()
+					mutated.Set(reflect.ValueOf(cfg))
+					fv := mutated.FieldByIndex(append(at[:len(at):len(at)], i))
+					switch {
+					case f.Type == runEnvType:
+						// One field at a time, so a single leak is named.
+						for j := 0; j < observed.NumField(); j++ {
+							fv.Set(reflect.Zero(runEnvType))
+							fv.Field(j).Set(observed.Field(j))
+							if pointKey("completeness", mutated.Interface()) != base {
+								t.Errorf("%s.%s reaches the digest; attaching it would force a re-simulation", name, runEnvType.Field(j).Name)
+							}
+						}
+						continue
+					case f.Anonymous && f.Type.Kind() == reflect.Struct:
+						sweep(name+".", f.Type, append(at[:len(at):len(at)], i))
+						continue
+					}
+					for _, ot := range observerTypes {
+						if f.Type == ot {
+							t.Errorf("%s is a %v declared outside RunEnv", name, ot)
 						}
 					}
-					continue
-				}
-				for _, ot := range observerTypes {
-					if f.Type == ot {
-						t.Errorf("%s is a %v declared outside RunEnv", f.Name, ot)
+					setNonZero(t, name, fv)
+					if pointKey("completeness", mutated.Interface()) == base {
+						t.Errorf("%s: semantic field does not reach the digest; the cache would serve stale results when it changes", name)
 					}
 				}
-				setNonZero(t, f.Name, fv)
-				if pointKey("completeness", mutated.Interface()) == base {
-					t.Errorf("%s: semantic field does not reach the digest; the cache would serve stale results when it changes", f.Name)
-				}
 			}
+			sweep("", typ, nil)
 		})
+	}
+}
+
+// pathLike is how a dumbbell's description has been spelled in this
+// package: Path's own fields, and the names they went by in the configs
+// that said it differently.
+var pathLike = map[string]bool{"Rate": true, "LinkRate": true, "MeanRTT": true, "RTT": true}
+
+func init() {
+	for i, t := 0, reflect.TypeOf(Path{}); i < t.NumField(); i++ {
+		pathLike[t.Field(i).Name] = true
+	}
+}
+
+// notADumbbell lists the fields allowed to look like Path's anyway.
+var notADumbbell = map[string]bool{
+	// The probe ladder drives a bare queue at a service rate: there is
+	// no path, so nothing of one to embed.
+	"ProbeLadderConfig.Rate":        true,
+	"ProbeLadderConfig.SegmentSize": true,
+}
+
+// TestConfigsDeclarePathOnce keeps the dumbbell said once: a config
+// describes it by embedding Path, never by declaring a field of its own
+// under one of Path's names (or an old spelling of one), at any depth of
+// embedding.
+func TestConfigsDeclarePathOnce(t *testing.T) {
+	pathType := reflect.TypeOf(Path{})
+	var walk func(t *testing.T, owner string, st reflect.Type)
+	walk = func(t *testing.T, owner string, st reflect.Type) {
+		for i := 0; i < st.NumField(); i++ {
+			f := st.Field(i)
+			switch {
+			case f.Type == pathType || f.Type == runEnvType:
+			case f.Anonymous && f.Type.Kind() == reflect.Struct:
+				walk(t, f.Type.Name(), f.Type)
+			case pathLike[f.Name] && !notADumbbell[owner+"."+f.Name]:
+				t.Errorf("%s.%s re-declares part of the path; embed Path (or name the exception in notADumbbell)", owner, f.Name)
+			}
+		}
+	}
+	for _, cfg := range digestConfigs {
+		typ := reflect.TypeOf(cfg)
+		t.Run(typ.Name(), func(t *testing.T) { walk(t, typ.Name(), typ) })
 	}
 }
 
@@ -183,14 +239,15 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 	}
 }
 
-// TestCacheKeysStable pins four literal cache keys recorded before the
-// observer fields moved into RunEnv: one run kind, the kind the
-// short-flow scenario kept when it lowered onto the profile body, a
-// nested grid-point key, and a sweep checkpoint key. cacheSalt did not
-// change with that refactor, so neither may any key — a mismatch here
-// means every warm cache out there just went cold (or, worse, that a
-// semantic field stopped reaching the digest). After a deliberate
-// cacheSalt bump, re-record all four.
+// TestCacheKeysStable pins five literal cache keys, recorded when
+// cacheSalt became bufsim-results-v2 (the configs' dumbbell description
+// moved into the embedded Path, which moved every key): one run kind,
+// the short-flow point as the profile scenario it is, a key nesting one
+// config in another, a grid point three embeddings deep, and a sweep
+// checkpoint key. While cacheSalt stands, so must every key — a mismatch
+// here means every warm cache out there just went cold (or, worse, that
+// a semantic field stopped reaching the digest). After a deliberate
+// cacheSalt bump, re-record all five, in that commit and no other.
 func TestCacheKeysStable(t *testing.T) {
 	env := RunEnv{Metrics: metrics.New(), Audit: audit.New(), Resume: true,
 		Ctx: context.Background(), Parallelism: 4, Shards: 3}
@@ -200,25 +257,28 @@ func TestCacheKeysStable(t *testing.T) {
 		want string
 	}{
 		{"long-lived", LongLivedConfig{
-			Seed: 7, N: 40, BottleneckRate: 20 * units.Mbps, BufferPackets: 25,
+			Seed: 7, N: 40, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second, Measure: 5 * units.Second}, BufferPackets: 25,
 			Variant: tcp.Cubic, Paced: true,
-			Warmup: 2 * units.Second, Measure: 5 * units.Second, RunEnv: env,
-		}.withDefaults(), "71d1d8a99243be2ab3f865b1d057c513bc510aaa22e3f9c31599a7a7c2e2df8e"},
-		{"short-flow", ShortFlowRunConfig{
-			Seed: 3, Rate: 20 * units.Mbps, Load: 0.7, FlowLength: 14, BufferPackets: 50,
-			Warmup: 4 * units.Second, Measure: 10 * units.Second, RunEnv: env,
-		}.withDefaults(), "8018c65d394e812434203b9be8e29781dd8362be134bcf6c27810f39a86c9a2c"},
+			RunEnv: env,
+		}.withDefaults(), "be6c9d770d7382c899ca4e532feb987c40469d3f9c3b5925375c06a9f8e714a2"},
+		{"profile", shortFlowRun(3, 20*units.Mbps, 0.7, 14, 50,
+			4*units.Second, 10*units.Second, env).withDefaults(), "c64c081f2c6287c404354f9e756ab6a45556ee692f10a055314084286afac176"},
 		{"mixed", mixedKey{
-			Base: AFCTComparisonConfig{
+			Base: MixedConfig{AFCTComparisonConfig{
 				Seed: 5, NLong: 30, Sizes: workload.GeometricSize(14),
-				BottleneckRate: 20 * units.Mbps, RunEnv: env,
-			}.withDefaults(),
-			Label: "RTT*C", Buffer: 250,
-		}, "97469bb113c2b70a554237ea348673d291e0cad6a565fd319042d6f1857d7079"},
+				Path: Path{BottleneckRate: 20 * units.Mbps}, RunEnv: env,
+			}.withDefaults(), 250},
+			Label: "RTT*C",
+		}, "acd978bea0eed37462dd515174c5e48a400703775f8a059cf1b5660765d81ae5"},
+		{"adversarial", adversarialPointConfig{AdversaryScenario{
+			Seed: 2, Pattern: adversary.PatternSyncAIMD, BufferPackets: 25,
+			AdversaryCohort: AdversaryCohort{N: 8, Path: Path{BottleneckRate: 20 * units.Mbps}}.withDefaults(),
+			RunEnv:          env,
+		}, 0.1}, "414a33615314ee31ea9c81a3d29c722430995c50b7f31e41cd6c02d4efb2c83a"},
 		{"sweep:utilization-table", UtilizationTableConfig{
 			Seed: 1, Ns: []int{50, 100}, Factors: []float64{0.5, 1},
-			BottleneckRate: 20 * units.Mbps, UseRED: true, RunEnv: env,
-		}.withDefaults(), "ee8fa6e9ba3a287755f807df6a925d1a54eda6115ad514970b7ac34f11ada438"},
+			Path: Path{BottleneckRate: 20 * units.Mbps}, UseRED: true, RunEnv: env,
+		}.withDefaults(), "c13a346cc1840caf50bc6745f191b9c9eee5c1b68addee328163e7a20d779a1d"},
 	} {
 		if got := pointKey(tc.kind, tc.cfg); got != tc.want {
 			t.Errorf("%s key = %s, want %s", tc.kind, got, tc.want)

@@ -8,6 +8,7 @@ import (
 
 	"bufsim/internal/adversary"
 	"bufsim/internal/runcache"
+	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 	"bufsim/internal/workload/profile"
@@ -41,10 +42,9 @@ var goldenDigestCases = []struct {
 		want: "9a84081920306444da24a3f7b94e199fd1a78e6ed655c4cecffa355500e2b8aa",
 		run: func(cache *runcache.Store, shards int) any {
 			return RunLongLived(LongLivedConfig{
-				Seed: 7, N: 24, BottleneckRate: 20 * units.Mbps,
+				Seed: 7, N: 24, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
 				BufferPackets: 40,
-				Warmup:        4 * units.Second, Measure: 8 * units.Second,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv:        RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -53,10 +53,9 @@ var goldenDigestCases = []struct {
 		want: "daee4e44719aaf120f2fccfae01a5d4e8f44167ca7e45a99fc29ff082c406fc7",
 		run: func(cache *runcache.Store, shards int) any {
 			return RunLongLived(LongLivedConfig{
-				Seed: 11, N: 16, BottleneckRate: 20 * units.Mbps,
+				Seed: 11, N: 16, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
 				BufferPackets: 25, Variant: 3, /* Sack */
 				Paced: true, DelayedAck: true,
-				Warmup: 4 * units.Second, Measure: 8 * units.Second,
 				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 		},
@@ -66,9 +65,8 @@ var goldenDigestCases = []struct {
 		want: "add72eca42d9e202e691005e4425cd7e85da6dbbe0048ec004e420a7366c35d1",
 		run: func(cache *runcache.Store, shards int) any {
 			return RunLongLived(LongLivedConfig{
-				Seed: 3, N: 20, BottleneckRate: 20 * units.Mbps,
+				Seed: 3, N: 20, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
 				BufferPackets: 30, UseRED: true, ECN: true,
-				Warmup: 4 * units.Second, Measure: 8 * units.Second,
 				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 		},
@@ -78,9 +76,8 @@ var goldenDigestCases = []struct {
 		want: "ab78bc44d4975a329be3f3ec6741da5db68ee9fab99884d6ac46f400277c002a",
 		run: func(cache *runcache.Store, shards int) any {
 			return RunLongLived(LongLivedConfig{
-				Seed: 13, N: 24, BottleneckRate: 20 * units.Mbps,
+				Seed: 13, N: 24, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
 				BufferPackets: 40, Variant: 4, /* Cubic */
-				Warmup: 4 * units.Second, Measure: 8 * units.Second,
 				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 		},
@@ -90,11 +87,10 @@ var goldenDigestCases = []struct {
 		want: "0297c3f652b500fdf658e2897ab901e0bd099c9f9495a931b795e393fc53c5fd",
 		run: func(cache *runcache.Store, shards int) any {
 			return RunLongLived(LongLivedConfig{
-				Seed: 17, N: 16, BottleneckRate: 20 * units.Mbps,
+				Seed: 17, N: 16, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
 				BufferPackets: 30, Variant: 5, /* BBR */
 				DelayedAck: true,
-				Warmup:     4 * units.Second, Measure: 8 * units.Second,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv:     RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -103,8 +99,7 @@ var goldenDigestCases = []struct {
 		want: "b944849af08fc27334a6d438a21a7c1c3a3888914de021470ff0720238a5d273",
 		run: func(cache *runcache.Store, shards int) any {
 			return RunSingleFlow(SingleFlowConfig{
-				BottleneckRate: 10 * units.Mbps, BufferFactor: 1,
-				Warmup: 30 * units.Second, Measure: 40 * units.Second,
+				Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 30 * units.Second, Measure: 40 * units.Second}, BufferFactor: 1,
 				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 		},
@@ -113,26 +108,20 @@ var goldenDigestCases = []struct {
 		name: "short_flows",
 		want: "5d4523c64431bd9c5764512cf63f90d15d96c3c95ac360b9ab1651a9c012d714",
 		run: func(cache *runcache.Store, shards int) any {
-			afct, completed, censored := ShortFlowAFCT(ShortFlowRunConfig{
-				Seed: 5, Rate: 20 * units.Mbps, Load: 0.7,
-				FlowLength: 14, BufferPackets: 50,
-				Warmup: 4 * units.Second, Measure: 10 * units.Second,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
-			})
-			return map[string]any{"afct": afct, "completed": completed, "censored": censored}
+			return shortFlowDigest(RunProfile(shortFlowRun(5, 20*units.Mbps, 0.7, 14, 50,
+				4*units.Second, 10*units.Second, RunEnv{Cache: cache, Shards: shards})))
 		},
 	},
 	{
 		name: "mixed_traffic",
 		want: "af5cdb47b0ca1b22709bc162f534cf059dc54bdc275a2decbb6c704c5087e16e",
 		run: func(cache *runcache.Store, shards int) any {
-			return RunMixed(MixedConfig{
+			return RunMixed(MixedConfig{AFCTComparisonConfig{
 				Seed: 9, NLong: 12, ShortLoad: 0.15,
-				Sizes:          workload.GeometricSize(10),
-				BottleneckRate: 20 * units.Mbps, BufferPackets: 35,
-				Warmup: 5 * units.Second, Measure: 10 * units.Second,
+				Sizes:  workload.GeometricSize(10),
+				Path:   Path{BottleneckRate: 20 * units.Mbps, Warmup: 5 * units.Second, Measure: 10 * units.Second},
 				RunEnv: RunEnv{Cache: cache, Shards: shards},
-			})
+			}, 35})
 		},
 	},
 	{
@@ -144,11 +133,11 @@ var goldenDigestCases = []struct {
 				panic(err)
 			}
 			return RunFlashCrowd(FlashCrowdConfig{
-				Seed: 21, BottleneckRate: 20 * units.Mbps,
+				Seed: 21, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second},
 				Stations: 20, Profile: prof, PeakFlows: 8,
 				Buffers: []int{25, 100},
-				Warmup:  2 * units.Second, Drain: 20 * units.Second,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				Drain:   20 * units.Second,
+				RunEnv:  RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -165,7 +154,7 @@ var goldenDigestCases = []struct {
 			}
 			return RunTrace(TraceConfig{
 				Seed: 2, Flows: flows,
-				BottleneckRate: 10 * units.Mbps, BufferPackets: 30,
+				Path: Path{BottleneckRate: 10 * units.Mbps}, BufferPackets: 30,
 				Drain:  20 * units.Second,
 				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
@@ -176,12 +165,11 @@ var goldenDigestCases = []struct {
 		want: "fc25e502881cab965e14c2781c7bc46206a20630e202e987726b5246c63d4bda",
 		run: func(cache *runcache.Store, shards int) any {
 			return RunHarpoon(HarpoonConfig{
-				Seed: 4, BottleneckRate: 10 * units.Mbps, Sessions: 60,
+				Seed: 4, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}, Sessions: 60,
 				Sizes:     workload.ParetoSize{Shape: 1.2, Min: 10, Max: 500},
 				MeanThink: 500 * units.Millisecond,
 				Factors:   []float64{0.5, 2},
-				Warmup:    3 * units.Second, Measure: 5 * units.Second,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv:    RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -190,10 +178,9 @@ var goldenDigestCases = []struct {
 		want: "8f9befcaa913e7e78c5a06f15155d96e39c7a88184781bb8044f519ec701909b",
 		run: func(cache *runcache.Store, shards int) any {
 			return RunProduction(ProductionConfig{
-				Seed: 6, BottleneckRate: 10 * units.Mbps, NLong: 10,
+				Seed: 6, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 6 * units.Second}, NLong: 10,
 				Buffers: []int{20, 60},
-				Warmup:  3 * units.Second, Measure: 6 * units.Second,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv:  RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -202,10 +189,9 @@ var goldenDigestCases = []struct {
 		want: "159be815a3430f177da5851bf7a6d15cb11f1a3dccff089883205a6668500149",
 		run: func(cache *runcache.Store, shards int) any {
 			return RunSmoothing(SmoothingConfig{
-				Seed: 8, BottleneckRate: 10 * units.Mbps, Stations: 20,
+				Seed: 8, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 2 * units.Second, Measure: 6 * units.Second}, Stations: 20,
 				AccessRatios: []float64{10, 0.5},
-				Warmup:       2 * units.Second, Measure: 6 * units.Second,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv:       RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
@@ -214,8 +200,7 @@ var goldenDigestCases = []struct {
 		want: "6ea91f11259eccc6cf4471720309e4c35b625512dcc7abc60bdb666fa8b575f5",
 		run: func(cache *runcache.Store, shards int) any {
 			return RunWindowDist(WindowDistConfig{
-				Seed: 10, N: 12, BottleneckRate: 10 * units.Mbps,
-				Warmup: 3 * units.Second, Measure: 5 * units.Second,
+				Seed: 10, N: 12, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second},
 				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 		},
@@ -240,21 +225,43 @@ var goldenDigestCases = []struct {
 		want: "7373cbd05994f432cf37ba58bf327d19876d1c04b6cec7883b4c707774147b72",
 		run: func(cache *runcache.Store, shards int) any {
 			return RunMultiHop(MultiHopConfig{
-				Seed: 12, LinkRate: 10 * units.Mbps, NPerGroup: 6,
-				Warmup: 3 * units.Second, Measure: 5 * units.Second,
+				Seed: 12, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}, NPerGroup: 6,
 				RunEnv: RunEnv{Cache: cache, Shards: shards},
 			})
 		},
 	},
 }
 
+// shortFlowRun is the paper's short-flow scenario the way the suite has
+// always run it — Poisson arrivals of fixed-length slow-start flows,
+// receiver window 43 — spelled as the profile scenario it is.
+func shortFlowRun(seed int64, rate units.BitRate, load float64, flowLen int64, buffer int, warmup, measure units.Duration, env RunEnv) ProfileRunConfig {
+	return ProfileRunConfig{
+		Seed: seed, BufferPackets: buffer,
+		Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure},
+		Source: workload.PoissonSource{
+			Load: load, Sizes: workload.FixedSize(flowLen),
+			TCP: tcp.Config{SegmentSize: units.DefaultSegment, MaxWindow: 43},
+		},
+		RunEnv: env,
+	}
+}
+
+// shortFlowDigest is what the short_flows digest and the shortflow_afct
+// golden have pinned since the scenario had a body of its own.
+func shortFlowDigest(r ProfileRunResult) any {
+	return map[string]any{"afct": r.AFCT, "completed": r.Completed, "censored": r.Censored}
+}
+
 // adversaryDigestCase is one adversarial pattern at a quarter-BDP buffer.
 func adversaryDigestCase(p adversary.Pattern) func(*runcache.Store, int) any {
 	return func(cache *runcache.Store, shards int) any {
 		return RunAdversaryScenario(AdversaryScenario{
-			Seed: 14, Pattern: p, N: 8, BottleneckRate: 10 * units.Mbps,
-			RTT: 80 * units.Millisecond, BufferPackets: 17, Hops: 2,
-			Warmup: 2 * units.Second, Measure: 4 * units.Second,
+			Seed: 14, Pattern: p, BufferPackets: 17,
+			AdversaryCohort: AdversaryCohort{
+				N: 8, Hops: 2,
+				Path: Path{BottleneckRate: 10 * units.Mbps, RTTMin: 80 * units.Millisecond, Warmup: 2 * units.Second, Measure: 4 * units.Second},
+			},
 			RunEnv: RunEnv{Cache: cache, Shards: shards},
 		})
 	}

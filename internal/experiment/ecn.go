@@ -12,13 +12,10 @@ import (
 type ECNConfig struct {
 	Seed int64
 
-	N              int
-	BottleneckRate units.BitRate
-	RTTMin, RTTMax units.Duration
-	SegmentSize    units.ByteSize
-	BufferFactor   float64 // multiple of RTTxC/sqrt(n)
-
-	Warmup, Measure units.Duration
+	N int
+	// Path defaults to the long-lived scenario at OC3.
+	Path
+	BufferFactor float64 // multiple of RTTxC/sqrt(n)
 
 	// RunEnv: Audit and Cache reach both arms.
 	RunEnv
@@ -28,9 +25,7 @@ func (c ECNConfig) withDefaults() ECNConfig {
 	if c.N == 0 {
 		c.N = 200
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = units.OC3
-	}
+	c.Path = c.Path.or(longLivedPath.at(units.OC3))
 	if c.BufferFactor == 0 {
 		c.BufferFactor = 2
 	}
@@ -47,32 +42,16 @@ type ECNResult struct {
 // RunECN executes the ablation.
 func RunECN(cfg ECNConfig) ECNResult {
 	cfg = cfg.withDefaults()
-	ll := LongLivedConfig{
-		Seed:           cfg.Seed,
-		N:              cfg.N,
-		BottleneckRate: cfg.BottleneckRate,
-		RTTMin:         cfg.RTTMin,
-		RTTMax:         cfg.RTTMax,
-		SegmentSize:    cfg.SegmentSize,
-		UseRED:         true,
-		Warmup:         cfg.Warmup,
-		Measure:        cfg.Measure,
-		RunEnv:         cfg.cell(nil),
+	drop := LongLivedConfig{
+		Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
+		BufferPackets: cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N),
+		UseRED:        true,
+		RunEnv:        cfg.cell(nil),
 	}
-	ll = ll.withDefaults()
-	meanRTT := (ll.RTTMin + ll.RTTMax) / 2
-	bdp := float64(units.PacketsInFlight(ll.BottleneckRate, meanRTT, ll.SegmentSize))
-	buffer := int(cfg.BufferFactor * float64(SqrtRuleBuffer(bdp, cfg.N)))
-	if buffer < 1 {
-		buffer = 1
-	}
-	ll.BufferPackets = buffer
-
-	drop := ll
-	mark := ll
+	mark := drop
 	mark.ECN = true
 	return ECNResult{
-		BufferPackets: buffer,
+		BufferPackets: drop.BufferPackets,
 		Drop:          RunLongLived(drop),
 		Mark:          RunLongLived(mark),
 	}

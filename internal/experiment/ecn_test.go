@@ -11,12 +11,10 @@ func TestRunECNMarkingBeatsDropping(t *testing.T) {
 		t.Skip("paired simulation runs")
 	}
 	res := RunECN(ECNConfig{
-		Seed:           1,
-		N:              100,
-		BottleneckRate: 40 * units.Mbps,
-		BufferFactor:   2,
-		Warmup:         10 * units.Second,
-		Measure:        20 * units.Second,
+		Seed:         1,
+		N:            100,
+		Path:         Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
+		BufferFactor: 2,
 	})
 	if res.Mark.Utilization < res.Drop.Utilization {
 		t.Errorf("marking utilization %v below dropping %v",
@@ -39,7 +37,6 @@ func TestECNRequiresRED(t *testing.T) {
 		}
 	}()
 	RunLongLived(LongLivedConfig{
-		N: 2, BottleneckRate: units.Mbps, BufferPackets: 10, ECN: true,
-		Warmup: units.Second, Measure: units.Second,
+		N: 2, Path: Path{BottleneckRate: units.Mbps, Warmup: units.Second, Measure: units.Second}, BufferPackets: 10, ECN: true,
 	})
 }

@@ -33,13 +33,12 @@ import (
 type LongLivedConfig struct {
 	Seed int64
 
-	N               int
-	BottleneckRate  units.BitRate
-	BottleneckDelay units.Duration
-	RTTMin, RTTMax  units.Duration
-	SegmentSize     units.ByteSize
-	MaxWindow       int // 0: effectively unbounded
-	BufferPackets   int
+	N int
+	// Path: BottleneckRate is the caller's; the rest defaults to
+	// longLivedPath.
+	Path
+	MaxWindow     int // 0: effectively unbounded
+	BufferPackets int
 
 	// UseRED switches the bottleneck to RED with conventional thresholds
 	// scaled to BufferPackets (the §5.1 "other queueing disciplines"
@@ -53,9 +52,6 @@ type LongLivedConfig struct {
 	// alternative to sizing the buffer at all.
 	UseCoDel bool
 
-	Warmup  units.Duration // excluded from measurement
-	Measure units.Duration // measurement window
-
 	// Variant selects the congestion-control flavour (Reno default).
 	Variant    tcp.Variant
 	DelayedAck bool
@@ -68,34 +64,20 @@ type LongLivedConfig struct {
 	RunEnv
 }
 
-// retiredMeanQueueEpoch keeps the cache keys of the configs that carried
-// MeanQueueIncludesWarmup (a test-only switch to the legacy t=0
-// occupancy epoch) where they were with the flag off, so deleting the
-// field left every warm cache warm. Drop it at the next cacheSalt bump.
-var retiredMeanQueueEpoch = map[string]any{"MeanQueueIncludesWarmup": false}
-
-// DigestRetired implements runcache's retired-field hook.
-func (LongLivedConfig) DigestRetired() map[string]any { return retiredMeanQueueEpoch }
+// longLivedPath is the paper's §5.1 long-lived scenario short of its
+// line rate, which every user of it sets: the ablations that lower onto
+// RunLongLived default to it at their own rate.
+var longLivedPath = Path{
+	BottleneckDelay: 5 * units.Millisecond,
+	RTTMin:          60 * units.Millisecond,
+	RTTMax:          100 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+	Warmup:          20 * units.Second,
+	Measure:         40 * units.Second,
+}
 
 func (c LongLivedConfig) withDefaults() LongLivedConfig {
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
-	if c.BottleneckDelay == 0 {
-		c.BottleneckDelay = 5 * units.Millisecond
-	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 60 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 100 * units.Millisecond
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 20 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 40 * units.Second
-	}
+	c.Path = c.Path.or(longLivedPath)
 	return c
 }
 
@@ -158,14 +140,10 @@ func runLongLived(cfg LongLivedConfig) LongLivedResult {
 	b := newBed(bedConfig{
 		env:      cfg.RunEnv,
 		seed:     cfg.Seed,
-		rate:     cfg.BottleneckRate,
-		delay:    cfg.BottleneckDelay,
-		rttMin:   cfg.RTTMin,
-		rttMax:   cfg.RTTMax,
+		Path:     cfg.Path,
 		stations: cfg.N,
 		shards:   cfg.Shards,
 		buffer:   cfg.BufferPackets,
-		segment:  cfg.SegmentSize,
 		red:      cfg.UseRED,
 		ecn:      cfg.ECN,
 		codel:    cfg.UseCoDel,
@@ -194,7 +172,7 @@ func runLongLived(cfg LongLivedConfig) LongLivedResult {
 	var delayN int64
 	type sendSnap struct{ sent, rtx int64 }
 	senderSnaps := make([]sendSnap, len(d.Flows()))
-	w := b.measure(cfg.Warmup, cfg.Measure, func() {
+	w := b.measure(func() {
 		d.Bottleneck.OnDequeue = func(_ *packet.Packet, queued units.Duration) {
 			delaySum += queued
 			delayN++

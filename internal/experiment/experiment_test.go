@@ -14,14 +14,10 @@ import (
 // 60-140 ms RTTs (BDP = 250 packets at the 100 ms mean).
 func scaledLongLived(n, buffer int) LongLivedConfig {
 	return LongLivedConfig{
-		Seed:           1,
-		N:              n,
-		BottleneckRate: 20 * units.Mbps,
-		RTTMin:         60 * units.Millisecond,
-		RTTMax:         140 * units.Millisecond,
-		BufferPackets:  buffer,
-		Warmup:         8 * units.Second,
-		Measure:        15 * units.Second,
+		Seed:          1,
+		N:             n,
+		Path:          Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 8 * units.Second, Measure: 15 * units.Second},
+		BufferPackets: buffer,
 	}
 }
 
@@ -53,14 +49,10 @@ func TestRunLongLivedPaperScaleOC3(t *testing.T) {
 		t.Skip("full-scale OC3 run")
 	}
 	res := RunLongLived(LongLivedConfig{
-		Seed:           9,
-		N:              300,
-		BottleneckRate: units.OC3,
-		RTTMin:         60 * units.Millisecond,
-		RTTMax:         140 * units.Millisecond,
-		BufferPackets:  SqrtRuleBuffer(2500, 300), // BDP ~2500 pkts at 100 ms mean RTT
-		Warmup:         15 * units.Second,
-		Measure:        30 * units.Second,
+		Seed:          9,
+		N:             300,
+		Path:          Path{BottleneckRate: units.OC3, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 15 * units.Second, Measure: 30 * units.Second},
+		BufferPackets: SqrtRuleBuffer(2500, 300), // BDP ~2500 pkts at 100 ms mean RTT
 	})
 	if res.Utilization < 0.97 {
 		t.Errorf("OC3 n=300 1x-rule utilization = %v, want >= 0.97", res.Utilization)
@@ -102,10 +94,7 @@ func TestRunLongLivedREDRuns(t *testing.T) {
 
 func TestRunSingleFlowRegimes(t *testing.T) {
 	base := SingleFlowConfig{
-		BottleneckRate: 10 * units.Mbps,
-		RTT:            100 * units.Millisecond,
-		Warmup:         100 * units.Second,
-		Measure:        150 * units.Second,
+		Path: Path{BottleneckRate: 10 * units.Mbps, RTTMin: 100 * units.Millisecond, Warmup: 100 * units.Second, Measure: 150 * units.Second},
 	}
 	exact := base
 	exact.BufferFactor = 1
@@ -159,14 +148,10 @@ func TestRunWindowDistGaussian(t *testing.T) {
 		t.Skip("multi-flow distribution run")
 	}
 	res := RunWindowDist(WindowDistConfig{
-		Seed:           2,
-		N:              80,
-		BottleneckRate: 20 * units.Mbps,
-		RTTMin:         60 * units.Millisecond,
-		RTTMax:         140 * units.Millisecond,
-		BufferFactor:   1.5,
-		Warmup:         10 * units.Second,
-		Measure:        30 * units.Second,
+		Seed:         2,
+		N:            80,
+		Path:         Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 10 * units.Second, Measure: 30 * units.Second},
+		BufferFactor: 1.5,
 	})
 	if len(res.Samples) < 1000 {
 		t.Fatalf("too few samples: %d", len(res.Samples))
@@ -208,15 +193,11 @@ func TestRunMinBufferSweepShape(t *testing.T) {
 		t.Skip("ladder of simulations")
 	}
 	res := RunMinBufferSweep(MinBufferConfig{
-		Seed:           3,
-		BottleneckRate: 20 * units.Mbps,
-		RTTMin:         60 * units.Millisecond,
-		RTTMax:         100 * units.Millisecond,
-		Ns:             []int{20, 100},
-		Targets:        []float64{0.98},
-		LadderPoints:   7,
-		Warmup:         8 * units.Second,
-		Measure:        12 * units.Second,
+		Seed:         3,
+		Path:         Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 100 * units.Millisecond, Warmup: 8 * units.Second, Measure: 12 * units.Second},
+		Ns:           []int{20, 100},
+		Targets:      []float64{0.98},
+		LadderPoints: 7,
 	})
 	if len(res.Points) != 2 {
 		t.Fatalf("got %d points", len(res.Points))
@@ -253,8 +234,7 @@ func TestRunShortFlowBufferRateIndependence(t *testing.T) {
 		Load:     0.8,
 		FlowLens: []int64{14},
 		Stations: 40,
-		Warmup:   5 * units.Second,
-		Measure:  15 * units.Second,
+		Path:     Path{Warmup: 5 * units.Second, Measure: 15 * units.Second},
 	})
 	if len(points) != 2 {
 		t.Fatalf("got %d points", len(points))
@@ -286,15 +266,11 @@ func TestRunAFCTComparisonSmallBuffersWin(t *testing.T) {
 		t.Skip("two mixed-traffic simulations")
 	}
 	res := RunAFCTComparison(AFCTComparisonConfig{
-		Seed:           5,
-		NLong:          60,
-		ShortLoad:      0.15,
-		Sizes:          workload.GeometricSize(14),
-		BottleneckRate: 20 * units.Mbps,
-		RTTMin:         60 * units.Millisecond,
-		RTTMax:         140 * units.Millisecond,
-		Warmup:         10 * units.Second,
-		Measure:        20 * units.Second,
+		Seed:      5,
+		NLong:     60,
+		ShortLoad: 0.15,
+		Sizes:     workload.GeometricSize(14),
+		Path:      Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 10 * units.Second, Measure: 20 * units.Second},
 	})
 	if res.RuleThumb.Completed < 100 || res.SqrtRule.Completed < 100 {
 		t.Fatalf("too few completed shorts: %+v", res)
@@ -323,8 +299,7 @@ func TestRunProductionShape(t *testing.T) {
 		Seed:    6,
 		NLong:   30,
 		Buffers: []int{8, 40, 300},
-		Warmup:  10 * units.Second,
-		Measure: 20 * units.Second,
+		Path:    Path{Warmup: 10 * units.Second, Measure: 20 * units.Second},
 	})
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
@@ -347,13 +322,9 @@ func TestRunSyncAblationDesynchronizesWithN(t *testing.T) {
 		t.Skip("multi-flow distribution runs")
 	}
 	points := RunSyncAblation(SyncConfig{
-		Seed:           7,
-		Ns:             []int{5, 120},
-		BottleneckRate: 20 * units.Mbps,
-		RTTMin:         60 * units.Millisecond,
-		RTTMax:         140 * units.Millisecond,
-		Warmup:         10 * units.Second,
-		Measure:        25 * units.Second,
+		Seed: 7,
+		Ns:   []int{5, 120},
+		Path: Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 10 * units.Second, Measure: 25 * units.Second},
 	})
 	if len(points) != 2 {
 		t.Fatalf("got %d points", len(points))
@@ -449,8 +420,7 @@ func TestRenderers(t *testing.T) {
 	// Results carrying non-trivial payloads (histograms, series) render
 	// from real runs.
 	res := RunWindowDist(WindowDistConfig{
-		Seed: 1, N: 4, BottleneckRate: 5 * units.Mbps,
-		Warmup: 3 * units.Second, Measure: 5 * units.Second,
+		Seed: 1, N: 4, Path: Path{BottleneckRate: 5 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second},
 	})
 	var sb strings.Builder
 	if err := Render(&sb, res); err != nil {
@@ -492,8 +462,8 @@ func TestFitNormal(t *testing.T) {
 // every flow starts at the same instant. It used to read 0 there.
 func TestTraceUtilizationOneInstant(t *testing.T) {
 	res := RunTrace(TraceConfig{
-		Flows:          []workload.FlowSpec{{Start: 0, Size: 5000}},
-		BottleneckRate: 10 * units.Mbps,
+		Flows: []workload.FlowSpec{{Start: 0, Size: 5000}},
+		Path:  Path{BottleneckRate: 10 * units.Mbps},
 	})
 	if res.Completed != 1 {
 		t.Fatalf("completed %d flows, want 1", res.Completed)

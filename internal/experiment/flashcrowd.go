@@ -15,17 +15,17 @@ import (
 )
 
 // ProfileRunConfig is one run of an arbitrary workload.Source — a
-// time-varying profile, a trace, sessions, or the legacy stationary
-// Poisson source — over a single bottleneck. It is the unified back end
-// the workload API redesign threads every traffic front end through:
-// the topology and window parameters mirror ShortFlowRunConfig, so a
-// stationary PoissonSource here reproduces ShortFlowAFCT exactly.
+// time-varying profile, a trace, sessions, or the stationary Poisson
+// source — over a single bottleneck. It is the unified back end the
+// workload API threads every traffic front end through; under a
+// workload.PoissonSource of fixed-length flows it is the paper's
+// short-flow scenario (Fig. 8, SimulateShortFlows).
 type ProfileRunConfig struct {
 	Seed int64
 
-	Rate          units.BitRate
-	MeanRTT       units.Duration // station RTTs spread +-40% around this
-	SegmentSize   units.ByteSize
+	// Path: BottleneckRate is the caller's; the rest defaults to
+	// shortFlowPath.
+	Path
 	BufferPackets int // 0 = unlimited
 
 	// Source is the workload; required. Sources are pure data, so the
@@ -37,30 +37,29 @@ type ProfileRunConfig struct {
 	// (which must then be positive — RED thresholds need a capacity).
 	UseRED bool
 
-	Warmup, Measure units.Duration
 	// Drain is how long after the measurement window flows may finish
-	// before being counted censored (default 30s, as ShortFlowAFCT).
+	// before being counted censored (default 30s).
 	Drain units.Duration
 
 	// RunEnv: Metrics, Audit, Cache and Shards.
 	RunEnv
 }
 
+// shortFlowPath is the paper's short-flow bed short of its line rate:
+// station RTTs +-40% around 100 ms behind a 10 ms bottleneck.
+var shortFlowPath = Path{
+	BottleneckDelay: 10 * units.Millisecond,
+	RTTMin:          60 * units.Millisecond,
+	RTTMax:          140 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+	Warmup:          10 * units.Second,
+	Measure:         40 * units.Second,
+}
+
 func (c ProfileRunConfig) withDefaults() ProfileRunConfig {
-	if c.MeanRTT == 0 {
-		c.MeanRTT = 100 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
+	c.Path = c.Path.or(shortFlowPath)
 	if c.Stations == 0 {
 		c.Stations = 50
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 40 * units.Second
 	}
 	if c.Drain == 0 {
 		c.Drain = 30 * units.Second
@@ -108,23 +107,18 @@ func RunProfile(cfg ProfileRunConfig) ProfileRunResult {
 	})
 }
 
-// runProfileUncached is the uncached body of RunProfile, and of
-// ShortFlowAFCT (a stationary Poisson source — the pinned short-flow
-// digest holds the build-up sequence of scheduler, RNG forks, topology
-// and generator to what that scenario has always drawn); cfg has
-// defaults applied.
+// runProfileUncached is the uncached body of RunProfile; cfg has
+// defaults applied. The pinned short_flows digest holds the build-up
+// sequence of scheduler, RNG forks, topology and generator to what the
+// stationary Poisson scenario has always drawn.
 func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 	b := newBed(bedConfig{
 		env:      cfg.RunEnv,
 		seed:     cfg.Seed,
-		rate:     cfg.Rate,
-		delay:    10 * units.Millisecond,
-		rttMin:   cfg.MeanRTT * 6 / 10,
-		rttMax:   cfg.MeanRTT * 14 / 10,
+		Path:     cfg.Path,
 		stations: cfg.Stations,
 		shards:   sharedGeneratorShards(cfg.Shards),
 		buffer:   cfg.BufferPackets,
-		segment:  cfg.SegmentSize,
 		red:      cfg.UseRED,
 	})
 	drv := cfg.Source.Bind(b.d, b.rng.Fork())
@@ -132,7 +126,7 @@ func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 	active := b.sample("active", 100*units.Millisecond,
 		func() float64 { return float64(drv.Active()) })
 
-	w := b.measure(cfg.Warmup, cfg.Measure, nil)
+	w := b.measure(nil)
 	active = w.of(active)
 	drv.Stop()
 	// Drain so flows that started in the window can complete.
@@ -159,11 +153,11 @@ func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 type FlashCrowdConfig struct {
 	Seed int64
 
-	BottleneckRate units.BitRate
-	MeanRTT        units.Duration
-	SegmentSize    units.ByteSize
-	Stations       int
-	MaxWindow      int // short-flow receiver cap; paper cites 12-43
+	// Path defaults to flashCrowdPath; an unset Measure is the
+	// profile's own length where it has one.
+	Path
+	Stations  int
+	MaxWindow int // short-flow receiver cap; paper cites 12-43
 
 	// Profile is the workload shape; the zero value means the
 	// flashcrowd preset. Curves are treated as shapes and rescaled so
@@ -186,7 +180,7 @@ type FlashCrowdConfig struct {
 	// Variant selects the congestion control for every flow.
 	Variant tcp.Variant
 
-	Warmup, Measure, Drain units.Duration
+	Drain units.Duration
 
 	// RunEnv: the sweep is checkpointed and resumable like every other
 	// cached sweep, and Shards reaches every swept point. With Metrics
@@ -195,24 +189,32 @@ type FlashCrowdConfig struct {
 	RunEnv
 }
 
+// flashCrowdPath is the short-flow bed at 50 Mb/s with a short warm-up:
+// the surge, not the steady state, is what is measured.
+var flashCrowdPath = Path{
+	BottleneckRate:  50 * units.Mbps,
+	BottleneckDelay: 10 * units.Millisecond,
+	RTTMin:          60 * units.Millisecond,
+	RTTMax:          140 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+	Warmup:          5 * units.Second,
+	Measure:         60 * units.Second,
+}
+
 func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 50 * units.Mbps
+	if len(c.Profile.Arrival) == 0 && len(c.Profile.Population) == 0 {
+		c.Profile = profile.FlashCrowd.Profile()
 	}
-	if c.MeanRTT == 0 {
-		c.MeanRTT = 100 * units.Millisecond
+	path := flashCrowdPath
+	if d := c.Profile.Duration(); d != 0 {
+		path.Measure = d
 	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
+	c.Path = c.Path.or(path)
 	if c.Stations == 0 {
 		c.Stations = 50
 	}
 	if c.MaxWindow == 0 {
 		c.MaxWindow = 32
-	}
-	if len(c.Profile.Arrival) == 0 && len(c.Profile.Population) == 0 {
-		c.Profile = profile.FlashCrowd.Profile()
 	}
 	if c.PeakLoad == 0 {
 		c.PeakLoad = 0.85
@@ -224,21 +226,12 @@ func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
 		c.FlowLength = 14
 	}
 	if len(c.Buffers) == 0 {
-		bdp := float64(units.PacketsInFlight(c.BottleneckRate, c.MeanRTT, c.SegmentSize))
+		bdp := float64(c.BDP())
 		for _, f := range []float64{0.05, 0.125, 0.25, 0.5, 1.0} {
 			b := int(math.Max(1, math.Round(f*bdp)))
 			if n := len(c.Buffers); n == 0 || c.Buffers[n-1] != b {
 				c.Buffers = append(c.Buffers, b)
 			}
-		}
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 5 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = c.Profile.Duration()
-		if c.Measure == 0 {
-			c.Measure = 60 * units.Second
 		}
 	}
 	if c.Drain == 0 {
@@ -310,23 +303,15 @@ func (t FlashCrowdTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
 func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 	cfg = cfg.withDefaults()
 	src := flashCrowdSource(cfg)
-	bdp := float64(units.PacketsInFlight(cfg.BottleneckRate, cfg.MeanRTT, cfg.SegmentSize))
+	bdp := float64(cfg.BDP())
 	out := make(FlashCrowdTable, len(cfg.Buffers))
 	// point is one swept buffer's scenario; the sweep shards its cells.
 	point := func(buffer int, env RunEnv) ProfileRunConfig {
 		env.Shards = cfg.Shards
 		return ProfileRunConfig{
-			Seed:          cfg.Seed,
-			Rate:          cfg.BottleneckRate,
-			MeanRTT:       cfg.MeanRTT,
-			SegmentSize:   cfg.SegmentSize,
-			BufferPackets: buffer,
-			Source:        src,
-			Stations:      cfg.Stations,
-			Warmup:        cfg.Warmup,
-			Measure:       cfg.Measure,
-			Drain:         cfg.Drain,
-			RunEnv:        env,
+			Seed: cfg.Seed, Path: cfg.Path, BufferPackets: buffer,
+			Source: src, Stations: cfg.Stations, Drain: cfg.Drain,
+			RunEnv: env,
 		}
 	}
 	runSweep(sweepSpec{

@@ -1,72 +1,62 @@
 package experiment
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
 	"bufsim/internal/audit"
 	"bufsim/internal/runcache"
-	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 	"bufsim/internal/workload/profile"
 )
 
-// TestProfileStationaryMatchesShortFlow is the redesign's acceptance
-// gate: routing the legacy stationary workload through the unified
-// RunProfile back end must reproduce ShortFlowAFCT's numbers exactly —
-// same seed, same schedule, same AFCT to the nanosecond. The profile
-// runner's extra observers (the n(t) sampler, the warmup-boundary
-// snapshot) must not perturb a single packet.
+// TestProfileStationaryMatchesShortFlow is the workload redesign's
+// acceptance gate: the stationary short-flow scenario is the profile
+// scenario under a Poisson source, so RunProfile must land on the numbers
+// the short-flow body of its own produced before it was folded in (the
+// shortflow_afct golden still holds them) — the profile runner's extra
+// observers (the n(t) sampler, the warmup-boundary snapshot) must not
+// perturb a single packet — and a constant profile through the thinning
+// engine must land on the identical schedule.
 func TestProfileStationaryMatchesShortFlow(t *testing.T) {
-	short := ShortFlowRunConfig{
-		Seed: 5, Rate: 20 * units.Mbps, Load: 0.7,
-		FlowLength: 14, BufferPackets: 50,
-		Warmup: 4 * units.Second, Measure: 10 * units.Second,
+	short := shortFlowRun(5, 20*units.Mbps, 0.7, 14, 50, 4*units.Second, 10*units.Second, RunEnv{})
+	res := RunProfile(short)
+
+	var pinned struct {
+		AFCT                units.Duration
+		Completed, Censored int
 	}
-	afct, completed, censored := ShortFlowAFCT(short)
-
-	short = short.withDefaults()
-	res := RunProfile(ProfileRunConfig{
-		Seed: short.Seed, Rate: short.Rate,
-		MeanRTT: short.MeanRTT, SegmentSize: short.SegmentSize,
-		BufferPackets: short.BufferPackets, Stations: short.Stations,
-		Source: workload.PoissonSource{
-			Load:  short.Load,
-			Sizes: workload.FixedSize(short.FlowLength),
-			TCP:   tcp.Config{SegmentSize: short.SegmentSize, MaxWindow: short.MaxWindow},
-		},
-		Warmup: short.Warmup, Measure: short.Measure,
-	})
-
-	if res.AFCT != afct || res.Completed != completed || res.Censored != censored {
-		t.Fatalf("RunProfile (afct=%v completed=%d censored=%d) != ShortFlowAFCT (afct=%v completed=%d censored=%d)",
-			res.AFCT, res.Completed, res.Censored, afct, completed, censored)
+	blob, err := os.ReadFile(goldenPath("shortflow_afct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	if res.AFCT != pinned.AFCT || res.Completed != pinned.Completed || res.Censored != pinned.Censored {
+		t.Fatalf("RunProfile (afct=%v completed=%d censored=%d) != the pinned short-flow run %+v",
+			res.AFCT, res.Completed, res.Censored, pinned)
 	}
 	if res.Generated == 0 || res.Utilization <= 0 {
 		t.Errorf("profile extras missing: generated=%d util=%v", res.Generated, res.Utilization)
 	}
 
 	// A constant profile at the load-equivalent arrival rate goes
-	// through the thinning engine instead of the closed-form sampler
-	// and must still land on the identical schedule.
-	sizes := workload.FixedSize(short.FlowLength)
-	lambda := workload.ArrivalRateForLoad(short.Load, short.Rate, short.SegmentSize, sizes)
-	res2 := RunProfile(ProfileRunConfig{
-		Seed: short.Seed, Rate: short.Rate,
-		MeanRTT: short.MeanRTT, SegmentSize: short.SegmentSize,
-		BufferPackets: short.BufferPackets, Stations: short.Stations,
-		Source: profile.Source{
-			Profile: profile.Profile{
-				Name:    "stationary",
-				Arrival: profile.Curve{{T: 0, V: lambda}, {T: 60 * units.Second, V: lambda}},
-			},
-			Sizes: sizes,
-			TCP:   tcp.Config{SegmentSize: short.SegmentSize, MaxWindow: short.MaxWindow},
+	// through the thinning engine instead of the closed-form sampler.
+	src := short.Source.(workload.PoissonSource)
+	lambda := workload.ArrivalRateForLoad(src.Load, short.BottleneckRate, src.TCP.SegmentSize, src.Sizes)
+	short.Source = profile.Source{
+		Profile: profile.Profile{
+			Name:    "stationary",
+			Arrival: profile.Curve{{T: 0, V: lambda}, {T: 60 * units.Second, V: lambda}},
 		},
-		Warmup: short.Warmup, Measure: short.Measure,
-	})
-	if res2 != res {
+		Sizes: src.Sizes,
+		TCP:   src.TCP,
+	}
+	if res2 := RunProfile(short); res2 != res {
 		t.Fatalf("constant profile result %+v != Poisson source result %+v", res2, res)
 	}
 }
@@ -79,14 +69,13 @@ func quickFlashCrowd(seed int64) FlashCrowdConfig {
 		panic(err)
 	}
 	return FlashCrowdConfig{
-		Seed:           seed,
-		BottleneckRate: 20 * units.Mbps,
-		Stations:       20,
-		Profile:        prof,
-		PeakFlows:      8,
-		Buffers:        []int{6, 250},
-		Warmup:         2 * units.Second,
-		Drain:          20 * units.Second,
+		Seed:      seed,
+		Path:      Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second},
+		Stations:  20,
+		Profile:   prof,
+		PeakFlows: 8,
+		Buffers:   []int{6, 250},
+		Drain:     20 * units.Second,
 	}
 }
 

@@ -33,8 +33,7 @@ var goldenCases = []struct {
 		name: "fig2_single_flow",
 		run: func() any {
 			return RunSingleFlow(SingleFlowConfig{
-				BottleneckRate: 10 * units.Mbps, BufferFactor: 1,
-				Warmup: 30 * units.Second, Measure: 40 * units.Second,
+				Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 30 * units.Second, Measure: 40 * units.Second}, BufferFactor: 1,
 				// Coarse sampling keeps the golden file small; the pinned
 				// digest in digest_test.go covers the fine-grained series.
 				SampleEvery: 200 * units.Millisecond,
@@ -45,21 +44,17 @@ var goldenCases = []struct {
 		name: "fig8_short_flow_buffer",
 		run: func() any {
 			return RunShortFlowBuffer(ShortFlowBufferConfig{
-				Seed:   1,
-				Rates:  []units.BitRate{20 * units.Mbps},
-				Warmup: 5 * units.Second, Measure: 15 * units.Second,
+				Seed:  1,
+				Rates: []units.BitRate{20 * units.Mbps},
+				Path:  Path{Warmup: 5 * units.Second, Measure: 15 * units.Second},
 			})
 		},
 	},
 	{
 		name: "shortflow_afct",
 		run: func() any {
-			afct, completed, censored := ShortFlowAFCT(ShortFlowRunConfig{
-				Seed: 5, Rate: 20 * units.Mbps, Load: 0.7,
-				FlowLength: 14, BufferPackets: 50,
-				Warmup: 4 * units.Second, Measure: 10 * units.Second,
-			})
-			return map[string]any{"afct": afct, "completed": completed, "censored": censored}
+			return shortFlowDigest(RunProfile(shortFlowRun(5, 20*units.Mbps, 0.7, 14, 50,
+				4*units.Second, 10*units.Second, RunEnv{})))
 		},
 	},
 	{
@@ -70,10 +65,10 @@ var goldenCases = []struct {
 				panic(err)
 			}
 			return RunFlashCrowd(FlashCrowdConfig{
-				Seed: 21, BottleneckRate: 20 * units.Mbps,
+				Seed: 21, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second},
 				Stations: 20, Profile: prof, PeakFlows: 8,
 				Buffers: []int{25, 100},
-				Warmup:  2 * units.Second, Drain: 20 * units.Second,
+				Drain:   20 * units.Second,
 			})
 		},
 	},
@@ -81,8 +76,7 @@ var goldenCases = []struct {
 		name: "codel_table",
 		run: func() any {
 			return RunCoDel(CoDelConfig{
-				Seed: 1, N: 100, BottleneckRate: 40 * units.Mbps,
-				Warmup: 10 * units.Second, Measure: 20 * units.Second,
+				Seed: 1, N: 100, Path: Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
 			})
 		},
 	},

@@ -19,9 +19,8 @@ import (
 type HarpoonConfig struct {
 	Seed int64
 
-	BottleneckRate units.BitRate
-	RTTMin, RTTMax units.Duration
-	SegmentSize    units.ByteSize
+	// Path defaults to harpoonPath.
+	Path
 
 	Sessions  int
 	Sizes     workload.SizeDist
@@ -29,26 +28,24 @@ type HarpoonConfig struct {
 
 	Factors []float64
 
-	Warmup, Measure units.Duration
-
 	// RunEnv: Metrics, Audit and Cache; each phase's run is memoized keyed
 	// on the config plus that phase's buffer limit.
 	RunEnv
 }
 
+// harpoonPath is the Fig. 10 lab at OC3 with the wide RTT range.
+var harpoonPath = Path{
+	BottleneckRate:  units.OC3,
+	BottleneckDelay: 10 * units.Millisecond,
+	RTTMin:          60 * units.Millisecond,
+	RTTMax:          140 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+	Warmup:          20 * units.Second,
+	Measure:         40 * units.Second,
+}
+
 func (c HarpoonConfig) withDefaults() HarpoonConfig {
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = units.OC3
-	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 60 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 140 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
+	c.Path = c.Path.or(harpoonPath)
 	// The session population must offer more demand than the link
 	// carries, or the experiment measures demand rather than buffering:
 	// each session moves a ~117 kB mean file per (transfer + 2 s think)
@@ -64,12 +61,6 @@ func (c HarpoonConfig) withDefaults() HarpoonConfig {
 	}
 	if len(c.Factors) == 0 {
 		c.Factors = []float64{0.5, 1, 2, 3}
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 20 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 40 * units.Second
 	}
 	return c
 }
@@ -116,20 +107,8 @@ func runHarpoonOnce(cfg HarpoonConfig, buffer int) harpoonRun {
 
 // runHarpoonUncached is the uncached body of runHarpoonOnce.
 func runHarpoonUncached(cfg HarpoonConfig, buffer int) harpoonRun {
-	stations := cfg.Sessions
-	if stations > 200 {
-		stations = 200 // sessions share stations round-robin
-	}
-	b := newBed(bedConfig{
-		env:      cfg.RunEnv,
-		seed:     cfg.Seed,
-		rate:     cfg.BottleneckRate,
-		delay:    10 * units.Millisecond,
-		rttMin:   cfg.RTTMin,
-		rttMax:   cfg.RTTMax,
-		stations: stations,
-		buffer:   buffer,
-	})
+	// Sessions share stations round-robin.
+	b := newBed(bedConfig{env: cfg.RunEnv, seed: cfg.Seed, Path: cfg.Path, stations: min(cfg.Sessions, 200), buffer: buffer})
 	g := workload.NewSessions(workload.SessionConfig{
 		Dumbbell:  b.d,
 		RNG:       b.rng.Fork(),
@@ -143,7 +122,7 @@ func runHarpoonUncached(cfg HarpoonConfig, buffer int) harpoonRun {
 		func() float64 { return float64(g.Active()) })
 
 	var t0 int64
-	w := b.measure(cfg.Warmup, cfg.Measure, func() { t0 = g.Transfers })
+	w := b.measure(func() { t0 = g.Transfers })
 	return harpoonRun{
 		Util:       w.Utilization,
 		MeanActive: stats.Mean(w.of(active).Values),
@@ -154,20 +133,15 @@ func runHarpoonUncached(cfg HarpoonConfig, buffer int) harpoonRun {
 // RunHarpoon executes the two-phase experiment.
 func RunHarpoon(cfg HarpoonConfig) HarpoonResult {
 	cfg = cfg.withDefaults()
-	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
-	bdp := float64(units.PacketsInFlight(cfg.BottleneckRate, meanRTT, cfg.SegmentSize))
 
 	// Phase 1: calibrate the concurrent-flow equilibrium with an ample
 	// buffer (1x BDP, the rule-of-thumb).
-	calib := runHarpoonOnce(cfg, int(bdp))
+	calib := runHarpoonOnce(cfg, cfg.BDP())
 	n := int(math.Max(1, math.Round(calib.MeanActive)))
 
-	res := HarpoonResult{
-		CalibratedN: n,
-		SqrtRule:    SqrtRuleBuffer(bdp, n),
-	}
+	res := HarpoonResult{CalibratedN: n, SqrtRule: cfg.SqrtRule(n)}
 	for _, f := range cfg.Factors {
-		buffer := int(math.Max(1, f*float64(res.SqrtRule)))
+		buffer := cfg.sqrtRuleTimes(f, n)
 		run := runHarpoonOnce(cfg, buffer)
 		res.Rows = append(res.Rows, HarpoonRow{
 			Factor:      f,

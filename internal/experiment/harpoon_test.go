@@ -12,13 +12,11 @@ func TestRunHarpoonMatchesFig10Shape(t *testing.T) {
 		t.Skip("five closed-loop simulations")
 	}
 	res := RunHarpoon(HarpoonConfig{
-		Seed:           1,
-		BottleneckRate: 40 * units.Mbps,
-		Sessions:       500, // ~1.5x the link's capacity in offered demand
-		Sizes:          workload.ParetoSize{Shape: 1.2, Min: 10, Max: 5000},
-		MeanThink:      2 * units.Second,
-		Warmup:         15 * units.Second,
-		Measure:        25 * units.Second,
+		Seed:      1,
+		Path:      Path{BottleneckRate: 40 * units.Mbps, Warmup: 15 * units.Second, Measure: 25 * units.Second},
+		Sessions:  500, // ~1.5x the link's capacity in offered demand
+		Sizes:     workload.ParetoSize{Shape: 1.2, Min: 10, Max: 5000},
+		MeanThink: 2 * units.Second,
 	})
 	// Overload: the emergent concurrent-flow count is large.
 	if res.CalibratedN < 100 {

@@ -3,8 +3,6 @@ package experiment
 import (
 	"math"
 	"sort"
-
-	"bufsim/internal/units"
 )
 
 // MinBufferConfig reproduces Fig. 7: the minimum buffer required to reach
@@ -13,10 +11,8 @@ import (
 type MinBufferConfig struct {
 	Seed int64
 
-	BottleneckRate  units.BitRate
-	BottleneckDelay units.Duration
-	RTTMin, RTTMax  units.Duration // paper: ~80 ms average
-	SegmentSize     units.ByteSize
+	// Path defaults to tablePath (paper: ~80 ms average RTT).
+	Path
 
 	Ns      []int     // flow counts to sweep
 	Targets []float64 // utilization targets, e.g. 0.98, 0.995, 0.999
@@ -25,28 +21,12 @@ type MinBufferConfig struct {
 	// (log-spaced between 1 packet and ~4x the sqrt rule).
 	LadderPoints int
 
-	Warmup, Measure units.Duration
-
 	// RunEnv: every ladder probe is cached and audited.
 	RunEnv
 }
 
 func (c MinBufferConfig) withDefaults() MinBufferConfig {
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = units.OC3
-	}
-	if c.BottleneckDelay == 0 {
-		c.BottleneckDelay = 10 * units.Millisecond
-	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 60 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 100 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
+	c.Path = c.Path.or(tablePath)
 	if len(c.Ns) == 0 {
 		c.Ns = []int{50, 100, 200, 300, 400, 500}
 	}
@@ -55,12 +35,6 @@ func (c MinBufferConfig) withDefaults() MinBufferConfig {
 	}
 	if c.LadderPoints == 0 {
 		c.LadderPoints = 10
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 20 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 40 * units.Second
 	}
 	return c
 }
@@ -97,11 +71,7 @@ type MinBufferResult struct {
 // rung) and reports, per target, the smallest rung that reached it.
 func RunMinBufferSweep(cfg MinBufferConfig) MinBufferResult {
 	cfg = cfg.withDefaults()
-	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
-	bdp := units.PacketsInFlight(cfg.BottleneckRate, meanRTT, cfg.SegmentSize)
-
-	var res MinBufferResult
-	res.BDPPackets = bdp
+	res := MinBufferResult{BDPPackets: cfg.BDP()}
 
 	// Flatten every (n, ladder rung) probe into one work list so the
 	// orchestrator sweeps, caches and checkpoints them uniformly.
@@ -112,7 +82,7 @@ func RunMinBufferSweep(cfg MinBufferConfig) MinBufferResult {
 	ladders := make([][]int, len(cfg.Ns))
 	var probes []probe
 	for ni, n := range cfg.Ns {
-		ladders[ni] = bufferLadder(SqrtRuleBuffer(float64(bdp), n), cfg.LadderPoints)
+		ladders[ni] = bufferLadder(cfg.SqrtRule(n), cfg.LadderPoints)
 		for i, b := range ladders[ni] {
 			probes = append(probes, probe{nIdx: ni, rung: i, buffer: b})
 		}
@@ -129,22 +99,14 @@ func RunMinBufferSweep(cfg MinBufferConfig) MinBufferResult {
 		p := probes[k]
 		n := cfg.Ns[p.nIdx]
 		r := RunLongLived(LongLivedConfig{
-			Seed:            cfg.Seed + int64(n)*1000 + int64(p.rung),
-			N:               n,
-			BottleneckRate:  cfg.BottleneckRate,
-			BottleneckDelay: cfg.BottleneckDelay,
-			RTTMin:          cfg.RTTMin,
-			RTTMax:          cfg.RTTMax,
-			SegmentSize:     cfg.SegmentSize,
-			BufferPackets:   p.buffer,
-			Warmup:          cfg.Warmup,
-			Measure:         cfg.Measure,
-			RunEnv:          cfg.cell(nil),
+			Seed: cfg.Seed + int64(n)*1000 + int64(p.rung),
+			N:    n, Path: cfg.Path, BufferPackets: p.buffer,
+			RunEnv: cfg.cell(nil),
 		})
 		utils[p.nIdx][p.rung] = r.Utilization
 	})
 	for ni, n := range cfg.Ns {
-		sqrtRule := SqrtRuleBuffer(float64(bdp), n)
+		sqrtRule := cfg.SqrtRule(n)
 		ladder := ladders[ni]
 		nUtils := utils[ni]
 		for i, b := range ladder {

@@ -15,45 +15,37 @@ import (
 type MultiHopConfig struct {
 	Seed int64
 
-	LinkRate       units.BitRate
-	NPerGroup      int // flows crossing both, hop 1 only, hop 2 only
-	RTTMin, RTTMax units.Duration
-	SegmentSize    units.ByteSize
+	// Path defaults to multiHopPath; BottleneckRate and BottleneckDelay
+	// are each of the two links'.
+	Path
+	NPerGroup int // flows crossing both, hop 1 only, hop 2 only
 
 	// BufferFactor scales each link's buffer relative to
 	// RTTxC/sqrt(flows crossing that link).
 	BufferFactor float64
 
-	Warmup, Measure units.Duration
-
 	// RunEnv: Metrics, Audit and Cache.
 	RunEnv
 }
 
+// multiHopPath is two 40 Mb/s bottlenecks, 5 ms each.
+var multiHopPath = Path{
+	BottleneckRate:  40 * units.Mbps,
+	BottleneckDelay: 5 * units.Millisecond,
+	RTTMin:          60 * units.Millisecond,
+	RTTMax:          140 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+	Warmup:          20 * units.Second,
+	Measure:         40 * units.Second,
+}
+
 func (c MultiHopConfig) withDefaults() MultiHopConfig {
-	if c.LinkRate == 0 {
-		c.LinkRate = 40 * units.Mbps
-	}
+	c.Path = c.Path.or(multiHopPath)
 	if c.NPerGroup == 0 {
 		c.NPerGroup = 100
 	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 60 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 140 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
 	if c.BufferFactor == 0 {
 		c.BufferFactor = 1
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 20 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 40 * units.Second
 	}
 	return c
 }
@@ -84,14 +76,9 @@ func RunMultiHop(cfg MultiHopConfig) MultiHopResult {
 func runMultiHop(cfg MultiHopConfig) MultiHopResult {
 	rng := sim.NewRNG(cfg.Seed)
 
-	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
-	bdp := units.PacketsInFlight(cfg.LinkRate, meanRTT, cfg.SegmentSize)
 	perLink := 2 * cfg.NPerGroup // crossing + local flows on each link
-	buffer := int(cfg.BufferFactor * float64(SqrtRuleBuffer(float64(bdp), perLink)))
-	if buffer < 1 {
-		buffer = 1
-	}
-	b := newLot(cfg.RunEnv, 2, cfg.LinkRate, 5*units.Millisecond, buffer)
+	buffer := cfg.sqrtRuleTimes(cfg.BufferFactor, perLink)
+	b := newLot(cfg.RunEnv, 2, cfg.Path, buffer)
 	p := b.p
 
 	rtt := func() units.Duration {
@@ -119,7 +106,7 @@ func runMultiHop(cfg MultiHopConfig) MultiHopResult {
 		return n
 	}
 	var crossSnap, hop1Snap int64
-	ws := b.measure(cfg.Warmup, cfg.Measure, func() {
+	ws := b.measure(func() {
 		crossSnap, hop1Snap = crossSent(), p.Links[0].DeliveredPackets()
 	})
 

@@ -12,10 +12,8 @@ func TestRunMultiHopSqrtRuleHoldsPerLink(t *testing.T) {
 	}
 	res := RunMultiHop(MultiHopConfig{
 		Seed:      1,
-		LinkRate:  20 * units.Mbps,
+		Path:      Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
 		NPerGroup: 40,
-		Warmup:    10 * units.Second,
-		Measure:   20 * units.Second,
 	})
 	if res.FlowsPerLink != 80 {
 		t.Fatalf("FlowsPerLink = %d", res.FlowsPerLink)
@@ -45,14 +43,12 @@ func TestRunMultiHopStarvedByTinyBuffers(t *testing.T) {
 		t.Skip("two-bottleneck simulation")
 	}
 	small := RunMultiHop(MultiHopConfig{
-		Seed: 1, LinkRate: 20 * units.Mbps, NPerGroup: 40,
+		Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 15 * units.Second}, NPerGroup: 40,
 		BufferFactor: 0.15,
-		Warmup:       10 * units.Second, Measure: 15 * units.Second,
 	})
 	full := RunMultiHop(MultiHopConfig{
-		Seed: 1, LinkRate: 20 * units.Mbps, NPerGroup: 40,
+		Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 15 * units.Second}, NPerGroup: 40,
 		BufferFactor: 2,
-		Warmup:       10 * units.Second, Measure: 15 * units.Second,
 	})
 	if small.Util[0] >= full.Util[0] {
 		t.Errorf("0.15x buffers (%v) should underperform 2x (%v)",

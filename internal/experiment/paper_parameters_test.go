@@ -18,7 +18,6 @@ var paperConfigs = []any{
 	LongLivedConfig{}.withDefaults(),
 	SingleFlowConfig{}.withDefaults(),
 	WindowDistConfig{}.withDefaults(),
-	ShortFlowRunConfig{}.withDefaults(),
 	ShortFlowBufferConfig{}.withDefaults(),
 	MixedConfig{},
 	TraceConfig{}.withDefaults(),

@@ -14,12 +14,10 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Skip("paired sweeps")
 	}
 	cfg := UtilizationTableConfig{
-		Seed:           5,
-		BottleneckRate: 10 * units.Mbps,
-		Ns:             []int{20, 40},
-		Factors:        []float64{1, 2},
-		Warmup:         5 * units.Second,
-		Measure:        8 * units.Second,
+		Seed:    5,
+		Path:    Path{BottleneckRate: 10 * units.Mbps, Warmup: 5 * units.Second, Measure: 8 * units.Second},
+		Ns:      []int{20, 40},
+		Factors: []float64{1, 2},
 	}
 	cfg.Parallelism = 1
 	seq := RunUtilizationTable(cfg)
@@ -61,12 +59,10 @@ func TestSweepDeterministicWithMetrics(t *testing.T) {
 		t.Skip("paired sweeps")
 	}
 	cfg := UtilizationTableConfig{
-		Seed:           5,
-		BottleneckRate: 10 * units.Mbps,
-		Ns:             []int{20, 40},
-		Factors:        []float64{1, 2},
-		Warmup:         5 * units.Second,
-		Measure:        8 * units.Second,
+		Seed:    5,
+		Path:    Path{BottleneckRate: 10 * units.Mbps, Warmup: 5 * units.Second, Measure: 8 * units.Second},
+		Ns:      []int{20, 40},
+		Factors: []float64{1, 2},
 	}
 	cfg.Parallelism = 4
 	plain := RunUtilizationTable(cfg)
@@ -109,12 +105,10 @@ func TestLongLivedMetricsPopulated(t *testing.T) {
 	}
 	reg := metrics.New()
 	RunLongLived(LongLivedConfig{
-		Seed:           7,
-		N:              10,
-		BottleneckRate: 10 * units.Mbps,
-		Warmup:         3 * units.Second,
-		Measure:        5 * units.Second,
-		RunEnv:         RunEnv{Metrics: reg},
+		Seed:   7,
+		N:      10,
+		Path:   Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second},
+		RunEnv: RunEnv{Metrics: reg},
 	})
 	snap := reg.Snapshot()
 	for _, name := range []string{

@@ -353,6 +353,19 @@ func (r TraceResult) Table() string {
 // WriteJSON implements Result.
 func (r TraceResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
+// Table implements Result.
+func (r ProfileRunResult) Table() string {
+	return tabulate(func(tw *tabwriter.Writer) {
+		fmt.Fprintln(tw, "Util\tLoss\tMeanQ\tPeakQ\tMeanN\tPeakN\tLaunched\tAFCT\tCompleted\tCensored")
+		fmt.Fprintf(tw, "%.2f%%\t%.2f%%\t%.1f\t%d\t%.1f\t%.0f\t%d\t%v\t%d\t%d\n",
+			100*r.Utilization, 100*r.LossRate, r.MeanQueue, r.PeakQueue, r.MeanActive, r.PeakActive,
+			r.Generated, roundMS(r.AFCT), r.Completed, r.Censored)
+	})
+}
+
+// WriteJSON implements Result.
+func (r ProfileRunResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
+
 // Table implements Result. The cwnd/queue time series are omitted — they
 // are exported as CSV/SVG by cmd/paperexp instead.
 func (r SingleFlowResult) Table() string {

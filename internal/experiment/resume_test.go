@@ -22,8 +22,7 @@ func TestSweepCrashResume(t *testing.T) {
 	base := UtilizationTableConfig{
 		Seed: 3,
 		Ns:   []int{3, 4}, Factors: []float64{0.5, 1}, // 4 cells
-		BottleneckRate: 10 * units.Mbps,
-		Warmup:         1 * units.Second, Measure: 2 * units.Second,
+		Path:   Path{BottleneckRate: 10 * units.Mbps, Warmup: 1 * units.Second, Measure: 2 * units.Second},
 		RunEnv: RunEnv{Parallelism: 1}, // deterministic interruption point
 	}
 	total := len(base.Ns) * len(base.Factors)

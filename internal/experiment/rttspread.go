@@ -16,37 +16,39 @@ import (
 type RTTSpreadConfig struct {
 	Seed int64
 
-	N              int
-	BottleneckRate units.BitRate
-	MeanRTT        units.Duration
-	Spreads        []units.Duration // full widths of the RTT distribution
-	SegmentSize    units.ByteSize
-	BufferFactor   float64
-
-	Warmup, Measure units.Duration
+	N int
+	// Path defaults to rttSpreadPath. [RTTMin, RTTMax] only fixes the
+	// centre the sweep holds (its MeanRTT); each spread replaces the
+	// width.
+	Path
+	Spreads      []units.Duration // full widths of the RTT distribution
+	BufferFactor float64
 
 	// RunEnv: each spread's two runs (window distribution and long-lived)
 	// are cached and audited.
 	RunEnv
 }
 
+// rttSpreadPath leaves the bottleneck delay and the window unset: a
+// spread's two runs each take their own scenario's (Fig. 6's 10 ms and
+// 20+60 s, the long-lived 5 ms and 20+40 s) unless the caller sets one
+// for both.
+var rttSpreadPath = Path{
+	BottleneckRate: units.OC3,
+	RTTMin:         60 * units.Millisecond,
+	RTTMax:         140 * units.Millisecond,
+	SegmentSize:    units.DefaultSegment,
+}
+
 func (c RTTSpreadConfig) withDefaults() RTTSpreadConfig {
 	if c.N == 0 {
 		c.N = 200
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = units.OC3
-	}
-	if c.MeanRTT == 0 {
-		c.MeanRTT = 100 * units.Millisecond
-	}
+	c.Path = c.Path.or(rttSpreadPath)
 	if len(c.Spreads) == 0 {
 		c.Spreads = []units.Duration{
 			0, 5 * units.Millisecond, 20 * units.Millisecond, 80 * units.Millisecond,
 		}
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
 	}
 	if c.BufferFactor == 0 {
 		c.BufferFactor = 1
@@ -66,8 +68,8 @@ type RTTSpreadPoint struct {
 // RunRTTSpread executes the ablation. Points run in parallel.
 func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 	cfg = cfg.withDefaults()
-	bdp := float64(units.PacketsInFlight(cfg.BottleneckRate, cfg.MeanRTT, cfg.SegmentSize))
-	buffer := int(math.Max(1, cfg.BufferFactor*float64(SqrtRuleBuffer(bdp, cfg.N))))
+	mean := cfg.MeanRTT()
+	buffer := cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N)
 
 	out := make([]RTTSpreadPoint, len(cfg.Spreads))
 	runSweep(sweepSpec{
@@ -76,37 +78,24 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 		env:  cfg.RunEnv,
 	}, len(cfg.Spreads), func(i int) {
 		spread := cfg.Spreads[i]
-		// RunWindowDist gives both the utilization inputs and the
-		// aggregate-window moments; rebuild its scenario with this
-		// spread. A zero spread means identical RTTs.
+		// A zero spread means identical RTTs, still drawn (RTTMax is set).
+		path := cfg.Path
+		path.RTTMin, path.RTTMax = mean-spread/2, mean+spread/2
+		// RunWindowDist gives the aggregate-window moments, RunLongLived
+		// the utilization at the sqrt-rule buffer.
 		wd := RunWindowDist(WindowDistConfig{
-			Seed:            cfg.Seed + int64(i),
-			N:               cfg.N,
-			BottleneckRate:  cfg.BottleneckRate,
-			BottleneckDelay: 10 * units.Millisecond,
-			RTTMin:          cfg.MeanRTT - spread/2,
-			RTTMax:          cfg.MeanRTT + spread/2,
-			SegmentSize:     cfg.SegmentSize,
-			BufferFactor:    cfg.BufferFactor,
-			Warmup:          cfg.Warmup,
-			Measure:         cfg.Measure,
-			RunEnv:          cfg.cell(nil),
+			Seed: cfg.Seed + int64(i), N: cfg.N, Path: path,
+			BufferFactor: cfg.BufferFactor,
+			RunEnv:       cfg.cell(nil),
 		})
 		cov := 0.0
 		if wd.Mean > 0 {
 			cov = wd.StdDev / wd.Mean
 		}
 		ll := RunLongLived(LongLivedConfig{
-			Seed:           cfg.Seed + int64(i),
-			N:              cfg.N,
-			BottleneckRate: cfg.BottleneckRate,
-			RTTMin:         cfg.MeanRTT - spread/2,
-			RTTMax:         cfg.MeanRTT + spread/2,
-			SegmentSize:    cfg.SegmentSize,
-			BufferPackets:  buffer,
-			Warmup:         cfg.Warmup,
-			Measure:        cfg.Measure,
-			RunEnv:         cfg.cell(nil),
+			Seed: cfg.Seed + int64(i), N: cfg.N, Path: path,
+			BufferPackets: buffer,
+			RunEnv:        cfg.cell(nil),
 		})
 		out[i] = RTTSpreadPoint{
 			Spread:      spread,

@@ -11,12 +11,10 @@ func TestRunRTTSpreadDesynchronizes(t *testing.T) {
 		t.Skip("multi-run ablation")
 	}
 	points := RunRTTSpread(RTTSpreadConfig{
-		Seed:           1,
-		N:              100,
-		BottleneckRate: 40 * units.Mbps,
-		Spreads:        []units.Duration{0, 5 * units.Millisecond, 20 * units.Millisecond},
-		Warmup:         10 * units.Second,
-		Measure:        25 * units.Second,
+		Seed:    1,
+		N:       100,
+		Path:    Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 25 * units.Second},
+		Spreads: []units.Duration{0, 5 * units.Millisecond, 20 * units.Millisecond},
 	})
 	if len(points) != 3 {
 		t.Fatalf("got %d points", len(points))

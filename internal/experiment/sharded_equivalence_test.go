@@ -51,15 +51,13 @@ func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20040814)) // the paper's publication month
 	for i := 0; i < 4; i++ {
 		cfg := LongLivedConfig{
-			Seed:           rng.Int63n(1 << 20),
-			N:              2 + rng.Intn(30),
-			BottleneckRate: units.BitRate(5+rng.Intn(20)) * units.Mbps,
-			BufferPackets:  5 + rng.Intn(60),
-			Variant:        [...]tcp.Variant{0, 3, 4, 5}[rng.Intn(4)],
-			DelayedAck:     rng.Intn(2) == 0,
-			Paced:          rng.Intn(2) == 0,
-			Warmup:         2 * units.Second,
-			Measure:        4 * units.Second,
+			Seed:          rng.Int63n(1 << 20),
+			N:             2 + rng.Intn(30),
+			Path:          Path{BottleneckRate: units.BitRate(5+rng.Intn(20)) * units.Mbps, Warmup: 2 * units.Second, Measure: 4 * units.Second},
+			BufferPackets: 5 + rng.Intn(60),
+			Variant:       [...]tcp.Variant{0, 3, 4, 5}[rng.Intn(4)],
+			DelayedAck:    rng.Intn(2) == 0,
+			Paced:         rng.Intn(2) == 0,
 		}
 		want := resultDigest(t, RunLongLived(cfg))
 		for _, n := range []int{2, 4, 8} {
@@ -87,10 +85,9 @@ func TestShardedAuditZeroViolations(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			aud := audit.New()
 			RunLongLived(LongLivedConfig{
-				Seed: 7, N: 24, BottleneckRate: 20 * units.Mbps,
+				Seed: 7, N: 24, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
 				BufferPackets: 40,
-				Warmup:        4 * units.Second, Measure: 8 * units.Second,
-				RunEnv: RunEnv{Audit: aud, Shards: n},
+				RunEnv:        RunEnv{Audit: aud, Shards: n},
 			})
 			if vs := aud.Violations(); len(vs) != 0 {
 				t.Fatalf("audit reported %d violations under %d shards; first: %s", len(vs), n, vs[0])

@@ -6,7 +6,6 @@ import (
 
 	"bufsim/internal/metrics"
 	"bufsim/internal/model"
-	"bufsim/internal/queue"
 	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
@@ -24,17 +23,16 @@ type ShortFlowBufferConfig struct {
 	Load     float64         // paper: 0.8
 	FlowLens []int64         // flow length(s) in segments
 
-	MaxWindow      int // receiver cap; paper cites 12-43
-	SegmentSize    units.ByteSize
-	RTTMin, RTTMax units.Duration
-	Stations       int
+	MaxWindow int // receiver cap; paper cites 12-43
+	// Path defaults to shortFlowPath. BottleneckRate is not read: Rates
+	// sweeps it.
+	Path
+	Stations int
 
 	// AFCTFactor is the degradation budget (paper: 1.125 = +12.5%).
 	AFCTFactor float64
 	// ModelDropProb is the model curve's P(Q > B) (paper: 0.025).
 	ModelDropProb float64
-
-	Warmup, Measure units.Duration
 
 	// RunEnv: every probe the bisection makes (baseline and each step)
 	// is cached and audited. With Metrics set, after the bisection
@@ -58,15 +56,7 @@ func (c ShortFlowBufferConfig) withDefaults() ShortFlowBufferConfig {
 	if c.MaxWindow == 0 {
 		c.MaxWindow = 43
 	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 60 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 140 * units.Millisecond
-	}
+	c.Path = c.Path.or(shortFlowPath)
 	if c.Stations == 0 {
 		c.Stations = 50
 	}
@@ -75,12 +65,6 @@ func (c ShortFlowBufferConfig) withDefaults() ShortFlowBufferConfig {
 	}
 	if c.ModelDropProb == 0 {
 		c.ModelDropProb = 0.025
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 40 * units.Second
 	}
 	return c
 }
@@ -101,124 +85,23 @@ type ShortFlowBufferPoint struct {
 	ModelBuffer float64
 }
 
-// ShortFlowRunConfig is one short-flow-only scenario: Poisson arrivals of
-// fixed-length slow-start flows at a given load over a single bottleneck.
-type ShortFlowRunConfig struct {
-	Seed int64
-
-	Rate          units.BitRate
-	MeanRTT       units.Duration // station RTTs spread +-40% around this
-	SegmentSize   units.ByteSize
-	BufferPackets int // 0 = unlimited (the infinite-buffer baseline)
-	Load          float64
-	FlowLength    int64
-	MaxWindow     int
-	Stations      int
-
-	// Variant, DelayedAck and Paced select the senders' congestion-control
-	// behaviour, as in LongLivedConfig.
-	Variant    tcp.Variant
-	DelayedAck bool
-	Paced      bool
-	// UseRED switches the bottleneck to RED sized to BufferPackets
-	// (which must then be positive — RED thresholds need a capacity).
-	UseRED bool
-
-	Warmup, Measure units.Duration
-
-	// RunEnv: Metrics, Audit, Cache (the memoized value is the (AFCT,
-	// completed, censored) outcome) and Shards.
-	RunEnv
-}
-
-func (c ShortFlowRunConfig) withDefaults() ShortFlowRunConfig {
-	if c.MeanRTT == 0 {
-		c.MeanRTT = 100 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
-	if c.MaxWindow == 0 {
-		c.MaxWindow = 43
-	}
-	if c.Stations == 0 {
-		c.Stations = 50
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 40 * units.Second
-	}
-	return c
-}
-
-// shortFlowOutcome is the cacheable result of one short-flow run.
-type shortFlowOutcome struct {
-	AFCT      units.Duration
-	Completed int
-	Censored  int
-}
-
-// ShortFlowAFCT runs one short-flow scenario and returns the average flow
-// completion time over the measurement window, the number of completed
-// flows, and the number censored (started in the window, unfinished after
-// the drain period). With cfg.Cache set the outcome is memoized.
-//
-// The scenario is the profile scenario with a stationary Poisson source
-// (see runProfileUncached); only the cache identity — kind "short-flow",
-// keyed on this config — is its own.
-func ShortFlowAFCT(cfg ShortFlowRunConfig) (units.Duration, int, int) {
-	cfg = cfg.withDefaults()
-	out := memoRun(cfg.RunEnv, "short-flow", cfg, func() shortFlowOutcome {
-		res := runProfileUncached(ProfileRunConfig{
-			Seed:          cfg.Seed,
-			Rate:          cfg.Rate,
-			MeanRTT:       cfg.MeanRTT,
-			SegmentSize:   cfg.SegmentSize,
-			BufferPackets: cfg.BufferPackets,
-			Source: workload.PoissonSource{
-				Load:  cfg.Load,
-				Sizes: workload.FixedSize(cfg.FlowLength),
-				TCP: tcp.Config{
-					SegmentSize: cfg.SegmentSize,
-					MaxWindow:   cfg.MaxWindow,
-					Variant:     cfg.Variant,
-					DelayedAck:  cfg.DelayedAck,
-					Paced:       cfg.Paced,
-				},
-			},
-			Stations: cfg.Stations,
-			UseRED:   cfg.UseRED,
-			Warmup:   cfg.Warmup,
-			Measure:  cfg.Measure,
-			RunEnv:   cfg.RunEnv,
-		}.withDefaults())
-		return shortFlowOutcome{AFCT: res.AFCT, Completed: res.Completed, Censored: res.Censored}
-	})
-	return out.AFCT, out.Completed, out.Censored
-}
-
-// shortFlowAFCT adapts the Fig. 8 sweep's parameters to ShortFlowAFCT.
-func shortFlowAFCT(cfg ShortFlowBufferConfig, rate units.BitRate, flowLen int64, buffer queue.Limit, reg *metrics.Registry) (units.Duration, int) {
-	run := ShortFlowRunConfig{
-		Seed:        cfg.Seed,
-		Rate:        rate,
-		MeanRTT:     (cfg.RTTMin + cfg.RTTMax) / 2,
-		SegmentSize: cfg.SegmentSize,
-		Load:        cfg.Load,
-		FlowLength:  flowLen,
-		MaxWindow:   cfg.MaxWindow,
-		Stations:    cfg.Stations,
-		Warmup:      cfg.Warmup,
-		Measure:     cfg.Measure,
-		RunEnv:      cfg.cell(reg),
-	}
-	if buffer.Packets > 0 {
-		run.BufferPackets = buffer.Packets
-	}
-	afct, _, censored := ShortFlowAFCT(run)
-	return afct, censored
+// shortFlowAFCT runs one Fig. 8 probe: the profile scenario under a
+// stationary Poisson source of fixed-length flows at the sweep's load,
+// the bottleneck at one rate and buffer (0: unlimited, the baseline). It
+// returns the AFCT over the window.
+func shortFlowAFCT(cfg ShortFlowBufferConfig, rate units.BitRate, flowLen int64, buffer int, reg *metrics.Registry) units.Duration {
+	return RunProfile(ProfileRunConfig{
+		Seed:          cfg.Seed,
+		Path:          cfg.Path.at(rate),
+		BufferPackets: buffer,
+		Source: workload.PoissonSource{
+			Load:  cfg.Load,
+			Sizes: workload.FixedSize(flowLen),
+			TCP:   tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: cfg.MaxWindow},
+		},
+		Stations: cfg.Stations,
+		RunEnv:   cfg.cell(reg),
+	}).AFCT
 }
 
 // RunShortFlowBuffer executes the Fig. 8 experiment. Points (rate x flow
@@ -246,16 +129,13 @@ func RunShortFlowBuffer(cfg ShortFlowBufferConfig) ShortFlowBufferTable {
 		moments := model.MomentsForFlowLength(flowLen, 2, cfg.MaxWindow)
 		modelBuf := moments.MinBuffer(cfg.Load, cfg.ModelDropProb)
 
-		baseline, _ := shortFlowAFCT(cfg, rate, flowLen, queue.Unlimited(), nil)
+		baseline := shortFlowAFCT(cfg, rate, flowLen, 0, nil)
 		budget := units.Duration(float64(baseline) * cfg.AFCTFactor)
 
 		// Bisect on the buffer size; AFCT decreases with buffer.
 		hi := int(math.Max(modelBuf*4, 64))
 		lo := 1
-		afctAt := func(b int) units.Duration {
-			a, _ := shortFlowAFCT(cfg, rate, flowLen, queue.PacketLimit(b), nil)
-			return a
-		}
+		afctAt := func(b int) units.Duration { return shortFlowAFCT(cfg, rate, flowLen, b, nil) }
 		point := ShortFlowBufferPoint{
 			Rate: rate, FlowLen: flowLen,
 			BaselineAFCT: baseline, ModelBuffer: modelBuf,
@@ -287,7 +167,7 @@ func RunShortFlowBuffer(cfg ShortFlowBufferConfig) ShortFlowBufferTable {
 				continue // point never ran (cancelled sweep)
 			}
 			child := metrics.New()
-			shortFlowAFCT(cfg, p.Rate, p.FlowLen, queue.PacketLimit(p.MinBuffer), child)
+			shortFlowAFCT(cfg, p.Rate, p.FlowLen, p.MinBuffer, child)
 			cfg.Metrics.Merge(fmt.Sprintf("rate=%s,len=%d", p.Rate, p.FlowLen), child)
 		}
 	}

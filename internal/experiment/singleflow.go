@@ -16,17 +16,17 @@ type SingleFlowConfig struct {
 	// it.
 	Seed int64
 
-	BottleneckRate units.BitRate
-	RTT            units.Duration // two-way propagation (2*Tp)
-	SegmentSize    units.ByteSize
+	// Path defaults to singleFlowPath. RTTMin is the flow's two-way
+	// propagation delay (2*Tp), a quarter of it across the bottleneck
+	// unless BottleneckDelay says otherwise.
+	Path
 
 	// BufferFactor sizes the buffer as BufferFactor x (RTT x C):
 	// 1.0 is Fig. 3 (rule of thumb), <1 is Fig. 4 (underbuffered),
 	// >1 is Fig. 5 (overbuffered).
 	BufferFactor float64
 
-	Warmup, Measure units.Duration
-	SampleEvery     units.Duration
+	SampleEvery units.Duration
 
 	// Variant, DelayedAck and Paced select the sender's congestion-control
 	// behaviour (default: plain ACK-clocked Reno, the paper's setup).
@@ -43,28 +43,23 @@ type SingleFlowConfig struct {
 	RunEnv
 }
 
+// singleFlowPath is Figs. 2-5: 10 Mb/s, one fixed 100 ms RTT. A single
+// flow's congestion-avoidance cycle is long (the window climbs one
+// segment per RTT from Wmax/2 back to Wmax), and the initial slow-start
+// overshoot collapses ssthresh far below the BDP, so the first ~minute
+// is transient; the windows sit well past it.
+var singleFlowPath = Path{
+	BottleneckRate: 10 * units.Mbps,
+	RTTMin:         100 * units.Millisecond,
+	SegmentSize:    units.DefaultSegment,
+	Warmup:         100 * units.Second,
+	Measure:        200 * units.Second,
+}
+
 func (c SingleFlowConfig) withDefaults() SingleFlowConfig {
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 10 * units.Mbps
-	}
-	if c.RTT == 0 {
-		c.RTT = 100 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
+	c.Path = c.Path.or(singleFlowPath)
 	if c.BufferFactor == 0 {
 		c.BufferFactor = 1
-	}
-	// A single flow's congestion-avoidance cycle is long (the window
-	// climbs one segment per RTT from Wmax/2 back to Wmax), and the
-	// initial slow-start overshoot collapses ssthresh far below the BDP,
-	// so the first ~minute is transient. Defaults sit well past it.
-	if c.Warmup == 0 {
-		c.Warmup = 100 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 200 * units.Second
 	}
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 10 * units.Millisecond
@@ -95,21 +90,15 @@ func RunSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
 // runSingleFlow is the uncached body of RunSingleFlow; cfg has defaults
 // applied.
 func runSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
-	bdp := units.PacketsInFlight(cfg.BottleneckRate, cfg.RTT, cfg.SegmentSize)
-	buffer := int(cfg.BufferFactor * float64(bdp))
-	if buffer < 1 {
-		buffer = 1
-	}
+	bdp := cfg.BDP()
+	buffer := max(1, int(cfg.BufferFactor*float64(bdp)))
 	b := newBed(bedConfig{
 		env:      cfg.RunEnv,
 		seed:     cfg.Seed,
-		rate:     cfg.BottleneckRate,
-		delay:    cfg.RTT / 4,
-		rttMin:   cfg.RTT,
+		Path:     cfg.Path.delayOr(cfg.RTTMin / 4),
 		stations: 1,
 		shards:   cfg.Shards,
 		buffer:   buffer,
-		segment:  cfg.SegmentSize,
 		red:      cfg.UseRED,
 	})
 	f := b.d.AddFlow(b.d.Station(0), tcp.Config{
@@ -123,7 +112,7 @@ func runSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
 	qlen := b.sample("queue_pkts", cfg.SampleEvery,
 		func() float64 { return float64(b.d.Bottleneck.Queue().Len()) })
 
-	w := b.measure(cfg.Warmup, cfg.Measure, nil)
+	w := b.measure(nil)
 	res := SingleFlowResult{
 		BDPPackets:    bdp,
 		BufferPackets: buffer,

@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"math"
-
-	"bufsim/internal/units"
-)
+import "math"
 
 // sawtoothCoV is the coefficient of variation of a single idealized Reno
 // sawtooth (uniform between Wmax/2 and Wmax): sigma/mean = (1/sqrt(12)) *
@@ -18,14 +14,10 @@ const sawtoothCoV = 0.19245008972987526 // 1/sqrt(27)
 type SyncConfig struct {
 	Seed int64
 
-	Ns              []int
-	BottleneckRate  units.BitRate
-	BottleneckDelay units.Duration
-	RTTMin, RTTMax  units.Duration
-	SegmentSize     units.ByteSize
-	BufferFactor    float64 // multiple of RTTxC/sqrt(n)
-
-	Warmup, Measure units.Duration
+	Ns []int
+	// Path defaults to Fig. 6's (windowDistPath).
+	Path
+	BufferFactor float64 // multiple of RTTxC/sqrt(n)
 
 	// RunEnv: Audit and Cache reach the underlying runs.
 	RunEnv
@@ -35,9 +27,7 @@ func (c SyncConfig) withDefaults() SyncConfig {
 	if len(c.Ns) == 0 {
 		c.Ns = []int{10, 50, 100, 250, 500}
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = units.OC3
-	}
+	c.Path = c.Path.or(windowDistPath)
 	if c.BufferFactor == 0 {
 		c.BufferFactor = 1.5
 	}
@@ -64,17 +54,9 @@ func RunSyncAblation(cfg SyncConfig) SyncTable {
 	var out []SyncPoint
 	for _, n := range cfg.Ns {
 		r := RunWindowDist(WindowDistConfig{
-			Seed:            cfg.Seed + int64(n),
-			N:               n,
-			BottleneckRate:  cfg.BottleneckRate,
-			BottleneckDelay: cfg.BottleneckDelay,
-			RTTMin:          cfg.RTTMin,
-			RTTMax:          cfg.RTTMax,
-			SegmentSize:     cfg.SegmentSize,
-			BufferFactor:    cfg.BufferFactor,
-			Warmup:          cfg.Warmup,
-			Measure:         cfg.Measure,
-			RunEnv:          cfg.cell(nil),
+			Seed: cfg.Seed + int64(n), N: n, Path: cfg.Path,
+			BufferFactor: cfg.BufferFactor,
+			RunEnv:       cfg.cell(nil),
 		})
 		cov := 0.0
 		if r.Mean > 0 {

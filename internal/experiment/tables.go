@@ -23,14 +23,10 @@ type UtilizationTableConfig struct {
 	Ns      []int     // paper: 100, 200, 300, 400
 	Factors []float64 // paper: 0.5, 1, 2, 3
 
-	BottleneckRate  units.BitRate // paper: OC3
-	BottleneckDelay units.Duration
-	RTTMin, RTTMax  units.Duration
-	SegmentSize     units.ByteSize
+	// Path defaults to tablePath (the paper ran OC3).
+	Path
 
 	UseRED bool // ablation: run the same table under RED
-
-	Warmup, Measure units.Duration
 
 	// RunEnv: every cell is cached and audited. With Metrics set each
 	// (n, factor) cell runs with its own child registry, merged in
@@ -40,6 +36,18 @@ type UtilizationTableConfig struct {
 	RunEnv
 }
 
+// tablePath is the OC3 bed of the paper's long-lived sweeps (Figs. 7 and
+// 10): the long-lived scenario behind a 10 ms bottleneck.
+var tablePath = Path{
+	BottleneckRate:  units.OC3,
+	BottleneckDelay: 10 * units.Millisecond,
+	RTTMin:          60 * units.Millisecond,
+	RTTMax:          100 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+	Warmup:          20 * units.Second,
+	Measure:         40 * units.Second,
+}
+
 func (c UtilizationTableConfig) withDefaults() UtilizationTableConfig {
 	if len(c.Ns) == 0 {
 		c.Ns = []int{100, 200, 300, 400}
@@ -47,27 +55,7 @@ func (c UtilizationTableConfig) withDefaults() UtilizationTableConfig {
 	if len(c.Factors) == 0 {
 		c.Factors = []float64{0.5, 1, 2, 3}
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = units.OC3
-	}
-	if c.BottleneckDelay == 0 {
-		c.BottleneckDelay = 10 * units.Millisecond
-	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 60 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 100 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 20 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 40 * units.Second
-	}
+	c.Path = c.Path.or(tablePath)
 	return c
 }
 
@@ -86,8 +74,7 @@ type UtilizationRow struct {
 // RunUtilizationTable executes the Fig. 10 table.
 func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 	cfg = cfg.withDefaults()
-	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
-	bdp := units.PacketsInFlight(cfg.BottleneckRate, meanRTT, cfg.SegmentSize)
+	bdp := cfg.BDP()
 
 	type cell struct{ n, factorIdx int }
 	var cells []cell
@@ -112,21 +99,13 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 		n := cfg.Ns[cells[k].n]
 		factor := cfg.Factors[cells[k].factorIdx]
 		gauss := model.LongFlowGaussian{N: n, BDP: float64(bdp)}
-		sqrtRule := float64(bdp) / math.Sqrt(float64(n))
-		buffer := int(math.Max(1, math.Round(factor*sqrtRule)))
+		// Scaled first, rounded after: the pinned table's own rounding.
+		buffer := int(math.Max(1, math.Round(factor*float64(bdp)/math.Sqrt(float64(n)))))
 		r := RunLongLived(LongLivedConfig{
-			Seed:            cfg.Seed + int64(n)*100 + int64(factor*10),
-			N:               n,
-			BottleneckRate:  cfg.BottleneckRate,
-			BottleneckDelay: cfg.BottleneckDelay,
-			RTTMin:          cfg.RTTMin,
-			RTTMax:          cfg.RTTMax,
-			SegmentSize:     cfg.SegmentSize,
-			BufferPackets:   buffer,
-			UseRED:          cfg.UseRED,
-			Warmup:          cfg.Warmup,
-			Measure:         cfg.Measure,
-			RunEnv:          cfg.cell(cellRegs[k]),
+			Seed: cfg.Seed + int64(n)*100 + int64(factor*10),
+			N:    n, Path: cfg.Path,
+			BufferPackets: buffer, UseRED: cfg.UseRED,
+			RunEnv: cfg.cell(cellRegs[k]),
 		})
 		rows[k] = UtilizationRow{
 			N: n, Factor: factor, Packets: buffer,
@@ -154,10 +133,8 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 type ProductionConfig struct {
 	Seed int64
 
-	BottleneckRate  units.BitRate
-	BottleneckDelay units.Duration
-	RTTMin, RTTMax  units.Duration
-	SegmentSize     units.ByteSize
+	// Path defaults to productionPath.
+	Path
 
 	NLong     int     // persistent flows (bulk transfers)
 	ShortLoad float64 // offered load from the heavy-tailed short flows
@@ -165,29 +142,25 @@ type ProductionConfig struct {
 
 	Buffers []int // packets; paper: 500, 85, 65, 46
 
-	Warmup, Measure units.Duration
-
 	// RunEnv: every buffer point is cached and audited; the points are
 	// independent simulations, so rows are identical at any Parallelism.
 	RunEnv
 }
 
+// productionPath is the throttled campus router: 20 Mb/s, and the wide
+// RTT range of live Internet traffic.
+var productionPath = Path{
+	BottleneckRate:  20 * units.Mbps,
+	BottleneckDelay: 10 * units.Millisecond,
+	RTTMin:          40 * units.Millisecond,
+	RTTMax:          250 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+	Warmup:          20 * units.Second,
+	Measure:         60 * units.Second,
+}
+
 func (c ProductionConfig) withDefaults() ProductionConfig {
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 20 * units.Mbps
-	}
-	if c.BottleneckDelay == 0 {
-		c.BottleneckDelay = 10 * units.Millisecond
-	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 40 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 250 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
+	c.Path = c.Path.or(productionPath)
 	if c.NLong == 0 {
 		c.NLong = 60
 	}
@@ -199,12 +172,6 @@ func (c ProductionConfig) withDefaults() ProductionConfig {
 	}
 	if len(c.Buffers) == 0 {
 		c.Buffers = []int{46, 65, 85, 500}
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 20 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 60 * units.Second
 	}
 	return c
 }
@@ -223,8 +190,7 @@ type ProductionRow struct {
 // RunProduction executes the Fig. 11 experiment.
 func RunProduction(cfg ProductionConfig) ProductionTable {
 	cfg = cfg.withDefaults()
-	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
-	bdp := float64(units.PacketsInFlight(cfg.BottleneckRate, meanRTT, cfg.SegmentSize))
+	bdp := float64(cfg.BDP())
 
 	rows := make(ProductionTable, len(cfg.Buffers))
 	runSweep(sweepSpec{
@@ -247,16 +213,7 @@ func RunProduction(cfg ProductionConfig) ProductionTable {
 
 // runProductionPoint simulates one Fig. 11 buffer point under env.
 func runProductionPoint(cfg ProductionConfig, env RunEnv, buffer int, bdp float64) ProductionRow {
-	b := newBed(bedConfig{
-		env:      env,
-		seed:     cfg.Seed,
-		rate:     cfg.BottleneckRate,
-		delay:    cfg.BottleneckDelay,
-		rttMin:   cfg.RTTMin,
-		rttMax:   cfg.RTTMax,
-		stations: cfg.NLong + 100,
-		buffer:   buffer,
-	})
+	b := newBed(bedConfig{env: env, seed: cfg.Seed, Path: cfg.Path, stations: cfg.NLong + 100, buffer: buffer})
 	workload.StartLongLived(b.d, cfg.NLong,
 		tcp.Config{SegmentSize: cfg.SegmentSize}, b.rng.Fork(), cfg.Warmup/2)
 	gen := workload.NewShortFlows(workload.ShortFlowConfig{
@@ -270,7 +227,7 @@ func runProductionPoint(cfg ProductionConfig, env RunEnv, buffer int, bdp float6
 	concurrent := b.sample("concurrent", 100*units.Millisecond,
 		func() float64 { return float64(cfg.NLong + gen.Active()) })
 
-	w := b.measure(cfg.Warmup, cfg.Measure, nil)
+	w := b.measure(nil)
 	gen.Stop()
 	b.drain(30 * units.Second)
 	afct, completed, _ := gen.AFCT(w.from, w.to)

@@ -13,15 +13,12 @@ import (
 type VariantConfig struct {
 	Seed int64
 
-	N              int
-	BottleneckRate units.BitRate
-	RTTMin, RTTMax units.Duration
-	SegmentSize    units.ByteSize
-	BufferFactor   float64 // multiple of RTTxC/sqrt(n)
+	N int
+	// Path defaults to the long-lived scenario at OC3.
+	Path
+	BufferFactor float64 // multiple of RTTxC/sqrt(n)
 
 	Variants []tcp.Variant
-
-	Warmup, Measure units.Duration
 
 	// RunEnv: Audit and Cache reach every variant's run.
 	RunEnv
@@ -31,9 +28,7 @@ func (c VariantConfig) withDefaults() VariantConfig {
 	if c.N == 0 {
 		c.N = 100
 	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = units.OC3
-	}
+	c.Path = c.Path.or(longLivedPath.at(units.OC3))
 	if c.BufferFactor == 0 {
 		c.BufferFactor = 1
 	}
@@ -55,29 +50,13 @@ type VariantPoint struct {
 // RunVariantAblation measures each variant on the same scenario.
 func RunVariantAblation(cfg VariantConfig) VariantTable {
 	cfg = cfg.withDefaults()
-	ll := LongLivedConfig{
-		Seed:           cfg.Seed,
-		N:              cfg.N,
-		BottleneckRate: cfg.BottleneckRate,
-		RTTMin:         cfg.RTTMin,
-		RTTMax:         cfg.RTTMax,
-		SegmentSize:    cfg.SegmentSize,
-		Warmup:         cfg.Warmup,
-		Measure:        cfg.Measure,
-		RunEnv:         cfg.cell(nil),
+	run := LongLivedConfig{
+		Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
+		BufferPackets: cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N),
+		RunEnv:        cfg.cell(nil),
 	}
-	ll = ll.withDefaults()
-	meanRTT := (ll.RTTMin + ll.RTTMax) / 2
-	bdp := float64(units.PacketsInFlight(ll.BottleneckRate, meanRTT, ll.SegmentSize))
-	buffer := int(cfg.BufferFactor * float64(SqrtRuleBuffer(bdp, cfg.N)))
-	if buffer < 1 {
-		buffer = 1
-	}
-	ll.BufferPackets = buffer
-
 	var out []VariantPoint
 	for _, v := range cfg.Variants {
-		run := ll
 		run.Variant = v
 		r := RunLongLived(run)
 		out = append(out, VariantPoint{

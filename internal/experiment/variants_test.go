@@ -12,12 +12,10 @@ func TestRunVariantAblationRuleHoldsForAll(t *testing.T) {
 		t.Skip("four simulation runs")
 	}
 	points := RunVariantAblation(VariantConfig{
-		Seed:           1,
-		N:              100,
-		BottleneckRate: 40 * units.Mbps,
-		BufferFactor:   1.5,
-		Warmup:         10 * units.Second,
-		Measure:        20 * units.Second,
+		Seed:         1,
+		N:            100,
+		Path:         Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
+		BufferFactor: 1.5,
 	})
 	if len(points) != 4 {
 		t.Fatalf("got %d points", len(points))

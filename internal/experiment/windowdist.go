@@ -15,47 +15,36 @@ import (
 type WindowDistConfig struct {
 	Seed int64
 
-	N               int
-	BottleneckRate  units.BitRate
-	BottleneckDelay units.Duration
-	RTTMin, RTTMax  units.Duration
-	SegmentSize     units.ByteSize
+	N int
+	// Path defaults to windowDistPath.
+	Path
 
 	// BufferFactor sizes the buffer as a multiple of RTTxC/sqrt(n).
 	BufferFactor float64
 
-	Warmup, Measure units.Duration
-	SampleEvery     units.Duration
+	SampleEvery units.Duration
 
 	// RunEnv: Metrics, Audit and Cache (the memoized result includes
 	// samples and histogram).
 	RunEnv
 }
 
+// windowDistPath is Fig. 6's bed: OC3, RTTs spread wide enough to
+// desynchronize, and a minute of samples.
+var windowDistPath = Path{
+	BottleneckRate:  units.OC3,
+	BottleneckDelay: 10 * units.Millisecond,
+	RTTMin:          60 * units.Millisecond,
+	RTTMax:          140 * units.Millisecond,
+	SegmentSize:     units.DefaultSegment,
+	Warmup:          20 * units.Second,
+	Measure:         60 * units.Second,
+}
+
 func (c WindowDistConfig) withDefaults() WindowDistConfig {
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = units.OC3
-	}
-	if c.BottleneckDelay == 0 {
-		c.BottleneckDelay = 10 * units.Millisecond
-	}
-	if c.RTTMin == 0 {
-		c.RTTMin = 60 * units.Millisecond
-	}
-	if c.RTTMax == 0 {
-		c.RTTMax = 140 * units.Millisecond
-	}
-	if c.SegmentSize == 0 {
-		c.SegmentSize = units.DefaultSegment
-	}
+	c.Path = c.Path.or(windowDistPath)
 	if c.BufferFactor == 0 {
 		c.BufferFactor = 1
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 20 * units.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 60 * units.Second
 	}
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 10 * units.Millisecond
@@ -94,24 +83,15 @@ func RunWindowDist(cfg WindowDistConfig) WindowDistResult {
 // runWindowDist is the uncached body of RunWindowDist; cfg has defaults
 // applied.
 func runWindowDist(cfg WindowDistConfig) WindowDistResult {
-	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
-	bdp := float64(units.PacketsInFlight(cfg.BottleneckRate, meanRTT, cfg.SegmentSize))
-	buffer := int(math.Max(1, cfg.BufferFactor*bdp/math.Sqrt(float64(cfg.N))))
+	// Scaled and truncated, never rounded: the pinned digest's own
+	// arithmetic (see Path.sqrtRuleTimes).
+	buffer := int(math.Max(1, cfg.BufferFactor*float64(cfg.BDP())/math.Sqrt(float64(cfg.N))))
 
-	b := newBed(bedConfig{
-		env:      cfg.RunEnv,
-		seed:     cfg.Seed,
-		rate:     cfg.BottleneckRate,
-		delay:    cfg.BottleneckDelay,
-		rttMin:   cfg.RTTMin,
-		rttMax:   cfg.RTTMax,
-		stations: cfg.N,
-		buffer:   buffer,
-	})
+	b := newBed(bedConfig{env: cfg.RunEnv, seed: cfg.Seed, Path: cfg.Path, stations: cfg.N, buffer: buffer})
 	workload.StartLongLived(b.d, cfg.N, tcp.Config{SegmentSize: cfg.SegmentSize}, b.rng.Fork(), cfg.Warmup/2)
 
 	var aggregate *trace.Series
-	b.measure(cfg.Warmup, cfg.Measure, func() {
+	b.measure(func() {
 		aggregate = b.sample("aggregate_window", cfg.SampleEvery, b.d.AggregateWindow)
 	})
 	samples := aggregate.Values

@@ -32,13 +32,6 @@ import (
 // observers and execution policy, never for simulation semantics.
 var ignorer = reflect.TypeOf((*interface{ DigestIgnore() })(nil)).Elem()
 
-// retirer is how a config type deletes a field without moving its keys:
-// DigestRetired maps each deleted field's name to the zero value it
-// always digested as, and the struct encodes as if the field were still
-// there. Entries fall away at the next salt bump, when every key moves
-// anyway.
-type retirer interface{ DigestRetired() map[string]any }
-
 // ignored reports whether struct type t declares the marker itself.
 // Embedding promotes methods, so a config that embeds an ignored type
 // has DigestIgnore in its method set too; it is told apart by the
@@ -122,12 +115,6 @@ func encodeValue(w hash.Hash, v reflect.Value) {
 			}
 			names = append(names, f.Name)
 			byName[f.Name] = v.Field(i)
-		}
-		if r, ok := v.Interface().(retirer); ok {
-			for n, zero := range r.DigestRetired() {
-				names = append(names, n)
-				byName[n] = reflect.ValueOf(zero)
-			}
 		}
 		sort.Strings(names)
 		io.WriteString(w, "{")

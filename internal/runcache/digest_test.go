@@ -177,32 +177,3 @@ func TestKeyUnsupportedKindPanics(t *testing.T) {
 	}()
 	Key("s", "k", []func(){func() {}})
 }
-
-// withLegacy still has the field slimmed deleted; slimmed declares it
-// retired. Their keys must agree while the field held its zero value,
-// nested or not, and the live fields must keep moving the key.
-type withLegacy struct {
-	Seed   int64
-	Legacy bool
-}
-
-type slimmed struct{ Seed int64 }
-
-func (slimmed) DigestRetired() map[string]any { return map[string]any{"Legacy": false} }
-
-func TestKeyRetiredFieldKeepsKey(t *testing.T) {
-	if Key("s", "k", slimmed{Seed: 3}) != Key("s", "k", withLegacy{Seed: 3}) {
-		t.Errorf("deleting a field declared retired moved the key")
-	}
-	type before struct{ Base withLegacy }
-	type after struct{ Base slimmed }
-	if Key("s", "k", after{slimmed{Seed: 3}}) != Key("s", "k", before{withLegacy{Seed: 3}}) {
-		t.Errorf("deleting a retired field moved the key of a config nesting it")
-	}
-	if Key("s", "k", slimmed{Seed: 4}) == Key("s", "k", slimmed{Seed: 3}) {
-		t.Errorf("a live field next to a retired one no longer moves the key")
-	}
-	if Key("s", "k", slimmed{Seed: 3}) == Key("s", "k", withLegacy{Seed: 3, Legacy: true}) {
-		t.Errorf("a retired field digests as something other than its zero value")
-	}
-}

@@ -25,10 +25,13 @@ type Result interface {
 
 var _ = []Result{
 	SimulationResult{},
+	ReplicatedResult{},
 	SingleFlowResult{},
 	ShortFlowResult{},
 	MixResult{},
 	TraceResult{},
+	ProfileResult{},
+	AdversaryResult{},
 	Memory{},
 }
 
@@ -118,17 +121,19 @@ func (r MixResult) Table() string {
 func (r MixResult) WriteJSON(w io.Writer) error { return resultJSON(w, r) }
 
 // Table implements Result.
-func (r TraceResult) Table() string {
+func (r AdversaryResult) Table() string {
 	return tabulate(func(tw *tabwriter.Writer) {
-		fmt.Fprintf(tw, "completed\t%d\n", r.Completed)
-		fmt.Fprintf(tw, "censored\t%d\n", r.Censored)
-		fmt.Fprintf(tw, "AFCT\t%v\n", r.AFCT)
+		fmt.Fprintf(tw, "buffer (pkts)\t%d\n", r.BufferPackets)
 		fmt.Fprintf(tw, "utilization\t%.4f\n", r.Utilization)
+		fmt.Fprintf(tw, "loss rate\t%.5f\n", r.LossRate)
+		fmt.Fprintf(tw, "mean queue (pkts)\t%.1f\n", r.MeanQueuePackets)
+		fmt.Fprintf(tw, "peak queue (pkts)\t%d\n", r.PeakQueuePackets)
+		fmt.Fprintf(tw, "sync index\t%.2f\n", r.SyncIndex)
 	})
 }
 
 // WriteJSON implements Result.
-func (r TraceResult) WriteJSON(w io.Writer) error { return resultJSON(w, r) }
+func (r AdversaryResult) WriteJSON(w io.Writer) error { return resultJSON(w, r) }
 
 // Table implements Result.
 func (m Memory) Table() string {

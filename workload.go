@@ -187,18 +187,7 @@ type ProfileSimulation struct {
 // ProfileResult summarizes SimulateProfile: the bottleneck's view of
 // the traffic (utilization, loss, queue occupancy) and the workload's
 // (active-flow trajectory n(t), flow completion times).
-type ProfileResult struct {
-	Utilization float64
-	LossRate    float64
-	MeanQueue   float64
-	PeakQueue   int
-	MeanActive  float64
-	PeakActive  float64
-	Generated   int64
-	AFCT        Duration
-	Completed   int
-	Censored    int
-}
+type ProfileResult = experiment.ProfileRunResult
 
 // SimulateProfile runs a workload scenario — the unified entry point
 // behind which the stationary, session, trace and profile traffic
@@ -214,32 +203,16 @@ func SimulateProfile(cfg ProfileSimulation, opts ...Option) ProfileResult {
 	if w == nil {
 		panic("bufsim: ProfileSimulation requires a Workload (config field or WithWorkload)")
 	}
-	res := experiment.RunProfile(experiment.ProfileRunConfig{
+	return experiment.RunProfile(experiment.ProfileRunConfig{
 		Seed:          cfg.Seed,
-		Rate:          cfg.Link.Rate,
-		MeanRTT:       cfg.Link.RTT,
-		SegmentSize:   cfg.Link.segment(),
+		Path:          cfg.Link.shortFlowPath(cfg.Warmup, cfg.Measure),
 		BufferPackets: cfg.BufferPackets,
 		Source:        overrideWorkloadTCP(w, o),
 		Stations:      cfg.Stations,
 		UseRED:        o.useRED(cfg.RED),
-		Warmup:        cfg.Warmup,
-		Measure:       cfg.Measure,
 		Drain:         cfg.Drain,
 		RunEnv:        o.env,
 	})
-	return ProfileResult{
-		Utilization: res.Utilization,
-		LossRate:    res.LossRate,
-		MeanQueue:   res.MeanQueue,
-		PeakQueue:   res.PeakQueue,
-		MeanActive:  res.MeanActive,
-		PeakActive:  res.PeakActive,
-		Generated:   res.Generated,
-		AFCT:        res.AFCT,
-		Completed:   res.Completed,
-		Censored:    res.Censored,
-	}
 }
 
 // overrideWorkloadTCP rewrites a known workload's TCP templates from
