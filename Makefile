@@ -6,7 +6,7 @@ BIN := bin
 
 .PHONY: all build fmt-check lint onebed vet test short race mutation fuzz-smoke \
         bench-smoke golden bench bench-gate bench-scale bench-scale-gate \
-        benchmark-check clean
+        benchmark-check loc clean
 
 all: build lint test
 
@@ -114,6 +114,14 @@ benchmark-check:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 	$(GO) build -C benchmark -o /dev/null ./layers
+
+# loc prints the non-test Go line count of every package, the number the
+# simplicity PRs report: no _test.go, no analyzer fixtures, and not
+# benchmark/ (its own module, which those PRs may not edit).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 \
+		| xargs -0 awk 'FNR == 1 { d = FILENAME; sub(/\/[^\/]*$$/, "", d) } { n[d]++; total++ } \
+			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", total }'
 
 clean:
 	rm -rf $(BIN) BENCH_kernel_ci.json BENCH_scale_ci.json

@@ -299,10 +299,13 @@ func TestResultInterface(t *testing.T) {
 	// Compact render smoke for every public Result implementation.
 	results := []Result{
 		SimulationResult{Utilization: 0.99, Timeouts: 3},
+		ReplicatedResult{Replicas: 3, MeanUtilization: 0.98, StdDev: 0.01, Min: 0.97, Max: 0.99},
 		SingleFlowResult{BDPPackets: 125, BufferPackets: 125, Utilization: 1},
 		ShortFlowResult{AFCT: 250 * Millisecond, Completed: 10},
 		MixResult{AFCT: 300 * Millisecond, ShortsCompleted: 5, Utilization: 0.97},
 		TraceResult{Completed: 4, AFCT: 100 * Millisecond},
+		ProfileResult{Utilization: 0.6, PeakActive: 40, Generated: 900, AFCT: 200 * Millisecond, Completed: 850},
+		AdversaryResult{BufferPackets: 25, Utilization: 0.42, PeakQueuePackets: 25, SyncIndex: 2.8},
 		Memory{SRAMChips: 1, FitsOnChip: true, Description: "fits"},
 	}
 	for _, res := range results {

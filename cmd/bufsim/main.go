@@ -60,7 +60,13 @@ func main() {
 	if *resume || *verify {
 		*cacheOn = true
 	}
-	var cache *bufsim.Cache
+	obs := observers{metricsPath: *metrics, shards: *shards}
+	if *metrics != "" {
+		obs.reg = bufsim.NewRegistry()
+	}
+	if *auditOn {
+		obs.aud = bufsim.NewAuditor()
+	}
 	if *cacheOn {
 		c, err := bufsim.OpenCache(*cacheDir)
 		if err != nil {
@@ -69,7 +75,7 @@ func main() {
 		if *verify {
 			c.SetVerifySample(0.25)
 		}
-		cache = c
+		obs.cache = c
 	}
 
 	if *cpuprof != "" {
@@ -90,7 +96,9 @@ func main() {
 			log.Fatal(err)
 		}
 		printRules(link, sim.Flows, sim.BufferPackets)
-		runAndPrint(link, sim, *skipSim, *metrics, *auditOn, cache, *shards)
+		if !*skipSim {
+			fatalIf(runAndPrint(sim, obs))
+		}
 		return
 	}
 
@@ -132,37 +140,97 @@ func main() {
 		}
 	}
 	printRules(link, *flows, b)
-	if *advArg != "" {
-		if *wlArg != "" {
-			log.Fatal("-adversary and -workload are mutually exclusive")
-		}
-		runAdversaryAndPrint(*advArg, bufsim.AdversarySimulation{
+	switch {
+	case *advArg != "" && *wlArg != "":
+		log.Fatal("-adversary and -workload are mutually exclusive")
+	case *advArg != "":
+		fatalIf(runAdversaryAndPrint(*advArg, bufsim.AdversarySimulation{
 			Seed: *seed, Link: link, Flows: *flows, BufferPackets: b,
 			Warmup: warmup, Measure: measure,
-		}, *skipSim, *metrics, *auditOn, cache)
-		return
-	}
-	if *wlArg != "" {
-		runProfileAndPrint(profileScenario{
+		}, *skipSim, obs))
+	case *wlArg != "":
+		fatalIf(runProfileAndPrint(profileScenario{
 			arg: *wlArg, load: *wlLoad, flowLen: *wlFlowLen,
 			link: link, buffer: b, peakFlows: *flows,
 			seed: *seed, warmup: warmup, measure: measure,
 			red: *red, variant: v, paced: *paced,
-		}, *skipSim, *metrics, *auditOn, cache, *shards)
-		return
+		}, *skipSim, obs))
+	case !*skipSim:
+		fatalIf(runAndPrint(bufsim.Simulation{
+			Seed:          *seed,
+			Link:          link,
+			Flows:         *flows,
+			BufferPackets: b,
+			RTTSpread:     spread,
+			Warmup:        warmup,
+			Measure:       measure,
+			RED:           *red,
+			Variant:       v,
+			Paced:         *paced,
+		}, obs))
 	}
-	runAndPrint(link, bufsim.Simulation{
-		Seed:          *seed,
-		Link:          link,
-		Flows:         *flows,
-		BufferPackets: b,
-		RTTSpread:     spread,
-		Warmup:        warmup,
-		Measure:       measure,
-		RED:           *red,
-		Variant:       v,
-		Paced:         *paced,
-	}, *skipSim, *metrics, *auditOn, cache, *shards)
+}
+
+func fatalIf(err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// observers is what -metrics, -audit, -cache (with -cache-verify) and
+// -shards add up to: the options every scenario runs under, and the
+// epilogue every scenario prints after its own lines.
+type observers struct {
+	metricsPath string
+	reg         *bufsim.Registry // nil without -metrics
+	aud         *bufsim.Auditor  // nil without -audit
+	cache       *bufsim.Cache    // nil without -cache
+	shards      int
+}
+
+func (o observers) options() []bufsim.Option {
+	var opts []bufsim.Option
+	if o.reg != nil {
+		opts = append(opts, bufsim.WithMetrics(o.reg))
+	}
+	if o.aud != nil {
+		opts = append(opts, bufsim.WithAudit(o.aud))
+	}
+	if o.cache != nil {
+		opts = append(opts, bufsim.WithCacheStore(o.cache))
+	}
+	if o.shards > 1 {
+		opts = append(opts, bufsim.WithShards(o.shards))
+	}
+	return opts
+}
+
+// report writes the telemetry dump and prints the audit and cache
+// verdicts. An invariant violation or a cache entry that recomputed
+// differently is an error: the numbers above it cannot be trusted.
+func (o observers) report() error {
+	if o.reg != nil {
+		if err := writeTelemetry(o.reg, o.metricsPath); err != nil {
+			return err
+		}
+	}
+	if o.aud != nil {
+		if err := o.aud.Err(); err != nil {
+			return fmt.Errorf("audit: %v", err)
+		}
+		fmt.Println("audit:           all invariants held")
+	}
+	if o.cache != nil {
+		if o.cache.Stats().Hits > 0 {
+			fmt.Println("cache:           hit — result replayed from a previous identical run")
+		} else {
+			fmt.Println("cache:           miss — result stored for next time")
+		}
+		if fails := o.cache.VerifyFailures(); len(fails) > 0 {
+			return fmt.Errorf("cache-verify: recomputation mismatched the stored result (%d failure(s))", len(fails))
+		}
+	}
+	return nil
 }
 
 // printRules shows the sizing rules and hardware verdict for the chosen
@@ -183,137 +251,68 @@ func printRules(link bufsim.Link, flows, buffer int) {
 	fmt.Printf("model predicts:  %.2f%% utilization\n", 100*link.PredictUtilization(flows, buffer))
 }
 
-// runAndPrint runs the simulation (unless skipped) and reports. When
-// metricsPath is non-empty the run's telemetry registry is dumped there
-// as JSON. When auditOn is set the run executes under the
-// conservation-law checker and any violation is fatal. When cache is
-// non-nil the result is memoized there.
-func runAndPrint(link bufsim.Link, cfg bufsim.Simulation, skip bool, metricsPath string, auditOn bool, cache *bufsim.Cache, shards int) {
-	if skip {
-		return
-	}
-	var opts []bufsim.Option
-	var reg *bufsim.Registry
-	if metricsPath != "" {
-		reg = bufsim.NewRegistry()
-		opts = append(opts, bufsim.WithMetrics(reg))
-	}
-	var aud *bufsim.Auditor
-	if auditOn {
-		aud = bufsim.NewAuditor()
-		opts = append(opts, bufsim.WithAudit(aud))
-	}
-	if cache != nil {
-		opts = append(opts, bufsim.WithCacheStore(cache))
-	}
-	if shards > 1 {
-		opts = append(opts, bufsim.WithShards(shards))
-	}
+// runAndPrint runs the long-lived simulation under obs and reports.
+func runAndPrint(cfg bufsim.Simulation, obs observers) error {
 	fmt.Printf("simulating %d %v flows for %v (+%v warmup)...\n",
 		cfg.Flows, cfg.Variant, cfg.Measure, cfg.Warmup)
-	res := bufsim.Simulate(cfg, opts...)
+	res := bufsim.Simulate(cfg, obs.options()...)
 	fmt.Printf("measured:        %.2f%% utilization, %.3f%% loss, mean queue %.0f pkts, %.2f%% retransmits\n",
 		100*res.Utilization, 100*res.LossRate, res.MeanQueuePackets, 100*res.RetransmitFraction)
 	fmt.Printf("queueing delay:  mean %v, P99 %v; fairness %.3f\n",
 		res.QueueDelayMean, res.QueueDelayP99, res.Fairness)
-	writeTelemetry(reg, metricsPath)
-	if aud != nil {
-		if err := aud.Err(); err != nil {
-			log.Fatalf("audit: %v", err)
-		}
-		fmt.Println("audit:           all invariants held")
-	}
-	if cache != nil {
-		s := cache.Stats()
-		if s.Hits > 0 {
-			fmt.Println("cache:           hit — result replayed from a previous identical run")
-		} else {
-			fmt.Println("cache:           miss — result stored for next time")
-		}
-		if fails := cache.VerifyFailures(); len(fails) > 0 {
-			log.Fatalf("cache-verify: recomputation mismatched the stored result (%d failure(s))", len(fails))
-		}
+	if err := obs.report(); err != nil {
+		return err
 	}
 	if res.Utilization < 0.98 {
 		fmt.Println("note: below 98% utilization — try a larger -buffer-factor or more flows")
 	}
+	return nil
 }
 
 // runAdversaryAndPrint runs the -adversary scenario: one worst-case
 // traffic pattern against the chosen buffer, reporting the failure-mode
 // measurements instead of the long-lived scenario's.
-func runAdversaryAndPrint(arg string, cfg bufsim.AdversarySimulation, skip bool, metricsPath string, auditOn bool, cache *bufsim.Cache) {
+func runAdversaryAndPrint(arg string, cfg bufsim.AdversarySimulation, skip bool, obs observers) error {
 	p, err := bufsim.ParseAdversary(arg)
 	if err != nil {
-		log.Fatalf("-adversary: %v", err)
+		return fmt.Errorf("-adversary: %v", err)
 	}
 	cfg.Pattern = p
 	fmt.Printf("adversary:       %s — %s\n", p, p.Doc())
 	if skip {
-		return
-	}
-	var opts []bufsim.Option
-	var reg *bufsim.Registry
-	if metricsPath != "" {
-		reg = bufsim.NewRegistry()
-		opts = append(opts, bufsim.WithMetrics(reg))
-	}
-	var aud *bufsim.Auditor
-	if auditOn {
-		aud = bufsim.NewAuditor()
-		opts = append(opts, bufsim.WithAudit(aud))
-	}
-	if cache != nil {
-		opts = append(opts, bufsim.WithCacheStore(cache))
+		return nil
 	}
 	fmt.Printf("simulating %d-strong %s cohort for %v (+%v warmup)...\n",
 		cfg.Flows, p, cfg.Measure, cfg.Warmup)
-	res := bufsim.SimulateAdversary(cfg, opts...)
+	res := bufsim.SimulateAdversary(cfg, obs.options()...)
 	fmt.Printf("measured:        %.2f%% utilization, %.3f%% loss, mean queue %.0f pkts, peak %d pkts\n",
 		100*res.Utilization, 100*res.LossRate, res.MeanQueuePackets, res.PeakQueuePackets)
 	if res.SyncIndex != 0 {
 		fmt.Printf("sync index:      %.2f (1.0 = the desynchronized CLT prediction)\n", res.SyncIndex)
 	}
-	writeTelemetry(reg, metricsPath)
-	if aud != nil {
-		if err := aud.Err(); err != nil {
-			log.Fatalf("audit: %v", err)
-		}
-		fmt.Println("audit:           all invariants held")
-	}
-	if cache != nil {
-		s := cache.Stats()
-		if s.Hits > 0 {
-			fmt.Println("cache:           hit — result replayed from a previous identical run")
-		} else {
-			fmt.Println("cache:           miss — result stored for next time")
-		}
-		if fails := cache.VerifyFailures(); len(fails) > 0 {
-			log.Fatalf("cache-verify: recomputation mismatched the stored result (%d failure(s))", len(fails))
-		}
+	if err := obs.report(); err != nil {
+		return err
 	}
 	if res.Utilization < 0.98 {
 		fmt.Println("note: below 98% utilization — the pattern defeated this buffer")
 	}
+	return nil
 }
 
-// writeTelemetry dumps a run's registry to path as JSON; a nil registry
-// (no -metrics) writes nothing.
-func writeTelemetry(reg *bufsim.Registry, path string) {
-	if reg == nil {
-		return
-	}
+// writeTelemetry dumps a run's registry to path as JSON.
+func writeTelemetry(reg *bufsim.Registry, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := reg.WriteJSON(f); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("telemetry:       written to %s\n", path)
+	return nil
 }
 
 // profileScenario carries the -workload invocation: a profile shape (a
@@ -357,40 +356,23 @@ func resolveProfile(arg string) (bufsim.Profile, error) {
 
 // runProfileAndPrint runs the -workload scenario through
 // SimulateProfile and reports the surge's outcome.
-func runProfileAndPrint(sc profileScenario, skip bool, metricsPath string, auditOn bool, cache *bufsim.Cache, shards int) {
+func runProfileAndPrint(sc profileScenario, skip bool, obs observers) error {
 	prof, err := resolveProfile(sc.arg)
 	if err != nil {
-		log.Fatalf("-workload: %v", err)
+		return fmt.Errorf("-workload: %v", err)
 	}
 	sizes := bufsim.FixedSize(sc.flowLen)
 	scaled := prof.ScaleTo(bufsim.ArrivalRate(sc.load, sc.link, sizes), float64(sc.peakFlows))
 	w, err := bufsim.ProfileWorkload(scaled, sizes, 0)
 	if err != nil {
-		log.Fatalf("-workload: %v", err)
+		return fmt.Errorf("-workload: %v", err)
 	}
 	if skip {
-		return
+		return nil
 	}
-	opts := []bufsim.Option{
+	opts := append(obs.options(),
 		bufsim.WithCongestionControl(sc.variant),
-		bufsim.WithPacing(sc.paced),
-	}
-	var reg *bufsim.Registry
-	if metricsPath != "" {
-		reg = bufsim.NewRegistry()
-		opts = append(opts, bufsim.WithMetrics(reg))
-	}
-	var aud *bufsim.Auditor
-	if auditOn {
-		aud = bufsim.NewAuditor()
-		opts = append(opts, bufsim.WithAudit(aud))
-	}
-	if cache != nil {
-		opts = append(opts, bufsim.WithCacheStore(cache))
-	}
-	if shards > 1 {
-		opts = append(opts, bufsim.WithShards(shards))
-	}
+		bufsim.WithPacing(sc.paced))
 	fmt.Printf("simulating %q workload (peak load %.0f%%, peak %d long flows) for %v (+%v warmup)...\n",
 		prof.Name, 100*sc.load, sc.peakFlows, sc.measure, sc.warmup)
 	res := bufsim.SimulateProfile(bufsim.ProfileSimulation{
@@ -406,20 +388,7 @@ func runProfileAndPrint(sc profileScenario, skip bool, metricsPath string, audit
 		100*res.Utilization, 100*res.LossRate, res.MeanQueue, res.PeakQueue)
 	fmt.Printf("flows:           peak n(t) %.0f (mean %.1f), %d launched; AFCT %v over %d completed (%d censored)\n",
 		res.PeakActive, res.MeanActive, res.Generated, res.AFCT, res.Completed, res.Censored)
-	writeTelemetry(reg, metricsPath)
-	if aud != nil {
-		if err := aud.Err(); err != nil {
-			log.Fatalf("audit: %v", err)
-		}
-		fmt.Println("audit:           all invariants held")
-	}
-	if cache != nil {
-		if cache.Stats().Hits > 0 {
-			fmt.Println("cache:           hit — result replayed from a previous identical run")
-		} else {
-			fmt.Println("cache:           miss — result stored for next time")
-		}
-	}
+	return obs.report()
 }
 
 func mbit(packets, segBytes int) float64 {

@@ -1,43 +1,11 @@
 // Command paperexp regenerates the figures and tables of "Sizing Router
-// Buffers" (SIGCOMM 2004). Each experiment id matches DESIGN.md's
-// per-experiment index:
+// Buffers" (SIGCOMM 2004) and the extensions beyond the paper's own
+// artifacts. Each experiment id matches DESIGN.md's per-experiment
+// index; the ids live in one table (experiments, below) and
 //
-//	paperexp -exp fig2     single-flow sawtooth at B = RTT x C (also figs 3)
-//	paperexp -exp fig4     underbuffered single flow
-//	paperexp -exp fig5     overbuffered single flow
-//	paperexp -exp fig6     aggregate-window distribution vs Gaussian
-//	paperexp -exp fig7     min buffer vs n for utilization targets
-//	paperexp -exp fig8     min buffer for short flows vs the M/G/1 model
-//	paperexp -exp fig9     AFCT: RTTxC vs RTTxC/sqrt(n) buffers
-//	paperexp -exp fig10    the Cisco-GSR utilization table (model vs sim)
-//	paperexp -exp fig11    the production-mix table
-//	paperexp -exp sync     synchronization vs flow count ablation
-//	paperexp -exp red      fig10 under RED
-//	paperexp -exp pareto   fig9 with bounded-Pareto flow sizes
+//	paperexp -help
 //
-// plus the extensions beyond the paper's own artifacts:
-//
-//	paperexp -exp pacing     paced vs ACK-clocked senders at tiny buffers
-//	paperexp -exp smooth     slow access links vs the M/D/1 bound
-//	paperexp -exp internet2  the §5.3 backbone at 0.5% of a 1s buffer
-//	paperexp -exp multihop   per-link sqrt(n) rule on two bottlenecks
-//	paperexp -exp variants   Reno / NewReno / SACK / Tahoe robustness
-//	paperexp -exp ecn        RED marking vs dropping
-//	paperexp -exp harpoon    closed-loop session traffic (§5.2 methodology)
-//	paperexp -exp rttspread  RTT heterogeneity vs synchronization (§3)
-//	paperexp -exp ccfamilies buffer requirement vs n per CC family
-//	                         (CUBIC and BBR against the 2004 sqrt rule)
-//	paperexp -exp flashcrowd buffer sizes vs a traffic surge: arrivals and
-//	                         the long-lived population n(t) spike together
-//	                         (-workload swaps in another profile shape)
-//	paperexp -exp adversarial worst-case traffic vs the buffer ladder:
-//	                         synchronized pulse trains, lockstep AIMD
-//	                         cohorts and a loaded parking-lot chain
-//	                         (-adversary restricts to one pattern)
-//	paperexp -exp probe      black-box probe validation: estimate buffer
-//	                         size and classify the drop discipline of
-//	                         known queues, then score the answers
-//	paperexp -exp all        everything above
+// lists them with what each one shows. -exp all runs every one.
 //
 // -quick shrinks every experiment (lower rates, fewer points, shorter
 // windows) for a fast smoke run; full runs use the paper's parameters.
@@ -75,7 +43,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperexp: ")
 	var (
-		exp      = flag.String("exp", "all", "experiment id (fig2..fig11, sync, red, pareto, an extension such as variants, codel or ccfamilies — see the doc comment for the full list — or all)")
+		exp      = flag.String("exp", "all", "experiment id (listed below), or all")
 		quick    = flag.Bool("quick", false, "scaled-down parameters for a fast run")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		csvDir   = flag.String("csv", "", "directory to write CSV series into (optional)")
@@ -92,6 +60,16 @@ func main() {
 		wlArg    = flag.String("workload", "", "workload profile for the flashcrowd experiment: a preset name (see bufsim.ProfileNames) or a profile .json file")
 		advArg   = flag.String("adversary", "", "restrict -exp adversarial to one pattern ("+strings.Join(adversary.PatternNames(), ", ")+"); default all")
 	)
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintln(out, "usage: paperexp [flags]")
+		flag.PrintDefaults()
+		fmt.Fprintln(out, "\nexperiments (-exp):")
+		for _, e := range experiments {
+			fmt.Fprintf(out, "  %-12s %s\n", e.id, e.doc)
+		}
+		fmt.Fprintf(out, "  %-12s every one above, in that order\n", "all")
+	}
 	flag.Parse()
 
 	if *cpuprof != "" {
@@ -143,10 +121,7 @@ func main() {
 	}
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = []string{"fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-			"fig11", "sync", "red", "pareto", "pacing", "smooth", "internet2",
-			"multihop", "variants", "ecn", "harpoon", "rttspread", "codel",
-			"ccfamilies", "flashcrowd", "adversarial", "probe"}
+		ids = experimentIDs()
 	}
 	if err := r.runAll(ids); err != nil {
 		log.Fatal(err)
@@ -277,61 +252,64 @@ func (r runner) writeSVG(name string, c *plot.Chart) error {
 	return nil
 }
 
-func (r runner) run(id string) error {
-	switch id {
-	case "fig2", "fig3":
-		return r.singleFlow(1.0, "fig2_rule_of_thumb")
-	case "fig4":
-		return r.singleFlow(0.125, "fig4_underbuffered")
-	case "fig5":
-		return r.singleFlow(2.0, "fig5_overbuffered")
-	case "fig6":
-		return r.windowDist()
-	case "fig7":
-		return r.minBuffer()
-	case "fig8":
-		return r.shortFlows()
-	case "fig9":
-		return r.afct(workload.GeometricSize(14), "fig9")
-	case "pareto":
-		return r.afct(workload.ParetoSize{Shape: 1.2, Min: 2, Max: 2000}, "pareto")
-	case "fig10":
-		return r.table(false)
-	case "red":
-		return r.table(true)
-	case "fig11":
-		return r.production()
-	case "sync":
-		return r.sync()
-	case "pacing":
-		return r.pacing()
-	case "internet2":
-		return r.backbone()
-	case "multihop":
-		return r.multihop()
-	case "variants":
-		return r.variants()
-	case "ecn":
-		return r.ecn()
-	case "harpoon":
-		return r.harpoon()
-	case "rttspread":
-		return r.rttSpread()
-	case "codel":
-		return r.codel()
-	case "ccfamilies":
-		return r.ccFamilies()
-	case "flashcrowd":
-		return r.flashCrowd()
-	case "adversarial":
-		return r.adversarial()
-	case "probe":
-		return r.probeLadder()
-	case "smooth":
-		return r.smoothing()
-	default:
-		return fmt.Errorf("unknown experiment %q (see -help)", id)
+// experiments is every experiment id in the order -exp all runs them.
+// The dispatch, the usage text and the unknown-id error all read this
+// one table.
+var experiments = []struct {
+	id, doc string
+	run     func(runner) error
+}{
+	{"fig2", "single-flow sawtooth at B = RTT x C, the rule of thumb (fig3 is the same run)",
+		func(r runner) error { return r.singleFlow(1.0, "fig2_rule_of_thumb") }},
+	{"fig4", "underbuffered single flow",
+		func(r runner) error { return r.singleFlow(0.125, "fig4_underbuffered") }},
+	{"fig5", "overbuffered single flow",
+		func(r runner) error { return r.singleFlow(2.0, "fig5_overbuffered") }},
+	{"fig6", "aggregate-window distribution vs Gaussian", runner.windowDist},
+	{"fig7", "min buffer vs n for utilization targets", runner.minBuffer},
+	{"fig8", "min buffer for short flows vs the M/G/1 model", runner.shortFlows},
+	{"fig9", "AFCT: RTTxC vs RTTxC/sqrt(n) buffers",
+		func(r runner) error { return r.afct(workload.GeometricSize(14), "fig9") }},
+	{"fig10", "the Cisco-GSR utilization table (model vs sim)",
+		func(r runner) error { return r.table(false) }},
+	{"fig11", "the production-mix table", runner.production},
+	{"sync", "synchronization vs flow count ablation", runner.sync},
+	{"red", "fig10 under RED", func(r runner) error { return r.table(true) }},
+	{"pareto", "fig9 with bounded-Pareto flow sizes",
+		func(r runner) error { return r.afct(workload.ParetoSize{Shape: 1.2, Min: 2, Max: 2000}, "pareto") }},
+	{"pacing", "paced vs ACK-clocked senders at tiny buffers", runner.pacing},
+	{"smooth", "slow access links vs the M/D/1 bound", runner.smoothing},
+	{"internet2", "the §5.3 backbone at 0.5% of a 1s buffer", runner.backbone},
+	{"multihop", "per-link sqrt(n) rule on two bottlenecks", runner.multihop},
+	{"variants", "Reno / NewReno / SACK / Tahoe robustness", runner.variants},
+	{"ecn", "RED marking vs dropping", runner.ecn},
+	{"harpoon", "closed-loop session traffic (§5.2 methodology)", runner.harpoon},
+	{"rttspread", "RTT heterogeneity vs synchronization (§3)", runner.rttSpread},
+	{"codel", "CoDel vs drop-tail at the sqrt(n) rule and at RTTxC", runner.codel},
+	{"ccfamilies", "buffer requirement vs n per CC family (CUBIC and BBR against the 2004 sqrt rule)", runner.ccFamilies},
+	{"flashcrowd", "buffer sizes vs a surge where arrivals and the long-lived population n(t) spike together (-workload swaps the profile shape)", runner.flashCrowd},
+	{"adversarial", "worst-case traffic vs the buffer ladder: pulse trains, lockstep AIMD, a loaded parking lot (-adversary restricts to one pattern)", runner.adversarial},
+	{"probe", "black-box probe: estimate buffer size and classify the drop discipline of known queues, then score the answers", runner.probeLadder},
+}
+
+func experimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
+	return ids
+}
+
+func (r runner) run(id string) error {
+	if id == "fig3" {
+		id = "fig2"
+	}
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(r)
+		}
+	}
+	return fmt.Errorf("unknown experiment %q (want %s or all)", id, strings.Join(experimentIDs(), ", "))
 }
 
 func (r runner) writeCSV(name string, series ...*trace.Series) error {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,8 +77,39 @@ func TestRunnerAdversaryFlag(t *testing.T) {
 
 func TestRunnerUnknownID(t *testing.T) {
 	r := runner{quick: true}
-	if err := r.run("fig99"); err == nil {
-		t.Error("unknown experiment id did not error")
+	err := r.run("fig99")
+	if err == nil {
+		t.Fatal("unknown experiment id did not error")
+	}
+	for _, e := range experiments {
+		if !strings.Contains(err.Error(), e.id) {
+			t.Errorf("error %q does not name the id %q", err, e.id)
+		}
+	}
+}
+
+// TestExperimentTable holds the one id table to what the three
+// hand-kept lists it replaced said: unique ids, a description for each,
+// and the order -exp all has always run them in — the "=== id ==="
+// headers and the run-manifest key (a digest of the id list) depend on
+// it.
+func TestExperimentTable(t *testing.T) {
+	want := []string{"fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+		"fig11", "sync", "red", "pareto", "pacing", "smooth", "internet2",
+		"multihop", "variants", "ecn", "harpoon", "rttspread", "codel",
+		"ccfamilies", "flashcrowd", "adversarial", "probe"}
+	if got := experimentIDs(); !slices.Equal(got, want) {
+		t.Errorf("-exp all order:\n got %v\nwant %v", got, want)
+	}
+	seen := map[string]bool{}
+	for _, e := range experiments {
+		if seen[e.id] {
+			t.Errorf("id %q listed twice", e.id)
+		}
+		seen[e.id] = true
+		if e.doc == "" || e.run == nil {
+			t.Errorf("id %q: doc %q, run nil=%v", e.id, e.doc, e.run == nil)
+		}
 	}
 }
 
