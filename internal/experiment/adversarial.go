@@ -246,7 +246,7 @@ func runAdversarialDumbbell(sc AdversaryScenario, factor float64) AdversarialRow
 	b := newBed(bedConfig{
 		env:      sc.RunEnv,
 		seed:     sc.Seed,
-		Path:     sc.Path.delayOr(sc.RTTMin / 10),
+		Path:     sc.Path.or(Path{BottleneckDelay: sc.RTTMin / 10}),
 		stations: sc.N,
 		buffer:   sc.BufferPackets,
 	})
@@ -296,7 +296,7 @@ func runAdversarialDumbbell(sc AdversaryScenario, factor float64) AdversarialRow
 // the worst link's utilization and queue, and the chain's pooled loss.
 func runAdversarialParkingLot(sc AdversaryScenario, factor float64) AdversarialRow {
 	// The chain's one-way core delay must fit inside RTT/2.
-	b := newLot(sc.RunEnv, sc.Hops, sc.Path.delayOr(sc.RTTMin/units.Duration(4*sc.Hops)), sc.BufferPackets)
+	b := newLot(sc.RunEnv, sc.Hops, sc.Path.or(Path{BottleneckDelay: sc.RTTMin / units.Duration(4*sc.Hops)}), sc.BufferPackets)
 	through := max(1, sc.N/2)
 	load := adversary.ParkingLotLoad{Through: through, PerHop: sc.N - through, RTT: sc.RTTMin}
 	load.Build(b.sched, b.p, tcp.Config{SegmentSize: sc.SegmentSize})

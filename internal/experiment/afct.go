@@ -86,8 +86,7 @@ type MixedConfig struct {
 	BufferPackets int
 }
 
-// RunMixed executes one mixed-traffic scenario. The cache entry is
-// shared with a RunAFCTComparison regime that lowers to the same point.
+// RunMixed executes one mixed-traffic scenario.
 func RunMixed(cfg MixedConfig) AFCTOutcome {
 	cfg.AFCTComparisonConfig = cfg.AFCTComparisonConfig.withDefaults()
 	cfg.BufferPackets = max(1, cfg.BufferPackets)

@@ -15,38 +15,42 @@ import (
 )
 
 // digestConfigs is every experiment configuration that feeds the run
-// cache. A type added here is automatically swept field by field below;
-// a new config that memoizes through memoRun/runSweep must be listed or
-// TestDigestCoversEveryField cannot protect it.
+// cache, as its own defaults leave the zero value: the parameters a
+// full-scale (not -quick) run uses, which TestPaperParameters pins. A
+// config with no defaults of its own (it is lowered into one that has
+// them, or is a cache key built from resolved values) stands as it is.
+// The digest tests sweep the zero value of each type field by field; a
+// new config that memoizes through memoRun/runSweep must be listed or
+// neither can protect it.
 var digestConfigs = []any{
-	LongLivedConfig{},
-	SingleFlowConfig{},
-	WindowDistConfig{},
-	ShortFlowBufferConfig{},
+	LongLivedConfig{}.withDefaults(),
+	SingleFlowConfig{}.withDefaults(),
+	WindowDistConfig{}.withDefaults(),
+	ShortFlowBufferConfig{}.withDefaults(),
 	MixedConfig{},
-	TraceConfig{},
-	AFCTComparisonConfig{},
-	UtilizationTableConfig{},
-	ProductionConfig{},
-	MinBufferConfig{},
-	CoDelConfig{},
-	RTTSpreadConfig{},
-	SyncConfig{},
-	ECNConfig{},
-	VariantConfig{},
-	BackboneConfig{},
-	PacingConfig{},
-	SmoothingConfig{},
-	CCFamilyConfig{},
+	TraceConfig{}.withDefaults(),
+	AFCTComparisonConfig{}.withDefaults(),
+	UtilizationTableConfig{}.withDefaults(),
+	ProductionConfig{}.withDefaults(),
+	MinBufferConfig{}.withDefaults(),
+	CoDelConfig{}.withDefaults(),
+	RTTSpreadConfig{}.withDefaults(),
+	SyncConfig{}.withDefaults(),
+	ECNConfig{}.withDefaults(),
+	VariantConfig{}.withDefaults(),
+	BackboneConfig{}.withDefaults(),
+	PacingConfig{}.withDefaults(),
+	SmoothingConfig{}.withDefaults(),
+	CCFamilyConfig{}.withDefaults(),
 	ccFamilyPointConfig{},
-	MultiHopConfig{},
-	HarpoonConfig{},
-	ProfileRunConfig{},
-	FlashCrowdConfig{},
-	AdversarialConfig{},
+	MultiHopConfig{}.withDefaults(),
+	HarpoonConfig{}.withDefaults(),
+	ProfileRunConfig{}.withDefaults(),
+	FlashCrowdConfig{}.withDefaults(),
+	AdversarialConfig{}.withDefaults(),
 	adversarialPointConfig{},
-	AdversaryScenario{},
-	ProbeLadderConfig{},
+	AdversaryScenario{}.withDefaults(),
+	ProbeLadderConfig{}.withDefaults(),
 }
 
 // runEnvType is the one digest-ignored type; observerTypes are the
@@ -94,8 +98,9 @@ func TestDigestCoversEveryField(t *testing.T) {
 			t.Fatalf("RunEnv.%s is zero in the observed env; set it so the test covers it", runEnvType.Field(i).Name)
 		}
 	}
-	for _, cfg := range digestConfigs {
-		typ := reflect.TypeOf(cfg)
+	for _, defaulted := range digestConfigs {
+		typ := reflect.TypeOf(defaulted)
+		cfg := reflect.Zero(typ).Interface()
 		t.Run(typ.Name(), func(t *testing.T) {
 			if f, ok := typ.FieldByName("RunEnv"); !ok || !f.Anonymous || f.Type != runEnvType {
 				t.Fatalf("%s does not embed RunEnv", typ.Name())

@@ -6,9 +6,13 @@
 // starts its traffic on it and reads the window. The drivers are what
 // cmd/paperexp and the repository benchmarks call.
 //
-// Scaling: every config carries its own rates, flow counts and durations,
-// so tests can run scaled-down instances while the benchmarks run the
-// published parameters.
+// The dumbbell and its window are described once too: every config
+// embeds one Path (path.go — line rate, bottleneck delay, station RTT
+// range, segment size, warm-up and window), each experiment's published
+// parameters are one Path literal beside its config, and a sweep hands
+// its cells Path: cfg.Path. Tests set the fields they scale down and the
+// literal fills the rest; testdata/golden/paper_parameters.txt pins every
+// resolved default.
 //
 // Observers and execution policy: every config embeds one RunEnv
 // (runenv.go) — telemetry registry, auditor, run cache and resume flag,

@@ -62,16 +62,6 @@ func (p Path) at(rate units.BitRate) Path {
 	return p
 }
 
-// delayOr returns p with the bottleneck delay d unless one is set. The
-// fixed-RTT scenarios give the bottleneck a share of whatever RTT the
-// caller chose, which a default literal cannot say.
-func (p Path) delayOr(d units.Duration) Path {
-	if p.BottleneckDelay == 0 {
-		p.BottleneckDelay = d
-	}
-	return p
-}
-
 // MeanRTT is the paper's RTT-bar: the centre of the station range.
 func (p Path) MeanRTT() units.Duration {
 	if p.RTTMax == 0 {

@@ -95,7 +95,7 @@ func runSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
 	b := newBed(bedConfig{
 		env:      cfg.RunEnv,
 		seed:     cfg.Seed,
-		Path:     cfg.Path.delayOr(cfg.RTTMin / 4),
+		Path:     cfg.Path.or(Path{BottleneckDelay: cfg.RTTMin / 4}),
 		stations: 1,
 		shards:   cfg.Shards,
 		buffer:   buffer,
