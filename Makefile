@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrontierMerge -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzClassifier -fuzztime 30s ./internal/probe/
 	$(GO) test -run '^$$' -fuzz FuzzSeqRuns -fuzztime 30s ./internal/tcp/
+	$(GO) test -run '^$$' -fuzz FuzzReadFlows -fuzztime 30s ./internal/workload/
 
 # bench-smoke only checks the benchmarks still compile and run one
 # iteration; -short keeps the expensive paper reproductions out.

@@ -538,9 +538,14 @@ type TraceSimulation struct {
 type TraceResult = experiment.TraceResult
 
 // Validate reports configuration errors before a run starts; see
-// Simulation.Validate.
+// Simulation.Validate. Beside the spread it checks that Flows is a
+// timeline (see ReadFlows): a hand-built trace out of order, or with a
+// size that is not positive, is named by record index.
 func (s TraceSimulation) Validate() error {
-	return validateSpread(s.Link.RTT, s.RTTSpread)
+	if err := validateSpread(s.Link.RTT, s.RTTSpread); err != nil {
+		return err
+	}
+	return workload.ValidateFlows(s.Flows)
 }
 
 // SimulateTrace replays a recorded flow-level trace (instead of a
@@ -548,7 +553,9 @@ func (s TraceSimulation) Validate() error {
 // entry point for driving the simulator with real measurement data.
 func SimulateTrace(cfg TraceSimulation, opts ...Option) TraceResult {
 	o := applyOptions(opts)
-	mustValidateSpread(cfg.Link.RTT, cfg.RTTSpread)
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	run := experiment.TraceConfig{
 		Seed:          cfg.Seed,
 		Flows:         cfg.Flows,

@@ -204,6 +204,51 @@ func TestSimulateTraceReplaysCSV(t *testing.T) {
 	}
 }
 
+// TestTraceIsValidatedWhereverItEnters pins the bugfix: a hand-built
+// []TraceFlow used to reach the replay unchecked, so a reversed trace
+// had its utilization measured from its last arrival to its first (the
+// window is Flows[0] to Flows[len-1]) and a Size 0 record became an
+// infinite flow. The same check now guards Validate, ReadFlows and (as a
+// panic with the same text) SimulateTrace.
+func TestTraceIsValidatedWhereverItEnters(t *testing.T) {
+	link := Link{Rate: 10 * Mbps, RTT: 80 * Millisecond}
+	cases := []struct {
+		name, csv, want string
+		flows           []TraceFlow
+	}{
+		{
+			name:  "reversed",
+			csv:   "9,20\n5,20\n1,20\n",
+			want:  "flow record 1: start 5s precedes record 0 (9s)",
+			flows: []TraceFlow{{Start: 9 * Second, Size: 20}, {Start: 5 * Second, Size: 20}, {Start: Second, Size: 20}},
+		},
+		{
+			name:  "zero size",
+			csv:   "1,20\n5,0\n9,20\n",
+			want:  "flow record 1: size 0",
+			flows: []TraceFlow{{Start: Second, Size: 20}, {Start: 5 * Second, Size: 0}, {Start: 9 * Second, Size: 20}},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := TraceSimulation{Seed: 1, Link: link, Flows: c.flows}
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate = %v, want an error naming %q", err, c.want)
+			}
+			if _, rerr := ReadFlows(strings.NewReader(c.csv)); rerr == nil || rerr.Error() != err.Error() {
+				t.Errorf("ReadFlows = %v, want %v", rerr, err)
+			}
+			defer func() {
+				if got := recover(); got != err.Error() {
+					t.Errorf("SimulateTrace panicked with %v, want %q", got, err)
+				}
+			}()
+			SimulateTrace(cfg)
+		})
+	}
+}
+
 func TestParseHelpers(t *testing.T) {
 	d, err := ParseDuration("250ms")
 	if err != nil || d != 250*Millisecond {

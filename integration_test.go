@@ -3,6 +3,7 @@ package bufsim
 import (
 	"testing"
 
+	"bufsim/internal/adversary"
 	"bufsim/internal/audit"
 	"bufsim/internal/experiment"
 	"bufsim/internal/packet"
@@ -130,20 +131,18 @@ func TestShortFlowsConservation(t *testing.T) {
 		RTTMin:          40 * units.Millisecond,
 		RTTMax:          120 * units.Millisecond,
 	})
-	gen := workload.NewShortFlows(workload.ShortFlowConfig{
-		Dumbbell: d,
-		RNG:      rng.Fork(),
-		Load:     0.6,
-		Sizes:    workload.GeometricSize(10),
-		TCP:      tcp.Config{SegmentSize: 1000, MaxWindow: 43},
-	})
+	gen := workload.PoissonSource{
+		Load:  0.6,
+		Sizes: workload.GeometricSize(10),
+		TCP:   tcp.Config{SegmentSize: 1000, MaxWindow: 43},
+	}.Bind(d, rng.Fork())
 	gen.Start()
 	sched.Run(units.Time(20 * units.Second))
 	gen.Stop()
 	sched.Run(units.Time(60 * units.Second))
 
 	var completed int
-	for _, r := range gen.Records {
+	for _, r := range gen.Records() {
 		if r.Completed != units.Never {
 			completed++
 			if r.Completed < r.Start {
@@ -151,21 +150,22 @@ func TestShortFlowsConservation(t *testing.T) {
 			}
 		}
 	}
-	if int64(len(gen.Records)) != gen.Generated() {
-		t.Errorf("records %d != generated %d", len(gen.Records), gen.Generated())
+	if int64(len(gen.Records())) != gen.Generated() {
+		t.Errorf("records %d != generated %d", len(gen.Records()), gen.Generated())
 	}
-	if completed+gen.Active() != len(gen.Records) {
+	if completed+gen.Active() != len(gen.Records()) {
 		t.Errorf("completed %d + active %d != generated %d",
-			completed, gen.Active(), len(gen.Records))
+			completed, gen.Active(), len(gen.Records()))
 	}
 	// After a 40 s drain nearly everything should have completed.
-	if gen.Active() > len(gen.Records)/50 {
-		t.Errorf("%d of %d flows still active after drain", gen.Active(), len(gen.Records))
+	if gen.Active() > len(gen.Records())/50 {
+		t.Errorf("%d of %d flows still active after drain", gen.Active(), len(gen.Records()))
 	}
 }
 
 // TestMixedTrafficCoexistence: long flows, short flows and a CBR stream
-// share one bottleneck without wedging any component.
+// (one pulse train that is always on) share one bottleneck without
+// wedging any component.
 func TestMixedTrafficCoexistence(t *testing.T) {
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(9)
@@ -180,17 +180,15 @@ func TestMixedTrafficCoexistence(t *testing.T) {
 		RTTMax:          120 * units.Millisecond,
 	})
 	longs := workload.StartLongLived(d, 15, tcp.Config{SegmentSize: 1000}, rng.Fork(), units.Second)
-	shorts := workload.NewShortFlows(workload.ShortFlowConfig{
-		Dumbbell: d, RNG: rng.Fork(), Load: 0.2,
+	shorts := workload.PoissonSource{
+		Load:  0.2,
 		Sizes: workload.ParetoSize{Shape: 1.3, Min: 2, Max: 500},
 		TCP:   tcp.Config{SegmentSize: 1000, MaxWindow: 43},
-	})
+	}.Bind(d, rng.Fork())
 	shorts.Start()
-	cbr := workload.NewCBR(workload.CBRConfig{
-		Dumbbell: d, Station: d.Station(29),
-		Rate: 500 * units.Kbps, PacketSize: 200,
-		Jitter: 0.2, RNG: rng.Fork(),
-	})
+	cbr := adversary.Pulse{
+		Senders: 1, PeakRate: 500 * units.Kbps, Period: units.Second, Duty: 1, PacketSize: 200,
+	}.Bind(d, nil).(*adversary.PulseDriver)
 	cbr.Start()
 
 	sched.Run(units.Time(30 * units.Second))
@@ -208,7 +206,7 @@ func TestMixedTrafficCoexistence(t *testing.T) {
 	if shorts.Generated() < 50 {
 		t.Errorf("short flows barely generated: %d", shorts.Generated())
 	}
-	if cbr.Received == 0 {
+	if cbr.Received() == 0 {
 		t.Error("CBR stream fully starved")
 	}
 	if cbr.LossRate() > 0.6 {

@@ -14,10 +14,11 @@ import (
 // Pulse is the burst-synchronized CBR pattern as a workload.Source:
 // Senders constant-bit-rate trains that switch on and off together, all
 // anchored to the same phase. During each on-window the aggregate
-// arrives at PeakRate; between windows the link drains. Unlike
-// workload.CBR — which offers per-sender jitter precisely to avoid
-// phase locking — Pulse has no jitter by construction: the
-// synchronization is the attack. The bound RNG is never consulted.
+// arrives at PeakRate; between windows the link drains. A CBR source
+// would jitter its senders precisely to avoid phase locking; Pulse has
+// no jitter by construction — the synchronization is the attack — and
+// with one sender at Duty 1 it is the plain constant-rate stream. The
+// bound RNG is never consulted.
 type Pulse struct {
 	// Senders is the number of synchronized trains (one per station,
 	// wrapping if there are fewer stations).

@@ -178,14 +178,11 @@ func runSmoothingPoint(cfg SmoothingConfig, ratio float64, moments model.BurstMo
 		stations:   cfg.Stations,
 		accessRate: units.BitRate(ratio * float64(cfg.BottleneckRate)),
 	})
-	gen := workload.NewShortFlows(workload.ShortFlowConfig{
-		Dumbbell: b.d,
-		RNG:      b.rng.Fork(),
-		Load:     cfg.Load,
-		Sizes:    workload.FixedSize(cfg.FlowLen),
-		TCP:      tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: cfg.MaxWindow},
+	gen := b.start(workload.PoissonSource{
+		Load:  cfg.Load,
+		Sizes: workload.FixedSize(cfg.FlowLen),
+		TCP:   tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: cfg.MaxWindow},
 	})
-	gen.Start()
 
 	// Sample the queue during the window (arrival sampling, matching the
 	// model's P(Q >= b) seen by arrivals).

@@ -252,18 +252,18 @@ func runAdversarialDumbbell(sc AdversaryScenario, factor float64) AdversarialRow
 	})
 	switch sc.Pattern {
 	case adversary.PatternPulse:
-		adversary.Pulse{
+		b.start(adversary.Pulse{
 			Senders:    sc.N,
 			PeakRate:   units.BitRate(sc.PulsePeakFactor * float64(sc.BottleneckRate)),
 			Period:     sc.PulsePeriod,
 			Duty:       sc.PulseDuty,
 			PacketSize: sc.SegmentSize,
-		}.Bind(b.d, b.rng.Fork()).Start()
+		})
 	case adversary.PatternSyncAIMD:
-		adversary.SyncAIMD{
+		b.start(adversary.SyncAIMD{
 			N:   sc.N,
 			TCP: tcp.Config{SegmentSize: sc.SegmentSize},
-		}.Bind(b.d, b.rng.Fork()).Start()
+		})
 	}
 
 	var aggregate *trace.Series

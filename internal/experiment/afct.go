@@ -189,28 +189,18 @@ func runTrace(cfg TraceConfig) TraceResult {
 		buffer:   cfg.BufferPackets,
 		red:      cfg.UseRED,
 	})
-	records := workload.Replay(b.d, cfg.Flows, tcp.Config{
+	drv := b.start(workload.TraceSource{Flows: cfg.Flows, TCP: tcp.Config{
 		SegmentSize: cfg.SegmentSize,
 		MaxWindow:   cfg.MaxWindow,
 		Variant:     cfg.Variant,
 		DelayedAck:  cfg.DelayedAck,
 		Paced:       cfg.Paced,
-	})
+	}})
 	w := b.measure(nil)
 
+	// Every flow of the trace counts, whenever it started.
 	res := TraceResult{Utilization: w.Utilization}
-	var sum units.Duration
-	for _, r := range records {
-		if r.Completed == units.Never {
-			res.Censored++
-			continue
-		}
-		res.Completed++
-		sum += r.Duration()
-	}
-	if res.Completed > 0 {
-		res.AFCT = sum / units.Duration(res.Completed)
-	}
+	res.AFCT, res.Completed, res.Censored = workload.RecordAFCT(drv.Records(), units.Epoch, units.Never)
 	return res
 }
 
@@ -250,19 +240,12 @@ func runMixedUncached(cfg MixedConfig, label string) AFCTOutcome {
 	workload.StartLongLived(b.d, cfg.NLong, long, b.rng.Fork(), cfg.Warmup/2)
 	short := long
 	short.MaxWindow = cfg.MaxWindow
-	gen := workload.NewShortFlows(workload.ShortFlowConfig{
-		Dumbbell: b.d,
-		RNG:      b.rng.Fork(),
-		Load:     cfg.ShortLoad,
-		Sizes:    cfg.Sizes,
-		TCP:      short,
-	})
-	gen.Start()
+	gen := b.start(workload.PoissonSource{Load: cfg.ShortLoad, Sizes: cfg.Sizes, TCP: short})
 
 	w := b.measure(nil)
 	gen.Stop()
 	b.drain(60 * units.Second)
-	afct, completed, censored := gen.AFCT(w.from, w.to)
+	afct, completed, censored := workload.RecordAFCT(gen.Records(), w.from, w.to)
 	return AFCTOutcome{
 		Label: label, BufferPackets: cfg.BufferPackets, AFCT: afct,
 		Completed: completed, Censored: censored,

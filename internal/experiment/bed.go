@@ -13,6 +13,7 @@ import (
 	"bufsim/internal/topology"
 	"bufsim/internal/trace"
 	"bufsim/internal/units"
+	"bufsim/internal/workload"
 )
 
 // The test bed. Every scenario in this package is one apparatus with
@@ -143,6 +144,15 @@ func instrumentPools(reg *metrics.Registry, stats func() packet.PoolStats) {
 		reuses.Set(st.Reuses)
 		drops.Set(st.DropReleases)
 	})
+}
+
+// start binds src onto the dumbbell with the next fork of the bed's seed
+// and starts it: the one way a scenario body turns a traffic description
+// into traffic.
+func (b *bed) start(src workload.Source) workload.Driver {
+	drv := src.Bind(b.d, b.rng.Fork())
+	drv.Start()
+	return drv
 }
 
 // measure is rig.measure for the one bottleneck.

@@ -121,8 +121,7 @@ func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 		buffer:   cfg.BufferPackets,
 		red:      cfg.UseRED,
 	})
-	drv := cfg.Source.Bind(b.d, b.rng.Fork())
-	drv.Start()
+	drv := b.start(cfg.Source)
 	active := b.sample("active", 100*units.Millisecond,
 		func() float64 { return float64(drv.Active()) })
 

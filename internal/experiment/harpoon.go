@@ -109,25 +109,24 @@ func runHarpoonOnce(cfg HarpoonConfig, buffer int) harpoonRun {
 func runHarpoonUncached(cfg HarpoonConfig, buffer int) harpoonRun {
 	// Sessions share stations round-robin.
 	b := newBed(bedConfig{env: cfg.RunEnv, seed: cfg.Seed, Path: cfg.Path, stations: min(cfg.Sessions, 200), buffer: buffer})
-	g := workload.NewSessions(workload.SessionConfig{
-		Dumbbell:  b.d,
-		RNG:       b.rng.Fork(),
+	g := b.start(workload.SessionSource{
 		Sessions:  cfg.Sessions,
 		Sizes:     cfg.Sizes,
 		MeanThink: cfg.MeanThink,
 		TCP:       tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: 64},
 	})
-	g.Start()
 	active := b.sample("active", 100*units.Millisecond,
 		func() float64 { return float64(g.Active()) })
 
-	var t0 int64
-	w := b.measure(func() { t0 = g.Transfers })
-	return harpoonRun{
-		Util:       w.Utilization,
-		MeanActive: stats.Mean(w.of(active).Values),
-		Transfers:  g.Transfers - t0,
+	w := b.measure(nil)
+	run := harpoonRun{Util: w.Utilization, MeanActive: stats.Mean(w.of(active).Values)}
+	// Transfers that finished inside the window; nothing runs past w.to.
+	for _, r := range g.Records() {
+		if r.Completed > w.from && r.Completed != units.Never {
+			run.Transfers++
+		}
 	}
+	return run
 }
 
 // RunHarpoon executes the two-phase experiment.

@@ -216,21 +216,18 @@ func runProductionPoint(cfg ProductionConfig, env RunEnv, buffer int, bdp float6
 	b := newBed(bedConfig{env: env, seed: cfg.Seed, Path: cfg.Path, stations: cfg.NLong + 100, buffer: buffer})
 	workload.StartLongLived(b.d, cfg.NLong,
 		tcp.Config{SegmentSize: cfg.SegmentSize}, b.rng.Fork(), cfg.Warmup/2)
-	gen := workload.NewShortFlows(workload.ShortFlowConfig{
-		Dumbbell: b.d,
-		RNG:      b.rng.Fork(),
-		Load:     cfg.ShortLoad,
-		Sizes:    cfg.Pareto,
-		TCP:      tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: 43},
+	gen := b.start(workload.PoissonSource{
+		Load:  cfg.ShortLoad,
+		Sizes: cfg.Pareto,
+		TCP:   tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: 43},
 	})
-	gen.Start()
 	concurrent := b.sample("concurrent", 100*units.Millisecond,
 		func() float64 { return float64(cfg.NLong + gen.Active()) })
 
 	w := b.measure(nil)
 	gen.Stop()
 	b.drain(30 * units.Second)
-	afct, completed, _ := gen.AFCT(w.from, w.to)
+	afct, completed, _ := workload.RecordAFCT(gen.Records(), w.from, w.to)
 
 	meanConc := stats.Mean(w.of(concurrent).Values)
 	effN := int(math.Max(1, meanConc))

@@ -54,10 +54,11 @@ func (s Source) Bind(d *topology.Dumbbell, rng *sim.RNG) workload.Driver {
 		panic("profile: Source with an arrival curve requires Sizes")
 	}
 	return &engine{
-		src:   s,
-		d:     d,
-		rng:   rng,
-		sched: d.Config().Sched,
+		Launcher: workload.NewLauncher(d),
+		src:      s,
+		d:        d,
+		rng:      rng,
+		sched:    d.Config().Sched,
 	}
 }
 
@@ -65,9 +66,6 @@ func (s Source) Bind(d *topology.Dumbbell, rng *sim.RNG) workload.Driver {
 const (
 	// opArrival: the next thinning candidate is due.
 	opArrival int32 = iota
-	// opDetach: a flow's teardown grace period elapsed; unwire it. The
-	// payload is the *topology.Flow.
-	opDetach
 	// opAddLong: the population curve crossed up; start a long flow.
 	opAddLong
 	// opDropLong: the population curve crossed down; stop one.
@@ -75,8 +73,10 @@ const (
 )
 
 // engine is the bound driver: one actor owning every scheduled decision
-// the profile implies.
+// the profile implies. Its short flows are the embedded Launcher's, and
+// so are Records and Generated.
 type engine struct {
+	*workload.Launcher
 	src   Source
 	d     *topology.Dumbbell
 	rng   *sim.RNG
@@ -85,10 +85,6 @@ type engine struct {
 	base    units.Time // simulated time of Start
 	maxRate float64    // arrival curve maximum, the thinning envelope
 	running bool
-
-	records   []*workload.FlowRecord
-	active    int
-	generated int64
 
 	long       []*topology.Flow // live long-lived flows, newest last
 	longCursor int              // round-robin station assignment
@@ -127,16 +123,10 @@ func (e *engine) Stop() { e.running = false }
 
 // Active implements workload.Driver: in-flight short flows plus live
 // long-lived flows — the instantaneous n(t).
-func (e *engine) Active() int { return e.active + len(e.long) }
-
-// Generated implements workload.Driver (short flows launched).
-func (e *engine) Generated() int64 { return e.generated }
-
-// Records implements workload.Driver.
-func (e *engine) Records() []*workload.FlowRecord { return e.records }
+func (e *engine) Active() int { return e.Launcher.Active() + len(e.long) }
 
 // OnEvent implements sim.Actor.
-func (e *engine) OnEvent(op int32, arg any) {
+func (e *engine) OnEvent(op int32, _ any) {
 	switch op {
 	case opArrival:
 		if !e.running {
@@ -149,11 +139,10 @@ func (e *engine) OnEvent(op int32, arg any) {
 		// stream identical to the stationary source's.
 		rate := e.src.Profile.Arrival.At(e.sched.Now().Sub(e.base))
 		if rate >= e.maxRate || e.rng.Uniform(0, e.maxRate) < rate {
-			e.launch()
+			// The stationary source's arrival path, draw for draw.
+			e.Arrive(e.rng, e.src.Sizes, e.src.TCP, e.sched.Now())
 		}
 		e.scheduleNext()
-	case opDetach:
-		e.d.RemoveFlow(arg.(*topology.Flow))
 	case opAddLong:
 		if e.running {
 			e.addLong()
@@ -168,33 +157,6 @@ func (e *engine) OnEvent(op int32, arg any) {
 func (e *engine) scheduleNext() {
 	wait := units.DurationFromSeconds(e.rng.Exp(1 / e.maxRate))
 	e.sched.PostAfter(wait, e, opArrival, nil)
-}
-
-// launch mirrors the stationary source's arrival path draw for draw:
-// size sample, then station pick, then flow start.
-func (e *engine) launch() {
-	size := e.src.Sizes.Sample(e.rng)
-	spec := e.src.TCP
-	spec.TotalSegments = size
-	st := e.d.Station(e.rng.Intn(e.d.NumStations()))
-	f := e.d.AddFlow(st, spec)
-
-	rec := &workload.FlowRecord{Size: size, Start: e.sched.Now(), Completed: units.Never}
-	e.records = append(e.records, rec)
-	e.generated++
-	e.active++
-
-	f.Receiver.OnComplete = func(now units.Time) {
-		rec.Completed = now
-		e.active--
-		// Defer the detach so the final ACK still reaches the sender
-		// (the sender needs it to cancel its RTO and finish). The post
-		// goes through the station's view: completion fires in the
-		// station's shard, where a base-scheduler post would be illegal
-		// inside a parallel window.
-		f.Station.Sched().PostAfter(f.Station.RTT, e, opDetach, f)
-	}
-	f.Sender.Start()
 }
 
 // addLong starts one long-lived flow, assigning stations round-robin.
@@ -221,7 +183,7 @@ func (e *engine) dropLong() {
 	f.Sender.Shutdown(e.sched.Now())
 	// Let in-flight packets drain past the bottleneck before unwiring
 	// the hosts, as the short-flow teardown does.
-	e.sched.PostAfter(f.Station.RTT, e, opDetach, f)
+	e.Detach(f)
 }
 
 // popChange is one compiled population step: at offset at from the

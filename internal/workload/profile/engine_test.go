@@ -29,10 +29,10 @@ func testDumbbell(seed int64, stations, bufferPkts int, rate units.BitRate) (*si
 	return s, d, rng
 }
 
-// TestConstantProfileMatchesLegacyPoisson is the workload API
-// redesign's anchor: a constant arrival profile must consume the RNG in
-// exactly the stationary source's order, so the two produce identical
-// flow schedules — starts, sizes and completions — on identical
+// TestConstantProfileMatchesLegacyPoisson is the record-for-record check
+// that the thinning engine and the stationary generator share a
+// schedule: a constant arrival profile must consume the RNG in exactly
+// PoissonSource's order, so the two produce identical flow schedules — starts, sizes and completions — on identical
 // topologies and seeds.
 func TestConstantProfileMatchesLegacyPoisson(t *testing.T) {
 	const (
@@ -46,11 +46,9 @@ func TestConstantProfileMatchesLegacyPoisson(t *testing.T) {
 	tcpCfg := tcp.Config{MaxWindow: 32}
 	horizon := units.Epoch.Add(20 * units.Second)
 
-	// Legacy stationary source.
+	// The stationary source.
 	s1, d1, rng1 := testDumbbell(seed, stations, buffer, rate)
-	legacy := workload.NewShortFlows(workload.ShortFlowConfig{
-		Dumbbell: d1, RNG: rng1.Fork(), Load: load, Sizes: sizes, TCP: tcpCfg,
-	})
+	legacy := workload.PoissonSource{Load: load, Sizes: sizes, TCP: tcpCfg}.Bind(d1, rng1.Fork())
 	legacy.Start()
 	s1.Run(horizon)
 
@@ -75,7 +73,7 @@ func TestConstantProfileMatchesLegacyPoisson(t *testing.T) {
 	if got, want := drv.Generated(), legacy.Generated(); got != want {
 		t.Fatalf("profile generated %d flows, legacy %d", got, want)
 	}
-	recs, legacyRecs := drv.Records(), legacy.Records
+	recs, legacyRecs := drv.Records(), legacy.Records()
 	for i := range legacyRecs {
 		if !reflect.DeepEqual(*recs[i], *legacyRecs[i]) {
 			t.Fatalf("record %d diverged:\nprofile %+v\nlegacy  %+v", i, *recs[i], *legacyRecs[i])

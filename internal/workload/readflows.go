@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
+	"strings"
 
 	"bufsim/internal/units"
 )
@@ -27,18 +30,70 @@ type jsonFlowRecord struct {
 //   - CSV — the two-column start_seconds,size_segments form ('#'
 //     comments and a header line tolerated).
 //
-// In both formats records must be ordered by start time: a trace is a
-// timeline, and an out-of-order row means a corrupted or mis-merged
-// input, so ReadFlows reports it instead of silently resorting.
+// In both formats the decoded records must pass ValidateFlows: ordered
+// by start time, no negative start, every size positive.
 func ReadFlows(r io.Reader) ([]FlowSpec, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
+	var specs []FlowSpec
 	if first := firstByte(data); first == '[' || first == '{' {
-		return readFlowsJSON(data)
+		specs, err = readFlowsJSON(data)
+	} else {
+		specs, err = parseTraceCSV(bytes.NewReader(data))
 	}
-	return parseTraceCSV(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return specs, ValidateFlows(specs)
+}
+
+// parseTraceCSV scans the two-column CSV trace form
+//
+//	start_seconds,size_segments
+//
+// (comments starting with '#' and blank lines are skipped; a header line
+// is tolerated).
+func parseTraceCSV(r io.Reader) ([]FlowSpec, error) {
+	var specs []FlowSpec
+	sc := bufio.NewScanner(r)
+	line := 0
+	sawRow := false
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		parts := strings.Split(text, ",")
+		if len(parts) != 2 {
+			return nil, fmt.Errorf("workload: trace line %d: want 2 fields, got %d", line, len(parts))
+		}
+		start, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+		if err != nil {
+			if !sawRow {
+				continue // a header row like "start_seconds,size_segments"
+			}
+			return nil, fmt.Errorf("workload: trace line %d: bad start: %v", line, err)
+		}
+		sawRow = true
+		size, err := strconv.ParseInt(strings.TrimSpace(parts[1]), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("workload: trace line %d: bad size: %v", line, err)
+		}
+		if math.IsNaN(start) || math.IsInf(start, 0) {
+			return nil, fmt.Errorf("workload: trace line %d: start %v is not finite", line, start)
+		}
+		specs = append(specs, FlowSpec{
+			Start: units.DurationFromSeconds(start),
+			Size:  size,
+		})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return specs, nil
 }
 
 // firstByte returns the first non-whitespace byte, or 0 if none.
@@ -57,22 +112,11 @@ func readFlowsJSON(data []byte) ([]FlowSpec, error) {
 		return nil, fmt.Errorf("workload: JSON trace: %v", err)
 	}
 	specs := make([]FlowSpec, 0, len(raw))
-	prev := units.Duration(-1)
 	for i, rec := range raw {
 		start, err := parseJSONStart(rec.Start)
 		if err != nil {
 			return nil, fmt.Errorf("workload: JSON trace record %d: %v", i, err)
 		}
-		if start < 0 {
-			return nil, fmt.Errorf("workload: JSON trace record %d: negative start %s", i, start)
-		}
-		if rec.Size <= 0 {
-			return nil, fmt.Errorf("workload: JSON trace record %d: size %d out of range", i, rec.Size)
-		}
-		if start < prev {
-			return nil, fmt.Errorf("workload: JSON trace record %d: start %s precedes previous record (%s); flow records must be ordered by start time", i, start, prev)
-		}
-		prev = start
 		specs = append(specs, FlowSpec{Start: start, Size: rec.Size})
 	}
 	return specs, nil

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -89,4 +90,33 @@ func TestReadFlowsCSVRejectsNonFinite(t *testing.T) {
 			t.Errorf("%q: non-finite start accepted", strings.TrimSpace(in))
 		}
 	}
+}
+
+// FuzzReadFlows feeds the trace parser arbitrary bytes: it must never
+// panic, and whatever it accepts is a timeline — it passes ValidateFlows
+// and binds and starts as a TraceSource.
+func FuzzReadFlows(f *testing.F) {
+	for _, seed := range []string{
+		"# legacy export\n0.1,4\n0.5,10\n2.25,100\n",
+		`[{"start": "100ms", "size": 4}, {"start": 0.5, "size": 10}, {"start": "2.25s", "size": 100}]`,
+		"start_seconds,size_segments\n",
+		"NaN,4\n",
+		"0.5,10\n0.1,4\n",
+		`[{"start": 0.5, "size": 10}, {"start": 0.1, "size": 4}]`,
+		`[{"start": "NaNs", "size": 1}]`,
+		"1e300,1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		specs, err := ReadFlows(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := ValidateFlows(specs); err != nil {
+			t.Fatalf("ReadFlows accepted what ValidateFlows rejects: %v", err)
+		}
+		_, d, _ := testDumbbell(1, 10, units.Mbps)
+		TraceSource{Flows: specs}.Bind(d, nil).Start()
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bufsim/internal/tcp"
+	"bufsim/internal/topology"
 	"bufsim/internal/units"
 )
 
@@ -54,6 +55,13 @@ func TestParseTraceErrors(t *testing.T) {
 	}
 }
 
+// replay binds and starts specs as a TraceSource and returns its records.
+func replay(d *topology.Dumbbell, specs []FlowSpec) []*FlowRecord {
+	drv := TraceSource{Flows: specs, TCP: tcp.Config{SegmentSize: 1000, MaxWindow: 43}}.Bind(d, nil)
+	drv.Start()
+	return drv.Records()
+}
+
 func TestReplayRunsTrace(t *testing.T) {
 	s, d, _ := testDumbbell(5, 200, 10*units.Mbps)
 	specs := []FlowSpec{
@@ -61,7 +69,7 @@ func TestReplayRunsTrace(t *testing.T) {
 		{Start: 500 * units.Millisecond, Size: 20},
 		{Start: units.Second, Size: 5},
 	}
-	records := Replay(d, specs, tcp.Config{SegmentSize: 1000, MaxWindow: 43})
+	records := replay(d, specs)
 	s.Run(units.Time(20 * units.Second))
 	if len(records) != 3 {
 		t.Fatalf("records = %d", len(records))
@@ -91,7 +99,7 @@ func TestReplayEndToEndFromCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := Replay(d, specs, tcp.Config{SegmentSize: 1000, MaxWindow: 43})
+	records := replay(d, specs)
 	s.Run(units.Time(30 * units.Second))
 	var done int
 	for _, r := range records {

@@ -9,75 +9,53 @@ import (
 	"bufsim/internal/units"
 )
 
-// SessionConfig describes a Harpoon-style traffic source (Sommers &
+// SessionSource describes a Harpoon-style traffic source (Sommers &
 // Barford, the generator behind the paper's §5.2 lab experiment): a fixed
 // population of sessions, each looping "transfer a heavy-tailed file,
 // think for an exponential pause, repeat". The number of *active* flows
 // fluctuates around an equilibrium set by the transfer and think times —
 // exactly how the lab's "n flows" were produced, as opposed to the ns-2
 // experiments' permanently-backlogged senders.
-type SessionConfig struct {
-	Dumbbell *topology.Dumbbell
-	RNG      *sim.RNG
-
+type SessionSource struct {
 	// Sessions is the population size. Each session binds to a station
 	// round-robin.
 	Sessions int
-
 	// Sizes is the file-size distribution in segments.
 	Sizes SizeDist
-
-	// MeanThink is the average pause between a session's transfers.
+	// MeanThink is the average pause between a session's transfers
+	// (default 1 s).
 	MeanThink units.Duration
-
 	// TCP is the per-transfer template; TotalSegments is set per file.
 	TCP tcp.Config
 }
 
-// Sessions is a running Harpoon-like source.
+func (s SessionSource) String() string {
+	return fmt.Sprintf("sessions(%d, %s, think=%s)", s.Sessions, s.Sizes, s.MeanThink)
+}
+
+// Bind implements Source: initial pauses, file sizes and think times are
+// all drawn from rng.
+func (s SessionSource) Bind(d *topology.Dumbbell, rng *sim.RNG) Driver {
+	if d == nil || rng == nil || s.Sizes == nil {
+		panic("workload: SessionSource requires a dumbbell, an RNG and Sizes")
+	}
+	if s.Sessions <= 0 {
+		panic(fmt.Sprintf("workload: Sessions = %d", s.Sessions))
+	}
+	if s.MeanThink <= 0 {
+		s.MeanThink = units.Second
+	}
+	return &Sessions{Launcher: NewLauncher(d), src: s, rng: rng}
+}
+
+// Sessions is a bound SessionSource. Active is the number of transfers
+// in flight — the equilibrium version of the paper's "number of
+// concurrent flows" — and Records keeps one entry per transfer.
 type Sessions struct {
-	cfg   SessionConfig
-	sched *sim.Scheduler
-
+	*Launcher
+	src     SessionSource
+	rng     *sim.RNG
 	running bool
-	active  int
-
-	// Transfers counts completed file transfers; Records keeps one entry
-	// per transfer for flow-size and completion accounting.
-	Transfers int64
-	Records   []*FlowRecord
-}
-
-// Sessions event opcodes (see sim.Actor).
-const (
-	opSessionTransfer int32 = iota // arg: *topology.Station
-	opSessionRemove                // arg: *topology.Flow
-)
-
-// OnEvent implements sim.Actor: session recycling runs through the
-// kernel's typed-event path, so a large session population schedules no
-// per-event closures.
-func (g *Sessions) OnEvent(op int32, arg any) {
-	switch op {
-	case opSessionTransfer:
-		g.transfer(arg.(*topology.Station))
-	case opSessionRemove:
-		g.cfg.Dumbbell.RemoveFlow(arg.(*topology.Flow))
-	}
-}
-
-// NewSessions returns a stopped source; call Start.
-func NewSessions(cfg SessionConfig) *Sessions {
-	if cfg.Dumbbell == nil || cfg.RNG == nil || cfg.Sizes == nil {
-		panic("workload: SessionConfig requires Dumbbell, RNG and Sizes")
-	}
-	if cfg.Sessions <= 0 {
-		panic(fmt.Sprintf("workload: Sessions = %d", cfg.Sessions))
-	}
-	if cfg.MeanThink <= 0 {
-		cfg.MeanThink = units.Second
-	}
-	return &Sessions{cfg: cfg, sched: cfg.Dumbbell.Config().Sched}
 }
 
 // Start launches every session, desynchronized by an initial random think
@@ -87,47 +65,33 @@ func (g *Sessions) Start() {
 		panic("workload: Sessions started twice")
 	}
 	g.running = true
-	for i := 0; i < g.cfg.Sessions; i++ {
-		station := g.cfg.Dumbbell.Station(i % g.cfg.Dumbbell.NumStations())
-		delay := units.DurationFromSeconds(g.cfg.RNG.Exp(g.cfg.MeanThink.Seconds()))
-		// Through the station's view: transfers are station-shard work,
-		// so under sharding they fire inside the station's window.
-		station.Sched().PostAfter(delay, g, opSessionTransfer, station)
+	for i := 0; i < g.src.Sessions; i++ {
+		g.think(g.d.Station(i % g.d.NumStations()))
 	}
 }
 
 // Stop lets in-flight transfers finish but schedules no more.
 func (g *Sessions) Stop() { g.running = false }
 
-// Active returns the number of transfers currently in flight — the
-// equilibrium version of the paper's "number of concurrent flows".
-func (g *Sessions) Active() int { return g.active }
+// think posts the session's next transfer one exponential pause from
+// now. Through the station's view: transfers are station-shard work, so
+// under sharding they fire inside the station's window.
+func (g *Sessions) think(station *topology.Station) {
+	pause := units.DurationFromSeconds(g.rng.Exp(g.src.MeanThink.Seconds()))
+	station.Sched().PostAfter(pause, g, 0, station)
+}
 
-func (g *Sessions) transfer(station *topology.Station) {
+// OnEvent implements sim.Actor: the one event is a session's next
+// transfer (arg: its *topology.Station), on the kernel's typed-event
+// path, so a large session population schedules no per-event closures.
+func (g *Sessions) OnEvent(_ int32, arg any) {
 	if !g.running {
 		return
 	}
-	d := g.cfg.Dumbbell
-	spec := g.cfg.TCP
-	spec.TotalSegments = g.cfg.Sizes.Sample(g.cfg.RNG)
-	f := d.AddFlow(station, spec)
+	station := arg.(*topology.Station)
 	// The station view's clock is correct in every context this can fire
 	// in: a sharded transfer fires inside the station's window, where the
 	// base scheduler's clock still reads the window start.
-	rec := &FlowRecord{Size: spec.TotalSegments, Start: station.Sched().Now(), Completed: units.Never}
-	g.Records = append(g.Records, rec)
-	g.active++
-
-	f.Receiver.OnComplete = func(now units.Time) {
-		rec.Completed = now
-		g.active--
-		g.Transfers++
-		// Give the final ACK time to drain, then recycle the session
-		// after its think pause. Both posts go through the station's
-		// view (see ShortFlows.launch).
-		station.Sched().PostAfter(f.Station.RTT, g, opSessionRemove, f)
-		think := units.DurationFromSeconds(g.cfg.RNG.Exp(g.cfg.MeanThink.Seconds()))
-		station.Sched().PostAfter(think, g, opSessionTransfer, station)
-	}
-	f.Sender.Start()
+	g.launch(station, g.src.TCP, g.src.Sizes.Sample(g.rng), station.Sched().Now(),
+		func() { g.think(station) })
 }

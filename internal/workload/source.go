@@ -1,20 +1,18 @@
 package workload
 
 import (
-	"fmt"
-
 	"bufsim/internal/sim"
-	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
 	"bufsim/internal/units"
 )
 
 // Source is a declarative traffic description: pure data (digestable by
-// the run cache) that binds onto a dumbbell to produce a Driver. The
-// three historical front ends — stationary Poisson short flows, Harpoon
-// sessions and recorded-trace replay — and the time-varying profile
-// engine all satisfy it, so an experiment can grid over workloads the
-// way it grids over buffer sizes.
+// the run cache) that binds onto a dumbbell to produce a Driver. Bind is
+// the only constructor a generator has: stationary Poisson short flows
+// (PoissonSource), Harpoon sessions (SessionSource), recorded-trace
+// replay (TraceSource), the time-varying profile engine and the
+// adversarial patterns are all built this way, so an experiment can grid
+// over workloads the way it grids over buffer sizes.
 //
 // Binding must be deterministic: the same source bound with the same
 // seed produces the same flow schedule, packet for packet.
@@ -64,135 +62,4 @@ func RecordAFCT(records []*FlowRecord, from, to units.Time) (afct units.Duration
 		return 0, 0, censored
 	}
 	return sum / units.Duration(completed), completed, censored
-}
-
-// PoissonSource is the legacy stationary workload as a Source: Poisson
-// arrivals of finite flows at a fixed offered load.
-type PoissonSource struct {
-	// Load is the target bottleneck utilization (see ShortFlowConfig).
-	Load float64
-	// Sizes is the flow-length distribution.
-	Sizes SizeDist
-	// TCP is the per-flow template; TotalSegments is set per flow.
-	TCP tcp.Config
-}
-
-func (s PoissonSource) String() string {
-	return fmt.Sprintf("poisson(load=%.2f, %s)", s.Load, s.Sizes)
-}
-
-// Bind implements Source.
-func (s PoissonSource) Bind(d *topology.Dumbbell, rng *sim.RNG) Driver {
-	return poissonDriver{NewShortFlows(ShortFlowConfig{
-		Dumbbell: d,
-		RNG:      rng,
-		Load:     s.Load,
-		Sizes:    s.Sizes,
-		TCP:      s.TCP,
-	})}
-}
-
-// poissonDriver adapts *ShortFlows (whose Records is a field) to Driver.
-type poissonDriver struct{ *ShortFlows }
-
-func (p poissonDriver) Records() []*FlowRecord { return p.ShortFlows.Records }
-
-// SessionSource is the Harpoon-style closed-loop workload as a Source.
-type SessionSource struct {
-	// Sessions is the population size (see SessionConfig).
-	Sessions int
-	// Sizes is the file-size distribution in segments.
-	Sizes SizeDist
-	// MeanThink is the average pause between a session's transfers.
-	MeanThink units.Duration
-	// TCP is the per-transfer template; TotalSegments is set per file.
-	TCP tcp.Config
-}
-
-func (s SessionSource) String() string {
-	return fmt.Sprintf("sessions(%d, %s, think=%s)", s.Sessions, s.Sizes, s.MeanThink)
-}
-
-// Bind implements Source.
-func (s SessionSource) Bind(d *topology.Dumbbell, rng *sim.RNG) Driver {
-	return sessionDriver{NewSessions(SessionConfig{
-		Dumbbell:  d,
-		RNG:       rng,
-		Sessions:  s.Sessions,
-		Sizes:     s.Sizes,
-		MeanThink: s.MeanThink,
-		TCP:       s.TCP,
-	})}
-}
-
-// sessionDriver adapts *Sessions (whose Records is a field) to Driver.
-type sessionDriver struct{ *Sessions }
-
-func (s sessionDriver) Records() []*FlowRecord { return s.Sessions.Records }
-func (s sessionDriver) Generated() int64       { return int64(len(s.Sessions.Records)) }
-
-// TraceSource replays a recorded flow trace as a Source. Replay is
-// deterministic — the bound RNG is never consulted.
-type TraceSource struct {
-	// Flows is the trace, ordered by start offset (see ReadFlows).
-	Flows []FlowSpec
-	// TCP is the per-flow template; TotalSegments is set per flow.
-	TCP tcp.Config
-}
-
-func (s TraceSource) String() string {
-	return fmt.Sprintf("trace(%d flows)", len(s.Flows))
-}
-
-// Bind implements Source.
-func (s TraceSource) Bind(d *topology.Dumbbell, _ *sim.RNG) Driver {
-	return &traceDriver{d: d, src: s}
-}
-
-// traceDriver defers the Replay call to Start so the trace anchors at
-// the driver's start time, like every other workload.
-type traceDriver struct {
-	d   *topology.Dumbbell
-	src TraceSource
-	run *replayRun
-}
-
-// Start implements Driver.
-func (t *traceDriver) Start() {
-	if t.run != nil {
-		panic("workload: trace driver started twice")
-	}
-	t.run = startReplay(t.d, t.src.Flows, t.src.TCP)
-}
-
-// Stop implements Driver: flows not yet started are abandoned.
-func (t *traceDriver) Stop() {
-	if t.run != nil {
-		t.run.stopped = true
-	}
-}
-
-// Active implements Driver.
-func (t *traceDriver) Active() int {
-	if t.run == nil {
-		return 0
-	}
-	return t.run.active
-}
-
-// Generated implements Driver.
-func (t *traceDriver) Generated() int64 {
-	if t.run == nil {
-		return 0
-	}
-	return t.run.started
-}
-
-// Records implements Driver. Entries for flows that have not started
-// yet have a zero Start and Never completion.
-func (t *traceDriver) Records() []*FlowRecord {
-	if t.run == nil {
-		return nil
-	}
-	return t.run.records
 }

@@ -8,38 +8,6 @@ import (
 	"bufsim/internal/units"
 )
 
-// TestPoissonSourceMatchesShortFlows: the Source adapter must be a pure
-// re-packaging of NewShortFlows — same RNG, same schedule.
-func TestPoissonSourceMatchesShortFlows(t *testing.T) {
-	sizes := GeometricSize(12)
-	cfgTCP := tcp.Config{MaxWindow: 32}
-
-	s1, d1, rng1 := testDumbbell(8, 40, 10*units.Mbps)
-	legacy := NewShortFlows(ShortFlowConfig{
-		Dumbbell: d1, RNG: rng1.Fork(), Load: 0.5, Sizes: sizes, TCP: cfgTCP,
-	})
-	legacy.Start()
-	s1.Run(units.Time(15 * units.Second))
-
-	s2, d2, rng2 := testDumbbell(8, 40, 10*units.Mbps)
-	drv := PoissonSource{Load: 0.5, Sizes: sizes, TCP: cfgTCP}.Bind(d2, rng2.Fork())
-	drv.Start()
-	s2.Run(units.Time(15 * units.Second))
-
-	if legacy.Generated() == 0 {
-		t.Fatal("no flows generated")
-	}
-	if drv.Generated() != legacy.Generated() {
-		t.Fatalf("source generated %d, legacy %d", drv.Generated(), legacy.Generated())
-	}
-	recs := drv.Records()
-	for i, want := range legacy.Records {
-		if *recs[i] != *want {
-			t.Fatalf("record %d: %+v != %+v", i, *recs[i], *want)
-		}
-	}
-}
-
 func TestSessionSourceDrives(t *testing.T) {
 	s, d, rng := testDumbbell(6, 40, 10*units.Mbps)
 	drv := SessionSource{

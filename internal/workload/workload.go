@@ -123,39 +123,23 @@ func (r FlowRecord) Duration() units.Duration {
 	return r.Completed.Sub(r.Start)
 }
 
-// ShortFlowConfig parameterizes a Poisson short-flow source.
-type ShortFlowConfig struct {
-	Dumbbell *topology.Dumbbell
-	RNG      *sim.RNG
-
+// PoissonSource is the stationary workload (§4): Poisson arrivals of
+// finite flows at a fixed offered load.
+type PoissonSource struct {
 	// Load is the target bottleneck utilization offered by this source
 	// (rho); the arrival rate is derived as
 	// lambda = rho * C / (E[size] * segment bits).
 	Load float64
-
 	// Sizes is the flow-length distribution.
 	Sizes SizeDist
-
 	// TCP is the per-flow template; TotalSegments is overwritten per
 	// flow. The paper's §4 model assumes short flows respect a modest
 	// MaxWindow (12–43).
 	TCP tcp.Config
 }
 
-// ShortFlows is a Poisson source of finite TCP flows over a dumbbell's
-// stations. Each arriving flow takes a uniformly random station, runs to
-// completion, and is detached so stations can be reused indefinitely.
-type ShortFlows struct {
-	cfg       ShortFlowConfig
-	sched     *sim.Scheduler
-	interMean float64 // seconds
-	running   bool
-
-	// Records holds one entry per arrived flow, in arrival order.
-	Records []*FlowRecord
-
-	active    int
-	generated int64
+func (s PoissonSource) String() string {
+	return fmt.Sprintf("poisson(load=%.2f, %s)", s.Load, s.Sizes)
 }
 
 // ArrivalRateForLoad returns the flows-per-second Poisson rate that
@@ -171,24 +155,30 @@ func ArrivalRateForLoad(load float64, rate units.BitRate, seg units.ByteSize, si
 	return segsPerSec / sizes.Mean()
 }
 
-// NewShortFlows returns a stopped source; call Start.
-func NewShortFlows(cfg ShortFlowConfig) *ShortFlows {
-	if cfg.Dumbbell == nil || cfg.RNG == nil || cfg.Sizes == nil {
-		panic("workload: ShortFlowConfig requires Dumbbell, RNG and Sizes")
+// Bind implements Source: every draw (inter-arrival, size, station) comes
+// from rng, in that order.
+func (s PoissonSource) Bind(d *topology.Dumbbell, rng *sim.RNG) Driver {
+	if d == nil || rng == nil || s.Sizes == nil {
+		panic("workload: PoissonSource requires a dumbbell, an RNG and Sizes")
 	}
-	if cfg.Load <= 0 || cfg.Load >= 1 {
-		panic(fmt.Sprintf("workload: short-flow load %v out of (0,1)", cfg.Load))
+	if s.Load <= 0 || s.Load >= 1 {
+		panic(fmt.Sprintf("workload: short-flow load %v out of (0,1)", s.Load))
 	}
-	lambda := ArrivalRateForLoad(cfg.Load, cfg.Dumbbell.Config().BottleneckRate, cfg.TCP.SegmentSize, cfg.Sizes)
-	return &ShortFlows{
-		cfg:       cfg,
-		sched:     cfg.Dumbbell.Config().Sched,
-		interMean: 1 / lambda,
-	}
+	lambda := ArrivalRateForLoad(s.Load, d.Config().BottleneckRate, s.TCP.SegmentSize, s.Sizes)
+	return &ShortFlows{Launcher: NewLauncher(d), src: s, rng: rng, sched: d.Config().Sched, interMean: 1 / lambda}
 }
 
-// ArrivalRate returns the source's flows-per-second rate.
-func (g *ShortFlows) ArrivalRate() float64 { return 1 / g.interMean }
+// ShortFlows is a bound PoissonSource. Each arriving flow takes a
+// uniformly random station, runs to completion, and is detached so
+// stations can be reused indefinitely.
+type ShortFlows struct {
+	*Launcher
+	src       PoissonSource
+	rng       *sim.RNG
+	sched     *sim.Scheduler
+	interMean float64 // seconds
+	running   bool
+}
 
 // Start begins Poisson arrivals.
 func (g *ShortFlows) Start() {
@@ -202,72 +192,18 @@ func (g *ShortFlows) Start() {
 // Stop halts new arrivals; in-flight flows run to completion.
 func (g *ShortFlows) Stop() { g.running = false }
 
-// Active returns the number of flows currently in flight.
-func (g *ShortFlows) Active() int { return g.active }
-
-// Generated returns the total number of flows started.
-func (g *ShortFlows) Generated() int64 { return g.generated }
-
-// ShortFlows event opcodes (see sim.Actor).
-const (
-	// opArrival: the next Poisson arrival is due.
-	opArrival int32 = iota
-	// opDetach: a completed flow's grace period elapsed; unwire it. The
-	// payload is the *topology.Flow.
-	opDetach
-)
-
-// OnEvent implements sim.Actor: arrivals and detaches are typed kernel
-// events, so a short-flow workload allocates per flow, never per timer.
-func (g *ShortFlows) OnEvent(op int32, arg any) {
-	switch op {
-	case opArrival:
-		if !g.running {
-			return
-		}
-		g.launch()
-		g.scheduleNext()
-	case opDetach:
-		g.cfg.Dumbbell.RemoveFlow(arg.(*topology.Flow))
+// OnEvent implements sim.Actor: the one event is the next Poisson
+// arrival, a typed kernel event, so a short-flow workload allocates per
+// flow, never per timer.
+func (g *ShortFlows) OnEvent(int32, any) {
+	if !g.running {
+		return
 	}
+	g.Arrive(g.rng, g.src.Sizes, g.src.TCP, g.sched.Now())
+	g.scheduleNext()
 }
 
 func (g *ShortFlows) scheduleNext() {
-	wait := units.DurationFromSeconds(g.cfg.RNG.Exp(g.interMean))
-	g.sched.PostAfter(wait, g, opArrival, nil)
-}
-
-func (g *ShortFlows) launch() {
-	d := g.cfg.Dumbbell
-	size := g.cfg.Sizes.Sample(g.cfg.RNG)
-	spec := g.cfg.TCP
-	spec.TotalSegments = size
-	st := d.Station(g.cfg.RNG.Intn(d.NumStations()))
-	f := d.AddFlow(st, spec)
-
-	rec := &FlowRecord{Size: size, Start: g.sched.Now(), Completed: units.Never}
-	g.Records = append(g.Records, rec)
-	g.generated++
-	g.active++
-
-	f.Receiver.OnComplete = func(now units.Time) {
-		rec.Completed = now
-		g.active--
-		// Defer the detach so the final ACK still reaches the sender
-		// (the sender needs it to cancel its RTO and finish). The post
-		// goes through the station's view: completion fires in the
-		// station's shard, where a base-scheduler post would be illegal
-		// inside a parallel window.
-		f.Station.Sched().PostAfter(f.Station.RTT, g, opDetach, f)
-	}
-	f.Sender.Start()
-}
-
-// AFCT returns the average flow completion time over flows that started in
-// [from, to], along with how many such flows completed and how many did
-// not (censored). Censored flows are excluded from the average, so callers
-// should drain the system (or report incomplete) before trusting the
-// number.
-func (g *ShortFlows) AFCT(from, to units.Time) (afct units.Duration, completed, censored int) {
-	return RecordAFCT(g.Records, from, to)
+	wait := units.DurationFromSeconds(g.rng.Exp(g.interMean))
+	g.sched.PostAfter(wait, g, 0, nil)
 }

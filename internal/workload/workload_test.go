@@ -126,16 +126,14 @@ func TestShortFlowsPoissonLoad(t *testing.T) {
 	// Offered load 0.5 on a 20 Mb/s link with 14-segment flows: the link
 	// should carry roughly 0.5 utilization and flows should complete.
 	s, d, rng := testDumbbell(30, 200, 20*units.Mbps)
-	g := NewShortFlows(ShortFlowConfig{
-		Dumbbell: d,
-		RNG:      rng.Fork(),
-		Load:     0.5,
-		Sizes:    FixedSize(14),
-		TCP:      tcp.Config{SegmentSize: 1000, MaxWindow: 43},
-	})
+	g := PoissonSource{
+		Load:  0.5,
+		Sizes: FixedSize(14),
+		TCP:   tcp.Config{SegmentSize: 1000, MaxWindow: 43},
+	}.Bind(d, rng.Fork())
 	// lambda = 0.5 * 20e6 / 8000 / 14 = 89.3 flows/s.
-	if r := g.ArrivalRate(); math.Abs(r-89.28) > 0.5 {
-		t.Errorf("ArrivalRate = %v, want ~89.3", r)
+	if r := 1 / g.(*ShortFlows).interMean; math.Abs(r-89.28) > 0.5 {
+		t.Errorf("arrival rate = %v, want ~89.3", r)
 	}
 	g.Start()
 	warm := units.Time(5 * units.Second)
@@ -150,7 +148,7 @@ func TestShortFlowsPoissonLoad(t *testing.T) {
 	}
 	g.Stop()
 	s.Run(s.Now() + units.Time(10*units.Second)) // drain
-	afct, completed, censored := g.AFCT(warm, warm+units.Time(20*units.Second))
+	afct, completed, censored := RecordAFCT(g.Records(), warm, warm+units.Time(20*units.Second))
 	if completed < 1000 {
 		t.Fatalf("only %d flows completed", completed)
 	}
@@ -170,13 +168,11 @@ func TestShortFlowsPoissonLoad(t *testing.T) {
 
 func TestShortFlowsStationsReused(t *testing.T) {
 	s, d, rng := testDumbbell(5, 100, 10*units.Mbps)
-	g := NewShortFlows(ShortFlowConfig{
-		Dumbbell: d,
-		RNG:      rng.Fork(),
-		Load:     0.3,
-		Sizes:    FixedSize(5),
-		TCP:      tcp.Config{SegmentSize: 1000},
-	})
+	g := PoissonSource{
+		Load:  0.3,
+		Sizes: FixedSize(5),
+		TCP:   tcp.Config{SegmentSize: 1000},
+	}.Bind(d, rng.Fork())
 	g.Start()
 	s.Run(units.Time(30 * units.Second))
 	// 5 stations, ~75 flows/s for 30 s: thousands of flows over 5
@@ -187,13 +183,12 @@ func TestShortFlowsStationsReused(t *testing.T) {
 }
 
 func TestAFCTWindowFiltering(t *testing.T) {
-	g := &ShortFlows{}
-	g.Records = []*FlowRecord{
+	records := []*FlowRecord{
 		{Size: 1, Start: 0, Completed: units.Time(units.Second)},
 		{Size: 1, Start: units.Time(10 * units.Second), Completed: units.Time(12 * units.Second)},
 		{Size: 1, Start: units.Time(11 * units.Second), Completed: units.Never},
 	}
-	afct, completed, censored := g.AFCT(units.Time(9*units.Second), units.Time(20*units.Second))
+	afct, completed, censored := RecordAFCT(records, units.Time(9*units.Second), units.Time(20*units.Second))
 	if completed != 1 || censored != 1 {
 		t.Errorf("completed=%d censored=%d", completed, censored)
 	}
@@ -201,7 +196,7 @@ func TestAFCTWindowFiltering(t *testing.T) {
 		t.Errorf("AFCT = %v, want 2s", afct)
 	}
 	// Empty window.
-	if a, c, _ := g.AFCT(units.Time(100*units.Second), units.Time(200*units.Second)); a != 0 || c != 0 {
+	if a, c, _ := RecordAFCT(records, units.Time(100*units.Second), units.Time(200*units.Second)); a != 0 || c != 0 {
 		t.Errorf("empty window AFCT = %v/%d", a, c)
 	}
 }
@@ -220,17 +215,17 @@ func TestFlowRecordDuration(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	s, d, rng := testDumbbell(2, 10, units.Mbps)
 	_ = s
-	mustPanic := func(name string, cfg ShortFlowConfig) {
+	mustPanic := func(name string, src PoissonSource, d *topology.Dumbbell) {
 		defer func() {
 			if recover() == nil {
 				t.Errorf("%s did not panic", name)
 			}
 		}()
-		NewShortFlows(cfg)
+		src.Bind(d, rng)
 	}
-	mustPanic("nil dumbbell", ShortFlowConfig{RNG: rng, Sizes: FixedSize(1), Load: 0.5})
-	mustPanic("bad load", ShortFlowConfig{Dumbbell: d, RNG: rng, Sizes: FixedSize(1), Load: 1.5})
-	mustPanic("nil sizes", ShortFlowConfig{Dumbbell: d, RNG: rng, Load: 0.5})
+	mustPanic("nil dumbbell", PoissonSource{Sizes: FixedSize(1), Load: 0.5}, nil)
+	mustPanic("bad load", PoissonSource{Sizes: FixedSize(1), Load: 1.5}, d)
+	mustPanic("nil sizes", PoissonSource{Load: 0.5}, d)
 
 	mustPanicN := func(name string, n int) {
 		defer func() {
@@ -241,4 +236,19 @@ func TestConfigValidation(t *testing.T) {
 		StartLongLived(d, n, tcp.Config{}, rng, 0)
 	}
 	mustPanicN("zero long flows", 0)
+}
+
+func TestRawFlowBindOneWay(t *testing.T) {
+	// NewRawFlow + BindRawFlow with nil sender agent must work (the pulse
+	// trains use exactly this) and allocate distinct flow IDs.
+	s, d, _ := testDumbbell(1, 100, 10*units.Mbps)
+	_ = s
+	f1 := d.NewRawFlow(d.Station(0))
+	f2 := d.NewRawFlow(d.Station(0))
+	if f1.ID == f2.ID {
+		t.Error("raw flows share an ID")
+	}
+	if f1.Src == 0 || f1.Dst == 0 || f1.Forward == nil || f1.Reverse == nil {
+		t.Errorf("raw flow not fully populated: %+v", f1)
+	}
 }
