@@ -5,8 +5,8 @@ GO  ?= go
 BIN := bin
 
 .PHONY: all build fmt-check lint onebed vet test short race mutation fuzz-smoke \
-        bench-smoke golden bench bench-gate bench-scale bench-scale-gate \
-        benchmark-check loc clean
+        bench-smoke golden quick-golden bench bench-gate bench-scale \
+        bench-scale-gate benchmark-check loc clean
 
 all: build lint test
 
@@ -78,6 +78,13 @@ bench-smoke:
 
 golden:
 	$(GO) test -run TestGolden -v ./internal/experiment/
+
+# quick-golden is the stdout check of every refactor: a fresh
+# `paperexp -quick -exp all` against the recorded tables, timing lines
+# (parenthesised) aside. CI's cache job makes the same diff against the
+# cold run it already has.
+quick-golden:
+	$(GO) run ./cmd/paperexp -quick -exp all | grep -v '^(' | diff -u cmd/paperexp/testdata/quick_all.txt -
 
 # bench regenerates the kernel benchmark report against the checked-in
 # baseline (reference numbers come from a quiet machine at GOMAXPROCS=1).
