@@ -358,7 +358,7 @@ func TestResultInterface(t *testing.T) {
 			t.Errorf("%T: empty table", res)
 		}
 		var sb strings.Builder
-		if err := res.WriteJSON(&sb); err != nil {
+		if err := WriteJSON(&sb, res); err != nil {
 			t.Errorf("%T: WriteJSON: %v", res, err)
 		}
 		if !strings.HasPrefix(sb.String(), "{") {

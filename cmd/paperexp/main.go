@@ -1,11 +1,14 @@
 // Command paperexp regenerates the figures and tables of "Sizing Router
 // Buffers" (SIGCOMM 2004) and the extensions beyond the paper's own
-// artifacts. Each experiment id matches DESIGN.md's per-experiment
-// index; the ids live in one table (experiments, below) and
+// artifacts. The experiment ids are the rows of experiment.Catalog — id,
+// what it shows, the paper's parameters, the -quick parameters and the
+// driver — and
 //
 //	paperexp -help
 //
-// lists them with what each one shows. -exp all runs every one.
+// lists them. -exp all runs every one. What is left here is what a row
+// cannot say: the figures some ids draw, the line a few print before
+// their table, and the -workload/-adversary overrides.
 //
 // -quick shrinks every experiment (lower rates, fewer points, shorter
 // windows) for a fast smoke run; full runs use the paper's parameters.
@@ -34,8 +37,6 @@ import (
 	"bufsim/internal/plot"
 	"bufsim/internal/runcache"
 	"bufsim/internal/trace"
-	"bufsim/internal/units"
-	"bufsim/internal/workload"
 	"bufsim/internal/workload/profile"
 )
 
@@ -65,8 +66,8 @@ func main() {
 		fmt.Fprintln(out, "usage: paperexp [flags]")
 		flag.PrintDefaults()
 		fmt.Fprintln(out, "\nexperiments (-exp):")
-		for _, e := range experiments {
-			fmt.Fprintf(out, "  %-12s %s\n", e.id, e.doc)
+		for _, e := range experiment.Catalog {
+			fmt.Fprintf(out, "  %-12s %s\n", e.ID, e.Doc)
 		}
 		fmt.Fprintf(out, "  %-12s every one above, in that order\n", "all")
 	}
@@ -121,7 +122,10 @@ func main() {
 	}
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = experimentIDs()
+		ids = nil
+		for _, e := range experiment.Catalog {
+			ids = append(ids, e.ID)
+		}
 	}
 	if err := r.runAll(ids); err != nil {
 		log.Fatal(err)
@@ -166,8 +170,7 @@ type runner struct {
 	workload  string // -workload: profile preset name or .json path
 	adversary string // -adversary: restrict the adversarial sweep to one pattern
 	// env is what -parallel, -shards, -audit, -cache, -resume and the
-	// signal context add up to; every experiment config embeds it as it
-	// is. Its Metrics stays nil — see telemetry.
+	// signal context add up to. Its Metrics stays nil — see telemetry.
 	env     experiment.RunEnv
 	metrics *metrics.Registry // the -metrics master dump, else nil
 }
@@ -212,9 +215,9 @@ func (r runner) runAll(ids []string) error {
 	return nil
 }
 
-// telemetry is env for the experiments that publish telemetry: with
-// -metrics it carries a fresh registry for mergeMetrics to fold into the
-// master dump, else it is env itself (telemetry disabled).
+// telemetry is the env every experiment runs under: with -metrics it
+// carries a fresh registry for run to fold into the master dump under
+// the experiment id, else it is env itself (telemetry disabled).
 func (r runner) telemetry() experiment.RunEnv {
 	env := r.env
 	if r.metrics != nil {
@@ -223,12 +226,95 @@ func (r runner) telemetry() experiment.RunEnv {
 	return env
 }
 
-// mergeMetrics folds one experiment's registry into the master dump under
-// the experiment id.
-func (r runner) mergeMetrics(id string, child *metrics.Registry) {
-	if r.metrics != nil && child != nil {
-		r.metrics.Merge(id, child)
+// run runs one catalog row the way every row runs: what its config type
+// calls for before the run (prepare), the row under the telemetry env,
+// its registry merged under the id, its table, and the figure if the id
+// draws one.
+func (r runner) run(id string) error {
+	e, err := experiment.Lookup(id)
+	if err != nil {
+		return err
 	}
+	cfg := &e.Paper
+	if r.quick {
+		cfg = &e.Quick
+	}
+	if err := r.prepare(cfg); err != nil {
+		return err
+	}
+	env := r.telemetry()
+	res := e.Run(r.quick, r.seed, env)
+	r.metrics.Merge(e.ID, env.Metrics)
+
+	if sf, ok := res.(experiment.SingleFlowResult); ok {
+		// The sawtooth is its own report: plots, not a table.
+		return r.singleFlow(e.ID, (*cfg).(experiment.SingleFlowConfig).BufferFactor, sf)
+	}
+	if err := experiment.Render(os.Stdout, res); err != nil {
+		return err
+	}
+	switch res := res.(type) {
+	case experiment.WindowDistResult:
+		return r.windowDist(res)
+	case experiment.MinBufferResult:
+		return r.minBuffer(res)
+	case experiment.ShortFlowBufferTable:
+		return r.shortFlows(res)
+	case experiment.CCFamilyTable:
+		return r.ccFamilies(res)
+	case experiment.FlashCrowdTable:
+		return r.flashCrowd(shapeName((*cfg).(experiment.FlashCrowdConfig)), res)
+	case experiment.AdversarialTable:
+		return r.adversarial(res)
+	}
+	return nil
+}
+
+// prepare applies the flags that edit a row's config (-workload,
+// -adversary) and prints the line some experiments put above their
+// table. It goes by config type, so rows that share one share this too.
+func (r runner) prepare(cfg *any) error {
+	switch c := (*cfg).(type) {
+	case experiment.AFCTComparisonConfig:
+		fmt.Printf("short-flow sizes: %v\n", c.Sizes)
+	case experiment.UtilizationTableConfig:
+		if c.UseRED {
+			fmt.Println("queue discipline: RED")
+		}
+	case experiment.FlashCrowdConfig:
+		// -workload swaps in another profile shape (a preset name or a
+		// profile .json); curves are rescaled to the experiment's peak
+		// load and population, so they act as shapes.
+		if r.workload != "" {
+			p, err := profile.FromArg(r.workload)
+			if err != nil {
+				return err
+			}
+			c.Profile = p
+			*cfg = c
+		}
+		fmt.Printf("workload profile: %s\n", shapeName(c))
+	case experiment.AdversarialConfig:
+		if r.adversary != "" {
+			p, err := adversary.ParsePattern(r.adversary)
+			if err != nil {
+				return err
+			}
+			c.Patterns = []adversary.Pattern{p}
+			*cfg = c
+			fmt.Printf("pattern %s: %s\n", p, p.Doc())
+		}
+	}
+	return nil
+}
+
+// shapeName is the workload profile a flash-crowd config runs: its own,
+// or the preset an unset one defaults to.
+func shapeName(cfg experiment.FlashCrowdConfig) string {
+	if cfg.Profile.Name != "" {
+		return cfg.Profile.Name
+	}
+	return profile.FlashCrowd.String()
 }
 
 // writeSVG renders a chart into the svg directory, if one was requested.
@@ -252,66 +338,6 @@ func (r runner) writeSVG(name string, c *plot.Chart) error {
 	return nil
 }
 
-// experiments is every experiment id in the order -exp all runs them.
-// The dispatch, the usage text and the unknown-id error all read this
-// one table.
-var experiments = []struct {
-	id, doc string
-	run     func(runner) error
-}{
-	{"fig2", "single-flow sawtooth at B = RTT x C, the rule of thumb (fig3 is the same run)",
-		func(r runner) error { return r.singleFlow(1.0, "fig2_rule_of_thumb") }},
-	{"fig4", "underbuffered single flow",
-		func(r runner) error { return r.singleFlow(0.125, "fig4_underbuffered") }},
-	{"fig5", "overbuffered single flow",
-		func(r runner) error { return r.singleFlow(2.0, "fig5_overbuffered") }},
-	{"fig6", "aggregate-window distribution vs Gaussian", runner.windowDist},
-	{"fig7", "min buffer vs n for utilization targets", runner.minBuffer},
-	{"fig8", "min buffer for short flows vs the M/G/1 model", runner.shortFlows},
-	{"fig9", "AFCT: RTTxC vs RTTxC/sqrt(n) buffers",
-		func(r runner) error { return r.afct(workload.GeometricSize(14), "fig9") }},
-	{"fig10", "the Cisco-GSR utilization table (model vs sim)",
-		func(r runner) error { return r.table(false) }},
-	{"fig11", "the production-mix table", runner.production},
-	{"sync", "synchronization vs flow count ablation", runner.sync},
-	{"red", "fig10 under RED", func(r runner) error { return r.table(true) }},
-	{"pareto", "fig9 with bounded-Pareto flow sizes",
-		func(r runner) error { return r.afct(workload.ParetoSize{Shape: 1.2, Min: 2, Max: 2000}, "pareto") }},
-	{"pacing", "paced vs ACK-clocked senders at tiny buffers", runner.pacing},
-	{"smooth", "slow access links vs the M/D/1 bound", runner.smoothing},
-	{"internet2", "the §5.3 backbone at 0.5% of a 1s buffer", runner.backbone},
-	{"multihop", "per-link sqrt(n) rule on two bottlenecks", runner.multihop},
-	{"variants", "Reno / NewReno / SACK / Tahoe robustness", runner.variants},
-	{"ecn", "RED marking vs dropping", runner.ecn},
-	{"harpoon", "closed-loop session traffic (§5.2 methodology)", runner.harpoon},
-	{"rttspread", "RTT heterogeneity vs synchronization (§3)", runner.rttSpread},
-	{"codel", "CoDel vs drop-tail at the sqrt(n) rule and at RTTxC", runner.codel},
-	{"ccfamilies", "buffer requirement vs n per CC family (CUBIC and BBR against the 2004 sqrt rule)", runner.ccFamilies},
-	{"flashcrowd", "buffer sizes vs a surge where arrivals and the long-lived population n(t) spike together (-workload swaps the profile shape)", runner.flashCrowd},
-	{"adversarial", "worst-case traffic vs the buffer ladder: pulse trains, lockstep AIMD, a loaded parking lot (-adversary restricts to one pattern)", runner.adversarial},
-	{"probe", "black-box probe: estimate buffer size and classify the drop discipline of known queues, then score the answers", runner.probeLadder},
-}
-
-func experimentIDs() []string {
-	ids := make([]string, len(experiments))
-	for i, e := range experiments {
-		ids[i] = e.id
-	}
-	return ids
-}
-
-func (r runner) run(id string) error {
-	if id == "fig3" {
-		id = "fig2"
-	}
-	for _, e := range experiments {
-		if e.id == id {
-			return e.run(r)
-		}
-	}
-	return fmt.Errorf("unknown experiment %q (want %s or all)", id, strings.Join(experimentIDs(), ", "))
-}
-
 func (r runner) writeCSV(name string, series ...*trace.Series) error {
 	if r.csvDir == "" {
 		return nil
@@ -332,43 +358,64 @@ func (r runner) writeCSV(name string, series ...*trace.Series) error {
 	return nil
 }
 
-func (r runner) singleFlow(factor float64, name string) error {
-	cfg := experiment.SingleFlowConfig{BufferFactor: factor, RunEnv: r.telemetry()}
-	if r.quick {
-		cfg.Warmup, cfg.Measure = 60*units.Second, 60*units.Second
+// grouped splits rows into one series per key, in first-seen key order,
+// each row contributing the point xy gives it: how a table in grid order
+// becomes the curves of a figure.
+func grouped[R any](rows []R, key func(R) string, xy func(R) (x, y float64)) []*trace.Series {
+	var out []*trace.Series
+	byKey := map[string]*trace.Series{}
+	for _, row := range rows {
+		s, ok := byKey[key(row)]
+		if !ok {
+			s = &trace.Series{Name: key(row)}
+			byKey[s.Name] = s
+			out = append(out, s)
+		}
+		x, y := xy(row)
+		s.Times = append(s.Times, x)
+		s.Values = append(s.Values, y)
 	}
-	res := experiment.RunSingleFlow(cfg)
-	r.mergeMetrics(name, cfg.Metrics)
+	return out
+}
+
+// addAll plots each series under its own name.
+func addAll(c *plot.Chart, style plot.Style, series []*trace.Series) {
+	for _, s := range series {
+		c.Add(s.Name, style, s.Times, s.Values)
+	}
+}
+
+// singleFlow reports Figs. 2-5: the cwnd and queue sawtooths of the
+// first minute of the window.
+func (r runner) singleFlow(id string, factor float64, res experiment.SingleFlowResult) error {
+	name := id + "_rule_of_thumb"
+	switch {
+	case factor < 1:
+		name = id + "_underbuffered"
+	case factor > 1:
+		name = id + "_overbuffered"
+	}
 	fmt.Printf("BDP %d pkts, buffer %d pkts (%.3gx)\n", res.BDPPackets, res.BufferPackets, factor)
 	fmt.Printf("utilization %.2f%%, mean queue %.1f pkts, min queue seen %.0f pkts\n",
 		100*res.Utilization, res.MeanQueue, res.MinQueueSeen)
-	fmt.Println(trace.ASCIIPlot(res.Cwnd.Window(res.Cwnd.Times[0], res.Cwnd.Times[0]+60), 72, 10))
-	fmt.Println(trace.ASCIIPlot(res.Queue.Window(res.Queue.Times[0], res.Queue.Times[0]+60), 72, 8))
+	cwnd := res.Cwnd.Window(res.Cwnd.Times[0], res.Cwnd.Times[0]+60)
+	queue := res.Queue.Window(res.Queue.Times[0], res.Queue.Times[0]+60)
+	fmt.Println(trace.ASCIIPlot(cwnd, 72, 10))
+	fmt.Println(trace.ASCIIPlot(queue, 72, 8))
 	if err := r.writeCSV(name, res.Cwnd, res.Queue); err != nil {
 		return err
 	}
-	cwnd := res.Cwnd.Window(res.Cwnd.Times[0], res.Cwnd.Times[0]+60).Downsample(1200)
-	qp := res.Queue.Window(res.Queue.Times[0], res.Queue.Times[0]+60).Downsample(1200)
+	cwnd, queue = cwnd.Downsample(1200), queue.Downsample(1200)
 	chart := &plot.Chart{
 		Title:  fmt.Sprintf("Single flow, B = %.3gx RTTxC (util %.1f%%)", factor, 100*res.Utilization),
 		XLabel: "time (s)", YLabel: "packets",
 	}
 	chart.Add("cwnd W(t)", plot.Line, cwnd.Times, cwnd.Values)
-	chart.Add("queue Q(t)", plot.Line, qp.Times, qp.Values)
+	chart.Add("queue Q(t)", plot.Line, queue.Times, queue.Values)
 	return r.writeSVG(name, chart)
 }
 
-func (r runner) windowDist() error {
-	cfg := experiment.WindowDistConfig{Seed: r.seed, N: 200, RunEnv: r.env}
-	if r.quick {
-		cfg.N = 80
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.Warmup, cfg.Measure = 10*units.Second, 30*units.Second
-	}
-	res := experiment.RunWindowDist(cfg)
-	if err := experiment.Render(os.Stdout, res); err != nil {
-		return err
-	}
+func (r runner) windowDist(res experiment.WindowDistResult) error {
 	hist := &trace.Series{Name: "density"}
 	normal := &trace.Series{Name: "normal_fit"}
 	for i := 0; i < res.Histogram.NumBins(); i++ {
@@ -391,19 +438,7 @@ func (r runner) windowDist() error {
 	return r.writeSVG("fig6_window_distribution", chart)
 }
 
-func (r runner) minBuffer() error {
-	cfg := experiment.MinBufferConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.Ns = []int{25, 50, 100, 200}
-		cfg.Targets = []float64{0.98, 0.995}
-		cfg.LadderPoints = 7
-		cfg.Warmup, cfg.Measure = 8*units.Second, 15*units.Second
-	}
-	res := experiment.RunMinBufferSweep(cfg)
-	if err := experiment.Render(os.Stdout, res); err != nil {
-		return err
-	}
+func (r runner) minBuffer(res experiment.MinBufferResult) error {
 	curve := &trace.Series{Name: "utilization"}
 	for _, s := range res.Ladder {
 		curve.Times = append(curve.Times, float64(s.N)*1e6+float64(s.Buffer))
@@ -417,332 +452,77 @@ func (r runner) minBuffer() error {
 		XLabel: "flows n", YLabel: "buffer (packets)",
 		XLog: true, YLog: true,
 	}
-	byTarget := map[float64][][2]float64{}
-	var targets []float64
-	var rule [][2]float64
-	seen := map[int]bool{}
-	for _, p := range res.Points {
-		if _, ok := byTarget[p.Target]; !ok {
-			targets = append(targets, p.Target)
-		}
-		byTarget[p.Target] = append(byTarget[p.Target], [2]float64{float64(p.N), float64(p.MinBuffer)})
-		if !seen[p.N] {
-			seen[p.N] = true
-			rule = append(rule, [2]float64{float64(p.N), float64(p.SqrtRule)})
-		}
+	byTarget := func(p experiment.MinBufferPoint) string {
+		return fmt.Sprintf("min buffer @ %.1f%%", 100*p.Target)
 	}
-	addSeries := func(name string, pts [][2]float64, style plot.Style) {
-		xs := make([]float64, len(pts))
-		ys := make([]float64, len(pts))
-		for i, p := range pts {
-			xs[i], ys[i] = p[0], p[1]
-		}
-		chart.Add(name, style, xs, ys)
-	}
-	for _, target := range targets {
-		addSeries(fmt.Sprintf("min buffer @ %.1f%%", 100*target), byTarget[target], plot.LinePoints)
-	}
-	addSeries("RTTxC/sqrt(n)", rule, plot.Line)
+	addAll(chart, plot.LinePoints, grouped(res.Points, byTarget,
+		func(p experiment.MinBufferPoint) (float64, float64) { return float64(p.N), float64(p.MinBuffer) }))
+	// Every target spans the same flow counts, so the first one's rows
+	// carry the whole rule line.
+	rule := grouped(res.Points, byTarget,
+		func(p experiment.MinBufferPoint) (float64, float64) { return float64(p.N), float64(p.SqrtRule) })[0]
+	chart.Add("RTTxC/sqrt(n)", plot.Line, rule.Times, rule.Values)
 	return r.writeSVG("fig7_min_buffer", chart)
 }
 
-func (r runner) shortFlows() error {
-	cfg := experiment.ShortFlowBufferConfig{Seed: r.seed, RunEnv: r.telemetry()}
-	if r.quick {
-		cfg.Rates = []units.BitRate{20 * units.Mbps, 60 * units.Mbps}
-		cfg.Warmup, cfg.Measure = 5*units.Second, 15*units.Second
-	} else {
-		// The figure's x-axis: sweep the flow length (burst structure).
-		cfg.FlowLens = []int64{6, 14, 30, 62}
-	}
-	points := experiment.RunShortFlowBuffer(cfg)
-	r.mergeMetrics("fig8", cfg.Metrics)
-	if err := experiment.Render(os.Stdout, points); err != nil {
-		return err
-	}
-
+func (r runner) shortFlows(points experiment.ShortFlowBufferTable) error {
 	chart := &plot.Chart{
 		Title:  "Short flows: min buffer for AFCT within 12.5% of infinite",
 		XLabel: "flow length (segments)", YLabel: "buffer (packets)",
 	}
-	byRate := map[units.BitRate][][2]float64{}
-	var rates []units.BitRate
-	var model [][2]float64
-	seenLen := map[int64]bool{}
-	for _, p := range points {
-		if _, ok := byRate[p.Rate]; !ok {
-			rates = append(rates, p.Rate)
-		}
-		byRate[p.Rate] = append(byRate[p.Rate], [2]float64{float64(p.FlowLen), float64(p.MinBuffer)})
-		if !seenLen[p.FlowLen] {
-			seenLen[p.FlowLen] = true
-			model = append(model, [2]float64{float64(p.FlowLen), p.ModelBuffer})
-		}
-	}
-	add := func(name string, pts [][2]float64, style plot.Style) {
-		xs := make([]float64, len(pts))
-		ys := make([]float64, len(pts))
-		for i, p := range pts {
-			xs[i], ys[i] = p[0], p[1]
-		}
-		chart.Add(name, style, xs, ys)
-	}
-	for _, rate := range rates {
-		add(rate.String(), byRate[rate], plot.LinePoints)
-	}
-	add("M/G/1 model (P=0.025)", model, plot.Line)
+	byRate := func(p experiment.ShortFlowBufferPoint) string { return p.Rate.String() }
+	addAll(chart, plot.LinePoints, grouped(points, byRate,
+		func(p experiment.ShortFlowBufferPoint) (float64, float64) {
+			return float64(p.FlowLen), float64(p.MinBuffer)
+		}))
+	// The model depends on the flow length alone: the first rate's rows
+	// carry the whole curve.
+	model := grouped(points, byRate,
+		func(p experiment.ShortFlowBufferPoint) (float64, float64) { return float64(p.FlowLen), p.ModelBuffer })[0]
+	chart.Add("M/G/1 model (P=0.025)", plot.Line, model.Times, model.Values)
 	return r.writeSVG("fig8_short_flow_buffer", chart)
 }
 
-func (r runner) afct(sizes workload.SizeDist, name string) error {
-	cfg := experiment.AFCTComparisonConfig{Seed: r.seed, Sizes: sizes, RunEnv: r.telemetry()}
-	if r.quick {
-		cfg.NLong = 60
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.Warmup, cfg.Measure = 10*units.Second, 20*units.Second
-	}
-	fmt.Printf("short-flow sizes: %v\n", sizes)
-	res := experiment.RunAFCTComparison(cfg)
-	r.mergeMetrics(name, cfg.Metrics)
-	return experiment.Render(os.Stdout, res)
-}
-
-func (r runner) table(red bool) error {
-	cfg := experiment.UtilizationTableConfig{Seed: r.seed, UseRED: red, RunEnv: r.telemetry()}
-	if r.quick {
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.Ns = []int{50, 100}
-		cfg.Factors = []float64{0.5, 1, 2}
-		cfg.Warmup, cfg.Measure = 8*units.Second, 15*units.Second
-	}
-	if red {
-		fmt.Println("queue discipline: RED")
-	}
-	rows := experiment.RunUtilizationTable(cfg)
-	id := "fig10"
-	if red {
-		id = "red"
-	}
-	r.mergeMetrics(id, cfg.Metrics)
-	return experiment.Render(os.Stdout, rows)
-}
-
-func (r runner) production() error {
-	cfg := experiment.ProductionConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.NLong = 30
-		cfg.Buffers = []int{8, 46, 300}
-		cfg.Warmup, cfg.Measure = 10*units.Second, 20*units.Second
-	}
-	rows := experiment.RunProduction(cfg)
-	return experiment.Render(os.Stdout, rows)
-}
-
-func (r runner) pacing() error {
-	cfg := experiment.PacingConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.N = 20
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.BufferFactors = []float64{0.25, 1}
-		cfg.Warmup, cfg.Measure = 10*units.Second, 20*units.Second
-	}
-	points := experiment.RunPacingAblation(cfg)
-	return experiment.Render(os.Stdout, points)
-}
-
-func (r runner) smoothing() error {
-	cfg := experiment.SmoothingConfig{Seed: r.seed, TailAt: 20, RunEnv: r.env}
-	if r.quick {
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.Warmup, cfg.Measure = 8*units.Second, 30*units.Second
-	}
-	points := experiment.RunSmoothing(cfg)
-	return experiment.Render(os.Stdout, points)
-}
-
-func (r runner) backbone() error {
-	cfg := experiment.BackboneConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.BottleneckRate = 600 * units.Mbps
-		cfg.N = 600
-		cfg.Warmup, cfg.Measure = 8*units.Second, 15*units.Second
-	}
-	res := experiment.RunBackbone(cfg)
-	return experiment.Render(os.Stdout, res)
-}
-
-func (r runner) multihop() error {
-	cfg := experiment.MultiHopConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.NPerGroup = 40
-		cfg.Warmup, cfg.Measure = 10*units.Second, 20*units.Second
-	}
-	res := experiment.RunMultiHop(cfg)
-	return experiment.Render(os.Stdout, res)
-}
-
-func (r runner) variants() error {
-	cfg := experiment.VariantConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.N = 60
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.Warmup, cfg.Measure = 10*units.Second, 20*units.Second
-	}
-	points := experiment.RunVariantAblation(cfg)
-	return experiment.Render(os.Stdout, points)
-}
-
-func (r runner) ecn() error {
-	cfg := experiment.ECNConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.N = 100
-		cfg.BottleneckRate = 40 * units.Mbps
-		cfg.Warmup, cfg.Measure = 10*units.Second, 20*units.Second
-	}
-	res := experiment.RunECN(cfg)
-	return experiment.Render(os.Stdout, res)
-}
-
-func (r runner) harpoon() error {
-	cfg := experiment.HarpoonConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.BottleneckRate = 40 * units.Mbps
-		cfg.Sessions = 500
-		cfg.Warmup, cfg.Measure = 15*units.Second, 25*units.Second
-	}
-	res := experiment.RunHarpoon(cfg)
-	return experiment.Render(os.Stdout, res)
-}
-
-func (r runner) codel() error {
-	cfg := experiment.CoDelConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.N = 100
-		cfg.BottleneckRate = 40 * units.Mbps
-		cfg.Warmup, cfg.Measure = 10*units.Second, 20*units.Second
-	}
-	rows := experiment.RunCoDel(cfg)
-	return experiment.Render(os.Stdout, rows)
-}
-
-// ccFamilies is the updated-theory figure: the buffer each
+// ccFamilies draws the updated-theory figure: the buffer each
 // congestion-control family needs to reach (a fraction of) its own
 // attainable utilization, as the flow count grows, against the 2004
 // rule RTTxC/sqrt(n). Loss-based families track the rule; BBR's curve
 // decouples from it.
-func (r runner) ccFamilies() error {
-	cfg := experiment.CCFamilyConfig{Seed: r.seed, RunEnv: r.telemetry()}
-	if r.quick {
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.Ns = []int{25, 50, 100}
-		cfg.Warmup, cfg.Measure = 8*units.Second, 15*units.Second
-	}
-	table := experiment.RunCCFamily(cfg)
-	r.mergeMetrics("ccfamilies", cfg.Metrics)
-	if err := experiment.Render(os.Stdout, table); err != nil {
+func (r runner) ccFamilies(table experiment.CCFamilyTable) error {
+	byVariant := func(p experiment.CCFamilyPoint) string { return p.Variant.String() }
+	series := grouped(table, byVariant,
+		func(p experiment.CCFamilyPoint) (float64, float64) { return float64(p.N), float64(p.MinBuffer) })
+	rule := grouped(table, byVariant,
+		func(p experiment.CCFamilyPoint) (float64, float64) { return float64(p.N), float64(p.SqrtRule) })[0]
+	rule.Name = "sqrt_rule"
+	if err := r.writeCSV("ccfamilies_min_buffer", append(series[:len(series):len(series)], rule)...); err != nil {
 		return err
 	}
-
-	byVariant := map[string]*trace.Series{}
-	var order []string
-	rule := &trace.Series{Name: "sqrt_rule"}
-	seenN := map[int]bool{}
-	for _, p := range table {
-		name := p.Variant.String()
-		s, ok := byVariant[name]
-		if !ok {
-			s = &trace.Series{Name: name}
-			byVariant[name] = s
-			order = append(order, name)
-		}
-		s.Times = append(s.Times, float64(p.N))
-		s.Values = append(s.Values, float64(p.MinBuffer))
-		if !seenN[p.N] {
-			seenN[p.N] = true
-			rule.Times = append(rule.Times, float64(p.N))
-			rule.Values = append(rule.Values, float64(p.SqrtRule))
-		}
-	}
-	series := make([]*trace.Series, 0, len(order)+1)
-	for _, name := range order {
-		series = append(series, byVariant[name])
-	}
-	series = append(series, rule)
-	if err := r.writeCSV("ccfamilies_min_buffer", series...); err != nil {
-		return err
-	}
-
 	chart := &plot.Chart{
 		Title:  "Required buffer vs flows across congestion-control families",
 		XLabel: "flows n", YLabel: "buffer (packets)",
 		XLog: true, YLog: true,
 	}
-	for _, name := range order {
-		s := byVariant[name]
-		chart.Add("min buffer ("+name+")", plot.LinePoints, s.Times, s.Values)
+	for _, s := range series {
+		chart.Add("min buffer ("+s.Name+")", plot.LinePoints, s.Times, s.Values)
 	}
 	chart.Add("RTTxC/sqrt(n)", plot.Line, rule.Times, rule.Values)
 	return r.writeSVG("ccfamilies_min_buffer", chart)
 }
 
-// flashCrowd is the time-varying-workload figure: how each buffer size
-// rides out a surge where the arrival rate and the long-lived population
-// n(t) spike together — the regime the 2004 rule's fixed n never
-// modeled. -workload swaps in another profile shape (a preset name or a
-// profile .json); curves are rescaled to the experiment's peak load and
-// population, so they act as shapes.
-func (r runner) flashCrowd() error {
-	cfg := experiment.FlashCrowdConfig{Seed: r.seed, RunEnv: r.telemetry()}
-	if r.workload != "" {
-		p, err := profile.FromArg(r.workload)
-		if err != nil {
-			return err
-		}
-		cfg.Profile = p
+// flashCrowd draws the time-varying-workload figure: how each buffer
+// size rides out a surge where the arrival rate and the long-lived
+// population n(t) spike together — the regime the 2004 rule's fixed n
+// never modeled.
+func (r runner) flashCrowd(shape string, rows experiment.FlashCrowdTable) error {
+	column := func(name string, y func(experiment.FlashCrowdRow) float64) *trace.Series {
+		return grouped(rows, func(experiment.FlashCrowdRow) string { return name },
+			func(row experiment.FlashCrowdRow) (float64, float64) { return float64(row.Buffer), y(row) })[0]
 	}
-	if r.quick {
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.Stations = 20
-		cfg.PeakFlows = 8
-		cfg.Buffers = []int{6, 25, 100, 250}
-		cfg.Warmup = 2 * units.Second
-		prof := cfg.Profile
-		if len(prof.Arrival) == 0 && len(prof.Population) == 0 {
-			prof = profile.FlashCrowd.Profile()
-		}
-		compressed, err := prof.Compress(4)
-		if err != nil {
-			return err
-		}
-		cfg.Profile = compressed
-	}
-	shape := cfg.Profile.Name
-	if shape == "" {
-		shape = profile.FlashCrowd.String()
-	}
-	fmt.Printf("workload profile: %s\n", shape)
-	rows := experiment.RunFlashCrowd(cfg)
-	r.mergeMetrics("flashcrowd", cfg.Metrics)
-	if err := experiment.Render(os.Stdout, rows); err != nil {
-		return err
-	}
-
-	util := &trace.Series{Name: "utilization"}
-	loss := &trace.Series{Name: "loss_rate"}
-	meanQ := &trace.Series{Name: "mean_queue"}
-	peakN := &trace.Series{Name: "peak_active"}
-	for _, row := range rows {
-		x := float64(row.Buffer)
-		util.Times = append(util.Times, x)
-		util.Values = append(util.Values, row.Utilization)
-		loss.Times = append(loss.Times, x)
-		loss.Values = append(loss.Values, row.LossRate)
-		meanQ.Times = append(meanQ.Times, x)
-		meanQ.Values = append(meanQ.Values, row.MeanQueue)
-		peakN.Times = append(peakN.Times, x)
-		peakN.Values = append(peakN.Values, row.PeakActive)
-	}
+	util := column("utilization", func(row experiment.FlashCrowdRow) float64 { return row.Utilization })
+	loss := column("loss_rate", func(row experiment.FlashCrowdRow) float64 { return row.LossRate })
+	meanQ := column("mean_queue", func(row experiment.FlashCrowdRow) float64 { return row.MeanQueue })
+	peakN := column("peak_active", func(row experiment.FlashCrowdRow) float64 { return row.PeakActive })
 	if err := r.writeCSV("flashcrowd_buffer", util, loss, meanQ, peakN); err != nil {
 		return err
 	}
@@ -756,82 +536,20 @@ func (r runner) flashCrowd() error {
 	return r.writeSVG("flashcrowd_buffer", chart)
 }
 
-func (r runner) adversarial() error {
-	cfg := experiment.AdversarialConfig{Seed: r.seed, RunEnv: r.telemetry()}
-	if r.adversary != "" {
-		p, err := adversary.ParsePattern(r.adversary)
-		if err != nil {
-			return err
-		}
-		cfg.Patterns = []adversary.Pattern{p}
-		fmt.Printf("pattern %s: %s\n", p, p.Doc())
-	}
-	if r.quick {
-		cfg.N = 8
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.BufferFactors = []float64{0.1, 0.5, 1.0}
-		cfg.Hops = 2
-		cfg.Warmup, cfg.Measure = 2*units.Second, 6*units.Second
-	}
-	table := experiment.RunAdversarial(cfg)
-	r.mergeMetrics("adversarial", cfg.Metrics)
-	if err := experiment.Render(os.Stdout, table); err != nil {
-		return err
-	}
-
-	// One CSV per pattern: the failure-mode curves over the buffer ladder.
-	byPattern := map[string][]experiment.AdversarialRow{}
-	var order []string
-	for _, row := range table {
-		name := row.Pattern.String()
-		if _, ok := byPattern[name]; !ok {
-			order = append(order, name)
-		}
-		byPattern[name] = append(byPattern[name], row)
-	}
-	for _, name := range order {
-		util := &trace.Series{Name: "utilization"}
-		loss := &trace.Series{Name: "loss_rate"}
-		for _, row := range byPattern[name] {
-			util.Times = append(util.Times, row.BufferFactor)
-			util.Values = append(util.Values, row.Utilization)
-			loss.Times = append(loss.Times, row.BufferFactor)
-			loss.Values = append(loss.Values, row.LossRate)
-		}
-		if err := r.writeCSV("adversarial_"+name, util, loss); err != nil {
+// adversarial writes one CSV per pattern: the failure-mode curves over
+// the buffer ladder.
+func (r runner) adversarial(table experiment.AdversarialTable) error {
+	byPattern := func(row experiment.AdversarialRow) string { return row.Pattern.String() }
+	utils := grouped(table, byPattern,
+		func(row experiment.AdversarialRow) (float64, float64) { return row.BufferFactor, row.Utilization })
+	losses := grouped(table, byPattern,
+		func(row experiment.AdversarialRow) (float64, float64) { return row.BufferFactor, row.LossRate })
+	for i, util := range utils {
+		pattern := util.Name
+		util.Name, losses[i].Name = "utilization", "loss_rate"
+		if err := r.writeCSV("adversarial_"+pattern, util, losses[i]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (r runner) probeLadder() error {
-	cfg := experiment.ProbeLadderConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.Limits = []int{16, 64, 256}
-	}
-	table := experiment.RunProbeLadder(cfg)
-	return experiment.Render(os.Stdout, table)
-}
-
-func (r runner) rttSpread() error {
-	cfg := experiment.RTTSpreadConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.N = 100
-		cfg.BottleneckRate = 40 * units.Mbps
-		cfg.Warmup, cfg.Measure = 10*units.Second, 25*units.Second
-	}
-	points := experiment.RunRTTSpread(cfg)
-	return experiment.Render(os.Stdout, points)
-}
-
-func (r runner) sync() error {
-	cfg := experiment.SyncConfig{Seed: r.seed, RunEnv: r.env}
-	if r.quick {
-		cfg.BottleneckRate = 20 * units.Mbps
-		cfg.Ns = []int{5, 30, 120}
-		cfg.Warmup, cfg.Measure = 10*units.Second, 20*units.Second
-	}
-	points := experiment.RunSyncAblation(cfg)
-	return experiment.Render(os.Stdout, points)
 }

@@ -4,28 +4,48 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
 	"bufsim/internal/experiment"
+	"bufsim/internal/metrics"
 	"bufsim/internal/runcache"
 )
 
-// TestRunnerQuickExperiments drives a cheap subset of the experiment ids
-// end to end in quick mode, with CSV and SVG output, exactly as a user
-// would. Guards the CLI plumbing (id dispatch, file writing) against
-// regressions without paying for the expensive sweeps.
+// TestRunnerQuickExperiments drives the catalog end to end in quick
+// mode, with CSV, SVG and -metrics output, exactly as a user would (all
+// but fig8, whose bisections cost the most and whose telemetry pass has
+// its own test). Guards the CLI plumbing: id dispatch, file writing, and
+// every row running under the telemetry env — 13 ids used to leave the
+// -metrics file empty.
 func TestRunnerQuickExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real (scaled) experiments")
 	}
 	dir := t.TempDir()
-	r := runner{quick: true, seed: 1, csvDir: filepath.Join(dir, "csv"), svgDir: filepath.Join(dir, "svg")}
+	r := runner{quick: true, seed: 1, csvDir: filepath.Join(dir, "csv"), svgDir: filepath.Join(dir, "svg"), metrics: metrics.New()}
 
-	for _, id := range []string{"fig2", "fig6", "ecn", "multihop", "variants", "codel", "ccfamilies", "adversarial", "probe"} {
-		if err := r.run(id); err != nil {
-			t.Fatalf("run(%q): %v", id, err)
+	for _, e := range experiment.Catalog {
+		if e.ID == "fig8" {
+			continue
+		}
+		if err := r.run(e.ID); err != nil {
+			t.Fatalf("run(%q): %v", e.ID, err)
+		}
+	}
+	snap := r.metrics.Snapshot()
+	published := func(id string) bool {
+		for name := range snap.Counters {
+			if strings.HasPrefix(name, id+"/") {
+				return true
+			}
+		}
+		return false
+	}
+	for _, e := range experiment.Catalog {
+		// Probing is not a simulation: its registry is legitimately empty.
+		if e.ID != "fig8" && e.ID != "probe" && !published(e.ID) {
+			t.Errorf("-metrics holds nothing under %s/", e.ID)
 		}
 	}
 
@@ -81,34 +101,9 @@ func TestRunnerUnknownID(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown experiment id did not error")
 	}
-	for _, e := range experiments {
-		if !strings.Contains(err.Error(), e.id) {
-			t.Errorf("error %q does not name the id %q", err, e.id)
-		}
-	}
-}
-
-// TestExperimentTable holds the one id table to what the three
-// hand-kept lists it replaced said: unique ids, a description for each,
-// and the order -exp all has always run them in — the "=== id ==="
-// headers and the run-manifest key (a digest of the id list) depend on
-// it.
-func TestExperimentTable(t *testing.T) {
-	want := []string{"fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "sync", "red", "pareto", "pacing", "smooth", "internet2",
-		"multihop", "variants", "ecn", "harpoon", "rttspread", "codel",
-		"ccfamilies", "flashcrowd", "adversarial", "probe"}
-	if got := experimentIDs(); !slices.Equal(got, want) {
-		t.Errorf("-exp all order:\n got %v\nwant %v", got, want)
-	}
-	seen := map[string]bool{}
-	for _, e := range experiments {
-		if seen[e.id] {
-			t.Errorf("id %q listed twice", e.id)
-		}
-		seen[e.id] = true
-		if e.doc == "" || e.run == nil {
-			t.Errorf("id %q: doc %q, run nil=%v", e.id, e.doc, e.run == nil)
+	for _, e := range experiment.Catalog {
+		if !strings.Contains(err.Error(), e.ID) {
+			t.Errorf("error %q does not name the id %q", err, e.ID)
 		}
 	}
 }

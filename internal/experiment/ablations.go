@@ -47,23 +47,22 @@ type PacingPoint struct {
 // RunPacingAblation executes the pacing comparison.
 func RunPacingAblation(cfg PacingConfig) PacingTable {
 	cfg = cfg.withDefaults()
-	var out []PacingPoint
-	for _, f := range cfg.BufferFactors {
+	return sweep("pacing", cfg, cfg.RunEnv, len(cfg.BufferFactors), func(i int, cell RunEnv) PacingPoint {
+		f := cfg.BufferFactors[i]
 		unpaced := LongLivedConfig{
 			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
 			BufferPackets: cfg.sqrtRuleTimes(f, cfg.N),
-			RunEnv:        cfg.cell(nil),
+			RunEnv:        cell,
 		}
 		paced := unpaced
 		paced.Paced = true
-		out = append(out, PacingPoint{
+		return PacingPoint{
 			BufferPackets: unpaced.BufferPackets,
 			Factor:        f,
 			UtilUnpaced:   RunLongLived(unpaced).Utilization,
 			UtilPaced:     RunLongLived(paced).Utilization,
-		})
-	}
-	return out
+		}
+	})
 }
 
 // SmoothingConfig drives the §4 access-link ablation. The paper: "for our
@@ -157,19 +156,20 @@ func RunSmoothing(cfg SmoothingConfig) SmoothingTable {
 	cfg = cfg.withDefaults()
 	moments := model.MomentsForFlowLength(cfg.FlowLen, 2, cfg.MaxWindow)
 
-	out := SmoothingTable{TailAt: cfg.TailAt}
-	for _, ratio := range cfg.AccessRatios {
-		cfgKey := cfg
+	return SmoothingTable{TailAt: cfg.TailAt, Points: sweep("smoothing", cfg, cfg.RunEnv, len(cfg.AccessRatios), func(i int, cell RunEnv) SmoothingPoint {
+		ratio := cfg.AccessRatios[i]
+		run := cfg
+		run.RunEnv = cell
+		cfgKey := run
 		cfgKey.AccessRatios = []float64{ratio}
-		p := memoRun(cfg.RunEnv, "smoothing", cfgKey, func() SmoothingPoint {
-			return runSmoothingPoint(cfg, ratio, moments)
+		return memoRun(cell, "smoothing", cfgKey, func() SmoothingPoint {
+			return runSmoothingPoint(run, ratio, moments)
 		})
-		out.Points = append(out.Points, p)
-	}
-	return out
+	})}
 }
 
-// runSmoothingPoint measures one access ratio; cfg has defaults applied.
+// runSmoothingPoint measures one access ratio under cfg's RunEnv; cfg has
+// defaults applied.
 func runSmoothingPoint(cfg SmoothingConfig, ratio float64, moments model.BurstMoments) SmoothingPoint {
 	b := newBed(bedConfig{
 		env:        cfg.RunEnv,

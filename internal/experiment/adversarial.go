@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"text/tabwriter"
 
@@ -167,32 +166,23 @@ func (t AdversarialTable) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (t AdversarialTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
-
 // RunAdversarial executes the pattern x buffer grid through the sweep
 // orchestrator (parallel, cached, checkpointed, resumable).
 func RunAdversarial(cfg AdversarialConfig) AdversarialTable {
 	cfg = cfg.withDefaults()
-	rows := make(AdversarialTable, len(cfg.Patterns)*len(cfg.BufferFactors))
-	runSweep(sweepSpec{
-		name: "adversarial",
-		cfg:  cfg,
-		env:  cfg.RunEnv,
-	}, len(rows), func(i int) {
+	return sweep("adversarial", cfg, cfg.RunEnv, len(cfg.Patterns)*len(cfg.BufferFactors), func(i int, cell RunEnv) AdversarialRow {
 		factor := cfg.BufferFactors[i%len(cfg.BufferFactors)]
 		pc := adversarialPointConfig{AdversaryScenario{
 			Seed:            cfg.Seed,
 			Pattern:         cfg.Patterns[i/len(cfg.BufferFactors)],
 			AdversaryCohort: cfg.AdversaryCohort,
 			BufferPackets:   max(1, int(factor*float64(cfg.BDP()))),
-			RunEnv:          cfg.cell(nil),
+			RunEnv:          cell,
 		}, factor}
-		rows[i] = memoRun(pc.RunEnv, "adversarial", pc, func() AdversarialRow {
+		return memoRun(cell, "adversarial", pc, func() AdversarialRow {
 			return runAdversarialAt(pc.AdversaryScenario, factor)
 		})
 	})
-	return rows
 }
 
 // runAdversarialAt dispatches one pattern run; factor is what the row
@@ -380,9 +370,6 @@ func (t ProbeLadderTable) Table() string {
 		}
 	})
 }
-
-// WriteJSON implements Result.
-func (t ProbeLadderTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
 
 // RunProbeLadder probes every discipline x limit cell. The table is one
 // cache unit: probing is fast, so per-cell memoization would be all

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bufsim/internal/metrics"
 	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
@@ -258,20 +257,15 @@ func RunAFCTComparison(cfg AFCTComparisonConfig) AFCTComparisonResult {
 	cfg = cfg.withDefaults()
 	bdp := cfg.BDP()
 
-	// Each regime runs under the config's env with its own registry.
-	thumb := MixedConfig{AFCTComparisonConfig: cfg, BufferPackets: max(1, bdp)}
-	sqrt := MixedConfig{AFCTComparisonConfig: cfg, BufferPackets: cfg.SqrtRule(cfg.NLong)}
-	if cfg.Metrics != nil {
-		thumb.Metrics, sqrt.Metrics = metrics.New(), metrics.New()
-	}
-	res := AFCTComparisonResult{
-		BDPPackets: bdp,
-		RuleThumb:  runMixedOnce(thumb, "RTT*C"),
-		SqrtRule:   runMixedOnce(sqrt, "RTT*C/sqrt(n)"),
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.Merge(res.RuleThumb.Label, thumb.Metrics)
-		cfg.Metrics.Merge(res.SqrtRule.Label, sqrt.Metrics)
-	}
-	return res
+	// The two regimes, each a cell with its own registry.
+	labels := []string{"RTT*C", "RTT*C/sqrt(n)"}
+	buffers := []int{max(1, bdp), cfg.SqrtRule(cfg.NLong)}
+	label := func(i int) string { return labels[i] }
+	out := sweepLabelled("afct-comparison", cfg, cfg.RunEnv, label, len(labels), func(i int, cell RunEnv) AFCTOutcome {
+		run := MixedConfig{AFCTComparisonConfig: cfg, BufferPackets: buffers[i]}
+		run.RunEnv = cell
+		run.Shards = cfg.Shards
+		return runMixedOnce(run, labels[i])
+	})
+	return AFCTComparisonResult{BDPPackets: bdp, RuleThumb: out[0], SqrtRule: out[1]}
 }

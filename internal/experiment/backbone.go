@@ -76,7 +76,7 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 	res.Small = RunLongLived(LongLivedConfig{
 		Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
 		BufferPackets: res.SmallBuffer,
-		RunEnv:        cfg.cell(nil),
+		RunEnv:        cfg.cell(cfg.Metrics),
 	})
 	res.UtilDegradation = 1 - res.Small.Utilization
 	return res

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"text/tabwriter"
 
 	"bufsim/internal/tcp"
@@ -119,9 +118,6 @@ func (t CCFamilyTable) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (t CCFamilyTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
-
 // RunCCFamily measures the buffer requirement of every configured
 // congestion-control family across the configured flow counts. Grid
 // points run through the sweep orchestrator (parallel, cached,
@@ -129,23 +125,15 @@ func (t CCFamilyTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
 // probes depend on each other).
 func RunCCFamily(cfg CCFamilyConfig) CCFamilyTable {
 	cfg = cfg.withDefaults()
-	points := make(CCFamilyTable, len(cfg.Variants)*len(cfg.Ns))
-	runSweep(sweepSpec{
-		name: "ccfamily",
-		cfg:  cfg,
-		env:  cfg.RunEnv,
-	}, len(points), func(i int) {
-		v := cfg.Variants[i/len(cfg.Ns)]
-		n := cfg.Ns[i%len(cfg.Ns)]
-		points[i] = runCCFamilyPoint(cfg, v, n)
+	return sweep("ccfamily", cfg, cfg.RunEnv, len(cfg.Variants)*len(cfg.Ns), func(i int, cell RunEnv) CCFamilyPoint {
+		return runCCFamilyPoint(cfg, cell, cfg.Variants[i/len(cfg.Ns)], cfg.Ns[i%len(cfg.Ns)])
 	})
-	return points
 }
 
 // runCCFamilyPoint measures one (variant, n) grid point: ceiling,
 // min-buffer bisection, and utilization at the sqrt-rule buffer.
-func runCCFamilyPoint(cfg CCFamilyConfig, v tcp.Variant, n int) CCFamilyPoint {
-	ll := LongLivedConfig{Seed: cfg.Seed, N: n, Path: cfg.Path, Variant: v, RunEnv: cfg.cell(nil)}
+func runCCFamilyPoint(cfg CCFamilyConfig, cell RunEnv, v tcp.Variant, n int) CCFamilyPoint {
+	ll := LongLivedConfig{Seed: cfg.Seed, N: n, Path: cfg.Path, Variant: v, RunEnv: cell}
 	bdp, sqrtRule := cfg.BDP(), cfg.SqrtRule(n)
 	hi := max(2*bdp, 4*sqrtRule, 4)
 	// The whole point is one cache unit (kind "ccfamily-point") on top

@@ -56,19 +56,14 @@ func RunCoDel(cfg CoDelConfig) CoDelTable {
 		{"droptail RTTxC", ruleOfThumb, false},
 		{"codel (RTTxC capacity)", ruleOfThumb, true},
 	}
-	rows := make([]CoDelRow, len(designs))
-	runSweep(sweepSpec{
-		name: "codel",
-		cfg:  cfg,
-		env:  cfg.RunEnv,
-	}, len(designs), func(i int) {
+	return sweep("codel", cfg, cfg.RunEnv, len(designs), func(i int, cell RunEnv) CoDelRow {
 		d := designs[i]
 		r := RunLongLived(LongLivedConfig{
 			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
 			BufferPackets: d.buffer, UseCoDel: d.codel,
-			RunEnv: cfg.cell(nil),
+			RunEnv: cell,
 		})
-		rows[i] = CoDelRow{
+		return CoDelRow{
 			Label:         d.label,
 			BufferPackets: d.buffer,
 			Utilization:   r.Utilization,
@@ -76,5 +71,4 @@ func RunCoDel(cfg CoDelConfig) CoDelTable {
 			LossRate:      r.LossRate,
 		}
 	})
-	return rows
 }

@@ -42,17 +42,15 @@ type ECNResult struct {
 // RunECN executes the ablation.
 func RunECN(cfg ECNConfig) ECNResult {
 	cfg = cfg.withDefaults()
-	drop := LongLivedConfig{
-		Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
-		BufferPackets: cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N),
-		UseRED:        true,
-		RunEnv:        cfg.cell(nil),
-	}
-	mark := drop
-	mark.ECN = true
-	return ECNResult{
-		BufferPackets: drop.BufferPackets,
-		Drop:          RunLongLived(drop),
-		Mark:          RunLongLived(mark),
-	}
+	buffer := cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N)
+	arms := sweep("ecn", cfg, cfg.RunEnv, 2, func(i int, cell RunEnv) LongLivedResult {
+		return RunLongLived(LongLivedConfig{
+			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
+			BufferPackets: buffer,
+			UseRED:        true,
+			ECN:           i == 1,
+			RunEnv:        cell,
+		})
+	})
+	return ECNResult{BufferPackets: buffer, Drop: arms[0], Mark: arms[1]}
 }

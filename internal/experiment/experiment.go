@@ -253,19 +253,16 @@ func RunLongLivedReplicated(cfg LongLivedConfig, k int) ReplicatedResult {
 	if k <= 0 {
 		panic(fmt.Sprintf("experiment: replicas = %d", k))
 	}
-	utils := make([]float64, k)
-	runSweep(sweepSpec{
-		name: "replicated",
-		cfg: struct {
-			Base LongLivedConfig
-			K    int
-		}{cfg, k},
-		env: cfg.RunEnv,
-	}, k, func(i int) {
+	key := struct {
+		Base LongLivedConfig
+		K    int
+	}{cfg, k}
+	utils := sweep("replicated", key, cfg.RunEnv, k, func(i int, cell RunEnv) float64 {
 		run := cfg
 		run.Seed = cfg.Seed + int64(i)
-		run.Metrics = nil // per-replica telemetry would race; stats go to cfg.Metrics post-sweep
-		utils[i] = RunLongLived(run).Utilization
+		run.RunEnv = cell
+		run.Shards = cfg.Shards
+		return RunLongLived(run).Utilization
 	})
 	var w stats.Welford
 	for _, u := range utils {

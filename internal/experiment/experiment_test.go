@@ -408,7 +408,7 @@ func TestRenderers(t *testing.T) {
 			t.Errorf("%s table missing %q:\n%s", tc.name, tc.want, sb.String())
 		}
 		var jb strings.Builder
-		if err := tc.res.WriteJSON(&jb); err != nil {
+		if err := WriteJSON(&jb, tc.res); err != nil {
 			t.Errorf("%s: WriteJSON: %v", tc.name, err)
 			continue
 		}
@@ -430,7 +430,7 @@ func TestRenderers(t *testing.T) {
 		t.Errorf("window dist render:\n%s", sb.String())
 	}
 	var jb strings.Builder
-	if err := res.WriteJSON(&jb); err != nil {
+	if err := WriteJSON(&jb, res); err != nil {
 		t.Fatalf("window dist json: %v", err)
 	}
 	if !json.Valid([]byte(jb.String())) {

@@ -2,11 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"text/tabwriter"
 
-	"bufsim/internal/metrics"
 	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
 	"bufsim/internal/units"
@@ -183,7 +181,7 @@ type FlashCrowdConfig struct {
 
 	// RunEnv: the sweep is checkpointed and resumable like every other
 	// cached sweep, and Shards reaches every swept point. With Metrics
-	// set each point is re-run with a child registry merged under
+	// set each point runs with a child registry merged under
 	// "buffer=...".
 	RunEnv
 }
@@ -293,9 +291,6 @@ func (t FlashCrowdTable) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (t FlashCrowdTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
-
 // RunFlashCrowd executes the flashcrowd experiment: one RunProfile per
 // buffer size, fanned out through the checkpointed sweep runner, every
 // point memoized (source included in the key) when a cache is set.
@@ -303,24 +298,16 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 	cfg = cfg.withDefaults()
 	src := flashCrowdSource(cfg)
 	bdp := float64(cfg.BDP())
-	out := make(FlashCrowdTable, len(cfg.Buffers))
-	// point is one swept buffer's scenario; the sweep shards its cells.
-	point := func(buffer int, env RunEnv) ProfileRunConfig {
-		env.Shards = cfg.Shards
-		return ProfileRunConfig{
+	label := func(k int) string { return fmt.Sprintf("buffer=%d", cfg.Buffers[k]) }
+	return sweepLabelled("flashcrowd", cfg, cfg.RunEnv, label, len(cfg.Buffers), func(k int, cell RunEnv) FlashCrowdRow {
+		buffer := cfg.Buffers[k]
+		cell.Shards = cfg.Shards // the sweep shards its cells
+		res := RunProfile(ProfileRunConfig{
 			Seed: cfg.Seed, Path: cfg.Path, BufferPackets: buffer,
 			Source: src, Stations: cfg.Stations, Drain: cfg.Drain,
-			RunEnv: env,
-		}
-	}
-	runSweep(sweepSpec{
-		name: "flashcrowd",
-		cfg:  cfg,
-		env:  cfg.RunEnv,
-	}, len(cfg.Buffers), func(k int) {
-		buffer := cfg.Buffers[k]
-		res := RunProfile(point(buffer, cfg.cell(nil)))
-		out[k] = FlashCrowdRow{
+			RunEnv: cell,
+		})
+		return FlashCrowdRow{
 			Buffer:      buffer,
 			BufferBDP:   float64(buffer) / bdp,
 			Utilization: res.Utilization,
@@ -334,18 +321,4 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 			Censored:    res.Censored,
 		}
 	})
-	if cfg.Metrics != nil {
-		// Telemetry pass: re-run each point with a child registry merged
-		// under the point's label; the swept rows never see a registry,
-		// so they are byte-identical with Metrics nil or set.
-		for _, r := range out {
-			if r.Buffer == 0 {
-				continue // point never ran (cancelled sweep)
-			}
-			child := metrics.New()
-			RunProfile(point(r.Buffer, cfg.cell(child)))
-			cfg.Metrics.Merge(fmt.Sprintf("buffer=%d", r.Buffer), child)
-		}
-	}
-	return out
 }

@@ -73,11 +73,14 @@ var goldenCases = []struct {
 		},
 	},
 	{
+		// The catalog's own -quick row: what paperexp -quick -exp codel prints.
 		name: "codel_table",
 		run: func() any {
-			return RunCoDel(CoDelConfig{
-				Seed: 1, N: 100, Path: Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
-			})
+			e, err := Lookup("codel")
+			if err != nil {
+				panic(err)
+			}
+			return e.Run(true, 1, RunEnv{})
 		},
 	},
 }

@@ -138,17 +138,18 @@ func RunHarpoon(cfg HarpoonConfig) HarpoonResult {
 	calib := runHarpoonOnce(cfg, cfg.BDP())
 	n := int(math.Max(1, math.Round(calib.MeanActive)))
 
-	res := HarpoonResult{CalibratedN: n, SqrtRule: cfg.SqrtRule(n)}
-	for _, f := range cfg.Factors {
-		buffer := cfg.sqrtRuleTimes(f, n)
-		run := runHarpoonOnce(cfg, buffer)
-		res.Rows = append(res.Rows, HarpoonRow{
-			Factor:      f,
+	// Phase 2: the buffer ladder around the calibrated rule.
+	return HarpoonResult{CalibratedN: n, SqrtRule: cfg.SqrtRule(n), Rows: sweep("harpoon", cfg, cfg.RunEnv, len(cfg.Factors), func(i int, cell RunEnv) HarpoonRow {
+		buffer := cfg.sqrtRuleTimes(cfg.Factors[i], n)
+		point := cfg
+		point.RunEnv = cell
+		run := runHarpoonOnce(point, buffer)
+		return HarpoonRow{
+			Factor:      cfg.Factors[i],
 			Buffer:      buffer,
 			Utilization: run.Util,
 			MeanActive:  run.MeanActive,
 			Transfers:   run.Transfers,
-		})
-	}
-	return res
+		}
+	})}
 }

@@ -87,28 +87,21 @@ func RunMinBufferSweep(cfg MinBufferConfig) MinBufferResult {
 			probes = append(probes, probe{nIdx: ni, rung: i, buffer: b})
 		}
 	}
-	utils := make([][]float64, len(cfg.Ns))
-	for ni := range utils {
-		utils[ni] = make([]float64, len(ladders[ni]))
-	}
-	runSweep(sweepSpec{
-		name: "min-buffer",
-		cfg:  cfg,
-		env:  cfg.RunEnv,
-	}, len(probes), func(k int) {
+	utils := sweep("min-buffer", cfg, cfg.RunEnv, len(probes), func(k int, cell RunEnv) float64 {
 		p := probes[k]
 		n := cfg.Ns[p.nIdx]
-		r := RunLongLived(LongLivedConfig{
+		return RunLongLived(LongLivedConfig{
 			Seed: cfg.Seed + int64(n)*1000 + int64(p.rung),
 			N:    n, Path: cfg.Path, BufferPackets: p.buffer,
-			RunEnv: cfg.cell(nil),
-		})
-		utils[p.nIdx][p.rung] = r.Utilization
+			RunEnv: cell,
+		}).Utilization
 	})
 	for ni, n := range cfg.Ns {
 		sqrtRule := cfg.SqrtRule(n)
 		ladder := ladders[ni]
-		nUtils := utils[ni]
+		// The probes are n-major, so n's rungs are one run of utils.
+		nUtils := utils[:len(ladder)]
+		utils = utils[len(ladder):]
 		for i, b := range ladder {
 			res.Ladder = append(res.Ladder, LadderSample{N: n, Buffer: b, Utilization: nUtils[i]})
 		}

@@ -38,10 +38,34 @@ func TestPaperParameters(t *testing.T) {
 	for _, cfg := range digestConfigs {
 		lines = parameterLines(lines, reflect.TypeOf(cfg).Name(), reflect.ValueOf(cfg))
 	}
+	checkParameterFile(t, "paper_parameters.txt", lines)
+}
+
+// TestQuickParameters pins what -quick means: the catalog's quick
+// configs, one "id:Type.Field=value" line per field a row sets (the rest
+// is the paper's, above), in testdata/golden/quick_parameters.txt.
+// cmd/paperexp -quick and BenchmarkPaper both run exactly these.
+func TestQuickParameters(t *testing.T) {
+	var lines []string
+	for _, e := range Catalog {
+		cfg := e.Quick
+		if e.quicken != nil {
+			cfg = e.quicken(cfg)
+		}
+		lines = parameterLines(lines, e.ID+":"+reflect.TypeOf(cfg).Name(), reflect.ValueOf(cfg))
+	}
+	checkParameterFile(t, "quick_parameters.txt", lines)
+}
+
+// checkParameterFile compares the lines, sorted, against a file under
+// testdata/golden (or rewrites it under -update), naming each line that
+// appeared or went.
+func checkParameterFile(t *testing.T, name string, lines []string) {
+	t.Helper()
 	sort.Strings(lines)
 	got := strings.Join(lines, "\n") + "\n"
 
-	path := filepath.Join("testdata", "golden", "paper_parameters.txt")
+	path := filepath.Join("testdata", "golden", name)
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -67,6 +91,6 @@ func TestPaperParameters(t *testing.T) {
 		delete(pinned, l)
 	}
 	for l := range pinned {
-		t.Errorf("gone from the defaults: %s", l)
+		t.Errorf("gone from the parameters: %s", l)
 	}
 }

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,6 +32,71 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		if seq[i] != par[i] {
 			t.Errorf("row %d differs:\nseq %+v\npar %+v", i, seq[i], par[i])
 		}
+	}
+}
+
+// TestEveryFanOutGoesThroughTheSweep covers the seven drivers that used
+// to loop over their grid by hand: worker count must not change a row,
+// and a context cancelled before the first point leaves every row zero
+// instead of simulating (RunHarpoon's calibration run, which comes
+// before its ladder, aside).
+func TestEveryFanOutGoesThroughTheSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paired sweeps")
+	}
+	path := Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		// run returns the driver's rows (a slice) under env.
+		run func(env RunEnv) any
+	}{
+		{"RunPacingAblation", func(env RunEnv) any {
+			return RunPacingAblation(PacingConfig{Seed: 1, N: 8, Path: path, RunEnv: env})
+		}},
+		{"RunVariantAblation", func(env RunEnv) any {
+			return RunVariantAblation(VariantConfig{Seed: 2, N: 8, Path: path, RunEnv: env})
+		}},
+		{"RunECN", func(env RunEnv) any {
+			res := RunECN(ECNConfig{Seed: 3, N: 8, Path: path, RunEnv: env})
+			return []LongLivedResult{res.Drop, res.Mark}
+		}},
+		{"RunSyncAblation", func(env RunEnv) any {
+			return RunSyncAblation(SyncConfig{Seed: 4, Ns: []int{4, 8, 12}, Path: path, RunEnv: env})
+		}},
+		{"RunSmoothing", func(env RunEnv) any {
+			return RunSmoothing(SmoothingConfig{Seed: 5, Stations: 10, Path: path, RunEnv: env}).Points
+		}},
+		{"RunHarpoon", func(env RunEnv) any {
+			return RunHarpoon(HarpoonConfig{Seed: 6, Sessions: 30, MeanThink: 500 * units.Millisecond, Path: path, RunEnv: env}).Rows
+		}},
+		{"RunAFCTComparison", func(env RunEnv) any {
+			res := RunAFCTComparison(AFCTComparisonConfig{Seed: 7, NLong: 4, Path: path, RunEnv: env})
+			return []AFCTOutcome{res.RuleThumb, res.SqrtRule}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A registry on the sweep is what the race detector needs to see
+			// that no two concurrent points share one.
+			seq := tc.run(RunEnv{Parallelism: 1, Metrics: metrics.New()})
+			par := tc.run(RunEnv{Parallelism: 4, Metrics: metrics.New()})
+			if !reflect.DeepEqual(seq, par) {
+				t.Errorf("rows differ across worker counts:\nseq %+v\npar %+v", seq, par)
+			}
+			rows := reflect.ValueOf(tc.run(RunEnv{Ctx: cancelled}))
+			if rows.Len() != reflect.ValueOf(seq).Len() {
+				t.Fatalf("cancelled run returned %d rows, want %d", rows.Len(), reflect.ValueOf(seq).Len())
+			}
+			for i := 0; i < rows.Len(); i++ {
+				if !rows.Index(i).IsZero() {
+					t.Errorf("row %d ran under a cancelled context: %+v", i, rows.Index(i))
+				}
+				if reflect.ValueOf(seq).Index(i).IsZero() {
+					t.Errorf("row %d of the live run is zero", i)
+				}
+			}
+		})
 	}
 }
 

@@ -12,15 +12,13 @@ import (
 
 // Result is the uniform reporting surface every experiment outcome
 // implements: Table renders the rows the way the paper presents them,
-// WriteJSON emits the raw values for machines. cmd/paperexp and the
+// and WriteJSON emits any of them for machines. cmd/paperexp and the
 // public bufsim API render every outcome through this one interface
 // instead of per-type switches.
 type Result interface {
 	// Table returns the human-readable rendering (a tab-aligned table or
 	// short report, trailing newline included).
 	Table() string
-	// WriteJSON writes the outcome as indented JSON.
-	WriteJSON(w io.Writer) error
 }
 
 // Render writes res.Table() to w.
@@ -29,10 +27,16 @@ func Render(w io.Writer, res Result) error {
 	return err
 }
 
-// writeJSON is the shared WriteJSON implementation. Output is
+// WriteJSON writes res as indented JSON: its exported fields, or its
+// jsonView where the result summarizes a payload too large to dump.
+// (Not json.Marshaler: the run cache stores the full value.) Output is
 // deterministic: struct fields emit in declaration order and
 // encoding/json sorts map keys.
-func writeJSON(w io.Writer, v any) error {
+func WriteJSON(w io.Writer, res Result) error {
+	var v any = res
+	if s, ok := res.(interface{ jsonView() any }); ok {
+		v = s.jsonView()
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
@@ -66,9 +70,6 @@ func (t UtilizationTable) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (t UtilizationTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
-
 // Table implements Result.
 func (r MinBufferResult) Table() string {
 	return tabulate(func(tw *tabwriter.Writer) {
@@ -80,9 +81,6 @@ func (r MinBufferResult) Table() string {
 		}
 	})
 }
-
-// WriteJSON implements Result.
-func (r MinBufferResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // ShortFlowBufferTable is the Fig. 8 dataset.
 type ShortFlowBufferTable []ShortFlowBufferPoint
@@ -99,9 +97,6 @@ func (t ShortFlowBufferTable) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (t ShortFlowBufferTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
-
 // Table implements Result.
 func (r AFCTComparisonResult) Table() string {
 	return tabulate(func(tw *tabwriter.Writer) {
@@ -114,9 +109,6 @@ func (r AFCTComparisonResult) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (r AFCTComparisonResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
-
 // Table implements Result.
 func (o AFCTOutcome) Table() string {
 	return tabulate(func(tw *tabwriter.Writer) {
@@ -125,9 +117,6 @@ func (o AFCTOutcome) Table() string {
 			o.Label, o.BufferPackets, roundMS(o.AFCT), 100*o.Utilization, o.MeanQueue, o.Completed)
 	})
 }
-
-// WriteJSON implements Result.
-func (o AFCTOutcome) WriteJSON(w io.Writer) error { return writeJSON(w, o) }
 
 // ProductionTable is the Fig. 11 dataset.
 type ProductionTable []ProductionRow
@@ -144,9 +133,6 @@ func (t ProductionTable) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (t ProductionTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
-
 // SyncTable is the synchronization-ablation dataset.
 type SyncTable []SyncPoint
 
@@ -159,9 +145,6 @@ func (t SyncTable) Table() string {
 		}
 	})
 }
-
-// WriteJSON implements Result.
-func (t SyncTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
 
 // PacingTable is the pacing-ablation dataset.
 type PacingTable []PacingPoint
@@ -176,9 +159,6 @@ func (t PacingTable) Table() string {
 		}
 	})
 }
-
-// WriteJSON implements Result.
-func (t PacingTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
 
 // SmoothingTable is the access-link smoothing dataset; TailAt records the
 // occupancy threshold the tail probabilities were measured against.
@@ -199,9 +179,6 @@ func (t SmoothingTable) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (t SmoothingTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
-
 // VariantTable is the congestion-control-ablation dataset.
 type VariantTable []VariantPoint
 
@@ -216,9 +193,6 @@ func (t VariantTable) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (t VariantTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
-
 // RTTSpreadTable is the RTT-heterogeneity ablation dataset.
 type RTTSpreadTable []RTTSpreadPoint
 
@@ -231,9 +205,6 @@ func (t RTTSpreadTable) Table() string {
 		}
 	})
 }
-
-// WriteJSON implements Result.
-func (t RTTSpreadTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
 
 // CoDelTable is the CoDel-vs-drop-tail comparison dataset.
 type CoDelTable []CoDelRow
@@ -250,9 +221,6 @@ func (t CoDelTable) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (t CoDelTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
-
 // Table implements Result.
 func (r HarpoonResult) Table() string {
 	return tabulate(func(tw *tabwriter.Writer) {
@@ -265,9 +233,6 @@ func (r HarpoonResult) Table() string {
 		}
 	})
 }
-
-// WriteJSON implements Result.
-func (r HarpoonResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Table implements Result.
 func (r BackboneResult) Table() string {
@@ -283,9 +248,6 @@ func (r BackboneResult) Table() string {
 	return sb.String()
 }
 
-// WriteJSON implements Result.
-func (r BackboneResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
-
 // Table implements Result.
 func (r MultiHopResult) Table() string {
 	var sb strings.Builder
@@ -298,9 +260,6 @@ func (r MultiHopResult) Table() string {
 	return sb.String()
 }
 
-// WriteJSON implements Result.
-func (r MultiHopResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
-
 // Table implements Result.
 func (r ECNResult) Table() string {
 	var sb strings.Builder
@@ -311,9 +270,6 @@ func (r ECNResult) Table() string {
 		100*r.Mark.Utilization, 100*r.Mark.LossRate, r.Mark.Timeouts)
 	return sb.String()
 }
-
-// WriteJSON implements Result.
-func (r ECNResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Table implements Result.
 func (r LongLivedResult) Table() string {
@@ -326,9 +282,6 @@ func (r LongLivedResult) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (r LongLivedResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
-
 // Table implements Result.
 func (r ReplicatedResult) Table() string {
 	return tabulate(func(tw *tabwriter.Writer) {
@@ -338,9 +291,6 @@ func (r ReplicatedResult) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (r ReplicatedResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
-
 // Table implements Result.
 func (r TraceResult) Table() string {
 	return tabulate(func(tw *tabwriter.Writer) {
@@ -349,9 +299,6 @@ func (r TraceResult) Table() string {
 			r.Completed, r.Censored, roundMS(r.AFCT), 100*r.Utilization)
 	})
 }
-
-// WriteJSON implements Result.
-func (r TraceResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Table implements Result.
 func (r ProfileRunResult) Table() string {
@@ -363,9 +310,6 @@ func (r ProfileRunResult) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (r ProfileRunResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
-
 // Table implements Result. The cwnd/queue time series are omitted — they
 // are exported as CSV/SVG by cmd/paperexp instead.
 func (r SingleFlowResult) Table() string {
@@ -376,10 +320,10 @@ func (r SingleFlowResult) Table() string {
 	})
 }
 
-// WriteJSON implements Result. The sampled series are summarized by their
-// lengths rather than dumped.
-func (r SingleFlowResult) WriteJSON(w io.Writer) error {
-	return writeJSON(w, struct {
+// jsonView is what WriteJSON emits: the sampled series are summarized by
+// their lengths rather than dumped.
+func (r SingleFlowResult) jsonView() any {
+	return struct {
 		BDPPackets    int
 		BufferPackets int
 		Utilization   float64
@@ -388,7 +332,7 @@ func (r SingleFlowResult) WriteJSON(w io.Writer) error {
 		CwndSamples   int
 		QueueSamples  int
 	}{r.BDPPackets, r.BufferPackets, r.Utilization, r.MeanQueue, r.MinQueueSeen,
-		r.Cwnd.Len(), r.Queue.Len()})
+		r.Cwnd.Len(), r.Queue.Len()}
 }
 
 // Table implements Result: the Fig. 6 histogram as ASCII.
@@ -413,9 +357,9 @@ func (r WindowDistResult) Table() string {
 	return sb.String()
 }
 
-// WriteJSON implements Result. The histogram is flattened to (center,
+// jsonView is what WriteJSON emits: the histogram flattened to (center,
 // count) pairs; raw samples are omitted.
-func (r WindowDistResult) WriteJSON(w io.Writer) error {
+func (r WindowDistResult) jsonView() any {
 	type bin struct {
 		Center float64
 		Count  int64
@@ -425,7 +369,7 @@ func (r WindowDistResult) WriteJSON(w io.Writer) error {
 		center, count := r.Histogram.Bin(i)
 		bins = append(bins, bin{center, count})
 	}
-	return writeJSON(w, struct {
+	return struct {
 		N             int
 		BufferPackets int
 		Mean          float64
@@ -433,5 +377,5 @@ func (r WindowDistResult) WriteJSON(w io.Writer) error {
 		KS            float64
 		CLTSigmaRatio float64
 		Bins          []bin
-	}{r.N, r.BufferPackets, r.Mean, r.StdDev, r.KS, r.CLTSigmaRatio, bins})
+	}{r.N, r.BufferPackets, r.Mean, r.StdDev, r.KS, r.CLTSigmaRatio, bins}
 }

@@ -71,12 +71,7 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 	mean := cfg.MeanRTT()
 	buffer := cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N)
 
-	out := make([]RTTSpreadPoint, len(cfg.Spreads))
-	runSweep(sweepSpec{
-		name: "rtt-spread",
-		cfg:  cfg,
-		env:  cfg.RunEnv,
-	}, len(cfg.Spreads), func(i int) {
+	return sweep("rtt-spread", cfg, cfg.RunEnv, len(cfg.Spreads), func(i int, cell RunEnv) RTTSpreadPoint {
 		spread := cfg.Spreads[i]
 		// A zero spread means identical RTTs, still drawn (RTTMax is set).
 		path := cfg.Path
@@ -86,7 +81,7 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 		wd := RunWindowDist(WindowDistConfig{
 			Seed: cfg.Seed + int64(i), N: cfg.N, Path: path,
 			BufferFactor: cfg.BufferFactor,
-			RunEnv:       cfg.cell(nil),
+			RunEnv:       cell,
 		})
 		cov := 0.0
 		if wd.Mean > 0 {
@@ -95,13 +90,12 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 		ll := RunLongLived(LongLivedConfig{
 			Seed: cfg.Seed + int64(i), N: cfg.N, Path: path,
 			BufferPackets: buffer,
-			RunEnv:        cfg.cell(nil),
+			RunEnv:        cell,
 		})
-		out[i] = RTTSpreadPoint{
+		return RTTSpreadPoint{
 			Spread:      spread,
 			Utilization: ll.Utilization,
 			SyncIndex:   cov / (sawtoothCoV / math.Sqrt(float64(cfg.N))),
 		}
 	})
-	return out
 }

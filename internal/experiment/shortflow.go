@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"bufsim/internal/metrics"
 	"bufsim/internal/model"
 	"bufsim/internal/tcp"
 	"bufsim/internal/units"
@@ -35,11 +34,11 @@ type ShortFlowBufferConfig struct {
 	ModelDropProb float64
 
 	// RunEnv: every probe the bisection makes (baseline and each step)
-	// is cached and audited. With Metrics set, after the bisection
-	// settles each point is re-run at its MinBuffer with a child
-	// registry, merged in under a "rate=...,len=..." prefix; the re-run is
-	// separate from the searched runs, so the reported points are
-	// identical with Metrics nil or set.
+	// is cached and audited. With Metrics set, once a point's bisection
+	// settles it is re-run at its MinBuffer with a child registry, merged
+	// in under a "rate=...,len=..." prefix; the re-run is separate from
+	// the searched runs, so the reported points are identical with
+	// Metrics nil or set.
 	RunEnv
 }
 
@@ -89,7 +88,7 @@ type ShortFlowBufferPoint struct {
 // stationary Poisson source of fixed-length flows at the sweep's load,
 // the bottleneck at one rate and buffer (0: unlimited, the baseline). It
 // returns the AFCT over the window.
-func shortFlowAFCT(cfg ShortFlowBufferConfig, rate units.BitRate, flowLen int64, buffer int, reg *metrics.Registry) units.Duration {
+func shortFlowAFCT(cfg ShortFlowBufferConfig, env RunEnv, rate units.BitRate, flowLen int64, buffer int) units.Duration {
 	return RunProfile(ProfileRunConfig{
 		Seed:          cfg.Seed,
 		Path:          cfg.Path.at(rate),
@@ -100,7 +99,7 @@ func shortFlowAFCT(cfg ShortFlowBufferConfig, rate units.BitRate, flowLen int64,
 			TCP:   tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: cfg.MaxWindow},
 		},
 		Stations: cfg.Stations,
-		RunEnv:   cfg.cell(reg),
+		RunEnv:   env,
 	}).AFCT
 }
 
@@ -109,67 +108,49 @@ func shortFlowAFCT(cfg ShortFlowBufferConfig, rate units.BitRate, flowLen int64,
 // sequential.
 func RunShortFlowBuffer(cfg ShortFlowBufferConfig) ShortFlowBufferTable {
 	cfg = cfg.withDefaults()
-	type task struct {
-		rate    units.BitRate
-		flowLen int64
+	// Grid point k is (rate, flow length), rate-major.
+	at := func(k int) (units.BitRate, int64) {
+		return cfg.Rates[k/len(cfg.FlowLens)], cfg.FlowLens[k%len(cfg.FlowLens)]
 	}
-	var tasks []task
-	for _, rate := range cfg.Rates {
-		for _, flowLen := range cfg.FlowLens {
-			tasks = append(tasks, task{rate, flowLen})
-		}
+	label := func(k int) string {
+		rate, flowLen := at(k)
+		return fmt.Sprintf("rate=%s,len=%d", rate, flowLen)
 	}
-	out := make([]ShortFlowBufferPoint, len(tasks))
-	runSweep(sweepSpec{
-		name: "short-flow-buffer",
-		cfg:  cfg,
-		env:  cfg.RunEnv,
-	}, len(tasks), func(k int) {
-		rate, flowLen := tasks[k].rate, tasks[k].flowLen
+	return sweepLabelled("short-flow-buffer", cfg, cfg.RunEnv, label, len(cfg.Rates)*len(cfg.FlowLens), func(k int, cell RunEnv) ShortFlowBufferPoint {
+		rate, flowLen := at(k)
 		moments := model.MomentsForFlowLength(flowLen, 2, cfg.MaxWindow)
 		modelBuf := moments.MinBuffer(cfg.Load, cfg.ModelDropProb)
 
-		baseline := shortFlowAFCT(cfg, rate, flowLen, 0, nil)
+		// The searched runs never see the cell's registry, so the point is
+		// byte-identical with telemetry on or off.
+		quiet := cell.cell(nil)
+		afctAt := func(b int) units.Duration { return shortFlowAFCT(cfg, quiet, rate, flowLen, b) }
+		baseline := afctAt(0)
 		budget := units.Duration(float64(baseline) * cfg.AFCTFactor)
 
 		// Bisect on the buffer size; AFCT decreases with buffer.
-		hi := int(math.Max(modelBuf*4, 64))
 		lo := 1
-		afctAt := func(b int) units.Duration { return shortFlowAFCT(cfg, rate, flowLen, b, nil) }
-		point := ShortFlowBufferPoint{
+		hi, aHi := lo, afctAt(lo)
+		if aHi > budget {
+			hi = int(math.Max(modelBuf*4, 64))
+			aHi = afctAt(hi)
+			for hi-lo > 1 {
+				mid := (lo + hi) / 2
+				if a := afctAt(mid); a <= budget {
+					hi, aHi = mid, a
+				} else {
+					lo = mid
+				}
+			}
+		}
+		if cell.Metrics != nil {
+			// Telemetry pass: one more run, at the buffer the search settled on.
+			shortFlowAFCT(cfg, cell, rate, flowLen, hi)
+		}
+		return ShortFlowBufferPoint{
 			Rate: rate, FlowLen: flowLen,
 			BaselineAFCT: baseline, ModelBuffer: modelBuf,
+			MinBuffer: hi, AchievedAFCT: aHi,
 		}
-		if a := afctAt(lo); a <= budget {
-			point.MinBuffer, point.AchievedAFCT = lo, a
-			out[k] = point
-			return
-		}
-		aHi := afctAt(hi)
-		for hi-lo > 1 {
-			mid := (lo + hi) / 2
-			if a := afctAt(mid); a <= budget {
-				hi, aHi = mid, a
-			} else {
-				lo = mid
-			}
-		}
-		point.MinBuffer, point.AchievedAFCT = hi, aHi
-		out[k] = point
 	})
-	if cfg.Metrics != nil {
-		// Telemetry pass: re-run every point at the buffer the search
-		// settled on, into a child registry merged under the point's label.
-		// Points stay byte-identical because the searched runs above never
-		// see a registry.
-		for _, p := range out {
-			if p.MinBuffer == 0 {
-				continue // point never ran (cancelled sweep)
-			}
-			child := metrics.New()
-			shortFlowAFCT(cfg, p.Rate, p.FlowLen, p.MinBuffer, child)
-			cfg.Metrics.Merge(fmt.Sprintf("rate=%s,len=%d", p.Rate, p.FlowLen), child)
-		}
-	}
-	return out
 }

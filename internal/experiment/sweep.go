@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"bufsim/internal/metrics"
 	"bufsim/internal/runcache"
 )
 
@@ -64,33 +65,35 @@ func memoRun[T any](env RunEnv, kind string, cfg any, compute func() T) T {
 	return v
 }
 
-// sweepSpec describes one fan-out to the orchestrator.
-type sweepSpec struct {
-	// name labels the sweep in checkpoints and stats.
-	name string
-	// cfg is the sweep-level config; its digest identifies the
-	// checkpoint, so a resumed run with different parameters starts a
-	// fresh record instead of trusting stale progress.
-	cfg any
-	// env is the sweep's own RunEnv: cache and checkpoint policy,
-	// cancellation, worker bound, and the registry the stats go to.
-	env RunEnv
+// sweep is the fan-out every driver with more than one simulation goes
+// through: point(i, cell) fills slot i of the returned slice, under the
+// env the sweep derives for that cell (see RunEnv.cell). name labels the
+// sweep in checkpoints and stats; cfg is the sweep-level config, whose
+// digest identifies the checkpoint, so a resumed run with different
+// parameters starts a fresh record instead of trusting stale progress;
+// env is the sweep's own: cache and checkpoint policy, cancellation,
+// worker bound, and the registry the stats go to.
+func sweep[T any](name string, cfg any, env RunEnv, n int, point func(i int, cell RunEnv) T) []T {
+	return sweepLabelled(name, cfg, env, nil, n, point)
 }
 
-// runSweep is the fan-out every sweep driver goes through: it
-// dispatches point(0..n-1) across a worker pool, checkpoints progress to
-// the cache's sweep manifest after every completed point, honours
-// context cancellation between points (in-flight points finish), and
-// publishes per-point timing and cache hit-rate stats to the env's
-// metrics registry once the queue drains.
+// sweepLabelled is sweep for a driver that instruments its cells. With
+// telemetry on, each cell runs under a child registry of its own (a
+// Registry is not goroutine-safe), merged into env's under label(i) in
+// cell order once the pool has drained, so the merged registry is the
+// same at any worker count. A nil label leaves the cells uninstrumented.
 //
-// Cancellation returns ctx.Err(); the points completed so far have
-// written their slots (and their cache entries), so a rerun with resume
-// replays them as hits and only computes the remainder. Each point writes
-// only its own slot, so results are bit-identical regardless of worker
-// count — the orchestrator only observes.
-func runSweep(spec sweepSpec, n int, point func(i int)) error {
-	env := spec.env
+// The points are dispatched across a worker pool; progress is
+// checkpointed to the cache's sweep manifest after every completed
+// point, and per-point timing and cache hit-rate stats go to env's
+// registry once the queue drains. Cancellation is honoured between
+// points (in-flight points finish): the points completed so far have
+// written their slots (and their cache entries), the rest stay zero and
+// the checkpoint stays open, so a rerun with resume replays the former
+// as hits and only computes the remainder. Each point writes only its
+// own slot, so results are bit-identical regardless of worker count —
+// the orchestrator only observes.
+func sweepLabelled[T any](name string, cfg any, env RunEnv, label func(i int) string, n int, point func(i int, cell RunEnv) T) []T {
 	ctx := env.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -98,12 +101,17 @@ func runSweep(spec sweepSpec, n int, point func(i int)) error {
 	var man *runcache.SweepManifest
 	var before runcache.Stats
 	if env.Cache != nil {
-		man = env.Cache.Sweep(spec.name, pointKey("sweep:"+spec.name, spec.cfg), n, env.Resume)
+		man = env.Cache.Sweep(name, pointKey("sweep:"+name, cfg), n, env.Resume)
 		before = env.Cache.Stats()
 	}
 	resumedPoints := man.DoneCount()
 	start := time.Now()
 	durations := make([]time.Duration, n)
+	out := make([]T, n)
+	var regs []*metrics.Registry
+	if label != nil && env.Metrics != nil {
+		regs = make([]*metrics.Registry, n)
+	}
 
 	workers := env.Parallelism
 	if workers <= 0 {
@@ -120,29 +128,38 @@ func runSweep(spec sweepSpec, n int, point func(i int)) error {
 			defer wg.Done()
 			for i := range jobs {
 				t0 := time.Now()
-				point(i)
+				var reg *metrics.Registry
+				if regs != nil {
+					reg = metrics.New()
+					regs[i] = reg
+				}
+				out[i] = point(i, env.cell(reg))
 				durations[i] = time.Since(t0)
 				man.MarkDone(i)
 			}
 		}()
 	}
-dispatch:
-	for i := 0; i < n; i++ {
+	// Checked before each send: a select between a ready worker and a
+	// done context picks either, and a cancelled sweep must start nothing.
+	for i := 0; i < n && ctx.Err() == nil; i++ {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
-			break dispatch
 		}
 	}
 	close(jobs)
 	wg.Wait()
 
-	publishSweepStats(env, n, resumedPoints, durations, start, before)
-	if err := ctx.Err(); err != nil {
-		return err
+	for i, reg := range regs {
+		if reg != nil {
+			env.Metrics.Merge(label(i), reg)
+		}
 	}
-	man.Finish()
-	return nil
+	publishSweepStats(env, n, resumedPoints, durations, start, before)
+	if ctx.Err() == nil {
+		man.Finish()
+	}
+	return out
 }
 
 // publishSweepStats surfaces orchestrator observations through the

@@ -51,25 +51,24 @@ type SyncPoint struct {
 // RunSyncAblation measures the synchronization index across flow counts.
 func RunSyncAblation(cfg SyncConfig) SyncTable {
 	cfg = cfg.withDefaults()
-	var out []SyncPoint
-	for _, n := range cfg.Ns {
+	return sweep("sync", cfg, cfg.RunEnv, len(cfg.Ns), func(i int, cell RunEnv) SyncPoint {
+		n := cfg.Ns[i]
 		r := RunWindowDist(WindowDistConfig{
 			Seed: cfg.Seed + int64(n), N: n, Path: cfg.Path,
 			BufferFactor: cfg.BufferFactor,
-			RunEnv:       cfg.cell(nil),
+			RunEnv:       cell,
 		})
 		cov := 0.0
 		if r.Mean > 0 {
 			cov = r.StdDev / r.Mean
 		}
 		cltCoV := sawtoothCoV / math.Sqrt(float64(n))
-		out = append(out, SyncPoint{
+		return SyncPoint{
 			N:         n,
 			SyncIndex: cov / cltCoV,
 			KS:        r.KS,
 			StdDev:    r.StdDev,
 			Mean:      r.Mean,
-		})
-	}
-	return out
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"bufsim/internal/metrics"
 	"bufsim/internal/model"
 	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
@@ -76,28 +75,16 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 	cfg = cfg.withDefaults()
 	bdp := cfg.BDP()
 
-	type cell struct{ n, factorIdx int }
-	var cells []cell
-	for i := range cfg.Ns {
-		for j := range cfg.Factors {
-			cells = append(cells, cell{i, j})
-		}
+	// Grid cell k is (n, factor), n-major.
+	at := func(k int) (int, float64) {
+		return cfg.Ns[k/len(cfg.Factors)], cfg.Factors[k%len(cfg.Factors)]
 	}
-	rows := make([]UtilizationRow, len(cells))
-	// One child registry per cell, all nil without telemetry.
-	cellRegs := make([]*metrics.Registry, len(cells))
-	if cfg.Metrics != nil {
-		for k := range cellRegs {
-			cellRegs[k] = metrics.New()
-		}
+	label := func(k int) string {
+		n, factor := at(k)
+		return fmt.Sprintf("n=%d,factor=%g", n, factor)
 	}
-	runSweep(sweepSpec{
-		name: "utilization-table",
-		cfg:  cfg,
-		env:  cfg.RunEnv,
-	}, len(cells), func(k int) {
-		n := cfg.Ns[cells[k].n]
-		factor := cfg.Factors[cells[k].factorIdx]
+	return sweepLabelled("utilization-table", cfg, cfg.RunEnv, label, len(cfg.Ns)*len(cfg.Factors), func(k int, cell RunEnv) UtilizationRow {
+		n, factor := at(k)
 		gauss := model.LongFlowGaussian{N: n, BDP: float64(bdp)}
 		// Scaled first, rounded after: the pinned table's own rounding.
 		buffer := int(math.Max(1, math.Round(factor*float64(bdp)/math.Sqrt(float64(n)))))
@@ -105,9 +92,9 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 			Seed: cfg.Seed + int64(n)*100 + int64(factor*10),
 			N:    n, Path: cfg.Path,
 			BufferPackets: buffer, UseRED: cfg.UseRED,
-			RunEnv: cfg.cell(cellRegs[k]),
+			RunEnv: cell,
 		})
-		rows[k] = UtilizationRow{
+		return UtilizationRow{
 			N: n, Factor: factor, Packets: buffer,
 			RAMMbit:   float64(buffer) * float64(cfg.SegmentSize.Bits()) / 1e6,
 			ModelUtil: gauss.Utilization(float64(buffer)),
@@ -115,13 +102,6 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 			LossRate:  r.LossRate,
 		}
 	})
-	for k, reg := range cellRegs {
-		if reg == nil || rows[k].N == 0 {
-			continue // no telemetry, or the cell never ran (cancelled sweep)
-		}
-		cfg.Metrics.Merge(fmt.Sprintf("n=%d,factor=%g", rows[k].N, rows[k].Factor), reg)
-	}
-	return rows
 }
 
 // ProductionConfig reproduces Fig. 11: the Stanford dormitory experiment.
@@ -192,23 +172,16 @@ func RunProduction(cfg ProductionConfig) ProductionTable {
 	cfg = cfg.withDefaults()
 	bdp := float64(cfg.BDP())
 
-	rows := make(ProductionTable, len(cfg.Buffers))
-	runSweep(sweepSpec{
-		name: "production",
-		cfg:  cfg,
-		env:  cfg.RunEnv,
-	}, len(cfg.Buffers), func(bi int) {
+	return sweep("production", cfg, cfg.RunEnv, len(cfg.Buffers), func(bi int, cell RunEnv) ProductionRow {
 		buffer := cfg.Buffers[bi]
 		// The per-point key is the config narrowed to this one buffer,
 		// so the same point is shared across different Buffers lists.
 		cfgKey := cfg
 		cfgKey.Buffers = []int{buffer}
-		env := cfg.cell(nil)
-		rows[bi] = memoRun(env, "production", cfgKey, func() ProductionRow {
-			return runProductionPoint(cfg, env, buffer, bdp)
+		return memoRun(cell, "production", cfgKey, func() ProductionRow {
+			return runProductionPoint(cfg, cell, buffer, bdp)
 		})
 	})
-	return rows
 }
 
 // runProductionPoint simulates one Fig. 11 buffer point under env.

@@ -50,22 +50,19 @@ type VariantPoint struct {
 // RunVariantAblation measures each variant on the same scenario.
 func RunVariantAblation(cfg VariantConfig) VariantTable {
 	cfg = cfg.withDefaults()
-	run := LongLivedConfig{
-		Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
-		BufferPackets: cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N),
-		RunEnv:        cfg.cell(nil),
-	}
-	var out []VariantPoint
-	for _, v := range cfg.Variants {
-		run.Variant = v
-		r := RunLongLived(run)
-		out = append(out, VariantPoint{
-			Variant:     v,
+	return sweep("variants", cfg, cfg.RunEnv, len(cfg.Variants), func(i int, cell RunEnv) VariantPoint {
+		r := RunLongLived(LongLivedConfig{
+			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
+			BufferPackets: cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N),
+			Variant:       cfg.Variants[i],
+			RunEnv:        cell,
+		})
+		return VariantPoint{
+			Variant:     cfg.Variants[i],
 			Utilization: r.Utilization,
 			LossRate:    r.LossRate,
 			Timeouts:    r.Timeouts,
 			Retransmit:  r.RetransmitFraction,
-		})
-	}
-	return out
+		}
+	})
 }

@@ -6,22 +6,19 @@ import (
 	"io"
 	"strings"
 	"text/tabwriter"
+
+	"bufsim/internal/experiment"
 )
 
 // Result is the uniform reporting surface of every simulation outcome:
-// a human-readable table and a machine-readable JSON dump. All Simulate*
-// return types implement it, so callers can render any outcome through
-// one code path:
+// Table renders it as an aligned plain-text table, and WriteJSON dumps
+// any of them for machines. All Simulate* return types implement it, so
+// callers can render any outcome through one code path:
 //
 //	res := bufsim.Simulate(cfg)
 //	fmt.Print(res.Table())
-//	res.WriteJSON(f)
-type Result interface {
-	// Table renders the result as an aligned plain-text table.
-	Table() string
-	// WriteJSON writes the result as indented JSON.
-	WriteJSON(w io.Writer) error
-}
+//	bufsim.WriteJSON(f, res)
+type Result = experiment.Result
 
 var _ = []Result{
 	SimulationResult{},
@@ -35,7 +32,13 @@ var _ = []Result{
 	Memory{},
 }
 
-func resultJSON(w io.Writer, v any) error {
+// WriteJSON writes res as indented JSON: its exported fields, or its
+// jsonView where the result elides a payload too large to dump.
+func WriteJSON(w io.Writer, res Result) error {
+	var v any = res
+	if s, ok := res.(interface{ jsonView() any }); ok {
+		v = s.jsonView()
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
@@ -63,8 +66,6 @@ func (r SimulationResult) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (r SimulationResult) WriteJSON(w io.Writer) error { return resultJSON(w, r) }
 
 // Table implements Result. The cwnd and queue series are summarized by
 // their sample counts; plot them from the slices directly.
@@ -80,10 +81,10 @@ func (r SingleFlowResult) Table() string {
 	})
 }
 
-// WriteJSON implements Result. The time series are elided — only summary
-// scalars and sample counts are written.
-func (r SingleFlowResult) WriteJSON(w io.Writer) error {
-	return resultJSON(w, struct {
+// jsonView is what WriteJSON emits: the time series are elided — only
+// summary scalars and sample counts are written.
+func (r SingleFlowResult) jsonView() any {
+	return struct {
 		BDPPackets    int
 		BufferPackets int
 		Utilization   float64
@@ -92,7 +93,7 @@ func (r SingleFlowResult) WriteJSON(w io.Writer) error {
 		CwndSamples   int
 		QueueSamples  int
 	}{r.BDPPackets, r.BufferPackets, r.Utilization, r.MeanQueue,
-		r.MinQueueSeen, len(r.CwndValues), len(r.QueueValues)})
+		r.MinQueueSeen, len(r.CwndValues), len(r.QueueValues)}
 }
 
 // Table implements Result.
@@ -104,8 +105,6 @@ func (r ShortFlowResult) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (r ShortFlowResult) WriteJSON(w io.Writer) error { return resultJSON(w, r) }
 
 // Table implements Result.
 func (r MixResult) Table() string {
@@ -117,8 +116,6 @@ func (r MixResult) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (r MixResult) WriteJSON(w io.Writer) error { return resultJSON(w, r) }
 
 // Table implements Result.
 func (r AdversaryResult) Table() string {
@@ -132,8 +129,6 @@ func (r AdversaryResult) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (r AdversaryResult) WriteJSON(w io.Writer) error { return resultJSON(w, r) }
 
 // Table implements Result.
 func (m Memory) Table() string {
@@ -146,5 +141,3 @@ func (m Memory) Table() string {
 	})
 }
 
-// WriteJSON implements Result.
-func (m Memory) WriteJSON(w io.Writer) error { return resultJSON(w, m) }
