@@ -364,6 +364,10 @@ func TestResultInterface(t *testing.T) {
 		if !strings.HasPrefix(sb.String(), "{") {
 			t.Errorf("%T: JSON output %q", res, sb.String())
 		}
+		// The single-flow dump is its summary view, not the series.
+		if _, ok := res.(SingleFlowResult); ok && (!strings.Contains(sb.String(), "CwndSamples") || strings.Contains(sb.String(), "CwndValues")) {
+			t.Errorf("%T: WriteJSON ignored jsonView: %s", res, sb.String())
+		}
 	}
 }
 

@@ -516,8 +516,12 @@ func (r runner) ccFamilies(table experiment.CCFamilyTable) error {
 // never modeled.
 func (r runner) flashCrowd(shape string, rows experiment.FlashCrowdTable) error {
 	column := func(name string, y func(experiment.FlashCrowdRow) float64) *trace.Series {
-		return grouped(rows, func(experiment.FlashCrowdRow) string { return name },
-			func(row experiment.FlashCrowdRow) (float64, float64) { return float64(row.Buffer), y(row) })[0]
+		s := &trace.Series{Name: name}
+		for _, row := range rows {
+			s.Times = append(s.Times, float64(row.Buffer))
+			s.Values = append(s.Values, y(row))
+		}
+		return s
 	}
 	util := column("utilization", func(row experiment.FlashCrowdRow) float64 { return row.Utilization })
 	loss := column("loss_rate", func(row experiment.FlashCrowdRow) float64 { return row.LossRate })

@@ -21,7 +21,8 @@ type PacingConfig struct {
 	Path
 	BufferFactors []float64 // multiples of RTTxC/sqrt(n)
 
-	// RunEnv: Audit and Cache reach the underlying long-lived runs.
+	// RunEnv: Audit and Cache reach the underlying long-lived runs; the
+	// buffer points are a sweep.
 	RunEnv
 }
 
@@ -95,7 +96,8 @@ type SmoothingConfig struct {
 	// TailAt is the queue depth at which P(Q >= b) is measured.
 	TailAt int
 
-	// RunEnv: every access-ratio point is cached, audited and instrumented.
+	// RunEnv: every access-ratio point is cached and audited; the points
+	// are a sweep.
 	RunEnv
 }
 

@@ -29,8 +29,8 @@ type AFCTComparisonConfig struct {
 	UseRED bool
 
 	// RunEnv: Audit, Cache (each regime's run is memoized) and Shards
-	// reach both regimes; Metrics receives their telemetry merged under
-	// the regime labels ("RTT*C", "RTT*C/sqrt(n)").
+	// reach both regimes, a sweep of two; Metrics receives their
+	// telemetry merged under the regime labels ("RTT*C", "RTT*C/sqrt(n)").
 	RunEnv
 }
 

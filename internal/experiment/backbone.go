@@ -23,7 +23,7 @@ type BackboneConfig struct {
 	// (1s x C): the paper ran 0.005.
 	BufferFraction float64
 
-	// RunEnv: Audit and Cache reach the underlying runs.
+	// RunEnv: Metrics, Audit and Cache reach the one underlying run.
 	RunEnv
 }
 

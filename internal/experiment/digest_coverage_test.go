@@ -20,7 +20,7 @@ import (
 // config with no defaults of its own (it is lowered into one that has
 // them, or is a cache key built from resolved values) stands as it is.
 // The digest tests sweep the zero value of each type field by field; a
-// new config that memoizes through memoRun/runSweep must be listed or
+// new config that memoizes through memoRun/sweep must be listed or
 // neither can protect it.
 var digestConfigs = []any{
 	LongLivedConfig{}.withDefaults(),

@@ -17,7 +17,7 @@ type ECNConfig struct {
 	Path
 	BufferFactor float64 // multiple of RTTxC/sqrt(n)
 
-	// RunEnv: Audit and Cache reach both arms.
+	// RunEnv: Audit and Cache reach both arms, a sweep of two.
 	RunEnv
 }
 

@@ -3,8 +3,14 @@
 // paper reports. A driver does not assemble its own simulation: it
 // describes a test bed (bed.go — the one place a scheduler and a
 // topology are built, warmed up, measured over a window and drained),
-// starts its traffic on it and reads the window. The drivers are what
-// cmd/paperexp and the repository benchmarks call.
+// starts its traffic on it and reads the window; a driver with more than
+// one simulation fans them out through the one sweep (sweep.go).
+//
+// The experiments themselves are said once as well: Catalog (catalog.go)
+// is one row per experiment id — what it shows, the driver's config at
+// the paper's scale and at the -quick scale, and the driver — and
+// Entry.Run is how cmd/paperexp and the root package's BenchmarkPaper
+// run any of them.
 //
 // The dumbbell and its window are described once too: every config
 // embeds one Path (path.go — line rate, bottleneck delay, station RTT

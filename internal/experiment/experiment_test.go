@@ -436,6 +436,10 @@ func TestRenderers(t *testing.T) {
 	if !json.Valid([]byte(jb.String())) {
 		t.Errorf("window dist JSON invalid:\n%s", jb.String())
 	}
+	// The dump is the summary view (binned), not the raw samples.
+	if !strings.Contains(jb.String(), `"Bins"`) || strings.Contains(jb.String(), `"Samples"`) {
+		t.Errorf("window dist WriteJSON ignored jsonView:\n%s", jb.String())
+	}
 }
 
 func TestMinBufferForUtilizationEdges(t *testing.T) {

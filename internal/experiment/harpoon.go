@@ -28,8 +28,9 @@ type HarpoonConfig struct {
 
 	Factors []float64
 
-	// RunEnv: Metrics, Audit and Cache; each phase's run is memoized keyed
-	// on the config plus that phase's buffer limit.
+	// RunEnv: Audit and Cache reach every run, each memoized keyed on the
+	// config plus its buffer limit; Metrics sees the calibration run, and
+	// the ladder after it is a sweep.
 	RunEnv
 }
 

@@ -21,9 +21,9 @@ import (
 //
 // Metrics, Audit, Cache and Shards are read by the single-simulation
 // drivers. Resume, Ctx and Parallelism are read only by the drivers that
-// fan out over many simulations (everything built on runSweep); a single
-// run ignores them. A fan-out driver hands each of its cells a derived
-// env (see cell), not its own.
+// fan out over many simulations (everything built on sweep); a single
+// run ignores them. A fan-out driver's cells run under a derived env
+// (see cell), not its own.
 type RunEnv struct {
 	// Metrics, when non-nil, receives the run's telemetry (scheduler,
 	// bottleneck queue and link, TCP aggregates). A fan-out driver
@@ -72,10 +72,11 @@ func (RunEnv) DigestIgnore() {}
 // simulation to actually run, so a cache hit must not short-circuit it.
 func (e RunEnv) live() bool { return e.Metrics != nil || e.Audit != nil }
 
-// cell derives the env a fan-out driver hands one of its simulations:
-// the shared Auditor and Cache plus the cell's own registry (nil for
-// none). Sweep-level policy stays behind, and so does Shards: a sweep
-// does not shard its cells unless it says so (only RunFlashCrowd does).
+// cell derives the env one simulation of a fan-out runs under: the
+// shared Auditor and Cache plus the cell's own registry (nil for none).
+// Sweep-level policy stays behind, and so does Shards: a sweep does not
+// shard its cells unless its driver says so (the replicated run, Fig. 9's
+// pair and the flash crowd do).
 func (e RunEnv) cell(reg *metrics.Registry) RunEnv {
 	return RunEnv{Metrics: reg, Audit: e.Audit, Cache: e.Cache}
 }

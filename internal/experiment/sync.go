@@ -19,7 +19,8 @@ type SyncConfig struct {
 	Path
 	BufferFactor float64 // multiple of RTTxC/sqrt(n)
 
-	// RunEnv: Audit and Cache reach the underlying runs.
+	// RunEnv: Audit and Cache reach the underlying runs; the flow counts
+	// are a sweep.
 	RunEnv
 }
 

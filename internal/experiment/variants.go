@@ -20,7 +20,8 @@ type VariantConfig struct {
 
 	Variants []tcp.Variant
 
-	// RunEnv: Audit and Cache reach every variant's run.
+	// RunEnv: Audit and Cache reach every variant's run; the variants are
+	// a sweep.
 	RunEnv
 }
 

@@ -66,7 +66,6 @@ func (r SimulationResult) Table() string {
 	})
 }
 
-
 // Table implements Result. The cwnd and queue series are summarized by
 // their sample counts; plot them from the slices directly.
 func (r SingleFlowResult) Table() string {
@@ -105,7 +104,6 @@ func (r ShortFlowResult) Table() string {
 	})
 }
 
-
 // Table implements Result.
 func (r MixResult) Table() string {
 	return tabulate(func(tw *tabwriter.Writer) {
@@ -115,7 +113,6 @@ func (r MixResult) Table() string {
 		fmt.Fprintf(tw, "mean queue (pkts)\t%.1f\n", r.MeanQueue)
 	})
 }
-
 
 // Table implements Result.
 func (r AdversaryResult) Table() string {
@@ -129,7 +126,6 @@ func (r AdversaryResult) Table() string {
 	})
 }
 
-
 // Table implements Result.
 func (m Memory) Table() string {
 	return tabulate(func(tw *tabwriter.Writer) {
@@ -140,4 +136,3 @@ func (m Memory) Table() string {
 		fmt.Fprintf(tw, "verdict\t%s\n", m.Description)
 	})
 }
-
