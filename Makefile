@@ -6,7 +6,7 @@ BIN := bin
 
 .PHONY: all build fmt-check lint onebed vet test short race mutation fuzz-smoke \
         bench-smoke golden quick-golden bench bench-gate bench-scale \
-        bench-scale-gate benchmark-check loc clean
+        bench-scale-gate benchmark-check ab loc clean
 
 all: build lint test
 
@@ -67,6 +67,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueueConservation -fuzztime 30s ./internal/queue/
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerInvariants -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzFrontierMerge -fuzztime 30s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzHeapSelect -fuzztime 30s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesOracle -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzClassifier -fuzztime 30s ./internal/probe/
 	$(GO) test -run '^$$' -fuzz FuzzSeqRuns -fuzztime 30s ./internal/tcp/
 	$(GO) test -run '^$$' -fuzz FuzzReadFlows -fuzztime 30s ./internal/workload/
@@ -122,6 +124,19 @@ benchmark-check:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 	$(GO) build -C benchmark -o /dev/null ./layers
+
+# ab is how a performance claim is measured: PAIRS alternating pairs of
+# `bash benchmark/run.sh -workload WORKLOAD -seed SEED` on REV (its
+# committed files, via git archive into a temporary directory) and on the
+# working tree, the first side flipping each pair. It prints a row per
+# run and per end-to-end metric both medians and quartiles, the change,
+# the pairs won and whether the gap beats REV's interquartile spread; it
+# exits non-zero if a rep failed or the stdout digests differ.
+PAIRS ?= 10
+SEED  ?= 1
+ab:
+	@test -n "$(REF)" -a -n "$(WORKLOAD)" || { echo "usage: make ab REF=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]" >&2; exit 2; }
+	$(GO) run ./bench ab -ref $(REF) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
 # loc prints the non-test Go line count of every package, the number the
 # simplicity PRs report: no _test.go, no analyzer fixtures, and not

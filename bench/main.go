@@ -38,6 +38,11 @@
 // allocations on any box; a packet path that starts allocating again
 // moves allocs/op by tens of thousands, and a change that schedules one
 // event more or fewer has changed what is simulated.
+//
+//	go run ./bench ab -ref REV -workload W [-pairs 10] [-seed 1]
+//
+// is the other mode (`make ab`, ab.go): alternating pairs of the
+// repository benchmark on REV and on the working tree, one table out.
 package main
 
 import (
@@ -164,6 +169,12 @@ func eventsProcessed(run func(reg *metrics.Registry)) int64 {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bench: ")
+	if len(os.Args) > 1 && os.Args[1] == "ab" {
+		if err := runAB(os.Args[2:]); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 	var (
 		out      = flag.String("out", "BENCH_kernel.json", "output JSON path")
 		baseline = flag.String("baseline", "", "previous BENCH_kernel.json whose 'current' block becomes this file's 'baseline'")

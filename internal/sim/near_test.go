@@ -102,7 +102,7 @@ type oracleRun struct {
 	stops   int
 	pops    int // handlers that returned with the root's pop still deferred
 	// what the program reached, so the test can insist it reached it all
-	nearCancels, frontPosts, secondPosts, behindPosts int
+	nearCancels, frontPosts, secondPosts, behindPosts, nearStops int
 }
 
 // delays mixes the imminent with the far so that posts land before the
@@ -184,10 +184,10 @@ func (r *oracleRun) classify(t units.Time) {
 	e := entry{at: t, seq: r.s.seq}
 	second := true
 	for c := 1; c <= 4; c++ {
-		second = second && before(e, r.s.heap[c])
+		second = second && e.before(r.s.heap[c]) != 0
 	}
 	switch {
-	case r.s.hole == 0 && before(e, h[0]):
+	case r.s.hole == 0 && e.before(h[0]) != 0:
 		r.frontPosts++
 	case second:
 		r.secondPosts++
@@ -217,63 +217,70 @@ func (r *oracleRun) check(when string) {
 	}
 }
 
-// TestKernelMatchesOracle replays random programs — typed posts, closures,
-// lane posts, cancels of pending, fired and near-run handles, same-instant
-// ties, posts from inside handlers that land before the root, before its
-// children and behind them, Run stopping at a boundary with the near run
-// occupied, Stop from inside a handler — against a container/heap that
-// holds every event, and requires the same dispatch sequence and the same
-// Pending, MaxPending, Active and EventTime after every step.
-func TestKernelMatchesOracle(t *testing.T) {
-	var nearStops, fromNear, fromHeap, refills int64
-	var nearCancels, front, second, behind, stops, pops int
-	for seed := int64(1); seed <= 60; seed++ {
-		r := &oracleRun{t: t, s: NewScheduler(), rng: NewRNG(seed)}
-		r.s.SetAuditor(audit.New())
-		for k := range r.lanes {
-			r.lanes[k] = r.s.NewLane(r, 1)
-		}
-		// A standing backlog, so the heap has a root with children.
-		for i := 0; i < 40; i++ {
+// replayOracle replays the random program seed draws — typed posts,
+// closures, lane posts, cancels of pending, fired and near-run handles,
+// same-instant ties, posts from inside handlers that land before the root,
+// before its children and behind them, Run stopping at a boundary with the
+// near run occupied, Stop from inside a handler — against a container/heap
+// that holds every event, and requires the same dispatch sequence and the
+// same Pending, MaxPending, Active and EventTime after every step.
+func replayOracle(t *testing.T, seed int64) *oracleRun {
+	r := &oracleRun{t: t, s: NewScheduler(), rng: NewRNG(seed)}
+	r.s.SetAuditor(audit.New())
+	for k := range r.lanes {
+		r.lanes[k] = r.s.NewLane(r, 1)
+	}
+	// A standing backlog, so the heap has a root with children.
+	for i := 0; i < 40; i++ {
+		r.op()
+	}
+	for round := 0; round < 60; round++ {
+		for i := 0; i < 6; i++ {
 			r.op()
+			r.check("after op")
 		}
-		for round := 0; round < 60; round++ {
-			for i := 0; i < 6; i++ {
-				r.op()
-				r.check("after op")
-			}
-			if round%3 == 0 {
-				r.s.Step()
-			} else {
-				r.s.Run(r.s.Now() + units.Time(round%4))
-			}
-			r.check("after run")
-			if err := r.s.VerifyInvariants(); err != nil {
-				t.Fatalf("seed %d round %d: %v", seed, round, err)
-			}
-			if r.s.nearN > 0 {
-				nearStops++
-			}
+		if round%3 == 0 {
+			r.s.Step()
+		} else {
+			r.s.Run(r.s.Now() + units.Time(round%4))
 		}
-		for r.s.Pending() > 0 { // Stop from a handler ends a Run early
-			r.s.Run(units.Never - 1)
+		r.check("after run")
+		if err := r.s.VerifyInvariants(); err != nil {
+			t.Fatalf("seed %d round %d: %v", seed, round, err)
 		}
-		r.check("drained")
-		if r.o.Len() != 0 || r.s.aud.Count() != 0 {
-			t.Fatalf("seed %d: oracle still holds %d events; audit: %v", seed, r.o.Len(), r.s.aud.Err())
+		if r.s.nearN > 0 {
+			r.nearStops++
 		}
+	}
+	for r.s.Pending() > 0 { // Stop from a handler ends a Run early
+		r.s.Run(units.Never - 1)
+	}
+	r.check("drained")
+	if r.o.Len() != 0 || r.s.aud.Count() != 0 {
+		t.Fatalf("seed %d: oracle still holds %d events; audit: %v", seed, r.o.Len(), r.s.aud.Err())
+	}
+	if got := r.s.dispatchNear + r.s.dispatchLane + r.s.dispatchHeap; got != int64(r.s.Processed) || int(r.s.Processed) != r.fired {
+		t.Fatalf("seed %d: near+lane+heap dispatches = %d, Processed = %d, handlers ran %d", seed, got, r.s.Processed, r.fired)
+	}
+	return r
+}
+
+// TestKernelMatchesOracle replays 60 seeded programs and insists that,
+// together, they reached every path the oracle is there to check.
+func TestKernelMatchesOracle(t *testing.T) {
+	var fromNear, fromHeap, refills int64
+	var nearCancels, front, second, behind, stops, pops, nearStops int
+	for seed := int64(1); seed <= 60; seed++ {
+		r := replayOracle(t, seed)
 		fromNear += r.s.dispatchNear
 		fromHeap += r.s.dispatchHeap
 		refills += r.s.rootRefills
-		nearCancels, stops, pops = nearCancels+r.nearCancels, stops+r.stops, pops+r.pops
+		nearCancels, stops, pops, nearStops = nearCancels+r.nearCancels, stops+r.stops, pops+r.pops, nearStops+r.nearStops
 		front, second, behind = front+r.frontPosts, second+r.secondPosts, behind+r.behindPosts
-		if got := r.s.dispatchNear + r.s.dispatchLane + r.s.dispatchHeap; got != int64(r.s.Processed) || int(r.s.Processed) != r.fired {
-			t.Fatalf("seed %d: near+lane+heap dispatches = %d, Processed = %d, handlers ran %d", seed, got, r.s.Processed, r.fired)
-		}
 	}
 	for name, n := range map[string]int64{
 		"dispatches from the near run": fromNear, "dispatches from the heap": fromHeap,
-		"root refills": refills, "pops no push filled": int64(pops), "Runs that stopped with the near run occupied": nearStops,
+		"root refills": refills, "pops no push filled": int64(pops), "Runs that stopped with the near run occupied": int64(nearStops),
 		"cancels of near-run handles": int64(nearCancels), "Stops from a handler": int64(stops),
 		"posts before the root": int64(front), "posts before the root's children": int64(second), "posts behind them": int64(behind),
 	} {
@@ -281,6 +288,15 @@ func TestKernelMatchesOracle(t *testing.T) {
 			t.Errorf("the programs never exercised: %s", name)
 		}
 	}
+}
+
+// FuzzKernelMatchesOracle replays the program any seed draws, beyond the
+// 60 the test pins.
+func FuzzKernelMatchesOracle(f *testing.F) {
+	for _, seed := range []int64{1, 2, 61, -7} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { replayOracle(t, seed) })
 }
 
 // TestEnableShardsSpillsNearRun: events waiting in the near run when

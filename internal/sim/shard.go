@@ -215,12 +215,7 @@ type ventry struct {
 	ref   int32 // encoded handle: arena 0 for seeds, shard arena for children
 }
 
-func vbefore(a, b ventry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
+func (a ventry) before(b ventry) int { return precedes(a.at, a.seq, b.at, b.seq) }
 
 // Local-arena slot states.
 const (
@@ -255,12 +250,7 @@ type lentry struct {
 	ref int32 // encoded handle
 }
 
-func lbefore(a, b lentry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.key < b.key
-}
+func (a lentry) before(b lentry) int { return precedes(a.at, a.key, b.at, b.key) }
 
 // Window log record kinds.
 const (
@@ -929,7 +919,7 @@ func (e *shardEngine) pushVirt(v ventry) {
 	i := len(e.virt) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !vbefore(e.virt[i], e.virt[p]) {
+		if e.virt[i].before(e.virt[p]) == 0 {
 			break
 		}
 		e.virt[p], e.virt[i] = e.virt[i], e.virt[p]
@@ -948,10 +938,10 @@ func (e *shardEngine) popVirt() ventry {
 		if c >= n {
 			break
 		}
-		if c+1 < n && vbefore(e.virt[c+1], e.virt[c]) {
-			c++
+		if c+1 < n {
+			c += e.virt[c+1].before(e.virt[c])
 		}
-		if !vbefore(e.virt[c], e.virt[i]) {
+		if e.virt[c].before(e.virt[i]) == 0 {
 			break
 		}
 		e.virt[i], e.virt[c] = e.virt[c], e.virt[i]
@@ -1022,7 +1012,7 @@ func (sh *shardRun) removeLocalAt(i int) {
 	sh.heap = sh.heap[:last]
 	sh.heap[i] = moved
 	sh.setPos(moved.ref, int32(i))
-	if p := (i - 1) / 4; i > 0 && lbefore(moved, sh.heap[p]) {
+	if p := (i - 1) / 4; i > 0 && moved.before(sh.heap[p]) != 0 {
 		sh.siftUp(i)
 	} else {
 		sh.siftDown(i)
@@ -1033,7 +1023,7 @@ func (sh *shardRun) siftUp(i int) {
 	e := sh.heap[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !lbefore(e, sh.heap[p]) {
+		if e.before(sh.heap[p]) == 0 {
 			break
 		}
 		sh.heap[i] = sh.heap[p]
@@ -1053,16 +1043,19 @@ func (sh *shardRun) siftDown(i int) {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if lbefore(sh.heap[j], sh.heap[m]) {
-				m = j
+		if c+4 <= n { // the tournament of Scheduler.siftDown
+			h := sh.heap[c : c+4 : c+4]
+			m01 := h[1].before(h[0])
+			m23 := 2 + h[3].before(h[2])
+			m += m01 + h[m23&3].before(h[m01&3])*(m23-m01)
+		} else {
+			for j := c + 1; j < n; j++ {
+				if sh.heap[j].before(sh.heap[m]) != 0 {
+					m = j
+				}
 			}
 		}
-		if !lbefore(sh.heap[m], e) {
+		if sh.heap[m].before(e) == 0 {
 			break
 		}
 		sh.heap[i] = sh.heap[m]

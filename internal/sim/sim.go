@@ -37,10 +37,15 @@
 //   - Events about to fire skip the sifts: one that would be first or
 //     second out of the heap waits in a four-entry sorted near run instead,
 //     and a firing root stays as a hole for its handler's first push.
+//   - Sifts pick the earliest child without a data-dependent branch: keys
+//     compare as one 128-bit number through a subtraction borrow
+//     (precedes), and four children are reduced as a tournament whose
+//     winner's index is arithmetic.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
@@ -127,13 +132,19 @@ type entry struct {
 	slot int32
 }
 
-// before reports whether a fires strictly before b.
-func before(a, b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// precedes is 1 if the key (at, seq) sorts strictly before (bAt, bSeq)
+// and 0 otherwise: the borrow out of the 128-bit subtraction of the two
+// keys, time's sign bit flipped so that signed order becomes unsigned
+// order. It has no data-dependent branch, so heap sifts can select a child
+// with it arithmetically. Every heap in the package compares through it.
+func precedes(at units.Time, seq uint64, bAt units.Time, bSeq uint64) int {
+	_, borrow := bits.Sub64(seq, bSeq, 0)
+	_, borrow = bits.Sub64(uint64(at)^1<<63, uint64(bAt)^1<<63, borrow)
+	return int(borrow)
 }
+
+// before is 1 if a fires strictly before b, else 0.
+func (a entry) before(b entry) int { return precedes(a.at, a.seq, b.at, b.seq) }
 
 // Scheduler is the simulation event loop. The zero value is not usable;
 // call NewScheduler.
@@ -331,12 +342,12 @@ func (s *Scheduler) push(e entry) {
 // only chooses where e waits; fire merges the run and the heap either way.
 func (s *Scheduler) admitNear(e entry) bool {
 	for c := 1; c < len(s.heap) && c <= 4; c++ {
-		if !before(e, s.heap[c]) {
+		if e.before(s.heap[c]) == 0 {
 			return false
 		}
 	}
 	i := s.nearN
-	for ; i > 0 && before(s.near[i-1], e); i-- {
+	for ; i > 0 && s.near[i-1].before(e) != 0; i-- {
 		s.near[i] = s.near[i-1]
 	}
 	s.near[i] = e
@@ -449,7 +460,7 @@ func (s *Scheduler) removeAt(i int) {
 	s.heap = s.heap[:last]
 	s.heap[i] = moved
 	s.slots[moved.slot].pos = int32(i)
-	if p := (i - 1) / 4; i > 0 && before(moved, s.heap[p]) {
+	if p := (i - 1) / 4; i > 0 && moved.before(s.heap[p]) != 0 {
 		s.siftUp(i)
 	} else {
 		s.siftDown(i)
@@ -461,7 +472,7 @@ func (s *Scheduler) siftUp(i int) {
 	e := s.heap[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !before(e, s.heap[p]) {
+		if e.before(s.heap[p]) == 0 {
 			break
 		}
 		s.heap[i] = s.heap[p]
@@ -472,7 +483,12 @@ func (s *Scheduler) siftUp(i int) {
 	s.slots[e.slot].pos = int32(i)
 }
 
-// siftDown restores heap order from index i toward the leaves.
+// siftDown restores heap order from index i toward the leaves. A full
+// group of four children is reduced as a tournament — min(0,1), min(2,3),
+// then the smaller winner — whose indexes are arithmetic on precedes'
+// bits (an if/else select compiles to a jump; &3 drops the bounds
+// checks), so picking the child costs no data-dependent branch. The
+// partial last group and the exit compare still branch.
 func (s *Scheduler) siftDown(i int) {
 	e := s.heap[i]
 	n := len(s.heap)
@@ -482,16 +498,19 @@ func (s *Scheduler) siftDown(i int) {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if before(s.heap[j], s.heap[m]) {
-				m = j
+		if c+4 <= n {
+			h := s.heap[c : c+4 : c+4]
+			m01 := h[1].before(h[0])
+			m23 := 2 + h[3].before(h[2])
+			m += m01 + h[m23&3].before(h[m01&3])*(m23-m01)
+		} else {
+			for j := c + 1; j < n; j++ {
+				if s.heap[j].before(s.heap[m]) != 0 {
+					m = j
+				}
 			}
 		}
-		if !before(s.heap[m], e) {
+		if s.heap[m].before(e) == 0 {
 			break
 		}
 		s.heap[i] = s.heap[m]
@@ -526,7 +545,7 @@ func (s *Scheduler) popRoot() entry {
 // handler's first push overwrites it, and only a handler that pushed
 // nothing pays the pop (settle).
 func (s *Scheduler) fire(until units.Time) bool {
-	near := s.nearN > 0 && (len(s.heap) == 0 || before(s.near[s.nearN-1], s.heap[0]))
+	near := s.nearN > 0 && (len(s.heap) == 0 || s.near[s.nearN-1].before(s.heap[0]) != 0)
 	src := s.heap
 	if near {
 		src = s.near[s.nearN-1:]
@@ -620,8 +639,9 @@ func (s *Scheduler) Stop() {
 }
 
 // Run executes events in order until the clock would pass `until`, no
-// events remain, or Stop is called. The clock is left at `until` (or at
-// the last event time if the queue drained first and that is earlier).
+// events remain, or Stop is called. Unless Stop was called, the clock is
+// left at `until`, also when the queue drained earlier; after Stop it
+// stays at the last event's time.
 func (s *Scheduler) Run(until units.Time) {
 	s.settle() // a handler that panicked last time left its pop pending
 	if s.eng != nil {
@@ -662,13 +682,13 @@ func (s *Scheduler) VerifyInvariants() error {
 		return fmt.Errorf("sim: the root's deferred pop outlived its handler")
 	}
 	for i, e := range s.near[:s.nearN] {
-		if i > 0 && !before(e, s.near[i-1]) || e.at < s.now || uint(e.slot) >= uint(len(s.slots)) || s.slots[e.slot].pos != posNear {
+		if i > 0 && e.before(s.near[i-1]) == 0 || e.at < s.now || uint(e.slot) >= uint(len(s.slots)) || s.slots[e.slot].pos != posNear {
 			return fmt.Errorf("sim: near run entry %d (at=%v seq=%d slot=%d) is out of order, in the past, or its slot is not marked near", i, e.at, e.seq, e.slot)
 		}
 	}
 	for i := 1; i < len(s.heap); i++ {
 		p := (i - 1) / 4
-		if before(s.heap[i], s.heap[p]) {
+		if s.heap[i].before(s.heap[p]) != 0 {
 			return fmt.Errorf("sim: heap order violated at index %d: child (at=%v seq=%d) before parent (at=%v seq=%d)",
 				i, s.heap[i].at, s.heap[i].seq, s.heap[p].at, s.heap[p].seq)
 		}

@@ -119,6 +119,11 @@ func TestRunStopsAtBoundary(t *testing.T) {
 	if !fired {
 		t.Error("event at horizon did not fire")
 	}
+	s.At(60, func() {})
+	s.Run(80) // drains at 60; the clock still goes to until
+	if s.Now() != 80 {
+		t.Errorf("after a drained Run(80): Now = %v, want 80", s.Now())
+	}
 }
 
 func TestStop(t *testing.T) {
