@@ -5,7 +5,7 @@ GO  ?= go
 BIN := bin
 
 .PHONY: all build fmt-check lint onebed vet test short race mutation fuzz-smoke \
-        bench-smoke golden quick-golden bench bench-gate bench-scale \
+        bench-smoke golden quick-golden bufsim-golden bench bench-gate bench-scale \
         bench-scale-gate benchmark-check ab loc clean
 
 all: build lint test
@@ -87,6 +87,22 @@ golden:
 # cold run it already has.
 quick-golden:
 	$(GO) run ./cmd/paperexp -quick -exp all | grep -v '^(' | diff -u cmd/paperexp/testdata/quick_all.txt -
+
+# bufsim-golden pins cmd/bufsim's stdout the way quick-golden pins
+# paperexp's: one short run per scenario the binary has (long-lived,
+# -workload, -adversary, -config) against cmd/bufsim/testdata. The
+# repository benchmark parses the `measured:` line and compares stdout
+# digests, so none of it may move by accident.
+bufsim-golden:
+	$(GO) build -o $(BIN)/bufsim ./cmd/bufsim
+	$(BIN)/bufsim -rate 20Mbps -flows 20 -warmup 2s -measure 5s \
+		| diff -u cmd/bufsim/testdata/longlived.txt -
+	$(BIN)/bufsim -rate 20Mbps -flows 10 -workload constant -red -variant sack -warmup 1s -measure 4s \
+		| diff -u cmd/bufsim/testdata/workload_red_sack.txt -
+	$(BIN)/bufsim -rate 20Mbps -flows 8 -warmup 1s -measure 4s -adversary pulse \
+		| diff -u cmd/bufsim/testdata/adversary_pulse.txt -
+	$(BIN)/bufsim -config configs/oc3-sack.json \
+		| diff -u cmd/bufsim/testdata/config_oc3_sack.txt -
 
 # bench regenerates the kernel benchmark report against the checked-in
 # baseline (reference numbers come from a quiet machine at GOMAXPROCS=1).
