@@ -1,8 +1,6 @@
 package bufsim
 
 import (
-	"fmt"
-
 	"bufsim/internal/adversary"
 	"bufsim/internal/experiment"
 )
@@ -32,77 +30,34 @@ func ParseAdversary(s string) (AdversaryPattern, error) { return adversary.Parse
 // AdversaryNames lists the canonical pattern names in registry order.
 func AdversaryNames() []string { return adversary.PatternNames() }
 
-// AdversarySimulation configures SimulateAdversary: one adversarial
-// pattern against one buffer. Flows is the cohort size (pulse trains,
-// AIMD flows, or flows per core link for the parking lot). The Link's
-// RTT is every flow's propagation delay — equal RTTs are part of the
-// attack, so there is no spread knob here.
-type AdversarySimulation struct {
-	Seed          int64
-	Pattern       AdversaryPattern
-	Link          Link
-	Flows         int
-	BufferPackets int
-	Warmup        Duration
-	Measure       Duration
+// Adversary is one worst-case pattern against the buffer: pulse trains,
+// an AIMD cohort or a parking lot, each built to break one assumption
+// behind the sqrt(n) rule. Every flow's RTT is Link.RTT — equal RTTs are
+// part of the attack, so there is no spread — and the patterns fix their
+// own transport, so Scenario.RED and Scenario.Sender must stay zero.
+// Warmup and Measure default to 10 s and 30 s.
+type Adversary struct {
+	Pattern AdversaryPattern
+	// Flows is the cohort: pulse trains, AIMD flows, or flows per core
+	// link for the parking lot.
+	Flows int
 }
 
-// Validate reports the first configuration error, or nil.
-func (s AdversarySimulation) Validate() error {
-	if s.Flows <= 0 {
-		return fmt.Errorf("bufsim: AdversarySimulation.Flows must be positive (got %d)", s.Flows)
-	}
-	if s.BufferPackets < 0 {
-		return fmt.Errorf("bufsim: AdversarySimulation.BufferPackets must be >= 0 (got %d)", s.BufferPackets)
-	}
-	return nil
-}
-
-// AdversaryResult reports the failure-mode measurements of one
-// adversarial run — the same cell RunAdversarial's table would hold.
-type AdversaryResult struct {
-	// BufferPackets echoes the per-bottleneck buffer actually used
-	// (the rule-of-thumb BDP when the config left it zero).
-	BufferPackets int
-	// Utilization is the bottleneck's busy fraction over the
-	// measurement window (the worst core link for the parking lot).
-	Utilization float64
-	// LossRate is the bottleneck queues' drop fraction of offered
-	// packets.
-	LossRate float64
-	// MeanQueuePackets and PeakQueuePackets are the bottleneck queue
-	// occupancy (worst link for the parking lot).
-	MeanQueuePackets float64
-	PeakQueuePackets int
-	// SyncIndex is the aggregate-window synchronization index, measured
-	// for the AIMD cohort and 0 for the other patterns.
-	SyncIndex float64
-}
-
-// SimulateAdversary runs one adversarial pattern and reports how the
-// chosen buffer fares against it. WithMetrics, WithAudit and WithCache
-// compose as with Simulate; the TCP-shaping options do not apply — the
-// patterns fix their own transport behaviour by design.
-func SimulateAdversary(cfg AdversarySimulation, opts ...Option) AdversaryResult {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	row := experiment.RunAdversaryScenario(experiment.AdversaryScenario{
-		Seed:    cfg.Seed,
-		Pattern: cfg.Pattern,
+func (t Adversary) lower(s Scenario, env experiment.RunEnv) (func() AdversaryResult, error) {
+	cfg := experiment.AdversaryScenario{
+		Seed:    s.Seed,
+		Pattern: t.Pattern,
 		AdversaryCohort: experiment.AdversaryCohort{
-			N:    cfg.Flows,
-			Path: cfg.Link.fixedPath(cfg.Warmup, cfg.Measure),
+			N:    t.Flows,
+			Path: s.Link.fixedPath(s.Warmup, s.Measure),
 		},
-		BufferPackets: cfg.BufferPackets,
-		RunEnv:        applyOptions(opts).env,
-	})
-	return AdversaryResult{
-		BufferPackets:    row.BufferPackets,
-		Utilization:      row.Utilization,
-		LossRate:         row.LossRate,
-		MeanQueuePackets: row.MeanQueue,
-		PeakQueuePackets: row.PeakQueue,
-		SyncIndex:        row.SyncIndex,
+		BufferPackets: s.BufferPackets,
+		RunEnv:        env,
 	}
+	return func() AdversaryResult { return experiment.RunAdversaryScenario(cfg) }, firstErr(
+		must(t.Pattern.Doc() != "", "Adversary.Pattern %v is not one of %v", t.Pattern, AdversaryNames()),
+		must(t.Flows > 0, "Adversary.Flows must be positive (got %d)", t.Flows),
+		unread("Adversary", "RED", s.RED),
+		unread("Adversary", "Sender", s.Sender != Sender{}),
+	)
 }

@@ -1,6 +1,7 @@
 package bufsim_test
 
 import (
+	"strings"
 	"testing"
 
 	"bufsim"
@@ -14,15 +15,21 @@ func TestSimulateAdversary(t *testing.T) {
 		t.Skip("runs real (scaled) adversarial scenarios")
 	}
 	link := bufsim.Link{Rate: 20 * bufsim.Mbps, RTT: 80 * bufsim.Millisecond}
-	base := bufsim.AdversarySimulation{
-		Seed: 7, Link: link, Flows: 8, BufferPackets: link.BDP(),
+	s := bufsim.Scenario{
+		Seed: 7, Link: link, BufferPackets: link.BDP(),
 		Warmup: 2 * bufsim.Second, Measure: 4 * bufsim.Second,
 	}
+	run := func(s bufsim.Scenario, p bufsim.AdversaryPattern, opts ...bufsim.Option) bufsim.AdversaryResult {
+		t.Helper()
+		res, err := bufsim.Run(s, bufsim.Adversary{Pattern: p, Flows: 8}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 
-	pulse := base
-	pulse.Pattern = bufsim.AdversaryPulse
 	aud := bufsim.NewAuditor()
-	res := bufsim.SimulateAdversary(pulse, bufsim.WithAudit(aud))
+	res := run(s, bufsim.AdversaryPulse, bufsim.WithAudit(aud))
 	if err := aud.Err(); err != nil {
 		t.Fatalf("pulse under audit: %v", err)
 	}
@@ -33,30 +40,37 @@ func TestSimulateAdversary(t *testing.T) {
 		t.Errorf("buffer echoed as %d, want %d", res.BufferPackets, link.BDP())
 	}
 
-	aimd := base
-	aimd.Pattern = bufsim.AdversarySyncAIMD
+	aimd := s
 	aimd.BufferPackets = link.BDP() / 10
-	if got := bufsim.SimulateAdversary(aimd); got.SyncIndex < 1.2 {
+	if got := run(aimd, bufsim.AdversarySyncAIMD); got.SyncIndex < 1.2 {
 		t.Errorf("aimdsync sync index %.2f, want synchronized (>= 1.2)", got.SyncIndex)
 	}
 
-	lot := base
-	lot.Pattern = bufsim.AdversaryParkingLot
-	if got := bufsim.SimulateAdversary(lot); got.Utilization <= 0 || got.SyncIndex != 0 {
+	if got := run(s, bufsim.AdversaryParkingLot); got.Utilization <= 0 || got.SyncIndex != 0 {
 		t.Errorf("parking lot: %+v", got)
 	}
 }
 
-// TestSimulateAdversaryValidate pins the config checks.
+// TestSimulateAdversaryValidate pins the checks: a cohort must be
+// positive and the buffer not negative, while a zero buffer defaults to
+// the BDP.
 func TestSimulateAdversaryValidate(t *testing.T) {
-	if err := (bufsim.AdversarySimulation{}).Validate(); err == nil {
-		t.Error("zero Flows did not error")
+	link := bufsim.Link{Rate: 20 * bufsim.Mbps, RTT: 80 * bufsim.Millisecond}
+	for _, c := range []struct {
+		flows, buffer int
+		want          string
+	}{
+		{0, 0, "Adversary.Flows"},
+		{4, -1, "Scenario.BufferPackets"},
+	} {
+		_, err := bufsim.Run(bufsim.Scenario{Link: link, BufferPackets: c.buffer}, bufsim.Adversary{Flows: c.flows})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("flows %d, buffer %d: error %v does not name %s", c.flows, c.buffer, err, c.want)
+		}
 	}
-	if err := (bufsim.AdversarySimulation{Flows: 4, BufferPackets: -1}).Validate(); err == nil {
-		t.Error("negative buffer did not error")
-	}
-	if err := (bufsim.AdversarySimulation{Flows: 4}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	s := bufsim.Scenario{Link: link, Warmup: bufsim.Second, Measure: bufsim.Second}
+	if res, err := bufsim.Run(s, bufsim.Adversary{Flows: 4}); err != nil || res.BufferPackets != link.BDP() {
+		t.Errorf("zero buffer: %+v, %v; want the BDP, %d packets", res, err, link.BDP())
 	}
 }
 

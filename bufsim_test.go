@@ -2,8 +2,11 @@ package bufsim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"bufsim/internal/trace"
 )
 
 func TestLinkSizingRules(t *testing.T) {
@@ -65,24 +68,32 @@ func TestShortFlowBufferForSizes(t *testing.T) {
 	}
 }
 
+// run is Run for tests: a bad input fails the test.
+func run[R Result](t *testing.T, s Scenario, traffic Traffic[R], opts ...Option) R {
+	t.Helper()
+	res, err := Run(s, traffic, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSimulateMatchesPrediction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
 	l := Link{Rate: 20 * Mbps, RTT: 100 * Millisecond}
-	res := Simulate(Simulation{
+	res := run(t, Scenario{
 		Seed:          1,
 		Link:          l,
-		Flows:         50,
 		BufferPackets: 2 * l.SqrtRule(50),
-		RTTSpread:     80 * Millisecond,
 		Warmup:        8 * Second,
 		Measure:       15 * Second,
-	})
+	}, LongLived{Flows: 50, RTTSpread: 80 * Millisecond})
 	if res.Utilization < 0.93 {
 		t.Errorf("Utilization = %v", res.Utilization)
 	}
-	if res.LossRate <= 0 || res.MeanQueuePackets <= 0 {
+	if res.LossRate <= 0 || res.MeanQueue <= 0 {
 		t.Errorf("degenerate result: %+v", res)
 	}
 }
@@ -92,11 +103,10 @@ func TestSimulateREDRuns(t *testing.T) {
 		t.Skip("simulation run")
 	}
 	l := Link{Rate: 20 * Mbps, RTT: 100 * Millisecond}
-	res := Simulate(Simulation{
-		Seed: 2, Link: l, Flows: 50, BufferPackets: 3 * l.SqrtRule(50),
-		RTTSpread: 80 * Millisecond, RED: true,
+	res := run(t, Scenario{
+		Seed: 2, Link: l, BufferPackets: 3 * l.SqrtRule(50), RED: true,
 		Warmup: 8 * Second, Measure: 15 * Second,
-	})
+	}, LongLived{Flows: 50, RTTSpread: 80 * Millisecond})
 	if res.Utilization < 0.85 {
 		t.Errorf("RED Utilization = %v", res.Utilization)
 	}
@@ -107,23 +117,18 @@ func TestSimulateSingleFlowSawtooth(t *testing.T) {
 		t.Skip("simulation run")
 	}
 	l := Link{Rate: 10 * Mbps, RTT: 100 * Millisecond}
-	res := SimulateSingleFlow(l, 1.0, 1)
+	res := run(t, Scenario{Seed: 1, Link: l}, SingleFlow{BufferFactor: 1})
 	if res.BDPPackets != 125 {
 		t.Fatalf("BDP = %d", res.BDPPackets)
 	}
 	if res.Utilization < 0.999 {
 		t.Errorf("Utilization = %v, want ~1", res.Utilization)
 	}
-	if len(res.CwndTimes) != len(res.CwndValues) || len(res.CwndTimes) == 0 {
+	if res.Cwnd.Len() != len(res.Cwnd.Values) || res.Cwnd.Len() == 0 {
 		t.Fatal("missing cwnd series")
 	}
 	// The sawtooth oscillates between ~BDP and ~BDP+B.
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range res.CwndValues {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if hi-lo < 60 {
+	if lo, hi := res.Cwnd.Min(), res.Cwnd.Max(); hi-lo < 60 {
 		t.Errorf("cwnd range [%v, %v] is not a sawtooth", lo, hi)
 	}
 }
@@ -133,19 +138,38 @@ func TestSimulateShortFlows(t *testing.T) {
 		t.Skip("simulation run")
 	}
 	l := Link{Rate: 20 * Mbps, RTT: 100 * Millisecond}
-	unlimited := SimulateShortFlows(ShortFlowSimulation{
-		Seed: 3, Link: l, Load: 0.7, FlowLength: 14,
-		Warmup: 5 * Second, Measure: 15 * Second,
-	})
+	shorts := Generated{Workload: PoissonWorkload(0.7, FixedSize(14), 43)}
+	s := Scenario{Seed: 3, Link: l, Warmup: 5 * Second, Measure: 15 * Second}
+	unlimited := run(t, s, shorts)
 	if unlimited.Completed < 500 {
 		t.Fatalf("completed = %d", unlimited.Completed)
 	}
-	tiny := SimulateShortFlows(ShortFlowSimulation{
-		Seed: 3, Link: l, Load: 0.7, FlowLength: 14, BufferPackets: 2,
-		Warmup: 5 * Second, Measure: 15 * Second,
-	})
-	if tiny.AFCT <= unlimited.AFCT {
+	s.BufferPackets = 2
+	if tiny := run(t, s, shorts); tiny.AFCT <= unlimited.AFCT {
 		t.Errorf("2-packet buffer AFCT %v should exceed unlimited %v", tiny.AFCT, unlimited.AFCT)
+	}
+}
+
+// TestWorkloadSendsTheLinksSegments pins the bugfix: a workload's TCP
+// templates left the segment size at zero, so at Link.SegmentSize 500 its
+// senders sent 1000-byte segments while its arrival rate was worked out
+// for 500-byte ones, offering twice the load asked for. The workload kind
+// now fills the templates from the link, so the Poisson workload at
+// 500 bytes is exactly the short-flow scenario it replaces: the same
+// cache key the legacy short-flow entry point wrote at 500 bytes.
+func TestWorkloadSendsTheLinksSegments(t *testing.T) {
+	l := Link{Rate: 10 * Mbps, RTT: 50 * Millisecond, SegmentSize: 500}
+	s := Scenario{Seed: 1, Link: l, BufferPackets: 30, Warmup: Second, Measure: 2 * Second}
+	shorts := Generated{Workload: PoissonWorkload(0.5, FixedSize(14), 43)}
+	cache, dir := tempCache(t)
+	res := run(t, s, shorts, WithCacheStore(cache))
+	if got, want := cachedKeys(t, dir), []string{"f04521c589d90df80c048345140178f9a518d38ccf57dabf34098df25778a0a1"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("keys = %q, want the legacy short-flow key %q", got, want)
+	}
+	// 0.5 x 10 Mb/s over 14 x 500-byte flows is ~89 arrivals a second,
+	// ~268 over the 3 s run; 1000-byte senders launched half that.
+	if res.Generated < 230 || res.Completed != 186 {
+		t.Errorf("launched %d flows and completed %d, want ~268 and the legacy 186", res.Generated, res.Completed)
 	}
 }
 
@@ -154,17 +178,16 @@ func TestSimulateMixSmallBuffersHelpShorts(t *testing.T) {
 		t.Skip("two mixed-traffic simulations")
 	}
 	link := Link{Rate: 20 * Mbps, RTT: 100 * Millisecond}
-	run := func(buffer int) MixResult {
-		return SimulateMix(MixSimulation{
-			Seed: 1, Link: link, LongFlows: 60, ShortLoad: 0.15,
-			BufferPackets: buffer, RTTSpread: 80 * Millisecond,
+	mix := func(buffer int) MixResult {
+		return run(t, Scenario{
+			Seed: 1, Link: link, BufferPackets: buffer,
 			Warmup: 10 * Second, Measure: 20 * Second,
-		})
+		}, Mix{LongFlows: 60, ShortLoad: 0.15, RTTSpread: 80 * Millisecond})
 	}
-	big := run(link.RuleOfThumb())
-	small := run(link.SqrtRule(60))
-	if big.ShortsCompleted < 100 || small.ShortsCompleted < 100 {
-		t.Fatalf("too few shorts: %d/%d", big.ShortsCompleted, small.ShortsCompleted)
+	big := mix(link.RuleOfThumb())
+	small := mix(link.SqrtRule(60))
+	if big.Completed < 100 || small.Completed < 100 {
+		t.Fatalf("too few shorts: %d/%d", big.Completed, small.Completed)
 	}
 	if small.AFCT >= big.AFCT {
 		t.Errorf("small-buffer AFCT %v not better than %v", small.AFCT, big.AFCT)
@@ -183,11 +206,7 @@ func TestSimulateTraceReplaysCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := SimulateTrace(TraceSimulation{
-		Seed:  1,
-		Link:  Link{Rate: 10 * Mbps, RTT: 100 * Millisecond},
-		Flows: flows,
-	})
+	res := run(t, Scenario{Seed: 1, Link: Link{Rate: 10 * Mbps, RTT: 100 * Millisecond}}, Trace{Flows: flows})
 	if res.Completed != 4 || res.Censored != 0 {
 		t.Fatalf("completed %d / censored %d", res.Completed, res.Censored)
 	}
@@ -199,7 +218,7 @@ func TestSimulateTraceReplaysCSV(t *testing.T) {
 		t.Errorf("utilization = %v, want light", res.Utilization)
 	}
 	// Empty trace is a no-op.
-	if got := SimulateTrace(TraceSimulation{Link: Link{Rate: Mbps, RTT: 50 * Millisecond}}); got.Completed != 0 {
+	if got := run(t, Scenario{Link: Link{Rate: Mbps, RTT: 50 * Millisecond}}, Trace{}); got.Completed != 0 {
 		t.Errorf("empty trace: %+v", got)
 	}
 }
@@ -208,10 +227,10 @@ func TestSimulateTraceReplaysCSV(t *testing.T) {
 // []TraceFlow used to reach the replay unchecked, so a reversed trace
 // had its utilization measured from its last arrival to its first (the
 // window is Flows[0] to Flows[len-1]) and a Size 0 record became an
-// infinite flow. The same check now guards Validate, ReadFlows and (as a
-// panic with the same text) SimulateTrace.
+// infinite flow. The same check guards ReadFlows and both kinds a trace
+// can run as, Trace and a TraceWorkload under Generated.
 func TestTraceIsValidatedWhereverItEnters(t *testing.T) {
-	link := Link{Rate: 10 * Mbps, RTT: 80 * Millisecond}
+	s := Scenario{Seed: 1, Link: Link{Rate: 10 * Mbps, RTT: 80 * Millisecond}}
 	cases := []struct {
 		name, csv, want string
 		flows           []TraceFlow
@@ -231,20 +250,16 @@ func TestTraceIsValidatedWhereverItEnters(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := TraceSimulation{Seed: 1, Link: link, Flows: c.flows}
-			err := cfg.Validate()
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("Validate = %v, want an error naming %q", err, c.want)
+			_, rerr := ReadFlows(strings.NewReader(c.csv))
+			if rerr == nil || !strings.Contains(rerr.Error(), c.want) {
+				t.Fatalf("ReadFlows = %v, want an error naming %q", rerr, c.want)
 			}
-			if _, rerr := ReadFlows(strings.NewReader(c.csv)); rerr == nil || rerr.Error() != err.Error() {
-				t.Errorf("ReadFlows = %v, want %v", rerr, err)
+			if _, err := Run(s, Trace{Flows: c.flows}); err == nil || !strings.Contains(err.Error(), rerr.Error()) {
+				t.Errorf("Run(Trace) = %v, want %q", err, rerr)
 			}
-			defer func() {
-				if got := recover(); got != err.Error() {
-					t.Errorf("SimulateTrace panicked with %v, want %q", got, err)
-				}
-			}()
-			SimulateTrace(cfg)
+			if _, err := Run(s, Generated{Workload: TraceWorkload(c.flows, 0)}); err == nil || !strings.Contains(err.Error(), rerr.Error()) {
+				t.Errorf("Run(Generated{TraceWorkload}) = %v, want %q", err, rerr)
+			}
 		})
 	}
 }
@@ -290,44 +305,16 @@ func TestParetoExported(t *testing.T) {
 	}
 }
 
-func TestOptionsOverrideConfig(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation runs")
-	}
-	l := Link{Rate: 10 * Mbps, RTT: 100 * Millisecond}
-	cfg := Simulation{
-		Seed: 4, Link: l, Flows: 20, BufferPackets: 2 * l.SqrtRule(20),
-		RTTSpread: 40 * Millisecond, Warmup: 5 * Second, Measure: 10 * Second,
-	}
-	// An option must win over the config field: Simulate(cfg with
-	// Variant=Sack) == Simulate(cfg, WithVariant(Sack)).
-	viaField := cfg
-	viaField.Variant = Sack
-	viaField.Paced = true
-	a := Simulate(viaField)
-	b := Simulate(cfg, WithVariant(Sack), WithPacing(true))
-	if a != b {
-		t.Errorf("option path diverges from config path:\nfield  %+v\noption %+v", a, b)
-	}
-	// And a different variant must actually change the run.
-	c := Simulate(cfg, WithVariant(Tahoe), WithPacing(true))
-	if b == c {
-		t.Error("WithVariant had no effect")
-	}
-}
-
 func TestWithMetricsDoesNotPerturb(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs")
 	}
 	l := Link{Rate: 10 * Mbps, RTT: 100 * Millisecond}
-	cfg := Simulation{
-		Seed: 5, Link: l, Flows: 20, BufferPackets: 2 * l.SqrtRule(20),
-		RTTSpread: 40 * Millisecond, Warmup: 5 * Second, Measure: 10 * Second,
-	}
-	plain := Simulate(cfg)
+	s := Scenario{Seed: 5, Link: l, BufferPackets: 2 * l.SqrtRule(20), Warmup: 5 * Second, Measure: 10 * Second}
+	flows := LongLived{Flows: 20, RTTSpread: 40 * Millisecond}
+	plain := run(t, s, flows)
 	reg := NewRegistry()
-	observed := Simulate(cfg, WithMetrics(reg))
+	observed := run(t, s, flows, WithMetrics(reg))
 	if plain != observed {
 		t.Errorf("telemetry changed the result:\noff %+v\non  %+v", plain, observed)
 	}
@@ -343,14 +330,13 @@ func TestWithMetricsDoesNotPerturb(t *testing.T) {
 func TestResultInterface(t *testing.T) {
 	// Compact render smoke for every public Result implementation.
 	results := []Result{
-		SimulationResult{Utilization: 0.99, Timeouts: 3},
+		SimulationResult{N: 10, Utilization: 0.99, Timeouts: 3},
 		ReplicatedResult{Replicas: 3, MeanUtilization: 0.98, StdDev: 0.01, Min: 0.97, Max: 0.99},
-		SingleFlowResult{BDPPackets: 125, BufferPackets: 125, Utilization: 1},
-		ShortFlowResult{AFCT: 250 * Millisecond, Completed: 10},
-		MixResult{AFCT: 300 * Millisecond, ShortsCompleted: 5, Utilization: 0.97},
+		SingleFlowResult{BDPPackets: 125, BufferPackets: 125, Utilization: 1, Cwnd: &trace.Series{}, Queue: &trace.Series{}},
+		MixResult{Label: "mixed", AFCT: 300 * Millisecond, Completed: 5, Utilization: 0.97},
 		TraceResult{Completed: 4, AFCT: 100 * Millisecond},
 		ProfileResult{Utilization: 0.6, PeakActive: 40, Generated: 900, AFCT: 200 * Millisecond, Completed: 850},
-		AdversaryResult{BufferPackets: 25, Utilization: 0.42, PeakQueuePackets: 25, SyncIndex: 2.8},
+		AdversaryResult{Pattern: AdversarySyncAIMD, BufferPackets: 25, Utilization: 0.42, PeakQueue: 25, SyncIndex: 2.8},
 		Memory{SRAMChips: 1, FitsOnChip: true, Description: "fits"},
 	}
 	for _, res := range results {
@@ -365,48 +351,40 @@ func TestResultInterface(t *testing.T) {
 			t.Errorf("%T: JSON output %q", res, sb.String())
 		}
 		// The single-flow dump is its summary view, not the series.
-		if _, ok := res.(SingleFlowResult); ok && (!strings.Contains(sb.String(), "CwndSamples") || strings.Contains(sb.String(), "CwndValues")) {
+		if _, ok := res.(SingleFlowResult); ok && (!strings.Contains(sb.String(), "CwndSamples") || strings.Contains(sb.String(), "Values")) {
 			t.Errorf("%T: WriteJSON ignored jsonView: %s", res, sb.String())
 		}
 	}
 }
 
-// TestWithREDHonoredEverywhere checks the option actually changes the
-// bottleneck in every scenario that has one: under RED the queue drops
-// early and at random, so the run must differ from its drop-tail twin.
+// TestWithREDHonoredEverywhere checks Scenario.RED actually changes the
+// bottleneck in every kind that has one: under RED the queue drops early
+// and at random, so the run must differ from its drop-tail twin.
 func TestWithREDHonoredEverywhere(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs")
 	}
 	l := Link{Rate: 20 * Mbps, RTT: 100 * Millisecond}
+	red := func(s Scenario) Scenario { s.RED = true; return s }
 
 	t.Run("single flow", func(t *testing.T) {
-		plain := SimulateSingleFlow(l, 1.0, 3)
-		red := SimulateSingleFlow(l, 1.0, 3, WithRED(true))
-		if plain.MeanQueue == red.MeanQueue {
-			t.Error("WithRED did not change the single-flow queue process")
+		s := Scenario{Seed: 3, Link: l}
+		if plain, red := run(t, s, SingleFlow{BufferFactor: 1}), run(t, red(s), SingleFlow{BufferFactor: 1}); plain.MeanQueue == red.MeanQueue {
+			t.Error("RED did not change the single-flow queue process")
 		}
 	})
 	t.Run("short flows", func(t *testing.T) {
-		cfg := ShortFlowSimulation{
-			Seed: 3, Link: l, BufferPackets: 40, Load: 0.7, FlowLength: 14,
-			Warmup: 3 * Second, Measure: 8 * Second,
-		}
-		plain := SimulateShortFlows(cfg)
-		red := SimulateShortFlows(cfg, WithRED(true))
-		if plain == red {
-			t.Error("WithRED did not change the short-flow run")
+		s := Scenario{Seed: 3, Link: l, BufferPackets: 40, Warmup: 3 * Second, Measure: 8 * Second}
+		shorts := Generated{Workload: PoissonWorkload(0.7, FixedSize(14), 43)}
+		if run(t, s, shorts) == run(t, red(s), shorts) {
+			t.Error("RED did not change the short-flow run")
 		}
 	})
 	t.Run("mix", func(t *testing.T) {
-		cfg := MixSimulation{
-			Seed: 3, Link: l, LongFlows: 20, ShortLoad: 0.1, BufferPackets: 40,
-			RTTSpread: 40 * Millisecond, Warmup: 5 * Second, Measure: 10 * Second,
-		}
-		plain := SimulateMix(cfg)
-		red := SimulateMix(cfg, WithRED(true))
-		if plain == red {
-			t.Error("WithRED did not change the mixed run")
+		s := Scenario{Seed: 3, Link: l, BufferPackets: 40, Warmup: 5 * Second, Measure: 10 * Second}
+		mix := Mix{LongFlows: 20, ShortLoad: 0.1, RTTSpread: 40 * Millisecond}
+		if run(t, s, mix) == run(t, red(s), mix) {
+			t.Error("RED did not change the mixed run")
 		}
 	})
 	t.Run("trace", func(t *testing.T) {
@@ -415,51 +393,33 @@ func TestWithREDHonoredEverywhere(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			flows = append(flows, TraceFlow{Start: Duration(i) * 20 * Millisecond, Size: 60})
 		}
-		cfg := TraceSimulation{Seed: 3, Link: l, Flows: flows, BufferPackets: 20}
-		plain := SimulateTrace(cfg)
-		red := SimulateTrace(cfg, WithRED(true))
-		if plain == red {
-			t.Error("WithRED did not change the trace run")
+		s := Scenario{Seed: 3, Link: l, BufferPackets: 20}
+		if run(t, s, Trace{Flows: flows}) == run(t, red(s), Trace{Flows: flows}) {
+			t.Error("RED did not change the trace run")
 		}
 	})
 }
 
+// TestValidateRTTSpread: station RTTs span Link.RTT +- RTTSpread/2, so a
+// spread of twice the RTT or more, or a negative one, is an error that
+// names RTTSpread in every kind that has one — not a panic deep in the
+// topology layer.
 func TestValidateRTTSpread(t *testing.T) {
-	l := Link{Rate: 10 * Mbps, RTT: 50 * Millisecond}
-	ok := Simulation{Link: l, RTTSpread: 80 * Millisecond}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	s := Scenario{Seed: 1, Link: Link{Rate: 10 * Mbps, RTT: 50 * Millisecond}, BufferPackets: 10, Warmup: Second, Measure: Second}
+	if _, err := Run(s, LongLived{Flows: 5, RTTSpread: 80 * Millisecond}); err != nil {
+		t.Errorf("valid spread rejected: %v", err)
 	}
-	bad := Simulation{Link: l, RTTSpread: 120 * Millisecond}
-	err := bad.Validate()
-	if err == nil {
-		t.Fatal("spread wider than twice the RTT passed validation")
-	}
-	if !strings.Contains(err.Error(), "RTTSpread") {
-		t.Errorf("error does not name the bad field: %v", err)
-	}
-	if err := (Simulation{Link: l, RTTSpread: -Millisecond}).Validate(); err == nil {
-		t.Error("negative spread passed validation")
-	}
-	if err := (MixSimulation{Link: l, RTTSpread: 120 * Millisecond}).Validate(); err == nil {
-		t.Error("MixSimulation did not validate the spread")
-	}
-	if err := (TraceSimulation{Link: l, RTTSpread: 120 * Millisecond}).Validate(); err == nil {
-		t.Error("TraceSimulation did not validate the spread")
-	}
-	// Simulate panics with the same message instead of crashing deep in
-	// the topology layer.
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Simulate with invalid spread did not panic")
+	for _, spread := range []Duration{100 * Millisecond, 120 * Millisecond, -Millisecond} {
+		for name, run := range map[string]func(Scenario, ...Option) (any, error){
+			"LongLived": kind(LongLived{Flows: 5, RTTSpread: spread}),
+			"Mix":       kind(Mix{LongFlows: 5, ShortLoad: 0.2, RTTSpread: spread}),
+			"Trace":     kind(Trace{RTTSpread: spread}),
+		} {
+			if _, err := run(s); err == nil || !strings.Contains(err.Error(), name+".RTTSpread") {
+				t.Errorf("%s with spread %v: error %v does not name %s.RTTSpread", name, spread, err, name)
+			}
 		}
-		if msg, okType := r.(string); !okType || !strings.Contains(msg, "RTTSpread") {
-			t.Errorf("panic message does not explain the problem: %v", r)
-		}
-	}()
-	Simulate(Simulation{Seed: 1, Link: l, Flows: 5, BufferPackets: 10,
-		RTTSpread: 120 * Millisecond, Warmup: Second, Measure: Second})
+	}
 }
 
 func TestSimulateReplicated(t *testing.T) {
@@ -467,12 +427,10 @@ func TestSimulateReplicated(t *testing.T) {
 		t.Skip("simulation runs")
 	}
 	l := Link{Rate: 20 * Mbps, RTT: 100 * Millisecond}
-	cfg := Simulation{
-		Seed: 1, Link: l, Flows: 30, BufferPackets: l.SqrtRule(30),
-		RTTSpread: 80 * Millisecond, Warmup: 5 * Second, Measure: 10 * Second,
-	}
-	a := SimulateReplicated(cfg, 3, WithParallelism(1))
-	b := SimulateReplicated(cfg, 3, WithParallelism(3))
+	s := Scenario{Seed: 1, Link: l, BufferPackets: l.SqrtRule(30), Warmup: 5 * Second, Measure: 10 * Second}
+	reps := Replicated{LongLived{Flows: 30, RTTSpread: 80 * Millisecond}, 3}
+	a := run(t, s, reps, WithParallelism(1))
+	b := run(t, s, reps, WithParallelism(3))
 	if a != b {
 		t.Errorf("replicated results differ across worker counts:\n%+v\n%+v", a, b)
 	}

@@ -26,20 +26,21 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bufsim: ")
 
+	var sf scenarioFile
+	flag.StringVar(&sf.Rate, "rate", "155Mbps", "bottleneck capacity C (e.g. 10Gbps)")
+	flag.StringVar(&sf.RTT, "rtt", "100ms", "mean two-way propagation delay")
+	flag.StringVar(&sf.RTTSpread, "rtt-spread", "80ms", "RTT heterogeneity across flows")
+	flag.IntVar(&sf.Flows, "flows", 400, "number of long-lived TCP flows")
+	flag.Float64Var(&sf.BufferFactor, "buffer-factor", 1.0, "buffer as a multiple of RTTxC/sqrt(n)")
+	flag.IntVar(&sf.Buffer, "buffer", 0, "explicit buffer in packets (overrides -buffer-factor)")
+	flag.IntVar(&sf.Segment, "segment", int(bufsim.DefaultSegment), "segment size in bytes")
+	flag.Int64Var(&sf.Seed, "seed", 1, "simulation seed")
+	flag.StringVar(&sf.Warmup, "warmup", "20s", "simulated warmup to discard")
+	flag.StringVar(&sf.Measure, "measure", "40s", "simulated measurement window")
+	flag.BoolVar(&sf.RED, "red", false, "use RED instead of drop-tail")
+	flag.StringVar(&sf.Variant, "variant", "reno", "TCP flavour: "+strings.Join(bufsim.VariantNames(), ", "))
+	flag.BoolVar(&sf.Paced, "paced", false, "pace sender transmissions across the RTT")
 	var (
-		rateStr   = flag.String("rate", "155Mbps", "bottleneck capacity C (e.g. 10Gbps)")
-		rttStr    = flag.String("rtt", "100ms", "mean two-way propagation delay")
-		spreadStr = flag.String("rtt-spread", "80ms", "RTT heterogeneity across flows")
-		flows     = flag.Int("flows", 400, "number of long-lived TCP flows")
-		factor    = flag.Float64("buffer-factor", 1.0, "buffer as a multiple of RTTxC/sqrt(n)")
-		buffer    = flag.Int("buffer", 0, "explicit buffer in packets (overrides -buffer-factor)")
-		segment   = flag.Int("segment", int(bufsim.DefaultSegment), "segment size in bytes")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		warmStr   = flag.String("warmup", "20s", "simulated warmup to discard")
-		measStr   = flag.String("measure", "40s", "simulated measurement window")
-		red       = flag.Bool("red", false, "use RED instead of drop-tail")
-		variant   = flag.String("variant", "reno", "TCP flavour: "+strings.Join(bufsim.VariantNames(), ", "))
-		paced     = flag.Bool("paced", false, "pace sender transmissions across the RTT")
 		skipSim   = flag.Bool("no-sim", false, "print the sizing rules only")
 		config    = flag.String("config", "", "JSON scenario file (overrides the other flags)")
 		metrics   = flag.String("metrics", "", "write run telemetry to this JSON file")
@@ -90,84 +91,21 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
+	s, long, err := sf.scenario()
 	if *config != "" {
-		sim, link, err := loadScenario(*config)
-		if err != nil {
-			log.Fatal(err)
-		}
-		printRules(link, sim.Flows, sim.BufferPackets)
-		if !*skipSim {
-			fatalIf(runAndPrint(sim, obs))
-		}
-		return
+		s, long, err = loadScenario(*config)
 	}
-
-	rate, err := bufsim.ParseBitRate(*rateStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rtt, err := bufsim.ParseDuration(*rttStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	spread, err := bufsim.ParseDuration(*spreadStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	warmup, err := bufsim.ParseDuration(*warmStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	measure, err := bufsim.ParseDuration(*measStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *flows <= 0 {
-		log.Fatal("-flows must be positive")
-	}
-
-	v, err := bufsim.ParseVariant(*variant)
-	if err != nil {
-		log.Fatalf("-variant: %v", err)
-	}
-
-	link := bufsim.Link{Rate: rate, RTT: rtt, SegmentSize: bufsim.ByteSize(*segment)}
-	b := *buffer
-	if b == 0 {
-		b = int(*factor * float64(link.SqrtRule(*flows)))
-		if b < 1 {
-			b = 1
-		}
-	}
-	printRules(link, *flows, b)
+	fatalIf(err)
+	printRules(s.Link, long.Flows, s.BufferPackets)
 	switch {
 	case *advArg != "" && *wlArg != "":
 		log.Fatal("-adversary and -workload are mutually exclusive")
 	case *advArg != "":
-		fatalIf(runAdversaryAndPrint(*advArg, bufsim.AdversarySimulation{
-			Seed: *seed, Link: link, Flows: *flows, BufferPackets: b,
-			Warmup: warmup, Measure: measure,
-		}, *skipSim, obs))
+		fatalIf(runAdversaryAndPrint(*advArg, s, long.Flows, *skipSim, obs))
 	case *wlArg != "":
-		fatalIf(runProfileAndPrint(profileScenario{
-			arg: *wlArg, load: *wlLoad, flowLen: *wlFlowLen,
-			link: link, buffer: b, peakFlows: *flows,
-			seed: *seed, warmup: warmup, measure: measure,
-			red: *red, variant: v, paced: *paced,
-		}, *skipSim, obs))
+		fatalIf(runProfileAndPrint(profileArgs{*wlArg, *wlLoad, *wlFlowLen}, s, long.Flows, *skipSim, obs))
 	case !*skipSim:
-		fatalIf(runAndPrint(bufsim.Simulation{
-			Seed:          *seed,
-			Link:          link,
-			Flows:         *flows,
-			BufferPackets: b,
-			RTTSpread:     spread,
-			Warmup:        warmup,
-			Measure:       measure,
-			RED:           *red,
-			Variant:       v,
-			Paced:         *paced,
-		}, obs))
+		fatalIf(runAndPrint(s, long, obs))
 	}
 }
 
@@ -252,12 +190,15 @@ func printRules(link bufsim.Link, flows, buffer int) {
 }
 
 // runAndPrint runs the long-lived simulation under obs and reports.
-func runAndPrint(cfg bufsim.Simulation, obs observers) error {
+func runAndPrint(s bufsim.Scenario, t bufsim.LongLived, obs observers) error {
 	fmt.Printf("simulating %d %v flows for %v (+%v warmup)...\n",
-		cfg.Flows, cfg.Variant, cfg.Measure, cfg.Warmup)
-	res := bufsim.Simulate(cfg, obs.options()...)
+		t.Flows, s.Sender.Variant, s.Measure, s.Warmup)
+	res, err := bufsim.Run(s, t, obs.options()...)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("measured:        %.2f%% utilization, %.3f%% loss, mean queue %.0f pkts, %.2f%% retransmits\n",
-		100*res.Utilization, 100*res.LossRate, res.MeanQueuePackets, 100*res.RetransmitFraction)
+		100*res.Utilization, 100*res.LossRate, res.MeanQueue, 100*res.RetransmitFraction)
 	fmt.Printf("queueing delay:  mean %v, P99 %v; fairness %.3f\n",
 		res.QueueDelayMean, res.QueueDelayP99, res.Fairness)
 	if err := obs.report(); err != nil {
@@ -270,23 +211,26 @@ func runAndPrint(cfg bufsim.Simulation, obs observers) error {
 }
 
 // runAdversaryAndPrint runs the -adversary scenario: one worst-case
-// traffic pattern against the chosen buffer, reporting the failure-mode
-// measurements instead of the long-lived scenario's.
-func runAdversaryAndPrint(arg string, cfg bufsim.AdversarySimulation, skip bool, obs observers) error {
+// traffic pattern of a flows-strong cohort against the chosen buffer,
+// reporting the failure-mode measurements instead of the long-lived
+// scenario's.
+func runAdversaryAndPrint(arg string, s bufsim.Scenario, flows int, skip bool, obs observers) error {
 	p, err := bufsim.ParseAdversary(arg)
 	if err != nil {
 		return fmt.Errorf("-adversary: %v", err)
 	}
-	cfg.Pattern = p
 	fmt.Printf("adversary:       %s — %s\n", p, p.Doc())
 	if skip {
 		return nil
 	}
 	fmt.Printf("simulating %d-strong %s cohort for %v (+%v warmup)...\n",
-		cfg.Flows, p, cfg.Measure, cfg.Warmup)
-	res := bufsim.SimulateAdversary(cfg, obs.options()...)
+		flows, p, s.Measure, s.Warmup)
+	res, err := bufsim.Run(s, bufsim.Adversary{Pattern: p, Flows: flows}, obs.options()...)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("measured:        %.2f%% utilization, %.3f%% loss, mean queue %.0f pkts, peak %d pkts\n",
-		100*res.Utilization, 100*res.LossRate, res.MeanQueuePackets, res.PeakQueuePackets)
+		100*res.Utilization, 100*res.LossRate, res.MeanQueue, res.PeakQueue)
 	if res.SyncIndex != 0 {
 		fmt.Printf("sync index:      %.2f (1.0 = the desynchronized CLT prediction)\n", res.SyncIndex)
 	}
@@ -315,22 +259,13 @@ func writeTelemetry(reg *bufsim.Registry, path string) error {
 	return nil
 }
 
-// profileScenario carries the -workload invocation: a profile shape (a
-// preset name or .json path) scaled so its arrival peak offers `load`
-// and its population peak is `peakFlows` long-lived flows.
-type profileScenario struct {
-	arg       string
-	load      float64
-	flowLen   int64
-	link      bufsim.Link
-	buffer    int
-	peakFlows int
-	seed      int64
-	warmup    bufsim.Duration
-	measure   bufsim.Duration
-	red       bool
-	variant   bufsim.Variant
-	paced     bool
+// profileArgs carries the -workload flags: a profile shape (a preset
+// name or .json path) scaled so its arrival peak offers load with
+// flowLen-segment flows.
+type profileArgs struct {
+	arg     string
+	load    float64
+	flowLen int64
 }
 
 // resolveProfile loads a .json profile or looks up a preset by name.
@@ -354,15 +289,15 @@ func resolveProfile(arg string) (bufsim.Profile, error) {
 	return preset.Profile(), nil
 }
 
-// runProfileAndPrint runs the -workload scenario through
-// SimulateProfile and reports the surge's outcome.
-func runProfileAndPrint(sc profileScenario, skip bool, obs observers) error {
-	prof, err := resolveProfile(sc.arg)
+// runProfileAndPrint runs the -workload scenario, with a population
+// peak of peakFlows long-lived flows, and reports the surge's outcome.
+func runProfileAndPrint(wl profileArgs, s bufsim.Scenario, peakFlows int, skip bool, obs observers) error {
+	prof, err := resolveProfile(wl.arg)
 	if err != nil {
 		return fmt.Errorf("-workload: %v", err)
 	}
-	sizes := bufsim.FixedSize(sc.flowLen)
-	scaled := prof.ScaleTo(bufsim.ArrivalRate(sc.load, sc.link, sizes), float64(sc.peakFlows))
+	sizes := bufsim.FixedSize(wl.flowLen)
+	scaled := prof.ScaleTo(bufsim.ArrivalRate(wl.load, s.Link, sizes), float64(peakFlows))
 	w, err := bufsim.ProfileWorkload(scaled, sizes, 0)
 	if err != nil {
 		return fmt.Errorf("-workload: %v", err)
@@ -370,20 +305,12 @@ func runProfileAndPrint(sc profileScenario, skip bool, obs observers) error {
 	if skip {
 		return nil
 	}
-	opts := append(obs.options(),
-		bufsim.WithCongestionControl(sc.variant),
-		bufsim.WithPacing(sc.paced))
 	fmt.Printf("simulating %q workload (peak load %.0f%%, peak %d long flows) for %v (+%v warmup)...\n",
-		prof.Name, 100*sc.load, sc.peakFlows, sc.measure, sc.warmup)
-	res := bufsim.SimulateProfile(bufsim.ProfileSimulation{
-		Seed:          sc.seed,
-		Link:          sc.link,
-		BufferPackets: sc.buffer,
-		Workload:      w,
-		RED:           sc.red,
-		Warmup:        sc.warmup,
-		Measure:       sc.measure,
-	}, opts...)
+		prof.Name, 100*wl.load, peakFlows, s.Measure, s.Warmup)
+	res, err := bufsim.Run(s, bufsim.Generated{Workload: w}, obs.options()...)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("measured:        %.2f%% utilization, %.3f%% loss, mean queue %.1f pkts (peak %d)\n",
 		100*res.Utilization, 100*res.LossRate, res.MeanQueue, res.PeakQueue)
 	fmt.Printf("flows:           peak n(t) %.0f (mean %.1f), %d launched; AFCT %v over %d completed (%d censored)\n",

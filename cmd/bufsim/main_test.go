@@ -18,25 +18,19 @@ import (
 // looked at the verification failures: bufsim -workload constant
 // -cache-verify exited 0 on a blob that did not match.
 func TestCacheVerifyFailsEveryScenario(t *testing.T) {
-	link := bufsim.Link{Rate: 10 * bufsim.Mbps, RTT: 100 * bufsim.Millisecond}
-	const warmup, measure = bufsim.Second, 2 * bufsim.Second
+	s := bufsim.Scenario{
+		Seed: 1, Link: bufsim.Link{Rate: 10 * bufsim.Mbps, RTT: 100 * bufsim.Millisecond},
+		BufferPackets: 20, Warmup: bufsim.Second, Measure: 2 * bufsim.Second,
+	}
 	scenarios := map[string]func(observers) error{
 		"long-lived": func(obs observers) error {
-			return runAndPrint(bufsim.Simulation{
-				Seed: 1, Link: link, Flows: 5, BufferPackets: 20,
-				RTTSpread: 40 * bufsim.Millisecond, Warmup: warmup, Measure: measure,
-			}, obs)
+			return runAndPrint(s, bufsim.LongLived{Flows: 5, RTTSpread: 40 * bufsim.Millisecond}, obs)
 		},
 		"-adversary": func(obs observers) error {
-			return runAdversaryAndPrint("pulse", bufsim.AdversarySimulation{
-				Seed: 1, Link: link, Flows: 4, BufferPackets: 20, Warmup: warmup, Measure: measure,
-			}, false, obs)
+			return runAdversaryAndPrint("pulse", s, 4, false, obs)
 		},
 		"-workload": func(obs observers) error {
-			return runProfileAndPrint(profileScenario{
-				arg: "constant", load: 0.5, flowLen: 10, link: link, buffer: 20, peakFlows: 3,
-				seed: 1, warmup: warmup, measure: measure,
-			}, false, obs)
+			return runProfileAndPrint(profileArgs{"constant", 0.5, 10}, s, 3, false, obs)
 		},
 	}
 	for name, run := range scenarios {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
@@ -11,7 +12,9 @@ import (
 
 // scenarioFile is the JSON schema for -config: the flag set, as a file.
 // Durations and rates are strings in the package's notation ("100ms",
-// "155Mbps") so configs read like the paper.
+// "155Mbps") so configs read like the paper. The flags fill the same
+// struct, so flags and files reach the run through one lowering
+// (scenario).
 //
 //	{
 //	  "rate": "155Mbps", "rtt": "100ms", "rttSpread": "80ms",
@@ -40,87 +43,71 @@ type scenarioFile struct {
 	Measure      string  `json:"measure"`
 }
 
-// loadScenario reads and validates a scenario file into a Simulation plus
-// the link it describes.
-func loadScenario(path string) (bufsim.Simulation, bufsim.Link, error) {
-	var zero bufsim.Simulation
+// loadScenario reads a scenario file and lowers it. A file must give
+// "rate" and "flows"; the rest defaults as below.
+func loadScenario(path string) (bufsim.Scenario, bufsim.LongLived, error) {
+	sf := scenarioFile{RTT: "100ms", RTTSpread: "80ms", BufferFactor: 1, Warmup: "20s", Measure: "40s"}
 	data, err := os.ReadFile(path)
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&sf)
+	}
 	if err != nil {
-		return zero, bufsim.Link{}, err
+		return bufsim.Scenario{}, bufsim.LongLived{}, fmt.Errorf("%s: %v", path, err)
 	}
-	var sf scenarioFile
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sf); err != nil {
-		return zero, bufsim.Link{}, fmt.Errorf("%s: %v", path, err)
+	s, long, err := sf.scenario()
+	if err != nil {
+		return bufsim.Scenario{}, bufsim.LongLived{}, fmt.Errorf("%s: %v", path, err)
 	}
+	return s, long, nil
+}
 
-	parseDur := func(field, s, dflt string) (bufsim.Duration, error) {
-		if s == "" {
-			s = dflt
-		}
-		d, err := bufsim.ParseDuration(s)
-		if err != nil {
-			return 0, fmt.Errorf("%s: field %q: %v", path, field, err)
-		}
-		return d, nil
+// scenario lowers the parameters onto the Scenario every run of the
+// binary uses, long-lived, -workload or -adversary, and the long-lived
+// traffic they describe. An explicit buffer wins; otherwise it is
+// bufferFactor x RTTxC/sqrt(flows), at least one packet.
+func (sf scenarioFile) scenario() (bufsim.Scenario, bufsim.LongLived, error) {
+	var s bufsim.Scenario
+	var long bufsim.LongLived
+	var err error
+	fail := func(field string, err error) (bufsim.Scenario, bufsim.LongLived, error) {
+		return bufsim.Scenario{}, bufsim.LongLived{}, fmt.Errorf("field %q: %v", field, err)
 	}
-
-	if sf.Rate == "" {
-		return zero, bufsim.Link{}, fmt.Errorf("%s: field \"rate\" is required", path)
+	if s.Link.Rate, err = bufsim.ParseBitRate(sf.Rate); err != nil {
+		return fail("rate", err)
 	}
-	rate, err := bufsim.ParseBitRate(sf.Rate)
-	if err != nil {
-		return zero, bufsim.Link{}, fmt.Errorf("%s: field \"rate\": %v", path, err)
-	}
-	rtt, err := parseDur("rtt", sf.RTT, "100ms")
-	if err != nil {
-		return zero, bufsim.Link{}, err
-	}
-	spread, err := parseDur("rttSpread", sf.RTTSpread, "80ms")
-	if err != nil {
-		return zero, bufsim.Link{}, err
-	}
-	warmup, err := parseDur("warmup", sf.Warmup, "20s")
-	if err != nil {
-		return zero, bufsim.Link{}, err
-	}
-	measure, err := parseDur("measure", sf.Measure, "40s")
-	if err != nil {
-		return zero, bufsim.Link{}, err
-	}
-	if sf.Flows <= 0 {
-		return zero, bufsim.Link{}, fmt.Errorf("%s: field \"flows\" must be positive", path)
-	}
-
-	variant, err := bufsim.ParseVariant(sf.Variant)
-	if err != nil {
-		return zero, bufsim.Link{}, fmt.Errorf("%s: %v", path, err)
-	}
-
-	link := bufsim.Link{Rate: rate, RTT: rtt, SegmentSize: bufsim.ByteSize(sf.Segment)}
-	buffer := sf.Buffer
-	if buffer == 0 {
-		factor := sf.BufferFactor
-		if factor == 0 {
-			factor = 1
-		}
-		buffer = int(factor * float64(link.SqrtRule(sf.Flows)))
-		if buffer < 1 {
-			buffer = 1
+	for _, d := range []struct {
+		field, in string
+		out       *bufsim.Duration
+	}{
+		{"rtt", sf.RTT, &s.Link.RTT},
+		{"rttSpread", sf.RTTSpread, &long.RTTSpread},
+		{"warmup", sf.Warmup, &s.Warmup},
+		{"measure", sf.Measure, &s.Measure},
+	} {
+		if *d.out, err = bufsim.ParseDuration(d.in); err != nil {
+			return fail(d.field, err)
 		}
 	}
-	return bufsim.Simulation{
-		Seed:          sf.Seed,
-		Link:          link,
-		Flows:         sf.Flows,
-		BufferPackets: buffer,
-		RTTSpread:     spread,
-		Warmup:        warmup,
-		Measure:       measure,
-		RED:           sf.RED,
-		Variant:       variant,
-		Paced:         sf.Paced,
-		DelayedAck:    sf.DelayedAck,
-	}, link, nil
+	// The sizing rules printed before any run need these three.
+	for _, f := range []struct {
+		field    string
+		positive bool
+	}{{"rate", s.Link.Rate > 0}, {"rtt", s.Link.RTT > 0}, {"flows", sf.Flows > 0}} {
+		if !f.positive {
+			return fail(f.field, errors.New("must be positive"))
+		}
+	}
+	if s.Sender.Variant, err = bufsim.ParseVariant(sf.Variant); err != nil {
+		return fail("variant", err)
+	}
+	s.Link.SegmentSize = bufsim.ByteSize(sf.Segment)
+	s.Seed, s.RED, s.Sender.Paced, s.Sender.DelayedAck = sf.Seed, sf.RED, sf.Paced, sf.DelayedAck
+	s.BufferPackets = sf.Buffer
+	if s.BufferPackets == 0 {
+		s.BufferPackets = max(1, int(sf.BufferFactor*float64(s.Link.SqrtRule(sf.Flows))))
+	}
+	long.Flows = sf.Flows
+	return s, long, nil
 }

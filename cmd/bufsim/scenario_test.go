@@ -24,18 +24,18 @@ func TestLoadScenario(t *testing.T) {
 		"variant": "sack", "paced": true, "delayedAck": true,
 		"seed": 9, "warmup": "5s", "measure": "10s"
 	}`)
-	sim, link, err := loadScenario(path)
+	sim, long, err := loadScenario(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if link.Rate != bufsim.OC3 || link.RTT != 100*bufsim.Millisecond {
-		t.Errorf("link = %+v", link)
+	if sim.Link.Rate != bufsim.OC3 || sim.Link.RTT != 100*bufsim.Millisecond {
+		t.Errorf("link = %+v", sim.Link)
 	}
-	if sim.Flows != 300 || sim.Seed != 9 || !sim.Paced || !sim.DelayedAck {
-		t.Errorf("sim = %+v", sim)
+	if long.Flows != 300 || long.RTTSpread != 40*bufsim.Millisecond || sim.Seed != 9 || !sim.Sender.Paced || !sim.Sender.DelayedAck {
+		t.Errorf("scenario = %+v, traffic = %+v", sim, long)
 	}
-	if sim.Variant != bufsim.Sack {
-		t.Errorf("variant = %v", sim.Variant)
+	if sim.Sender.Variant != bufsim.Sack {
+		t.Errorf("variant = %v", sim.Sender.Variant)
 	}
 	// bufferFactor 2 x sqrt rule (1938/sqrt(300) ~ 112) ~ 224.
 	if sim.BufferPackets < 220 || sim.BufferPackets > 228 {
@@ -56,7 +56,7 @@ func TestLoadScenarioExplicitBufferWins(t *testing.T) {
 		t.Errorf("BufferPackets = %d, want 77", sim.BufferPackets)
 	}
 	// Defaults fill in.
-	if sim.Variant != bufsim.Reno || sim.Warmup != 20*bufsim.Second {
+	if sim.Sender.Variant != bufsim.Reno || sim.Warmup != 20*bufsim.Second {
 		t.Errorf("defaults not applied: %+v", sim)
 	}
 }
@@ -83,11 +83,11 @@ func TestLoadScenarioErrors(t *testing.T) {
 
 func TestRepoExampleConfigLoads(t *testing.T) {
 	// The checked-in example must stay valid.
-	sim, _, err := loadScenario("../../configs/oc3-sack.json")
+	sim, long, err := loadScenario("../../configs/oc3-sack.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.Flows != 200 || sim.Variant != bufsim.Sack {
-		t.Errorf("example config parsed oddly: %+v", sim)
+	if long.Flows != 200 || sim.Sender.Variant != bufsim.Sack {
+		t.Errorf("example config parsed oddly: %+v, %+v", sim, long)
 	}
 }

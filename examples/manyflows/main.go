@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"bufsim"
 )
@@ -20,15 +21,16 @@ func main() {
 
 	for _, n := range []int{25, 100, 400} {
 		buffer := link.SqrtRule(n)
-		res := bufsim.Simulate(bufsim.Simulation{
+		res, err := bufsim.Run(bufsim.Scenario{
 			Seed:          int64(n),
 			Link:          link,
-			Flows:         n,
 			BufferPackets: buffer,
-			RTTSpread:     80 * bufsim.Millisecond,
 			Warmup:        15 * bufsim.Second,
 			Measure:       30 * bufsim.Second,
-		})
+		}, bufsim.LongLived{Flows: n, RTTSpread: 80 * bufsim.Millisecond})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%5d   %12d   %15.1f%%   %9.2f%%   %7.2f%%\n",
 			n, buffer, 100*float64(buffer)/float64(rot),
 			100*link.PredictUtilization(n, buffer), 100*res.Utilization)

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"bufsim"
 )
@@ -26,16 +27,16 @@ func main() {
 		{"RTT*C (thumb)", link.RuleOfThumb()},
 		{"RTT*C/sqrt(n)", link.SqrtRule(nLong)},
 	} {
-		res := bufsim.SimulateMix(bufsim.MixSimulation{
+		res, err := bufsim.Run(bufsim.Scenario{
 			Seed:          1,
 			Link:          link,
-			LongFlows:     nLong,
-			ShortLoad:     0.2,
 			BufferPackets: tc.buffer,
-			RTTSpread:     80 * bufsim.Millisecond,
 			Warmup:        15 * bufsim.Second,
 			Measure:       30 * bufsim.Second,
-		})
+		}, bufsim.Mix{LongFlows: nLong, ShortLoad: 0.2, RTTSpread: 80 * bufsim.Millisecond})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-16s %5d   %12.0fms   %10.1f%%   %7.0f pkts\n",
 			tc.name, tc.buffer, res.AFCT.Milliseconds(),
 			100*res.Utilization, res.MeanQueue)

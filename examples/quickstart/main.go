@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"bufsim"
 )
@@ -27,15 +28,16 @@ func main() {
 
 	// Check it with a packet-level simulation of 400 TCP Reno flows.
 	fmt.Printf("simulating %d flows...\n", n)
-	res := bufsim.Simulate(bufsim.Simulation{
+	res, err := bufsim.Run(bufsim.Scenario{
 		Seed:          1,
 		Link:          link,
-		Flows:         n,
 		BufferPackets: buffer,
-		RTTSpread:     80 * bufsim.Millisecond,
 		Warmup:        15 * bufsim.Second,
 		Measure:       30 * bufsim.Second,
-	})
+	}, bufsim.LongLived{Flows: n, RTTSpread: 80 * bufsim.Millisecond})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("measured:          %.2f%% utilization (loss %.2f%%, mean queue %.0f pkts)\n",
-		100*res.Utilization, 100*res.LossRate, res.MeanQueuePackets)
+		100*res.Utilization, 100*res.LossRate, res.MeanQueue)
 }

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"bufsim"
 )
@@ -25,17 +26,20 @@ func main() {
 	fmt.Printf("M/G/1 bound for load %.1f, %d-segment flows, P(drop)<=2.5%%: %.0f packets\n\n",
 		load, flowLen, bound)
 
+	// Poisson arrivals of fixed-size slow-start flows: the §4 scenario.
+	shorts := bufsim.Generated{Workload: bufsim.PoissonWorkload(load, bufsim.FixedSize(flowLen), maxWin)}
 	for _, rate := range []bufsim.BitRate{20 * bufsim.Mbps, 80 * bufsim.Mbps} {
 		link := bufsim.Link{Rate: rate, RTT: 100 * bufsim.Millisecond}
-		base := bufsim.SimulateShortFlows(bufsim.ShortFlowSimulation{
-			Seed: 1, Link: link, Load: load, FlowLength: flowLen, MaxWindow: maxWin,
-			Warmup: 5 * bufsim.Second, Measure: 20 * bufsim.Second,
-		})
-		sized := bufsim.SimulateShortFlows(bufsim.ShortFlowSimulation{
-			Seed: 1, Link: link, Load: load, FlowLength: flowLen, MaxWindow: maxWin,
-			BufferPackets: int(bound),
-			Warmup:        5 * bufsim.Second, Measure: 20 * bufsim.Second,
-		})
+		s := bufsim.Scenario{Seed: 1, Link: link, Warmup: 5 * bufsim.Second, Measure: 20 * bufsim.Second}
+		base, err := bufsim.Run(s, shorts) // unlimited buffer
+		if err != nil {
+			log.Fatal(err)
+		}
+		s.BufferPackets = int(bound)
+		sized, err := bufsim.Run(s, shorts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		rot := link.RuleOfThumb()
 		degrade := 100 * (float64(sized.AFCT)/float64(base.AFCT) - 1)
 		fmt.Printf("%8v: AFCT %6.1fms (infinite buffers) -> %6.1fms with just %.0f packets "+

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"bufsim"
 )
@@ -16,8 +17,12 @@ func main() {
 	fmt.Printf("bottleneck %v, RTT %v, BDP = %d packets\n\n",
 		link.Rate, link.RTT, link.BDP())
 
+	s := bufsim.Scenario{Seed: 1, Link: link}
 	for _, factor := range []float64{0.125, 1.0, 2.0} {
-		res := bufsim.SimulateSingleFlow(link, factor, 1)
+		res, err := bufsim.Run(s, bufsim.SingleFlow{BufferFactor: factor})
+		if err != nil {
+			log.Fatal(err)
+		}
 		regime := "exactly buffered (Fig. 3): queue just touches zero, link stays busy"
 		switch {
 		case factor < 1:
@@ -34,14 +39,17 @@ func main() {
 	// Show the first seconds of the sawtooth numerically: window and
 	// queue rise together, then the drop halves the window and the
 	// buffer absorbs the pause.
-	res := bufsim.SimulateSingleFlow(link, 1.0, 1)
+	res, err := bufsim.Run(s, bufsim.SingleFlow{BufferFactor: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("sawtooth samples (t, cwnd, queue):")
-	step := len(res.CwndTimes) / 24
+	step := len(res.Cwnd.Times) / 24
 	if step == 0 {
 		step = 1
 	}
-	for i := 0; i < len(res.CwndTimes) && i < 24*step; i += step {
+	for i := 0; i < len(res.Cwnd.Times) && i < 24*step; i += step {
 		fmt.Printf("  t=%7.2fs  W=%6.1f  Q=%5.0f\n",
-			res.CwndTimes[i], res.CwndValues[i], res.QueueValues[i])
+			res.Cwnd.Times[i], res.Cwnd.Values[i], res.Queue.Values[i])
 	}
 }

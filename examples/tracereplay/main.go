@@ -61,13 +61,11 @@ func main() {
 		{"short-flow bound", int(bound)},
 		{"starved", 8},
 	} {
-		res := bufsim.SimulateTrace(bufsim.TraceSimulation{
-			Seed:          1,
-			Link:          link,
-			Flows:         flows,
-			BufferPackets: tc.buffer,
-			RTTSpread:     80 * bufsim.Millisecond,
-		})
+		res, err := bufsim.Run(bufsim.Scenario{Seed: 1, Link: link, BufferPackets: tc.buffer},
+			bufsim.Trace{Flows: flows, RTTSpread: 80 * bufsim.Millisecond})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-18s %6d   %6d/%d   %6.0fms\n",
 			tc.name, tc.buffer, res.Completed, len(flows), res.AFCT.Milliseconds())
 	}

@@ -226,11 +226,10 @@ func TestPublicAPISmoke(t *testing.T) {
 	if link.SqrtRule(400) != 97 {
 		t.Errorf("SqrtRule = %d, want 97", link.SqrtRule(400))
 	}
-	res := Simulate(Simulation{
-		Link: link, Flows: 400, BufferPackets: link.SqrtRule(400),
-		RTTSpread: 80 * Millisecond,
-		Warmup:    10 * Second, Measure: 20 * Second,
-	})
+	res := run(t, Scenario{
+		Link: link, BufferPackets: link.SqrtRule(400),
+		Warmup: 10 * Second, Measure: 20 * Second,
+	}, LongLived{Flows: 400, RTTSpread: 80 * Millisecond})
 	if res.Utilization < 0.97 {
 		t.Errorf("README quickstart utilization = %v, want ~0.99", res.Utilization)
 	}

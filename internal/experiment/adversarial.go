@@ -166,6 +166,9 @@ func (t AdversarialTable) Table() string {
 	})
 }
 
+// Table implements Result: the row as a one-row failure-mode table.
+func (r AdversarialRow) Table() string { return AdversarialTable{r}.Table() }
+
 // RunAdversarial executes the pattern x buffer grid through the sweep
 // orchestrator (parallel, cached, checkpointed, resumable).
 func RunAdversarial(cfg AdversarialConfig) AdversarialTable {

@@ -77,7 +77,7 @@ type AFCTOutcome struct {
 // flows plus Poisson short flows over a single bottleneck — at one
 // explicit buffer size. It is the single-buffer building block
 // RunAFCTComparison pairs up, and the scenario the public API exposes as
-// SimulateMix.
+// the Mix traffic kind.
 type MixedConfig struct {
 	// AFCTComparisonConfig is the scenario, RunEnv included: Metrics,
 	// Audit, Cache and Shards. UseRED sizes RED to BufferPackets.

@@ -17,7 +17,7 @@ import (
 // source — over a single bottleneck. It is the unified back end the
 // workload API threads every traffic front end through; under a
 // workload.PoissonSource of fixed-length flows it is the paper's
-// short-flow scenario (Fig. 8, SimulateShortFlows).
+// short-flow scenario (Fig. 8; the public API's Generated traffic kind).
 type ProfileRunConfig struct {
 	Seed int64
 

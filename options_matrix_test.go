@@ -3,74 +3,56 @@ package bufsim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"bufsim/internal/tcp"
 )
 
-// matrixEntryPoints wraps every public Simulate* entry point around a
-// deliberately tiny scenario, so the full entry-point × option matrix
-// below stays cheap enough for the ordinary test run.
-var matrixEntryPoints = []struct {
-	name string
-	run  func(opts ...Option) any
-}{
-	{"Simulate", func(opts ...Option) any {
-		return Simulate(Simulation{
-			Seed: 1, Link: Link{Rate: 10 * Mbps, RTT: 50 * Millisecond},
-			Flows: 8, BufferPackets: 20,
-			RTTSpread: 20 * Millisecond,
-			Warmup:    1 * Second, Measure: 2 * Second,
-		}, opts...)
-	}},
-	{"SimulateReplicated", func(opts ...Option) any {
-		return SimulateReplicated(Simulation{
-			Seed: 1, Link: Link{Rate: 10 * Mbps, RTT: 50 * Millisecond},
-			Flows: 8, BufferPackets: 20,
-			RTTSpread: 20 * Millisecond,
-			Warmup:    1 * Second, Measure: 2 * Second,
-		}, 2, opts...)
-	}},
-	{"SimulateSingleFlow", func(opts ...Option) any {
-		return SimulateSingleFlow(Link{Rate: 10 * Mbps, RTT: 50 * Millisecond}, 1, 1, opts...)
-	}},
-	{"SimulateShortFlows", func(opts ...Option) any {
-		return SimulateShortFlows(ShortFlowSimulation{
-			Seed: 1, Link: Link{Rate: 10 * Mbps, RTT: 50 * Millisecond},
-			BufferPackets: 30, Load: 0.5, FlowLength: 14,
-			Warmup: 1 * Second, Measure: 2 * Second,
-		}, opts...)
-	}},
-	{"SimulateMix", func(opts ...Option) any {
-		return SimulateMix(MixSimulation{
-			Seed: 1, Link: Link{Rate: 10 * Mbps, RTT: 50 * Millisecond},
-			LongFlows: 4, ShortLoad: 0.2, BufferPackets: 30,
-			RTTSpread: 20 * Millisecond,
-			Warmup:    1 * Second, Measure: 2 * Second,
-		}, opts...)
-	}},
-	{"SimulateProfile", func(opts ...Option) any {
-		return SimulateProfile(ProfileSimulation{
-			Seed: 1, Link: Link{Rate: 10 * Mbps, RTT: 50 * Millisecond},
-			BufferPackets: 30, Stations: 10,
-			Workload: matrixProfileWorkload(),
-			Warmup:   1 * Second, Measure: 3 * Second, Drain: 10 * Second,
-		}, opts...)
-	}},
-	{"SimulateTrace", func(opts ...Option) any {
-		return SimulateTrace(TraceSimulation{
-			Seed: 1, Link: Link{Rate: 10 * Mbps, RTT: 50 * Millisecond},
-			Flows: []TraceFlow{
-				{Start: 0, Size: 10},
-				{Start: 100 * Millisecond, Size: 30},
-				{Start: 300 * Millisecond, Size: 5},
-			},
-			BufferPackets: 30,
-		}, opts...)
-	}},
+// kind wraps one traffic kind for the matrix, so kinds with different
+// result types share one table.
+func kind[R Result](t Traffic[R]) func(Scenario, ...Option) (any, error) {
+	return func(s Scenario, opts ...Option) (any, error) { return Run(s, t, opts...) }
 }
 
-// matrixProfileWorkload is the tiny time-varying workload the matrix
-// drives SimulateProfile with: the flash-crowd shape compressed 12x so
-// the spike lands inside the short measurement window.
+// matrixLink is the tiny bottleneck every matrix scenario runs on.
+var matrixLink = Link{Rate: 10 * Mbps, RTT: 50 * Millisecond}
+
+// matrixKinds is every traffic kind on a deliberately tiny scenario, so
+// the kinds x switches x observers matrix stays cheap enough for the
+// ordinary test run. A row is named after the entry point its kind
+// replaced, and the matrix's columns after the option each Scenario
+// field or observer replaced, so the matrix reads the same across that
+// change.
+var matrixKinds = []struct {
+	name string
+	s    Scenario
+	run  func(Scenario, ...Option) (any, error)
+	// fixedTransport kinds fix their own queue and senders: setting
+	// Scenario.RED or Scenario.Sender must be refused.
+	fixedTransport bool
+}{
+	{"Simulate", Scenario{Seed: 1, Link: matrixLink, BufferPackets: 20, Warmup: Second, Measure: 2 * Second},
+		kind(LongLived{Flows: 8, RTTSpread: 20 * Millisecond}), false},
+	{"SimulateReplicated", Scenario{Seed: 1, Link: matrixLink, BufferPackets: 20, Warmup: Second, Measure: 2 * Second},
+		kind(Replicated{LongLived{Flows: 8, RTTSpread: 20 * Millisecond}, 2}), false},
+	{"SimulateSingleFlow", Scenario{Seed: 1, Link: matrixLink, Warmup: 2 * Second, Measure: 5 * Second},
+		kind(SingleFlow{BufferFactor: 1}), false},
+	{"SimulateShortFlows", Scenario{Seed: 1, Link: matrixLink, BufferPackets: 30, Warmup: Second, Measure: 2 * Second},
+		kind(Generated{Workload: PoissonWorkload(0.5, FixedSize(14), 43)}), false},
+	{"SimulateMix", Scenario{Seed: 1, Link: matrixLink, BufferPackets: 30, Warmup: Second, Measure: 2 * Second},
+		kind(Mix{LongFlows: 4, ShortLoad: 0.2, RTTSpread: 20 * Millisecond}), false},
+	{"SimulateProfile", Scenario{Seed: 1, Link: matrixLink, BufferPackets: 30, Warmup: Second, Measure: 3 * Second},
+		kind(Generated{Workload: matrixProfileWorkload(), Stations: 10, Drain: 10 * Second}), false},
+	{"SimulateTrace", Scenario{Seed: 1, Link: matrixLink, BufferPackets: 30},
+		kind(Trace{Flows: []TraceFlow{{Start: 0, Size: 10}, {Start: 100 * Millisecond, Size: 30}, {Start: 300 * Millisecond, Size: 5}}}), false},
+	{"SimulateAdversary", Scenario{Seed: 1, Link: matrixLink, BufferPackets: 20, Warmup: Second, Measure: 2 * Second},
+		kind(Adversary{Pattern: AdversarySyncAIMD, Flows: 4}), true},
+}
+
+// matrixProfileWorkload is the tiny time-varying workload: the
+// flash-crowd shape compressed 12x so the spike lands inside the short
+// measurement window.
 func matrixProfileWorkload() Workload {
 	p, err := FlashCrowdProfile.Profile().Compress(12)
 	if err != nil {
@@ -83,96 +65,87 @@ func matrixProfileWorkload() Workload {
 	return w
 }
 
-// TestOptionsMatrix runs every public entry point under every functional
-// option, per the matrix in the package documentation: each combination
-// must run (not just compile), observers must not perturb the result,
-// and a cached re-run must hit and replay the result bit-identically.
+// TestOptionsMatrix crosses every traffic kind with every Scenario switch
+// and every observer: a switch must run (and a kind with a fixed
+// transport must refuse it), observers must leave the result
+// bit-identical, and a cached rerun must hit and replay it exactly.
 func TestOptionsMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs")
 	}
-	for _, ep := range matrixEntryPoints {
-		t.Run(ep.name, func(t *testing.T) {
-			base := ep.run()
-
-			options := []struct {
-				name string
-				opt  Option
-				// observer options must leave the result bit-identical
-				// to the optionless run
-				observer bool
-			}{
-				{"WithRED", WithRED(true), false},
-				{"WithPacing", WithPacing(true), false},
-				{"WithDelayedACK", WithDelayedACK(true), false},
-				{"WithMetrics", WithMetrics(NewRegistry()), true},
-				{"WithAudit", WithAudit(NewAuditor()), true},
-			}
-			for _, o := range options {
-				t.Run(o.name, func(t *testing.T) {
-					got := ep.run(o.opt)
-					if o.observer && !reflect.DeepEqual(got, base) {
-						t.Errorf("observer option perturbed the result:\ngot  %+v\nbase %+v", got, base)
-					}
-				})
-			}
-
-			t.Run("WithCongestionControl", func(t *testing.T) {
-				// The alias and the primary name must configure runs
-				// identically, for every registered variant.
-				for _, name := range VariantNames() {
-					v, err := ParseVariant(name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					primary := ep.run(WithCongestionControl(v))
-					alias := ep.run(WithVariant(v))
-					if !reflect.DeepEqual(primary, alias) {
-						t.Errorf("%s: WithVariant alias diverged from WithCongestionControl", name)
-					}
-				}
-			})
-
-			t.Run("WithCache", func(t *testing.T) {
-				cache, err := OpenCache(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				cold := ep.run(WithCacheStore(cache))
-				if !reflect.DeepEqual(cold, base) {
-					t.Errorf("caching perturbed the result:\ngot  %+v\nbase %+v", cold, base)
-				}
-				before := cache.Stats()
-				warm := ep.run(WithCacheStore(cache))
-				if hits := cache.Stats().Hits - before.Hits; hits == 0 {
-					t.Error("identical rerun missed the cache")
-				}
-				if !reflect.DeepEqual(warm, cold) {
-					t.Errorf("cache replay differs from the computed result:\nwarm %+v\ncold %+v", warm, cold)
-				}
-			})
-		})
+	for _, k := range matrixKinds {
+		t.Run(k.name, func(t *testing.T) { checkKind(t, k.s, k.run, k.fixedTransport) })
 	}
 }
 
-// TestWithWorkloadMatrix drives SimulateProfile through WithWorkload
-// for every workload family, each crossed with the observer and policy
-// options: audited runs must be clean, metrics must not perturb,
-// WithRED must change the scenario, and cached runs must replay
-// bit-identically with the workload participating in the key.
+// checkKind is one row of the matrix; it returns the kind's plain result.
+func checkKind(t *testing.T, s Scenario, run func(Scenario, ...Option) (any, error), fixedTransport bool) any {
+	base, err := run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var variants []func(*Scenario)
+	for _, v := range tcp.Variants()[1:] {
+		variants = append(variants, func(s *Scenario) { s.Sender.Variant = v })
+	}
+	switches := []struct {
+		name  string
+		edits []func(*Scenario)
+	}{
+		{"WithRED", []func(*Scenario){func(s *Scenario) { s.RED = true }}},
+		{"WithPacing", []func(*Scenario){func(s *Scenario) { s.Sender.Paced = true }}},
+		{"WithDelayedACK", []func(*Scenario){func(s *Scenario) { s.Sender.DelayedAck = true }}},
+		{"WithCongestionControl", variants},
+	}
+	for _, sw := range switches {
+		t.Run(sw.name, func(t *testing.T) {
+			for _, edit := range sw.edits {
+				switched := s
+				edit(&switched)
+				_, err := run(switched)
+				if fixedTransport && (err == nil || !strings.Contains(err.Error(), "does not read Scenario.")) {
+					t.Errorf("%+v: error %v, want the switch refused", switched.Sender, err)
+				}
+				if !fixedTransport && err != nil {
+					t.Errorf("%+v: %v", switched.Sender, err)
+				}
+			}
+		})
+	}
+	observe := func(t *testing.T, opt Option) {
+		if got, err := run(s, opt); err != nil || !reflect.DeepEqual(got, base) {
+			t.Errorf("observer perturbed the result (%v):\ngot  %+v\nbase %+v", err, got, base)
+		}
+	}
+	t.Run("WithMetrics", func(t *testing.T) { observe(t, WithMetrics(NewRegistry())) })
+	t.Run("WithAudit", func(t *testing.T) {
+		aud := NewAuditor()
+		observe(t, WithAudit(aud))
+		if aud.Count() > 0 {
+			t.Errorf("audit violations:\n%s", aud)
+		}
+	})
+	t.Run("WithCache", func(t *testing.T) {
+		cache, _ := tempCache(t)
+		observe(t, WithCacheStore(cache))
+		before := cache.Stats()
+		observe(t, WithCacheStore(cache))
+		if cache.Stats().Hits == before.Hits {
+			t.Error("identical rerun missed the cache")
+		}
+	})
+	return base
+}
+
+// TestWithWorkloadMatrix runs every workload family as Generated traffic
+// through the same matrix, and requires different workloads over the
+// same scenario to produce different results: the workload really
+// drives the simulation and the cache key.
 func TestWithWorkloadMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs")
 	}
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := ProfileSimulation{
-		Seed: 2, Link: Link{Rate: 10 * Mbps, RTT: 50 * Millisecond},
-		BufferPackets: 30, Stations: 10,
-		Warmup: 1 * Second, Measure: 3 * Second, Drain: 10 * Second,
-	}
+	s := Scenario{Seed: 2, Link: matrixLink, BufferPackets: 30, Warmup: Second, Measure: 3 * Second}
 	workloads := []struct {
 		name string
 		w    Workload
@@ -184,102 +157,53 @@ func TestWithWorkloadMatrix(t *testing.T) {
 		}, 16)},
 		{"profile", matrixProfileWorkload()},
 	}
-	keys := make(map[string]ProfileResult)
+	seen := make(map[ProfileResult]string)
 	for _, wl := range workloads {
 		t.Run(wl.name, func(t *testing.T) {
-			run := func(opts ...Option) ProfileResult {
-				return SimulateProfile(base, append([]Option{WithWorkload(wl.w)}, opts...)...)
-			}
-			plain := run()
-			if plain.Generated == 0 {
+			res := checkKind(t, s, kind(Generated{Workload: wl.w, Stations: 10, Drain: 10 * Second}), false).(ProfileResult)
+			if res.Generated == 0 {
 				t.Fatal("workload generated no flows")
 			}
-
-			aud := NewAuditor()
-			if got := run(WithAudit(aud)); got != plain {
-				t.Errorf("audit perturbed the result:\ngot  %+v\nbase %+v", got, plain)
+			if other, dup := seen[res]; dup {
+				t.Errorf("workloads %q and %q produced identical results", wl.name, other)
 			}
-			if aud.Count() > 0 {
-				t.Fatalf("audit violations:\n%s", aud)
-			}
-			if got := run(WithMetrics(NewRegistry())); got != plain {
-				t.Errorf("metrics perturbed the result:\ngot  %+v\nbase %+v", got, plain)
-			}
-			if red := run(WithRED(true)); red == plain {
-				t.Error("WithRED did not change the scenario")
-			}
-
-			cold := run(WithCacheStore(cache))
-			if cold != plain {
-				t.Errorf("caching perturbed the result:\ngot  %+v\nbase %+v", cold, plain)
-			}
-			before := cache.Stats()
-			if warm := run(WithCacheStore(cache)); warm != cold {
-				t.Errorf("cache replay differs:\nwarm %+v\ncold %+v", warm, cold)
-			}
-			if cache.Stats().Hits == before.Hits {
-				t.Error("identical rerun missed the cache")
-			}
-			keys[wl.name] = cold
+			seen[res] = wl.name
 		})
-	}
-	// Different workloads over the same scenario must produce different
-	// results — i.e. the workload really participates in the cache key
-	// and the simulation, rather than all mapping to one run.
-	seen := make(map[ProfileResult]string)
-	for name, res := range keys {
-		if other, dup := seen[res]; dup {
-			t.Errorf("workloads %q and %q produced identical results", name, other)
-		}
-		seen[res] = name
 	}
 }
 
 // TestVariantSwitchMatrix runs every registered congestion-control
 // variant under every combination of the behavioural switches (pacing,
 // delayed ACK, RED), each under the conservation-law auditor and each
-// cached then replayed: the pluggable-CC redesign must compose with the
-// whole option surface, not just run standalone.
+// cached then replayed: the pluggable congestion control must compose
+// with the whole Scenario, not just run standalone.
 func TestVariantSwitchMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many simulation runs")
 	}
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range VariantNames() {
-		v, err := ParseVariant(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	cache, _ := tempCache(t)
+	for _, v := range tcp.Variants() {
 		for mask := 0; mask < 8; mask++ {
-			paced, delack, red := mask&1 != 0, mask&2 != 0, mask&4 != 0
-			label := fmt.Sprintf("%s/paced=%v,delack=%v,red=%v", name, paced, delack, red)
+			s := Scenario{
+				Seed: 3, Link: matrixLink, BufferPackets: 25, Warmup: Second, Measure: 2 * Second,
+				RED:    mask&4 != 0,
+				Sender: Sender{Variant: v, Paced: mask&1 != 0, DelayedAck: mask&2 != 0},
+			}
+			label := fmt.Sprintf("%s/paced=%v,delack=%v,red=%v", v, s.Sender.Paced, s.Sender.DelayedAck, s.RED)
 			t.Run(label, func(t *testing.T) {
-				run := func(opts ...Option) SimulationResult {
-					return Simulate(Simulation{
-						Seed: 3, Link: Link{Rate: 10 * Mbps, RTT: 50 * Millisecond},
-						Flows: 6, BufferPackets: 25,
-						RTTSpread: 20 * Millisecond,
-						Warmup:    1 * Second, Measure: 2 * Second,
-					}, append([]Option{
-						WithCongestionControl(v), WithPacing(paced),
-						WithDelayedACK(delack), WithRED(red),
-					}, opts...)...)
-				}
+				flows := LongLived{Flows: 6, RTTSpread: 20 * Millisecond}
 				aud := NewAuditor()
-				base := run(WithAudit(aud))
+				base := run(t, s, flows, WithAudit(aud))
 				if aud.Count() > 0 {
 					t.Fatalf("audit violations:\n%s", aud)
 				}
 				if base.Utilization <= 0 || base.Utilization > 1.0001 {
 					t.Errorf("utilization = %v", base.Utilization)
 				}
-				if cold := run(WithCacheStore(cache)); !reflect.DeepEqual(cold, base) {
+				if cold := run(t, s, flows, WithCacheStore(cache)); cold != base {
 					t.Errorf("cached run diverged:\ncold %+v\nbase %+v", cold, base)
 				}
-				if warm := run(WithCacheStore(cache)); !reflect.DeepEqual(warm, base) {
+				if warm := run(t, s, flows, WithCacheStore(cache)); warm != base {
 					t.Errorf("cache replay diverged:\nwarm %+v\nbase %+v", warm, base)
 				}
 			})

@@ -1,6 +1,7 @@
 package bufsim
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -16,8 +17,8 @@ import (
 // the four families: PoissonWorkload (stationary short flows),
 // SessionWorkload (closed-loop sessions), TraceWorkload (replay a
 // recorded trace) and ProfileWorkload (time-varying traffic from a
-// Profile). Pass one in ProfileSimulation.Workload or override any
-// entry's config with WithWorkload.
+// Profile). Run one with Generated; the scenario's link and Sender fill
+// the workload's TCP templates.
 type Workload = workload.Source
 
 // SizeDist is a flow-length distribution in segments; see Pareto,
@@ -90,7 +91,7 @@ func ProfileNames() []string { return profile.ProfileNames() }
 // seconds. The loaded profile is validated.
 func LoadProfile(r io.Reader) (Profile, error) { return profile.Load(r) }
 
-// ReadFlows reads a recorded flow trace for TraceWorkload/SimulateTrace,
+// ReadFlows reads a recorded flow trace for TraceWorkload or Trace,
 // sniffing the format: JSON ([{"start": "1.5s", "size": 30}, ...]) or
 // the legacy start_seconds,size_segments CSV. Records must be ordered
 // by start time; out-of-order rows are an error.
@@ -107,8 +108,8 @@ func ArrivalRate(load float64, link Link, sizes SizeDist) float64 {
 // PoissonWorkload is the stationary workload: Poisson arrivals of
 // finite flows at offered load (fraction of the bottleneck, in (0,1)),
 // sizes drawn from the given distribution, senders capped at maxWindow
-// segments (0 means the TCP default). Behind ProfileSimulation it
-// reproduces SimulateShortFlows exactly.
+// segments (0 means the TCP default). Behind Generated, with fixed-size
+// flows, it is the paper's §4 short-flow scenario.
 func PoissonWorkload(load float64, sizes SizeDist, maxWindow int) Workload {
 	return workload.PoissonSource{
 		Load:  load,
@@ -150,7 +151,7 @@ func ProfileWorkload(p Profile, sizes SizeDist, maxWindow int) (Workload, error)
 		return nil, err
 	}
 	if p.Arrival.Max() > 0 && sizes == nil {
-		return nil, fmt.Errorf("bufsim: ProfileWorkload with an arrival curve requires a size distribution")
+		return nil, errors.New("ProfileWorkload with an arrival curve requires a size distribution")
 	}
 	return profile.Source{
 		Profile: p,
@@ -160,86 +161,70 @@ func ProfileWorkload(p Profile, sizes SizeDist, maxWindow int) (Workload, error)
 	}, nil
 }
 
-// ProfileSimulation configures SimulateProfile: any Workload — a
-// time-varying profile, a trace, sessions, or the stationary Poisson
-// source — over a single bottleneck with a given buffer. Station RTTs
-// spread ±40% around Link.RTT, as in SimulateShortFlows.
-type ProfileSimulation struct {
-	Seed int64
-
-	Link          Link
-	BufferPackets int // 0 = unlimited
-	Stations      int // access links sharing the bottleneck (default 50)
-
-	// Workload drives the traffic; WithWorkload overrides it.
+// Generated is the traffic a Workload generates: the stationary,
+// session, trace and profile models all run here. A PoissonWorkload of
+// fixed-size flows is the paper's §4 short-flow scenario; a
+// ProfileWorkload opens the time-varying axis (flash crowds, diurnal
+// swings) that a fixed flow count cannot express. Station RTTs spread
+// +-40% around Link.RTT. Warmup and Measure default to 10 s and 40 s.
+type Generated struct {
 	Workload Workload
-
-	// RED switches the bottleneck to Random Early Detection sized to
-	// BufferPackets (which must then be positive).
-	RED bool
-
-	Warmup, Measure Duration
+	// Stations is how many access links share the bottleneck (default
+	// 50).
+	Stations int
 	// Drain is how long after the measurement window flows may finish
-	// before being counted censored (default 30s).
+	// before they count as censored (default 30 s).
 	Drain Duration
 }
 
-// ProfileResult summarizes SimulateProfile: the bottleneck's view of
-// the traffic (utilization, loss, queue occupancy) and the workload's
-// (active-flow trajectory n(t), flow completion times).
-type ProfileResult = experiment.ProfileRunResult
-
-// SimulateProfile runs a workload scenario — the unified entry point
-// behind which the stationary, session, trace and profile traffic
-// models all sit. A PoissonWorkload here reproduces SimulateShortFlows'
-// AFCT exactly; a ProfileWorkload opens the time-varying axis (flash
-// crowds, diurnal swings) the fixed-n entry points cannot express.
-func SimulateProfile(cfg ProfileSimulation, opts ...Option) ProfileResult {
-	o := applyOptions(opts)
-	w := cfg.Workload
-	if o.workload != nil {
-		w = o.workload
+func (t Generated) lower(s Scenario, env experiment.RunEnv) (func() ProfileResult, error) {
+	src, err := s.bind(t.Workload)
+	path := s.Link.path(0, s.Warmup, s.Measure)
+	path.RTTMin, path.RTTMax = s.Link.RTT*6/10, s.Link.RTT*14/10
+	cfg := experiment.ProfileRunConfig{
+		Seed:          s.Seed,
+		Path:          path,
+		BufferPackets: s.BufferPackets,
+		Source:        src,
+		Stations:      t.Stations,
+		UseRED:        s.RED,
+		Drain:         t.Drain,
+		RunEnv:        env,
 	}
-	if w == nil {
-		panic("bufsim: ProfileSimulation requires a Workload (config field or WithWorkload)")
-	}
-	return experiment.RunProfile(experiment.ProfileRunConfig{
-		Seed:          cfg.Seed,
-		Path:          cfg.Link.shortFlowPath(cfg.Warmup, cfg.Measure),
-		BufferPackets: cfg.BufferPackets,
-		Source:        overrideWorkloadTCP(w, o),
-		Stations:      cfg.Stations,
-		UseRED:        o.useRED(cfg.RED),
-		Drain:         cfg.Drain,
-		RunEnv:        o.env,
-	})
+	return func() ProfileResult { return experiment.RunProfile(cfg) }, firstErr(
+		err,
+		must(t.Stations >= 0 && t.Drain >= 0, "Generated.Stations and Generated.Drain must not be negative (got %d, %v)", t.Stations, t.Drain),
+		s.redBuffer(),
+	)
 }
 
-// overrideWorkloadTCP rewrites a known workload's TCP templates from
-// the congestion-control options, so WithCongestionControl, WithPacing
-// and WithDelayedACK compose with SimulateProfile the way they do with
-// every other entry point. Unknown Source implementations pass through
-// untouched.
-func overrideWorkloadTCP(w Workload, o options) Workload {
-	apply := func(c tcp.Config) tcp.Config {
-		o.tune(&c.Variant, &c.Paced, &c.DelayedAck)
+// bind fills a workload's TCP templates from the scenario: the link's
+// segment size, which the workload's arrival rate and its senders must
+// share with the bottleneck, and the Sender.
+func (s Scenario) bind(w Workload) (Workload, error) {
+	fill := func(c tcp.Config) tcp.Config {
+		c.SegmentSize = s.Link.segment()
+		c.Variant, c.Paced, c.DelayedAck = s.Sender.Variant, s.Sender.Paced, s.Sender.DelayedAck
 		return c
 	}
-	switch s := w.(type) {
+	switch src := w.(type) {
 	case workload.PoissonSource:
-		s.TCP = apply(s.TCP)
-		return s
+		src.TCP = fill(src.TCP)
+		return src, must(src.Load > 0 && src.Load < 1 && src.Sizes != nil,
+			"Generated.Workload: PoissonWorkload needs a load in (0, 1) and a size distribution (got %v, %v)", src.Load, src.Sizes)
 	case workload.SessionSource:
-		s.TCP = apply(s.TCP)
-		return s
+		src.TCP = fill(src.TCP)
+		return src, must(src.Sessions > 0 && src.Sizes != nil,
+			"Generated.Workload: SessionWorkload needs a positive session count and a size distribution (got %d, %v)", src.Sessions, src.Sizes)
 	case workload.TraceSource:
-		s.TCP = apply(s.TCP)
-		return s
+		src.TCP = fill(src.TCP)
+		err := workload.ValidateFlows(src.Flows)
+		return src, must(err == nil, "Generated.Workload: %w", err)
 	case profile.Source:
-		s.TCP = apply(s.TCP)
-		s.LongTCP = apply(s.LongTCP)
-		return s
-	default:
-		return w
+		src.TCP, src.LongTCP = fill(src.TCP), fill(src.LongTCP)
+		return src, nil
+	case nil:
+		return nil, errors.New("Generated.Workload is nil")
 	}
+	return nil, fmt.Errorf("Generated.Workload: unknown workload %T", w)
 }
