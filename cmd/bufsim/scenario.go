@@ -44,9 +44,10 @@ type scenarioFile struct {
 }
 
 // loadScenario reads a scenario file and lowers it. A file must give
-// "rate" and "flows"; the rest defaults as below.
+// "rate" and "flows"; a field left out, empty or zero takes the flag's
+// default, and a zero "bufferFactor" is 1.
 func loadScenario(path string) (bufsim.Scenario, bufsim.LongLived, error) {
-	sf := scenarioFile{RTT: "100ms", RTTSpread: "80ms", BufferFactor: 1, Warmup: "20s", Measure: "40s"}
+	var sf scenarioFile
 	data, err := os.ReadFile(path)
 	if err == nil {
 		dec := json.NewDecoder(bytes.NewReader(data))
@@ -55,6 +56,18 @@ func loadScenario(path string) (bufsim.Scenario, bufsim.LongLived, error) {
 	}
 	if err != nil {
 		return bufsim.Scenario{}, bufsim.LongLived{}, fmt.Errorf("%s: %v", path, err)
+	}
+	orDefault := func(field *string, dflt string) {
+		if *field == "" {
+			*field = dflt
+		}
+	}
+	orDefault(&sf.RTT, "100ms")
+	orDefault(&sf.RTTSpread, "80ms")
+	orDefault(&sf.Warmup, "20s")
+	orDefault(&sf.Measure, "40s")
+	if sf.BufferFactor == 0 {
+		sf.BufferFactor = 1
 	}
 	s, long, err := sf.scenario()
 	if err != nil {

@@ -59,6 +59,22 @@ func TestLoadScenarioExplicitBufferWins(t *testing.T) {
 	if sim.Sender.Variant != bufsim.Reno || sim.Warmup != 20*bufsim.Second {
 		t.Errorf("defaults not applied: %+v", sim)
 	}
+
+	// A zero factor is 1 and an empty duration is its default, as if the
+	// field were left out.
+	path = writeConfig(t, `{"rate": "10Mbps", "flows": 10, "bufferFactor": 0,
+		"rtt": "", "rttSpread": "", "warmup": "", "measure": ""}`)
+	sim, long, err := loadScenario(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sim.Link.SqrtRule(10); sim.BufferPackets != want {
+		t.Errorf("BufferPackets = %d, want the sqrt rule's %d", sim.BufferPackets, want)
+	}
+	if sim.Link.RTT != 100*bufsim.Millisecond || long.RTTSpread != 80*bufsim.Millisecond ||
+		sim.Warmup != 20*bufsim.Second || sim.Measure != 40*bufsim.Second {
+		t.Errorf("empty fields not defaulted: %+v, %+v", sim, long)
+	}
 }
 
 func TestLoadScenarioErrors(t *testing.T) {

@@ -173,8 +173,9 @@ func (t Replicated) lower(s Scenario, env experiment.RunEnv) (func() ReplicatedR
 }
 
 // SingleFlow is one long-lived flow at exactly Link.RTT, the sawtooth of
-// the paper's Figs. 2-5, with its cwnd and queue series. Warmup and
-// Measure default to 100 s and 200 s: a single flow's cycle is long.
+// the paper's Figs. 2-5, with its cwnd and queue series. Its window is
+// fixed at 100 s of warm-up and 200 s measured, because a single flow's
+// cycle is long, so Scenario.Warmup and Measure must stay zero.
 type SingleFlow struct {
 	// BufferFactor sizes the buffer as BufferFactor x BDP: 1 reproduces
 	// Fig. 3, less Fig. 4, more Fig. 5.
@@ -184,7 +185,7 @@ type SingleFlow struct {
 func (t SingleFlow) lower(s Scenario, env experiment.RunEnv) (func() SingleFlowResult, error) {
 	cfg := experiment.SingleFlowConfig{
 		Seed:         s.Seed,
-		Path:         s.Link.fixedPath(s.Warmup, s.Measure),
+		Path:         s.Link.fixedPath(0, 0),
 		BufferFactor: t.BufferFactor,
 		UseRED:       s.RED,
 		Variant:      s.Sender.Variant,
@@ -195,6 +196,8 @@ func (t SingleFlow) lower(s Scenario, env experiment.RunEnv) (func() SingleFlowR
 	return func() SingleFlowResult { return experiment.RunSingleFlow(cfg) }, firstErr(
 		must(t.BufferFactor > 0, "SingleFlow.BufferFactor must be positive (got %v)", t.BufferFactor),
 		unread("SingleFlow", "BufferPackets", s.BufferPackets != 0),
+		unread("SingleFlow", "Warmup", s.Warmup != 0),
+		unread("SingleFlow", "Measure", s.Measure != 0),
 	)
 }
 

@@ -146,6 +146,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"Scenario.Warmup", ok, kind(Trace{})},
 		{"SingleFlow.BufferFactor", with(func(s *Scenario) { s.BufferPackets = 0 }), kind(SingleFlow{})},
 		{"Scenario.BufferPackets", ok, kind(SingleFlow{BufferFactor: 1})},
+		{"Scenario.Warmup", with(func(s *Scenario) { s.BufferPackets, s.Measure = 0, 0 }), kind(SingleFlow{BufferFactor: 1})},
+		{"Scenario.Measure", with(func(s *Scenario) { s.BufferPackets, s.Warmup = 0, 0 }), kind(SingleFlow{BufferFactor: 1})},
 	}
 	for i, c := range cases {
 		t.Run(fmt.Sprintf("%d-%s", i, c.want), func(t *testing.T) {
