@@ -21,14 +21,14 @@ fmt-check:
 		exit 1; \
 	fi
 
-# lint builds the first-party vettool and runs its nine analyzers
-# (simdeterminism, maporder, unitsafety, digestfield, eventcapture,
-# shardsafety, shardownership, slabescape, rngconfinement) over the
-# tree — including cmd/buflint and internal/lint themselves — through
-# go vet's unitchecker protocol. Blocking: any finding fails the build,
-# and so does a stale //lint:ignore. See DESIGN.md "Static analysis".
-lint: $(BIN)/buflint onebed
-	$(GO) vet -vettool=$(abspath $(BIN)/buflint) ./...
+# lint runs onebed and the repo's seven analyzers (simdeterminism,
+# maporder, unitsafety, shardsafety, shardownership, slabescape,
+# rngconfinement) over the tree — including cmd/buflint and
+# internal/lint themselves. Blocking: any finding fails the build, and
+# so does a stale //lint:ignore or one naming an unknown analyzer. See
+# DESIGN.md "Static analysis".
+lint: onebed
+	$(GO) run ./cmd/buflint ./...
 
 # onebed keeps internal/experiment to one test bed: a scheduler or a
 # topology built in any non-test file there other than bed.go is a
@@ -42,9 +42,6 @@ onebed:
 		echo "$$stray" >&2; \
 		exit 1; \
 	fi
-
-$(BIN)/buflint: FORCE
-	$(GO) build -o $(BIN)/buflint ./cmd/buflint
 
 vet:
 	$(GO) vet ./...
@@ -165,4 +162,3 @@ loc:
 clean:
 	rm -rf $(BIN) BENCH_kernel_ci.json BENCH_scale_ci.json
 
-FORCE:

@@ -9,24 +9,29 @@ import (
 // recorded in BENCH_kernel.json so before/after blocks are labelled.
 const kernelDescription = "inlined 4-ary min-heap over pooled event slots with branch-free child selection ((at, seq) compared as one 128-bit number through the subtraction borrow, a full group of four children reduced as a tournament with an arithmetic winner index), typed actor dispatch on hot paths, FIFO wire lanes (key reserved at post time, one heap entry per wire, items in pooled 8-entry chunks), four-entry near run for imminent events and deferred root pop, packets recycled through a per-view pool at the TCP sinks and at the link that drops them (unsharded views), TCP reassembly and SACK state as sorted runs in reused slices, pluggable congestion-control policy behind a per-flow interface"
 
+// churn is the kernel_churn cell's actor: each firing re-posts it 10 ns
+// out until n events have fired.
+type churn struct {
+	s        *sim.Scheduler
+	fired, n int
+}
+
+func (c *churn) OnEvent(int32, any) {
+	c.fired++
+	if c.fired < c.n {
+		c.s.PostAfter(10*units.Nanosecond, c, 0, nil)
+	}
+}
+
 // kernelChurn drives the scheduler through n events with a rolling window
 // of 100 pending timers — the steady-state load a packet simulation
 // produces (every in-flight packet holds a pending transmit/propagate
 // event, every sender an RTO).
 func kernelChurn(n int) {
 	s := sim.NewScheduler()
-	fired := 0
-	var tick func()
-	tick = func() {
-		fired++
-		if fired < n {
-			//lint:ignore eventcapture this benchmark measures the closure-posting path on purpose
-			s.After(10*units.Nanosecond, tick)
-		}
-	}
+	c := &churn{s: s, n: n}
 	for j := 0; j < 100 && j < n; j++ {
-		//lint:ignore eventcapture this benchmark measures the closure-posting path on purpose
-		s.After(units.Duration(j), tick)
+		s.PostAfter(units.Duration(j), c, 0, nil)
 	}
 	s.Run(units.Never.Add(-units.Nanosecond))
 }

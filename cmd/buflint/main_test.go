@@ -1,11 +1,9 @@
 package main_test
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -161,40 +159,6 @@ func Stamp() int64 {
 	}
 }
 
-// TestVetToolProtocol drives the binary the way CI does — through
-// `go vet -vettool` — so the unitchecker handshake (-V=full, -flags,
-// per-package .cfg, export-data import) is exercised end to end.
-func TestVetToolProtocol(t *testing.T) {
-	bin := buildTool(t, t.TempDir())
-	mod := writeModule(t, map[string]string{
-		"go.mod":  "module bufsim\n\ngo 1.22\n",
-		"tiny.go": dirtySource,
-	})
-
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = mod
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet passed over a dirty module:\n%s", out)
-	}
-	text := string(out)
-	if !strings.Contains(text, "wall-clock time.Now") ||
-		!strings.Contains(text, "fmt.Println inside range over a map") {
-		t.Errorf("go vet output missing expected diagnostics:\n%s", text)
-	}
-
-	// And the clean module passes under the same driver.
-	clean := writeModule(t, map[string]string{
-		"go.mod":  "module bufsim\n\ngo 1.22\n",
-		"tiny.go": cleanSource,
-	})
-	cmd = exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = clean
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet failed on a clean module: %v\n%s", err, out)
-	}
-}
-
 // stubSim is a miniature bufsim/internal/sim for synthetic modules: the
 // new analyzers match types by package-path suffix and name, so a stub
 // with the right shapes exercises them without the real kernel.
@@ -270,23 +234,18 @@ func Stale(sl *Slab) float64 {
 }
 `
 
-func writeV2Module(t *testing.T) string {
-	t.Helper()
-	return writeModule(t, map[string]string{
-		"go.mod":                   "module bufsim\n\ngo 1.22\n",
-		"internal/sim/sim.go":      stubSim,
-		"internal/topology/cut.go": shardViolations,
-		"internal/tcp/slab.go":     slabViolations,
-	})
-}
-
 // TestStandaloneDataflowAnalyzers plants exactly one violation for each
 // of the dataflow analyzers (shardownership, rngconfinement,
 // slabescape) in a synthetic module and asserts the exit status and the
 // three diagnostics.
 func TestStandaloneDataflowAnalyzers(t *testing.T) {
 	bin := buildTool(t, t.TempDir())
-	mod := writeV2Module(t)
+	mod := writeModule(t, map[string]string{
+		"go.mod":                   "module bufsim\n\ngo 1.22\n",
+		"internal/sim/sim.go":      stubSim,
+		"internal/topology/cut.go": shardViolations,
+		"internal/tcp/slab.go":     slabViolations,
+	})
 
 	cmd := exec.Command(bin, "./...")
 	cmd.Dir = mod
@@ -309,65 +268,6 @@ func TestStandaloneDataflowAnalyzers(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing diagnostic %q in:\n%s", want, text)
-		}
-	}
-}
-
-// TestStandaloneJSON checks the -json report: every finding carries a
-// 16-hex-digit fingerprint and the timing block names all nine
-// analyzers, so the CI budget is observable.
-func TestStandaloneJSON(t *testing.T) {
-	bin := buildTool(t, t.TempDir())
-	mod := writeV2Module(t)
-
-	cmd := exec.Command(bin, "-json", "./...")
-	cmd.Dir = mod
-	out, err := cmd.Output() // stdout only; exit 2 is expected
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Fatalf("want exit code 2, got %v", err)
-	}
-	var report struct {
-		Findings []struct {
-			Posn        string `json:"posn"`
-			Analyzer    string `json:"analyzer"`
-			Message     string `json:"message"`
-			Fingerprint string `json:"fingerprint"`
-		} `json:"findings"`
-		Timings []struct {
-			Analyzer string  `json:"analyzer"`
-			Millis   float64 `json:"ms"`
-		} `json:"timings"`
-	}
-	if err := json.Unmarshal(out, &report); err != nil {
-		t.Fatalf("parsing -json output: %v\n%s", err, out)
-	}
-	if len(report.Findings) != 3 {
-		t.Fatalf("findings = %d, want 3\n%s", len(report.Findings), out)
-	}
-	fp := regexp.MustCompile(`^[0-9a-f]{16}$`)
-	seen := map[string]bool{}
-	for _, f := range report.Findings {
-		if !fp.MatchString(f.Fingerprint) {
-			t.Errorf("finding %q has malformed fingerprint %q", f.Message, f.Fingerprint)
-		}
-		if seen[f.Fingerprint] {
-			t.Errorf("duplicate fingerprint %s", f.Fingerprint)
-		}
-		seen[f.Fingerprint] = true
-	}
-	timed := map[string]bool{}
-	for _, tm := range report.Timings {
-		if tm.Millis < 0 {
-			t.Errorf("analyzer %s has negative timing %v", tm.Analyzer, tm.Millis)
-		}
-		timed[tm.Analyzer] = true
-	}
-	for _, name := range []string{
-		"simdeterminism", "maporder", "unitsafety", "digestfield", "eventcapture",
-		"shardsafety", "shardownership", "slabescape", "rngconfinement",
-	} {
-		if !timed[name] {
-			t.Errorf("timings missing analyzer %s:\n%s", name, out)
 		}
 	}
 }

@@ -14,11 +14,7 @@ func TestMapOrder(t *testing.T) { linttest.Run(t, lint.MapOrder, "mapord") }
 func TestUnitSafety(t *testing.T) {
 	linttest.Run(t, lint.UnitSafety, "unitsafe", "profileunits", "probeunits")
 }
-func TestDigestField(t *testing.T) {
-	linttest.Run(t, lint.DigestField, "digestcfg", "profilecfg", "advcfg")
-}
-func TestEventCapture(t *testing.T) { linttest.Run(t, lint.EventCapture, "eventcap") }
-func TestShardSafety(t *testing.T)  { linttest.Run(t, lint.ShardSafety, "shardsafe") }
+func TestShardSafety(t *testing.T) { linttest.Run(t, lint.ShardSafety, "shardsafe") }
 func TestShardOwnership(t *testing.T) {
 	linttest.Run(t, lint.ShardOwnership, "shardown")
 }
@@ -29,15 +25,13 @@ func TestRNGConfinement(t *testing.T) {
 	linttest.Run(t, lint.RNGConfinement, "rngconf")
 }
 
-// TestSuiteComplete pins the analyzer roster: the CI gate, the vettool
-// and the docs all promise these nine checks.
+// TestSuiteComplete pins the analyzer roster: the CI gate and the docs
+// promise these seven checks.
 func TestSuiteComplete(t *testing.T) {
 	want := map[string]bool{
 		"simdeterminism": true,
 		"maporder":       true,
 		"unitsafety":     true,
-		"digestfield":    true,
-		"eventcapture":   true,
 		"shardsafety":    true,
 		"shardownership": true,
 		"slabescape":     true,
@@ -84,17 +78,10 @@ func TestAppliesToScopes(t *testing.T) {
 		{lint.UnitSafety, "bufsim/internal/units", false}, // the units package defines the conversions
 		{lint.UnitSafety, "bufsim/internal/tcp", true},
 		{lint.UnitSafety, "bufsim/cmd/bufsim", true},
-		{lint.EventCapture, "bufsim/internal/sim", false}, // sim defines the closure entry points
-		{lint.EventCapture, "bufsim/internal/workload", true},
-		{lint.EventCapture, "bufsim/internal/workload/profile", true},
 		{lint.UnitSafety, "bufsim/internal/workload/profile", true},
 		{lint.UnitSafety, "bufsim/internal/adversary", true},
 		{lint.UnitSafety, "bufsim/internal/probe", true},
-		{lint.EventCapture, "bufsim/internal/adversary", true},
-		{lint.DigestField, "bufsim/internal/workload/profile", true},
-		{lint.EventCapture, "bufsim/internal/experiment", true},
 		{lint.MapOrder, "bufsim/internal/experiment", true},
-		{lint.DigestField, "bufsim/internal/experiment", true},
 		{lint.ShardSafety, "bufsim/internal/queue", true},
 		{lint.ShardSafety, "bufsim/internal/tcp", true},
 		{lint.ShardSafety, "bufsim/internal/workload", true},

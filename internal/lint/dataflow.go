@@ -540,28 +540,6 @@ func funcDecls(files []*ast.File) []*ast.FuncDecl {
 	return out
 }
 
-// enclosingFuncName names the innermost function declaration containing
-// pos ("(*Dumbbell).buildStation" style receivers elided to the bare
-// method name), or "" at package scope. Used to build position-stable
-// finding fingerprints.
-func enclosingFuncName(files []*ast.File, pos token.Pos) string {
-	for _, f := range files {
-		if pos < f.Pos() || pos >= f.End() {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if pos >= fd.Pos() && pos < fd.End() {
-				return fd.Name.Name
-			}
-		}
-	}
-	return ""
-}
-
 // posKey renders a position as a stable tag key.
 func posKey(pass *Pass, pos token.Pos) string {
 	return pass.Fset.Position(pos).String()

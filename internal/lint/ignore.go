@@ -86,13 +86,10 @@ func (idx *ignoreIndex) suppressed(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// stale returns the directives that suppressed nothing even though every
-// analyzer they name ran — dead weight that hides the next real finding
-// at that line. Directives naming an analyzer outside the run set are
-// skipped (a single-analyzer run can't judge them), as are directives in
-// _test.go files (test diagnostics are dropped before suppression, so
-// they never record hits).
-func (idx *ignoreIndex) stale(ran map[string]bool) []*ignoreDirective {
+// directives returns the well-formed directives outside _test.go files,
+// in position order. Test files are left out because their diagnostics
+// are dropped before suppression, so their directives never record hits.
+func (idx *ignoreIndex) directives() []*ignoreDirective {
 	files := make([]string, 0, len(idx.byFile))
 	for file := range idx.byFile {
 		files = append(files, file)
@@ -100,35 +97,44 @@ func (idx *ignoreIndex) stale(ran map[string]bool) []*ignoreDirective {
 	sort.Strings(files)
 	var out []*ignoreDirective
 	for _, file := range files {
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
-		for _, d := range idx.byFile[file] {
-			if d.hits > 0 {
-				continue
-			}
-			covered := true
-			for name := range d.analyzers {
-				if !ran[name] {
-					covered = false
-					break
-				}
-			}
-			if covered {
-				out = append(out, d)
-			}
+		if !strings.HasSuffix(file, "_test.go") {
+			out = append(out, idx.byFile[file]...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
 	return out
 }
 
-// names renders the directive's analyzer list deterministically.
-func (d *ignoreDirective) names() string {
+// stale returns the directives that suppressed nothing even though every
+// analyzer they name ran — dead weight that hides the next real finding
+// at that line. Directives naming an analyzer outside the run set are
+// skipped: a single-analyzer run can't judge them.
+func (idx *ignoreIndex) stale(ran map[string]bool) []*ignoreDirective {
+	var out []*ignoreDirective
+	for _, d := range idx.directives() {
+		if d.hits > 0 {
+			continue
+		}
+		covered := true
+		for name := range d.analyzers {
+			if !ran[name] {
+				covered = false
+				break
+			}
+		}
+		if covered {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// sortedNames returns the directive's analyzer list in sorted order.
+func (d *ignoreDirective) sortedNames() []string {
 	out := make([]string, 0, len(d.analyzers))
 	for n := range d.analyzers {
 		out = append(out, n)
 	}
 	sort.Strings(out)
-	return strings.Join(out, ",")
+	return out
 }

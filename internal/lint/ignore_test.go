@@ -65,3 +65,31 @@ func f() int {
 		t.Fatalf("got findings %v, want none", findings)
 	}
 }
+
+// TestUnknownAnalyzerDirective: a directive naming an analyzer outside
+// the suite — a typo, or one since deleted — is reported under
+// lintdirective. Such an analyzer never runs, so the directive could
+// never go stale and would otherwise be kept forever.
+func TestUnknownAnalyzerDirective(t *testing.T) {
+	for _, names := range []string{"simdeterminsm", "maporder,eventcapture"} {
+		fset, files := parseOne(t, `package p
+
+func f() int {
+	//lint:ignore `+names+` a reason
+	return 1
+}
+`)
+		findings, err := lint.RunAnalyzers(fset, files, nil, nil, "p", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(findings) != 1 {
+			t.Fatalf("%s: got %d findings, want 1: %v", names, len(findings), findings)
+		}
+		f := findings[0]
+		bad := names[strings.LastIndexByte(names, ',')+1:]
+		if f.Analyzer != "lintdirective" || !strings.Contains(f.Message, `unknown analyzer "`+bad+`"`) || f.Position.Line != 4 {
+			t.Errorf("%s: unexpected finding: %+v", names, f)
+		}
+	}
+}

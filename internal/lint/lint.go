@@ -13,10 +13,6 @@
 //   - maporder: no order-dependent work inside `range` over a map.
 //   - unitsafety: no bare numeric literals or cross-unit conversions
 //     where units.* quantities are expected.
-//   - digestfield: every exported config field is visible to the
-//     runcache digest or explicitly ignored.
-//   - eventcapture: hot paths use the pooled kernel's Actor dispatch,
-//     not closure posting, and never compare Event handles.
 //   - shardsafety: the cross-shard scheduling surface stays confined to
 //     the shard-aware layers, so the topology cut remains the only
 //     place events cross shards — the structural fact the sharded
@@ -33,18 +29,19 @@
 // The analyzers mirror the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but are built purely on the standard
 // library so the module stays dependency-free; the flow-aware checks
-// share the intraprocedural engine in dataflow.go. cmd/buflint
-// assembles the suite into a vettool speaking the `go vet -vettool`
-// protocol.
+// share the intraprocedural engine in dataflow.go. Run drives the suite
+// over a module from source; cmd/buflint and TestTreeIsClean both call
+// it.
 //
 // Intentional exceptions are suppressed in source with
 //
 //	//lint:ignore <analyzer>[,<analyzer>] <reason>
 //
 // on, or on the line before, the offending line. A directive without a
-// reason is itself a diagnostic (lintdirective), and so is a directive
-// whose finding no longer fires (lintstale): suppressions may only
-// cover live findings, so the count can only shrink.
+// reason, or naming an analyzer outside the suite, is itself a
+// diagnostic (lintdirective), and so is a directive whose finding no
+// longer fires (lintstale): suppressions may only cover live findings,
+// so the count can only shrink.
 package lint
 
 import (
@@ -52,15 +49,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"hash/fnv"
-	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Analyzer is one static check. It mirrors the x/tools analysis.Analyzer
-// surface that cmd/buflint and linttest need, so the suite can migrate to
+// surface that the driver and linttest need, so the suite can migrate to
 // the upstream framework without touching the checks themselves.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
@@ -88,8 +82,7 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// PkgPath is the import path being analyzed, normalized (test
-	// variant suffixes stripped).
+	// PkgPath is the import path being analyzed.
 	PkgPath string
 
 	report func(Diagnostic)
@@ -108,30 +101,15 @@ type Diagnostic struct {
 	Message  string
 }
 
-// Finding is a rendered diagnostic, positioned absolutely and carrying a
-// stable fingerprint.
+// Finding is a rendered diagnostic, positioned absolutely.
 type Finding struct {
 	Position token.Position
 	Analyzer string
 	Message  string
-
-	// Fingerprint identifies the finding across unrelated edits: an
-	// FNV-64a hash of (package, analyzer, file, enclosing function,
-	// message), deliberately excluding line and column so findings keep
-	// their identity as code moves around them.
-	Fingerprint string
 }
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Position, f.Message, f.Analyzer)
-}
-
-// AnalyzerTiming is one analyzer's wall-time cost over one package (or,
-// aggregated by the callers, a whole run). Reported in buflint's -json
-// output so the blocking CI lint job's budget is observable.
-type AnalyzerTiming struct {
-	Analyzer string
-	Elapsed  time.Duration
 }
 
 // Analyzers returns the full buflint suite, in reporting order.
@@ -140,8 +118,6 @@ func Analyzers() []*Analyzer {
 		SimDeterminism,
 		MapOrder,
 		UnitSafety,
-		DigestField,
-		EventCapture,
 		ShardSafety,
 		ShardOwnership,
 		SlabEscape,
@@ -149,34 +125,16 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// NormalizePkgPath strips the " [pkg.test]" variant suffix go vet appends
-// to import paths of packages rebuilt for testing.
-func NormalizePkgPath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	return path
-}
-
 // RunAnalyzers runs the given analyzers over one type-checked package and
-// returns the surviving findings; see RunAnalyzersTimed.
+// returns the surviving findings: suppression directives are honored,
+// diagnostics in _test.go files are dropped (the determinism contract
+// binds the simulator, not its tests), malformed directives and
+// directives naming an analyzer outside Analyzers() are reported under
+// the pseudo-analyzer "lintdirective", and directives that suppressed
+// nothing even though every analyzer they name ran are reported under
+// "lintstale". Findings are sorted by position.
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, pkgPath string, analyzers []*Analyzer) ([]Finding, error) {
-	findings, _, err := RunAnalyzersTimed(fset, files, pkg, info, pkgPath, analyzers)
-	return findings, err
-}
-
-// RunAnalyzersTimed runs the given analyzers over one type-checked
-// package and returns the surviving findings plus per-analyzer timings:
-// suppression directives are honored, diagnostics in _test.go files are
-// dropped (the determinism contract binds the simulator, not its tests),
-// malformed directives are reported under the pseudo-analyzer
-// "lintdirective", and directives that suppressed nothing even though
-// every analyzer they name ran are reported under "lintstale". Findings
-// are sorted by position.
-func RunAnalyzersTimed(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, pkgPath string, analyzers []*Analyzer) ([]Finding, []AnalyzerTiming, error) {
-	pkgPath = NormalizePkgPath(pkgPath)
 	var diags []Diagnostic
-	var timings []AnalyzerTiming
 	ran := make(map[string]bool)
 	for _, a := range analyzers {
 		ran[a.Name] = true
@@ -192,22 +150,14 @@ func RunAnalyzersTimed(fset *token.FileSet, files []*ast.File, pkg *types.Packag
 			PkgPath:  pkgPath,
 			report:   func(d Diagnostic) { diags = append(diags, d) },
 		}
-		start := time.Now()
-		err := a.Run(pass)
-		timings = append(timings, AnalyzerTiming{Analyzer: a.Name, Elapsed: time.Since(start)})
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %v", a.Name, err)
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %v", a.Name, err)
 		}
 	}
 	idx := newIgnoreIndex(fset, files)
 	var out []Finding
 	emit := func(pos token.Position, analyzer, message string) {
-		out = append(out, Finding{
-			Position:    pos,
-			Analyzer:    analyzer,
-			Message:     message,
-			Fingerprint: fingerprint(files, fset, pkgPath, pos, analyzer, message),
-		})
+		out = append(out, Finding{Position: pos, Analyzer: analyzer, Message: message})
 	}
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
@@ -226,9 +176,23 @@ func RunAnalyzersTimed(fset *token.FileSet, files []*ast.File, pkg *types.Packag
 		}
 		emit(pos, "lintdirective", "malformed //lint:ignore directive: want //lint:ignore <analyzer> <reason>")
 	}
+	known := make(map[string]bool)
+	var suite []string
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+		suite = append(suite, a.Name)
+	}
+	for _, d := range idx.directives() {
+		for _, n := range d.sortedNames() {
+			if !known[n] {
+				// It never runs, so the directive could never go stale.
+				emit(fset.Position(d.pos), "lintdirective", fmt.Sprintf("//lint:ignore names unknown analyzer %q (the suite is %s)", n, strings.Join(suite, ", ")))
+			}
+		}
+	}
 	for _, d := range idx.stale(ran) {
 		pos := fset.Position(d.pos)
-		emit(pos, "lintstale", fmt.Sprintf("stale //lint:ignore %s directive: no suppressed finding fires here anymore; delete it", d.names()))
+		emit(pos, "lintstale", fmt.Sprintf("stale //lint:ignore %s directive: no suppressed finding fires here anymore; delete it", strings.Join(d.sortedNames(), ",")))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Position, out[j].Position
@@ -243,29 +207,5 @@ func RunAnalyzersTimed(fset *token.FileSet, files []*ast.File, pkg *types.Packag
 		}
 		return out[i].Analyzer < out[j].Analyzer
 	})
-	return out, timings, nil
-}
-
-// fingerprint hashes the position-independent identity of a finding.
-// Line and column stay out of the hash so unrelated edits above a
-// finding don't change its identity; the enclosing function name keeps
-// two same-message findings in different functions distinct.
-func fingerprint(files []*ast.File, fset *token.FileSet, pkgPath string, pos token.Position, analyzer, message string) string {
-	fn := ""
-	for _, f := range files {
-		tf := fset.File(f.Pos())
-		if tf == nil || tf.Name() != pos.Filename {
-			continue
-		}
-		if pos.Offset >= 0 && pos.Offset < tf.Size() {
-			fn = enclosingFuncName([]*ast.File{f}, tf.Pos(pos.Offset))
-		}
-		break
-	}
-	h := fnv.New64a()
-	for _, part := range []string{pkgPath, analyzer, filepath.Base(pos.Filename), fn, message} {
-		h.Write([]byte(part))
-		h.Write([]byte{0})
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return out, nil
 }

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Module is one root the loader can resolve import paths under. A Module
@@ -276,41 +275,22 @@ func ExpandPatterns(mod Module, patterns []string) ([]string, error) {
 // Run loads every package matched by patterns under the module and runs
 // the analyzers, returning all surviving findings sorted by position.
 func Run(mod Module, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
-	findings, _, err := RunTimed(mod, patterns, analyzers)
-	return findings, err
-}
-
-// RunTimed is Run plus per-analyzer wall time aggregated across all
-// loaded packages, in suite order.
-func RunTimed(mod Module, patterns []string, analyzers []*Analyzer) ([]Finding, []AnalyzerTiming, error) {
 	paths, err := ExpandPatterns(mod, patterns)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	loader := NewLoader(mod)
 	var findings []Finding
-	total := make(map[string]time.Duration)
-	var order []string
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		fs, ts, err := RunAnalyzersTimed(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, pkg.PkgPath, analyzers)
+		fs, err := RunAnalyzers(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, pkg.PkgPath, analyzers)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		findings = append(findings, fs...)
-		for _, t := range ts {
-			if _, ok := total[t.Analyzer]; !ok {
-				order = append(order, t.Analyzer)
-			}
-			total[t.Analyzer] += t.Elapsed
-		}
 	}
-	timings := make([]AnalyzerTiming, 0, len(order))
-	for _, name := range order {
-		timings = append(timings, AnalyzerTiming{Analyzer: name, Elapsed: total[name]})
-	}
-	return findings, timings, nil
+	return findings, nil
 }

@@ -123,31 +123,20 @@ func checkRNGConfinementFunc(pass *Pass, fd *ast.FuncDecl) {
 			if viewKey == "" {
 				return true
 			}
-			bindStream := func(v *types.Var, pos ast.Expr) {
-				prior, bound := streamView[v]
-				if !bound {
-					streamView[v] = viewKey
-					return
-				}
-				if prior != viewKey && pass2 == 1 {
-					pass.Reportf(pos.Pos(), "RNG stream %s is scheduled through %s but already belongs to %s; a stream is shard-local — Fork a new one per shard", v.Name(), viewKey, prior)
-					// Keep the first binding so one bad rebinding
-					// doesn't cascade.
-				}
-			}
 			for _, arg := range call.Args {
-				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-					for v := range freeVars(pass, ff, lit) {
-						if isRNGType(v.Type()) {
-							bindStream(v, arg)
-						}
-					}
+				if t := pass.Info.Types[arg].Type; t == nil || !isRNGType(t) {
 					continue
 				}
-				if t := pass.Info.Types[arg].Type; t != nil && isRNGType(t) {
-					if v := ff.localVar(arg); v != nil {
-						bindStream(v, arg)
-					}
+				v := ff.localVar(arg)
+				if v == nil {
+					continue
+				}
+				// Keep the first binding so one bad rebinding doesn't
+				// cascade.
+				if prior, bound := streamView[v]; !bound {
+					streamView[v] = viewKey
+				} else if prior != viewKey && pass2 == 1 {
+					pass.Reportf(arg.Pos(), "RNG stream %s is scheduled through %s but already belongs to %s; a stream is shard-local — Fork a new one per shard", v.Name(), viewKey, prior)
 				}
 			}
 			return true

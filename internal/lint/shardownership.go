@@ -13,16 +13,15 @@ import (
 // shard k may see it again. The dataflow engine tracks which scheduler
 // view each local came from and which view each posted value was bound
 // to; passing a value bound to one view through a second view — as a
-// post argument, a captured closure variable, or a store into another
-// shard's state — is exactly the aliasing that makes a sharded run
-// diverge from the sequential one, and that -race only catches when the
-// schedule happens to interleave. The sanctioned crossing is
+// post argument or a store into another shard's state — is exactly the
+// aliasing that makes a sharded run diverge from the sequential one, and
+// that -race only catches when the schedule happens to interleave. The sanctioned crossing is
 // PostToAt/PostToAfter with a Target: the frontier merge serializes it.
 var ShardOwnership = &Analyzer{
 	Name: "shardownership",
 	Doc: "values bound to ShardView(k) may only be scheduled through shard k; " +
 		"cross-shard work must flow through PostToAt/PostToAfter(Target), " +
-		"and closures or struct fields must not alias state across shard views",
+		"and struct fields must not alias state across shard views",
 	AppliesTo: func(pkgPath string) bool {
 		// The kernel itself implements the frontier and legitimately
 		// touches every view; the linter has no scheduler state.
@@ -32,15 +31,12 @@ var ShardOwnership = &Analyzer{
 }
 
 // schedBindMethods are the Scheduler methods that bind their reference
-// arguments (actors, payloads, closures) to the view they are called
-// on: the kernel will dispatch them on that view's shard.
+// arguments (actors, payloads, event handles) to the view they are
+// called on: the kernel will dispatch them on that view's shard.
 var schedBindMethods = map[string]bool{
-	"PostAt":     true,
-	"PostAfter":  true,
-	"At":         true,
-	"After":      true,
-	"Reschedule": true,
-	"Cancel":     true,
+	"PostAt":    true,
+	"PostAfter": true,
+	"Cancel":    true,
 }
 
 func isSchedulerMethodCall(pass *Pass, call *ast.CallExpr) (*ast.SelectorExpr, string, bool) {
@@ -207,23 +203,7 @@ func checkShardOwnershipFunc(pass *Pass, fd *ast.FuncDecl) {
 				continue
 			}
 			for _, arg := range s.call.Args {
-				argT := pass.Info.Types[arg].Type
-				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-					for v, pos := range freeVars(pass, ff, lit) {
-						if !bindableType(v.Type()) {
-							continue
-						}
-						if prior := singleOther(ff.vars[v], "bind", viewKey); prior != "" {
-							record(pos, "closure scheduled through "+viewKey+" captures "+v.Name()+", which is bound to "+prior+"; cross-shard work must go through PostToAt/PostToAfter")
-						} else if ff.seed(v, tag{kind: "bind", key: viewKey}, pos) {
-							// Keep the first binding: one bad crossing is one
-							// finding, not a symmetric pair.
-							changed = true
-						}
-					}
-					continue
-				}
-				if !bindableType(argT) {
+				if !bindableType(pass.Info.Types[arg].Type) {
 					continue
 				}
 				if prior := singleOther(ff.exprTags(arg), "bind", viewKey); prior != "" {
@@ -316,29 +296,4 @@ func singleOther(ts tagSet, kind, k string) string {
 		}
 	}
 	return other
-}
-
-// freeVars returns the function-local variables a literal captures from
-// its enclosing function, each with the position of one capturing use.
-func freeVars(pass *Pass, ff *funcFlow, lit *ast.FuncLit) map[*types.Var]token.Pos {
-	out := make(map[*types.Var]token.Pos)
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := pass.Info.Uses[id].(*types.Var)
-		if !ok || v.IsField() {
-			return true
-		}
-		// Declared in the enclosing function but outside the literal.
-		if v.Pos() >= ff.node.Pos() && v.Pos() < ff.node.End() &&
-			(v.Pos() < lit.Pos() || v.Pos() >= lit.End()) {
-			if _, seen := out[v]; !seen {
-				out[v] = id.Pos()
-			}
-		}
-		return true
-	})
-	return out
 }

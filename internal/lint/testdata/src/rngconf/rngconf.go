@@ -23,25 +23,25 @@ func frontierRNG(s *sim.Scheduler, a *source) {
 	s.PostToAfter(units.Second, tg, opPull, rng) // want `RNG stream rng crosses the shard frontier through PostToAfter`
 }
 
-// twoShardStream draws one stream from closures on two shards.
-func twoShardStream(s *sim.Scheduler) {
+// twoShardStream hands one stream to events on two shards.
+func twoShardStream(s *sim.Scheduler, a0, a1 *source) {
 	rng := sim.NewRNG(1)
 	v0 := s.ShardView(0)
 	v1 := s.ShardView(1)
-	v0.After(units.Second, func() { _ = rng.Float64() })
-	v1.After(units.Second, func() { _ = rng.Float64() }) // want `RNG stream rng is scheduled through ShardView\(1\) but already belongs to ShardView\(0\)`
+	v0.PostAfter(units.Second, a0, opPull, rng)
+	v1.PostAfter(units.Second, a1, opPull, rng) // want `RNG stream rng is scheduled through ShardView\(1\) but already belongs to ShardView\(0\)`
 }
 
 // forkPerShard is the sanctioned idiom: each shard draws from its own
 // fork.
-func forkPerShard(s *sim.Scheduler) {
+func forkPerShard(s *sim.Scheduler, a0, a1 *source) {
 	parent := sim.NewRNG(1)
 	v0 := s.ShardView(0)
 	v1 := s.ShardView(1)
 	r0 := parent.Fork()
 	r1 := parent.Fork()
-	v0.After(units.Second, func() { _ = r0.Float64() })
-	v1.After(units.Second, func() { _ = r1.Float64() })
+	v0.PostAfter(units.Second, a0, opPull, r0)
+	v1.PostAfter(units.Second, a1, opPull, r1)
 }
 
 type cfg struct{ Shards int }

@@ -1,7 +1,7 @@
 // Package shardown is the shardownership fixture: state handed to
 // ShardView(k) belongs to shard k, and only shard k may see it again.
-// Scheduling it through another view — directly, via closure capture,
-// or by aliasing through a field store — is the violation; the
+// Scheduling it through another view — directly, or by aliasing through
+// a field store — is the violation; the
 // PostToAt/PostToAfter(Target) frontier, one view per component, and
 // helpers handed a single arbitrary view are the blessed idioms.
 package shardown
@@ -15,7 +15,6 @@ const opKick = 1
 
 type actor struct {
 	peer *actor
-	n    int
 }
 
 func (a *actor) OnEvent(op int32, arg any) {}
@@ -27,14 +26,6 @@ func doubleBind(s *sim.Scheduler, a *actor) {
 	v1 := s.ShardView(1)
 	v0.PostAfter(units.Second, a, opKick, nil)
 	v1.PostAfter(units.Second, a, opKick, nil) // want `a crosses shard views: bound to ShardView\(0\), now scheduled through ShardView\(1\)`
-}
-
-// closureAlias captures shard 0's actor in a closure run on shard 1.
-func closureAlias(s *sim.Scheduler, a *actor) {
-	v0 := s.ShardView(0)
-	v1 := s.ShardView(1)
-	v0.PostAfter(units.Second, a, opKick, nil)
-	v1.After(units.Second, func() { a.n++ }) // want `closure scheduled through ShardView\(1\) captures a, which is bound to ShardView\(0\)`
 }
 
 // eventRebind cancels shard 0's event through shard 1's view: the

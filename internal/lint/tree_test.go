@@ -9,9 +9,9 @@ import (
 // TestTreeIsClean runs every analyzer over the real module and demands
 // zero findings: the contracts buflint enforces are not aspirational,
 // the tree actually satisfies them (modulo reasoned //lint:ignore
-// directives). This is the same check CI runs through
-// `go vet -vettool=buflint`, kept here too so `go test ./...` alone
-// catches a violation.
+// directives). This is the same check `make lint` runs through
+// cmd/buflint, kept here too so `go test ./...` alone catches a
+// violation.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")

@@ -58,10 +58,10 @@ func ignored(t reflect.Type) bool {
 // type names are NOT part of the encoding — the kind string carries the
 // semantic identity of the computation — but the concrete type behind an
 // interface value is, since different implementations of e.g. a size
-// distribution mean different workloads. Unexported fields, funcs,
-// channels and fields of a DigestIgnore-marked struct type are skipped.
-// Digesting an unsupported value (e.g. a bare func) panics: configs must
-// stay digestable.
+// distribution mean different workloads. Unexported fields and fields of
+// a DigestIgnore-marked struct type are skipped. Any other func, chan or
+// unsafe.Pointer value panics, at any depth: it cannot be digested, and
+// skipping it would let two different runs share one key.
 func Key(salt, kind string, cfg any) string {
 	h := sha256.New()
 	io.WriteString(h, salt)
@@ -107,10 +107,6 @@ func encodeValue(w hash.Hash, v reflect.Value) {
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			if !f.IsExported() || ignored(f.Type) {
-				continue
-			}
-			switch f.Type.Kind() {
-			case reflect.Func, reflect.Chan, reflect.UnsafePointer:
 				continue
 			}
 			names = append(names, f.Name)

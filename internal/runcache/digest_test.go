@@ -1,6 +1,9 @@
 package runcache
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // abOrder and baOrder declare the same fields in opposite source order;
 // the canonical digest must not see the difference.
@@ -168,6 +171,42 @@ func TestKeyMapOrderIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyFuncChanUnsafeFieldsPanic: a func, chan or unsafe.Pointer
+// field cannot move the key, so digesting one panics — unless it sits
+// in a DigestIgnore type, where it is skipped with the rest.
+func TestKeyFuncChanUnsafeFieldsPanic(t *testing.T) {
+	type withFunc struct{ F func() }
+	type withChan struct{ C chan int }
+	type withUnsafe struct{ P unsafe.Pointer }
+	for _, cfg := range []any{withFunc{}, withChan{}, withUnsafe{}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Key(%T) did not panic", cfg)
+				}
+			}()
+			Key("s", "k", cfg)
+		}()
+	}
+	type point struct {
+		Seed int64
+		Env  hiddenEnv
+	}
+	want := Key("s", "k", struct{ Seed int64 }{1})
+	if got := Key("s", "k", point{Seed: 1, Env: hiddenEnv{F: func() {}, C: make(chan int)}}); got != want {
+		t.Fatalf("func/chan/unsafe fields of a DigestIgnore type moved the key")
+	}
+}
+
+// hiddenEnv is an observer type holding the three undigestable kinds.
+type hiddenEnv struct {
+	F func()
+	C chan int
+	P unsafe.Pointer
+}
+
+func (hiddenEnv) DigestIgnore() {}
 
 func TestKeyUnsupportedKindPanics(t *testing.T) {
 	defer func() {

@@ -24,9 +24,9 @@ func TestKernelCleanUnderAudit(t *testing.T) {
 
 	// Zero-duration events: fire at the current instant, in FIFO order.
 	var order []int
-	s.At(10, func() {
-		s.After(0, func() { order = append(order, 1) })
-		s.After(0, func() { order = append(order, 2) })
+	fnAt(s, 10, func() {
+		fnAfter(s, 0, func() { order = append(order, 1) })
+		fnAfter(s, 0, func() { order = append(order, 2) })
 	})
 	s.Run(20)
 	verify()
@@ -36,17 +36,17 @@ func TestKernelCleanUnderAudit(t *testing.T) {
 
 	// Stale handles: cancel after fire, cancel after recycle, reschedule
 	// a stale handle — all while the auditor watches the heap/slot links.
-	e1 := s.At(30, func() {})
+	e1 := fnAt(s, 30, func() {})
 	s.Run(40)
 	s.Cancel(e1)
 	fired := false
-	e2 := s.At(50, func() { fired = true })
+	e2 := fnAt(s, 50, func() { fired = true })
 	s.Cancel(e1) // stale again, e2 likely occupies e1's slot
 	verify()
 	if !s.Active(e2) {
 		t.Fatal("stale cancel killed a live event")
 	}
-	e3 := s.Reschedule(e1, 60, func() {})
+	e3 := reschedule(s, e1, 60, func() {})
 	verify()
 	s.Run(70)
 	verify()
@@ -57,7 +57,7 @@ func TestKernelCleanUnderAudit(t *testing.T) {
 	// Churn: interleaved schedule/cancel across many recycles.
 	var handles []Event
 	for i := 0; i < 200; i++ {
-		handles = append(handles, s.At(units.Time(100+i%7), func() {}))
+		handles = append(handles, fnAt(s, units.Time(100+i%7), func() {}))
 		if i%3 == 0 {
 			s.Cancel(handles[i/2])
 		}
@@ -88,7 +88,7 @@ func (a *fuzzActor) react(c byte) {
 		a.handles = append(a.handles, a.s.PostAfter(d, a, 0, byte(0)))
 	}
 	if c&0x20 != 0 { // a closure child at half the distance, which has a child of its own
-		a.handles = append(a.handles, a.s.After(d/2, func() { a.react(0x10 | c&0x03) }))
+		a.handles = append(a.handles, fnAfter(a.s, d/2, func() { a.react(0x10 | c&0x03) }))
 	}
 	if c&0x40 != 0 && len(a.handles) > 0 {
 		a.s.Cancel(a.handles[int(c&0x0f)%len(a.handles)])
@@ -120,7 +120,7 @@ func FuzzSchedulerInvariants(f *testing.F) {
 			op, b, c := data[i]>>6, data[i]&0x3f, data[i+1]
 			switch op {
 			case 0: // schedule a closure event b ticks out
-				a.handles = append(a.handles, s.After(units.Duration(b), func() { a.react(c) }))
+				a.handles = append(a.handles, fnAfter(s, units.Duration(b), func() { a.react(c) }))
 			case 1: // typed event b ticks out: plain, or (upper half) on lane b&1
 				if b < 32 {
 					a.handles = append(a.handles, s.PostAfter(units.Duration(b), a, int32(b), c))

@@ -92,7 +92,7 @@ func (l *Lane) PostAfter(d units.Duration, arg any) {
 	}
 	if t < s.laneChunks[l.tail][l.toff-1].at {
 		s.laneFallbacks++
-		s.scheduleBase(t, nil, l.actor, l.op, arg, globalClass)
+		s.scheduleBase(t, l.actor, l.op, arg, globalClass)
 		return
 	}
 	seq := s.seq

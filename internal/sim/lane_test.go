@@ -61,7 +61,7 @@ func (tw *laneTwin) op() {
 	case r < 7: // plain typed post, sometimes on a lane's own opcode
 		tw.handles = append(tw.handles, tw.s.PostAfter(d, tw, int32(tw.rng.Intn(twinLanes+2)), id))
 	case r < 8: // closure
-		tw.handles = append(tw.handles, tw.s.After(d, func() {
+		tw.handles = append(tw.handles, fnAfter(tw.s, d, func() {
 			tw.log = append(tw.log, fmt.Sprintf("%v fn #%d", tw.s.Now(), id))
 		}))
 	default: // cancel any handle: live, fired or recycled

@@ -148,7 +148,7 @@ func (r *oracleRun) op() {
 		r.events = append(r.events, r.o.post(t, id, -1))
 	case k < 7: // closure
 		r.classify(t)
-		r.handles = append(r.handles, s.After(d, func() { r.dispatched(id) }))
+		r.handles = append(r.handles, fnAfter(s, d, func() { r.dispatched(id) }))
 		r.events = append(r.events, r.o.post(t, id, -1))
 	case k < 10: // lane post
 		l := r.rng.Intn(oracleLanes)
@@ -363,8 +363,8 @@ func TestAuditCoversNearRun(t *testing.T) {
 		s := NewScheduler()
 		aud := audit.New()
 		s.SetAuditor(aud)
-		s.At(50, func() {})
-		s.At(5, func() {})
+		fnAt(s, 50, func() {})
+		fnAt(s, 5, func() {})
 		if s.nearN == 0 || s.near[s.nearN-1].at != 5 {
 			t.Fatalf("the event at 5 is not the near run's front (%d events there)", s.nearN)
 		}
@@ -387,9 +387,9 @@ func TestVerifyInvariantsCatchesNearRunCorruption(t *testing.T) {
 		"hole left":       func(s *Scheduler) { s.hole = 1 },
 	} {
 		s := NewScheduler()
-		s.At(50, func() {})
-		s.At(3, func() {})
-		s.At(2, func() {})
+		fnAt(s, 50, func() {})
+		fnAt(s, 3, func() {})
+		fnAt(s, 2, func() {})
 		if err := s.VerifyInvariants(); err != nil || s.nearN < 2 {
 			t.Fatalf("%s: before the damage: near=%d, %v", name, s.nearN, err)
 		}
@@ -409,11 +409,11 @@ func TestPanickingHandlerLeavesUsableScheduler(t *testing.T) {
 		var order []int
 		for i := 1; i <= 6; i++ {
 			i := i
-			s.At(units.Time(10*i), func() { order = append(order, i) })
+			fnAt(s, units.Time(10*i), func() { order = append(order, i) })
 		}
 		// By 45 the near run has drained, so this fires from the heap root.
-		s.At(45, func() { panic("handler failed") })
-		victim := s.At(55, func() { order = append(order, 55) })
+		fnAt(s, 45, func() { panic("handler failed") })
+		victim := fnAt(s, 55, func() { order = append(order, 55) })
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -433,7 +433,7 @@ func TestPanickingHandlerLeavesUsableScheduler(t *testing.T) {
 			s.Step()
 		case "Cancel":
 			s.Cancel(victim)
-			victim = s.At(55, func() { order = append(order, 55) })
+			victim = fnAt(s, 55, func() { order = append(order, 55) })
 		}
 		if err := s.VerifyInvariants(); err != nil {
 			t.Fatalf("%s after a recovered panic: %v", resume, err)

@@ -158,9 +158,9 @@ func (s *Scheduler) TargetFor(a Actor) Target {
 // different shard, t must respect the lookahead (t >= window end).
 func (s *Scheduler) PostToAt(t units.Time, tg Target, op int32, arg any) Event {
 	if s.eng != nil {
-		return s.eng.scheduleFrom(s.viewShard, t, nil, tg.A, op, arg, tg.Shard)
+		return s.eng.scheduleFrom(s.viewShard, t, tg.A, op, arg, tg.Shard)
 	}
-	return s.scheduleBase(t, nil, tg.A, op, arg, globalClass)
+	return s.scheduleBase(t, tg.A, op, arg, globalClass)
 }
 
 // PostToAfter schedules a typed event on the target's shard d from now.
@@ -237,7 +237,6 @@ type lslot struct {
 	at     units.Time
 	actor  Actor
 	arg    any
-	fn     func()
 	fwd    Event // base-arena handle once lsForwarded
 }
 
@@ -301,14 +300,14 @@ func (e *shardEngine) nowFor(k int32) units.Time {
 // scheduleFrom routes a schedule call: inside a window it lands in the
 // calling shard's arena; outside, on the base heap stamped with the
 // target class.
-func (e *shardEngine) scheduleFrom(from int32, t units.Time, fn func(), a Actor, op int32, arg any, target int32) Event {
+func (e *shardEngine) scheduleFrom(from int32, t units.Time, a Actor, op int32, arg any, target int32) Event {
 	if e.window {
 		if from == globalClass {
 			panic("sim: base-scheduler event scheduled inside a parallel window")
 		}
-		return e.scheduleLocal(from, t, fn, a, op, arg, target)
+		return e.scheduleLocal(from, t, a, op, arg, target)
 	}
-	return e.base.scheduleBase(t, fn, a, op, arg, target)
+	return e.base.scheduleBase(t, a, op, arg, target)
 }
 
 // scheduleLocal allocates from shard k's arena. Same-shard events below
@@ -316,7 +315,7 @@ func (e *shardEngine) scheduleFrom(from int32, t units.Time, fn func(), a Actor,
 // the barrier. A cross-shard post below the window bound is a lookahead
 // violation and panics: the topology promised no shard can be reached
 // faster than the lookahead.
-func (e *shardEngine) scheduleLocal(k int32, t units.Time, fn func(), a Actor, op int32, arg any, target int32) Event {
+func (e *shardEngine) scheduleLocal(k int32, t units.Time, a Actor, op int32, arg any, target int32) Event {
 	sh := e.shards[k]
 	if t < sh.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before shard %d clock %v", t, k, sh.now))
@@ -331,7 +330,6 @@ func (e *shardEngine) scheduleLocal(k int32, t units.Time, fn func(), a Actor, o
 	}
 	idx := sh.alloc()
 	ls := &sh.slots[idx]
-	ls.fn = fn
 	ls.actor = a
 	ls.op = op
 	ls.arg = arg
@@ -728,20 +726,19 @@ func (sh *shardRun) fireLocal() {
 			"shard %d event at %v fires after shard clock reached %v", sh.id, top.at, sh.now)
 	}
 	sh.now = top.at
-	var fn func()
 	var actor Actor
 	var op int32
 	var arg any
 	idx := handleIdx(top.ref)
 	if handleArena(top.ref) == 0 {
 		sl := &b.slots[idx]
-		fn, actor, op, arg = sl.fn, sl.actor, sl.op, sl.arg
+		actor, op, arg = sl.actor, sl.op, sl.arg
 		sl.gen++
 		sl.pos = posSeedFired
 		sh.log = append(sh.log, logRec{kind: recBeginSeed, at: top.at, a: int64(top.key)})
 	} else {
 		ls := &sh.slots[idx]
-		fn, actor, op, arg = ls.fn, ls.actor, ls.op, ls.arg
+		actor, op, arg = ls.actor, ls.op, ls.arg
 		ls.gen++
 		ls.state = lsFired
 		ls.pos = -1
@@ -749,11 +746,7 @@ func (sh *shardRun) fireLocal() {
 		sh.log = append(sh.log, logRec{kind: recBeginChild, at: top.at, a: int64(idx)})
 	}
 	sh.processed++
-	if actor != nil {
-		actor.OnEvent(op, arg)
-	} else {
-		fn()
-	}
+	actor.OnEvent(op, arg)
 }
 
 // ---- the barrier ----
@@ -862,7 +855,6 @@ func (e *shardEngine) forward(sh *shardRun, idx int32, seqn uint64) {
 	ls := &sh.slots[idx]
 	bidx := b.allocSlot()
 	bsl := &b.slots[bidx]
-	bsl.fn = ls.fn
 	bsl.actor = ls.actor
 	bsl.op = ls.op
 	bsl.arg = ls.arg
@@ -871,7 +863,6 @@ func (e *shardEngine) forward(sh *shardRun, idx int32, seqn uint64) {
 	b.push(entry{at: ls.at, seq: seqn, slot: bidx})
 	ls.state = lsForwarded
 	ls.fwd = Event{id: bidx + 1, gen: bsl.gen}
-	ls.fn = nil
 	ls.actor = nil
 	ls.arg = nil
 	if ls.target == globalClass {
@@ -977,7 +968,6 @@ func (sh *shardRun) releaseLocal(idx int32) {
 	ls.pos = -1
 	ls.actor = nil
 	ls.arg = nil
-	ls.fn = nil
 	ls.fwd = Event{}
 	sh.free = append(sh.free, idx)
 }

@@ -100,7 +100,7 @@ func (n *tnode) OnEvent(op int32, arg any) {
 		n.sched.PostAt(t, n, topPair, nil)
 	case 5: // closure path
 		d := units.Duration((r >> 8) % (3 * L))
-		n.sched.After(d, func() { n.OnEvent(topSelf, nil) })
+		fnAfter(n.sched, d, func() { n.OnEvent(topSelf, nil) })
 	}
 }
 
@@ -157,10 +157,10 @@ func runShardScenario(shards int, seed uint64, nNodes, limit int, aud *audit.Aud
 		sum ^= uint64(s.Now())
 		sc.observer = append(sc.observer, sum)
 		if len(sc.observer) < 40 {
-			s.After(173*units.Microsecond, observe)
+			fnAfter(s, 173*units.Microsecond, observe)
 		}
 	}
-	s.After(100*units.Microsecond, observe)
+	fnAfter(s, 100*units.Microsecond, observe)
 	s.Run(units.Time(20 * units.Millisecond))
 	return sc
 }

@@ -24,11 +24,10 @@
 //     {time, seq, slot} entries — no interface boxing, no per-node heap
 //     allocation, and a shallower tree with better cache locality than
 //     container/heap's pointer-based binary heap.
-//   - Hot callers schedule typed events (an Actor owner, an opcode, and a
-//     pointer-shaped argument) via PostAt/PostAfter instead of closures,
-//     so steady-state simulation allocates nothing per event. The
-//     closure-based At/After remain for cold paths (experiment setup,
-//     sampling) where convenience beats the one closure allocation.
+//   - Every event is typed: an Actor owner, an opcode, and a
+//     pointer-shaped argument, posted with PostAt/PostAfter. There is no
+//     closure-posting path, so steady-state simulation allocates nothing
+//     per event.
 //   - Events whose fire times are already sorted — packets propagating
 //     down one wire — go through a Lane (lane.go): each reserves its
 //     (time, seq) key when posted, but only the lane's head occupies the
@@ -61,15 +60,20 @@ type Actor interface {
 	OnEvent(op int32, arg any)
 }
 
-// Event is a handle to a scheduled event, issued by At/After and
-// PostAt/PostAfter. It is a small value, not a pointer: the event's
-// storage belongs to the scheduler's pool and is recycled after the event
-// fires or is cancelled. A stale handle (kept after its event fired) is
-// detected by generation counter, so Cancel and Active on it are safe.
-// The zero Event is a valid "no event" handle.
+// Event is a handle to a scheduled event, issued by PostAt/PostAfter. It
+// is a small value, not a pointer: the event's storage belongs to the
+// scheduler's pool and is recycled after the event fires or is cancelled.
+// A stale handle (kept after its event fired) is detected by generation
+// counter, so Cancel and Active on it are safe. The zero Event is a valid
+// "no event" handle.
+//
+// Handles are not comparable: after a slot is recycled an equal-looking
+// handle can denote a different event, so == and map keys on them are
+// compile errors. Ask Active instead.
 type Event struct {
-	id  int32  // arena<<arenaShift | slot index + 1; 0 is the zero handle
-	gen uint32 // slot generation this handle was issued for
+	_   [0]func() // makes Event incomparable; occupies no space
+	id  int32     // arena<<arenaShift | slot index + 1; 0 is the zero handle
+	gen uint32    // slot generation this handle was issued for
 }
 
 // Handle encoding. The low 24 bits carry the slot index + 1 within an
@@ -101,9 +105,7 @@ const (
 	posSeedBase      int32 = -10
 )
 
-// slot.kind values. kind sits in the padding after defc: the slot stays
-// 64 bytes (one cache line), which the sharded engine's seed scan is
-// measurably sensitive to.
+// slot.kind values. kind sits in the padding after defc.
 const (
 	kindEvent uint8 = iota
 	kindLane
@@ -120,7 +122,9 @@ type slot struct {
 	kind    uint8 // kindEvent, or kindLane: arg is the *Lane whose head this is
 	actor   Actor
 	arg     any
-	fn      func()
+	// The pad keeps the slot at 64 bytes, one cache line: at 56 bytes
+	// slots straddle lines and longlived_30 ran 6.6% slower.
+	_ [8]byte
 }
 
 // entry is one pending-queue element. The ordering key (time, then
@@ -274,7 +278,6 @@ func (s *Scheduler) release(id int32) {
 	sl.pos = posFree
 	sl.actor = nil
 	sl.arg = nil
-	sl.fn = nil
 	sl.defc = false
 	sl.kind = kindEvent
 	if sl.backRef != 0 {
@@ -284,28 +287,27 @@ func (s *Scheduler) release(id int32) {
 	s.free = append(s.free, id)
 }
 
-// schedule is the shared path behind At/After/PostAt/PostAfter.
+// schedule is the shared path behind PostAt/PostAfter.
 // Scheduling in the past panics: it always indicates a logic error in a
 // component, and silently reordering time would corrupt every downstream
 // measurement.
-func (s *Scheduler) schedule(t units.Time, fn func(), a Actor, op int32, arg any) Event {
+func (s *Scheduler) schedule(t units.Time, a Actor, op int32, arg any) Event {
 	if s.eng != nil {
-		return s.eng.scheduleFrom(s.viewShard, t, fn, a, op, arg, s.viewShard)
+		return s.eng.scheduleFrom(s.viewShard, t, a, op, arg, s.viewShard)
 	}
-	return s.scheduleBase(t, fn, a, op, arg, globalClass)
+	return s.scheduleBase(t, a, op, arg, globalClass)
 }
 
 // scheduleBase inserts into the base heap with the next global sequence
 // number, stamping the slot with its event class. It runs only in
 // sequential contexts (unsharded runs, setup code between Run calls, and
 // the engine's sequential cohorts) — never inside a parallel window.
-func (s *Scheduler) scheduleBase(t units.Time, fn func(), a Actor, op int32, arg any, shard int32) Event {
+func (s *Scheduler) scheduleBase(t units.Time, a Actor, op int32, arg any, shard int32) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	id := s.allocSlot()
 	sl := &s.slots[id]
-	sl.fn = fn
 	sl.actor = a
 	sl.op = op
 	sl.arg = arg
@@ -380,24 +382,10 @@ func (s *Scheduler) settle() {
 	}
 }
 
-// At schedules fn to run at the absolute time t.
-func (s *Scheduler) At(t units.Time, fn func()) Event {
-	return s.schedule(t, fn, nil, 0, nil)
-}
-
-// After schedules fn to run d from now.
-func (s *Scheduler) After(d units.Duration, fn func()) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.schedule(s.Now().Add(d), fn, nil, 0, nil)
-}
-
 // PostAt schedules a typed event: at time t the kernel calls
-// a.OnEvent(op, arg). This is the allocation-free path hot components use
-// instead of closures.
+// a.OnEvent(op, arg).
 func (s *Scheduler) PostAt(t units.Time, a Actor, op int32, arg any) Event {
-	return s.schedule(t, nil, a, op, arg)
+	return s.schedule(t, a, op, arg)
 }
 
 // PostAfter schedules a typed event d from now.
@@ -405,7 +393,7 @@ func (s *Scheduler) PostAfter(d units.Duration, a Actor, op int32, arg any) Even
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return s.schedule(s.Now().Add(d), nil, a, op, arg)
+	return s.schedule(s.Now().Add(d), a, op, arg)
 }
 
 // Cancel removes a pending event. Cancelling the zero handle, an event
@@ -440,13 +428,6 @@ func (s *Scheduler) cancelBase(id int32, gen uint32) {
 		s.removeAt(int(sl.pos))
 	}
 	s.release(id)
-}
-
-// Reschedule cancels e (if pending) and schedules fn at t, returning the
-// new event. It is the common pattern for retransmission timers.
-func (s *Scheduler) Reschedule(e Event, t units.Time, fn func()) Event {
-	s.Cancel(e)
-	return s.At(t, fn)
 }
 
 // removeAt deletes the heap entry at index i, restoring heap order.
@@ -576,15 +557,11 @@ func (s *Scheduler) fire(until units.Time) bool {
 		s.hole = 1
 		s.dispatchHeap++
 	}
-	fn, actor, op, arg := sl.fn, sl.actor, sl.op, sl.arg
+	actor, op, arg := sl.actor, sl.op, sl.arg
 	s.release(top.slot)
 	s.now = top.at
 	s.Processed++
-	if actor != nil {
-		actor.OnEvent(op, arg)
-	} else {
-		fn()
-	}
+	actor.OnEvent(op, arg)
 	s.settle()
 	return true
 }

@@ -2,19 +2,55 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bufsim/internal/units"
 )
 
+// call adapts a func to an Actor, so a test can post a closure as an
+// ordinary typed event.
+type call func()
+
+func (f call) OnEvent(int32, any) { f() }
+
+func fnAt(s *Scheduler, t units.Time, f func()) Event { return s.PostAt(t, call(f), 0, nil) }
+
+func fnAfter(s *Scheduler, d units.Duration, f func()) Event {
+	return s.PostAfter(d, call(f), 0, nil)
+}
+
+// reschedule is the retransmission-timer pattern: cancel e if it is
+// pending, then post f at t.
+func reschedule(s *Scheduler, e Event, t units.Time, f func()) Event {
+	s.Cancel(e)
+	return fnAt(s, t, f)
+}
+
+// TestEventIsNotComparable: handles of recycled slots can look equal, so
+// == and map keys on them must not compile.
+func TestEventIsNotComparable(t *testing.T) {
+	if reflect.TypeOf(Event{}).Comparable() {
+		t.Fatal("sim.Event is comparable")
+	}
+}
+
+// TestSlotIsOneCacheLine pins the pad in slot (see its comment).
+func TestSlotIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 64 {
+		t.Fatalf("slot is %d bytes, want 64", n)
+	}
+}
+
 func TestRunOrdersEvents(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	s.At(30, func() { order = append(order, 3) })
-	s.At(10, func() { order = append(order, 1) })
-	s.At(20, func() { order = append(order, 2) })
+	fnAt(s, 30, func() { order = append(order, 3) })
+	fnAt(s, 10, func() { order = append(order, 1) })
+	fnAt(s, 20, func() { order = append(order, 2) })
 	s.Run(100)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v, want [1 2 3]", order)
@@ -29,7 +65,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(5, func() { order = append(order, i) })
+		fnAt(s, 5, func() { order = append(order, i) })
 	}
 	s.Run(10)
 	for i, v := range order {
@@ -42,19 +78,19 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestAfterUsesCurrentTime(t *testing.T) {
 	s := NewScheduler()
 	var fired units.Time
-	s.At(10, func() {
-		s.After(5, func() { fired = s.Now() })
+	fnAt(s, 10, func() {
+		fnAfter(s, 5, func() { fired = s.Now() })
 	})
 	s.Run(100)
 	if fired != 15 {
-		t.Errorf("After fired at %v, want 15", fired)
+		t.Errorf("PostAfter fired at %v, want 15", fired)
 	}
 }
 
 func TestCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	e := s.At(10, func() { fired = true })
+	e := fnAt(s, 10, func() { fired = true })
 	s.Cancel(e)
 	s.Run(100)
 	if fired {
@@ -74,7 +110,7 @@ func TestCancelOneOfMany(t *testing.T) {
 	var events []Event
 	for i := 0; i < 20; i++ {
 		i := i
-		events = append(events, s.At(units.Time(i), func() { order = append(order, i) }))
+		events = append(events, fnAt(s, units.Time(i), func() { order = append(order, i) }))
 	}
 	// Cancel the even ones.
 	for i := 0; i < 20; i += 2 {
@@ -95,8 +131,8 @@ func TestCancelOneOfMany(t *testing.T) {
 func TestReschedule(t *testing.T) {
 	s := NewScheduler()
 	var fired []units.Time
-	e := s.At(10, func() { fired = append(fired, s.Now()) })
-	e = s.Reschedule(e, 20, func() { fired = append(fired, s.Now()) })
+	e := fnAt(s, 10, func() { fired = append(fired, s.Now()) })
+	e = reschedule(s, e, 20, func() { fired = append(fired, s.Now()) })
 	_ = e
 	s.Run(100)
 	if len(fired) != 1 || fired[0] != 20 {
@@ -107,7 +143,7 @@ func TestReschedule(t *testing.T) {
 func TestRunStopsAtBoundary(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	s.At(50, func() { fired = true })
+	fnAt(s, 50, func() { fired = true })
 	s.Run(49)
 	if fired {
 		t.Error("event beyond horizon fired")
@@ -119,7 +155,7 @@ func TestRunStopsAtBoundary(t *testing.T) {
 	if !fired {
 		t.Error("event at horizon did not fire")
 	}
-	s.At(60, func() {})
+	fnAt(s, 60, func() {})
 	s.Run(80) // drains at 60; the clock still goes to until
 	if s.Now() != 80 {
 		t.Errorf("after a drained Run(80): Now = %v, want 80", s.Now())
@@ -130,7 +166,7 @@ func TestStop(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(units.Time(i), func() {
+		fnAt(s, units.Time(i), func() {
 			count++
 			if count == 3 {
 				s.Stop()
@@ -150,21 +186,21 @@ func TestStop(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(10, func() {})
+	fnAt(s, 10, func() {})
 	s.Run(20)
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past did not panic")
 		}
 	}()
-	s.At(5, func() {})
+	fnAt(s, 5, func() {})
 }
 
 func TestStep(t *testing.T) {
 	s := NewScheduler()
 	n := 0
-	s.At(1, func() { n++ })
-	s.At(2, func() { n++ })
+	fnAt(s, 1, func() { n++ })
+	fnAt(s, 2, func() { n++ })
 	if !s.Step() || n != 1 {
 		t.Fatalf("first Step: n=%d", n)
 	}
@@ -183,7 +219,7 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 		var fired []units.Time
 		for _, tt := range times {
 			at := units.Time(tt)
-			s.At(at, func() { fired = append(fired, s.Now()) })
+			fnAt(s, at, func() { fired = append(fired, s.Now()) })
 		}
 		s.Run(units.Time(math.MaxUint16) + 1)
 		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
@@ -195,14 +231,14 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 
 func TestEventAccessorsAndCounters(t *testing.T) {
 	s := NewScheduler()
-	e := s.At(25, func() {})
+	e := fnAt(s, 25, func() {})
 	if at, ok := s.EventTime(e); !ok || at != 25 {
 		t.Errorf("EventTime = %v, %v", at, ok)
 	}
 	if !s.Active(e) {
 		t.Error("pending event reports inactive")
 	}
-	s.At(30, func() {})
+	fnAt(s, 30, func() {})
 	if s.Pending() != 2 {
 		t.Errorf("Pending = %d, want 2", s.Pending())
 	}
@@ -225,10 +261,10 @@ func TestNegativeDelayPanics(t *testing.T) {
 	s := NewScheduler()
 	defer func() {
 		if recover() == nil {
-			t.Error("negative After did not panic")
+			t.Error("negative PostAfter did not panic")
 		}
 	}()
-	s.After(-1, func() {})
+	fnAfter(s, -1, func() {})
 }
 
 func TestPermIsPermutation(t *testing.T) {
@@ -374,25 +410,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func BenchmarkSchedulerChurn(b *testing.B) {
-	// Measures raw kernel throughput: schedule + fire, with a rolling
-	// window of pending events, the pattern network simulations produce.
-	s := NewScheduler()
-	var tick func()
-	i := 0
-	tick = func() {
-		i++
-		if i < b.N {
-			s.After(10, tick)
-		}
-	}
-	for j := 0; j < 100 && j < b.N; j++ {
-		s.After(units.Duration(j), tick)
-	}
-	b.ResetTimer()
-	s.Run(units.Never - 1)
-}
-
 // testActor records typed dispatches for the pooled-event tests.
 type testActor struct {
 	ops  []int32
@@ -424,14 +441,14 @@ func TestCancelAfterFireIsStale(t *testing.T) {
 	// been recycled for a different event, and Cancel must not kill that
 	// newer event.
 	s := NewScheduler()
-	e1 := s.At(10, func() {})
+	e1 := fnAt(s, 10, func() {})
 	s.Run(20)
 	if s.Active(e1) {
 		t.Fatal("fired event still active")
 	}
 	// The freed slot is reused by the next schedule.
 	fired := false
-	e2 := s.At(30, func() { fired = true })
+	e2 := fnAt(s, 30, func() { fired = true })
 	// Cancelling the stale handle must be a no-op even though e1 and e2
 	// likely share a slot (the generation differs).
 	s.Cancel(e1)
@@ -448,12 +465,12 @@ func TestRescheduleRecycledSlot(t *testing.T) {
 	// Reschedule with a stale handle must behave like a fresh schedule and
 	// must not disturb the event now occupying the recycled slot.
 	s := NewScheduler()
-	e1 := s.At(10, func() {})
+	e1 := fnAt(s, 10, func() {})
 	s.Run(20)
 	survivor := false
-	e2 := s.At(50, func() { survivor = true })
+	e2 := fnAt(s, 50, func() { survivor = true })
 	moved := false
-	e3 := s.Reschedule(e1, 40, func() { moved = true })
+	e3 := reschedule(s, e1, 40, func() { moved = true })
 	if !s.Active(e2) || !s.Active(e3) {
 		t.Fatal("reschedule of stale handle disturbed live events")
 	}
@@ -466,8 +483,8 @@ func TestRescheduleRecycledSlot(t *testing.T) {
 func TestRescheduleActiveEventMoves(t *testing.T) {
 	s := NewScheduler()
 	var at units.Time
-	e := s.At(10, func() { at = s.Now() })
-	e2 := s.Reschedule(e, 30, func() { at = s.Now() })
+	e := fnAt(s, 10, func() { at = s.Now() })
+	e2 := reschedule(s, e, 30, func() { at = s.Now() })
 	if s.Active(e) {
 		t.Error("original handle still active after reschedule")
 	}
@@ -481,24 +498,24 @@ func TestRescheduleActiveEventMoves(t *testing.T) {
 }
 
 func TestSameInstantFIFOMixedKinds(t *testing.T) {
-	// Closure and typed events scheduled at the same instant must fire in
+	// Events of two actors scheduled at the same instant must fire in
 	// scheduling order regardless of slot reuse underneath.
 	s := NewScheduler()
 	var order []int
 	a := &testActor{}
 	// Churn some slots first so the free list is non-trivial.
 	for i := 0; i < 5; i++ {
-		s.At(1, func() {})
+		fnAt(s, 1, func() {})
 	}
 	s.Run(2)
-	s.At(10, func() { order = append(order, 0) })
+	fnAt(s, 10, func() { order = append(order, 0) })
 	s.PostAt(10, a, 0, nil)
-	s.At(10, func() { order = append(order, 2) })
+	fnAt(s, 10, func() { order = append(order, 2) })
 	s.PostAt(10, a, 1, nil)
-	s.At(10, func() { order = append(order, 4) })
+	fnAt(s, 10, func() { order = append(order, 4) })
 	s.Run(20)
 	if len(order) != 3 || order[0] != 0 || order[1] != 2 || order[2] != 4 {
-		t.Errorf("closure order = %v, want [0 2 4]", order)
+		t.Errorf("call order = %v, want [0 2 4]", order)
 	}
 	if len(a.ops) != 2 || a.ops[0] != 0 || a.ops[1] != 1 {
 		t.Errorf("typed order = %v, want [0 1]", a.ops)
@@ -514,12 +531,12 @@ func TestSlotReuseAcrossManyCycles(t *testing.T) {
 	tick = func() {
 		n++
 		if n < 1000 {
-			decoy := s.After(5, func() { t.Error("decoy fired") })
-			s.After(1, tick)
+			decoy := fnAfter(s, 5, func() { t.Error("decoy fired") })
+			fnAfter(s, 1, tick)
 			s.Cancel(decoy)
 		}
 	}
-	s.After(1, tick)
+	fnAfter(s, 1, tick)
 	s.Run(units.Never - 1)
 	if n != 1000 {
 		t.Errorf("ticks = %d, want 1000", n)
@@ -532,7 +549,7 @@ func TestSlotReuseAcrossManyCycles(t *testing.T) {
 func TestMaxPendingTracksHighWater(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 7; i++ {
-		s.At(units.Time(10+i), func() {})
+		fnAt(s, units.Time(10+i), func() {})
 	}
 	s.Run(100)
 	if s.MaxPending() != 7 {
@@ -541,8 +558,8 @@ func TestMaxPendingTracksHighWater(t *testing.T) {
 }
 
 func BenchmarkSchedulerChurnTyped(b *testing.B) {
-	// The same rolling-window churn as BenchmarkSchedulerChurn but through
-	// the typed zero-allocation path.
+	// Raw kernel throughput: schedule + fire, with a rolling window of
+	// pending events, the pattern network simulations produce.
 	s := NewScheduler()
 	c := &churnActor{s: s, limit: b.N}
 	for j := 0; j < 100 && j < b.N; j++ {

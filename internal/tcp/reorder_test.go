@@ -22,8 +22,10 @@ type jitterPipe struct {
 
 func (j *jitterPipe) Handle(p *packet.Packet) {
 	d := j.base + units.Duration(j.rng.Uniform(0, float64(j.jitter)))
-	j.sched.After(d, func() { j.dst.Handle(p) })
+	j.sched.PostAfter(d, j, 0, p)
 }
+
+func (j *jitterPipe) OnEvent(_ int32, arg any) { j.dst.Handle(arg.(*packet.Packet)) }
 
 func newJitterConn(cfg Config, seed int64, jitter units.Duration) *conn {
 	s := sim.NewScheduler()

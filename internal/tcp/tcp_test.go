@@ -25,8 +25,11 @@ func (pp *pipe) Handle(p *packet.Packet) {
 	if pp.drop != nil && pp.drop(p) {
 		return
 	}
-	pp.sched.After(pp.delay, func() { pp.dst.Handle(p) })
+	pp.sched.PostAfter(pp.delay, pp, 0, p)
 }
+
+// OnEvent delivers a packet at the far end of the pipe.
+func (pp *pipe) OnEvent(_ int32, arg any) { pp.dst.Handle(arg.(*packet.Packet)) }
 
 // conn wires a sender and receiver over two pipes with a 20 ms RTT.
 type conn struct {
@@ -454,9 +457,14 @@ func TestAckLossTolerated(t *testing.T) {
 	}
 }
 
+// starter starts a sender when its event fires.
+type starter struct{ snd *Sender }
+
+func (st starter) OnEvent(int32, any) { st.snd.Start() }
+
 func TestStartedStampsStats(t *testing.T) {
 	c := newConn(Config{Flow: 1, TotalSegments: 2})
-	c.sched.At(units.Time(5*units.Second), func() { c.snd.Start() })
+	c.sched.PostAt(units.Time(5*units.Second), starter{c.snd}, 0, nil)
 	c.sched.Run(units.Time(10 * units.Second))
 	st := c.snd.Stats()
 	if st.Started != units.Time(5*units.Second) {

@@ -109,10 +109,15 @@ func TestDownsample(t *testing.T) {
 	}
 }
 
+// call adapts a func to a sim.Actor.
+type call func()
+
+func (f call) OnEvent(int32, any) { f() }
+
 func TestSamplerPolls(t *testing.T) {
 	sched := sim.NewScheduler()
 	v := 0.0
-	sched.After(units.Second/2, func() { v = 10 })
+	sched.PostAfter(units.Second/2, call(func() { v = 10 }), 0, nil)
 	s := NewSampler(sched, "probe", 100*units.Millisecond, func() float64 { return v })
 	sched.Run(units.Time(units.Second))
 	series := s.Series()
@@ -130,7 +135,7 @@ func TestSamplerPolls(t *testing.T) {
 func TestSamplerStop(t *testing.T) {
 	sched := sim.NewScheduler()
 	s := NewSampler(sched, "p", 100*units.Millisecond, func() float64 { return 1 })
-	sched.After(units.Second/2, s.Stop)
+	sched.PostAfter(units.Second/2, call(s.Stop), 0, nil)
 	sched.Run(units.Time(units.Second))
 	if s.Series().Len() > 5 {
 		t.Errorf("sampler did not stop: %d points", s.Series().Len())
