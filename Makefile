@@ -21,9 +21,9 @@ fmt-check:
 		exit 1; \
 	fi
 
-# lint runs onebed and the repo's seven analyzers (simdeterminism,
-# maporder, unitsafety, shardsafety, shardownership, slabescape,
-# rngconfinement) over the tree — including cmd/buflint and
+# lint runs onebed and the repo's six analyzers (simdeterminism,
+# maporder, unitsafety, shardsafety, shardownership, rngconfinement)
+# over the tree — including cmd/buflint and
 # internal/lint themselves. Blocking: any finding fails the build, and
 # so does a stale //lint:ignore or one naming an unknown analyzer. See
 # DESIGN.md "Static analysis".
@@ -106,22 +106,19 @@ bufsim-golden:
 bench:
 	GOMAXPROCS=1 $(GO) run ./bench -out BENCH_kernel_ci.json -baseline BENCH_kernel.json
 
-# bench-gate re-measures and fails if events/sec fell more than 5%
-# below the checked-in BENCH_kernel.json — the budget the pluggable
-# congestion-control indirection (and any future abstraction on the
-# per-event path) must fit within — or if any cell's allocs/op rose more
-# than 1%, which is how a packet path that allocates again shows up on
-# any machine, or its events/op is not the file's: that count is exact
-# everywhere, and a change in it is a change in what is simulated.
+# bench-gate re-measures and fails if any cell's allocs/op rose more than
+# 1% over the checked-in BENCH_kernel.json, which is how a packet path
+# that allocates again shows up on any machine, or its events/op is not
+# the file's: that count is exact everywhere, and a change in it is a
+# change in what is simulated. Speed is not gated (it does not repeat on
+# a shared box); measure a speed claim with `make ab`.
 bench-gate:
 	GOMAXPROCS=1 $(GO) run ./bench -out BENCH_kernel_ci.json -gate BENCH_kernel.json
 
 # bench-scale regenerates the flows x shards scaling curve (plus the
 # fabric shape and the million-sender slab footprint) against the
 # checked-in BENCH_scale.json; bench-scale-gate fails if any cell's
-# events/sec fell more than 5% below it — the budget the sharded
-# engine's bookkeeping must fit within on a sequential run — or its
-# allocs/op rose more than 1%, or its events/op differs.
+# allocs/op rose more than 1% over it or its events/op differs.
 bench-scale:
 	GOMAXPROCS=1 $(GO) run ./bench -scale -out BENCH_scale_ci.json -baseline BENCH_scale.json
 

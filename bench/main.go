@@ -28,16 +28,15 @@
 // before/after comparison across a kernel change.
 //
 // -gate compares the fresh numbers against the named file's "current"
-// block and exits non-zero if any benchmark's events/sec fell by more
-// than -gate-pct percent (default 5), if its allocs/op rose by more than
-// 1%, or if its events/op is not the gate file's. CI runs this against the checked-in BENCH_kernel.json so an
-// abstraction change (say, an interface on the per-ACK path) cannot
-// silently tax the kernel. The speed half depends on the machine; the
-// other two do not — the simulations are deterministic, so events/op
-// repeats exactly and allocs/op to within a handful of runtime-internal
-// allocations on any box; a packet path that starts allocating again
-// moves allocs/op by tens of thousands, and a change that schedules one
-// event more or fewer has changed what is simulated.
+// block and exits non-zero if any benchmark's allocs/op rose by more than
+// 1% or its events/op is not the gate file's. It gates only what repeats
+// on any machine: the simulations are deterministic, so events/op repeats
+// exactly and allocs/op to within a handful of runtime-internal
+// allocations; a packet path that starts allocating again moves allocs/op
+// by tens of thousands, and a change that schedules one event more or
+// fewer has changed what is simulated. Speed is not gated — one
+// measurement moves 15-20% on a shared box — and a speed claim is made
+// with `make ab` instead.
 //
 //	go run ./bench ab -ref REV -workload W [-pairs 10] [-seed 1]
 //
@@ -90,10 +89,9 @@ type File struct {
 }
 
 // runsPerCell is how many times each benchmark is measured; the fastest
-// run is the one reported and gated. Noise only ever adds time, and on a
-// shared runner one measurement moves 15-20% between invocations — far
-// more than the 5% the gates bound — while the fastest of three repeats
-// to a few percent.
+// run is the one reported. Noise only ever adds time, and on a shared
+// runner one measurement moves 15-20% between invocations, while the
+// fastest of three repeats to a few percent.
 const runsPerCell = 3
 
 // fastestOf is testing.Benchmark repeated runsPerCell times, keeping the
@@ -179,8 +177,7 @@ func main() {
 		out      = flag.String("out", "BENCH_kernel.json", "output JSON path")
 		baseline = flag.String("baseline", "", "previous BENCH_kernel.json whose 'current' block becomes this file's 'baseline'")
 		kernel   = flag.String("kernel", kernelDescription, "kernel description recorded in the output")
-		gate     = flag.String("gate", "", "BENCH_kernel.json whose 'current' block the fresh numbers must not regress against")
-		gatePct  = flag.Float64("gate-pct", 5, "maximum events/sec regression (percent) tolerated by -gate")
+		gate     = flag.String("gate", "", "BENCH_kernel.json whose 'current' block's allocs/op and events/op the fresh numbers must match")
 		scale    = flag.Bool("scale", false, "run the flows x shards scaling curve (see scale.go) instead of the kernel benchmarks; pair with -out BENCH_scale.json")
 	)
 	flag.Parse()
@@ -227,10 +224,10 @@ func main() {
 	fmt.Printf("wrote %s\n", *out)
 
 	if *gate != "" {
-		if err := checkGate(*gate, *gatePct, f.Current.Benchmarks); err != nil {
+		if err := checkGate(*gate, f.Current.Benchmarks); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("gate: within %.3g%% of %s\n", *gatePct, *gate)
+		fmt.Printf("gate: allocs/op and events/op hold against %s\n", *gate)
 	}
 }
 
@@ -304,11 +301,9 @@ func runKernelBenchmarks(f *File) {
 const maxAllocRisePct = 1
 
 // checkGate fails if any benchmark shared with the gate file's
-// "current" block lost more than pct percent of its events/sec (or,
-// for event-less benchmarks, gained more than pct percent ns/op),
-// allocates more than maxAllocRisePct percent more per op, or processes
-// a different number of events per op.
-func checkGate(path string, pct float64, fresh map[string]Metric) error {
+// "current" block allocates more than maxAllocRisePct percent more per
+// op, or processes a different number of events per op.
+func checkGate(path string, fresh map[string]Metric) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -332,20 +327,6 @@ func checkGate(path string, pct float64, fresh map[string]Metric) error {
 			failures = append(failures, fmt.Sprintf(
 				"%s: %d events/op -> %d (the count is exact on any machine: the simulated schedule changed)",
 				name, old.EventsPerOp, now.EventsPerOp))
-		}
-		switch {
-		case old.EventsPerSec > 0 && now.EventsPerSec > 0:
-			if drop := 100 * (1 - now.EventsPerSec/old.EventsPerSec); drop > pct {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %.3g events/sec -> %.3g (-%.1f%%, limit %.3g%%)",
-					name, old.EventsPerSec, now.EventsPerSec, drop, pct))
-			}
-		case old.NsPerOp > 0:
-			if rise := 100 * (now.NsPerOp/old.NsPerOp - 1); rise > pct {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %.0f ns/op -> %.0f (+%.1f%%, limit %.3g%%)",
-					name, old.NsPerOp, now.NsPerOp, rise, pct))
-			}
 		}
 	}
 	if len(failures) > 0 {

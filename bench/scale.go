@@ -26,15 +26,15 @@ import (
 //   - scale_fabric/planes=P: P disjoint dumbbell planes on P shards
 //     sharing one scheduler — the embarrassingly-parallel end of the
 //     sharding spectrum.
-//   - slab_senders_1m: constructs 2^20 TCP senders into one
-//     struct-of-arrays slab; bytes/op / 2^20 is the per-flow memory
-//     footprint of the sender path.
+//   - slab_senders_1m: constructs 2^20 TCP senders from one sender
+//     arena; bytes/op / 2^20 is the per-flow memory footprint of the
+//     sender path.
 //
 // The shard curve is honest about the machine it ran on: the recorded
 // GOMAXPROCS is the "cores" axis, and on a single-core runner shards>1
 // measures pure engine overhead (windows, barriers, frontier merges),
-// not speedup. That is exactly the number the gate must bound: sharding
-// may not tax the sequential kernel's users.
+// not speedup. The gate checks only the counts (allocs/op, events/op);
+// speed is judged with `make ab`.
 
 // scaleFlows x scaleShards is the measured grid. Shard counts above
 // flows+1 are capped by the topology, so small-F/large-S cells collapse
@@ -63,8 +63,8 @@ func (nullHandler) Handle(*packet.Packet) {}
 
 const slabRows = 1 << 20
 
-// buildSlabSenders allocates one slab and rows senders into it,
-// returning the slab so the allocation cannot be optimized away.
+// buildSlabSenders takes rows senders from one slab, returning the slab
+// so the allocation cannot be optimized away.
 func buildSlabSenders(rows int) *tcp.Slab {
 	sched := sim.NewScheduler()
 	sl := tcp.NewSlab(rows)

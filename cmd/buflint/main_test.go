@@ -214,37 +214,15 @@ func ShardCountDraw(s *sim.Scheduler, g *sim.RNG) float64 {
 }
 `
 
-// slabViolations plants one slabescape finding in internal/tcp.
-const slabViolations = `package tcp
-
-type Slab struct {
-	cwnd []float64
-}
-
-func (sl *Slab) addRow() int32 {
-	sl.cwnd = append(sl.cwnd, 0)
-	return int32(len(sl.cwnd) - 1)
-}
-
-// Stale holds an element pointer across growth.
-func Stale(sl *Slab) float64 {
-	p := &sl.cwnd[0]
-	sl.addRow()
-	return *p
-}
-`
-
 // TestStandaloneDataflowAnalyzers plants exactly one violation for each
-// of the dataflow analyzers (shardownership, rngconfinement,
-// slabescape) in a synthetic module and asserts the exit status and the
-// three diagnostics.
+// of the shard dataflow analyzers (shardownership, rngconfinement) in a
+// synthetic module and asserts the exit status and the two diagnostics.
 func TestStandaloneDataflowAnalyzers(t *testing.T) {
 	bin := buildTool(t, t.TempDir())
 	mod := writeModule(t, map[string]string{
 		"go.mod":                   "module bufsim\n\ngo 1.22\n",
 		"internal/sim/sim.go":      stubSim,
 		"internal/topology/cut.go": shardViolations,
-		"internal/tcp/slab.go":     slabViolations,
 	})
 
 	cmd := exec.Command(bin, "./...")
@@ -258,13 +236,12 @@ func TestStandaloneDataflowAnalyzers(t *testing.T) {
 		t.Errorf("exit code = %d, want 2\n%s", code, out)
 	}
 	text := string(out)
-	if !strings.Contains(text, "buflint: 3 finding(s)") {
-		t.Errorf("want exactly 3 findings, got:\n%s", text)
+	if !strings.Contains(text, "buflint: 2 finding(s)") {
+		t.Errorf("want exactly 2 findings, got:\n%s", text)
 	}
 	for _, want := range []string{
 		"p crosses shard views: bound to ShardView(0), now scheduled through ShardView(1)",
 		"RNG draw g.Float64 is control-dependent on the shard count (ShardCount)",
-		"p aliases a tcp.Slab column and is used after a call that can reach addRow",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing diagnostic %q in:\n%s", want, text)

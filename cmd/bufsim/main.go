@@ -48,7 +48,6 @@ func main() {
 		auditOn   = flag.Bool("audit", false, "run under the conservation-law checker; violations are reported and exit nonzero")
 		cacheOn   = flag.Bool("cache", false, "memoize the result in a content-addressed store; a re-run with identical parameters replays from disk")
 		cacheDir  = flag.String("cachedir", filepath.Join("results", "cache"), "directory for the -cache store")
-		resume    = flag.Bool("resume", false, "alias for -cache (a single scenario has no checkpoints; see paperexp -resume for sweeps)")
 		verify    = flag.Bool("cache-verify", false, "recompute a sample of cache hits and fail on digest mismatch (implies -cache)")
 		wlArg     = flag.String("workload", "", "time-varying workload profile: a preset name ("+strings.Join(bufsim.ProfileNames(), ", ")+") or a profile .json file; runs the profile scenario instead of the long-lived one, with -flows as the peak population")
 		wlLoad    = flag.Float64("workload-load", 0.85, "short-flow offered load at the profile's arrival peak")
@@ -58,7 +57,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if *resume || *verify {
+	if *verify {
 		*cacheOn = true
 	}
 	obs := observers{metricsPath: *metrics, shards: *shards}

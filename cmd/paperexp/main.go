@@ -56,7 +56,6 @@ func main() {
 		auditOn  = flag.Bool("audit", false, "run every experiment under the conservation-law checker; violations are logged and the run exits nonzero")
 		cacheOn  = flag.Bool("cache", false, "memoize per-point results in a content-addressed store; a re-run with identical parameters replays from disk")
 		cacheDir = flag.String("cachedir", filepath.Join("results", "cache"), "directory for the -cache store")
-		resume   = flag.Bool("resume", false, "continue an interrupted run from its checkpoint manifests (implies -cache)")
 		verify   = flag.Bool("cache-verify", false, "recompute a sample of cache hits and fail on any digest mismatch (implies -cache)")
 		wlArg    = flag.String("workload", "", "workload profile for the flashcrowd experiment: a preset name (see bufsim.ProfileNames) or a profile .json file")
 		advArg   = flag.String("adversary", "", "restrict -exp adversarial to one pattern ("+strings.Join(adversary.PatternNames(), ", ")+"); default all")
@@ -86,13 +85,13 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancel the sweeps between points (in-flight points
-	// finish and are cached); runAll then stops short of marking the
-	// interrupted experiment done.
+	// finish and are cached); runAll then reports the interrupted
+	// experiment instead of printing its half-filled table as finished.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	r := runner{quick: *quick, seed: *seed, csvDir: *csvDir, svgDir: *svgDir, workload: *wlArg, adversary: *advArg,
 		env: experiment.RunEnv{Ctx: ctx, Parallelism: *par, Shards: *shards}}
-	if *resume || *verify {
+	if *verify {
 		*cacheOn = true
 	}
 	if *cacheOn {
@@ -104,7 +103,6 @@ func main() {
 			store.SetVerifySample(verifySample)
 		}
 		r.env.Cache = store
-		r.env.Resume = *resume
 	}
 	if *metOut != "" {
 		r.metrics = metrics.New()
@@ -169,7 +167,7 @@ type runner struct {
 	svgDir    string
 	workload  string // -workload: profile preset name or .json path
 	adversary string // -adversary: restrict the adversarial sweep to one pattern
-	// env is what -parallel, -shards, -audit, -cache, -resume and the
+	// env is what -parallel, -shards, -audit, -cache and the
 	// signal context add up to. Its Metrics stays nil — see telemetry.
 	env     experiment.RunEnv
 	metrics *metrics.Registry // the -metrics master dump, else nil
@@ -178,40 +176,23 @@ type runner struct {
 // verifySample is the fraction of cache hits -cache-verify recomputes.
 const verifySample = 0.25
 
-// runAll runs the experiments in order. With a cache, the run manifest
-// records which experiments of this exact invocation have already
-// printed their output, so -resume skips straight to the first
-// unfinished one. The sweeps return normally when the context is
-// cancelled — with the unfinished rows of their table still zero — so an
-// experiment that ends under a cancelled context is reported as
-// interrupted and never marked done, or -resume would skip it for good.
+// runAll runs the experiments in order. The sweeps return normally when
+// the context is cancelled — with the unfinished rows of their table
+// still zero — so an experiment that ends under a cancelled context is
+// reported as interrupted. Rerunning the same command with -cache
+// replays every point that finished and simulates only the rest.
 func (r runner) runAll(ids []string) error {
-	var man *runcache.RunManifest
-	if r.env.Cache != nil {
-		runKey := runcache.Key("paperexp-run-v1", "run", struct {
-			Ids   []string
-			Quick bool
-			Seed  int64
-		}{ids, r.quick, r.seed})
-		man = r.env.Cache.Run(runKey, r.env.Resume)
-	}
 	for _, id := range ids {
-		if man.IsDone(id) {
-			fmt.Printf("=== %s === (done in a previous run, skipped)\n\n", id)
-			continue
-		}
 		start := time.Now()
 		fmt.Printf("=== %s ===\n", id)
 		if err := r.run(id); err != nil {
 			return err
 		}
 		if ctx := r.env.Ctx; ctx != nil && ctx.Err() != nil {
-			return fmt.Errorf("interrupted during %s; rerun with -resume", id)
+			return fmt.Errorf("interrupted during %s; rerun the same command with -cache to continue", id)
 		}
 		fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
-		man.MarkDone(id)
 	}
-	man.Finish()
 	return nil
 }
 

@@ -110,54 +110,66 @@ func TestRunnerUnknownID(t *testing.T) {
 
 // TestInterruptedRunIsNotMarkedDone covers what SIGINT turns into: a
 // cancelled context. The sweeps return normally under it (unfinished
-// rows zero), so runAll must report the experiment as interrupted, name
-// -resume, and leave it out of the run manifest — or the -resume run
-// would skip it for good and never print its real table.
+// rows zero), so runAll must report the experiment as interrupted and
+// point at -cache; and the rerun a user would then make, the same ids on
+// the same cache, must print the uninterrupted run's tables — the
+// finished points replayed, the rest simulated, nothing skipped.
 func TestInterruptedRunIsNotMarkedDone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real (scaled) sweep")
 	}
-	store, err := runcache.Open(t.TempDir())
+	ids := []string{"fig10", "probe"}
+	want := tables(captureStdout(t, func() {
+		if err := (runner{quick: true, seed: 1}).runAll(ids); err != nil {
+			t.Fatalf("uninterrupted runAll: %v", err)
+		}
+	}))
+
+	dir := t.TempDir()
+	store, err := runcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	store.OnPut = func(string) { cancel() } // interrupted after its first point
 	r := runner{quick: true, seed: 1, env: experiment.RunEnv{Ctx: ctx, Cache: store, Parallelism: 1}}
-	ids := []string{"fig10", "probe"}
-
-	err = r.runAll(ids)
+	captureStdout(t, func() { err = r.runAll(ids) })
 	if err == nil {
 		t.Fatal("runAll under a cancelled context reported success")
 	}
-	for _, want := range []string{"interrupted during fig10", "-resume"} {
+	for _, want := range []string{"interrupted during fig10", "-cache"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
 
-	// Nothing on disk may say fig10 finished.
-	manifests, _ := filepath.Glob(filepath.Join(store.Dir(), "runs", "*.json"))
-	for _, m := range manifests {
-		if data, _ := os.ReadFile(m); strings.Contains(string(data), "fig10") {
-			t.Errorf("run manifest %s records the interrupted experiment as done: %s", m, data)
-		}
+	// The rerun: a fresh store over the same directory, nothing cancelled.
+	if r.env.Cache, err = runcache.Open(dir); err != nil {
+		t.Fatal(err)
 	}
-
-	// The rerun a user would make: same ids, -resume, nothing cancelled.
-	// fig10 must run for real this time, not be skipped as done.
-	r.env.Ctx, r.env.Resume = context.Background(), true
-	out := captureStdout(t, func() {
+	r.env.Ctx = context.Background()
+	got := tables(captureStdout(t, func() {
 		if err := r.runAll(ids); err != nil {
-			t.Fatalf("resumed runAll: %v", err)
+			t.Fatalf("rerun after the interrupt: %v", err)
 		}
-	})
-	if strings.Contains(out, "done in a previous run") {
-		t.Errorf("the interrupted experiment was skipped on resume:\n%s", out)
+	}))
+	if got != want {
+		t.Errorf("rerun after the interrupt printed\n%s\nwant the uninterrupted run's\n%s", got, want)
 	}
-	if !strings.Contains(out, "(fig10 in ") || !strings.Contains(out, "(probe in ") {
-		t.Errorf("resumed run did not finish both experiments:\n%s", out)
+	if hits := r.env.Cache.Stats().Hits; hits == 0 {
+		t.Error("rerun replayed nothing from the interrupted run's cache")
 	}
+}
+
+// tables drops the parenthesised timing lines from paperexp's stdout.
+func tables(out string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "(") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
 }
 
 // captureStdout returns what fn printed to os.Stdout.

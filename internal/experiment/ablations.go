@@ -48,7 +48,7 @@ type PacingPoint struct {
 // RunPacingAblation executes the pacing comparison.
 func RunPacingAblation(cfg PacingConfig) PacingTable {
 	cfg = cfg.withDefaults()
-	return sweep("pacing", cfg, cfg.RunEnv, len(cfg.BufferFactors), func(i int, cell RunEnv) PacingPoint {
+	return sweep("pacing", cfg.RunEnv, len(cfg.BufferFactors), func(i int, cell RunEnv) PacingPoint {
 		f := cfg.BufferFactors[i]
 		unpaced := LongLivedConfig{
 			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
@@ -158,7 +158,7 @@ func RunSmoothing(cfg SmoothingConfig) SmoothingTable {
 	cfg = cfg.withDefaults()
 	moments := model.MomentsForFlowLength(cfg.FlowLen, 2, cfg.MaxWindow)
 
-	return SmoothingTable{TailAt: cfg.TailAt, Points: sweep("smoothing", cfg, cfg.RunEnv, len(cfg.AccessRatios), func(i int, cell RunEnv) SmoothingPoint {
+	return SmoothingTable{TailAt: cfg.TailAt, Points: sweep("smoothing", cfg.RunEnv, len(cfg.AccessRatios), func(i int, cell RunEnv) SmoothingPoint {
 		ratio := cfg.AccessRatios[i]
 		run := cfg
 		run.RunEnv = cell

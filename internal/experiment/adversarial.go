@@ -170,10 +170,10 @@ func (t AdversarialTable) Table() string {
 func (r AdversarialRow) Table() string { return AdversarialTable{r}.Table() }
 
 // RunAdversarial executes the pattern x buffer grid through the sweep
-// orchestrator (parallel, cached, checkpointed, resumable).
+// orchestrator (parallel and cached, so a rerun resumes from the cache).
 func RunAdversarial(cfg AdversarialConfig) AdversarialTable {
 	cfg = cfg.withDefaults()
-	return sweep("adversarial", cfg, cfg.RunEnv, len(cfg.Patterns)*len(cfg.BufferFactors), func(i int, cell RunEnv) AdversarialRow {
+	return sweep("adversarial", cfg.RunEnv, len(cfg.Patterns)*len(cfg.BufferFactors), func(i int, cell RunEnv) AdversarialRow {
 		factor := cfg.BufferFactors[i%len(cfg.BufferFactors)]
 		pc := adversarialPointConfig{AdversaryScenario{
 			Seed:            cfg.Seed,

@@ -120,12 +120,12 @@ func (t CCFamilyTable) Table() string {
 
 // RunCCFamily measures the buffer requirement of every configured
 // congestion-control family across the configured flow counts. Grid
-// points run through the sweep orchestrator (parallel, cached,
-// checkpointed); each point is internally sequential (its bisection
-// probes depend on each other).
+// points run through the sweep orchestrator (parallel and cached); each
+// point is internally sequential (its bisection probes depend on each
+// other).
 func RunCCFamily(cfg CCFamilyConfig) CCFamilyTable {
 	cfg = cfg.withDefaults()
-	return sweep("ccfamily", cfg, cfg.RunEnv, len(cfg.Variants)*len(cfg.Ns), func(i int, cell RunEnv) CCFamilyPoint {
+	return sweep("ccfamily", cfg.RunEnv, len(cfg.Variants)*len(cfg.Ns), func(i int, cell RunEnv) CCFamilyPoint {
 		return runCCFamilyPoint(cfg, cell, cfg.Variants[i/len(cfg.Ns)], cfg.Ns[i%len(cfg.Ns)])
 	})
 }

@@ -56,7 +56,7 @@ func RunCoDel(cfg CoDelConfig) CoDelTable {
 		{"droptail RTTxC", ruleOfThumb, false},
 		{"codel (RTTxC capacity)", ruleOfThumb, true},
 	}
-	return sweep("codel", cfg, cfg.RunEnv, len(designs), func(i int, cell RunEnv) CoDelRow {
+	return sweep("codel", cfg.RunEnv, len(designs), func(i int, cell RunEnv) CoDelRow {
 		d := designs[i]
 		r := RunLongLived(LongLivedConfig{
 			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,

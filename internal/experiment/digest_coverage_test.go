@@ -88,7 +88,6 @@ func TestDigestCoversEveryField(t *testing.T) {
 		Metrics:     metrics.New(),
 		Audit:       audit.New(),
 		Cache:       store,
-		Resume:      true,
 		Ctx:         context.Background(),
 		Parallelism: 4,
 		Shards:      3,
@@ -254,7 +253,7 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 // a semantic field stopped reaching the digest). After a deliberate
 // cacheSalt bump, re-record all five, in that commit and no other.
 func TestCacheKeysStable(t *testing.T) {
-	env := RunEnv{Metrics: metrics.New(), Audit: audit.New(), Resume: true,
+	env := RunEnv{Metrics: metrics.New(), Audit: audit.New(),
 		Ctx: context.Background(), Parallelism: 4, Shards: 3}
 	for _, tc := range []struct {
 		kind string

@@ -43,7 +43,7 @@ type ECNResult struct {
 func RunECN(cfg ECNConfig) ECNResult {
 	cfg = cfg.withDefaults()
 	buffer := cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N)
-	arms := sweep("ecn", cfg, cfg.RunEnv, 2, func(i int, cell RunEnv) LongLivedResult {
+	arms := sweep("ecn", cfg.RunEnv, 2, func(i int, cell RunEnv) LongLivedResult {
 		return RunLongLived(LongLivedConfig{
 			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
 			BufferPackets: buffer,

@@ -21,7 +21,7 @@
 // resolved default.
 //
 // Observers and execution policy: every config embeds one RunEnv
-// (runenv.go) — telemetry registry, auditor, run cache and resume flag,
+// (runenv.go) — telemetry registry, auditor, run cache,
 // context, worker bound, shard count. None of it can change a result,
 // and the type itself keeps it out of the cache key; see RunEnv and
 // DESIGN.md, "Run cache".
@@ -70,7 +70,7 @@ type LongLivedConfig struct {
 
 	// RunEnv carries the observers and execution policy. RunLongLived
 	// reads Metrics, Audit, Cache and Shards; RunLongLivedReplicated
-	// also Resume, Ctx and Parallelism.
+	// also Ctx and Parallelism.
 	RunEnv
 }
 
@@ -254,16 +254,12 @@ type ReplicatedResult struct {
 // RunLongLivedReplicated runs the scenario under k different seeds
 // (cfg.Seed, cfg.Seed+1, ...) and reports utilization statistics — the
 // error bars the single-run drivers omit. Replicas run through the
-// sweep orchestrator: in parallel, cached per seed, and checkpointed.
+// sweep orchestrator: in parallel and cached per seed.
 func RunLongLivedReplicated(cfg LongLivedConfig, k int) ReplicatedResult {
 	if k <= 0 {
 		panic(fmt.Sprintf("experiment: replicas = %d", k))
 	}
-	key := struct {
-		Base LongLivedConfig
-		K    int
-	}{cfg, k}
-	utils := sweep("replicated", key, cfg.RunEnv, k, func(i int, cell RunEnv) float64 {
+	utils := sweep("replicated", cfg.RunEnv, k, func(i int, cell RunEnv) float64 {
 		run := cfg
 		run.Seed = cfg.Seed + int64(i)
 		run.RunEnv = cell

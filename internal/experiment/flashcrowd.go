@@ -179,10 +179,9 @@ type FlashCrowdConfig struct {
 
 	Drain units.Duration
 
-	// RunEnv: the sweep is checkpointed and resumable like every other
-	// cached sweep, and Shards reaches every swept point. With Metrics
-	// set each point runs with a child registry merged under
-	// "buffer=...".
+	// RunEnv: the sweep is cached and cancellable like every other, and
+	// Shards reaches every swept point. With Metrics set each point runs
+	// with a child registry merged under "buffer=...".
 	RunEnv
 }
 
@@ -292,14 +291,14 @@ func (t FlashCrowdTable) Table() string {
 }
 
 // RunFlashCrowd executes the flashcrowd experiment: one RunProfile per
-// buffer size, fanned out through the checkpointed sweep runner, every
+// buffer size, fanned out through the sweep runner, every
 // point memoized (source included in the key) when a cache is set.
 func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 	cfg = cfg.withDefaults()
 	src := flashCrowdSource(cfg)
 	bdp := float64(cfg.BDP())
 	label := func(k int) string { return fmt.Sprintf("buffer=%d", cfg.Buffers[k]) }
-	return sweepLabelled("flashcrowd", cfg, cfg.RunEnv, label, len(cfg.Buffers), func(k int, cell RunEnv) FlashCrowdRow {
+	return sweepLabelled("flashcrowd", cfg.RunEnv, label, len(cfg.Buffers), func(k int, cell RunEnv) FlashCrowdRow {
 		buffer := cfg.Buffers[k]
 		cell.Shards = cfg.Shards // the sweep shards its cells
 		res := RunProfile(ProfileRunConfig{

@@ -140,7 +140,7 @@ func RunHarpoon(cfg HarpoonConfig) HarpoonResult {
 	n := int(math.Max(1, math.Round(calib.MeanActive)))
 
 	// Phase 2: the buffer ladder around the calibrated rule.
-	return HarpoonResult{CalibratedN: n, SqrtRule: cfg.SqrtRule(n), Rows: sweep("harpoon", cfg, cfg.RunEnv, len(cfg.Factors), func(i int, cell RunEnv) HarpoonRow {
+	return HarpoonResult{CalibratedN: n, SqrtRule: cfg.SqrtRule(n), Rows: sweep("harpoon", cfg.RunEnv, len(cfg.Factors), func(i int, cell RunEnv) HarpoonRow {
 		buffer := cfg.sqrtRuleTimes(cfg.Factors[i], n)
 		point := cfg
 		point.RunEnv = cell

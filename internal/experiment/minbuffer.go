@@ -74,7 +74,7 @@ func RunMinBufferSweep(cfg MinBufferConfig) MinBufferResult {
 	res := MinBufferResult{BDPPackets: cfg.BDP()}
 
 	// Flatten every (n, ladder rung) probe into one work list so the
-	// orchestrator sweeps, caches and checkpoints them uniformly.
+	// orchestrator sweeps and caches them uniformly.
 	type probe struct {
 		nIdx, rung int
 		buffer     int
@@ -87,7 +87,7 @@ func RunMinBufferSweep(cfg MinBufferConfig) MinBufferResult {
 			probes = append(probes, probe{nIdx: ni, rung: i, buffer: b})
 		}
 	}
-	utils := sweep("min-buffer", cfg, cfg.RunEnv, len(probes), func(k int, cell RunEnv) float64 {
+	utils := sweep("min-buffer", cfg.RunEnv, len(probes), func(k int, cell RunEnv) float64 {
 		p := probes[k]
 		n := cfg.Ns[p.nIdx]
 		return RunLongLived(LongLivedConfig{

@@ -3,11 +3,13 @@ package experiment
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"bufsim/internal/metrics"
+	"bufsim/internal/runcache"
 	"bufsim/internal/units"
 )
 
@@ -201,5 +203,39 @@ func TestLongLivedMetricsPopulated(t *testing.T) {
 	}
 	if h := snap.Histograms["tcp.cwnd_segments"]; h.Count <= 0 {
 		t.Errorf("cwnd histogram empty: %+v", h)
+	}
+}
+
+// TestSweepPointPanicNamesThePoint: a point that panics must not take the
+// process down from a worker goroutine. The sweep stops dispatching, lets
+// the points in flight finish (and keep their cache entries), then panics
+// on the caller's goroutine naming the sweep, the point and its label.
+func TestSweepPointPanicNamesThePoint(t *testing.T) {
+	store, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := RunEnv{Cache: store, Parallelism: 2}
+	label := func(i int) string { return fmt.Sprintf("cell=%d", i) }
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		sweepLabelled("panicky", env, label, 4, func(i int, cell RunEnv) int {
+			return memoRun(cell, "panicky-point", i, func() int {
+				if i == 2 {
+					panic("boom")
+				}
+				return i
+			})
+		})
+	}()
+	msg := fmt.Sprint(got)
+	for _, want := range []string{"sweep panicky", "point 2 (cell=2)", "boom", "goroutine"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("recovered %q, want it to mention %q", msg, want)
+		}
+	}
+	if puts := store.Stats().Puts; puts < 2 {
+		t.Errorf("%d points stored; points 0 and 1 were dispatched before the panic and must keep their entries", puts)
 	}
 }

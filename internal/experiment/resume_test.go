@@ -12,9 +12,10 @@ import (
 )
 
 // TestSweepCrashResume interrupts a cached sweep partway through, then
-// reruns it with Resume and checks the merged table is bit-identical to
+// reruns it on the same cache and checks the table is bit-identical to
 // an uninterrupted run — with the pre-crash points replayed from the
-// cache (hits) and only the remainder simulated (misses).
+// cache (hits) and only the remainder simulated (misses). The cache is
+// the whole checkpoint.
 func TestSweepCrashResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs")
@@ -53,13 +54,13 @@ func TestSweepCrashResume(t *testing.T) {
 	}
 
 	// "Process restart": a fresh store over the same directory, counters
-	// zeroed, resuming the checkpoint.
+	// zeroed.
 	store2, err := runcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resumed := base
-	resumed.Cache, resumed.Resume = store2, true
+	resumed.Cache = store2
 	got := RunUtilizationTable(resumed)
 
 	if !reflect.DeepEqual(got, want) {

@@ -71,7 +71,7 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 	mean := cfg.MeanRTT()
 	buffer := cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N)
 
-	return sweep("rtt-spread", cfg, cfg.RunEnv, len(cfg.Spreads), func(i int, cell RunEnv) RTTSpreadPoint {
+	return sweep("rtt-spread", cfg.RunEnv, len(cfg.Spreads), func(i int, cell RunEnv) RTTSpreadPoint {
 		spread := cfg.Spreads[i]
 		// A zero spread means identical RTTs, still drawn (RTTMax is set).
 		path := cfg.Path

@@ -9,7 +9,7 @@ import (
 )
 
 // RunEnv is everything about a run that is not the run: who watches it
-// and how it is executed. Every config embeds it, so the seven knobs are
+// and how it is executed. Every config embeds it, so the six knobs are
 // declared, documented and kept out of the cache key in this one place.
 //
 // None of the fields can change a result — that is the observer
@@ -20,7 +20,7 @@ import (
 // change what a run computes must never be added here.
 //
 // Metrics, Audit, Cache and Shards are read by the single-simulation
-// drivers. Resume, Ctx and Parallelism are read only by the drivers that
+// drivers. Ctx and Parallelism are read only by the drivers that
 // fan out over many simulations (everything built on sweep); a single
 // run ignores them. A fan-out driver's cells run under a derived env
 // (see cell), not its own.
@@ -46,12 +46,9 @@ type RunEnv struct {
 	// live run) but still warm the cache.
 	Cache *runcache.Store
 
-	// Resume, with Cache set, continues the checkpoint an interrupted
-	// sweep left behind instead of starting a fresh record.
-	Resume bool
-
 	// Ctx, when non-nil, cancels a sweep between points (in-flight
-	// points finish; their cache entries make the rerun cheap).
+	// points finish; their cache entries make the rerun cheap — the
+	// cache is the only checkpoint there is).
 	Ctx context.Context
 
 	// Parallelism bounds a sweep's worker goroutines; 0 means the

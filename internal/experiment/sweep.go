@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -68,13 +70,10 @@ func memoRun[T any](env RunEnv, kind string, cfg any, compute func() T) T {
 // sweep is the fan-out every driver with more than one simulation goes
 // through: point(i, cell) fills slot i of the returned slice, under the
 // env the sweep derives for that cell (see RunEnv.cell). name labels the
-// sweep in checkpoints and stats; cfg is the sweep-level config, whose
-// digest identifies the checkpoint, so a resumed run with different
-// parameters starts a fresh record instead of trusting stale progress;
-// env is the sweep's own: cache and checkpoint policy, cancellation,
+// sweep in a point's panic; env is the sweep's own: cache, cancellation,
 // worker bound, and the registry the stats go to.
-func sweep[T any](name string, cfg any, env RunEnv, n int, point func(i int, cell RunEnv) T) []T {
-	return sweepLabelled(name, cfg, env, nil, n, point)
+func sweep[T any](name string, env RunEnv, n int, point func(i int, cell RunEnv) T) []T {
+	return sweepLabelled(name, env, nil, n, point)
 }
 
 // sweepLabelled is sweep for a driver that instruments its cells. With
@@ -83,34 +82,59 @@ func sweep[T any](name string, cfg any, env RunEnv, n int, point func(i int, cel
 // cell order once the pool has drained, so the merged registry is the
 // same at any worker count. A nil label leaves the cells uninstrumented.
 //
-// The points are dispatched across a worker pool; progress is
-// checkpointed to the cache's sweep manifest after every completed
-// point, and per-point timing and cache hit-rate stats go to env's
-// registry once the queue drains. Cancellation is honoured between
-// points (in-flight points finish): the points completed so far have
-// written their slots (and their cache entries), the rest stay zero and
-// the checkpoint stays open, so a rerun with resume replays the former
-// as hits and only computes the remainder. Each point writes only its
-// own slot, so results are bit-identical regardless of worker count —
-// the orchestrator only observes.
-func sweepLabelled[T any](name string, cfg any, env RunEnv, label func(i int) string, n int, point func(i int, cell RunEnv) T) []T {
-	ctx := env.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+// The points are dispatched across a worker pool, and per-point timing
+// and cache hit-rate stats go to env's registry once the queue drains.
+// Cancellation is honoured between points (in-flight points finish): the
+// points completed so far have written their slots and their cache
+// entries, the rest stay zero, so rerunning the sweep on the same cache
+// replays the former as hits and only computes the remainder. A point
+// that panics stops the dispatch the same way; once the pool has
+// drained, the panic is re-raised on the caller's goroutine naming the
+// sweep, the point and its label, with the worker's stack. Each point
+// writes only its own slot, so results are bit-identical regardless of
+// worker count — the orchestrator only observes.
+func sweepLabelled[T any](name string, env RunEnv, label func(i int) string, n int, point func(i int, cell RunEnv) T) []T {
+	parent := env.Ctx
+	if parent == nil {
+		parent = context.Background()
 	}
-	var man *runcache.SweepManifest
+	ctx, stop := context.WithCancel(parent)
+	defer stop()
 	var before runcache.Stats
 	if env.Cache != nil {
-		man = env.Cache.Sweep(name, pointKey("sweep:"+name, cfg), n, env.Resume)
 		before = env.Cache.Stats()
 	}
-	resumedPoints := man.DoneCount()
 	start := time.Now()
 	durations := make([]time.Duration, n)
 	out := make([]T, n)
 	var regs []*metrics.Registry
 	if label != nil && env.Metrics != nil {
 		regs = make([]*metrics.Registry, n)
+	}
+
+	var crashOnce sync.Once
+	var crash string
+	run := func(i int) {
+		defer func() {
+			if v := recover(); v != nil {
+				crashOnce.Do(func() {
+					at := fmt.Sprintf("point %d", i)
+					if label != nil {
+						at += " (" + label(i) + ")"
+					}
+					crash = fmt.Sprintf("experiment: sweep %s: %s panicked: %v\n\n%s", name, at, v, debug.Stack())
+				})
+				stop()
+			}
+		}()
+		t0 := time.Now()
+		var reg *metrics.Registry
+		if regs != nil {
+			reg = metrics.New()
+			regs[i] = reg
+		}
+		out[i] = point(i, env.cell(reg))
+		durations[i] = time.Since(t0)
 	}
 
 	workers := env.Parallelism
@@ -127,15 +151,7 @@ func sweepLabelled[T any](name string, cfg any, env RunEnv, label func(i int) st
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				t0 := time.Now()
-				var reg *metrics.Registry
-				if regs != nil {
-					reg = metrics.New()
-					regs[i] = reg
-				}
-				out[i] = point(i, env.cell(reg))
-				durations[i] = time.Since(t0)
-				man.MarkDone(i)
+				run(i)
 			}
 		}()
 	}
@@ -149,23 +165,23 @@ func sweepLabelled[T any](name string, cfg any, env RunEnv, label func(i int) st
 	}
 	close(jobs)
 	wg.Wait()
+	if crash != "" {
+		panic(crash)
+	}
 
 	for i, reg := range regs {
 		if reg != nil {
 			env.Metrics.Merge(label(i), reg)
 		}
 	}
-	publishSweepStats(env, n, resumedPoints, durations, start, before)
-	if ctx.Err() == nil {
-		man.Finish()
-	}
+	publishSweepStats(env, n, durations, start, before)
 	return out
 }
 
 // publishSweepStats surfaces orchestrator observations through the
 // existing metrics registry. It runs on one goroutine after the worker
 // pool has drained (the Registry is not goroutine-safe).
-func publishSweepStats(env RunEnv, n, resumed int, durations []time.Duration, start time.Time, before runcache.Stats) {
+func publishSweepStats(env RunEnv, n int, durations []time.Duration, start time.Time, before runcache.Stats) {
 	reg := env.Metrics
 	if reg == nil {
 		return
@@ -183,7 +199,6 @@ func publishSweepStats(env RunEnv, n, resumed int, durations []time.Duration, st
 	}
 	reg.Counter("sweep.points_total").Add(int64(n))
 	reg.Counter("sweep.points_run").Add(int64(completed))
-	reg.Counter("sweep.points_resumed").Add(int64(resumed))
 	reg.Gauge("sweep.wall_seconds").Set(time.Since(start).Seconds())
 	if completed > 0 {
 		reg.Gauge("sweep.point_wall_seconds_mean").Set(sum.Seconds() / float64(completed))

@@ -52,7 +52,7 @@ type SyncPoint struct {
 // RunSyncAblation measures the synchronization index across flow counts.
 func RunSyncAblation(cfg SyncConfig) SyncTable {
 	cfg = cfg.withDefaults()
-	return sweep("sync", cfg, cfg.RunEnv, len(cfg.Ns), func(i int, cell RunEnv) SyncPoint {
+	return sweep("sync", cfg.RunEnv, len(cfg.Ns), func(i int, cell RunEnv) SyncPoint {
 		n := cfg.Ns[i]
 		r := RunWindowDist(WindowDistConfig{
 			Seed: cfg.Seed + int64(n), N: n, Path: cfg.Path,

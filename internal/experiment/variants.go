@@ -51,7 +51,7 @@ type VariantPoint struct {
 // RunVariantAblation measures each variant on the same scenario.
 func RunVariantAblation(cfg VariantConfig) VariantTable {
 	cfg = cfg.withDefaults()
-	return sweep("variants", cfg, cfg.RunEnv, len(cfg.Variants), func(i int, cell RunEnv) VariantPoint {
+	return sweep("variants", cfg.RunEnv, len(cfg.Variants), func(i int, cell RunEnv) VariantPoint {
 		r := RunLongLived(LongLivedConfig{
 			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
 			BufferPackets: cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N),

@@ -18,15 +18,12 @@ func TestShardSafety(t *testing.T) { linttest.Run(t, lint.ShardSafety, "shardsaf
 func TestShardOwnership(t *testing.T) {
 	linttest.Run(t, lint.ShardOwnership, "shardown")
 }
-func TestSlabEscape(t *testing.T) {
-	linttest.Run(t, lint.SlabEscape, "internal/tcp")
-}
 func TestRNGConfinement(t *testing.T) {
 	linttest.Run(t, lint.RNGConfinement, "rngconf")
 }
 
 // TestSuiteComplete pins the analyzer roster: the CI gate and the docs
-// promise these seven checks.
+// promise these six checks.
 func TestSuiteComplete(t *testing.T) {
 	want := map[string]bool{
 		"simdeterminism": true,
@@ -34,7 +31,6 @@ func TestSuiteComplete(t *testing.T) {
 		"unitsafety":     true,
 		"shardsafety":    true,
 		"shardownership": true,
-		"slabescape":     true,
 		"rngconfinement": true,
 	}
 	got := lint.Analyzers()
@@ -89,8 +85,6 @@ func TestAppliesToScopes(t *testing.T) {
 		{lint.ShardOwnership, "bufsim/internal/topology", true},
 		{lint.ShardOwnership, "bufsim/internal/link", true},
 		{lint.ShardOwnership, "bufsim/internal/sim", false}, // the kernel implements the frontier itself
-		{lint.SlabEscape, "bufsim/internal/tcp", true},
-		{lint.SlabEscape, "bufsim/internal/queue", false}, // columns are unexported; only tcp can alias them
 		{lint.RNGConfinement, "bufsim/internal/workload", true},
 		{lint.RNGConfinement, "bufsim/internal/experiment", true},
 		{lint.RNGConfinement, "bufsim/internal/sim", false}, // sim owns RNG and the shard machinery

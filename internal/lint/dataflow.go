@@ -1,21 +1,19 @@
 package lint
 
 // The intraprocedural dataflow engine behind the flow-aware analyzers
-// (simdeterminism, shardownership, slabescape, rngconfinement). The
-// design is deliberately small: a *tag* is a fact about a value ("came
-// from this time.Now call", "is the scheduler view for shard 1", "is an
-// interior pointer into a Slab column"), tags attach to expressions at
-// *sources*, and a per-function fixpoint propagates them through local
-// def-use chains. Analyzers then walk the function once more and ask
-// each interesting expression which tags it carries.
+// (simdeterminism, shardownership, rngconfinement). The design is
+// deliberately small: a *tag* is a fact about a value ("came from this
+// time.Now call", "is the scheduler view for shard 1"), tags attach to
+// expressions at *sources*, and a per-function fixpoint propagates them
+// through local def-use chains. Analyzers then walk the function once
+// more and ask each interesting expression which tags it carries.
 //
 // The engine is flow-insensitive within a function (a variable's tag
 // set is the union over all its assignments) and purely intraprocedural
-// except for two explicit bridges: constDef (single-assignment constant
-// propagation, used by shardsafety) and callGraph.reaches (static-
-// dispatch transitive reachability, used by slabescape). Both err on
-// the side of fewer facts, so analyzers built on the engine miss
-// exotic flows rather than inventing false ones.
+// except for one explicit bridge, constDef (single-assignment constant
+// propagation, used by shardsafety). It errs on the side of fewer
+// facts, so analyzers built on the engine miss exotic flows rather than
+// inventing false ones.
 
 import (
 	"go/ast"
@@ -25,7 +23,7 @@ import (
 )
 
 // tag is one dataflow fact. kind namespaces the analyzer ("wall",
-// "view", "bind", "slab", "rng", "nshard"); key identifies the source
+// "view", "bind", "rng", "nshard"); key identifies the source
 // ("file:line:col" of the originating call, a constant shard index, a
 // parameter name).
 type tag struct {
@@ -57,8 +55,8 @@ func (ts tagSet) mergeFrom(src tagSet) bool {
 // flowSpec configures how tags propagate through expressions.
 type flowSpec struct {
 	// source returns the intrinsic tags of an expression — the facts
-	// that hold regardless of dataflow (a call to time.Now, a selector
-	// of a Slab column). Consulted for every expression the evaluator
+	// that hold regardless of dataflow (a call to time.Now, a
+	// ShardView call). Consulted for every expression the evaluator
 	// visits.
 	source func(pass *Pass, e ast.Expr) []tag
 
@@ -72,19 +70,13 @@ type flowSpec struct {
 
 	// throughIndex treats containers as tainted wholes: x[i], x[i:j],
 	// range values and composite literals propagate element taint in
-	// both directions. Leave false when indexing extracts a safe scalar
-	// (reading a float out of a Slab column is fine; the column alias
-	// is what must not escape).
+	// both directions. Leave false when indexing extracts a safe
+	// scalar.
 	throughIndex bool
 
 	// throughContainerStore taints a local container when a tainted
 	// value is stored into one of its elements (durations[i] = elapsed).
 	throughContainerStore bool
-
-	// aliasOfIndex taints &x[i] and x[i:j] from x even when
-	// throughIndex is false: taking an element's address or a subslice
-	// aliases the backing array even though reading the element copies.
-	aliasOfIndex bool
 }
 
 // flowEdge is one def-use edge: dst acquires the tags of rhs.
@@ -290,12 +282,6 @@ func (ff *funcFlow) addExprTags(out tagSet, e ast.Expr) {
 	case *ast.TypeAssertExpr:
 		ff.addExprTags(out, v.X)
 	case *ast.UnaryExpr:
-		if v.Op == token.AND && ff.spec.aliasOfIndex {
-			if idx, ok := ast.Unparen(v.X).(*ast.IndexExpr); ok {
-				ff.addExprTags(out, idx.X)
-				return
-			}
-		}
 		ff.addExprTags(out, v.X)
 	case *ast.BinaryExpr:
 		if ff.spec.throughOps {
@@ -307,7 +293,7 @@ func (ff *funcFlow) addExprTags(out tagSet, e ast.Expr) {
 			ff.addExprTags(out, v.X)
 		}
 	case *ast.SliceExpr:
-		if ff.spec.throughIndex || ff.spec.aliasOfIndex {
+		if ff.spec.throughIndex {
 			ff.addExprTags(out, v.X)
 		}
 	case *ast.CompositeLit:
@@ -445,85 +431,6 @@ func pkgPathMatches(path, pkgSuffix string) bool {
 	}
 	n := len(path) - len(pkgSuffix)
 	return n > 0 && path[n-1] == '/' && path[n:] == pkgSuffix
-}
-
-// staticCallee resolves a call to the function it must invoke, or nil
-// when dispatch is dynamic (interface method, func value, builtin).
-func staticCallee(pass *Pass, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = pass.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = pass.Info.Uses[fun.Sel]
-	default:
-		return nil
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if types.IsInterface(sig.Recv().Type()) {
-			return nil // dynamic dispatch
-		}
-	}
-	return fn
-}
-
-// callGraph is the static-dispatch call graph of one package: edges
-// from each declared function to every function it demonstrably calls.
-// Dynamic calls (interface methods, func values) have no edge; analyzers
-// that need soundness for them must treat no-callee calls conservatively.
-type callGraph struct {
-	out map[*types.Func][]*types.Func
-}
-
-func buildCallGraph(pass *Pass) *callGraph {
-	cg := &callGraph{out: make(map[*types.Func][]*types.Func)}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			owner, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if callee := staticCallee(pass, call); callee != nil {
-					cg.out[owner] = append(cg.out[owner], callee)
-				}
-				return true
-			})
-		}
-	}
-	return cg
-}
-
-// reaches reports whether from (or anything it transitively calls
-// through static dispatch) satisfies hit.
-func (cg *callGraph) reaches(from *types.Func, hit func(*types.Func) bool) bool {
-	seen := map[*types.Func]bool{}
-	stack := []*types.Func{from}
-	for len(stack) > 0 {
-		fn := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		if hit(fn) {
-			return true
-		}
-		stack = append(stack, cg.out[fn]...)
-	}
-	return false
 }
 
 // funcDecls returns every function declaration with a body, in file

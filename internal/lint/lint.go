@@ -20,9 +20,6 @@
 //   - shardownership: values bound to ShardView(k) are scheduled only
 //     through shard k; cross-shard work goes through the
 //     PostToAt/PostToAfter frontier (dataflow-based).
-//   - slabescape: no pointer or subslice into a tcp.Slab column is
-//     retained across anything that can reach addRow, whose append
-//     reallocation would invalidate it (dataflow-based).
 //   - rngconfinement: each RNG stream stays on one shard and no draw
 //     site is control-dependent on the shard count (dataflow-based).
 //
@@ -120,7 +117,6 @@ func Analyzers() []*Analyzer {
 		UnitSafety,
 		ShardSafety,
 		ShardOwnership,
-		SlabEscape,
 		RNGConfinement,
 	}
 }

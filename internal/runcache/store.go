@@ -12,10 +12,11 @@ import (
 )
 
 // Store is a content-addressed result cache rooted at a directory.
-// Blobs live under objects/<key[:2]>/<key>.json, sweep checkpoints under
-// sweeps/, and CLI run checkpoints under runs/. All writes are atomic
-// (temp file + rename), so a crash never leaves a torn blob. A Store is
-// safe for concurrent use by the sweep workers.
+// Blobs live under objects/<key[:2]>/<key>.json, and that is all it
+// holds: an interrupted sweep resumes by replaying its finished points
+// as hits. All writes are atomic (temp file + rename), so a crash never
+// leaves a torn blob. A Store is safe for concurrent use by the sweep
+// workers.
 type Store struct {
 	dir string
 
@@ -67,10 +68,8 @@ type VerifyFailure struct {
 
 // Open creates (if needed) and returns the cache rooted at dir.
 func Open(dir string) (*Store, error) {
-	for _, sub := range []string{"objects", "sweeps", "runs"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("runcache: open %s: %w", dir, err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+		return nil, fmt.Errorf("runcache: open %s: %w", dir, err)
 	}
 	return &Store{dir: dir}, nil
 }

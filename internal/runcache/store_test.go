@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -126,81 +125,5 @@ func TestRecordVerifyFailures(t *testing.T) {
 	fails := s.VerifyFailures()
 	if len(fails) != 1 || fails[0].Key != "k2" || fails[0].Kind != "trace" {
 		t.Fatalf("failures = %+v", fails)
-	}
-}
-
-func TestSweepManifestCheckpointAndResume(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Key("s", "sweep", payload{N: 5})
-	m := s.Sweep("fig", key, 4, false)
-	m.MarkDone(2)
-	m.MarkDone(0)
-	m.MarkDone(2) // idempotent
-	if m.DoneCount() != 2 {
-		t.Fatalf("done = %d, want 2", m.DoneCount())
-	}
-
-	// A new store on the same directory resumes the checkpoint.
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := s2.Sweep("fig", key, 4, true)
-	if resumed.DoneCount() != 2 {
-		t.Fatalf("resumed done = %d, want 2", resumed.DoneCount())
-	}
-	// Resume with a different total means a different sweep: start over.
-	if got := s2.Sweep("fig", key, 5, true).DoneCount(); got != 0 {
-		t.Fatalf("mismatched total resumed %d points", got)
-	}
-	// Without resume the record resets.
-	if got := s2.Sweep("fig", key, 4, false).DoneCount(); got != 0 {
-		t.Fatalf("non-resume sweep kept %d points", got)
-	}
-
-	// Nil manifests (no cache configured) are inert.
-	var nilM *SweepManifest
-	nilM.MarkDone(1)
-	nilM.Finish()
-	if nilM.DoneCount() != 0 {
-		t.Fatalf("nil manifest reported progress")
-	}
-}
-
-func TestRunManifestLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Key("s", "run", payload{N: 6})
-	m := s.Run(key, false)
-	m.MarkDone("fig2")
-	m.MarkDone("fig8")
-	if !m.IsDone("fig2") || m.IsDone("codel") {
-		t.Fatalf("IsDone bookkeeping wrong")
-	}
-
-	resumed := s.Run(key, true)
-	if !resumed.IsDone("fig8") {
-		t.Fatalf("resume lost completed experiments")
-	}
-	resumed.Finish()
-	if s.Run(key, true).IsDone("fig2") {
-		t.Fatalf("Finish did not clear the record")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "runs", key+".json")); !os.IsNotExist(err) {
-		t.Fatalf("run manifest file survived Finish: %v", err)
-	}
-
-	var nilM *RunManifest
-	nilM.MarkDone("x")
-	nilM.Finish()
-	if nilM.IsDone("x") {
-		t.Fatalf("nil run manifest reported progress")
 	}
 }

@@ -39,32 +39,32 @@ func (s *Sender) auditState(now units.Time) {
 		s.aud.Violationf(now, s.audName(), "cwnd-floor", "cwnd %.3f < 1", w)
 	}
 	if s.cc.RateDriven() {
-		if iv := s.cc.PaceInterval(s.sl.srtt[s.row]); iv < 0 {
+		if iv := s.cc.PaceInterval(s.srtt); iv < 0 {
 			s.aud.Violationf(now, s.audName(), "pace-positive",
 				"pacing interval %v < 0", iv)
 		}
 	}
-	if s.sl.sndUna[s.row] < s.audUna {
+	if s.sndUna < s.audUna {
 		s.aud.Violationf(now, s.audName(), "cumack-monotone",
-			"sndUna moved backwards: %d after %d", s.sl.sndUna[s.row], s.audUna)
+			"sndUna moved backwards: %d after %d", s.sndUna, s.audUna)
 	}
-	s.audUna = s.sl.sndUna[s.row]
+	s.audUna = s.sndUna
 	// sndUna <= sndNxt does NOT hold here: after a timeout rewinds sndNxt
 	// to sndUna (go-back-N), a late ACK for a pre-rewind transmission can
 	// move sndUna past the rewound sndNxt. Both pointers are instead
 	// bounded by the transmission high-water mark: nothing can be
 	// acknowledged, and nothing can be "next", beyond what was ever sent.
-	if s.sl.sndUna[s.row] > s.audMaxSeq {
+	if s.sndUna > s.audMaxSeq {
 		s.aud.Violationf(now, s.audName(), "seq-order",
-			"sndUna %d beyond highest transmitted segment %d", s.sl.sndUna[s.row], s.audMaxSeq)
+			"sndUna %d beyond highest transmitted segment %d", s.sndUna, s.audMaxSeq)
 	}
-	if s.sl.sndNxt[s.row] > s.audMaxSeq {
+	if s.sndNxt > s.audMaxSeq {
 		s.aud.Violationf(now, s.audName(), "seq-order",
-			"sndNxt %d beyond highest transmitted segment %d", s.sl.sndNxt[s.row], s.audMaxSeq)
+			"sndNxt %d beyond highest transmitted segment %d", s.sndNxt, s.audMaxSeq)
 	}
-	if !s.longLived() && s.sl.sndNxt[s.row] > s.cfg.TotalSegments {
+	if !s.longLived() && s.sndNxt > s.cfg.TotalSegments {
 		s.aud.Violationf(now, s.audName(), "seq-bounded",
-			"sndNxt %d beyond flow length %d", s.sl.sndNxt[s.row], s.cfg.TotalSegments)
+			"sndNxt %d beyond flow length %d", s.sndNxt, s.cfg.TotalSegments)
 	}
 }
 
@@ -74,9 +74,9 @@ func (s *Sender) auditState(now units.Time) {
 // (after a window reduction, old outstanding data may exceed the
 // shrunken window; explicit retransmissions of it must not be flagged).
 func (s *Sender) auditSend(seq int64, isRetransmit bool, now units.Time) {
-	if !isRetransmit && seq >= s.sl.sndUna[s.row]+s.UsableWindow() {
+	if !isRetransmit && seq >= s.sndUna+s.UsableWindow() {
 		s.aud.Violationf(now, s.audName(), "window-respected",
-			"segment %d sent with sndUna %d and window %d", seq, s.sl.sndUna[s.row], s.UsableWindow())
+			"segment %d sent with sndUna %d and window %d", seq, s.sndUna, s.UsableWindow())
 	}
 	if seq+1 > s.audMaxSeq {
 		s.audMaxSeq = seq + 1
@@ -91,9 +91,9 @@ func (s *Sender) auditComplete(now units.Time) {
 	if s.longLived() {
 		return
 	}
-	if s.sl.sndUna[s.row] != s.cfg.TotalSegments {
+	if s.sndUna != s.cfg.TotalSegments {
 		s.aud.Violationf(now, s.audName(), "completion",
-			"completed with sndUna %d of %d segments acknowledged", s.sl.sndUna[s.row], s.cfg.TotalSegments)
+			"completed with sndUna %d of %d segments acknowledged", s.sndUna, s.cfg.TotalSegments)
 	}
 }
 

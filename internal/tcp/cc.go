@@ -42,11 +42,6 @@ type SenderOps interface {
 	// ResetDupAcks clears the sender's duplicate-ACK counter (done when
 	// an ACK advances the window or a variant restarts its count).
 	ResetDupAcks()
-	// StateSlab is the sender's struct-of-arrays state store and the
-	// row this flow owns in it. Controllers that keep their window in
-	// the slab's cwnd/ssthresh columns (the classic family and CUBIC)
-	// bind to it in Init; richer models (BBR) may ignore it.
-	StateSlab() (*Slab, int32)
 }
 
 // CongestionControl is the pluggable congestion-control policy: it owns

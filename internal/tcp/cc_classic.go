@@ -16,16 +16,12 @@ import (
 //
 // The float64 operation sequences here replicate the pre-interface
 // sender exactly; the pinned run digests depend on it.
-//
-// The window state itself — cwnd and ssthresh — lives in the sender's
-// slab row (see Slab), so a population of classic flows keeps all its
-// windows in two dense arrays.
 type aimd struct {
 	ops SenderOps
 	cfg Config
 
-	sl  *Slab
-	row int32
+	cwnd     float64 // congestion window, segments
+	ssthresh float64 // slow-start threshold, segments
 
 	inRecovery bool
 	recover    int64 // highest segment outstanding when loss was detected
@@ -35,14 +31,13 @@ type aimd struct {
 func (a *aimd) Init(ops SenderOps, cfg Config) {
 	a.ops = ops
 	a.cfg = cfg
-	a.sl, a.row = ops.StateSlab()
-	a.sl.cwnd[a.row] = float64(cfg.InitialCwnd)
-	a.sl.ssthresh[a.row] = float64(cfg.MaxWindow)
+	a.cwnd = float64(cfg.InitialCwnd)
+	a.ssthresh = float64(cfg.MaxWindow)
 }
 
-func (a *aimd) Window() float64   { return a.sl.cwnd[a.row] }
-func (a *aimd) Ssthresh() float64 { return a.sl.ssthresh[a.row] }
-func (a *aimd) InSlowStart() bool { return a.sl.cwnd[a.row] < a.sl.ssthresh[a.row] }
+func (a *aimd) Window() float64   { return a.cwnd }
+func (a *aimd) Ssthresh() float64 { return a.ssthresh }
+func (a *aimd) InSlowStart() bool { return a.cwnd < a.ssthresh }
 func (a *aimd) Recovering() bool  { return a.inRecovery }
 
 func (a *aimd) OnAckReceived(*packet.Packet) {}
@@ -59,14 +54,14 @@ func (a *aimd) PaceInterval(srtt units.Duration) units.Duration {
 // (+1 per segment), congestion avoidance above it (+1/W per segment).
 func (a *aimd) grow(acked int64) {
 	for i := int64(0); i < acked; i++ {
-		if a.sl.cwnd[a.row] < a.sl.ssthresh[a.row] {
-			a.sl.cwnd[a.row]++ // slow start: +1 per ACKed segment
+		if a.cwnd < a.ssthresh {
+			a.cwnd++ // slow start: +1 per ACKed segment
 		} else {
-			a.sl.cwnd[a.row] += 1 / a.sl.cwnd[a.row] // congestion avoidance: +1/W
+			a.cwnd += 1 / a.cwnd // congestion avoidance: +1/W
 		}
 	}
-	if a.sl.cwnd[a.row] > float64(a.cfg.MaxWindow) {
-		a.sl.cwnd[a.row] = float64(a.cfg.MaxWindow)
+	if a.cwnd > float64(a.cfg.MaxWindow) {
+		a.cwnd = float64(a.cfg.MaxWindow)
 	}
 }
 
@@ -76,7 +71,7 @@ func (a *aimd) grow(acked int64) {
 func (a *aimd) ackUpdate(acked int64) {
 	if a.inRecovery {
 		// Full ACK (or plain Reno): deflate and resume avoidance.
-		a.sl.cwnd[a.row] = a.sl.ssthresh[a.row]
+		a.cwnd = a.ssthresh
 		a.inRecovery = false
 		a.ops.ResetDupAcks()
 		return
@@ -94,7 +89,7 @@ func (a *aimd) OnAck(ack, acked int64) bool {
 // OnDupAck (during recovery): window inflation — each duplicate ACK
 // signals a departure.
 func (a *aimd) OnDupAck() {
-	a.sl.cwnd[a.row]++
+	a.cwnd++
 	a.ops.SendNew()
 }
 
@@ -103,7 +98,7 @@ func (a *aimd) OnDupAck() {
 // and retransmit the head of the window.
 func (a *aimd) fastRetransmit() {
 	flight := float64(a.ops.Outstanding())
-	a.sl.ssthresh[a.row] = math.Max(flight/2, 2)
+	a.ssthresh = math.Max(flight/2, 2)
 	a.recover = a.ops.SndNxt() - 1
 	a.ops.Retransmit(a.ops.SndUna())
 	a.ops.RestartRTO()
@@ -113,8 +108,8 @@ func (a *aimd) fastRetransmit() {
 // rewind and head retransmission itself.
 func (a *aimd) OnTimeout() {
 	flight := float64(a.ops.Outstanding())
-	a.sl.ssthresh[a.row] = math.Max(flight/2, 2)
-	a.sl.cwnd[a.row] = 1
+	a.ssthresh = math.Max(flight/2, 2)
+	a.cwnd = 1
 	a.inRecovery = false
 }
 
@@ -125,8 +120,8 @@ func (a *aimd) OnECE() bool {
 	if a.inRecovery || a.ops.SndUna() < a.ecnRecover {
 		return false
 	}
-	a.sl.ssthresh[a.row] = math.Max(a.sl.cwnd[a.row]/2, 2)
-	a.sl.cwnd[a.row] = a.sl.ssthresh[a.row]
+	a.ssthresh = math.Max(a.cwnd/2, 2)
+	a.cwnd = a.ssthresh
 	a.ecnRecover = a.ops.SndNxt()
 	return true
 }
@@ -137,7 +132,7 @@ type renoCC struct{ aimd }
 func (c *renoCC) OnLoss() {
 	c.fastRetransmit()
 	c.inRecovery = true
-	c.sl.cwnd[c.row] = c.sl.ssthresh[c.row] + 3
+	c.cwnd = c.ssthresh + 3
 	c.ops.SendNew()
 }
 
@@ -151,7 +146,7 @@ func (c *tahoeCC) OnDupAck() {}
 
 func (c *tahoeCC) OnLoss() {
 	c.fastRetransmit()
-	c.sl.cwnd[c.row] = 1
+	c.cwnd = 1
 	c.ops.ResetDupAcks()
 }
 
@@ -163,7 +158,7 @@ func (c *newRenoCC) OnAck(ack, acked int64) bool {
 		// Partial ACK: retransmit the next hole, deflate by the amount
 		// acked, stay in recovery.
 		c.ops.Retransmit(c.ops.SndUna())
-		c.sl.cwnd[c.row] = math.Max(c.sl.cwnd[c.row]-float64(acked)+1, 1)
+		c.cwnd = math.Max(c.cwnd-float64(acked)+1, 1)
 		c.ops.ResetDupAcks()
 		c.ops.RestartRTO()
 		c.ops.SendNew()

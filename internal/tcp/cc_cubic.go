@@ -35,35 +35,33 @@ type cubicCC struct {
 	wEst       float64 // TCP-friendly AIMD estimate for this epoch
 }
 
-func (c *cubicCC) InSlowStart() bool { return c.sl.cwnd[c.row] < c.sl.ssthresh[c.row] }
-
 // OnAck mirrors NewReno's recovery handling; growth outside recovery is
 // cubic instead of +1/W.
 func (c *cubicCC) OnAck(ack, acked int64) bool {
 	if c.inRecovery && ack <= c.recover {
 		c.ops.Retransmit(c.ops.SndUna())
-		c.sl.cwnd[c.row] = math.Max(c.sl.cwnd[c.row]-float64(acked)+1, 1)
+		c.cwnd = math.Max(c.cwnd-float64(acked)+1, 1)
 		c.ops.ResetDupAcks()
 		c.ops.RestartRTO()
 		c.ops.SendNew()
 		return true
 	}
 	if c.inRecovery {
-		c.sl.cwnd[c.row] = c.sl.ssthresh[c.row]
+		c.cwnd = c.ssthresh
 		c.inRecovery = false
 		c.ops.ResetDupAcks()
 		return false
 	}
 	c.ops.ResetDupAcks()
 	for i := int64(0); i < acked; i++ {
-		if c.sl.cwnd[c.row] < c.sl.ssthresh[c.row] {
-			c.sl.cwnd[c.row]++ // slow start
+		if c.cwnd < c.ssthresh {
+			c.cwnd++ // slow start
 		} else {
 			c.cubicGrow()
 		}
 	}
-	if c.sl.cwnd[c.row] > float64(c.cfg.MaxWindow) {
-		c.sl.cwnd[c.row] = float64(c.cfg.MaxWindow)
+	if c.cwnd > float64(c.cfg.MaxWindow) {
+		c.cwnd = float64(c.cfg.MaxWindow)
 	}
 	return false
 }
@@ -75,31 +73,31 @@ func (c *cubicCC) cubicGrow() {
 	if !c.haveEpoch {
 		c.haveEpoch = true
 		c.epochStart = now
-		if c.sl.cwnd[c.row] < c.wMax {
-			c.k = math.Cbrt((c.wMax - c.sl.cwnd[c.row]) / cubicC)
+		if c.cwnd < c.wMax {
+			c.k = math.Cbrt((c.wMax - c.cwnd) / cubicC)
 			c.origin = c.wMax
 		} else {
 			c.k = 0
-			c.origin = c.sl.cwnd[c.row]
+			c.origin = c.cwnd
 		}
-		c.wEst = c.sl.cwnd[c.row]
+		c.wEst = c.cwnd
 	}
 	// Target the curve one SRTT ahead, per RFC 8312 §4.1.
 	t := float64(now.Sub(c.epochStart)+c.ops.SRTT()) / float64(units.Second)
 	d := t - c.k
 	target := c.origin + cubicC*d*d*d
 	var inc float64
-	if target > c.sl.cwnd[c.row] {
-		inc = (target - c.sl.cwnd[c.row]) / c.sl.cwnd[c.row]
+	if target > c.cwnd {
+		inc = (target - c.cwnd) / c.cwnd
 	} else {
-		inc = 0.01 / c.sl.cwnd[c.row] // minimal probing around the plateau
+		inc = 0.01 / c.cwnd // minimal probing around the plateau
 	}
 	// TCP-friendly region: never slower than AIMD with beta 0.7.
-	c.wEst += cubicAIMDAlpha / c.sl.cwnd[c.row]
-	if c.wEst > c.sl.cwnd[c.row]+inc {
-		c.sl.cwnd[c.row] = c.wEst
+	c.wEst += cubicAIMDAlpha / c.cwnd
+	if c.wEst > c.cwnd+inc {
+		c.cwnd = c.wEst
 	} else {
-		c.sl.cwnd[c.row] += inc
+		c.cwnd += inc
 	}
 }
 
@@ -107,13 +105,13 @@ func (c *cubicCC) cubicGrow() {
 // and re-anchors the epoch; the caller decides what the new cwnd is.
 func (c *cubicCC) reduce() {
 	c.haveEpoch = false
-	if c.sl.cwnd[c.row] < c.wMax {
+	if c.cwnd < c.wMax {
 		// Fast convergence: the flow is ceding bandwidth; aim lower.
-		c.wMax = c.sl.cwnd[c.row] * (2 - cubicBeta) / 2
+		c.wMax = c.cwnd * (2 - cubicBeta) / 2
 	} else {
-		c.wMax = c.sl.cwnd[c.row]
+		c.wMax = c.cwnd
 	}
-	c.sl.ssthresh[c.row] = math.Max(c.sl.cwnd[c.row]*cubicBeta, 2)
+	c.ssthresh = math.Max(c.cwnd*cubicBeta, 2)
 }
 
 func (c *cubicCC) OnLoss() {
@@ -122,15 +120,15 @@ func (c *cubicCC) OnLoss() {
 	c.ops.Retransmit(c.ops.SndUna())
 	c.ops.RestartRTO()
 	c.inRecovery = true
-	c.sl.cwnd[c.row] = c.sl.ssthresh[c.row] + 3
+	c.cwnd = c.ssthresh + 3
 	c.ops.SendNew()
 }
 
 func (c *cubicCC) OnTimeout() {
 	c.haveEpoch = false
-	c.wMax = c.sl.cwnd[c.row]
-	c.sl.ssthresh[c.row] = math.Max(c.sl.cwnd[c.row]*cubicBeta, 2)
-	c.sl.cwnd[c.row] = 1
+	c.wMax = c.cwnd
+	c.ssthresh = math.Max(c.cwnd*cubicBeta, 2)
+	c.cwnd = 1
 	c.inRecovery = false
 }
 
@@ -139,7 +137,7 @@ func (c *cubicCC) OnECE() bool {
 		return false
 	}
 	c.reduce()
-	c.sl.cwnd[c.row] = c.sl.ssthresh[c.row]
+	c.cwnd = c.ssthresh
 	c.ecnRecover = c.ops.SndNxt()
 	return true
 }

@@ -44,10 +44,10 @@ func (c *sackCC) OnDupAck() { c.fillPipe() }
 
 func (c *sackCC) OnLoss() {
 	flight := float64(c.ops.Outstanding())
-	c.sl.ssthresh[c.row] = math.Max(flight/2, 2)
+	c.ssthresh = math.Max(flight/2, 2)
 	c.recover = c.ops.SndNxt() - 1
 	c.inRecovery = true
-	c.sl.cwnd[c.row] = c.sl.ssthresh[c.row]
+	c.cwnd = c.ssthresh
 	una := c.ops.SndUna()
 	c.ops.Retransmit(una)
 	c.sb.rtxed.add(una)

@@ -128,17 +128,23 @@ type Sender struct {
 
 	cc CongestionControl
 
+	sndUna int64 // lowest unacknowledged segment
+	sndNxt int64 // next never-before-sent segment
+	rttSeq int64 // segment being timed; -1 if none
+
+	// The RFC 6298 RTT estimator, and the send times it and pacing read.
+	srtt      units.Duration
+	rttvar    units.Duration
+	rto       units.Duration
+	rttSentAt units.Time
+	lastSend  units.Time
+
+	dupAcks int32 // consecutive duplicate ACKs toward fast retransmit
+	backoff int32 // RTO exponential-backoff shift
+
 	started  bool
 	finished bool
-
-	// The hot per-flow state — sequence pointers, duplicate-ACK count,
-	// the RFC 6298 RTT estimator, send timestamps and the classic
-	// controllers' window — lives in row `row` of the shared slab (see
-	// slab.go): sndUna, sndNxt, dupAcks, srtt, rttvar, haveSRTT, rto,
-	// backoff, rttSeq, rttSentAt, lastSend, cwnd, ssthresh. (row comes
-	// first so that it fills the padding after the two flags.)
-	row int32
-	sl  *Slab
+	haveSRTT bool
 
 	rtoTimer  sim.Event
 	paceTimer sim.Event
@@ -188,28 +194,25 @@ func (s *Sender) OnEvent(op int32, _ any) {
 	}
 }
 
-// NewSender returns a sender writing packets to out, with its state in
-// a private single-row slab. Callers wiring many flows should allocate
-// one Slab per shard and use NewSenderSlab so the per-flow state packs
-// densely.
+// NewSender returns a sender writing packets to out. Callers wiring many
+// flows take them from a Slab with NewSenderSlab instead.
 func NewSender(cfg Config, sched *sim.Scheduler, out packet.Handler) *Sender {
-	return NewSenderSlab(NewSlab(1), cfg, sched, out)
+	return new(Sender).init(cfg, sched, out)
 }
 
-// NewSenderSlab returns a sender writing packets to out, appending its
-// per-flow state as a new row of sl. All senders sharing a slab must
-// live on the same event shard (see Slab).
+// NewSenderSlab is NewSender with the sender's memory taken from sl.
 func NewSenderSlab(sl *Slab, cfg Config, sched *sim.Scheduler, out packet.Handler) *Sender {
+	return sl.next().init(cfg, sched, out)
+}
+
+// init sets up a zeroed sender and returns it.
+func (s *Sender) init(cfg Config, sched *sim.Scheduler, out packet.Handler) *Sender {
 	cfg = cfg.withDefaults()
-	s := &Sender{
-		cfg:   cfg,
-		sched: sched,
-		out:   out,
-		sl:    sl,
-		row:   sl.addRow(),
-	}
-	s.sl.rttSeq[s.row] = -1
-	s.sl.rto[s.row] = cfg.InitialRTO
+	s.cfg = cfg
+	s.sched = sched
+	s.out = out
+	s.rttSeq = -1
+	s.rto = cfg.InitialRTO
 	s.stats.Completed = units.Never
 	s.cc = cfg.Variant.newCongestionControl()
 	s.cc.Init(s, cfg)
@@ -221,11 +224,6 @@ func NewSenderSlab(sl *Slab, cfg Config, sched *sim.Scheduler, out packet.Handle
 // and the pool must belong to the scheduler view both run on. A nil pool
 // (the default) allocates each segment and leaves ACKs to the collector.
 func (s *Sender) SetPool(pl *packet.Pool) { s.pool = pl }
-
-// StateSlab exposes the sender's slab and row (SenderOps); congestion
-// controllers that keep their window in the slab's columns bind to it
-// in Init.
-func (s *Sender) StateSlab() (*Slab, int32) { return s.sl, s.row }
 
 // Start begins transmission at the current simulated time.
 func (s *Sender) Start() {
@@ -248,7 +246,7 @@ func (s *Sender) Cwnd() float64 { return s.cc.Window() }
 func (s *Sender) Ssthresh() float64 { return s.cc.Ssthresh() }
 
 // Outstanding returns the number of unacknowledged segments in flight.
-func (s *Sender) Outstanding() int64 { return s.sl.sndNxt[s.row] - s.sl.sndUna[s.row] }
+func (s *Sender) Outstanding() int64 { return s.sndNxt - s.sndUna }
 
 // InSlowStart reports whether the flow is in its exponential-growth
 // phase (the paper's definition of a "short flow" is one that never
@@ -268,13 +266,13 @@ func (s *Sender) Flow() packet.FlowID { return s.cfg.Flow }
 func (s *Sender) Now() units.Time { return s.sched.Now() }
 
 // SndUna returns the lowest unacknowledged segment (SenderOps).
-func (s *Sender) SndUna() int64 { return s.sl.sndUna[s.row] }
+func (s *Sender) SndUna() int64 { return s.sndUna }
 
 // SndNxt returns the next never-before-sent segment (SenderOps).
-func (s *Sender) SndNxt() int64 { return s.sl.sndNxt[s.row] }
+func (s *Sender) SndNxt() int64 { return s.sndNxt }
 
 // ResetDupAcks clears the duplicate-ACK counter (SenderOps).
-func (s *Sender) ResetDupAcks() { s.sl.dupAcks[s.row] = 0 }
+func (s *Sender) ResetDupAcks() { s.dupAcks = 0 }
 
 // UsableWindow returns the current usable window in whole segments: the
 // controller's window clamped to MaxWindow and floored at 1 (SenderOps).
@@ -292,15 +290,15 @@ func (s *Sender) longLived() bool { return s.cfg.TotalSegments <= 0 }
 // CanSendNew reports whether the window and data supply allow a new
 // (never-before-sent) segment (SenderOps).
 func (s *Sender) CanSendNew() bool {
-	return s.sl.sndNxt[s.row] < s.sl.sndUna[s.row]+s.UsableWindow() &&
-		(s.longLived() || s.sl.sndNxt[s.row] < s.cfg.TotalSegments)
+	return s.sndNxt < s.sndUna+s.UsableWindow() &&
+		(s.longLived() || s.sndNxt < s.cfg.TotalSegments)
 }
 
 // SendNextNew unconditionally transmits the next new segment
 // (SenderOps; SACK's pipe accounting budgets its own sends).
 func (s *Sender) SendNextNew() {
-	s.transmit(s.sl.sndNxt[s.row], false)
-	s.sl.sndNxt[s.row]++
+	s.transmit(s.sndNxt, false)
+	s.sndNxt++
 }
 
 // SendNew transmits as many new segments as the window allows — either
@@ -324,20 +322,20 @@ func (s *Sender) trySend() {
 	if s.finished {
 		return
 	}
-	if s.paced() && s.sl.haveSRTT[s.row] {
+	if s.paced() && s.haveSRTT {
 		s.schedulePaced()
 		return
 	}
 	for s.CanSendNew() {
-		s.transmit(s.sl.sndNxt[s.row], false)
-		s.sl.sndNxt[s.row]++
+		s.transmit(s.sndNxt, false)
+		s.sndNxt++
 	}
 }
 
 // paceInterval is the controller's inter-send gap: SRTT spread over the
 // window for cwnd-driven variants, the modelled rate for BBR.
 func (s *Sender) paceInterval() units.Duration {
-	return s.cc.PaceInterval(s.sl.srtt[s.row])
+	return s.cc.PaceInterval(s.srtt)
 }
 
 // schedulePaced arms the pacing timer for the next permitted send. The
@@ -351,7 +349,7 @@ func (s *Sender) schedulePaced() {
 		return
 	}
 	now := s.sched.Now()
-	next := s.sl.lastSend[s.row].Add(s.paceInterval())
+	next := s.lastSend.Add(s.paceInterval())
 	if next < now {
 		next = now
 	}
@@ -362,8 +360,8 @@ func (s *Sender) paceFire() {
 	if s.finished || !s.CanSendNew() {
 		return
 	}
-	s.transmit(s.sl.sndNxt[s.row], false)
-	s.sl.sndNxt[s.row]++
+	s.transmit(s.sndNxt, false)
+	s.sndNxt++
 	s.schedulePaced()
 }
 
@@ -389,22 +387,22 @@ func (s *Sender) transmit(seq int64, isRetransmit bool) {
 		s.stats.Retransmits++
 		// Karn: a retransmission invalidates any RTT timing that it
 		// could contaminate.
-		if s.sl.rttSeq[s.row] >= seq {
-			s.sl.rttSeq[s.row] = -1
+		if s.rttSeq >= seq {
+			s.rttSeq = -1
 		}
-	} else if s.sl.rttSeq[s.row] < 0 {
-		s.sl.rttSeq[s.row] = seq
-		s.sl.rttSentAt[s.row] = now
+	} else if s.rttSeq < 0 {
+		s.rttSeq = seq
+		s.rttSentAt = now
 	}
 	if !s.sched.Active(s.rtoTimer) {
 		s.armRTO()
 	}
-	s.sl.lastSend[s.row] = now
+	s.lastSend = now
 	s.out.Handle(p)
 }
 
 func (s *Sender) armRTO() {
-	d := s.sl.rto[s.row] << s.sl.backoff[s.row]
+	d := s.rto << s.backoff
 	if d > s.cfg.MaxRTO {
 		d = s.cfg.MaxRTO
 	}
@@ -413,7 +411,7 @@ func (s *Sender) armRTO() {
 
 func (s *Sender) restartRTO() {
 	s.sched.Cancel(s.rtoTimer)
-	if s.sl.sndUna[s.row] < s.sl.sndNxt[s.row] {
+	if s.sndUna < s.sndNxt {
 		s.armRTO()
 	}
 }
@@ -440,9 +438,9 @@ func (s *Sender) Handle(p *packet.Packet) {
 		s.stats.ECNReductions++
 	}
 	switch {
-	case ack > s.sl.sndUna[s.row]:
+	case ack > s.sndUna:
 		s.onNewAck(ack)
-	case ack == s.sl.sndUna[s.row] && s.Outstanding() > 0:
+	case ack == s.sndUna && s.Outstanding() > 0:
 		s.onDupAck()
 	}
 	if s.aud != nil {
@@ -455,17 +453,17 @@ func (s *Sender) Handle(p *packet.Packet) {
 
 func (s *Sender) onNewAck(ack int64) {
 	now := s.sched.Now()
-	acked := ack - s.sl.sndUna[s.row]
-	s.sl.sndUna[s.row] = ack
+	acked := ack - s.sndUna
+	s.sndUna = ack
 
 	// RTT sample (Karn-safe: rttSeq is invalidated on retransmission).
-	if s.sl.rttSeq[s.row] >= 0 && ack > s.sl.rttSeq[s.row] {
-		m := now.Sub(s.sl.rttSentAt[s.row])
+	if s.rttSeq >= 0 && ack > s.rttSeq {
+		m := now.Sub(s.rttSentAt)
 		s.sampleRTT(m)
 		s.cc.OnRTTSample(m)
-		s.sl.rttSeq[s.row] = -1
+		s.rttSeq = -1
 	}
-	s.sl.backoff[s.row] = 0
+	s.backoff = 0
 
 	if s.cc.OnAck(ack, acked) {
 		// The controller ran its own recovery transmissions
@@ -473,7 +471,7 @@ func (s *Sender) onNewAck(ack int64) {
 		return
 	}
 
-	if !s.longLived() && s.sl.sndUna[s.row] >= s.cfg.TotalSegments {
+	if !s.longLived() && s.sndUna >= s.cfg.TotalSegments {
 		s.complete(now)
 		return
 	}
@@ -487,8 +485,8 @@ func (s *Sender) onDupAck() {
 		s.cc.OnDupAck()
 		return
 	}
-	s.sl.dupAcks[s.row]++
-	if s.sl.dupAcks[s.row] < dupThresh && !s.cc.LossIndicated() {
+	s.dupAcks++
+	if s.dupAcks < dupThresh && !s.cc.LossIndicated() {
 		return
 	}
 	// Fast retransmit: the controller cuts and repairs.
@@ -497,23 +495,23 @@ func (s *Sender) onDupAck() {
 }
 
 func (s *Sender) onTimeout() {
-	if s.finished || s.sl.sndUna[s.row] >= s.sl.sndNxt[s.row] {
+	if s.finished || s.sndUna >= s.sndNxt {
 		return
 	}
 	s.stats.Timeouts++
 	// The controller sees the pre-rewind flight.
 	s.cc.OnTimeout()
-	s.sl.dupAcks[s.row] = 0
-	s.sl.rttSeq[s.row] = -1
+	s.dupAcks = 0
+	s.rttSeq = -1
 	// Go-back-N: everything outstanding is presumed lost.
-	s.sl.sndNxt[s.row] = s.sl.sndUna[s.row]
-	if s.sl.backoff[s.row] < 16 {
-		s.sl.backoff[s.row]++
+	s.sndNxt = s.sndUna
+	if s.backoff < 16 {
+		s.backoff++
 	}
 	// transmit arms the (backed-off) timer itself: the old timer has
 	// fired, so no timer is pending at this point.
-	s.transmit(s.sl.sndNxt[s.row], true)
-	s.sl.sndNxt[s.row]++
+	s.transmit(s.sndNxt, true)
+	s.sndNxt++
 	if s.aud != nil {
 		s.auditState(s.sched.Now())
 	}
@@ -526,32 +524,32 @@ func (s *Sender) sampleRTT(m units.Duration) {
 	if m <= 0 {
 		m = units.Nanosecond
 	}
-	if !s.sl.haveSRTT[s.row] {
-		s.sl.srtt[s.row] = m
-		s.sl.rttvar[s.row] = m / 2
-		s.sl.haveSRTT[s.row] = true
+	if !s.haveSRTT {
+		s.srtt = m
+		s.rttvar = m / 2
+		s.haveSRTT = true
 	} else {
-		delta := s.sl.srtt[s.row] - m
+		delta := s.srtt - m
 		if delta < 0 {
 			delta = -delta
 		}
-		s.sl.rttvar[s.row] = (3*s.sl.rttvar[s.row] + delta) / 4
-		s.sl.srtt[s.row] = (7*s.sl.srtt[s.row] + m) / 8
+		s.rttvar = (3*s.rttvar + delta) / 4
+		s.srtt = (7*s.srtt + m) / 8
 	}
-	s.sl.rto[s.row] = s.sl.srtt[s.row] + 4*s.sl.rttvar[s.row]
-	if s.sl.rto[s.row] < s.cfg.MinRTO {
-		s.sl.rto[s.row] = s.cfg.MinRTO
+	s.rto = s.srtt + 4*s.rttvar
+	if s.rto < s.cfg.MinRTO {
+		s.rto = s.cfg.MinRTO
 	}
-	if s.sl.rto[s.row] > s.cfg.MaxRTO {
-		s.sl.rto[s.row] = s.cfg.MaxRTO
+	if s.rto > s.cfg.MaxRTO {
+		s.rto = s.cfg.MaxRTO
 	}
 }
 
 // SRTT returns the smoothed RTT estimate (zero until the first sample).
-func (s *Sender) SRTT() units.Duration { return s.sl.srtt[s.row] }
+func (s *Sender) SRTT() units.Duration { return s.srtt }
 
 // RTO returns the current retransmission timeout (before backoff).
-func (s *Sender) RTO() units.Duration { return s.sl.rto[s.row] }
+func (s *Sender) RTO() units.Duration { return s.rto }
 
 // Shutdown halts a long-lived sender mid-stream: pending timers are
 // cancelled and the sender stops reacting to ACKs, as if the

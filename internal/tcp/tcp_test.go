@@ -101,9 +101,9 @@ func TestCongestionAvoidanceLinearGrowth(t *testing.T) {
 	c.snd.Start()
 	c.sched.Run(units.Time(30 * units.Millisecond))
 	// Force CA from a known point (default variant: Reno).
-	sl, row := c.snd.StateSlab()
-	sl.ssthresh[row] = 4
-	sl.cwnd[row] = 4
+	cc := c.snd.CC().(*renoCC)
+	cc.ssthresh = 4
+	cc.cwnd = 4
 	start := c.snd.Cwnd()
 	// Over the next RTT, cwnd should grow by ~1 segment.
 	c.sched.Run(units.Time(50 * units.Millisecond))

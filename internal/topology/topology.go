@@ -175,9 +175,9 @@ type Dumbbell struct {
 	r1In    sim.Target
 	ingress map[packet.NodeID]sim.Target
 
-	// slabs holds one TCP state slab per scheduler view, so every
-	// sender's hot state lives in the dense arrays of the shard that
-	// owns it (see tcp.Slab). Unsharded, all flows share one slab.
+	// slabs holds one sender arena per scheduler view, because an
+	// arena's cursor is single-threaded (see tcp.Slab). Unsharded, all
+	// flows share one slab.
 	slabs map[*sim.Scheduler]*tcp.Slab
 	// pools holds one packet pool per scheduler view, for the same
 	// reason: a flow's sender and receiver sit on one station, so every
@@ -377,11 +377,10 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 	return f
 }
 
-// slabFor returns the TCP state slab owned by scheduler view (one per
+// slabFor returns the sender arena owned by scheduler view (one per
 // shard), creating it on first use. Dynamic workloads add flows either
 // from the station shard itself or from barrier-synchronized generator
-// events, so slab growth never races a parallel window on another
-// shard — the ordering tcp.Slab requires.
+// events, so no two shards ever take a sender from one arena at once.
 func (d *Dumbbell) slabFor(view *sim.Scheduler) *tcp.Slab {
 	if d.slabs == nil {
 		d.slabs = make(map[*sim.Scheduler]*tcp.Slab)
