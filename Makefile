@@ -21,9 +21,8 @@ fmt-check:
 		exit 1; \
 	fi
 
-# lint runs onebed and the repo's six analyzers (simdeterminism,
-# maporder, unitsafety, shardsafety, shardownership, rngconfinement)
-# over the tree — including cmd/buflint and
+# lint runs onebed and the repo's three analyzers (simdeterminism,
+# maporder, unitsafety) over the tree — including cmd/buflint and
 # internal/lint themselves. Blocking: any finding fails the build, and
 # so does a stale //lint:ignore or one naming an unknown analyzer. See
 # DESIGN.md "Static analysis".
@@ -63,12 +62,12 @@ mutation:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueueConservation -fuzztime 30s ./internal/queue/
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerInvariants -fuzztime 30s ./internal/sim/
-	$(GO) test -run '^$$' -fuzz FuzzFrontierMerge -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzHeapSelect -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesOracle -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzClassifier -fuzztime 30s ./internal/probe/
 	$(GO) test -run '^$$' -fuzz FuzzSeqRuns -fuzztime 30s ./internal/tcp/
 	$(GO) test -run '^$$' -fuzz FuzzReadFlows -fuzztime 30s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/workload/profile/
 
 # bench-smoke only checks the benchmarks still compile and run one
 # iteration; -short keeps the expensive paper reproductions out.
@@ -115,9 +114,9 @@ bench:
 bench-gate:
 	GOMAXPROCS=1 $(GO) run ./bench -out BENCH_kernel_ci.json -gate BENCH_kernel.json
 
-# bench-scale regenerates the flows x shards scaling curve (plus the
-# fabric shape and the million-sender slab footprint) against the
-# checked-in BENCH_scale.json; bench-scale-gate fails if any cell's
+# bench-scale regenerates the flows scaling curve (plus the parallel
+# fabric and the million-sender slab footprint) against the checked-in
+# BENCH_scale.json; bench-scale-gate fails if any cell's
 # allocs/op rose more than 1% over it or its events/op differs.
 bench-scale:
 	GOMAXPROCS=1 $(GO) run ./bench -scale -out BENCH_scale_ci.json -baseline BENCH_scale.json
@@ -138,15 +137,17 @@ benchmark-check:
 # ab is how a performance claim is measured: PAIRS alternating pairs of
 # `bash benchmark/run.sh -workload WORKLOAD -seed SEED` on REV (its
 # committed files, via git archive into a temporary directory) and on the
-# working tree, the first side flipping each pair. It prints a row per
-# run and per end-to-end metric both medians and quartiles, the change,
-# the pairs won and whether the gap beats REV's interquartile spread; it
-# exits non-zero if a rep failed or the stdout digests differ.
+# working tree, the first side flipping each pair; without WORKLOAD, for
+# every workload of BENCHMARK.json in turn. It prints a row per run, then
+# one summary table with a row per workload and end-to-end metric: both
+# medians and quartiles, the change, the pairs won and whether the gap
+# beats REV's interquartile spread. It exits non-zero if a rep failed or
+# a workload's stdout digests differ.
 PAIRS ?= 10
 SEED  ?= 1
 ab:
-	@test -n "$(REF)" -a -n "$(WORKLOAD)" || { echo "usage: make ab REF=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]" >&2; exit 2; }
-	$(GO) run ./bench ab -ref $(REF) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
+	@test -n "$(REF)" || { echo "usage: make ab REF=<rev> [WORKLOAD=<name>] [PAIRS=10] [SEED=1]" >&2; exit 2; }
+	$(GO) run ./bench ab -ref $(REF) $(if $(WORKLOAD),-workload $(WORKLOAD)) -pairs $(PAIRS) -seed $(SEED)
 
 # loc prints the non-test Go line count of every package, the number the
 # simplicity PRs report: no _test.go, no analyzer fixtures, and not

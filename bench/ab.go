@@ -16,24 +16,33 @@ import (
 	"syscall"
 )
 
-// Mode ab — `go run ./bench ab -ref REV -workload W [-pairs 10] [-seed 1]`,
-// or `make ab` — is the paired comparison a performance claim is judged
-// by. The committed files of REV are extracted into a temporary directory
-// with `git archive` (what the driver of BENCHMARK.json measures; nothing
-// is registered in .git, so an interrupted run leaves nothing behind), and
-// `bash benchmark/run.sh -workload W -seed S` runs alternately there and
-// in the working tree, the side that goes first flipping every pair. It
-// prints one row per run, then for each end-to-end metric of
-// BENCHMARK.json both sides' median and quartiles, the relative change,
-// the pairs the working tree won and whether the gap between the medians
-// exceeds REV's interquartile spread. It fails if a rep failed or a run's
-// stdout digest differs from the first run's.
+// Mode ab — `go run ./bench ab -ref REV [-workload W] [-pairs 10]
+// [-seed 1]`, or `make ab` — is the paired comparison a performance claim
+// is judged by. The committed files of REV are extracted into a temporary
+// directory with `git archive` (what the driver of BENCHMARK.json
+// measures; nothing is registered in .git, so an interrupted run leaves
+// nothing behind), and `bash benchmark/run.sh -workload W -seed S` runs
+// alternately there and in the working tree, the side that goes first
+// flipping every pair. Without -workload it does so for every workload of
+// BENCHMARK.json in turn. It prints one row per run, then one summary
+// table: for each workload and end-to-end metric of BENCHMARK.json both
+// sides' median and quartiles, the relative change, the pairs the working
+// tree won and whether the gap between the medians exceeds REV's
+// interquartile spread. It fails if a rep failed or a run's stdout digest
+// differs from the first run's of its workload.
 
 // abRun is what one benchmark/run.sh invocation reported.
 type abRun struct {
 	metrics           map[string]float64
 	digest            string
 	failed, attempted int
+}
+
+// abSpec is what ab reads of BENCHMARK.json: the workloads and the
+// end-to-end metrics.
+type abSpec struct {
+	Workloads []struct{ Name string } `json:"workloads"`
+	EndToEnd  []abMetric              `json:"end_to_end"`
 }
 
 // abMetric is an end-to-end metric as BENCHMARK.json declares it.
@@ -49,12 +58,12 @@ type abSide struct {
 func runAB(args []string) error {
 	fs := flag.NewFlagSet("ab", flag.ExitOnError)
 	ref := fs.String("ref", "", "git revision the working tree is compared against")
-	name := fs.String("workload", "", "workload of BENCHMARK.json to run")
+	name := fs.String("workload", "", "workload of BENCHMARK.json to run (default: every one)")
 	pairs := fs.Int("pairs", 10, "alternating pairs of benchmark runs")
 	seed := fs.Int64("seed", 1, "seed handed to benchmark/run.sh")
 	fs.Parse(args)
-	if *ref == "" || *name == "" || *pairs < 1 {
-		return errors.New("usage: go run ./bench ab -ref REV -workload NAME [-pairs 10] [-seed 1]")
+	if *ref == "" || *pairs < 1 {
+		return errors.New("usage: go run ./bench ab -ref REV [-workload NAME] [-pairs 10] [-seed 1]")
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -67,9 +76,16 @@ func runAB(args []string) error {
 	if err != nil {
 		return err
 	}
-	spec, err := readEndToEnd(root)
+	spec, err := readSpec(root)
 	if err != nil {
 		return err
+	}
+	workloads := []string{*name}
+	if *name == "" {
+		workloads = workloads[:0]
+		for _, w := range spec.Workloads {
+			workloads = append(workloads, w.Name)
+		}
 	}
 	tmp, err := os.MkdirTemp("", "ab-")
 	if err != nil {
@@ -82,59 +98,65 @@ func runAB(args []string) error {
 		return fmt.Errorf("extracting %s: %w", rev, err)
 	}
 
-	sides := [2]*abSide{{label: rev, dir: tmp}, {label: "working tree", dir: root}}
-	fmt.Printf("ab: %s against the working tree, workload %s, seed %d, %d pairs\n\n", rev, *name, *seed, *pairs)
-	fmt.Printf("%-5s %-13s", "pair", "side")
-	for _, m := range spec {
-		fmt.Printf(" %14s", m.Name)
-	}
-	fmt.Printf(" %9s  %s\n", "fail/att", "stdout sha256")
-	var first string
+	fmt.Printf("ab: %s against the working tree, workloads %s, seed %d, %d pairs\n", rev, strings.Join(workloads, ", "), *seed, *pairs)
 	var problems []string
-	for p := 0; p < *pairs; p++ {
-		for k := 0; k < 2; k++ {
-			s := sides[(p+k)%2]
-			r, err := benchmarkRun(ctx, s.dir, *name, *seed)
-			if err != nil {
-				return fmt.Errorf("pair %d, %s: %w", p+1, s.label, err)
-			}
-			s.runs = append(s.runs, r)
-			fmt.Printf("%-5d %-13s", p+1, s.label)
-			for _, m := range spec {
-				fmt.Printf(" %14.4f", r.metrics[m.Name])
-			}
-			fmt.Printf(" %9s  %.16s\n", fmt.Sprintf("%d/%d", r.failed, r.attempted), r.digest)
-			if r.failed > 0 {
-				problems = append(problems, fmt.Sprintf("pair %d, %s: %d of %d reps failed", p+1, s.label, r.failed, r.attempted))
-			}
-			if first == "" {
-				first = r.digest
-			}
-			if r.digest != first {
-				problems = append(problems, fmt.Sprintf("pair %d, %s: stdout sha256 %.16s, the first run's %.16s", p+1, s.label, r.digest, first))
+	results := make([][2][]abRun, len(workloads))
+	for w, name := range workloads {
+		sides := [2]*abSide{{label: rev, dir: tmp}, {label: "working tree", dir: root}}
+		fmt.Printf("\n%s\n%-5s %-13s", name, "pair", "side")
+		for _, m := range spec.EndToEnd {
+			fmt.Printf(" %14s", m.Name)
+		}
+		fmt.Printf(" %9s  %s\n", "fail/att", "stdout sha256")
+		var first string
+		for p := 0; p < *pairs; p++ {
+			for k := 0; k < 2; k++ {
+				s := sides[(p+k)%2]
+				r, err := benchmarkRun(ctx, s.dir, name, *seed)
+				if err != nil {
+					return fmt.Errorf("%s, pair %d, %s: %w", name, p+1, s.label, err)
+				}
+				s.runs = append(s.runs, r)
+				fmt.Printf("%-5d %-13s", p+1, s.label)
+				for _, m := range spec.EndToEnd {
+					fmt.Printf(" %14.4f", r.metrics[m.Name])
+				}
+				fmt.Printf(" %9s  %.16s\n", fmt.Sprintf("%d/%d", r.failed, r.attempted), r.digest)
+				if r.failed > 0 {
+					problems = append(problems, fmt.Sprintf("%s, pair %d, %s: %d of %d reps failed", name, p+1, s.label, r.failed, r.attempted))
+				}
+				if first == "" {
+					first = r.digest
+				}
+				if r.digest != first {
+					problems = append(problems, fmt.Sprintf("%s, pair %d, %s: stdout sha256 %.16s, the first run's %.16s", name, p+1, s.label, r.digest, first))
+				}
 			}
 		}
+		results[w] = [2][]abRun{sides[0].runs, sides[1].runs}
 	}
 
-	base, head := sides[0].runs, sides[1].runs
-	fmt.Printf("\n%-12s %-4s %30s %30s %8s %6s  %s\n", "metric", "unit", rev+" median [q1, q3]", "working tree median [q1, q3]", "change", "won", "gap > "+rev+" IQR")
-	for _, m := range spec {
-		b, h := column(base, m.Name), column(head, m.Name)
-		b1, b2, b3 := quartiles(b)
-		h1, h2, h3 := quartiles(h)
-		won := 0
-		for i := range b {
-			if m.Better == "lower" && h[i] < b[i] || m.Better != "lower" && h[i] > b[i] {
-				won++
+	fmt.Printf("\n%-22s %-12s %-4s %30s %30s %8s %6s  %s\n", "workload", "metric", "unit", rev+" median [q1, q3]", "working tree median [q1, q3]", "change", "won", "gap > "+rev+" IQR")
+	for w, name := range workloads {
+		base, head := results[w][0], results[w][1]
+		for _, m := range spec.EndToEnd {
+			b, h := column(base, m.Name), column(head, m.Name)
+			b1, b2, b3 := quartiles(b)
+			h1, h2, h3 := quartiles(h)
+			won := 0
+			for i := range b {
+				if m.Better == "lower" && h[i] < b[i] || m.Better != "lower" && h[i] > b[i] {
+					won++
+				}
 			}
+			gap := "no"
+			if d := h2 - b2; d > b3-b1 || -d > b3-b1 {
+				gap = "yes"
+			}
+			fmt.Printf("%-22s %-12s %-4s %30s %30s %+7.1f%% %6s  %s\n", name, m.Name, m.Unit,
+				fmt.Sprintf("%.4f [%.4f, %.4f]", b2, b1, b3), fmt.Sprintf("%.4f [%.4f, %.4f]", h2, h1, h3),
+				100*(h2/b2-1), fmt.Sprintf("%d/%d", won, len(b)), gap)
 		}
-		gap := "no"
-		if d := h2 - b2; d > b3-b1 || -d > b3-b1 {
-			gap = "yes"
-		}
-		fmt.Printf("%-12s %-4s %30s %30s %+7.1f%% %6s  %s\n", m.Name, m.Unit,
-			fmt.Sprintf("%.4f [%.4f, %.4f]", b2, b1, b3), fmt.Sprintf("%.4f [%.4f, %.4f]", h2, h1, h3),
-			100*(h2/b2-1), fmt.Sprintf("%d/%d", won, len(b)), gap)
 	}
 	if len(problems) > 0 {
 		return fmt.Errorf("ab: %s", strings.Join(problems, "; "))
@@ -152,18 +174,16 @@ func gitOut(dir string, args ...string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-func readEndToEnd(root string) ([]abMetric, error) {
+func readSpec(root string) (abSpec, error) {
+	var spec abSpec
 	raw, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
 	if err != nil {
-		return nil, err
-	}
-	var spec struct {
-		EndToEnd []abMetric `json:"end_to_end"`
+		return spec, err
 	}
 	if err := json.Unmarshal(raw, &spec); err != nil {
-		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
+		return spec, fmt.Errorf("BENCHMARK.json: %w", err)
 	}
-	return spec.EndToEnd, nil
+	return spec, nil
 }
 
 // benchmarkRun runs one workload in the checkout at dir. Its stdout holds

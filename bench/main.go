@@ -38,10 +38,11 @@
 // measurement moves 15-20% on a shared box — and a speed claim is made
 // with `make ab` instead.
 //
-//	go run ./bench ab -ref REV -workload W [-pairs 10] [-seed 1]
+//	go run ./bench ab -ref REV [-workload W] [-pairs 10] [-seed 1]
 //
 // is the other mode (`make ab`, ab.go): alternating pairs of the
-// repository benchmark on REV and on the working tree, one table out.
+// repository benchmark on REV and on the working tree, for one workload
+// or every one, one summary table out.
 package main
 
 import (
@@ -178,7 +179,7 @@ func main() {
 		baseline = flag.String("baseline", "", "previous BENCH_kernel.json whose 'current' block becomes this file's 'baseline'")
 		kernel   = flag.String("kernel", kernelDescription, "kernel description recorded in the output")
 		gate     = flag.String("gate", "", "BENCH_kernel.json whose 'current' block's allocs/op and events/op the fresh numbers must match")
-		scale    = flag.Bool("scale", false, "run the flows x shards scaling curve (see scale.go) instead of the kernel benchmarks; pair with -out BENCH_scale.json")
+		scale    = flag.Bool("scale", false, "run the flows scaling curve, the fabric and the slab probe (see scale.go) instead of the kernel benchmarks; pair with -out BENCH_scale.json")
 	)
 	flag.Parse()
 

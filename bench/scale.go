@@ -15,43 +15,31 @@ import (
 )
 
 // Scale mode (-scale) measures how the kernel carries growing flow
-// populations and how the sharded execution engine prices in:
+// populations:
 //
-//   - scale_long_lived/flows=F/shards=S: one long-lived experiment with
-//     F flows on S event shards. The bottleneck rate grows with F so the
-//     per-flow fair share stays constant — F is the only thing changing.
-//     Sharded and unsharded cells compute bit-identical results (the
-//     equivalence harness pins that), so the cells differ purely in
-//     execution cost.
-//   - scale_fabric/planes=P: P disjoint dumbbell planes on P shards
-//     sharing one scheduler — the embarrassingly-parallel end of the
-//     sharding spectrum.
+//   - scale_long_lived/flows=F: one long-lived experiment with F flows.
+//     The bottleneck rate grows with F so the per-flow fair share stays
+//     constant — F is the only thing changing.
+//   - scale_fabric/planes=P: P disjoint dumbbell planes, each on its own
+//     scheduler, run in parallel (topology.Fabric.Run). Its events/op is
+//     the sum over the planes.
 //   - slab_senders_1m: constructs 2^20 TCP senders from one sender
 //     arena; bytes/op / 2^20 is the per-flow memory footprint of the
 //     sender path.
 //
-// The shard curve is honest about the machine it ran on: the recorded
-// GOMAXPROCS is the "cores" axis, and on a single-core runner shards>1
-// measures pure engine overhead (windows, barriers, frontier merges),
-// not speedup. The gate checks only the counts (allocs/op, events/op);
-// speed is judged with `make ab`.
+// The recorded GOMAXPROCS is the "cores" axis of the fabric cell. The
+// gate checks only the counts (allocs/op, events/op); speed is judged
+// with `make ab`.
 
-// scaleFlows x scaleShards is the measured grid. Shard counts above
-// flows+1 are capped by the topology, so small-F/large-S cells collapse
-// into their capped neighbours; they stay in the grid to price the cap
-// path too.
-var (
-	scaleFlows  = []int{30, 100, 300, 1000}
-	scaleShards = []int{1, 2, 4, 8}
-)
+// scaleFlows is the measured flows axis.
+var scaleFlows = []int{30, 100, 300, 1000}
 
-func scaleConfig(flows, shards int) experiment.LongLivedConfig {
+func scaleConfig(flows int) experiment.LongLivedConfig {
 	return experiment.LongLivedConfig{
 		Seed:          1,
 		N:             flows,
 		Path:          experiment.Path{BottleneckRate: units.BitRate(flows) * 2 * units.Mbps, Warmup: units.Second, Measure: 2 * units.Second},
 		BufferPackets: 25 + flows,
-		RunEnv:        experiment.RunEnv{Shards: shards},
 	}
 }
 
@@ -75,15 +63,11 @@ func buildSlabSenders(rows int) *tcp.Slab {
 	return sl
 }
 
-// fabricRun builds planes disjoint dumbbell planes on one scheduler
-// (one shard each), one long-lived flow per station, and runs them.
-func fabricRun(planes, stationsPerPlane int, reg *metrics.Registry) {
-	sched := sim.NewScheduler()
-	if reg != nil {
-		sched.Instrument(reg)
-	}
+// fabricRun builds planes disjoint dumbbell planes, one long-lived flow
+// per station, runs them in parallel and returns the events they
+// processed.
+func fabricRun(planes, stationsPerPlane int) int64 {
 	f := topology.NewFabric(topology.FabricConfig{
-		Sched:  sched,
 		RNG:    sim.NewRNG(1),
 		Planes: planes,
 		Plane: topology.Config{
@@ -101,39 +85,40 @@ func fabricRun(planes, stationsPerPlane int, reg *metrics.Registry) {
 			d.AddFlow(d.Station(i), tcp.Config{SegmentSize: 1000 * units.Byte}).Sender.Start()
 		}
 	}
-	sched.Run(units.Epoch.Add(3 * units.Second))
+	f.Run(units.Epoch.Add(3 * units.Second))
+	var events int64
+	for k := 0; k < f.Planes(); k++ {
+		events += int64(f.Plane(k).Config().Sched.Processed)
+	}
+	return events
 }
 
 func runScale(f *File) {
 	for _, flows := range scaleFlows {
-		for _, shards := range scaleShards {
-			name := fmt.Sprintf("scale_long_lived/flows=%d/shards=%d", flows, shards)
-			fmt.Println(name + "...")
-			events := eventsProcessed(func(reg *metrics.Registry) {
-				cfg := scaleConfig(flows, shards)
-				cfg.Metrics = reg
-				experiment.RunLongLived(cfg)
-			})
-			r := fastestOf(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					experiment.RunLongLived(scaleConfig(flows, shards))
-				}
-			})
-			f.Current.Benchmarks[name] = metric(r, events)
-		}
+		name := fmt.Sprintf("scale_long_lived/flows=%d", flows)
+		fmt.Println(name + "...")
+		events := eventsProcessed(func(reg *metrics.Registry) {
+			cfg := scaleConfig(flows)
+			cfg.Metrics = reg
+			experiment.RunLongLived(cfg)
+		})
+		r := fastestOf(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				experiment.RunLongLived(scaleConfig(flows))
+			}
+		})
+		f.Current.Benchmarks[name] = metric(r, events)
 	}
 
 	const planes, perPlane = 4, 64
 	name := fmt.Sprintf("scale_fabric/planes=%d", planes)
 	fmt.Println(name + "...")
-	fabricEvents := eventsProcessed(func(reg *metrics.Registry) {
-		fabricRun(planes, perPlane, reg)
-	})
+	fabricEvents := fabricRun(planes, perPlane)
 	r := fastestOf(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			fabricRun(planes, perPlane, nil)
+			fabricRun(planes, perPlane)
 		}
 	})
 	f.Current.Benchmarks[name] = metric(r, fabricEvents)

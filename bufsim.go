@@ -54,8 +54,8 @@
 // Options attach observers and execution policy, never behaviour:
 // WithMetrics (a telemetry Registry), WithAudit (the conservation-law
 // checker, see Auditor), WithCacheStore (the content-addressed result
-// Cache), WithParallelism (how many of Replicated's seeds run at once) and
-// WithShards (the parallel event kernel). None of them can change a
+// Cache) and WithParallelism (how many of Replicated's seeds run at once).
+// None of them can change a
 // result: the same seed produces the same packets with any of them on or
 // off. Every result implements Result (Table), and WriteJSON dumps any of
 // them.

@@ -1,7 +1,7 @@
 // Buflint runs the simulator's static-analysis suite (internal/lint:
-// simdeterminism, maporder, unitsafety, shardsafety, shardownership,
-// rngconfinement) over the packages of the enclosing module, loading and
-// type-checking them from source with the standard library alone.
+// simdeterminism, maporder, unitsafety) over the packages of the
+// enclosing module, loading and type-checking them from source with the
+// standard library alone.
 //
 // Usage:
 //

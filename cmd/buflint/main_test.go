@@ -159,70 +159,31 @@ func Stamp() int64 {
 	}
 }
 
-// stubSim is a miniature bufsim/internal/sim for synthetic modules: the
-// new analyzers match types by package-path suffix and name, so a stub
-// with the right shapes exercises them without the real kernel.
-const stubSim = `package sim
+// wallFlows reads the wall clock twice in the deterministic core: once
+// into a returned value, a finding, and once only into time.Since, which
+// the flow check exempts.
+const wallFlows = `package sim
 
-type Event struct{ id int32 }
+import "time"
 
-type Target struct{ shard int32 }
+// Stamp hands the wall clock to its caller.
+func Stamp() time.Time { return time.Now() }
 
-type Actor interface{ OnEvent(op int32, arg any) }
-
-type Scheduler struct{ shards int }
-
-func (s *Scheduler) EnableShards(n int, lookahead int64)                     { s.shards = n }
-func (s *Scheduler) ShardView(k int) *Scheduler                              { return s }
-func (s *Scheduler) ShardCount() int                                         { return s.shards }
-func (s *Scheduler) TargetFor(a Actor) Target                                { return Target{} }
-func (s *Scheduler) PostAfter(d int64, a Actor, op int32, arg any) Event     { return Event{} }
-func (s *Scheduler) PostToAfter(d int64, tg Target, op int32, arg any) Event { return Event{} }
-func (s *Scheduler) Cancel(e Event)                                          {}
-
-type RNG struct{ state uint64 }
-
-func NewRNG(seed int64) *RNG    { return &RNG{state: uint64(seed)} }
-func (g *RNG) Fork() *RNG       { return &RNG{state: g.state*6364136223846793005 + 1} }
-func (g *RNG) Float64() float64 { return float64(g.state) }
-`
-
-// shardViolations plants one shardownership and one rngconfinement
-// finding in a shard-aware package (so shardsafety stays quiet).
-const shardViolations = `package topology
-
-import "bufsim/internal/sim"
-
-type probe struct{ hits int }
-
-func (p *probe) OnEvent(op int32, arg any) {}
-
-// DoubleBind schedules one probe through two shard views.
-func DoubleBind(s *sim.Scheduler, p *probe) {
-	v0 := s.ShardView(0)
-	v1 := s.ShardView(1)
-	v0.PostAfter(5, p, 1, nil)
-	v1.PostAfter(5, p, 1, nil)
-}
-
-// ShardCountDraw draws only in sharded runs.
-func ShardCountDraw(s *sim.Scheduler, g *sim.RNG) float64 {
-	if s.ShardCount() > 1 {
-		return g.Float64()
-	}
-	return 0
+// Discard reads the clock only to feed time.Since.
+func Discard() {
+	t0 := time.Now()
+	_ = time.Since(t0)
 }
 `
 
-// TestStandaloneDataflowAnalyzers plants exactly one violation for each
-// of the shard dataflow analyzers (shardownership, rngconfinement) in a
-// synthetic module and asserts the exit status and the two diagnostics.
+// TestStandaloneDataflowAnalyzers runs simdeterminism's dataflow check
+// on a synthetic module and asserts the exit status and that only the
+// escaping wall read is reported.
 func TestStandaloneDataflowAnalyzers(t *testing.T) {
 	bin := buildTool(t, t.TempDir())
 	mod := writeModule(t, map[string]string{
-		"go.mod":                   "module bufsim\n\ngo 1.22\n",
-		"internal/sim/sim.go":      stubSim,
-		"internal/topology/cut.go": shardViolations,
+		"go.mod":              "module bufsim\n\ngo 1.22\n",
+		"internal/sim/sim.go": wallFlows,
 	})
 
 	cmd := exec.Command(bin, "./...")
@@ -236,16 +197,11 @@ func TestStandaloneDataflowAnalyzers(t *testing.T) {
 		t.Errorf("exit code = %d, want 2\n%s", code, out)
 	}
 	text := string(out)
-	if !strings.Contains(text, "buflint: 2 finding(s)") {
-		t.Errorf("want exactly 2 findings, got:\n%s", text)
+	if !strings.Contains(text, "buflint: 1 finding(s)") {
+		t.Errorf("want exactly 1 finding, got:\n%s", text)
 	}
-	for _, want := range []string{
-		"p crosses shard views: bound to ShardView(0), now scheduled through ShardView(1)",
-		"RNG draw g.Float64 is control-dependent on the shard count (ShardCount)",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("missing diagnostic %q in:\n%s", want, text)
-		}
+	if want := "sim.go:6:33: wall-clock time.Now in deterministic package bufsim/internal/sim"; !strings.Contains(text, want) {
+		t.Errorf("missing diagnostic %q in:\n%s", want, text)
 	}
 }
 

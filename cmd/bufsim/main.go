@@ -52,15 +52,18 @@ func main() {
 		wlArg     = flag.String("workload", "", "time-varying workload profile: a preset name ("+strings.Join(bufsim.ProfileNames(), ", ")+") or a profile .json file; runs the profile scenario instead of the long-lived one, with -flows as the peak population")
 		wlLoad    = flag.Float64("workload-load", 0.85, "short-flow offered load at the profile's arrival peak")
 		wlFlowLen = flag.Int64("workload-flow-length", 14, "short-flow size in segments for -workload")
-		shards    = flag.Int("shards", 0, "parallel event shards for the kernel (0: sequential); results are bit-identical at any count")
+		shards    = flag.Int("shards", 0, "ignored: the simulator has one sequential kernel; the flag still parses so old command lines run")
 		advArg    = flag.String("adversary", "", "adversarial pattern ("+strings.Join(bufsim.AdversaryNames(), ", ")+"); runs worst-case traffic instead of the long-lived scenario, with -flows as the cohort size")
 	)
 	flag.Parse()
 
+	if *shards > 1 {
+		log.Printf("-shards %d ignored: the simulator has one sequential kernel", *shards)
+	}
 	if *verify {
 		*cacheOn = true
 	}
-	obs := observers{metricsPath: *metrics, shards: *shards}
+	obs := observers{metricsPath: *metrics}
 	if *metrics != "" {
 		obs.reg = bufsim.NewRegistry()
 	}
@@ -114,15 +117,14 @@ func fatalIf(err error) {
 	}
 }
 
-// observers is what -metrics, -audit, -cache (with -cache-verify) and
-// -shards add up to: the options every scenario runs under, and the
+// observers is what -metrics, -audit and -cache (with -cache-verify) add
+// up to: the options every scenario runs under, and the
 // epilogue every scenario prints after its own lines.
 type observers struct {
 	metricsPath string
 	reg         *bufsim.Registry // nil without -metrics
 	aud         *bufsim.Auditor  // nil without -audit
 	cache       *bufsim.Cache    // nil without -cache
-	shards      int
 }
 
 func (o observers) options() []bufsim.Option {
@@ -135,9 +137,6 @@ func (o observers) options() []bufsim.Option {
 	}
 	if o.cache != nil {
 		opts = append(opts, bufsim.WithCacheStore(o.cache))
-	}
-	if o.shards > 1 {
-		opts = append(opts, bufsim.WithShards(o.shards))
 	}
 	return opts
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -83,4 +85,47 @@ func spoilResults(t *testing.T, dir string) (n int) {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestMain lets a test run the binary itself: with BUFSIM_MAIN set, the
+// test executable is bufsim, its arguments the command line.
+func TestMain(m *testing.M) {
+	if os.Getenv("BUFSIM_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs bufsim with args in a child process and returns its
+// stdout and stderr.
+func runMain(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "BUFSIM_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("bufsim %s: %v\n%s", strings.Join(args, " "), err, errOut.String())
+	}
+	return out.String(), errOut.String()
+}
+
+// TestShardsFlagIsIgnored: -shards still parses, so old command lines
+// (the repository benchmark's among them) run, but it changes nothing on
+// stdout and says once on stderr that it is ignored.
+func TestShardsFlagIsIgnored(t *testing.T) {
+	args := []string{"-rate", "20Mbps", "-flows", "20", "-warmup", "2s", "-measure", "5s"}
+	wantOut, wantErr := runMain(t, args...)
+	if wantOut == "" {
+		t.Fatal("the run printed nothing")
+	}
+	gotOut, gotErr := runMain(t, append(args, "-shards", "2")...)
+	if gotOut != wantOut {
+		t.Errorf("-shards 2 changed stdout:\n%s\nwant\n%s", gotOut, wantOut)
+	}
+	first, rest, _ := strings.Cut(gotErr, "\n")
+	if rest != wantErr || !strings.Contains(first, "-shards 2 ignored") {
+		t.Errorf("-shards 2 stderr = %q, want one line saying the flag is ignored, then the run's own %q", gotErr, wantErr)
+	}
 }

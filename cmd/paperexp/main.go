@@ -52,7 +52,7 @@ func main() {
 		metOut   = flag.String("metrics", "", "write run telemetry to this JSON file")
 		cpuprof  = flag.String("pprof", "", "write a CPU profile to this file")
 		par      = flag.Int("parallel", 0, "max simulations in flight per sweep (0: all CPUs); results are identical at any setting")
-		shards   = flag.Int("shards", 0, "parallel event shards inside each simulation (0: sequential kernel); results are identical at any setting")
+		shards   = flag.Int("shards", 0, "ignored: the simulator has one sequential kernel; the flag still parses so old command lines run")
 		auditOn  = flag.Bool("audit", false, "run every experiment under the conservation-law checker; violations are logged and the run exits nonzero")
 		cacheOn  = flag.Bool("cache", false, "memoize per-point results in a content-addressed store; a re-run with identical parameters replays from disk")
 		cacheDir = flag.String("cachedir", filepath.Join("results", "cache"), "directory for the -cache store")
@@ -72,6 +72,9 @@ func main() {
 	}
 	flag.Parse()
 
+	if *shards > 1 {
+		log.Printf("-shards %d ignored: the simulator has one sequential kernel", *shards)
+	}
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
@@ -90,7 +93,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	r := runner{quick: *quick, seed: *seed, csvDir: *csvDir, svgDir: *svgDir, workload: *wlArg, adversary: *advArg,
-		env: experiment.RunEnv{Ctx: ctx, Parallelism: *par, Shards: *shards}}
+		env: experiment.RunEnv{Ctx: ctx, Parallelism: *par}}
 	if *verify {
 		*cacheOn = true
 	}
@@ -167,7 +170,7 @@ type runner struct {
 	svgDir    string
 	workload  string // -workload: profile preset name or .json path
 	adversary string // -adversary: restrict the adversarial sweep to one pattern
-	// env is what -parallel, -shards, -audit, -cache and the
+	// env is what -parallel, -audit, -cache and the
 	// signal context add up to. Its Metrics stays nil — see telemetry.
 	env     experiment.RunEnv
 	metrics *metrics.Registry // the -metrics master dump, else nil

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -190,4 +192,48 @@ func captureStdout(t *testing.T, fn func()) string {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// TestMain lets a test run the binary itself: with PAPEREXP_MAIN set, the
+// test executable is paperexp, its arguments the command line.
+func TestMain(m *testing.M) {
+	if os.Getenv("PAPEREXP_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs paperexp with args in a child process and returns its
+// stdout and stderr.
+func runMain(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "PAPEREXP_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("paperexp %s: %v\n%s", strings.Join(args, " "), err, errOut.String())
+	}
+	return out.String(), errOut.String()
+}
+
+// TestShardsFlagIsIgnored: -shards still parses, so old command lines
+// run, but it changes no table on stdout and says once on stderr that it
+// is ignored. (The parenthesised timing lines differ between any two
+// runs.)
+func TestShardsFlagIsIgnored(t *testing.T) {
+	args := []string{"-quick", "-exp", "fig2"}
+	wantOut, wantErr := runMain(t, args...)
+	if wantOut == "" {
+		t.Fatal("the run printed nothing")
+	}
+	gotOut, gotErr := runMain(t, append(args, "-shards", "2")...)
+	if tables(gotOut) != tables(wantOut) {
+		t.Errorf("-shards 2 changed stdout:\n%s\nwant\n%s", gotOut, wantOut)
+	}
+	first, rest, _ := strings.Cut(gotErr, "\n")
+	if rest != wantErr || !strings.Contains(first, "-shards 2 ignored") {
+		t.Errorf("-shards 2 stderr = %q, want one line saying the flag is ignored, then the run's own %q", gotErr, wantErr)
+	}
 }

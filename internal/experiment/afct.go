@@ -28,8 +28,8 @@ type AFCTComparisonConfig struct {
 	// regime's buffer.
 	UseRED bool
 
-	// RunEnv: Audit, Cache (each regime's run is memoized) and Shards
-	// reach both regimes, a sweep of two; Metrics receives their
+	// RunEnv: Audit and Cache (each regime's run is memoized) reach both
+	// regimes, a sweep of two; Metrics receives their
 	// telemetry merged under the regime labels ("RTT*C", "RTT*C/sqrt(n)").
 	RunEnv
 }
@@ -80,7 +80,7 @@ type AFCTOutcome struct {
 // the Mix traffic kind.
 type MixedConfig struct {
 	// AFCTComparisonConfig is the scenario, RunEnv included: Metrics,
-	// Audit, Cache and Shards. UseRED sizes RED to BufferPackets.
+	// Audit and Cache. UseRED sizes RED to BufferPackets.
 	AFCTComparisonConfig
 	BufferPackets int
 }
@@ -127,7 +127,7 @@ type TraceConfig struct {
 	// running for stragglers (default 60 s).
 	Drain units.Duration
 
-	// RunEnv: Metrics, Audit, Cache and Shards.
+	// RunEnv: Metrics, Audit and Cache.
 	RunEnv
 }
 
@@ -184,7 +184,6 @@ func runTrace(cfg TraceConfig) TraceResult {
 		seed:     cfg.Seed,
 		Path:     path,
 		stations: cfg.Stations,
-		shards:   sharedGeneratorShards(cfg.Shards),
 		buffer:   cfg.BufferPackets,
 		red:      cfg.UseRED,
 	})
@@ -226,7 +225,6 @@ func runMixedUncached(cfg MixedConfig, label string) AFCTOutcome {
 		seed:     cfg.Seed,
 		Path:     cfg.Path,
 		stations: cfg.NLong + 50,
-		shards:   sharedGeneratorShards(cfg.Shards),
 		buffer:   cfg.BufferPackets,
 		red:      cfg.UseRED,
 	})
@@ -264,7 +262,6 @@ func RunAFCTComparison(cfg AFCTComparisonConfig) AFCTComparisonResult {
 	out := sweepLabelled("afct-comparison", cfg.RunEnv, label, len(labels), func(i int, cell RunEnv) AFCTOutcome {
 		run := MixedConfig{AFCTComparisonConfig: cfg, BufferPackets: buffers[i]}
 		run.RunEnv = cell
-		run.Shards = cfg.Shards
 		return runMixedOnce(run, labels[i])
 	})
 	return AFCTComparisonResult{BDPPackets: bdp, RuleThumb: out[0], SqrtRule: out[1]}

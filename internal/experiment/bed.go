@@ -37,10 +37,6 @@ type bedConfig struct {
 	Path
 	stations   int
 	accessRate units.BitRate // 0: the topology's 10x bottleneck
-	// shards is the kernel shard request: env.Shards where a scenario
-	// shards fully, sharedGeneratorShards(env.Shards) where a generator
-	// drives it, 0 where it never shards.
-	shards int
 
 	buffer int // bottleneck buffer in packets; 0 is unlimited
 	// red, ecn and codel pick the discipline as in LongLivedConfig;
@@ -71,7 +67,6 @@ func newBed(c bedConfig) *bed {
 		RTTMin:          c.RTTMin,
 		RTTMax:          c.RTTMin,
 		Auditor:         c.env.Audit,
-		Shards:          c.shards,
 	}
 	if c.RTTMax != 0 {
 		tc.RTTMax, tc.RNG = c.RTTMax, b.rng.Fork()

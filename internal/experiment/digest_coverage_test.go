@@ -90,7 +90,6 @@ func TestDigestCoversEveryField(t *testing.T) {
 		Cache:       store,
 		Ctx:         context.Background(),
 		Parallelism: 4,
-		Shards:      3,
 	})
 	for i := 0; i < observed.NumField(); i++ {
 		if observed.Field(i).IsZero() {
@@ -254,7 +253,7 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 // cacheSalt bump, re-record all five, in that commit and no other.
 func TestCacheKeysStable(t *testing.T) {
 	env := RunEnv{Metrics: metrics.New(), Audit: audit.New(),
-		Ctx: context.Background(), Parallelism: 4, Shards: 3}
+		Ctx: context.Background(), Parallelism: 4}
 	for _, tc := range []struct {
 		kind string
 		cfg  any

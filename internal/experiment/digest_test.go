@@ -35,99 +35,99 @@ func resultDigest(t *testing.T, v any) string {
 var goldenDigestCases = []struct {
 	name string
 	want string
-	run  func(cache *runcache.Store, shards int) any
+	run  func(cache *runcache.Store) any
 }{
 	{
 		name: "long_lived_reno",
 		want: "9a84081920306444da24a3f7b94e199fd1a78e6ed655c4cecffa355500e2b8aa",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Seed: 7, N: 24, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
 				BufferPackets: 40,
-				RunEnv:        RunEnv{Cache: cache, Shards: shards},
+				RunEnv:        RunEnv{Cache: cache},
 			})
 		},
 	},
 	{
 		name: "long_lived_sack_paced_delack",
 		want: "daee4e44719aaf120f2fccfae01a5d4e8f44167ca7e45a99fc29ff082c406fc7",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Seed: 11, N: 16, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
 				BufferPackets: 25, Variant: 3, /* Sack */
 				Paced: true, DelayedAck: true,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv: RunEnv{Cache: cache},
 			})
 		},
 	},
 	{
 		name: "long_lived_red_ecn",
 		want: "add72eca42d9e202e691005e4425cd7e85da6dbbe0048ec004e420a7366c35d1",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Seed: 3, N: 20, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
 				BufferPackets: 30, UseRED: true, ECN: true,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv: RunEnv{Cache: cache},
 			})
 		},
 	},
 	{
 		name: "long_lived_cubic",
 		want: "ab78bc44d4975a329be3f3ec6741da5db68ee9fab99884d6ac46f400277c002a",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Seed: 13, N: 24, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
 				BufferPackets: 40, Variant: 4, /* Cubic */
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv: RunEnv{Cache: cache},
 			})
 		},
 	},
 	{
 		name: "long_lived_bbr",
 		want: "0297c3f652b500fdf658e2897ab901e0bd099c9f9495a931b795e393fc53c5fd",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Seed: 17, N: 16, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
 				BufferPackets: 30, Variant: 5, /* BBR */
 				DelayedAck: true,
-				RunEnv:     RunEnv{Cache: cache, Shards: shards},
+				RunEnv:     RunEnv{Cache: cache},
 			})
 		},
 	},
 	{
 		name: "single_flow_sawtooth",
 		want: "b944849af08fc27334a6d438a21a7c1c3a3888914de021470ff0720238a5d273",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunSingleFlow(SingleFlowConfig{
 				Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 30 * units.Second, Measure: 40 * units.Second}, BufferFactor: 1,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv: RunEnv{Cache: cache},
 			})
 		},
 	},
 	{
 		name: "short_flows",
 		want: "5d4523c64431bd9c5764512cf63f90d15d96c3c95ac360b9ab1651a9c012d714",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return shortFlowDigest(RunProfile(shortFlowRun(5, 20*units.Mbps, 0.7, 14, 50,
-				4*units.Second, 10*units.Second, RunEnv{Cache: cache, Shards: shards})))
+				4*units.Second, 10*units.Second, RunEnv{Cache: cache})))
 		},
 	},
 	{
 		name: "mixed_traffic",
 		want: "af5cdb47b0ca1b22709bc162f534cf059dc54bdc275a2decbb6c704c5087e16e",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunMixed(MixedConfig{AFCTComparisonConfig{
 				Seed: 9, NLong: 12, ShortLoad: 0.15,
 				Sizes:  workload.GeometricSize(10),
 				Path:   Path{BottleneckRate: 20 * units.Mbps, Warmup: 5 * units.Second, Measure: 10 * units.Second},
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv: RunEnv{Cache: cache},
 			}, 35})
 		},
 	},
 	{
 		name: "profile_flashcrowd",
 		want: "fa7d5874c5551439e82a093a0928c15f5e464cf2d2bd12a30aaa92e7cf1581e7",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			prof, err := profile.FlashCrowd.Profile().Compress(4)
 			if err != nil {
 				panic(err)
@@ -137,14 +137,14 @@ var goldenDigestCases = []struct {
 				Stations: 20, Profile: prof, PeakFlows: 8,
 				Buffers: []int{25, 100},
 				Drain:   20 * units.Second,
-				RunEnv:  RunEnv{Cache: cache, Shards: shards},
+				RunEnv:  RunEnv{Cache: cache},
 			})
 		},
 	},
 	{
 		name: "trace_replay",
 		want: "7290a2b5fb47831db7e58c781fe5fffa64b33d509eb6b618a7329c14fd81c949",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			flows := make([]workload.FlowSpec, 0, 60)
 			for i := 0; i < 60; i++ {
 				flows = append(flows, workload.FlowSpec{
@@ -156,52 +156,52 @@ var goldenDigestCases = []struct {
 				Seed: 2, Flows: flows,
 				Path: Path{BottleneckRate: 10 * units.Mbps}, BufferPackets: 30,
 				Drain:  20 * units.Second,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv: RunEnv{Cache: cache},
 			})
 		},
 	},
 	{
 		name: "harpoon_sessions",
 		want: "fc25e502881cab965e14c2781c7bc46206a20630e202e987726b5246c63d4bda",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunHarpoon(HarpoonConfig{
 				Seed: 4, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}, Sessions: 60,
 				Sizes:     workload.ParetoSize{Shape: 1.2, Min: 10, Max: 500},
 				MeanThink: 500 * units.Millisecond,
 				Factors:   []float64{0.5, 2},
-				RunEnv:    RunEnv{Cache: cache, Shards: shards},
+				RunEnv:    RunEnv{Cache: cache},
 			})
 		},
 	},
 	{
 		name: "production_points",
 		want: "8f9befcaa913e7e78c5a06f15155d96e39c7a88184781bb8044f519ec701909b",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunProduction(ProductionConfig{
 				Seed: 6, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 6 * units.Second}, NLong: 10,
 				Buffers: []int{20, 60},
-				RunEnv:  RunEnv{Cache: cache, Shards: shards},
+				RunEnv:  RunEnv{Cache: cache},
 			})
 		},
 	},
 	{
 		name: "smoothing_points",
 		want: "159be815a3430f177da5851bf7a6d15cb11f1a3dccff089883205a6668500149",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunSmoothing(SmoothingConfig{
 				Seed: 8, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 2 * units.Second, Measure: 6 * units.Second}, Stations: 20,
 				AccessRatios: []float64{10, 0.5},
-				RunEnv:       RunEnv{Cache: cache, Shards: shards},
+				RunEnv:       RunEnv{Cache: cache},
 			})
 		},
 	},
 	{
 		name: "window_dist",
 		want: "6ea91f11259eccc6cf4471720309e4c35b625512dcc7abc60bdb666fa8b575f5",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunWindowDist(WindowDistConfig{
 				Seed: 10, N: 12, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second},
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv: RunEnv{Cache: cache},
 			})
 		},
 	},
@@ -223,10 +223,10 @@ var goldenDigestCases = []struct {
 	{
 		name: "multihop",
 		want: "7373cbd05994f432cf37ba58bf327d19876d1c04b6cec7883b4c707774147b72",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunMultiHop(MultiHopConfig{
 				Seed: 12, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}, NPerGroup: 6,
-				RunEnv: RunEnv{Cache: cache, Shards: shards},
+				RunEnv: RunEnv{Cache: cache},
 			})
 		},
 	},
@@ -254,15 +254,15 @@ func shortFlowDigest(r ProfileRunResult) any {
 }
 
 // adversaryDigestCase is one adversarial pattern at a quarter-BDP buffer.
-func adversaryDigestCase(p adversary.Pattern) func(*runcache.Store, int) any {
-	return func(cache *runcache.Store, shards int) any {
+func adversaryDigestCase(p adversary.Pattern) func(*runcache.Store) any {
+	return func(cache *runcache.Store) any {
 		return RunAdversaryScenario(AdversaryScenario{
 			Seed: 14, Pattern: p, BufferPackets: 17,
 			AdversaryCohort: AdversaryCohort{
 				N: 8, Hops: 2,
 				Path: Path{BottleneckRate: 10 * units.Mbps, RTTMin: 80 * units.Millisecond, Warmup: 2 * units.Second, Measure: 4 * units.Second},
 			},
-			RunEnv: RunEnv{Cache: cache, Shards: shards},
+			RunEnv: RunEnv{Cache: cache},
 		})
 	}
 }
@@ -281,7 +281,7 @@ func adversaryDigestCase(p adversary.Pattern) func(*runcache.Store, int) any {
 func TestGoldenDigests(t *testing.T) {
 	for _, tc := range goldenDigestCases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := resultDigest(t, tc.run(nil, 0))
+			got := resultDigest(t, tc.run(nil))
 			if got != tc.want {
 				t.Errorf("digest = %s, want %s\n(a digest change means the kernel no longer reproduces the pre-rewrite packet schedule)", got, tc.want)
 			}
@@ -304,10 +304,10 @@ func TestGoldenDigestsCached(t *testing.T) {
 	for _, tc := range goldenDigestCases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := store.Stats()
-			if got := resultDigest(t, tc.run(store, 0)); got != tc.want {
+			if got := resultDigest(t, tc.run(store)); got != tc.want {
 				t.Errorf("cold cached digest = %s, want %s", got, tc.want)
 			}
-			if got := resultDigest(t, tc.run(store, 0)); got != tc.want {
+			if got := resultDigest(t, tc.run(store)); got != tc.want {
 				t.Errorf("warm cached digest = %s, want %s", got, tc.want)
 			}
 			after := store.Stats()

@@ -22,7 +22,7 @@
 //
 // Observers and execution policy: every config embeds one RunEnv
 // (runenv.go) — telemetry registry, auditor, run cache,
-// context, worker bound, shard count. None of it can change a result,
+// context, worker bound. None of it can change a result,
 // and the type itself keeps it out of the cache key; see RunEnv and
 // DESIGN.md, "Run cache".
 package experiment
@@ -69,7 +69,7 @@ type LongLivedConfig struct {
 	Paced bool
 
 	// RunEnv carries the observers and execution policy. RunLongLived
-	// reads Metrics, Audit, Cache and Shards; RunLongLivedReplicated
+	// reads Metrics, Audit and Cache; RunLongLivedReplicated
 	// also Ctx and Parallelism.
 	RunEnv
 }
@@ -129,21 +129,6 @@ func RunLongLived(cfg LongLivedConfig) LongLivedResult {
 	})
 }
 
-// sharedGeneratorShards caps the shard count for scenarios driven by a
-// dynamic flow generator (short flows, sessions, traces, profiles). Those
-// generators mutate shared bookkeeping — active counts, flow records —
-// from completion callbacks that fire in station context, so every
-// station must live on one shard. Two shards is exactly that placement:
-// the bottleneck on shard 0, all stations (and hence the whole generator)
-// on shard 1. Long-lived-only scenarios have no such coupling and shard
-// fully.
-func sharedGeneratorShards(n int) int {
-	if n > 2 {
-		return 2
-	}
-	return n
-}
-
 // runLongLived is the uncached body of RunLongLived; cfg has defaults
 // applied.
 func runLongLived(cfg LongLivedConfig) LongLivedResult {
@@ -152,7 +137,6 @@ func runLongLived(cfg LongLivedConfig) LongLivedResult {
 		seed:     cfg.Seed,
 		Path:     cfg.Path,
 		stations: cfg.N,
-		shards:   cfg.Shards,
 		buffer:   cfg.BufferPackets,
 		red:      cfg.UseRED,
 		ecn:      cfg.ECN,
@@ -263,7 +247,6 @@ func RunLongLivedReplicated(cfg LongLivedConfig, k int) ReplicatedResult {
 		run := cfg
 		run.Seed = cfg.Seed + int64(i)
 		run.RunEnv = cell
-		run.Shards = cfg.Shards
 		return RunLongLived(run).Utilization
 	})
 	var w stats.Welford

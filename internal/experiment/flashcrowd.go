@@ -39,7 +39,7 @@ type ProfileRunConfig struct {
 	// before being counted censored (default 30s).
 	Drain units.Duration
 
-	// RunEnv: Metrics, Audit, Cache and Shards.
+	// RunEnv: Metrics, Audit and Cache.
 	RunEnv
 }
 
@@ -115,7 +115,6 @@ func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 		seed:     cfg.Seed,
 		Path:     cfg.Path,
 		stations: cfg.Stations,
-		shards:   sharedGeneratorShards(cfg.Shards),
 		buffer:   cfg.BufferPackets,
 		red:      cfg.UseRED,
 	})
@@ -179,9 +178,9 @@ type FlashCrowdConfig struct {
 
 	Drain units.Duration
 
-	// RunEnv: the sweep is cached and cancellable like every other, and
-	// Shards reaches every swept point. With Metrics set each point runs
-	// with a child registry merged under "buffer=...".
+	// RunEnv: the sweep is cached and cancellable like every other. With
+	// Metrics set each point runs with a child registry merged under
+	// "buffer=...".
 	RunEnv
 }
 
@@ -300,7 +299,6 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 	label := func(k int) string { return fmt.Sprintf("buffer=%d", cfg.Buffers[k]) }
 	return sweepLabelled("flashcrowd", cfg.RunEnv, label, len(cfg.Buffers), func(k int, cell RunEnv) FlashCrowdRow {
 		buffer := cfg.Buffers[k]
-		cell.Shards = cfg.Shards // the sweep shards its cells
 		res := RunProfile(ProfileRunConfig{
 			Seed: cfg.Seed, Path: cfg.Path, BufferPackets: buffer,
 			Source: src, Stations: cfg.Stations, Drain: cfg.Drain,

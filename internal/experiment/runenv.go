@@ -9,17 +9,16 @@ import (
 )
 
 // RunEnv is everything about a run that is not the run: who watches it
-// and how it is executed. Every config embeds it, so the six knobs are
+// and how it is executed. Every config embeds it, so the five knobs are
 // declared, documented and kept out of the cache key in this one place.
 //
 // None of the fields can change a result — that is the observer
-// contract the pinned digests, the golden tables and the sharded
-// equivalence harness enforce — which is what entitles the type to its
+// contract the pinned digests and the golden tables enforce — which is what entitles the type to its
 // DigestIgnore marker: runcache.Key skips every struct field of type
 // RunEnv, at any depth, whatever the field is called. A field that does
 // change what a run computes must never be added here.
 //
-// Metrics, Audit, Cache and Shards are read by the single-simulation
+// Metrics, Audit and Cache are read by the single-simulation
 // drivers. Ctx and Parallelism are read only by the drivers that
 // fan out over many simulations (everything built on sweep); a single
 // run ignores them. A fan-out driver's cells run under a derived env
@@ -54,12 +53,6 @@ type RunEnv struct {
 	// Parallelism bounds a sweep's worker goroutines; 0 means the
 	// machine's parallelism. One simulation is always one goroutine.
 	Parallelism int
-
-	// Shards requests the sharded kernel with this many event shards
-	// (see topology.Config.Shards); 0 or 1 is the sequential kernel.
-	// Generator-driven scenarios (short flows, mixes, traces, profiles)
-	// cap the effective count at two — see sharedGeneratorShards.
-	Shards int
 }
 
 // DigestIgnore marks RunEnv as invisible to runcache.Key.
@@ -71,9 +64,7 @@ func (e RunEnv) live() bool { return e.Metrics != nil || e.Audit != nil }
 
 // cell derives the env one simulation of a fan-out runs under: the
 // shared Auditor and Cache plus the cell's own registry (nil for none).
-// Sweep-level policy stays behind, and so does Shards: a sweep does not
-// shard its cells unless its driver says so (the replicated run, Fig. 9's
-// pair and the flash crowd do).
+// Sweep-level policy stays behind.
 func (e RunEnv) cell(reg *metrics.Registry) RunEnv {
 	return RunEnv{Metrics: reg, Audit: e.Audit, Cache: e.Cache}
 }

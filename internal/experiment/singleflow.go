@@ -37,9 +37,8 @@ type SingleFlowConfig struct {
 	// the same buffer — the sawtooth under early, randomized drops.
 	UseRED bool
 
-	// RunEnv: Metrics, Audit, Cache (the memoized result includes the time
-	// series) and Shards — with one station at most two shards take effect
-	// (bottleneck shard + station shard).
+	// RunEnv: Metrics, Audit and Cache (the memoized result includes the
+	// time series).
 	RunEnv
 }
 
@@ -97,7 +96,6 @@ func runSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
 		seed:     cfg.Seed,
 		Path:     cfg.Path.or(Path{BottleneckDelay: cfg.RTTMin / 4}),
 		stations: 1,
-		shards:   cfg.Shards,
 		buffer:   buffer,
 		red:      cfg.UseRED,
 	})

@@ -54,16 +54,6 @@ type Link struct {
 	// together with the queueing delay it experienced. Experiments use it
 	// to build queueing-delay distributions.
 	OnDequeue func(p *packet.Packet, queued units.Duration)
-
-	// DeliverVia, if set, routes each packet's arrival event to the shard
-	// that owns the far end of the wire (see sim.Target): propagation is
-	// scheduled on the returned target instead of self-posting opArrive,
-	// so the arrival fires in the destination's shard. The propagation
-	// delay doubles as the sharded kernel's lookahead, which is why a
-	// cross-shard link must have positive delay. An invalid target falls
-	// back to the self-post path. Delivery times and event order are
-	// identical either way — sharded and unsharded runs are bit-identical.
-	DeliverVia func(p *packet.Packet) sim.Target
 }
 
 // Link event opcodes (see sim.Actor).
@@ -122,7 +112,7 @@ func (l *Link) SetAuditor(a *audit.Auditor) { l.aud = a }
 
 // SetDropPool makes the link release every packet its queue rejects into
 // pl, the pool the packets' endpoints draw from. The link must run on the
-// scheduler view that owns pl (see packet.Packet on ownership); a nil pool
+// scheduler that owns pl (see packet.Packet on ownership); a nil pool
 // (the default) leaves rejected packets to the garbage collector.
 func (l *Link) SetDropPool(pl *packet.Pool) { l.dropPool = pl }
 
@@ -183,12 +173,6 @@ func (l *Link) finishTransmit(p *packet.Packet) {
 
 	if l.delay == 0 {
 		l.dst.Handle(p)
-	} else if l.DeliverVia != nil {
-		if tg := l.DeliverVia(p); tg.Valid() {
-			l.sched.PostToAfter(l.delay, tg, opArrive, p)
-		} else {
-			l.wire.PostAfter(l.delay, p)
-		}
 	} else {
 		l.wire.PostAfter(l.delay, p)
 	}

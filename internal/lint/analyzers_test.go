@@ -14,24 +14,14 @@ func TestMapOrder(t *testing.T) { linttest.Run(t, lint.MapOrder, "mapord") }
 func TestUnitSafety(t *testing.T) {
 	linttest.Run(t, lint.UnitSafety, "unitsafe", "profileunits", "probeunits")
 }
-func TestShardSafety(t *testing.T) { linttest.Run(t, lint.ShardSafety, "shardsafe") }
-func TestShardOwnership(t *testing.T) {
-	linttest.Run(t, lint.ShardOwnership, "shardown")
-}
-func TestRNGConfinement(t *testing.T) {
-	linttest.Run(t, lint.RNGConfinement, "rngconf")
-}
 
 // TestSuiteComplete pins the analyzer roster: the CI gate and the docs
-// promise these six checks.
+// promise these three checks.
 func TestSuiteComplete(t *testing.T) {
 	want := map[string]bool{
 		"simdeterminism": true,
 		"maporder":       true,
 		"unitsafety":     true,
-		"shardsafety":    true,
-		"shardownership": true,
-		"rngconfinement": true,
 	}
 	got := lint.Analyzers()
 	if len(got) != len(want) {
@@ -78,16 +68,6 @@ func TestAppliesToScopes(t *testing.T) {
 		{lint.UnitSafety, "bufsim/internal/adversary", true},
 		{lint.UnitSafety, "bufsim/internal/probe", true},
 		{lint.MapOrder, "bufsim/internal/experiment", true},
-		{lint.ShardSafety, "bufsim/internal/queue", true},
-		{lint.ShardSafety, "bufsim/internal/tcp", true},
-		{lint.ShardSafety, "bufsim/internal/workload", true},
-		{lint.ShardSafety, "bufsim/internal/lint", true}, // lint-the-linter: the suite holds itself to the surface rules
-		{lint.ShardOwnership, "bufsim/internal/topology", true},
-		{lint.ShardOwnership, "bufsim/internal/link", true},
-		{lint.ShardOwnership, "bufsim/internal/sim", false}, // the kernel implements the frontier itself
-		{lint.RNGConfinement, "bufsim/internal/workload", true},
-		{lint.RNGConfinement, "bufsim/internal/experiment", true},
-		{lint.RNGConfinement, "bufsim/internal/sim", false}, // sim owns RNG and the shard machinery
 	}
 	for _, c := range cases {
 		if got := c.analyzer.AppliesTo(c.pkg); got != c.want {

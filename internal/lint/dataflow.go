@@ -1,31 +1,26 @@
 package lint
 
-// The intraprocedural dataflow engine behind the flow-aware analyzers
-// (simdeterminism, shardownership, rngconfinement). The design is
-// deliberately small: a *tag* is a fact about a value ("came from this
-// time.Now call", "is the scheduler view for shard 1"), tags attach to
-// expressions at *sources*, and a per-function fixpoint propagates them
-// through local def-use chains. Analyzers then walk the function once
-// more and ask each interesting expression which tags it carries.
+// The intraprocedural dataflow engine behind simdeterminism's flow check.
+// The design is deliberately small: a *tag* is a fact about a value
+// ("came from this time.Now call"), tags attach to expressions at
+// *sources*, and a per-function fixpoint propagates them through local
+// def-use chains. The analyzer then walks the function once more and asks
+// each interesting expression which tags it carries.
 //
 // The engine is flow-insensitive within a function (a variable's tag
-// set is the union over all its assignments) and purely intraprocedural
-// except for one explicit bridge, constDef (single-assignment constant
-// propagation, used by shardsafety). It errs on the side of fewer
-// facts, so analyzers built on the engine miss exotic flows rather than
-// inventing false ones.
+// set is the union over all its assignments) and purely intraprocedural.
+// It errs on the side of fewer facts, so an analyzer built on it misses
+// exotic flows rather than inventing false ones.
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 )
 
-// tag is one dataflow fact. kind namespaces the analyzer ("wall",
-// "view", "bind", "rng", "nshard"); key identifies the source
-// ("file:line:col" of the originating call, a constant shard index, a
-// parameter name).
+// tag is one dataflow fact. kind namespaces it ("wall", "wallp"); key
+// identifies the source ("file:line:col" of the originating call or
+// parameter).
 type tag struct {
 	kind string
 	key  string
@@ -52,66 +47,43 @@ func (ts tagSet) mergeFrom(src tagSet) bool {
 	return changed
 }
 
-// flowSpec configures how tags propagate through expressions.
-type flowSpec struct {
-	// source returns the intrinsic tags of an expression — the facts
-	// that hold regardless of dataflow (a call to time.Now, a
-	// ShardView call). Consulted for every expression the evaluator
-	// visits.
-	source func(pass *Pass, e ast.Expr) []tag
-
-	// throughMethods taints the result of a method call whose receiver
-	// is tainted (time.Since(t0).Seconds() stays wall-tainted).
-	throughMethods bool
-
-	// throughOps taints the result of binary and unary arithmetic with
-	// a tainted operand (wall/1e9, n-1).
-	throughOps bool
-
-	// throughIndex treats containers as tainted wholes: x[i], x[i:j],
-	// range values and composite literals propagate element taint in
-	// both directions. Leave false when indexing extracts a safe
-	// scalar.
-	throughIndex bool
-
-	// throughContainerStore taints a local container when a tainted
-	// value is stored into one of its elements (durations[i] = elapsed).
-	throughContainerStore bool
-}
-
 // flowEdge is one def-use edge: dst acquires the tags of rhs.
+//
+// Tags flow through method calls on a tainted receiver
+// (time.Since(t0).Seconds()), through arithmetic (wall/1e9), and through
+// containers as tainted wholes: x[i], x[i:j], range values, composite
+// literals and stores into an element (durations[i] = elapsed) carry the
+// container's taint both ways.
 type flowEdge struct {
 	dst *types.Var
 	rhs ast.Expr
-	// viaIndex marks element extraction (range values), gated by
-	// throughIndex; viaStore marks container stores (x[i] = rhs), gated
-	// by throughContainerStore.
-	viaIndex bool
-	viaStore bool
 }
 
 // funcFlow is the dataflow solution for one function (including any
 // function literals nested in it, which share the enclosing scope).
 type funcFlow struct {
-	pass  *Pass
-	spec  flowSpec
-	node  ast.Node // *ast.FuncDecl or *ast.FuncLit
-	edges []flowEdge
-	vars  map[*types.Var]tagSet
+	pass *Pass
+	// source returns the intrinsic tags of an expression — the facts
+	// that hold regardless of dataflow (a call to time.Now). Consulted
+	// for every expression the evaluator visits.
+	source func(pass *Pass, e ast.Expr) []tag
+	node   ast.Node // *ast.FuncDecl
+	edges  []flowEdge
+	vars   map[*types.Var]tagSet
 	// seeds carry externally injected tags (parameter sources for
-	// summaries, shard-view bindings) that survive re-solving.
+	// summaries) that survive re-solving.
 	seeds map[*types.Var]tagSet
 }
 
-func newFuncFlow(pass *Pass, spec flowSpec, node ast.Node) *funcFlow {
+func newFuncFlow(pass *Pass, source func(*Pass, ast.Expr) []tag, node *ast.FuncDecl) *funcFlow {
 	ff := &funcFlow{
-		pass:  pass,
-		spec:  spec,
-		node:  node,
-		vars:  make(map[*types.Var]tagSet),
-		seeds: make(map[*types.Var]tagSet),
+		pass:   pass,
+		source: source,
+		node:   node,
+		vars:   make(map[*types.Var]tagSet),
+		seeds:  make(map[*types.Var]tagSet),
 	}
-	ff.collectEdges()
+	ff.collectEdges(node.Body)
 	return ff
 }
 
@@ -136,58 +108,54 @@ func (ff *funcFlow) localVar(e ast.Expr) *types.Var {
 	return v
 }
 
-func (ff *funcFlow) addEdge(lhs ast.Expr, rhs ast.Expr, viaIndex bool) {
+func (ff *funcFlow) addEdge(lhs ast.Expr, rhs ast.Expr) {
 	if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 		if id.Name == "_" {
 			return
 		}
 		if v := ff.localVar(id); v != nil {
-			ff.edges = append(ff.edges, flowEdge{dst: v, rhs: rhs, viaIndex: viaIndex})
+			ff.edges = append(ff.edges, flowEdge{dst: v, rhs: rhs})
 		}
 		return
 	}
-	// x[i] = rhs taints the container x when the spec says stores do.
+	// x[i] = rhs taints the container x.
 	if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 		if v := ff.localVar(baseExpr(idx.X)); v != nil {
-			ff.edges = append(ff.edges, flowEdge{dst: v, rhs: rhs, viaStore: true})
+			ff.edges = append(ff.edges, flowEdge{dst: v, rhs: rhs})
 		}
 	}
 }
 
-func (ff *funcFlow) collectEdges() {
-	body := funcBody(ff.node)
-	if body == nil {
-		return
-	}
+func (ff *funcFlow) collectEdges(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
 			if len(s.Lhs) == len(s.Rhs) {
 				for i := range s.Lhs {
-					ff.addEdge(s.Lhs[i], s.Rhs[i], false)
+					ff.addEdge(s.Lhs[i], s.Rhs[i])
 				}
 			} else if len(s.Rhs) == 1 {
 				// Tuple assignment: every lhs acquires the call's tags.
 				for i := range s.Lhs {
-					ff.addEdge(s.Lhs[i], s.Rhs[0], false)
+					ff.addEdge(s.Lhs[i], s.Rhs[0])
 				}
 			}
 		case *ast.ValueSpec:
 			if len(s.Names) == len(s.Values) {
 				for i := range s.Names {
-					ff.addEdge(s.Names[i], s.Values[i], false)
+					ff.addEdge(s.Names[i], s.Values[i])
 				}
 			} else if len(s.Values) == 1 {
 				for i := range s.Names {
-					ff.addEdge(s.Names[i], s.Values[0], false)
+					ff.addEdge(s.Names[i], s.Values[0])
 				}
 			}
 		case *ast.RangeStmt:
 			if s.Key != nil {
-				ff.addEdge(s.Key, s.X, true)
+				ff.addEdge(s.Key, s.X)
 			}
 			if s.Value != nil {
-				ff.addEdge(s.Value, s.X, true)
+				ff.addEdge(s.Value, s.X)
 			}
 		}
 		return true
@@ -195,7 +163,7 @@ func (ff *funcFlow) collectEdges() {
 }
 
 // seed injects externally supplied tags on a variable (a parameter
-// under summary analysis, a shard binding) ahead of solving.
+// under summary analysis) ahead of solving.
 func (ff *funcFlow) seed(v *types.Var, t tag, pos token.Pos) bool {
 	ts := ff.seeds[v]
 	if ts == nil {
@@ -205,9 +173,8 @@ func (ff *funcFlow) seed(v *types.Var, t tag, pos token.Pos) bool {
 	if !ts.add(t, pos) {
 		return false
 	}
-	// Make the seed visible to exprTags immediately: callers interleave
-	// seeding with queries (shardownership binds post sites in source
-	// order), and solve() re-merges seeds anyway.
+	// Make the seed visible to exprTags immediately; solve() re-merges
+	// seeds anyway.
 	dst := ff.vars[v]
 	if dst == nil {
 		dst = make(tagSet)
@@ -231,12 +198,6 @@ func (ff *funcFlow) solve() {
 	for changed := true; changed; {
 		changed = false
 		for _, e := range ff.edges {
-			if e.viaIndex && !ff.spec.throughIndex {
-				continue
-			}
-			if e.viaStore && !ff.spec.throughContainerStore {
-				continue
-			}
 			ts := ff.exprTags(e.rhs)
 			if len(ts) == 0 {
 				continue
@@ -265,10 +226,8 @@ func (ff *funcFlow) addExprTags(out tagSet, e ast.Expr) {
 	if e == nil {
 		return
 	}
-	if ff.spec.source != nil {
-		for _, t := range ff.spec.source(ff.pass, e) {
-			out.add(t, e.Pos())
-		}
+	for _, t := range ff.source(ff.pass, e) {
+		out.add(t, e.Pos())
 	}
 	switch v := e.(type) {
 	case *ast.Ident:
@@ -284,23 +243,15 @@ func (ff *funcFlow) addExprTags(out tagSet, e ast.Expr) {
 	case *ast.UnaryExpr:
 		ff.addExprTags(out, v.X)
 	case *ast.BinaryExpr:
-		if ff.spec.throughOps {
-			ff.addExprTags(out, v.X)
-			ff.addExprTags(out, v.Y)
-		}
+		ff.addExprTags(out, v.X)
+		ff.addExprTags(out, v.Y)
 	case *ast.IndexExpr:
-		if ff.spec.throughIndex {
-			ff.addExprTags(out, v.X)
-		}
+		ff.addExprTags(out, v.X)
 	case *ast.SliceExpr:
-		if ff.spec.throughIndex {
-			ff.addExprTags(out, v.X)
-		}
+		ff.addExprTags(out, v.X)
 	case *ast.CompositeLit:
-		if ff.spec.throughIndex {
-			for _, el := range v.Elts {
-				ff.addExprTags(out, el)
-			}
+		for _, el := range v.Elts {
+			ff.addExprTags(out, el)
 		}
 	case *ast.KeyValueExpr:
 		ff.addExprTags(out, v.Value)
@@ -311,77 +262,15 @@ func (ff *funcFlow) addExprTags(out tagSet, e ast.Expr) {
 		}
 		if isBuiltinAppend(ff.pass, v) && len(v.Args) > 0 {
 			// append's result aliases (or extends) its first argument.
-			ff.addExprTags(out, v.Args[0])
-			if ff.spec.throughIndex {
-				for _, a := range v.Args[1:] {
-					ff.addExprTags(out, a)
-				}
+			for _, a := range v.Args {
+				ff.addExprTags(out, a)
 			}
 			return
 		}
-		if ff.spec.throughMethods {
-			if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok && isMethodCall(ff.pass, sel) {
-				ff.addExprTags(out, sel.X)
-			}
+		if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok && isMethodCall(ff.pass, sel) {
+			ff.addExprTags(out, sel.X)
 		}
 	}
-}
-
-// constDef returns the constant value of a single-assignment local
-// whose one definition is a compile-time constant — the def-use
-// counterpart of types.Info.Types[expr].Value for plain literals.
-func (ff *funcFlow) constDef(v *types.Var) (constant.Value, bool) {
-	var def ast.Expr
-	for _, e := range ff.edges {
-		if e.dst != v {
-			continue
-		}
-		if e.viaIndex || e.viaStore || def != nil {
-			return nil, false // reassigned, or not a plain copy
-		}
-		def = e.rhs
-	}
-	if def == nil {
-		return nil, false
-	}
-	tv, ok := ff.pass.Info.Types[def]
-	if !ok || tv.Value == nil {
-		return nil, false
-	}
-	return tv.Value, true
-}
-
-// constIntArg resolves a call argument to a constant int, either
-// directly (a literal or named constant) or through a single-assignment
-// local. The second result reports whether a constant was found.
-func constIntArg(pass *Pass, ff *funcFlow, e ast.Expr) (int64, bool) {
-	if tv, ok := pass.Info.Types[e]; ok && tv.Value != nil {
-		if n, exact := constant.Int64Val(constant.ToInt(tv.Value)); exact {
-			return n, true
-		}
-		return 0, false
-	}
-	if ff == nil {
-		return 0, false
-	}
-	if v := ff.localVar(e); v != nil {
-		if val, ok := ff.constDef(v); ok {
-			if n, exact := constant.Int64Val(constant.ToInt(val)); exact {
-				return n, true
-			}
-		}
-	}
-	return 0, false
-}
-
-func funcBody(node ast.Node) *ast.BlockStmt {
-	switch fn := node.(type) {
-	case *ast.FuncDecl:
-		return fn.Body
-	case *ast.FuncLit:
-		return fn.Body
-	}
-	return nil
 }
 
 func isTypeConversion(pass *Pass, call *ast.CallExpr) bool {
@@ -434,7 +323,7 @@ func pkgPathMatches(path, pkgSuffix string) bool {
 }
 
 // funcDecls returns every function declaration with a body, in file
-// order — the analysis unit of the flow-aware analyzers.
+// order — the analysis unit of the flow analysis.
 func funcDecls(files []*ast.File) []*ast.FuncDecl {
 	var out []*ast.FuncDecl
 	for _, f := range files {

@@ -2,7 +2,7 @@
 //
 // The reproduction's headline numbers are trustworthy only because a run
 // is a pure function of (config, seed): the pinned digests, the
-// content-addressed run cache, and crash-resume all replay on that
+// content-addressed run cache and its resume-by-replay rest on that
 // assumption. The runtime layers (digest tests, -cache-verify, the audit
 // hooks) catch drift after it happens; this package catches the usual
 // sources of drift at compile time:
@@ -13,20 +13,11 @@
 //   - maporder: no order-dependent work inside `range` over a map.
 //   - unitsafety: no bare numeric literals or cross-unit conversions
 //     where units.* quantities are expected.
-//   - shardsafety: the cross-shard scheduling surface stays confined to
-//     the shard-aware layers, so the topology cut remains the only
-//     place events cross shards — the structural fact the sharded
-//     kernel's bit-identical equivalence proof rests on.
-//   - shardownership: values bound to ShardView(k) are scheduled only
-//     through shard k; cross-shard work goes through the
-//     PostToAt/PostToAfter frontier (dataflow-based).
-//   - rngconfinement: each RNG stream stays on one shard and no draw
-//     site is control-dependent on the shard count (dataflow-based).
 //
 // The analyzers mirror the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but are built purely on the standard
-// library so the module stays dependency-free; the flow-aware checks
-// share the intraprocedural engine in dataflow.go. Run drives the suite
+// library so the module stays dependency-free; simdeterminism's flow
+// check runs on the intraprocedural engine in dataflow.go. Run drives the suite
 // over a module from source; cmd/buflint and TestTreeIsClean both call
 // it.
 //
@@ -115,9 +106,6 @@ func Analyzers() []*Analyzer {
 		SimDeterminism,
 		MapOrder,
 		UnitSafety,
-		ShardSafety,
-		ShardOwnership,
-		RNGConfinement,
 	}
 }
 

@@ -43,12 +43,6 @@ type Loader struct {
 	std     types.Importer
 	pkgs    map[string]*Package
 	loading map[string]bool
-
-	// Tags are extra build tags honored when selecting files, so tests
-	// can load deliberately seeded mutations (e.g. the shardmutation
-	// cross-shard bug) that normal builds exclude. Set before the first
-	// Load; the loader memoizes per instance.
-	Tags []string
 }
 
 // NewLoader returns a loader resolving imports under the given modules.
@@ -102,9 +96,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if !ok {
 		return nil, fmt.Errorf("lint: import path %q is outside every registered module", path)
 	}
-	bctx := build.Default
-	bctx.BuildTags = append(append([]string(nil), bctx.BuildTags...), l.Tags...)
-	bp, err := bctx.ImportDir(dir, 0)
+	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %s: %v", path, err)
 	}

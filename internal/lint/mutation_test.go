@@ -1,31 +1,40 @@
 package lint_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"bufsim/internal/lint"
 )
 
-// TestSeededMutationDetected loads the deliberately seeded cross-shard
-// ownership bug in internal/topology (build tag "shardmutation",
-// excluded from every normal build) and demands that shardownership
-// reports it: the analyzer proves itself against the real tree, not
-// just against fixtures. Without the tag the package must stay clean —
-// the same source the digest harness actually runs.
+// seededMutation is a wall-clock read that escapes into a value the
+// simulation could use: the bug simdeterminism exists to catch.
+const seededMutation = `package topology
+
+import "time"
+
+func seededStartJitter() int64 { return time.Now().UnixNano() % 1000 }
+`
+
+// TestSeededMutationDetected proves simdeterminism against the real tree,
+// not just against fixtures: internal/topology as it is must be clean,
+// and the same sources plus one seeded wall-clock read must be reported
+// at the seeded file. The mutated copy lives in a temporary directory
+// that the loader resolves ahead of the module, so the tree itself never
+// carries the bug.
 func TestSeededMutationDetected(t *testing.T) {
 	mod, err := lint.FindModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const pkg = "bufsim/internal/topology"
-	analyzers := []*lint.Analyzer{lint.ShardOwnership}
+	analyzers := []*lint.Analyzer{lint.SimDeterminism}
 
-	load := func(tags ...string) []lint.Finding {
+	load := func(mods ...lint.Module) []lint.Finding {
 		t.Helper()
-		loader := lint.NewLoader(mod)
-		loader.Tags = tags
-		p, err := loader.Load(pkg)
+		p, err := lint.NewLoader(append(mods, mod)...).Load(pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,16 +49,36 @@ func TestSeededMutationDetected(t *testing.T) {
 		t.Fatalf("topology without the mutation should be clean, got %v", clean)
 	}
 
-	seeded := load("shardmutation")
+	src := filepath.Join(mod.Dir, "internal", "topology")
+	dst := t.TempDir()
+	names, err := filepath.Glob(filepath.Join(src, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, filepath.Base(name)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dst, "seeded.go"), []byte(seededMutation), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	seeded := load(lint.Module{Path: pkg, Dir: dst})
 	found := false
 	for _, f := range seeded {
-		if f.Analyzer == "shardownership" &&
-			strings.Contains(f.Message, "crosses shard views") &&
-			strings.Contains(f.Position.Filename, "shardmutation.go") {
+		if f.Analyzer == "simdeterminism" && filepath.Base(f.Position.Filename) == "seeded.go" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("shardownership did not report the seeded cross-shard mutation; findings: %v", seeded)
+		t.Fatalf("simdeterminism did not report the seeded wall-clock read; findings: %v", seeded)
 	}
 }

@@ -132,14 +132,6 @@ func wallSource(pass *Pass, e ast.Expr) []tag {
 	return []tag{{kind: "wall", key: posKey(pass, call.Pos())}}
 }
 
-var wallFlowSpec = flowSpec{
-	source:                wallSource,
-	throughMethods:        true,
-	throughOps:            true,
-	throughIndex:          true,
-	throughContainerStore: true,
-}
-
 // wallAnalysis runs the telemetry-confinement analysis for one package:
 // which wall reads escape, and which function parameters are confined
 // sinks (so a caller may hand them wall time without a finding).
@@ -174,7 +166,7 @@ func newWallAnalysis(pass *Pass) *wallAnalysis {
 			continue
 		}
 		wa.funcOf[fd] = fn
-		ff := newFuncFlow(pass, wallFlowSpec, fd)
+		ff := newFuncFlow(pass, wallSource, fd)
 
 		reads := make(map[tag]*ast.CallExpr)
 		ast.Inspect(fd, func(n ast.Node) bool {

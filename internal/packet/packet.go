@@ -69,14 +69,12 @@ func (f Flags) String() string {
 // tcp.Receiver.Handle returns the data segment before it builds the ACK,
 // tcp.Sender.Handle returns the ACK once it has read it, and
 // link.Link.Send returns a packet its queue has just rejected (PutDropped)
-// — if the topology gave the link a pool. A topology does so only where
-// the link runs on the scheduler view whose endpoints draw from that pool
-// (a Pool belongs to one goroutine): every unsharded dumbbell, every
-// fabric plane, the parking lot's core links. The bottleneck of a sharded
-// dumbbell runs on shard 0 while the endpoints and their pools live on the
-// station shards, so it gets no pool and its drops are abandoned to the
-// garbage collector, as are packets for a detached flow and packets a
-// queue drops after admitting them (CoDel). Nothing else may call
+// — if the topology gave the link a pool. A topology does so where the
+// link runs on the scheduler whose endpoints draw from that pool (a Pool
+// belongs to one goroutine): every dumbbell's bottleneck, every fabric
+// plane's, the parking lot's core links. Packets for a detached flow and
+// packets a queue drops after admitting them (CoDel) are abandoned to the
+// garbage collector. Nothing else may call
 // Pool.Put. Sources that never see their packets again (CBR, pulse,
 // probe) allocate plainly; a dropped one joins the pool of the link that
 // dropped it. Under audit a released packet is poisoned instead of reused

@@ -11,8 +11,8 @@ const (
 // Pool is a LIFO free list of packets: Get pops the packet released most
 // recently — for a TCP endpoint that is the one it has just finished
 // reading, still in cache. A Pool is not safe for concurrent use; each
-// scheduler view owns one and touches it only from the goroutine that runs
-// the view (see topology.Dumbbell). See Packet for who may call Put.
+// dumbbell owns one and touches it only from the goroutine that runs its
+// scheduler (see topology.Dumbbell). See Packet for who may call Put.
 //
 // A nil *Pool is valid and means "no recycling": Get allocates and Put
 // does nothing, which is what endpoints wired by hand (tests, drivers) get.

@@ -55,9 +55,7 @@ type Lane struct {
 	hoff, toff int32
 }
 
-// NewLane returns an empty lane delivering to a.OnEvent(op, arg). On a
-// sharded scheduler (or a shard view) the lane is a thin wrapper around
-// PostAfter: the parallel-window engine keeps its own per-shard heaps.
+// NewLane returns an empty lane delivering to a.OnEvent(op, arg).
 func (s *Scheduler) NewLane(a Actor, op int32) *Lane {
 	return &Lane{s: s, actor: a, op: op, head: laneNil, tail: laneNil}
 }
@@ -71,10 +69,6 @@ func (l *Lane) PostAfter(d units.Duration, arg any) {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	s := l.s
-	if s.eng != nil {
-		s.PostAfter(d, l.actor, l.op, arg)
-		return
-	}
 	t := s.now.Add(d)
 	if l.head == laneNil {
 		seq := s.seq
@@ -86,13 +80,12 @@ func (l *Lane) PostAfter(d units.Duration, arg any) {
 		sl := &s.slots[slot]
 		sl.kind = kindLane
 		sl.arg = l
-		sl.shard = globalClass
 		s.push(entry{at: t, seq: seq, slot: slot})
 		return
 	}
 	if t < s.laneChunks[l.tail][l.toff-1].at {
 		s.laneFallbacks++
-		s.scheduleBase(t, l.actor, l.op, arg, globalClass)
+		s.schedule(t, l.actor, l.op, arg)
 		return
 	}
 	seq := s.seq
@@ -186,46 +179,6 @@ func (l *Lane) each(limit int, fn func(c, i int32) error) error {
 		}
 	}
 	return nil
-}
-
-// spillLanes turns every lane item into an ordinary heap event under its
-// reserved key and leaves the lanes empty. EnableShards calls it: from
-// then on lanes post through the engine, and items posted before must not
-// be stranded outside the heap the windows are seeded from.
-func (s *Scheduler) spillLanes() {
-	// Two passes: pushing while ranging over the heap would move the
-	// entries still to be visited.
-	var lanes []*Lane
-	for _, en := range s.heap {
-		sl := &s.slots[en.slot]
-		if sl.kind != kindLane {
-			continue
-		}
-		l := sl.arg.(*Lane)
-		sl.kind, sl.actor, sl.op, sl.arg = kindEvent, l.actor, l.op, s.laneChunks[l.head][l.hoff].arg
-		lanes = append(lanes, l)
-	}
-	for _, l := range lanes {
-		// The head keeps the heap entry it already has (rewritten above).
-		_ = l.each(len(s.laneChunks), func(c, i int32) error {
-			it := s.laneChunks[c][i]
-			s.laneChunks[c][i].arg = nil
-			if c != l.head || i != l.hoff {
-				slot := s.allocSlot()
-				sl := &s.slots[slot]
-				sl.actor, sl.op, sl.arg, sl.shard = l.actor, l.op, it.arg, globalClass
-				s.push(entry{at: it.at, seq: it.seq, slot: slot})
-			}
-			return nil
-		})
-		for c := l.head; c != laneNil; {
-			next := s.laneNext[c]
-			s.freeLaneChunk(c)
-			c = next
-		}
-		l.head, l.tail = laneNil, laneNil
-	}
-	s.laneQueued = 0
 }
 
 // verifyLanes checks the lane invariants for VerifyInvariants: every lane

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
 	"bufsim/internal/units"
 )
@@ -189,55 +188,6 @@ func TestLaneNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	s.NewLane(&testActor{}, 0).PostAfter(-1, nil)
-}
-
-// TestEnableShardsSpillsLanes: items a lane already holds when sharding
-// is switched on re-enter the base heap under their reserved keys, and
-// later posts on the same lane go through the engine — so the dispatch
-// order is the one an unsharded scheduler produces.
-func TestEnableShardsSpillsLanes(t *testing.T) {
-	const tailItems = 2*laneChunkLen + 1
-	run := func(shard bool) []any {
-		s := NewScheduler()
-		s.SetAuditor(audit.New())
-		a := &testActor{}
-		l1, l2 := s.NewLane(a, 1), s.NewLane(a, 2)
-		l1.PostAfter(5, "a5")
-		s.PostAfter(6, a, 0, "plain6")
-		l2.PostAfter(6, "b6")
-		l1.PostAfter(6, "a6")
-		l1.PostAfter(9, "a9")
-		for i := 0; i < tailItems; i++ { // a lane spanning several chunks
-			l2.PostAfter(units.Duration(20+i), fmt.Sprint("t", i))
-		}
-		if shard {
-			s.EnableShards(2, 100)
-			if s.Pending() != 5+tailItems || s.root().laneQueued != 0 {
-				t.Fatalf("after EnableShards: pending=%d, %d items still in lanes", s.Pending(), s.root().laneQueued)
-			}
-			if err := s.VerifyInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		l2.PostAfter(6, "b6'")
-		l1.PostAfter(2, "a2")
-		s.Run(100)
-		if err := s.VerifyInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		return a.args
-	}
-	want, got := fmt.Sprint(run(false)), fmt.Sprint(run(true))
-	order := []any{"a2", "a5", "plain6", "b6", "a6", "b6'", "a9"}
-	for i := 0; i < tailItems; i++ {
-		order = append(order, fmt.Sprint("t", i))
-	}
-	if want != fmt.Sprint(order) {
-		t.Errorf("unsharded order %s", want)
-	}
-	if got != want {
-		t.Errorf("sharded order %s, unsharded %s", got, want)
-	}
 }
 
 // TestVerifyInvariantsCatchesLaneCorruption plants each kind of lane

@@ -299,54 +299,16 @@ func FuzzKernelMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) { replayOracle(t, seed) })
 }
 
-// TestEnableShardsSpillsNearRun: events waiting in the near run when
-// sharding is switched on re-enter the base heap, where the engine seeds
-// its windows from, and nothing is admitted to the near run afterwards.
-func TestEnableShardsSpillsNearRun(t *testing.T) {
-	run := func(shard bool) []any {
-		s := NewScheduler()
-		s.SetAuditor(audit.New())
-		a := &testActor{}
-		for i := 0; i < 8; i++ {
-			s.PostAfter(units.Duration(50+i), a, 0, fmt.Sprint("far", i))
-		}
-		h := s.PostAfter(3, a, 0, "n3")
-		s.PostAfter(1, a, 0, "n1")
-		s.PostAfter(2, a, 0, "n2")
-		if s.nearN < 3 || s.slots[h.id-1].pos != posNear {
-			t.Fatalf("near run holds %d events and n3 has pos %d; want the three imminent events there", s.nearN, s.slots[h.id-1].pos)
-		}
-		if shard {
-			s.EnableShards(2, 100)
-			if s.nearN != 0 || len(s.heap) != 11 || s.Pending() != 11 || s.MaxPending() != 11 {
-				t.Fatalf("after EnableShards: near=%d heap=%d pending=%d max=%d", s.nearN, len(s.heap), s.Pending(), s.MaxPending())
-			}
-			if at, ok := s.EventTime(h); !ok || at != 3 {
-				t.Fatalf("spilled handle: EventTime = %v, %v", at, ok)
-			}
-			if err := s.VerifyInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.PostAfter(0, a, 0, "n0")
-		if shard && s.nearN != 0 {
-			t.Fatal("a sharded scheduler admitted an event to the near run")
-		}
-		s.Run(100)
-		if err := s.VerifyInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		if n := s.aud.Count(); n != 0 {
-			t.Fatalf("audit: %v", s.aud.Err())
-		}
-		return a.args
-	}
-	want, got := fmt.Sprint(run(false)), fmt.Sprint(run(true))
-	if order := "[n0 n1 n2 n3 far0 far1 far2 far3 far4 far5 far6 far7]"; want != order {
-		t.Errorf("unsharded order %s", want)
-	}
-	if got != want {
-		t.Errorf("sharded order %s, unsharded %s", got, want)
+// TestShardedAuditClean: a fabric shards one run into planes, each on its
+// own Scheduler and goroutine, so schedulers must share no state. Eight
+// oracle replays run at once, each under its own auditor, and each must
+// still match its oracle with zero audit violations.
+func TestShardedAuditClean(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			replayOracle(t, seed)
+		})
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"bufsim/internal/units"
 )
 
-// The heaps compare keys through precedes and pick a full group's earliest
+// The heap compares keys through precedes and picks a full group's earliest
 // child by tournament. The reference below is what they did before: the
 // two-branch (at, seq) compare and a linear scan that keeps the first of
 // the earliest children.
@@ -50,9 +50,9 @@ func wantOrder(parent key, kids []key) []int {
 	return order
 }
 
-// baseSift, windowSift and replaySift run one sift of each heap in the
-// package over the parent and its children, tagging every element with
-// its starting index, and return the tags in heap order afterwards.
+// baseSift runs one sift of the heap over the parent and its children,
+// tagging every element with its starting index, and returns the tags in
+// heap order afterwards.
 func baseSift(parent key, kids []key) []int {
 	s := NewScheduler()
 	for i, k := range append([]key{parent}, kids...) {
@@ -67,39 +67,9 @@ func baseSift(parent key, kids []key) []int {
 	return order
 }
 
-func windowSift(parent key, kids []key) []int {
-	sh := &shardRun{}
-	for i, k := range append([]key{parent}, kids...) {
-		sh.heap = append(sh.heap, lentry{at: k.at, key: k.seq, ref: handleFor(1, int32(i))})
-		sh.slots = append(sh.slots, lslot{})
-	}
-	sh.siftDown(0)
-	var order []int
-	for _, le := range sh.heap {
-		order = append(order, int(handleIdx(le.ref)))
-	}
-	return order
-}
-
-// replaySift pops a dummy top so that popVirt moves the parent, last in
-// the array, to the root of the binary replay heap.
-func replaySift(parent key, kids []key) []int {
-	e := &shardEngine{virt: []ventry{{ref: -1}}}
-	for i, k := range kids {
-		e.virt = append(e.virt, ventry{at: k.at, seq: k.seq, ref: int32(i + 1)})
-	}
-	e.virt = append(e.virt, ventry{at: parent.at, seq: parent.seq})
-	e.popVirt()
-	var order []int
-	for _, v := range e.virt {
-		order = append(order, int(v.ref))
-	}
-	return order
-}
-
 // checkSelection requires precedes to agree with the reference on every
-// ordered pair of the keys, and every heap to sift as the reference does:
-// the 4-ary heaps for groups of one to four, the binary one for one or two.
+// ordered pair of the keys, and the heap to sift as the reference does for
+// groups of one to four.
 func checkSelection(t *testing.T, parent key, kids []key) {
 	t.Helper()
 	all := append([]key{parent}, kids...)
@@ -115,14 +85,8 @@ func checkSelection(t *testing.T, parent key, kids []key) {
 		}
 	}
 	want := fmt.Sprint(wantOrder(parent, kids))
-	sifts := map[string]func(key, []key) []int{"base heap": baseSift, "window heap": windowSift}
-	if len(kids) <= 2 {
-		sifts["replay heap"] = replaySift
-	}
-	for name, sift := range sifts {
-		if got := fmt.Sprint(sift(parent, kids)); got != want {
-			t.Fatalf("%s: parent %v over %v sifted to %s, reference %s", name, parent, kids, got, want)
-		}
+	if got := fmt.Sprint(baseSift(parent, kids)); got != want {
+		t.Fatalf("parent %v over %v sifted to %s, reference %s", parent, kids, got, want)
 	}
 }
 

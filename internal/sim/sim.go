@@ -7,8 +7,7 @@
 // the same packets. Every event is keyed by (time, seq), seq being the
 // order of the scheduling calls, and events fire in exactly that order —
 // so events at the same instant fire in the order they were scheduled.
-// The default kernel runs on one goroutine; EnableShards (shard.go) runs
-// the same schedule on several and reproduces that order bit for bit.
+// The kernel runs on one goroutine.
 //
 // # Throughput design
 //
@@ -72,40 +71,18 @@ type Actor interface {
 // compile errors. Ask Active instead.
 type Event struct {
 	_   [0]func() // makes Event incomparable; occupies no space
-	id  int32     // arena<<arenaShift | slot index + 1; 0 is the zero handle
+	id  int32     // slot index + 1; 0 is the zero handle
 	gen uint32    // slot generation this handle was issued for
 }
 
-// Handle encoding. The low 24 bits carry the slot index + 1 within an
-// arena; the bits above select the arena. Arena 0 is the scheduler's own
-// pool, so for an unsharded scheduler every handle keeps the historical
-// slot+1 form. Arena k+1 is shard k's local pool when sharding is enabled
-// (see shard.go). The 24-bit index bounds a sharded run to ~16.7M live
-// slots per arena; allocSlot panics past that rather than aliasing.
-const (
-	arenaShift = 24
-	idxMask    = 1<<arenaShift - 1
-)
-
-func handleFor(arena, idx int32) int32 { return arena<<arenaShift | (idx + 1) }
-func handleArena(id int32) int32       { return id >> arenaShift }
-func handleIdx(id int32) int32         { return id&idxMask - 1 }
-
 // slot.pos sentinels. Non-negative pos is the heap index while pending.
 // posNear is a pending event that waits in the near run instead.
-// During a parallel window a slot seeded into a shard's local heap stores
-// posSeedBase-localIndex (always <= posSeedBase), so the owning shard can
-// remove it on cancel; posSeedFired / posSeedCancelled record how the
-// seed left the window until the barrier recycles it.
 const (
-	posFree          int32 = -1
-	posSeedFired     int32 = -2
-	posSeedCancelled int32 = -3
-	posNear          int32 = -4
-	posSeedBase      int32 = -10
+	posFree int32 = -1
+	posNear int32 = -2
 )
 
-// slot.kind values. kind sits in the padding after defc.
+// slot.kind values.
 const (
 	kindEvent uint8 = iota
 	kindLane
@@ -113,18 +90,15 @@ const (
 
 // slot is the pooled storage behind one scheduled event.
 type slot struct {
-	gen     uint32 // incremented on every recycle; stale handles mismatch
-	pos     int32  // index in the heap while pending, else a sentinel above
-	op      int32
-	shard   int32 // event class: owning shard, or globalClass (sequential)
-	backRef int32 // shard-local shell forwarded onto this slot (0 = none)
-	defc    bool  // cancelled mid-window; the barrier applies the removal
-	kind    uint8 // kindEvent, or kindLane: arg is the *Lane whose head this is
-	actor   Actor
-	arg     any
+	gen   uint32 // incremented on every recycle; stale handles mismatch
+	pos   int32  // index in the heap while pending, else a sentinel above
+	op    int32
+	kind  uint8 // kindEvent, or kindLane: arg is the *Lane whose head this is
+	actor Actor
+	arg   any
 	// The pad keeps the slot at 64 bytes, one cache line: at 56 bytes
 	// slots straddle lines and longlived_30 ran 6.6% slower.
-	_ [8]byte
+	_ [16]byte
 }
 
 // entry is one pending-queue element. The ordering key (time, then
@@ -179,15 +153,6 @@ type Scheduler struct {
 	maxLaneQueued int
 	laneFallbacks int64 // out-of-order lane posts sent through the heap
 
-	// eng is non-nil once EnableShards has attached the parallel-window
-	// engine (shard.go). viewShard distinguishes the base scheduler
-	// (globalClass) from the per-shard views the engine issues; a view
-	// owns no heap of its own, it only routes through eng. Every public
-	// method guards the engine path behind one nil test, so the
-	// unsharded hot path is unchanged.
-	eng       *shardEngine
-	viewShard int32
-
 	// Processed counts the events executed so far; useful for
 	// benchmarking the kernel itself.
 	Processed uint64
@@ -198,41 +163,28 @@ func NewScheduler() *Scheduler {
 	return &Scheduler{laneFree: laneNil}
 }
 
-// Now returns the current simulated time: the base clock, or the owning
-// shard's local clock while a parallel window is executing.
-func (s *Scheduler) Now() units.Time {
-	if s.eng != nil {
-		return s.eng.nowFor(s.viewShard)
-	}
-	return s.now
-}
+// Now returns the current simulated time.
+func (s *Scheduler) Now() units.Time { return s.now }
 
 // SetAuditor attaches an invariant checker to the kernel: every fired
-// event is checked for clock monotonicity (per-shard plus merge-point
-// monotonicity when sharding is on) and slot/heap cross-link
+// event is checked for clock monotonicity and slot/heap cross-link
 // consistency. A nil auditor (the default) disables the checks.
-func (s *Scheduler) SetAuditor(a *audit.Auditor) { s.root().aud = a }
+func (s *Scheduler) SetAuditor(a *audit.Auditor) { s.aud = a }
 
 // Pending returns the number of events waiting to fire: heap entries, the
 // near run, and the lane items queued behind their lane's head.
 func (s *Scheduler) Pending() int {
-	r := s.root()
-	return len(r.heap) - r.hole + r.nearN + r.laneQueued
+	return len(s.heap) - s.hole + s.nearN + s.laneQueued
 }
 
 // MaxPending returns the most events that have waited outside lanes at
-// once: heap entries plus the near run (sim.heap_depth_max). Under sharding
-// this is an approximation (per-shard peaks plus the base backlog), not
-// a globally-consistent snapshot.
-func (s *Scheduler) MaxPending() int { return s.root().maxPending }
+// once: heap entries plus the near run (sim.heap_depth_max).
+func (s *Scheduler) MaxPending() int { return s.maxPending }
 
 // Active reports whether e refers to an event that is still pending: not
 // yet fired, not cancelled, and not a recycled slot now owned by some
 // later event. The zero Event is never active.
 func (s *Scheduler) Active(e Event) bool {
-	if s.eng != nil {
-		return s.eng.active(e)
-	}
 	if e.id == 0 {
 		return false
 	}
@@ -243,9 +195,6 @@ func (s *Scheduler) Active(e Event) bool {
 // EventTime returns the instant a pending event is scheduled to fire, and
 // whether the handle is still active.
 func (s *Scheduler) EventTime(e Event) (units.Time, bool) {
-	if s.eng != nil {
-		return s.eng.eventTime(e)
-	}
 	if !s.Active(e) {
 		return 0, false
 	}
@@ -262,28 +211,20 @@ func (s *Scheduler) allocSlot() int32 {
 		s.free = s.free[:n-1]
 		return id
 	}
-	if s.eng != nil && len(s.slots) > idxMask-1 {
-		panic("sim: sharded scheduler exhausted its 24-bit slot index space")
-	}
 	s.slots = append(s.slots, slot{})
 	return int32(len(s.slots) - 1)
 }
 
 // release recycles a slot: the generation bump invalidates every
 // outstanding handle, and clearing the references lets fired payloads be
-// collected. A shard-local shell forwarded onto this slot dies with it.
+// collected.
 func (s *Scheduler) release(id int32) {
 	sl := &s.slots[id]
 	sl.gen++
 	sl.pos = posFree
 	sl.actor = nil
 	sl.arg = nil
-	sl.defc = false
 	sl.kind = kindEvent
-	if sl.backRef != 0 {
-		s.eng.releaseShell(sl.backRef)
-		sl.backRef = 0
-	}
 	s.free = append(s.free, id)
 }
 
@@ -292,17 +233,6 @@ func (s *Scheduler) release(id int32) {
 // component, and silently reordering time would corrupt every downstream
 // measurement.
 func (s *Scheduler) schedule(t units.Time, a Actor, op int32, arg any) Event {
-	if s.eng != nil {
-		return s.eng.scheduleFrom(s.viewShard, t, a, op, arg, s.viewShard)
-	}
-	return s.scheduleBase(t, a, op, arg, globalClass)
-}
-
-// scheduleBase inserts into the base heap with the next global sequence
-// number, stamping the slot with its event class. It runs only in
-// sequential contexts (unsharded runs, setup code between Run calls, and
-// the engine's sequential cohorts) — never inside a parallel window.
-func (s *Scheduler) scheduleBase(t units.Time, a Actor, op int32, arg any, shard int32) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -311,15 +241,10 @@ func (s *Scheduler) scheduleBase(t units.Time, a Actor, op int32, arg any, shard
 	sl.actor = a
 	sl.op = op
 	sl.arg = arg
-	sl.shard = shard
 	e := entry{at: t, seq: s.seq, slot: id}
 	s.seq++
-	// Filling a hole saves a whole pop; shard windows seed from the heap.
-	if s.hole != 0 || s.eng != nil || !s.admitNear(e) {
+	if s.hole != 0 || !s.admitNear(e) { // filling a hole saves a whole pop
 		s.push(e)
-	}
-	if shard == globalClass && s.eng != nil {
-		s.eng.noteGlobal(t, id, sl.gen)
 	}
 	return Event{id: id + 1, gen: sl.gen}
 }
@@ -393,7 +318,7 @@ func (s *Scheduler) PostAfter(d units.Duration, a Actor, op int32, arg any) Even
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return s.schedule(s.Now().Add(d), a, op, arg)
+	return s.schedule(s.now.Add(d), a, op, arg)
 }
 
 // Cancel removes a pending event. Cancelling the zero handle, an event
@@ -401,24 +326,11 @@ func (s *Scheduler) PostAfter(d units.Duration, a Actor, op int32, arg any) Even
 // been recycled by a later event is a no-op, so callers can cancel
 // unconditionally.
 func (s *Scheduler) Cancel(e Event) {
-	if s.eng != nil {
-		s.eng.cancel(s.viewShard, e)
+	if !s.Active(e) {
 		return
 	}
-	if e.id == 0 {
-		return
-	}
-	s.cancelBase(e.id-1, e.gen)
-}
-
-// cancelBase removes a pending arena-0 event by slot index if the handle
-// generation still matches. It is the legacy cancel body, shared with the
-// engine's barrier (which resolves forwarded handles down to base slots).
-func (s *Scheduler) cancelBase(id int32, gen uint32) {
+	id := e.id - 1
 	sl := &s.slots[id]
-	if sl.gen != gen || sl.pos < 0 && sl.pos != posNear {
-		return
-	}
 	if sl.pos == posNear {
 		i := s.nearIndex(id)
 		s.nearN--
@@ -577,7 +489,6 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	r := s.root()
 	events := reg.Counter("sim.events_processed")
 	depth := reg.Gauge("sim.heap_depth")
 	depthMax := reg.Gauge("sim.heap_depth_max")
@@ -589,31 +500,23 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 	fromHeap, refills := reg.Counter("sim.dispatch_heap"), reg.Counter("sim.root_refills")
 	nearMax := reg.Gauge("sim.near_depth_max")
 	reg.OnCollect(func() {
-		events.Set(int64(r.Processed))
-		fromNear.Set(r.dispatchNear)
-		fromLane.Set(r.dispatchLane)
-		fromHeap.Set(r.dispatchHeap)
-		refills.Set(r.rootRefills)
-		nearMax.Set(float64(r.nearMax))
-		depth.Set(float64(len(r.heap) - r.hole + r.nearN))
-		depthMax.Set(float64(r.maxPending))
-		laneDepth.Set(float64(r.laneQueued))
-		laneDepthMax.Set(float64(r.maxLaneQueued))
-		laneFallbacks.Set(r.laneFallbacks)
-		clock.Set(r.now.Seconds())
+		events.Set(int64(s.Processed))
+		fromNear.Set(s.dispatchNear)
+		fromLane.Set(s.dispatchLane)
+		fromHeap.Set(s.dispatchHeap)
+		refills.Set(s.rootRefills)
+		nearMax.Set(float64(s.nearMax))
+		depth.Set(float64(len(s.heap) - s.hole + s.nearN))
+		depthMax.Set(float64(s.maxPending))
+		laneDepth.Set(float64(s.laneQueued))
+		laneDepthMax.Set(float64(s.maxLaneQueued))
+		laneFallbacks.Set(s.laneFallbacks)
+		clock.Set(s.now.Seconds())
 	})
 }
 
 // Stop makes Run return after the event currently executing completes.
-// Under sharding the granularity is one window: the current window
-// finishes and merges before Run returns.
-func (s *Scheduler) Stop() {
-	if s.eng != nil {
-		s.eng.base.stopped = true
-		return
-	}
-	s.stopped = true
-}
+func (s *Scheduler) Stop() { s.stopped = true }
 
 // Run executes events in order until the clock would pass `until`, no
 // events remain, or Stop is called. Unless Stop was called, the clock is
@@ -621,13 +524,6 @@ func (s *Scheduler) Stop() {
 // stays at the last event's time.
 func (s *Scheduler) Run(until units.Time) {
 	s.settle() // a handler that panicked last time left its pop pending
-	if s.eng != nil {
-		if s.viewShard != globalClass {
-			panic("sim: Run called on a shard view")
-		}
-		s.eng.run(until)
-		return
-	}
 	s.stopped = false
 	for !s.stopped && s.fire(until) {
 	}
@@ -637,12 +533,8 @@ func (s *Scheduler) Run(until units.Time) {
 }
 
 // Step executes exactly one event if any is pending and returns whether an
-// event was executed. Useful in tests. Not available under sharding,
-// where execution advances a window at a time.
+// event was executed. Useful in tests.
 func (s *Scheduler) Step() bool {
-	if s.eng != nil {
-		panic("sim: Step is not available on a sharded scheduler")
-	}
 	s.settle()
 	return s.fire(units.Never)
 }
@@ -698,18 +590,12 @@ func (s *Scheduler) VerifyInvariants() error {
 		if _, pending := inHeap[id]; pending {
 			return fmt.Errorf("sim: slot %d is both pending and free", id)
 		}
-		if got := s.slots[id].pos; got != -1 {
+		if got := s.slots[id].pos; got != posFree {
 			return fmt.Errorf("sim: free slot %d records pos %d", id, got)
 		}
 	}
 	if len(s.heap)+s.nearN+len(s.free) != len(s.slots) {
 		return fmt.Errorf("sim: %d in heap + %d near + %d free != %d slots", len(s.heap), s.nearN, len(s.free), len(s.slots))
 	}
-	if err := s.verifyLanes(); err != nil {
-		return err
-	}
-	if s.eng != nil {
-		return s.eng.verify()
-	}
-	return nil
+	return s.verifyLanes()
 }

@@ -6,8 +6,8 @@ package tcp
 // resized, so a *Sender stays valid for as long as anything holds it.
 //
 // A slab's cursor is not synchronized: every sender in it must be created
-// from one goroutine at a time (the topology keeps one slab per scheduler
-// view). Slots are never reused — a finished flow's sender stays in its
+// from one goroutine at a time (the topology keeps one slab per
+// dumbbell). Slots are never reused — a finished flow's sender stays in its
 // chunk until the whole chunk is unreachable.
 type Slab struct {
 	chunk    []Sender

@@ -221,7 +221,7 @@ func (s *Sender) init(cfg Config, sched *sim.Scheduler, out packet.Handler) *Sen
 
 // SetPool makes the sender draw its segments from pl and release every
 // ACK it receives into it. The flow's receiver must share the same pool,
-// and the pool must belong to the scheduler view both run on. A nil pool
+// and the pool must belong to the scheduler both run on. A nil pool
 // (the default) allocates each segment and leaves ACKs to the collector.
 func (s *Sender) SetPool(pl *packet.Pool) { s.pool = pl }
 

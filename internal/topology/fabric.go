@@ -2,80 +2,66 @@ package topology
 
 import (
 	"fmt"
-	"math"
+	"sync"
 
 	"bufsim/internal/sim"
 	"bufsim/internal/units"
 )
 
 // FabricConfig describes a fabric: several independent dumbbells
-// ("planes") sharing one scheduler, one plane per event shard. A fabric
-// is how the simulator reaches million-flow scale — planes exchange no
-// packets, so the kernel's conservative windows are unbounded (the
-// lookahead is infinite) and the planes run embarrassingly parallel
-// while keeping the sequential kernel's bit-exact schedule.
+// ("planes"), each on its own scheduler. Planes exchange no packets, so
+// they run in parallel, one goroutine each, and every plane keeps the
+// exact schedule it has standalone.
 type FabricConfig struct {
-	Sched *sim.Scheduler
 	// RNG seeds the planes: each plane receives its own fork, in plane
 	// order, so a fabric's plane k reproduces a standalone dumbbell
 	// built from the same fork sequence. May be nil when the plane
 	// template needs no randomness (RTTMin == RTTMax).
 	RNG *sim.RNG
 
-	// Planes is the number of dumbbells. Planes beyond sim.MaxShards
-	// share shards round-robin; each plane still lives entirely on one
-	// shard, which is all the isolation the kernel needs.
+	// Planes is the number of dumbbells.
 	Planes int
 
 	// Plane is the per-plane template. Sched and RNG are overwritten per
-	// plane; Shards must be zero — a plane is pinned to one shard and
-	// cannot shard internally.
+	// plane.
 	Plane Config
 }
 
 // Fabric is a built set of planes. Drive workloads against each plane's
-// Dumbbell and run the shared scheduler as usual.
+// Dumbbell, then Run the fabric.
 type Fabric struct {
 	planes []*Dumbbell
 }
 
-// NewFabric builds the planes and, with two or more of them, switches
-// the scheduler into sharded execution with unbounded lookahead (the
-// planes share no links, so no cross-shard event ever needs a horizon).
+// NewFabric builds the planes, each on a new scheduler.
 func NewFabric(cfg FabricConfig) *Fabric {
-	if cfg.Sched == nil {
-		panic("topology: FabricConfig.Sched is required")
-	}
 	if cfg.Planes <= 0 {
 		panic(fmt.Sprintf("topology: FabricConfig.Planes = %d", cfg.Planes))
-	}
-	if cfg.Plane.Shards > 1 {
-		panic("topology: fabric planes cannot shard internally (Plane.Shards must be 0)")
-	}
-	shards := cfg.Planes
-	if shards > sim.MaxShards {
-		shards = sim.MaxShards
-	}
-	if shards >= 2 {
-		// Disjoint planes: no packet ever crosses a shard boundary, so
-		// the conservative horizon is "forever". satAdd saturates, so the
-		// windows simply run to the scheduler's until.
-		cfg.Sched.EnableShards(shards, units.Duration(math.MaxInt64))
 	}
 	f := &Fabric{planes: make([]*Dumbbell, 0, cfg.Planes)}
 	for k := 0; k < cfg.Planes; k++ {
 		pc := cfg.Plane
-		pc.Sched = cfg.Sched
+		pc.Sched = sim.NewScheduler()
 		if cfg.RNG != nil {
 			pc.RNG = cfg.RNG.Fork()
-		}
-		if shards >= 2 {
-			home := k % shards
-			pc.home = &home
 		}
 		f.planes = append(f.planes, NewDumbbell(pc))
 	}
 	return f
+}
+
+// Run runs every plane's scheduler until `until`, each on its own
+// goroutine, and returns when all of them have.
+func (f *Fabric) Run(until units.Time) {
+	var wg sync.WaitGroup
+	for _, d := range f.planes {
+		wg.Add(1)
+		go func(s *sim.Scheduler) {
+			defer wg.Done()
+			s.Run(until)
+		}(d.cfg.Sched)
+	}
+	wg.Wait()
 }
 
 // Planes returns the number of planes.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"runtime"
 	"testing"
 
 	"bufsim/internal/queue"
@@ -53,9 +54,8 @@ func signature(d *Dumbbell, flows []*Flow) planeSignature {
 // TestFabricMatchesStandalonePlanes pins the fabric's determinism
 // contract: plane k of an n-plane fabric must finish in exactly the
 // state of a standalone dumbbell built from the same RNG fork and run
-// on its own scheduler. The planes share one scheduler and run in
-// parallel shards with unbounded lookahead; sharing must not leak a
-// single event between them.
+// on its own scheduler. The fabric runs its planes concurrently; that
+// must not leak a single event between them.
 func TestFabricMatchesStandalonePlanes(t *testing.T) {
 	const planes = 4
 	const seed = 99
@@ -76,10 +76,8 @@ func TestFabricMatchesStandalonePlanes(t *testing.T) {
 		want[k] = signature(d, flows)
 	}
 
-	// The fabric: same planes, one scheduler, parallel shards.
-	sched := sim.NewScheduler()
+	// The fabric: same planes, run in parallel.
 	f := NewFabric(FabricConfig{
-		Sched:  sched,
 		RNG:    sim.NewRNG(seed),
 		Planes: planes,
 		Plane:  fabricPlaneTemplate,
@@ -88,7 +86,7 @@ func TestFabricMatchesStandalonePlanes(t *testing.T) {
 	for k := 0; k < planes; k++ {
 		flows[k] = startFabricFlows(f.Plane(k))
 	}
-	sched.Run(horizon)
+	f.Run(horizon)
 
 	for k := 0; k < planes; k++ {
 		got := signature(f.Plane(k), flows[k])
@@ -106,26 +104,22 @@ func TestFabricMatchesStandalonePlanes(t *testing.T) {
 	}
 }
 
-// TestFabricMorePlanesThanShards exercises the round-robin shard
-// assignment when the plane count exceeds sim.MaxShards-style limits
-// (scaled down: more planes than this fabric's shard cap would matter
-// only at 64+, so this just checks >1 plane per shard works by reusing
-// the equivalence machinery at a plane count that is not a divisor of
-// anything special).
+// TestFabricMorePlanesThanShards runs a fabric with more planes than
+// GOMAXPROCS, so the per-plane goroutines outnumber the processors that
+// can run them at once: every plane must still finish the run having
+// carried traffic.
 func TestFabricMorePlanesThanShards(t *testing.T) {
-	sched := sim.NewScheduler()
 	pc := fabricPlaneTemplate
 	pc.Stations = 2
 	f := NewFabric(FabricConfig{
-		Sched:  sched,
 		RNG:    sim.NewRNG(5),
-		Planes: 3,
+		Planes: runtime.GOMAXPROCS(0) + 1,
 		Plane:  pc,
 	})
 	for k := 0; k < f.Planes(); k++ {
 		startFabricFlows(f.Plane(k))
 	}
-	sched.Run(units.Time(5 * units.Second))
+	f.Run(units.Time(5 * units.Second))
 	for k := 0; k < f.Planes(); k++ {
 		if util := f.Plane(k).Bottleneck.Utilization(0, units.Epoch); util <= 0 {
 			t.Errorf("plane %d never carried traffic (utilization %v)", k, util)

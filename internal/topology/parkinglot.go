@@ -83,8 +83,8 @@ type ParkingLot struct {
 	nextFlow packet.FlowID
 
 	// pool recycles every flow's packets, at the endpoints and at the
-	// core links that drop them; the chain runs on one unsharded
-	// scheduler, so one pool serves it (see Dumbbell.poolFor).
+	// core links that drop them; the chain runs on one scheduler, so one
+	// pool serves it (see Dumbbell.pool).
 	pool *packet.Pool
 }
 

@@ -63,28 +63,6 @@ type Config struct {
 	// invariant violations into it. Auditing only observes — the same seed
 	// produces identical results with or without it.
 	Auditor *audit.Auditor
-
-	// Shards requests parallel execution. The dumbbell is cut at its
-	// natural topology boundary: shard 0 owns R1, the bottleneck link and
-	// its queue; the stations (hosts, access and reverse links, TCP
-	// endpoints) are spread round-robin over the remaining shards. The
-	// scheduler then runs conservative parallel windows bounded by the
-	// smallest cross-shard propagation delay (min over stations of
-	// RTT/2 - BottleneckDelay, and BottleneckDelay itself). Results are
-	// bit-identical to an unsharded run at every shard count — that is
-	// the kernel's contract, enforced by the sharded digest harness.
-	//
-	// 0 or 1 disables sharding. The count is silently capped at
-	// Stations+1 (one shard per station plus the bottleneck) and
-	// sim.MaxShards, and sharding is silently disabled when the topology
-	// has no positive lookahead (RTTMin/2 == BottleneckDelay would leave
-	// a zero-delay cross-shard hop).
-	Shards int
-
-	// home, when non-nil, pins every component of this dumbbell onto one
-	// shard of an externally sharded scheduler instead of sharding the
-	// dumbbell internally (see Fabric). Mutually exclusive with Shards.
-	home *int
 }
 
 func (c Config) validate() Config {
@@ -125,12 +103,9 @@ type Station struct {
 	sched        *sim.Scheduler
 }
 
-// Sched returns the scheduler view owning the station's components.
-// Workload generators must schedule station-side work — flow starts,
-// teardown timers, completion follow-ups — through it, so the event is
-// classified to the station's shard and can fire inside a parallel
-// window. On an unsharded dumbbell it is the base scheduler, so callers
-// can use it unconditionally.
+// Sched returns the scheduler the station's components run on, the
+// dumbbell's. Workload generators schedule station-side work — flow
+// starts, teardown timers, completion follow-ups — through it.
 func (st *Station) Sched() *sim.Scheduler { return st.sched }
 
 // Flow is a TCP connection wired across the dumbbell.
@@ -164,42 +139,18 @@ type Dumbbell struct {
 	nextNode packet.NodeID
 	nextFlow packet.FlowID
 
-	// Sharding plan (see Config.Shards). shards is the effective count
-	// (1 when sharding is off); view0 is the scheduler view owning the
-	// bottleneck side; r1In is the shard-0 ingress the access links
-	// deliver into; ingress maps each receiver host to the station-shard
-	// ingress the bottleneck delivers into.
-	sharded bool
-	shards  int
-	view0   *sim.Scheduler
-	r1In    sim.Target
-	ingress map[packet.NodeID]sim.Target
-
-	// slabs holds one sender arena per scheduler view, because an
-	// arena's cursor is single-threaded (see tcp.Slab). Unsharded, all
-	// flows share one slab.
-	slabs map[*sim.Scheduler]*tcp.Slab
-	// pools holds one packet pool per scheduler view, for the same
-	// reason: a flow's sender and receiver sit on one station, so every
-	// Get and Put on a pool happens on the shard that owns it, even for
-	// packets that crossed to the bottleneck's shard and back in between.
-	pools map[*sim.Scheduler]*packet.Pool
+	// slab is the sender arena every flow is taken from, and pool the
+	// packet pool every endpoint draws from and the bottleneck drops into.
+	// Both belong to the one goroutine that runs the scheduler.
+	slab *tcp.Slab
+	pool *packet.Pool
 }
-
-// ingressActor fires a cross-shard packet arrival inside the shard that
-// owns the next hop: the far end of a link's wire in a sharded dumbbell.
-// It is the merge point of the topology cut — the only way packet flow
-// crosses shards — so all component state stays shard-owned.
-type ingressActor struct{ next packet.Handler }
-
-// OnEvent implements sim.Actor; the opcode is the link's opArrive.
-func (in *ingressActor) OnEvent(_ int32, arg any) { in.next.Handle(arg.(*packet.Packet)) }
 
 // NewDumbbell builds the topology.
 func NewDumbbell(cfg Config) *Dumbbell {
 	cfg = cfg.validate()
-	d := &Dumbbell{cfg: cfg, nextNode: 1, nextFlow: 1, shards: 1}
-	d.planShards()
+	d := &Dumbbell{cfg: cfg, nextNode: 1, nextFlow: 1,
+		slab: tcp.NewSlab(16), pool: packet.NewPool(cfg.Auditor != nil)}
 	d.R1 = node.NewRouter(d.allocNode(), "R1")
 	d.R2 = node.NewRouter(d.allocNode(), "R2")
 
@@ -215,79 +166,17 @@ func NewDumbbell(cfg Config) *Dumbbell {
 		cfg.Sched.SetAuditor(cfg.Auditor)
 		q = queue.NewAudited(q, cfg.Auditor, "bottleneck")
 	}
-	d.Bottleneck = link.New("bottleneck", d.view0, cfg.BottleneckRate, cfg.BottleneckDelay, q, d.R2)
+	d.Bottleneck = link.New("bottleneck", cfg.Sched, cfg.BottleneckRate, cfg.BottleneckDelay, q, d.R2)
 	d.Bottleneck.SetAuditor(cfg.Auditor)
-	if !d.sharded {
-		// One view runs the bottleneck and every station, so the packets
-		// the bottleneck drops go back to the pool they were drawn from.
-		// Sharded, the pools belong to the station shards and the drops
-		// stay with the garbage collector (see packet.Packet).
-		d.Bottleneck.SetDropPool(d.poolFor(d.view0))
-	} else {
-		d.r1In = d.view0.TargetFor(&ingressActor{next: d.R1})
-		d.ingress = make(map[packet.NodeID]sim.Target)
-		d.Bottleneck.DeliverVia = func(p *packet.Packet) sim.Target { return d.ingress[p.Dst] }
-	}
+	// The packets the bottleneck drops go back to the pool they were
+	// drawn from.
+	d.Bottleneck.SetDropPool(d.pool)
 
 	for i := 0; i < cfg.Stations; i++ {
 		d.stations = append(d.stations, d.buildStation(i))
 	}
 	return d
 }
-
-// planShards decides the effective shard layout (see Config.Shards) and
-// enables the kernel's parallel-window engine when it applies. It draws
-// no randomness, so a sharded and an unsharded build consume the
-// config RNG identically.
-func (d *Dumbbell) planShards() {
-	cfg := d.cfg
-	if cfg.home != nil {
-		if cfg.Shards > 1 {
-			panic("topology: Config.Shards and fabric placement are mutually exclusive")
-		}
-		d.view0 = cfg.Sched.ShardView(*cfg.home)
-		return
-	}
-	d.view0 = cfg.Sched
-	n := cfg.Shards
-	if n > cfg.Stations+1 {
-		n = cfg.Stations + 1
-	}
-	if n > sim.MaxShards {
-		n = sim.MaxShards
-	}
-	if n < 2 || d.lookahead() <= 0 {
-		return
-	}
-	cfg.Sched.EnableShards(n, d.lookahead())
-	d.sharded = true
-	d.shards = n
-	d.view0 = cfg.Sched.ShardView(0)
-}
-
-// lookahead is the smallest cross-shard propagation delay: the access
-// links' forward delay is at least RTTMin/2 - BottleneckDelay, and the
-// bottleneck contributes its own delay on the return cut.
-func (d *Dumbbell) lookahead() units.Duration {
-	look := d.cfg.RTTMin/2 - d.cfg.BottleneckDelay
-	if d.cfg.BottleneckDelay < look {
-		look = d.cfg.BottleneckDelay
-	}
-	return look
-}
-
-// viewFor returns the scheduler view owning station i's components:
-// stations round-robin over shards 1..shards-1 (shard 0 is the
-// bottleneck's), or the base scheduler when sharding is off.
-func (d *Dumbbell) viewFor(i int) *sim.Scheduler {
-	if !d.sharded {
-		return d.view0
-	}
-	return d.cfg.Sched.ShardView(1 + i%(d.shards-1))
-}
-
-// Shards reports the effective shard count (1 when sharding is off).
-func (d *Dumbbell) Shards() int { return d.shards }
 
 func (d *Dumbbell) allocNode() packet.NodeID {
 	id := d.nextNode
@@ -301,7 +190,7 @@ func (d *Dumbbell) buildStation(i int) *Station {
 	if cfg.RTTMax > cfg.RTTMin {
 		rtt = units.Duration(cfg.RNG.Uniform(float64(cfg.RTTMin), float64(cfg.RTTMax)))
 	}
-	st := &Station{Index: i, RTT: rtt, sched: d.viewFor(i)}
+	st := &Station{Index: i, RTT: rtt, sched: cfg.Sched}
 	st.senderHost = node.NewHost(d.allocNode(), fmt.Sprintf("s%d", i))
 	st.receiverHost = node.NewHost(d.allocNode(), fmt.Sprintf("d%d", i))
 
@@ -320,15 +209,6 @@ func (d *Dumbbell) buildStation(i int) *Station {
 	st.reverse.SetAuditor(cfg.Auditor)
 	st.senderHost.SetAuditor(cfg.Auditor, st.sched)
 	st.receiverHost.SetAuditor(cfg.Auditor, st.sched)
-	if d.sharded {
-		// The station's two cross-shard wires: data packets leaving the
-		// access link arrive at R1 in shard 0; packets leaving the
-		// bottleneck for this station's receiver arrive at R2's routing
-		// step in the station's shard. Both hops have delay >= the
-		// lookahead by construction.
-		st.access.DeliverVia = func(*packet.Packet) sim.Target { return d.r1In }
-		d.ingress[st.receiverHost.ID()] = st.sched.TargetFor(&ingressActor{next: d.R2})
-	}
 
 	d.R1.AddRoute(st.receiverHost.ID(), d.Bottleneck)
 	d.R2.AddRoute(st.receiverHost.ID(), st.receiverHost)
@@ -357,11 +237,10 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 	spec.Src = st.senderHost.ID()
 	spec.Dst = st.receiverHost.ID()
 
-	snd := tcp.NewSenderSlab(d.slabFor(st.sched), spec, st.sched, st.access)
+	snd := tcp.NewSenderSlab(d.slab, spec, st.sched, st.access)
 	rcv := tcp.NewReceiver(spec, st.sched, st.reverse)
-	pool := d.poolFor(st.sched)
-	snd.SetPool(pool)
-	rcv.SetPool(pool)
+	snd.SetPool(d.pool)
+	rcv.SetPool(d.pool)
 	if d.cfg.Auditor != nil {
 		snd.SetAuditor(d.cfg.Auditor)
 		rcv.SetAuditor(d.cfg.Auditor)
@@ -377,49 +256,8 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 	return f
 }
 
-// slabFor returns the sender arena owned by scheduler view (one per
-// shard), creating it on first use. Dynamic workloads add flows either
-// from the station shard itself or from barrier-synchronized generator
-// events, so no two shards ever take a sender from one arena at once.
-func (d *Dumbbell) slabFor(view *sim.Scheduler) *tcp.Slab {
-	if d.slabs == nil {
-		d.slabs = make(map[*sim.Scheduler]*tcp.Slab)
-	}
-	sl, ok := d.slabs[view]
-	if !ok {
-		sl = tcp.NewSlab(16)
-		d.slabs[view] = sl
-	}
-	return sl
-}
-
-// poolFor returns the packet pool owned by scheduler view, creating it on
-// first use (see slabFor for why that is race-free). Under audit the pool
-// poisons what it takes back instead of recycling it, so the links,
-// queues and hosts of the topology catch any use after release.
-func (d *Dumbbell) poolFor(view *sim.Scheduler) *packet.Pool {
-	if d.pools == nil {
-		d.pools = make(map[*sim.Scheduler]*packet.Pool)
-	}
-	pl, ok := d.pools[view]
-	if !ok {
-		pl = packet.NewPool(d.cfg.Auditor != nil)
-		d.pools[view] = pl
-	}
-	return pl
-}
-
-// PoolStats returns the packet pools' counts, summed over the views.
-func (d *Dumbbell) PoolStats() packet.PoolStats {
-	var sum packet.PoolStats
-	for _, pl := range d.pools {
-		st := pl.Stats()
-		sum.News += st.News
-		sum.Reuses += st.Reuses
-		sum.DropReleases += st.DropReleases
-	}
-	return sum
-}
+// PoolStats returns the packet pool's counts.
+func (d *Dumbbell) PoolStats() packet.PoolStats { return d.pool.Stats() }
 
 // RawFlow is an allocation of addressing for a non-TCP flow (e.g. CBR/UDP
 // traffic): the IDs to stamp on packets and the links to write them to.

@@ -291,13 +291,13 @@ func TestCustomQueueDiscipline(t *testing.T) {
 	}
 }
 
-// TestOnePoolPerView: flows on the same scheduler view share a packet
-// pool and flows on different views never do, so a pool is only ever
-// touched by the goroutine running its view; under audit the pools
-// poison instead of recycling; and a link gets a drop pool only where it
-// runs on the pool's view.
+// TestOnePoolPerView: every flow of a dumbbell shares its one packet
+// pool, and a fabric's planes never share one, so a pool is only ever
+// touched by the goroutine running its scheduler; under audit the pool
+// poisons instead of recycling; and every link that drops releases into
+// the pool of the endpoints it serves.
 func TestOnePoolPerView(t *testing.T) {
-	build := func(shards int, aud *audit.Auditor) *Dumbbell {
+	build := func(aud *audit.Auditor) *Dumbbell {
 		return NewDumbbell(Config{
 			Sched:           sim.NewScheduler(),
 			BottleneckRate:  10 * units.Mbps,
@@ -306,46 +306,32 @@ func TestOnePoolPerView(t *testing.T) {
 			Stations:        6,
 			RTTMin:          100 * units.Millisecond,
 			RTTMax:          100 * units.Millisecond,
-			Shards:          shards,
 			Auditor:         aud,
 		})
 	}
-	for _, shards := range []int{1, 3} {
-		d := build(shards, nil)
-		for i := 0; i < d.NumStations(); i++ {
-			d.AddFlow(d.Station(i), tcp.Config{})
-		}
-		views := map[*sim.Scheduler]bool{}
-		for i := 0; i < d.NumStations(); i++ {
-			views[d.Station(i).Sched()] = true
-		}
-		if len(d.pools) != len(views) {
-			t.Errorf("shards=%d: %d pools for %d station views", shards, len(d.pools), len(views))
-		}
-		for view, pool := range d.pools {
-			if !views[view] {
-				t.Errorf("shards=%d: a pool belongs to a view no station runs on", shards)
-			}
-			p := pool.Get()
-			pool.Put(p)
-			if p.Released() || pool.Get() != p {
-				t.Errorf("shards=%d: pool does not recycle", shards)
-			}
-		}
+	d := build(nil)
+	for i := 0; i < d.NumStations(); i++ {
+		f := d.AddFlow(d.Station(i), tcp.Config{})
+		f.Sender.Start()
 	}
-	d := build(1, audit.New())
-	pool := d.poolFor(d.Station(0).Sched())
-	p := pool.Get()
-	pool.Put(p)
+	d.Config().Sched.Run(units.Time(units.Second))
+	if st := d.PoolStats(); st.News == 0 || st.Reuses == 0 {
+		t.Errorf("flows do not draw from and recycle into the dumbbell's pool: %+v", st)
+	}
+	p := d.pool.Get()
+	d.pool.Put(p)
+	if p.Released() || d.pool.Get() != p {
+		t.Error("pool does not recycle")
+	}
+	d = build(audit.New())
+	p = d.pool.Get()
+	d.pool.Put(p)
 	if !p.Released() {
 		t.Error("audited dumbbell's pool does not poison released packets")
 	}
 
-	// A link that drops releases into a pool exactly where it runs on the
-	// view whose endpoints draw from that pool: an unsharded dumbbell's
-	// bottleneck, a fabric plane's, the parking lot's core links — and not
-	// a sharded dumbbell's bottleneck, which runs on shard 0 while the
-	// pools belong to the station shards.
+	// A link that drops releases into the pool its endpoints draw from: a
+	// dumbbell's bottleneck, a fabric plane's, the parking lot's core links.
 	overflow := func(l *link.Link, pool *packet.Pool, limit int) int64 {
 		for i := 0; i < limit+2; i++ { // one transmitting, limit queued, one rejected
 			p := pool.Get()
@@ -354,17 +340,17 @@ func TestOnePoolPerView(t *testing.T) {
 		}
 		return l.Queue().Stats().DroppedPackets
 	}
-	for _, shards := range []int{1, 2} {
-		d := build(shards, nil)
-		drops := overflow(d.Bottleneck, d.poolFor(d.Station(0).Sched()), 50)
-		if got, want := d.PoolStats().DropReleases, int64(2-shards); drops != 1 || got != want {
-			t.Errorf("shards=%d: %d drops, %d released to a pool, want 1 and %d", shards, drops, got, want)
-		}
+	d = build(nil)
+	if drops := overflow(d.Bottleneck, d.pool, 50); drops != 1 || d.PoolStats().DropReleases != 1 {
+		t.Errorf("%d drops, %d released to the pool, want 1 and 1", drops, d.PoolStats().DropReleases)
 	}
-	fab := NewFabric(FabricConfig{Sched: sim.NewScheduler(), Planes: 2, Plane: fabricPlaneTemplate, RNG: sim.NewRNG(1)})
+	fab := NewFabric(FabricConfig{Planes: 2, Plane: fabricPlaneTemplate, RNG: sim.NewRNG(1)})
+	if fab.Plane(0).pool == fab.Plane(1).pool || fab.Plane(0).slab == fab.Plane(1).slab {
+		t.Error("two fabric planes share a pool or a sender arena")
+	}
 	for k := 0; k < fab.Planes(); k++ {
 		d := fab.Plane(k)
-		drops := overflow(d.Bottleneck, d.poolFor(d.Station(0).Sched()), 60)
+		drops := overflow(d.Bottleneck, d.pool, 60)
 		if got := d.PoolStats().DropReleases; drops != 1 || got != 1 {
 			t.Errorf("fabric plane %d: %d drops, %d released to its pool, want 1 and 1", k, drops, got)
 		}

@@ -8,6 +8,8 @@
 package units
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -85,7 +87,9 @@ func DurationFromSeconds(s float64) Duration {
 	return Duration(math.Round(s * float64(Second)))
 }
 
-// ParseDuration parses strings like "250ms", "80us", "2.5s" or "10ns".
+// ParseDuration parses strings like "250ms", "80us", "2.5s" or "10ns". A
+// value that is not finite or does not fit a Duration is an error naming
+// the input.
 func ParseDuration(s string) (Duration, error) {
 	orig := s
 	var unit Duration
@@ -105,7 +109,37 @@ func ParseDuration(s string) (Duration, error) {
 	if err != nil {
 		return 0, fmt.Errorf("units: bad duration %q: %v", orig, err)
 	}
-	return Duration(math.Round(v * float64(unit))), nil
+	return durationOf(orig, v, unit)
+}
+
+// ParseDurationOrSeconds parses the JSON value raw of the field named
+// field: a duration string ("30s", "1500ms") or a bare number of seconds,
+// the two ways trace and profile files write a time. Like ParseDuration
+// it rejects a time that is not finite or does not fit a Duration.
+func ParseDurationOrSeconds(field string, raw []byte) (Duration, error) {
+	raw = bytes.TrimSpace(raw)
+	if len(raw) == 0 {
+		return 0, fmt.Errorf("missing %q", field)
+	}
+	var s string
+	if json.Unmarshal(raw, &s) == nil {
+		return ParseDuration(s)
+	}
+	secs, err := strconv.ParseFloat(string(raw), 64)
+	if err != nil {
+		return 0, fmt.Errorf("%q must be a duration string or a number of seconds, got %s", field, raw)
+	}
+	return durationOf(string(raw), secs, Second)
+}
+
+// durationOf is v units as a Duration, rounded to the nanosecond, or an
+// error naming in when that is not finite or overflows int64.
+func durationOf(in string, v float64, unit Duration) (Duration, error) {
+	ns := math.Round(v * float64(unit))
+	if !(ns >= math.MinInt64 && ns < math.MaxInt64) { // also NaN
+		return 0, fmt.Errorf("units: duration %q out of range (not finite, or beyond ±292 years)", in)
+	}
+	return Duration(ns), nil
 }
 
 // ByteSize is a quantity of data in bytes.

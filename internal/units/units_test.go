@@ -2,6 +2,8 @@ package units
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -57,9 +59,47 @@ func TestParseDuration(t *testing.T) {
 			t.Errorf("ParseDuration(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "10", "fast", "10sec"} {
+	for _, bad := range []string{"", "10", "fast", "10sec", "1e400s"} {
 		if _, err := ParseDuration(bad); err == nil {
 			t.Errorf("ParseDuration(%q): want error", bad)
+		}
+	}
+	// Values that parse as floats but are no Duration: not finite, or
+	// past ±2^63 ns. They used to come back as -9.2e12 ms.
+	for _, bad := range []string{"NaNs", "Infs", "-Infms", "1e12s", "-1e12s", "9223372036854775808ns"} {
+		if d, err := ParseDuration(bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("ParseDuration(%q) = %v, %v; want an error naming the input", bad, d, err)
+		}
+	}
+	if d, err := ParseDuration("-9223372036854775808ns"); err != nil || d != math.MinInt64 {
+		t.Errorf("ParseDuration of the most negative Duration = %v, %v", d, err)
+	}
+}
+
+func TestParseDurationOrSeconds(t *testing.T) {
+	for in, want := range map[string]Duration{
+		`"250ms"`: 250 * Millisecond,
+		`1.5`:     1500 * Millisecond,
+		` 0 `:     0,
+		`"2s"`:    2 * Second,
+		`-3`:      -3 * Second,
+	} {
+		if got, err := ParseDurationOrSeconds("t", []byte(in)); err != nil || got != want {
+			t.Errorf("ParseDurationOrSeconds(%s) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for in, wantErr := range map[string]string{
+		``:        `missing "t"`,
+		`true`:    `"t" must be a duration string or a number of seconds, got true`,
+		`"fasts"`: `bad duration "fasts"`,
+		`1e300`:   `duration "1e300" out of range`,
+		`-1e10`:   `duration "-1e10" out of range`,
+		`"NaNs"`:  `duration "NaNs" out of range`,
+		`"1e12s"`: `duration "1e12s" out of range`,
+		`1e400`:   `"t" must be a duration string or a number of seconds`,
+	} {
+		if _, err := ParseDurationOrSeconds("t", []byte(in)); err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("ParseDurationOrSeconds(%s) error = %v, want %q", in, err, wantErr)
 		}
 	}
 }

@@ -29,9 +29,8 @@ func (l *Launcher) Generated() int64 { return l.started }
 // Active returns the number of flows currently in flight.
 func (l *Launcher) Active() int { return l.active }
 
-// launch starts a flow of size segments across st at time now (the clock
-// of the scheduler view the caller runs on) and records it. done, if not
-// nil, runs when the last segment arrives, after the detach is posted —
+// launch starts a flow of size segments across st at time now (the
+// scheduler's clock) and records it. done, if not nil, runs when the last segment arrives, after the detach is posted —
 // so a generator that schedules from done keeps its events behind the
 // detach in (time, seq) order.
 func (l *Launcher) launch(st *topology.Station, spec tcp.Config, size int64, now units.Time, done func()) {
@@ -70,9 +69,7 @@ func (l *Launcher) start(rec *FlowRecord, st *topology.Station, spec tcp.Config,
 
 // Detach unwires f one station RTT from now, so the final ACK still
 // reaches the sender (which needs it to cancel its RTO and finish) and
-// packets in flight drain past the bottleneck. The post goes through the
-// station's view: completion fires in the station's shard, where a
-// base-scheduler post would be illegal inside a parallel window.
+// packets in flight drain past the bottleneck.
 func (l *Launcher) Detach(f *topology.Flow) {
 	f.Station.Sched().PostAfter(f.Station.RTT, detacher{l.d}, 0, f)
 }

@@ -1,12 +1,10 @@
 package profile
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"bufsim/internal/units"
@@ -58,13 +56,13 @@ func Load(r io.Reader) (Profile, error) {
 	if p.Name == "" {
 		p.Name = "custom"
 	}
-	if err := p.Validate(); err != nil {
-		return Profile{}, err
-	}
 	if pf.Compress != 0 {
 		if p, err = p.Compress(pf.Compress); err != nil {
 			return Profile{}, err
 		}
+	}
+	if err := p.Validate(); err != nil {
+		return Profile{}, err
 	}
 	return p, nil
 }
@@ -75,30 +73,13 @@ func curveFromFile(name string, points []filePoint) (Curve, error) {
 	}
 	c := make(Curve, len(points))
 	for i, fp := range points {
-		t, err := parseFileTime(fp.T)
+		t, err := units.ParseDurationOrSeconds("t", fp.T)
 		if err != nil {
 			return nil, fmt.Errorf("profile: %s point %d: %v", name, i, err)
 		}
 		c[i] = Point{T: t, V: fp.V}
 	}
 	return c, nil
-}
-
-// parseFileTime accepts "30s"-style duration strings and bare numbers
-// of seconds.
-func parseFileTime(raw json.RawMessage) (units.Duration, error) {
-	if len(raw) == 0 {
-		return 0, fmt.Errorf(`missing "t"`)
-	}
-	var s string
-	if err := json.Unmarshal(raw, &s); err == nil {
-		return units.ParseDuration(s)
-	}
-	secs, err := strconv.ParseFloat(string(bytes.TrimSpace(raw)), 64)
-	if err != nil {
-		return 0, fmt.Errorf(`"t" must be a duration string or a number of seconds, got %s`, raw)
-	}
-	return units.DurationFromSeconds(secs), nil
 }
 
 // FromArg resolves a CLI -workload argument: a value naming a readable

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,6 +62,12 @@ func TestLoadErrors(t *testing.T) {
 		{"validation", `{"arrival": [{"t": 0, "v": -1}]}`, "negative value"},
 		{"no traffic", `{"name": "empty"}`, "describes no traffic"},
 		{"bad compress", `{"arrival": [{"t": 0, "v": 1}], "compress": -2}`, "compress"},
+		{"time out of range", `{"arrival": [{"t": 0, "v": 1}, {"t": 1e300, "v": 1}]}`, `duration "1e300" out of range`},
+		{"time not finite", `{"arrival": [{"t": "NaNs", "v": 1}]}`, `duration "NaNs" out of range`},
+		// Validation runs on the compressed curve: this factor used to put
+		// the second point at -9.2e12 ms and load without an error.
+		{"compress out of range", `{"arrival": [{"t": 0, "v": 1}, {"t": "30s", "v": 1}], "compress": 1e-300}`, "leaves the representable time range"},
+		{"compress collapses a segment", `{"arrival": [{"t": 0, "v": 1}, {"t": "1ns", "v": 2}], "compress": 10}`, "zero-duration segment"},
 		{"not json", `arrival: [0, 1]`, "profile:"},
 	}
 	for _, c := range cases {
@@ -118,4 +125,36 @@ func TestFromArg(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "nosuch.json") {
 		t.Errorf("missing file error = %v, want path mention", err)
 	}
+}
+
+// FuzzLoad feeds Load arbitrary documents: it must never panic, and
+// whatever it accepts is a valid profile whose times all lie in range.
+func FuzzLoad(f *testing.F) {
+	for _, seed := range []string{
+		`{"name": "x", "arrival": [{"t": "0s", "v": 0.1}, {"t": 30, "v": 1}], "population": [{"t": 0, "v": 2}]}`,
+		`{"arrival": [{"t": 0, "v": 1}, {"t": 60, "v": 2}], "compress": 4}`,
+		`{"arrival": [{"t": 0, "v": 1}, {"t": "30s", "v": 1}], "compress": 1e-300}`,
+		`{"arrival": [{"t": 0, "v": 1}, {"t": "1ns", "v": 2}], "compress": 10}`,
+		`{"arrival": [{"t": "NaNs", "v": 1}]}`,
+		`{"arrival": [{"t": 1e300, "v": 1}]}`,
+		`{"population": [{"t": 0, "v": 1}], "compress": 1e300}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Load accepted what Validate rejects: %v", err)
+		}
+		for _, c := range []Curve{p.Arrival, p.Population} {
+			for _, pt := range c {
+				if pt.T < 0 {
+					t.Fatalf("Load accepted a point at %v", pt.T)
+				}
+			}
+		}
+	})
 }

@@ -118,12 +118,16 @@ func (c Curve) scale(f float64) Curve {
 	return out
 }
 
-func (c Curve) compress(factor float64) Curve {
+func (c Curve) compress(name string, factor float64) (Curve, error) {
 	out := make(Curve, len(c))
 	for i, p := range c {
-		out[i] = Point{T: units.Duration(float64(p.T) / factor), V: p.V}
+		t := float64(p.T) / factor
+		if !(t >= math.MinInt64 && t < math.MaxInt64) { // also NaN
+			return nil, fmt.Errorf("profile: %s point %d: compressing t=%s by %v leaves the representable time range", name, i, p.T, factor)
+		}
+		out[i] = Point{T: units.Duration(t), V: p.V}
 	}
-	return out
+	return out, nil
 }
 
 // Profile is a declarative time-varying workload: what the short-flow
@@ -200,13 +204,19 @@ func (p Profile) ScaleTo(peakArrival, peakPopulation float64) Profile {
 
 // Compress divides every control-point time by factor, replaying the
 // same shape faster (factor > 1) or slower (factor < 1) — e.g. a
-// 24-hour diurnal cycle compressed 1440x runs in one simulated minute.
+// 24-hour diurnal cycle compressed 1440x runs in one simulated minute. A
+// factor that moves a time out of the representable range is an error.
 func (p Profile) Compress(factor float64) (Profile, error) {
 	if factor <= 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 		return Profile{}, fmt.Errorf("profile: compression factor must be a positive finite number, got %v", factor)
 	}
-	p.Arrival = p.Arrival.compress(factor)
-	p.Population = p.Population.compress(factor)
+	var err error
+	if p.Arrival, err = p.Arrival.compress("arrival", factor); err != nil {
+		return Profile{}, err
+	}
+	if p.Population, err = p.Population.compress("population", factor); err != nil {
+		return Profile{}, err
+	}
 	return p, nil
 }
 

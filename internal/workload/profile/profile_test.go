@@ -111,7 +111,7 @@ func TestCompress(t *testing.T) {
 	if got.Arrival[1].V != 2 || got.Population[1].V != 4 {
 		t.Error("compression changed curve values")
 	}
-	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), 1e-300} {
 		if _, err := p.Compress(bad); err == nil {
 			t.Errorf("Compress(%v) did not error", bad)
 		}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -70,8 +69,8 @@ func parseTraceCSV(r io.Reader) ([]FlowSpec, error) {
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("workload: trace line %d: want 2 fields, got %d", line, len(parts))
 		}
-		start, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil {
+		field := strings.TrimSpace(parts[0])
+		if _, err := strconv.ParseFloat(field, 64); err != nil {
 			if !sawRow {
 				continue // a header row like "start_seconds,size_segments"
 			}
@@ -82,13 +81,11 @@ func parseTraceCSV(r io.Reader) ([]FlowSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: trace line %d: bad size: %v", line, err)
 		}
-		if math.IsNaN(start) || math.IsInf(start, 0) {
-			return nil, fmt.Errorf("workload: trace line %d: start %v is not finite", line, start)
+		start, err := units.ParseDurationOrSeconds("start", []byte(field))
+		if err != nil {
+			return nil, fmt.Errorf("workload: trace line %d: %v", line, err)
 		}
-		specs = append(specs, FlowSpec{
-			Start: units.DurationFromSeconds(start),
-			Size:  size,
-		})
+		specs = append(specs, FlowSpec{Start: start, Size: size})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -113,28 +110,11 @@ func readFlowsJSON(data []byte) ([]FlowSpec, error) {
 	}
 	specs := make([]FlowSpec, 0, len(raw))
 	for i, rec := range raw {
-		start, err := parseJSONStart(rec.Start)
+		start, err := units.ParseDurationOrSeconds("start", rec.Start)
 		if err != nil {
 			return nil, fmt.Errorf("workload: JSON trace record %d: %v", i, err)
 		}
 		specs = append(specs, FlowSpec{Start: start, Size: rec.Size})
 	}
 	return specs, nil
-}
-
-// parseJSONStart accepts "100ms"-style duration strings and bare
-// numbers of seconds.
-func parseJSONStart(raw json.RawMessage) (units.Duration, error) {
-	if len(raw) == 0 {
-		return 0, fmt.Errorf(`missing "start"`)
-	}
-	var s string
-	if err := json.Unmarshal(raw, &s); err == nil {
-		return units.ParseDuration(s)
-	}
-	secs, err := strconv.ParseFloat(string(bytes.TrimSpace(raw)), 64)
-	if err != nil {
-		return 0, fmt.Errorf(`"start" must be a duration string or a number of seconds, got %s`, raw)
-	}
-	return units.DurationFromSeconds(secs), nil
 }

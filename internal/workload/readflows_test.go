@@ -68,6 +68,8 @@ func TestReadFlowsJSONErrors(t *testing.T) {
 		"missing start":  `[{"size": 4}]`,
 		"bad start":      `[{"start": true, "size": 4}]`,
 		"negative start": `[{"start": -1, "size": 4}]`,
+		"huge start":     `[{"start": 1e300, "size": 4}]`,
+		"NaN start":      `[{"start": "NaNs", "size": 4}]`,
 		"zero size":      `[{"start": 0, "size": 0}]`,
 		"negative size":  `[{"start": 0, "size": -4}]`,
 		"not an array":   `{"start": 0, "size": 4}`,
@@ -85,7 +87,7 @@ func TestReadFlowsJSONErrors(t *testing.T) {
 }
 
 func TestReadFlowsCSVRejectsNonFinite(t *testing.T) {
-	for _, in := range []string{"NaN,4\n", "+Inf,4\n"} {
+	for _, in := range []string{"NaN,4\n", "+Inf,4\n", "1e300,4\n", "0,4\n-1e11,4\n"} {
 		if _, err := ReadFlows(strings.NewReader(in)); err == nil {
 			t.Errorf("%q: non-finite start accepted", strings.TrimSpace(in))
 		}

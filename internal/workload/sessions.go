@@ -74,8 +74,7 @@ func (g *Sessions) Start() {
 func (g *Sessions) Stop() { g.running = false }
 
 // think posts the session's next transfer one exponential pause from
-// now. Through the station's view: transfers are station-shard work, so
-// under sharding they fire inside the station's window.
+// now.
 func (g *Sessions) think(station *topology.Station) {
 	pause := units.DurationFromSeconds(g.rng.Exp(g.src.MeanThink.Seconds()))
 	station.Sched().PostAfter(pause, g, 0, station)
@@ -89,9 +88,6 @@ func (g *Sessions) OnEvent(_ int32, arg any) {
 		return
 	}
 	station := arg.(*topology.Station)
-	// The station view's clock is correct in every context this can fire
-	// in: a sharded transfer fires inside the station's window, where the
-	// base scheduler's clock still reads the window start.
 	g.launch(station, g.src.TCP, g.src.Sizes.Sample(g.rng), station.Sched().Now(),
 		func() { g.think(station) })
 }

@@ -99,9 +99,6 @@ func StartLongLived(d *topology.Dumbbell, n int, spec tcp.Config, rng *sim.RNG, 
 		if stagger > 0 {
 			at = at.Add(units.Duration(rng.Uniform(0, float64(stagger))))
 		}
-		// Start through the station's view: the start is shard-classified
-		// work, so a sharded run fires it inside the station's window
-		// instead of forcing a global barrier per flow.
 		st.Sched().PostAt(at, f.Sender, tcp.OpStart, nil)
 	}
 	return flows

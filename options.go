@@ -61,23 +61,6 @@ func WithParallelism(n int) Option {
 	return func(e *experiment.RunEnv) { e.Parallelism = n }
 }
 
-// WithShards runs the simulation's event kernel on n parallel shards:
-// the topology is cut at its link boundaries (the bottleneck router on
-// one shard, the stations spread over the rest) and the kernel executes
-// conservative parallel windows bounded by the smallest cross-shard
-// propagation delay. Sharding is pure execution policy — results are
-// bit-identical to the sequential kernel at every shard count (the
-// equivalence is pinned by the sharded digest harness), so like
-// WithParallelism it does not participate in the cache key. Zero or one
-// means the sequential kernel; counts are capped at the topology's
-// station count + 1 and the kernel's shard limit. Traffic driven by a
-// dynamic flow generator (Mix, Trace, Generated) caps the effective count
-// at two — the generator's bookkeeping serializes the stations onto one
-// shard.
-func WithShards(n int) Option {
-	return func(e *experiment.RunEnv) { e.Shards = n }
-}
-
 // WithMetrics attaches a telemetry registry to the run. After the run
 // returns, reg holds the scheduler, queue and TCP instruments
 // (reg.WriteJSON dumps them). Telemetry never perturbs the simulation:
