@@ -6,7 +6,7 @@ BIN := bin
 
 .PHONY: all build fmt-check lint onebed vet test short race mutation fuzz-smoke \
         bench-smoke golden quick-golden bufsim-golden bench bench-gate bench-scale \
-        bench-scale-gate benchmark-check ab loc clean
+        bench-scale-gate benchmark-check ab pgo loc clean
 
 all: build lint test
 
@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSeqRuns -fuzztime 30s ./internal/tcp/
 	$(GO) test -run '^$$' -fuzz FuzzReadFlows -fuzztime 30s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/workload/profile/
+	$(GO) test -run '^$$' -fuzz FuzzLoadScenario -fuzztime 30s ./cmd/bufsim/
 
 # bench-smoke only checks the benchmarks still compile and run one
 # iteration; -short keeps the expensive paper reproductions out.
@@ -148,6 +149,32 @@ SEED  ?= 1
 ab:
 	@test -n "$(REF)" || { echo "usage: make ab REF=<rev> [WORKLOAD=<name>] [PAIRS=10] [SEED=1]" >&2; exit 2; }
 	$(GO) run ./bench ab -ref $(REF) $(if $(WORKLOAD),-workload $(WORKLOAD)) -pairs $(PAIRS) -seed $(SEED)
+
+# pgo regenerates cmd/bufsim/default.pgo and its copy
+# cmd/paperexp/default.pgo, the CPU profile that `go build` (whose
+# default is -pgo=auto) optimises both CLIs with. The commands mirror
+# BENCHMARK.json's workloads at their operating points, the bufsim
+# windows lengthened to 1-3 s of samples each, and the profiles merge into
+# one: the CLIs share the kernel, link, queue and tcp hot paths. The
+# binaries profiled are built with -pgo=off, so the profile describes
+# plain code and does not feed on itself, and with -trimpath, so it
+# records no checkout path. See DESIGN.md "Profile-guided build".
+pgo:
+	@set -e; d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -pgo=off -trimpath -o "$$d/bufsim" ./cmd/bufsim; \
+	$(GO) build -pgo=off -trimpath -o "$$d/paperexp" ./cmd/paperexp; \
+	"$$d/bufsim" -seed 1 -pprof "$$d/longlived_30.prof" -rate 60Mbps -flows 30 -buffer 55 \
+		-warmup 1s -measure 600s > /dev/null; \
+	"$$d/bufsim" -seed 1 -pprof "$$d/longlived_1000.prof" -rate 2Gbps -flows 1000 -buffer 1025 \
+		-warmup 1s -measure 8s > /dev/null; \
+	"$$d/bufsim" -seed 1 -pprof "$$d/churn_red_sack.prof" -rate 100Mbps -flows 50 -workload constant \
+		-red -variant sack -warmup 1s -measure 60s > /dev/null; \
+	for exp in fig10 red; do \
+		"$$d/paperexp" -seed 1 -pprof "$$d/sweep_$$exp.prof" -quick -parallel 2 -cache \
+			-cachedir "$$d/cache" -exp $$exp > /dev/null; \
+	done; \
+	$(GO) tool pprof -proto "$$d"/*.prof > cmd/bufsim/default.pgo; \
+	cp cmd/bufsim/default.pgo cmd/paperexp/default.pgo
 
 # loc prints the non-test Go line count of every package, the number the
 # simplicity PRs report: no _test.go, no analyzer fixtures, and not

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -94,10 +95,13 @@ func main() {
 	}
 
 	s, long, err := sf.scenario()
+	err = flagError(err)
 	if *config != "" {
 		s, long, err = loadScenario(*config)
 	}
 	fatalIf(err)
+	wl := profileArgs{*wlArg, *wlLoad, *wlFlowLen}
+	fatalIf(wl.check())
 	printRules(s.Link, long.Flows, s.BufferPackets)
 	switch {
 	case *advArg != "" && *wlArg != "":
@@ -105,7 +109,7 @@ func main() {
 	case *advArg != "":
 		fatalIf(runAdversaryAndPrint(*advArg, s, long.Flows, *skipSim, obs))
 	case *wlArg != "":
-		fatalIf(runProfileAndPrint(profileArgs{*wlArg, *wlLoad, *wlFlowLen}, s, long.Flows, *skipSim, obs))
+		fatalIf(runProfileAndPrint(wl, s, long.Flows, *skipSim, obs))
 	case !*skipSim:
 		fatalIf(runAndPrint(s, long, obs))
 	}
@@ -264,6 +268,18 @@ type profileArgs struct {
 	arg     string
 	load    float64
 	flowLen int64
+}
+
+// check rejects -workload flag values that describe no traffic, before
+// the sizing rules print.
+func (wl profileArgs) check() error {
+	switch {
+	case !(wl.load > 0) || math.IsInf(wl.load, 1):
+		return fmt.Errorf("-workload-load: must be positive and finite (got %v)", wl.load)
+	case wl.flowLen <= 0:
+		return fmt.Errorf("-workload-flow-length: must be positive (got %d)", wl.flowLen)
+	}
+	return nil
 }
 
 // resolveProfile loads a .json profile or looks up a preset by name.

@@ -101,14 +101,46 @@ func TestMain(m *testing.M) {
 // stdout and stderr.
 func runMain(t *testing.T, args ...string) (stdout, stderr string) {
 	t.Helper()
+	stdout, stderr, err := execMain(args...)
+	if err != nil {
+		t.Fatalf("bufsim %s: %v\n%s", strings.Join(args, " "), err, stderr)
+	}
+	return stdout, stderr
+}
+
+func execMain(args ...string) (stdout, stderr string, err error) {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "BUFSIM_MAIN=1")
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("bufsim %s: %v\n%s", strings.Join(args, " "), err, errOut.String())
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
+// TestBadFlagsFailBeforePrinting: a flag value that cannot describe the
+// run is an error naming the flag, raised before the sizing rules print.
+// A zero window used to print as 0s and run the default, a zero or
+// negative -buffer-factor to run one packet, a negative -workload-load no
+// flows, and a zero -workload-flow-length to fail inside the profile.
+func TestBadFlagsFailBeforePrinting(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-measure", "0s"}, "-measure: must be positive"},
+		{[]string{"-warmup", "0s"}, "-warmup: must be positive"},
+		{[]string{"-buffer-factor", "0"}, "-buffer-factor: must be positive"},
+		{[]string{"-buffer-factor", "-1"}, "-buffer-factor: must be positive"},
+		{[]string{"-rtt-spread", "-1ms"}, "-rtt-spread: must not be negative"},
+		{[]string{"-workload", "constant", "-workload-load", "-1"}, "-workload-load: must be positive"},
+		{[]string{"-workload", "constant", "-workload-flow-length", "0"}, "-workload-flow-length: must be positive"},
+	} {
+		stdout, stderr, err := execMain(append([]string{"-rate", "20Mbps", "-flows", "10"}, c.args...)...)
+		if err == nil || !strings.Contains(stderr, c.want) || stdout != "" {
+			t.Errorf("bufsim %v: err %v, stderr %q, stdout %q; want a failure saying %q and no stdout",
+				c.args, err, stderr, stdout, c.want)
+		}
 	}
-	return out.String(), errOut.String()
 }
 
 // TestShardsFlagIsIgnored: -shards still parses, so old command lines

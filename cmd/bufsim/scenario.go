@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
+	"strings"
+	"unicode"
 
 	"bufsim"
 )
@@ -43,19 +46,29 @@ type scenarioFile struct {
 	Measure      string  `json:"measure"`
 }
 
-// loadScenario reads a scenario file and lowers it. A file must give
-// "rate" and "flows"; a field left out, empty or zero takes the flag's
-// default, and a zero "bufferFactor" is 1.
+// loadScenario reads a scenario file and lowers it (parseScenario).
 func loadScenario(path string) (bufsim.Scenario, bufsim.LongLived, error) {
-	var sf scenarioFile
 	data, err := os.ReadFile(path)
+	var s bufsim.Scenario
+	var long bufsim.LongLived
 	if err == nil {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		err = dec.Decode(&sf)
+		s, long, err = parseScenario(data)
 	}
 	if err != nil {
 		return bufsim.Scenario{}, bufsim.LongLived{}, fmt.Errorf("%s: %v", path, err)
+	}
+	return s, long, nil
+}
+
+// parseScenario decodes and lowers a scenario file's contents. A file
+// must give "rate" and "flows"; a field left out or empty takes the
+// flag's default, and a zero "bufferFactor" is 1.
+func parseScenario(data []byte) (bufsim.Scenario, bufsim.LongLived, error) {
+	var sf scenarioFile
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sf); err != nil {
+		return bufsim.Scenario{}, bufsim.LongLived{}, err
 	}
 	orDefault := func(field *string, dflt string) {
 		if *field == "" {
@@ -70,22 +83,51 @@ func loadScenario(path string) (bufsim.Scenario, bufsim.LongLived, error) {
 		sf.BufferFactor = 1
 	}
 	s, long, err := sf.scenario()
-	if err != nil {
-		return bufsim.Scenario{}, bufsim.LongLived{}, fmt.Errorf("%s: %v", path, err)
+	// A file describes long-lived flows, whose RTTs span rtt +- rttSpread/2.
+	if err == nil && long.RTTSpread >= 2*s.Link.RTT {
+		err = &fieldError{"rttSpread", fmt.Errorf("must be below 2 x rtt = %v", 2*s.Link.RTT)}
 	}
-	return s, long, nil
+	return s, long, err
+}
+
+// fieldError is a parameter scenario cannot lower. It names the file's
+// field; the flag path names the flag instead (flagError).
+type fieldError struct {
+	field string
+	err   error
+}
+
+func (e *fieldError) Error() string { return fmt.Sprintf("field %q: %v", e.field, e.err) }
+
+// flagError renames a fieldError after the flag that set the field: the
+// flags are the fields in kebab case (rttSpread is -rtt-spread).
+func flagError(err error) error {
+	var fe *fieldError
+	if !errors.As(err, &fe) {
+		return err
+	}
+	var flag strings.Builder
+	for _, r := range fe.field {
+		if unicode.IsUpper(r) {
+			flag.WriteByte('-')
+		}
+		flag.WriteRune(unicode.ToLower(r))
+	}
+	return fmt.Errorf("-%s: %v", flag.String(), fe.err)
 }
 
 // scenario lowers the parameters onto the Scenario every run of the
 // binary uses, long-lived, -workload or -adversary, and the long-lived
 // traffic they describe. An explicit buffer wins; otherwise it is
-// bufferFactor x RTTxC/sqrt(flows), at least one packet.
+// bufferFactor x RTTxC/sqrt(flows), at least one packet. Every check the
+// sizing rules printed before a run depend on is made here, so bad input
+// fails before anything prints.
 func (sf scenarioFile) scenario() (bufsim.Scenario, bufsim.LongLived, error) {
 	var s bufsim.Scenario
 	var long bufsim.LongLived
 	var err error
 	fail := func(field string, err error) (bufsim.Scenario, bufsim.LongLived, error) {
-		return bufsim.Scenario{}, bufsim.LongLived{}, fmt.Errorf("field %q: %v", field, err)
+		return bufsim.Scenario{}, bufsim.LongLived{}, &fieldError{field, err}
 	}
 	if s.Link.Rate, err = bufsim.ParseBitRate(sf.Rate); err != nil {
 		return fail("rate", err)
@@ -103,13 +145,26 @@ func (sf scenarioFile) scenario() (bufsim.Scenario, bufsim.LongLived, error) {
 			return fail(d.field, err)
 		}
 	}
-	// The sizing rules printed before any run need these three.
+	// Zero is not "the default" here: a window printed as 0s must not
+	// run for 40.
+	positive := errors.New("must be positive")
 	for _, f := range []struct {
-		field    string
-		positive bool
-	}{{"rate", s.Link.Rate > 0}, {"rtt", s.Link.RTT > 0}, {"flows", sf.Flows > 0}} {
-		if !f.positive {
-			return fail(f.field, errors.New("must be positive"))
+		field string
+		ok    bool
+		err   error
+	}{
+		{"rate", s.Link.Rate > 0, positive},
+		{"rtt", s.Link.RTT > 0, positive},
+		{"flows", sf.Flows > 0, positive},
+		{"warmup", s.Warmup > 0, positive},
+		{"measure", s.Measure > 0, positive},
+		{"rttSpread", long.RTTSpread >= 0, errors.New("must not be negative")},
+		{"buffer", sf.Buffer >= 0, errors.New("must not be negative")},
+		{"bufferFactor", sf.BufferFactor > 0 && !math.IsInf(sf.BufferFactor, 1), errors.New("must be positive and finite")},
+		{"segment", sf.Segment >= 0, errors.New("must not be negative")},
+	} {
+		if !f.ok {
+			return fail(f.field, f.err)
 		}
 	}
 	if s.Sender.Variant, err = bufsim.ParseVariant(sf.Variant); err != nil {
@@ -119,7 +174,11 @@ func (sf scenarioFile) scenario() (bufsim.Scenario, bufsim.LongLived, error) {
 	s.Seed, s.RED, s.Sender.Paced, s.Sender.DelayedAck = sf.Seed, sf.RED, sf.Paced, sf.DelayedAck
 	s.BufferPackets = sf.Buffer
 	if s.BufferPackets == 0 {
-		s.BufferPackets = max(1, int(sf.BufferFactor*float64(s.Link.SqrtRule(sf.Flows))))
+		b := sf.BufferFactor * float64(s.Link.SqrtRule(sf.Flows))
+		if b >= math.MaxInt32 {
+			return fail("bufferFactor", fmt.Errorf("gives a buffer of %.3g packets", b))
+		}
+		s.BufferPackets = max(1, int(b))
 	}
 	long.Flows = sf.Flows
 	return s, long, nil

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bufsim"
@@ -79,18 +80,30 @@ func TestLoadScenarioExplicitBufferWins(t *testing.T) {
 
 func TestLoadScenarioErrors(t *testing.T) {
 	cases := map[string]string{
-		"missing rate":   `{"flows": 10}`,
-		"bad rate":       `{"rate": "fast", "flows": 10}`,
-		"bad rtt":        `{"rate": "10Mbps", "rtt": "late", "flows": 10}`,
-		"zero flows":     `{"rate": "10Mbps"}`,
-		"unknown field":  `{"rate": "10Mbps", "flows": 10, "bandwidth": 5}`,
-		"bad variant":    `{"rate": "10Mbps", "flows": 10, "variant": "vegas"}`,
-		"malformed json": `{"rate": `,
+		"missing rate":    `{"flows": 10}`,
+		"bad rate":        `{"rate": "fast", "flows": 10}`,
+		"bad rtt":         `{"rate": "10Mbps", "rtt": "late", "flows": 10}`,
+		"zero flows":      `{"rate": "10Mbps"}`,
+		"unknown field":   `{"rate": "10Mbps", "flows": 10, "bandwidth": 5}`,
+		"bad variant":     `{"rate": "10Mbps", "flows": 10, "variant": "vegas"}`,
+		"malformed json":  `{"rate": `,
+		"zero measure":    `{"rate": "10Mbps", "flows": 10, "measure": "0s"}`,
+		"zero warmup":     `{"rate": "10Mbps", "flows": 10, "warmup": "0s"}`,
+		"negative factor": `{"rate": "10Mbps", "flows": 10, "bufferFactor": -1}`,
+		"huge factor":     `{"rate": "10Mbps", "flows": 10, "bufferFactor": 1e300}`,
+		"negative buffer": `{"rate": "10Mbps", "flows": 10, "buffer": -5}`,
+		"negative spread": `{"rate": "10Mbps", "flows": 10, "rttSpread": "-1ms"}`,
+		"wide spread":     `{"rate": "10Mbps", "flows": 10, "rtt": "50ms", "rttSpread": "100ms"}`,
 	}
 	for name, body := range cases {
 		if _, _, err := loadScenario(writeConfig(t, body)); err == nil {
 			t.Errorf("%s: no error", name)
 		}
+	}
+	// A zero window is refused by name, not run for the default.
+	_, _, err := loadScenario(writeConfig(t, `{"rate": "10Mbps", "flows": 10, "measure": "0s"}`))
+	if err == nil || !strings.Contains(err.Error(), `field "measure": must be positive`) {
+		t.Errorf("zero measure: err = %v", err)
 	}
 	if _, _, err := loadScenario(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file: no error")
@@ -106,4 +119,41 @@ func TestRepoExampleConfigLoads(t *testing.T) {
 	if long.Flows != 200 || sim.Sender.Variant != bufsim.Sack {
 		t.Errorf("example config parsed oddly: %+v, %+v", sim, long)
 	}
+}
+
+// FuzzLoadScenario feeds the -config parser arbitrary bytes: it must
+// never panic, and whatever it accepts can run — a positive rate, RTT,
+// flow count, warmup, measurement window and buffer, and RTTs that stay
+// positive across the spread.
+func FuzzLoadScenario(f *testing.F) {
+	example, err := os.ReadFile("../../configs/oc3-sack.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	for _, seed := range []string{
+		`{"rate": "155Mbps", "rtt": "100ms", "rttSpread": "40ms", "flows": 300, "bufferFactor": 2.0,
+			"variant": "sack", "paced": true, "delayedAck": true, "seed": 9, "warmup": "5s", "measure": "10s"}`,
+		`{"rate": "10Mbps", "flows": 10, "buffer": 77, "bufferFactor": 3}`,
+		`{"rate": "10Mbps", "flows": 10, "bufferFactor": 0, "rtt": "", "rttSpread": "", "warmup": "", "measure": ""}`,
+		`{"rate": "10Mbps", "flows": 10, "measure": "0s"}`,
+		`{"rate": "10Mbps", "flows": 10, "bufferFactor": 1e300}`,
+		`{"rate": "10Mbps", "flows": 10, "rtt": "50ms", "rttSpread": "100ms"}`,
+		`{"rate": "1e30Gbps", "rtt": "1e9s", "flows": 1}`,
+		`{"rate": "fast", "flows": 10}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, long, err := parseScenario(data)
+		if err != nil {
+			return
+		}
+		if s.Link.Rate <= 0 || s.Link.RTT <= 0 || long.Flows <= 0 || s.Warmup <= 0 || s.Measure <= 0 || s.BufferPackets <= 0 {
+			t.Fatalf("accepted a scenario that cannot run: %+v, %+v", s, long)
+		}
+		if long.RTTSpread < 0 || long.RTTSpread >= 2*s.Link.RTT {
+			t.Fatalf("accepted RTT spread %v around RTT %v", long.RTTSpread, s.Link.RTT)
+		}
+	})
 }
