@@ -69,6 +69,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFlows -fuzztime 30s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/workload/profile/
 	$(GO) test -run '^$$' -fuzz FuzzLoadScenario -fuzztime 30s ./cmd/bufsim/
+	$(GO) test -run '^$$' -fuzz FuzzParsePattern -fuzztime 30s ./internal/adversary/
+	$(GO) test -run '^$$' -fuzz FuzzCachedBlob -fuzztime 30s ./internal/experiment/
 
 # bench-smoke only checks the benchmarks still compile and run one
 # iteration; -short keeps the expensive paper reproductions out.

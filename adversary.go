@@ -45,14 +45,11 @@ type Adversary struct {
 
 func (t Adversary) lower(s Scenario, env experiment.RunEnv) (func() AdversaryResult, error) {
 	cfg := experiment.AdversaryScenario{
-		Seed:    s.Seed,
-		Pattern: t.Pattern,
-		AdversaryCohort: experiment.AdversaryCohort{
-			N:    t.Flows,
-			Path: s.Link.fixedPath(s.Warmup, s.Measure),
-		},
-		BufferPackets: s.BufferPackets,
-		RunEnv:        env,
+		Scenario:        s.over(s.Link.fixedPath(s.Warmup, s.Measure)),
+		Pattern:         t.Pattern,
+		AdversaryCohort: experiment.AdversaryCohort{N: t.Flows},
+		BufferPackets:   s.BufferPackets,
+		RunEnv:          env,
 	}
 	return func() AdversaryResult { return experiment.RunAdversaryScenario(cfg) }, firstErr(
 		must(t.Pattern.Doc() != "", "Adversary.Pattern %v is not one of %v", t.Pattern, AdversaryNames()),

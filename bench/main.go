@@ -136,8 +136,7 @@ func metric(r testing.BenchmarkResult, eventsPerOp int64) Metric {
 
 func longLivedConfig() experiment.LongLivedConfig {
 	return experiment.LongLivedConfig{
-		Seed: 1, N: 30, BufferPackets: 50,
-		Path: experiment.Path{BottleneckRate: 20 * units.Mbps, Warmup: 5 * units.Second, Measure: 15 * units.Second},
+		Scenario: experiment.Scenario{Seed: 1, Path: experiment.Path{BottleneckRate: 20 * units.Mbps, Warmup: 5 * units.Second, Measure: 15 * units.Second}}, N: 30, BufferPackets: 50,
 	}
 }
 
@@ -145,8 +144,7 @@ func longLivedConfig() experiment.LongLivedConfig {
 // under a stationary Poisson source of 14-segment flows.
 func shortFlowConfig() experiment.ProfileRunConfig {
 	return experiment.ProfileRunConfig{
-		Seed: 1, BufferPackets: 50,
-		Path: experiment.Path{BottleneckRate: 20 * units.Mbps, Warmup: 3 * units.Second, Measure: 10 * units.Second},
+		Scenario: experiment.Scenario{Seed: 1, Path: experiment.Path{BottleneckRate: 20 * units.Mbps, Warmup: 3 * units.Second, Measure: 10 * units.Second}}, BufferPackets: 50,
 		Source: workload.PoissonSource{
 			Load: 0.7, Sizes: workload.FixedSize(14),
 			TCP: tcp.Config{SegmentSize: units.DefaultSegment, MaxWindow: 43},

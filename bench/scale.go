@@ -36,9 +36,8 @@ var scaleFlows = []int{30, 100, 300, 1000}
 
 func scaleConfig(flows int) experiment.LongLivedConfig {
 	return experiment.LongLivedConfig{
-		Seed:          1,
+		Scenario:      experiment.Scenario{Seed: 1, Path: experiment.Path{BottleneckRate: units.BitRate(flows) * 2 * units.Mbps, Warmup: units.Second, Measure: 2 * units.Second}},
 		N:             flows,
-		Path:          experiment.Path{BottleneckRate: units.BitRate(flows) * 2 * units.Mbps, Warmup: units.Second, Measure: 2 * units.Second},
 		BufferPackets: 25 + flows,
 	}
 }

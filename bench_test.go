@@ -44,7 +44,7 @@ func BenchmarkPaper(b *testing.B) {
 func BenchmarkKernelEventThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiment.RunLongLived(experiment.LongLivedConfig{
-			Seed: 1, N: 100, Path: experiment.Path{BottleneckRate: units.OC3, Warmup: 5 * units.Second, Measure: 10 * units.Second},
+			Scenario: experiment.Scenario{Seed: 1, Path: experiment.Path{BottleneckRate: units.OC3, Warmup: 5 * units.Second, Measure: 10 * units.Second}}, N: 100,
 			BufferPackets: 194,
 		})
 		b.ReportMetric(100*res.Utilization, "util%")

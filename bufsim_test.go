@@ -2,7 +2,6 @@ package bufsim
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -155,21 +154,22 @@ func TestSimulateShortFlows(t *testing.T) {
 // senders sent 1000-byte segments while its arrival rate was worked out
 // for 500-byte ones, offering twice the load asked for. The workload kind
 // now fills the templates from the link, so the Poisson workload at
-// 500 bytes is exactly the short-flow scenario it replaces: the same
-// cache key the legacy short-flow entry point wrote at 500 bytes.
+// 500 bytes is exactly the short-flow scenario it replaces: the result
+// the legacy short-flow entry point produced at 500 bytes.
 func TestWorkloadSendsTheLinksSegments(t *testing.T) {
 	l := Link{Rate: 10 * Mbps, RTT: 50 * Millisecond, SegmentSize: 500}
 	s := Scenario{Seed: 1, Link: l, BufferPackets: 30, Warmup: Second, Measure: 2 * Second}
 	shorts := Generated{Workload: PoissonWorkload(0.5, FixedSize(14), 43)}
-	cache, dir := tempCache(t)
-	res := run(t, s, shorts, WithCacheStore(cache))
-	if got, want := cachedKeys(t, dir), []string{"f04521c589d90df80c048345140178f9a518d38ccf57dabf34098df25778a0a1"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("keys = %q, want the legacy short-flow key %q", got, want)
+	res := run(t, s, shorts)
+	want := ProfileResult{Utilization: 0.522534605, LossRate: 0.0003850596842510589, MeanQueue: 2.5051510194999684,
+		PeakQueue: 30, MeanActive: 13.238095238095237, PeakActive: 21, Generated: 301, AFCT: 139484627, Completed: 186}
+	if res != want {
+		t.Errorf("result moved:\ngot  %+v\nwant the legacy short-flow run's %+v", res, want)
 	}
 	// 0.5 x 10 Mb/s over 14 x 500-byte flows is ~89 arrivals a second,
 	// ~268 over the 3 s run; 1000-byte senders launched half that.
-	if res.Generated < 230 || res.Completed != 186 {
-		t.Errorf("launched %d flows and completed %d, want ~268 and the legacy 186", res.Generated, res.Completed)
+	if res.Generated < 230 {
+		t.Errorf("launched %d flows, want ~268", res.Generated)
 	}
 }
 

@@ -95,11 +95,10 @@ func main() {
 	}
 	if *compareCC {
 		table := experiment.RunCCFamily(experiment.CCFamilyConfig{
-			Seed:   *seed,
-			Ns:     flowCounts,
-			Path:   path,
-			Target: *target,
-			RunEnv: experiment.RunEnv{Parallelism: *par},
+			Scenario: experiment.Scenario{Seed: *seed, Path: path},
+			Ns:       flowCounts,
+			Target:   *target,
+			RunEnv:   experiment.RunEnv{Parallelism: *par},
 		})
 		fmt.Printf("min buffer per CC family at %.0f%% of each family's ceiling: %v, RTT %v\n",
 			100**target, rate, rtt)
@@ -115,11 +114,9 @@ func main() {
 
 	bdp, sqrtRule := path.BDP(), path.SqrtRule(*flows)
 	cfg := experiment.LongLivedConfig{
-		Seed:    *seed,
-		N:       *flows,
-		Path:    path,
-		Variant: variant,
-		RunEnv:  experiment.RunEnv{Parallelism: *par},
+		Scenario: experiment.Scenario{Seed: *seed, Path: path, Sender: experiment.Sender{Variant: variant}},
+		N:        *flows,
+		RunEnv:   experiment.RunEnv{Parallelism: *par},
 	}
 
 	fmt.Printf("searching min buffer for %.1f%% utilization: %v, RTT %v, %d %v flows\n",

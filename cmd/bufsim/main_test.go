@@ -2,11 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -58,8 +58,9 @@ func TestCacheVerifyFailsEveryScenario(t *testing.T) {
 }
 
 // spoilResults rewrites the utilization in every result stored under
-// dir, so each still decodes but no longer matches a recomputation. It
-// returns how many it rewrote.
+// dir, in place, so each is still the blob its result type writes — a
+// hit — but no longer matches a recomputation. It returns how many it
+// rewrote.
 func spoilResults(t *testing.T, dir string) (n int) {
 	t.Helper()
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
@@ -70,22 +71,21 @@ func spoilResults(t *testing.T, dir string) (n int) {
 		if err != nil {
 			return err
 		}
-		var res map[string]any
-		if json.Unmarshal(blob, &res) != nil || res["Utilization"] == nil {
-			return nil // a manifest, not a result
-		}
-		res["Utilization"] = 0.123456
-		if blob, err = json.Marshal(res); err != nil {
-			return err
+		spoiled := utilization.ReplaceAll(blob, []byte(`"Utilization":0.123456`))
+		if bytes.Equal(spoiled, blob) {
+			return nil // not a result with a utilization
 		}
 		n++
-		return os.WriteFile(path, blob, 0o644)
+		return os.WriteFile(path, spoiled, 0o644)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
 }
+
+// utilization matches a result's utilization field in its stored JSON.
+var utilization = regexp.MustCompile(`"Utilization":[0-9.e+-]+`)
 
 // TestMain lets a test run the binary itself: with BUFSIM_MAIN set, the
 // test executable is bufsim, its arguments the command line.

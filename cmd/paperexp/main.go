@@ -262,7 +262,7 @@ func (r runner) prepare(cfg *any) error {
 	case experiment.AFCTComparisonConfig:
 		fmt.Printf("short-flow sizes: %v\n", c.Sizes)
 	case experiment.UtilizationTableConfig:
-		if c.UseRED {
+		if c.Queue == experiment.RED {
 			fmt.Println("queue discipline: RED")
 		}
 	case experiment.FlashCrowdConfig:

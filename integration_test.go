@@ -20,7 +20,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) experiment.LongLivedResult {
 		return experiment.RunLongLived(experiment.LongLivedConfig{
-			Seed: seed, N: 20, Path: experiment.Path{BottleneckRate: 10 * units.Mbps, Warmup: 5 * units.Second, Measure: 10 * units.Second},
+			Scenario: experiment.Scenario{Seed: seed, Path: experiment.Path{BottleneckRate: 10 * units.Mbps, Warmup: 5 * units.Second, Measure: 10 * units.Second}}, N: 20,
 			BufferPackets: 40,
 		})
 	}

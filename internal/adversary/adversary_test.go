@@ -90,6 +90,29 @@ func runPulse(t *testing.T) (*PulseDriver, *topology.Dumbbell) {
 	return drv, d
 }
 
+// FuzzParsePattern: ParsePattern never panics, and a name it accepts
+// names a registered pattern whose canonical name parses back to it.
+func FuzzParsePattern(f *testing.F) {
+	for _, s := range []string{"pulse", " AIMDSync ", "parking-lot", "", "pattern(7)", "pulse\x00"} {
+		f.Add(s)
+	}
+	for _, n := range PatternNames() {
+		f.Add(n)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePattern(s)
+		if err != nil {
+			return
+		}
+		if p.Doc() == "" {
+			t.Fatalf("ParsePattern(%q) = %v, not a registered pattern", s, p)
+		}
+		if back, err := ParsePattern(p.String()); err != nil || back != p {
+			t.Fatalf("ParsePattern(%q) = %v, but its name %q parses to %v, %v", s, p, p.String(), back, err)
+		}
+	})
+}
+
 func TestPulseOverloadsDuringBursts(t *testing.T) {
 	drv, d := runPulse(t)
 	// 10s x 0.25 duty at 40 Mbps aggregate, quantized per train; allow a

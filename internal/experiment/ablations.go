@@ -3,7 +3,6 @@ package experiment
 import (
 	"bufsim/internal/model"
 	"bufsim/internal/stats"
-	"bufsim/internal/tcp"
 	"bufsim/internal/trace"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
@@ -14,11 +13,11 @@ import (
 // sqrt(n) rule when n is small. We compare utilization with and without
 // pacing across buffer sizes well below the single-flow rule of thumb.
 type PacingConfig struct {
-	Seed int64
+	// Scenario: the path defaults to the long-lived scenario at 40 Mb/s;
+	// Sender.Paced is the axis, set on one arm and cleared on the other.
+	Scenario
 
-	N int
-	// Path defaults to the long-lived scenario at 40 Mb/s.
-	Path
+	N             int
 	BufferFactors []float64 // multiples of RTTxC/sqrt(n)
 
 	// RunEnv: Audit and Cache reach the underlying long-lived runs; the
@@ -51,12 +50,13 @@ func RunPacingAblation(cfg PacingConfig) PacingTable {
 	return sweep("pacing", cfg.RunEnv, len(cfg.BufferFactors), func(i int, cell RunEnv) PacingPoint {
 		f := cfg.BufferFactors[i]
 		unpaced := LongLivedConfig{
-			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
+			Scenario: cfg.Scenario, N: cfg.N,
 			BufferPackets: cfg.sqrtRuleTimes(f, cfg.N),
 			RunEnv:        cell,
 		}
+		unpaced.Sender.Paced = false
 		paced := unpaced
-		paced.Paced = true
+		paced.Sender.Paced = true
 		return PacingPoint{
 			BufferPackets: unpaced.BufferPackets,
 			Factor:        f,
@@ -77,10 +77,9 @@ func RunPacingAblation(cfg PacingConfig) PacingTable {
 // bursts arrive intact -> M/G/1 with bursty X) versus slow access links
 // (bursts smeared -> toward M/D/1).
 type SmoothingConfig struct {
-	Seed int64
+	// Scenario: the path defaults to smoothingPath.
+	Scenario
 
-	// Path defaults to smoothingPath.
-	Path
 	Load      float64
 	FlowLen   int64
 	MaxWindow int
@@ -175,15 +174,14 @@ func RunSmoothing(cfg SmoothingConfig) SmoothingTable {
 func runSmoothingPoint(cfg SmoothingConfig, ratio float64, moments model.BurstMoments) SmoothingPoint {
 	b := newBed(bedConfig{
 		env:        cfg.RunEnv,
-		seed:       cfg.Seed,
-		Path:       cfg.Path,
+		Scenario:   cfg.Scenario,
 		stations:   cfg.Stations,
 		accessRate: units.BitRate(ratio * float64(cfg.BottleneckRate)),
 	})
 	gen := b.start(workload.PoissonSource{
 		Load:  cfg.Load,
 		Sizes: workload.FixedSize(cfg.FlowLen),
-		TCP:   tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: cfg.MaxWindow},
+		TCP:   cfg.tcp(cfg.MaxWindow),
 	})
 
 	// Sample the queue during the window (arrival sampling, matching the

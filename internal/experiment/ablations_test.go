@@ -11,9 +11,8 @@ func TestRunPacingAblationHelpsTinyBuffers(t *testing.T) {
 		t.Skip("paired simulation runs")
 	}
 	points := RunPacingAblation(PacingConfig{
-		Seed:          11,
+		Scenario:      Scenario{Seed: 11, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second}},
 		N:             20,
-		Path:          Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
 		BufferFactors: []float64{0.25, 1},
 	})
 	if len(points) != 2 {
@@ -39,8 +38,7 @@ func TestRunSmoothingSlowAccessReducesTail(t *testing.T) {
 		t.Skip("paired simulation runs")
 	}
 	points := RunSmoothing(SmoothingConfig{
-		Seed:         12,
-		Path:         Path{BottleneckRate: 20 * units.Mbps, Warmup: 8 * units.Second, Measure: 40 * units.Second},
+		Scenario:     Scenario{Seed: 12, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 8 * units.Second, Measure: 40 * units.Second}},
 		Load:         0.75,
 		FlowLen:      30,
 		TailAt:       15,

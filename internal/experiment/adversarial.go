@@ -9,7 +9,6 @@ import (
 	"bufsim/internal/probe"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
-	"bufsim/internal/tcp"
 	"bufsim/internal/trace"
 	"bufsim/internal/units"
 )
@@ -29,7 +28,9 @@ import (
 // prediction, as in RunSyncAblation); it reads near sqrt(n) when the
 // attack works.
 type AdversarialConfig struct {
-	Seed int64
+	// Scenario: the path defaults to adversarialPath (see
+	// AdversaryScenario).
+	Scenario
 
 	// Patterns defaults to every registered adversarial pattern.
 	Patterns []adversary.Pattern
@@ -46,19 +47,12 @@ type AdversarialConfig struct {
 	RunEnv
 }
 
-// AdversaryCohort is what the grid and the single scenario share: the
-// cohort, the path it attacks and the patterns' shape.
+// AdversaryCohort is what the grid and the single scenario share beside
+// their Scenario: the cohort and the patterns' shape.
 type AdversaryCohort struct {
 	// N is the pattern's cohort size: pulse trains, AIMD flows, or
 	// flows per core link in the parking lot.
 	N int
-
-	// Path defaults to adversarialPath. RTTMin is every flow's two-way
-	// propagation delay; a single value on purpose (equal RTTs are part
-	// of the attack). The bottleneck's share of it is the pattern's —
-	// a tenth on the dumbbell, a quarter spread over the parking lot's
-	// hops — unless BottleneckDelay says otherwise.
-	Path
 
 	// PulsePeakFactor is the pulse pattern's aggregate on-phase rate as
 	// a multiple of the bottleneck; PulsePeriod and PulseDuty shape the
@@ -84,7 +78,6 @@ func (c AdversaryCohort) withDefaults() AdversaryCohort {
 	if c.N == 0 {
 		c.N = 16
 	}
-	c.Path = c.Path.or(adversarialPath)
 	if c.PulsePeakFactor == 0 {
 		c.PulsePeakFactor = 4
 	}
@@ -106,6 +99,7 @@ func (c AdversarialConfig) withDefaults() AdversarialConfig {
 			c.Patterns = append(c.Patterns, adversary.Pattern(i))
 		}
 	}
+	c.Path = c.Path.or(adversarialPath)
 	c.AdversaryCohort = c.AdversaryCohort.withDefaults()
 	if len(c.BufferFactors) == 0 {
 		c.BufferFactors = []float64{0.05, 0.125, 0.25, 0.5, 1.0}
@@ -176,7 +170,7 @@ func RunAdversarial(cfg AdversarialConfig) AdversarialTable {
 	return sweep("adversarial", cfg.RunEnv, len(cfg.Patterns)*len(cfg.BufferFactors), func(i int, cell RunEnv) AdversarialRow {
 		factor := cfg.BufferFactors[i%len(cfg.BufferFactors)]
 		pc := adversarialPointConfig{AdversaryScenario{
-			Seed:            cfg.Seed,
+			Scenario:        cfg.Scenario,
 			Pattern:         cfg.Patterns[i/len(cfg.BufferFactors)],
 			AdversaryCohort: cfg.AdversaryCohort,
 			BufferPackets:   max(1, int(factor*float64(cfg.BDP()))),
@@ -205,7 +199,15 @@ func runAdversarialAt(sc AdversaryScenario, factor float64) AdversarialRow {
 // the bufsim CLI's -adversary flag, where the buffer arrives in packets
 // rather than as a BDP multiple.
 type AdversaryScenario struct {
-	Seed    int64
+	// Scenario: the path defaults to adversarialPath. RTTMin is every
+	// flow's two-way propagation delay; a single value on purpose (equal
+	// RTTs are part of the attack). The bottleneck's share of it is the
+	// pattern's — a tenth on the dumbbell, a quarter spread over the
+	// parking lot's hops — unless BottleneckDelay says otherwise. The
+	// patterns fix their own transport and queues: Queue and Sender are
+	// not read.
+	Scenario
+
 	Pattern adversary.Pattern
 	AdversaryCohort
 	// BufferPackets is the per-bottleneck buffer; 0 defaults to the
@@ -217,6 +219,7 @@ type AdversaryScenario struct {
 }
 
 func (c AdversaryScenario) withDefaults() AdversaryScenario {
+	c.Path = c.Path.or(adversarialPath)
 	c.AdversaryCohort = c.AdversaryCohort.withDefaults()
 	if c.BufferPackets < 1 {
 		c.BufferPackets = c.BDP()
@@ -236,13 +239,9 @@ func RunAdversaryScenario(cfg AdversaryScenario) AdversarialRow {
 // runAdversarialDumbbell measures the pulse or AIMD pattern on the
 // standard dumbbell with a fixed RTT.
 func runAdversarialDumbbell(sc AdversaryScenario, factor float64) AdversarialRow {
-	b := newBed(bedConfig{
-		env:      sc.RunEnv,
-		seed:     sc.Seed,
-		Path:     sc.Path.or(Path{BottleneckDelay: sc.RTTMin / 10}),
-		stations: sc.N,
-		buffer:   sc.BufferPackets,
-	})
+	bc := bedConfig{env: sc.RunEnv, Scenario: sc.Scenario, stations: sc.N, buffer: sc.BufferPackets}
+	bc.Path = bc.Path.or(Path{BottleneckDelay: sc.RTTMin / 10})
+	b := newBed(bc)
 	switch sc.Pattern {
 	case adversary.PatternPulse:
 		b.start(adversary.Pulse{
@@ -253,10 +252,7 @@ func runAdversarialDumbbell(sc AdversaryScenario, factor float64) AdversarialRow
 			PacketSize: sc.SegmentSize,
 		})
 	case adversary.PatternSyncAIMD:
-		b.start(adversary.SyncAIMD{
-			N:   sc.N,
-			TCP: tcp.Config{SegmentSize: sc.SegmentSize},
-		})
+		b.start(adversary.SyncAIMD{N: sc.N, TCP: sc.tcp(0)})
 	}
 
 	var aggregate *trace.Series
@@ -292,7 +288,7 @@ func runAdversarialParkingLot(sc AdversaryScenario, factor float64) AdversarialR
 	b := newLot(sc.RunEnv, sc.Hops, sc.Path.or(Path{BottleneckDelay: sc.RTTMin / units.Duration(4*sc.Hops)}), sc.BufferPackets)
 	through := max(1, sc.N/2)
 	load := adversary.ParkingLotLoad{Through: through, PerHop: sc.N - through, RTT: sc.RTTMin}
-	load.Build(b.sched, b.p, tcp.Config{SegmentSize: sc.SegmentSize})
+	load.Build(b.sched, b.p, sc.tcp(0))
 
 	ws := b.measure(nil)
 

@@ -15,13 +15,10 @@ import (
 // a full-BDP buffer.
 func quickAdversarial() AdversarialConfig {
 	return AdversarialConfig{
-		Seed: 11,
-		AdversaryCohort: AdversaryCohort{
-			N:    8,
-			Path: Path{BottleneckRate: 20 * units.Mbps, RTTMin: 80 * units.Millisecond, Warmup: 2 * units.Second, Measure: 4 * units.Second},
-			Hops: 2,
-		},
-		BufferFactors: []float64{0.1, 1.0},
+		Scenario: Scenario{Seed: 11,
+			Path: Path{BottleneckRate: 20 * units.Mbps, RTTMin: 80 * units.Millisecond, Warmup: 2 * units.Second, Measure: 4 * units.Second}},
+		AdversaryCohort: AdversaryCohort{N: 8, Hops: 2},
+		BufferFactors:   []float64{0.1, 1.0},
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -10,23 +9,15 @@ import (
 // short flows competing with long-lived flows, under the rule-of-thumb
 // buffer (RTT x C) versus the paper's buffer (RTT x C / sqrt(n)).
 type AFCTComparisonConfig struct {
-	Seed int64
+	// Scenario: the path defaults to afctPath. The Sender applies to every
+	// flow (long-lived and short); a RED queue is sized to each regime's
+	// buffer.
+	Scenario
 
 	NLong     int
 	ShortLoad float64           // fraction of bottleneck offered by short flows
 	Sizes     workload.SizeDist // short-flow length distribution
-	// Path defaults to afctPath.
-	Path
-	MaxWindow int // short flows' receiver cap
-
-	// Variant, DelayedAck and Paced apply to every sender (long-lived and
-	// short), as in LongLivedConfig.
-	Variant    tcp.Variant
-	DelayedAck bool
-	Paced      bool
-	// UseRED switches each regime's bottleneck to RED sized to that
-	// regime's buffer.
-	UseRED bool
+	MaxWindow int               // short flows' receiver cap
 
 	// RunEnv: Audit and Cache (each regime's run is memoized) reach both
 	// regimes, a sweep of two; Metrics receives their
@@ -80,7 +71,7 @@ type AFCTOutcome struct {
 // the Mix traffic kind.
 type MixedConfig struct {
 	// AFCTComparisonConfig is the scenario, RunEnv included: Metrics,
-	// Audit and Cache. UseRED sizes RED to BufferPackets.
+	// Audit and Cache. A RED queue is sized to BufferPackets.
 	AFCTComparisonConfig
 	BufferPackets int
 }
@@ -103,25 +94,15 @@ type AFCTComparisonResult struct {
 // flow) through a dumbbell — the bridge from synthetic workloads to real
 // flow-level data.
 type TraceConfig struct {
-	Seed int64
+	// Scenario: BottleneckRate is the caller's, the rest of the path
+	// defaults to tracePath. Warmup and Measure are not read — the window
+	// is the trace's own, first arrival to Drain past the last.
+	Scenario
 
-	Flows []workload.FlowSpec
-	// Path: BottleneckRate is the caller's, the rest defaults to
-	// tracePath. Warmup and Measure are not read — the window is the
-	// trace's own, first arrival to Drain past the last.
-	Path
+	Flows         []workload.FlowSpec
 	MaxWindow     int
 	BufferPackets int // 0 = unlimited
 	Stations      int
-
-	// Variant, DelayedAck and Paced apply to every replayed sender, as in
-	// LongLivedConfig.
-	Variant    tcp.Variant
-	DelayedAck bool
-	Paced      bool
-	// UseRED switches the bottleneck to RED sized to BufferPackets
-	// (which must then be positive).
-	UseRED bool
 
 	// Drain bounds how long after the last arrival the simulation keeps
 	// running for stragglers (default 60 s).
@@ -176,24 +157,11 @@ func RunTrace(cfg TraceConfig) TraceResult {
 // runTrace is the uncached body of RunTrace; cfg has defaults applied.
 // The window runs from the first arrival to Drain past the last.
 func runTrace(cfg TraceConfig) TraceResult {
-	path := cfg.Path
+	sc := cfg.Scenario
 	first, last := cfg.Flows[0].Start, cfg.Flows[len(cfg.Flows)-1].Start
-	path.Warmup, path.Measure = first, last-first+cfg.Drain
-	b := newBed(bedConfig{
-		env:      cfg.RunEnv,
-		seed:     cfg.Seed,
-		Path:     path,
-		stations: cfg.Stations,
-		buffer:   cfg.BufferPackets,
-		red:      cfg.UseRED,
-	})
-	drv := b.start(workload.TraceSource{Flows: cfg.Flows, TCP: tcp.Config{
-		SegmentSize: cfg.SegmentSize,
-		MaxWindow:   cfg.MaxWindow,
-		Variant:     cfg.Variant,
-		DelayedAck:  cfg.DelayedAck,
-		Paced:       cfg.Paced,
-	}})
+	sc.Warmup, sc.Measure = first, last-first+cfg.Drain
+	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: sc, stations: cfg.Stations, buffer: cfg.BufferPackets})
+	drv := b.start(workload.TraceSource{Flows: cfg.Flows, TCP: cfg.tcp(cfg.MaxWindow)})
 	w := b.measure(nil)
 
 	// Every flow of the trace counts, whenever it started.
@@ -220,24 +188,9 @@ func runMixedOnce(cfg MixedConfig, label string) AFCTOutcome {
 
 // runMixedUncached is the uncached body of runMixedOnce.
 func runMixedUncached(cfg MixedConfig, label string) AFCTOutcome {
-	b := newBed(bedConfig{
-		env:      cfg.RunEnv,
-		seed:     cfg.Seed,
-		Path:     cfg.Path,
-		stations: cfg.NLong + 50,
-		buffer:   cfg.BufferPackets,
-		red:      cfg.UseRED,
-	})
-	long := tcp.Config{
-		SegmentSize: cfg.SegmentSize,
-		Variant:     cfg.Variant,
-		DelayedAck:  cfg.DelayedAck,
-		Paced:       cfg.Paced,
-	}
-	workload.StartLongLived(b.d, cfg.NLong, long, b.rng.Fork(), cfg.Warmup/2)
-	short := long
-	short.MaxWindow = cfg.MaxWindow
-	gen := b.start(workload.PoissonSource{Load: cfg.ShortLoad, Sizes: cfg.Sizes, TCP: short})
+	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: cfg.Scenario, stations: cfg.NLong + 50, buffer: cfg.BufferPackets})
+	workload.StartLongLived(b.d, cfg.NLong, cfg.tcp(0), b.rng.Fork(), cfg.Warmup/2)
+	gen := b.start(workload.PoissonSource{Load: cfg.ShortLoad, Sizes: cfg.Sizes, TCP: cfg.tcp(cfg.MaxWindow)})
 
 	w := b.measure(nil)
 	gen.Stop()

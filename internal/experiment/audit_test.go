@@ -24,25 +24,15 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 	variants := []tcp.Variant{tcp.Reno, tcp.Tahoe, tcp.NewReno, tcp.Sack}
 	for i := 0; i < 12; i++ {
 		aud := audit.New()
-		cfg := LongLivedConfig{
-			Seed:          rng.Int63n(1 << 30),
-			N:             2 + rng.Intn(12),
-			Path:          Path{BottleneckRate: units.BitRate(5+rng.Intn(20)) * units.Mbps, Warmup: units.Duration(1+rng.Intn(2)) * units.Second, Measure: units.Duration(2+rng.Intn(3)) * units.Second},
-			BufferPackets: 4 + rng.Intn(60),
-			Variant:       variants[rng.Intn(len(variants))],
-			Paced:         rng.Intn(3) == 0,
-			DelayedAck:    rng.Intn(3) == 0,
-			RunEnv:        RunEnv{Audit: aud},
-		}
-		switch rng.Intn(4) {
-		case 1:
-			cfg.UseRED = true
-		case 2:
-			cfg.UseRED = true
-			cfg.ECN = true
-		case 3:
-			cfg.UseCoDel = true
-		}
+		// Drawn one field at a time, in the order the scenarios were
+		// first recorded.
+		cfg := LongLivedConfig{RunEnv: RunEnv{Audit: aud}}
+		cfg.Seed = rng.Int63n(1 << 30)
+		cfg.N = 2 + rng.Intn(12)
+		cfg.Path = Path{BottleneckRate: units.BitRate(5+rng.Intn(20)) * units.Mbps, Warmup: units.Duration(1+rng.Intn(2)) * units.Second, Measure: units.Duration(2+rng.Intn(3)) * units.Second}
+		cfg.BufferPackets = 4 + rng.Intn(60)
+		cfg.Sender = Sender{Variant: variants[rng.Intn(len(variants))], Paced: rng.Intn(3) == 0, DelayedAck: rng.Intn(3) == 0}
+		cfg.Queue = []Queue{DropTail, RED, REDECN, CoDel}[rng.Intn(4)]
 		res := RunLongLived(cfg)
 		if err := aud.Err(); err != nil {
 			t.Fatalf("scenario %d (%+v): %v", i, cfg, err)
@@ -67,8 +57,7 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 
 	aud = audit.New()
 	RunMixed(MixedConfig{AFCTComparisonConfig{
-		Seed: 13, NLong: 6, ShortLoad: 0.2, Sizes: workload.GeometricSize(8),
-		Path:   Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second, Measure: 4 * units.Second},
+		Scenario: Scenario{Seed: 13, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second, Measure: 4 * units.Second}}, NLong: 6, ShortLoad: 0.2, Sizes: workload.GeometricSize(8),
 		RunEnv: RunEnv{Audit: aud},
 	}, 30})
 	if err := aud.Err(); err != nil {
@@ -81,15 +70,13 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 	// randomized point runs one under audit too.
 	for i := 0; i < 6; i++ {
 		aud := audit.New()
-		sc := AdversaryScenario{
-			Seed:    rng.Int63n(1 << 30),
-			Pattern: adversary.Pattern(i % len(adversary.PatternNames())),
-			AdversaryCohort: AdversaryCohort{N: 2 + rng.Intn(10), Path: Path{
-				BottleneckRate: units.BitRate(10+rng.Intn(20)) * units.Mbps,
-				RTTMin:         units.Duration(40+rng.Intn(80)) * units.Millisecond,
-				SegmentSize:    units.DefaultSegment,
-			}},
-			RunEnv: RunEnv{Audit: aud},
+		sc := AdversaryScenario{Pattern: adversary.Pattern(i % len(adversary.PatternNames())), RunEnv: RunEnv{Audit: aud}}
+		sc.Seed = rng.Int63n(1 << 30)
+		sc.N = 2 + rng.Intn(10)
+		sc.Path = Path{
+			BottleneckRate: units.BitRate(10+rng.Intn(20)) * units.Mbps,
+			RTTMin:         units.Duration(40+rng.Intn(80)) * units.Millisecond,
+			SegmentSize:    units.DefaultSegment,
 		}
 		factor := 0.05 + rng.Float64()
 		sc.PulsePeakFactor = 2 + rng.Float64()*4
@@ -114,8 +101,7 @@ func TestRandomScenariosUnderAudit(t *testing.T) {
 // produce identical results, field for field.
 func TestAuditDoesNotPerturbResults(t *testing.T) {
 	cfg := LongLivedConfig{
-		Seed: 7, N: 8, Path: Path{BottleneckRate: 15 * units.Mbps, Warmup: 2 * units.Second, Measure: 4 * units.Second}, BufferPackets: 20,
-		UseRED: true,
+		Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 15 * units.Mbps, Warmup: 2 * units.Second, Measure: 4 * units.Second}, Queue: RED}, N: 8, BufferPackets: 20,
 	}
 	base := RunLongLived(cfg)
 	aud := audit.New()

@@ -13,11 +13,10 @@ import (
 // exactly the paper's framing ("5ms compared with the default of 1
 // second").
 type BackboneConfig struct {
-	Seed int64
+	// Scenario: the path defaults to backbonePath.
+	Scenario
 
 	N int
-	// Path defaults to backbonePath.
-	Path
 
 	// BufferFraction scales the classical one-second buffer
 	// (1s x C): the paper ran 0.005.
@@ -74,7 +73,7 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 		SqrtRule:        cfg.SqrtRule(cfg.N),
 	}
 	res.Small = RunLongLived(LongLivedConfig{
-		Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
+		Scenario: cfg.Scenario, N: cfg.N,
 		BufferPackets: res.SmallBuffer,
 		RunEnv:        cfg.cell(cfg.Metrics),
 	})

@@ -25,30 +25,26 @@ import (
 // traffic, read the window". See DESIGN.md, "Test bed".
 
 // bedConfig describes the dumbbell one scenario runs on: the config's
-// Path, and what the body adds to it.
+// Scenario, and what the body adds to it.
 type bedConfig struct {
-	env  RunEnv // Metrics and Audit observe the run
-	seed int64
+	env RunEnv // Metrics and Audit observe the run
 
-	// Path is the scenario's, defaults applied. Station RTTs are drawn
+	// Scenario is the config's, defaults applied. Station RTTs are drawn
 	// off the seed's first fork; a fixed RTT (RTTMax 0) forks nothing, so
 	// the first fork goes to RED or the traffic — the single-flow and
 	// adversarial scenarios' order. SegmentSize is RED's mean packet.
-	Path
+	Scenario
 	stations   int
 	accessRate units.BitRate // 0: the topology's 10x bottleneck
 
 	buffer int // bottleneck buffer in packets; 0 is unlimited
-	// red, ecn and codel pick the discipline as in LongLivedConfig;
-	// drop-tail when all are false.
-	red, ecn, codel bool
 }
 
 // bed is one built dumbbell plus what is left of its seed.
 type bed struct {
 	rig
 	// rng has had the bed's streams forked off it — station RTTs first,
-	// RED's drop stream second (under red only) — and the body forks its
+	// RED's drop stream second (under RED only) — and the body forks its
 	// traffic streams after, in its own order. That order is what keeps a
 	// scenario's results fixed.
 	rng *sim.RNG
@@ -56,7 +52,7 @@ type bed struct {
 }
 
 func newBed(c bedConfig) *bed {
-	b := &bed{rig: newRig(c.env, c.Path), rng: sim.NewRNG(c.seed)}
+	b := &bed{rig: newRig(c.env, c.Path), rng: sim.NewRNG(c.Seed)}
 	tc := topology.Config{
 		Sched:           b.sched,
 		BottleneckRate:  c.BottleneckRate,
@@ -71,19 +67,13 @@ func newBed(c bedConfig) *bed {
 	if c.RTTMax != 0 {
 		tc.RTTMax, tc.RNG = c.RTTMax, b.rng.Fork()
 	}
-	if c.ecn && !c.red {
-		panic("experiment: ECN requires UseRED (a marking-capable queue)")
-	}
-	if c.codel && c.red {
-		panic("experiment: UseCoDel and UseRED are mutually exclusive")
-	}
-	if c.codel {
+	switch c.Queue {
+	case RED, REDECN:
+		tc.NewQueue = redQueueHook(c.buffer, c.SegmentSize, c.BottleneckRate, b.rng.Fork(), c.Queue == REDECN)
+	case CoDel:
 		tc.NewQueue = func() queue.Queue {
 			return queue.NewCoDel(queue.CoDelConfig{Limit: queue.PacketLimit(c.buffer)})
 		}
-	}
-	if c.red {
-		tc.NewQueue = redQueueHook(c.buffer, c.SegmentSize, c.BottleneckRate, b.rng.Fork(), c.ecn)
 	}
 	b.d = topology.NewDumbbell(tc)
 	instrumentDumbbell(c.env.Metrics, b.sched, b.d)
@@ -96,7 +86,7 @@ func newBed(c bedConfig) *bed {
 // optional ECN marking), drawing its drop randomness from redRNG.
 func redQueueHook(bufferPkts int, segment units.ByteSize, rate units.BitRate, redRNG *sim.RNG, ecn bool) func() queue.Queue {
 	if bufferPkts <= 0 {
-		panic("experiment: UseRED requires BufferPackets > 0 (RED thresholds scale with the physical buffer)")
+		panic("experiment: RED requires BufferPackets > 0 (RED thresholds scale with the physical buffer)")
 	}
 	meanPkt := units.TransmissionTime(segment, rate)
 	return func() queue.Queue {

@@ -21,10 +21,10 @@ func TestTelemetryReachesEveryBody(t *testing.T) {
 	rate := 10 * units.Mbps
 	point := func(p adversary.Pattern, env RunEnv) AdversaryScenario {
 		return AdversaryScenario{
-			Seed: 3, Pattern: p, BufferPackets: 20, RunEnv: env,
+			Scenario: Scenario{Seed: 3, Path: Path{BottleneckRate: rate, RTTMin: 80 * units.Millisecond, SegmentSize: units.DefaultSegment, Warmup: warmup, Measure: measure}},
+			Pattern:  p, BufferPackets: 20, RunEnv: env,
 			AdversaryCohort: AdversaryCohort{
-				N: 6, Path: Path{BottleneckRate: rate, RTTMin: 80 * units.Millisecond, SegmentSize: units.DefaultSegment, Warmup: warmup, Measure: measure},
-				PulsePeakFactor: 4, PulsePeriod: 200 * units.Millisecond, PulseDuty: 0.25, Hops: 2,
+				N: 6, PulsePeakFactor: 4, PulsePeriod: 200 * units.Millisecond, PulseDuty: 0.25, Hops: 2,
 			},
 		}
 	}
@@ -34,59 +34,58 @@ func TestTelemetryReachesEveryBody(t *testing.T) {
 	}{
 		{"runLongLived", func(env RunEnv) any {
 			return runLongLived(LongLivedConfig{
-				Seed: 1, N: 6, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, BufferPackets: 20,
+				Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}}, N: 6, BufferPackets: 20,
 				RunEnv: env,
 			}.withDefaults())
 		}},
 		{"runSingleFlow", func(env RunEnv) any {
 			return runSingleFlow(SingleFlowConfig{
-				Path: Path{Warmup: warmup, Measure: measure}, RunEnv: env,
+				Scenario: Scenario{Path: Path{Warmup: warmup, Measure: measure}}, RunEnv: env,
 			}.withDefaults())
 		}},
 		{"runTrace", func(env RunEnv) any {
 			return RunTrace(TraceConfig{
-				Seed:  2,
-				Flows: []workload.FlowSpec{{Start: 0, Size: 20}, {Start: units.Second, Size: 8}},
-				Path:  Path{BottleneckRate: rate}, BufferPackets: 20,
+				Scenario: Scenario{Seed: 2, Path: Path{BottleneckRate: rate}},
+				Flows:    []workload.FlowSpec{{Start: 0, Size: 20}, {Start: units.Second, Size: 8}}, BufferPackets: 20,
 				Drain: 5 * units.Second, RunEnv: env,
 			})
 		}},
 		{"runMixedUncached", func(env RunEnv) any {
 			return runMixedUncached(MixedConfig{AFCTComparisonConfig{
-				Seed: 3, NLong: 4, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure},
+				Scenario: Scenario{Seed: 3, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}}, NLong: 4,
 				RunEnv: env,
 			}.withDefaults(), 20}, "mixed")
 		}},
 		{"runProfileUncached", func(env RunEnv) any {
 			return runProfileUncached(ProfileRunConfig{
-				Seed: 4, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, BufferPackets: 20,
+				Scenario: Scenario{Seed: 4, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}}, BufferPackets: 20,
 				Source: workload.PoissonSource{Load: 0.5, Sizes: workload.FixedSize(10)},
 				Drain:  5 * units.Second, RunEnv: env,
 			}.withDefaults())
 		}},
 		{"runHarpoonUncached", func(env RunEnv) any {
 			return runHarpoonUncached(HarpoonConfig{
-				Seed: 5, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, Sessions: 30,
+				Scenario: Scenario{Seed: 5, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}}, Sessions: 30,
 				MeanThink: 500 * units.Millisecond,
 				RunEnv:    env,
 			}.withDefaults(), 20)
 		}},
 		{"runProductionPoint", func(env RunEnv) any {
 			cfg := ProductionConfig{
-				Seed: 6, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, NLong: 6,
+				Scenario: Scenario{Seed: 6, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}}, NLong: 6,
 			}.withDefaults()
 			return runProductionPoint(cfg, env, 20, 100)
 		}},
 		{"runSmoothingPoint", func(env RunEnv) any {
 			cfg := SmoothingConfig{
-				Seed: 7, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, Stations: 10,
+				Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}}, Stations: 10,
 				RunEnv: env,
 			}.withDefaults()
 			return runSmoothingPoint(cfg, 1, model.MomentsForFlowLength(cfg.FlowLen, 2, cfg.MaxWindow))
 		}},
 		{"runWindowDist", func(env RunEnv) any {
 			return runWindowDist(WindowDistConfig{
-				Seed: 8, N: 6, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure},
+				Scenario: Scenario{Seed: 8, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}}, N: 6,
 				RunEnv: env,
 			}.withDefaults())
 		}},
@@ -95,7 +94,7 @@ func TestTelemetryReachesEveryBody(t *testing.T) {
 		}},
 		{"runMultiHop", func(env RunEnv) any {
 			return runMultiHop(MultiHopConfig{
-				Seed: 9, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}, NPerGroup: 3,
+				Scenario: Scenario{Seed: 9, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}}, NPerGroup: 3,
 				RunEnv: env,
 			}.withDefaults())
 		}},

@@ -25,16 +25,15 @@ import (
 // target makes families with different ceilings comparable: each is
 // asked to reach its own attainable throughput, not Reno's.
 type CCFamilyConfig struct {
-	Seed int64
+	// Scenario: the path defaults to the long-lived scenario at OC3;
+	// Variants overrides Sender.Variant.
+	Scenario
 
 	// Ns are the long-lived flow counts to sweep.
 	Ns []int
 	// Variants are the congestion-control families to compare; defaults
 	// to every registered variant.
 	Variants []tcp.Variant
-
-	// Path defaults to the long-lived scenario at OC3.
-	Path
 
 	// Target is the fraction of each variant's own large-buffer
 	// utilization ceiling the min-buffer search must reach.
@@ -93,7 +92,7 @@ type CCFamilyPoint struct {
 // ccFamilyPointConfig is the semantic identity of one grid point for
 // the run cache: the scenario plus the search parameters.
 type ccFamilyPointConfig struct {
-	Scenario LongLivedConfig
+	Base     LongLivedConfig
 	Target   float64
 	SearchHi int
 
@@ -133,13 +132,14 @@ func RunCCFamily(cfg CCFamilyConfig) CCFamilyTable {
 // runCCFamilyPoint measures one (variant, n) grid point: ceiling,
 // min-buffer bisection, and utilization at the sqrt-rule buffer.
 func runCCFamilyPoint(cfg CCFamilyConfig, cell RunEnv, v tcp.Variant, n int) CCFamilyPoint {
-	ll := LongLivedConfig{Seed: cfg.Seed, N: n, Path: cfg.Path, Variant: v, RunEnv: cell}
+	ll := LongLivedConfig{Scenario: cfg.Scenario, N: n, RunEnv: cell}
+	ll.Sender.Variant = v
 	bdp, sqrtRule := cfg.BDP(), cfg.SqrtRule(n)
 	hi := max(2*bdp, 4*sqrtRule, 4)
 	// The whole point is one cache unit (kind "ccfamily-point") on top
 	// of the per-run memoization, so a cached sweep replays instantly
 	// instead of re-walking the bisection's probe sequence.
-	key := ccFamilyPointConfig{Scenario: ll, Target: cfg.Target, SearchHi: hi, RunEnv: cfg.RunEnv}
+	key := ccFamilyPointConfig{Base: ll, Target: cfg.Target, SearchHi: hi, RunEnv: cfg.RunEnv}
 	return memoRun(key.RunEnv, "ccfamily-point", key, func() CCFamilyPoint {
 		ceiling := MeasuredUtilization(ll, hi)
 		target := cfg.Target * ceiling

@@ -10,10 +10,9 @@ import (
 
 func scaledCCFamilyConfig() CCFamilyConfig {
 	return CCFamilyConfig{
-		Seed:     7,
+		Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 5 * units.Second, Measure: 10 * units.Second}},
 		Ns:       []int{20, 80},
 		Variants: []tcp.Variant{tcp.Reno, tcp.Cubic, tcp.BBR},
-		Path:     Path{BottleneckRate: 20 * units.Mbps, Warmup: 5 * units.Second, Measure: 10 * units.Second},
 	}
 }
 

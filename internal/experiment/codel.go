@@ -16,11 +16,11 @@ import (
 // If the paper's argument holds, the first and third should both deliver
 // high utilization at low delay, while the second pays the delay cost.
 type CoDelConfig struct {
-	Seed int64
+	// Scenario: the path defaults to the long-lived scenario at OC3; each
+	// design overrides Queue.
+	Scenario
 
 	N int
-	// Path defaults to the long-lived scenario at OC3.
-	Path
 
 	// RunEnv: every design is cached and audited.
 	RunEnv
@@ -50,19 +50,17 @@ func RunCoDel(cfg CoDelConfig) CoDelTable {
 	designs := []struct {
 		label  string
 		buffer int
-		codel  bool
+		queue  Queue
 	}{
-		{"droptail sqrt(n)", cfg.SqrtRule(cfg.N), false},
-		{"droptail RTTxC", ruleOfThumb, false},
-		{"codel (RTTxC capacity)", ruleOfThumb, true},
+		{"droptail sqrt(n)", cfg.SqrtRule(cfg.N), DropTail},
+		{"droptail RTTxC", ruleOfThumb, DropTail},
+		{"codel (RTTxC capacity)", ruleOfThumb, CoDel},
 	}
 	return sweep("codel", cfg.RunEnv, len(designs), func(i int, cell RunEnv) CoDelRow {
 		d := designs[i]
-		r := RunLongLived(LongLivedConfig{
-			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
-			BufferPackets: d.buffer, UseCoDel: d.codel,
-			RunEnv: cell,
-		})
+		run := LongLivedConfig{Scenario: cfg.Scenario, N: cfg.N, BufferPackets: d.buffer, RunEnv: cell}
+		run.Queue = d.queue
+		r := RunLongLived(run)
 		return CoDelRow{
 			Label:         d.label,
 			BufferPackets: d.buffer,

@@ -11,9 +11,8 @@ func TestRunCoDelComparison(t *testing.T) {
 		t.Skip("three simulation runs")
 	}
 	rows := RunCoDel(CoDelConfig{
-		Seed: 1,
-		N:    100,
-		Path: Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
+		Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second}},
+		N:        100,
 	})
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
@@ -44,18 +43,6 @@ func TestRunCoDelComparison(t *testing.T) {
 	if sqrt.QueueDelayP99 > codel.QueueDelayP99 {
 		t.Errorf("sqrt(n) P99 %v above CoDel %v", sqrt.QueueDelayP99, codel.QueueDelayP99)
 	}
-}
-
-func TestCoDelAndREDMutuallyExclusive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("CoDel+RED did not panic")
-		}
-	}()
-	RunLongLived(LongLivedConfig{
-		N: 2, Path: Path{BottleneckRate: units.Mbps, Warmup: units.Second, Measure: units.Second}, BufferPackets: 10,
-		UseRED: true, UseCoDel: true,
-	})
 }
 
 func TestRunLongLivedReplicated(t *testing.T) {

@@ -147,41 +147,51 @@ func TestDigestCoversEveryField(t *testing.T) {
 	}
 }
 
-// pathLike is how a dumbbell's description has been spelled in this
-// package: Path's own fields, and the names they went by in the configs
-// that said it differently.
-var pathLike = map[string]bool{"Rate": true, "LinkRate": true, "MeanRTT": true, "RTT": true}
+// scenarioLike is how the apparatus has been spelled in this package:
+// Scenario's own names (Seed, Path, Queue, Sender), the fields of its
+// Path and Sender, the queue-discipline switches Queue replaced, and the
+// names the dumbbell went by in the configs that said it differently.
+var scenarioLike = map[string]bool{
+	"Rate": true, "LinkRate": true, "MeanRTT": true, "RTT": true,
+	"UseRED": true, "ECN": true, "UseCoDel": true,
+}
 
 func init() {
-	for i, t := 0, reflect.TypeOf(Path{}); i < t.NumField(); i++ {
-		pathLike[t.Field(i).Name] = true
+	for _, v := range []any{Scenario{}, Path{}, Sender{}} {
+		for i, t := 0, reflect.TypeOf(v); i < t.NumField(); i++ {
+			scenarioLike[t.Field(i).Name] = true
+		}
 	}
 }
 
-// notADumbbell lists the fields allowed to look like Path's anyway.
-var notADumbbell = map[string]bool{
+// notAScenario lists the fields allowed to look like Scenario's anyway.
+var notAScenario = map[string]bool{
 	// The probe ladder drives a bare queue at a service rate: there is
-	// no path, so nothing of one to embed.
+	// no dumbbell and no sender, so nothing of a Scenario to embed. Its
+	// seed feeds the probed RED queues only.
+	"ProbeLadderConfig.Seed":        true,
 	"ProbeLadderConfig.Rate":        true,
 	"ProbeLadderConfig.SegmentSize": true,
 }
 
-// TestConfigsDeclarePathOnce keeps the dumbbell said once: a config
-// describes it by embedding Path, never by declaring a field of its own
-// under one of Path's names (or an old spelling of one), at any depth of
-// embedding.
+// TestConfigsDeclarePathOnce keeps the apparatus said once — the whole
+// Scenario now, not only the Path it was named for: a config describes
+// the seed, the dumbbell, the queue discipline and the sender by
+// embedding Scenario, never by declaring a field of its own under one of
+// their names (or an old spelling of one), at any depth of embedding.
+// Axis slices (Variants) are other names and stay legal.
 func TestConfigsDeclarePathOnce(t *testing.T) {
-	pathType := reflect.TypeOf(Path{})
+	scenarioType := reflect.TypeOf(Scenario{})
 	var walk func(t *testing.T, owner string, st reflect.Type)
 	walk = func(t *testing.T, owner string, st reflect.Type) {
 		for i := 0; i < st.NumField(); i++ {
 			f := st.Field(i)
 			switch {
-			case f.Type == pathType || f.Type == runEnvType:
+			case f.Type == scenarioType || f.Type == runEnvType:
 			case f.Anonymous && f.Type.Kind() == reflect.Struct:
 				walk(t, f.Type.Name(), f.Type)
-			case pathLike[f.Name] && !notADumbbell[owner+"."+f.Name]:
-				t.Errorf("%s.%s re-declares part of the path; embed Path (or name the exception in notADumbbell)", owner, f.Name)
+			case scenarioLike[f.Name] && !notAScenario[owner+"."+f.Name]:
+				t.Errorf("%s.%s re-declares part of the scenario; embed Scenario (or name the exception in notAScenario)", owner, f.Name)
 			}
 		}
 	}
@@ -243,8 +253,9 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 }
 
 // TestCacheKeysStable pins five literal cache keys, recorded when
-// cacheSalt became bufsim-results-v2 (the configs' dumbbell description
-// moved into the embedded Path, which moved every key): one run kind,
+// cacheSalt became bufsim-results-v3 (the configs' seed, path, queue
+// discipline and sender moved into the embedded Scenario, which moved
+// every key): one run kind,
 // the short-flow point as the profile scenario it is, a key nesting one
 // config in another, a grid point three embeddings deep, and a sweep
 // checkpoint key. While cacheSalt stands, so must every key — a mismatch
@@ -260,28 +271,25 @@ func TestCacheKeysStable(t *testing.T) {
 		want string
 	}{
 		{"long-lived", LongLivedConfig{
-			Seed: 7, N: 40, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second, Measure: 5 * units.Second}, BufferPackets: 25,
-			Variant: tcp.Cubic, Paced: true,
+			Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second, Measure: 5 * units.Second}, Sender: Sender{Variant: tcp.Cubic, Paced: true}}, N: 40, BufferPackets: 25,
 			RunEnv: env,
-		}.withDefaults(), "be6c9d770d7382c899ca4e532feb987c40469d3f9c3b5925375c06a9f8e714a2"},
+		}.withDefaults(), "adbe149491f0ae31771a20b407efbf92cd0497eef34eeaf14c598efac1c8e04a"},
 		{"profile", shortFlowRun(3, 20*units.Mbps, 0.7, 14, 50,
-			4*units.Second, 10*units.Second, env).withDefaults(), "c64c081f2c6287c404354f9e756ab6a45556ee692f10a055314084286afac176"},
+			4*units.Second, 10*units.Second, env).withDefaults(), "8fbf0d33b2a70998a53b350e921462f2a7e6800c2b0b4f73a3cb1769b5e6ec35"},
 		{"mixed", mixedKey{
 			Base: MixedConfig{AFCTComparisonConfig{
-				Seed: 5, NLong: 30, Sizes: workload.GeometricSize(14),
-				Path: Path{BottleneckRate: 20 * units.Mbps}, RunEnv: env,
+				Scenario: Scenario{Seed: 5, Path: Path{BottleneckRate: 20 * units.Mbps}}, NLong: 30, Sizes: workload.GeometricSize(14), RunEnv: env,
 			}.withDefaults(), 250},
 			Label: "RTT*C",
-		}, "acd978bea0eed37462dd515174c5e48a400703775f8a059cf1b5660765d81ae5"},
+		}, "0ecaf1d0b65b42f5db572eea49791ccd20d18c9b7b1a19268448e6027c566c6c"},
 		{"adversarial", adversarialPointConfig{AdversaryScenario{
-			Seed: 2, Pattern: adversary.PatternSyncAIMD, BufferPackets: 25,
-			AdversaryCohort: AdversaryCohort{N: 8, Path: Path{BottleneckRate: 20 * units.Mbps}}.withDefaults(),
+			Scenario: Scenario{Seed: 2, Path: Path{BottleneckRate: 20 * units.Mbps}}, Pattern: adversary.PatternSyncAIMD, BufferPackets: 25,
+			AdversaryCohort: AdversaryCohort{N: 8},
 			RunEnv:          env,
-		}, 0.1}, "414a33615314ee31ea9c81a3d29c722430995c50b7f31e41cd6c02d4efb2c83a"},
+		}.withDefaults(), 0.1}, "4c78a68d5598dd189df1d2930bdfded99450fbfd6275bbe3e15812d30ab70d88"},
 		{"sweep:utilization-table", UtilizationTableConfig{
-			Seed: 1, Ns: []int{50, 100}, Factors: []float64{0.5, 1},
-			Path: Path{BottleneckRate: 20 * units.Mbps}, UseRED: true, RunEnv: env,
-		}.withDefaults(), "c13a346cc1840caf50bc6745f191b9c9eee5c1b68addee328163e7a20d779a1d"},
+			Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps}, Queue: RED}, Ns: []int{50, 100}, Factors: []float64{0.5, 1}, RunEnv: env,
+		}.withDefaults(), "04c9d3ce633e840e6f1f83462e8782f918c7367dbb0a8c47e1344467740c17ad"},
 	} {
 		if got := pointKey(tc.kind, tc.cfg); got != tc.want {
 			t.Errorf("%s key = %s, want %s", tc.kind, got, tc.want)

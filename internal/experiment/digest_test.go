@@ -42,7 +42,7 @@ var goldenDigestCases = []struct {
 		want: "9a84081920306444da24a3f7b94e199fd1a78e6ed655c4cecffa355500e2b8aa",
 		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
-				Seed: 7, N: 24, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
+				Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second}}, N: 24,
 				BufferPackets: 40,
 				RunEnv:        RunEnv{Cache: cache},
 			})
@@ -53,10 +53,9 @@ var goldenDigestCases = []struct {
 		want: "daee4e44719aaf120f2fccfae01a5d4e8f44167ca7e45a99fc29ff082c406fc7",
 		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
-				Seed: 11, N: 16, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
-				BufferPackets: 25, Variant: 3, /* Sack */
-				Paced: true, DelayedAck: true,
-				RunEnv: RunEnv{Cache: cache},
+				Scenario: Scenario{Seed: 11, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second}, Sender: Sender{Variant: 3 /* Sack */, Paced: true, DelayedAck: true}}, N: 16,
+				BufferPackets: 25,
+				RunEnv:        RunEnv{Cache: cache},
 			})
 		},
 	},
@@ -65,9 +64,9 @@ var goldenDigestCases = []struct {
 		want: "add72eca42d9e202e691005e4425cd7e85da6dbbe0048ec004e420a7366c35d1",
 		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
-				Seed: 3, N: 20, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
-				BufferPackets: 30, UseRED: true, ECN: true,
-				RunEnv: RunEnv{Cache: cache},
+				Scenario: Scenario{Seed: 3, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second}, Queue: REDECN}, N: 20,
+				BufferPackets: 30,
+				RunEnv:        RunEnv{Cache: cache},
 			})
 		},
 	},
@@ -76,9 +75,9 @@ var goldenDigestCases = []struct {
 		want: "ab78bc44d4975a329be3f3ec6741da5db68ee9fab99884d6ac46f400277c002a",
 		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
-				Seed: 13, N: 24, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
-				BufferPackets: 40, Variant: 4, /* Cubic */
-				RunEnv: RunEnv{Cache: cache},
+				Scenario: Scenario{Seed: 13, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second}, Sender: Sender{Variant: 4 /* Cubic */}}, N: 24,
+				BufferPackets: 40,
+				RunEnv:        RunEnv{Cache: cache},
 			})
 		},
 	},
@@ -87,10 +86,9 @@ var goldenDigestCases = []struct {
 		want: "0297c3f652b500fdf658e2897ab901e0bd099c9f9495a931b795e393fc53c5fd",
 		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
-				Seed: 17, N: 16, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second},
-				BufferPackets: 30, Variant: 5, /* BBR */
-				DelayedAck: true,
-				RunEnv:     RunEnv{Cache: cache},
+				Scenario: Scenario{Seed: 17, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second}, Sender: Sender{Variant: 5 /* BBR */, DelayedAck: true}}, N: 16,
+				BufferPackets: 30,
+				RunEnv:        RunEnv{Cache: cache},
 			})
 		},
 	},
@@ -99,7 +97,7 @@ var goldenDigestCases = []struct {
 		want: "b944849af08fc27334a6d438a21a7c1c3a3888914de021470ff0720238a5d273",
 		run: func(cache *runcache.Store) any {
 			return RunSingleFlow(SingleFlowConfig{
-				Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 30 * units.Second, Measure: 40 * units.Second}, BufferFactor: 1,
+				Scenario: Scenario{Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 30 * units.Second, Measure: 40 * units.Second}}, BufferFactor: 1,
 				RunEnv: RunEnv{Cache: cache},
 			})
 		},
@@ -117,9 +115,8 @@ var goldenDigestCases = []struct {
 		want: "af5cdb47b0ca1b22709bc162f534cf059dc54bdc275a2decbb6c704c5087e16e",
 		run: func(cache *runcache.Store) any {
 			return RunMixed(MixedConfig{AFCTComparisonConfig{
-				Seed: 9, NLong: 12, ShortLoad: 0.15,
+				Scenario: Scenario{Seed: 9, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 5 * units.Second, Measure: 10 * units.Second}}, NLong: 12, ShortLoad: 0.15,
 				Sizes:  workload.GeometricSize(10),
-				Path:   Path{BottleneckRate: 20 * units.Mbps, Warmup: 5 * units.Second, Measure: 10 * units.Second},
 				RunEnv: RunEnv{Cache: cache},
 			}, 35})
 		},
@@ -133,7 +130,7 @@ var goldenDigestCases = []struct {
 				panic(err)
 			}
 			return RunFlashCrowd(FlashCrowdConfig{
-				Seed: 21, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second},
+				Scenario: Scenario{Seed: 21, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second}},
 				Stations: 20, Profile: prof, PeakFlows: 8,
 				Buffers: []int{25, 100},
 				Drain:   20 * units.Second,
@@ -153,8 +150,7 @@ var goldenDigestCases = []struct {
 				})
 			}
 			return RunTrace(TraceConfig{
-				Seed: 2, Flows: flows,
-				Path: Path{BottleneckRate: 10 * units.Mbps}, BufferPackets: 30,
+				Scenario: Scenario{Seed: 2, Path: Path{BottleneckRate: 10 * units.Mbps}}, Flows: flows, BufferPackets: 30,
 				Drain:  20 * units.Second,
 				RunEnv: RunEnv{Cache: cache},
 			})
@@ -165,7 +161,7 @@ var goldenDigestCases = []struct {
 		want: "fc25e502881cab965e14c2781c7bc46206a20630e202e987726b5246c63d4bda",
 		run: func(cache *runcache.Store) any {
 			return RunHarpoon(HarpoonConfig{
-				Seed: 4, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}, Sessions: 60,
+				Scenario: Scenario{Seed: 4, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}}, Sessions: 60,
 				Sizes:     workload.ParetoSize{Shape: 1.2, Min: 10, Max: 500},
 				MeanThink: 500 * units.Millisecond,
 				Factors:   []float64{0.5, 2},
@@ -178,7 +174,7 @@ var goldenDigestCases = []struct {
 		want: "8f9befcaa913e7e78c5a06f15155d96e39c7a88184781bb8044f519ec701909b",
 		run: func(cache *runcache.Store) any {
 			return RunProduction(ProductionConfig{
-				Seed: 6, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 6 * units.Second}, NLong: 10,
+				Scenario: Scenario{Seed: 6, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 6 * units.Second}}, NLong: 10,
 				Buffers: []int{20, 60},
 				RunEnv:  RunEnv{Cache: cache},
 			})
@@ -189,7 +185,7 @@ var goldenDigestCases = []struct {
 		want: "159be815a3430f177da5851bf7a6d15cb11f1a3dccff089883205a6668500149",
 		run: func(cache *runcache.Store) any {
 			return RunSmoothing(SmoothingConfig{
-				Seed: 8, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 2 * units.Second, Measure: 6 * units.Second}, Stations: 20,
+				Scenario: Scenario{Seed: 8, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 2 * units.Second, Measure: 6 * units.Second}}, Stations: 20,
 				AccessRatios: []float64{10, 0.5},
 				RunEnv:       RunEnv{Cache: cache},
 			})
@@ -200,7 +196,7 @@ var goldenDigestCases = []struct {
 		want: "6ea91f11259eccc6cf4471720309e4c35b625512dcc7abc60bdb666fa8b575f5",
 		run: func(cache *runcache.Store) any {
 			return RunWindowDist(WindowDistConfig{
-				Seed: 10, N: 12, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second},
+				Scenario: Scenario{Seed: 10, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}}, N: 12,
 				RunEnv: RunEnv{Cache: cache},
 			})
 		},
@@ -225,7 +221,7 @@ var goldenDigestCases = []struct {
 		want: "7373cbd05994f432cf37ba58bf327d19876d1c04b6cec7883b4c707774147b72",
 		run: func(cache *runcache.Store) any {
 			return RunMultiHop(MultiHopConfig{
-				Seed: 12, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}, NPerGroup: 6,
+				Scenario: Scenario{Seed: 12, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}}, NPerGroup: 6,
 				RunEnv: RunEnv{Cache: cache},
 			})
 		},
@@ -237,8 +233,7 @@ var goldenDigestCases = []struct {
 // receiver window 43 — spelled as the profile scenario it is.
 func shortFlowRun(seed int64, rate units.BitRate, load float64, flowLen int64, buffer int, warmup, measure units.Duration, env RunEnv) ProfileRunConfig {
 	return ProfileRunConfig{
-		Seed: seed, BufferPackets: buffer,
-		Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure},
+		Scenario: Scenario{Seed: seed, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}}, BufferPackets: buffer,
 		Source: workload.PoissonSource{
 			Load: load, Sizes: workload.FixedSize(flowLen),
 			TCP: tcp.Config{SegmentSize: units.DefaultSegment, MaxWindow: 43},
@@ -257,12 +252,11 @@ func shortFlowDigest(r ProfileRunResult) any {
 func adversaryDigestCase(p adversary.Pattern) func(*runcache.Store) any {
 	return func(cache *runcache.Store) any {
 		return RunAdversaryScenario(AdversaryScenario{
-			Seed: 14, Pattern: p, BufferPackets: 17,
-			AdversaryCohort: AdversaryCohort{
-				N: 8, Hops: 2,
-				Path: Path{BottleneckRate: 10 * units.Mbps, RTTMin: 80 * units.Millisecond, Warmup: 2 * units.Second, Measure: 4 * units.Second},
-			},
-			RunEnv: RunEnv{Cache: cache},
+			Scenario: Scenario{Seed: 14,
+				Path: Path{BottleneckRate: 10 * units.Mbps, RTTMin: 80 * units.Millisecond, Warmup: 2 * units.Second, Measure: 4 * units.Second}},
+			Pattern: p, BufferPackets: 17,
+			AdversaryCohort: AdversaryCohort{N: 8, Hops: 2},
+			RunEnv:          RunEnv{Cache: cache},
 		})
 	}
 }

@@ -10,11 +10,11 @@ import (
 // buffer should yield equal-or-better utilization with near-zero loss —
 // an AQM-era postscript to the paper's drop-tail result.
 type ECNConfig struct {
-	Seed int64
+	// Scenario: the path defaults to the long-lived scenario at OC3; the
+	// two arms override Queue (RED, then REDECN).
+	Scenario
 
-	N int
-	// Path defaults to the long-lived scenario at OC3.
-	Path
+	N            int
 	BufferFactor float64 // multiple of RTTxC/sqrt(n)
 
 	// RunEnv: Audit and Cache reach both arms, a sweep of two.
@@ -43,14 +43,11 @@ type ECNResult struct {
 func RunECN(cfg ECNConfig) ECNResult {
 	cfg = cfg.withDefaults()
 	buffer := cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N)
-	arms := sweep("ecn", cfg.RunEnv, 2, func(i int, cell RunEnv) LongLivedResult {
-		return RunLongLived(LongLivedConfig{
-			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
-			BufferPackets: buffer,
-			UseRED:        true,
-			ECN:           i == 1,
-			RunEnv:        cell,
-		})
+	arms := []Queue{RED, REDECN}
+	res := sweep("ecn", cfg.RunEnv, len(arms), func(i int, cell RunEnv) LongLivedResult {
+		run := LongLivedConfig{Scenario: cfg.Scenario, N: cfg.N, BufferPackets: buffer, RunEnv: cell}
+		run.Queue = arms[i]
+		return RunLongLived(run)
 	})
-	return ECNResult{BufferPackets: buffer, Drop: arms[0], Mark: arms[1]}
+	return ECNResult{BufferPackets: buffer, Drop: res[0], Mark: res[1]}
 }

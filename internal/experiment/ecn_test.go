@@ -11,9 +11,8 @@ func TestRunECNMarkingBeatsDropping(t *testing.T) {
 		t.Skip("paired simulation runs")
 	}
 	res := RunECN(ECNConfig{
-		Seed:         1,
+		Scenario:     Scenario{Seed: 1, Path: Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second}},
 		N:            100,
-		Path:         Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
 		BufferFactor: 2,
 	})
 	if res.Mark.Utilization < res.Drop.Utilization {
@@ -28,15 +27,4 @@ func TestRunECNMarkingBeatsDropping(t *testing.T) {
 		t.Errorf("marking timeouts %d not below dropping %d",
 			res.Mark.Timeouts, res.Drop.Timeouts)
 	}
-}
-
-func TestECNRequiresRED(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ECN without RED did not panic")
-		}
-	}()
-	RunLongLived(LongLivedConfig{
-		N: 2, Path: Path{BottleneckRate: units.Mbps, Warmup: units.Second, Measure: units.Second}, BufferPackets: 10, ECN: true,
-	})
 }

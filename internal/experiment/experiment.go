@@ -12,11 +12,12 @@
 // Entry.Run is how cmd/paperexp and the root package's BenchmarkPaper
 // run any of them.
 //
-// The dumbbell and its window are described once too: every config
-// embeds one Path (path.go — line rate, bottleneck delay, station RTT
-// range, segment size, warm-up and window), each experiment's published
-// parameters are one Path literal beside its config, and a sweep hands
-// its cells Path: cfg.Path. Tests set the fields they scale down and the
+// The apparatus is described once too: every config embeds one Scenario
+// (scenario.go — the seed, the queue discipline, the sender and the
+// Path, path.go: line rate, bottleneck delay, station RTT range, segment
+// size, warm-up and window), each experiment's published parameters are
+// one Path literal beside its config, and a sweep hands its cells
+// Scenario: cfg.Scenario. Tests set the fields they scale down and the
 // literal fills the rest; testdata/golden/paper_parameters.txt pins every
 // resolved default.
 //
@@ -33,7 +34,6 @@ import (
 
 	"bufsim/internal/packet"
 	"bufsim/internal/stats"
-	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -41,32 +41,13 @@ import (
 // LongLivedConfig describes one long-lived-flow utilization run: n
 // persistent TCP flows over a dumbbell with a given bottleneck buffer.
 type LongLivedConfig struct {
-	Seed int64
+	// Scenario: BottleneckRate is the caller's; the rest of the path
+	// defaults to longLivedPath.
+	Scenario
 
-	N int
-	// Path: BottleneckRate is the caller's; the rest defaults to
-	// longLivedPath.
-	Path
+	N             int
 	MaxWindow     int // 0: effectively unbounded
 	BufferPackets int
-
-	// UseRED switches the bottleneck to RED with conventional thresholds
-	// scaled to BufferPackets (the §5.1 "other queueing disciplines"
-	// ablation).
-	UseRED bool
-	// ECN (requires UseRED) makes RED mark instead of drop and the
-	// senders ECN-capable: congestion feedback without loss.
-	ECN bool
-	// UseCoDel switches the bottleneck to CoDel (5 ms target) with
-	// BufferPackets as the physical capacity — the delay-managed
-	// alternative to sizing the buffer at all.
-	UseCoDel bool
-
-	// Variant selects the congestion-control flavour (Reno default).
-	Variant    tcp.Variant
-	DelayedAck bool
-	// Paced enables sender pacing (the TR's small-buffer remedy).
-	Paced bool
 
 	// RunEnv carries the observers and execution policy. RunLongLived
 	// reads Metrics, Audit and Cache; RunLongLivedReplicated
@@ -132,27 +113,11 @@ func RunLongLived(cfg LongLivedConfig) LongLivedResult {
 // runLongLived is the uncached body of RunLongLived; cfg has defaults
 // applied.
 func runLongLived(cfg LongLivedConfig) LongLivedResult {
-	b := newBed(bedConfig{
-		env:      cfg.RunEnv,
-		seed:     cfg.Seed,
-		Path:     cfg.Path,
-		stations: cfg.N,
-		buffer:   cfg.BufferPackets,
-		red:      cfg.UseRED,
-		ecn:      cfg.ECN,
-		codel:    cfg.UseCoDel,
-	})
+	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: cfg.Scenario, stations: cfg.N, buffer: cfg.BufferPackets})
 	d := b.d
 	// Stagger starts across half the warmup so slow-start bursts do not
 	// synchronize artificially.
-	workload.StartLongLived(d, cfg.N, tcp.Config{
-		SegmentSize: cfg.SegmentSize,
-		MaxWindow:   cfg.MaxWindow,
-		Variant:     cfg.Variant,
-		DelayedAck:  cfg.DelayedAck,
-		Paced:       cfg.Paced,
-		ECN:         cfg.ECN,
-	}, b.rng.Fork(), cfg.Warmup/2)
+	workload.StartLongLived(d, cfg.N, cfg.tcp(cfg.MaxWindow), b.rng.Fork(), cfg.Warmup/2)
 
 	// Per-packet queueing delays over the window. The reservoir is
 	// bounded to keep long runs flat in memory; beyond it we keep a

@@ -14,9 +14,8 @@ import (
 // 60-140 ms RTTs (BDP = 250 packets at the 100 ms mean).
 func scaledLongLived(n, buffer int) LongLivedConfig {
 	return LongLivedConfig{
-		Seed:          1,
+		Scenario:      Scenario{Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 8 * units.Second, Measure: 15 * units.Second}},
 		N:             n,
-		Path:          Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 8 * units.Second, Measure: 15 * units.Second},
 		BufferPackets: buffer,
 	}
 }
@@ -49,9 +48,8 @@ func TestRunLongLivedPaperScaleOC3(t *testing.T) {
 		t.Skip("full-scale OC3 run")
 	}
 	res := RunLongLived(LongLivedConfig{
-		Seed:          9,
+		Scenario:      Scenario{Seed: 9, Path: Path{BottleneckRate: units.OC3, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 15 * units.Second, Measure: 30 * units.Second}},
 		N:             300,
-		Path:          Path{BottleneckRate: units.OC3, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 15 * units.Second, Measure: 30 * units.Second},
 		BufferPackets: SqrtRuleBuffer(2500, 300), // BDP ~2500 pkts at 100 ms mean RTT
 	})
 	if res.Utilization < 0.97 {
@@ -73,7 +71,7 @@ func TestRunLongLivedDelayedAckStillMeetsRule(t *testing.T) {
 		t.Skip("simulation run")
 	}
 	cfg := scaledLongLived(30, 2*SqrtRuleBuffer(250, 30))
-	cfg.DelayedAck = true
+	cfg.Sender.DelayedAck = true
 	res := RunLongLived(cfg)
 	if res.Utilization < 0.93 {
 		t.Errorf("delayed-ACK utilization = %v, want >= 0.93", res.Utilization)
@@ -82,7 +80,7 @@ func TestRunLongLivedDelayedAckStillMeetsRule(t *testing.T) {
 
 func TestRunLongLivedREDRuns(t *testing.T) {
 	cfg := scaledLongLived(50, 2*SqrtRuleBuffer(250, 50))
-	cfg.UseRED = true
+	cfg.Queue = RED
 	res := RunLongLived(cfg)
 	if res.Utilization < 0.85 {
 		t.Errorf("RED utilization = %v, want >= 0.85", res.Utilization)
@@ -94,7 +92,7 @@ func TestRunLongLivedREDRuns(t *testing.T) {
 
 func TestRunSingleFlowRegimes(t *testing.T) {
 	base := SingleFlowConfig{
-		Path: Path{BottleneckRate: 10 * units.Mbps, RTTMin: 100 * units.Millisecond, Warmup: 100 * units.Second, Measure: 150 * units.Second},
+		Scenario: Scenario{Path: Path{BottleneckRate: 10 * units.Mbps, RTTMin: 100 * units.Millisecond, Warmup: 100 * units.Second, Measure: 150 * units.Second}},
 	}
 	exact := base
 	exact.BufferFactor = 1
@@ -148,9 +146,8 @@ func TestRunWindowDistGaussian(t *testing.T) {
 		t.Skip("multi-flow distribution run")
 	}
 	res := RunWindowDist(WindowDistConfig{
-		Seed:         2,
+		Scenario:     Scenario{Seed: 2, Path: Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 10 * units.Second, Measure: 30 * units.Second}},
 		N:            80,
-		Path:         Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 10 * units.Second, Measure: 30 * units.Second},
 		BufferFactor: 1.5,
 	})
 	if len(res.Samples) < 1000 {
@@ -193,8 +190,7 @@ func TestRunMinBufferSweepShape(t *testing.T) {
 		t.Skip("ladder of simulations")
 	}
 	res := RunMinBufferSweep(MinBufferConfig{
-		Seed:         3,
-		Path:         Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 100 * units.Millisecond, Warmup: 8 * units.Second, Measure: 12 * units.Second},
+		Scenario:     Scenario{Seed: 3, Path: Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 100 * units.Millisecond, Warmup: 8 * units.Second, Measure: 12 * units.Second}},
 		Ns:           []int{20, 100},
 		Targets:      []float64{0.98},
 		LadderPoints: 7,
@@ -229,12 +225,11 @@ func TestRunShortFlowBufferRateIndependence(t *testing.T) {
 		t.Skip("bisection over simulations")
 	}
 	points := RunShortFlowBuffer(ShortFlowBufferConfig{
-		Seed:     4,
+		Scenario: Scenario{Seed: 4, Path: Path{Warmup: 5 * units.Second, Measure: 15 * units.Second}},
 		Rates:    []units.BitRate{20 * units.Mbps, 60 * units.Mbps},
 		Load:     0.8,
 		FlowLens: []int64{14},
 		Stations: 40,
-		Path:     Path{Warmup: 5 * units.Second, Measure: 15 * units.Second},
 	})
 	if len(points) != 2 {
 		t.Fatalf("got %d points", len(points))
@@ -266,11 +261,10 @@ func TestRunAFCTComparisonSmallBuffersWin(t *testing.T) {
 		t.Skip("two mixed-traffic simulations")
 	}
 	res := RunAFCTComparison(AFCTComparisonConfig{
-		Seed:      5,
+		Scenario:  Scenario{Seed: 5, Path: Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 10 * units.Second, Measure: 20 * units.Second}},
 		NLong:     60,
 		ShortLoad: 0.15,
 		Sizes:     workload.GeometricSize(14),
-		Path:      Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 10 * units.Second, Measure: 20 * units.Second},
 	})
 	if res.RuleThumb.Completed < 100 || res.SqrtRule.Completed < 100 {
 		t.Fatalf("too few completed shorts: %+v", res)
@@ -296,10 +290,9 @@ func TestRunProductionShape(t *testing.T) {
 		t.Skip("four mixed-traffic simulations")
 	}
 	rows := RunProduction(ProductionConfig{
-		Seed:    6,
-		NLong:   30,
-		Buffers: []int{8, 40, 300},
-		Path:    Path{Warmup: 10 * units.Second, Measure: 20 * units.Second},
+		Scenario: Scenario{Seed: 6, Path: Path{Warmup: 10 * units.Second, Measure: 20 * units.Second}},
+		NLong:    30,
+		Buffers:  []int{8, 40, 300},
 	})
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
@@ -322,9 +315,8 @@ func TestRunSyncAblationDesynchronizesWithN(t *testing.T) {
 		t.Skip("multi-flow distribution runs")
 	}
 	points := RunSyncAblation(SyncConfig{
-		Seed: 7,
-		Ns:   []int{5, 120},
-		Path: Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 10 * units.Second, Measure: 25 * units.Second},
+		Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 10 * units.Second, Measure: 25 * units.Second}},
+		Ns:       []int{5, 120},
 	})
 	if len(points) != 2 {
 		t.Fatalf("got %d points", len(points))
@@ -420,7 +412,7 @@ func TestRenderers(t *testing.T) {
 	// Results carrying non-trivial payloads (histograms, series) render
 	// from real runs.
 	res := RunWindowDist(WindowDistConfig{
-		Seed: 1, N: 4, Path: Path{BottleneckRate: 5 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second},
+		Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: 5 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}}, N: 4,
 	})
 	var sb strings.Builder
 	if err := Render(&sb, res); err != nil {
@@ -466,8 +458,8 @@ func TestFitNormal(t *testing.T) {
 // every flow starts at the same instant. It used to read 0 there.
 func TestTraceUtilizationOneInstant(t *testing.T) {
 	res := RunTrace(TraceConfig{
-		Flows: []workload.FlowSpec{{Start: 0, Size: 5000}},
-		Path:  Path{BottleneckRate: 10 * units.Mbps},
+		Flows:    []workload.FlowSpec{{Start: 0, Size: 5000}},
+		Scenario: Scenario{Path: Path{BottleneckRate: 10 * units.Mbps}},
 	})
 	if res.Completed != 1 {
 		t.Fatalf("completed %d flows, want 1", res.Completed)

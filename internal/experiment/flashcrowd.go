@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"bufsim/internal/stats"
-	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 	"bufsim/internal/workload/profile"
@@ -19,21 +18,20 @@ import (
 // workload.PoissonSource of fixed-length flows it is the paper's
 // short-flow scenario (Fig. 8; the public API's Generated traffic kind).
 type ProfileRunConfig struct {
-	Seed int64
-
-	// Path: BottleneckRate is the caller's; the rest defaults to
-	// shortFlowPath.
-	Path
+	// Scenario: BottleneckRate is the caller's; the rest of the path
+	// defaults to shortFlowPath. A RED queue is sized to BufferPackets
+	// (which must then be positive — RED thresholds need a capacity).
+	Scenario
 	BufferPackets int // 0 = unlimited
 
 	// Source is the workload; required. Sources are pure data, so the
-	// run cache keys on the source's concrete type and fields.
+	// run cache keys on the source's concrete type and fields. RunProfile
+	// rebuilds its TCP templates from the Scenario (see
+	// Scenario.templated): only their receiver-window caps are the
+	// source's.
 	Source workload.Source
 
 	Stations int
-	// UseRED switches the bottleneck to RED sized to BufferPackets
-	// (which must then be positive — RED thresholds need a capacity).
-	UseRED bool
 
 	// Drain is how long after the measurement window flows may finish
 	// before being counted censored (default 30s).
@@ -56,6 +54,7 @@ var shortFlowPath = Path{
 
 func (c ProfileRunConfig) withDefaults() ProfileRunConfig {
 	c.Path = c.Path.or(shortFlowPath)
+	c.Source = c.templated(c.Source)
 	if c.Stations == 0 {
 		c.Stations = 50
 	}
@@ -110,14 +109,7 @@ func RunProfile(cfg ProfileRunConfig) ProfileRunResult {
 // sequence of scheduler, RNG forks, topology and generator to what the
 // stationary Poisson scenario has always drawn.
 func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
-	b := newBed(bedConfig{
-		env:      cfg.RunEnv,
-		seed:     cfg.Seed,
-		Path:     cfg.Path,
-		stations: cfg.Stations,
-		buffer:   cfg.BufferPackets,
-		red:      cfg.UseRED,
-	})
+	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: cfg.Scenario, stations: cfg.Stations, buffer: cfg.BufferPackets})
 	drv := b.start(cfg.Source)
 	active := b.sample("active", 100*units.Millisecond,
 		func() float64 { return float64(drv.Active()) })
@@ -147,11 +139,11 @@ func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 // modeled. For each buffer the sweep reports loss, utilization and
 // queue occupancy through the surge.
 type FlashCrowdConfig struct {
-	Seed int64
+	// Scenario: the path defaults to flashCrowdPath; an unset Measure is
+	// the profile's own length where it has one. The Sender runs every
+	// flow.
+	Scenario
 
-	// Path defaults to flashCrowdPath; an unset Measure is the
-	// profile's own length where it has one.
-	Path
 	Stations  int
 	MaxWindow int // short-flow receiver cap; paper cites 12-43
 
@@ -172,9 +164,6 @@ type FlashCrowdConfig struct {
 	// Buffers lists the swept buffer sizes in packets; empty derives
 	// {5%, 12.5%, 25%, 50%, 100%} of the bandwidth-delay product.
 	Buffers []int
-
-	// Variant selects the congestion control for every flow.
-	Variant tcp.Variant
 
 	Drain units.Duration
 
@@ -243,15 +232,8 @@ func flashCrowdSource(cfg FlashCrowdConfig) workload.Source {
 	return profile.Source{
 		Profile: cfg.Profile.ScaleTo(peakRate, float64(cfg.PeakFlows)),
 		Sizes:   sizes,
-		TCP: tcp.Config{
-			SegmentSize: cfg.SegmentSize,
-			MaxWindow:   cfg.MaxWindow,
-			Variant:     cfg.Variant,
-		},
-		LongTCP: tcp.Config{
-			SegmentSize: cfg.SegmentSize,
-			Variant:     cfg.Variant,
-		},
+		TCP:     cfg.tcp(cfg.MaxWindow),
+		LongTCP: cfg.tcp(0),
 	}
 }
 
@@ -300,7 +282,7 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 	return sweepLabelled("flashcrowd", cfg.RunEnv, label, len(cfg.Buffers), func(k int, cell RunEnv) FlashCrowdRow {
 		buffer := cfg.Buffers[k]
 		res := RunProfile(ProfileRunConfig{
-			Seed: cfg.Seed, Path: cfg.Path, BufferPackets: buffer,
+			Scenario: cfg.Scenario, BufferPackets: buffer,
 			Source: src, Stations: cfg.Stations, Drain: cfg.Drain,
 			RunEnv: cell,
 		})

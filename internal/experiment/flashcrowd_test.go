@@ -69,8 +69,7 @@ func quickFlashCrowd(seed int64) FlashCrowdConfig {
 		panic(err)
 	}
 	return FlashCrowdConfig{
-		Seed:      seed,
-		Path:      Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second},
+		Scenario:  Scenario{Seed: seed, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second}},
 		Stations:  20,
 		Profile:   prof,
 		PeakFlows: 8,

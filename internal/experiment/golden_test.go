@@ -33,7 +33,7 @@ var goldenCases = []struct {
 		name: "fig2_single_flow",
 		run: func() any {
 			return RunSingleFlow(SingleFlowConfig{
-				Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 30 * units.Second, Measure: 40 * units.Second}, BufferFactor: 1,
+				Scenario: Scenario{Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 30 * units.Second, Measure: 40 * units.Second}}, BufferFactor: 1,
 				// Coarse sampling keeps the golden file small; the pinned
 				// digest in digest_test.go covers the fine-grained series.
 				SampleEvery: 200 * units.Millisecond,
@@ -44,9 +44,8 @@ var goldenCases = []struct {
 		name: "fig8_short_flow_buffer",
 		run: func() any {
 			return RunShortFlowBuffer(ShortFlowBufferConfig{
-				Seed:  1,
-				Rates: []units.BitRate{20 * units.Mbps},
-				Path:  Path{Warmup: 5 * units.Second, Measure: 15 * units.Second},
+				Scenario: Scenario{Seed: 1, Path: Path{Warmup: 5 * units.Second, Measure: 15 * units.Second}},
+				Rates:    []units.BitRate{20 * units.Mbps},
 			})
 		},
 	},
@@ -65,7 +64,7 @@ var goldenCases = []struct {
 				panic(err)
 			}
 			return RunFlashCrowd(FlashCrowdConfig{
-				Seed: 21, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second},
+				Scenario: Scenario{Seed: 21, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second}},
 				Stations: 20, Profile: prof, PeakFlows: 8,
 				Buffers: []int{25, 100},
 				Drain:   20 * units.Second,

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"bufsim/internal/stats"
-	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -17,10 +16,8 @@ import (
 // each factor × RTT×C/√n̂ and utilization measured — the Fig. 10 protocol
 // under realistic load generation.
 type HarpoonConfig struct {
-	Seed int64
-
-	// Path defaults to harpoonPath.
-	Path
+	// Scenario: the path defaults to harpoonPath.
+	Scenario
 
 	Sessions  int
 	Sizes     workload.SizeDist
@@ -109,12 +106,12 @@ func runHarpoonOnce(cfg HarpoonConfig, buffer int) harpoonRun {
 // runHarpoonUncached is the uncached body of runHarpoonOnce.
 func runHarpoonUncached(cfg HarpoonConfig, buffer int) harpoonRun {
 	// Sessions share stations round-robin.
-	b := newBed(bedConfig{env: cfg.RunEnv, seed: cfg.Seed, Path: cfg.Path, stations: min(cfg.Sessions, 200), buffer: buffer})
+	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: cfg.Scenario, stations: min(cfg.Sessions, 200), buffer: buffer})
 	g := b.start(workload.SessionSource{
 		Sessions:  cfg.Sessions,
 		Sizes:     cfg.Sizes,
 		MeanThink: cfg.MeanThink,
-		TCP:       tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: 64},
+		TCP:       cfg.tcp(64),
 	})
 	active := b.sample("active", 100*units.Millisecond,
 		func() float64 { return float64(g.Active()) })

@@ -12,8 +12,7 @@ func TestRunHarpoonMatchesFig10Shape(t *testing.T) {
 		t.Skip("five closed-loop simulations")
 	}
 	res := RunHarpoon(HarpoonConfig{
-		Seed:      1,
-		Path:      Path{BottleneckRate: 40 * units.Mbps, Warmup: 15 * units.Second, Measure: 25 * units.Second},
+		Scenario:  Scenario{Seed: 1, Path: Path{BottleneckRate: 40 * units.Mbps, Warmup: 15 * units.Second, Measure: 25 * units.Second}},
 		Sessions:  500, // ~1.5x the link's capacity in offered demand
 		Sizes:     workload.ParetoSize{Shape: 1.2, Min: 10, Max: 5000},
 		MeanThink: 2 * units.Second,

@@ -9,10 +9,9 @@ import (
 // a set of utilization targets, as a function of the number of long-lived
 // flows, compared against the RTTxC/sqrt(n) rule.
 type MinBufferConfig struct {
-	Seed int64
-
-	// Path defaults to tablePath (paper: ~80 ms average RTT).
-	Path
+	// Scenario: the path defaults to tablePath (paper: ~80 ms average
+	// RTT).
+	Scenario
 
 	Ns      []int     // flow counts to sweep
 	Targets []float64 // utilization targets, e.g. 0.98, 0.995, 0.999
@@ -90,11 +89,9 @@ func RunMinBufferSweep(cfg MinBufferConfig) MinBufferResult {
 	utils := sweep("min-buffer", cfg.RunEnv, len(probes), func(k int, cell RunEnv) float64 {
 		p := probes[k]
 		n := cfg.Ns[p.nIdx]
-		return RunLongLived(LongLivedConfig{
-			Seed: cfg.Seed + int64(n)*1000 + int64(p.rung),
-			N:    n, Path: cfg.Path, BufferPackets: p.buffer,
-			RunEnv: cell,
-		}).Utilization
+		run := LongLivedConfig{Scenario: cfg.Scenario, N: n, BufferPackets: p.buffer, RunEnv: cell}
+		run.Seed += int64(n)*1000 + int64(p.rung)
+		return RunLongLived(run).Utilization
 	})
 	for ni, n := range cfg.Ns {
 		sqrtRule := cfg.SqrtRule(n)

@@ -13,11 +13,10 @@ import (
 // the flows cross both links (and therefore see two congestion points —
 // the case the paper assumes away); the rest load one hop each.
 type MultiHopConfig struct {
-	Seed int64
-
-	// Path defaults to multiHopPath; BottleneckRate and BottleneckDelay
-	// are each of the two links'.
-	Path
+	// Scenario: the path defaults to multiHopPath; BottleneckRate and
+	// BottleneckDelay are each of the two links'. Both links are
+	// drop-tail: Queue is not read.
+	Scenario
 	NPerGroup int // flows crossing both, hop 1 only, hop 2 only
 
 	// BufferFactor scales each link's buffer relative to
@@ -84,7 +83,7 @@ func runMultiHop(cfg MultiHopConfig) MultiHopResult {
 	rtt := func() units.Duration {
 		return units.Duration(rng.Uniform(float64(cfg.RTTMin), float64(cfg.RTTMax)))
 	}
-	spec := tcp.Config{SegmentSize: cfg.SegmentSize}
+	spec := cfg.tcp(0)
 	var crossing []*topology.PathFlow
 	for i := 0; i < cfg.NPerGroup; i++ {
 		for _, path := range [][2]int{{0, 2}, {0, 1}, {1, 2}} {

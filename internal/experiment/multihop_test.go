@@ -11,8 +11,7 @@ func TestRunMultiHopSqrtRuleHoldsPerLink(t *testing.T) {
 		t.Skip("two-bottleneck simulation")
 	}
 	res := RunMultiHop(MultiHopConfig{
-		Seed:      1,
-		Path:      Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
+		Scenario:  Scenario{Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second}},
 		NPerGroup: 40,
 	})
 	if res.FlowsPerLink != 80 {
@@ -43,11 +42,11 @@ func TestRunMultiHopStarvedByTinyBuffers(t *testing.T) {
 		t.Skip("two-bottleneck simulation")
 	}
 	small := RunMultiHop(MultiHopConfig{
-		Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 15 * units.Second}, NPerGroup: 40,
+		Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 15 * units.Second}}, NPerGroup: 40,
 		BufferFactor: 0.15,
 	})
 	full := RunMultiHop(MultiHopConfig{
-		Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 15 * units.Second}, NPerGroup: 40,
+		Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 10 * units.Second, Measure: 15 * units.Second}}, NPerGroup: 40,
 		BufferFactor: 2,
 	})
 	if small.Util[0] >= full.Util[0] {

@@ -18,10 +18,9 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Skip("paired sweeps")
 	}
 	cfg := UtilizationTableConfig{
-		Seed:    5,
-		Path:    Path{BottleneckRate: 10 * units.Mbps, Warmup: 5 * units.Second, Measure: 8 * units.Second},
-		Ns:      []int{20, 40},
-		Factors: []float64{1, 2},
+		Scenario: Scenario{Seed: 5, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 5 * units.Second, Measure: 8 * units.Second}},
+		Ns:       []int{20, 40},
+		Factors:  []float64{1, 2},
 	}
 	cfg.Parallelism = 1
 	seq := RunUtilizationTable(cfg)
@@ -55,26 +54,26 @@ func TestEveryFanOutGoesThroughTheSweep(t *testing.T) {
 		run func(env RunEnv) any
 	}{
 		{"RunPacingAblation", func(env RunEnv) any {
-			return RunPacingAblation(PacingConfig{Seed: 1, N: 8, Path: path, RunEnv: env})
+			return RunPacingAblation(PacingConfig{Scenario: Scenario{Seed: 1, Path: path}, N: 8, RunEnv: env})
 		}},
 		{"RunVariantAblation", func(env RunEnv) any {
-			return RunVariantAblation(VariantConfig{Seed: 2, N: 8, Path: path, RunEnv: env})
+			return RunVariantAblation(VariantConfig{Scenario: Scenario{Seed: 2, Path: path}, N: 8, RunEnv: env})
 		}},
 		{"RunECN", func(env RunEnv) any {
-			res := RunECN(ECNConfig{Seed: 3, N: 8, Path: path, RunEnv: env})
+			res := RunECN(ECNConfig{Scenario: Scenario{Seed: 3, Path: path}, N: 8, RunEnv: env})
 			return []LongLivedResult{res.Drop, res.Mark}
 		}},
 		{"RunSyncAblation", func(env RunEnv) any {
-			return RunSyncAblation(SyncConfig{Seed: 4, Ns: []int{4, 8, 12}, Path: path, RunEnv: env})
+			return RunSyncAblation(SyncConfig{Scenario: Scenario{Seed: 4, Path: path}, Ns: []int{4, 8, 12}, RunEnv: env})
 		}},
 		{"RunSmoothing", func(env RunEnv) any {
-			return RunSmoothing(SmoothingConfig{Seed: 5, Stations: 10, Path: path, RunEnv: env}).Points
+			return RunSmoothing(SmoothingConfig{Scenario: Scenario{Seed: 5, Path: path}, Stations: 10, RunEnv: env}).Points
 		}},
 		{"RunHarpoon", func(env RunEnv) any {
-			return RunHarpoon(HarpoonConfig{Seed: 6, Sessions: 30, MeanThink: 500 * units.Millisecond, Path: path, RunEnv: env}).Rows
+			return RunHarpoon(HarpoonConfig{Scenario: Scenario{Seed: 6, Path: path}, Sessions: 30, MeanThink: 500 * units.Millisecond, RunEnv: env}).Rows
 		}},
 		{"RunAFCTComparison", func(env RunEnv) any {
-			res := RunAFCTComparison(AFCTComparisonConfig{Seed: 7, NLong: 4, Path: path, RunEnv: env})
+			res := RunAFCTComparison(AFCTComparisonConfig{Scenario: Scenario{Seed: 7, Path: path}, NLong: 4, RunEnv: env})
 			return []AFCTOutcome{res.RuleThumb, res.SqrtRule}
 		}},
 	} {
@@ -128,10 +127,9 @@ func TestSweepDeterministicWithMetrics(t *testing.T) {
 		t.Skip("paired sweeps")
 	}
 	cfg := UtilizationTableConfig{
-		Seed:    5,
-		Path:    Path{BottleneckRate: 10 * units.Mbps, Warmup: 5 * units.Second, Measure: 8 * units.Second},
-		Ns:      []int{20, 40},
-		Factors: []float64{1, 2},
+		Scenario: Scenario{Seed: 5, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 5 * units.Second, Measure: 8 * units.Second}},
+		Ns:       []int{20, 40},
+		Factors:  []float64{1, 2},
 	}
 	cfg.Parallelism = 4
 	plain := RunUtilizationTable(cfg)
@@ -174,10 +172,9 @@ func TestLongLivedMetricsPopulated(t *testing.T) {
 	}
 	reg := metrics.New()
 	RunLongLived(LongLivedConfig{
-		Seed:   7,
-		N:      10,
-		Path:   Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second},
-		RunEnv: RunEnv{Metrics: reg},
+		Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}},
+		N:        10,
+		RunEnv:   RunEnv{Metrics: reg},
 	})
 	snap := reg.Snapshot()
 	for _, name := range []string{

@@ -3,13 +3,8 @@ package experiment
 import "bufsim/internal/units"
 
 // Path is the paper's Fig. 1 dumbbell and the window it is measured
-// over — what every experiment in this package shares, declared once.
-// Every config that describes a dumbbell embeds it, so its fields read
-// and assign as the config's own (cfg.BottleneckRate, cfg.Warmup) and a
-// sweep hands its cells the whole description as Path: cfg.Path.
-//
-// What varies between experiments is deliberately not here: the traffic,
-// the buffer and the queue discipline stay with each config.
+// over, declared once. Scenario embeds it, so its fields read and assign
+// as every config's own (cfg.BottleneckRate, cfg.Warmup).
 type Path struct {
 	// BottleneckRate is the shared link's capacity C.
 	BottleneckRate units.BitRate

@@ -21,9 +21,8 @@ func TestSweepCrashResume(t *testing.T) {
 		t.Skip("simulation runs")
 	}
 	base := UtilizationTableConfig{
-		Seed: 3,
-		Ns:   []int{3, 4}, Factors: []float64{0.5, 1}, // 4 cells
-		Path:   Path{BottleneckRate: 10 * units.Mbps, Warmup: 1 * units.Second, Measure: 2 * units.Second},
+		Scenario: Scenario{Seed: 3, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 1 * units.Second, Measure: 2 * units.Second}},
+		Ns:       []int{3, 4}, Factors: []float64{0.5, 1}, // 4 cells
 		RunEnv: RunEnv{Parallelism: 1}, // deterministic interruption point
 	}
 	total := len(base.Ns) * len(base.Factors)

@@ -14,13 +14,12 @@ import (
 // heterogeneous regime, measuring utilization and the aggregate-window
 // synchronization index.
 type RTTSpreadConfig struct {
-	Seed int64
+	// Scenario: the path defaults to rttSpreadPath. [RTTMin, RTTMax] only
+	// fixes the centre the sweep holds (its MeanRTT); each spread
+	// replaces the width.
+	Scenario
 
-	N int
-	// Path defaults to rttSpreadPath. [RTTMin, RTTMax] only fixes the
-	// centre the sweep holds (its MeanRTT); each spread replaces the
-	// width.
-	Path
+	N            int
 	Spreads      []units.Duration // full widths of the RTT distribution
 	BufferFactor float64
 
@@ -74,24 +73,17 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 	return sweep("rtt-spread", cfg.RunEnv, len(cfg.Spreads), func(i int, cell RunEnv) RTTSpreadPoint {
 		spread := cfg.Spreads[i]
 		// A zero spread means identical RTTs, still drawn (RTTMax is set).
-		path := cfg.Path
-		path.RTTMin, path.RTTMax = mean-spread/2, mean+spread/2
+		sc := cfg.Scenario
+		sc.Seed += int64(i)
+		sc.RTTMin, sc.RTTMax = mean-spread/2, mean+spread/2
 		// RunWindowDist gives the aggregate-window moments, RunLongLived
 		// the utilization at the sqrt-rule buffer.
-		wd := RunWindowDist(WindowDistConfig{
-			Seed: cfg.Seed + int64(i), N: cfg.N, Path: path,
-			BufferFactor: cfg.BufferFactor,
-			RunEnv:       cell,
-		})
+		wd := RunWindowDist(WindowDistConfig{Scenario: sc, N: cfg.N, BufferFactor: cfg.BufferFactor, RunEnv: cell})
 		cov := 0.0
 		if wd.Mean > 0 {
 			cov = wd.StdDev / wd.Mean
 		}
-		ll := RunLongLived(LongLivedConfig{
-			Seed: cfg.Seed + int64(i), N: cfg.N, Path: path,
-			BufferPackets: buffer,
-			RunEnv:        cell,
-		})
+		ll := RunLongLived(LongLivedConfig{Scenario: sc, N: cfg.N, BufferPackets: buffer, RunEnv: cell})
 		return RTTSpreadPoint{
 			Spread:      spread,
 			Utilization: ll.Utilization,

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"bufsim/internal/model"
-	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -16,17 +15,16 @@ import (
 // several line rates. The paper's model curve is the M/G/1 bound at
 // P(Q > B) = 0.025.
 type ShortFlowBufferConfig struct {
-	Seed int64
+	// Scenario: the path defaults to shortFlowPath. BottleneckRate is not
+	// read: Rates sweeps it.
+	Scenario
 
 	Rates    []units.BitRate // paper: 40, 80, 200 Mb/s
 	Load     float64         // paper: 0.8
 	FlowLens []int64         // flow length(s) in segments
 
 	MaxWindow int // receiver cap; paper cites 12-43
-	// Path defaults to shortFlowPath. BottleneckRate is not read: Rates
-	// sweeps it.
-	Path
-	Stations int
+	Stations  int
 
 	// AFCTFactor is the degradation budget (paper: 1.125 = +12.5%).
 	AFCTFactor float64
@@ -89,18 +87,19 @@ type ShortFlowBufferPoint struct {
 // the bottleneck at one rate and buffer (0: unlimited, the baseline). It
 // returns the AFCT over the window.
 func shortFlowAFCT(cfg ShortFlowBufferConfig, env RunEnv, rate units.BitRate, flowLen int64, buffer int) units.Duration {
-	return RunProfile(ProfileRunConfig{
-		Seed:          cfg.Seed,
-		Path:          cfg.Path.at(rate),
+	run := ProfileRunConfig{
+		Scenario:      cfg.Scenario,
 		BufferPackets: buffer,
 		Source: workload.PoissonSource{
 			Load:  cfg.Load,
 			Sizes: workload.FixedSize(flowLen),
-			TCP:   tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: cfg.MaxWindow},
+			TCP:   cfg.tcp(cfg.MaxWindow),
 		},
 		Stations: cfg.Stations,
 		RunEnv:   env,
-	}).AFCT
+	}
+	run.BottleneckRate = rate
+	return RunProfile(run).AFCT
 }
 
 // RunShortFlowBuffer executes the Fig. 8 experiment. Points (rate x flow

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bufsim/internal/stats"
-	"bufsim/internal/tcp"
 	"bufsim/internal/trace"
 	"bufsim/internal/units"
 )
@@ -11,15 +10,13 @@ import (
 // flow through a bottleneck whose buffer is a multiple of the
 // bandwidth-delay product.
 type SingleFlowConfig struct {
-	// Seed feeds the randomized queue discipline when UseRED is set; a
-	// plain drop-tail single-flow run is fully deterministic and ignores
-	// it.
-	Seed int64
-
-	// Path defaults to singleFlowPath. RTTMin is the flow's two-way
-	// propagation delay (2*Tp), a quarter of it across the bottleneck
-	// unless BottleneckDelay says otherwise.
-	Path
+	// Scenario: the path defaults to singleFlowPath. RTTMin is the flow's
+	// two-way propagation delay (2*Tp), a quarter of it across the
+	// bottleneck unless BottleneckDelay says otherwise. The seed feeds a
+	// randomized queue (RED); a drop-tail single-flow run is fully
+	// deterministic and ignores it. A RED queue is sized to the same
+	// buffer: the sawtooth under early, randomized drops.
+	Scenario
 
 	// BufferFactor sizes the buffer as BufferFactor x (RTT x C):
 	// 1.0 is Fig. 3 (rule of thumb), <1 is Fig. 4 (underbuffered),
@@ -27,15 +24,6 @@ type SingleFlowConfig struct {
 	BufferFactor float64
 
 	SampleEvery units.Duration
-
-	// Variant, DelayedAck and Paced select the sender's congestion-control
-	// behaviour (default: plain ACK-clocked Reno, the paper's setup).
-	Variant    tcp.Variant
-	DelayedAck bool
-	Paced      bool
-	// UseRED switches the bottleneck to Random Early Detection sized to
-	// the same buffer — the sawtooth under early, randomized drops.
-	UseRED bool
 
 	// RunEnv: Metrics, Audit and Cache (the memoized result includes the
 	// time series).
@@ -91,20 +79,10 @@ func RunSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
 func runSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
 	bdp := cfg.BDP()
 	buffer := max(1, int(cfg.BufferFactor*float64(bdp)))
-	b := newBed(bedConfig{
-		env:      cfg.RunEnv,
-		seed:     cfg.Seed,
-		Path:     cfg.Path.or(Path{BottleneckDelay: cfg.RTTMin / 4}),
-		stations: 1,
-		buffer:   buffer,
-		red:      cfg.UseRED,
-	})
-	f := b.d.AddFlow(b.d.Station(0), tcp.Config{
-		SegmentSize: cfg.SegmentSize,
-		Variant:     cfg.Variant,
-		DelayedAck:  cfg.DelayedAck,
-		Paced:       cfg.Paced,
-	})
+	sc := cfg.Scenario
+	sc.Path = sc.Path.or(Path{BottleneckDelay: cfg.RTTMin / 4})
+	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: sc, stations: 1, buffer: buffer})
+	f := b.d.AddFlow(b.d.Station(0), cfg.tcp(0))
 	f.Sender.Start()
 	cwnd := b.sample("cwnd_pkts", cfg.SampleEvery, f.Sender.Cwnd)
 	qlen := b.sample("queue_pkts", cfg.SampleEvery,

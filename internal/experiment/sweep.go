@@ -19,7 +19,7 @@ import (
 // semantics change — and any change that can alter a result (kernel,
 // queue, TCP, workload, experiment lowering) MUST bump this salt, which
 // invalidates the whole cache at once. See DESIGN.md, "Run cache".
-const cacheSalt = "bufsim-results-v2"
+const cacheSalt = "bufsim-results-v3"
 
 // pointKey is the cache key for one computation of the given kind.
 // Everything in cfg is semantic and part of the key except its RunEnv
@@ -34,6 +34,12 @@ func pointKey(kind string, cfg any) string {
 // require actually running the simulation) bypasses the lookup; the
 // result is still stored, warming the cache.
 //
+// A stored blob is a hit only if it decodes into a T whose encoding is
+// the blob byte for byte: blobs are written by json.Marshal of the same
+// type, so anything else — {}, null, another kind's result — is not this
+// computation's result. Such a blob counts as a miss and is recomputed
+// and overwritten.
+//
 // When verification sampling is on, a sampled hit is recomputed and
 // compared byte-for-byte with the stored blob; a mismatch is recorded
 // on the store and the freshly computed value wins.
@@ -45,12 +51,10 @@ func memoRun[T any](env RunEnv, kind string, cfg any, compute func() T) T {
 	key := pointKey(kind, cfg)
 	if !env.live() {
 		if blob, ok := cache.Get(key); ok {
-			var v T
-			if err := json.Unmarshal(blob, &v); err == nil {
+			if v, ok := decodeExactly[T](blob); ok {
 				if cache.ShouldVerify(key) {
 					re := compute()
-					reb, merr := json.Marshal(re)
-					same := merr == nil && bytes.Equal(reb, blob)
+					same := encodesTo(re, blob)
 					cache.RecordVerify(key, kind, same)
 					if !same {
 						return re
@@ -58,6 +62,7 @@ func memoRun[T any](env RunEnv, kind string, cfg any, compute func() T) T {
 				}
 				return v
 			}
+			cache.Reject()
 		}
 	}
 	v := compute()
@@ -65,6 +70,19 @@ func memoRun[T any](env RunEnv, kind string, cfg any, compute func() T) T {
 	// cold and the computed value is returned as usual.
 	cache.Put(key, v)
 	return v
+}
+
+// decodeExactly decodes blob into a T, reporting whether the T encodes
+// back to blob byte for byte.
+func decodeExactly[T any](blob []byte) (T, bool) {
+	var v T
+	return v, json.Unmarshal(blob, &v) == nil && encodesTo(v, blob)
+}
+
+// encodesTo reports whether v's JSON is blob byte for byte.
+func encodesTo(v any, blob []byte) bool {
+	b, err := json.Marshal(v)
+	return err == nil && bytes.Equal(b, blob)
 }
 
 // sweep is the fan-out every driver with more than one simulation goes

@@ -12,11 +12,10 @@ const sawtoothCoV = 0.19245008972987526 // 1/sqrt(27)
 // giant flow; above a few hundred flows they desynchronize and the
 // aggregate converges to the CLT's sqrt(n)-narrow Gaussian.
 type SyncConfig struct {
-	Seed int64
+	// Scenario: the path defaults to Fig. 6's (windowDistPath).
+	Scenario
 
-	Ns []int
-	// Path defaults to Fig. 6's (windowDistPath).
-	Path
+	Ns           []int
 	BufferFactor float64 // multiple of RTTxC/sqrt(n)
 
 	// RunEnv: Audit and Cache reach the underlying runs; the flow counts
@@ -54,11 +53,9 @@ func RunSyncAblation(cfg SyncConfig) SyncTable {
 	cfg = cfg.withDefaults()
 	return sweep("sync", cfg.RunEnv, len(cfg.Ns), func(i int, cell RunEnv) SyncPoint {
 		n := cfg.Ns[i]
-		r := RunWindowDist(WindowDistConfig{
-			Seed: cfg.Seed + int64(n), N: n, Path: cfg.Path,
-			BufferFactor: cfg.BufferFactor,
-			RunEnv:       cell,
-		})
+		run := WindowDistConfig{Scenario: cfg.Scenario, N: n, BufferFactor: cfg.BufferFactor, RunEnv: cell}
+		run.Seed += int64(n)
+		r := RunWindowDist(run)
 		cov := 0.0
 		if r.Mean > 0 {
 			cov = r.StdDev / r.Mean

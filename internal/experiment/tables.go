@@ -6,7 +6,6 @@ import (
 
 	"bufsim/internal/model"
 	"bufsim/internal/stats"
-	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -17,15 +16,12 @@ import (
 // paper's third column, Exp., was the physical router we substitute with
 // the same scenario in this simulator — see DESIGN.md).
 type UtilizationTableConfig struct {
-	Seed int64
+	// Scenario: the path defaults to tablePath (the paper ran OC3); Queue
+	// RED is the ablation that runs the same table under RED.
+	Scenario
 
 	Ns      []int     // paper: 100, 200, 300, 400
 	Factors []float64 // paper: 0.5, 1, 2, 3
-
-	// Path defaults to tablePath (the paper ran OC3).
-	Path
-
-	UseRED bool // ablation: run the same table under RED
 
 	// RunEnv: every cell is cached and audited. With Metrics set each
 	// (n, factor) cell runs with its own child registry, merged in
@@ -88,12 +84,9 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 		gauss := model.LongFlowGaussian{N: n, BDP: float64(bdp)}
 		// Scaled first, rounded after: the pinned table's own rounding.
 		buffer := int(math.Max(1, math.Round(factor*float64(bdp)/math.Sqrt(float64(n)))))
-		r := RunLongLived(LongLivedConfig{
-			Seed: cfg.Seed + int64(n)*100 + int64(factor*10),
-			N:    n, Path: cfg.Path,
-			BufferPackets: buffer, UseRED: cfg.UseRED,
-			RunEnv: cell,
-		})
+		run := LongLivedConfig{Scenario: cfg.Scenario, N: n, BufferPackets: buffer, RunEnv: cell}
+		run.Seed += int64(n)*100 + int64(factor*10)
+		r := RunLongLived(run)
 		return UtilizationRow{
 			N: n, Factor: factor, Packets: buffer,
 			RAMMbit:   float64(buffer) * float64(cfg.SegmentSize.Bits()) / 1e6,
@@ -111,10 +104,8 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 // flows plus Poisson arrivals of bounded-Pareto (heavy-tailed) short
 // flows.
 type ProductionConfig struct {
-	Seed int64
-
-	// Path defaults to productionPath.
-	Path
+	// Scenario: the path defaults to productionPath.
+	Scenario
 
 	NLong     int     // persistent flows (bulk transfers)
 	ShortLoad float64 // offered load from the heavy-tailed short flows
@@ -186,14 +177,9 @@ func RunProduction(cfg ProductionConfig) ProductionTable {
 
 // runProductionPoint simulates one Fig. 11 buffer point under env.
 func runProductionPoint(cfg ProductionConfig, env RunEnv, buffer int, bdp float64) ProductionRow {
-	b := newBed(bedConfig{env: env, seed: cfg.Seed, Path: cfg.Path, stations: cfg.NLong + 100, buffer: buffer})
-	workload.StartLongLived(b.d, cfg.NLong,
-		tcp.Config{SegmentSize: cfg.SegmentSize}, b.rng.Fork(), cfg.Warmup/2)
-	gen := b.start(workload.PoissonSource{
-		Load:  cfg.ShortLoad,
-		Sizes: cfg.Pareto,
-		TCP:   tcp.Config{SegmentSize: cfg.SegmentSize, MaxWindow: 43},
-	})
+	b := newBed(bedConfig{env: env, Scenario: cfg.Scenario, stations: cfg.NLong + 100, buffer: buffer})
+	workload.StartLongLived(b.d, cfg.NLong, cfg.tcp(0), b.rng.Fork(), cfg.Warmup/2)
+	gen := b.start(workload.PoissonSource{Load: cfg.ShortLoad, Sizes: cfg.Pareto, TCP: cfg.tcp(43)})
 	concurrent := b.sample("concurrent", 100*units.Millisecond,
 		func() float64 { return float64(cfg.NLong + gen.Active()) })
 

@@ -11,11 +11,11 @@ import (
 // rule — with SACK expected to help precisely where Reno's multi-loss
 // fragility hurts (small n, small buffers).
 type VariantConfig struct {
-	Seed int64
+	// Scenario: the path defaults to the long-lived scenario at OC3;
+	// Variants overrides Sender.Variant.
+	Scenario
 
-	N int
-	// Path defaults to the long-lived scenario at OC3.
-	Path
+	N            int
 	BufferFactor float64 // multiple of RTTxC/sqrt(n)
 
 	Variants []tcp.Variant
@@ -52,12 +52,13 @@ type VariantPoint struct {
 func RunVariantAblation(cfg VariantConfig) VariantTable {
 	cfg = cfg.withDefaults()
 	return sweep("variants", cfg.RunEnv, len(cfg.Variants), func(i int, cell RunEnv) VariantPoint {
-		r := RunLongLived(LongLivedConfig{
-			Seed: cfg.Seed, N: cfg.N, Path: cfg.Path,
+		run := LongLivedConfig{
+			Scenario: cfg.Scenario, N: cfg.N,
 			BufferPackets: cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N),
-			Variant:       cfg.Variants[i],
 			RunEnv:        cell,
-		})
+		}
+		run.Sender.Variant = cfg.Variants[i]
+		r := RunLongLived(run)
 		return VariantPoint{
 			Variant:     cfg.Variants[i],
 			Utilization: r.Utilization,

@@ -12,9 +12,8 @@ func TestRunVariantAblationRuleHoldsForAll(t *testing.T) {
 		t.Skip("four simulation runs")
 	}
 	points := RunVariantAblation(VariantConfig{
-		Seed:         1,
+		Scenario:     Scenario{Seed: 1, Path: Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second}},
 		N:            100,
-		Path:         Path{BottleneckRate: 40 * units.Mbps, Warmup: 10 * units.Second, Measure: 20 * units.Second},
 		BufferFactor: 1.5,
 	})
 	if len(points) != 4 {

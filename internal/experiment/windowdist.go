@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"bufsim/internal/stats"
-	"bufsim/internal/tcp"
 	"bufsim/internal/trace"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
@@ -13,11 +12,10 @@ import (
 // WindowDistConfig reproduces Fig. 6: the distribution of the sum of the
 // congestion windows of all flows, compared with a normal fit.
 type WindowDistConfig struct {
-	Seed int64
+	// Scenario: the path defaults to windowDistPath.
+	Scenario
 
 	N int
-	// Path defaults to windowDistPath.
-	Path
 
 	// BufferFactor sizes the buffer as a multiple of RTTxC/sqrt(n).
 	BufferFactor float64
@@ -87,8 +85,8 @@ func runWindowDist(cfg WindowDistConfig) WindowDistResult {
 	// arithmetic (see Path.sqrtRuleTimes).
 	buffer := int(math.Max(1, cfg.BufferFactor*float64(cfg.BDP())/math.Sqrt(float64(cfg.N))))
 
-	b := newBed(bedConfig{env: cfg.RunEnv, seed: cfg.Seed, Path: cfg.Path, stations: cfg.N, buffer: buffer})
-	workload.StartLongLived(b.d, cfg.N, tcp.Config{SegmentSize: cfg.SegmentSize}, b.rng.Fork(), cfg.Warmup/2)
+	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: cfg.Scenario, stations: cfg.N, buffer: buffer})
+	workload.StartLongLived(b.d, cfg.N, cfg.tcp(0), b.rng.Fork(), cfg.Warmup/2)
 
 	var aggregate *trace.Series
 	b.measure(func() {

@@ -95,6 +95,14 @@ func (s *Store) Get(key string) (json.RawMessage, bool) {
 	return b, true
 }
 
+// Reject takes back one hit Get served: the caller found the blob
+// unusable — it does not decode into the result it stands for — so the
+// lookup counts as a miss, and the caller recomputes and Puts over it.
+func (s *Store) Reject() {
+	s.hits.Add(-1)
+	s.misses.Add(1)
+}
+
 // Put stores v under key as JSON. Marshal failures (e.g. NaN in a
 // result) make the entry uncacheable: the error is counted and
 // returned, and the caller should fall back to the computed value.

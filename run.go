@@ -35,15 +35,16 @@ type Scenario struct {
 
 // Sender is the TCP every flow of a scenario runs. The zero value is the
 // paper's: ACK-clocked Reno acknowledging every segment.
-type Sender struct {
-	// Variant selects the congestion-control family.
-	Variant Variant
-	// Paced spreads each sender's transmissions across the RTT instead
-	// of ACK-clocked bursts.
-	Paced bool
-	// DelayedAck acknowledges every second segment, as modern receivers
-	// do.
-	DelayedAck bool
+type Sender = experiment.Sender
+
+// over lowers s onto the experiment layer's Scenario, with the kind's
+// own path: the one place a kind reads Seed, RED and Sender.
+func (s Scenario) over(path experiment.Path) experiment.Scenario {
+	q := experiment.DropTail
+	if s.RED {
+		q = experiment.RED
+	}
+	return experiment.Scenario{Seed: s.Seed, Path: path, Queue: q, Sender: s.Sender}
 }
 
 // Traffic is what crosses a Scenario's bottleneck: one of the kinds
@@ -135,14 +136,9 @@ type LongLived struct {
 
 func (t LongLived) config(s Scenario, env experiment.RunEnv) (experiment.LongLivedConfig, error) {
 	cfg := experiment.LongLivedConfig{
-		Seed:          s.Seed,
+		Scenario:      s.over(s.Link.path(t.RTTSpread, s.Warmup, s.Measure)),
 		N:             t.Flows,
-		Path:          s.Link.path(t.RTTSpread, s.Warmup, s.Measure),
 		BufferPackets: s.BufferPackets,
-		UseRED:        s.RED,
-		Variant:       s.Sender.Variant,
-		Paced:         s.Sender.Paced,
-		DelayedAck:    s.Sender.DelayedAck,
 		RunEnv:        env,
 	}
 	return cfg, firstErr(
@@ -184,13 +180,8 @@ type SingleFlow struct {
 
 func (t SingleFlow) lower(s Scenario, env experiment.RunEnv) (func() SingleFlowResult, error) {
 	cfg := experiment.SingleFlowConfig{
-		Seed:         s.Seed,
-		Path:         s.Link.fixedPath(0, 0),
+		Scenario:     s.over(s.Link.fixedPath(0, 0)),
 		BufferFactor: t.BufferFactor,
-		UseRED:       s.RED,
-		Variant:      s.Sender.Variant,
-		Paced:        s.Sender.Paced,
-		DelayedAck:   s.Sender.DelayedAck,
 		RunEnv:       env,
 	}
 	return func() SingleFlowResult { return experiment.RunSingleFlow(cfg) }, firstErr(
@@ -221,17 +212,12 @@ type Mix struct {
 func (t Mix) lower(s Scenario, env experiment.RunEnv) (func() MixResult, error) {
 	cfg := experiment.MixedConfig{
 		AFCTComparisonConfig: experiment.AFCTComparisonConfig{
-			Seed:       s.Seed,
-			NLong:      t.LongFlows,
-			ShortLoad:  t.ShortLoad,
-			Sizes:      t.ShortSizes,
-			Path:       s.Link.path(t.RTTSpread, s.Warmup, s.Measure),
-			MaxWindow:  t.MaxWindow,
-			Variant:    s.Sender.Variant,
-			Paced:      s.Sender.Paced,
-			DelayedAck: s.Sender.DelayedAck,
-			UseRED:     s.RED,
-			RunEnv:     env,
+			Scenario:  s.over(s.Link.path(t.RTTSpread, s.Warmup, s.Measure)),
+			NLong:     t.LongFlows,
+			ShortLoad: t.ShortLoad,
+			Sizes:     t.ShortSizes,
+			MaxWindow: t.MaxWindow,
+			RunEnv:    env,
 		},
 		BufferPackets: s.BufferPackets,
 	}
@@ -261,15 +247,10 @@ type Trace struct {
 
 func (t Trace) lower(s Scenario, env experiment.RunEnv) (func() TraceResult, error) {
 	cfg := experiment.TraceConfig{
-		Seed:          s.Seed,
+		Scenario:      s.over(s.Link.path(t.RTTSpread, 0, 0)),
 		Flows:         t.Flows,
-		Path:          s.Link.path(t.RTTSpread, 0, 0),
 		MaxWindow:     t.MaxWindow,
 		BufferPackets: s.BufferPackets,
-		Variant:       s.Sender.Variant,
-		Paced:         s.Sender.Paced,
-		DelayedAck:    s.Sender.DelayedAck,
-		UseRED:        s.RED,
 		RunEnv:        env,
 	}
 	flows := workload.ValidateFlows(t.Flows)

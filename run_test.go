@@ -1,11 +1,11 @@
 package bufsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
-	"io/fs"
-	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -21,34 +21,14 @@ func tempCache(t *testing.T) (*Cache, string) {
 	return cache, dir
 }
 
-// cachedKeys lists the result keys stored under dir: the names of its
-// objects/<key[:2]>/<key>.json blobs, sorted.
-func cachedKeys(t *testing.T, dir string) []string {
-	t.Helper()
-	var keys []string
-	err := filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			keys = append(keys, strings.TrimSuffix(d.Name(), ".json"))
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // TestRunMatchesLegacyKeys pins each traffic kind's lowering to the
-// experiment config the entry point it replaced built. The keys are the
-// blobs those entry points (Simulate, SimulateReplicated,
-// SimulateSingleFlow, SimulateShortFlows, SimulateMix, SimulateTrace,
-// SimulateAdversary) stored for these exact scenarios, options included,
-// recorded before they were deleted: the same key is the same config
-// digest, hence the same simulation. SimulateProfile is the exception:
-// filling the workload's segment size from the link moved its key, so its
-// row pins the recorded result instead — at 1000-byte segments the fill
-// changes nothing that is simulated.
+// simulation the entry point it replaced ran (Simulate,
+// SimulateReplicated, SimulateSingleFlow, SimulateShortFlows, SimulateMix,
+// SimulateTrace, SimulateProfile, SimulateAdversary), by result. The rows
+// used to pin the blob keys those entry points stored; the keys moved
+// with the run-cache salt, so each row now holds the result its scenario
+// produced before the move, recorded field for field. A single flow's
+// series are pinned by length and by the SHA-256 of their JSON.
 func TestRunMatchesLegacyKeys(t *testing.T) {
 	l := Link{Rate: 10 * Mbps, RTT: 50 * Millisecond}
 	const w, m = Second, 2 * Second
@@ -58,50 +38,74 @@ func TestRunMatchesLegacyKeys(t *testing.T) {
 		name string
 		s    Scenario
 		run  func(Scenario, ...Option) (any, error)
-		keys []string
-		want any // for the one row whose key moved
+		want any
 	}{
 		{"Simulate", Scenario{Seed: 1, Link: l, BufferPackets: 20, Warmup: w, Measure: m,
 			Sender: Sender{Variant: Sack, DelayedAck: true}}, kind(long),
-			[]string{"4581b2d0422b99f0be68a0998258863cf7523ceca47f8209b712d3e5c3c97368"}, nil},
+			SimulationResult{N: 8, BufferPackets: 20, Utilization: 0.906398239, LossRate: 0.02286453839516825,
+				MeanQueue: 8.351367502999985, RetransmitFraction: 0.01956521739130435, Timeouts: 7,
+				QueueDelayMean: 7371273, QueueDelayP99: 15856748, Fairness: 0.6426916363099149}},
 		{"SimulateReplicated", Scenario{Seed: 1, Link: l, BufferPackets: 20, Warmup: w, Measure: m, RED: true}, kind(Replicated{long, 2}),
-			[]string{"0381c26d2a219de205d4f753ad499b7cc8de6ca2e7aeaed097c3412d5e3c3829",
-				"193cd0ac7f661a6e1e7f0b49ffbe50a29ae7bec6ddcd7ee7196c4fb559a142b8"}, nil},
+			ReplicatedResult{Replicas: 2, MeanUtilization: 0.7652, StdDev: 0.019798989873223347, Min: 0.7512, Max: 0.7792}},
 		{"SimulateSingleFlow", Scenario{Seed: 3, Link: l, Sender: Sender{Variant: Cubic, Paced: true}}, kind(SingleFlow{BufferFactor: 0.5}),
-			[]string{"d1708bb2962c4c8756da61bc6d2f69a57d00d7e6065e05f0593e6909431315ed"}, nil},
+			singleFlowPin{SingleFlowResult{BDPPackets: 63, BufferPackets: 31, Utilization: 0.98389404353,
+				MeanQueue: 18.187990600469977, MinQueueSeen: 0}, 20001,
+				"dcba44d58574580f91afbc28f7dfb3b6b2ed2d368dcb038c136e436d00e531cc"}},
 		{"SimulateShortFlows", Scenario{Seed: 1, Link: l, BufferPackets: 30, Warmup: w, Measure: m, RED: true,
 			Sender: Sender{Variant: NewReno}}, kind(Generated{Workload: PoissonWorkload(0.5, FixedSize(14), 43)}),
-			[]string{"77735ada1575e7785f6112dec84874f847985f0263756d80edd020300f319c3e"}, nil},
+			ProfileResult{Utilization: 0.4488, MeanActive: 5.333333333333333, PeakActive: 9, Generated: 119,
+				AFCT: 138229982, Completed: 78}},
 		{"SimulateMix", Scenario{Seed: 1, Link: l, BufferPackets: 30, Warmup: w, Measure: m,
 			Sender: Sender{DelayedAck: true}}, kind(Mix{LongFlows: 4, ShortLoad: 0.2, RTTSpread: 20 * Millisecond}),
-			[]string{"0a32857ebff190a3d24e5a5f1d7956b532bab5212a022e93cf54d170dbffa16c"}, nil},
+			MixResult{Label: "mixed", BufferPackets: 30, AFCT: 188828112, Completed: 37,
+				Utilization: 0.6682823005, MeanQueue: 5.049546164499958}},
 		{"SimulateTrace", Scenario{Seed: 1, Link: l, BufferPackets: 30, Sender: Sender{Paced: true}}, kind(Trace{Flows: flows}),
-			[]string{"37f811b79c006b9e094550b9177af43844572be8bad739373ab89b6edfbac37b"}, nil},
+			TraceResult{Completed: 3, AFCT: 170786516, Utilization: 0.0005970149253731343}},
 		{"SimulateProfile", Scenario{Seed: 1, Link: l, BufferPackets: 30, Warmup: w, Measure: m,
 			Sender: Sender{Variant: Sack}}, kind(Generated{Workload: PoissonWorkload(0.5, FixedSize(14), 16), Stations: 10, Drain: 5 * Second}),
-			nil, ProfileResult{Utilization: 0.6032, MeanQueue: 3.0095519399999837, PeakQueue: 26,
+			ProfileResult{Utilization: 0.6032, MeanQueue: 3.0095519399999837, PeakQueue: 26,
 				MeanActive: 8.571428571428571, PeakActive: 14, Generated: 160, AFCT: 153479210, Completed: 106}},
 		{"SimulateAdversary", Scenario{Seed: 1, Link: l, BufferPackets: 20, Warmup: w, Measure: m}, kind(Adversary{Pattern: AdversarySyncAIMD, Flows: 4}),
-			[]string{"a005d814b67eaf63fcbff5cdfd75fe70cc1dbcf62468c73a1bbea0018acdbd94"}, nil},
+			AdversaryResult{Pattern: AdversarySyncAIMD, BufferFactor: 0.31746031746031744, BufferPackets: 20,
+				Utilization: 0.7829456, LossRate: 0.009605662285136502, MeanQueue: 4.097902399999975,
+				PeakQueue: 20, SyncIndex: 2.2622227990048276}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cache, dir := tempCache(t)
-			res, err := c.run(c.s, WithCacheStore(cache))
+			res, err := c.run(c.s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.want != nil {
-				if !reflect.DeepEqual(res, c.want) {
-					t.Errorf("result moved:\ngot  %+v\nwant %+v", res, c.want)
-				}
-				return
+			if sf, ok := res.(SingleFlowResult); ok {
+				res = pinSingleFlow(t, sf)
 			}
-			if got := cachedKeys(t, dir); !reflect.DeepEqual(got, c.keys) {
-				t.Errorf("keys = %q, want %q", got, c.keys)
+			if !reflect.DeepEqual(res, c.want) {
+				t.Errorf("result moved:\ngot  %+v\nwant %+v", res, c.want)
 			}
 		})
 	}
+}
+
+// singleFlowPin is a SingleFlowResult with its two series replaced by
+// their common length and the SHA-256 of their JSON.
+type singleFlowPin struct {
+	SingleFlowResult
+	Points int
+	Series string
+}
+
+func pinSingleFlow(t *testing.T, r SingleFlowResult) singleFlowPin {
+	t.Helper()
+	b, err := json.Marshal([2]any{r.Cwnd, r.Queue})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cwnd.Len() != r.Queue.Len() {
+		t.Errorf("series lengths differ: cwnd %d, queue %d", r.Cwnd.Len(), r.Queue.Len())
+	}
+	points, sum := r.Cwnd.Len(), sha256.Sum256(b)
+	r.Cwnd, r.Queue = nil, nil
+	return singleFlowPin{r, points, hex.EncodeToString(sum[:])}
 }
 
 // TestRunRejectsBadInput: every input that cannot be run is an error

@@ -178,53 +178,42 @@ type Generated struct {
 }
 
 func (t Generated) lower(s Scenario, env experiment.RunEnv) (func() ProfileResult, error) {
-	src, err := s.bind(t.Workload)
 	path := s.Link.path(0, s.Warmup, s.Measure)
 	path.RTTMin, path.RTTMax = s.Link.RTT*6/10, s.Link.RTT*14/10
 	cfg := experiment.ProfileRunConfig{
-		Seed:          s.Seed,
-		Path:          path,
+		Scenario:      s.over(path),
 		BufferPackets: s.BufferPackets,
-		Source:        src,
+		Source:        t.Workload,
 		Stations:      t.Stations,
-		UseRED:        s.RED,
 		Drain:         t.Drain,
 		RunEnv:        env,
 	}
 	return func() ProfileResult { return experiment.RunProfile(cfg) }, firstErr(
-		err,
+		checkWorkload(t.Workload),
 		must(t.Stations >= 0 && t.Drain >= 0, "Generated.Stations and Generated.Drain must not be negative (got %d, %v)", t.Stations, t.Drain),
 		s.redBuffer(),
 	)
 }
 
-// bind fills a workload's TCP templates from the scenario: the link's
-// segment size, which the workload's arrival rate and its senders must
-// share with the bottleneck, and the Sender.
-func (s Scenario) bind(w Workload) (Workload, error) {
-	fill := func(c tcp.Config) tcp.Config {
-		c.SegmentSize = s.Link.segment()
-		c.Variant, c.Paced, c.DelayedAck = s.Sender.Variant, s.Sender.Paced, s.Sender.DelayedAck
-		return c
-	}
+// checkWorkload is Generated's check of its workload. The run fills the
+// workload's TCP templates from the scenario (the link's segment size,
+// which the workload's arrival rate and its senders must share with the
+// bottleneck, and the Sender), keeping only each template's window cap.
+func checkWorkload(w Workload) error {
 	switch src := w.(type) {
 	case workload.PoissonSource:
-		src.TCP = fill(src.TCP)
-		return src, must(src.Load > 0 && src.Load < 1 && src.Sizes != nil,
+		return must(src.Load > 0 && src.Load < 1 && src.Sizes != nil,
 			"Generated.Workload: PoissonWorkload needs a load in (0, 1) and a size distribution (got %v, %v)", src.Load, src.Sizes)
 	case workload.SessionSource:
-		src.TCP = fill(src.TCP)
-		return src, must(src.Sessions > 0 && src.Sizes != nil,
+		return must(src.Sessions > 0 && src.Sizes != nil,
 			"Generated.Workload: SessionWorkload needs a positive session count and a size distribution (got %d, %v)", src.Sessions, src.Sizes)
 	case workload.TraceSource:
-		src.TCP = fill(src.TCP)
 		err := workload.ValidateFlows(src.Flows)
-		return src, must(err == nil, "Generated.Workload: %w", err)
+		return must(err == nil, "Generated.Workload: %w", err)
 	case profile.Source:
-		src.TCP, src.LongTCP = fill(src.TCP), fill(src.LongTCP)
-		return src, nil
+		return nil
 	case nil:
-		return nil, errors.New("Generated.Workload is nil")
+		return errors.New("Generated.Workload is nil")
 	}
-	return nil, fmt.Errorf("Generated.Workload: unknown workload %T", w)
+	return fmt.Errorf("Generated.Workload: unknown workload %T", w)
 }
