@@ -28,8 +28,8 @@ import (
 // prediction, as in RunSyncAblation); it reads near sqrt(n) when the
 // attack works.
 type AdversarialConfig struct {
-	// Scenario: the path defaults to adversarialPath (see
-	// AdversaryScenario).
+	// Scenario: the path defaults to adversarialPath; Queue and Sender
+	// are cleared (see AdversaryScenario).
 	Scenario
 
 	// Patterns defaults to every registered adversarial pattern.
@@ -100,6 +100,7 @@ func (c AdversarialConfig) withDefaults() AdversarialConfig {
 		}
 	}
 	c.Path = c.Path.or(adversarialPath)
+	c.Queue, c.Sender = DropTail, Sender{}
 	c.AdversaryCohort = c.AdversaryCohort.withDefaults()
 	if len(c.BufferFactors) == 0 {
 		c.BufferFactors = []float64{0.05, 0.125, 0.25, 0.5, 1.0}
@@ -204,8 +205,9 @@ type AdversaryScenario struct {
 	// RTTs are part of the attack). The bottleneck's share of it is the
 	// pattern's — a tenth on the dumbbell, a quarter spread over the
 	// parking lot's hops — unless BottleneckDelay says otherwise. The
-	// patterns fix their own transport and queues: Queue and Sender are
-	// not read.
+	// patterns fix their own transport and queues: every bottleneck is
+	// drop-tail and every flow the zero Sender, whatever Queue and Sender
+	// say (withDefaults clears them).
 	Scenario
 
 	Pattern adversary.Pattern
@@ -220,6 +222,7 @@ type AdversaryScenario struct {
 
 func (c AdversaryScenario) withDefaults() AdversaryScenario {
 	c.Path = c.Path.or(adversarialPath)
+	c.Queue, c.Sender = DropTail, Sender{}
 	c.AdversaryCohort = c.AdversaryCohort.withDefaults()
 	if c.BufferPackets < 1 {
 		c.BufferPackets = c.BDP()

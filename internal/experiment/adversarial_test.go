@@ -8,6 +8,7 @@ import (
 	"bufsim/internal/audit"
 	"bufsim/internal/probe"
 	"bufsim/internal/runcache"
+	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 )
 
@@ -135,5 +136,24 @@ func TestAdversarialDefaults(t *testing.T) {
 	}
 	if cfg.PulsePeakFactor <= 1 {
 		t.Errorf("default pulse peak factor %.1f must exceed the line rate", cfg.PulsePeakFactor)
+	}
+}
+
+// TestUnreadScenarioFieldsCleared: the adversarial patterns and the
+// multi-hop chain fix their own queues (and the patterns their
+// transport), so a Queue or Sender set on their configs must neither
+// reach the run nor split the cache key.
+func TestUnreadScenarioFieldsCleared(t *testing.T) {
+	set := Scenario{Seed: 3, Queue: REDECN, Sender: Sender{Variant: tcp.Sack, Paced: true, DelayedAck: true}}
+	bare := Scenario{Seed: 3}
+	if got, want := (AdversaryScenario{Scenario: set}).withDefaults(), (AdversaryScenario{Scenario: bare}).withDefaults(); !reflect.DeepEqual(got, want) {
+		t.Errorf("AdversaryScenario keeps Queue/Sender: %+v", got.Scenario)
+	}
+	if got, want := (AdversarialConfig{Scenario: set}).withDefaults(), (AdversarialConfig{Scenario: bare}).withDefaults(); !reflect.DeepEqual(got, want) {
+		t.Errorf("AdversarialConfig keeps Queue/Sender: %+v", got.Scenario)
+	}
+	got := (MultiHopConfig{Scenario: set}).withDefaults()
+	if got.Queue != DropTail || got.Sender != set.Sender {
+		t.Errorf("MultiHopConfig: Queue %v, Sender %+v; want droptail and the caller's sender", got.Queue, got.Sender)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"bufsim/internal/adversary"
 	"bufsim/internal/runcache"
-	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 	"bufsim/internal/workload/profile"
@@ -236,7 +235,7 @@ func shortFlowRun(seed int64, rate units.BitRate, load float64, flowLen int64, b
 		Scenario: Scenario{Seed: seed, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}}, BufferPackets: buffer,
 		Source: workload.PoissonSource{
 			Load: load, Sizes: workload.FixedSize(flowLen),
-			TCP: tcp.Config{SegmentSize: units.DefaultSegment, MaxWindow: 43},
+			TCP: capped(43),
 		},
 		RunEnv: env,
 	}

@@ -232,8 +232,8 @@ func flashCrowdSource(cfg FlashCrowdConfig) workload.Source {
 	return profile.Source{
 		Profile: cfg.Profile.ScaleTo(peakRate, float64(cfg.PeakFlows)),
 		Sizes:   sizes,
-		TCP:     cfg.tcp(cfg.MaxWindow),
-		LongTCP: cfg.tcp(0),
+		TCP:     capped(cfg.MaxWindow),
+		LongTCP: capped(0),
 	}
 }
 

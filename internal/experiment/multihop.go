@@ -15,7 +15,8 @@ import (
 type MultiHopConfig struct {
 	// Scenario: the path defaults to multiHopPath; BottleneckRate and
 	// BottleneckDelay are each of the two links'. Both links are
-	// drop-tail: Queue is not read.
+	// drop-tail whatever Queue says (withDefaults clears it); the Sender
+	// runs every flow.
 	Scenario
 	NPerGroup int // flows crossing both, hop 1 only, hop 2 only
 
@@ -40,6 +41,7 @@ var multiHopPath = Path{
 
 func (c MultiHopConfig) withDefaults() MultiHopConfig {
 	c.Path = c.Path.or(multiHopPath)
+	c.Queue = DropTail
 	if c.NPerGroup == 0 {
 		c.NPerGroup = 100
 	}

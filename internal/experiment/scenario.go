@@ -92,6 +92,9 @@ func (s Scenario) tcp(maxWindow int) tcp.Config {
 // s.tcp, each keeping only its receiver-window cap: a source says how
 // much traffic to offer, the scenario what TCP carries it. A source
 // without templates is returned as it is.
+//
+// Whatever else a source's template sets is dropped, so a source built
+// for RunProfile spells its templates as capped(n).
 func (s Scenario) templated(src workload.Source) workload.Source {
 	switch src := src.(type) {
 	case workload.PoissonSource:
@@ -109,3 +112,7 @@ func (s Scenario) templated(src workload.Source) workload.Source {
 	}
 	return src
 }
+
+// capped is a source's TCP template as RunProfile takes it: the
+// receiver-window cap alone, the rest filled in by Scenario.templated.
+func capped(maxWindow int) tcp.Config { return tcp.Config{MaxWindow: maxWindow} }

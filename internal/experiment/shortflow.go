@@ -93,7 +93,7 @@ func shortFlowAFCT(cfg ShortFlowBufferConfig, env RunEnv, rate units.BitRate, fl
 		Source: workload.PoissonSource{
 			Load:  cfg.Load,
 			Sizes: workload.FixedSize(flowLen),
-			TCP:   cfg.tcp(cfg.MaxWindow),
+			TCP:   capped(cfg.MaxWindow),
 		},
 		Stations: cfg.Stations,
 		RunEnv:   env,
