@@ -54,10 +54,13 @@ short:
 race:
 	$(GO) test -race ./...
 
-# mutation proves the conservation auditor detects a seeded accounting
-# bug (build tag auditmutation plants it in DropTail).
+# mutation proves the checkers catch seeded bugs: the conservation
+# auditor a seeded accounting bug (build tag auditmutation plants it in
+# DropTail), and each buflint analyzer its own bug seeded into a copy of
+# internal/topology, reported by that analyzer alone.
 mutation:
 	$(GO) test -tags auditmutation -run TestAuditMutation ./internal/queue/
+	$(GO) test -run TestSeededMutationDetected ./internal/lint/
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueueConservation -fuzztime 30s ./internal/queue/

@@ -1,7 +1,9 @@
 // Buflint runs the simulator's static-analysis suite (internal/lint:
 // simdeterminism, maporder, unitsafety) over the packages of the
 // enclosing module, loading and type-checking them from source with the
-// standard library alone.
+// standard library alone. A nested module such as benchmark/ is not
+// part of the enclosing one and is not linted. simdeterminism allows
+// the wall clock to be read only in files named wallclock.go.
 //
 // Usage:
 //
@@ -13,11 +15,11 @@
 //
 // Intentional exceptions are suppressed in source with
 //
-//	//lint:ignore <analyzer> <reason>
+//	//lint:ignore <analyzer>[,<analyzer>] <reason>
 //
-// on, or immediately above, the offending line. A directive whose
-// finding no longer fires is itself an error (lintstale): the
-// suppression count can only shrink.
+// on, or immediately above, the offending line. A directive naming an
+// analyzer whose finding no longer fires there is itself an error
+// (lintstale): the suppression count can only shrink.
 package main
 
 import (

@@ -30,7 +30,8 @@ func repoRoot(t *testing.T) string {
 }
 
 // writeModule materializes a synthetic module. Its module path must be
-// "bufsim" so the analyzers' AppliesTo scopes treat it as the simulator.
+// "bufsim" so maporder's and unitsafety's AppliesTo scopes treat it as
+// the simulator; simdeterminism runs on any package.
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -53,8 +54,8 @@ import (
 	"time"
 )
 
-// Spray leaks wall-clock time into the deterministic core and prints a
-// map in iteration order: one finding for each analyzer under test.
+// Spray reads the wall clock outside wallclock.go and prints a map in
+// iteration order: one finding for each analyzer under test.
 func Spray(m map[string]int) {
 	start := time.Now()
 	for k, v := range m {
@@ -115,12 +116,16 @@ func TestStandaloneDirtyModule(t *testing.T) {
 	}
 }
 
-// TestStandaloneCleanModule: no findings, exit 0, silence.
+// TestStandaloneCleanModule: no findings, exit 0, silence. The nested
+// module under tools/ reads the wall clock, but it is its own module
+// (as benchmark/ is in the real tree), so it is not linted.
 func TestStandaloneCleanModule(t *testing.T) {
 	bin := buildTool(t, t.TempDir())
 	mod := writeModule(t, map[string]string{
-		"go.mod":  "module bufsim\n\ngo 1.22\n",
-		"tiny.go": cleanSource,
+		"go.mod":         "module bufsim\n\ngo 1.22\n",
+		"tiny.go":        cleanSource,
+		"tools/go.mod":   "module bufsim/tools\n\ngo 1.22\n",
+		"tools/clock.go": "package tools\n\nimport \"time\"\n\nfunc Stamp() time.Time { return time.Now() }\n",
 	})
 
 	cmd := exec.Command(bin, "./...")
@@ -159,15 +164,21 @@ func Stamp() int64 {
 	}
 }
 
-// wallFlows reads the wall clock twice in the deterministic core: once
-// into a returned value, a finding, and once only into time.Since, which
-// the flow check exempts.
-const wallFlows = `package sim
+// wallStamp hands the wall clock to its caller from an ordinary file of
+// a simulator package: a finding.
+const wallStamp = `package sim
 
 import "time"
 
 // Stamp hands the wall clock to its caller.
 func Stamp() time.Time { return time.Now() }
+`
+
+// wallDiscard reads the clock in the package's wallclock.go, the one
+// file where a read is allowed.
+const wallDiscard = `package sim
+
+import "time"
 
 // Discard reads the clock only to feed time.Since.
 func Discard() {
@@ -176,14 +187,15 @@ func Discard() {
 }
 `
 
-// TestStandaloneDataflowAnalyzers runs simdeterminism's dataflow check
-// on a synthetic module and asserts the exit status and that only the
-// escaping wall read is reported.
+// TestStandaloneDataflowAnalyzers runs simdeterminism on a synthetic
+// module and asserts the exit status and that only the read outside
+// wallclock.go is reported.
 func TestStandaloneDataflowAnalyzers(t *testing.T) {
 	bin := buildTool(t, t.TempDir())
 	mod := writeModule(t, map[string]string{
-		"go.mod":              "module bufsim\n\ngo 1.22\n",
-		"internal/sim/sim.go": wallFlows,
+		"go.mod":                    "module bufsim\n\ngo 1.22\n",
+		"internal/sim/sim.go":       wallStamp,
+		"internal/sim/wallclock.go": wallDiscard,
 	})
 
 	cmd := exec.Command(bin, "./...")
@@ -200,7 +212,7 @@ func TestStandaloneDataflowAnalyzers(t *testing.T) {
 	if !strings.Contains(text, "buflint: 1 finding(s)") {
 		t.Errorf("want exactly 1 finding, got:\n%s", text)
 	}
-	if want := "sim.go:6:33: wall-clock time.Now in deterministic package bufsim/internal/sim"; !strings.Contains(text, want) {
+	if want := "sim.go:6:33: wall-clock time.Now in bufsim/internal/sim outside wallclock.go"; !strings.Contains(text, want) {
 		t.Errorf("missing diagnostic %q in:\n%s", want, text)
 	}
 }

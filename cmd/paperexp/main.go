@@ -28,7 +28,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 
 	"bufsim/internal/adversary"
 	"bufsim/internal/audit"
@@ -186,7 +185,7 @@ const verifySample = 0.25
 // replays every point that finished and simulates only the rest.
 func (r runner) runAll(ids []string) error {
 	for _, id := range ids {
-		start := time.Now()
+		start := startStopwatch()
 		fmt.Printf("=== %s ===\n", id)
 		if err := r.run(id); err != nil {
 			return err
@@ -194,7 +193,7 @@ func (r runner) runAll(ids []string) error {
 		if ctx := r.env.Ctx; ctx != nil && ctx.Err() != nil {
 			return fmt.Errorf("interrupted during %s; rerun the same command with -cache to continue", id)
 		}
-		fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
+		fmt.Printf("(%s in %.1fs)\n\n", id, start.seconds())
 	}
 	return nil
 }
@@ -449,20 +448,28 @@ func (r runner) minBuffer(res experiment.MinBufferResult) error {
 	return r.writeSVG("fig7_min_buffer", chart)
 }
 
+// shortFlows draws Fig. 8: per link rate, the smallest buffer keeping
+// short flows' AFCT within 12.5% of the infinite-buffer AFCT, against
+// flow length, with the M/G/1 model's curve.
 func (r runner) shortFlows(points experiment.ShortFlowBufferTable) error {
-	chart := &plot.Chart{
-		Title:  "Short flows: min buffer for AFCT within 12.5% of infinite",
-		XLabel: "flow length (segments)", YLabel: "buffer (packets)",
-	}
 	byRate := func(p experiment.ShortFlowBufferPoint) string { return p.Rate.String() }
-	addAll(chart, plot.LinePoints, grouped(points, byRate,
+	series := grouped(points, byRate,
 		func(p experiment.ShortFlowBufferPoint) (float64, float64) {
 			return float64(p.FlowLen), float64(p.MinBuffer)
-		}))
+		})
 	// The model depends on the flow length alone: the first rate's rows
 	// carry the whole curve.
 	model := grouped(points, byRate,
 		func(p experiment.ShortFlowBufferPoint) (float64, float64) { return float64(p.FlowLen), p.ModelBuffer })[0]
+	model.Name = "mg1_model"
+	if err := r.writeCSV("fig8_short_flow_buffer", append(series[:len(series):len(series)], model)...); err != nil {
+		return err
+	}
+	chart := &plot.Chart{
+		Title:  "Short flows: min buffer for AFCT within 12.5% of infinite",
+		XLabel: "flow length (segments)", YLabel: "buffer (packets)",
+	}
+	addAll(chart, plot.LinePoints, series)
 	chart.Add("M/G/1 model (P=0.025)", plot.Line, model.Times, model.Values)
 	return r.writeSVG("fig8_short_flow_buffer", chart)
 }

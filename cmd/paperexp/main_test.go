@@ -12,6 +12,7 @@ import (
 	"bufsim/internal/experiment"
 	"bufsim/internal/metrics"
 	"bufsim/internal/runcache"
+	"bufsim/internal/units"
 )
 
 // TestRunnerQuickExperiments drives the catalog end to end in quick
@@ -235,5 +236,40 @@ func TestShardsFlagIsIgnored(t *testing.T) {
 	first, rest, _ := strings.Cut(gotErr, "\n")
 	if rest != wantErr || !strings.Contains(first, "-shards 2 ignored") {
 		t.Errorf("-shards 2 stderr = %q, want one line saying the flag is ignored, then the run's own %q", gotErr, wantErr)
+	}
+}
+
+// TestShortFlowsWritesCSV: Fig. 8 writes its curves as CSV next to the
+// SVG, one column per link rate plus the M/G/1 model. It draws from a
+// synthetic table: a real fig8 run is the catalog's most expensive.
+func TestShortFlowsWritesCSV(t *testing.T) {
+	var table experiment.ShortFlowBufferTable
+	for _, rate := range []units.BitRate{20 * units.Mbps, 100 * units.Mbps} {
+		for i, n := range []int64{2, 14, 62} {
+			table = append(table, experiment.ShortFlowBufferPoint{
+				Rate: rate, FlowLen: n,
+				MinBuffer:   int(rate/units.Mbps)/10 + i,
+				ModelBuffer: float64(n) / 4,
+			})
+		}
+	}
+	dir := t.TempDir()
+	r := runner{csvDir: filepath.Join(dir, "csv"), svgDir: filepath.Join(dir, "svg")}
+	if err := r.shortFlows(table); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "csv", "fig8_short_flow_buffer.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "time_s,20Mbps,100Mbps,mg1_model\n" +
+		"2.000000,2,10,0.5\n" +
+		"14.000000,3,11,3.5\n" +
+		"62.000000,4,12,15.5\n"
+	if string(got) != want {
+		t.Errorf("fig8 CSV =\n%s\nwant\n%s", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "svg", "fig8_short_flow_buffer.svg")); err != nil {
+		t.Errorf("fig8 SVG not written: %v", err)
 	}
 }

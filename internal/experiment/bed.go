@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"bufsim/internal/link"
 	"bufsim/internal/metrics"
@@ -180,25 +179,29 @@ type rig struct {
 	taps  []tap
 	// warmup and window are the path's Warmup and Measure.
 	warmup, window units.Duration
-	// publishWall reports the wall time since the rig was built to the
-	// run's registry; measure and drain call it, so the last one to run
-	// the scheduler leaves the run's total. The start time never leaves
-	// the closure: wall time may reach telemetry and nothing else.
-	publishWall func()
+	// metrics is the run's registry (nil: telemetry off), and wall runs
+	// from when the rig was built; publishWall reports the one to the
+	// other.
+	metrics *metrics.Registry
+	wall    stopwatch
 }
 
 func newRig(env RunEnv, path Path) rig {
-	sched, start := sim.NewScheduler(), time.Now()
-	return rig{sched: sched, warmup: path.Warmup, window: path.Measure, publishWall: func() {
-		if env.Metrics == nil {
-			return
-		}
-		wall := time.Since(start).Seconds()
-		env.Metrics.Gauge("sim.wall_seconds").Set(wall)
-		if s := sched.Now().Seconds(); s > 0 {
-			env.Metrics.Gauge("sim.wall_seconds_per_sim_second").Set(wall / s)
-		}
-	}}
+	return rig{sched: sim.NewScheduler(), warmup: path.Warmup, window: path.Measure, metrics: env.Metrics, wall: startStopwatch()}
+}
+
+// publishWall reports the wall time since the rig was built to the
+// run's registry; measure and drain call it, so the last one to run the
+// scheduler leaves the run's total.
+func (r *rig) publishWall() {
+	if r.metrics == nil {
+		return
+	}
+	wall := r.wall.elapsed().Seconds()
+	r.metrics.Gauge("sim.wall_seconds").Set(wall)
+	if s := r.sched.Now().Seconds(); s > 0 {
+		r.metrics.Gauge("sim.wall_seconds_per_sim_second").Set(wall / s)
+	}
 }
 
 // tap is one measured link and its counters where the window opened.

@@ -122,7 +122,7 @@ func sweepLabelled[T any](name string, env RunEnv, label func(i int) string, n i
 	if env.Cache != nil {
 		before = env.Cache.Stats()
 	}
-	start := time.Now()
+	start := startStopwatch()
 	durations := make([]time.Duration, n)
 	out := make([]T, n)
 	var regs []*metrics.Registry
@@ -145,14 +145,14 @@ func sweepLabelled[T any](name string, env RunEnv, label func(i int) string, n i
 				stop()
 			}
 		}()
-		t0 := time.Now()
+		t0 := startStopwatch()
 		var reg *metrics.Registry
 		if regs != nil {
 			reg = metrics.New()
 			regs[i] = reg
 		}
 		out[i] = point(i, env.cell(reg))
-		durations[i] = time.Since(t0)
+		durations[i] = t0.elapsed()
 	}
 
 	workers := env.Parallelism
@@ -199,7 +199,7 @@ func sweepLabelled[T any](name string, env RunEnv, label func(i int) string, n i
 // publishSweepStats surfaces orchestrator observations through the
 // existing metrics registry. It runs on one goroutine after the worker
 // pool has drained (the Registry is not goroutine-safe).
-func publishSweepStats(env RunEnv, n int, durations []time.Duration, start time.Time, before runcache.Stats) {
+func publishSweepStats(env RunEnv, n int, durations []time.Duration, start stopwatch, before runcache.Stats) {
 	reg := env.Metrics
 	if reg == nil {
 		return
@@ -217,7 +217,7 @@ func publishSweepStats(env RunEnv, n int, durations []time.Duration, start time.
 	}
 	reg.Counter("sweep.points_total").Add(int64(n))
 	reg.Counter("sweep.points_run").Add(int64(completed))
-	reg.Gauge("sweep.wall_seconds").Set(time.Since(start).Seconds())
+	reg.Gauge("sweep.wall_seconds").Set(start.elapsed().Seconds())
 	if completed > 0 {
 		reg.Gauge("sweep.point_wall_seconds_mean").Set(sum.Seconds() / float64(completed))
 		reg.Gauge("sweep.point_wall_seconds_max").SetMax(max.Seconds())

@@ -41,26 +41,19 @@ func TestSuiteComplete(t *testing.T) {
 }
 
 // TestAppliesToScopes pins which corners of the tree each analyzer
-// guards, so a scope regression (e.g. dropping tcp from the
-// deterministic core) fails loudly.
+// guards, so a scope regression (e.g. simdeterminism skipping a package
+// again) fails loudly.
 func TestAppliesToScopes(t *testing.T) {
+	// simdeterminism runs everywhere: the clock is confined by file name
+	// (wallclock.go), not by a list of packages.
+	if lint.SimDeterminism.AppliesTo != nil {
+		t.Error("simdeterminism has an AppliesTo filter; it must run on every package")
+	}
 	cases := []struct {
 		analyzer *lint.Analyzer
 		pkg      string
 		want     bool
 	}{
-		{lint.SimDeterminism, "bufsim/internal/sim", true},
-		{lint.SimDeterminism, "bufsim/internal/tcp", true},
-		{lint.SimDeterminism, "bufsim/internal/link", true},
-		{lint.SimDeterminism, "bufsim/internal/queue", true},
-		{lint.SimDeterminism, "bufsim/internal/experiment", true},
-		{lint.SimDeterminism, "bufsim/internal/workload", true},
-		{lint.SimDeterminism, "bufsim/internal/workload/profile", true},
-		{lint.SimDeterminism, "bufsim/internal/adversary", true},
-		{lint.SimDeterminism, "bufsim/internal/probe", true},
-		{lint.SimDeterminism, "bufsim", true},
-		{lint.SimDeterminism, "bufsim/cmd/paperexp", false}, // CLIs may read the wall clock
-		{lint.SimDeterminism, "bufsim/internal/metrics", false},
 		{lint.UnitSafety, "bufsim/internal/units", false}, // the units package defines the conversions
 		{lint.UnitSafety, "bufsim/internal/tcp", true},
 		{lint.UnitSafety, "bufsim/cmd/bufsim", true},

@@ -17,10 +17,12 @@ import (
 const ignorePrefix = "//lint:ignore"
 
 type ignoreDirective struct {
-	analyzers map[string]bool
-	line      int       // line the directive appears on
-	pos       token.Pos // directive position, for staleness findings
-	hits      int       // diagnostics this directive suppressed in this run
+	// hits maps each analyzer the directive names to the diagnostics it
+	// suppressed in this run: a name is judged stale on its own, so a
+	// live name cannot keep a dead one alive.
+	hits map[string]int
+	line int       // line the directive appears on
+	pos  token.Pos // directive position, for staleness findings
 }
 
 type ignoreIndex struct {
@@ -53,16 +55,16 @@ func newIgnoreIndex(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				names := make(map[string]bool)
+				names := make(map[string]int)
 				for _, n := range strings.Split(fields[0], ",") {
 					if n != "" {
-						names[n] = true
+						names[n] = 0
 					}
 				}
 				idx.byFile[pos.Filename] = append(idx.byFile[pos.Filename], &ignoreDirective{
-					analyzers: names,
-					line:      pos.Line,
-					pos:       c.Pos(),
+					hits: names,
+					line: pos.Line,
+					pos:  c.Pos(),
 				})
 			}
 		}
@@ -75,11 +77,11 @@ func newIgnoreIndex(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 // the staleness check.
 func (idx *ignoreIndex) suppressed(analyzer string, pos token.Position) bool {
 	for _, d := range idx.byFile[pos.Filename] {
-		if !d.analyzers[analyzer] {
+		if _, named := d.hits[analyzer]; !named {
 			continue
 		}
 		if pos.Line == d.line || pos.Line == d.line+1 {
-			d.hits++
+			d.hits[analyzer]++
 			return true
 		}
 	}
@@ -105,25 +107,15 @@ func (idx *ignoreIndex) directives() []*ignoreDirective {
 	return out
 }
 
-// stale returns the directives that suppressed nothing even though every
-// analyzer they name ran — dead weight that hides the next real finding
-// at that line. Directives naming an analyzer outside the run set are
-// skipped: a single-analyzer run can't judge them.
-func (idx *ignoreIndex) stale(ran map[string]bool) []*ignoreDirective {
-	var out []*ignoreDirective
-	for _, d := range idx.directives() {
-		if d.hits > 0 {
-			continue
-		}
-		covered := true
-		for name := range d.analyzers {
-			if !ran[name] {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			out = append(out, d)
+// dead returns the analyzer names the directive lists that ran and
+// suppressed nothing: dead weight that hides the next real finding at
+// that line. A name outside the run set is left out, since a run
+// without that analyzer can't judge it.
+func (d *ignoreDirective) dead(ran map[string]bool) []string {
+	var out []string
+	for _, name := range d.sortedNames() {
+		if ran[name] && d.hits[name] == 0 {
+			out = append(out, name)
 		}
 	}
 	return out
@@ -131,8 +123,8 @@ func (idx *ignoreIndex) stale(ran map[string]bool) []*ignoreDirective {
 
 // sortedNames returns the directive's analyzer list in sorted order.
 func (d *ignoreDirective) sortedNames() []string {
-	out := make([]string, 0, len(d.analyzers))
-	for n := range d.analyzers {
+	out := make([]string, 0, len(d.hits))
+	for n := range d.hits {
 		out = append(out, n)
 	}
 	sort.Strings(out)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -91,5 +92,39 @@ func f() int {
 		if f.Analyzer != "lintdirective" || !strings.Contains(f.Message, `unknown analyzer "`+bad+`"`) || f.Position.Line != 4 {
 			t.Errorf("%s: unexpected finding: %+v", names, f)
 		}
+	}
+}
+
+// TestMultiAnalyzerDirectiveStaleByName: a directive's names are judged
+// stale one by one. In the fixture, maporder,simdeterminism sits above a
+// map-order finding, so its maporder half is live; the simdeterminism
+// half suppresses nothing and must be reported, not kept alive by its
+// neighbour.
+func TestMultiAnalyzerDirectiveStaleByName(t *testing.T) {
+	mod, err := lint.FindModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := lint.NewLoader(mod, lint.Module{Dir: filepath.Join("testdata", "src")}).Load("staledirective")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The whole suite, unscoped: the fixture is not a bufsim package.
+	var suite []*lint.Analyzer
+	for _, a := range lint.Analyzers() {
+		cp := *a
+		cp.AppliesTo = nil
+		suite = append(suite, &cp)
+	}
+	findings, err := lint.RunAnalyzers(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, pkg.PkgPath, suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 {
+		t.Fatalf("got %d findings, want 1: %v", len(findings), findings)
+	}
+	f := findings[0]
+	if f.Analyzer != "lintstale" || !strings.Contains(f.Message, "no simdeterminism finding fires here") || f.Position.Line != 10 {
+		t.Errorf("unexpected finding: %+v", f)
 	}
 }

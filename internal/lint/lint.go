@@ -7,19 +7,18 @@
 // hooks) catch drift after it happens; this package catches the usual
 // sources of drift at compile time:
 //
-//   - simdeterminism: no wall clock or global math/rand in the
-//     deterministic core; wall reads that provably flow only to
-//     telemetry sinks are exempt (dataflow-based).
+//   - simdeterminism: no global math/rand and no waiting on the wall
+//     clock anywhere, and no wall-clock read outside a file named
+//     wallclock.go, whose readings may reach telemetry and nothing else.
 //   - maporder: no order-dependent work inside `range` over a map.
 //   - unitsafety: no bare numeric literals or cross-unit conversions
 //     where units.* quantities are expected.
 //
 // The analyzers mirror the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but are built purely on the standard
-// library so the module stays dependency-free; simdeterminism's flow
-// check runs on the intraprocedural engine in dataflow.go. Run drives the suite
-// over a module from source; cmd/buflint and TestTreeIsClean both call
-// it.
+// library so the module stays dependency-free. All three are syntactic
+// checks over the type-checked AST. Run drives the suite over a module
+// from source; cmd/buflint and TestTreeIsClean both call it.
 //
 // Intentional exceptions are suppressed in source with
 //
@@ -27,9 +26,10 @@
 //
 // on, or on the line before, the offending line. A directive without a
 // reason, or naming an analyzer outside the suite, is itself a
-// diagnostic (lintdirective), and so is a directive whose finding no
-// longer fires (lintstale): suppressions may only cover live findings,
-// so the count can only shrink.
+// diagnostic (lintdirective), and so is a directive naming an analyzer
+// whose finding no longer fires there (lintstale), each name judged on
+// its own: suppressions may only cover live findings, so the count can
+// only shrink.
 package lint
 
 import (
@@ -114,9 +114,10 @@ func Analyzers() []*Analyzer {
 // diagnostics in _test.go files are dropped (the determinism contract
 // binds the simulator, not its tests), malformed directives and
 // directives naming an analyzer outside Analyzers() are reported under
-// the pseudo-analyzer "lintdirective", and directives that suppressed
-// nothing even though every analyzer they name ran are reported under
-// "lintstale". Findings are sorted by position.
+// the pseudo-analyzer "lintdirective", and a directive that names an
+// analyzer which ran and suppressed nothing there is reported under
+// "lintstale", each such name judged on its own. Findings are sorted by
+// position.
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, pkgPath string, analyzers []*Analyzer) ([]Finding, error) {
 	var diags []Diagnostic
 	ran := make(map[string]bool)
@@ -167,16 +168,17 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 		suite = append(suite, a.Name)
 	}
 	for _, d := range idx.directives() {
-		for _, n := range d.sortedNames() {
+		pos := fset.Position(d.pos)
+		names := d.sortedNames()
+		for _, n := range names {
 			if !known[n] {
 				// It never runs, so the directive could never go stale.
-				emit(fset.Position(d.pos), "lintdirective", fmt.Sprintf("//lint:ignore names unknown analyzer %q (the suite is %s)", n, strings.Join(suite, ", ")))
+				emit(pos, "lintdirective", fmt.Sprintf("//lint:ignore names unknown analyzer %q (the suite is %s)", n, strings.Join(suite, ", ")))
 			}
 		}
-	}
-	for _, d := range idx.stale(ran) {
-		pos := fset.Position(d.pos)
-		emit(pos, "lintstale", fmt.Sprintf("stale //lint:ignore %s directive: no suppressed finding fires here anymore; delete it", strings.Join(d.sortedNames(), ",")))
+		if dead := d.dead(ran); len(dead) > 0 {
+			emit(pos, "lintstale", fmt.Sprintf("stale //lint:ignore %s directive: no %s finding fires here anymore; delete that name", strings.Join(names, ","), strings.Join(dead, ",")))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Position, out[j].Position

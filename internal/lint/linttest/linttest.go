@@ -166,13 +166,3 @@ func matchQuoted(s string) int {
 	}
 	return -1
 }
-
-// RunAll is a convenience for driving several fixture packages through
-// several analyzers in one test table.
-func RunAll(t *testing.T, cases map[*lint.Analyzer][]string) {
-	t.Helper()
-	for a, pkgs := range cases {
-		a, pkgs := a, pkgs
-		t.Run(a.Name, func(t *testing.T) { Run(t, a, pkgs...) })
-	}
-}

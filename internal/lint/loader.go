@@ -182,7 +182,9 @@ func FindModule(dir string) (Module, error) {
 // ExpandPatterns resolves go-style package patterns ("./...",
 // "./internal/...", "./cmd/bufsim") against a module into the import
 // paths of every directory that holds buildable Go files. testdata and
-// hidden directories are skipped, as the go tool does.
+// hidden directories are skipped, as the go tool does, and so is a
+// nested module (a directory with its own go.mod, such as benchmark/):
+// its packages are not the module's.
 func ExpandPatterns(mod Module, patterns []string) ([]string, error) {
 	seen := make(map[string]bool)
 	var out []string
@@ -245,6 +247,9 @@ func ExpandPatterns(mod Module, patterns []string) ([]string, error) {
 			}
 			name := d.Name()
 			if p != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil && p != mod.Dir {
 				return filepath.SkipDir
 			}
 			if hasGo(p) {

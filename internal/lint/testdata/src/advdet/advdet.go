@@ -2,7 +2,8 @@
 // generation: a pulse train or lockstep cohort is only adversarial if
 // it replays identically, so its epochs come from the simulated clock
 // and any jitter from a seeded stream. Wall-clock anchoring and global
-// math/rand jitter are violations; pure phase arithmetic is not.
+// math/rand jitter are violations; pure phase arithmetic and the
+// generation timing in wallclock.go are not.
 package advdet
 
 import (
@@ -17,10 +18,10 @@ type train struct {
 
 // badEpochs anchors the burst phase at the machine's clock and jitters
 // it from the process-global source: the "synchronized" cohort would
-// drift apart between runs. The time.Now read is exempt (it flows only
-// into time.Since); the finding sits on the escaping Since result.
+// drift apart between runs. Outside wallclock.go both clock reads are
+// findings.
 func badEpochs(trains []train) []time.Duration {
-	epoch := time.Now() // exempt: flows only into time.Since below
+	epoch := time.Now() // want `wall-clock time\.Now`
 	var starts []time.Duration
 	for _, tr := range trains {
 		jitter := time.Duration(rand.Int63n(int64(tr.Period))) // want `global math/rand\.Int63n`

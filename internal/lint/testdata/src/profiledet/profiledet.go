@@ -1,8 +1,8 @@
 // Package profiledet is the simdeterminism fixture for workload-profile
 // shapes: compiling a time-varying profile into an arrival schedule must
 // be a pure function of (curve, seed). Wall-clock anchoring and global
-// math/rand thinning are violations; seeded streams and pure
-// control-point arithmetic are not.
+// math/rand thinning are violations; seeded streams, pure control-point
+// arithmetic and the compile timing in wallclock.go are not.
 package profiledet
 
 import (
@@ -17,11 +17,10 @@ type point struct {
 
 // badCompile anchors the schedule at the machine's clock and draws the
 // thinning acceptance from the process-global source: the same profile
-// would compile differently on every run. The time.Now read itself is
-// exempt (it flows only into time.Since); the finding sits on the
-// Since result escaping into the returned schedule.
+// would compile differently on every run. Outside wallclock.go both
+// clock reads are findings.
 func badCompile(curve []point) []time.Duration {
-	start := time.Now() // exempt: flows only into time.Since below
+	start := time.Now() // want `wall-clock time\.Now`
 	var schedule []time.Duration
 	for _, p := range curve {
 		if rand.Float64() < p.V { // want `global math/rand\.Float64`

@@ -1,29 +1,26 @@
-// Package simdet is the simdeterminism fixture: wall-clock reads whose
-// values escape and global math/rand draws are violations; reads that
-// provably flow only to telemetry sinks (stderr, confined in-package
-// helpers), seeded streams, and plain type uses are not.
+// Package simdet is the simdeterminism fixture: wall-clock reads
+// outside wallclock.go, waits on the machine clock and global math/rand
+// draws are violations; the reads in wallclock.go, seeded streams, and
+// plain type uses are not.
 package simdet
 
 import (
-	"fmt"
 	"math/rand"
-	"os"
 	"time"
 )
 
-// wallClock leaks the elapsed reading to its caller: the time.Since
-// result escapes, and the Sleep is a finding wherever it appears. The
-// time.Now feeding only time.Since is exempt — the finding sits on the
-// escape, not the read that stayed inside.
+// wallClock leaks the elapsed reading to its caller. Outside
+// wallclock.go every read is a finding, the one that feeds only
+// time.Since included, and the Sleep is a finding in every file.
 func wallClock() time.Duration {
-	start := time.Now()          // exempt: flows only into time.Since below
+	start := time.Now()          // want `wall-clock time\.Now`
 	time.Sleep(time.Millisecond) // want `wall-clock time\.Sleep`
 	return time.Since(start)     // want `wall-clock time\.Since`
 }
 
 // wallLeak returns the raw clock reading itself.
 func wallLeak() time.Time {
-	return time.Now() // want `wall-clock time\.Now in deterministic package`
+	return time.Now() // want `wall-clock time\.Now in simdet outside wallclock\.go`
 }
 
 func timers() {
@@ -56,24 +53,11 @@ func typesOnly(d time.Duration) time.Duration {
 	return d * 2
 }
 
+// work stands in for the code a stopwatch times.
 func work() {}
 
-// observeWall is a telemetry helper: its parameter goes only to stderr
-// progress output, so the confinement summary marks it a safe sink.
-func observeWall(d time.Duration) {
-	fmt.Fprintf(os.Stderr, "progress: %v\n", d)
-}
-
-// confinedHelper times work for progress output only: the read flows
-// into a helper whose summary proves the parameter confined.
-func confinedHelper() {
-	t0 := time.Now() // exempt: reaches only the confined helper
-	work()
-	observeWall(time.Since(t0)) // exempt: observeWall's parameter is confined
-}
-
-// recordWall stores its argument in package state, so it is NOT a
-// confined sink and callers handing it wall time leak.
+// recordWall stores its argument in package state: a read handed to it
+// outside wallclock.go is a finding like any other.
 var lastElapsed time.Duration
 
 func recordWall(d time.Duration) {
@@ -81,27 +65,9 @@ func recordWall(d time.Duration) {
 }
 
 func leakyHelper() {
-	t0 := time.Now() // exempt: flows only into time.Since
+	t0 := time.Now() // want `wall-clock time\.Now`
 	work()
 	recordWall(time.Since(t0)) // want `wall-clock time\.Since`
-}
-
-// aggregate exercises the container-store propagation: durations stored
-// in a local slice stay local, and the slice reaches only a confined
-// reporter — exempt end to end.
-func aggregate(n int) {
-	t0 := time.Now()
-	ds := make([]time.Duration, n)
-	for i := range ds {
-		ds[i] = time.Since(t0)
-	}
-	reportDurations(ds)
-}
-
-func reportDurations(ds []time.Duration) {
-	for _, d := range ds {
-		fmt.Fprintln(os.Stderr, d)
-	}
 }
 
 // suppressed demonstrates the escape hatch: the directive names the
