@@ -194,7 +194,7 @@ func runMixedUncached(cfg MixedConfig, label string) AFCTOutcome {
 
 	w := b.measure(nil)
 	gen.Stop()
-	b.drain(60 * units.Second)
+	b.drain(60*units.Second, w, gen)
 	afct, completed, censored := workload.RecordAFCT(gen.Records(), w.from, w.to)
 	return AFCTOutcome{
 		Label: label, BufferPackets: cfg.BufferPackets, AFCT: afct,

@@ -273,9 +273,34 @@ func (r *rig) measure(atWarmEnd func()) []window {
 	return ws
 }
 
-// drain runs on past the window so stragglers can finish.
-func (r *rig) drain(d units.Duration) {
-	r.sched.Run(r.sched.Now().Add(d))
+// drainSlice is the simulated time drain runs between looks at the
+// window's flows: short beside a drain's bound, so little runs past the
+// last completion, and long beside the gap between events, so the looks
+// cost nothing.
+const drainSlice = 10 * units.Millisecond
+
+// drain runs the clock on past w until every flow of drv's that started
+// in w has completed, and for at most d: a run left with a censored flow
+// runs all of d. drv must be stopped, so its records no longer grow; a
+// cursor walks them in launch order, passing each settled one once. The
+// clock moves in drainSlice steps and drain posts no event, so what it
+// runs is a prefix of a full drain's and every windowed completion time
+// is the same.
+func (r *rig) drain(d units.Duration, w window, drv workload.Driver) {
+	end := r.sched.Now().Add(d)
+	for now, settled := r.sched.Now(), 0; now < end; {
+		recs := drv.Records()
+		for ; settled < len(recs); settled++ {
+			if r := recs[settled]; r.StartedIn(w.from, w.to) && r.Completed == units.Never {
+				break
+			}
+		}
+		if settled == len(recs) {
+			break
+		}
+		now = min(now.Add(drainSlice), end)
+		r.sched.Run(now)
+	}
 	r.publishWall()
 }
 

@@ -9,6 +9,7 @@ import (
 	"bufsim/internal/model"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
+	"bufsim/internal/workload/profile"
 )
 
 // TestTelemetryReachesEveryBody runs each of the twelve scenario bodies
@@ -122,5 +123,48 @@ func TestTelemetryReachesEveryBody(t *testing.T) {
 				t.Errorf("no packet-pool telemetry: counters %v", snap.Counters)
 			}
 		})
+	}
+}
+
+// TestDrainEndsWithLastWindowedFlow pins when a drain stops: as soon as
+// every flow that started in the window has completed, with the
+// configured Drain only an upper bound. Long-lived flows keep the link
+// busy throughout, so the early end is the drain's own, not an idle
+// scheduler's.
+func TestDrainEndsWithLastWindowedFlow(t *testing.T) {
+	const warmup, measure = 2 * units.Second, 4 * units.Second
+	rate := 10 * units.Mbps
+	sizes := workload.FixedSize(14)
+	run := func(drain units.Duration) (ProfileRunResult, float64) {
+		reg := metrics.New()
+		res := RunProfile(ProfileRunConfig{
+			Scenario:      Scenario{Seed: 5, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}},
+			BufferPackets: 40,
+			Source: profile.Source{
+				Profile: profile.Constant.Profile().ScaleTo(workload.ArrivalRateForLoad(0.6, rate, units.DefaultSegment, sizes), 5),
+				Sizes:   sizes,
+				TCP:     capped(32),
+				LongTCP: capped(0),
+			},
+			Drain:  drain,
+			RunEnv: RunEnv{Metrics: reg},
+		})
+		return res, reg.Snapshot().Gauges["sim.time_seconds"]
+	}
+
+	res, clock := run(30 * units.Second)
+	if res.Completed == 0 || res.Censored != 0 {
+		t.Fatalf("30s drain: %d completed, %d censored; want every windowed flow complete", res.Completed, res.Censored)
+	}
+	if full := units.Epoch.Add(warmup + measure + 30*units.Second).Seconds(); clock >= full {
+		t.Errorf("30s drain: clock reads %vs, want it stopped before the bound %vs", clock, full)
+	}
+
+	res, clock = run(units.Millisecond)
+	if res.Censored == 0 {
+		t.Fatalf("1ms drain: no censored flow (%d completed); the case needs one in flight", res.Completed)
+	}
+	if want := units.Epoch.Add(warmup + measure + units.Millisecond).Seconds(); clock != want {
+		t.Errorf("1ms drain with a censored flow: clock reads %vs, want the full bound %vs", clock, want)
 	}
 }

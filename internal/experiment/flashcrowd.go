@@ -33,8 +33,10 @@ type ProfileRunConfig struct {
 
 	Stations int
 
-	// Drain is how long after the measurement window flows may finish
-	// before being counted censored (default 30s).
+	// Drain is at most how long the run goes on after the measurement
+	// window for flows that started in it to finish; it ends sooner
+	// once they all have, and those still running at Drain count as
+	// censored (default 30s).
 	Drain units.Duration
 
 	// RunEnv: Metrics, Audit and Cache.
@@ -117,8 +119,7 @@ func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 	w := b.measure(nil)
 	active = w.of(active)
 	drv.Stop()
-	// Drain so flows that started in the window can complete.
-	b.drain(cfg.Drain)
+	b.drain(cfg.Drain, w, drv)
 
 	res := ProfileRunResult{
 		Utilization: w.Utilization,
@@ -165,6 +166,8 @@ type FlashCrowdConfig struct {
 	// {5%, 12.5%, 25%, 50%, 100%} of the bandwidth-delay product.
 	Buffers []int
 
+	// Drain bounds each point's drain as ProfileRunConfig.Drain does:
+	// at most this long past the window (default 30s).
 	Drain units.Duration
 
 	// RunEnv: the sweep is cached and cancellable like every other. With

@@ -185,7 +185,7 @@ func runProductionPoint(cfg ProductionConfig, env RunEnv, buffer int, bdp float6
 
 	w := b.measure(nil)
 	gen.Stop()
-	b.drain(30 * units.Second)
+	b.drain(30*units.Second, w, gen)
 	afct, completed, _ := workload.RecordAFCT(gen.Records(), w.from, w.to)
 
 	meanConc := stats.Mean(w.of(concurrent).Values)

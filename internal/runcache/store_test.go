@@ -2,9 +2,13 @@ package runcache
 
 import (
 	"encoding/json"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -77,6 +81,74 @@ func TestStoreCorruptBlobIsMiss(t *testing.T) {
 	}
 	if _, ok := s.Get(key); ok {
 		t.Fatalf("corrupt blob served as a hit")
+	}
+}
+
+// TestWritersRaceOnOneKey puts distinct valid blobs under one key from
+// several goroutines while others read it: the temp-file-and-rename
+// write means a reader sees either no blob or one complete blob some
+// writer wrote, never a torn mix, and no temp file outlives its Put.
+func TestWritersRaceOnOneKey(t *testing.T) {
+	type blob struct {
+		Writer, Round int
+		Pad           string // long enough that a torn write could show
+	}
+	const writers, readers, rounds = 4, 4, 40
+	want := func(w, r int) blob {
+		return blob{Writer: w, Round: r, Pad: strings.Repeat(string(rune('a'+w)), 4096+r)}
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key("s", "race", payload{N: 9})
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := s.Put(key, want(w, r)); err != nil {
+					t.Errorf("writer %d round %d: %v", w, r, err)
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				raw, ok := s.Get(key)
+				if !ok {
+					continue
+				}
+				var got blob
+				if err := json.Unmarshal(raw, &got); err != nil {
+					t.Errorf("hit does not decode: %v", err)
+					continue
+				}
+				if got.Writer < 0 || got.Writer >= writers || got.Round < 0 || got.Round >= rounds ||
+					!reflect.DeepEqual(got, want(got.Writer, got.Round)) {
+					t.Errorf("hit is no blob a writer wrote: writer %d round %d, %d-byte pad", got.Writer, got.Round, len(got.Pad))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	err = filepath.WalkDir(s.Dir(), func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasPrefix(d.Name(), ".tmp-") {
+			t.Errorf("temp file left behind: %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Puts != writers*rounds || st.PutErrors != 0 {
+		t.Errorf("stats = %+v, want %d puts and no put errors", st, writers*rounds)
 	}
 }
 

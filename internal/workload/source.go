@@ -28,7 +28,11 @@ type Source interface {
 type Driver interface {
 	// Start begins generating traffic at the current simulated time.
 	Start()
-	// Stop halts new flow launches; in-flight flows run to completion.
+	// Stop halts new flow launches: Records gains no entry and
+	// Generated no count after it. In-flight flows run on for as long as
+	// the simulation does; an experiment's drain runs it at most its
+	// Drain past the window, and ends sooner once every flow that started
+	// in the window has completed.
 	Stop()
 	// Active returns the number of flows currently in flight — the
 	// paper's instantaneous n(t).
@@ -48,7 +52,7 @@ type Driver interface {
 func RecordAFCT(records []*FlowRecord, from, to units.Time) (afct units.Duration, completed, censored int) {
 	var sum units.Duration
 	for _, r := range records {
-		if r.Start < from || r.Start > to {
+		if !r.StartedIn(from, to) {
 			continue
 		}
 		if r.Completed == units.Never {

@@ -120,6 +120,12 @@ func (r FlowRecord) Duration() units.Duration {
 	return r.Completed.Sub(r.Start)
 }
 
+// StartedIn reports whether the flow started in [from, to], the window
+// RecordAFCT averages over.
+func (r FlowRecord) StartedIn(from, to units.Time) bool {
+	return r.Start >= from && r.Start <= to
+}
+
 // PoissonSource is the stationary workload (§4): Poisson arrivals of
 // finite flows at a fixed offered load.
 type PoissonSource struct {

@@ -172,8 +172,10 @@ type Generated struct {
 	// Stations is how many access links share the bottleneck (default
 	// 50).
 	Stations int
-	// Drain is how long after the measurement window flows may finish
-	// before they count as censored (default 30 s).
+	// Drain is at most how long the run goes on after the measurement
+	// window for flows that started in it to finish; it ends sooner
+	// once they all have, and those still running at Drain count as
+	// censored (default 30 s).
 	Drain Duration
 }
 
