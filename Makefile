@@ -91,14 +91,17 @@ quick-golden:
 	$(GO) run ./cmd/paperexp -quick -exp all | grep -v '^(' | diff -u cmd/paperexp/testdata/quick_all.txt -
 
 # bufsim-golden pins cmd/bufsim's stdout the way quick-golden pins
-# paperexp's: one short run per scenario the binary has (long-lived,
-# -workload, -adversary, -config) against cmd/bufsim/testdata. The
+# paperexp's: one short run per scenario the binary has (long-lived
+# under drop-tail and RED, -workload, -adversary, -config) against
+# cmd/bufsim/testdata. The
 # repository benchmark parses the `measured:` line and compares stdout
 # digests, so none of it may move by accident.
 bufsim-golden:
 	$(GO) build -o $(BIN)/bufsim ./cmd/bufsim
 	$(BIN)/bufsim -rate 20Mbps -flows 20 -warmup 2s -measure 5s \
 		| diff -u cmd/bufsim/testdata/longlived.txt -
+	$(BIN)/bufsim -rate 20Mbps -flows 20 -warmup 2s -measure 5s -red \
+		| diff -u cmd/bufsim/testdata/longlived_red.txt -
 	$(BIN)/bufsim -rate 20Mbps -flows 10 -workload constant -red -variant sack -warmup 1s -measure 4s \
 		| diff -u cmd/bufsim/testdata/workload_red_sack.txt -
 	$(BIN)/bufsim -rate 20Mbps -flows 8 -warmup 1s -measure 4s -adversary pulse \

@@ -252,8 +252,8 @@ func TestParkingLotLoadBuild(t *testing.T) {
 	// Every link is loaded; with synchronized starts each hop's queue
 	// sees congestion, not just a single bottleneck.
 	congested := 0
-	for _, dt := range p.DropTails {
-		if dt.Stats().DroppedPackets > 0 {
+	for _, l := range p.Links {
+		if l.Queue().Stats().DroppedPackets > 0 {
 			congested++
 		}
 	}

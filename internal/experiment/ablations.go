@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"bufsim/internal/model"
 	"bufsim/internal/stats"
 	"bufsim/internal/trace"
@@ -47,7 +49,8 @@ type PacingPoint struct {
 // RunPacingAblation executes the pacing comparison.
 func RunPacingAblation(cfg PacingConfig) PacingTable {
 	cfg = cfg.withDefaults()
-	return sweep("pacing", cfg.RunEnv, len(cfg.BufferFactors), func(i int, cell RunEnv) PacingPoint {
+	label := func(i int) string { return fmt.Sprintf("factor=%g", cfg.BufferFactors[i]) }
+	return sweep("pacing", cfg.RunEnv, label, len(cfg.BufferFactors), func(i int, cell RunEnv) PacingPoint {
 		f := cfg.BufferFactors[i]
 		unpaced := LongLivedConfig{
 			Scenario: cfg.Scenario, N: cfg.N,
@@ -157,7 +160,8 @@ func RunSmoothing(cfg SmoothingConfig) SmoothingTable {
 	cfg = cfg.withDefaults()
 	moments := model.MomentsForFlowLength(cfg.FlowLen, 2, cfg.MaxWindow)
 
-	return SmoothingTable{TailAt: cfg.TailAt, Points: sweep("smoothing", cfg.RunEnv, len(cfg.AccessRatios), func(i int, cell RunEnv) SmoothingPoint {
+	label := func(i int) string { return fmt.Sprintf("access=%g", cfg.AccessRatios[i]) }
+	return SmoothingTable{TailAt: cfg.TailAt, Points: sweep("smoothing", cfg.RunEnv, label, len(cfg.AccessRatios), func(i int, cell RunEnv) SmoothingPoint {
 		ratio := cfg.AccessRatios[i]
 		run := cfg
 		run.RunEnv = cell

@@ -168,7 +168,10 @@ func (r AdversarialRow) Table() string { return AdversarialTable{r}.Table() }
 // orchestrator (parallel and cached, so a rerun resumes from the cache).
 func RunAdversarial(cfg AdversarialConfig) AdversarialTable {
 	cfg = cfg.withDefaults()
-	return sweep("adversarial", cfg.RunEnv, len(cfg.Patterns)*len(cfg.BufferFactors), func(i int, cell RunEnv) AdversarialRow {
+	label := func(i int) string {
+		return fmt.Sprintf("pattern=%s,factor=%g", cfg.Patterns[i/len(cfg.BufferFactors)], cfg.BufferFactors[i%len(cfg.BufferFactors)])
+	}
+	return sweep("adversarial", cfg.RunEnv, label, len(cfg.Patterns)*len(cfg.BufferFactors), func(i int, cell RunEnv) AdversarialRow {
 		factor := cfg.BufferFactors[i%len(cfg.BufferFactors)]
 		pc := adversarialPointConfig{AdversaryScenario{
 			Scenario:        cfg.Scenario,

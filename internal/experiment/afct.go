@@ -212,7 +212,7 @@ func RunAFCTComparison(cfg AFCTComparisonConfig) AFCTComparisonResult {
 	labels := []string{"RTT*C", "RTT*C/sqrt(n)"}
 	buffers := []int{max(1, bdp), cfg.SqrtRule(cfg.NLong)}
 	label := func(i int) string { return labels[i] }
-	out := sweepLabelled("afct-comparison", cfg.RunEnv, label, len(labels), func(i int, cell RunEnv) AFCTOutcome {
+	out := sweep("afct-comparison", cfg.RunEnv, label, len(labels), func(i int, cell RunEnv) AFCTOutcome {
 		run := MixedConfig{AFCTComparisonConfig: cfg, BufferPackets: buffers[i]}
 		run.RunEnv = cell
 		return runMixedOnce(run, labels[i])

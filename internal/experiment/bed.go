@@ -76,7 +76,7 @@ func newBed(c bedConfig) *bed {
 	}
 	b.d = topology.NewDumbbell(tc)
 	instrumentDumbbell(c.env.Metrics, b.sched, b.d)
-	b.taps = []tap{{l: b.d.Bottleneck, dt: b.d.DropTail}}
+	b.taps = []tap{{l: b.d.Bottleneck}}
 	return b
 }
 
@@ -167,7 +167,7 @@ func newLot(env RunEnv, hops int, path Path, buffer int) *lot {
 		name := fmt.Sprintf("core%d", i)
 		queue.Instrument(env.Metrics, name, l.Queue())
 		l.Instrument(env.Metrics, name)
-		b.taps = append(b.taps, tap{l: l, dt: b.p.DropTails[i]})
+		b.taps = append(b.taps, tap{l: l})
 	}
 	return b
 }
@@ -207,7 +207,6 @@ func (r *rig) publishWall() {
 // tap is one measured link and its counters where the window opened.
 type tap struct {
 	l    *link.Link
-	dt   *queue.DropTail // nil unless the link's queue is drop-tail
 	busy units.Duration
 	qs   queue.Stats
 }
@@ -222,7 +221,7 @@ type window struct {
 	dropped, offered int64
 	LossRate         float64
 	// MeanQueue is the time-averaged occupancy over the window and
-	// PeakQueue its maximum, in packets; 0 unless the queue is drop-tail.
+	// PeakQueue its maximum, in packets.
 	MeanQueue float64
 	PeakQueue int
 }
@@ -236,9 +235,9 @@ func lossRate(dropped, offered int64) float64 {
 }
 
 // measure runs to the end of the warm-up and opens the window there:
-// busy time and queue counters are snapshotted and every drop-tail
-// occupancy epoch reset, so MeanQueue and PeakQueue cover the window
-// only. Then atWarmEnd (nil for none) lets the body snapshot its own
+// busy time and queue counters are snapshotted and every link's
+// occupancy measurement restarted, so MeanQueue and PeakQueue cover the
+// window only. Then atWarmEnd (nil for none) lets the body snapshot its own
 // counters or start a window-only sampler, the window runs, each tap is
 // read and the wall-clock cost so far is published.
 func (r *rig) measure(atWarmEnd func()) []window {
@@ -247,9 +246,7 @@ func (r *rig) measure(atWarmEnd func()) []window {
 	for i := range r.taps {
 		t := &r.taps[i]
 		t.busy, t.qs = t.l.BusyTime(), t.l.Queue().Stats()
-		if t.dt != nil {
-			t.dt.ResetOccupancy(from)
-		}
+		t.l.RestartOccupancy()
 	}
 	if atWarmEnd != nil {
 		atWarmEnd()
@@ -264,9 +261,7 @@ func (r *rig) measure(atWarmEnd func()) []window {
 		w.dropped = qs.DroppedPackets - t.qs.DroppedPackets
 		w.offered = qs.EnqueuedPackets - t.qs.EnqueuedPackets + w.dropped
 		w.LossRate = lossRate(w.dropped, w.offered)
-		if t.dt != nil {
-			w.MeanQueue, w.PeakQueue = t.dt.MeanOccupancy(to), t.dt.MaxOccupancy()
-		}
+		w.MeanQueue, w.PeakQueue = t.l.Occupancy()
 		ws[i] = w
 	}
 	r.publishWall()

@@ -124,7 +124,10 @@ func (t CCFamilyTable) Table() string {
 // other).
 func RunCCFamily(cfg CCFamilyConfig) CCFamilyTable {
 	cfg = cfg.withDefaults()
-	return sweep("ccfamily", cfg.RunEnv, len(cfg.Variants)*len(cfg.Ns), func(i int, cell RunEnv) CCFamilyPoint {
+	label := func(i int) string {
+		return fmt.Sprintf("variant=%s,n=%d", cfg.Variants[i/len(cfg.Ns)], cfg.Ns[i%len(cfg.Ns)])
+	}
+	return sweep("ccfamily", cfg.RunEnv, label, len(cfg.Variants)*len(cfg.Ns), func(i int, cell RunEnv) CCFamilyPoint {
 		return runCCFamilyPoint(cfg, cell, cfg.Variants[i/len(cfg.Ns)], cfg.Ns[i%len(cfg.Ns)])
 	})
 }

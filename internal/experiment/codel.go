@@ -56,7 +56,8 @@ func RunCoDel(cfg CoDelConfig) CoDelTable {
 		{"droptail RTTxC", ruleOfThumb, DropTail},
 		{"codel (RTTxC capacity)", ruleOfThumb, CoDel},
 	}
-	return sweep("codel", cfg.RunEnv, len(designs), func(i int, cell RunEnv) CoDelRow {
+	label := func(i int) string { return "design=" + designs[i].label }
+	return sweep("codel", cfg.RunEnv, label, len(designs), func(i int, cell RunEnv) CoDelRow {
 		d := designs[i]
 		run := LongLivedConfig{Scenario: cfg.Scenario, N: cfg.N, BufferPackets: d.buffer, RunEnv: cell}
 		run.Queue = d.queue

@@ -253,9 +253,9 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 }
 
 // TestCacheKeysStable pins five literal cache keys, recorded when
-// cacheSalt became bufsim-results-v3 (the configs' seed, path, queue
-// discipline and sender moved into the embedded Scenario, which moved
-// every key): one run kind,
+// cacheSalt became bufsim-results-v4 (queue occupancy became the link's,
+// so RED and CoDel runs report a measured mean and peak queue): one run
+// kind,
 // the short-flow point as the profile scenario it is, a key nesting one
 // config in another, a grid point three embeddings deep, and a sweep
 // checkpoint key. While cacheSalt stands, so must every key — a mismatch
@@ -273,23 +273,23 @@ func TestCacheKeysStable(t *testing.T) {
 		{"long-lived", LongLivedConfig{
 			Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second, Measure: 5 * units.Second}, Sender: Sender{Variant: tcp.Cubic, Paced: true}}, N: 40, BufferPackets: 25,
 			RunEnv: env,
-		}.withDefaults(), "adbe149491f0ae31771a20b407efbf92cd0497eef34eeaf14c598efac1c8e04a"},
+		}.withDefaults(), "1343fd70148b0778d4d44773209a351586ce78103718a27d9e8ece457298167e"},
 		{"profile", shortFlowRun(3, 20*units.Mbps, 0.7, 14, 50,
-			4*units.Second, 10*units.Second, env).withDefaults(), "8fbf0d33b2a70998a53b350e921462f2a7e6800c2b0b4f73a3cb1769b5e6ec35"},
+			4*units.Second, 10*units.Second, env).withDefaults(), "463e31b99595537ab70b009a5f6b477b45c519a508ffa3e447325e07eb103d9b"},
 		{"mixed", mixedKey{
 			Base: MixedConfig{AFCTComparisonConfig{
 				Scenario: Scenario{Seed: 5, Path: Path{BottleneckRate: 20 * units.Mbps}}, NLong: 30, Sizes: workload.GeometricSize(14), RunEnv: env,
 			}.withDefaults(), 250},
 			Label: "RTT*C",
-		}, "0ecaf1d0b65b42f5db572eea49791ccd20d18c9b7b1a19268448e6027c566c6c"},
+		}, "ff22ddf5a400526a8a686f5277882d5c2a0f539c796ca8c7d0e81abe2021e7a4"},
 		{"adversarial", adversarialPointConfig{AdversaryScenario{
 			Scenario: Scenario{Seed: 2, Path: Path{BottleneckRate: 20 * units.Mbps}}, Pattern: adversary.PatternSyncAIMD, BufferPackets: 25,
 			AdversaryCohort: AdversaryCohort{N: 8},
 			RunEnv:          env,
-		}.withDefaults(), 0.1}, "4c78a68d5598dd189df1d2930bdfded99450fbfd6275bbe3e15812d30ab70d88"},
+		}.withDefaults(), 0.1}, "27b4da6bac1f431cb5996d478cada791b0f9ef80d01ee0649ef5b5bca5c1807f"},
 		{"sweep:utilization-table", UtilizationTableConfig{
 			Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps}, Queue: RED}, Ns: []int{50, 100}, Factors: []float64{0.5, 1}, RunEnv: env,
-		}.withDefaults(), "04c9d3ce633e840e6f1f83462e8782f918c7367dbb0a8c47e1344467740c17ad"},
+		}.withDefaults(), "0f230a0dfdb7bb54ed1bb5f0621b59417af1f014cb3fc821e7c188392f483730"},
 	} {
 		if got := pointKey(tc.kind, tc.cfg); got != tc.want {
 			t.Errorf("%s key = %s, want %s", tc.kind, got, tc.want)

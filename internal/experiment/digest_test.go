@@ -60,7 +60,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "long_lived_red_ecn",
-		want: "add72eca42d9e202e691005e4425cd7e85da6dbbe0048ec004e420a7366c35d1",
+		want: "74a83c61549355af357e1c26b6465a768323cbd3420796908e30ef819164b031",
 		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Scenario: Scenario{Seed: 3, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second}, Queue: REDECN}, N: 20,

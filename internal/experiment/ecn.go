@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"bufsim/internal/units"
 )
 
@@ -44,7 +46,8 @@ func RunECN(cfg ECNConfig) ECNResult {
 	cfg = cfg.withDefaults()
 	buffer := cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N)
 	arms := []Queue{RED, REDECN}
-	res := sweep("ecn", cfg.RunEnv, len(arms), func(i int, cell RunEnv) LongLivedResult {
+	label := func(i int) string { return fmt.Sprintf("queue=%s", arms[i]) }
+	res := sweep("ecn", cfg.RunEnv, label, len(arms), func(i int, cell RunEnv) LongLivedResult {
 		run := LongLivedConfig{Scenario: cfg.Scenario, N: cfg.N, BufferPackets: buffer, RunEnv: cell}
 		run.Queue = arms[i]
 		return RunLongLived(run)

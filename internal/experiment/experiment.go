@@ -82,7 +82,7 @@ type LongLivedResult struct {
 	// LossRate is the bottleneck drop fraction over the window.
 	LossRate float64
 	// MeanQueue is the time-averaged bottleneck occupancy in packets
-	// (drop-tail runs only; 0 under RED).
+	// over the window, under any queue discipline.
 	MeanQueue float64
 	// RetransmitFraction is retransmitted segments / segments sent over
 	// the window, across all senders: the efficiency cost of small
@@ -208,7 +208,8 @@ func RunLongLivedReplicated(cfg LongLivedConfig, k int) ReplicatedResult {
 	if k <= 0 {
 		panic(fmt.Sprintf("experiment: replicas = %d", k))
 	}
-	utils := sweep("replicated", cfg.RunEnv, k, func(i int, cell RunEnv) float64 {
+	label := func(i int) string { return fmt.Sprintf("seed=%d", cfg.Seed+int64(i)) }
+	utils := sweep("replicated", cfg.RunEnv, label, k, func(i int, cell RunEnv) float64 {
 		run := cfg
 		run.Seed = cfg.Seed + int64(i)
 		run.RunEnv = cell

@@ -85,8 +85,8 @@ func TestRunLongLivedREDRuns(t *testing.T) {
 	if res.Utilization < 0.85 {
 		t.Errorf("RED utilization = %v, want >= 0.85", res.Utilization)
 	}
-	if res.MeanQueue != 0 {
-		t.Error("MeanQueue should be 0 under RED (no drop-tail accounting)")
+	if res.MeanQueue <= 0 || res.MeanQueue > float64(cfg.BufferPackets) {
+		t.Errorf("RED MeanQueue = %v, want within (0, %d]", res.MeanQueue, cfg.BufferPackets)
 	}
 }
 

@@ -77,8 +77,7 @@ type ProfileRunResult struct {
 	// measurement window.
 	LossRate float64
 	// MeanQueue and PeakQueue are the bottleneck queue occupancy over
-	// the measurement window, in packets (drop-tail only; zero under
-	// RED).
+	// the measurement window, in packets.
 	MeanQueue float64
 	PeakQueue int
 	// MeanActive and PeakActive summarize the sampled n(t) — in-flight
@@ -282,7 +281,7 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 	src := flashCrowdSource(cfg)
 	bdp := float64(cfg.BDP())
 	label := func(k int) string { return fmt.Sprintf("buffer=%d", cfg.Buffers[k]) }
-	return sweepLabelled("flashcrowd", cfg.RunEnv, label, len(cfg.Buffers), func(k int, cell RunEnv) FlashCrowdRow {
+	return sweep("flashcrowd", cfg.RunEnv, label, len(cfg.Buffers), func(k int, cell RunEnv) FlashCrowdRow {
 		buffer := cfg.Buffers[k]
 		res := RunProfile(ProfileRunConfig{
 			Scenario: cfg.Scenario, BufferPackets: buffer,

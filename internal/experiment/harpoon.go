@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 
 	"bufsim/internal/stats"
@@ -137,7 +138,8 @@ func RunHarpoon(cfg HarpoonConfig) HarpoonResult {
 	n := int(math.Max(1, math.Round(calib.MeanActive)))
 
 	// Phase 2: the buffer ladder around the calibrated rule.
-	return HarpoonResult{CalibratedN: n, SqrtRule: cfg.SqrtRule(n), Rows: sweep("harpoon", cfg.RunEnv, len(cfg.Factors), func(i int, cell RunEnv) HarpoonRow {
+	label := func(i int) string { return fmt.Sprintf("factor=%g", cfg.Factors[i]) }
+	return HarpoonResult{CalibratedN: n, SqrtRule: cfg.SqrtRule(n), Rows: sweep("harpoon", cfg.RunEnv, label, len(cfg.Factors), func(i int, cell RunEnv) HarpoonRow {
 		buffer := cfg.sqrtRuleTimes(cfg.Factors[i], n)
 		point := cfg
 		point.RunEnv = cell

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -86,7 +87,8 @@ func RunMinBufferSweep(cfg MinBufferConfig) MinBufferResult {
 			probes = append(probes, probe{nIdx: ni, rung: i, buffer: b})
 		}
 	}
-	utils := sweep("min-buffer", cfg.RunEnv, len(probes), func(k int, cell RunEnv) float64 {
+	label := func(k int) string { return fmt.Sprintf("n=%d,buffer=%d", cfg.Ns[probes[k].nIdx], probes[k].buffer) }
+	utils := sweep("min-buffer", cfg.RunEnv, label, len(probes), func(k int, cell RunEnv) float64 {
 		p := probes[k]
 		n := cfg.Ns[p.nIdx]
 		run := LongLivedConfig{Scenario: cfg.Scenario, N: n, BufferPackets: p.buffer, RunEnv: cell}

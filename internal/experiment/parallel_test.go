@@ -217,7 +217,7 @@ func TestSweepPointPanicNamesThePoint(t *testing.T) {
 	var got any
 	func() {
 		defer func() { got = recover() }()
-		sweepLabelled("panicky", env, label, 4, func(i int, cell RunEnv) int {
+		sweep("panicky", env, label, 4, func(i int, cell RunEnv) int {
 			return memoRun(cell, "panicky-point", i, func() int {
 				if i == 2 {
 					panic("boom")

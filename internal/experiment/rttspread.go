@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 
 	"bufsim/internal/units"
@@ -70,7 +71,8 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 	mean := cfg.MeanRTT()
 	buffer := cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N)
 
-	return sweep("rtt-spread", cfg.RunEnv, len(cfg.Spreads), func(i int, cell RunEnv) RTTSpreadPoint {
+	label := func(i int) string { return fmt.Sprintf("spread=%v", cfg.Spreads[i]) }
+	return sweep("rtt-spread", cfg.RunEnv, label, len(cfg.Spreads), func(i int, cell RunEnv) RTTSpreadPoint {
 		spread := cfg.Spreads[i]
 		// A zero spread means identical RTTs, still drawn (RTTMax is set).
 		sc := cfg.Scenario

@@ -115,7 +115,7 @@ func RunShortFlowBuffer(cfg ShortFlowBufferConfig) ShortFlowBufferTable {
 		rate, flowLen := at(k)
 		return fmt.Sprintf("rate=%s,len=%d", rate, flowLen)
 	}
-	return sweepLabelled("short-flow-buffer", cfg.RunEnv, label, len(cfg.Rates)*len(cfg.FlowLens), func(k int, cell RunEnv) ShortFlowBufferPoint {
+	return sweep("short-flow-buffer", cfg.RunEnv, label, len(cfg.Rates)*len(cfg.FlowLens), func(k int, cell RunEnv) ShortFlowBufferPoint {
 		rate, flowLen := at(k)
 		moments := model.MomentsForFlowLength(flowLen, 2, cfg.MaxWindow)
 		modelBuf := moments.MinBuffer(cfg.Load, cfg.ModelDropProb)

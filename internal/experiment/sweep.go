@@ -19,7 +19,7 @@ import (
 // semantics change — and any change that can alter a result (kernel,
 // queue, TCP, workload, experiment lowering) MUST bump this salt, which
 // invalidates the whole cache at once. See DESIGN.md, "Run cache".
-const cacheSalt = "bufsim-results-v3"
+const cacheSalt = "bufsim-results-v4"
 
 // pointKey is the cache key for one computation of the given kind.
 // Everything in cfg is semantic and part of the key except its RunEnv
@@ -88,17 +88,13 @@ func encodesTo(v any, blob []byte) bool {
 // sweep is the fan-out every driver with more than one simulation goes
 // through: point(i, cell) fills slot i of the returned slice, under the
 // env the sweep derives for that cell (see RunEnv.cell). name labels the
-// sweep in a point's panic; env is the sweep's own: cache, cancellation,
-// worker bound, and the registry the stats go to.
-func sweep[T any](name string, env RunEnv, n int, point func(i int, cell RunEnv) T) []T {
-	return sweepLabelled(name, env, nil, n, point)
-}
-
-// sweepLabelled is sweep for a driver that instruments its cells. With
-// telemetry on, each cell runs under a child registry of its own (a
-// Registry is not goroutine-safe), merged into env's under label(i) in
-// cell order once the pool has drained, so the merged registry is the
-// same at any worker count. A nil label leaves the cells uninstrumented.
+// sweep and label(i) its point i, in a panic and in telemetry; env is the
+// sweep's own: cache, cancellation, worker bound, and the registry the
+// stats go to. With telemetry on, each cell runs under a child registry
+// of its own (a Registry is not goroutine-safe), merged into env's under
+// label(i) in cell order once the pool has drained, so the merged
+// registry is the same at any worker count. Labels must be distinct:
+// cells merged under one label add up.
 //
 // The points are dispatched across a worker pool, and per-point timing
 // and cache hit-rate stats go to env's registry once the queue drains.
@@ -111,7 +107,7 @@ func sweep[T any](name string, env RunEnv, n int, point func(i int, cell RunEnv)
 // sweep, the point and its label, with the worker's stack. Each point
 // writes only its own slot, so results are bit-identical regardless of
 // worker count — the orchestrator only observes.
-func sweepLabelled[T any](name string, env RunEnv, label func(i int) string, n int, point func(i int, cell RunEnv) T) []T {
+func sweep[T any](name string, env RunEnv, label func(i int) string, n int, point func(i int, cell RunEnv) T) []T {
 	parent := env.Ctx
 	if parent == nil {
 		parent = context.Background()
@@ -126,7 +122,7 @@ func sweepLabelled[T any](name string, env RunEnv, label func(i int) string, n i
 	durations := make([]time.Duration, n)
 	out := make([]T, n)
 	var regs []*metrics.Registry
-	if label != nil && env.Metrics != nil {
+	if env.Metrics != nil {
 		regs = make([]*metrics.Registry, n)
 	}
 
@@ -136,11 +132,7 @@ func sweepLabelled[T any](name string, env RunEnv, label func(i int) string, n i
 		defer func() {
 			if v := recover(); v != nil {
 				crashOnce.Do(func() {
-					at := fmt.Sprintf("point %d", i)
-					if label != nil {
-						at += " (" + label(i) + ")"
-					}
-					crash = fmt.Sprintf("experiment: sweep %s: %s panicked: %v\n\n%s", name, at, v, debug.Stack())
+					crash = fmt.Sprintf("experiment: sweep %s: point %d (%s) panicked: %v\n\n%s", name, i, label(i), v, debug.Stack())
 				})
 				stop()
 			}
@@ -152,6 +144,7 @@ func sweepLabelled[T any](name string, env RunEnv, label func(i int) string, n i
 			regs[i] = reg
 		}
 		out[i] = point(i, env.cell(reg))
+		reg.Seal()
 		durations[i] = t0.elapsed()
 	}
 

@@ -1,6 +1,9 @@
 package experiment
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // sawtoothCoV is the coefficient of variation of a single idealized Reno
 // sawtooth (uniform between Wmax/2 and Wmax): sigma/mean = (1/sqrt(12)) *
@@ -51,7 +54,8 @@ type SyncPoint struct {
 // RunSyncAblation measures the synchronization index across flow counts.
 func RunSyncAblation(cfg SyncConfig) SyncTable {
 	cfg = cfg.withDefaults()
-	return sweep("sync", cfg.RunEnv, len(cfg.Ns), func(i int, cell RunEnv) SyncPoint {
+	label := func(i int) string { return fmt.Sprintf("n=%d", cfg.Ns[i]) }
+	return sweep("sync", cfg.RunEnv, label, len(cfg.Ns), func(i int, cell RunEnv) SyncPoint {
 		n := cfg.Ns[i]
 		run := WindowDistConfig{Scenario: cfg.Scenario, N: n, BufferFactor: cfg.BufferFactor, RunEnv: cell}
 		run.Seed += int64(n)

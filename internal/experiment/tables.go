@@ -79,7 +79,7 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 		n, factor := at(k)
 		return fmt.Sprintf("n=%d,factor=%g", n, factor)
 	}
-	return sweepLabelled("utilization-table", cfg.RunEnv, label, len(cfg.Ns)*len(cfg.Factors), func(k int, cell RunEnv) UtilizationRow {
+	return sweep("utilization-table", cfg.RunEnv, label, len(cfg.Ns)*len(cfg.Factors), func(k int, cell RunEnv) UtilizationRow {
 		n, factor := at(k)
 		gauss := model.LongFlowGaussian{N: n, BDP: float64(bdp)}
 		// Scaled first, rounded after: the pinned table's own rounding.
@@ -163,7 +163,8 @@ func RunProduction(cfg ProductionConfig) ProductionTable {
 	cfg = cfg.withDefaults()
 	bdp := float64(cfg.BDP())
 
-	return sweep("production", cfg.RunEnv, len(cfg.Buffers), func(bi int, cell RunEnv) ProductionRow {
+	label := func(bi int) string { return fmt.Sprintf("buffer=%d", cfg.Buffers[bi]) }
+	return sweep("production", cfg.RunEnv, label, len(cfg.Buffers), func(bi int, cell RunEnv) ProductionRow {
 		buffer := cfg.Buffers[bi]
 		// The per-point key is the config narrowed to this one buffer,
 		// so the same point is shared across different Buffers lists.

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 )
@@ -51,7 +53,8 @@ type VariantPoint struct {
 // RunVariantAblation measures each variant on the same scenario.
 func RunVariantAblation(cfg VariantConfig) VariantTable {
 	cfg = cfg.withDefaults()
-	return sweep("variants", cfg.RunEnv, len(cfg.Variants), func(i int, cell RunEnv) VariantPoint {
+	label := func(i int) string { return fmt.Sprintf("variant=%s", cfg.Variants[i]) }
+	return sweep("variants", cfg.RunEnv, label, len(cfg.Variants), func(i int, cell RunEnv) VariantPoint {
 		run := LongLivedConfig{
 			Scenario: cfg.Scenario, N: cfg.N,
 			BufferPackets: cfg.sqrtRuleTimes(cfg.BufferFactor, cfg.N),

@@ -5,7 +5,9 @@
 //
 // Utilization — the paper's primary metric — is measured here exactly:
 // the transmitter accumulates busy time, so utilization over a window is
-// busy-time divided by wall-time with no sampling error.
+// busy-time divided by wall-time with no sampling error. Queue occupancy
+// and queueing delay are measured here too, whatever the discipline: the
+// link is the only caller of its queue's Enqueue and Dequeue.
 package link
 
 import (
@@ -14,8 +16,13 @@ import (
 	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
+	"bufsim/internal/stats"
 	"bufsim/internal/units"
 )
+
+// sojournBuckets spans 10 µs to ~84 s in doubling steps — wide enough for
+// any buffer the experiments size, in milliseconds.
+var sojournBuckets = metrics.ExpBuckets(0.01, 2, 24)
 
 // Link is a unidirectional link. Create with New; a Link must not be
 // copied after first use.
@@ -39,6 +46,13 @@ type Link struct {
 
 	deliveredPackets int64
 	deliveredBytes   units.ByteSize
+
+	// occ is the queue's length in packets over time, set after every
+	// accepted enqueue and every dequeue; RestartOccupancy restarts it.
+	occ stats.TimeWeighted
+	// sojourn, when non-nil (see Instrument), records each dequeued
+	// packet's queueing delay in milliseconds.
+	sojourn *metrics.Histogram
 
 	// dropPool, when non-nil, takes back every packet the queue rejects
 	// (see SetDropPool).
@@ -100,7 +114,7 @@ func (l *Link) Rate() units.BitRate { return l.rate }
 // Delay returns the link's one-way propagation delay.
 func (l *Link) Delay() units.Duration { return l.delay }
 
-// Queue returns the link's output queue (for occupancy inspection).
+// Queue returns the link's output queue.
 func (l *Link) Queue() queue.Queue { return l.q }
 
 // SetAuditor attaches an invariant checker: after every completed
@@ -136,6 +150,7 @@ func (l *Link) Send(p *packet.Packet) {
 		l.dropPool.PutDropped(p)
 		return
 	}
+	l.occ.Set(float64(l.q.Len()), now)
 	if !l.busy {
 		l.startNext()
 	}
@@ -146,11 +161,18 @@ func (l *Link) Send(p *packet.Packet) {
 func (l *Link) startNext() {
 	now := l.sched.Now()
 	p := l.q.Dequeue(now)
+	// An AQM may drop at dequeue, so the length is read even when nothing
+	// comes out.
+	l.occ.Set(float64(l.q.Len()), now)
 	if p == nil {
 		return
 	}
+	queued := now.Sub(p.Enqueued)
+	if l.sojourn != nil {
+		l.sojourn.Observe(queued.Milliseconds())
+	}
 	if l.OnDequeue != nil {
-		l.OnDequeue(p, now.Sub(p.Enqueued))
+		l.OnDequeue(p, queued)
 	}
 	l.busy = true
 	l.busySince = now
@@ -238,21 +260,42 @@ func (l *Link) Utilization(busyAtFrom units.Duration, from units.Time) float64 {
 	return float64(l.BusyTime()-busyAtFrom) / float64(window)
 }
 
+// RestartOccupancy restarts the occupancy measurement now, from the
+// queue's current length: Occupancy then covers [now, ...] only. The test
+// bed calls it where its window opens, so the warm-up's fill does not
+// bias the mean.
+func (l *Link) RestartOccupancy() {
+	l.occ = stats.TimeWeighted{}
+	l.occ.Set(float64(l.q.Len()), l.sched.Now())
+}
+
+// Occupancy returns the queue's time-averaged length in packets up to
+// now and its peak, since the last RestartOccupancy (since the first
+// enqueue if there was none).
+func (l *Link) Occupancy() (mean float64, peak int) {
+	return l.occ.Mean(l.sched.Now()), int(l.occ.Max())
+}
+
 // Instrument registers the link's telemetry into reg under name: busy
-// (transmitting) seconds and delivered packet/byte counts, published by a
-// snapshot-time collector. The link's queue is instrumented separately via
+// (transmitting) seconds, delivered packet/byte counts and the queue's
+// peak occupancy, published by a snapshot-time collector, and a
+// per-packet sojourn-time histogram (milliseconds), the only hot-path
+// addition. The queue's own counters are instrumented separately via
 // queue.Instrument. A nil registry is a no-op.
 func (l *Link) Instrument(reg *metrics.Registry, name string) {
 	if reg == nil {
 		return
 	}
+	l.sojourn = reg.Histogram(name+".sojourn_ms", sojournBuckets)
 	busy := reg.Gauge(name + ".busy_seconds")
 	pkts := reg.Counter(name + ".delivered_packets")
 	bytes := reg.Counter(name + ".delivered_bytes")
+	occMax := reg.Gauge(name + ".occupancy_max_packets")
 	reg.OnCollect(func() {
 		busy.Set(l.BusyTime().Seconds())
 		pkts.Set(l.deliveredPackets)
 		bytes.Set(int64(l.deliveredBytes))
+		occMax.Set(l.occ.Max())
 	})
 }
 

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"math"
 	"testing"
 
 	"bufsim/internal/audit"
@@ -336,5 +337,68 @@ func TestAuditedLinkRefusesReleasedPackets(t *testing.T) {
 	s.Run(units.Epoch.Add(units.Second))
 	if count(aud) == 0 {
 		t.Error("a packet released while the link was transmitting it went unreported")
+	}
+}
+
+// TestLinkMeasuresQueue: the link measures its queue's occupancy and the
+// packets' sojourn times whatever the discipline. One burst of 120
+// packets at t=0 meets a 100-packet buffer drained one packet per 8 ms:
+// the first packet goes straight onto the wire and the next 100 queue.
+// Drop-tail then holds 100, 99, ..., 1 packets for 8 ms each, so over
+// [0, 400 ms] it averages 8 ms × (100 + ... + 51) / 400 ms = 75.5; a
+// window reopened at 400 ms, with 50 left, sees none of that fill:
+// 8 ms × (50 + ... + 1) / 600 ms = 17, peak 50. RED (weighted to track
+// the burst) drops early and CoDel drops at dequeue once the delay has
+// stood above target for an interval; their queue is only known to be
+// there and within its limit.
+func TestLinkMeasuresQueue(t *testing.T) {
+	const limit, burst = 100, 120
+	red := queue.DefaultRED(limit, 8*units.Millisecond, func() float64 { return 0.5 })
+	red.Wq = 0.2
+	for _, tc := range []struct {
+		name string
+		q    queue.Queue
+		// fill and window are drop-tail's hand-computed means over
+		// [0, 400 ms] and [400 ms, 1 s], with their peaks; zero for an AQM.
+		fill, window         float64
+		fillPeak, windowPeak int
+	}{
+		{name: "droptail", q: queue.NewDropTail(queue.PacketLimit(limit)),
+			fill: 75.5, fillPeak: 100, window: 17, windowPeak: 50},
+		{name: "red", q: queue.NewRED(red)},
+		{name: "codel", q: queue.NewCoDel(queue.CoDelConfig{Limit: queue.PacketLimit(limit)})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.NewScheduler()
+			l := New("test", s, units.Mbps, units.Millisecond, tc.q, &collector{sched: s})
+			reg := metrics.New()
+			l.Instrument(reg, "test")
+			for i := int64(0); i < burst; i++ {
+				l.Send(mkpkt(i, 1000))
+			}
+			check := func(span string, want float64, wantPeak int) {
+				t.Helper()
+				mean, peak := l.Occupancy()
+				if tc.fill == 0 {
+					if mean <= 0 || peak > limit {
+						t.Errorf("%s: mean %v, peak %d; want a queue within the %d-packet limit", span, mean, peak, limit)
+					}
+					return
+				}
+				if math.Abs(mean-want) > 1e-9 || peak != wantPeak {
+					t.Errorf("%s: mean %v, peak %d; want %v, %d", span, mean, peak, want, wantPeak)
+				}
+			}
+			s.Run(units.Epoch.Add(400 * units.Millisecond))
+			check("fill", tc.fill, tc.fillPeak)
+			l.RestartOccupancy()
+			s.Run(units.Epoch.Add(units.Second))
+			check("window", tc.window, tc.windowPeak)
+
+			soj := reg.Snapshot().Histograms["test.sojourn_ms"].Count
+			if deq := tc.q.Stats().DequeuedPackets; soj != deq || deq == 0 {
+				t.Errorf("sojourn_ms holds %d observations, want one per dequeued packet (%d)", soj, deq)
+			}
+		})
 	}
 }

@@ -265,6 +265,18 @@ func (r *Registry) Collect() {
 	}
 }
 
+// Seal runs the collectors one last time and drops them: the instruments
+// keep what they published, and the registry stops holding on to what the
+// collectors read. A sweep seals each cell's registry when the cell is
+// done, so its finished simulations can be freed before the merge.
+func (r *Registry) Seal() {
+	if r == nil {
+		return
+	}
+	r.Collect()
+	r.collectors = nil
+}
+
 // BucketSnapshot is one histogram bucket in a snapshot: the count of
 // observations at or below UpperBound (and above the previous bound).
 type BucketSnapshot struct {

@@ -32,6 +32,7 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 		t.Fatal("nil registry snapshot not empty")
 	}
 	r.Merge("p", New())
+	r.Seal()
 }
 
 func TestCounterGauge(t *testing.T) {
@@ -107,6 +108,21 @@ func TestCollectorsRunAtSnapshot(t *testing.T) {
 	r.Snapshot()
 	if n != 2 {
 		t.Fatalf("collector ran %d times, want 2", n)
+	}
+}
+
+// TestSealKeepsValuesAndDropsCollectors: a sealed registry keeps what its
+// collectors last published and never runs them again.
+func TestSealKeepsValuesAndDropsCollectors(t *testing.T) {
+	r := New()
+	g := r.Gauge("live")
+	n := 0
+	r.OnCollect(func() { n++; g.Set(float64(n)) })
+	r.Seal()
+	parent := New()
+	parent.Merge("cell", r)
+	if got := parent.Snapshot().Gauges["cell/live"]; got != 1 || n != 1 {
+		t.Fatalf("merged gauge = %v after %d collector runs, want 1 after 1", got, n)
 	}
 }
 

@@ -3,7 +3,6 @@ package queue
 import (
 	"math"
 
-	"bufsim/internal/metrics"
 	"bufsim/internal/packet"
 	"bufsim/internal/units"
 )
@@ -61,10 +60,6 @@ type CoDel struct {
 	// SojournDrops counts packets dropped by the control law (as opposed
 	// to tail drops at the physical limit).
 	SojournDrops int64
-
-	// sojourn, when non-nil (see Instrument), records each delivered
-	// packet's queueing delay.
-	sojourn *metrics.Histogram
 }
 
 // NewCoDel returns a CoDel queue.
@@ -157,7 +152,6 @@ func (c *CoDel) Dequeue(now units.Time) *packet.Packet {
 	if p != nil {
 		c.stats.DequeuedPackets++
 		c.stats.DequeuedBytes += p.Size
-		observeSojourn(c.sojourn, p.Enqueued, now)
 	}
 	return p
 }

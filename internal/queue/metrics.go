@@ -1,28 +1,18 @@
 package queue
 
-import (
-	"bufsim/internal/metrics"
-	"bufsim/internal/units"
-)
-
-// sojournBuckets spans 10 µs to ~84 s in doubling steps — wide enough for
-// any buffer the experiments size, in milliseconds.
-var sojournBuckets = metrics.ExpBuckets(0.01, 2, 24)
+import "bufsim/internal/metrics"
 
 // Instrument registers q's telemetry into reg under name (e.g.
-// "queue.bottleneck"): the cumulative acceptance/drop counters every
-// discipline maintains, occupancy, a per-packet sojourn-time histogram
-// (milliseconds), and discipline-specific extras — peak occupancy for
-// drop-tail, ECN marks and the average-queue estimate for RED, control-law
-// drops for CoDel. Counters are published by a snapshot-time collector;
-// the only hot-path addition is the sojourn observation at dequeue, which
-// is disabled (nil histogram) unless Instrument is called. A nil registry
-// is a no-op.
+// "bottleneck"): the cumulative acceptance/drop counters every discipline
+// maintains, the current occupancy, and discipline-specific extras — ECN
+// marks and the average-queue estimate for RED, control-law drops for
+// CoDel — all published by a snapshot-time collector. Peak occupancy and
+// sojourn times are the link's (see link.Instrument). A nil registry is a
+// no-op.
 func Instrument(reg *metrics.Registry, name string, q Queue) {
 	if reg == nil || q == nil {
 		return
 	}
-	soj := reg.Histogram(name+".sojourn_ms", sojournBuckets)
 	enq := reg.Counter(name + ".enqueued_packets")
 	deq := reg.Counter(name + ".dequeued_packets")
 	drops := reg.Counter(name + ".dropped_packets")
@@ -39,12 +29,7 @@ func Instrument(reg *metrics.Registry, name string, q Queue) {
 	}
 	var extra func()
 	switch t := inner.(type) {
-	case *DropTail:
-		t.sojourn = soj
-		occMax := reg.Gauge(name + ".occupancy_max_packets")
-		extra = func() { occMax.Set(float64(t.MaxOccupancy())) }
 	case *RED:
-		t.sojourn = soj
 		marks := reg.Counter(name + ".ecn_marked_packets")
 		avg := reg.Gauge(name + ".red_avg_queue_packets")
 		extra = func() {
@@ -52,7 +37,6 @@ func Instrument(reg *metrics.Registry, name string, q Queue) {
 			avg.Set(t.AvgQueue())
 		}
 	case *CoDel:
-		t.sojourn = soj
 		ctrl := reg.Counter(name + ".codel_sojourn_drops")
 		extra = func() { ctrl.Set(t.SojournDrops) }
 	}
@@ -69,12 +53,4 @@ func Instrument(reg *metrics.Registry, name string, q Queue) {
 			extra()
 		}
 	})
-}
-
-// observeSojourn records a dequeued packet's queueing delay. h may be nil
-// (metrics disabled), making this a single nil check on the hot path.
-func observeSojourn(h *metrics.Histogram, queued units.Time, now units.Time) {
-	if h != nil {
-		h.Observe(now.Sub(queued).Milliseconds())
-	}
 }

@@ -6,7 +6,6 @@
 package queue
 
 import (
-	"bufsim/internal/metrics"
 	"bufsim/internal/packet"
 	"bufsim/internal/units"
 )
@@ -119,25 +118,11 @@ func (l Limit) admits(pkts int, bytes units.ByteSize, s units.ByteSize) bool {
 	return true
 }
 
-// DropTail is the classic FIFO queue with tail drop. It also maintains the
-// time-weighted occupancy statistics the experiments sample (mean queue
-// length, peak occupancy), because queueing delay is one of the paper's
-// headline motivations for small buffers.
+// DropTail is the classic FIFO queue with tail drop.
 type DropTail struct {
 	limit Limit
 	q     fifo
 	stats Stats
-
-	// Time-weighted occupancy accounting, integrated since epoch (zero
-	// until ResetOccupancy moves it, e.g. to the end of a warmup window).
-	epoch      units.Time
-	lastChange units.Time
-	areaPkts   float64 // integral of Len() dt, in packet-seconds
-	maxLen     int
-
-	// sojourn, when non-nil (see Instrument), records each dequeued
-	// packet's queueing delay.
-	sojourn *metrics.Histogram
 }
 
 // NewDropTail returns a drop-tail queue with the given buffer limit.
@@ -154,12 +139,8 @@ func (d *DropTail) Enqueue(p *packet.Packet, now units.Time) bool {
 		}
 		return false
 	}
-	d.account(now)
 	p.Enqueued = now
 	d.q.push(p)
-	if d.q.count > d.maxLen {
-		d.maxLen = d.q.count
-	}
 	d.stats.EnqueuedPackets++
 	d.stats.EnqueuedBytes += p.Size
 	return true
@@ -167,22 +148,12 @@ func (d *DropTail) Enqueue(p *packet.Packet, now units.Time) bool {
 
 // Dequeue implements Queue.
 func (d *DropTail) Dequeue(now units.Time) *packet.Packet {
-	d.account(now)
 	p := d.q.pop()
 	if p != nil {
 		d.stats.DequeuedPackets++
 		d.stats.DequeuedBytes += p.Size
-		observeSojourn(d.sojourn, p.Enqueued, now)
 	}
 	return p
-}
-
-func (d *DropTail) account(now units.Time) {
-	dt := now.Sub(d.lastChange).Seconds()
-	if dt > 0 {
-		d.areaPkts += dt * float64(d.q.count)
-		d.lastChange = now
-	}
 }
 
 // Len implements Queue.
@@ -193,33 +164,6 @@ func (d *DropTail) Bytes() units.ByteSize { return d.q.bytes }
 
 // Stats implements Queue.
 func (d *DropTail) Stats() Stats { return d.stats }
-
-// MeanOccupancy returns the time-averaged queue length in packets over
-// [epoch, now], where epoch is zero unless ResetOccupancy moved it.
-func (d *DropTail) MeanOccupancy(now units.Time) float64 {
-	d.account(now)
-	t := now.Sub(d.epoch).Seconds()
-	if t <= 0 {
-		return 0
-	}
-	return d.areaPkts / t
-}
-
-// ResetOccupancy restarts the occupancy measurement at now: the
-// time-weighted integral and the peak restart from the queue's current
-// state, and subsequent MeanOccupancy calls average over [now, ...] only.
-// Experiments call it at the end of their warmup window so the reported
-// mean queue is not biased by the fill-up transient.
-func (d *DropTail) ResetOccupancy(now units.Time) {
-	d.account(now)
-	d.epoch = now
-	d.lastChange = now
-	d.areaPkts = 0
-	d.maxLen = d.q.count
-}
-
-// MaxOccupancy returns the peak queue length observed, in packets.
-func (d *DropTail) MaxOccupancy() int { return d.maxLen }
 
 // Limit returns the configured buffer limit.
 func (d *DropTail) Limit() Limit { return d.limit }

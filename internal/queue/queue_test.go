@@ -84,20 +84,6 @@ func TestDropTailUnlimited(t *testing.T) {
 	}
 }
 
-func TestDropTailOccupancyAccounting(t *testing.T) {
-	q := NewDropTail(PacketLimit(10))
-	// One packet resident for 1s, then two packets for 1s.
-	q.Enqueue(mkpkt(0, 100), 0)
-	q.Enqueue(mkpkt(1, 100), units.Time(units.Second))
-	mean := q.MeanOccupancy(units.Time(2 * units.Second))
-	if mean < 1.49 || mean > 1.51 {
-		t.Errorf("MeanOccupancy = %v, want 1.5", mean)
-	}
-	if q.MaxOccupancy() != 2 {
-		t.Errorf("MaxOccupancy = %d, want 2", q.MaxOccupancy())
-	}
-}
-
 func TestDropTailEnqueueStampsTime(t *testing.T) {
 	q := NewDropTail(PacketLimit(10))
 	p := mkpkt(0, 100)
@@ -325,32 +311,6 @@ func TestREDIdleStateWithoutAging(t *testing.T) {
 	}
 	if q.idle {
 		t.Error("idle flag set while the queue is non-empty")
-	}
-}
-
-func TestDropTailResetOccupancyEpoch(t *testing.T) {
-	// Ten packets resident for the first second (the warmup fill), then
-	// the epoch moves: the mean over the new window must not see the
-	// transient, which would otherwise bias it toward the fill-up.
-	q := NewDropTail(PacketLimit(100))
-	for i := int64(0); i < 10; i++ {
-		q.Enqueue(mkpkt(i, 100), 0)
-	}
-	sec := units.Time(units.Second)
-	if m := q.MeanOccupancy(sec); m < 9.99 || m > 10.01 {
-		t.Fatalf("MeanOccupancy over warmup = %v, want 10", m)
-	}
-	q.ResetOccupancy(sec)
-	if q.MaxOccupancy() != 10 {
-		t.Errorf("peak after reset = %d, want the current occupancy 10", q.MaxOccupancy())
-	}
-	for i := 0; i < 10; i++ {
-		q.Dequeue(sec)
-	}
-	// Empty throughout (1s, 2s]: the epoch-based mean is 0; integrating
-	// from t=0 would have reported (10*1 + 0*1)/2 = 5.
-	if m := q.MeanOccupancy(2 * sec); m != 0 {
-		t.Errorf("MeanOccupancy after reset = %v, want 0", m)
 	}
 }
 

@@ -3,7 +3,6 @@ package queue
 import (
 	"math"
 
-	"bufsim/internal/metrics"
 	"bufsim/internal/packet"
 	"bufsim/internal/units"
 )
@@ -64,10 +63,6 @@ type RED struct {
 
 	// Marked counts packets CE-marked instead of dropped (MarkECN).
 	Marked int64
-
-	// sojourn, when non-nil (see Instrument), records each dequeued
-	// packet's queueing delay.
-	sojourn *metrics.Histogram
 }
 
 // NewRED returns a RED queue. The config's Rand must be non-nil.
@@ -155,7 +150,6 @@ func (r *RED) Dequeue(now units.Time) *packet.Packet {
 	if p != nil {
 		r.stats.DequeuedPackets++
 		r.stats.DequeuedBytes += p.Size
-		observeSojourn(r.sojourn, p.Enqueued, now)
 		if r.q.count == 0 {
 			r.idle = true
 			r.idleSince = now

@@ -67,20 +67,32 @@ func TestStorePutUnmarshalableValue(t *testing.T) {
 	}
 }
 
+// TestStoreCorruptBlobIsMiss: a blob cut short — by a crash, a full
+// disk, a copy that stopped — is a miss at every length, the empty file
+// included, and never a hit.
 func TestStoreCorruptBlobIsMiss(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := Key("s", "k", payload{N: 3})
-	if err := s.Put(key, payload{N: 3}); err != nil {
+	if err := s.Put(key, payload{N: 3, X: 1.5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.objectPath(key), []byte("{truncated"), 0o644); err != nil {
+	blob, err := os.ReadFile(s.objectPath(key))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(key); ok {
-		t.Fatalf("corrupt blob served as a hit")
+	for n := 0; n < len(blob); n++ {
+		if err := os.WriteFile(s.objectPath(key), blob[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Get(key); ok {
+			t.Errorf("the blob's first %d of %d bytes %q served as a hit", n, len(blob), blob[:n])
+		}
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != int64(len(blob)) {
+		t.Errorf("hits %d, misses %d; want 0 and one per prefix (%d)", st.Hits, st.Misses, len(blob))
 	}
 }
 

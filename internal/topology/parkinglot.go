@@ -75,8 +75,7 @@ type ParkingLot struct {
 
 	Routers []*node.Router
 	// Links[i] carries R[i] -> R[i+1]; its queue limit is Buffers[i].
-	Links     []*link.Link
-	DropTails []*queue.DropTail
+	Links []*link.Link
 
 	flows    []*PathFlow
 	nextNode packet.NodeID
@@ -109,9 +108,7 @@ func NewParkingLot(cfg ParkingLotConfig) *ParkingLot {
 		cfg.Sched.SetAuditor(cfg.Auditor)
 	}
 	for i, rate := range cfg.Rates {
-		dt := queue.NewDropTail(cfg.Buffers[i])
-		p.DropTails = append(p.DropTails, dt)
-		var q queue.Queue = dt
+		var q queue.Queue = queue.NewDropTail(cfg.Buffers[i])
 		if cfg.Auditor != nil {
 			q = queue.NewAudited(q, cfg.Auditor, fmt.Sprintf("core%d", i))
 		}

@@ -124,10 +124,6 @@ type Dumbbell struct {
 	R1, R2 *node.Router
 	// Bottleneck is the link under study (R1 -> R2).
 	Bottleneck *link.Link
-	// DropTail is the bottleneck queue when the default discipline is in
-	// use (nil if Config.NewQueue overrode it); it exposes occupancy
-	// statistics.
-	DropTail *queue.DropTail
 
 	// OnAddFlow, if set, observes every flow as AddFlow wires it. Telemetry
 	// uses it to track dynamically created short flows; it must only
@@ -158,9 +154,7 @@ func NewDumbbell(cfg Config) *Dumbbell {
 	if cfg.NewQueue != nil {
 		q = cfg.NewQueue()
 	} else {
-		dt := queue.NewDropTail(cfg.Buffer)
-		d.DropTail = dt
-		q = dt
+		q = queue.NewDropTail(cfg.Buffer)
 	}
 	if cfg.Auditor != nil {
 		cfg.Sched.SetAuditor(cfg.Auditor)

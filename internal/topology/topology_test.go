@@ -75,7 +75,7 @@ func TestSingleFlowOverbufferedKeepsQueueStanding(t *testing.T) {
 	if util < 0.99 {
 		t.Errorf("utilization overbuffered = %v, want ~1", util)
 	}
-	if occ := d.DropTail.MeanOccupancy(s.Now()); occ < 30 {
+	if occ, _ := d.Bottleneck.Occupancy(); occ < 30 {
 		t.Errorf("mean queue occupancy = %v packets, want a standing queue", occ)
 	}
 }
@@ -278,8 +278,8 @@ func TestCustomQueueDiscipline(t *testing.T) {
 		RTTMin:   100 * units.Millisecond,
 		RTTMax:   100 * units.Millisecond,
 	})
-	if d.DropTail != nil {
-		t.Error("DropTail should be nil with a custom queue")
+	if _, ok := d.Bottleneck.Queue().(*queue.RED); !ok {
+		t.Errorf("bottleneck queue is %T, want the custom RED", d.Bottleneck.Queue())
 	}
 	f := d.AddFlow(d.Station(0), tcp.Config{SegmentSize: 1000})
 	f.Sender.Start()

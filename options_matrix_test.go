@@ -171,9 +171,7 @@ func TestWithWorkloadMatrix(t *testing.T) {
 	}{
 		{"poisson", PoissonWorkload(0.5, FixedSize(14), 16)},
 		{"sessions", SessionWorkload(6, GeometricSize(10), 200*Millisecond, 16)},
-		{"trace", TraceWorkload([]TraceFlow{
-			{Start: 0, Size: 10}, {Start: 500 * Millisecond, Size: 30}, {Start: 1 * Second, Size: 5},
-		}, 16)},
+		{"trace", TraceWorkload(matrixTrace(), 16)},
 		{"profile", matrixProfileWorkload()},
 	}
 	seen := make(map[ProfileResult]string)

@@ -27,7 +27,9 @@ func tempCache(t *testing.T) (*Cache, string) {
 // SimulateTrace, SimulateProfile, SimulateAdversary), by result. The rows
 // used to pin the blob keys those entry points stored; the keys moved
 // with the run-cache salt, so each row now holds the result its scenario
-// produced before the move, recorded field for field. A single flow's
+// produced before the move, recorded field for field — save the RED
+// row's queue figures, measured since the link measures every
+// discipline's queue. A single flow's
 // series are pinned by length and by the SHA-256 of their JSON.
 func TestRunMatchesLegacyKeys(t *testing.T) {
 	l := Link{Rate: 10 * Mbps, RTT: 50 * Millisecond}
@@ -53,8 +55,8 @@ func TestRunMatchesLegacyKeys(t *testing.T) {
 				"dcba44d58574580f91afbc28f7dfb3b6b2ed2d368dcb038c136e436d00e531cc"}},
 		{"SimulateShortFlows", Scenario{Seed: 1, Link: l, BufferPackets: 30, Warmup: w, Measure: m, RED: true,
 			Sender: Sender{Variant: NewReno}}, kind(Generated{Workload: PoissonWorkload(0.5, FixedSize(14), 43)}),
-			ProfileResult{Utilization: 0.4488, MeanActive: 5.333333333333333, PeakActive: 9, Generated: 119,
-				AFCT: 138229982, Completed: 78}},
+			ProfileResult{Utilization: 0.4488, MeanQueue: 1.4372075560000006, PeakQueue: 20,
+				MeanActive: 5.333333333333333, PeakActive: 9, Generated: 119, AFCT: 138229982, Completed: 78}},
 		{"SimulateMix", Scenario{Seed: 1, Link: l, BufferPackets: 30, Warmup: w, Measure: m,
 			Sender: Sender{DelayedAck: true}}, kind(Mix{LongFlows: 4, ShortLoad: 0.2, RTTSpread: 20 * Millisecond}),
 			MixResult{Label: "mixed", BufferPackets: 30, AFCT: 188828112, Completed: 37,
