@@ -85,6 +85,40 @@ func TestRunnerQuickExperiments(t *testing.T) {
 	}
 }
 
+// TestMultiRunCellsPublishEachRun: the rows whose sweep cells run more
+// than one simulation (pacing: paced and unpaced; rttspread: the window
+// run and the utilization run; ccfamilies: ceiling, every search probe
+// and the rule run) publish each simulation under its own prefix, so a
+// bottleneck's sojourn histogram counts exactly the packets its queue
+// says it dequeued. Sharing the cell's registry, the histograms summed
+// every run while the counters kept the last run's value.
+func TestMultiRunCellsPublishEachRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real (scaled) experiments")
+	}
+	for _, id := range []string{"pacing", "rttspread", "ccfamilies"} {
+		r := runner{quick: true, seed: 1, metrics: metrics.New()}
+		if err := r.run(id); err != nil {
+			t.Fatalf("run(%q): %v", id, err)
+		}
+		snap := r.metrics.Snapshot()
+		checked := 0
+		for name, h := range snap.Histograms {
+			prefix, ok := strings.CutSuffix(name, ".sojourn_ms")
+			if !ok {
+				continue
+			}
+			checked++
+			if deq, ok := snap.Counters[prefix+".dequeued_packets"]; !ok || deq != h.Count {
+				t.Errorf("%s: %d sojourn observations, %s.dequeued_packets = %d (present %v)", name, h.Count, prefix, deq, ok)
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s: -metrics holds no sojourn histogram", id)
+		}
+	}
+}
+
 // TestRunnerAdversaryFlag covers the -adversary pattern filter: a bad
 // name fails fast, a valid one restricts the sweep to that pattern.
 func TestRunnerAdversaryFlag(t *testing.T) {

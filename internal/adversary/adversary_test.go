@@ -147,25 +147,59 @@ func TestPulseDeterministic(t *testing.T) {
 	}
 }
 
+// rttDumbbell is testDumbbell with station RTTs drawn from [lo, hi] by
+// rng (lo == hi draws nothing: every station gets one RTT).
+func rttDumbbell(stations, bufferPkts int, rate units.BitRate, lo, hi units.Duration, rng *sim.RNG) (*sim.Scheduler, *topology.Dumbbell) {
+	sched := sim.NewScheduler()
+	d := topology.NewDumbbell(topology.Config{
+		Sched:           sched,
+		RNG:             rng,
+		BottleneckRate:  rate,
+		BottleneckDelay: 10 * units.Millisecond,
+		Buffer:          queue.PacketLimit(bufferPkts),
+		Stations:        stations,
+		RTTMin:          lo,
+		RTTMax:          hi,
+	})
+	return sched, d
+}
+
+// cwndSpread runs an 8-flow SyncAIMD cohort (10 Mb/s, 25-packet buffer)
+// on station RTTs drawn from [lo, hi] and returns the median, over
+// samples every 100 ms from 10 s to 60 s, of the ratio of the largest to
+// the smallest congestion window, and the cohort.
+func cwndSpread(t *testing.T, lo, hi units.Duration) (float64, []*topology.Flow) {
+	t.Helper()
+	sched, d := rttDumbbell(8, 25, 10*units.Mbps, lo, hi, sim.NewRNG(3))
+	drv := SyncAIMD{N: 8, TCP: tcp.Config{SegmentSize: units.DefaultSegment}}.Bind(d, sim.NewRNG(1)).(*SyncAIMDDriver)
+	drv.Start()
+	var ratios []float64
+	for at := 10 * units.Second; at <= 60*units.Second; at += 100 * units.Millisecond {
+		sched.Run(units.Epoch.Add(at))
+		minW, maxW := drv.Flows()[0].Sender.Cwnd(), drv.Flows()[0].Sender.Cwnd()
+		for _, f := range drv.Flows() {
+			minW, maxW = min(minW, f.Sender.Cwnd()), max(maxW, f.Sender.Cwnd())
+		}
+		ratios = append(ratios, maxW/minW)
+	}
+	return stats.Percentile(ratios, 50), drv.Flows()
+}
+
 // TestSyncAIMDSharedLossEpochs pins the cohort's phase alignment: with
 // equal RTTs and simultaneous starts the flows fill the buffer together
 // and take their losses together, so every flow retransmits (no
-// bystanders) and the windows stay tightly bunched. Exact per-flow
-// lockstep is not claimed — which packets a full buffer rejects depends
-// on arrival interleaving — but the spread stays small because every
-// flow rides the same loss epochs.
+// bystanders) and the windows stay bunched. Exact per-flow lockstep is
+// not claimed — which packets a full buffer rejects depends on arrival
+// interleaving, so at a single instant the spread can be wide — but over
+// 50 s the median spread stays small because every flow rides the same
+// loss epochs. The same cohort on drawn RTTs (50–150 ms) is the negative
+// control: its flows lose apart, and the check must reject it.
 func TestSyncAIMDSharedLossEpochs(t *testing.T) {
-	sched, d := testDumbbell(8, 25, 10*units.Mbps)
-	src := SyncAIMD{N: 8, TCP: tcp.Config{SegmentSize: units.DefaultSegment}}
-	drv := src.Bind(d, sim.NewRNG(1)).(*SyncAIMDDriver)
-	drv.Start()
-	sched.Run(units.Epoch.Add(30 * units.Second))
-
-	flows := drv.Flows()
-	if len(flows) != 8 || drv.Active() != 8 || drv.Generated() != 8 {
-		t.Fatalf("cohort size: flows=%d active=%d generated=%d", len(flows), drv.Active(), drv.Generated())
+	const bound = 1.25
+	spread, flows := cwndSpread(t, 100*units.Millisecond, 100*units.Millisecond)
+	if len(flows) != 8 {
+		t.Fatalf("cohort size %d, want 8", len(flows))
 	}
-	minW, maxW := flows[0].Sender.Cwnd(), flows[0].Sender.Cwnd()
 	for i, f := range flows {
 		if f.Sender.Stats().SegmentsSent == 0 {
 			t.Fatalf("flow %d sent nothing", i)
@@ -173,27 +207,30 @@ func TestSyncAIMDSharedLossEpochs(t *testing.T) {
 		if f.Sender.Stats().Retransmits == 0 {
 			t.Errorf("flow %d never retransmitted; cohort should take losses together", i)
 		}
-		if w := f.Sender.Cwnd(); w < minW {
-			minW = w
-		} else if w > maxW {
-			maxW = w
-		}
 	}
-	if maxW > 1.25*minW {
-		t.Errorf("cwnd spread [%.2f, %.2f] too wide for a phase-aligned cohort", minW, maxW)
+	if spread > bound {
+		t.Errorf("median max/min cwnd %.2f > %.2f: too wide for a phase-aligned cohort", spread, bound)
 	}
+	control, _ := cwndSpread(t, 50*units.Millisecond, 150*units.Millisecond)
+	if control <= 2*bound {
+		t.Errorf("drawn-RTT control: median max/min cwnd %.2f <= %.2f; the check cannot tell a desynchronized cohort", control, 2*bound)
+	}
+	t.Logf("median max/min cwnd: cohort %.2f, drawn-RTT control %.2f", spread, control)
 }
 
 // TestSyncAIMDAmplifiesAggregateSwing pins the property the pattern
-// exists to produce: relative to the same cohort with the paper's
-// random staggered starts, the synchronized cohort's aggregate window
-// swings with much larger relative amplitude — the sqrt(n) smoothing is
-// defeated.
+// exists to produce: relative to the paper's desynchronized cohort —
+// drawn RTTs (50–150 ms) and random starts over 5 s — the synchronized
+// cohort's aggregate window swings with much larger relative amplitude,
+// so the sqrt(n) smoothing is defeated. n = 32 flows share a 10 Mb/s
+// bottleneck with a 25-packet buffer; at n = 8 an equal-RTT cohort
+// synchronizes whatever its starts, and the contrast is too thin to pin.
 func TestSyncAIMDAmplifiesAggregateSwing(t *testing.T) {
+	const n = 32
 	spec := tcp.Config{SegmentSize: units.DefaultSegment}
-	cov := func(start func(*sim.Scheduler, *topology.Dumbbell)) float64 {
-		sched, d := testDumbbell(8, 25, 10*units.Mbps)
-		start(sched, d)
+	cov := func(lo, hi units.Duration, start func(*topology.Dumbbell)) float64 {
+		sched, d := rttDumbbell(n, 25, 10*units.Mbps, lo, hi, sim.NewRNG(3))
+		start(d)
 		var w stats.Welford
 		for at := 10 * units.Second; at <= 30*units.Second; at += 100 * units.Millisecond {
 			sched.Run(units.Epoch.Add(at))
@@ -201,15 +238,16 @@ func TestSyncAIMDAmplifiesAggregateSwing(t *testing.T) {
 		}
 		return w.CoV()
 	}
-	sync := cov(func(sched *sim.Scheduler, d *topology.Dumbbell) {
-		SyncAIMD{N: 8, TCP: spec}.Bind(d, sim.NewRNG(1)).Start()
+	sync := cov(100*units.Millisecond, 100*units.Millisecond, func(d *topology.Dumbbell) {
+		SyncAIMD{N: n, TCP: spec}.Bind(d, sim.NewRNG(1)).Start()
 	})
-	staggered := cov(func(sched *sim.Scheduler, d *topology.Dumbbell) {
-		workload.StartLongLived(d, 8, spec, sim.NewRNG(1), 5*units.Second)
+	desync := cov(50*units.Millisecond, 150*units.Millisecond, func(d *topology.Dumbbell) {
+		workload.StartLongLived(d, n, spec, sim.NewRNG(1), 5*units.Second)
 	})
-	if sync <= staggered {
-		t.Errorf("aggregate-window CoV: synchronized %.4f <= staggered %.4f; pattern failed to synchronize", sync, staggered)
+	if sync < 1.5*desync {
+		t.Errorf("aggregate-window CoV: synchronized %.4f < 1.5 x desynchronized %.4f; pattern failed to synchronize", sync, desync)
 	}
+	t.Logf("aggregate-window CoV: synchronized %.4f, desynchronized %.4f (%.2fx)", sync, desync, sync/desync)
 }
 
 func TestParkingLotLoadBuild(t *testing.T) {

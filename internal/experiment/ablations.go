@@ -63,8 +63,8 @@ func RunPacingAblation(cfg PacingConfig) PacingTable {
 		return PacingPoint{
 			BufferPackets: unpaced.BufferPackets,
 			Factor:        f,
-			UtilUnpaced:   RunLongLived(unpaced).Utilization,
-			UtilPaced:     RunLongLived(paced).Utilization,
+			UtilUnpaced:   arm(cell, "unpaced", unpaced.utilAt(unpaced.BufferPackets)),
+			UtilPaced:     arm(cell, "paced", paced.utilAt(paced.BufferPackets)),
 		}
 	})
 }

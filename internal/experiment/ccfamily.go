@@ -144,9 +144,15 @@ func runCCFamilyPoint(cfg CCFamilyConfig, cell RunEnv, v tcp.Variant, n int) CCF
 	// instead of re-walking the bisection's probe sequence.
 	key := ccFamilyPointConfig{Base: ll, Target: cfg.Target, SearchHi: hi, RunEnv: cfg.RunEnv}
 	return memoRun(key.RunEnv, "ccfamily-point", key, func() CCFamilyPoint {
-		ceiling := MeasuredUtilization(ll, hi)
+		// Each run (and each probe of the search) publishes under a
+		// registry of its own: ceiling/, search/buffer=<b>/, rule/.
+		ceiling := arm(cell, "ceiling", ll.utilAt(hi))
 		target := cfg.Target * ceiling
-		minB := MinBufferForUtilization(ll, target, hi)
+		minB := arm(cell, "search", func(env RunEnv) int {
+			run := ll
+			run.RunEnv = env
+			return MinBufferForUtilization(run, target, hi)
+		})
 		return CCFamilyPoint{
 			Variant:     v,
 			N:           n,
@@ -157,7 +163,7 @@ func runCCFamilyPoint(cfg CCFamilyConfig, cell RunEnv, v tcp.Variant, n int) CCF
 			MinBuffer:   minB,
 			RuleRatio:   float64(minB) / float64(sqrtRule),
 			BDPFraction: float64(minB) / float64(bdp),
-			UtilAtRule:  MeasuredUtilization(ll, sqrtRule),
+			UtilAtRule:  arm(cell, "rule", ll.utilAt(sqrtRule)),
 		}
 	})
 }

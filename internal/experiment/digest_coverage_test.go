@@ -253,8 +253,8 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 }
 
 // TestCacheKeysStable pins five literal cache keys, recorded when
-// cacheSalt became bufsim-results-v4 (queue occupancy became the link's,
-// so RED and CoDel runs report a measured mean and peak queue): one run
+// cacheSalt became bufsim-results-v5 (access and reverse links became
+// one-event pipes, which moves the order of same-instant events): one run
 // kind,
 // the short-flow point as the profile scenario it is, a key nesting one
 // config in another, a grid point three embeddings deep, and a sweep
@@ -273,23 +273,23 @@ func TestCacheKeysStable(t *testing.T) {
 		{"long-lived", LongLivedConfig{
 			Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second, Measure: 5 * units.Second}, Sender: Sender{Variant: tcp.Cubic, Paced: true}}, N: 40, BufferPackets: 25,
 			RunEnv: env,
-		}.withDefaults(), "1343fd70148b0778d4d44773209a351586ce78103718a27d9e8ece457298167e"},
+		}.withDefaults(), "ae4d3622d803d8d7785e4747f9338b6672047e4855bc9a7847fcd23c229358f9"},
 		{"profile", shortFlowRun(3, 20*units.Mbps, 0.7, 14, 50,
-			4*units.Second, 10*units.Second, env).withDefaults(), "463e31b99595537ab70b009a5f6b477b45c519a508ffa3e447325e07eb103d9b"},
+			4*units.Second, 10*units.Second, env).withDefaults(), "e1e34b2e5d170302990f239ee238edb1b73d820cf9dc2ea6bf75158448ab0325"},
 		{"mixed", mixedKey{
 			Base: MixedConfig{AFCTComparisonConfig{
 				Scenario: Scenario{Seed: 5, Path: Path{BottleneckRate: 20 * units.Mbps}}, NLong: 30, Sizes: workload.GeometricSize(14), RunEnv: env,
 			}.withDefaults(), 250},
 			Label: "RTT*C",
-		}, "ff22ddf5a400526a8a686f5277882d5c2a0f539c796ca8c7d0e81abe2021e7a4"},
+		}, "d8c17ae11c9f704f33775541e1511ad73c7123a7224de625bc439aaf517042ba"},
 		{"adversarial", adversarialPointConfig{AdversaryScenario{
 			Scenario: Scenario{Seed: 2, Path: Path{BottleneckRate: 20 * units.Mbps}}, Pattern: adversary.PatternSyncAIMD, BufferPackets: 25,
 			AdversaryCohort: AdversaryCohort{N: 8},
 			RunEnv:          env,
-		}.withDefaults(), 0.1}, "27b4da6bac1f431cb5996d478cada791b0f9ef80d01ee0649ef5b5bca5c1807f"},
+		}.withDefaults(), 0.1}, "c78b7609edfe4992575a41d8e7232ed719ea9a3c4640711dc0d4dafea979d5e0"},
 		{"sweep:utilization-table", UtilizationTableConfig{
 			Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps}, Queue: RED}, Ns: []int{50, 100}, Factors: []float64{0.5, 1}, RunEnv: env,
-		}.withDefaults(), "0f230a0dfdb7bb54ed1bb5f0621b59417af1f014cb3fc821e7c188392f483730"},
+		}.withDefaults(), "19b007a360d122c0543c5479ffeaee633d5b48f7bcc94bb5b668c053c6761fe9"},
 	} {
 		if got := pointKey(tc.kind, tc.cfg); got != tc.want {
 			t.Errorf("%s key = %s, want %s", tc.kind, got, tc.want)

@@ -192,6 +192,12 @@ func MeasuredUtilization(cfg LongLivedConfig, bufferPkts int) float64 {
 	return RunLongLived(cfg).Utilization
 }
 
+// utilAt is MeasuredUtilization(c, bufferPkts) as the body of an arm
+// (see arm): the run goes under the arm's env.
+func (c LongLivedConfig) utilAt(bufferPkts int) func(RunEnv) float64 {
+	return func(env RunEnv) float64 { c.RunEnv = env; return MeasuredUtilization(c, bufferPkts) }
+}
+
 // ReplicatedResult aggregates one scenario across independent seeds.
 type ReplicatedResult struct {
 	Replicas        int
@@ -237,16 +243,18 @@ func MinBufferForUtilization(cfg LongLivedConfig, target float64, hi int) int {
 	if hi < 2 {
 		panic("experiment: search upper bound too small")
 	}
+	// Each probe publishes under a registry of its own, buffer=<b>/.
+	probe := func(b int) float64 { return arm(cfg.RunEnv, fmt.Sprintf("buffer=%d", b), cfg.utilAt(b)) }
 	lo := 1
-	if MeasuredUtilization(cfg, lo) >= target {
+	if probe(lo) >= target {
 		return lo
 	}
-	if MeasuredUtilization(cfg, hi) < target {
+	if probe(hi) < target {
 		return hi // not achievable within bound; report the bound
 	}
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if MeasuredUtilization(cfg, mid) >= target {
+		if probe(mid) >= target {
 			hi = mid
 		} else {
 			lo = mid

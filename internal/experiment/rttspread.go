@@ -80,12 +80,16 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 		sc.RTTMin, sc.RTTMax = mean-spread/2, mean+spread/2
 		// RunWindowDist gives the aggregate-window moments, RunLongLived
 		// the utilization at the sqrt-rule buffer.
-		wd := RunWindowDist(WindowDistConfig{Scenario: sc, N: cfg.N, BufferFactor: cfg.BufferFactor, RunEnv: cell})
+		wd := arm(cell, "window", func(env RunEnv) WindowDistResult {
+			return RunWindowDist(WindowDistConfig{Scenario: sc, N: cfg.N, BufferFactor: cfg.BufferFactor, RunEnv: env})
+		})
 		cov := 0.0
 		if wd.Mean > 0 {
 			cov = wd.StdDev / wd.Mean
 		}
-		ll := RunLongLived(LongLivedConfig{Scenario: sc, N: cfg.N, BufferPackets: buffer, RunEnv: cell})
+		ll := arm(cell, "util", func(env RunEnv) LongLivedResult {
+			return RunLongLived(LongLivedConfig{Scenario: sc, N: cfg.N, BufferPackets: buffer, RunEnv: env})
+		})
 		return RTTSpreadPoint{
 			Spread:      spread,
 			Utilization: ll.Utilization,

@@ -68,3 +68,20 @@ func (e RunEnv) live() bool { return e.Metrics != nil || e.Audit != nil }
 func (e RunEnv) cell(reg *metrics.Registry) RunEnv {
 	return RunEnv{Metrics: reg, Audit: e.Audit, Cache: e.Cache}
 }
+
+// arm runs one of the several simulations of a sweep cell under a
+// registry of its own, merged into the cell's under name once it is done.
+// Run on the cell's registry itself, each simulation's collectors would
+// overwrite the last one's counters while its histograms added up. With
+// no registry it is run(cell).
+func arm[T any](cell RunEnv, name string, run func(RunEnv) T) T {
+	if cell.Metrics == nil {
+		return run(cell)
+	}
+	env := cell
+	env.Metrics = metrics.New()
+	out := run(env)
+	env.Metrics.Seal()
+	cell.Metrics.Merge(name, env.Metrics)
+	return out
+}

@@ -216,6 +216,14 @@ func TestInvalidConstruction(t *testing.T) {
 			}()
 			New("bad", s, tc.rate, tc.delay, q, packet.HandlerFunc(func(*packet.Packet) {}))
 		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewPipe(rate=%v, delay=%v) did not panic", tc.rate, tc.delay)
+				}
+			}()
+			NewPipe("bad", s, tc.rate, tc.delay, packet.HandlerFunc(func(*packet.Packet) {}))
+		}()
 	}
 }
 
@@ -300,10 +308,9 @@ func TestBurstRidesOneHeapEntry(t *testing.T) {
 	}
 }
 
-// TestAuditedLinkRefusesReleasedPackets: an audited link reports a packet
-// that was already released to its pool — offered after release, or
-// released while the link still held it — and an unaudited link does not
-// look.
+// TestAuditedLinkRefusesReleasedPackets: an audited link or pipe reports
+// a packet that was already released to its pool — offered after
+// release, or released while the link still held it.
 func TestAuditedLinkRefusesReleasedPackets(t *testing.T) {
 	count := func(aud *audit.Auditor) (n int) {
 		for _, v := range aud.Violations() {
@@ -314,29 +321,44 @@ func TestAuditedLinkRefusesReleasedPackets(t *testing.T) {
 		return n
 	}
 	poison := packet.NewPool(true)
-
-	s, l, c := newTestLink(t, 10*units.Mbps, units.Millisecond, 10)
-	aud := audit.New()
-	l.SetAuditor(aud)
-	stale := mkpkt(0, 1000)
-	poison.Put(stale)
-	l.Send(stale)
-	l.Send(mkpkt(1, 1000))
-	s.Run(units.Epoch.Add(units.Second))
-	if count(aud) != 1 || len(c.pkts) != 1 || c.pkts[0].Seq != 1 {
-		t.Errorf("released packet offered: %d reports, %d delivered; want 1 report and only the live packet delivered (%v)",
-			count(aud), len(c.pkts), aud)
-	}
-
-	s, l, _ = newTestLink(t, 10*units.Mbps, units.Millisecond, 10)
-	aud = audit.New()
-	l.SetAuditor(aud)
-	held := mkpkt(0, 1000)
-	l.Send(held)
-	poison.Put(held) // the sender let go of a packet it had handed on
-	s.Run(units.Epoch.Add(units.Second))
-	if count(aud) == 0 {
-		t.Error("a packet released while the link was transmitting it went unreported")
+	kind := []string{"link", "pipe"}
+	for i, build := range []func(*sim.Scheduler, *audit.Auditor, packet.Handler) packet.Handler{
+		func(s *sim.Scheduler, aud *audit.Auditor, dst packet.Handler) packet.Handler {
+			l := New("link", s, 10*units.Mbps, units.Millisecond, queue.NewDropTail(queue.PacketLimit(10)), dst)
+			l.SetAuditor(aud)
+			return l
+		},
+		func(s *sim.Scheduler, aud *audit.Auditor, dst packet.Handler) packet.Handler {
+			p := NewPipe("pipe", s, 10*units.Mbps, units.Millisecond, dst)
+			p.SetAuditor(aud)
+			return p
+		},
+	} {
+		run := func(offer func(h packet.Handler)) (*collector, *audit.Auditor) {
+			s := sim.NewScheduler()
+			c, aud := &collector{sched: s}, audit.New()
+			offer(build(s, aud, c))
+			s.Run(units.Epoch.Add(units.Second))
+			return c, aud
+		}
+		c, aud := run(func(h packet.Handler) {
+			stale := mkpkt(0, 1000)
+			poison.Put(stale)
+			h.Handle(stale)
+			h.Handle(mkpkt(1, 1000))
+		})
+		if count(aud) != 1 || len(c.pkts) != 1 || c.pkts[0].Seq != 1 {
+			t.Errorf("%s: released packet offered: %d reports, %d delivered; want 1 report and only the live packet delivered (%v)",
+				kind[i], count(aud), len(c.pkts), aud)
+		}
+		_, aud = run(func(h packet.Handler) {
+			held := mkpkt(0, 1000)
+			h.Handle(held)
+			poison.Put(held) // the sender let go of a packet it had handed on
+		})
+		if count(aud) == 0 {
+			t.Errorf("%s: a packet released while the link held it went unreported", kind[i])
+		}
 	}
 }
 

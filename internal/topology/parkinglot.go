@@ -158,10 +158,10 @@ func (p *ParkingLot) AddFlow(from, to int, rtt units.Duration, spec tcp.Config) 
 	sndHost := node.NewHost(p.alloc(), fmt.Sprintf("s%d", p.nextFlow))
 	rcvHost := node.NewHost(p.alloc(), fmt.Sprintf("d%d", p.nextFlow))
 
-	access := link.New(fmt.Sprintf("acc%d", p.nextFlow), p.cfg.Sched, p.cfg.AccessRate,
-		units.Duration(rtt/2)-core, queue.NewDropTail(queue.Unlimited()), p.Routers[from])
-	reverse := link.New(fmt.Sprintf("rev%d", p.nextFlow), p.cfg.Sched, p.cfg.AccessRate,
-		units.Duration(rtt/2), queue.NewDropTail(queue.Unlimited()), sndHost)
+	access := link.NewPipe(fmt.Sprintf("acc%d", p.nextFlow), p.cfg.Sched, p.cfg.AccessRate,
+		units.Duration(rtt/2)-core, p.Routers[from])
+	reverse := link.NewPipe(fmt.Sprintf("rev%d", p.nextFlow), p.cfg.Sched, p.cfg.AccessRate,
+		units.Duration(rtt/2), sndHost)
 	access.SetAuditor(p.cfg.Auditor)
 	reverse.SetAuditor(p.cfg.Auditor)
 	sndHost.SetAuditor(p.cfg.Auditor, p.cfg.Sched)

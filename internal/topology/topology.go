@@ -98,8 +98,8 @@ type Station struct {
 
 	senderHost   *node.Host
 	receiverHost *node.Host
-	access       *link.Link
-	reverse      *link.Link
+	access       *link.Pipe
+	reverse      *link.Pipe
 	sched        *sim.Scheduler
 }
 
@@ -195,10 +195,10 @@ func (d *Dumbbell) buildStation(i int) *Station {
 	fwdDelay := units.Duration(rtt/2) - cfg.BottleneckDelay
 	revDelay := units.Duration(rtt / 2)
 
-	st.access = link.New(fmt.Sprintf("access%d", i), st.sched, cfg.AccessRate,
-		fwdDelay, queue.NewDropTail(queue.Unlimited()), d.R1)
-	st.reverse = link.New(fmt.Sprintf("reverse%d", i), st.sched, cfg.AccessRate,
-		revDelay, queue.NewDropTail(queue.Unlimited()), st.senderHost)
+	// Neither path drops or is measured, so both are pipes (see
+	// link.Pipe).
+	st.access = link.NewPipe(fmt.Sprintf("access%d", i), st.sched, cfg.AccessRate, fwdDelay, d.R1)
+	st.reverse = link.NewPipe(fmt.Sprintf("reverse%d", i), st.sched, cfg.AccessRate, revDelay, st.senderHost)
 	st.access.SetAuditor(cfg.Auditor)
 	st.reverse.SetAuditor(cfg.Auditor)
 	st.senderHost.SetAuditor(cfg.Auditor, st.sched)

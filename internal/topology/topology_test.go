@@ -367,3 +367,40 @@ func TestOnePoolPerView(t *testing.T) {
 		}
 	}
 }
+
+// TestEventBudgetPerPacket: a data packet and its ACK cost the kernel four
+// events — the arrival at R1 off the access pipe, the bottleneck's
+// transmit-done and arrival at R2, and the ACK's arrival back at the
+// sender off the reverse pipe. A lossy 30-flow dumbbell (60 Mb/s,
+// 55-packet buffer) spends at most 4.1 events per packet the bottleneck
+// delivers, timers and drops included. With the access and reverse links
+// as queued links (a transmit-done and an arrival each) it spent 6.09.
+func TestEventBudgetPerPacket(t *testing.T) {
+	const n = 30
+	s := sim.NewScheduler()
+	d := NewDumbbell(Config{
+		Sched:           s,
+		RNG:             sim.NewRNG(1),
+		BottleneckRate:  60 * units.Mbps,
+		BottleneckDelay: 10 * units.Millisecond,
+		Buffer:          queue.PacketLimit(55),
+		Stations:        n,
+		RTTMin:          50 * units.Millisecond,
+		RTTMax:          150 * units.Millisecond,
+	})
+	rng := sim.NewRNG(2)
+	for i := 0; i < n; i++ {
+		f := d.AddFlow(d.Station(i), tcp.Config{SegmentSize: 1000})
+		s.PostAt(units.Epoch.Add(units.Duration(rng.Uniform(0, float64(units.Second)))), f.Sender, tcp.OpStart, nil)
+	}
+	s.Run(units.Epoch.Add(20 * units.Second))
+	delivered := d.Bottleneck.DeliveredPackets()
+	if drops := d.Bottleneck.Queue().Stats().DroppedPackets; drops == 0 || delivered == 0 {
+		t.Fatalf("%d delivered, %d dropped: the run must deliver and lose packets", delivered, drops)
+	}
+	perPacket := float64(s.Processed) / float64(delivered)
+	t.Logf("%d events for %d delivered packets: %.3f per packet", s.Processed, delivered, perPacket)
+	if perPacket > 4.1 {
+		t.Errorf("%.3f kernel events per delivered packet, want at most 4.1", perPacket)
+	}
+}
