@@ -165,7 +165,7 @@ func rttDumbbell(stations, bufferPkts int, rate units.BitRate, lo, hi units.Dura
 }
 
 // cwndSpread runs an 8-flow SyncAIMD cohort (10 Mb/s, 25-packet buffer)
-// on station RTTs drawn from [lo, hi] and returns the median, over
+// on station RTTs drawn from [lo, hi) and returns the median, over
 // samples every 100 ms from 10 s to 60 s, of the ratio of the largest to
 // the smallest congestion window, and the cohort.
 func cwndSpread(t *testing.T, lo, hi units.Duration) (float64, []*topology.Flow) {
@@ -192,11 +192,15 @@ func cwndSpread(t *testing.T, lo, hi units.Duration) (float64, []*topology.Flow)
 // not claimed — which packets a full buffer rejects depends on arrival
 // interleaving, so at a single instant the spread can be wide — but over
 // 50 s the median spread stays small because every flow rides the same
-// loss epochs. The same cohort on drawn RTTs (50–150 ms) is the negative
-// control: its flows lose apart, and the check must reject it.
+// loss epochs. The RTTs differ by under a microsecond (10⁻⁵ of the RTT):
+// with exactly equal RTTs every flow's events share nanoseconds, and the
+// spread measures one order of those ties (1.50), not the cohort (1.08
+// on five RTT seeds with offsets up to 10 µs). The same cohort on drawn
+// RTTs (50–150 ms) is the negative control: its flows lose apart, and
+// the check must reject it.
 func TestSyncAIMDSharedLossEpochs(t *testing.T) {
 	const bound = 1.25
-	spread, flows := cwndSpread(t, 100*units.Millisecond, 100*units.Millisecond)
+	spread, flows := cwndSpread(t, 100*units.Millisecond, 100*units.Millisecond+999*units.Nanosecond)
 	if len(flows) != 8 {
 		t.Fatalf("cohort size %d, want 8", len(flows))
 	}

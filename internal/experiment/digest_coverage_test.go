@@ -253,9 +253,9 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 }
 
 // TestCacheKeysStable pins five literal cache keys, recorded when
-// cacheSalt became bufsim-results-v5 (access and reverse links became
-// one-event pipes, which moves the order of same-instant events): one run
-// kind,
+// cacheSalt became bufsim-results-v6 (a late ACK raises the TCP sender's
+// sndNxt, so a go-back-N rewind no longer resends acknowledged data): one
+// run kind,
 // the short-flow point as the profile scenario it is, a key nesting one
 // config in another, a grid point three embeddings deep, and a sweep
 // checkpoint key. While cacheSalt stands, so must every key — a mismatch
@@ -273,23 +273,23 @@ func TestCacheKeysStable(t *testing.T) {
 		{"long-lived", LongLivedConfig{
 			Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second, Measure: 5 * units.Second}, Sender: Sender{Variant: tcp.Cubic, Paced: true}}, N: 40, BufferPackets: 25,
 			RunEnv: env,
-		}.withDefaults(), "ae4d3622d803d8d7785e4747f9338b6672047e4855bc9a7847fcd23c229358f9"},
+		}.withDefaults(), "dfda97de0ad2904670a149ec76a6f9825b43e562bad07d8fb255e45461646479"},
 		{"profile", shortFlowRun(3, 20*units.Mbps, 0.7, 14, 50,
-			4*units.Second, 10*units.Second, env).withDefaults(), "e1e34b2e5d170302990f239ee238edb1b73d820cf9dc2ea6bf75158448ab0325"},
+			4*units.Second, 10*units.Second, env).withDefaults(), "0d5a20cd029e55809ea2fffefa5a43359de957d9ad2228474004cddf7006c5cd"},
 		{"mixed", mixedKey{
 			Base: MixedConfig{AFCTComparisonConfig{
 				Scenario: Scenario{Seed: 5, Path: Path{BottleneckRate: 20 * units.Mbps}}, NLong: 30, Sizes: workload.GeometricSize(14), RunEnv: env,
 			}.withDefaults(), 250},
 			Label: "RTT*C",
-		}, "d8c17ae11c9f704f33775541e1511ad73c7123a7224de625bc439aaf517042ba"},
+		}, "564e38b4016e9882074e9c8c043bf79eec777f383dc130e9de627d01c9ed0184"},
 		{"adversarial", adversarialPointConfig{AdversaryScenario{
 			Scenario: Scenario{Seed: 2, Path: Path{BottleneckRate: 20 * units.Mbps}}, Pattern: adversary.PatternSyncAIMD, BufferPackets: 25,
 			AdversaryCohort: AdversaryCohort{N: 8},
 			RunEnv:          env,
-		}.withDefaults(), 0.1}, "c78b7609edfe4992575a41d8e7232ed719ea9a3c4640711dc0d4dafea979d5e0"},
+		}.withDefaults(), 0.1}, "5e6573c288efa63db6135986426fcd3fbab5cdc56d4d1354f5b8fcfbead4a798"},
 		{"sweep:utilization-table", UtilizationTableConfig{
 			Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps}, Queue: RED}, Ns: []int{50, 100}, Factors: []float64{0.5, 1}, RunEnv: env,
-		}.withDefaults(), "19b007a360d122c0543c5479ffeaee633d5b48f7bcc94bb5b668c053c6761fe9"},
+		}.withDefaults(), "50f1445b05cf5a91fdcf407f09b6de59655089b7add656f2e3ab40d1d34dedcf"},
 	} {
 		if got := pointKey(tc.kind, tc.cfg); got != tc.want {
 			t.Errorf("%s key = %s, want %s", tc.kind, got, tc.want)

@@ -38,7 +38,7 @@ var goldenDigestCases = []struct {
 }{
 	{
 		name: "long_lived_reno",
-		want: "9a84081920306444da24a3f7b94e199fd1a78e6ed655c4cecffa355500e2b8aa",
+		want: "e3103e4374167e83fefcbbd8fdc673c596523e9f52e0099b575c5ce26ce376e1",
 		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second}}, N: 24,
@@ -49,7 +49,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "long_lived_sack_paced_delack",
-		want: "daee4e44719aaf120f2fccfae01a5d4e8f44167ca7e45a99fc29ff082c406fc7",
+		want: "77c2026cbef1806baa729c92c2d6def3a75d42d49e5fbe35f0d7eac64d683bab",
 		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Scenario: Scenario{Seed: 11, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second}, Sender: Sender{Variant: 3 /* Sack */, Paced: true, DelayedAck: true}}, N: 16,
@@ -60,7 +60,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "long_lived_red_ecn",
-		want: "74a83c61549355af357e1c26b6465a768323cbd3420796908e30ef819164b031",
+		want: "f10135e8f1def8587fda85f01abd17204c8d8bd6c6c2ba797e5a99b50cd3af49",
 		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Scenario: Scenario{Seed: 3, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second}, Queue: REDECN}, N: 20,
@@ -71,7 +71,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "long_lived_cubic",
-		want: "ab78bc44d4975a329be3f3ec6741da5db68ee9fab99884d6ac46f400277c002a",
+		want: "190cfc02f1a7bf9b5e255b57f06b23fa318209896c6f55389b73a8b504a9bca6",
 		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Scenario: Scenario{Seed: 13, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second}, Sender: Sender{Variant: 4 /* Cubic */}}, N: 24,
@@ -82,7 +82,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "long_lived_bbr",
-		want: "0297c3f652b500fdf658e2897ab901e0bd099c9f9495a931b795e393fc53c5fd",
+		want: "4dc7f510198c02cedce92182903e94d578638e2b856b4405ad479d517b26e859",
 		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Scenario: Scenario{Seed: 17, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 4 * units.Second, Measure: 8 * units.Second}, Sender: Sender{Variant: 5 /* BBR */, DelayedAck: true}}, N: 16,
@@ -93,7 +93,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "single_flow_sawtooth",
-		want: "b944849af08fc27334a6d438a21a7c1c3a3888914de021470ff0720238a5d273",
+		want: "142cdc8b2e609365c86bf865dcdd730feeda67fbf87ef83d433e80caf3754876",
 		run: func(cache *runcache.Store) any {
 			return RunSingleFlow(SingleFlowConfig{
 				Scenario: Scenario{Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 30 * units.Second, Measure: 40 * units.Second}}, BufferFactor: 1,
@@ -103,7 +103,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "short_flows",
-		want: "5d4523c64431bd9c5764512cf63f90d15d96c3c95ac360b9ab1651a9c012d714",
+		want: "8abc0d5cd131103f00f692062e69661ac71eaa86c3b7db72612917e4bfcc3d0c",
 		run: func(cache *runcache.Store) any {
 			return shortFlowDigest(RunProfile(shortFlowRun(5, 20*units.Mbps, 0.7, 14, 50,
 				4*units.Second, 10*units.Second, RunEnv{Cache: cache})))
@@ -111,7 +111,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "mixed_traffic",
-		want: "af5cdb47b0ca1b22709bc162f534cf059dc54bdc275a2decbb6c704c5087e16e",
+		want: "5a3b99f96856a3db3c18227f21f18ec6ee4fafe91fdc258c76cd46173d23b73f",
 		run: func(cache *runcache.Store) any {
 			return RunMixed(MixedConfig{AFCTComparisonConfig{
 				Scenario: Scenario{Seed: 9, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 5 * units.Second, Measure: 10 * units.Second}}, NLong: 12, ShortLoad: 0.15,
@@ -122,7 +122,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "profile_flashcrowd",
-		want: "fa7d5874c5551439e82a093a0928c15f5e464cf2d2bd12a30aaa92e7cf1581e7",
+		want: "246cfdf23b547aa915ad4d57eabee9ee0e605c923b35380e9ce60e73f2471b29",
 		run: func(cache *runcache.Store) any {
 			prof, err := profile.FlashCrowd.Profile().Compress(4)
 			if err != nil {
@@ -157,7 +157,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "harpoon_sessions",
-		want: "fc25e502881cab965e14c2781c7bc46206a20630e202e987726b5246c63d4bda",
+		want: "c2b96e097fb0ee7d04d68981f9aa87c0c003fb7c3ce371ea863766d4597f591c",
 		run: func(cache *runcache.Store) any {
 			return RunHarpoon(HarpoonConfig{
 				Scenario: Scenario{Seed: 4, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}}, Sessions: 60,
@@ -170,7 +170,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "production_points",
-		want: "8f9befcaa913e7e78c5a06f15155d96e39c7a88184781bb8044f519ec701909b",
+		want: "91a253db26d1ce8862548a3be8894de1ee92f7cc774a366134b902dc2068a722",
 		run: func(cache *runcache.Store) any {
 			return RunProduction(ProductionConfig{
 				Scenario: Scenario{Seed: 6, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 6 * units.Second}}, NLong: 10,
@@ -192,7 +192,7 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "window_dist",
-		want: "6ea91f11259eccc6cf4471720309e4c35b625512dcc7abc60bdb666fa8b575f5",
+		want: "553d1ee87a31ae23472c33e2de9be4b594fe2e9dca34e81e775228509cfd5888",
 		run: func(cache *runcache.Store) any {
 			return RunWindowDist(WindowDistConfig{
 				Scenario: Scenario{Seed: 10, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}}, N: 12,
@@ -207,17 +207,17 @@ var goldenDigestCases = []struct {
 	},
 	{
 		name: "adversary_aimdsync",
-		want: "bf60c25f3befd49602c472e1b41a7a403f4cc7a1795e8177b6422cc084031033",
+		want: "2d9d6d6e621f0ae69e831e246e1d097ebe7602375db120e0a84b508e63bb25ed",
 		run:  adversaryDigestCase(adversary.PatternSyncAIMD),
 	},
 	{
 		name: "adversary_parkinglot",
-		want: "78228d630df156d55f72a54bbf50c056260df476e257ff196b609fa6e8031e5b",
+		want: "d849a7600971ce32f8db2e4bfcb30887c97e05fcd73ff80f49c23dd37a635d0c",
 		run:  adversaryDigestCase(adversary.PatternParkingLot),
 	},
 	{
 		name: "multihop",
-		want: "7373cbd05994f432cf37ba58bf327d19876d1c04b6cec7883b4c707774147b72",
+		want: "52a9efa3da21f9f941b2d53029fa7c2cca116e97c82a05f34668c1851fe019f8",
 		run: func(cache *runcache.Store) any {
 			return RunMultiHop(MultiHopConfig{
 				Scenario: Scenario{Seed: 12, Path: Path{BottleneckRate: 10 * units.Mbps, Warmup: 3 * units.Second, Measure: 5 * units.Second}}, NPerGroup: 6,
@@ -274,6 +274,9 @@ func adversaryDigestCase(p adversary.Pattern) func(*runcache.Store) any {
 // RTT and one start instant, so its schedule depends on the order of
 // same-nanosecond events, and a pipe reserves an arrival's place in that
 // order when the packet is sent rather than when its last bit leaves.
+// Every digest but trace_replay, smoothing_points and adversary_pulse was
+// re-recorded when a late ACK began to raise the TCP sender's sndNxt, so
+// a timeout's go-back-N no longer resends data the receiver holds.
 // If a deliberate behaviour change invalidates a digest,
 // re-record by copying the digests the failing run prints.
 func TestGoldenDigests(t *testing.T) {

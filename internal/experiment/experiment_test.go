@@ -314,8 +314,11 @@ func TestRunSyncAblationDesynchronizesWithN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-flow distribution runs")
 	}
+	// At 100 Mb/s the 120 flows keep ~8 segments each in flight. At
+	// 20 Mb/s they kept under 2, lived in timeouts rather than sawtooths,
+	// and the sawtooth-normalized index read no synchronization at all.
 	points := RunSyncAblation(SyncConfig{
-		Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 20 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 10 * units.Second, Measure: 25 * units.Second}},
+		Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 100 * units.Mbps, RTTMin: 60 * units.Millisecond, RTTMax: 140 * units.Millisecond, Warmup: 10 * units.Second, Measure: 25 * units.Second}},
 		Ns:       []int{5, 120},
 	})
 	if len(points) != 2 {

@@ -76,7 +76,7 @@ func TestPipeMatchesLink(t *testing.T) {
 		sends := pipeSchedule(sim.NewRNG(int64(ci+1)), n, c.rate)
 		s := sim.NewScheduler()
 		ref, got := &collector{sched: s}, &collector{sched: s}
-		l := New("ref", s, c.rate, c.delay, queue.NewDropTail(queue.Unlimited()), ref)
+		l := New("ref", s, c.rate, c.delay, queue.NewDropTail(queue.Limit{}), ref)
 		p := NewPipe("pipe", s, c.rate, c.delay, got)
 		aud := audit.New()
 		l.SetAuditor(aud)

@@ -85,10 +85,7 @@ type Packet struct {
 	Src  NodeID
 	Dst  NodeID
 
-	Flags Flags
-	// Retransmitted marks retransmissions so RTT samples obey Karn's
-	// rule. It and Flags sit in what would otherwise be padding after Dst.
-	Retransmitted bool
+	Flags Flags // sits in what would otherwise be padding after Dst
 
 	// Seq is the segment sequence number (data packets) and Ack is the
 	// cumulative acknowledgement (ACK packets): "every segment below Ack

@@ -167,8 +167,8 @@ func TestPutDropped(t *testing.T) {
 	}
 }
 
-// TestPacketSize pins the layout: Flags and Retransmitted ride in the
-// padding after Dst, which keeps a packet in the 80-byte size class.
+// TestPacketSize pins the layout: Flags rides in the padding after Dst,
+// which keeps a packet in the 80-byte size class.
 func TestPacketSize(t *testing.T) {
 	if got := unsafe.Sizeof(Packet{}); got != 80 {
 		t.Errorf("Packet is %d bytes, want 80", got)

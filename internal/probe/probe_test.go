@@ -107,7 +107,7 @@ func TestProbeCoDelLadder(t *testing.T) {
 }
 
 func TestProbeUnlimitedQueue(t *testing.T) {
-	q := queue.NewDropTail(queue.Unlimited())
+	q := queue.NewDropTail(queue.Limit{})
 	if _, err := probe.Run(q, probe.Config{Rate: probeRate}); err == nil {
 		t.Fatal("probe of an unlimited queue returned no error")
 	}

@@ -20,7 +20,7 @@ var disciplineTable = []struct {
 }{
 	{"droptail-pkts", func(int64) Queue { return NewDropTail(PacketLimit(32)) }},
 	{"droptail-bytes", func(int64) Queue { return NewDropTail(ByteLimit(20000)) }},
-	{"droptail-unlimited", func(int64) Queue { return NewDropTail(Unlimited()) }},
+	{"droptail-unlimited", func(int64) Queue { return NewDropTail(Limit{}) }},
 	{"red", func(seed int64) Queue {
 		return NewRED(DefaultRED(32, 400*units.Microsecond, rand.New(rand.NewSource(seed)).Float64))
 	}},

@@ -158,7 +158,7 @@ func TestCoDelMaxPacketDefault(t *testing.T) {
 }
 
 func TestCoDelEmptyDequeue(t *testing.T) {
-	q := NewCoDel(CoDelConfig{Limit: Unlimited()})
+	q := NewCoDel(CoDelConfig{Limit: Limit{}})
 	if q.Dequeue(0) != nil {
 		t.Error("empty dequeue returned a packet")
 	}

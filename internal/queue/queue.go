@@ -90,7 +90,8 @@ func (f *fifo) grow() {
 }
 
 // Limit expresses a buffer size either in packets or in bytes (router
-// vendors quote both; the paper's tables use packets).
+// vendors quote both; the paper's tables use packets). The zero Limit
+// never drops (the paper's "infinite buffer" baseline for Fig. 8).
 type Limit struct {
 	Packets int            // 0 means unlimited in packets
 	Bytes   units.ByteSize // 0 means unlimited in bytes
@@ -101,10 +102,6 @@ func PacketLimit(n int) Limit { return Limit{Packets: n} }
 
 // ByteLimit returns a Limit of b bytes.
 func ByteLimit(b units.ByteSize) Limit { return Limit{Bytes: b} }
-
-// Unlimited returns a Limit that never drops (the paper's
-// "infinite buffer" baseline for Fig. 8).
-func Unlimited() Limit { return Limit{} }
 
 // admits reports whether a queue currently holding (pkts, bytes) can accept
 // another packet of size s under the limit.

@@ -73,7 +73,7 @@ func TestDropTailByteLimit(t *testing.T) {
 }
 
 func TestDropTailUnlimited(t *testing.T) {
-	q := NewDropTail(Unlimited())
+	q := NewDropTail(Limit{})
 	for i := int64(0); i < 10000; i++ {
 		if !q.Enqueue(mkpkt(i, 1500), 0) {
 			t.Fatalf("unlimited queue dropped packet %d", i)
@@ -97,7 +97,7 @@ func TestFIFOGrowthPreservesOrder(t *testing.T) {
 	// Push/pop across multiple ring growths, checking order; exercises
 	// the wraparound copy in grow().
 	f := func(ops []bool) bool {
-		q := NewDropTail(Unlimited())
+		q := NewDropTail(Limit{})
 		var next, expect int64
 		for _, push := range ops {
 			if push {

@@ -8,20 +8,20 @@ import (
 )
 
 // SetAuditor attaches an invariant checker to the sender: ACK bounds and
-// cumulative-ACK monotonicity, window sanity (cwnd >= 1, new data never
+// cumulative-ACK monotonicity, sequence order (sndUna <= sndNxt <= sndMax,
+// nothing sent below sndUna), window sanity (cwnd >= 1, new data never
 // sent beyond the usable window), and completion accounting for finite
 // flows. A nil auditor (the default) disables the checks.
 func (s *Sender) SetAuditor(a *audit.Auditor) { s.aud = a }
 
 // auditAck validates an incoming ACK before the sender acts on it: a
 // cumulative ACK can never cover data that was never sent. The bound is
-// the high-water mark of transmitted sequence numbers, not sndNxt — a
-// timeout rewinds sndNxt to sndUna (go-back-N) while ACKs for the
-// pre-rewind transmissions are still in flight.
+// sndMax, not sndNxt — a timeout rewinds sndNxt to sndUna (go-back-N)
+// while ACKs for the pre-rewind transmissions are still in flight.
 func (s *Sender) auditAck(ack int64, now units.Time) {
-	if ack > s.audMaxSeq {
+	if ack > s.sndMax {
 		s.aud.Violationf(now, s.audName(), "ack-bounded",
-			"ACK %d beyond highest transmitted segment %d", ack, s.audMaxSeq)
+			"ACK %d beyond highest transmitted segment %d", ack, s.sndMax)
 	}
 	if ack < 0 {
 		s.aud.Violationf(now, s.audName(), "ack-bounded", "negative ACK %d", ack)
@@ -49,37 +49,33 @@ func (s *Sender) auditState(now units.Time) {
 			"sndUna moved backwards: %d after %d", s.sndUna, s.audUna)
 	}
 	s.audUna = s.sndUna
-	// sndUna <= sndNxt does NOT hold here: after a timeout rewinds sndNxt
-	// to sndUna (go-back-N), a late ACK for a pre-rewind transmission can
-	// move sndUna past the rewound sndNxt. Both pointers are instead
-	// bounded by the transmission high-water mark: nothing can be
-	// acknowledged, and nothing can be "next", beyond what was ever sent.
-	if s.sndUna > s.audMaxSeq {
-		s.aud.Violationf(now, s.audName(), "seq-order",
-			"sndUna %d beyond highest transmitted segment %d", s.sndUna, s.audMaxSeq)
-	}
-	if s.sndNxt > s.audMaxSeq {
-		s.aud.Violationf(now, s.audName(), "seq-order",
-			"sndNxt %d beyond highest transmitted segment %d", s.sndNxt, s.audMaxSeq)
-	}
+	s.auditOrder(s.sndUna, now)
 	if !s.longLived() && s.sndNxt > s.cfg.TotalSegments {
 		s.aud.Violationf(now, s.audName(), "seq-bounded",
 			"sndNxt %d beyond flow length %d", s.sndNxt, s.cfg.TotalSegments)
 	}
 }
 
-// auditSend observes every transmission: it maintains the high-water
-// mark that bounds incoming ACKs, and checks that window-clocked sends
-// respect the usable window — the enforceable form of "inflight <= cwnd"
-// (after a window reduction, old outstanding data may exceed the
-// shrunken window; explicit retransmissions of it must not be flagged).
-func (s *Sender) auditSend(seq int64, isRetransmit bool, now units.Time) {
-	if !isRetransmit && seq >= s.sndUna+s.UsableWindow() {
+// auditSend checks every transmission before it happens: the segment is
+// not below sndUna and the pointers are in order, and new data respects
+// the usable window — the enforceable form of "inflight <= cwnd" (after
+// a window reduction, old outstanding data may exceed the shrunken
+// window; retransmissions of it must not be flagged).
+func (s *Sender) auditSend(seq int64, now units.Time) {
+	s.auditOrder(seq, now)
+	if seq >= s.sndMax && seq >= s.sndUna+s.UsableWindow() {
 		s.aud.Violationf(now, s.audName(), "window-respected",
 			"segment %d sent with sndUna %d and window %d", seq, s.sndUna, s.UsableWindow())
 	}
-	if seq+1 > s.audMaxSeq {
-		s.audMaxSeq = seq + 1
+}
+
+// auditOrder checks sndUna <= seq, sndUna <= sndNxt <= sndMax: nothing is
+// acknowledged or next beyond what was ever sent, and nothing the
+// receiver has acknowledged is next or about to be sent (seq).
+func (s *Sender) auditOrder(seq int64, now units.Time) {
+	if seq < s.sndUna || s.sndNxt < s.sndUna || s.sndNxt > s.sndMax {
+		s.aud.Violationf(now, s.audName(), "seq-order",
+			"segment %d with sndUna %d, sndNxt %d, sndMax %d", seq, s.sndUna, s.sndNxt, s.sndMax)
 	}
 }
 

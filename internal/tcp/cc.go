@@ -16,7 +16,8 @@ type SenderOps interface {
 	Now() units.Time
 	// SndUna is the lowest unacknowledged segment.
 	SndUna() int64
-	// SndNxt is the next never-before-sent segment.
+	// SndNxt is the next segment to send: after a timeout's go-back-N
+	// rewind it may have been sent before.
 	SndNxt() int64
 	// Outstanding is the number of unacknowledged segments in flight.
 	Outstanding() int64
@@ -25,10 +26,11 @@ type SenderOps interface {
 	// UsableWindow is the controller's window clamped to the receiver's
 	// advertised window and floored at one whole segment.
 	UsableWindow() int64
-	// CanSendNew reports whether the window and data supply allow a new
-	// (never-before-sent) segment.
+	// CanSendNew reports whether the window and data supply allow
+	// sending segment SndNxt.
 	CanSendNew() bool
-	// SendNextNew unconditionally transmits the next new segment.
+	// SendNextNew unconditionally transmits segment SndNxt and advances
+	// it.
 	// Callers implementing their own pipe accounting (SACK) check the
 	// budget themselves; everyone else uses SendNew.
 	SendNextNew()

@@ -145,10 +145,7 @@ func (c *bbrCC) Window() float64 {
 	bw := c.btlBw()
 	if bw <= 0 || !c.haveMinRTT {
 		// No model yet: ACK-clocked startup from the initial window.
-		if w := float64(c.cfg.InitialCwnd); w > bbrMinCwnd {
-			return w
-		}
-		return bbrMinCwnd
+		return max(initialCwnd, bbrMinCwnd)
 	}
 	w := c.cwndGain() * c.bdp()
 	if c.postTimeout && w > bbrMinCwnd {

@@ -31,7 +31,7 @@ type aimd struct {
 func (a *aimd) Init(ops SenderOps, cfg Config) {
 	a.ops = ops
 	a.cfg = cfg
-	a.cwnd = float64(cfg.InitialCwnd)
+	a.cwnd = initialCwnd
 	a.ssthresh = float64(cfg.MaxWindow)
 }
 

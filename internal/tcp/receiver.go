@@ -184,7 +184,7 @@ func (r *Receiver) sendAckFor(justArrived int64) {
 		p.Flags |= packet.FlagECE
 		r.echoECE = false
 	}
-	p.Size = r.cfg.AckSize
+	p.Size = ackSize
 	p.Sent = r.sched.Now()
 	r.out.Handle(p)
 }

@@ -35,8 +35,6 @@ type Config struct {
 
 	// SegmentSize is the wire size of a full data segment in bytes.
 	SegmentSize units.ByteSize
-	// AckSize is the wire size of a pure ACK.
-	AckSize units.ByteSize
 
 	// TotalSegments is the flow length; 0 or negative means long-lived
 	// (infinite data).
@@ -47,10 +45,6 @@ type Config struct {
 	// 12–43 packets; long-flow experiments set it large enough not to
 	// bind.
 	MaxWindow int
-
-	// InitialCwnd is the slow-start initial window; the paper describes
-	// flows that "first send out two packets".
-	InitialCwnd int
 
 	Variant Variant
 
@@ -71,35 +65,26 @@ type Config struct {
 	// RFC 3168 simplified to per-packet ECE echo. Pair with a RED queue
 	// configured with MarkECN.
 	ECN bool
-
-	// MinRTO / InitialRTO / MaxRTO bound the retransmission timer.
-	MinRTO     units.Duration
-	InitialRTO units.Duration
-	MaxRTO     units.Duration
 }
+
+// Fixed sender constants: a pure ACK's wire size (TCP/IP header, no
+// options), the slow-start initial window (the paper's flows "first send
+// out two packets"), and the bounds of the retransmission timer.
+const (
+	ackSize     = 40 * units.Byte
+	initialCwnd = 2
+	minRTO      = 200 * units.Millisecond
+	initialRTO  = units.Second
+	maxRTO      = 60 * units.Second
+)
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.SegmentSize == 0 {
 		c.SegmentSize = units.DefaultSegment
 	}
-	if c.AckSize == 0 {
-		c.AckSize = 40 * units.Byte // TCP/IP header, no options
-	}
 	if c.MaxWindow == 0 {
 		c.MaxWindow = 1 << 20 // effectively unbounded
-	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 2
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * units.Millisecond
-	}
-	if c.InitialRTO == 0 {
-		c.InitialRTO = units.Second
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * units.Second
 	}
 	return c
 }
@@ -107,7 +92,7 @@ func (c Config) withDefaults() Config {
 // Stats accumulates per-flow counters.
 type Stats struct {
 	SegmentsSent    int64 // data segments put on the wire, incl. retransmissions
-	Retransmits     int64
+	Retransmits     int64 // segments sent again, go-back-N resends included
 	Timeouts        int64
 	FastRecoveries  int64
 	AcksReceived    int64
@@ -128,8 +113,12 @@ type Sender struct {
 
 	cc CongestionControl
 
+	// sndUna <= sndNxt <= sndMax always: a timeout rewinds sndNxt to
+	// sndUna (go-back-N) and an ACK raises it, so every send below sndMax
+	// is a retransmission.
 	sndUna int64 // lowest unacknowledged segment
-	sndNxt int64 // next never-before-sent segment
+	sndNxt int64 // next segment to send
+	sndMax int64 // one past the highest segment ever sent
 	rttSeq int64 // segment being timed; -1 if none
 
 	// The RFC 6298 RTT estimator, and the send times it and pacing read.
@@ -154,12 +143,9 @@ type Sender struct {
 	pool *packet.Pool
 
 	// aud, when non-nil, receives invariant violations (see SetAuditor in
-	// audit.go); audUna is the auditor's high-water mark of sndUna, and
-	// audMaxSeq one past the highest sequence ever transmitted (sndNxt
-	// itself rewinds on timeout, so it cannot bound incoming ACKs).
-	aud       *audit.Auditor
-	audUna    int64
-	audMaxSeq int64
+	// audit.go); audUna is the auditor's high-water mark of sndUna.
+	aud    *audit.Auditor
+	audUna int64
 
 	stats Stats
 
@@ -212,7 +198,7 @@ func (s *Sender) init(cfg Config, sched *sim.Scheduler, out packet.Handler) *Sen
 	s.sched = sched
 	s.out = out
 	s.rttSeq = -1
-	s.rto = cfg.InitialRTO
+	s.rto = initialRTO
 	s.stats.Completed = units.Never
 	s.cc = cfg.Variant.newCongestionControl()
 	s.cc.Init(s, cfg)
@@ -268,7 +254,7 @@ func (s *Sender) Now() units.Time { return s.sched.Now() }
 // SndUna returns the lowest unacknowledged segment (SenderOps).
 func (s *Sender) SndUna() int64 { return s.sndUna }
 
-// SndNxt returns the next never-before-sent segment (SenderOps).
+// SndNxt returns the next segment to send (SenderOps).
 func (s *Sender) SndNxt() int64 { return s.sndNxt }
 
 // ResetDupAcks clears the duplicate-ACK counter (SenderOps).
@@ -287,17 +273,17 @@ func (s *Sender) UsableWindow() int64 {
 // longLived reports whether the flow has infinite data.
 func (s *Sender) longLived() bool { return s.cfg.TotalSegments <= 0 }
 
-// CanSendNew reports whether the window and data supply allow a new
-// (never-before-sent) segment (SenderOps).
+// CanSendNew reports whether the window and data supply allow sending
+// segment SndNxt (SenderOps).
 func (s *Sender) CanSendNew() bool {
 	return s.sndNxt < s.sndUna+s.UsableWindow() &&
 		(s.longLived() || s.sndNxt < s.cfg.TotalSegments)
 }
 
-// SendNextNew unconditionally transmits the next new segment
+// SendNextNew unconditionally transmits segment SndNxt and advances it
 // (SenderOps; SACK's pipe accounting budgets its own sends).
 func (s *Sender) SendNextNew() {
-	s.transmit(s.sndNxt, false)
+	s.transmit(s.sndNxt)
 	s.sndNxt++
 }
 
@@ -307,7 +293,7 @@ func (s *Sender) SendNextNew() {
 func (s *Sender) SendNew() { s.trySend() }
 
 // Retransmit puts segment seq back on the wire (SenderOps).
-func (s *Sender) Retransmit(seq int64) { s.transmit(seq, true) }
+func (s *Sender) Retransmit(seq int64) { s.transmit(seq) }
 
 // RestartRTO re-arms the retransmission timer (SenderOps).
 func (s *Sender) RestartRTO() { s.restartRTO() }
@@ -327,8 +313,7 @@ func (s *Sender) trySend() {
 		return
 	}
 	for s.CanSendNew() {
-		s.transmit(s.sndNxt, false)
-		s.sndNxt++
+		s.SendNextNew()
 	}
 }
 
@@ -360,16 +345,16 @@ func (s *Sender) paceFire() {
 	if s.finished || !s.CanSendNew() {
 		return
 	}
-	s.transmit(s.sndNxt, false)
-	s.sndNxt++
+	s.SendNextNew()
 	s.schedulePaced()
 }
 
-// transmit puts one segment on the wire.
-func (s *Sender) transmit(seq int64, isRetransmit bool) {
+// transmit puts one segment on the wire; a segment below sndMax is a
+// retransmission.
+func (s *Sender) transmit(seq int64) {
 	now := s.sched.Now()
 	if s.aud != nil {
-		s.auditSend(seq, isRetransmit, now)
+		s.auditSend(seq, now)
 	}
 	p := s.pool.Get()
 	p.Flow = s.cfg.Flow
@@ -378,21 +363,23 @@ func (s *Sender) transmit(seq int64, isRetransmit bool) {
 	p.Seq = seq
 	p.Size = s.cfg.SegmentSize
 	p.Sent = now
-	p.Retransmitted = isRetransmit
 	if s.cfg.ECN {
 		p.Flags = packet.FlagECT
 	}
 	s.stats.SegmentsSent++
-	if isRetransmit {
+	if seq < s.sndMax {
 		s.stats.Retransmits++
 		// Karn: a retransmission invalidates any RTT timing that it
 		// could contaminate.
 		if s.rttSeq >= seq {
 			s.rttSeq = -1
 		}
-	} else if s.rttSeq < 0 {
-		s.rttSeq = seq
-		s.rttSentAt = now
+	} else {
+		s.sndMax = seq + 1
+		if s.rttSeq < 0 {
+			s.rttSeq = seq
+			s.rttSentAt = now
+		}
 	}
 	if !s.sched.Active(s.rtoTimer) {
 		s.armRTO()
@@ -402,11 +389,7 @@ func (s *Sender) transmit(seq int64, isRetransmit bool) {
 }
 
 func (s *Sender) armRTO() {
-	d := s.rto << s.backoff
-	if d > s.cfg.MaxRTO {
-		d = s.cfg.MaxRTO
-	}
-	s.rtoTimer = s.sched.PostAfter(d, s, opSenderRTO, nil)
+	s.rtoTimer = s.sched.PostAfter(min(s.rto<<s.backoff, maxRTO), s, opSenderRTO, nil)
 }
 
 func (s *Sender) restartRTO() {
@@ -455,6 +438,11 @@ func (s *Sender) onNewAck(ack int64) {
 	now := s.sched.Now()
 	acked := ack - s.sndUna
 	s.sndUna = ack
+	// A late ACK for data sent before a go-back-N rewind skips the
+	// resends it covers, as ns-2's newack() raises t_seqno_.
+	if ack > s.sndNxt && !mutateSkipSndNxtRaise {
+		s.sndNxt = ack
+	}
 
 	// RTT sample (Karn-safe: rttSeq is invalidated on retransmission).
 	if s.rttSeq >= 0 && ack > s.rttSeq {
@@ -510,8 +498,7 @@ func (s *Sender) onTimeout() {
 	}
 	// transmit arms the (backed-off) timer itself: the old timer has
 	// fired, so no timer is pending at this point.
-	s.transmit(s.sndNxt, true)
-	s.sndNxt++
+	s.SendNextNew()
 	if s.aud != nil {
 		s.auditState(s.sched.Now())
 	}
@@ -537,12 +524,7 @@ func (s *Sender) sampleRTT(m units.Duration) {
 		s.srtt = (7*s.srtt + m) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
-	}
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
-	}
+	s.rto = max(min(s.rto, maxRTO), minRTO)
 }
 
 // SRTT returns the smoothed RTT estimate (zero until the first sample).

@@ -268,7 +268,7 @@ func TestRTTEstimation(t *testing.T) {
 	if srtt < 19*units.Millisecond || srtt > 22*units.Millisecond {
 		t.Errorf("SRTT = %v, want ~20ms", srtt)
 	}
-	if c.snd.RTO() < c.snd.cfg.MinRTO {
+	if c.snd.RTO() < minRTO {
 		t.Errorf("RTO = %v below MinRTO", c.snd.RTO())
 	}
 }

@@ -29,7 +29,10 @@ func tempCache(t *testing.T) (*Cache, string) {
 // with the run-cache salt, so each row now holds the result its scenario
 // produced before the move, recorded field for field — save the RED
 // row's queue figures, measured since the link measures every
-// discipline's queue. A single flow's
+// discipline's queue, and the Simulate, SimulateReplicated, SimulateMix
+// and SimulateAdversary rows, re-recorded when a late ACK began to raise
+// the sender's sndNxt (a timeout's go-back-N no longer resends data the
+// receiver holds). A single flow's
 // series are pinned by length and by the SHA-256 of their JSON.
 func TestRunMatchesLegacyKeys(t *testing.T) {
 	l := Link{Rate: 10 * Mbps, RTT: 50 * Millisecond}
@@ -44,11 +47,11 @@ func TestRunMatchesLegacyKeys(t *testing.T) {
 	}{
 		{"Simulate", Scenario{Seed: 1, Link: l, BufferPackets: 20, Warmup: w, Measure: m,
 			Sender: Sender{Variant: Sack, DelayedAck: true}}, kind(long),
-			SimulationResult{N: 8, BufferPackets: 20, Utilization: 0.906398239, LossRate: 0.02286453839516825,
-				MeanQueue: 8.351367502999985, RetransmitFraction: 0.01956521739130435, Timeouts: 7,
-				QueueDelayMean: 7371273, QueueDelayP99: 15856748, Fairness: 0.6426916363099149}},
+			SimulationResult{N: 8, BufferPackets: 20, Utilization: 0.827411391, LossRate: 0.01759391345696624,
+				MeanQueue: 6.308010027999988, RetransmitFraction: 0.03301435406698565, Timeouts: 6,
+				QueueDelayMean: 6101689, QueueDelayP99: 15774796, Fairness: 0.8399132724794718}},
 		{"SimulateReplicated", Scenario{Seed: 1, Link: l, BufferPackets: 20, Warmup: w, Measure: m, RED: true}, kind(Replicated{long, 2}),
-			ReplicatedResult{Replicas: 2, MeanUtilization: 0.7652, StdDev: 0.019798989873223347, Min: 0.7512, Max: 0.7792}},
+			ReplicatedResult{Replicas: 2, MeanUtilization: 0.799034384, StdDev: 0.03542660905890994, Min: 0.7739839885, Max: 0.8240847795}},
 		{"SimulateSingleFlow", Scenario{Seed: 3, Link: l, Sender: Sender{Variant: Cubic, Paced: true}}, kind(SingleFlow{BufferFactor: 0.5}),
 			singleFlowPin{SingleFlowResult{BDPPackets: 63, BufferPackets: 31, Utilization: 0.98389404353,
 				MeanQueue: 18.187990600469977, MinQueueSeen: 0}, 20001,
@@ -59,8 +62,8 @@ func TestRunMatchesLegacyKeys(t *testing.T) {
 				MeanActive: 5.333333333333333, PeakActive: 9, Generated: 119, AFCT: 138229982, Completed: 78}},
 		{"SimulateMix", Scenario{Seed: 1, Link: l, BufferPackets: 30, Warmup: w, Measure: m,
 			Sender: Sender{DelayedAck: true}}, kind(Mix{LongFlows: 4, ShortLoad: 0.2, RTTSpread: 20 * Millisecond}),
-			MixResult{Label: "mixed", BufferPackets: 30, AFCT: 188828112, Completed: 37,
-				Utilization: 0.6682823005, MeanQueue: 5.049546164499958}},
+			MixResult{Label: "mixed", BufferPackets: 30, AFCT: 213773792, Completed: 37,
+				Utilization: 0.7133257955, MeanQueue: 5.4874805174999475}},
 		{"SimulateTrace", Scenario{Seed: 1, Link: l, BufferPackets: 30, Sender: Sender{Paced: true}}, kind(Trace{Flows: flows}),
 			TraceResult{Completed: 3, AFCT: 170786516, Utilization: 0.0005970149253731343}},
 		{"SimulateProfile", Scenario{Seed: 1, Link: l, BufferPackets: 30, Warmup: w, Measure: m,
@@ -69,8 +72,8 @@ func TestRunMatchesLegacyKeys(t *testing.T) {
 				MeanActive: 8.571428571428571, PeakActive: 14, Generated: 160, AFCT: 153479210, Completed: 106}},
 		{"SimulateAdversary", Scenario{Seed: 1, Link: l, BufferPackets: 20, Warmup: w, Measure: m}, kind(Adversary{Pattern: AdversarySyncAIMD, Flows: 4}),
 			AdversaryResult{Pattern: AdversarySyncAIMD, BufferFactor: 0.31746031746031744, BufferPackets: 20,
-				Utilization: 0.7829456, LossRate: 0.009605662285136502, MeanQueue: 4.097902399999975,
-				PeakQueue: 20, SyncIndex: 2.2622227990048276}},
+				Utilization: 0.9148512, LossRate: 0.003472222222222222, MeanQueue: 6.061295999999965,
+				PeakQueue: 20, SyncIndex: 1.8947824836303166}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
