@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -308,5 +309,40 @@ func TestShortFlowsWritesCSV(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "svg", "fig8_short_flow_buffer.svg")); err != nil {
 		t.Errorf("fig8 SVG not written: %v", err)
+	}
+}
+
+// TestCCFamiliesSimulateEachCeilingOnce: a ccfamilies grid point measures
+// its ceiling at the search's upper bound, and the bisection reuses that
+// run instead of probing the bound again, so no search/buffer=<hi>
+// registry repeats ceiling/. The table is quick_all.txt's, byte for byte.
+func TestCCFamiliesSimulateEachCeilingOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real (scaled) sweep")
+	}
+	e, err := experiment.Lookup("ccfamilies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	res := e.Run(true, 1, experiment.RunEnv{Metrics: reg}).(experiment.CCFamilyTable)
+	golden, err := os.ReadFile(filepath.Join("testdata", "quick_all.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(golden), "=== ccfamilies ===\n")
+	if !strings.HasPrefix(section, res.Table()) {
+		t.Errorf("ccfamilies table moved:\n%s\nquick_all.txt has:\n%s", res.Table(), section)
+	}
+	snap := reg.Snapshot()
+	for _, p := range res {
+		hi := max(2*p.BDPPackets, 4*p.SqrtRule, 4)
+		cell := fmt.Sprintf("variant=%s,n=%d/", p.Variant, p.N)
+		if _, ok := snap.Counters[cell+"ceiling/sim.events_processed"]; !ok {
+			t.Fatalf("%s: no ceiling/ registry", cell)
+		}
+		if n, ok := snap.Counters[fmt.Sprintf("%ssearch/buffer=%d/sim.events_processed", cell, hi)]; ok {
+			t.Errorf("%s: the search simulated its bound %d again (%d events)", cell, hi, n)
+		}
 	}
 }

@@ -104,7 +104,6 @@ func instrumentDumbbell(reg *metrics.Registry, sched *sim.Scheduler, d *topology
 		return
 	}
 	sched.Instrument(reg)
-	queue.Instrument(reg, "bottleneck", d.Bottleneck.Queue())
 	d.Bottleneck.Instrument(reg, "bottleneck")
 	tel := tcp.NewTelemetry(reg)
 	d.OnAddFlow = func(f *topology.Flow) { tel.Track(f.Sender) }
@@ -165,7 +164,6 @@ func newLot(env RunEnv, hops int, path Path, buffer int) *lot {
 	instrumentPools(env.Metrics, b.p.PoolStats)
 	for i, l := range b.p.Links {
 		name := fmt.Sprintf("core%d", i)
-		queue.Instrument(env.Metrics, name, l.Queue())
 		l.Instrument(env.Metrics, name)
 		b.taps = append(b.taps, tap{l: l})
 	}

@@ -105,3 +105,39 @@ func TestEntryRunBindsSeedAndEnv(t *testing.T) {
 		t.Errorf("quick run returned %d rows", len(rows))
 	}
 }
+
+// seedBlind names the catalog rows whose quick run draws nothing from
+// its seed, with why. Every other row must move with the seed.
+var seedBlind = map[string]string{
+	"fig2":        "one drop-tail flow with a fixed RTT and start: nothing to draw",
+	"fig4":        "one drop-tail flow with a fixed RTT and start: nothing to draw",
+	"fig5":        "one drop-tail flow with a fixed RTT and start: nothing to draw",
+	"adversarial": "every flow shares one RTT and one start instant, and pulse is CBR",
+	"probe":       "fixed packet trains into queues with no random element",
+}
+
+// TestCatalogRowsSeedSensitive runs every catalog row at quick scale at
+// seeds 1 and 2. A row whose result is the same at both is seed-blind:
+// its seed means nothing, so a number it prints is one phase of a
+// deterministic system, not a sample. Such a row must be on seedBlind,
+// with its reason, and a row on seedBlind must still be seed-blind, so
+// the list stays the set of rows a phase offset would have to fix.
+func TestCatalogRowsSeedSensitive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every catalog row twice")
+	}
+	for _, e := range Catalog {
+		var out [2]strings.Builder
+		for i := range out {
+			if err := WriteJSON(&out[i], e.Run(true, int64(i+1), RunEnv{})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		same := out[0].String() == out[1].String()
+		if why, listed := seedBlind[e.ID]; same && !listed {
+			t.Errorf("%s: seeds 1 and 2 give the same result; draw from the seed or list the row in seedBlind", e.ID)
+		} else if listed && !same {
+			t.Errorf("%s moves with the seed now; take it off seedBlind (%q)", e.ID, why)
+		}
+	}
+}

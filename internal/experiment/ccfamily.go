@@ -145,13 +145,14 @@ func runCCFamilyPoint(cfg CCFamilyConfig, cell RunEnv, v tcp.Variant, n int) CCF
 	key := ccFamilyPointConfig{Base: ll, Target: cfg.Target, SearchHi: hi, RunEnv: cfg.RunEnv}
 	return memoRun(key.RunEnv, "ccfamily-point", key, func() CCFamilyPoint {
 		// Each run (and each probe of the search) publishes under a
-		// registry of its own: ceiling/, search/buffer=<b>/, rule/.
+		// registry of its own: ceiling/, search/buffer=<b>/, rule/. The
+		// ceiling is the search's top probe, so the search reuses it.
 		ceiling := arm(cell, "ceiling", ll.utilAt(hi))
 		target := cfg.Target * ceiling
 		minB := arm(cell, "search", func(env RunEnv) int {
 			run := ll
 			run.RunEnv = env
-			return MinBufferForUtilization(run, target, hi)
+			return minBufferBelow(run, target, hi, func() float64 { return ceiling })
 		})
 		return CCFamilyPoint{
 			Variant:     v,

@@ -253,9 +253,9 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 }
 
 // TestCacheKeysStable pins five literal cache keys, recorded when
-// cacheSalt became bufsim-results-v6 (a late ACK raises the TCP sender's
-// sndNxt, so a go-back-N rewind no longer resends acknowledged data): one
-// run kind,
+// cacheSalt became bufsim-results-v7 (a drop-tail or RED link posts each
+// arrival when it admits the packet, which moves same-instant tie order
+// in the seed-blind parking-lot rows): one run kind,
 // the short-flow point as the profile scenario it is, a key nesting one
 // config in another, a grid point three embeddings deep, and a sweep
 // checkpoint key. While cacheSalt stands, so must every key — a mismatch
@@ -273,23 +273,23 @@ func TestCacheKeysStable(t *testing.T) {
 		{"long-lived", LongLivedConfig{
 			Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second, Measure: 5 * units.Second}, Sender: Sender{Variant: tcp.Cubic, Paced: true}}, N: 40, BufferPackets: 25,
 			RunEnv: env,
-		}.withDefaults(), "dfda97de0ad2904670a149ec76a6f9825b43e562bad07d8fb255e45461646479"},
+		}.withDefaults(), "2b1a7ede3f6fb862592dc7802e440c626321c0cc0b9c613afbec106bc0ce0966"},
 		{"profile", shortFlowRun(3, 20*units.Mbps, 0.7, 14, 50,
-			4*units.Second, 10*units.Second, env).withDefaults(), "0d5a20cd029e55809ea2fffefa5a43359de957d9ad2228474004cddf7006c5cd"},
+			4*units.Second, 10*units.Second, env).withDefaults(), "9e04929fbb502c64ccb68c53d0ae2d35f42da5d8cde2d27227183b61ff9cad63"},
 		{"mixed", mixedKey{
 			Base: MixedConfig{AFCTComparisonConfig{
 				Scenario: Scenario{Seed: 5, Path: Path{BottleneckRate: 20 * units.Mbps}}, NLong: 30, Sizes: workload.GeometricSize(14), RunEnv: env,
 			}.withDefaults(), 250},
 			Label: "RTT*C",
-		}, "564e38b4016e9882074e9c8c043bf79eec777f383dc130e9de627d01c9ed0184"},
+		}, "1937c252ace1074a82d41398bd8ecf6380bd74448984c05841064f369b1ff2c3"},
 		{"adversarial", adversarialPointConfig{AdversaryScenario{
 			Scenario: Scenario{Seed: 2, Path: Path{BottleneckRate: 20 * units.Mbps}}, Pattern: adversary.PatternSyncAIMD, BufferPackets: 25,
 			AdversaryCohort: AdversaryCohort{N: 8},
 			RunEnv:          env,
-		}.withDefaults(), 0.1}, "5e6573c288efa63db6135986426fcd3fbab5cdc56d4d1354f5b8fcfbead4a798"},
+		}.withDefaults(), 0.1}, "30c2cf73a19be241fe4335025bf5e428b0197e818ac8cd4d753a09c42db67989"},
 		{"sweep:utilization-table", UtilizationTableConfig{
 			Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps}, Queue: RED}, Ns: []int{50, 100}, Factors: []float64{0.5, 1}, RunEnv: env,
-		}.withDefaults(), "50f1445b05cf5a91fdcf407f09b6de59655089b7add656f2e3ab40d1d34dedcf"},
+		}.withDefaults(), "bdb9a61ff1128195f00df1aaca351fd421a79e5fd9a398c0e636ff12464956db"},
 	} {
 		if got := pointKey(tc.kind, tc.cfg); got != tc.want {
 			t.Errorf("%s key = %s, want %s", tc.kind, got, tc.want)

@@ -270,7 +270,7 @@ func adversaryDigestCase(p adversary.Pattern) func(*runcache.Store) any {
 // harpoon_sessions on were recorded on the hand-assembled scenario bodies
 // the one test bed (bed.go) replaced, and cover every body the first ten
 // do not. adversary_parkinglot was re-recorded when the access and
-// reverse links became one-event pipes (link.Pipe): its flows share one
+// reverse links became one-event pipes (link.NewPipe): its flows share one
 // RTT and one start instant, so its schedule depends on the order of
 // same-nanosecond events, and a pipe reserves an arrival's place in that
 // order when the packet is sent rather than when its last bit leaves.

@@ -131,14 +131,22 @@ func runLongLived(cfg LongLivedConfig) LongLivedResult {
 	var delayN int64
 	type sendSnap struct{ sent, rtx int64 }
 	senderSnaps := make([]sendSnap, len(d.Flows()))
-	w := b.measure(func() {
-		d.Bottleneck.OnDequeue = func(_ *packet.Packet, queued units.Duration) {
-			delaySum += queued
-			delayN++
-			if len(delays) < reservoir {
-				delays = append(delays, float64(queued))
-			}
+	// A packet counts in the window (from, to] by its start of
+	// transmission, which a drop-tail or RED bottleneck knows, and
+	// reports, when it admits the packet.
+	from := units.Epoch.Add(cfg.Warmup)
+	to := from.Add(cfg.Measure)
+	d.Bottleneck.OnDequeue = func(p *packet.Packet, queued units.Duration) {
+		if start := p.Enqueued.Add(queued); start <= from || start > to {
+			return
 		}
+		delaySum += queued
+		delayN++
+		if len(delays) < reservoir {
+			delays = append(delays, float64(queued))
+		}
+	}
+	w := b.measure(func() {
 		for i, f := range d.Flows() {
 			st := f.Sender.Stats()
 			senderSnaps[i] = sendSnap{st.SegmentsSent, st.Retransmits}
@@ -240,16 +248,26 @@ func RunLongLivedReplicated(cfg LongLivedConfig, k int) ReplicatedResult {
 // monotone and uses a single run per probe; callers choose Measure long
 // enough for the noise floor they care about.
 func MinBufferForUtilization(cfg LongLivedConfig, target float64, hi int) int {
+	return minBufferBelow(cfg, target, hi, nil)
+}
+
+// minBufferBelow is MinBufferForUtilization for a caller that may have
+// measured the utilization at hi already: atHi, when non-nil, returns
+// it, and hi is then not simulated again.
+func minBufferBelow(cfg LongLivedConfig, target float64, hi int, atHi func() float64) int {
 	if hi < 2 {
 		panic("experiment: search upper bound too small")
 	}
 	// Each probe publishes under a registry of its own, buffer=<b>/.
 	probe := func(b int) float64 { return arm(cfg.RunEnv, fmt.Sprintf("buffer=%d", b), cfg.utilAt(b)) }
+	if atHi == nil {
+		atHi = func() float64 { return probe(hi) }
+	}
 	lo := 1
 	if probe(lo) >= target {
 		return lo
 	}
-	if probe(hi) < target {
+	if atHi() < target {
 		return hi // not achievable within bound; report the bound
 	}
 	for hi-lo > 1 {

@@ -7,7 +7,7 @@
 // the transmitter accumulates busy time, so utilization over a window is
 // busy-time divided by wall-time with no sampling error. Queue occupancy
 // and queueing delay are measured here too, whatever the discipline: the
-// link is the only caller of its queue's Enqueue and Dequeue.
+// link is the only caller of its queue.
 package link
 
 import (
@@ -24,83 +24,99 @@ import (
 // any buffer the experiments size, in milliseconds.
 var sojournBuckets = metrics.ExpBuckets(0.01, 2, 24)
 
-// Link is a unidirectional link. Create with New; a Link must not be
-// copied after first use.
+// Link is a unidirectional link. A packet starts transmission when the
+// transmitter frees up after the packets ahead of it, start = max(now,
+// free), and arrives one transmission time and one delay later. On a
+// pipe and under a queue.FIFO (drop-tail, RED) that start is known when
+// the packet is offered, so the link posts its arrival then — one kernel
+// event per packet — and keeps the waiting packets as values in a line
+// it pops lazily. A discipline that decides at dequeue (CoDel) takes a
+// transmit-done event per packet. Create with New or NewPipe; a Link must
+// not be copied after first use.
 type Link struct {
 	name  string
 	sched *sim.Scheduler
 	rate  units.BitRate
 	delay units.Duration
-	q     queue.Queue
+	q     queue.Queue // nil on a pipe
+	fifo  queue.FIFO  // q as a FIFO, nil on the transmit-done path
 	dst   packet.Handler
+	wire  *sim.Lane
 
-	// wire carries the packets propagating toward dst. Their arrival times
-	// are already sorted (fixed delay, increasing send times), so they
-	// queue in a sim.Lane and only the next arrival occupies the event
-	// heap.
-	wire *sim.Lane
+	// free is when the transmitter finishes the packets it was given
+	// (before the epoch until it is given one), work the sum of their
+	// transmission times: the busy time is work less what is left.
+	free units.Time
+	work units.Duration
+	line queue.Ring[slot] // a FIFO's waiting packets
+	busy bool             // the transmit-done path is sending
 
-	busy      bool
-	busySince units.Time
-	busyTotal units.Duration
-
-	deliveredPackets int64
-	deliveredBytes   units.ByteSize
-
-	// occ is the queue's length in packets over time, set after every
-	// accepted enqueue and every dequeue; RestartOccupancy restarts it.
-	occ stats.TimeWeighted
-	// sojourn, when non-nil (see Instrument), records each dequeued
-	// packet's queueing delay in milliseconds.
+	// occ is the queue's length over time and sojourn, once instrumented,
+	// the departures' queueing delays in milliseconds.
+	occ     stats.TimeWeighted
 	sojourn *metrics.Histogram
 
-	// dropPool, when non-nil, takes back every packet the queue rejects
-	// (see SetDropPool).
-	dropPool *packet.Pool
+	dropPool *packet.Pool // takes back rejected packets (SetDropPool)
+	// aud, when non-nil, receives violations; audEnd and audBusy are the
+	// last arrival's end of transmission and the arrivals' summed
+	// transmission times.
+	aud     *audit.Auditor
+	audEnd  units.Time
+	audBusy units.Duration
 
-	// aud, when non-nil, receives busy-time and delivery-consistency
-	// violations; expectedBusy is the exact sum of per-packet transmission
-	// times, maintained only while auditing.
-	aud          *audit.Auditor
-	expectedBusy units.Duration
-
-	// OnDequeue, if set, observes each packet as it begins transmission
-	// together with the queueing delay it experienced. Experiments use it
-	// to build queueing-delay distributions.
+	// OnDequeue, if set, observes each packet the queue admits with its
+	// queueing delay, start - p.Enqueued, reported at admission by a FIFO
+	// and at the start otherwise: count a packet in a window by its start.
 	OnDequeue func(p *packet.Packet, queued units.Duration)
 }
 
-// Link event opcodes (see sim.Actor).
+// slot is a waiting packet as values: by the time it is popped the
+// packet may have arrived and been recycled.
+type slot struct {
+	start, enq units.Time
+	size       units.ByteSize
+}
+
+// Link event opcodes (see sim.Actor): opTxDone, the transmit-done path's
+// transmitter is free; opArrive, a packet reaches dst.
 const (
-	// opTxDone: the last bit of the packet left the transmitter.
 	opTxDone int32 = iota
-	// opArrive: the packet finished propagating and reaches dst.
 	opArrive
 )
 
-// OnEvent implements sim.Actor: transmit-completion and propagation
-// events carry the packet as their typed payload, so the per-packet path
-// through a link allocates no closures.
+// OnEvent implements sim.Actor.
 func (l *Link) OnEvent(op int32, arg any) {
-	p := arg.(*packet.Packet)
-	switch op {
-	case opTxDone:
-		l.finishTransmit(p)
-	case opArrive:
-		l.dst.Handle(p)
+	if op == opArrive {
+		l.arrive(arg.(*packet.Packet))
+		return
+	}
+	l.busy = false
+	if l.q.Len() > 0 {
+		l.startNext()
 	}
 }
 
 // New returns a link transmitting at rate with one-way propagation delay d,
 // buffered by q, delivering to dst.
 func New(name string, sched *sim.Scheduler, rate units.BitRate, d units.Duration, q queue.Queue, dst packet.Handler) *Link {
+	l := NewPipe(name, sched, rate, d, dst)
+	l.q = q
+	l.fifo, _ = q.(queue.FIFO)
+	return l
+}
+
+// NewPipe returns a link with no queue, transmitting at rate with one-way
+// propagation delay d, delivering to dst: it never drops and is not
+// measured. The dumbbell's access and reverse links and the parking
+// lot's are pipes.
+func NewPipe(name string, sched *sim.Scheduler, rate units.BitRate, d units.Duration, dst packet.Handler) *Link {
 	if rate <= 0 {
 		panic("link: non-positive rate")
 	}
 	if d < 0 {
 		panic("link: negative delay")
 	}
-	l := &Link{name: name, sched: sched, rate: rate, delay: d, q: q, dst: dst}
+	l := &Link{name: name, sched: sched, rate: rate, delay: d, dst: dst, free: units.Epoch - 1}
 	l.wire = sched.NewLane(l, opArrive)
 	return l
 }
@@ -114,15 +130,25 @@ func (l *Link) Rate() units.BitRate { return l.rate }
 // Delay returns the link's one-way propagation delay.
 func (l *Link) Delay() units.Duration { return l.delay }
 
-// Queue returns the link's output queue.
-func (l *Link) Queue() queue.Queue { return l.q }
+// Queue returns the link's output queue, its line brought up to now.
+func (l *Link) Queue() queue.Queue {
+	l.sync()
+	return l.q
+}
 
-// SetAuditor attaches an invariant checker: after every completed
-// transmission the link verifies its busy-time accounting against the sum
-// of per-packet transmission times and against elapsed simulated time,
-// and it refuses and reports any packet that was already released to its
-// pool (see packet.Pool). A nil auditor (the default) disables the checks.
-func (l *Link) SetAuditor(a *audit.Auditor) { l.aud = a }
+// SetAuditor attaches an invariant checker (nil, the default, disables
+// it): the link refuses and reports a released packet (see packet.Pool)
+// when offered and when it arrives, and checks that free never goes
+// back, that transmissions never overlap and cover the busy time, and
+// that a FIFO's line agrees with the queue's books and limit. Any other
+// queue it wraps in queue.Audited, which checks every operation on it.
+// Set it before the first packet.
+func (l *Link) SetAuditor(a *audit.Auditor) {
+	l.aud = a
+	if a != nil && l.q != nil && l.fifo == nil {
+		l.q = queue.NewAudited(l.q, a, l.name)
+	}
+}
 
 // SetDropPool makes the link release every packet its queue rejects into
 // pl, the pool the packets' endpoints draw from. The link must run on the
@@ -146,18 +172,91 @@ func (l *Link) Send(p *packet.Packet) {
 			"offered a packet its endpoint had already released")
 		return
 	}
-	if !l.q.Enqueue(p, now) {
+	switch {
+	case l.q == nil:
+		l.transmit(p, now)
+		return
+	case l.fifo == nil:
+		if !l.q.Enqueue(p, now) {
+			l.dropPool.PutDropped(p)
+			return
+		}
+		l.occ.Set(float64(l.q.Len()), now)
+		if !l.busy {
+			l.startNext()
+		}
+		return
+	}
+	// A packet that started before now has left the line; one starting
+	// exactly now still counts, and p waits too if the transmitter frees
+	// up exactly now, as if p had come before that transmit completion.
+	l.advance(now, false)
+	if !l.fifo.Admit(p, now) {
 		l.dropPool.PutDropped(p)
 		return
 	}
-	l.occ.Set(float64(l.q.Len()), now)
-	if !l.busy {
-		l.startNext()
+	waits := l.free >= now
+	start := l.transmit(p, now)
+	l.occ.Set(float64(l.line.Len()+1), now)
+	l.line.Push(slot{start: start, enq: now, size: p.Size})
+	if !waits {
+		l.advance(now, true)
+	}
+	if l.OnDequeue != nil {
+		l.OnDequeue(p, start.Sub(now))
+	}
+	if l.aud != nil {
+		l.auditLine(now)
 	}
 }
 
-// startNext begins transmitting the head-of-line packet. Caller guarantees
-// the transmitter is idle and the queue non-empty.
+// transmit gives p to the transmitter and posts its arrival; it returns
+// p's start.
+func (l *Link) transmit(p *packet.Packet, now units.Time) units.Time {
+	start := max(now, l.free)
+	if mutateStartAtNow {
+		start = now
+	}
+	tx := units.TransmissionTime(p.Size, l.rate)
+	if l.aud != nil && start.Add(tx) < l.free {
+		l.aud.Violationf(now, "link:"+l.name, "free-monotone",
+			"the transmitter's free time went back from %v to %v", l.free, start.Add(tx))
+	}
+	l.free = start.Add(tx)
+	l.work += tx
+	l.wire.PostAfter(l.free.Sub(now)+l.delay, p)
+	return start
+}
+
+// advance takes the packets that started before now, or at now as well
+// when inclusive, out of a FIFO's line.
+func (l *Link) advance(now units.Time, inclusive bool) {
+	for l.line.Len() > 0 {
+		s := l.line.Head()
+		if s.start > now || s.start == now && !inclusive {
+			return
+		}
+		l.line.Pop()
+		l.fifo.Depart(s.size, s.start)
+		l.observe(s.enq, s.start)
+		l.occ.Set(float64(l.line.Len()), s.start)
+	}
+}
+
+// sync brings a FIFO's line up to now: a read after Run(t) counts a
+// packet starting at t as departed.
+func (l *Link) sync() { l.advance(l.sched.Now(), true) }
+
+// observe records the sojourn of a packet admitted at enq and started at
+// start.
+func (l *Link) observe(enq, start units.Time) {
+	if l.sojourn != nil {
+		l.sojourn.Observe(start.Sub(enq).Milliseconds())
+	}
+}
+
+// startNext dequeues and transmits the head packet on the transmit-done
+// path; the transmitter is idle and the queue non-empty.
 func (l *Link) startNext() {
 	now := l.sched.Now()
 	p := l.q.Dequeue(now)
@@ -167,86 +266,56 @@ func (l *Link) startNext() {
 	if p == nil {
 		return
 	}
-	queued := now.Sub(p.Enqueued)
-	if l.sojourn != nil {
-		l.sojourn.Observe(queued.Milliseconds())
-	}
+	l.observe(p.Enqueued, now)
 	if l.OnDequeue != nil {
-		l.OnDequeue(p, queued)
+		l.OnDequeue(p, now.Sub(p.Enqueued))
 	}
 	l.busy = true
-	l.busySince = now
-	tx := units.TransmissionTime(p.Size, l.rate)
-	l.sched.PostAfter(tx, l, opTxDone, p)
+	l.transmit(p, now)
+	l.sched.PostAt(l.free, l, opTxDone, nil)
 }
 
-// finishTransmit fires when the last bit of p leaves the transmitter: the
-// packet enters the wire (propagation), and the next queued packet can
-// start immediately.
-func (l *Link) finishTransmit(p *packet.Packet) {
-	now := l.sched.Now()
-	l.busy = false
-	l.busyTotal += now.Sub(l.busySince)
-	l.deliveredPackets++
-	l.deliveredBytes += p.Size
-	if l.aud != nil {
-		l.auditTransmit(p, now)
-	}
-
-	if l.delay == 0 {
+// arrive hands p to dst. An auditor refuses it if it was released on the
+// way, and checks that it was sent after the previous one and is covered
+// by the busy time, which cannot exceed the time elapsed.
+func (l *Link) arrive(p *packet.Packet) {
+	if l.aud == nil {
 		l.dst.Handle(p)
-	} else {
-		l.wire.PostAfter(l.delay, p)
+		return
 	}
-	if l.q.Len() > 0 {
-		l.startNext()
-	}
-}
-
-// auditTransmit checks the link's accounting after a completed
-// transmission. busyTotal must equal the exact sum of per-packet
-// transmission times (expectedBusy, maintained here so multi-gigabyte
-// delivered totals never hit the int64 overflow a single
-// TransmissionTime(deliveredBytes, rate) call would), and a transmitter
-// that has only existed for `now` cannot have been busy longer than that.
-// A float cross-check ties delivered bytes to rate x busy time, allowing
-// one nanosecond of truncation per packet.
-func (l *Link) auditTransmit(p *packet.Packet, now units.Time) {
-	comp := "link:" + l.name
+	now, comp := l.sched.Now(), "link:"+l.name
 	if p.Released() {
 		l.aud.Violationf(now, comp, "packet-use-after-release",
-			"a packet was released while the link was transmitting it")
+			"a packet was released while the link held it")
+		return
 	}
-	l.expectedBusy += units.TransmissionTime(p.Size, l.rate)
-	if l.busyTotal != l.expectedBusy {
+	tx, end := units.TransmissionTime(p.Size, l.rate), now.Add(-l.delay)
+	if end.Add(-tx) < l.audEnd {
+		l.aud.Violationf(now, comp, "serialization",
+			"a transmission began at %v, before the previous one ended at %v", end.Add(-tx), l.audEnd)
+	}
+	l.audEnd, l.audBusy = end, l.audBusy+tx
+	if busy := l.BusyTime(); busy < l.audBusy || busy > now.Sub(units.Epoch) {
 		l.aud.Violationf(now, comp, "busy-accounting",
-			"busyTotal %v != sum of transmission times %v after %d packets",
-			l.busyTotal, l.expectedBusy, l.deliveredPackets)
+			"busy %v, but the arrivals took %v to send and %v has elapsed", busy, l.audBusy, now.Sub(units.Epoch))
 	}
-	if l.busyTotal > now.Sub(units.Epoch) {
-		l.aud.Violationf(now, comp, "busy-bounded",
-			"busyTotal %v exceeds elapsed simulated time %v", l.busyTotal, now.Sub(units.Epoch))
-	}
-	// delivered bits / rate should equal busy seconds, up to 1 ns of
-	// TransmissionTime truncation per delivered packet.
-	idealSec := float64(l.deliveredBytes) * 8 / float64(l.rate)
-	busySec := l.busyTotal.Seconds()
-	slopSec := float64(l.deliveredPackets) * 1e-9
-	if diff := idealSec - busySec; diff < -slopSec || diff > slopSec {
-		l.aud.Violationf(now, comp, "delivery-rate",
-			"delivered %d B at %v implies %.9fs busy, accounted %.9fs (slop %.9fs)",
-			l.deliveredBytes, l.rate, idealSec, busySec, slopSec)
+	l.dst.Handle(p)
+}
+
+// auditLine checks a FIFO's line after an admission against the queue's
+// limit and books.
+func (l *Link) auditLine(now units.Time) {
+	lim, n, b := l.fifo.Limit(), l.fifo.Len(), l.fifo.Bytes()
+	if n != l.line.Len() || lim.Packets > 0 && n > lim.Packets || lim.Bytes > 0 && b > lim.Bytes {
+		l.aud.Violationf(now, "link:"+l.name, "backlog-limit",
+			"%d packets waiting, the queue counts %d (%d B) against its limit %+v", l.line.Len(), n, b, lim)
 	}
 }
 
 // BusyTime returns the cumulative time the transmitter has spent sending,
 // including the in-progress transmission up to now.
 func (l *Link) BusyTime() units.Duration {
-	t := l.busyTotal
-	if l.busy {
-		t += l.sched.Now().Sub(l.busySince)
-	}
-	return t
+	return l.work - max(0, l.free.Sub(l.sched.Now()))
 }
 
 // Utilization returns the fraction of the window [from, now] the
@@ -266,24 +335,25 @@ func (l *Link) Utilization(busyAtFrom units.Duration, from units.Time) float64 {
 // bias the mean.
 func (l *Link) RestartOccupancy() {
 	l.occ = stats.TimeWeighted{}
-	l.occ.Set(float64(l.q.Len()), l.sched.Now())
+	l.occ.Set(float64(l.Queue().Len()), l.sched.Now())
 }
 
 // Occupancy returns the queue's time-averaged length in packets up to
 // now and its peak, since the last RestartOccupancy (since the first
 // enqueue if there was none).
 func (l *Link) Occupancy() (mean float64, peak int) {
+	l.sync()
 	return l.occ.Mean(l.sched.Now()), int(l.occ.Max())
 }
 
 // Instrument registers the link's telemetry into reg under name: busy
-// (transmitting) seconds, delivered packet/byte counts and the queue's
-// peak occupancy, published by a snapshot-time collector, and a
-// per-packet sojourn-time histogram (milliseconds), the only hot-path
-// addition. The queue's own counters are instrumented separately via
-// queue.Instrument. A nil registry is a no-op.
+// seconds, delivered packet/byte counts and the queue's peak occupancy,
+// published by a snapshot-time collector, a per-packet sojourn-time
+// histogram (milliseconds), the only hot-path addition, and then its
+// queue's counters (queue.Instrument). A nil registry, or a pipe, is a
+// no-op.
 func (l *Link) Instrument(reg *metrics.Registry, name string) {
-	if reg == nil {
+	if reg == nil || l.q == nil {
 		return
 	}
 	l.sojourn = reg.Histogram(name+".sojourn_ms", sojournBuckets)
@@ -293,14 +363,17 @@ func (l *Link) Instrument(reg *metrics.Registry, name string) {
 	occMax := reg.Gauge(name + ".occupancy_max_packets")
 	reg.OnCollect(func() {
 		busy.Set(l.BusyTime().Seconds())
-		pkts.Set(l.deliveredPackets)
-		bytes.Set(int64(l.deliveredBytes))
+		pkts.Set(l.DeliveredPackets())
+		bytes.Set(int64(l.DeliveredBytes()))
 		occMax.Set(l.occ.Max())
 	})
+	queue.Instrument(reg, name, l.q)
 }
 
-// DeliveredPackets returns the count of fully transmitted packets.
-func (l *Link) DeliveredPackets() int64 { return l.deliveredPackets }
+// DeliveredPackets returns the count of packets the transmitter has put
+// on the wire, the one being sent included: its queue's departures.
+func (l *Link) DeliveredPackets() int64 { return l.Queue().Stats().DequeuedPackets }
 
-// DeliveredBytes returns the bytes fully transmitted.
-func (l *Link) DeliveredBytes() units.ByteSize { return l.deliveredBytes }
+// DeliveredBytes returns the bytes of the packets DeliveredPackets
+// counts.
+func (l *Link) DeliveredBytes() units.ByteSize { return l.Queue().Stats().DequeuedBytes }

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
+	"bufsim/internal/stats"
 	"bufsim/internal/units"
 )
 
@@ -422,5 +424,247 @@ func TestLinkMeasuresQueue(t *testing.T) {
 				t.Errorf("sojourn_ms holds %d observations, want one per dequeued packet (%d)", soj, deq)
 			}
 		})
+	}
+}
+
+// refLink is the event-driven link that drop-tail and RED ran on before
+// the link learned each departure at admission, kept as the reference:
+// the head packet starts when the transmitter goes idle, its transmit
+// completion is an event, and its arrival another.
+type refLink struct {
+	s     *sim.Scheduler
+	rate  units.BitRate
+	delay units.Duration
+	q     queue.Queue
+	dst   packet.Handler
+
+	busy      bool
+	since     units.Time
+	busyTotal units.Duration
+	started   int64
+	occ       stats.TimeWeighted
+	sojourns  []units.Duration
+}
+
+const (
+	refTxDone int32 = iota
+	refArrive
+)
+
+func (r *refLink) Handle(p *packet.Packet) {
+	now := r.s.Now()
+	if !r.q.Enqueue(p, now) {
+		return
+	}
+	r.occ.Set(float64(r.q.Len()), now)
+	if !r.busy {
+		r.startNext()
+	}
+}
+
+func (r *refLink) startNext() {
+	now := r.s.Now()
+	p := r.q.Dequeue(now)
+	r.occ.Set(float64(r.q.Len()), now)
+	r.sojourns = append(r.sojourns, now.Sub(p.Enqueued))
+	r.busy, r.since = true, now
+	r.started++
+	r.s.PostAfter(units.TransmissionTime(p.Size, r.rate), r, refTxDone, p)
+}
+
+func (r *refLink) OnEvent(op int32, arg any) {
+	p := arg.(*packet.Packet)
+	if op == refArrive {
+		r.dst.Handle(p)
+		return
+	}
+	r.busy = false
+	r.busyTotal += r.s.Now().Sub(r.since)
+	r.s.PostAfter(r.delay, r, refArrive, p)
+	if r.q.Len() > 0 {
+		r.startNext()
+	}
+}
+
+func (r *refLink) busyTime() units.Duration {
+	if r.busy {
+		return r.busyTotal + r.s.Now().Sub(r.since)
+	}
+	return r.busyTotal
+}
+
+// sendAt is one offer of a schedule the twin tests replay.
+type sendAt struct {
+	at   units.Time
+	size units.ByteSize
+}
+
+// offerer is the actor that replays a schedule: each event offers packet
+// i, of the scheduled size and ECN-capable when i is even, to every
+// handler in turn.
+type offerer struct {
+	sends []sendAt
+	to    []packet.Handler
+}
+
+func (o *offerer) OnEvent(_ int32, arg any) {
+	i := arg.(int)
+	for _, h := range o.to {
+		p := mkpkt(int64(i), o.sends[i].size)
+		if i%2 == 0 {
+			p.Flags |= packet.FlagECT
+		}
+		h.Handle(p)
+	}
+}
+
+// twinSchedule draws n offers to a link of the given rate: sizes in
+// multiples of grain bytes, with each send at the previous send's
+// instant (a burst), a few grain transmission times later, exactly when
+// the packets offered so far would finish transmitting (a send that
+// lands on a departure), or after an idle spell. On a link whose
+// transmission times are whole grains, every event falls on the grain's
+// grid and same-instant ties abound.
+func twinSchedule(rng *sim.RNG, n int, rate units.BitRate, grain units.ByteSize) []sendAt {
+	sends := make([]sendAt, 0, n)
+	tick := units.TransmissionTime(grain, rate)
+	var at, free units.Time
+	for i := 0; i < n; i++ {
+		size := grain * units.ByteSize(1+rng.Intn(int(1500/grain)))
+		switch k := rng.Intn(8); {
+		case i == 0, k < 3: // same instant
+		case k < 5:
+			at = at.Add(tick * units.Duration(1+rng.Intn(6)))
+		case k < 7:
+			at = max(at, free)
+		default:
+			at = max(at, free).Add(tick * units.Duration(rng.Intn(200)))
+		}
+		free = max(at, free).Add(units.TransmissionTime(size, rate))
+		sends = append(sends, sendAt{at: at, size: size})
+	}
+	return sends
+}
+
+// TestLinkMatchesEventDrivenReference: the link, which posts each
+// arrival when it admits the packet, and the event-driven reference
+// take the same offers on one scheduler — same-instant bursts, offers
+// exactly on a departure, idle gaps — through the same discipline, and
+// agree packet for packet on which packets are admitted, which are
+// marked, and when each arrives, and at every checkpoint on busy time,
+// packets put on the wire, queue length and the occupancy integral, and on
+// every sojourn. Drop-tail runs with a packet and a byte limit, RED and
+// RED-ECN with drops, and a pipe against an unlimited drop-tail; each at
+// a grid rate (ties everywhere) and an off-grid one, with and without
+// propagation delay. The link spends one kernel event per packet and
+// never takes its lane's fallback.
+func TestLinkMatchesEventDrivenReference(t *testing.T) {
+	const n = 3000
+	red := func(ecn bool) func(seed int64) queue.Queue {
+		return func(seed int64) queue.Queue {
+			return queue.NewRED(queue.REDConfig{Limit: queue.PacketLimit(8), MinThresh: 1, MaxThresh: 4, MaxP: 0.2,
+				Wq: 0.2, MeanPacketTime: 500 * units.Microsecond, Rand: sim.NewRNG(seed).Float64, MarkECN: ecn})
+		}
+	}
+	for _, disc := range []struct {
+		name string
+		q    func(seed int64) queue.Queue // nil: a pipe
+	}{
+		{"pipe", nil},
+		{"droptail-pkts", func(int64) queue.Queue { return queue.NewDropTail(queue.PacketLimit(6)) }},
+		{"droptail-bytes", func(int64) queue.Queue { return queue.NewDropTail(queue.ByteLimit(5000)) }},
+		{"red", red(false)},
+		{"red-ecn", red(true)},
+	} {
+		for ci, c := range []struct {
+			rate  units.BitRate
+			delay units.Duration
+			grain units.ByteSize
+		}{
+			{8 * units.Mbps, 5 * units.Millisecond, 125},
+			{8 * units.Mbps, 0, 125},
+			{37 * units.Mbps, 60 * units.Millisecond, 1},
+			{units.Gbps, 0, 1},
+		} {
+			t.Run(fmt.Sprintf("%s/%d", disc.name, ci), func(t *testing.T) {
+				sends := twinSchedule(sim.NewRNG(int64(ci+1)), n, c.rate, c.grain)
+				s := sim.NewScheduler()
+				want, got := &collector{sched: s}, &collector{sched: s}
+				ref := &refLink{s: s, rate: c.rate, delay: c.delay, q: queue.NewDropTail(queue.Limit{}), dst: want}
+				l := NewPipe("twin", s, c.rate, c.delay, got)
+				if disc.q != nil {
+					ref.q = disc.q(int64(ci))
+					l = New("twin", s, c.rate, c.delay, disc.q(int64(ci)), got)
+				}
+				var sojourns []units.Duration
+				l.OnDequeue = func(_ *packet.Packet, d units.Duration) { sojourns = append(sojourns, d) }
+				aud := audit.New()
+				l.SetAuditor(aud)
+				reg := metrics.New()
+				s.Instrument(reg)
+				l.Instrument(reg, "twin")
+				o := &offerer{sends: sends, to: []packet.Handler{ref, l}}
+				for i, sd := range sends {
+					s.PostAt(sd.at, o, 0, i)
+				}
+				for at := units.Epoch; len(want.pkts) < n && at < units.Epoch.Add(100*units.Second); {
+					at = at.Add(7 * units.Millisecond)
+					s.Run(at)
+					if disc.q == nil {
+						continue
+					}
+					lm, lp := l.Occupancy()
+					if l.BusyTime() != ref.busyTime() || l.DeliveredPackets() != ref.started ||
+						l.Queue().Len() != ref.q.Len() || lm != ref.occ.Mean(at) || lp != int(ref.occ.Max()) {
+						t.Fatalf("at %v: busy %v, delivered %d, queued %d, occupancy %v (peak %d); reference %v, %d, %d, %v (peak %v)",
+							at, l.BusyTime(), l.DeliveredPackets(), l.Queue().Len(), lm, lp,
+							ref.busyTime(), ref.started, ref.q.Len(), ref.occ.Mean(at), ref.occ.Max())
+					}
+				}
+				if len(got.pkts) != len(want.pkts) || len(want.pkts) == 0 {
+					t.Fatalf("delivered %d, reference %d", len(got.pkts), len(want.pkts))
+				}
+				for i := range got.pkts {
+					g, w := got.pkts[i], want.pkts[i]
+					if g.Seq != w.Seq || got.times[i] != want.times[i] || g.Flags != w.Flags {
+						t.Fatalf("arrival %d: seq %d at %v flags %v; reference seq %d at %v flags %v",
+							i, g.Seq, got.times[i], g.Flags, w.Seq, want.times[i], w.Flags)
+					}
+				}
+				if disc.q != nil {
+					if gs, ws := l.Queue().Stats(), ref.q.Stats(); gs != ws || ws.DroppedPackets == 0 {
+						t.Errorf("queue stats %+v, reference %+v (want drops)", gs, ws)
+					}
+					if r, ok := ref.q.(*queue.RED); ok && r.Marked == 0 && disc.name == "red-ecn" {
+						t.Error("RED-ECN marked nothing")
+					}
+					if len(sojourns) != len(ref.sojourns) {
+						t.Fatalf("%d sojourns, reference %d", len(sojourns), len(ref.sojourns))
+					}
+					var sum float64
+					for i := range sojourns {
+						if sojourns[i] != ref.sojourns[i] {
+							t.Fatalf("sojourn %d: %v, reference %v", i, sojourns[i], ref.sojourns[i])
+						}
+						sum += ref.sojourns[i].Milliseconds()
+					}
+					if h := reg.Snapshot().Histograms["twin.sojourn_ms"]; h.Count != int64(len(sojourns)) || h.Sum != sum {
+						t.Errorf("sojourn_ms holds %d observations summing to %v ms, reference %d, %v ms", h.Count, h.Sum, len(sojourns), sum)
+					}
+				}
+				// One event per offer, per reference transmission and
+				// arrival, and one per packet the link delivered.
+				if events := uint64(n + 3*len(want.pkts)); s.Processed != events {
+					t.Errorf("%d events, want %d", s.Processed, events)
+				}
+				reg.Collect()
+				if f := reg.Counter("sim.lane_fallbacks").Value(); f != 0 {
+					t.Errorf("%d arrivals took the lane fallback", f)
+				}
+				if aud.Count() != 0 {
+					t.Errorf("audit: %v", aud.Err())
+				}
+			})
+		}
 	}
 }

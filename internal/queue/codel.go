@@ -46,9 +46,10 @@ func (c CoDelConfig) withDefaults() CoDelConfig {
 // packet sojourn times, at a rate that increases with the square root of
 // the drop count while the queue stays bad.
 type CoDel struct {
-	cfg   CoDelConfig
-	q     fifo
-	stats Stats
+	cfg CoDelConfig
+	// line admits at the physical limit and holds the packets: one the
+	// control law drops departs it like any other, and counts here.
+	line DropTail
 
 	// firstAbove is when the sojourn first exceeded Target with no dip
 	// since; zero means "currently below target".
@@ -60,27 +61,19 @@ type CoDel struct {
 	// SojournDrops counts packets dropped by the control law (as opposed
 	// to tail drops at the physical limit).
 	SojournDrops int64
+	sojournBytes units.ByteSize
 }
 
 // NewCoDel returns a CoDel queue.
 func NewCoDel(cfg CoDelConfig) *CoDel {
-	return &CoDel{cfg: cfg.withDefaults()}
+	c := &CoDel{cfg: cfg.withDefaults()}
+	c.line.limit, c.line.self = c.cfg.Limit, &c.line
+	return c
 }
 
 // Enqueue implements Queue: admission is only bounded by the physical
 // limit; the control law acts at dequeue.
-func (c *CoDel) Enqueue(p *packet.Packet, now units.Time) bool {
-	if !c.cfg.Limit.admits(c.q.count, c.q.bytes, p.Size) {
-		c.stats.DroppedPackets++
-		c.stats.DroppedBytes += p.Size
-		return false
-	}
-	p.Enqueued = now
-	c.q.push(p)
-	c.stats.EnqueuedPackets++
-	c.stats.EnqueuedBytes += p.Size
-	return true
-}
+func (c *CoDel) Enqueue(p *packet.Packet, now units.Time) bool { return c.line.Enqueue(p, now) }
 
 // controlLaw returns the next drop time after t for the current count.
 func (c *CoDel) controlLaw(t units.Time) units.Time {
@@ -90,13 +83,13 @@ func (c *CoDel) controlLaw(t units.Time) units.Time {
 // doDequeue pops one packet and reports whether its sojourn was above
 // target (maintaining firstAbove).
 func (c *CoDel) doDequeue(now units.Time) (*packet.Packet, bool) {
-	p := c.q.pop()
+	p := c.line.Dequeue(now)
 	if p == nil {
 		c.firstAbove = 0
 		return nil, false
 	}
 	sojourn := now.Sub(p.Enqueued)
-	if sojourn < c.cfg.Target || c.q.bytes < c.cfg.MaxPacket {
+	if sojourn < c.cfg.Target || c.line.Bytes() < c.cfg.MaxPacket {
 		// Below target (or nearly empty): reset the above-target clock.
 		c.firstAbove = 0
 		return p, false
@@ -149,24 +142,27 @@ func (c *CoDel) Dequeue(now units.Time) *packet.Packet {
 		}
 		c.dropNext = c.controlLaw(now)
 	}
-	if p != nil {
-		c.stats.DequeuedPackets++
-		c.stats.DequeuedBytes += p.Size
-	}
 	return p
 }
 
 func (c *CoDel) drop(p *packet.Packet) {
-	c.stats.DroppedPackets++
-	c.stats.DroppedBytes += p.Size
 	c.SojournDrops++
+	c.sojournBytes += p.Size
 }
 
 // Len implements Queue.
-func (c *CoDel) Len() int { return c.q.count }
+func (c *CoDel) Len() int { return c.line.Len() }
 
 // Bytes implements Queue.
-func (c *CoDel) Bytes() units.ByteSize { return c.q.bytes }
+func (c *CoDel) Bytes() units.ByteSize { return c.line.Bytes() }
 
-// Stats implements Queue.
-func (c *CoDel) Stats() Stats { return c.stats }
+// Stats implements Queue: the line's, with the control law's drops
+// moved from departures to drops.
+func (c *CoDel) Stats() Stats {
+	s := c.line.stats
+	s.DequeuedPackets -= c.SojournDrops
+	s.DequeuedBytes -= c.sojournBytes
+	s.DroppedPackets += c.SojournDrops
+	s.DroppedBytes += c.sojournBytes
+	return s
+}

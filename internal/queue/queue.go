@@ -46,47 +46,42 @@ func (s Stats) DropRate() float64 {
 	return float64(s.DroppedPackets) / float64(offered)
 }
 
-// fifo is the shared packet FIFO under both disciplines: a ring buffer
-// that grows on demand.
-type fifo struct {
-	buf   []*packet.Packet
-	head  int
-	count int
-	bytes units.ByteSize
+// Ring is a first-in first-out buffer of values, circular, doubled when
+// full: it holds at most the longest line it has seen. The disciplines
+// hold their packets in one, and a link its waiting packets' times.
+type Ring[T any] struct {
+	buf     []T
+	head, n int
 }
 
-func (f *fifo) push(p *packet.Packet) {
-	if f.count == len(f.buf) {
-		f.grow()
+// Len returns the number of values held.
+func (r *Ring[T]) Len() int { return r.n }
+
+// Head returns the oldest value; the ring must not be empty.
+func (r *Ring[T]) Head() T { return r.buf[r.head] }
+
+// Push appends v.
+func (r *Ring[T]) Push(v T) {
+	if r.n == len(r.buf) {
+		nb := make([]T, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = nb, 0
 	}
-	f.buf[(f.head+f.count)%len(f.buf)] = p
-	f.count++
-	f.bytes += p.Size
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
 }
 
-func (f *fifo) pop() *packet.Packet {
-	if f.count == 0 {
-		return nil
+// Pop removes and returns the oldest value, or the zero value if empty.
+func (r *Ring[T]) Pop() (v T) {
+	if r.n == 0 {
+		return v
 	}
-	p := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head = (f.head + 1) % len(f.buf)
-	f.count--
-	f.bytes -= p.Size
-	return p
-}
-
-func (f *fifo) grow() {
-	n := len(f.buf) * 2
-	if n == 0 {
-		n = 64
-	}
-	nb := make([]*packet.Packet, n)
-	for i := 0; i < f.count; i++ {
-		nb[i] = f.buf[(f.head+i)%len(f.buf)]
-	}
-	f.buf = nb
-	f.head = 0
+	v, r.buf[r.head] = r.buf[r.head], v
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
 }
 
 // Limit expresses a buffer size either in packets or in bytes (router
@@ -105,31 +100,50 @@ func ByteLimit(b units.ByteSize) Limit { return Limit{Bytes: b} }
 
 // admits reports whether a queue currently holding (pkts, bytes) can accept
 // another packet of size s under the limit.
-func (l Limit) admits(pkts int, bytes units.ByteSize, s units.ByteSize) bool {
-	if l.Packets > 0 && pkts+1 > l.Packets {
-		return false
-	}
-	if l.Bytes > 0 && bytes+s > l.Bytes {
-		return false
-	}
-	return true
+func (l Limit) admits(pkts int, bytes, s units.ByteSize) bool {
+	return (l.Packets <= 0 || pkts < l.Packets) && (l.Bytes <= 0 || bytes+s <= l.Bytes)
 }
 
-// DropTail is the classic FIFO queue with tail drop.
+// FIFO is a discipline that decides at arrival and serves in arrival
+// order: drop-tail and RED. A link that knows when each packet it admits
+// starts transmission drives it with Admit and Depart and holds the
+// waiting line itself (see link.Link); the queue keeps only its counters,
+// and Len and Bytes are what was admitted and has not departed. Enqueue
+// and Dequeue are Admit and Depart around a packet Ring of its own.
+type FIFO interface {
+	Queue
+	// Admit decides whether p, arriving at now, joins the line; if so it
+	// stamps p.Enqueued and counts it, but does not hold it.
+	Admit(p *packet.Packet, now units.Time) bool
+	// Depart takes the head of the line, of the given size, into
+	// service at now.
+	Depart(size units.ByteSize, now units.Time)
+	// Limit returns the buffer limit the line is held to.
+	Limit() Limit
+}
+
+// DropTail is the classic FIFO queue with tail drop, and the books and
+// packet Ring the other disciplines build on: RED is a DropTail that
+// drops or marks early, and CoDel holds one whose head it may drop.
 type DropTail struct {
+	// self is the discipline whose Admit and Depart Enqueue and Dequeue
+	// call: the DropTail itself, or the RED built on it.
+	self  FIFO
 	limit Limit
-	q     fifo
 	stats Stats
+	held  Ring[*packet.Packet]
 }
 
 // NewDropTail returns a drop-tail queue with the given buffer limit.
 func NewDropTail(limit Limit) *DropTail {
-	return &DropTail{limit: limit}
+	d := &DropTail{limit: limit}
+	d.self = d
+	return d
 }
 
-// Enqueue implements Queue.
-func (d *DropTail) Enqueue(p *packet.Packet, now units.Time) bool {
-	if !d.limit.admits(d.q.count, d.q.bytes, p.Size) {
+// Admit implements FIFO.
+func (d *DropTail) Admit(p *packet.Packet, now units.Time) bool {
+	if !d.limit.admits(d.Len(), d.Bytes(), p.Size) {
 		d.stats.DroppedPackets++
 		if !mutateSkipDroppedBytes {
 			d.stats.DroppedBytes += p.Size
@@ -137,30 +151,43 @@ func (d *DropTail) Enqueue(p *packet.Packet, now units.Time) bool {
 		return false
 	}
 	p.Enqueued = now
-	d.q.push(p)
 	d.stats.EnqueuedPackets++
 	d.stats.EnqueuedBytes += p.Size
 	return true
 }
 
+// Depart implements FIFO.
+func (d *DropTail) Depart(size units.ByteSize, _ units.Time) {
+	d.stats.DequeuedPackets++
+	d.stats.DequeuedBytes += size
+}
+
+// Enqueue implements Queue.
+func (d *DropTail) Enqueue(p *packet.Packet, now units.Time) bool {
+	if !d.self.Admit(p, now) {
+		return false
+	}
+	d.held.Push(p)
+	return true
+}
+
 // Dequeue implements Queue.
 func (d *DropTail) Dequeue(now units.Time) *packet.Packet {
-	p := d.q.pop()
+	p := d.held.Pop()
 	if p != nil {
-		d.stats.DequeuedPackets++
-		d.stats.DequeuedBytes += p.Size
+		d.self.Depart(p.Size, now)
 	}
 	return p
 }
 
 // Len implements Queue.
-func (d *DropTail) Len() int { return d.q.count }
+func (d *DropTail) Len() int { return int(d.stats.EnqueuedPackets - d.stats.DequeuedPackets) }
 
 // Bytes implements Queue.
-func (d *DropTail) Bytes() units.ByteSize { return d.q.bytes }
+func (d *DropTail) Bytes() units.ByteSize { return d.stats.EnqueuedBytes - d.stats.DequeuedBytes }
 
 // Stats implements Queue.
 func (d *DropTail) Stats() Stats { return d.stats }
 
-// Limit returns the configured buffer limit.
+// Limit implements FIFO.
 func (d *DropTail) Limit() Limit { return d.limit }

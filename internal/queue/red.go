@@ -52,9 +52,8 @@ func DefaultRED(limitPkts int, meanPktTime units.Duration, rand func() float64) 
 
 // RED implements the Random Early Detection AQM discipline.
 type RED struct {
-	cfg   REDConfig
-	q     fifo
-	stats Stats
+	DropTail
+	cfg REDConfig
 
 	avg       float64 // EWMA of the queue length in packets
 	count     int     // packets since the last early drop
@@ -73,18 +72,18 @@ func NewRED(cfg REDConfig) *RED {
 	if cfg.Wq <= 0 || cfg.Wq > 1 {
 		panic("queue: RED Wq must be in (0,1]")
 	}
-	return &RED{cfg: cfg, count: -1, idle: true}
+	r := &RED{DropTail: DropTail{limit: cfg.Limit}, cfg: cfg, count: -1, idle: true}
+	r.self = r
+	return r
 }
 
 // AvgQueue returns RED's current average-queue estimate in packets.
 func (r *RED) AvgQueue() float64 { return r.avg }
 
-// Enqueue implements Queue.
-func (r *RED) Enqueue(p *packet.Packet, now units.Time) bool {
-	// Age the average across an idle period: the queue was empty, so the
-	// average decays as if m small packets had departed. The idle flag is
-	// cleared whether or not aging is configured (MeanPacketTime > 0) —
-	// leaving it set would make a later Dequeue's idleSince stamp stale.
+// Admit implements FIFO.
+func (r *RED) Admit(p *packet.Packet, now units.Time) bool {
+	// Age the average across an idle period, as if m small packets had
+	// departed; the idle flag clears whether or not aging is configured.
 	if r.idle {
 		if r.cfg.MeanPacketTime > 0 {
 			m := float64(now.Sub(r.idleSince)) / float64(r.cfg.MeanPacketTime)
@@ -94,7 +93,7 @@ func (r *RED) Enqueue(p *packet.Packet, now units.Time) bool {
 		}
 		r.idle = false
 	}
-	r.avg = (1-r.cfg.Wq)*r.avg + r.cfg.Wq*float64(r.q.count)
+	r.avg = (1-r.cfg.Wq)*r.avg + r.cfg.Wq*float64(r.Len())
 
 	drop := false
 	switch {
@@ -113,56 +112,32 @@ func (r *RED) Enqueue(p *packet.Packet, now units.Time) bool {
 	default:
 		r.count = -1
 	}
-	// An early "drop" decision becomes a CE mark for ECN-capable packets —
-	// but the mark is only committed after the packet is admitted. A marked
-	// packet can still be forced-tail-dropped at the limit check below, and
-	// committing early would leave CE set (and Marked incremented) on a
-	// packet that never entered the queue.
-	mark := false
-	if drop && r.cfg.MarkECN && p.Flags&packet.FlagECT != 0 {
-		mark = true
-		drop = false
-	}
-	if !drop && !r.cfg.Limit.admits(r.q.count, r.q.bytes, p.Size) {
-		drop = true // forced tail drop: buffer physically full
-		mark = false
-		r.count = 0
-	}
-	if drop {
+	// An early "drop" decision becomes a CE mark for ECN-capable packets,
+	// committed only once the packet is admitted: a packet to be marked
+	// can still be tail-dropped at the physical limit.
+	mark := drop && r.cfg.MarkECN && p.Flags&packet.FlagECT != 0
+	if drop && !mark {
 		r.stats.DroppedPackets++
 		r.stats.DroppedBytes += p.Size
+		return false
+	}
+	if !r.DropTail.Admit(p, now) {
+		r.count = 0 // forced tail drop: buffer physically full
 		return false
 	}
 	if mark {
 		p.Flags |= packet.FlagCE
 		r.Marked++
 	}
-	p.Enqueued = now
-	r.q.push(p)
-	r.stats.EnqueuedPackets++
-	r.stats.EnqueuedBytes += p.Size
 	return true
 }
 
-// Dequeue implements Queue.
-func (r *RED) Dequeue(now units.Time) *packet.Packet {
-	p := r.q.pop()
-	if p != nil {
-		r.stats.DequeuedPackets++
-		r.stats.DequeuedBytes += p.Size
-		if r.q.count == 0 {
-			r.idle = true
-			r.idleSince = now
-		}
+// Depart implements FIFO: a departure that empties the line starts an
+// idle period.
+func (r *RED) Depart(size units.ByteSize, now units.Time) {
+	r.DropTail.Depart(size, now)
+	if r.Len() == 0 {
+		r.idle = true
+		r.idleSince = now
 	}
-	return p
 }
-
-// Len implements Queue.
-func (r *RED) Len() int { return r.q.count }
-
-// Bytes implements Queue.
-func (r *RED) Bytes() units.ByteSize { return r.q.bytes }
-
-// Stats implements Queue.
-func (r *RED) Stats() Stats { return r.stats }

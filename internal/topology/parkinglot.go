@@ -108,11 +108,7 @@ func NewParkingLot(cfg ParkingLotConfig) *ParkingLot {
 		cfg.Sched.SetAuditor(cfg.Auditor)
 	}
 	for i, rate := range cfg.Rates {
-		var q queue.Queue = queue.NewDropTail(cfg.Buffers[i])
-		if cfg.Auditor != nil {
-			q = queue.NewAudited(q, cfg.Auditor, fmt.Sprintf("core%d", i))
-		}
-		l := link.New(fmt.Sprintf("core%d", i), cfg.Sched, rate, cfg.Delays[i], q, p.Routers[i+1])
+		l := link.New(fmt.Sprintf("core%d", i), cfg.Sched, rate, cfg.Delays[i], queue.NewDropTail(cfg.Buffers[i]), p.Routers[i+1])
 		l.SetAuditor(cfg.Auditor)
 		l.SetDropPool(p.pool)
 		p.Links = append(p.Links, l)

@@ -98,8 +98,8 @@ type Station struct {
 
 	senderHost   *node.Host
 	receiverHost *node.Host
-	access       *link.Pipe
-	reverse      *link.Pipe
+	access       *link.Link
+	reverse      *link.Link
 	sched        *sim.Scheduler
 }
 
@@ -158,7 +158,6 @@ func NewDumbbell(cfg Config) *Dumbbell {
 	}
 	if cfg.Auditor != nil {
 		cfg.Sched.SetAuditor(cfg.Auditor)
-		q = queue.NewAudited(q, cfg.Auditor, "bottleneck")
 	}
 	d.Bottleneck = link.New("bottleneck", cfg.Sched, cfg.BottleneckRate, cfg.BottleneckDelay, q, d.R2)
 	d.Bottleneck.SetAuditor(cfg.Auditor)
@@ -196,7 +195,7 @@ func (d *Dumbbell) buildStation(i int) *Station {
 	revDelay := units.Duration(rtt / 2)
 
 	// Neither path drops or is measured, so both are pipes (see
-	// link.Pipe).
+	// link.NewPipe).
 	st.access = link.NewPipe(fmt.Sprintf("access%d", i), st.sched, cfg.AccessRate, fwdDelay, d.R1)
 	st.reverse = link.NewPipe(fmt.Sprintf("reverse%d", i), st.sched, cfg.AccessRate, revDelay, st.senderHost)
 	st.access.SetAuditor(cfg.Auditor)
