@@ -7,7 +7,7 @@ import (
 
 // kernelDescription names the kernel generation being measured; it is
 // recorded in BENCH_kernel.json so before/after blocks are labelled.
-const kernelDescription = "inlined 4-ary min-heap over pooled event slots with branch-free child selection ((at, seq) compared as one 128-bit number through the subtraction borrow, a full group of four children reduced as a tournament with an arithmetic winner index), typed actor dispatch on hot paths, FIFO wire lanes (key reserved at post time, one heap entry per wire, items in pooled 8-entry chunks), four-entry near run for imminent events and deferred root pop, packets recycled through a per-view pool at the TCP sinks and at the link that drops them (unsharded views), TCP reassembly and SACK state as sorted runs in reused slices, pluggable congestion-control policy behind a per-flow interface, access and reverse links as one-event pipes and a drop-tail/RED bottleneck that posts each arrival when it admits the packet (link.Link: start = max(now, free), waiting packets kept as values in a lazily popped ring), TCP sender with one high-water mark (a late cumulative ACK raises sndNxt; a send below sndMax is a retransmission, counted and never RTT-timed)"
+const kernelDescription = "inlined 4-ary min-heap over pooled event slots with branch-free child selection ((at, seq) compared as one 128-bit number through the subtraction borrow, a full group of four children reduced as a tournament with an arithmetic winner index), typed actor dispatch on hot paths, FIFO wire lanes (key reserved at post time, one heap entry per wire, items in pooled 8-entry chunks), deferred root pop (a handler's first post takes the firing root's place), packets recycled through a per-view pool at the TCP sinks and at the link that drops them (unsharded views), TCP reassembly and SACK state as sorted runs in reused slices, pluggable congestion-control policy behind a per-flow interface, access and reverse links as one-event pipes and a drop-tail/RED bottleneck that posts each arrival when it admits the packet (link.Link: start = max(now, free), waiting packets kept as values in a lazily popped ring), TCP sender with one high-water mark (a late cumulative ACK raises sndNxt; a send below sndMax is a retransmission, counted and never RTT-timed)"
 
 // churn is the kernel_churn cell's actor: each firing re-posts it 10 ns
 // out until n events have fired.
@@ -93,11 +93,12 @@ func kernelLanes(n int, useLanes bool) {
 // each handler posting its successor 1-500 ns ahead, over a standing
 // backlog of one far timer per actor — a link's opTxDone at 1000 flows,
 // due before anything the heap holds, with the heap as deep as the
-// dumbbell's (~2000 entries). Every token post is one the near run should
-// take; in the heap each would sift up to the root and back down.
+// dumbbell's (~2000 entries). Every token post lands before the backlog;
+// posted from the handler, it takes the firing root's place and sifts
+// down from there.
 const (
 	imminentActors = 2000
-	imminentTokens = 2 // two in flight, so the second-rank rule is used too
+	imminentTokens = 2 // two in flight, so a post is not always the earliest
 	imminentFar    = units.Duration(3600 * units.Second)
 )
 

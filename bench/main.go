@@ -12,8 +12,8 @@
 //     through sim.Lane, and the same pattern with every packet its own
 //     heap entry (PostAfter) — what the lanes buy at a 32k-event backlog.
 //   - kernel_imminent: a token passed round 2000 actors, each post due
-//     1-500 ns ahead over a backlog of 2000 far timers — a link's opTxDone,
-//     the events the near run is for.
+//     1-500 ns ahead over a backlog of 2000 far timers — a link's opTxDone
+//     (CoDel's transmit-done), imminent posts through the plain heap.
 //   - sim_long_lived: one full long-lived-flow experiment (the paper's
 //     core scenario), the end-to-end number the ROADMAP's "as fast as the
 //     hardware allows" goal is judged by.

@@ -315,7 +315,9 @@ func TestShortFlowsWritesCSV(t *testing.T) {
 // TestCCFamiliesSimulateEachCeilingOnce: a ccfamilies grid point measures
 // its ceiling at the search's upper bound, and the bisection reuses that
 // run instead of probing the bound again, so no search/buffer=<hi>
-// registry repeats ceiling/. The table is quick_all.txt's, byte for byte.
+// registry repeats ceiling/. Likewise the rule run publishes rule/ only
+// when the search did not probe the rule buffer. The table is
+// quick_all.txt's, byte for byte.
 func TestCCFamiliesSimulateEachCeilingOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real (scaled) sweep")
@@ -343,6 +345,10 @@ func TestCCFamiliesSimulateEachCeilingOnce(t *testing.T) {
 		}
 		if n, ok := snap.Counters[fmt.Sprintf("%ssearch/buffer=%d/sim.events_processed", cell, hi)]; ok {
 			t.Errorf("%s: the search simulated its bound %d again (%d events)", cell, hi, n)
+		}
+		_, probed := snap.Counters[fmt.Sprintf("%ssearch/buffer=%d/sim.events_processed", cell, p.SqrtRule)]
+		if _, rule := snap.Counters[cell+"rule/sim.events_processed"]; rule == probed {
+			t.Errorf("%s: rule/ registry %v, rule buffer %d probed by the search %v: want exactly one", cell, rule, p.SqrtRule, probed)
 		}
 	}
 }

@@ -122,16 +122,26 @@ var seedBlind = map[string]string{
 // deterministic system, not a sample. Such a row must be on seedBlind,
 // with its reason, and a row on seedBlind must still be seed-blind, so
 // the list stays the set of rows a phase offset would have to fix.
+//
+// The seed-1 run goes through a fresh run cache, and no lookup may hit:
+// a hit would be a config the row simulates twice without -cache.
 func TestCatalogRowsSeedSensitive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every catalog row twice")
 	}
 	for _, e := range Catalog {
+		store, err := runcache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
 		var out [2]strings.Builder
-		for i := range out {
-			if err := WriteJSON(&out[i], e.Run(true, int64(i+1), RunEnv{})); err != nil {
+		for i, env := range []RunEnv{{Cache: store}, {}} {
+			if err := WriteJSON(&out[i], e.Run(true, int64(i+1), env)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if st := store.Stats(); st.Hits != 0 {
+			t.Errorf("%s: %d of %d cache lookups hit: the row simulates a config twice", e.ID, st.Hits, st.Hits+st.Misses)
 		}
 		same := out[0].String() == out[1].String()
 		if why, listed := seedBlind[e.ID]; same && !listed {

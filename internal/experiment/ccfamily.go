@@ -144,15 +144,27 @@ func runCCFamilyPoint(cfg CCFamilyConfig, cell RunEnv, v tcp.Variant, n int) CCF
 	// instead of re-walking the bisection's probe sequence.
 	key := ccFamilyPointConfig{Base: ll, Target: cfg.Target, SearchHi: hi, RunEnv: cfg.RunEnv}
 	return memoRun(key.RunEnv, "ccfamily-point", key, func() CCFamilyPoint {
-		// Each run (and each probe of the search) publishes under a
-		// registry of its own: ceiling/, search/buffer=<b>/, rule/. The
-		// ceiling is the search's top probe, so the search reuses it.
-		ceiling := arm(cell, "ceiling", ll.utilAt(hi))
+		// measured records the utilization at every buffer the point has
+		// simulated. The ceiling, the search and the rule all read it, so
+		// no buffer runs twice: the search's top probe is the ceiling,
+		// and the rule buffer may be one of its probes. Each run publishes
+		// under a registry of its own — ceiling/, search/buffer=<b>/,
+		// rule/ — and a buffer read from the record publishes none.
+		measured := map[int]float64{}
+		util := func(env RunEnv, name string, b int) float64 {
+			u, ok := measured[b]
+			if !ok {
+				u = arm(env, name, ll.utilAt(b))
+				measured[b] = u
+			}
+			return u
+		}
+		ceiling := util(cell, "ceiling", hi)
 		target := cfg.Target * ceiling
 		minB := arm(cell, "search", func(env RunEnv) int {
-			run := ll
-			run.RunEnv = env
-			return minBufferBelow(run, target, hi, func() float64 { return ceiling })
+			return minBufferBelow(target, hi, func(b int) float64 {
+				return util(env, fmt.Sprintf("buffer=%d", b), b)
+			})
 		})
 		return CCFamilyPoint{
 			Variant:     v,
@@ -164,7 +176,7 @@ func runCCFamilyPoint(cfg CCFamilyConfig, cell RunEnv, v tcp.Variant, n int) CCF
 			MinBuffer:   minB,
 			RuleRatio:   float64(minB) / float64(sqrtRule),
 			BDPFraction: float64(minB) / float64(bdp),
-			UtilAtRule:  arm(cell, "rule", ll.utilAt(sqrtRule)),
+			UtilAtRule:  util(cell, "rule", sqrtRule),
 		}
 	})
 }

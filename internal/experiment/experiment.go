@@ -248,31 +248,28 @@ func RunLongLivedReplicated(cfg LongLivedConfig, k int) ReplicatedResult {
 // monotone and uses a single run per probe; callers choose Measure long
 // enough for the noise floor they care about.
 func MinBufferForUtilization(cfg LongLivedConfig, target float64, hi int) int {
-	return minBufferBelow(cfg, target, hi, nil)
+	// Each probe publishes under a registry of its own, buffer=<b>/.
+	return minBufferBelow(target, hi, func(b int) float64 {
+		return arm(cfg.RunEnv, fmt.Sprintf("buffer=%d", b), cfg.utilAt(b))
+	})
 }
 
-// minBufferBelow is MinBufferForUtilization for a caller that may have
-// measured the utilization at hi already: atHi, when non-nil, returns
-// it, and hi is then not simulated again.
-func minBufferBelow(cfg LongLivedConfig, target float64, hi int, atHi func() float64) int {
+// minBufferBelow is the bisection behind MinBufferForUtilization, over a
+// caller's util(b), the utilization measured with a b-packet buffer.
+func minBufferBelow(target float64, hi int, util func(b int) float64) int {
 	if hi < 2 {
 		panic("experiment: search upper bound too small")
 	}
-	// Each probe publishes under a registry of its own, buffer=<b>/.
-	probe := func(b int) float64 { return arm(cfg.RunEnv, fmt.Sprintf("buffer=%d", b), cfg.utilAt(b)) }
-	if atHi == nil {
-		atHi = func() float64 { return probe(hi) }
-	}
 	lo := 1
-	if probe(lo) >= target {
+	if util(lo) >= target {
 		return lo
 	}
-	if atHi() < target {
+	if util(hi) < target {
 		return hi // not achievable within bound; report the bound
 	}
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if probe(mid) >= target {
+		if util(mid) >= target {
 			hi = mid
 		} else {
 			lo = mid

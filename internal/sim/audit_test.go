@@ -73,8 +73,8 @@ func TestKernelCleanUnderAudit(t *testing.T) {
 // fuzzActor is the handler behind every event FuzzSchedulerInvariants
 // schedules. The event's argument is a byte saying what the handler does
 // when it runs, so the fuzzer reaches the paths only a handler can: pushes
-// while the firing root is still a hole, children that land in the near
-// run, cancels with a pop deferred, Stop in mid-run.
+// while the firing root is still a hole, children that land before the
+// root, cancels with a pop deferred, Stop in mid-run.
 type fuzzActor struct {
 	s       *Scheduler
 	handles []Event
@@ -101,7 +101,7 @@ func (a *fuzzActor) react(c byte) {
 // FuzzSchedulerInvariants decodes an arbitrary byte stream into kernel
 // operations (schedule closure/typed/lane, cancel, step, run), each
 // scheduled event carrying what its handler will do (fuzzActor), and checks
-// the full structural invariant set — heap, near run, slots, lanes — after
+// the full structural invariant set — heap, slots, lanes — after
 // every operation, with the auditor attached throughout.
 func FuzzSchedulerInvariants(f *testing.F) {
 	f.Add([]byte{0x00, 0x05, 0x41, 0x02, 0x83, 0x00, 0xc1, 0x07})

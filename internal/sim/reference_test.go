@@ -11,7 +11,7 @@ import (
 
 // oracle is the reference the kernel is replayed against: every pending
 // event in one container/heap ordered by (at, seq), lanes included. It
-// knows nothing of slots, the near run or deferred pops.
+// knows nothing of slots, lane chunks or deferred pops.
 type oracle struct {
 	h    []*oev
 	seq  uint64
@@ -102,11 +102,11 @@ type oracleRun struct {
 	stops   int
 	pops    int // handlers that returned with the root's pop still deferred
 	// what the program reached, so the test can insist it reached it all
-	nearCancels, frontPosts, secondPosts, behindPosts, nearStops int
+	liveCancels, frontPosts, behindPosts int
 }
 
 // delays mixes the imminent with the far so that posts land before the
-// root, between the root and its children, and deep in the heap.
+// root and deep in the heap.
 var oracleDelays = []units.Duration{0, 0, 1, 1, 2, 3, 5, 8, 40, 200, 1000}
 
 func (r *oracleRun) OnEvent(op int32, arg any) { r.dispatched(arg.(int)) }
@@ -154,44 +154,28 @@ func (r *oracleRun) op() {
 		l := r.rng.Intn(oracleLanes)
 		r.lanes[l].PostAfter(d, id)
 		r.o.post(t, id, l)
-	default: // cancel any handle: pending (heap or near run), fired, recycled
+	default: // cancel any handle: pending, fired, recycled
 		if len(r.handles) == 0 {
 			return
 		}
 		i := r.rng.Intn(len(r.handles))
-		// Half the time go for a handle that is in the near run right now.
-		if r.rng.Intn(2) == 0 {
-			for j, h := range r.handles {
-				if sl := &s.slots[h.id-1]; sl.gen == h.gen && sl.pos == posNear {
-					i = j
-				}
-			}
-		}
-		if h := r.handles[i]; s.slots[h.id-1].gen == h.gen && s.slots[h.id-1].pos == posNear {
-			r.nearCancels++
+		if s.Active(r.handles[i]) {
+			r.liveCancels++
 		}
 		s.Cancel(r.handles[i])
 		r.o.remove(r.events[i])
 	}
 }
 
-// classify records where a plain post at t lands relative to the heap.
+// classify records whether a plain post at t lands before the heap root
+// or behind it; a post that fills the firing root's hole is neither.
 func (r *oracleRun) classify(t units.Time) {
-	h := r.s.heap[r.s.hole:] // a hole is not an entry
-	if len(h) < 6 {
+	if r.s.hole != 0 || len(r.s.heap) == 0 {
 		return
 	}
-	e := entry{at: t, seq: r.s.seq}
-	second := true
-	for c := 1; c <= 4; c++ {
-		second = second && e.before(r.s.heap[c]) != 0
-	}
-	switch {
-	case r.s.hole == 0 && e.before(h[0]) != 0:
+	if (entry{at: t, seq: r.s.seq}).before(r.s.heap[0]) != 0 {
 		r.frontPosts++
-	case second:
-		r.secondPosts++
-	default:
+	} else {
 		r.behindPosts++
 	}
 }
@@ -209,21 +193,19 @@ func (r *oracleRun) check(when string) {
 			continue
 		}
 		h, e := r.handles[i], r.events[i]
-		at, ok := s.EventTime(h)
-		if live := e.idx >= 0; s.Active(h) != live || ok != live || (live && at != e.at) {
-			r.t.Fatalf("%s: handle #%d: Active=%v EventTime=%v,%v; oracle pending=%v at %v",
-				when, e.id, s.Active(h), at, ok, live, e.at)
+		if live := e.idx >= 0; s.Active(h) != live {
+			r.t.Fatalf("%s: handle #%d: Active=%v; oracle pending=%v", when, e.id, s.Active(h), live)
 		}
 	}
 }
 
 // replayOracle replays the random program seed draws — typed posts,
-// closures, lane posts, cancels of pending, fired and near-run handles,
-// same-instant ties, posts from inside handlers that land before the root,
-// before its children and behind them, Run stopping at a boundary with the
-// near run occupied, Stop from inside a handler — against a container/heap
-// that holds every event, and requires the same dispatch sequence and the
-// same Pending, MaxPending, Active and EventTime after every step.
+// closures, lane posts, cancels of pending, fired and recycled handles,
+// same-instant ties, posts from inside handlers that land before the root
+// and behind it, Run stopping at a boundary, Stop from inside a handler —
+// against a container/heap that holds every event, and requires the same
+// dispatch sequence and the same Pending, MaxPending and Active after
+// every step.
 func replayOracle(t *testing.T, seed int64) *oracleRun {
 	r := &oracleRun{t: t, s: NewScheduler(), rng: NewRNG(seed)}
 	r.s.SetAuditor(audit.New())
@@ -248,9 +230,6 @@ func replayOracle(t *testing.T, seed int64) *oracleRun {
 		if err := r.s.VerifyInvariants(); err != nil {
 			t.Fatalf("seed %d round %d: %v", seed, round, err)
 		}
-		if r.s.nearN > 0 {
-			r.nearStops++
-		}
 	}
 	for r.s.Pending() > 0 { // Stop from a handler ends a Run early
 		r.s.Run(units.Never - 1)
@@ -259,8 +238,8 @@ func replayOracle(t *testing.T, seed int64) *oracleRun {
 	if r.o.Len() != 0 || r.s.aud.Count() != 0 {
 		t.Fatalf("seed %d: oracle still holds %d events; audit: %v", seed, r.o.Len(), r.s.aud.Err())
 	}
-	if got := r.s.dispatchNear + r.s.dispatchLane + r.s.dispatchHeap; got != int64(r.s.Processed) || int(r.s.Processed) != r.fired {
-		t.Fatalf("seed %d: near+lane+heap dispatches = %d, Processed = %d, handlers ran %d", seed, got, r.s.Processed, r.fired)
+	if got := r.s.dispatchLane + r.s.dispatchHeap; got != int64(r.s.Processed) || int(r.s.Processed) != r.fired {
+		t.Fatalf("seed %d: lane+heap dispatches = %d, Processed = %d, handlers ran %d", seed, got, r.s.Processed, r.fired)
 	}
 	return r
 }
@@ -268,21 +247,21 @@ func replayOracle(t *testing.T, seed int64) *oracleRun {
 // TestKernelMatchesOracle replays 60 seeded programs and insists that,
 // together, they reached every path the oracle is there to check.
 func TestKernelMatchesOracle(t *testing.T) {
-	var fromNear, fromHeap, refills int64
-	var nearCancels, front, second, behind, stops, pops, nearStops int
+	var fromLane, fromHeap, refills int64
+	var liveCancels, front, behind, stops, pops int
 	for seed := int64(1); seed <= 60; seed++ {
 		r := replayOracle(t, seed)
-		fromNear += r.s.dispatchNear
+		fromLane += r.s.dispatchLane
 		fromHeap += r.s.dispatchHeap
 		refills += r.s.rootRefills
-		nearCancels, stops, pops, nearStops = nearCancels+r.nearCancels, stops+r.stops, pops+r.pops, nearStops+r.nearStops
-		front, second, behind = front+r.frontPosts, second+r.secondPosts, behind+r.behindPosts
+		liveCancels, stops, pops = liveCancels+r.liveCancels, stops+r.stops, pops+r.pops
+		front, behind = front+r.frontPosts, behind+r.behindPosts
 	}
 	for name, n := range map[string]int64{
-		"dispatches from the near run": fromNear, "dispatches from the heap": fromHeap,
-		"root refills": refills, "pops no push filled": int64(pops), "Runs that stopped with the near run occupied": int64(nearStops),
-		"cancels of near-run handles": int64(nearCancels), "Stops from a handler": int64(stops),
-		"posts before the root": int64(front), "posts before the root's children": int64(second), "posts behind them": int64(behind),
+		"dispatches from a lane": fromLane, "dispatches from the heap": fromHeap,
+		"root refills": refills, "pops no push filled": int64(pops),
+		"cancels of pending handles": int64(liveCancels), "Stops from a handler": int64(stops),
+		"posts before the root": int64(front), "posts behind it": int64(behind),
 	} {
 		if n == 0 {
 			t.Errorf("the programs never exercised: %s", name)
@@ -312,53 +291,45 @@ func TestShardedAuditClean(t *testing.T) {
 	}
 }
 
-// TestAuditCoversNearRun: the kernel's two audit checks look at events
-// dispatched from the near run as they do at the heap root.
-func TestAuditCoversNearRun(t *testing.T) {
+// TestAuditCoversHeapRoot plants a fault under each of the kernel's two
+// audit checks on the event about to fire from the heap root: a clock
+// already past it, and a root whose slot records another heap index.
+func TestAuditCoversHeapRoot(t *testing.T) {
 	for _, tc := range []struct {
 		invariant string
 		damage    func(s *Scheduler)
 	}{
 		{"clock-monotonic", func(s *Scheduler) { s.now = 10 }},
-		{"slot-heap-link", func(s *Scheduler) { s.slots[s.near[s.nearN-1].slot].pos = 0 }},
+		{"slot-heap-link", func(s *Scheduler) { s.slots[s.heap[0].slot].pos = 1 }},
 	} {
 		s := NewScheduler()
 		aud := audit.New()
 		s.SetAuditor(aud)
 		fnAt(s, 50, func() {})
 		fnAt(s, 5, func() {})
-		if s.nearN == 0 || s.near[s.nearN-1].at != 5 {
-			t.Fatalf("the event at 5 is not the near run's front (%d events there)", s.nearN)
+		if s.heap[0].at != 5 {
+			t.Fatalf("the heap root fires at %v, want 5", s.heap[0].at)
 		}
 		tc.damage(s)
 		s.Step()
-		if v := aud.Violations(); len(v) != 1 || v[0].Invariant != tc.invariant || s.dispatchNear != 1 {
-			t.Errorf("%s: %d dispatches from the near run, violations %v", tc.invariant, s.dispatchNear, v)
+		if v := aud.Violations(); len(v) != 1 || v[0].Invariant != tc.invariant || s.dispatchHeap != 1 {
+			t.Errorf("%s: %d dispatches from the heap, violations %v", tc.invariant, s.dispatchHeap, v)
 		}
 	}
 }
 
-// TestVerifyInvariantsCatchesNearRunCorruption plants each kind of damage
-// the near run and the deferred pop can suffer.
-func TestVerifyInvariantsCatchesNearRunCorruption(t *testing.T) {
-	for name, damage := range map[string]func(s *Scheduler){
-		"unsorted":        func(s *Scheduler) { s.near[0], s.near[1] = s.near[1], s.near[0] },
-		"slot not marked": func(s *Scheduler) { s.slots[s.near[0].slot].pos = posFree },
-		"count":           func(s *Scheduler) { s.nearN-- },
-		"in the past":     func(s *Scheduler) { s.now = 4 },
-		"hole left":       func(s *Scheduler) { s.hole = 1 },
-	} {
-		s := NewScheduler()
-		fnAt(s, 50, func() {})
-		fnAt(s, 3, func() {})
-		fnAt(s, 2, func() {})
-		if err := s.VerifyInvariants(); err != nil || s.nearN < 2 {
-			t.Fatalf("%s: before the damage: near=%d, %v", name, s.nearN, err)
-		}
-		damage(s)
-		if s.VerifyInvariants() == nil {
-			t.Errorf("%s: VerifyInvariants did not notice", name)
-		}
+// TestVerifyInvariantsCatchesDeferredPop: a root pop still deferred
+// between events is reported.
+func TestVerifyInvariantsCatchesDeferredPop(t *testing.T) {
+	s := NewScheduler()
+	fnAt(s, 50, func() {})
+	fnAt(s, 3, func() {})
+	if err := s.VerifyInvariants(); err != nil {
+		t.Fatalf("before the damage: %v", err)
+	}
+	s.hole = 1
+	if s.VerifyInvariants() == nil {
+		t.Error("VerifyInvariants did not notice a hole left at the root")
 	}
 }
 
@@ -373,7 +344,6 @@ func TestPanickingHandlerLeavesUsableScheduler(t *testing.T) {
 			i := i
 			fnAt(s, units.Time(10*i), func() { order = append(order, i) })
 		}
-		// By 45 the near run has drained, so this fires from the heap root.
 		fnAt(s, 45, func() { panic("handler failed") })
 		victim := fnAt(s, 55, func() { order = append(order, 55) })
 		func() {

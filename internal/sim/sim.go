@@ -32,9 +32,9 @@
 //     (time, seq) key when posted, but only the lane's head occupies the
 //     heap, so heap depth follows the number of wires rather than the
 //     number of packets in flight.
-//   - Events about to fire skip the sifts: one that would be first or
-//     second out of the heap waits in a four-entry sorted near run instead,
-//     and a firing root stays as a hole for its handler's first push.
+//   - A firing root stays in the heap as a hole while its handler runs,
+//     so the handler's first post costs one siftDown instead of a pop
+//     and a push.
 //   - Sifts pick the earliest child without a data-dependent branch: keys
 //     compare as one 128-bit number through a subtraction borrow
 //     (precedes), and four children are reduced as a tournament whose
@@ -75,12 +75,9 @@ type Event struct {
 	gen uint32    // slot generation this handle was issued for
 }
 
-// slot.pos sentinels. Non-negative pos is the heap index while pending.
-// posNear is a pending event that waits in the near run instead.
-const (
-	posFree int32 = -1
-	posNear int32 = -2
-)
+// posFree is slot.pos for a slot that is not pending; a pending event's
+// pos is its heap index.
+const posFree int32 = -1
 
 // slot.kind values.
 const (
@@ -91,7 +88,7 @@ const (
 // slot is the pooled storage behind one scheduled event.
 type slot struct {
 	gen   uint32 // incremented on every recycle; stale handles mismatch
-	pos   int32  // index in the heap while pending, else a sentinel above
+	pos   int32  // index in the heap while pending, else posFree
 	op    int32
 	kind  uint8 // kindEvent, or kindLane: arg is the *Lane whose head this is
 	actor Actor
@@ -136,13 +133,11 @@ type Scheduler struct {
 	stopped    bool
 	aud        *audit.Auditor
 
-	// near[:nearN] is the near run, at most four imminent events, latest
-	// first (the fifth place is admitNear's scratch). hole is 1 while
-	// heap[0] has fired and its pop waits for the handler's pushes (fire).
-	near                 [5]entry
-	nearN, nearMax, hole int
+	// hole is 1 while heap[0] has fired and its pop waits for the
+	// handler's pushes (fire).
+	hole int
 	// Dispatches by source (they sum to Processed) and holes a push filled.
-	dispatchNear, dispatchLane, dispatchHeap, rootRefills int64
+	dispatchLane, dispatchHeap, rootRefills int64
 
 	// Lane storage (lane.go): one pooled slab of item chunks for every
 	// lane, threaded into per-lane FIFOs and a free list through laneNext.
@@ -171,14 +166,14 @@ func (s *Scheduler) Now() units.Time { return s.now }
 // consistency. A nil auditor (the default) disables the checks.
 func (s *Scheduler) SetAuditor(a *audit.Auditor) { s.aud = a }
 
-// Pending returns the number of events waiting to fire: heap entries, the
-// near run, and the lane items queued behind their lane's head.
+// Pending returns the number of events waiting to fire: heap entries and
+// the lane items queued behind their lane's head.
 func (s *Scheduler) Pending() int {
-	return len(s.heap) - s.hole + s.nearN + s.laneQueued
+	return len(s.heap) - s.hole + s.laneQueued
 }
 
 // MaxPending returns the most events that have waited outside lanes at
-// once: heap entries plus the near run (sim.heap_depth_max).
+// once, that is the heap's peak depth (sim.heap_depth_max).
 func (s *Scheduler) MaxPending() int { return s.maxPending }
 
 // Active reports whether e refers to an event that is still pending: not
@@ -189,19 +184,7 @@ func (s *Scheduler) Active(e Event) bool {
 		return false
 	}
 	sl := &s.slots[e.id-1]
-	return sl.gen == e.gen && (sl.pos >= 0 || sl.pos == posNear)
-}
-
-// EventTime returns the instant a pending event is scheduled to fire, and
-// whether the handle is still active.
-func (s *Scheduler) EventTime(e Event) (units.Time, bool) {
-	if !s.Active(e) {
-		return 0, false
-	}
-	if pos := s.slots[e.id-1].pos; pos >= 0 {
-		return s.heap[pos].at, true
-	}
-	return s.near[s.nearIndex(e.id-1)].at, true
+	return sl.gen == e.gen && sl.pos >= 0
 }
 
 // allocSlot takes a slot from the free list, growing the pool on demand.
@@ -241,11 +224,8 @@ func (s *Scheduler) schedule(t units.Time, a Actor, op int32, arg any) Event {
 	sl.actor = a
 	sl.op = op
 	sl.arg = arg
-	e := entry{at: t, seq: s.seq, slot: id}
+	s.push(entry{at: t, seq: s.seq, slot: id})
 	s.seq++
-	if s.hole != 0 || !s.admitNear(e) { // filling a hole saves a whole pop
-		s.push(e)
-	}
 	return Event{id: id + 1, gen: sl.gen}
 }
 
@@ -261,42 +241,7 @@ func (s *Scheduler) push(e entry) {
 	i := len(s.heap)
 	s.heap = append(s.heap, e)
 	s.siftUp(i)
-	s.maxPending = max(s.maxPending, len(s.heap)+s.nearN)
-}
-
-// admitNear puts e in the near run, and reports true, if e would be first
-// or second out of the heap: earlier than each of the root's children. It
-// only chooses where e waits; fire merges the run and the heap either way.
-func (s *Scheduler) admitNear(e entry) bool {
-	for c := 1; c < len(s.heap) && c <= 4; c++ {
-		if e.before(s.heap[c]) == 0 {
-			return false
-		}
-	}
-	i := s.nearN
-	for ; i > 0 && s.near[i-1].before(e) != 0; i-- {
-		s.near[i] = s.near[i-1]
-	}
-	s.near[i] = e
-	s.slots[e.slot].pos = posNear
-	if s.nearN++; s.nearN == len(s.near) {
-		// One too many: the latest leaves for the heap, so a far event
-		// admitted while the heap was small cannot keep its place.
-		out := s.near[0]
-		s.nearN = copy(s.near[:], s.near[1:])
-		s.push(out)
-	}
-	s.nearMax = max(s.nearMax, s.nearN)
-	s.maxPending = max(s.maxPending, len(s.heap)+s.nearN)
-	return true
-}
-
-// nearIndex returns where in the near run the event in slot id waits.
-func (s *Scheduler) nearIndex(id int32) (i int) {
-	for s.near[i].slot != id {
-		i++
-	}
-	return i
+	s.maxPending = max(s.maxPending, len(s.heap))
 }
 
 // settle completes a deferred root pop that no push filled.
@@ -329,17 +274,9 @@ func (s *Scheduler) Cancel(e Event) {
 	if !s.Active(e) {
 		return
 	}
-	id := e.id - 1
-	sl := &s.slots[id]
-	if sl.pos == posNear {
-		i := s.nearIndex(id)
-		s.nearN--
-		copy(s.near[i:s.nearN], s.near[i+1:])
-	} else {
-		s.settle() // removeAt wants a whole heap
-		s.removeAt(int(sl.pos))
-	}
-	s.release(id)
+	s.settle() // removeAt wants a whole heap
+	s.removeAt(int(s.slots[e.id-1].pos))
+	s.release(e.id - 1)
 }
 
 // removeAt deletes the heap entry at index i, restoring heap order.
@@ -414,9 +351,8 @@ func (s *Scheduler) siftDown(i int) {
 	s.slots[e.slot].pos = int32(i)
 }
 
-// popRoot removes and returns the heap minimum, restoring heap order.
-func (s *Scheduler) popRoot() entry {
-	top := s.heap[0]
+// popRoot removes the heap minimum, restoring heap order.
+func (s *Scheduler) popRoot() {
 	last := len(s.heap) - 1
 	if last > 0 {
 		moved := s.heap[last]
@@ -427,7 +363,6 @@ func (s *Scheduler) popRoot() entry {
 	} else {
 		s.heap = s.heap[:0]
 	}
-	return top
 }
 
 // fire dispatches the earliest event if it is due by until. The
@@ -438,37 +373,27 @@ func (s *Scheduler) popRoot() entry {
 // handler's first push overwrites it, and only a handler that pushed
 // nothing pays the pop (settle).
 func (s *Scheduler) fire(until units.Time) bool {
-	near := s.nearN > 0 && (len(s.heap) == 0 || s.near[s.nearN-1].before(s.heap[0]) != 0)
-	src := s.heap
-	if near {
-		src = s.near[s.nearN-1:]
-	}
-	if len(src) == 0 || src[0].at > until {
+	if len(s.heap) == 0 || s.heap[0].at > until {
 		return false
 	}
-	top := src[0]
+	top := s.heap[0]
 	sl := &s.slots[top.slot]
 	if s.aud != nil {
 		if top.at < s.now {
 			s.aud.Violationf(s.now, "sim", "clock-monotonic",
 				"event at %v fires after clock reached %v", top.at, s.now)
 		}
-		if near != (sl.pos == posNear) || !near && sl.pos != 0 {
+		if sl.pos != 0 {
 			s.aud.Violationf(s.now, "sim", "slot-heap-link",
-				"next event (from the near run: %v) references slot %d with pos %d (stale or recycled slot about to fire)", near, top.slot, sl.pos)
+				"heap root references slot %d with pos %d (stale or recycled slot about to fire)", top.slot, sl.pos)
 		}
 	}
 	if sl.kind == kindLane {
 		s.fireLane(sl.arg.(*Lane), top)
 		return true
 	}
-	if near {
-		s.nearN--
-		s.dispatchNear++
-	} else {
-		s.hole = 1
-		s.dispatchHeap++
-	}
+	s.hole = 1
+	s.dispatchHeap++
 	actor, op, arg := sl.actor, sl.op, sl.arg
 	s.release(top.slot)
 	s.now = top.at
@@ -479,10 +404,10 @@ func (s *Scheduler) fire(until units.Time) bool {
 }
 
 // Instrument registers the kernel's telemetry into reg: events processed,
-// by source (sim.dispatch_*, sim.root_refills), current and peak events outside
-// lanes (sim.heap_depth*, of them near: sim.near_depth_max), current and peak lane
-// items queued behind their lane's head (sim.lane_depth*; heap + lane =
-// Pending), out-of-order lane posts, and the simulated clock. Values are
+// by source (sim.dispatch_*, sim.root_refills), current and peak heap
+// depth (sim.heap_depth*), current and peak lane items queued behind their
+// lane's head (sim.lane_depth*; heap + lane = Pending), out-of-order lane
+// posts, and the simulated clock. Values are
 // published by a snapshot-time collector, so instrumentation adds no
 // per-event work and cannot perturb scheduling. A nil registry is a no-op.
 func (s *Scheduler) Instrument(reg *metrics.Registry) {
@@ -496,17 +421,14 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 	laneDepthMax := reg.Gauge("sim.lane_depth_max")
 	laneFallbacks := reg.Counter("sim.lane_fallbacks")
 	clock := reg.Gauge("sim.time_seconds")
-	fromNear, fromLane := reg.Counter("sim.dispatch_near"), reg.Counter("sim.dispatch_lane")
-	fromHeap, refills := reg.Counter("sim.dispatch_heap"), reg.Counter("sim.root_refills")
-	nearMax := reg.Gauge("sim.near_depth_max")
+	fromLane, fromHeap := reg.Counter("sim.dispatch_lane"), reg.Counter("sim.dispatch_heap")
+	refills := reg.Counter("sim.root_refills")
 	reg.OnCollect(func() {
 		events.Set(int64(s.Processed))
-		fromNear.Set(s.dispatchNear)
 		fromLane.Set(s.dispatchLane)
 		fromHeap.Set(s.dispatchHeap)
 		refills.Set(s.rootRefills)
-		nearMax.Set(float64(s.nearMax))
-		depth.Set(float64(len(s.heap) - s.hole + s.nearN))
+		depth.Set(float64(len(s.heap) - s.hole))
 		depthMax.Set(float64(s.maxPending))
 		laneDepth.Set(float64(s.laneQueued))
 		laneDepthMax.Set(float64(s.maxLaneQueued))
@@ -541,19 +463,13 @@ func (s *Scheduler) Step() bool {
 
 // VerifyInvariants exhaustively checks the kernel's internal structure:
 // heap order, heap-entry/slot cross-links, free-list consistency, that no
-// slot is both pending and free, the near run, that no pop is still
-// deferred (call it between events), and the lane invariants (see
-// verifyLanes). It is O(pool size) and meant for
-// tests and the fuzz harness, not the hot path. It returns the first
-// problem found, or nil.
+// slot is both pending and free, that no pop is still deferred (call it
+// between events), and the lane invariants (see verifyLanes). It is
+// O(pool size) and meant for tests and the fuzz harness, not the hot
+// path. It returns the first problem found, or nil.
 func (s *Scheduler) VerifyInvariants() error {
 	if s.hole != 0 {
 		return fmt.Errorf("sim: the root's deferred pop outlived its handler")
-	}
-	for i, e := range s.near[:s.nearN] {
-		if i > 0 && e.before(s.near[i-1]) == 0 || e.at < s.now || uint(e.slot) >= uint(len(s.slots)) || s.slots[e.slot].pos != posNear {
-			return fmt.Errorf("sim: near run entry %d (at=%v seq=%d slot=%d) is out of order, in the past, or its slot is not marked near", i, e.at, e.seq, e.slot)
-		}
 	}
 	for i := 1; i < len(s.heap); i++ {
 		p := (i - 1) / 4
@@ -594,8 +510,8 @@ func (s *Scheduler) VerifyInvariants() error {
 			return fmt.Errorf("sim: free slot %d records pos %d", id, got)
 		}
 	}
-	if len(s.heap)+s.nearN+len(s.free) != len(s.slots) {
-		return fmt.Errorf("sim: %d in heap + %d near + %d free != %d slots", len(s.heap), s.nearN, len(s.free), len(s.slots))
+	if len(s.heap)+len(s.free) != len(s.slots) {
+		return fmt.Errorf("sim: %d in heap + %d free != %d slots", len(s.heap), len(s.free), len(s.slots))
 	}
 	return s.verifyLanes()
 }

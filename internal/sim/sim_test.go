@@ -232,9 +232,6 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 func TestEventAccessorsAndCounters(t *testing.T) {
 	s := NewScheduler()
 	e := fnAt(s, 25, func() {})
-	if at, ok := s.EventTime(e); !ok || at != 25 {
-		t.Errorf("EventTime = %v, %v", at, ok)
-	}
 	if !s.Active(e) {
 		t.Error("pending event reports inactive")
 	}
@@ -251,9 +248,6 @@ func TestEventAccessorsAndCounters(t *testing.T) {
 	}
 	if s.Active(e) {
 		t.Error("fired event should report inactive")
-	}
-	if _, ok := s.EventTime(e); ok {
-		t.Error("EventTime on a fired event should report not-ok")
 	}
 }
 

@@ -74,56 +74,93 @@ func TestPooledLoopAllocatesNothing(t *testing.T) {
 	// then run all the time, and none of it allocates once the run slices
 	// have seen their widest spread; a rejected packet costs a Put, where
 	// without the drop pool it costs the allocation of its replacement.
+	// The link runs each of its two paths: the admission path every
+	// drop-tail and RED bottleneck takes (a queue.FIFO), and the
+	// transmit-done path of any other discipline.
 	for _, v := range []Variant{Reno, Sack} {
-		lossy := func(pool, dropPool *packet.Pool) (allocs float64, drops int64) {
-			s := sim.NewScheduler()
-			cfg := Config{Flow: 1, Variant: v, MaxWindow: window}
-			rev := &wire{sched: s}
-			rcv := NewReceiver(cfg, s, rev)
-			q := &everyKth{Queue: queue.NewDropTail(queue.PacketLimit(8)), k: 29}
-			fwd := link.New("lossy", s, units.Gbps, 10*units.Millisecond, q, rcv)
-			fwd.SetDropPool(dropPool)
-			snd := NewSender(cfg, s, fwd)
-			rev.dst = snd
-			snd.SetPool(pool)
-			rcv.SetPool(pool)
-			snd.Start()
-			until := units.Epoch.Add(20 * units.Second)
-			s.Run(until)
-			before := q.Stats().DroppedPackets + q.rejected
-			// One measured call of 1000 round trips: AllocsPerRun
-			// divides in integers, and a loss every few round trips
-			// must not round to nothing.
-			allocs = testing.AllocsPerRun(1, func() {
-				until = until.Add(1000 * 20 * units.Millisecond)
+		for _, fifo := range []bool{true, false} {
+			lossy := func(pool, dropPool *packet.Pool) (allocs float64, drops int64) {
+				s := sim.NewScheduler()
+				cfg := Config{Flow: 1, Variant: v, MaxWindow: window}
+				rev := &wire{sched: s}
+				rcv := NewReceiver(cfg, s, rev)
+				dt := queue.NewDropTail(queue.PacketLimit(8))
+				var q queue.Queue
+				rej := &rejecter{k: 29}
+				if fifo {
+					q = &everyKthFIFO{DropTail: dt, rejecter: rej}
+				} else {
+					q = &everyKth{Queue: dt, rejecter: rej}
+				}
+				if _, isFIFO := q.(queue.FIFO); isFIFO != fifo {
+					t.Fatalf("%T: queue.FIFO %v, want %v", q, isFIFO, fifo)
+				}
+				fwd := link.New("lossy", s, units.Gbps, 10*units.Millisecond, q, rcv)
+				fwd.SetDropPool(dropPool)
+				snd := NewSender(cfg, s, fwd)
+				rev.dst = snd
+				snd.SetPool(pool)
+				rcv.SetPool(pool)
+				snd.Start()
+				until := units.Epoch.Add(20 * units.Second)
 				s.Run(until)
-			})
-			return allocs, q.Stats().DroppedPackets + q.rejected - before
-		}
-		pool := packet.NewPool(false)
-		n, drops := lossy(pool, pool)
-		if n != 0 || drops < 100 {
-			t.Errorf("%v: %v allocations in 1000 lossy round trips with %d drops, want 0 and at least 100", v, n, drops)
-		}
-		if n, _ := lossy(packet.NewPool(false), nil); n == 0 {
-			t.Errorf("%v: no allocations on the lossy path without a drop pool: the test measures nothing", v)
+				before := dt.Stats().DroppedPackets + rej.rejected
+				// One measured call of 1000 round trips: AllocsPerRun
+				// divides in integers, and a loss every few round trips
+				// must not round to nothing.
+				allocs = testing.AllocsPerRun(1, func() {
+					until = until.Add(1000 * 20 * units.Millisecond)
+					s.Run(until)
+				})
+				return allocs, dt.Stats().DroppedPackets + rej.rejected - before
+			}
+			pool := packet.NewPool(false)
+			n, drops := lossy(pool, pool)
+			if n != 0 || drops < 100 {
+				t.Errorf("%v, FIFO %v: %v allocations in 1000 lossy round trips with %d drops, want 0 and at least 100", v, fifo, n, drops)
+			}
+			if n, _ := lossy(packet.NewPool(false), nil); n == 0 {
+				t.Errorf("%v, FIFO %v: no allocations on the lossy path without a drop pool: the test measures nothing", v, fifo)
+			}
 		}
 	}
 }
 
-// everyKth is a queue that also rejects every k-th packet offered.
-type everyKth struct {
-	queue.Queue
+// rejecter refuses every k-th packet offered to it.
+type rejecter struct {
 	k, n     int
 	rejected int64
 }
 
-func (q *everyKth) Enqueue(p *packet.Packet, now units.Time) bool {
-	if q.n++; q.n%q.k == 0 {
-		q.rejected++
+func (r *rejecter) reject() bool {
+	if r.n++; r.n%r.k != 0 {
 		return false
 	}
-	return q.Queue.Enqueue(p, now)
+	r.rejected++
+	return true
+}
+
+// everyKth is a queue that also rejects every k-th packet offered. It
+// embeds the Queue interface, so it is no queue.FIFO and its link takes
+// the transmit-done path.
+type everyKth struct {
+	queue.Queue
+	*rejecter
+}
+
+func (q *everyKth) Enqueue(p *packet.Packet, now units.Time) bool {
+	return !q.reject() && q.Queue.Enqueue(p, now)
+}
+
+// everyKthFIFO is a drop-tail that also rejects every k-th packet
+// offered. It stays a queue.FIFO, so its link takes the admission path.
+type everyKthFIFO struct {
+	*queue.DropTail
+	*rejecter
+}
+
+func (q *everyKthFIFO) Admit(p *packet.Packet, now units.Time) bool {
+	return !q.reject() && q.DropTail.Admit(p, now)
 }
 
 // TestPoolDoesNotChangeBehaviour: a lossy transfer — fast retransmits,
