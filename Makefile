@@ -54,15 +54,16 @@ short:
 race:
 	$(GO) test -race ./...
 
-# mutation proves the checkers catch seeded bugs: the conservation
-# auditor a seeded accounting bug (build tag auditmutation plants it in
-# DropTail), the link audit a transmitter that starts each packet when it
-# is offered instead of when it frees up, the sender audit a sender that
+# mutation proves the checkers catch seeded bugs: the queue's books a
+# seeded accounting bug (build tag auditmutation plants it in DropTail),
+# caught on an audited drop-tail link and an audited RED link (and a
+# CoDel link), the link audit a transmitter that starts each packet when
+# it is offered instead of when it frees up, the sender audit a sender that
 # resends acknowledged data (the same tag drops onNewAck's raise of
 # sndNxt), and each buflint analyzer its own bug seeded into a copy of
 # internal/topology, reported by that analyzer alone.
 mutation:
-	$(GO) test -tags auditmutation -run TestAuditMutation ./internal/queue/ ./internal/link/ ./internal/tcp/
+	$(GO) test -tags auditmutation -run TestAuditMutation ./internal/link/ ./internal/tcp/
 	$(GO) test -run TestSeededMutationDetected ./internal/lint/
 
 fuzz-smoke:

@@ -57,10 +57,11 @@ type Link struct {
 	sojourn *metrics.Histogram
 
 	dropPool *packet.Pool // takes back rejected packets (SetDropPool)
-	// aud, when non-nil, receives violations; audEnd and audBusy are the
-	// last arrival's end of transmission and the arrivals' summed
-	// transmission times.
+	// aud, when non-nil, receives violations and books keeps the queue's
+	// ledger; audEnd and audBusy are the last arrival's end of
+	// transmission and the arrivals' summed transmission times.
 	aud     *audit.Auditor
+	books   *queue.Books
 	audEnd  units.Time
 	audBusy units.Duration
 
@@ -139,14 +140,14 @@ func (l *Link) Queue() queue.Queue {
 // SetAuditor attaches an invariant checker (nil, the default, disables
 // it): the link refuses and reports a released packet (see packet.Pool)
 // when offered and when it arrives, and checks that free never goes
-// back, that transmissions never overlap and cover the busy time, and
-// that a FIFO's line agrees with the queue's books and limit. Any other
-// queue it wraps in queue.Audited, which checks every operation on it.
-// Set it before the first packet.
+// back and that transmissions never overlap and cover the busy time. It
+// enters every offer to its queue and every departure from it in a
+// queue.Books, which checks the queue's own books against them. Set it
+// before the first packet.
 func (l *Link) SetAuditor(a *audit.Auditor) {
-	l.aud = a
-	if a != nil && l.q != nil && l.fifo == nil {
-		l.q = queue.NewAudited(l.q, a, l.name)
+	l.aud, l.books = a, nil
+	if a != nil && l.q != nil {
+		l.books = queue.NewBooks(l.q, a, l.name)
 	}
 }
 
@@ -177,7 +178,11 @@ func (l *Link) Send(p *packet.Packet) {
 		l.transmit(p, now)
 		return
 	case l.fifo == nil:
-		if !l.q.Enqueue(p, now) {
+		ok := l.q.Enqueue(p, now)
+		if l.books != nil {
+			l.books.Offer(p.Size, ok, now)
+		}
+		if !ok {
 			l.dropPool.PutDropped(p)
 			return
 		}
@@ -191,7 +196,11 @@ func (l *Link) Send(p *packet.Packet) {
 	// exactly now still counts, and p waits too if the transmitter frees
 	// up exactly now, as if p had come before that transmit completion.
 	l.advance(now, false)
-	if !l.fifo.Admit(p, now) {
+	ok := l.fifo.Admit(p, now)
+	if l.books != nil {
+		l.books.Offer(p.Size, ok, now)
+	}
+	if !ok {
 		l.dropPool.PutDropped(p)
 		return
 	}
@@ -204,9 +213,6 @@ func (l *Link) Send(p *packet.Packet) {
 	}
 	if l.OnDequeue != nil {
 		l.OnDequeue(p, start.Sub(now))
-	}
-	if l.aud != nil {
-		l.auditLine(now)
 	}
 }
 
@@ -238,6 +244,9 @@ func (l *Link) advance(now units.Time, inclusive bool) {
 		}
 		l.line.Pop()
 		l.fifo.Depart(s.size, s.start)
+		if l.books != nil {
+			l.books.Depart(s.size, s.enq, s.start)
+		}
 		l.observe(s.enq, s.start)
 		l.occ.Set(float64(l.line.Len()), s.start)
 	}
@@ -260,6 +269,9 @@ func (l *Link) observe(enq, start units.Time) {
 func (l *Link) startNext() {
 	now := l.sched.Now()
 	p := l.q.Dequeue(now)
+	if l.books != nil {
+		l.books.Dequeued(p, now)
+	}
 	// An AQM may drop at dequeue, so the length is read even when nothing
 	// comes out.
 	l.occ.Set(float64(l.q.Len()), now)
@@ -300,16 +312,6 @@ func (l *Link) arrive(p *packet.Packet) {
 			"busy %v, but the arrivals took %v to send and %v has elapsed", busy, l.audBusy, now.Sub(units.Epoch))
 	}
 	l.dst.Handle(p)
-}
-
-// auditLine checks a FIFO's line after an admission against the queue's
-// limit and books.
-func (l *Link) auditLine(now units.Time) {
-	lim, n, b := l.fifo.Limit(), l.fifo.Len(), l.fifo.Bytes()
-	if n != l.line.Len() || lim.Packets > 0 && n > lim.Packets || lim.Bytes > 0 && b > lim.Bytes {
-		l.aud.Violationf(now, "link:"+l.name, "backlog-limit",
-			"%d packets waiting, the queue counts %d (%d B) against its limit %+v", l.line.Len(), n, b, lim)
-	}
 }
 
 // BusyTime returns the cumulative time the transmitter has spent sending,

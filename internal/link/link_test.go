@@ -310,9 +310,9 @@ func TestBurstRidesOneHeapEntry(t *testing.T) {
 	}
 }
 
-// TestAuditedLinkRefusesReleasedPackets: an audited link or pipe reports
-// a packet that was already released to its pool — offered after
-// release, or released while the link still held it.
+// TestAuditedLinkRefusesReleasedPackets: an audited link, on either
+// path, or pipe reports a packet that was already released to its pool —
+// offered after release, or released while the link still held it.
 func TestAuditedLinkRefusesReleasedPackets(t *testing.T) {
 	count := func(aud *audit.Auditor) (n int) {
 		for _, v := range aud.Violations() {
@@ -323,10 +323,15 @@ func TestAuditedLinkRefusesReleasedPackets(t *testing.T) {
 		return n
 	}
 	poison := packet.NewPool(true)
-	kind := []string{"link", "pipe"}
+	kind := []string{"link", "codel link", "pipe"}
 	for i, build := range []func(*sim.Scheduler, *audit.Auditor, packet.Handler) packet.Handler{
 		func(s *sim.Scheduler, aud *audit.Auditor, dst packet.Handler) packet.Handler {
 			l := New("link", s, 10*units.Mbps, units.Millisecond, queue.NewDropTail(queue.PacketLimit(10)), dst)
+			l.SetAuditor(aud)
+			return l
+		},
+		func(s *sim.Scheduler, aud *audit.Auditor, dst packet.Handler) packet.Handler {
+			l := New("codel", s, 10*units.Mbps, units.Millisecond, queue.NewCoDel(queue.CoDelConfig{Limit: queue.PacketLimit(10)}), dst)
 			l.SetAuditor(aud)
 			return l
 		},
@@ -362,6 +367,51 @@ func TestAuditedLinkRefusesReleasedPackets(t *testing.T) {
 			t.Errorf("%s: a packet released while the link held it went unreported", kind[i])
 		}
 	}
+}
+
+// shortDeparting counts half of each departure's bytes.
+type shortDeparting struct{ *queue.DropTail }
+
+func (q shortDeparting) Depart(size units.ByteSize, now units.Time) { q.DropTail.Depart(size/2, now) }
+
+// overAdmitting admits past the limit it reports.
+type overAdmitting struct{ *queue.DropTail }
+
+func (overAdmitting) Limit() queue.Limit { return queue.PacketLimit(4) }
+
+// TestAuditCatchesBrokenFIFOs plants a fault in a discipline the link
+// drives by admission and departure (a queue.FIFO) and requires the
+// link's books to name it.
+func TestAuditCatchesBrokenFIFOs(t *testing.T) {
+	for _, tc := range []struct {
+		invariant string
+		q         queue.FIFO
+	}{
+		{"dequeue-accounting", shortDeparting{queue.NewDropTail(queue.PacketLimit(10))}},
+		{"backlog-limit", overAdmitting{queue.NewDropTail(queue.Limit{})}},
+	} {
+		s := sim.NewScheduler()
+		l := New("broken", s, 10*units.Mbps, units.Millisecond, tc.q, &collector{sched: s})
+		aud := audit.New()
+		l.SetAuditor(aud)
+		for i := int64(0); i < 8; i++ {
+			l.Send(mkpkt(i, 1000))
+		}
+		s.Run(units.Epoch.Add(units.Second))
+		if !hasViolation(aud, tc.invariant) {
+			t.Errorf("%T: no %s violation, got %v", tc.q, tc.invariant, aud.Violations())
+		}
+	}
+}
+
+// hasViolation reports whether aud recorded a violation of invariant.
+func hasViolation(aud *audit.Auditor, invariant string) bool {
+	for _, v := range aud.Violations() {
+		if v.Invariant == invariant {
+			return true
+		}
+	}
+	return false
 }
 
 // TestLinkMeasuresQueue: the link measures its queue's occupancy and the

@@ -37,3 +37,32 @@ func TestAuditMutation(t *testing.T) {
 		t.Errorf("overlapping transmissions went unreported: %v", aud.Violations())
 	}
 }
+
+// TestAuditMutationDropAccounting is the mutation check for the queue's
+// books: the same tag makes DropTail forget the bytes of the packets it
+// drops (see queue's mutation_on.go), and a burst that overflows a
+// drop-tail, a RED and a CoDel link must be reported as a drop-accounting
+// violation on each. The burst comes at one instant, so it overflows
+// with every packet starting when it is offered. Run with:
+//
+//	go test -tags auditmutation -run TestAuditMutation ./internal/link/
+func TestAuditMutationDropAccounting(t *testing.T) {
+	const limit, burst = 4, 20
+	for _, q := range []queue.Queue{
+		queue.NewDropTail(queue.PacketLimit(limit)),
+		queue.NewRED(queue.DefaultRED(limit, 800*units.Microsecond, func() float64 { return 0.5 })),
+		queue.NewCoDel(queue.CoDelConfig{Limit: queue.PacketLimit(limit)}),
+	} {
+		s := sim.NewScheduler()
+		l := New("mutated", s, 10*units.Mbps, units.Millisecond, q, &collector{sched: s})
+		aud := audit.New()
+		l.SetAuditor(aud)
+		for i := int64(0); i < burst; i++ {
+			l.Send(mkpkt(i, 1000))
+		}
+		s.Run(units.Epoch.Add(units.Second))
+		if !hasViolation(aud, "drop-accounting") {
+			t.Errorf("%T: the seeded dropped-bytes bug went unreported: %v", q, aud.Violations())
+		}
+	}
+}

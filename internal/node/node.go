@@ -6,9 +6,7 @@ package node
 import (
 	"fmt"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/packet"
-	"bufsim/internal/sim"
 )
 
 // Router forwards packets toward their destination over per-destination
@@ -73,11 +71,6 @@ type Host struct {
 	// when the entry is empty.
 	lastFlow  packet.FlowID
 	lastAgent packet.Handler
-
-	// aud, when non-nil, hears about packets that arrive after their
-	// endpoint released them; clock stamps the report (see SetAuditor).
-	aud   *audit.Auditor
-	clock *sim.Scheduler
 }
 
 // NewHost returns an empty host.
@@ -87,12 +80,6 @@ func NewHost(id packet.NodeID, name string) *Host {
 
 // ID returns the host's node ID.
 func (h *Host) ID() packet.NodeID { return h.id }
-
-// SetAuditor attaches an invariant checker: the host reports any packet
-// delivered to it after its endpoint released it (see packet.Pool),
-// stamped with clock's time. A nil auditor (the default) disables the
-// check.
-func (h *Host) SetAuditor(a *audit.Auditor, clock *sim.Scheduler) { h.aud, h.clock = a, clock }
 
 // Attach registers an agent to receive packets for flow f.
 func (h *Host) Attach(f packet.FlowID, agent packet.Handler) {
@@ -114,11 +101,6 @@ func (h *Host) Detach(f packet.FlowID) {
 
 // Handle implements packet.Handler.
 func (h *Host) Handle(p *packet.Packet) {
-	if h.aud != nil && p.Released() {
-		// It then finds no agent and falls on the floor like any stray.
-		h.aud.Violationf(h.clock.Now(), "host:"+h.name, "packet-use-after-release",
-			"delivered a packet its endpoint had already released")
-	}
 	if h.lastAgent != nil && p.Flow == h.lastFlow {
 		h.lastAgent.Handle(p)
 		return

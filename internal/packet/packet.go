@@ -78,8 +78,7 @@ func (f Flags) String() string {
 // Pool.Put. Sources that never see their packets again (CBR, pulse,
 // probe) allocate plainly; a dropped one joins the pool of the link that
 // dropped it. Under audit a released packet is poisoned instead of reused
-// (see NewPool), and every audited link, queue and host reports one that
-// shows up again.
+// (see NewPool), and every audited link reports one that shows up again.
 type Packet struct {
 	Flow FlowID
 	Src  NodeID

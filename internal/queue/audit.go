@@ -6,18 +6,19 @@ import (
 	"bufsim/internal/units"
 )
 
-// Audited wraps a Queue with conservation-law checks. It maintains its own
-// shadow counters from the operations it forwards — independent of the
-// discipline's Stats — and cross-checks the two on every operation, so a
-// discipline that miscounts (or leaks, duplicates, or reorders packets) is
-// caught at the first operation where the books disagree. It forwards
-// every call unchanged, so wrapping never perturbs a run.
-type Audited struct {
-	inner Queue
+// Books is a queue's ledger kept by its one caller, the link: what it
+// offered and what was accepted, and what departed, in packets and in
+// bytes. It keeps these apart from the discipline's Stats and
+// cross-checks the two, and Len, Bytes and the limit, after every entry,
+// so a discipline that miscounts (or leaks, duplicates, reorders or
+// overfills) is caught at the first entry where the books disagree. It
+// only reads the queue, so keeping it never perturbs a run.
+type Books struct {
+	q     Queue
 	aud   *audit.Auditor
 	name  string
+	limit Limit // zero when the queue does not say
 
-	// Shadow counters, observed at the wrapper boundary.
 	offeredPkts   int64
 	acceptedPkts  int64
 	dequeuedPkts  int64
@@ -25,107 +26,94 @@ type Audited struct {
 	acceptedBytes units.ByteSize
 	dequeuedBytes units.ByteSize
 
-	// FIFO-order check: enqueue stamps of dequeued packets must be
+	// FIFO-order check: enqueue stamps of departures must be
 	// non-decreasing.
 	lastEnqueued units.Time
 	haveDequeued bool
 }
 
-// NewAudited wraps q so that every operation is checked against the
-// conservation laws, reporting violations to aud under the given
-// component name. A nil auditor yields a transparent wrapper.
-func NewAudited(q Queue, aud *audit.Auditor, name string) *Audited {
-	return &Audited{inner: q, aud: aud, name: "queue:" + name}
+// NewBooks returns the ledger of q, reporting violations to aud under
+// the given component name.
+func NewBooks(q Queue, aud *audit.Auditor, name string) *Books {
+	b := &Books{q: q, aud: aud, name: "queue:" + name}
+	if l, ok := q.(interface{ Limit() Limit }); ok {
+		b.limit = l.Limit()
+	}
+	return b
 }
 
-// Unwrap returns the wrapped Queue, so telemetry (Instrument) can reach
-// the concrete discipline through the wrapper.
-func (a *Audited) Unwrap() Queue { return a.inner }
-
-// Enqueue implements Queue.
-func (a *Audited) Enqueue(p *packet.Packet, now units.Time) bool {
-	if p.Released() {
-		// Not an offer the discipline should account for: the packet's
-		// endpoint already gave it back to its pool (see packet.Pool).
-		a.aud.Violationf(now, a.name, "packet-use-after-release",
-			"offered a packet its endpoint had already released")
-		return false
+// Offer enters the outcome of offering q a packet of the given size at
+// now (Admit or Enqueue).
+func (b *Books) Offer(size units.ByteSize, accepted bool, now units.Time) {
+	b.offeredPkts++
+	b.offeredBytes += size
+	if accepted {
+		b.acceptedPkts++
+		b.acceptedBytes += size
 	}
-	size := p.Size
-	ok := a.inner.Enqueue(p, now)
-	a.offeredPkts++
-	a.offeredBytes += size
-	if ok {
-		a.acceptedPkts++
-		a.acceptedBytes += size
-	}
-	a.check(now)
-	return ok
+	b.check(now)
 }
 
-// Dequeue implements Queue.
-func (a *Audited) Dequeue(now units.Time) *packet.Packet {
-	p := a.inner.Dequeue(now)
-	if p != nil {
-		if p.Released() {
-			a.aud.Violationf(now, a.name, "packet-use-after-release",
-				"a packet was released while it was queued")
-		}
-		a.dequeuedPkts++
-		a.dequeuedBytes += p.Size
-		if p.Enqueued > now {
-			a.aud.Violationf(now, a.name, "sojourn-nonnegative",
-				"dequeued packet stamped Enqueued=%v after now", p.Enqueued)
-		}
-		if a.haveDequeued && p.Enqueued < a.lastEnqueued {
-			a.aud.Violationf(now, a.name, "fifo-order",
-				"dequeued packet enqueued at %v after one enqueued at %v", p.Enqueued, a.lastEnqueued)
-		}
-		a.lastEnqueued = p.Enqueued
-		a.haveDequeued = true
+// Depart enters the departure at now of a packet of the given size that
+// joined q at enq (Depart, or what Dequeue returned).
+func (b *Books) Depart(size units.ByteSize, enq, now units.Time) {
+	b.dequeuedPkts++
+	b.dequeuedBytes += size
+	if enq > now {
+		b.aud.Violationf(now, b.name, "sojourn-nonnegative",
+			"dequeued packet stamped Enqueued=%v after now", enq)
 	}
-	a.check(now)
-	return p
+	if b.haveDequeued && enq < b.lastEnqueued {
+		b.aud.Violationf(now, b.name, "fifo-order",
+			"dequeued packet enqueued at %v after one enqueued at %v", enq, b.lastEnqueued)
+	}
+	b.lastEnqueued, b.haveDequeued = enq, true
+	b.check(now)
 }
 
-// Len implements Queue.
-func (a *Audited) Len() int { return a.inner.Len() }
+// Dequeued enters what Dequeue returned at now: nil departs nothing, but
+// an AQM may have dropped at dequeue, so the books are checked anyway.
+func (b *Books) Dequeued(p *packet.Packet, now units.Time) {
+	if p == nil {
+		b.check(now)
+		return
+	}
+	b.Depart(p.Size, p.Enqueued, now)
+}
 
-// Bytes implements Queue.
-func (a *Audited) Bytes() units.ByteSize { return a.inner.Bytes() }
+// check verifies the conservation laws relating the ledger, the
+// discipline's Stats, and the current queue contents.
+func (b *Books) check(now units.Time) {
+	s := b.q.Stats()
+	qLen := int64(b.q.Len())
+	qBytes := b.q.Bytes()
 
-// Stats implements Queue.
-func (a *Audited) Stats() Stats { return a.inner.Stats() }
-
-// check verifies the conservation laws relating the wrapper's shadow
-// counters, the discipline's Stats, and the current queue contents.
-func (a *Audited) check(now units.Time) {
-	s := a.inner.Stats()
-	qLen := int64(a.inner.Len())
-	qBytes := a.inner.Bytes()
-
-	// The discipline's acceptance/departure books must match what was
-	// observed at the boundary.
-	if s.EnqueuedPackets != a.acceptedPkts || s.EnqueuedBytes != a.acceptedBytes {
-		a.aud.Violationf(now, a.name, "enqueue-accounting",
+	// The discipline's acceptance/departure books must match what its
+	// caller saw.
+	if s.EnqueuedPackets != b.acceptedPkts || s.EnqueuedBytes != b.acceptedBytes {
+		b.aud.Violationf(now, b.name, "enqueue-accounting",
 			"stats report %d pkts/%d B enqueued, observed %d pkts/%d B accepted",
-			s.EnqueuedPackets, s.EnqueuedBytes, a.acceptedPkts, a.acceptedBytes)
+			s.EnqueuedPackets, s.EnqueuedBytes, b.acceptedPkts, b.acceptedBytes)
 	}
-	if s.DequeuedPackets != a.dequeuedPkts || s.DequeuedBytes != a.dequeuedBytes {
-		a.aud.Violationf(now, a.name, "dequeue-accounting",
+	if s.DequeuedPackets != b.dequeuedPkts || s.DequeuedBytes != b.dequeuedBytes {
+		b.aud.Violationf(now, b.name, "dequeue-accounting",
 			"stats report %d pkts/%d B dequeued, observed %d pkts/%d B",
-			s.DequeuedPackets, s.DequeuedBytes, a.dequeuedPkts, a.dequeuedBytes)
+			s.DequeuedPackets, s.DequeuedBytes, b.dequeuedPkts, b.dequeuedBytes)
+	}
+	if lim := b.limit; lim.Packets > 0 && qLen > int64(lim.Packets) || lim.Bytes > 0 && qBytes > lim.Bytes {
+		b.aud.Violationf(now, b.name, "backlog-limit",
+			"%d packets (%d B) queued against the limit %+v", qLen, qBytes, lim)
 	}
 
-	// Drops split into rejections at the door (Enqueue returned false —
+	// Drops split into rejections at the door (the offer was refused —
 	// observed directly) and post-enqueue drops (CoDel's control law).
 	// The discipline's total must cover the rejections.
-	preDropPkts := a.offeredPkts - a.acceptedPkts
-	preDropBytes := a.offeredBytes - a.acceptedBytes
+	preDropPkts := b.offeredPkts - b.acceptedPkts
+	preDropBytes := b.offeredBytes - b.acceptedBytes
 	postDropPkts := s.DroppedPackets - preDropPkts
 	postDropBytes := s.DroppedBytes - preDropBytes
 	if postDropPkts < 0 || postDropBytes < 0 {
-		a.aud.Violationf(now, a.name, "drop-accounting",
+		b.aud.Violationf(now, b.name, "drop-accounting",
 			"stats report %d pkts/%d B dropped, but %d pkts/%d B were rejected at enqueue",
 			s.DroppedPackets, s.DroppedBytes, preDropPkts, preDropBytes)
 		return // conservation below would double-report with garbage numbers
@@ -133,17 +121,17 @@ func (a *Audited) check(now units.Time) {
 
 	// Flow conservation: everything accepted is either delivered, dropped
 	// after admission, or still queued — in packets and in bytes.
-	if a.acceptedPkts != a.dequeuedPkts+postDropPkts+qLen {
-		a.aud.Violationf(now, a.name, "packet-conservation",
+	if b.acceptedPkts != b.dequeuedPkts+postDropPkts+qLen {
+		b.aud.Violationf(now, b.name, "packet-conservation",
 			"accepted %d != dequeued %d + post-enqueue drops %d + queued %d",
-			a.acceptedPkts, a.dequeuedPkts, postDropPkts, qLen)
+			b.acceptedPkts, b.dequeuedPkts, postDropPkts, qLen)
 	}
-	if a.acceptedBytes != a.dequeuedBytes+postDropBytes+qBytes {
-		a.aud.Violationf(now, a.name, "byte-conservation",
+	if b.acceptedBytes != b.dequeuedBytes+postDropBytes+qBytes {
+		b.aud.Violationf(now, b.name, "byte-conservation",
 			"accepted %d B != dequeued %d B + post-enqueue drops %d B + queued %d B",
-			a.acceptedBytes, a.dequeuedBytes, postDropBytes, qBytes)
+			b.acceptedBytes, b.dequeuedBytes, postDropBytes, qBytes)
 	}
 	if qLen == 0 && qBytes != 0 {
-		a.aud.Violationf(now, a.name, "empty-queue-bytes", "Len()==0 but Bytes()==%d", qBytes)
+		b.aud.Violationf(now, b.name, "empty-queue-bytes", "Len()==0 but Bytes()==%d", qBytes)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // disciplineTable is the shared cross-discipline test matrix: every queue
 // discipline, in a few representative configurations, constructed fresh
 // per run. The conservation property test and the fuzz harness both drive
-// every entry through the Audited wrapper, so a new discipline gets the
-// whole battery by adding one row here.
+// every entry through its Books, so a new discipline gets the whole
+// battery by adding one row here.
 var disciplineTable = []struct {
 	name string
 	make func(seed int64) Queue
@@ -38,15 +38,22 @@ var disciplineTable = []struct {
 	}},
 }
 
+// offer and take drive q as a link's transmit-done path does, entering
+// each outcome in its books b.
+func offer(q Queue, b *Books, p *packet.Packet, now units.Time) {
+	b.Offer(p.Size, q.Enqueue(p, now), now)
+}
+func take(q Queue, b *Books, now units.Time) { b.Dequeued(q.Dequeue(now), now) }
+
 // driveRandom pushes a deterministic pseudo-random enqueue/dequeue
-// schedule through q under the conservation auditor and fails the test on
-// the first violation. Enqueues outnumber dequeues so limited queues
+// schedule through q, kept in its Books, and fails the test on the first
+// violation. Enqueues outnumber dequeues so limited queues
 // exercise their drop paths, and the queue is drained at the end so the
 // final cross-check runs against an empty queue.
 func driveRandom(t *testing.T, name string, q Queue, seed int64, ops int) {
 	t.Helper()
 	aud := audit.New()
-	w := NewAudited(q, aud, name)
+	b := NewBooks(q, aud, name)
 	rng := rand.New(rand.NewSource(seed))
 	now := units.Time(0)
 	var seq int64
@@ -58,16 +65,16 @@ func driveRandom(t *testing.T, name string, q Queue, seed int64, ops int) {
 			if name == "red-ecn" && rng.Intn(2) == 0 {
 				p.Flags |= packet.FlagECT
 			}
-			w.Enqueue(p, now)
+			offer(q, b, p, now)
 			seq++
 		} else {
 			for n := rng.Intn(4); n >= 0; n-- {
-				w.Dequeue(now)
+				take(q, b, now)
 			}
 		}
 	}
-	for w.Len() > 0 {
-		w.Dequeue(now)
+	for q.Len() > 0 {
+		take(q, b, now)
 	}
 	if err := aud.Err(); err != nil {
 		t.Fatalf("%s (seed %d): %v", name, seed, err)
@@ -95,25 +102,26 @@ func FuzzQueueConservation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, d := range disciplineTable {
 			aud := audit.New()
-			w := NewAudited(d.make(1), aud, d.name)
+			q := d.make(1)
+			b := NewBooks(q, aud, d.name)
 			now := units.Time(0)
 			var seq int64
 			for i := 0; i+1 < len(data); i += 2 {
-				op, b := data[i], data[i+1]
+				op, size := data[i], data[i+1]
 				now = now.Add(units.Duration(op&0x0f) * units.Millisecond)
 				if op&0x10 != 0 {
-					w.Dequeue(now)
+					take(q, b, now)
 				} else {
-					p := mkpkt(seq, units.ByteSize(40+int(b)*8))
+					p := mkpkt(seq, units.ByteSize(40+int(size)*8))
 					if op&0x20 != 0 {
 						p.Flags |= packet.FlagECT
 					}
-					w.Enqueue(p, now)
+					offer(q, b, p, now)
 					seq++
 				}
 			}
-			for w.Len() > 0 {
-				w.Dequeue(now)
+			for q.Len() > 0 {
+				take(q, b, now)
 			}
 			if err := aud.Err(); err != nil {
 				t.Fatalf("%s: %v", d.name, err)
@@ -123,7 +131,7 @@ func FuzzQueueConservation(f *testing.F) {
 }
 
 // miscountingQueue underreports delivered bytes in its Stats — the class
-// of bookkeeping bug the audit layer exists to catch.
+// of bookkeeping bug the ledger exists to catch.
 type miscountingQueue struct{ *DropTail }
 
 func (m miscountingQueue) Stats() Stats {
@@ -185,7 +193,7 @@ func (l *lifoQueue) Bytes() units.ByteSize {
 
 func (l *lifoQueue) Stats() Stats { return l.stats }
 
-// TestAuditCatchesBrokenQueues is the liveness check for the audit layer
+// TestAuditCatchesBrokenQueues is the liveness check for the ledger
 // itself: each deliberately broken discipline must trip the named
 // invariant. Without this, a silently dead auditor would make every green
 // conservation test meaningless.
@@ -202,12 +210,13 @@ func TestAuditCatchesBrokenQueues(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			aud := audit.New()
-			w := NewAudited(tc.make(), aud, tc.name)
+			q := tc.make()
+			b := NewBooks(q, aud, tc.name)
 			for i := int64(0); i < 8; i++ {
-				w.Enqueue(mkpkt(i, 1000), ms(i))
+				offer(q, b, mkpkt(i, 1000), ms(i))
 			}
 			for i := int64(0); i < 8; i++ {
-				w.Dequeue(ms(10 + i))
+				take(q, b, ms(10+i))
 			}
 			if aud.Count() == 0 {
 				t.Fatalf("auditor missed a %s queue", tc.name)
@@ -223,65 +232,5 @@ func TestAuditCatchesBrokenQueues(t *testing.T) {
 				t.Errorf("no %q violation recorded; got %v", tc.invariant, aud.Violations())
 			}
 		})
-	}
-}
-
-// TestAuditedTransparent pins the wrapper contract: operations pass
-// through unchanged (same acceptance decisions, same packets in the same
-// order) and Unwrap exposes the inner discipline.
-func TestAuditedTransparent(t *testing.T) {
-	aud := audit.New()
-	inner := NewDropTail(PacketLimit(3))
-	w := NewAudited(inner, aud, "transparent")
-	if w.Unwrap() != Queue(inner) {
-		t.Fatal("Unwrap did not return the inner queue")
-	}
-	accepted := 0
-	for i := int64(0); i < 5; i++ {
-		if w.Enqueue(mkpkt(i, 500), ms(i)) {
-			accepted++
-		}
-	}
-	if accepted != 3 {
-		t.Errorf("accepted %d through the wrapper, want 3", accepted)
-	}
-	if w.Len() != 3 || w.Bytes() != 1500 {
-		t.Errorf("Len/Bytes = %d/%d, want 3/1500", w.Len(), w.Bytes())
-	}
-	for i := int64(0); i < 3; i++ {
-		p := w.Dequeue(ms(10 + i))
-		if p == nil || p.Seq != i {
-			t.Fatalf("dequeue %d through the wrapper: %v", i, p)
-		}
-	}
-	if err := aud.Err(); err != nil {
-		t.Fatalf("clean run reported violations: %v", err)
-	}
-}
-
-// TestAuditedQueueReportsReleasedPackets: the wrapper turns away a packet
-// that was already released to its pool (the discipline never sees it, so
-// its books stay clean) and reports one released while it sat in the
-// queue.
-func TestAuditedQueueReportsReleasedPackets(t *testing.T) {
-	aud := audit.New()
-	w := NewAudited(NewDropTail(PacketLimit(4)), aud, "released")
-	poison := packet.NewPool(true)
-
-	stale := mkpkt(0, 1000)
-	poison.Put(stale)
-	if w.Enqueue(stale, ms(0)) || w.Len() != 0 {
-		t.Error("released packet was admitted")
-	}
-	queued := mkpkt(1, 1000)
-	w.Enqueue(queued, ms(1))
-	poison.Put(queued)
-	w.Dequeue(ms(2))
-	var got []string
-	for _, v := range aud.Violations() {
-		got = append(got, v.Invariant)
-	}
-	if len(got) < 2 || got[0] != "packet-use-after-release" || got[1] != "packet-use-after-release" {
-		t.Errorf("violations %v, want packet-use-after-release for the offer and for the dequeue", got)
 	}
 }

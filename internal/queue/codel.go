@@ -156,6 +156,9 @@ func (c *CoDel) Len() int { return c.line.Len() }
 // Bytes implements Queue.
 func (c *CoDel) Bytes() units.ByteSize { return c.line.Bytes() }
 
+// Limit returns the physical limit the line is held to.
+func (c *CoDel) Limit() Limit { return c.cfg.Limit }
+
 // Stats implements Queue: the line's, with the control law's drops
 // moved from departures to drops.
 func (c *CoDel) Stats() Stats {

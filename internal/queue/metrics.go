@@ -20,15 +20,8 @@ func Instrument(reg *metrics.Registry, name string, q Queue) {
 	occ := reg.Gauge(name + ".occupancy_packets")
 	occBytes := reg.Gauge(name + ".occupancy_bytes")
 
-	// Look through an audit wrapper so the discipline-specific telemetry
-	// below still reaches the concrete type; the collectors keep reading
-	// through q (the wrapper forwards Stats/Len/Bytes unchanged).
-	inner := q
-	if w, ok := inner.(*Audited); ok {
-		inner = w.Unwrap()
-	}
 	var extra func()
-	switch t := inner.(type) {
+	switch t := q.(type) {
 	case *RED:
 		marks := reg.Counter(name + ".ecn_marked_packets")
 		avg := reg.Gauge(name + ".red_avg_queue_packets")

@@ -3,5 +3,5 @@
 package queue
 
 // mutateSkipDroppedBytes: see mutation_off.go. Under this tag DropTail
-// stops counting DroppedBytes; the audit layer must notice.
+// stops counting DroppedBytes; the link's Books must notice.
 const mutateSkipDroppedBytes = true

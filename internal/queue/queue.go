@@ -37,15 +37,6 @@ type Stats struct {
 	DequeuedBytes   units.ByteSize
 }
 
-// DropRate returns the fraction of offered packets that were dropped.
-func (s Stats) DropRate() float64 {
-	offered := s.EnqueuedPackets + s.DroppedPackets
-	if offered == 0 {
-		return 0
-	}
-	return float64(s.DroppedPackets) / float64(offered)
-}
-
 // Ring is a first-in first-out buffer of values, circular, doubled when
 // full: it holds at most the longest line it has seen. The disciplines
 // hold their packets in one, and a link its waiting packets' times.

@@ -153,18 +153,6 @@ func TestQueueInvariantLenBytes(t *testing.T) {
 	}
 }
 
-func TestDropRate(t *testing.T) {
-	var s Stats
-	if s.DropRate() != 0 {
-		t.Error("empty stats drop rate should be 0")
-	}
-	s.EnqueuedPackets = 90
-	s.DroppedPackets = 10
-	if got := s.DropRate(); got != 0.1 {
-		t.Errorf("DropRate = %v, want 0.1", got)
-	}
-}
-
 // --- RED ---
 
 func redRand(seq ...float64) func() float64 {

@@ -163,9 +163,6 @@ func (s *Store) SetVerifySample(frac float64) {
 	s.verifyFrac = frac
 }
 
-// Verifying reports whether verification sampling is enabled.
-func (s *Store) Verifying() bool { return s.verifyFrac > 0 }
-
 // ShouldVerify reports whether a hit on key falls in the verification
 // sample. The decision hashes only the key, so it is stable across runs
 // and independent of sweep order.

@@ -269,6 +269,45 @@ func TestKernelMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestCancelThenPostFillsHole: a handler that cancels a pending event and
+// then posts, as a TCP sender restarting its retransmission timer does,
+// keeps the root's pop deferred across the Cancel, so the post fills the
+// hole; the run still matches the oracle.
+func TestCancelThenPostFillsHole(t *testing.T) {
+	s, o, aud := NewScheduler(), &oracle{}, audit.New()
+	s.SetAuditor(aud)
+	handles, evs := map[int]Event{}, map[int]*oev{}
+	var post func(at units.Time, id int)
+	post = func(at units.Time, id int) {
+		handles[id] = fnAt(s, at, func() {
+			if want := o.pop(); want.id != id || want.at != s.Now() {
+				t.Fatalf("kernel fired #%d at %v, oracle #%d at %v", id, s.Now(), want.id, want.at)
+			}
+			if id != 1 {
+				return
+			}
+			s.Cancel(handles[2])
+			o.remove(evs[2])
+			if s.hole != 1 || s.Active(handles[2]) {
+				t.Fatalf("after Cancel: hole=%d, cancelled event active=%v", s.hole, s.Active(handles[2]))
+			}
+			post(25, 9)
+			if s.hole != 0 || s.rootRefills != 1 {
+				t.Fatalf("after the post: hole=%d, root refills=%d; want the post to fill the hole", s.hole, s.rootRefills)
+			}
+		})
+		evs[id] = o.post(at, id, -1)
+	}
+	for i, at := range []units.Time{10, 20, 30, 40, 50, 60, 70} {
+		post(at, i+1)
+	}
+	s.Run(units.Never - 1)
+	if err := s.VerifyInvariants(); err != nil || s.Processed != 7 || o.Len() != 0 || s.MaxPending() != o.max || aud.Count() != 0 {
+		t.Errorf("fired %d, oracle left %d, MaxPending %d vs %d, invariants %v, audit %v",
+			s.Processed, o.Len(), s.MaxPending(), o.max, err, aud.Err())
+	}
+}
+
 // FuzzKernelMatchesOracle replays the program any seed draws, beyond the
 // 60 the test pins.
 func FuzzKernelMatchesOracle(f *testing.F) {
@@ -335,7 +374,8 @@ func TestVerifyInvariantsCatchesDeferredPop(t *testing.T) {
 
 // TestPanickingHandlerLeavesUsableScheduler: a handler that panics never
 // returns to fire, so the root's deferred pop is still pending when the
-// caller recovers. Run, Step and Cancel complete it before anything else.
+// caller recovers. Run and Step complete it before anything else; after a
+// Cancel the next post fills it.
 func TestPanickingHandlerLeavesUsableScheduler(t *testing.T) {
 	for _, resume := range []string{"Run", "Step", "Cancel"} {
 		s := NewScheduler()

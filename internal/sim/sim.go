@@ -269,12 +269,13 @@ func (s *Scheduler) PostAfter(d units.Duration, a Actor, op int32, arg any) Even
 // Cancel removes a pending event. Cancelling the zero handle, an event
 // that already fired, one already cancelled, or a handle whose slot has
 // been recycled by a later event is a no-op, so callers can cancel
-// unconditionally.
+// unconditionally. A deferred root pop stays deferred: the hole's key
+// precedes every pending one, so removeAt never moves an entry above it,
+// and the handler's next post can still fill it.
 func (s *Scheduler) Cancel(e Event) {
 	if !s.Active(e) {
 		return
 	}
-	s.settle() // removeAt wants a whole heap
 	s.removeAt(int(s.slots[e.id-1].pos))
 	s.release(e.id - 1)
 }

@@ -36,9 +36,9 @@ type ParkingLotConfig struct {
 	AccessRate units.BitRate
 
 	// Auditor, when non-nil, switches the chain into audit mode: the
-	// scheduler, every core queue (wrapped in a conservation checker),
-	// every link, and every flow's endpoints report invariant violations
-	// into it. See Config.Auditor.
+	// scheduler, every link (each core link keeping its queue's books),
+	// and every flow's endpoints report invariant violations into it.
+	// See Config.Auditor.
 	Auditor *audit.Auditor
 }
 
@@ -160,8 +160,6 @@ func (p *ParkingLot) AddFlow(from, to int, rtt units.Duration, spec tcp.Config) 
 		units.Duration(rtt/2), sndHost)
 	access.SetAuditor(p.cfg.Auditor)
 	reverse.SetAuditor(p.cfg.Auditor)
-	sndHost.SetAuditor(p.cfg.Auditor, p.cfg.Sched)
-	rcvHost.SetAuditor(p.cfg.Auditor, p.cfg.Sched)
 
 	// Route the receiver's address along the chain.
 	for i := from; i < to; i++ {

@@ -58,9 +58,9 @@ type Config struct {
 	RTTMin, RTTMax units.Duration
 
 	// Auditor, when non-nil, switches the whole topology into audit mode:
-	// the scheduler, the bottleneck queue (wrapped in a conservation
-	// checker), every link, and every flow's sender and receiver report
-	// invariant violations into it. Auditing only observes — the same seed
+	// the scheduler, every link (the bottleneck keeping its queue's books,
+	// see link.Link.SetAuditor), and every flow's sender and receiver
+	// report invariant violations into it. Auditing only observes — the same seed
 	// produces identical results with or without it.
 	Auditor *audit.Auditor
 }
@@ -200,8 +200,6 @@ func (d *Dumbbell) buildStation(i int) *Station {
 	st.reverse = link.NewPipe(fmt.Sprintf("reverse%d", i), st.sched, cfg.AccessRate, revDelay, st.senderHost)
 	st.access.SetAuditor(cfg.Auditor)
 	st.reverse.SetAuditor(cfg.Auditor)
-	st.senderHost.SetAuditor(cfg.Auditor, st.sched)
-	st.receiverHost.SetAuditor(cfg.Auditor, st.sched)
 
 	d.R1.AddRoute(st.receiverHost.ID(), d.Bottleneck)
 	d.R2.AddRoute(st.receiverHost.ID(), st.receiverHost)
@@ -326,16 +324,6 @@ func (d *Dumbbell) AggregateWindow() float64 {
 		if !f.Sender.Finished() {
 			sum += f.Sender.Cwnd()
 		}
-	}
-	return sum
-}
-
-// AggregateOutstanding returns the total unacknowledged segments across
-// flows (total data actually in flight).
-func (d *Dumbbell) AggregateOutstanding() int64 {
-	var sum int64
-	for _, f := range d.flows {
-		sum += f.Sender.Outstanding()
 	}
 	return sum
 }
