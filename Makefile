@@ -58,7 +58,9 @@ race:
 # seeded accounting bug (build tag auditmutation plants it in DropTail),
 # caught on an audited drop-tail link and an audited RED link (and a
 # CoDel link), the link audit a transmitter that starts each packet when
-# it is offered instead of when it frees up, the sender audit a sender that
+# it is offered instead of when it frees up and a hand-off that gives a
+# receiver its segment at the offer instant, so the ACK is stamped and
+# sent then rather than at the arrival, the sender audit a sender that
 # resends acknowledged data (the same tag drops onNewAck's raise of
 # sndNxt), and each buflint analyzer its own bug seeded into a copy of
 # internal/topology, reported by that analyzer alone.

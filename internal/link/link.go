@@ -31,8 +31,10 @@ var sojournBuckets = metrics.ExpBuckets(0.01, 2, 24)
 // the packet is offered, so the link posts its arrival then — one kernel
 // event per packet — and keeps the waiting packets as values in a line
 // it pops lazily. A discipline that decides at dequeue (CoDel) takes a
-// transmit-done event per packet. Create with New or NewPipe; a Link must
-// not be copied after first use.
+// transmit-done event per packet. A link told to hand off (SetHandOff)
+// spends no event at all on a packet whose receiver takes it when it is
+// admitted. Create with New or NewPipe; a Link must not be copied after
+// first use.
 type Link struct {
 	name  string
 	sched *sim.Scheduler
@@ -51,6 +53,11 @@ type Link struct {
 	line queue.Ring[slot] // a FIFO's waiting packets
 	busy bool             // the transmit-done path is sending
 
+	// handOff is set by SetHandOff, and sink is what it named for the
+	// packet being handed off.
+	handOff func(*packet.Packet) packet.Handler
+	sink    packet.Handler
+
 	// occ is the queue's length over time and sojourn, once instrumented,
 	// the departures' queueing delays in milliseconds.
 	occ     stats.TimeWeighted
@@ -58,10 +65,11 @@ type Link struct {
 
 	dropPool *packet.Pool // takes back rejected packets (SetDropPool)
 	// aud, when non-nil, receives violations and books keeps the queue's
-	// ledger; audEnd and audBusy are the last arrival's end of
-	// transmission and the arrivals' summed transmission times.
+	// ledger; audSent is the last offer's instant, audEnd and audBusy the
+	// last transmission's end and the transmissions' summed times.
 	aud     *audit.Auditor
 	books   *queue.Books
+	audSent units.Time
 	audEnd  units.Time
 	audBusy units.Duration
 
@@ -79,21 +87,32 @@ type slot struct {
 }
 
 // Link event opcodes (see sim.Actor): opTxDone, the transmit-done path's
-// transmitter is free; opArrive, a packet reaches dst.
+// transmitter is free; opArrive, a packet reaches dst; opHandOff, a packet
+// reaches the receiver SetHandOff named (dispatched ahead, see deliver).
 const (
 	opTxDone int32 = iota
 	opArrive
+	opHandOff
 )
 
 // OnEvent implements sim.Actor.
 func (l *Link) OnEvent(op int32, arg any) {
-	if op == opArrive {
-		l.arrive(arg.(*packet.Packet))
-		return
-	}
-	l.busy = false
-	if l.q.Len() > 0 {
-		l.startNext()
+	switch op {
+	case opArrive:
+		l.arrive(arg.(*packet.Packet), l.dst)
+	case opHandOff:
+		// deliver set the clock to this arrival; the check is the target
+		// of the auditmutation build's seeded hand-off bug.
+		if at := l.free.Add(l.delay); l.aud != nil && l.sched.Now() != at {
+			l.aud.Violationf(l.sched.Now(), "link:"+l.name, "arrival-instant",
+				"handed a packet over at %v; it arrives at %v", l.sched.Now(), at)
+		}
+		l.arrive(arg.(*packet.Packet), l.sink)
+	default:
+		l.busy = false
+		if l.q.Len() > 0 {
+			l.startNext()
+		}
 	}
 }
 
@@ -139,17 +158,34 @@ func (l *Link) Queue() queue.Queue {
 
 // SetAuditor attaches an invariant checker (nil, the default, disables
 // it): the link refuses and reports a released packet (see packet.Pool)
-// when offered and when it arrives, and checks that free never goes
-// back and that transmissions never overlap and cover the busy time. It
-// enters every offer to its queue and every departure from it in a
-// queue.Books, which checks the queue's own books against them. Set it
-// before the first packet.
+// when offered and when it arrives, and checks that offers never go back
+// in time, that free never goes back, that transmissions never overlap
+// and add up to the busy time, and that a packet handed off arrives on
+// time. It enters every offer to its queue and every departure from it
+// in a queue.Books, which checks the queue's own books against them. Set
+// it before the first packet.
 func (l *Link) SetAuditor(a *audit.Auditor) {
 	l.aud, l.books = a, nil
 	if a != nil && l.q != nil {
 		l.books = queue.NewBooks(l.q, a, l.name)
 	}
 }
+
+// SetHandOff makes the link ask receiver, for each packet it admits,
+// where the packet's path ends, and hand the packet to the handler it
+// names at once, the clock reading the packet's arrival (see
+// sim.Scheduler.DispatchAhead), instead of posting its arrival: it
+// spends no kernel event on it. receiver names only a handler whose
+// reaction depends on nothing but the packets of the same flow before
+// it, which the link delivers in order, and which reacts at once (a
+// tcp.Receiver that does not delay its ACKs); it returns nil for any
+// other path, which keeps the lane. Whatever else sends into the
+// receivers' reverse paths must then send in arrival order too — a timer
+// firing at the real time would send behind an ACK sent ahead (the
+// send-monotone audit catches it). It applies to pipes and queue.FIFO
+// links; a transmit-done link (CoDel) posts every arrival. A nil
+// receiver, the default, turns it off.
+func (l *Link) SetHandOff(receiver func(*packet.Packet) packet.Handler) { l.handOff = receiver }
 
 // SetDropPool makes the link release every packet its queue rejects into
 // pl, the pool the packets' endpoints draw from. The link must run on the
@@ -166,16 +202,24 @@ func (l *Link) Handle(p *packet.Packet) { l.Send(p) }
 // as with a real drop-tail router).
 func (l *Link) Send(p *packet.Packet) {
 	now := l.sched.Now()
-	if l.aud != nil && p.Released() {
-		// A poisoned packet has no meaningful size to serialize; it goes
-		// no further.
-		l.aud.Violationf(now, "link:"+l.name, "packet-use-after-release",
-			"offered a packet its endpoint had already released")
-		return
+	if l.aud != nil {
+		if now < l.audSent {
+			l.aud.Violationf(now, "link:"+l.name, "send-monotone",
+				"offered a packet at %v, after one offered at %v", now, l.audSent)
+		}
+		l.audSent = now
+		if p.Released() {
+			// A poisoned packet has no meaningful size to serialize; it
+			// goes no further.
+			l.aud.Violationf(now, "link:"+l.name, "packet-use-after-release",
+				"offered a packet its endpoint had already released")
+			return
+		}
 	}
 	switch {
 	case l.q == nil:
 		l.transmit(p, now)
+		l.deliver(p, now)
 		return
 	case l.fifo == nil:
 		ok := l.q.Enqueue(p, now)
@@ -214,24 +258,75 @@ func (l *Link) Send(p *packet.Packet) {
 	if l.OnDequeue != nil {
 		l.OnDequeue(p, start.Sub(now))
 	}
+	l.deliver(p, now)
 }
 
-// transmit gives p to the transmitter and posts its arrival; it returns
-// p's start.
+// transmit gives p to the transmitter; it returns p's start. The caller
+// then puts p on the wire (deliver, or the wire itself).
 func (l *Link) transmit(p *packet.Packet, now units.Time) units.Time {
 	start := max(now, l.free)
 	if mutateStartAtNow {
 		start = now
 	}
 	tx := units.TransmissionTime(p.Size, l.rate)
-	if l.aud != nil && start.Add(tx) < l.free {
-		l.aud.Violationf(now, "link:"+l.name, "free-monotone",
-			"the transmitter's free time went back from %v to %v", l.free, start.Add(tx))
+	if l.aud != nil {
+		l.auditTransmit(now, start, tx)
 	}
 	l.free = start.Add(tx)
 	l.work += tx
-	l.wire.PostAfter(l.free.Sub(now)+l.delay, p)
 	return start
+}
+
+// auditTransmit checks a transmission from start lasting tx against the
+// ones before it, in the order the transmitter is given them: the free
+// time must not go back and the transmission must not begin before the
+// previous one ended. The link checks them here rather than at the
+// arrivals, which a hand-off interleaves out of that order. When the
+// clock reads the real time, it also checks BusyTime, the numerator of
+// the link's utilization, before the update: it must be the
+// transmissions' summed times less what is left of the last one, and
+// cannot exceed the time elapsed. A link offered packets ahead of the
+// clock (a reverse path a hand-off sends into) has no busy time at the
+// real time to check.
+func (l *Link) auditTransmit(now, start units.Time, tx units.Duration) {
+	comp, end := "link:"+l.name, start.Add(tx)
+	if end < l.free {
+		l.aud.Violationf(now, comp, "free-monotone",
+			"the transmitter's free time went back from %v to %v", l.free, end)
+	}
+	if start < l.audEnd {
+		l.aud.Violationf(now, comp, "serialization",
+			"a transmission began at %v, before the previous one ended at %v", start, l.audEnd)
+	}
+	if !l.sched.Ahead() {
+		busy, want := l.BusyTime(), l.audBusy-max(0, l.audEnd.Sub(now))
+		if busy != want || busy > now.Sub(units.Epoch) {
+			l.aud.Violationf(now, comp, "busy-accounting",
+				"busy %v, but the transmissions took %v and %v has elapsed", busy, want, now.Sub(units.Epoch))
+		}
+	}
+	l.audEnd, l.audBusy = end, l.audBusy+tx
+}
+
+// deliver sends p, the packet transmit was just given, toward dst: the
+// transmitter finishes it at free and it arrives one delay later. A link
+// that hands off gives it to the receiver SetHandOff names now,
+// dispatched ahead to that arrival; otherwise its arrival waits in the
+// wire's lane. It is the last use of p on the offer's path: the receiver
+// may release p.
+func (l *Link) deliver(p *packet.Packet, now units.Time) {
+	if l.handOff != nil {
+		if s := l.handOff(p); s != nil {
+			at := l.free.Add(l.delay)
+			if mutateHandOffAtOffer {
+				at = now
+			}
+			l.sink = s
+			l.sched.DispatchAhead(at, l, opHandOff, p)
+			return
+		}
+	}
+	l.wire.PostAfter(l.free.Sub(now)+l.delay, p)
 }
 
 // advance takes the packets that started before now, or at now as well
@@ -284,34 +379,19 @@ func (l *Link) startNext() {
 	}
 	l.busy = true
 	l.transmit(p, now)
+	l.wire.PostAfter(l.free.Sub(now)+l.delay, p)
 	l.sched.PostAt(l.free, l, opTxDone, nil)
 }
 
-// arrive hands p to dst. An auditor refuses it if it was released on the
-// way, and checks that it was sent after the previous one and is covered
-// by the busy time, which cannot exceed the time elapsed.
-func (l *Link) arrive(p *packet.Packet) {
-	if l.aud == nil {
-		l.dst.Handle(p)
-		return
-	}
-	now, comp := l.sched.Now(), "link:"+l.name
-	if p.Released() {
-		l.aud.Violationf(now, comp, "packet-use-after-release",
+// arrive hands p to to, dst or the receiver SetHandOff named. An auditor
+// refuses it if it was released on the way.
+func (l *Link) arrive(p *packet.Packet, to packet.Handler) {
+	if l.aud != nil && p.Released() {
+		l.aud.Violationf(l.sched.Now(), "link:"+l.name, "packet-use-after-release",
 			"a packet was released while the link held it")
 		return
 	}
-	tx, end := units.TransmissionTime(p.Size, l.rate), now.Add(-l.delay)
-	if end.Add(-tx) < l.audEnd {
-		l.aud.Violationf(now, comp, "serialization",
-			"a transmission began at %v, before the previous one ended at %v", end.Add(-tx), l.audEnd)
-	}
-	l.audEnd, l.audBusy = end, l.audBusy+tx
-	if busy := l.BusyTime(); busy < l.audBusy || busy > now.Sub(units.Epoch) {
-		l.aud.Violationf(now, comp, "busy-accounting",
-			"busy %v, but the arrivals took %v to send and %v has elapsed", busy, l.audBusy, now.Sub(units.Epoch))
-	}
-	l.dst.Handle(p)
+	to.Handle(p)
 }
 
 // BusyTime returns the cumulative time the transmitter has spent sending,

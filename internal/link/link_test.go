@@ -11,6 +11,7 @@ import (
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
 	"bufsim/internal/stats"
+	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 )
 
@@ -607,7 +608,10 @@ func twinSchedule(rng *sim.RNG, n int, rate units.BitRate, grain units.ByteSize)
 // RED-ECN with drops, and a pipe against an unlimited drop-tail; each at
 // a grid rate (ties everywhere) and an off-grid one, with and without
 // propagation delay. The link spends one kernel event per packet and
-// never takes its lane's fallback.
+// never takes its lane's fallback. Each runs again with a TCP receiver
+// behind both links, the link handing packets off to it: the ACKs then
+// agree in number, order, instant, cumulative point and ECN echo, and
+// the link spends no event on a packet at all.
 func TestLinkMatchesEventDrivenReference(t *testing.T) {
 	const n = 3000
 	red := func(ecn bool) func(seed int64) queue.Queue {
@@ -636,85 +640,143 @@ func TestLinkMatchesEventDrivenReference(t *testing.T) {
 			{37 * units.Mbps, 60 * units.Millisecond, 1},
 			{units.Gbps, 0, 1},
 		} {
-			t.Run(fmt.Sprintf("%s/%d", disc.name, ci), func(t *testing.T) {
-				sends := twinSchedule(sim.NewRNG(int64(ci+1)), n, c.rate, c.grain)
-				s := sim.NewScheduler()
-				want, got := &collector{sched: s}, &collector{sched: s}
-				ref := &refLink{s: s, rate: c.rate, delay: c.delay, q: queue.NewDropTail(queue.Limit{}), dst: want}
-				l := NewPipe("twin", s, c.rate, c.delay, got)
-				if disc.q != nil {
-					ref.q = disc.q(int64(ci))
-					l = New("twin", s, c.rate, c.delay, disc.q(int64(ci)), got)
+			for _, sink := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%d", disc.name, ci)
+				if sink {
+					name += "/receiver"
 				}
-				var sojourns []units.Duration
-				l.OnDequeue = func(_ *packet.Packet, d units.Duration) { sojourns = append(sojourns, d) }
-				aud := audit.New()
-				l.SetAuditor(aud)
-				reg := metrics.New()
-				s.Instrument(reg)
-				l.Instrument(reg, "twin")
-				o := &offerer{sends: sends, to: []packet.Handler{ref, l}}
-				for i, sd := range sends {
-					s.PostAt(sd.at, o, 0, i)
-				}
-				for at := units.Epoch; len(want.pkts) < n && at < units.Epoch.Add(100*units.Second); {
-					at = at.Add(7 * units.Millisecond)
-					s.Run(at)
-					if disc.q == nil {
-						continue
+				t.Run(name, func(t *testing.T) {
+					sends := twinSchedule(sim.NewRNG(int64(ci+1)), n, c.rate, c.grain)
+					s := sim.NewScheduler()
+					// want and got see what the links deliver, or with a sink
+					// the ACKs the receivers behind them send.
+					want, got := &collector{sched: s}, &collector{sched: s}
+					refDst, dst := packet.Handler(want), packet.Handler(got)
+					if sink {
+						refDst, dst = tcp.NewReceiver(tcp.Config{}, s, want), tcp.NewReceiver(tcp.Config{}, s, got)
 					}
-					lm, lp := l.Occupancy()
-					if l.BusyTime() != ref.busyTime() || l.DeliveredPackets() != ref.started ||
-						l.Queue().Len() != ref.q.Len() || lm != ref.occ.Mean(at) || lp != int(ref.occ.Max()) {
-						t.Fatalf("at %v: busy %v, delivered %d, queued %d, occupancy %v (peak %d); reference %v, %d, %d, %v (peak %v)",
-							at, l.BusyTime(), l.DeliveredPackets(), l.Queue().Len(), lm, lp,
-							ref.busyTime(), ref.started, ref.q.Len(), ref.occ.Mean(at), ref.occ.Max())
+					ref := &refLink{s: s, rate: c.rate, delay: c.delay, q: queue.NewDropTail(queue.Limit{}), dst: refDst}
+					l := NewPipe("twin", s, c.rate, c.delay, dst)
+					if disc.q != nil {
+						ref.q = disc.q(int64(ci))
+						l = New("twin", s, c.rate, c.delay, disc.q(int64(ci)), dst)
 					}
-				}
-				if len(got.pkts) != len(want.pkts) || len(want.pkts) == 0 {
-					t.Fatalf("delivered %d, reference %d", len(got.pkts), len(want.pkts))
-				}
-				for i := range got.pkts {
-					g, w := got.pkts[i], want.pkts[i]
-					if g.Seq != w.Seq || got.times[i] != want.times[i] || g.Flags != w.Flags {
-						t.Fatalf("arrival %d: seq %d at %v flags %v; reference seq %d at %v flags %v",
-							i, g.Seq, got.times[i], g.Flags, w.Seq, want.times[i], w.Flags)
+					if sink {
+						l.SetHandOff(func(*packet.Packet) packet.Handler { return dst })
 					}
-				}
-				if disc.q != nil {
-					if gs, ws := l.Queue().Stats(), ref.q.Stats(); gs != ws || ws.DroppedPackets == 0 {
-						t.Errorf("queue stats %+v, reference %+v (want drops)", gs, ws)
+					var sojourns []units.Duration
+					l.OnDequeue = func(_ *packet.Packet, d units.Duration) { sojourns = append(sojourns, d) }
+					aud := audit.New()
+					l.SetAuditor(aud)
+					reg := metrics.New()
+					s.Instrument(reg)
+					l.Instrument(reg, "twin")
+					o := &offerer{sends: sends, to: []packet.Handler{ref, l}}
+					for i, sd := range sends {
+						s.PostAt(sd.at, o, 0, i)
 					}
-					if r, ok := ref.q.(*queue.RED); ok && r.Marked == 0 && disc.name == "red-ecn" {
-						t.Error("RED-ECN marked nothing")
-					}
-					if len(sojourns) != len(ref.sojourns) {
-						t.Fatalf("%d sojourns, reference %d", len(sojourns), len(ref.sojourns))
-					}
-					var sum float64
-					for i := range sojourns {
-						if sojourns[i] != ref.sojourns[i] {
-							t.Fatalf("sojourn %d: %v, reference %v", i, sojourns[i], ref.sojourns[i])
+					for at := units.Epoch; len(want.pkts) < n && at < units.Epoch.Add(100*units.Second); {
+						at = at.Add(7 * units.Millisecond)
+						s.Run(at)
+						if disc.q == nil {
+							continue
 						}
-						sum += ref.sojourns[i].Milliseconds()
+						lm, lp := l.Occupancy()
+						if l.BusyTime() != ref.busyTime() || l.DeliveredPackets() != ref.started ||
+							l.Queue().Len() != ref.q.Len() || lm != ref.occ.Mean(at) || lp != int(ref.occ.Max()) {
+							t.Fatalf("at %v: busy %v, delivered %d, queued %d, occupancy %v (peak %d); reference %v, %d, %d, %v (peak %v)",
+								at, l.BusyTime(), l.DeliveredPackets(), l.Queue().Len(), lm, lp,
+								ref.busyTime(), ref.started, ref.q.Len(), ref.occ.Mean(at), ref.occ.Max())
+						}
 					}
-					if h := reg.Snapshot().Histograms["twin.sojourn_ms"]; h.Count != int64(len(sojourns)) || h.Sum != sum {
-						t.Errorf("sojourn_ms holds %d observations summing to %v ms, reference %d, %v ms", h.Count, h.Sum, len(sojourns), sum)
+					if len(got.pkts) != len(want.pkts) || len(want.pkts) == 0 {
+						t.Fatalf("delivered %d, reference %d", len(got.pkts), len(want.pkts))
 					}
-				}
-				// One event per offer, per reference transmission and
-				// arrival, and one per packet the link delivered.
-				if events := uint64(n + 3*len(want.pkts)); s.Processed != events {
-					t.Errorf("%d events, want %d", s.Processed, events)
-				}
-				reg.Collect()
-				if f := reg.Counter("sim.lane_fallbacks").Value(); f != 0 {
-					t.Errorf("%d arrivals took the lane fallback", f)
-				}
-				if aud.Count() != 0 {
-					t.Errorf("audit: %v", aud.Err())
-				}
-			})
+					for i := range got.pkts {
+						g, w := got.pkts[i], want.pkts[i]
+						if g.Seq != w.Seq || g.Ack != w.Ack || got.times[i] != want.times[i] || g.Flags != w.Flags {
+							t.Fatalf("arrival %d: seq %d ack %d at %v flags %v; reference seq %d ack %d at %v flags %v",
+								i, g.Seq, g.Ack, got.times[i], g.Flags, w.Seq, w.Ack, want.times[i], w.Flags)
+						}
+					}
+					if disc.q != nil {
+						if gs, ws := l.Queue().Stats(), ref.q.Stats(); gs != ws || ws.DroppedPackets == 0 {
+							t.Errorf("queue stats %+v, reference %+v (want drops)", gs, ws)
+						}
+						if r, ok := ref.q.(*queue.RED); ok && r.Marked == 0 && disc.name == "red-ecn" {
+							t.Error("RED-ECN marked nothing")
+						}
+						if len(sojourns) != len(ref.sojourns) {
+							t.Fatalf("%d sojourns, reference %d", len(sojourns), len(ref.sojourns))
+						}
+						var sum float64
+						for i := range sojourns {
+							if sojourns[i] != ref.sojourns[i] {
+								t.Fatalf("sojourn %d: %v, reference %v", i, sojourns[i], ref.sojourns[i])
+							}
+							sum += ref.sojourns[i].Milliseconds()
+						}
+						if h := reg.Snapshot().Histograms["twin.sojourn_ms"]; h.Count != int64(len(sojourns)) || h.Sum != sum {
+							t.Errorf("sojourn_ms holds %d observations summing to %v ms, reference %d, %v ms", h.Count, h.Sum, len(sojourns), sum)
+						}
+					}
+					// One event per offer, per reference transmission and
+					// arrival, and one per packet the link delivered unless
+					// it handed the packet off.
+					reg.Collect()
+					events, ahead := uint64(n+3*len(want.pkts)), int64(0)
+					if sink {
+						events, ahead = uint64(n+2*len(want.pkts)), int64(len(want.pkts))
+					}
+					if a := reg.Counter("sim.dispatch_ahead").Value(); s.Processed != events || a != ahead {
+						t.Errorf("%d events, %d dispatched ahead; want %d and %d", s.Processed, a, events, ahead)
+					}
+					if f := reg.Counter("sim.lane_fallbacks").Value(); f != 0 {
+						t.Errorf("%d arrivals took the lane fallback", f)
+					}
+					if aud.Count() != 0 {
+						t.Errorf("audit: %v", aud.Err())
+					}
+				})
+			}
 		}
 	}
 }
+
+// TestAuditCatchesOffersBackInTime: a link's offers never go back in
+// time. Two receivers share one station's reverse pipe behind a link that
+// hands both flows' packets off. Flow 2's receiver acks its segment at
+// once — ahead, at 130.8 ms, when the link admits it at 110 ms — and
+// flow 1's, a delayed-ACK receiver handed its segment at 20.8 ms, acks
+// from its timer at the real time 120.8 ms: the pipe is offered an ACK
+// behind one it already took, and reports send-monotone. With flow 1
+// acking at once too, nothing is reported.
+func TestAuditCatchesOffersBackInTime(t *testing.T) {
+	for _, mixed := range []bool{false, true} {
+		s := sim.NewScheduler()
+		aud := audit.New()
+		rev := NewPipe("reverse", s, 100*units.Mbps, units.Millisecond, &collector{sched: s})
+		rev.SetAuditor(aud)
+		rcvs := map[packet.FlowID]packet.Handler{
+			1: tcp.NewReceiver(tcp.Config{Flow: 1, DelayedAck: mixed}, s, rev),
+			2: tcp.NewReceiver(tcp.Config{Flow: 2}, s, rev),
+		}
+		l := New("bottleneck", s, 10*units.Mbps, 20*units.Millisecond, queue.NewDropTail(queue.PacketLimit(10)), &collector{sched: s})
+		l.SetHandOff(func(p *packet.Packet) packet.Handler { return rcvs[p.Flow] })
+		l.SetAuditor(aud)
+		for i, at := range []units.Duration{0, 110 * units.Millisecond} {
+			p := mkpkt(0, 1000)
+			p.Flow = packet.FlowID(i + 1)
+			s.PostAt(units.Epoch.Add(at), fnActor(func() { l.Send(p) }), 0, nil)
+		}
+		s.Run(units.Epoch.Add(units.Second))
+		if got := hasViolation(aud, "send-monotone"); got != mixed {
+			t.Errorf("mixed early and late ACKs %v: send-monotone reported %v (%v)", mixed, got, aud.Violations())
+		}
+	}
+}
+
+// fnActor adapts a func to a sim.Actor.
+type fnActor func()
+
+func (f fnActor) OnEvent(int32, any) { f() }

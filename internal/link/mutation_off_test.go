@@ -5,9 +5,9 @@ package link
 import "testing"
 
 // TestMutationGateOffByDefault guards the build-tag wiring: without the
-// auditmutation tag the seeded bug must be compiled out.
+// auditmutation tag the seeded bugs must be compiled out.
 func TestMutationGateOffByDefault(t *testing.T) {
-	if mutateStartAtNow {
-		t.Fatal("mutateStartAtNow is on without the auditmutation build tag")
+	if mutateStartAtNow || mutateHandOffAtOffer {
+		t.Fatal("a seeded link bug is on without the auditmutation build tag")
 	}
 }

@@ -2,5 +2,8 @@
 
 package link
 
-// mutateStartAtNow: see mutation_off.go.
-const mutateStartAtNow = true
+// mutateStartAtNow and mutateHandOffAtOffer: see mutation_off.go.
+const (
+	mutateStartAtNow     = true
+	mutateHandOffAtOffer = true
+)

@@ -52,10 +52,19 @@ func (r *Router) AddRoute(dst packet.NodeID, next packet.Handler) {
 // packet's destination. An unroutable packet panics — topologies are
 // closed worlds and a miss means mis-wiring, not a runtime condition.
 func (r *Router) Handle(p *packet.Packet) {
-	if uint(p.Dst) >= uint(len(r.routes)) || r.routes[p.Dst] == nil {
+	next := r.route(p)
+	if next == nil {
 		panic(fmt.Sprintf("node: router %s has no route for %v", r.name, p))
 	}
-	r.routes[p.Dst].Handle(p)
+	next.Handle(p)
+}
+
+// route returns the next hop for p, nil if there is none.
+func (r *Router) route(p *packet.Packet) packet.Handler {
+	if uint(p.Dst) >= uint(len(r.routes)) {
+		return nil
+	}
+	return r.routes[p.Dst]
 }
 
 // Host is an endpoint. Each flow terminating at the host registers an
@@ -101,14 +110,41 @@ func (h *Host) Detach(f packet.FlowID) {
 
 // Handle implements packet.Handler.
 func (h *Host) Handle(p *packet.Packet) {
-	if h.lastAgent != nil && p.Flow == h.lastFlow {
-		h.lastAgent.Handle(p)
-		return
-	}
-	if a, ok := h.agents[p.Flow]; ok {
-		h.lastFlow, h.lastAgent = p.Flow, a
-		a.Handle(p)
-	}
 	// Packets for detached (finished) flows fall on the floor, like a
 	// host RST-ing a closed port.
+	if a := h.agent(p); a != nil {
+		a.Handle(p)
+	}
+}
+
+// agent returns the agent of p's flow, nil if none is attached.
+func (h *Host) agent(p *packet.Packet) packet.Handler {
+	if h.lastAgent != nil && p.Flow == h.lastFlow {
+		return h.lastAgent
+	}
+	a, ok := h.agents[p.Flow]
+	if ok {
+		h.lastFlow, h.lastAgent = p.Flow, a
+	}
+	return a
+}
+
+// PathEnd returns the handler p's path ends at when handed to h: routers
+// pass it on along their routes and a host to its flow's agent, so the
+// end is that agent, or h itself when h is neither. It is nil where p
+// would go no further: a host with no agent for p's flow, or a router
+// with no route for it (where Handle panics). Nothing is delivered.
+func PathEnd(h packet.Handler, p *packet.Packet) packet.Handler {
+	for {
+		switch n := h.(type) {
+		case *Router:
+			if h = n.route(p); h == nil {
+				return nil
+			}
+		case *Host:
+			return n.agent(p)
+		default:
+			return h
+		}
+	}
 }

@@ -39,6 +39,9 @@
 //     compare as one 128-bit number through a subtraction borrow
 //     (precedes), and four children are reduced as a tournament whose
 //     winner's index is arithmetic.
+//   - An event whose outcome is settled when it is posted need not wait
+//     at all: DispatchAhead runs it at once with the clock reading its
+//     time (a link handing a packet to a receiver when it admits it).
 package sim
 
 import (
@@ -136,8 +139,11 @@ type Scheduler struct {
 	// hole is 1 while heap[0] has fired and its pop waits for the
 	// handler's pushes (fire).
 	hole int
-	// Dispatches by source (they sum to Processed) and holes a push filled.
-	dispatchLane, dispatchHeap, rootRefills int64
+	// Dispatches by source (lane and heap sum to Processed; ahead is not
+	// in it) and holes a push filled.
+	dispatchLane, dispatchHeap, dispatchAhead, rootRefills int64
+	// ahead is set while a DispatchAhead handler runs.
+	ahead bool
 
 	// Lane storage (lane.go): one pooled slab of item chunks for every
 	// lane, threaded into per-lane FIFOs and a free list through laneNext.
@@ -404,11 +410,41 @@ func (s *Scheduler) fire(until units.Time) bool {
 	return true
 }
 
+// DispatchAhead calls a.OnEvent(op, arg) at once with the clock reading
+// t, a time not before now, and then puts the clock back. It is for an
+// event whose effects are settled when it is posted — a link handing a
+// packet to a receiver that reacts to nothing but its own flow's earlier
+// packets — so it never waits in the heap; whatever the handler posts is
+// keyed from t and the seq it posts at. It is not counted in Processed
+// (sim.dispatch_ahead counts it) and must not be called from inside
+// itself. A handler that panics leaves the clock at t and the scheduler
+// marked ahead.
+func (s *Scheduler) DispatchAhead(t units.Time, a Actor, op int32, arg any) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: dispatching ahead to %v before now %v", t, s.now))
+	}
+	if s.ahead {
+		panic("sim: DispatchAhead called from a handler it dispatched")
+	}
+	now := s.now
+	s.ahead, s.now = true, t
+	s.dispatchAhead++
+	a.OnEvent(op, arg)
+	s.ahead, s.now = false, now
+}
+
+// Ahead reports whether the running handler was dispatched ahead
+// (DispatchAhead): events due before Now may still be pending, so an
+// effect that must keep its place among them is posted at Now instead of
+// taken at once.
+func (s *Scheduler) Ahead() bool { return s.ahead }
+
 // Instrument registers the kernel's telemetry into reg: events processed,
-// by source (sim.dispatch_*, sim.root_refills), current and peak heap
-// depth (sim.heap_depth*), current and peak lane items queued behind their
-// lane's head (sim.lane_depth*; heap + lane = Pending), out-of-order lane
-// posts, and the simulated clock. Values are
+// by source (sim.dispatch_lane and sim.dispatch_heap, which sum to them;
+// sim.dispatch_ahead, which is not among them; sim.root_refills), current
+// and peak heap depth (sim.heap_depth*), current and peak lane items
+// queued behind their lane's head (sim.lane_depth*; heap + lane =
+// Pending), out-of-order lane posts, and the simulated clock. Values are
 // published by a snapshot-time collector, so instrumentation adds no
 // per-event work and cannot perturb scheduling. A nil registry is a no-op.
 func (s *Scheduler) Instrument(reg *metrics.Registry) {
@@ -423,11 +459,13 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 	laneFallbacks := reg.Counter("sim.lane_fallbacks")
 	clock := reg.Gauge("sim.time_seconds")
 	fromLane, fromHeap := reg.Counter("sim.dispatch_lane"), reg.Counter("sim.dispatch_heap")
+	ahead := reg.Counter("sim.dispatch_ahead")
 	refills := reg.Counter("sim.root_refills")
 	reg.OnCollect(func() {
 		events.Set(int64(s.Processed))
 		fromLane.Set(s.dispatchLane)
 		fromHeap.Set(s.dispatchHeap)
+		ahead.Set(s.dispatchAhead)
 		refills.Set(s.rootRefills)
 		depth.Set(float64(len(s.heap) - s.hole))
 		depthMax.Set(float64(s.maxPending))

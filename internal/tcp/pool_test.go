@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bufsim/internal/link"
+	"bufsim/internal/metrics"
 	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
@@ -75,8 +76,9 @@ func TestPooledLoopAllocatesNothing(t *testing.T) {
 	// have seen their widest spread; a rejected packet costs a Put, where
 	// without the drop pool it costs the allocation of its replacement.
 	// The link runs each of its two paths: the admission path every
-	// drop-tail and RED bottleneck takes (a queue.FIFO), and the
-	// transmit-done path of any other discipline.
+	// drop-tail and RED bottleneck takes (a queue.FIFO), handing each
+	// segment to the receiver as it admits it, and the transmit-done path
+	// of any other discipline, which posts every arrival.
 	for _, v := range []Variant{Reno, Sack} {
 		for _, fifo := range []bool{true, false} {
 			lossy := func(pool, dropPool *packet.Pool) (allocs float64, drops int64) {
@@ -97,6 +99,9 @@ func TestPooledLoopAllocatesNothing(t *testing.T) {
 				}
 				fwd := link.New("lossy", s, units.Gbps, 10*units.Millisecond, q, rcv)
 				fwd.SetDropPool(dropPool)
+				fwd.SetHandOff(func(*packet.Packet) packet.Handler { return rcv })
+				reg := metrics.New()
+				s.Instrument(reg)
 				snd := NewSender(cfg, s, fwd)
 				rev.dst = snd
 				snd.SetPool(pool)
@@ -112,6 +117,10 @@ func TestPooledLoopAllocatesNothing(t *testing.T) {
 					until = until.Add(1000 * 20 * units.Millisecond)
 					s.Run(until)
 				})
+				reg.Collect()
+				if ahead := reg.Counter("sim.dispatch_ahead").Value(); (ahead > 0) != fifo {
+					t.Fatalf("%v, FIFO %v: %d segments handed off", v, fifo, ahead)
+				}
 				return allocs, dt.Stats().DroppedPackets + rej.rejected - before
 			}
 			pool := packet.NewPool(false)
@@ -260,5 +269,40 @@ func TestSackBlocksMatchesReference(t *testing.T) {
 		if len(got) > 0 && &got[0] != &dst[:1][0] {
 			t.Fatalf("sackBlocks did not write into the slice it was given")
 		}
+	}
+}
+
+// marker is an actor that appends its name to a log when it fires.
+type marker struct {
+	name string
+	log  *[]string
+}
+
+func (m marker) OnEvent(int32, any) { *m.log = append(*m.log, m.name) }
+
+// TestHandedOffCompletionKeepsItsPlace: a receiver handed its last
+// segment when a link admits it completes from an event at the segment's
+// arrival instant, where the arrival event would have fired — after an
+// event due then that was posted before the segment was sent, before one
+// posted after — with the clock no longer ahead.
+func TestHandedOffCompletionKeepsItsPlace(t *testing.T) {
+	s := sim.NewScheduler()
+	rcv := NewReceiver(Config{Flow: 1, TotalSegments: 1}, s, packet.HandlerFunc(func(*packet.Packet) {}))
+	fwd := link.NewPipe("fwd", s, 8*units.Mbps, 10*units.Millisecond, rcv) // 1 ms per 1000 B
+	fwd.SetHandOff(func(*packet.Packet) packet.Handler { return rcv })
+	arrival := units.Epoch.Add(11 * units.Millisecond)
+	var log []string
+	s.PostAt(arrival, marker{"before", &log}, 0, nil)
+	rcv.OnComplete = func(now units.Time) {
+		if s.Ahead() || s.Now() != arrival || now != arrival {
+			t.Errorf("completion ran at %v (ahead %v) reporting %v; want %v, not ahead", s.Now(), s.Ahead(), now, arrival)
+		}
+		log = append(log, "complete")
+	}
+	fwd.Send(&packet.Packet{Flow: 1, Size: 1000})
+	s.PostAt(arrival, marker{"after", &log}, 0, nil)
+	s.Run(units.Epoch.Add(units.Second))
+	if fmt.Sprint(log) != "[before complete after]" || rcv.CompletedAt != arrival {
+		t.Errorf("fired %v, completed at %v; want [before complete after] at %v", log, rcv.CompletedAt, arrival)
 	}
 }

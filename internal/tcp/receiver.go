@@ -62,14 +62,21 @@ type Receiver struct {
 	audNext int64
 }
 
-// Receiver event opcodes (see sim.Actor).
-const opRecvDelAck int32 = 0
+// Receiver event opcodes (see sim.Actor): opRecvDelAck, the delayed-ACK
+// timer; opRecvComplete, the completion of a flow whose last segment was
+// handed over ahead of its arrival (see Handle).
+const (
+	opRecvDelAck int32 = iota
+	opRecvComplete
+)
 
-// OnEvent implements sim.Actor: the delayed-ACK timer is a typed kernel
-// event.
+// OnEvent implements sim.Actor.
 func (r *Receiver) OnEvent(op int32, _ any) {
-	if op == opRecvDelAck {
+	switch op {
+	case opRecvDelAck:
 		r.sendAck()
+	case opRecvComplete:
+		r.OnComplete(r.CompletedAt)
 	}
 }
 
@@ -136,7 +143,14 @@ func (r *Receiver) Handle(p *packet.Packet) {
 	if !r.finished && r.cfg.TotalSegments > 0 && r.nextExpected >= r.cfg.TotalSegments {
 		r.finished = true
 		r.CompletedAt = r.sched.Now()
-		if r.OnComplete != nil {
+		switch {
+		case r.OnComplete == nil:
+		case r.sched.Ahead():
+			// The segment was handed over when a link admitted it; its
+			// arrival has not come in the kernel's order yet, and what
+			// completion starts must keep the place it would have had.
+			r.sched.PostAt(r.CompletedAt, r, opRecvComplete, nil)
+		default:
 			r.OnComplete(r.CompletedAt)
 		}
 	}

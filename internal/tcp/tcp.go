@@ -19,7 +19,6 @@ package tcp
 
 import (
 	"fmt"
-	"math"
 
 	"bufsim/internal/audit"
 	"bufsim/internal/packet"
@@ -263,7 +262,7 @@ func (s *Sender) ResetDupAcks() { s.dupAcks = 0 }
 // UsableWindow returns the current usable window in whole segments: the
 // controller's window clamped to MaxWindow and floored at 1 (SenderOps).
 func (s *Sender) UsableWindow() int64 {
-	w := math.Min(s.cc.Window(), float64(s.cfg.MaxWindow))
+	w := min(s.cc.Window(), float64(s.cfg.MaxWindow))
 	if w < 1 {
 		w = 1
 	}
@@ -312,7 +311,14 @@ func (s *Sender) trySend() {
 		s.schedulePaced()
 		return
 	}
-	for s.CanSendNew() {
+	// No ACK can come back while the loop sends (the path back to the
+	// sender costs at least one event), so sndUna and the window hold
+	// still and the limit CanSendNew tests is computed once.
+	end := s.sndUna + s.UsableWindow()
+	if !s.longLived() {
+		end = min(end, s.cfg.TotalSegments)
+	}
+	for s.sndNxt < end {
 		s.SendNextNew()
 	}
 }

@@ -101,6 +101,10 @@ type Station struct {
 	access       *link.Link
 	reverse      *link.Link
 	sched        *sim.Scheduler
+	// acksAhead is set once a TCP flow whose ACKs the hand-off sends
+	// ahead is wired here, and feedback once a raw flow that takes
+	// feedback is bound here: the two never share the reverse pipe.
+	acksAhead, feedback bool
 }
 
 // Sched returns the scheduler the station's components run on, the
@@ -134,6 +138,9 @@ type Dumbbell struct {
 	flows    []*Flow
 	nextNode packet.NodeID
 	nextFlow packet.FlowID
+	// delayedAck is the first flow's tcp.Config.DelayedAck, which every
+	// later flow must share (see AddFlow).
+	delayedAck bool
 
 	// slab is the sender arena every flow is taken from, and pool the
 	// packet pool every endpoint draws from and the bottleneck drops into.
@@ -222,7 +229,24 @@ func (d *Dumbbell) Config() Config { return d.cfg }
 // Src and Dst fields are assigned by the topology; everything else
 // (segment size, flow length, variant, windows) is taken from spec. The
 // caller starts the sender (directly or via the scheduler).
+//
+// The first flow decides whether the bottleneck hands each segment to
+// its receiver when it admits it (link.Link.SetHandOff): it does unless
+// the receivers delay their ACKs. A station's reverse pipe then sends
+// every ACK in arrival order; a delayed-ACK timer would send at the real
+// time, behind ACKs already sent ahead, so AddFlow panics on a flow
+// whose DelayedAck differs from the first's.
 func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
+	if len(d.flows) == 0 {
+		d.delayedAck = spec.DelayedAck
+		if !spec.DelayedAck {
+			d.Bottleneck.SetHandOff(d.receiverOf)
+		}
+	} else if spec.DelayedAck != d.delayedAck {
+		panic(fmt.Sprintf("topology: flow with DelayedAck %v on a dumbbell whose flows have DelayedAck %v", spec.DelayedAck, d.delayedAck))
+	}
+	st.acksAhead = st.acksAhead || !spec.DelayedAck
+	st.checkReverse()
 	spec.Flow = d.nextFlow
 	d.nextFlow++
 	spec.Src = st.senderHost.ID()
@@ -247,6 +271,24 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 	return f
 }
 
+// receiverOf returns the tcp.Receiver that p's path past the bottleneck
+// ends at, nil if it ends anywhere else (see link.Link.SetHandOff).
+func (d *Dumbbell) receiverOf(p *packet.Packet) packet.Handler {
+	if r, ok := node.PathEnd(d.R2, p).(*tcp.Receiver); ok {
+		return r
+	}
+	return nil
+}
+
+// checkReverse panics when st's reverse pipe would carry both ACKs the
+// hand-off sends ahead and a raw flow's feedback, sent at the real time
+// behind them.
+func (st *Station) checkReverse() {
+	if st.acksAhead && st.feedback {
+		panic(fmt.Sprintf("topology: station %d carries both immediate-ACK TCP flows and a raw flow that takes feedback", st.Index))
+	}
+}
+
 // PoolStats returns the packet pool's counts.
 func (d *Dumbbell) PoolStats() packet.PoolStats { return d.pool.Stats() }
 
@@ -260,7 +302,11 @@ type RawFlow struct {
 	// Forward is where the sender writes data packets (the station's
 	// access link toward the bottleneck).
 	Forward packet.Handler
-	// Reverse is where the receiver writes feedback toward the sender.
+	// Reverse is where the receiver writes feedback toward the sender:
+	// the station's reverse pipe, which TCP flows share. Only a flow
+	// bound with a sender agent to take it may send feedback, and such a
+	// flow must not share its station with immediate-ACK TCP flows (see
+	// BindRawFlow).
 	Reverse packet.Handler
 
 	station *Station
@@ -283,9 +329,15 @@ func (d *Dumbbell) NewRawFlow(st *Station) *RawFlow {
 
 // BindRawFlow attaches the flow's agents: snd receives reverse-path
 // packets at the sender host, rcv receives data at the receiver host.
-// Either may be nil for one-way traffic.
+// Either may be nil for one-way traffic. A flow with an snd takes
+// feedback, which its receiver sends into the station's reverse pipe at
+// the real time; BindRawFlow panics if TCP flows whose ACKs the
+// bottleneck's hand-off sends ahead of the clock share that pipe (see
+// AddFlow), where the feedback would wait behind ACKs not yet due.
 func (d *Dumbbell) BindRawFlow(f *RawFlow, snd, rcv packet.Handler) {
 	if snd != nil {
+		f.station.feedback = true
+		f.station.checkReverse()
 		f.station.senderHost.Attach(f.ID, snd)
 	}
 	if rcv != nil {
