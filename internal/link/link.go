@@ -52,6 +52,10 @@ type Link struct {
 	work units.Duration
 	line queue.Ring[slot] // a FIFO's waiting packets
 	busy bool             // the transmit-done path is sending
+	// ahead is set once the link is offered a packet ahead of the clock
+	// (a reverse path a hand-off sends into): work then counts
+	// transmissions still to come at the real time, and BusyTime refuses.
+	ahead bool
 
 	// handOff is set by SetHandOff, and sink is what it named for the
 	// packet being handed off.
@@ -216,6 +220,9 @@ func (l *Link) Send(p *packet.Packet) {
 			return
 		}
 	}
+	if l.sched.Ahead() {
+		l.ahead = true
+	}
 	switch {
 	case l.q == nil:
 		l.transmit(p, now)
@@ -285,9 +292,8 @@ func (l *Link) transmit(p *packet.Packet, now units.Time) units.Time {
 // clock reads the real time, it also checks BusyTime, the numerator of
 // the link's utilization, before the update: it must be the
 // transmissions' summed times less what is left of the last one, and
-// cannot exceed the time elapsed. A link offered packets ahead of the
-// clock (a reverse path a hand-off sends into) has no busy time at the
-// real time to check.
+// cannot exceed the time elapsed. A link ever offered packets ahead of
+// the clock has no busy time to check (see BusyTime).
 func (l *Link) auditTransmit(now, start units.Time, tx units.Duration) {
 	comp, end := "link:"+l.name, start.Add(tx)
 	if end < l.free {
@@ -298,7 +304,7 @@ func (l *Link) auditTransmit(now, start units.Time, tx units.Duration) {
 		l.aud.Violationf(now, comp, "serialization",
 			"a transmission began at %v, before the previous one ended at %v", start, l.audEnd)
 	}
-	if !l.sched.Ahead() {
+	if !l.ahead {
 		busy, want := l.BusyTime(), l.audBusy-max(0, l.audEnd.Sub(now))
 		if busy != want || busy > now.Sub(units.Epoch) {
 			l.aud.Violationf(now, comp, "busy-accounting",
@@ -395,8 +401,13 @@ func (l *Link) arrive(p *packet.Packet, to packet.Handler) {
 }
 
 // BusyTime returns the cumulative time the transmitter has spent sending,
-// including the in-progress transmission up to now.
+// including the in-progress transmission up to now. It panics on a link
+// that has been offered a packet ahead of the clock (see
+// sim.Scheduler.Ahead), whose transmissions do not follow the real time.
 func (l *Link) BusyTime() units.Duration {
+	if l.ahead {
+		panic("link: " + l.name + " has no busy time: it was offered packets ahead of the clock")
+	}
 	return l.work - max(0, l.free.Sub(l.sched.Now()))
 }
 

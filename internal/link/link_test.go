@@ -3,6 +3,7 @@ package link
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"bufsim/internal/audit"
@@ -170,6 +171,28 @@ func TestBusyTimeIncludesInProgress(t *testing.T) {
 	if bt := l.BusyTime(); bt != 4*units.Millisecond {
 		t.Errorf("BusyTime mid-transmission = %v, want 4ms", bt)
 	}
+}
+
+// TestBusyTimeRefusesAheadOffers: a pipe offered a packet while a
+// handler runs ahead of the clock (a reverse path behind a hand-off)
+// counts that transmission at a time still to come, so its busy time at
+// the real time would be wrong, even negative; BusyTime panics naming
+// the link instead. Until then it answers.
+func TestBusyTimeRefusesAheadOffers(t *testing.T) {
+	s := sim.NewScheduler()
+	l := NewPipe("reverse7", s, units.Mbps, units.Millisecond, &collector{sched: s})
+	l.Send(mkpkt(0, 1000)) // 8 ms serialization
+	s.Run(units.Epoch.Add(10 * units.Millisecond))
+	if bt := l.BusyTime(); bt != 8*units.Millisecond {
+		t.Fatalf("BusyTime after an offer at the real time = %v, want 8ms", bt)
+	}
+	s.DispatchAhead(units.Epoch.Add(50*units.Millisecond), fnActor(func() { l.Send(mkpkt(1, 1000)) }), 0, nil)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "reverse7") {
+			t.Errorf("BusyTime after an offer ahead of the clock: recovered %q, want a panic naming the link", msg)
+		}
+	}()
+	l.BusyTime()
 }
 
 func TestOnDequeueReportsQueueingDelay(t *testing.T) {

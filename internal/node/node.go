@@ -52,19 +52,10 @@ func (r *Router) AddRoute(dst packet.NodeID, next packet.Handler) {
 // packet's destination. An unroutable packet panics — topologies are
 // closed worlds and a miss means mis-wiring, not a runtime condition.
 func (r *Router) Handle(p *packet.Packet) {
-	next := r.route(p)
-	if next == nil {
+	if uint(p.Dst) >= uint(len(r.routes)) || r.routes[p.Dst] == nil {
 		panic(fmt.Sprintf("node: router %s has no route for %v", r.name, p))
 	}
-	next.Handle(p)
-}
-
-// route returns the next hop for p, nil if there is none.
-func (r *Router) route(p *packet.Packet) packet.Handler {
-	if uint(p.Dst) >= uint(len(r.routes)) {
-		return nil
-	}
-	return r.routes[p.Dst]
+	r.routes[p.Dst].Handle(p)
 }
 
 // Host is an endpoint. Each flow terminating at the host registers an
@@ -73,13 +64,6 @@ type Host struct {
 	id     packet.NodeID
 	name   string
 	agents map[packet.FlowID]packet.Handler
-
-	// lastFlow and lastAgent remember the previous delivery. A station
-	// carries one live flow at a time, so nearly every packet is for the
-	// same flow as the one before it and skips the map. lastAgent is nil
-	// when the entry is empty.
-	lastFlow  packet.FlowID
-	lastAgent packet.Handler
 }
 
 // NewHost returns an empty host.
@@ -98,53 +82,11 @@ func (h *Host) Attach(f packet.FlowID, agent packet.Handler) {
 	h.agents[f] = agent
 }
 
-// Detach removes a finished flow's agent so long-running workloads (the
-// Poisson short-flow generators) do not accumulate state. Packets still in
-// flight for a detached flow are dropped silently.
-func (h *Host) Detach(f packet.FlowID) {
-	delete(h.agents, f)
-	if f == h.lastFlow {
-		h.lastAgent = nil
-	}
-}
-
 // Handle implements packet.Handler.
 func (h *Host) Handle(p *packet.Packet) {
-	// Packets for detached (finished) flows fall on the floor, like a
-	// host RST-ing a closed port.
-	if a := h.agent(p); a != nil {
+	// Packets for flows with no agent fall on the floor, like a host
+	// RST-ing a closed port.
+	if a := h.agents[p.Flow]; a != nil {
 		a.Handle(p)
-	}
-}
-
-// agent returns the agent of p's flow, nil if none is attached.
-func (h *Host) agent(p *packet.Packet) packet.Handler {
-	if h.lastAgent != nil && p.Flow == h.lastFlow {
-		return h.lastAgent
-	}
-	a, ok := h.agents[p.Flow]
-	if ok {
-		h.lastFlow, h.lastAgent = p.Flow, a
-	}
-	return a
-}
-
-// PathEnd returns the handler p's path ends at when handed to h: routers
-// pass it on along their routes and a host to its flow's agent, so the
-// end is that agent, or h itself when h is neither. It is nil where p
-// would go no further: a host with no agent for p's flow, or a router
-// with no route for it (where Handle panics). Nothing is delivered.
-func PathEnd(h packet.Handler, p *packet.Packet) packet.Handler {
-	for {
-		switch n := h.(type) {
-		case *Router:
-			if h = n.route(p); h == nil {
-				return nil
-			}
-		case *Host:
-			return n.agent(p)
-		default:
-			return h
-		}
 	}
 }

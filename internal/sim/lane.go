@@ -85,7 +85,7 @@ func (l *Lane) PostAfter(d units.Duration, arg any) {
 	}
 	if t < s.laneChunks[l.tail][l.toff-1].at {
 		s.laneFallbacks++
-		s.schedule(t, l.actor, l.op, arg)
+		s.PostAt(t, l.actor, l.op, arg)
 		return
 	}
 	seq := s.seq

@@ -10,8 +10,9 @@ import (
 )
 
 // oracle is the reference the kernel is replayed against: every pending
-// event in one container/heap ordered by (at, seq), lanes included. It
-// knows nothing of slots, lane chunks or deferred pops.
+// event in one container/heap ordered by (at, seq), lanes and timers
+// included. It knows nothing of slots, lane chunks, deferred pops or
+// stale timer entries: a timer's Reset is a removal and a post.
 type oracle struct {
 	h    []*oev
 	seq  uint64
@@ -30,7 +31,7 @@ type oev struct {
 	idx  int // heap index, -1 once fired or cancelled
 }
 
-const oracleLanes = 3
+const oracleLanes, oracleTimers = 3, 4
 
 func (o *oracle) Len() int { return len(o.h) }
 func (o *oracle) Less(i, j int) bool {
@@ -97,12 +98,40 @@ type oracleRun struct {
 	lanes   [oracleLanes]*Lane
 	handles []Event
 	events  []*oev // events[i] is what handles[i] refers to
-	nextID  int
-	fired   int
-	stops   int
-	pops    int // handlers that returned with the root's pop still deferred
+	// timers[k]'s deadline in the oracle is timerEvs[k] (nil before its
+	// first Reset)
+	timers   [oracleTimers]Timer
+	timerEvs [oracleTimers]*oev
+	nextID   int
+	fired    int
+	stops    int
+	pops     int // handlers that returned with the root's pop still deferred
 	// what the program reached, so the test can insist it reached it all
-	liveCancels, frontPosts, behindPosts int
+	liveCancels, frontPosts, behindPosts              int
+	laterResets, earlierResets, liveTimerStops, ahead int
+}
+
+// timerActor is timer k's handler.
+type timerActor struct {
+	r *oracleRun
+	k int
+}
+
+func (a timerActor) OnEvent(int32, any) { a.r.dispatched(a.r.timerEvs[a.k].id) }
+
+// aheadActor is the handler of a DispatchAhead: it runs at its instant
+// with nothing popped, and may post, reset and cancel from there.
+type aheadActor struct{ r *oracleRun }
+
+func (a aheadActor) OnEvent(_ int32, arg any) {
+	r := a.r
+	if at := arg.(units.Time); r.s.Now() != at || !r.s.Ahead() {
+		r.t.Fatalf("ahead handler runs at %v (ahead %v), want %v", r.s.Now(), r.s.Ahead(), at)
+	}
+	r.check("ahead of the clock")
+	for n := r.rng.Intn(4); n > 0; n-- {
+		r.op()
+	}
 }
 
 // delays mixes the imminent with the far so that posts land before the
@@ -141,7 +170,7 @@ func (r *oracleRun) op() {
 	t := s.Now().Add(d)
 	r.nextID++
 	id := r.nextID
-	switch k := r.rng.Intn(12); {
+	switch k := r.rng.Intn(18); {
 	case k < 5: // typed post
 		r.classify(t)
 		r.handles = append(r.handles, s.PostAt(t, r, 0, id))
@@ -154,7 +183,7 @@ func (r *oracleRun) op() {
 		l := r.rng.Intn(oracleLanes)
 		r.lanes[l].PostAfter(d, id)
 		r.o.post(t, id, l)
-	default: // cancel any handle: pending, fired, recycled
+	case k < 12: // cancel any handle: pending, fired, recycled
 		if len(r.handles) == 0 {
 			return
 		}
@@ -164,7 +193,46 @@ func (r *oracleRun) op() {
 		}
 		s.Cancel(r.handles[i])
 		r.o.remove(r.events[i])
+	case k < 15: // reset a timer, armed or not, to a later or earlier key
+		i := r.rng.Intn(oracleTimers)
+		if e := r.timerEvs[i]; e != nil && e.idx >= 0 {
+			if t < e.at {
+				r.earlierResets++
+			} else {
+				r.laterResets++
+			}
+			r.o.remove(e)
+		}
+		if k == 12 {
+			r.timers[i].Reset(t)
+		} else {
+			r.timers[i].ResetAfter(d)
+		}
+		r.timerEvs[i] = r.o.post(t, id, -1)
+	case k < 16: // stop a timer, armed or not
+		i := r.rng.Intn(oracleTimers)
+		if e := r.timerEvs[i]; e != nil {
+			if e.idx >= 0 {
+				r.liveTimerStops++
+			}
+			r.o.remove(e)
+		}
+		r.timers[i].Stop()
+	default: // dispatch ahead, but not from a handler dispatched ahead
+		if !s.Ahead() {
+			r.ahead++
+			s.DispatchAhead(t, aheadActor{r}, 0, t)
+		}
 	}
+}
+
+// timerPtrs returns the run's timers, for VerifyInvariants.
+func (r *oracleRun) timerPtrs() []*Timer {
+	ts := make([]*Timer, oracleTimers)
+	for i := range r.timers {
+		ts[i] = &r.timers[i]
+	}
+	return ts
 }
 
 // classify records whether a plain post at t lands before the heap root
@@ -197,10 +265,16 @@ func (r *oracleRun) check(when string) {
 			r.t.Fatalf("%s: handle #%d: Active=%v; oracle pending=%v", when, e.id, s.Active(h), live)
 		}
 	}
+	for i, e := range r.timerEvs {
+		if live := e != nil && e.idx >= 0; r.timers[i].Active() != live {
+			r.t.Fatalf("%s: timer %d: Active=%v; oracle pending=%v", when, i, r.timers[i].Active(), live)
+		}
+	}
 }
 
 // replayOracle replays the random program seed draws — typed posts,
 // closures, lane posts, cancels of pending, fired and recycled handles,
+// timer resets to later and earlier keys and stops, dispatches ahead,
 // same-instant ties, posts from inside handlers that land before the root
 // and behind it, Run stopping at a boundary, Stop from inside a handler —
 // against a container/heap that holds every event, and requires the same
@@ -211,6 +285,9 @@ func replayOracle(t *testing.T, seed int64) *oracleRun {
 	r.s.SetAuditor(audit.New())
 	for k := range r.lanes {
 		r.lanes[k] = r.s.NewLane(r, 1)
+	}
+	for k := range r.timers {
+		r.timers[k] = r.s.NewTimer(timerActor{r, k}, 2)
 	}
 	// A standing backlog, so the heap has a root with children.
 	for i := 0; i < 40; i++ {
@@ -227,7 +304,7 @@ func replayOracle(t *testing.T, seed int64) *oracleRun {
 			r.s.Run(r.s.Now() + units.Time(round%4))
 		}
 		r.check("after run")
-		if err := r.s.VerifyInvariants(); err != nil {
+		if err := r.s.VerifyInvariants(r.timerPtrs()...); err != nil {
 			t.Fatalf("seed %d round %d: %v", seed, round, err)
 		}
 	}
@@ -247,21 +324,26 @@ func replayOracle(t *testing.T, seed int64) *oracleRun {
 // TestKernelMatchesOracle replays 60 seeded programs and insists that,
 // together, they reached every path the oracle is there to check.
 func TestKernelMatchesOracle(t *testing.T) {
-	var fromLane, fromHeap, refills int64
-	var liveCancels, front, behind, stops, pops int
+	var fromLane, fromHeap, refills, rekeys int64
+	var liveCancels, front, behind, stops, pops, later, earlier, timerStops, ahead int
 	for seed := int64(1); seed <= 60; seed++ {
 		r := replayOracle(t, seed)
 		fromLane += r.s.dispatchLane
 		fromHeap += r.s.dispatchHeap
 		refills += r.s.rootRefills
+		rekeys += r.s.timerRekeys
 		liveCancels, stops, pops = liveCancels+r.liveCancels, stops+r.stops, pops+r.pops
 		front, behind = front+r.frontPosts, behind+r.behindPosts
+		later, earlier, timerStops, ahead = later+r.laterResets, earlier+r.earlierResets, timerStops+r.liveTimerStops, ahead+r.ahead
 	}
 	for name, n := range map[string]int64{
 		"dispatches from a lane": fromLane, "dispatches from the heap": fromHeap,
 		"root refills": refills, "pops no push filled": int64(pops),
 		"cancels of pending handles": int64(liveCancels), "Stops from a handler": int64(stops),
 		"posts before the root": int64(front), "posts behind it": int64(behind),
+		"resets of armed timers to a later key": int64(later), "resets to an earlier key": int64(earlier),
+		"stale timer entries re-keyed": rekeys, "stops of armed timers": int64(timerStops),
+		"dispatches ahead": int64(ahead),
 	} {
 		if n == 0 {
 			t.Errorf("the programs never exercised: %s", name)

@@ -42,6 +42,9 @@
 //   - An event whose outcome is settled when it is posted need not wait
 //     at all: DispatchAhead runs it at once with the clock reading its
 //     time (a link handing a packet to a receiver when it admits it).
+//   - A Timer whose deadline moves later (a retransmission timer restarted
+//     by every ACK) keeps its heap entry: the entry takes the reserved key
+//     only when it reaches the root (Timer).
 package sim
 
 import (
@@ -86,6 +89,7 @@ const posFree int32 = -1
 const (
 	kindEvent uint8 = iota
 	kindLane
+	kindTimer
 )
 
 // slot is the pooled storage behind one scheduled event.
@@ -93,12 +97,14 @@ type slot struct {
 	gen   uint32 // incremented on every recycle; stale handles mismatch
 	pos   int32  // index in the heap while pending, else posFree
 	op    int32
-	kind  uint8 // kindEvent, or kindLane: arg is the *Lane whose head this is
+	kind  uint8 // kindEvent; kindLane: arg is the *Lane whose head this is; kindTimer
 	actor Actor
 	arg   any
-	// The pad keeps the slot at 64 bytes, one cache line: at 56 bytes
-	// slots straddle lines and longlived_30 ran 6.6% slower.
-	_ [16]byte
+	// The key reserved when posted (a Timer's: at its last Reset). It fills
+	// the slot to 64 bytes, one cache line: at 56 bytes slots straddle
+	// lines and longlived_30 ran 6.6% slower.
+	at  units.Time
+	seq uint64
 }
 
 // entry is one pending-queue element. The ordering key (time, then
@@ -140,8 +146,8 @@ type Scheduler struct {
 	// handler's pushes (fire).
 	hole int
 	// Dispatches by source (lane and heap sum to Processed; ahead is not
-	// in it) and holes a push filled.
-	dispatchLane, dispatchHeap, dispatchAhead, rootRefills int64
+	// in it), holes a push filled and stale timer entries re-keyed.
+	dispatchLane, dispatchHeap, dispatchAhead, rootRefills, timerRekeys int64
 	// ahead is set while a DispatchAhead handler runs.
 	ahead bool
 
@@ -217,19 +223,17 @@ func (s *Scheduler) release(id int32) {
 	s.free = append(s.free, id)
 }
 
-// schedule is the shared path behind PostAt/PostAfter.
-// Scheduling in the past panics: it always indicates a logic error in a
-// component, and silently reordering time would corrupt every downstream
-// measurement.
-func (s *Scheduler) schedule(t units.Time, a Actor, op int32, arg any) Event {
+// PostAt schedules a typed event: at time t the kernel calls
+// a.OnEvent(op, arg). Scheduling in the past panics: it always indicates
+// a logic error in a component, and silently reordering time would
+// corrupt every downstream measurement.
+func (s *Scheduler) PostAt(t units.Time, a Actor, op int32, arg any) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	id := s.allocSlot()
 	sl := &s.slots[id]
-	sl.actor = a
-	sl.op = op
-	sl.arg = arg
+	sl.actor, sl.op, sl.arg, sl.at, sl.seq = a, op, arg, t, s.seq
 	s.push(entry{at: t, seq: s.seq, slot: id})
 	s.seq++
 	return Event{id: id + 1, gen: sl.gen}
@@ -258,18 +262,12 @@ func (s *Scheduler) settle() {
 	}
 }
 
-// PostAt schedules a typed event: at time t the kernel calls
-// a.OnEvent(op, arg).
-func (s *Scheduler) PostAt(t units.Time, a Actor, op int32, arg any) Event {
-	return s.schedule(t, a, op, arg)
-}
-
 // PostAfter schedules a typed event d from now.
 func (s *Scheduler) PostAfter(d units.Duration, a Actor, op int32, arg any) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return s.schedule(s.now.Add(d), a, op, arg)
+	return s.PostAt(s.now.Add(d), a, op, arg)
 }
 
 // Cancel removes a pending event. Cancelling the zero handle, an event
@@ -285,6 +283,58 @@ func (s *Scheduler) Cancel(e Event) {
 	s.removeAt(int(s.slots[e.id-1].pos))
 	s.release(e.id - 1)
 }
+
+// Timer is a re-armable event for one (actor, op), such as a TCP
+// retransmission timer. Each Reset reserves the (time, seq) key a Cancel
+// and a fresh PostAt would have drawn, and the timer fires at exactly that
+// key, but it keeps one heap entry while armed: a Reset to a later key
+// leaves the entry where it is, and when the stale entry reaches the root
+// the kernel gives it the reserved key and sifts it down
+// (sim.timer_rekeys; no dispatch). A Reset to an earlier key moves it up.
+// Create one with NewTimer; a Timer must not be copied once armed.
+type Timer struct {
+	s     *Scheduler
+	actor Actor
+	op    int32
+	ev    Event // the entry while armed
+}
+
+// NewTimer returns an unarmed timer calling a.OnEvent(op, nil).
+func (s *Scheduler) NewTimer(a Actor, op int32) Timer {
+	return Timer{s: s, actor: a, op: op}
+}
+
+// Active reports whether the timer is armed and has not fired.
+func (t *Timer) Active() bool { return t.s.Active(t.ev) }
+
+// ResetAfter arms the timer to fire d from now (see Reset).
+func (t *Timer) ResetAfter(d units.Duration) { t.Reset(t.s.now.Add(d)) }
+
+// Reset arms the timer to fire at at, in place of any deadline it had. A
+// time before now panics, as for PostAt.
+func (t *Timer) Reset(at units.Time) {
+	s := t.s
+	if !s.Active(t.ev) {
+		t.ev = s.PostAt(at, t.actor, t.op, nil)
+		s.slots[t.ev.id-1].kind = kindTimer
+		return
+	}
+	if at < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
+	}
+	seq := s.seq
+	s.seq++
+	sl := &s.slots[t.ev.id-1]
+	sl.at, sl.seq = at, seq
+	// An earlier key never rises above a deferred pop's hole (see Cancel).
+	if i := int(sl.pos); precedes(at, seq, s.heap[i].at, s.heap[i].seq) != 0 {
+		s.heap[i].at, s.heap[i].seq = at, seq
+		s.siftUp(i)
+	}
+}
+
+// Stop disarms the timer; stopping one that is not armed is a no-op.
+func (t *Timer) Stop() { t.s.Cancel(t.ev) }
 
 // removeAt deletes the heap entry at index i, restoring heap order.
 func (s *Scheduler) removeAt(i int) {
@@ -375,7 +425,8 @@ func (s *Scheduler) popRoot() {
 // fire dispatches the earliest event if it is due by until. The
 // slot is recycled before dispatch, so the handler is free to schedule
 // (possibly reusing the very slot that just fired). A lane's head hands
-// its heap entry to the item behind it instead (fireLane).
+// its heap entry to the item behind it instead (fireLane), and a timer's
+// stale entry takes its reserved key and sinks, which is no dispatch.
 // A plain root stays in place as a hole while its handler runs: the
 // handler's first push overwrites it, and only a handler that pushed
 // nothing pays the pop (settle).
@@ -385,6 +436,15 @@ func (s *Scheduler) fire(until units.Time) bool {
 	}
 	top := s.heap[0]
 	sl := &s.slots[top.slot]
+	for sl.kind == kindTimer && (top.at != sl.at || top.seq != sl.seq) {
+		s.heap[0].at, s.heap[0].seq = sl.at, sl.seq
+		s.siftDown(0)
+		s.timerRekeys++
+		if top = s.heap[0]; top.at > until {
+			return false
+		}
+		sl = &s.slots[top.slot]
+	}
 	if s.aud != nil {
 		if top.at < s.now {
 			s.aud.Violationf(s.now, "sim", "clock-monotonic",
@@ -441,7 +501,8 @@ func (s *Scheduler) Ahead() bool { return s.ahead }
 
 // Instrument registers the kernel's telemetry into reg: events processed,
 // by source (sim.dispatch_lane and sim.dispatch_heap, which sum to them;
-// sim.dispatch_ahead, which is not among them; sim.root_refills), current
+// sim.dispatch_ahead, which is not among them; sim.root_refills), stale
+// timer entries given their reserved key (sim.timer_rekeys), current
 // and peak heap depth (sim.heap_depth*), current and peak lane items
 // queued behind their lane's head (sim.lane_depth*; heap + lane =
 // Pending), out-of-order lane posts, and the simulated clock. Values are
@@ -459,14 +520,15 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 	laneFallbacks := reg.Counter("sim.lane_fallbacks")
 	clock := reg.Gauge("sim.time_seconds")
 	fromLane, fromHeap := reg.Counter("sim.dispatch_lane"), reg.Counter("sim.dispatch_heap")
-	ahead := reg.Counter("sim.dispatch_ahead")
-	refills := reg.Counter("sim.root_refills")
+	ahead, refills := reg.Counter("sim.dispatch_ahead"), reg.Counter("sim.root_refills")
+	rekeys := reg.Counter("sim.timer_rekeys")
 	reg.OnCollect(func() {
 		events.Set(int64(s.Processed))
 		fromLane.Set(s.dispatchLane)
 		fromHeap.Set(s.dispatchHeap)
 		ahead.Set(s.dispatchAhead)
 		refills.Set(s.rootRefills)
+		rekeys.Set(s.timerRekeys)
 		depth.Set(float64(len(s.heap) - s.hole))
 		depthMax.Set(float64(s.maxPending))
 		laneDepth.Set(float64(s.laneQueued))
@@ -503,10 +565,12 @@ func (s *Scheduler) Step() bool {
 // VerifyInvariants exhaustively checks the kernel's internal structure:
 // heap order, heap-entry/slot cross-links, free-list consistency, that no
 // slot is both pending and free, that no pop is still deferred (call it
-// between events), and the lane invariants (see verifyLanes). It is
-// O(pool size) and meant for tests and the fuzz harness, not the hot
-// path. It returns the first problem found, or nil.
-func (s *Scheduler) VerifyInvariants() error {
+// between events), that no timer entry is keyed after its reserved key,
+// that the timers given, if all of s's, and the heap's timer entries are
+// as many, and the lane invariants (see verifyLanes). It is O(pool size)
+// and meant for tests and the fuzz harness, not the hot path. It returns
+// the first problem found, or nil.
+func (s *Scheduler) VerifyInvariants(timers ...*Timer) error {
 	if s.hole != 0 {
 		return fmt.Errorf("sim: the root's deferred pop outlived its handler")
 	}
@@ -517,6 +581,7 @@ func (s *Scheduler) VerifyInvariants() error {
 				i, s.heap[i].at, s.heap[i].seq, s.heap[p].at, s.heap[p].seq)
 		}
 	}
+	surplus := 0 // timers armed less timer entries in the heap
 	inHeap := make(map[int32]int, len(s.heap))
 	for i, e := range s.heap {
 		if e.at < s.now {
@@ -529,9 +594,24 @@ func (s *Scheduler) VerifyInvariants() error {
 			return fmt.Errorf("sim: slot %d appears in heap twice (indexes %d and %d)", e.slot, prev, i)
 		}
 		inHeap[e.slot] = i
-		if got := s.slots[e.slot].pos; got != int32(i) {
+		sl := &s.slots[e.slot]
+		if got := sl.pos; got != int32(i) {
 			return fmt.Errorf("sim: slot %d at heap index %d records pos %d", e.slot, i, got)
 		}
+		if sl.kind == kindTimer {
+			surplus--
+			if precedes(sl.at, sl.seq, e.at, e.seq) != 0 {
+				return fmt.Errorf("sim: timer entry (at=%v seq=%d) is keyed after its reserved key (at=%v seq=%d)", e.at, e.seq, sl.at, sl.seq)
+			}
+		}
+	}
+	for _, t := range timers {
+		if t.Active() {
+			surplus++
+		}
+	}
+	if len(timers) > 0 && surplus != 0 {
+		return fmt.Errorf("sim: %d more timers armed than timer entries in the heap", surplus)
 	}
 	inFree := make(map[int32]bool, len(s.free))
 	for _, id := range s.free {

@@ -26,7 +26,7 @@ type Receiver struct {
 	ooo          seqRuns // out-of-order segments above nextExpected
 
 	unackedSegs int // in-order segments not yet acknowledged (delayed ACK)
-	delAck      sim.Event
+	delAck      sim.Timer
 
 	finished bool
 
@@ -83,12 +83,14 @@ func (r *Receiver) OnEvent(op int32, _ any) {
 // NewReceiver returns a receiver sending ACKs to out.
 func NewReceiver(cfg Config, sched *sim.Scheduler, out packet.Handler) *Receiver {
 	cfg = cfg.withDefaults()
-	return &Receiver{
+	r := &Receiver{
 		cfg:         cfg,
 		sched:       sched,
 		out:         out,
 		CompletedAt: units.Never,
 	}
+	r.delAck = sched.NewTimer(r, opRecvDelAck)
+	return r
 }
 
 // SetPool makes the receiver release every data segment it receives into
@@ -171,8 +173,8 @@ func (r *Receiver) onInOrder() {
 		r.sendAck()
 		return
 	}
-	if !r.sched.Active(r.delAck) {
-		r.delAck = r.sched.PostAfter(delAckTimeout, r, opRecvDelAck, nil)
+	if !r.delAck.Active() {
+		r.delAck.ResetAfter(delAckTimeout)
 	}
 }
 
@@ -183,7 +185,7 @@ func (r *Receiver) sendAck() { r.sendAckFor(-1) }
 // blocks freshest-first when the variant negotiates SACK.
 func (r *Receiver) sendAckFor(justArrived int64) {
 	r.unackedSegs = 0
-	r.sched.Cancel(r.delAck)
+	r.delAck.Stop()
 	r.AcksSent++
 	p := r.pool.Get()
 	p.Flow = r.cfg.Flow

@@ -134,8 +134,8 @@ type Sender struct {
 	finished bool
 	haveSRTT bool
 
-	rtoTimer  sim.Event
-	paceTimer sim.Event
+	rtoTimer  sim.Timer
+	paceTimer sim.Timer
 
 	// pool is where segments come from and ACKs go back to (see SetPool);
 	// nil means plain allocation.
@@ -166,8 +166,8 @@ const (
 	OpStart
 )
 
-// OnEvent implements sim.Actor: the sender's timers are typed kernel
-// events, so arming one allocates nothing.
+// OnEvent implements sim.Actor: the sender's timers are kernel timers
+// embedded in it, so arming one allocates nothing.
 func (s *Sender) OnEvent(op int32, _ any) {
 	switch op {
 	case opSenderRTO:
@@ -198,6 +198,8 @@ func (s *Sender) init(cfg Config, sched *sim.Scheduler, out packet.Handler) *Sen
 	s.out = out
 	s.rttSeq = -1
 	s.rto = initialRTO
+	s.rtoTimer = sched.NewTimer(s, opSenderRTO)
+	s.paceTimer = sched.NewTimer(s, opSenderPace)
 	s.stats.Completed = units.Never
 	s.cc = cfg.Variant.newCongestionControl()
 	s.cc.Init(s, cfg)
@@ -333,7 +335,7 @@ func (s *Sender) paceInterval() units.Duration {
 // timer is left un-armed when the window is closed; the next ACK's
 // trySend re-arms it.
 func (s *Sender) schedulePaced() {
-	if s.sched.Active(s.paceTimer) {
+	if s.paceTimer.Active() {
 		return
 	}
 	if !s.CanSendNew() {
@@ -344,7 +346,7 @@ func (s *Sender) schedulePaced() {
 	if next < now {
 		next = now
 	}
-	s.paceTimer = s.sched.PostAt(next, s, opSenderPace, nil)
+	s.paceTimer.Reset(next)
 }
 
 func (s *Sender) paceFire() {
@@ -387,7 +389,7 @@ func (s *Sender) transmit(seq int64) {
 			s.rttSentAt = now
 		}
 	}
-	if !s.sched.Active(s.rtoTimer) {
+	if !s.rtoTimer.Active() {
 		s.armRTO()
 	}
 	s.lastSend = now
@@ -395,13 +397,17 @@ func (s *Sender) transmit(seq int64) {
 }
 
 func (s *Sender) armRTO() {
-	s.rtoTimer = s.sched.PostAfter(min(s.rto<<s.backoff, maxRTO), s, opSenderRTO, nil)
+	s.rtoTimer.ResetAfter(min(s.rto<<s.backoff, maxRTO))
 }
 
+// restartRTO moves the timer's deadline one RTO from now while data is
+// outstanding; a later deadline leaves its heap entry in place (see
+// sim.Timer).
 func (s *Sender) restartRTO() {
-	s.sched.Cancel(s.rtoTimer)
 	if s.sndUna < s.sndNxt {
 		s.armRTO()
+	} else {
+		s.rtoTimer.Stop()
 	}
 }
 
@@ -551,8 +557,8 @@ func (s *Sender) Shutdown(now units.Time) {
 	}
 	s.finished = true
 	s.stats.Completed = now
-	s.sched.Cancel(s.rtoTimer)
-	s.sched.Cancel(s.paceTimer)
+	s.rtoTimer.Stop()
+	s.paceTimer.Stop()
 }
 
 func (s *Sender) complete(now units.Time) {
@@ -561,8 +567,8 @@ func (s *Sender) complete(now units.Time) {
 	if s.aud != nil {
 		s.auditComplete(now)
 	}
-	s.sched.Cancel(s.rtoTimer)
-	s.sched.Cancel(s.paceTimer)
+	s.rtoTimer.Stop()
+	s.paceTimer.Stop()
 	if s.OnComplete != nil {
 		s.OnComplete(now)
 	}

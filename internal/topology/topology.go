@@ -1,9 +1,11 @@
 // Package topology builds the paper's evaluation network (Fig. 1,
-// generalized): n sending stations on fast access links converge on router
-// R1, whose output port to R2 is the bottleneck link under study; the
-// receivers hang off R2. ACKs return over uncongested per-station reverse
-// paths. All queueing of interest happens in the bottleneck's output
-// queue, whose limit is the router buffer B the paper sizes.
+// generalized): n sending stations on fast access links converge on the
+// bottleneck link under study, past which the receivers hang. ACKs return
+// over uncongested per-station reverse paths. All queueing of interest
+// happens in the bottleneck's output queue, whose limit is the router
+// buffer B the paper sizes. The dumbbell delivers by flow: past the
+// bottleneck and at the end of a reverse path a packet goes straight to
+// its flow's agent, with no router or host on the way.
 //
 // Stations are reusable attachment points: a long-lived-flow experiment
 // puts one flow on each station, while the Poisson short-flow workloads
@@ -18,7 +20,6 @@ import (
 
 	"bufsim/internal/audit"
 	"bufsim/internal/link"
-	"bufsim/internal/node"
 	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
@@ -96,11 +97,11 @@ type Station struct {
 	// RTT is the station's two-way propagation delay (no queueing).
 	RTT units.Duration
 
-	senderHost   *node.Host
-	receiverHost *node.Host
-	access       *link.Link
-	reverse      *link.Link
-	sched        *sim.Scheduler
+	// src and dst are the addresses its flows stamp on their packets.
+	src, dst packet.NodeID
+	access   *link.Link
+	reverse  *link.Link
+	sched    *sim.Scheduler
 	// acksAhead is set once a TCP flow whose ACKs the hand-off sends
 	// ahead is wired here, and feedback once a raw flow that takes
 	// feedback is bound here: the two never share the reverse pipe.
@@ -124,9 +125,7 @@ type Flow struct {
 type Dumbbell struct {
 	cfg Config
 
-	// R1 and R2 are the routers at either end of the bottleneck.
-	R1, R2 *node.Router
-	// Bottleneck is the link under study (R1 -> R2).
+	// Bottleneck is the link under study.
 	Bottleneck *link.Link
 
 	// OnAddFlow, if set, observes every flow as AddFlow wires it. Telemetry
@@ -136,6 +135,8 @@ type Dumbbell struct {
 
 	stations []*Station
 	flows    []*Flow
+	// agents holds each wired flow's two agents by FlowID.
+	agents   []agentPair
 	nextNode packet.NodeID
 	nextFlow packet.FlowID
 	// delayedAck is the first flow's tcp.Config.DelayedAck, which every
@@ -152,10 +153,10 @@ type Dumbbell struct {
 // NewDumbbell builds the topology.
 func NewDumbbell(cfg Config) *Dumbbell {
 	cfg = cfg.validate()
-	d := &Dumbbell{cfg: cfg, nextNode: 1, nextFlow: 1,
+	// Station addresses start at 3, where they did when two routers took
+	// 1 and 2, so packets keep the Src and Dst they always carried.
+	d := &Dumbbell{cfg: cfg, nextNode: 3, nextFlow: 1,
 		slab: tcp.NewSlab(16), pool: packet.NewPool(cfg.Auditor != nil)}
-	d.R1 = node.NewRouter(d.allocNode(), "R1")
-	d.R2 = node.NewRouter(d.allocNode(), "R2")
 
 	var q queue.Queue
 	if cfg.NewQueue != nil {
@@ -166,7 +167,7 @@ func NewDumbbell(cfg Config) *Dumbbell {
 	if cfg.Auditor != nil {
 		cfg.Sched.SetAuditor(cfg.Auditor)
 	}
-	d.Bottleneck = link.New("bottleneck", cfg.Sched, cfg.BottleneckRate, cfg.BottleneckDelay, q, d.R2)
+	d.Bottleneck = link.New("bottleneck", cfg.Sched, cfg.BottleneckRate, cfg.BottleneckDelay, q, (*receivers)(d))
 	d.Bottleneck.SetAuditor(cfg.Auditor)
 	// The packets the bottleneck drops go back to the pool they were
 	// drawn from.
@@ -191,8 +192,8 @@ func (d *Dumbbell) buildStation(i int) *Station {
 		rtt = units.Duration(cfg.RNG.Uniform(float64(cfg.RTTMin), float64(cfg.RTTMax)))
 	}
 	st := &Station{Index: i, RTT: rtt, sched: cfg.Sched}
-	st.senderHost = node.NewHost(d.allocNode(), fmt.Sprintf("s%d", i))
-	st.receiverHost = node.NewHost(d.allocNode(), fmt.Sprintf("d%d", i))
+	st.src = d.allocNode()
+	st.dst = d.allocNode()
 
 	// The bottleneck contributes its one-way delay to the forward path;
 	// the access link carries the rest of the forward propagation and the
@@ -203,13 +204,10 @@ func (d *Dumbbell) buildStation(i int) *Station {
 
 	// Neither path drops or is measured, so both are pipes (see
 	// link.NewPipe).
-	st.access = link.NewPipe(fmt.Sprintf("access%d", i), st.sched, cfg.AccessRate, fwdDelay, d.R1)
-	st.reverse = link.NewPipe(fmt.Sprintf("reverse%d", i), st.sched, cfg.AccessRate, revDelay, st.senderHost)
+	st.access = link.NewPipe(fmt.Sprintf("access%d", i), st.sched, cfg.AccessRate, fwdDelay, d.Bottleneck)
+	st.reverse = link.NewPipe(fmt.Sprintf("reverse%d", i), st.sched, cfg.AccessRate, revDelay, (*senders)(d))
 	st.access.SetAuditor(cfg.Auditor)
 	st.reverse.SetAuditor(cfg.Auditor)
-
-	d.R1.AddRoute(st.receiverHost.ID(), d.Bottleneck)
-	d.R2.AddRoute(st.receiverHost.ID(), st.receiverHost)
 	return st
 }
 
@@ -249,8 +247,7 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 	st.checkReverse()
 	spec.Flow = d.nextFlow
 	d.nextFlow++
-	spec.Src = st.senderHost.ID()
-	spec.Dst = st.receiverHost.ID()
+	spec.Src, spec.Dst = st.src, st.dst
 
 	snd := tcp.NewSenderSlab(d.slab, spec, st.sched, st.access)
 	rcv := tcp.NewReceiver(spec, st.sched, st.reverse)
@@ -260,8 +257,7 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 		snd.SetAuditor(d.cfg.Auditor)
 		rcv.SetAuditor(d.cfg.Auditor)
 	}
-	st.senderHost.Attach(spec.Flow, snd)
-	st.receiverHost.Attach(spec.Flow, rcv)
+	*d.wire(spec.Flow) = agentPair{snd, rcv}
 
 	f := &Flow{ID: spec.Flow, Station: st, Sender: snd, Receiver: rcv}
 	d.flows = append(d.flows, f)
@@ -271,10 +267,51 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 	return f
 }
 
-// receiverOf returns the tcp.Receiver that p's path past the bottleneck
-// ends at, nil if it ends anywhere else (see link.Link.SetHandOff).
+// agentPair is a wired flow's two ends: snd takes its reverse-path
+// packets and rcv its data. A nil agent drops what it would take.
+type agentPair struct{ snd, rcv packet.Handler }
+
+// wire returns flow f's entry in the agents table, growing the table.
+func (d *Dumbbell) wire(f packet.FlowID) *agentPair {
+	for int(f) >= len(d.agents) {
+		d.agents = append(d.agents, agentPair{})
+	}
+	return &d.agents[f]
+}
+
+// ends returns flow f's agents, none for a flow never wired.
+func (d *Dumbbell) ends(f packet.FlowID) agentPair {
+	if uint(f) < uint(len(d.agents)) {
+		return d.agents[f]
+	}
+	return agentPair{}
+}
+
+// receivers and senders are the dumbbell as the handler its bottleneck
+// and its reverse pipes deliver to: a packet goes to its flow's agent on
+// that side, and one whose flow has none there falls on the floor, like
+// a host RST-ing a closed port.
+type (
+	receivers Dumbbell
+	senders   Dumbbell
+)
+
+func (d *receivers) Handle(p *packet.Packet) {
+	if a := (*Dumbbell)(d).ends(p.Flow).rcv; a != nil {
+		a.Handle(p)
+	}
+}
+
+func (d *senders) Handle(p *packet.Packet) {
+	if a := (*Dumbbell)(d).ends(p.Flow).snd; a != nil {
+		a.Handle(p)
+	}
+}
+
+// receiverOf returns p's flow's tcp.Receiver, nil if its data goes
+// anywhere else (see link.Link.SetHandOff).
 func (d *Dumbbell) receiverOf(p *packet.Packet) packet.Handler {
-	if r, ok := node.PathEnd(d.R2, p).(*tcp.Receiver); ok {
+	if r, ok := d.ends(p.Flow).rcv.(*tcp.Receiver); ok {
 		return r
 	}
 	return nil
@@ -297,8 +334,8 @@ func (d *Dumbbell) PoolStats() packet.PoolStats { return d.pool.Stats() }
 // Bind agents with BindRawFlow once they are constructed.
 type RawFlow struct {
 	ID  packet.FlowID
-	Src packet.NodeID // sender host
-	Dst packet.NodeID // receiver host
+	Src packet.NodeID // the station's sending address
+	Dst packet.NodeID // the station's receiving address
 	// Forward is where the sender writes data packets (the station's
 	// access link toward the bottleneck).
 	Forward packet.Handler
@@ -319,38 +356,33 @@ func (d *Dumbbell) NewRawFlow(st *Station) *RawFlow {
 	d.nextFlow++
 	return &RawFlow{
 		ID:      id,
-		Src:     st.senderHost.ID(),
-		Dst:     st.receiverHost.ID(),
+		Src:     st.src,
+		Dst:     st.dst,
 		Forward: st.access,
 		Reverse: st.reverse,
 		station: st,
 	}
 }
 
-// BindRawFlow attaches the flow's agents: snd receives reverse-path
-// packets at the sender host, rcv receives data at the receiver host.
-// Either may be nil for one-way traffic. A flow with an snd takes
-// feedback, which its receiver sends into the station's reverse pipe at
-// the real time; BindRawFlow panics if TCP flows whose ACKs the
-// bottleneck's hand-off sends ahead of the clock share that pipe (see
-// AddFlow), where the feedback would wait behind ACKs not yet due.
+// BindRawFlow wires the flow's agents: snd receives its reverse-path
+// packets and rcv its data. Either may be nil for one-way traffic. A
+// flow with an snd takes feedback, which its receiver sends into the
+// station's reverse pipe at the real time; BindRawFlow panics if TCP
+// flows whose ACKs the bottleneck's hand-off sends ahead of the clock
+// share that pipe (see AddFlow), where the feedback would wait behind
+// ACKs not yet due.
 func (d *Dumbbell) BindRawFlow(f *RawFlow, snd, rcv packet.Handler) {
 	if snd != nil {
 		f.station.feedback = true
 		f.station.checkReverse()
-		f.station.senderHost.Attach(f.ID, snd)
 	}
-	if rcv != nil {
-		f.station.receiverHost.Attach(f.ID, rcv)
-	}
+	*d.wire(f.ID) = agentPair{snd, rcv}
 }
 
-// RemoveFlow detaches a finished flow's agents so stations can be reused
-// indefinitely. The flow stays in Flows() for accounting.
-func (d *Dumbbell) RemoveFlow(f *Flow) {
-	f.Station.senderHost.Detach(f.ID)
-	f.Station.receiverHost.Detach(f.ID)
-}
+// RemoveFlow unwires a finished flow's agents so stations can be reused
+// indefinitely; its packets still in flight fall on the floor. The flow
+// stays in Flows() for accounting.
+func (d *Dumbbell) RemoveFlow(f *Flow) { d.agents[f.ID] = agentPair{} }
 
 // MeanRTT returns the average station two-way propagation delay — the
 // paper's RTT-bar in B = RTT x C / sqrt(n).

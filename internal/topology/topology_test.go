@@ -7,7 +7,6 @@ import (
 	"bufsim/internal/audit"
 	"bufsim/internal/link"
 	"bufsim/internal/metrics"
-	"bufsim/internal/node"
 	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
@@ -371,18 +370,14 @@ func TestOnePoolPerView(t *testing.T) {
 	}
 }
 
-// TestEventBudgetPerPacket: a data packet and its ACK cost the kernel
-// two events — the arrival at R1 off the access pipe and the ACK's
-// arrival back at the sender off the reverse pipe; the bottleneck hands
-// the packet to its receiver when it admits it. A lossy 30-flow dumbbell
-// (60 Mb/s, 55-packet buffer) spends at most 2.1 events per packet the
-// bottleneck delivers, timers and drops included. With an arrival event
-// at R2 it spent 3.03, with a transmit-done event per packet at the
-// bottleneck as well 4.03, and with queued access and reverse links
-// 6.09.
-func TestEventBudgetPerPacket(t *testing.T) {
+// lossyThirty runs a lossy 30-flow drop-tail Reno dumbbell (60 Mb/s,
+// 55-packet buffer) for 20 s, its kernel instrumented into reg, and
+// returns its kernel events and the packets its bottleneck delivered.
+func lossyThirty(t *testing.T, reg *metrics.Registry) (events, delivered int64) {
+	t.Helper()
 	const n = 30
 	s := sim.NewScheduler()
+	s.Instrument(reg)
 	d := NewDumbbell(Config{
 		Sched:           s,
 		RNG:             sim.NewRNG(1),
@@ -399,23 +394,54 @@ func TestEventBudgetPerPacket(t *testing.T) {
 		s.PostAt(units.Epoch.Add(units.Duration(rng.Uniform(0, float64(units.Second)))), f.Sender, tcp.OpStart, nil)
 	}
 	s.Run(units.Epoch.Add(20 * units.Second))
-	delivered := d.Bottleneck.DeliveredPackets()
-	if drops := d.Bottleneck.Queue().Stats().DroppedPackets; drops == 0 || delivered == 0 {
-		t.Fatalf("%d delivered, %d dropped: the run must deliver and lose packets", delivered, drops)
+	if drops := d.Bottleneck.Queue().Stats().DroppedPackets; drops == 0 || d.Bottleneck.DeliveredPackets() == 0 {
+		t.Fatalf("%d delivered, %d dropped: the run must deliver and lose packets", d.Bottleneck.DeliveredPackets(), drops)
 	}
-	perPacket := float64(s.Processed) / float64(delivered)
-	t.Logf("%d events for %d delivered packets: %.3f per packet", s.Processed, delivered, perPacket)
+	return int64(s.Processed), d.Bottleneck.DeliveredPackets()
+}
+
+// TestEventBudgetPerPacket: a data packet and its ACK cost the kernel
+// two events — the bottleneck's arrival off the access pipe and the
+// ACK's arrival back at the sender off the reverse pipe; the bottleneck
+// hands the packet to its receiver when it admits it. The lossy 30-flow
+// dumbbell spends at most 2.1 events per packet the bottleneck
+// delivers, timers and drops included. With an arrival event past the
+// bottleneck it spent 3.03, with a transmit-done event per packet at the
+// bottleneck as well 4.03, and with queued access and reverse links
+// 6.09.
+func TestEventBudgetPerPacket(t *testing.T) {
+	events, delivered := lossyThirty(t, nil)
+	perPacket := float64(events) / float64(delivered)
+	t.Logf("%d events for %d delivered packets: %.3f per packet", events, delivered, perPacket)
 	if perPacket > 2.1 {
 		t.Errorf("%.3f kernel events per delivered packet, want at most 2.1", perPacket)
 	}
 }
 
+// TestRTORearmsStayOffTheHeap: every new ACK moves its sender's
+// retransmission deadline later, and the timer's heap entry stays where
+// it is until the old deadline comes up (sim.Timer). The lossy 30-flow
+// dumbbell re-keys at most 0.1 stale entries per delivered packet (0.034
+// when written, against one removal and one push per ACK before), and a
+// re-key is no event: the run still spends 2.025 events per packet.
+func TestRTORearmsStayOffTheHeap(t *testing.T) {
+	reg := metrics.New()
+	events, delivered := lossyThirty(t, reg)
+	reg.Collect()
+	rekeys := float64(reg.Counter("sim.timer_rekeys").Value()) / float64(delivered)
+	perPacket := fmt.Sprintf("%.3f", float64(events)/float64(delivered))
+	t.Logf("%.3f re-keys and %s events per delivered packet", rekeys, perPacket)
+	if rekeys == 0 || rekeys > 0.1 || perPacket != "2.025" {
+		t.Errorf("%.3f re-keys and %s events per delivered packet, want (0, 0.1] and 2.025", rekeys, perPacket)
+	}
+}
+
 // TestDelayedAckDumbbellKeepsLanes: a dumbbell whose first flow delays
-// its ACKs posts every arrival at R2 and hands nothing off, one whose
-// first flow acks at once hands its segments off, and either refuses a
-// later flow whose receiver acks otherwise, since one timer's ACK sent
-// at the real time would queue behind ACKs sent ahead on its station's
-// reverse pipe.
+// its ACKs posts every arrival past the bottleneck and hands nothing
+// off, one whose first flow acks at once hands its segments off, and
+// either refuses a later flow whose receiver acks otherwise, since one
+// timer's ACK sent at the real time would queue behind ACKs sent ahead
+// on its station's reverse pipe.
 func TestDelayedAckDumbbellKeepsLanes(t *testing.T) {
 	for _, delayed := range []bool{false, true} {
 		s := sim.NewScheduler()
@@ -490,13 +516,13 @@ func panics(f func()) (did bool) {
 	return false
 }
 
-// ackTap stands before a station's sender host and counts the ACKs the
-// reverse pipe delivers, those that waited there behind other ACKs, the
-// phantoms — ACKs sent after their flow was unwired (at removed) — and
-// phantoms whose sender was still attached.
+// ackTap stands before the senders a station's reverse pipe delivers to
+// and counts the ACKs the pipe delivers, those that waited there behind
+// other ACKs, the phantoms — ACKs sent after their flow was unwired (at
+// removed) — and phantoms whose sender was still wired.
 type ackTap struct {
 	sched                            *sim.Scheduler
-	host                             *node.Host
+	d                                *Dumbbell
 	delay                            units.Duration
 	rate                             units.BitRate
 	removed                          map[packet.FlowID]units.Time
@@ -510,19 +536,19 @@ func (a *ackTap) Handle(p *packet.Packet) {
 	}
 	if at, ok := a.removed[p.Flow]; ok && p.Sent > at {
 		a.phantoms++
-		if node.PathEnd(a.host, p) != nil {
+		if a.d.ends(p.Flow).snd != nil {
 			a.attached++
 		}
 	}
-	a.host.Handle(p)
+	(*senders)(a.d).Handle(p)
 }
 
 // TestPhantomAcksNeverQueue pins down why a hand-off stays exact when a
 // flow is unwired while its segments are in flight. A segment admitted
 // before the unwiring reaches its receiver at admission, not at its
-// arrival after the unwiring, where the host would have dropped it, so
-// the receiver acks it: a phantom ACK that the sender's host, its flow
-// unwired by then, drops. The ACK still takes its turn on the station's
+// arrival after the unwiring, where the unwired flow's packet would have
+// been dropped, so the receiver acks it: a phantom ACK that the dumbbell,
+// the flow unwired by then, drops before the sender. The ACK still takes its turn on the station's
 // reverse pipe, which is harmless only because that pipe never queues:
 // two ACKs of one station are sent at least one bottleneck transmission
 // of a segment apart, 250 ACK transmissions at 1000-byte segments and
@@ -551,7 +577,7 @@ func TestPhantomAcksNeverQueue(t *testing.T) {
 	removed := map[packet.FlowID]units.Time{}
 	for i := 0; i < stations; i++ {
 		st := d.Station(i)
-		tap := &ackTap{sched: s, host: st.senderHost, delay: units.Duration(st.RTT / 2), rate: access, removed: removed}
+		tap := &ackTap{sched: s, d: d, delay: units.Duration(st.RTT / 2), rate: access, removed: removed}
 		st.reverse = link.NewPipe(fmt.Sprintf("reverse%d", i), s, access, tap.delay, tap)
 		taps = append(taps, tap)
 	}
