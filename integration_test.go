@@ -311,13 +311,15 @@ func TestPacketOwnershipUnderAudit(t *testing.T) {
 		if bug == reusingReceiver {
 			st := d.Station(100)
 			raw := d.NewRawFlow(st)
-			spec := tcp.Config{Flow: raw.ID, Src: raw.Src, Dst: raw.Dst, SegmentSize: 1000}
+			spec := tcp.Config{Flow: raw.ID, SegmentSize: 1000}
+			// A raw flow is one-way: the receiver's ACKs go to a sink, and
+			// the sender's first window (and its timeouts) is the data.
 			snd := tcp.NewSender(spec, st.Sched(), raw.Forward)
-			rcv := tcp.NewReceiver(spec, st.Sched(), raw.Reverse)
+			rcv := tcp.NewReceiver(spec, st.Sched(), packet.HandlerFunc(func(*packet.Packet) {}))
 			pool := packet.NewPool(true)
 			snd.SetPool(pool)
 			rcv.SetPool(pool)
-			d.BindRawFlow(raw, snd, &reuser{next: rcv, out: raw.Forward})
+			d.BindRawFlow(raw, &reuser{next: rcv, out: raw.Forward})
 			snd.Start()
 		}
 		sched.Run(units.Time(5 * units.Second))

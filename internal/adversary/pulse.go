@@ -74,7 +74,7 @@ func (p Pulse) Bind(d *topology.Dumbbell, _ *sim.RNG) workload.Driver {
 			onTime: onTime,
 		}
 		s.flow = d.NewRawFlow(d.Station(i % d.NumStations()))
-		d.BindRawFlow(s.flow, nil, packet.HandlerFunc(s.receive))
+		d.BindRawFlow(s.flow, packet.HandlerFunc(s.receive))
 		drv.senders = append(drv.senders, s)
 	}
 	return drv
@@ -203,8 +203,6 @@ func (s *pulseSender) sendNext() {
 	}
 	s.flow.Forward.Handle(&packet.Packet{
 		Flow: s.flow.ID,
-		Src:  s.flow.Src,
-		Dst:  s.flow.Dst,
 		Seq:  s.seq,
 		Size: s.size,
 		Sent: now,

@@ -253,10 +253,9 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 }
 
 // TestCacheKeysStable pins five literal cache keys, recorded when
-// cacheSalt became bufsim-results-v8 (a dumbbell's bottleneck hands each
-// packet to its receiver when it admits it, so the ACK's tie-break key is
-// reserved then and an exact-nanosecond tie on its arrival may order
-// differently; no pinned result moved): one run kind,
+// cacheSalt became bufsim-results-v9 (tcp.Config lost its Src and Dst
+// fields, which moved the key of every config that carries one; no
+// result moved): one run kind,
 // the short-flow point as the profile scenario it is, a key nesting one
 // config in another, a grid point three embeddings deep, and a sweep
 // checkpoint key. While cacheSalt stands, so must every key — a mismatch
@@ -274,23 +273,23 @@ func TestCacheKeysStable(t *testing.T) {
 		{"long-lived", LongLivedConfig{
 			Scenario: Scenario{Seed: 7, Path: Path{BottleneckRate: 20 * units.Mbps, Warmup: 2 * units.Second, Measure: 5 * units.Second}, Sender: Sender{Variant: tcp.Cubic, Paced: true}}, N: 40, BufferPackets: 25,
 			RunEnv: env,
-		}.withDefaults(), "37bacdd08d8e26fded33cb49ce54825642c3878a2c13ac76ab956e8d7a1e19c2"},
+		}.withDefaults(), "c8c305f4f4ab17515b5c49c2dbfae84beb0fdaa6cc126006bc9f1be1138ca4fc"},
 		{"profile", shortFlowRun(3, 20*units.Mbps, 0.7, 14, 50,
-			4*units.Second, 10*units.Second, env).withDefaults(), "c2da99fdd21162ab0a9fbb6b3c4cb6cc1aff304e6d0391feb69cf20338af20c7"},
+			4*units.Second, 10*units.Second, env).withDefaults(), "d0105d9c094ab016dd2fa657a19c737002beed214365605f3ab39f3b535c9cbd"},
 		{"mixed", mixedKey{
 			Base: MixedConfig{AFCTComparisonConfig{
 				Scenario: Scenario{Seed: 5, Path: Path{BottleneckRate: 20 * units.Mbps}}, NLong: 30, Sizes: workload.GeometricSize(14), RunEnv: env,
 			}.withDefaults(), 250},
 			Label: "RTT*C",
-		}, "6b6cb4f2a7f7df2620f95d5aa593feee3c60c46e1d487da62065d57bd313a35a"},
+		}, "645c3187fa9a5efca1c300bb686ff27d4f66f769fcd9ddf8905d50f962a0f597"},
 		{"adversarial", adversarialPointConfig{AdversaryScenario{
 			Scenario: Scenario{Seed: 2, Path: Path{BottleneckRate: 20 * units.Mbps}}, Pattern: adversary.PatternSyncAIMD, BufferPackets: 25,
 			AdversaryCohort: AdversaryCohort{N: 8},
 			RunEnv:          env,
-		}.withDefaults(), 0.1}, "9af33b434eb792e595bcfc3f7e38fa799e39af6d12a9ab8df7fab73bded537c5"},
+		}.withDefaults(), 0.1}, "f257b217e5888291c0f621b56e6ba18d69082141f02fd430de2c439e309da6c3"},
 		{"sweep:utilization-table", UtilizationTableConfig{
 			Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: 20 * units.Mbps}, Queue: RED}, Ns: []int{50, 100}, Factors: []float64{0.5, 1}, RunEnv: env,
-		}.withDefaults(), "86cfd7483a4ea86efc0cb038662b67a6522a1f8fe709a9ba11e226f01b93a46d"},
+		}.withDefaults(), "f42b1b36dde09254ff7a155819ee068397b8ed14e4bec9b912cea5c2bb2198f4"},
 	} {
 		if got := pointKey(tc.kind, tc.cfg); got != tc.want {
 			t.Errorf("%s key = %s, want %s", tc.kind, got, tc.want)

@@ -197,8 +197,8 @@ func (l *Link) SetHandOff(receiver func(*packet.Packet) packet.Handler) { l.hand
 // (the default) leaves rejected packets to the garbage collector.
 func (l *Link) SetDropPool(pl *packet.Pool) { l.dropPool = pl }
 
-// Handle implements packet.Handler so links compose directly with routers
-// and protocol agents.
+// Handle implements packet.Handler so links compose directly with each
+// other and with protocol agents.
 func (l *Link) Handle(p *packet.Packet) { l.Send(p) }
 
 // Send offers a packet to the link. If the output queue rejects it the

@@ -3,8 +3,8 @@
 // Following the paper's presentation, TCP windows are counted in
 // fixed-size segments; a Packet is one such segment (or a pure ACK). A
 // packet carries just enough header state for a Reno implementation:
-// sequence/ack numbers in segment units, flags, and the addressing the
-// routers forward on.
+// sequence/ack numbers in segment units, flags, and the flow it belongs
+// to, which is all the topologies deliver on.
 package packet
 
 import (
@@ -12,9 +12,6 @@ import (
 
 	"bufsim/internal/units"
 )
-
-// NodeID identifies a host or router in a topology.
-type NodeID int32
 
 // FlowID identifies a TCP flow (a sender/receiver pair).
 type FlowID int32
@@ -80,11 +77,8 @@ func (f Flags) String() string {
 // dropped it. Under audit a released packet is poisoned instead of reused
 // (see NewPool), and every audited link reports one that shows up again.
 type Packet struct {
-	Flow FlowID
-	Src  NodeID
-	Dst  NodeID
-
-	Flags Flags // sits in what would otherwise be padding after Dst
+	Flow  FlowID
+	Flags Flags // sits in what would otherwise be padding after Flow
 
 	// Seq is the segment sequence number (data packets) and Ack is the
 	// cumulative acknowledgement (ACK packets): "every segment below Ack
@@ -121,8 +115,8 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("flow %d seq %d (%s, %dB)", p.Flow, p.Seq, p.Flags, p.Size)
 }
 
-// Handler consumes packets; links deliver to Handlers, routers and hosts
-// implement it.
+// Handler consumes packets; links deliver to Handlers, and links and the
+// TCP agents implement it.
 type Handler interface {
 	Handle(p *Packet)
 }

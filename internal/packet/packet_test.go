@@ -167,10 +167,11 @@ func TestPutDropped(t *testing.T) {
 	}
 }
 
-// TestPacketSize pins the layout: Flags rides in the padding after Dst,
-// which keeps a packet in the 80-byte size class.
+// TestPacketSize pins the layout: Flags rides in the padding after Flow,
+// which keeps a packet at 72 bytes (a packet allocated on its own still
+// takes the allocator's 80-byte size class).
 func TestPacketSize(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got != 80 {
-		t.Errorf("Packet is %d bytes, want 80", got)
+	if got := unsafe.Sizeof(Packet{}); got != 72 {
+		t.Errorf("Packet is %d bytes, want 72", got)
 	}
 }

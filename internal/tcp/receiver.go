@@ -189,8 +189,6 @@ func (r *Receiver) sendAckFor(justArrived int64) {
 	r.AcksSent++
 	p := r.pool.Get()
 	p.Flow = r.cfg.Flow
-	p.Src = r.cfg.Dst // ACKs flow from receiver back to sender
-	p.Dst = r.cfg.Src
 	p.Ack = r.nextExpected
 	if r.cfg.Variant.generatesSack() {
 		p.Sack = sackBlocks(p.Sack, r.ooo, justArrived, 3)

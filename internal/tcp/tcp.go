@@ -29,8 +29,6 @@ import (
 // Config parameterizes one flow's sender and receiver.
 type Config struct {
 	Flow packet.FlowID
-	Src  packet.NodeID // sender host
-	Dst  packet.NodeID // receiver host
 
 	// SegmentSize is the wire size of a full data segment in bytes.
 	SegmentSize units.ByteSize
@@ -366,8 +364,6 @@ func (s *Sender) transmit(seq int64) {
 	}
 	p := s.pool.Get()
 	p.Flow = s.cfg.Flow
-	p.Src = s.cfg.Src
-	p.Dst = s.cfg.Dst
 	p.Seq = seq
 	p.Size = s.cfg.SegmentSize
 	p.Sent = now

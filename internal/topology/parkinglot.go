@@ -5,7 +5,6 @@ import (
 
 	"bufsim/internal/audit"
 	"bufsim/internal/link"
-	"bufsim/internal/node"
 	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
@@ -69,17 +68,19 @@ func (c ParkingLotConfig) validate() ParkingLotConfig {
 	return c
 }
 
-// ParkingLot is the built chain.
+// ParkingLot is the built chain. It delivers by flow, as the dumbbell
+// does: a packet leaving core link i goes to its flow's receiver if the
+// flow exits at router i+1 and on to core link i+1 otherwise, and an ACK
+// leaving a reverse pipe goes to the sender, the one agent on that host.
 type ParkingLot struct {
 	cfg ParkingLotConfig
 
-	Routers []*node.Router
 	// Links[i] carries R[i] -> R[i+1]; its queue limit is Buffers[i].
 	Links []*link.Link
 
-	flows    []*PathFlow
-	nextNode packet.NodeID
-	nextFlow packet.FlowID
+	// flows holds every flow in FlowID order: IDs start at 1, so flow
+	// id's entry is flows[id-1].
+	flows []*PathFlow
 
 	// pool recycles every flow's packets, at the endpoints and at the
 	// core links that drop them; the chain runs on one scheduler, so one
@@ -100,15 +101,12 @@ type PathFlow struct {
 // NewParkingLot builds the chain.
 func NewParkingLot(cfg ParkingLotConfig) *ParkingLot {
 	cfg = cfg.validate()
-	p := &ParkingLot{cfg: cfg, nextNode: 1, nextFlow: 1, pool: packet.NewPool(cfg.Auditor != nil)}
-	for i := 0; i <= len(cfg.Rates); i++ {
-		p.Routers = append(p.Routers, node.NewRouter(p.alloc(), fmt.Sprintf("R%d", i)))
-	}
+	p := &ParkingLot{cfg: cfg, pool: packet.NewPool(cfg.Auditor != nil)}
 	if cfg.Auditor != nil {
 		cfg.Sched.SetAuditor(cfg.Auditor)
 	}
 	for i, rate := range cfg.Rates {
-		l := link.New(fmt.Sprintf("core%d", i), cfg.Sched, rate, cfg.Delays[i], queue.NewDropTail(cfg.Buffers[i]), p.Routers[i+1])
+		l := link.New(fmt.Sprintf("core%d", i), cfg.Sched, rate, cfg.Delays[i], queue.NewDropTail(cfg.Buffers[i]), hop{p, i})
 		l.SetAuditor(cfg.Auditor)
 		l.SetDropPool(p.pool)
 		p.Links = append(p.Links, l)
@@ -116,10 +114,18 @@ func NewParkingLot(cfg ParkingLotConfig) *ParkingLot {
 	return p
 }
 
-func (p *ParkingLot) alloc() packet.NodeID {
-	id := p.nextNode
-	p.nextNode++
-	return id
+// hop is router i+1 as the handler core link i delivers to.
+type hop struct {
+	lot *ParkingLot
+	i   int
+}
+
+func (h hop) Handle(pkt *packet.Packet) {
+	if f := h.lot.flows[pkt.Flow-1]; f.To == h.i+1 {
+		f.Receiver.Handle(pkt)
+	} else {
+		h.lot.Links[h.i+1].Handle(pkt)
+	}
 }
 
 // PoolStats returns the packet pool's counts.
@@ -151,36 +157,21 @@ func (p *ParkingLot) AddFlow(from, to int, rtt units.Duration, spec tcp.Config) 
 		panic(fmt.Sprintf("topology: RTT %v too small for %v of core delay", rtt, core))
 	}
 
-	sndHost := node.NewHost(p.alloc(), fmt.Sprintf("s%d", p.nextFlow))
-	rcvHost := node.NewHost(p.alloc(), fmt.Sprintf("d%d", p.nextFlow))
-
-	access := link.NewPipe(fmt.Sprintf("acc%d", p.nextFlow), p.cfg.Sched, p.cfg.AccessRate,
-		units.Duration(rtt/2)-core, p.Routers[from])
-	reverse := link.NewPipe(fmt.Sprintf("rev%d", p.nextFlow), p.cfg.Sched, p.cfg.AccessRate,
-		units.Duration(rtt/2), sndHost)
+	spec.Flow = packet.FlowID(len(p.flows) + 1)
+	access := link.NewPipe(fmt.Sprintf("acc%d", spec.Flow), p.cfg.Sched, p.cfg.AccessRate,
+		units.Duration(rtt/2)-core, p.Links[from])
+	snd := tcp.NewSender(spec, p.cfg.Sched, access)
+	reverse := link.NewPipe(fmt.Sprintf("rev%d", spec.Flow), p.cfg.Sched, p.cfg.AccessRate,
+		units.Duration(rtt/2), snd)
+	rcv := tcp.NewReceiver(spec, p.cfg.Sched, reverse)
 	access.SetAuditor(p.cfg.Auditor)
 	reverse.SetAuditor(p.cfg.Auditor)
-
-	// Route the receiver's address along the chain.
-	for i := from; i < to; i++ {
-		p.Routers[i].AddRoute(rcvHost.ID(), p.Links[i])
-	}
-	p.Routers[to].AddRoute(rcvHost.ID(), rcvHost)
-
-	spec.Flow = p.nextFlow
-	p.nextFlow++
-	spec.Src = sndHost.ID()
-	spec.Dst = rcvHost.ID()
-	snd := tcp.NewSender(spec, p.cfg.Sched, access)
-	rcv := tcp.NewReceiver(spec, p.cfg.Sched, reverse)
 	snd.SetPool(p.pool)
 	rcv.SetPool(p.pool)
 	if p.cfg.Auditor != nil {
 		snd.SetAuditor(p.cfg.Auditor)
 		rcv.SetAuditor(p.cfg.Auditor)
 	}
-	sndHost.Attach(spec.Flow, snd)
-	rcvHost.Attach(spec.Flow, rcv)
 
 	f := &PathFlow{ID: spec.Flow, From: from, To: to, RTT: rtt, Sender: snd, Receiver: rcv}
 	p.flows = append(p.flows, f)

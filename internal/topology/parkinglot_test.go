@@ -39,19 +39,48 @@ func TestParkingLotSingleFlowEndToEnd(t *testing.T) {
 }
 
 func TestParkingLotPartialPath(t *testing.T) {
-	// A flow on only the second hop must not touch the first link.
+	// A flow leaves the chain at its exit router: one on the first hop
+	// only must not touch the second link, and one on the second hop only
+	// must not touch the first.
+	for _, c := range []struct{ from, to, idle int }{{0, 1, 1}, {1, 2, 0}} {
+		s, p := twoHop(200)
+		f := p.AddFlow(c.from, c.to, 60*units.Millisecond, tcp.Config{SegmentSize: 1000, TotalSegments: 20})
+		f.Sender.Start()
+		s.Run(units.Time(5 * units.Second))
+		if !f.Sender.Finished() {
+			t.Fatalf("flow %d->%d did not finish", c.from, c.to)
+		}
+		if n := p.Links[c.idle].DeliveredPackets(); n != 0 {
+			t.Errorf("link %d carried %d packets for a flow %d->%d", c.idle, n, c.from, c.to)
+		}
+		if p.Links[c.from].DeliveredPackets() == 0 {
+			t.Errorf("link %d carried nothing", c.from)
+		}
+	}
+}
+
+func TestParkingLotRouterForwardsByFlow(t *testing.T) {
+	// Two flows share core link 0; router 1 must hand the one that exits
+	// there to its receiver and put only the other on core link 1.
 	s, p := twoHop(200)
-	f := p.AddFlow(1, 2, 60*units.Millisecond, tcp.Config{SegmentSize: 1000, TotalSegments: 20})
-	f.Sender.Start()
+	exits := p.AddFlow(0, 1, 60*units.Millisecond, tcp.Config{SegmentSize: 1000, TotalSegments: 20})
+	crosses := p.AddFlow(0, 2, 60*units.Millisecond, tcp.Config{SegmentSize: 1000, TotalSegments: 10})
+	exits.Sender.Start()
+	crosses.Sender.Start()
 	s.Run(units.Time(5 * units.Second))
-	if !f.Sender.Finished() {
-		t.Fatal("partial-path flow did not finish")
+	if !exits.Sender.Finished() || !crosses.Sender.Finished() {
+		t.Fatalf("flows did not finish: %+v %+v", exits.Sender.Stats(), crosses.Sender.Stats())
 	}
-	if p.Links[0].DeliveredPackets() != 0 {
-		t.Errorf("link 0 carried %d packets for a hop-2-only flow", p.Links[0].DeliveredPackets())
+	if exits.Receiver.ReceivedSegments != 20 || crosses.Receiver.ReceivedSegments != 10 {
+		t.Errorf("received %d/%d segments, want 20/10",
+			exits.Receiver.ReceivedSegments, crosses.Receiver.ReceivedSegments)
 	}
-	if p.Links[1].DeliveredPackets() == 0 {
-		t.Error("link 1 carried nothing")
+	sentExits, sentCrosses := exits.Sender.Stats().SegmentsSent, crosses.Sender.Stats().SegmentsSent
+	if n := p.Links[0].DeliveredPackets(); n != sentExits+sentCrosses {
+		t.Errorf("link 0 carried %d packets, want %d", n, sentExits+sentCrosses)
+	}
+	if n := p.Links[1].DeliveredPackets(); n != sentCrosses {
+		t.Errorf("link 1 carried %d packets, want the crossing flow's %d", n, sentCrosses)
 	}
 }
 

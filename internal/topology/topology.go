@@ -3,9 +3,11 @@
 // bottleneck link under study, past which the receivers hang. ACKs return
 // over uncongested per-station reverse paths. All queueing of interest
 // happens in the bottleneck's output queue, whose limit is the router
-// buffer B the paper sizes. The dumbbell delivers by flow: past the
-// bottleneck and at the end of a reverse path a packet goes straight to
-// its flow's agent, with no router or host on the way.
+// buffer B the paper sizes. Topologies deliver by flow, so packets
+// carry no addresses: past the bottleneck and at the end of a reverse
+// path a packet goes straight to its flow's agent, with no router or
+// host on the way (the parking lot's core links, see ParkingLot, pick
+// the next hop by flow too).
 //
 // Stations are reusable attachment points: a long-lived-flow experiment
 // puts one flow on each station, while the Poisson short-flow workloads
@@ -17,6 +19,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"bufsim/internal/audit"
 	"bufsim/internal/link"
@@ -97,15 +100,9 @@ type Station struct {
 	// RTT is the station's two-way propagation delay (no queueing).
 	RTT units.Duration
 
-	// src and dst are the addresses its flows stamp on their packets.
-	src, dst packet.NodeID
-	access   *link.Link
-	reverse  *link.Link
-	sched    *sim.Scheduler
-	// acksAhead is set once a TCP flow whose ACKs the hand-off sends
-	// ahead is wired here, and feedback once a raw flow that takes
-	// feedback is bound here: the two never share the reverse pipe.
-	acksAhead, feedback bool
+	access  *link.Link
+	reverse *link.Link
+	sched   *sim.Scheduler
 }
 
 // Sched returns the scheduler the station's components run on, the
@@ -137,7 +134,6 @@ type Dumbbell struct {
 	flows    []*Flow
 	// agents holds each wired flow's two agents by FlowID.
 	agents   []agentPair
-	nextNode packet.NodeID
 	nextFlow packet.FlowID
 	// delayedAck is the first flow's tcp.Config.DelayedAck, which every
 	// later flow must share (see AddFlow).
@@ -153,9 +149,7 @@ type Dumbbell struct {
 // NewDumbbell builds the topology.
 func NewDumbbell(cfg Config) *Dumbbell {
 	cfg = cfg.validate()
-	// Station addresses start at 3, where they did when two routers took
-	// 1 and 2, so packets keep the Src and Dst they always carried.
-	d := &Dumbbell{cfg: cfg, nextNode: 3, nextFlow: 1,
+	d := &Dumbbell{cfg: cfg, nextFlow: 1,
 		slab: tcp.NewSlab(16), pool: packet.NewPool(cfg.Auditor != nil)}
 
 	var q queue.Queue
@@ -179,12 +173,6 @@ func NewDumbbell(cfg Config) *Dumbbell {
 	return d
 }
 
-func (d *Dumbbell) allocNode() packet.NodeID {
-	id := d.nextNode
-	d.nextNode++
-	return id
-}
-
 func (d *Dumbbell) buildStation(i int) *Station {
 	cfg := d.cfg
 	rtt := cfg.RTTMin
@@ -192,8 +180,6 @@ func (d *Dumbbell) buildStation(i int) *Station {
 		rtt = units.Duration(cfg.RNG.Uniform(float64(cfg.RTTMin), float64(cfg.RTTMax)))
 	}
 	st := &Station{Index: i, RTT: rtt, sched: cfg.Sched}
-	st.src = d.allocNode()
-	st.dst = d.allocNode()
 
 	// The bottleneck contributes its one-way delay to the forward path;
 	// the access link carries the rest of the forward propagation and the
@@ -223,8 +209,8 @@ func (d *Dumbbell) Flows() []*Flow { return d.flows }
 // Config returns the configuration the dumbbell was built with.
 func (d *Dumbbell) Config() Config { return d.cfg }
 
-// AddFlow wires a new TCP connection across station st. The spec's Flow,
-// Src and Dst fields are assigned by the topology; everything else
+// AddFlow wires a new TCP connection across station st. The spec's Flow
+// is assigned by the topology; everything else
 // (segment size, flow length, variant, windows) is taken from spec. The
 // caller starts the sender (directly or via the scheduler).
 //
@@ -243,11 +229,8 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 	} else if spec.DelayedAck != d.delayedAck {
 		panic(fmt.Sprintf("topology: flow with DelayedAck %v on a dumbbell whose flows have DelayedAck %v", spec.DelayedAck, d.delayedAck))
 	}
-	st.acksAhead = st.acksAhead || !spec.DelayedAck
-	st.checkReverse()
 	spec.Flow = d.nextFlow
 	d.nextFlow++
-	spec.Src, spec.Dst = st.src, st.dst
 
 	snd := tcp.NewSenderSlab(d.slab, spec, st.sched, st.access)
 	rcv := tcp.NewReceiver(spec, st.sched, st.reverse)
@@ -317,72 +300,45 @@ func (d *Dumbbell) receiverOf(p *packet.Packet) packet.Handler {
 	return nil
 }
 
-// checkReverse panics when st's reverse pipe would carry both ACKs the
-// hand-off sends ahead and a raw flow's feedback, sent at the real time
-// behind them.
-func (st *Station) checkReverse() {
-	if st.acksAhead && st.feedback {
-		panic(fmt.Sprintf("topology: station %d carries both immediate-ACK TCP flows and a raw flow that takes feedback", st.Index))
-	}
-}
-
 // PoolStats returns the packet pool's counts.
 func (d *Dumbbell) PoolStats() packet.PoolStats { return d.pool.Stats() }
 
-// RawFlow is an allocation of addressing for a non-TCP flow (e.g. CBR/UDP
-// traffic): the IDs to stamp on packets and the links to write them to.
-// Bind agents with BindRawFlow once they are constructed.
+// RawFlow is a one-way, non-TCP flow (e.g. CBR/UDP traffic): the flow ID
+// to stamp on its packets and the link to write them to. Bind its
+// receiver with BindRawFlow once it is constructed.
 type RawFlow struct {
-	ID  packet.FlowID
-	Src packet.NodeID // the station's sending address
-	Dst packet.NodeID // the station's receiving address
+	ID packet.FlowID
 	// Forward is where the sender writes data packets (the station's
 	// access link toward the bottleneck).
 	Forward packet.Handler
-	// Reverse is where the receiver writes feedback toward the sender:
-	// the station's reverse pipe, which TCP flows share. Only a flow
-	// bound with a sender agent to take it may send feedback, and such a
-	// flow must not share its station with immediate-ACK TCP flows (see
-	// BindRawFlow).
-	Reverse packet.Handler
-
-	station *Station
 }
 
-// NewRawFlow allocates flow addressing on station st for a caller-provided
+// NewRawFlow allocates a flow ID on station st for a caller-provided
 // protocol (CBR, UDP-like, custom). TCP flows should use AddFlow instead.
 func (d *Dumbbell) NewRawFlow(st *Station) *RawFlow {
 	id := d.nextFlow
 	d.nextFlow++
-	return &RawFlow{
-		ID:      id,
-		Src:     st.src,
-		Dst:     st.dst,
-		Forward: st.access,
-		Reverse: st.reverse,
-		station: st,
-	}
+	return &RawFlow{ID: id, Forward: st.access}
 }
 
-// BindRawFlow wires the flow's agents: snd receives its reverse-path
-// packets and rcv its data. Either may be nil for one-way traffic. A
-// flow with an snd takes feedback, which its receiver sends into the
-// station's reverse pipe at the real time; BindRawFlow panics if TCP
-// flows whose ACKs the bottleneck's hand-off sends ahead of the clock
-// share that pipe (see AddFlow), where the feedback would wait behind
-// ACKs not yet due.
-func (d *Dumbbell) BindRawFlow(f *RawFlow, snd, rcv packet.Handler) {
-	if snd != nil {
-		f.station.feedback = true
-		f.station.checkReverse()
-	}
-	*d.wire(f.ID) = agentPair{snd, rcv}
+// BindRawFlow wires the flow's receiver, which takes its data past the
+// bottleneck; nil drops it there. A raw flow gets no feedback: its
+// station's reverse pipe carries TCP ACKs, which the bottleneck's
+// hand-off may send ahead of the clock (see AddFlow).
+func (d *Dumbbell) BindRawFlow(f *RawFlow, rcv packet.Handler) {
+	*d.wire(f.ID) = agentPair{rcv: rcv}
 }
 
 // RemoveFlow unwires a finished flow's agents so stations can be reused
 // indefinitely; its packets still in flight fall on the floor. The flow
-// stays in Flows() for accounting.
-func (d *Dumbbell) RemoveFlow(f *Flow) { d.agents[f.ID] = agentPair{} }
+// also leaves Flows(), so the dumbbell holds only the flows it carries;
+// the others keep their order.
+func (d *Dumbbell) RemoveFlow(f *Flow) {
+	d.agents[f.ID] = agentPair{}
+	if i := slices.Index(d.flows, f); i >= 0 {
+		d.flows = slices.Delete(d.flows, i, i+1)
+	}
+}
 
 // MeanRTT returns the average station two-way propagation delay — the
 // paper's RTT-bar in B = RTT x C / sqrt(n).

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"bufsim/internal/audit"
@@ -234,6 +235,15 @@ func TestRemoveFlowAllowsReuse(t *testing.T) {
 	if !f2.Sender.Finished() {
 		t.Fatal("second flow on reused station did not finish")
 	}
+	// A removed flow leaves Flows(); the others keep their order, and a
+	// second removal changes nothing.
+	f3 := d.AddFlow(d.Station(0), tcp.Config{SegmentSize: 1000, TotalSegments: 5})
+	f4 := d.AddFlow(d.Station(0), tcp.Config{SegmentSize: 1000, TotalSegments: 5})
+	d.RemoveFlow(f3)
+	d.RemoveFlow(f3)
+	if got := d.Flows(); !slices.Equal(got, []*Flow{f2, f4}) {
+		t.Errorf("Flows() = %v, want [f2 f4]", got)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -458,40 +468,6 @@ func TestDelayedAckDumbbellKeepsLanes(t *testing.T) {
 		}
 		if !panics(func() { d.AddFlow(d.Station(1), tcp.Config{DelayedAck: !delayed}) }) {
 			t.Errorf("a dumbbell whose flows have delayed ACKs %v took a flow that disagrees", delayed)
-		}
-	}
-}
-
-// TestRawFeedbackKeepsItsOwnStation: a raw flow that takes feedback
-// sends it into its station's reverse pipe at the real time, so it may
-// not share the station with TCP flows whose ACKs the hand-off sends
-// ahead, whichever is wired first. A raw flow without a sender agent
-// (a pulse sink), or beside delayed-ACK flows, or on a station of its
-// own, is taken.
-func TestRawFeedbackKeepsItsOwnStation(t *testing.T) {
-	sink := packet.HandlerFunc(func(*packet.Packet) {})
-	for _, c := range []struct {
-		name      string
-		delayed   bool
-		snd       packet.Handler
-		tcpFirst  bool
-		wantPanic bool
-	}{
-		{"feedback-after-tcp", false, sink, true, true},
-		{"tcp-after-feedback", false, sink, false, true},
-		{"no-feedback", false, nil, true, false},
-		{"delayed-ack", true, sink, true, false},
-	} {
-		d := NewDumbbell(smallConfig(sim.NewScheduler()))
-		d.AddFlow(d.Station(1), tcp.Config{DelayedAck: c.delayed})
-		bind := func() { d.BindRawFlow(d.NewRawFlow(d.Station(0)), c.snd, sink) }
-		add := func() { d.AddFlow(d.Station(0), tcp.Config{DelayedAck: c.delayed}) }
-		first, second := add, bind
-		if !c.tcpFirst {
-			first, second = bind, add
-		}
-		if got := panics(first) || panics(second); got != c.wantPanic {
-			t.Errorf("%s: panicked %v, want %v", c.name, got, c.wantPanic)
 		}
 	}
 }

@@ -14,24 +14,24 @@ import (
 	"bufsim/internal/workload/profile"
 )
 
-// attached counts the flows whose receiver is still wired to its host. A
-// stray data segment is sent to every flow the dumbbell ever carried, a
-// few times over (the bottleneck may drop one): a wired receiver counts
-// it as a duplicate, a detached flow's packets fall on the floor.
-func attached(sched *sim.Scheduler, d *topology.Dumbbell) int {
-	before := make([]int64, len(d.Flows()))
-	for i, f := range d.Flows() {
+// attached counts the flows whose receiver is still wired. A stray data
+// segment is sent to every flow the dumbbell ever carried (flows, as
+// OnAddFlow saw them), a few times over (the bottleneck may drop one): a
+// wired receiver counts it as a duplicate, a detached flow's packets fall
+// on the floor.
+func attached(sched *sim.Scheduler, d *topology.Dumbbell, flows []*topology.Flow) int {
+	before := make([]int64, len(flows))
+	for i, f := range flows {
 		before[i] = f.Receiver.DupSegments
 	}
 	for round := 0; round < 5; round++ {
-		for _, f := range d.Flows() {
-			raw := d.NewRawFlow(f.Station)
-			raw.Forward.Handle(&packet.Packet{Flow: f.ID, Src: raw.Src, Dst: raw.Dst, Size: 40})
+		for _, f := range flows {
+			d.NewRawFlow(f.Station).Forward.Handle(&packet.Packet{Flow: f.ID, Size: 40})
 		}
 		sched.Run(sched.Now().Add(units.Second))
 	}
 	n := 0
-	for i, f := range d.Flows() {
+	for i, f := range flows {
 		if f.Receiver.DupSegments > before[i] {
 			n++
 		}
@@ -79,6 +79,8 @@ func TestDriverContract(t *testing.T) {
 				Buffer: queue.PacketLimit(100),
 				RTTMin: 40 * units.Millisecond, RTTMax: 120 * units.Millisecond,
 			})
+			var flows []*topology.Flow
+			d.OnAddFlow = func(f *topology.Flow) { flows = append(flows, f) }
 			drv := c.src.Bind(d, rng.Fork())
 			drv.Start()
 			func() {
@@ -118,8 +120,11 @@ func TestDriverContract(t *testing.T) {
 			if got := drv.Active(); got != c.remainder {
 				t.Errorf("Active = %d after the drain, want the long-lived remainder %d", got, c.remainder)
 			}
-			if got := attached(sched, d); got != c.remainder {
-				t.Errorf("%d of %d flows still have a receiver attached, want %d: every finished flow is detached", got, len(d.Flows()), c.remainder)
+			if got := len(d.Flows()); got != c.remainder {
+				t.Errorf("the dumbbell still holds %d of %d flows, want %d: every detached flow leaves Flows()", got, len(flows), c.remainder)
+			}
+			if got := attached(sched, d, flows); got != c.remainder {
+				t.Errorf("%d of %d flows still have a receiver attached, want %d: every finished flow is detached", got, len(flows), c.remainder)
 			}
 		})
 	}

@@ -182,7 +182,7 @@ func (e *engine) dropLong() {
 	e.long = e.long[:len(e.long)-1]
 	f.Sender.Shutdown(e.sched.Now())
 	// Let in-flight packets drain past the bottleneck before unwiring
-	// the hosts, as the short-flow teardown does.
+	// the flow, as the short-flow teardown does.
 	e.Detach(f)
 }
 
