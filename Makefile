@@ -75,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesOracle -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzClassifier -fuzztime 30s ./internal/probe/
 	$(GO) test -run '^$$' -fuzz FuzzSeqRuns -fuzztime 30s ./internal/tcp/
+	$(GO) test -run '^$$' -fuzz FuzzTailMatchesPercentile -fuzztime 30s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzReadFlows -fuzztime 30s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/workload/profile/
 	$(GO) test -run '^$$' -fuzz FuzzLoadScenario -fuzztime 30s ./cmd/bufsim/

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -159,5 +160,44 @@ func TestShardsFlagIsIgnored(t *testing.T) {
 	first, rest, _ := strings.Cut(gotErr, "\n")
 	if rest != wantErr || !strings.Contains(first, "-shards 2 ignored") {
 		t.Errorf("-shards 2 stderr = %q, want one line saying the flag is ignored, then the run's own %q", gotErr, wantErr)
+	}
+}
+
+// TestChurnTelemetryCountsRetiredFlows: the short flows of a churn run
+// hand their agents on as they finish, and the tcp.* counters still count
+// every flow the run carried. They are pinned at the values the run gave
+// when every flow had agents of its own.
+func TestChurnTelemetryCountsRetiredFlows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	runMain(t, "-seed", "1", "-rate", "100Mbps", "-flows", "50", "-workload", "constant", "-red", "-variant", "sack",
+		"-warmup", "1s", "-measure", "6s", "-metrics", path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reg struct{ Counters map[string]int64 }
+	if err := json.Unmarshal(data, &reg); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{
+		"tcp.acks_received":     115789,
+		"tcp.dup_acks_received": 15900,
+		"tcp.ecn_reductions":    0,
+		"tcp.fast_recoveries":   3388,
+		"tcp.flows.sack":        5367,
+		"tcp.flows_tracked":     5367,
+		"tcp.retransmits":       6829,
+		"tcp.segments_sent":     123632,
+		"tcp.timeouts":          1876,
+	}
+	for name, n := range reg.Counters {
+		if _, ok := want[name]; !ok && strings.HasPrefix(name, "tcp.") {
+			t.Errorf("unpinned counter %s = %d", name, n)
+		}
+	}
+	for name, n := range want {
+		if got, ok := reg.Counters[name]; !ok || got != n {
+			t.Errorf("%s = %d (present %v), want %d", name, got, ok, n)
+		}
 	}
 }

@@ -119,14 +119,16 @@ func runLongLived(cfg LongLivedConfig) LongLivedResult {
 	// synchronize artificially.
 	workload.StartLongLived(d, cfg.N, cfg.tcp(cfg.MaxWindow), b.rng.Fork(), cfg.Warmup/2)
 
-	// Per-packet queueing delays over the window. The reservoir is
-	// bounded to keep long runs flat in memory; beyond it we keep a
-	// running mean only (P99 over the first million delays is plenty).
-	// It is sized once: the bottleneck cannot start more packets in the
-	// window than it can serialize, plus the one in progress at its end.
+	// Per-packet queueing delays over the window: a running mean over
+	// all of them, and the P99 over the first million (plenty), of which
+	// it holds only the top percent or two. It is bounded by that
+	// reservoir or by what the bottleneck can start in the window,
+	// whichever is smaller. The link spaces starts one transmission time
+	// apart, counted as it counts it (rounded down to the nanosecond), so
+	// the window (from, to] holds at most ⌊Measure/tx⌋+1 of them.
 	const reservoir = 1 << 20
-	delays := make([]float64, 0, min(reservoir,
-		units.PacketsInFlight(cfg.BottleneckRate, cfg.Measure, cfg.SegmentSize)+1))
+	tx := max(units.TransmissionTime(cfg.SegmentSize, cfg.BottleneckRate), units.Nanosecond)
+	delays := stats.NewP99(min(reservoir, int(cfg.Measure/tx)+1))
 	var delaySum units.Duration
 	var delayN int64
 	type sendSnap struct{ sent, rtx int64 }
@@ -142,8 +144,8 @@ func runLongLived(cfg LongLivedConfig) LongLivedResult {
 		}
 		delaySum += queued
 		delayN++
-		if len(delays) < reservoir {
-			delays = append(delays, float64(queued))
+		if delays.Len() < reservoir {
+			delays.Add(float64(queued))
 		}
 	}
 	w := b.measure(func() {
@@ -176,7 +178,11 @@ func runLongLived(cfg LongLivedConfig) LongLivedResult {
 	res.Fairness = stats.JainIndex(perFlow)
 	if delayN > 0 {
 		res.QueueDelayMean = delaySum / units.Duration(delayN)
-		res.QueueDelayP99 = units.Duration(stats.Percentile(delays, 99))
+		p99, err := delays.Value()
+		if err != nil {
+			panic(fmt.Sprintf("experiment: queueing-delay P99: %v", err))
+		}
+		res.QueueDelayP99 = units.Duration(p99)
 	}
 	return res
 }

@@ -57,6 +57,28 @@ func TestRunLongLivedPaperScaleOC3(t *testing.T) {
 	}
 }
 
+// TestRunLongLivedP99AtOC3Saturation: at OC3 a 1000-byte segment takes
+// 51612.9 ns, which the link rounds down to 51612, so a bottleneck that
+// never idles starts more packets in a 10 s window (193 754) than the
+// nominal 155 Mb/s carries (193 750). The P99's bound must count starts
+// the way the link does, or the run cannot report its P99.
+func TestRunLongLivedP99AtOC3Saturation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10 s OC3 window")
+	}
+	res := RunLongLived(LongLivedConfig{
+		Scenario:      Scenario{Seed: 1, Path: Path{BottleneckRate: units.OC3, RTTMin: 40 * units.Millisecond, RTTMax: 60 * units.Millisecond, Warmup: 4 * units.Second, Measure: 10 * units.Second}},
+		N:             100,
+		BufferPackets: 2000, // over 2x the BDP: the queue never empties
+	})
+	if res.Utilization < 1 {
+		t.Fatalf("utilization = %v, want a saturated bottleneck", res.Utilization)
+	}
+	if res.QueueDelayP99 <= 0 {
+		t.Errorf("queueing-delay P99 = %v, want positive", res.QueueDelayP99)
+	}
+}
+
 func TestRunLongLivedTinyBufferDegrades(t *testing.T) {
 	full := RunLongLived(scaledLongLived(50, SqrtRuleBuffer(250, 50)))
 	tiny := RunLongLived(scaledLongLived(50, 2))

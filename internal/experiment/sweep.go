@@ -19,7 +19,7 @@ import (
 // semantics change — and any change that can alter a result (kernel,
 // queue, TCP, workload, experiment lowering) MUST bump this salt, which
 // invalidates the whole cache at once. See DESIGN.md, "Run cache".
-const cacheSalt = "bufsim-results-v9"
+const cacheSalt = "bufsim-results-v10"
 
 // pointKey is the cache key for one computation of the given kind.
 // Everything in cfg is semantic and part of the key except its RunEnv

@@ -247,6 +247,75 @@ func Percentile(sample []float64, p float64) float64 {
 	return a*(1-frac) + b*frac
 }
 
+// P99 returns the 99th percentile of a sample of at most bound values
+// exactly — what Percentile(sample, 99) returns, bit for bit — while it
+// holds only the largest of them: at most twice
+// keep = bound-⌊0.99·(bound-1)⌋+2, about 2% of the bound, and the two
+// order statistics Percentile interpolates between are never below the
+// keep largest. A sample longer than bound is an error, never a silently
+// inexact percentile.
+type P99 struct {
+	bound, keep int
+	n           int
+	// top holds every value above floor, the least of the keep largest
+	// at the last compaction; below it nothing is needed.
+	top    []float64
+	floor  float64
+	pruned bool
+}
+
+// NewP99 returns an empty P99 for at most bound values.
+func NewP99(bound int) *P99 {
+	keep := min(bound, bound-int(0.99*float64(bound-1))+2)
+	return &P99{bound: bound, keep: keep, top: make([]float64, 0, min(2*keep, bound))}
+}
+
+// Len returns the number of values added.
+func (t *P99) Len() int { return t.n }
+
+// Add adds v to the sample: a comparison, and at most a store. When top
+// fills, selection keeps its keep largest values (amortised O(1) a value).
+func (t *P99) Add(v float64) {
+	t.n++
+	if t.pruned && !floatLess(t.floor, v) {
+		return
+	}
+	if len(t.top) == cap(t.top) {
+		if len(t.top) <= t.keep {
+			return // over the bound; Value reports it
+		}
+		k := len(t.top) - t.keep
+		t.floor = selectKth(t.top, k)
+		t.top = t.top[:copy(t.top, t.top[k:])]
+		t.pruned = true
+		if !floatLess(t.floor, v) {
+			return
+		}
+	}
+	t.top = append(t.top, v)
+}
+
+// Value returns Percentile(sample, 99) for the values added, or an error
+// naming the sample's length and the bound when it is over it.
+func (t *P99) Value() (float64, error) {
+	if t.n > t.bound {
+		return 0, fmt.Errorf("stats: %d values in a P99 bounded at %d: the percentile would be inexact", t.n, t.bound)
+	}
+	if t.n == 0 {
+		return 0, nil
+	}
+	// top holds the largest len(top) values: each one dropped was at most
+	// a floor that every value held is at least.
+	sort.Float64s(t.top)
+	if t.n == 1 {
+		return t.top[0], nil
+	}
+	rank := 0.99 * float64(t.n-1)        // Percentile's rank, 99/100 of the last
+	lo := int(rank) - (t.n - len(t.top)) // less the order statistics not held
+	frac := rank - float64(int(rank))
+	return t.top[lo]*(1-frac) + t.top[lo+1]*frac, nil
+}
+
 // floatLess is the order sort.Float64s uses: ascending, NaNs first.
 func floatLess(a, b float64) bool { return a < b || (a != a && b == b) }
 

@@ -15,8 +15,6 @@ type sackCC struct {
 	sb sackScoreboard
 }
 
-func newSackCC() *sackCC { return &sackCC{} }
-
 // OnAckReceived folds the ACK's SACK blocks into the scoreboard before
 // the ACK is dispatched.
 func (c *sackCC) OnAckReceived(p *packet.Packet) {

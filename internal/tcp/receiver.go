@@ -82,11 +82,37 @@ func (r *Receiver) OnEvent(op int32, _ any) {
 
 // NewReceiver returns a receiver sending ACKs to out.
 func NewReceiver(cfg Config, sched *sim.Scheduler, out packet.Handler) *Receiver {
-	cfg = cfg.withDefaults()
-	r := &Receiver{
-		cfg:         cfg,
+	return new(Receiver).init(cfg, sched, out)
+}
+
+// Renew makes a quiescent receiver (see Quiescent) the receiver of a new
+// flow: afterwards it is exactly what NewReceiver(cfg, sched, out)
+// returns, except that its out-of-order runs keep their capacity.
+// Renewing a receiver that is not quiescent panics.
+func (r *Receiver) Renew(cfg Config, sched *sim.Scheduler, out packet.Handler) *Receiver {
+	if !r.Quiescent() {
+		panic(fmt.Sprintf("tcp: renewing flow %d's receiver, which is not quiescent", r.cfg.Flow))
+	}
+	return r.init(cfg, sched, out)
+}
+
+// Quiescent reports whether the receiver's delayed-ACK timer is unarmed.
+// The completion a receiver posts when a segment is handed over ahead of
+// its arrival (see Handle) is past by the time its sender can finish.
+func (r *Receiver) Quiescent() bool { return !r.delAck.Active() }
+
+// CancelDelayedAck disarms the delayed-ACK timer: the acknowledgement it
+// held is not sent.
+func (r *Receiver) CancelDelayedAck() { r.delAck.Stop() }
+
+// init sets r up from scratch, keeping only the capacity of its
+// out-of-order runs (see Renew), and returns it.
+func (r *Receiver) init(cfg Config, sched *sim.Scheduler, out packet.Handler) *Receiver {
+	*r = Receiver{
+		cfg:         cfg.withDefaults(),
 		sched:       sched,
 		out:         out,
+		ooo:         r.ooo[:0],
 		CompletedAt: units.Never,
 	}
 	r.delAck = sched.NewTimer(r, opRecvDelAck)

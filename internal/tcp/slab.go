@@ -7,8 +7,8 @@ package tcp
 //
 // A slab's cursor is not synchronized: every sender in it must be created
 // from one goroutine at a time (the topology keeps one slab per
-// dumbbell). Slots are never reused — a finished flow's sender stays in its
-// chunk until the whole chunk is unreachable.
+// dumbbell). The slab never takes a slot back: a finished flow's sender is
+// reused through Sender.Renew, which the dumbbell does for the next flow.
 type Slab struct {
 	chunk    []Sender
 	capacity int

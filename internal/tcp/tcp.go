@@ -144,6 +144,9 @@ type Sender struct {
 	aud    *audit.Auditor
 	audUna int64
 
+	// tel is the Telemetry tracking the sender, if any (see Renew).
+	tel *Telemetry
+
 	stats Stats
 
 	// OnComplete fires once when the final segment is cumulatively
@@ -188,18 +191,44 @@ func NewSenderSlab(sl *Slab, cfg Config, sched *sim.Scheduler, out packet.Handle
 	return sl.next().init(cfg, sched, out)
 }
 
-// init sets up a zeroed sender and returns it.
+// Renew makes a quiescent sender (see Quiescent) the sender of a new
+// flow: afterwards it is exactly what NewSender(cfg, sched, out) returns,
+// except that its controller's slices keep their capacity when the
+// variant is unchanged. A Telemetry tracking the sender first folds its
+// counters into the totals. Renewing a sender that is not quiescent
+// panics: a timer of its old flow would fire into the new one.
+func (s *Sender) Renew(cfg Config, sched *sim.Scheduler, out packet.Handler) *Sender {
+	if !s.Quiescent() {
+		panic(fmt.Sprintf("tcp: renewing flow %d's sender, which is not quiescent", s.cfg.Flow))
+	}
+	if s.tel != nil {
+		s.tel.retire(s)
+	}
+	return s.init(cfg, sched, out)
+}
+
+// Quiescent reports whether the sender has finished and has no timer
+// armed, so nothing in the kernel refers to it any more.
+func (s *Sender) Quiescent() bool {
+	return s.finished && !s.rtoTimer.Active() && !s.paceTimer.Active()
+}
+
+// init sets s up from scratch, keeping only its controller's memory (see
+// Renew), and returns it.
 func (s *Sender) init(cfg Config, sched *sim.Scheduler, out packet.Handler) *Sender {
+	cc := s.cc
 	cfg = cfg.withDefaults()
-	s.cfg = cfg
-	s.sched = sched
-	s.out = out
-	s.rttSeq = -1
-	s.rto = initialRTO
+	*s = Sender{
+		cfg:    cfg,
+		sched:  sched,
+		out:    out,
+		rttSeq: -1,
+		rto:    initialRTO,
+		stats:  Stats{Completed: units.Never},
+	}
 	s.rtoTimer = sched.NewTimer(s, opSenderRTO)
 	s.paceTimer = sched.NewTimer(s, opSenderPace)
-	s.stats.Completed = units.Never
-	s.cc = cfg.Variant.newCongestionControl()
+	s.cc = cfg.Variant.newCongestionControl(cc)
 	s.cc.Init(s, cfg)
 	return s
 }

@@ -19,9 +19,12 @@ var cwndBuckets = metrics.ExpBuckets(1, 2, 20)
 // on a nil receiver, so callers track senders unconditionally and pay one
 // nil check when metrics are disabled. Counter aggregation happens in a
 // snapshot-time collector; only the cwnd observation rides the hot path,
-// and only when telemetry is enabled.
+// and only when telemetry is enabled. A tracked sender that is renewed
+// for another flow (Sender.Renew) leaves its counters in retired.
 type Telemetry struct {
 	senders []*Sender
+	retired Stats // the counters of tracked senders since renewed
+	tracked int64
 	cwnd    *metrics.Histogram
 
 	segments, retransmits, timeouts, recoveries *metrics.Counter
@@ -61,6 +64,8 @@ func (t *Telemetry) Track(s *Sender) {
 		return
 	}
 	t.senders = append(t.senders, s)
+	t.tracked++
+	s.tel = t
 	v := s.cfg.Variant
 	c, ok := t.byVariant[v]
 	if !ok {
@@ -78,17 +83,36 @@ func (t *Telemetry) Track(s *Sender) {
 	}
 }
 
+// retire folds s's counters into the totals and stops tracking it, before
+// s is renewed. The newest senders retire first in a ramp-down, so the
+// search starts at the end.
+func (t *Telemetry) retire(s *Sender) {
+	t.retired.add(s.stats)
+	for i := len(t.senders) - 1; i >= 0; i-- {
+		if t.senders[i] == s {
+			last := len(t.senders) - 1
+			t.senders[i] = t.senders[last]
+			t.senders = t.senders[:last]
+			return
+		}
+	}
+}
+
+// add sums o's counters into st.
+func (st *Stats) add(o Stats) {
+	st.SegmentsSent += o.SegmentsSent
+	st.Retransmits += o.Retransmits
+	st.Timeouts += o.Timeouts
+	st.FastRecoveries += o.FastRecoveries
+	st.AcksReceived += o.AcksReceived
+	st.DupAcksReceived += o.DupAcksReceived
+	st.ECNReductions += o.ECNReductions
+}
+
 func (t *Telemetry) collect() {
-	var sum Stats
+	sum := t.retired
 	for _, s := range t.senders {
-		st := s.Stats()
-		sum.SegmentsSent += st.SegmentsSent
-		sum.Retransmits += st.Retransmits
-		sum.Timeouts += st.Timeouts
-		sum.FastRecoveries += st.FastRecoveries
-		sum.AcksReceived += st.AcksReceived
-		sum.DupAcksReceived += st.DupAcksReceived
-		sum.ECNReductions += st.ECNReductions
+		sum.add(s.stats)
 	}
 	t.segments.Set(sum.SegmentsSent)
 	t.retransmits.Set(sum.Retransmits)
@@ -97,5 +121,5 @@ func (t *Telemetry) collect() {
 	t.acks.Set(sum.AcksReceived)
 	t.dupAcks.Set(sum.DupAcksReceived)
 	t.ecnReductions.Set(sum.ECNReductions)
-	t.flows.Set(int64(len(t.senders)))
+	t.flows.Set(t.tracked)
 }

@@ -43,7 +43,9 @@ const (
 type variantInfo struct {
 	name    string
 	aliases []string
-	newCC   func() CongestionControl
+	// newCC builds the variant's controller, zeroing old in place instead
+	// when it already is one (see renew).
+	newCC func(old CongestionControl) CongestionControl
 	// sack marks variants whose receivers generate SACK blocks.
 	sack bool
 }
@@ -53,12 +55,39 @@ type variantInfo struct {
 // vice versa) fails to compile; TestVariantRegistryExhaustive checks the
 // entries themselves are populated.
 var variantRegistry = [numVariants]variantInfo{
-	Reno:    {name: "reno", newCC: func() CongestionControl { return new(renoCC) }},
-	Tahoe:   {name: "tahoe", newCC: func() CongestionControl { return new(tahoeCC) }},
-	NewReno: {name: "newreno", aliases: []string{"new-reno", "new_reno"}, newCC: func() CongestionControl { return new(newRenoCC) }},
-	Sack:    {name: "sack", newCC: func() CongestionControl { return newSackCC() }, sack: true},
-	Cubic:   {name: "cubic", newCC: func() CongestionControl { return new(cubicCC) }},
-	BBR:     {name: "bbr", aliases: []string{"bbrv1", "bbr1"}, newCC: func() CongestionControl { return new(bbrCC) }},
+	Reno:    {name: "reno", newCC: renew[renoCC]},
+	Tahoe:   {name: "tahoe", newCC: renew[tahoeCC]},
+	NewReno: {name: "newreno", aliases: []string{"new-reno", "new_reno"}, newCC: renew[newRenoCC]},
+	Sack:    {name: "sack", newCC: renewSack, sack: true},
+	Cubic:   {name: "cubic", newCC: renew[cubicCC]},
+	BBR:     {name: "bbr", aliases: []string{"bbrv1", "bbr1"}, newCC: renew[bbrCC]},
+}
+
+// renew returns old zeroed in place when it is a *T, else a new zero T:
+// a renewed sender (Sender.Renew) keeps its controller's memory while its
+// variant stays the same.
+func renew[T any, P interface {
+	*T
+	CongestionControl
+}](old CongestionControl) CongestionControl {
+	if c, ok := old.(P); ok {
+		*c = *new(T)
+		return c
+	}
+	return P(new(T))
+}
+
+// renewSack is renew for SACK, whose zeroed controller keeps its
+// scoreboard's slices, emptied.
+func renewSack(old CongestionControl) CongestionControl {
+	c, ok := old.(*sackCC)
+	if !ok {
+		return new(sackCC)
+	}
+	sb := c.sb
+	sb.reset()
+	*c = sackCC{sb: sb}
+	return c
 }
 
 // valid reports whether v indexes a registered variant.
@@ -75,14 +104,15 @@ func (v Variant) String() string {
 // blocks to their acknowledgements.
 func (v Variant) generatesSack() bool { return v.valid() && variantRegistry[v].sack }
 
-// newCongestionControl builds the variant's controller. Out-of-range
-// values fall back to Reno, matching the historical behaviour of the
-// pre-registry sender (whose variant switches all missed).
-func (v Variant) newCongestionControl() CongestionControl {
+// newCongestionControl builds the variant's controller, reusing old
+// (nil for none) when it has the same type. Out-of-range values fall back
+// to Reno, matching the historical behaviour of the pre-registry sender
+// (whose variant switches all missed).
+func (v Variant) newCongestionControl(old CongestionControl) CongestionControl {
 	if !v.valid() {
-		return new(renoCC)
+		return renew[renoCC](old)
 	}
-	return variantRegistry[v].newCC()
+	return variantRegistry[v].newCC(old)
 }
 
 // VariantNames returns the canonical variant names in registry order

@@ -82,7 +82,7 @@ func TestVariantRegistryExhaustive(t *testing.T) {
 		if info.newCC == nil {
 			t.Fatalf("variant %v has no controller constructor", v)
 		}
-		if cc := info.newCC(); cc == nil {
+		if cc := info.newCC(nil); cc == nil {
 			t.Fatalf("variant %v constructor returned nil", v)
 		}
 		for _, name := range append([]string{info.name}, info.aliases...) {

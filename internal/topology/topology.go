@@ -132,8 +132,10 @@ type Dumbbell struct {
 
 	stations []*Station
 	flows    []*Flow
-	// agents holds each wired flow's two agents by FlowID.
+	// agents holds each wired flow's two agents by FlowID, and spare the
+	// retired flows' quiescent agents, which AddFlow renews.
 	agents   []agentPair
+	spare    []spareAgents
 	nextFlow packet.FlowID
 	// delayedAck is the first flow's tcp.Config.DelayedAck, which every
 	// later flow must share (see AddFlow).
@@ -232,8 +234,17 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 	spec.Flow = d.nextFlow
 	d.nextFlow++
 
-	snd := tcp.NewSenderSlab(d.slab, spec, st.sched, st.access)
-	rcv := tcp.NewReceiver(spec, st.sched, st.reverse)
+	var snd *tcp.Sender
+	var rcv *tcp.Receiver
+	if n := len(d.spare); n > 0 {
+		a := d.spare[n-1]
+		d.spare = d.spare[:n-1]
+		snd = a.snd.Renew(spec, st.sched, st.access)
+		rcv = a.rcv.Renew(spec, st.sched, st.reverse)
+	} else {
+		snd = tcp.NewSenderSlab(d.slab, spec, st.sched, st.access)
+		rcv = tcp.NewReceiver(spec, st.sched, st.reverse)
+	}
 	snd.SetPool(d.pool)
 	rcv.SetPool(d.pool)
 	if d.cfg.Auditor != nil {
@@ -253,6 +264,12 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 // agentPair is a wired flow's two ends: snd takes its reverse-path
 // packets and rcv its data. A nil agent drops what it would take.
 type agentPair struct{ snd, rcv packet.Handler }
+
+// spareAgents are a retired flow's agents, waiting for the next flow.
+type spareAgents struct {
+	snd *tcp.Sender
+	rcv *tcp.Receiver
+}
 
 // wire returns flow f's entry in the agents table, growing the table.
 func (d *Dumbbell) wire(f packet.FlowID) *agentPair {
@@ -330,14 +347,35 @@ func (d *Dumbbell) BindRawFlow(f *RawFlow, rcv packet.Handler) {
 }
 
 // RemoveFlow unwires a finished flow's agents so stations can be reused
-// indefinitely; its packets still in flight fall on the floor. The flow
-// also leaves Flows(), so the dumbbell holds only the flows it carries;
-// the others keep their order.
+// indefinitely; its packets still in flight fall on the floor (flow IDs
+// are never reused). The flow also leaves Flows(), so the dumbbell holds
+// only the flows it carries; the others keep their order.
+//
+// A flow whose sender is quiescent (tcp.Sender.Quiescent) hands its
+// agents to the next AddFlow, so a run holds only the agents of the flows
+// alive at once, and f.Sender and f.Receiver must not be used once f is
+// removed. A flow whose sender is not keeps its agents, and under audit
+// is reported: a retired flow whose sender still runs is a teardown made
+// too early.
 func (d *Dumbbell) RemoveFlow(f *Flow) {
 	d.agents[f.ID] = agentPair{}
-	if i := slices.Index(d.flows, f); i >= 0 {
-		d.flows = slices.Delete(d.flows, i, i+1)
+	i := slices.Index(d.flows, f)
+	if i < 0 {
+		return
 	}
+	d.flows = slices.Delete(d.flows, i, i+1)
+	if !f.Sender.Quiescent() {
+		if d.cfg.Auditor != nil {
+			d.cfg.Auditor.Violationf(d.cfg.Sched.Now(), fmt.Sprintf("topology:flow%d", f.ID), "retire-quiescent",
+				"removed while its sender runs (finished %v)", f.Sender.Finished())
+		}
+		return
+	}
+	// A finished sender takes no more ACKs, so one the receiver still
+	// delays (a long-lived flow that was shut down) could only fall on the
+	// floor: it is not sent, and the receiver is quiescent too.
+	f.Receiver.CancelDelayedAck()
+	d.spare = append(d.spare, spareAgents{f.Sender, f.Receiver})
 }
 
 // MeanRTT returns the average station two-way propagation delay — the

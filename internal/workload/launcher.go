@@ -67,9 +67,13 @@ func (l *Launcher) start(rec *FlowRecord, st *topology.Station, spec tcp.Config,
 	f.Sender.Start()
 }
 
-// Detach unwires f one station RTT from now, so the final ACK still
-// reaches the sender (which needs it to cancel its RTO and finish) and
-// packets in flight drain past the bottleneck.
+// Detach unwires f one station RTT from now, so packets in flight drain
+// past the bottleneck, or when its sender finishes, whichever is later:
+// the final ACK, which a delayed-ACK receiver may hold for up to 100 ms,
+// must still reach the sender to cancel its RTO. A flow unwired then is
+// quiescent, and the dumbbell reuses its agents. Until its sender finishes
+// (a lost final ACK is resent on its RTO) the flow stays wired; a
+// completion hook already on the sender still runs, before the unwiring.
 func (l *Launcher) Detach(f *topology.Flow) {
 	f.Station.Sched().PostAfter(f.Station.RTT, detacher{l.d}, 0, f)
 }
@@ -77,4 +81,17 @@ func (l *Launcher) Detach(f *topology.Flow) {
 // detacher is the actor behind Detach; its one event carries the flow.
 type detacher struct{ d *topology.Dumbbell }
 
-func (a detacher) OnEvent(_ int32, f any) { a.d.RemoveFlow(f.(*topology.Flow)) }
+func (a detacher) OnEvent(_ int32, arg any) {
+	f := arg.(*topology.Flow)
+	if f.Sender.Finished() {
+		a.d.RemoveFlow(f)
+		return
+	}
+	prev := f.Sender.OnComplete
+	f.Sender.OnComplete = func(now units.Time) {
+		if prev != nil {
+			prev(now)
+		}
+		a.d.RemoveFlow(f)
+	}
+}

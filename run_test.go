@@ -32,7 +32,9 @@ func tempCache(t *testing.T) (*Cache, string) {
 // discipline's queue, and the Simulate, SimulateReplicated, SimulateMix
 // and SimulateAdversary rows, re-recorded when a late ACK began to raise
 // the sender's sndNxt (a timeout's go-back-N no longer resends data the
-// receiver holds). A single flow's
+// receiver holds), and the SimulateMix row again when a short flow's
+// teardown began to wait for its sender (its delayed final ACK no longer
+// falls on the floor, leaving the sender to resend forever). A single flow's
 // series are pinned by length and by the SHA-256 of their JSON.
 func TestRunMatchesLegacyKeys(t *testing.T) {
 	l := Link{Rate: 10 * Mbps, RTT: 50 * Millisecond}
@@ -62,8 +64,8 @@ func TestRunMatchesLegacyKeys(t *testing.T) {
 				MeanActive: 5.333333333333333, PeakActive: 9, Generated: 119, AFCT: 138229982, Completed: 78}},
 		{"SimulateMix", Scenario{Seed: 1, Link: l, BufferPackets: 30, Warmup: w, Measure: m,
 			Sender: Sender{DelayedAck: true}}, kind(Mix{LongFlows: 4, ShortLoad: 0.2, RTTSpread: 20 * Millisecond}),
-			MixResult{Label: "mixed", BufferPackets: 30, AFCT: 213773792, Completed: 37,
-				Utilization: 0.7133257955, MeanQueue: 5.4874805174999475}},
+			MixResult{Label: "mixed", BufferPackets: 30, AFCT: 222413489, Completed: 37,
+				Utilization: 0.766171999, MeanQueue: 6.8522275844999285}},
 		{"SimulateTrace", Scenario{Seed: 1, Link: l, BufferPackets: 30, Sender: Sender{Paced: true}}, kind(Trace{Flows: flows}),
 			TraceResult{Completed: 3, AFCT: 170786516, Utilization: 0.0005970149253731343}},
 		{"SimulateProfile", Scenario{Seed: 1, Link: l, BufferPackets: 30, Warmup: w, Measure: m,
