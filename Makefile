@@ -1,11 +1,11 @@
-# Every target here is what CI runs — keep them in sync so "it passed
-# locally" and "it passed CI" mean the same thing.
+# Every target here but full-golden is what CI runs — keep them in sync
+# so "it passed locally" and "it passed CI" mean the same thing.
 
 GO  ?= go
 BIN := bin
 
 .PHONY: all build fmt-check lint onebed vet test short race mutation fuzz-smoke \
-        bench-smoke golden quick-golden bufsim-golden bench bench-gate bench-scale \
+        bench-smoke golden quick-golden full-golden bufsim-golden bench bench-gate bench-scale \
         bench-scale-gate benchmark-check ab pgo loc clean
 
 all: build lint test
@@ -96,6 +96,20 @@ golden:
 # cold run it already has.
 quick-golden:
 	$(GO) run ./cmd/paperexp -quick -exp all | grep -v '^(' | diff -u cmd/paperexp/testdata/quick_all.txt -
+
+# full-golden is quick-golden at paper scale: a fresh `paperexp -exp all`
+# against results/full_run.txt, its CSV series against results/csv and its
+# figures against results/svg, timing lines (parenthesised) dropped on
+# both sides. It takes a paper-scale run (about four minutes on two
+# cores), so it is not in CI: run it after a change that may move a
+# result, and re-record results/ when it moved on purpose.
+full-golden:
+	@set -e; d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	$(GO) run ./cmd/paperexp -exp all -csv "$$d/csv" -svg "$$d/svg" > "$$d/out.txt"; \
+	grep -v '^(' "$$d/out.txt" | sed "s|$$d/|results/|" > "$$d/run.txt"; \
+	grep -v -e '^(' -e '^EXIT=' results/full_run.txt | diff -u - "$$d/run.txt"; \
+	diff -r results/csv "$$d/csv"; \
+	diff -r results/svg "$$d/svg"
 
 # bufsim-golden pins cmd/bufsim's stdout the way quick-golden pins
 # paperexp's: one short run per scenario the binary has (long-lived

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"bufsim"
+	"bufsim/internal/metrics"
 )
 
 // TestCacheVerifyFailsEveryScenario plants a cache entry that recomputes
@@ -166,7 +167,9 @@ func TestShardsFlagIsIgnored(t *testing.T) {
 // TestChurnTelemetryCountsRetiredFlows: the short flows of a churn run
 // hand their agents on as they finish, and the tcp.* counters still count
 // every flow the run carried. They are pinned at the values the run gave
-// when every flow had agents of its own.
+// when every flow had agents of its own, and so is the congestion-window
+// histogram: one observation per ACK and per timeout of every sender,
+// renewed ones included.
 func TestChurnTelemetryCountsRetiredFlows(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	runMain(t, "-seed", "1", "-rate", "100Mbps", "-flows", "50", "-workload", "constant", "-red", "-variant", "sack",
@@ -175,7 +178,10 @@ func TestChurnTelemetryCountsRetiredFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reg struct{ Counters map[string]int64 }
+	var reg struct {
+		Counters   map[string]int64
+		Histograms map[string]metrics.HistogramSnapshot
+	}
 	if err := json.Unmarshal(data, &reg); err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +204,19 @@ func TestChurnTelemetryCountsRetiredFlows(t *testing.T) {
 	for name, n := range want {
 		if got, ok := reg.Counters[name]; !ok || got != n {
 			t.Errorf("%s = %d (present %v), want %d", name, got, ok, n)
+		}
+	}
+	cwnd := reg.Histograms["tcp.cwnd_segments"]
+	if cwnd.Count != 117665 || cwnd.Sum != 1213954.0749660602 {
+		t.Errorf("tcp.cwnd_segments count %d sum %v, want 117665 and 1213954.0749660602", cwnd.Count, cwnd.Sum)
+	}
+	wantBuckets := []int64{1876, 4173, 29861, 28760, 31372, 17584, 4034, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	if len(cwnd.Buckets) != len(wantBuckets) {
+		t.Fatalf("tcp.cwnd_segments has %d buckets, want %d", len(cwnd.Buckets), len(wantBuckets))
+	}
+	for i, b := range cwnd.Buckets {
+		if b.Count != wantBuckets[i] {
+			t.Errorf("tcp.cwnd_segments bucket le=%v holds %d, want %d", b.UpperBound, b.Count, wantBuckets[i])
 		}
 	}
 }

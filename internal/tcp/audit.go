@@ -63,9 +63,9 @@ func (s *Sender) auditState(now units.Time) {
 // window; retransmissions of it must not be flagged).
 func (s *Sender) auditSend(seq int64, now units.Time) {
 	s.auditOrder(seq, now)
-	if seq >= s.sndMax && seq >= s.sndUna+s.UsableWindow() {
+	if seq >= s.sndMax && seq >= s.sndUna+s.usableWindow() {
 		s.aud.Violationf(now, s.audName(), "window-respected",
-			"segment %d sent with sndUna %d and window %d", seq, s.sndUna, s.UsableWindow())
+			"segment %d sent with sndUna %d and window %d", seq, s.sndUna, s.usableWindow())
 	}
 }
 

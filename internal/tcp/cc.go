@@ -5,52 +5,15 @@ import (
 	"bufsim/internal/units"
 )
 
-// SenderOps is the sender surface a CongestionControl steers. The
-// *Sender implements it; controllers hold it from Init and use it to
-// read connection state (sequence pointers, flight size, clock) and to
-// drive transmissions. Controllers never touch packets or timers
-// directly — retransmission timing, go-back-N, pacing dispatch and RTT
-// estimation are sender mechanics shared by every variant.
-type SenderOps interface {
-	// Now is the current simulated time.
-	Now() units.Time
-	// SndUna is the lowest unacknowledged segment.
-	SndUna() int64
-	// SndNxt is the next segment to send: after a timeout's go-back-N
-	// rewind it may have been sent before.
-	SndNxt() int64
-	// Outstanding is the number of unacknowledged segments in flight.
-	Outstanding() int64
-	// SRTT is the smoothed RTT estimate (zero until the first sample).
-	SRTT() units.Duration
-	// UsableWindow is the controller's window clamped to the receiver's
-	// advertised window and floored at one whole segment.
-	UsableWindow() int64
-	// CanSendNew reports whether the window and data supply allow
-	// sending segment SndNxt.
-	CanSendNew() bool
-	// SendNextNew unconditionally transmits segment SndNxt and advances
-	// it.
-	// Callers implementing their own pipe accounting (SACK) check the
-	// budget themselves; everyone else uses SendNew.
-	SendNextNew()
-	// SendNew transmits as many new segments as the window allows,
-	// respecting pacing when enabled.
-	SendNew()
-	// Retransmit puts segment seq back on the wire.
-	Retransmit(seq int64)
-	// RestartRTO re-arms the retransmission timer from now.
-	RestartRTO()
-	// ResetDupAcks clears the sender's duplicate-ACK counter (done when
-	// an ACK advances the window or a variant restarts its count).
-	ResetDupAcks()
-}
-
 // CongestionControl is the pluggable congestion-control policy: it owns
 // the window (or, for rate-driven controllers, the rate model and an
 // inflight cap) and reacts to the sender's lifecycle hooks. The sender
 // owns everything else — sequence state, RTT estimation, RTO and pacing
-// timers, go-back-N retransmission — so a controller is pure policy.
+// timers, go-back-N retransmission — so a controller is policy. It holds
+// its *Sender from Init, reads the sequence pointers, flight size, SRTT
+// and clock there, and drives sends through the sender's own methods
+// (transmit for a retransmission, trySend for new data, restartRTO); it
+// never touches packets or timers itself.
 //
 // Hook order for one incoming ACK: OnAckReceived (every ACK, before
 // dispatch), then OnECE if the ACK echoes a congestion mark, then
@@ -64,10 +27,10 @@ type SenderOps interface {
 // the pre-timeout flight.
 //
 // Controllers must be deterministic: no wall clock, no randomness —
-// simulated time is available through SenderOps.Now.
+// simulated time is the sender's scheduler clock.
 type CongestionControl interface {
 	// Init binds the controller to its sender. cfg has defaults applied.
-	Init(ops SenderOps, cfg Config)
+	Init(s *Sender, cfg Config)
 
 	// Window is the congestion window in segments. Rate-driven
 	// controllers return their inflight cap. Must stay >= 1.

@@ -49,7 +49,7 @@ const (
 // rate-driven regime whose buffer requirement the 2004 sqrt(n) rule
 // does not describe.
 type bbrCC struct {
-	ops SenderOps
+	s   *Sender
 	cfg Config
 
 	mode bbrMode
@@ -90,8 +90,8 @@ type bbrCC struct {
 	postTimeout bool
 }
 
-func (c *bbrCC) Init(ops SenderOps, cfg Config) {
-	c.ops = ops
+func (c *bbrCC) Init(s *Sender, cfg Config) {
+	c.s = s
 	c.cfg = cfg
 }
 
@@ -170,26 +170,23 @@ func (c *bbrCC) OnAckReceived(*packet.Packet) {}
 func (c *bbrCC) LossIndicated() bool          { return false }
 
 func (c *bbrCC) OnAck(ack, acked int64) bool {
-	now := c.ops.Now()
+	now := c.s.sched.Now()
 	c.delivered += acked
 	handled := false
 	if c.inRecovery {
 		if ack <= c.recover {
 			// Partial ACK: repair the next hole; the model, not the
 			// repair, decides the rate.
-			c.ops.Retransmit(c.ops.SndUna())
-			c.ops.RestartRTO()
+			c.s.transmit(c.s.sndUna)
+			c.s.restartRTO()
 			handled = true
 		} else {
 			c.inRecovery = false
 		}
-		c.ops.ResetDupAcks()
-	} else {
-		c.ops.ResetDupAcks()
 	}
 	c.updateModel(now, ack)
 	if handled {
-		c.ops.SendNew()
+		c.s.trySend()
 	}
 	return handled
 }
@@ -209,7 +206,7 @@ func (c *bbrCC) updateModel(now units.Time, ack int64) {
 		c.haveRound = true
 		c.roundStart = now
 		c.roundDelivered = c.delivered
-		c.roundEndSeq = c.ops.SndNxt()
+		c.roundEndSeq = c.s.sndNxt
 		c.postTimeout = false
 		c.advancePhase()
 	}
@@ -246,7 +243,7 @@ func (c *bbrCC) advancePhase() {
 			c.mode = bbrDrain
 		}
 	case bbrDrain:
-		if float64(c.ops.Outstanding()) <= c.bdp() {
+		if float64(c.s.Outstanding()) <= c.bdp() {
 			c.mode = bbrProbeBW
 			c.cycleIdx = 0
 		}
@@ -256,16 +253,16 @@ func (c *bbrCC) advancePhase() {
 }
 
 // OnDupAck during recovery: keep the pipe fed at the model's rate.
-func (c *bbrCC) OnDupAck() { c.ops.SendNew() }
+func (c *bbrCC) OnDupAck() { c.s.trySend() }
 
 // OnLoss retransmits and marks the recovery episode, without reducing
 // the window or the rate model.
 func (c *bbrCC) OnLoss() {
-	c.recover = c.ops.SndNxt() - 1
+	c.recover = c.s.sndNxt - 1
 	c.inRecovery = true
-	c.ops.Retransmit(c.ops.SndUna())
-	c.ops.RestartRTO()
-	c.ops.SendNew()
+	c.s.transmit(c.s.sndUna)
+	c.s.restartRTO()
+	c.s.trySend()
 }
 
 // OnTimeout: be conservative — cap inflight at the minimum until a full
@@ -279,7 +276,7 @@ func (c *bbrCC) OnTimeout() {
 func (c *bbrCC) OnECE() bool { return false }
 
 func (c *bbrCC) OnRTTSample(rtt units.Duration) {
-	now := c.ops.Now()
+	now := c.s.sched.Now()
 	// The sample replaces the estimate when lower, or unconditionally
 	// during PROBE_RTT (that is what the probe is for). Expiry is
 	// handled by PROBE_RTT entry, not here.
@@ -298,7 +295,7 @@ func (c *bbrCC) RateDriven() bool { return true }
 func (c *bbrCC) PaceInterval(srtt units.Duration) units.Duration {
 	bw := c.btlBw()
 	if bw <= 0 {
-		return units.Duration(int64(srtt) / c.ops.UsableWindow())
+		return units.Duration(int64(srtt) / c.s.usableWindow())
 	}
 	iv := float64(units.Second) / (c.pacingGain() * bw)
 	if iv < 1 {

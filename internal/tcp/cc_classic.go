@@ -17,7 +17,7 @@ import (
 // The float64 operation sequences here replicate the pre-interface
 // sender exactly; the pinned run digests depend on it.
 type aimd struct {
-	ops SenderOps
+	s   *Sender
 	cfg Config
 
 	cwnd     float64 // congestion window, segments
@@ -28,8 +28,8 @@ type aimd struct {
 	ecnRecover int64 // next ECN reduction allowed when sndUna passes this
 }
 
-func (a *aimd) Init(ops SenderOps, cfg Config) {
-	a.ops = ops
+func (a *aimd) Init(s *Sender, cfg Config) {
+	a.s = s
 	a.cfg = cfg
 	a.cwnd = initialCwnd
 	a.ssthresh = float64(cfg.MaxWindow)
@@ -47,7 +47,7 @@ func (a *aimd) RateDriven() bool             { return false }
 
 // PaceInterval spreads one window over one smoothed RTT.
 func (a *aimd) PaceInterval(srtt units.Duration) units.Duration {
-	return units.Duration(int64(srtt) / a.ops.UsableWindow())
+	return units.Duration(int64(srtt) / a.s.usableWindow())
 }
 
 // grow opens the window per ACKed segment: slow start below ssthresh
@@ -73,10 +73,8 @@ func (a *aimd) ackUpdate(acked int64) {
 		// Full ACK (or plain Reno): deflate and resume avoidance.
 		a.cwnd = a.ssthresh
 		a.inRecovery = false
-		a.ops.ResetDupAcks()
 		return
 	}
-	a.ops.ResetDupAcks()
 	a.grow(acked)
 }
 
@@ -90,24 +88,24 @@ func (a *aimd) OnAck(ack, acked int64) bool {
 // signals a departure.
 func (a *aimd) OnDupAck() {
 	a.cwnd++
-	a.ops.SendNew()
+	a.s.trySend()
 }
 
 // fastRetransmit is the loss reaction shared by the non-SACK variants:
 // halve ssthresh against the actual flight, record the recovery point
 // and retransmit the head of the window.
 func (a *aimd) fastRetransmit() {
-	flight := float64(a.ops.Outstanding())
+	flight := float64(a.s.Outstanding())
 	a.ssthresh = math.Max(flight/2, 2)
-	a.recover = a.ops.SndNxt() - 1
-	a.ops.Retransmit(a.ops.SndUna())
-	a.ops.RestartRTO()
+	a.recover = a.s.sndNxt - 1
+	a.s.transmit(a.s.sndUna)
+	a.s.restartRTO()
 }
 
 // OnTimeout collapses to one segment; the sender performs the go-back-N
 // rewind and head retransmission itself.
 func (a *aimd) OnTimeout() {
-	flight := float64(a.ops.Outstanding())
+	flight := float64(a.s.Outstanding())
 	a.ssthresh = math.Max(flight/2, 2)
 	a.cwnd = 1
 	a.inRecovery = false
@@ -117,12 +115,12 @@ func (a *aimd) OnTimeout() {
 // At most one reduction per round trip, so a whole window of marked
 // packets counts as one signal.
 func (a *aimd) OnECE() bool {
-	if a.inRecovery || a.ops.SndUna() < a.ecnRecover {
+	if a.inRecovery || a.s.sndUna < a.ecnRecover {
 		return false
 	}
 	a.ssthresh = math.Max(a.cwnd/2, 2)
 	a.cwnd = a.ssthresh
-	a.ecnRecover = a.ops.SndNxt()
+	a.ecnRecover = a.s.sndNxt
 	return true
 }
 
@@ -133,7 +131,7 @@ func (c *renoCC) OnLoss() {
 	c.fastRetransmit()
 	c.inRecovery = true
 	c.cwnd = c.ssthresh + 3
-	c.ops.SendNew()
+	c.s.trySend()
 }
 
 // tahoeCC: fast retransmit but no fast recovery — the window collapses
@@ -147,7 +145,7 @@ func (c *tahoeCC) OnDupAck() {}
 func (c *tahoeCC) OnLoss() {
 	c.fastRetransmit()
 	c.cwnd = 1
-	c.ops.ResetDupAcks()
+	c.s.dupAcks = 0
 }
 
 // newRenoCC: Reno plus partial-ACK retransmission during recovery.
@@ -157,11 +155,10 @@ func (c *newRenoCC) OnAck(ack, acked int64) bool {
 	if c.inRecovery && ack <= c.recover {
 		// Partial ACK: retransmit the next hole, deflate by the amount
 		// acked, stay in recovery.
-		c.ops.Retransmit(c.ops.SndUna())
+		c.s.transmit(c.s.sndUna)
 		c.cwnd = math.Max(c.cwnd-float64(acked)+1, 1)
-		c.ops.ResetDupAcks()
-		c.ops.RestartRTO()
-		c.ops.SendNew()
+		c.s.restartRTO()
+		c.s.trySend()
 		return true
 	}
 	c.ackUpdate(acked)

@@ -39,20 +39,17 @@ type cubicCC struct {
 // cubic instead of +1/W.
 func (c *cubicCC) OnAck(ack, acked int64) bool {
 	if c.inRecovery && ack <= c.recover {
-		c.ops.Retransmit(c.ops.SndUna())
+		c.s.transmit(c.s.sndUna)
 		c.cwnd = math.Max(c.cwnd-float64(acked)+1, 1)
-		c.ops.ResetDupAcks()
-		c.ops.RestartRTO()
-		c.ops.SendNew()
+		c.s.restartRTO()
+		c.s.trySend()
 		return true
 	}
 	if c.inRecovery {
 		c.cwnd = c.ssthresh
 		c.inRecovery = false
-		c.ops.ResetDupAcks()
 		return false
 	}
-	c.ops.ResetDupAcks()
 	for i := int64(0); i < acked; i++ {
 		if c.cwnd < c.ssthresh {
 			c.cwnd++ // slow start
@@ -69,7 +66,7 @@ func (c *cubicCC) OnAck(ack, acked int64) bool {
 // cubicGrow advances the window by one ACKed segment's worth of the
 // cubic curve, floored by the TCP-friendly AIMD estimate.
 func (c *cubicCC) cubicGrow() {
-	now := c.ops.Now()
+	now := c.s.sched.Now()
 	if !c.haveEpoch {
 		c.haveEpoch = true
 		c.epochStart = now
@@ -83,7 +80,7 @@ func (c *cubicCC) cubicGrow() {
 		c.wEst = c.cwnd
 	}
 	// Target the curve one SRTT ahead, per RFC 8312 §4.1.
-	t := float64(now.Sub(c.epochStart)+c.ops.SRTT()) / float64(units.Second)
+	t := float64(now.Sub(c.epochStart)+c.s.srtt) / float64(units.Second)
 	d := t - c.k
 	target := c.origin + cubicC*d*d*d
 	var inc float64
@@ -116,12 +113,12 @@ func (c *cubicCC) reduce() {
 
 func (c *cubicCC) OnLoss() {
 	c.reduce()
-	c.recover = c.ops.SndNxt() - 1
-	c.ops.Retransmit(c.ops.SndUna())
-	c.ops.RestartRTO()
+	c.recover = c.s.sndNxt - 1
+	c.s.transmit(c.s.sndUna)
+	c.s.restartRTO()
 	c.inRecovery = true
 	c.cwnd = c.ssthresh + 3
-	c.ops.SendNew()
+	c.s.trySend()
 }
 
 func (c *cubicCC) OnTimeout() {
@@ -133,11 +130,11 @@ func (c *cubicCC) OnTimeout() {
 }
 
 func (c *cubicCC) OnECE() bool {
-	if c.inRecovery || c.ops.SndUna() < c.ecnRecover {
+	if c.inRecovery || c.s.sndUna < c.ecnRecover {
 		return false
 	}
 	c.reduce()
 	c.cwnd = c.ssthresh
-	c.ecnRecover = c.ops.SndNxt()
+	c.ecnRecover = c.s.sndNxt
 	return true
 }

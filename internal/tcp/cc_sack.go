@@ -18,19 +18,19 @@ type sackCC struct {
 // OnAckReceived folds the ACK's SACK blocks into the scoreboard before
 // the ACK is dispatched.
 func (c *sackCC) OnAckReceived(p *packet.Packet) {
-	c.sb.update(p.Sack, c.ops.SndUna())
+	c.sb.update(p.Sack, c.s.sndUna)
 }
 
 // LossIndicated triggers fast retransmit before three duplicate ACKs
 // when the scoreboard already proves the head segment lost.
-func (c *sackCC) LossIndicated() bool { return c.sb.lost(c.ops.SndUna()) }
+func (c *sackCC) LossIndicated() bool { return c.sb.lost(c.s.sndUna) }
 
 func (c *sackCC) OnAck(ack, acked int64) bool {
 	c.sb.advance(ack)
 	if c.inRecovery && ack <= c.recover {
 		// Partial ACK: the scoreboard knows the remaining holes; keep
 		// the window at ssthresh and fill the pipe.
-		c.ops.RestartRTO()
+		c.s.restartRTO()
 		c.fillPipe()
 		return true
 	}
@@ -41,15 +41,15 @@ func (c *sackCC) OnAck(ack, acked int64) bool {
 func (c *sackCC) OnDupAck() { c.fillPipe() }
 
 func (c *sackCC) OnLoss() {
-	flight := float64(c.ops.Outstanding())
+	flight := float64(c.s.Outstanding())
 	c.ssthresh = math.Max(flight/2, 2)
-	c.recover = c.ops.SndNxt() - 1
+	c.recover = c.s.sndNxt - 1
 	c.inRecovery = true
 	c.cwnd = c.ssthresh
-	una := c.ops.SndUna()
-	c.ops.Retransmit(una)
+	una := c.s.sndUna
+	c.s.transmit(una)
 	c.sb.rtxed.add(una)
-	c.ops.RestartRTO()
+	c.s.restartRTO()
 	c.fillPipe()
 }
 
@@ -62,15 +62,15 @@ func (c *sackCC) OnTimeout() {
 // first, then new data, never exceeding the window's worth of estimated
 // in-flight segments.
 func (c *sackCC) fillPipe() {
-	for c.sb.pipe(c.ops.SndUna(), c.ops.SndNxt()) < c.ops.UsableWindow() {
-		if hole := c.sb.nextHole(c.ops.SndUna(), c.ops.SndNxt()); hole >= 0 {
-			c.ops.Retransmit(hole)
+	for c.sb.pipe(c.s.sndUna, c.s.sndNxt) < c.s.usableWindow() {
+		if hole := c.sb.nextHole(c.s.sndUna, c.s.sndNxt); hole >= 0 {
+			c.s.transmit(hole)
 			c.sb.rtxed.add(hole)
 			continue
 		}
-		if !c.ops.CanSendNew() {
+		if !c.s.canSendNew() {
 			return
 		}
-		c.ops.SendNextNew()
+		c.s.sendNext()
 	}
 }

@@ -116,6 +116,6 @@ func TestPacedThroughputMatchesWindow(t *testing.T) {
 	c.sched.Run(units.Time(20 * units.Second))
 	if !c.snd.Finished() {
 		t.Errorf("paced flow too slow: %d/5000 acked after 20s (want ~5s)",
-			c.snd.SndUna())
+			c.snd.sndUna)
 	}
 }

@@ -19,7 +19,7 @@ type tap struct {
 }
 
 func (w *tap) Handle(p *packet.Packet) {
-	if p.Seq < w.snd.SndUna() {
+	if p.Seq < w.snd.sndUna {
 		w.below = append(w.below, p.Seq)
 	}
 	w.sent = append(w.sent, p.Seq)

@@ -125,7 +125,10 @@ type Sender struct {
 	rttSentAt units.Time
 	lastSend  units.Time
 
-	dupAcks int32 // consecutive duplicate ACKs toward fast retransmit
+	// dupAcks counts consecutive duplicate ACKs toward fast retransmit;
+	// every new ACK clears it. SACK recovery lives through partial ACKs
+	// and does not read the count until it exits.
+	dupAcks int32
 	backoff int32 // RTO exponential-backoff shift
 
 	started  bool
@@ -144,7 +147,9 @@ type Sender struct {
 	aud    *audit.Auditor
 	audUna int64
 
-	// tel is the Telemetry tracking the sender, if any (see Renew).
+	// tel is the Telemetry tracking the sender, if any: it samples the
+	// window after every ACK and timeout, and takes the sender's counters
+	// when the sender is renewed (see Renew).
 	tel *Telemetry
 
 	stats Stats
@@ -152,9 +157,6 @@ type Sender struct {
 	// OnComplete fires once when the final segment is cumulatively
 	// acknowledged (finite flows only).
 	OnComplete func(now units.Time)
-	// OnStateChange, if set, observes every congestion-window update;
-	// the trace package uses it for the Fig. 2–6 window processes.
-	OnStateChange func(now units.Time)
 }
 
 // Sender event opcodes (see sim.Actor). OpStart is exported so workload
@@ -276,21 +278,9 @@ func (s *Sender) Stats() Stats { return s.stats }
 // Flow returns the flow ID.
 func (s *Sender) Flow() packet.FlowID { return s.cfg.Flow }
 
-// Now returns the current simulated time (SenderOps).
-func (s *Sender) Now() units.Time { return s.sched.Now() }
-
-// SndUna returns the lowest unacknowledged segment (SenderOps).
-func (s *Sender) SndUna() int64 { return s.sndUna }
-
-// SndNxt returns the next segment to send (SenderOps).
-func (s *Sender) SndNxt() int64 { return s.sndNxt }
-
-// ResetDupAcks clears the duplicate-ACK counter (SenderOps).
-func (s *Sender) ResetDupAcks() { s.dupAcks = 0 }
-
-// UsableWindow returns the current usable window in whole segments: the
-// controller's window clamped to MaxWindow and floored at 1 (SenderOps).
-func (s *Sender) UsableWindow() int64 {
+// usableWindow returns the current usable window in whole segments: the
+// controller's window clamped to MaxWindow and floored at 1.
+func (s *Sender) usableWindow() int64 {
 	w := min(s.cc.Window(), float64(s.cfg.MaxWindow))
 	if w < 1 {
 		w = 1
@@ -301,30 +291,19 @@ func (s *Sender) UsableWindow() int64 {
 // longLived reports whether the flow has infinite data.
 func (s *Sender) longLived() bool { return s.cfg.TotalSegments <= 0 }
 
-// CanSendNew reports whether the window and data supply allow sending
-// segment SndNxt (SenderOps).
-func (s *Sender) CanSendNew() bool {
-	return s.sndNxt < s.sndUna+s.UsableWindow() &&
+// canSendNew reports whether the window and data supply allow sending
+// segment sndNxt.
+func (s *Sender) canSendNew() bool {
+	return s.sndNxt < s.sndUna+s.usableWindow() &&
 		(s.longLived() || s.sndNxt < s.cfg.TotalSegments)
 }
 
-// SendNextNew unconditionally transmits segment SndNxt and advances it
-// (SenderOps; SACK's pipe accounting budgets its own sends).
-func (s *Sender) SendNextNew() {
+// sendNext unconditionally transmits segment sndNxt and advances it
+// (SACK's pipe accounting budgets its own sends).
+func (s *Sender) sendNext() {
 	s.transmit(s.sndNxt)
 	s.sndNxt++
 }
-
-// SendNew transmits as many new segments as the window allows — either
-// immediately (ACK-clocked bursts, classic TCP) or spread across pacing
-// intervals when pacing is on (SenderOps).
-func (s *Sender) SendNew() { s.trySend() }
-
-// Retransmit puts segment seq back on the wire (SenderOps).
-func (s *Sender) Retransmit(seq int64) { s.transmit(seq) }
-
-// RestartRTO re-arms the retransmission timer (SenderOps).
-func (s *Sender) RestartRTO() { s.restartRTO() }
 
 // paced reports whether transmissions are spread out rather than
 // ACK-clocked: explicitly via Config.Paced, or inherently for
@@ -342,13 +321,13 @@ func (s *Sender) trySend() {
 	}
 	// No ACK can come back while the loop sends (the path back to the
 	// sender costs at least one event), so sndUna and the window hold
-	// still and the limit CanSendNew tests is computed once.
-	end := s.sndUna + s.UsableWindow()
+	// still and the limit canSendNew tests is computed once.
+	end := s.sndUna + s.usableWindow()
 	if !s.longLived() {
 		end = min(end, s.cfg.TotalSegments)
 	}
 	for s.sndNxt < end {
-		s.SendNextNew()
+		s.sendNext()
 	}
 }
 
@@ -365,7 +344,7 @@ func (s *Sender) schedulePaced() {
 	if s.paceTimer.Active() {
 		return
 	}
-	if !s.CanSendNew() {
+	if !s.canSendNew() {
 		return
 	}
 	now := s.sched.Now()
@@ -377,10 +356,10 @@ func (s *Sender) schedulePaced() {
 }
 
 func (s *Sender) paceFire() {
-	if s.finished || !s.CanSendNew() {
+	if s.finished || !s.canSendNew() {
 		return
 	}
-	s.SendNextNew()
+	s.sendNext()
 	s.schedulePaced()
 }
 
@@ -466,8 +445,8 @@ func (s *Sender) Handle(p *packet.Packet) {
 	if s.aud != nil {
 		s.auditState(s.sched.Now())
 	}
-	if s.OnStateChange != nil {
-		s.OnStateChange(s.sched.Now())
+	if s.tel != nil {
+		s.tel.cwnd.Observe(s.Cwnd())
 	}
 }
 
@@ -489,7 +468,7 @@ func (s *Sender) onNewAck(ack int64) {
 		s.rttSeq = -1
 	}
 	s.backoff = 0
-
+	s.dupAcks = 0
 	if s.cc.OnAck(ack, acked) {
 		// The controller ran its own recovery transmissions
 		// (partial-ACK repair); the default tail does not apply.
@@ -535,12 +514,12 @@ func (s *Sender) onTimeout() {
 	}
 	// transmit arms the (backed-off) timer itself: the old timer has
 	// fired, so no timer is pending at this point.
-	s.SendNextNew()
+	s.sendNext()
 	if s.aud != nil {
 		s.auditState(s.sched.Now())
 	}
-	if s.OnStateChange != nil {
-		s.OnStateChange(s.sched.Now())
+	if s.tel != nil {
+		s.tel.cwnd.Observe(s.Cwnd())
 	}
 }
 

@@ -210,7 +210,7 @@ func TestTimeoutRecovery(t *testing.T) {
 	c.sched.Run(units.Time(30 * units.Second))
 	if !c.snd.Finished() {
 		t.Fatalf("flow did not recover from blackout: una=%d nxt=%d stats=%+v",
-			c.snd.SndUna(), c.snd.SndNxt(), c.snd.Stats())
+			c.snd.sndUna, c.snd.sndNxt, c.snd.Stats())
 	}
 	if st := c.snd.Stats(); st.Timeouts == 0 {
 		t.Errorf("expected at least one timeout, got %+v", st)
@@ -232,8 +232,8 @@ func TestTimeoutSetsCwndToOne(t *testing.T) {
 	if got := c.snd.Cwnd(); got != 1 {
 		t.Errorf("cwnd after timeout = %v, want 1", got)
 	}
-	if c.snd.SndNxt() != c.snd.SndUna()+1 {
-		t.Errorf("timeout did not go-back-N: una=%d nxt=%d", c.snd.SndUna(), c.snd.SndNxt())
+	if c.snd.sndNxt != c.snd.sndUna+1 {
+		t.Errorf("timeout did not go-back-N: una=%d nxt=%d", c.snd.sndUna, c.snd.sndNxt)
 	}
 }
 

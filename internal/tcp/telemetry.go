@@ -1,9 +1,6 @@
 package tcp
 
-import (
-	"bufsim/internal/metrics"
-	"bufsim/internal/units"
-)
+import "bufsim/internal/metrics"
 
 // cwndBuckets spans 1 to 2^19 segments in doubling steps — any window a
 // simulated sender can reach.
@@ -12,8 +9,8 @@ var cwndBuckets = metrics.ExpBuckets(1, 2, 20)
 // Telemetry aggregates per-flow sender counters into a metrics registry:
 // segments sent, retransmits, timeouts, fast recoveries, ACK and duplicate
 // ACK counts, ECN reductions, flow counts per congestion-control variant,
-// and a histogram of congestion-window samples (one observation per window
-// update, via the sender's OnStateChange hook).
+// and a histogram of congestion-window samples (one observation per ACK
+// and per timeout, which a tracked sender makes itself).
 //
 // Construction with a nil registry returns nil, and every method is safe
 // on a nil receiver, so callers track senders unconditionally and pay one
@@ -57,8 +54,8 @@ func NewTelemetry(reg *metrics.Registry) *Telemetry {
 	return t
 }
 
-// Track adds a sender to the aggregate and samples its congestion window
-// on every window update. Chains with any OnStateChange hook already set.
+// Track adds a sender to the aggregate; from then on the sender samples
+// its congestion window into the histogram after every ACK and timeout.
 func (t *Telemetry) Track(s *Sender) {
 	if t == nil || s == nil {
 		return
@@ -73,14 +70,6 @@ func (t *Telemetry) Track(s *Sender) {
 		t.byVariant[v] = c
 	}
 	c.Inc()
-	prev := s.OnStateChange
-	hist := t.cwnd
-	s.OnStateChange = func(now units.Time) {
-		hist.Observe(s.Cwnd())
-		if prev != nil {
-			prev(now)
-		}
-	}
 }
 
 // retire folds s's counters into the totals and stops tracking it, before

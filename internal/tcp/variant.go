@@ -105,12 +105,11 @@ func (v Variant) String() string {
 func (v Variant) generatesSack() bool { return v.valid() && variantRegistry[v].sack }
 
 // newCongestionControl builds the variant's controller, reusing old
-// (nil for none) when it has the same type. Out-of-range values fall back
-// to Reno, matching the historical behaviour of the pre-registry sender
-// (whose variant switches all missed).
+// (nil for none) when it has the same type. An unregistered variant
+// panics: the public entry points reject one, so it is a programmer error.
 func (v Variant) newCongestionControl(old CongestionControl) CongestionControl {
 	if !v.valid() {
-		return renew[renoCC](old)
+		panic(fmt.Sprintf("tcp: unregistered variant %d", int(v)))
 	}
 	return variantRegistry[v].newCC(old)
 }

@@ -2,8 +2,12 @@ package tcp
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"bufsim/internal/packet"
+	"bufsim/internal/sim"
 )
 
 func TestParseVariant(t *testing.T) {
@@ -136,5 +140,21 @@ func TestVariantTextMarshalling(t *testing.T) {
 	}
 	if _, err := Variant(99).MarshalText(); err == nil {
 		t.Error("marshalling an unknown variant did not error")
+	}
+}
+
+// TestUnregisteredVariantPanics: a sender for a variant outside the
+// registry is a programmer error, reported with the value, never a
+// silent Reno.
+func TestUnregisteredVariantPanics(t *testing.T) {
+	for _, v := range []Variant{Variant(numVariants), -1} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), fmt.Sprintf("variant %d", int(v))) {
+					t.Errorf("NewSender with variant %d: recovered %v, want a panic naming it", int(v), p)
+				}
+			}()
+			NewSender(Config{Flow: 1, Variant: v}, sim.NewScheduler(), packet.HandlerFunc(func(*packet.Packet) {}))
+		}()
 	}
 }

@@ -16,7 +16,7 @@ import (
 // one type, differ, or "". Slices compare by length and elements, never
 // capacity; funcs by nil-ness; pointers by identity, except that a pointer
 // of a that same maps to b's counterpart (an agent and itself, as its
-// timers' actor or its controller's SenderOps) matches it, and a pointer
+// timers' actor or its controller's sender) matches it, and a pointer
 // to memory of a's own (its controller) is walked.
 func stateDiff(a, b reflect.Value, path string, same map[uintptr]uintptr) string {
 	switch a.Kind() {
@@ -139,7 +139,6 @@ func TestRenewedAgentsMatchFresh(t *testing.T) {
 				f := d.AddFlow(d.Station(i%2), a.old)
 				f.Sender.OnComplete = func(units.Time) {}
 				f.Receiver.OnComplete = func(units.Time) {}
-				f.Sender.OnStateChange = func(units.Time) {}
 				f.Sender.Start()
 				flows = append(flows, f)
 			}

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
 	"bufsim/internal/units"
@@ -37,15 +36,6 @@ func (l *Launcher) launch(st *topology.Station, spec tcp.Config, size int64, now
 	rec := &FlowRecord{Size: size, Completed: units.Never}
 	l.records = append(l.records, rec)
 	l.start(rec, st, spec, now, done)
-}
-
-// Arrive is one Poisson arrival: a flow whose size is sampled from sizes
-// and whose station is picked uniformly, drawn from rng in that order.
-// The stationary source and the profile engine both arrive through it,
-// which is what keeps a constant profile on the stationary schedule.
-func (l *Launcher) Arrive(rng *sim.RNG, sizes SizeDist, spec tcp.Config, now units.Time) {
-	size := sizes.Sample(rng)
-	l.launch(l.d.Station(rng.Intn(l.d.NumStations())), spec, size, now, nil)
 }
 
 // start is launch for a record the caller already holds in l.records

@@ -15,35 +15,52 @@ import (
 // completed, every flow leaves the dumbbell, and a completion hook set on
 // a sender still runs when the launcher waits for it. Unwired one station RTT
 // after the last segment instead, 118 of these 231 senders never saw their
-// final ACK and resent on RTO backoff to the end of the run: 898 timeouts.
+// final ACK and resent on RTO backoff to the end of the run: about 900
+// timeouts.
 func TestDelayedAckFlowsFinish(t *testing.T) {
 	s, d, rng := testDumbbell(6, 100, 10*units.Mbps)
+	// live are the flows whose senders have not finished, each with its
+	// sender's timeout count when last looked at.
+	type watch struct {
+		f        *topology.Flow
+		timeouts int64
+	}
+	var live []watch
 	var flows, finished, late, hooked int
 	d.OnAddFlow = func(f *topology.Flow) {
 		flows++
-		snd, rcv := f.Sender, f.Receiver
-		snd.OnComplete = func(units.Time) { hooked++ }
-		var timeouts int64
-		done := false
-		snd.OnStateChange = func(units.Time) {
-			if n := snd.Stats().Timeouts; n > timeouts {
-				if rcv.CompletedAt != units.Never {
+		f.Sender.OnComplete = func(units.Time) { hooked++ }
+		live = append(live, watch{f: f})
+	}
+	// look runs after every event, as the flows' states change.
+	look := func() {
+		kept := live[:0]
+		for _, w := range live {
+			snd := w.f.Sender
+			if n := snd.Stats().Timeouts; n > w.timeouts {
+				if w.f.Receiver.CompletedAt != units.Never {
 					late++
 				}
-				timeouts = n
+				w.timeouts = n
 			}
-			if snd.Finished() && !done {
-				done = true
+			if snd.Finished() {
 				finished++
+				continue
 			}
+			kept = append(kept, w)
 		}
+		live = kept
 	}
 	src := PoissonSource{Load: 0.3, Sizes: GeometricSize(9), TCP: tcp.Config{SegmentSize: 1000, DelayedAck: true}}
 	drv := src.Bind(d, rng.Fork())
 	drv.Start()
-	s.Run(units.Epoch.Add(6 * units.Second))
+	for s.Now() < units.Epoch.Add(6*units.Second) && s.Step() {
+		look()
+	}
 	drv.Stop()
-	s.Run(units.Epoch.Add(100 * units.Second))
+	for s.Now() < units.Epoch.Add(100*units.Second) && s.Step() {
+		look()
+	}
 
 	if flows < 200 {
 		t.Fatalf("%d flows; the scenario should launch 231", flows)

@@ -54,36 +54,28 @@ func (s Source) Bind(d *topology.Dumbbell, rng *sim.RNG) workload.Driver {
 		panic("profile: Source with an arrival curve requires Sizes")
 	}
 	return &engine{
-		Launcher: workload.NewLauncher(d),
+		Arrivals: workload.NewArrivals(d, rng, s.Sizes, s.TCP, s.Profile.Arrival.At, s.Profile.Arrival.Max()),
 		src:      s,
 		d:        d,
-		rng:      rng,
 		sched:    d.Config().Sched,
 	}
 }
 
-// engine event opcodes (see sim.Actor).
+// engine event opcodes (see sim.Actor): the population curve crossed up
+// (start a long flow) or down (stop one).
 const (
-	// opArrival: the next thinning candidate is due.
-	opArrival int32 = iota
-	// opAddLong: the population curve crossed up; start a long flow.
-	opAddLong
-	// opDropLong: the population curve crossed down; stop one.
+	opAddLong int32 = iota
 	opDropLong
 )
 
-// engine is the bound driver: one actor owning every scheduled decision
-// the profile implies. Its short flows are the embedded Launcher's, and
-// so are Records and Generated.
+// engine is the bound driver: the short-flow arrivals, whose Launcher
+// also holds Records and Generated, plus one actor owning the population
+// events the profile implies.
 type engine struct {
-	*workload.Launcher
-	src   Source
-	d     *topology.Dumbbell
-	rng   *sim.RNG
-	sched *sim.Scheduler
-
-	base    units.Time // simulated time of Start
-	maxRate float64    // arrival curve maximum, the thinning envelope
+	*workload.Arrivals
+	src     Source
+	d       *topology.Dumbbell
+	sched   *sim.Scheduler
 	running bool
 
 	long       []*topology.Flow // live long-lived flows, newest last
@@ -92,13 +84,13 @@ type engine struct {
 
 // Start implements workload.Driver: it anchors the profile at the
 // current simulated time, compiles the population curve into scheduled
-// start/stop events, and begins the thinned arrival process.
+// start/stop events, and then begins the thinned arrival process.
 func (e *engine) Start() {
 	if e.running {
 		panic("profile: engine started twice")
 	}
 	e.running = true
-	e.base = e.sched.Now()
+	base := e.sched.Now()
 
 	initial, changes := compilePopulation(e.src.Profile.Population)
 	for i := 0; i < initial; i++ {
@@ -109,54 +101,33 @@ func (e *engine) Start() {
 		if ch.delta < 0 {
 			op = opDropLong
 		}
-		e.sched.PostAt(e.base.Add(ch.at), e, op, nil)
+		e.sched.PostAt(base.Add(ch.at), e, op, nil)
 	}
-
-	if e.maxRate = e.src.Profile.Arrival.Max(); e.maxRate > 0 {
-		e.scheduleNext()
-	}
+	e.Arrivals.Start()
 }
 
 // Stop implements workload.Driver: no new short flows launch and the
 // population stops changing; in-flight transfers run to completion.
-func (e *engine) Stop() { e.running = false }
+func (e *engine) Stop() {
+	e.running = false
+	e.Arrivals.Stop()
+}
 
 // Active implements workload.Driver: in-flight short flows plus live
 // long-lived flows — the instantaneous n(t).
-func (e *engine) Active() int { return e.Launcher.Active() + len(e.long) }
+func (e *engine) Active() int { return e.Arrivals.Active() + len(e.long) }
 
 // OnEvent implements sim.Actor.
 func (e *engine) OnEvent(op int32, _ any) {
-	switch op {
-	case opArrival:
-		if !e.running {
-			return
-		}
-		// Thinning: candidates arrive at the envelope rate and are
-		// accepted with probability rate(t)/maxRate. When the curve
-		// sits at its maximum the acceptance is certain and the draw is
-		// skipped — that skip is what keeps a constant profile's RNG
-		// stream identical to the stationary source's.
-		rate := e.src.Profile.Arrival.At(e.sched.Now().Sub(e.base))
-		if rate >= e.maxRate || e.rng.Uniform(0, e.maxRate) < rate {
-			// The stationary source's arrival path, draw for draw.
-			e.Arrive(e.rng, e.src.Sizes, e.src.TCP, e.sched.Now())
-		}
-		e.scheduleNext()
-	case opAddLong:
-		if e.running {
-			e.addLong()
-		}
-	case opDropLong:
-		if e.running {
-			e.dropLong()
-		}
+	if !e.running {
+		return
 	}
-}
-
-func (e *engine) scheduleNext() {
-	wait := units.DurationFromSeconds(e.rng.Exp(1 / e.maxRate))
-	e.sched.PostAfter(wait, e, opArrival, nil)
+	switch op {
+	case opAddLong:
+		e.addLong()
+	case opDropLong:
+		e.dropLong()
+	}
 }
 
 // addLong starts one long-lived flow, assigning stations round-robin.

@@ -158,8 +158,8 @@ func ArrivalRateForLoad(load float64, rate units.BitRate, seg units.ByteSize, si
 	return segsPerSec / sizes.Mean()
 }
 
-// Bind implements Source: every draw (inter-arrival, size, station) comes
-// from rng, in that order.
+// Bind implements Source: arrivals at the constant rate the load implies
+// (see Arrivals for the order of the draws).
 func (s PoissonSource) Bind(d *topology.Dumbbell, rng *sim.RNG) Driver {
 	if d == nil || rng == nil || s.Sizes == nil {
 		panic("workload: PoissonSource requires a dumbbell, an RNG and Sizes")
@@ -168,45 +168,68 @@ func (s PoissonSource) Bind(d *topology.Dumbbell, rng *sim.RNG) Driver {
 		panic(fmt.Sprintf("workload: short-flow load %v out of (0,1)", s.Load))
 	}
 	lambda := ArrivalRateForLoad(s.Load, d.Config().BottleneckRate, s.TCP.SegmentSize, s.Sizes)
-	return &ShortFlows{Launcher: NewLauncher(d), src: s, rng: rng, sched: d.Config().Sched, interMean: 1 / lambda}
+	return NewArrivals(d, rng, s.Sizes, s.TCP, func(units.Duration) float64 { return lambda }, lambda)
 }
 
-// ShortFlows is a bound PoissonSource. Each arriving flow takes a
-// uniformly random station, runs to completion, and is detached so
-// stations can be reused indefinitely.
-type ShortFlows struct {
+// Arrivals is the one Poisson arrival process of short flows, stationary
+// (PoissonSource) or following a rate curve (the profile engine).
+// Candidates arrive at the envelope rate and are accepted with probability
+// rate(t)/envelope (thinning); where the rate is at the envelope the
+// acceptance is certain and its draw is skipped, so a constant rate draws
+// inter-arrival, size, station, inter-arrival, ... and nothing else. Each
+// flow takes a uniformly random station, runs to completion, and is
+// detached so stations can be reused indefinitely.
+type Arrivals struct {
 	*Launcher
-	src       PoissonSource
-	rng       *sim.RNG
-	sched     *sim.Scheduler
-	interMean float64 // seconds
-	running   bool
+	rng     *sim.RNG
+	sched   *sim.Scheduler
+	sizes   SizeDist
+	spec    tcp.Config
+	rate    func(units.Duration) float64 // flows/s at an offset from Start
+	peak    float64                      // the envelope: rate's maximum
+	base    units.Time                   // simulated time of Start
+	running bool
 }
 
-// Start begins Poisson arrivals.
-func (g *ShortFlows) Start() {
-	if g.running {
-		panic("workload: ShortFlows started twice")
+// NewArrivals returns stopped arrivals of flows sized by sizes on spec's
+// template across d, at rate(t) flows per second t after Start, where
+// rate never exceeds peak. A zero peak never arrives, and then sizes may
+// be nil.
+func NewArrivals(d *topology.Dumbbell, rng *sim.RNG, sizes SizeDist, spec tcp.Config, rate func(units.Duration) float64, peak float64) *Arrivals {
+	return &Arrivals{Launcher: NewLauncher(d), rng: rng, sched: d.Config().Sched, sizes: sizes, spec: spec, rate: rate, peak: peak}
+}
+
+// Start begins arrivals.
+func (a *Arrivals) Start() {
+	if a.running {
+		panic("workload: arrivals started twice")
 	}
-	g.running = true
-	g.scheduleNext()
+	a.running = true
+	a.base = a.sched.Now()
+	if a.peak > 0 {
+		a.scheduleNext()
+	}
 }
 
 // Stop halts new arrivals; in-flight flows run to completion.
-func (g *ShortFlows) Stop() { g.running = false }
+func (a *Arrivals) Stop() { a.running = false }
 
-// OnEvent implements sim.Actor: the one event is the next Poisson
-// arrival, a typed kernel event, so a short-flow workload allocates per
-// flow, never per timer.
-func (g *ShortFlows) OnEvent(int32, any) {
-	if !g.running {
+// OnEvent implements sim.Actor: the one event is the next candidate, a
+// typed kernel event, so a short-flow workload allocates per flow, never
+// per timer.
+func (a *Arrivals) OnEvent(int32, any) {
+	if !a.running {
 		return
 	}
-	g.Arrive(g.rng, g.src.Sizes, g.src.TCP, g.sched.Now())
-	g.scheduleNext()
+	now := a.sched.Now()
+	if rate := a.rate(now.Sub(a.base)); rate >= a.peak || a.rng.Uniform(0, a.peak) < rate {
+		size := a.sizes.Sample(a.rng)
+		a.launch(a.d.Station(a.rng.Intn(a.d.NumStations())), a.spec, size, now, nil)
+	}
+	a.scheduleNext()
 }
 
-func (g *ShortFlows) scheduleNext() {
-	wait := units.DurationFromSeconds(g.rng.Exp(g.interMean))
-	g.sched.PostAfter(wait, g, 0, nil)
+func (a *Arrivals) scheduleNext() {
+	wait := units.DurationFromSeconds(a.rng.Exp(1 / a.peak))
+	a.sched.PostAfter(wait, a, 0, nil)
 }

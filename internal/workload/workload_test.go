@@ -132,7 +132,7 @@ func TestShortFlowsPoissonLoad(t *testing.T) {
 		TCP:   tcp.Config{SegmentSize: 1000, MaxWindow: 43},
 	}.Bind(d, rng.Fork())
 	// lambda = 0.5 * 20e6 / 8000 / 14 = 89.3 flows/s.
-	if r := 1 / g.(*ShortFlows).interMean; math.Abs(r-89.28) > 0.5 {
+	if r := g.(*Arrivals).peak; math.Abs(r-89.28) > 0.5 {
 		t.Errorf("arrival rate = %v, want ~89.3", r)
 	}
 	g.Start()

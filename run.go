@@ -2,8 +2,11 @@ package bufsim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"bufsim/internal/experiment"
+	"bufsim/internal/tcp"
 	"bufsim/internal/workload"
 )
 
@@ -83,6 +86,8 @@ func (s Scenario) check() error {
 		must(s.Link.SegmentSize >= 0, "Scenario.Link.SegmentSize must not be negative (got %v)", s.Link.SegmentSize),
 		must(s.BufferPackets >= 0, "Scenario.BufferPackets must not be negative (got %d)", s.BufferPackets),
 		must(s.Warmup >= 0 && s.Measure >= 0, "Scenario.Warmup and Scenario.Measure must not be negative (got %v, %v)", s.Warmup, s.Measure),
+		must(slices.Contains(tcp.Variants(), s.Sender.Variant), "Scenario.Sender.Variant %d is not registered (want one of %s)",
+			int(s.Sender.Variant), strings.Join(VariantNames(), ", ")),
 	)
 }
 

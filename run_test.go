@@ -159,6 +159,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"Scenario.BufferPackets", ok, kind(SingleFlow{BufferFactor: 1})},
 		{"Scenario.Warmup", with(func(s *Scenario) { s.BufferPackets, s.Measure = 0, 0 }), kind(SingleFlow{BufferFactor: 1})},
 		{"Scenario.Measure", with(func(s *Scenario) { s.BufferPackets, s.Warmup = 0, 0 }), kind(SingleFlow{BufferFactor: 1})},
+		{"Scenario.Sender.Variant", with(func(s *Scenario) { s.Sender.Variant = Variant(42) }), kind(long)},
+		{"Scenario.Sender.Variant", with(func(s *Scenario) { s.Sender.Variant = Variant(-1) }), kind(long)},
 	}
 	for i, c := range cases {
 		t.Run(fmt.Sprintf("%d-%s", i, c.want), func(t *testing.T) {
