@@ -1,4 +1,4 @@
-# Every target here but full-golden is what CI runs — keep them in sync
+# Every target here but full-golden and pgo-diff is what CI runs — keep them in sync
 # so "it passed locally" and "it passed CI" mean the same thing.
 
 GO  ?= go
@@ -6,7 +6,7 @@ BIN := bin
 
 .PHONY: all build fmt-check lint onebed vet test short race mutation fuzz-smoke \
         bench-smoke golden quick-golden full-golden bufsim-golden bench bench-gate bench-scale \
-        bench-scale-gate benchmark-check ab pgo loc clean
+        bench-scale-gate benchmark-check ab pgo pgo-diff loc clean
 
 all: build lint test
 
@@ -144,8 +144,8 @@ bench:
 bench-gate:
 	GOMAXPROCS=1 $(GO) run ./bench -out BENCH_kernel_ci.json -gate BENCH_kernel.json
 
-# bench-scale regenerates the flows scaling curve (plus the parallel
-# fabric and the million-sender slab footprint) against the checked-in
+# bench-scale regenerates the flows scaling curve (plus the
+# million-sender slab footprint) against the checked-in
 # BENCH_scale.json; bench-scale-gate fails if any cell's
 # allocs/op rose more than 1% over it or its events/op differs.
 bench-scale:
@@ -204,6 +204,29 @@ pgo:
 	done; \
 	$(GO) tool pprof -proto "$$d"/*.prof > cmd/bufsim/default.pgo; \
 	cp cmd/bufsim/default.pgo cmd/paperexp/default.pgo
+
+# pgo-diff shows what a change did to the profile-guided build: the
+# inlining and devirtualization decisions default.pgo drives in
+# cmd/bufsim (the compiler's -m -d=pgodebug=1 report), built from REF's
+# committed files (git archive into a temporary directory, as ab does)
+# and from the working tree, positions stripped, diffed. The profile keys
+# its call edges by line offset inside each function, so an edit that
+# moves lines in a hot function can drop a decision unseen: a line only
+# on REF's side is one lost. It fails when the decisions differ. It runs
+# on demand and is not in CI.
+PGO_DECISIONS := hot-node enabled|hot-budget check allows|PGO devirtualizing
+pgo-diff:
+	@test -n "$(REF)" || { echo "usage: make pgo-diff REF=<rev>" >&2; exit 2; }
+	@set -e; d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	mkdir "$$d/ref"; git archive "$(REF)" | tar -x -C "$$d/ref"; \
+	for side in ref tree; do \
+		src=.; if [ $$side = ref ]; then src="$$d/ref"; fi; \
+		$(GO) build -C "$$src" -o /dev/null -gcflags='bufsim/...=-m -d=pgodebug=1' ./cmd/bufsim 2> "$$d/$$side.log"; \
+		grep -E '$(PGO_DECISIONS)' "$$d/$$side.log" \
+			| sed -E 's/^[^ ]+:[0-9]+:[0-9]+: //; s/ at [^ ]+:[0-9]+:[0-9]+//' | sort -u > "$$d/$$side.txt"; \
+	done; \
+	diff -u --label "$(REF)" --label "working tree" "$$d/ref.txt" "$$d/tree.txt"; \
+	echo "pgo-diff: $$(wc -l < "$$d/tree.txt") profile-driven decisions, the same as at $(REF)"
 
 # loc prints the non-test Go line count of every package, the number the
 # simplicity PRs report: no _test.go, no analyzer fixtures, and not

@@ -58,7 +58,6 @@ import (
 
 	"bufsim/internal/experiment"
 	"bufsim/internal/metrics"
-	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -145,10 +144,7 @@ func longLivedConfig() experiment.LongLivedConfig {
 func shortFlowConfig() experiment.ProfileRunConfig {
 	return experiment.ProfileRunConfig{
 		Scenario: experiment.Scenario{Seed: 1, Path: experiment.Path{BottleneckRate: 20 * units.Mbps, Warmup: 3 * units.Second, Measure: 10 * units.Second}}, BufferPackets: 50,
-		Source: workload.PoissonSource{
-			Load: 0.7, Sizes: workload.FixedSize(14),
-			TCP: tcp.Config{SegmentSize: units.DefaultSegment, MaxWindow: 43},
-		},
+		Source: workload.PoissonSource{Load: 0.7, Sizes: workload.FixedSize(14), MaxWindow: 43},
 	}
 }
 
@@ -177,7 +173,7 @@ func main() {
 		baseline = flag.String("baseline", "", "previous BENCH_kernel.json whose 'current' block becomes this file's 'baseline'")
 		kernel   = flag.String("kernel", kernelDescription, "kernel description recorded in the output")
 		gate     = flag.String("gate", "", "BENCH_kernel.json whose 'current' block's allocs/op and events/op the fresh numbers must match")
-		scale    = flag.Bool("scale", false, "run the flows scaling curve, the fabric and the slab probe (see scale.go) instead of the kernel benchmarks; pair with -out BENCH_scale.json")
+		scale    = flag.Bool("scale", false, "run the flows scaling curve and the slab probe (see scale.go) instead of the kernel benchmarks; pair with -out BENCH_scale.json")
 	)
 	flag.Parse()
 

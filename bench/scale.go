@@ -7,10 +7,8 @@ import (
 	"bufsim/internal/experiment"
 	"bufsim/internal/metrics"
 	"bufsim/internal/packet"
-	"bufsim/internal/queue"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
-	"bufsim/internal/topology"
 	"bufsim/internal/units"
 )
 
@@ -20,16 +18,12 @@ import (
 //   - scale_long_lived/flows=F: one long-lived experiment with F flows.
 //     The bottleneck rate grows with F so the per-flow fair share stays
 //     constant — F is the only thing changing.
-//   - scale_fabric/planes=P: P disjoint dumbbell planes, each on its own
-//     scheduler, run in parallel (topology.Fabric.Run). Its events/op is
-//     the sum over the planes.
 //   - slab_senders_1m: constructs 2^20 TCP senders from one sender
 //     arena; bytes/op / 2^20 is the per-flow memory footprint of the
 //     sender path.
 //
-// The recorded GOMAXPROCS is the "cores" axis of the fabric cell. The
-// gate checks only the counts (allocs/op, events/op); speed is judged
-// with `make ab`.
+// The gate checks only the counts (allocs/op, events/op); speed is
+// judged with `make ab`.
 
 // scaleFlows is the measured flows axis.
 var scaleFlows = []int{30, 100, 300, 1000}
@@ -62,36 +56,6 @@ func buildSlabSenders(rows int) *tcp.Slab {
 	return sl
 }
 
-// fabricRun builds planes disjoint dumbbell planes, one long-lived flow
-// per station, runs them in parallel and returns the events they
-// processed.
-func fabricRun(planes, stationsPerPlane int) int64 {
-	f := topology.NewFabric(topology.FabricConfig{
-		RNG:    sim.NewRNG(1),
-		Planes: planes,
-		Plane: topology.Config{
-			BottleneckRate:  20 * units.Mbps,
-			BottleneckDelay: 10 * units.Millisecond,
-			Buffer:          queue.PacketLimit(60),
-			Stations:        stationsPerPlane,
-			RTTMin:          80 * units.Millisecond,
-			RTTMax:          160 * units.Millisecond,
-		},
-	})
-	for k := 0; k < f.Planes(); k++ {
-		d := f.Plane(k)
-		for i := 0; i < d.NumStations(); i++ {
-			d.AddFlow(d.Station(i), tcp.Config{SegmentSize: 1000 * units.Byte}).Sender.Start()
-		}
-	}
-	f.Run(units.Epoch.Add(3 * units.Second))
-	var events int64
-	for k := 0; k < f.Planes(); k++ {
-		events += int64(f.Plane(k).Config().Sched.Processed)
-	}
-	return events
-}
-
 func runScale(f *File) {
 	for _, flows := range scaleFlows {
 		name := fmt.Sprintf("scale_long_lived/flows=%d", flows)
@@ -110,21 +74,9 @@ func runScale(f *File) {
 		f.Current.Benchmarks[name] = metric(r, events)
 	}
 
-	const planes, perPlane = 4, 64
-	name := fmt.Sprintf("scale_fabric/planes=%d", planes)
-	fmt.Println(name + "...")
-	fabricEvents := fabricRun(planes, perPlane)
-	r := fastestOf(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fabricRun(planes, perPlane)
-		}
-	})
-	f.Current.Benchmarks[name] = metric(r, fabricEvents)
-
 	fmt.Println("slab_senders_1m...")
 	var keep *tcp.Slab
-	r = fastestOf(func(b *testing.B) {
+	r := fastestOf(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			keep = buildSlabSenders(slabRows)

@@ -201,7 +201,7 @@ func (l Link) PredictUtilization(n, bufferPkts int) float64 {
 
 // ShortFlowBuffer returns the §4 M/G/1 bound: the buffer (packets) that
 // keeps short-flow drop probability at or below pDrop when flows of
-// flowLen segments (slow start, window capped at maxWindow) offer the
+// flowLen segments (slow start, window at most maxWindow) offer the
 // given load. Note the result does not depend on the link at all — that
 // is the paper's point — so this is a plain function dressed as a method
 // for discoverability.

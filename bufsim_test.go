@@ -152,8 +152,8 @@ func TestSimulateShortFlows(t *testing.T) {
 // TestWorkloadSendsTheLinksSegments pins the bugfix: a workload's TCP
 // templates left the segment size at zero, so at Link.SegmentSize 500 its
 // senders sent 1000-byte segments while its arrival rate was worked out
-// for 500-byte ones, offering twice the load asked for. The workload kind
-// now fills the templates from the link, so the Poisson workload at
+// for 500-byte ones, offering twice the load asked for. A workload's
+// flows now run the scenario's sender at the link's segment size, so the Poisson workload at
 // 500 bytes is exactly the short-flow scenario it replaces: the result
 // the legacy short-flow entry point produced at 500 bytes.
 func TestWorkloadSendsTheLinksSegments(t *testing.T) {

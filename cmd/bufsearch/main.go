@@ -44,37 +44,60 @@ func main() {
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		warmStr   = flag.String("warmup", "15s", "simulated warmup to discard")
 		measStr   = flag.String("measure", "30s", "simulated measurement window")
-		replicas  = flag.Int("replicas", 0, "confirm the found minimum across this many extra seeds")
+		replicas  = flag.Int("replicas", 0, "confirm the found minimum over this many seeds, from -seed up (0: no confirmation)")
 		par       = flag.Int("parallel", 0, "max confirmation runs in flight (0: all CPUs)")
 	)
 	flag.Parse()
 
 	rate, err := units.ParseBitRate(*rateStr)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("-rate: %v", err)
 	}
-	rtt, err := units.ParseDuration(*rttStr)
-	if err != nil {
-		log.Fatal(err)
+	duration := func(name, s string) units.Duration {
+		d, err := units.ParseDuration(s)
+		if err != nil {
+			log.Fatalf("-%s: %v", name, err)
+		}
+		return d
 	}
-	spread, err := units.ParseDuration(*spreadStr)
-	if err != nil {
-		log.Fatal(err)
+	rtt, spread := duration("rtt", *rttStr), duration("rtt-spread", *spreadStr)
+	warmup, measure := duration("warmup", *warmStr), duration("measure", *measStr)
+	path := experiment.Path{
+		BottleneckRate:  rate,
+		BottleneckDelay: 5 * units.Millisecond, // the long-lived scenario's
+		RTTMin:          rtt - spread/2,
+		RTTMax:          rtt + spread/2,
+		SegmentSize:     units.ByteSize(*segment),
+		Warmup:          warmup,
+		Measure:         measure,
 	}
-	warmup, err := units.ParseDuration(*warmStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	measure, err := units.ParseDuration(*measStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *target <= 0 || *target >= 1 {
-		log.Fatal("-target must be in (0,1)")
+	// Every value is checked before the first line prints: a zero window
+	// would run the default one, and a bad RTT, segment or link would
+	// panic inside the simulator.
+	for _, c := range []struct {
+		flag string
+		ok   bool
+		rule string
+	}{
+		{"rate", rate > 0, "must be positive"},
+		{"rtt", rtt > 0, "must be positive"},
+		{"rtt-spread", spread >= 0 && spread < 2*rtt, "must be in [0, 2 x -rtt): flow RTTs span -rtt +- spread/2"},
+		{"rtt", path.RTTMin >= 2*path.BottleneckDelay, fmt.Sprintf("the shortest flow RTT, -rtt - spread/2, must be at least %v, twice the bottleneck delay", 2*path.BottleneckDelay)},
+		{"target", *target > 0 && *target < 1, "must be in (0, 1)"},
+		{"segment", *segment > 0, "must be positive"},
+		{"rate", *segment <= 0 || path.BDP() >= 1, "must carry at least one segment per -rtt"},
+		{"warmup", warmup > 0, "must be positive"},
+		{"measure", measure > 0, "must be positive"},
+		{"replicas", *replicas >= 0, "must not be negative"},
+		{"parallel", *par >= 0, "must not be negative"},
+	} {
+		if !c.ok {
+			log.Fatalf("-%s: %s (got %s)", c.flag, c.rule, flag.Lookup(c.flag).Value)
+		}
 	}
 	variant, err := tcp.ParseVariant(*varStr)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("-variant: %v", err)
 	}
 	var flowCounts []int
 	for _, s := range strings.Split(*flowsStr, ",") {
@@ -85,14 +108,6 @@ func main() {
 		flowCounts = append(flowCounts, n)
 	}
 
-	path := experiment.Path{
-		BottleneckRate: rate,
-		RTTMin:         rtt - spread/2,
-		RTTMax:         rtt + spread/2,
-		SegmentSize:    units.ByteSize(*segment),
-		Warmup:         warmup,
-		Measure:        measure,
-	}
 	if *compareCC {
 		table := experiment.RunCCFamily(experiment.CCFamilyConfig{
 			Scenario: experiment.Scenario{Seed: *seed, Path: path},
@@ -135,7 +150,7 @@ func main() {
 		fmt.Println("warning: target not reached within 2x rule-of-thumb; reporting the bound")
 	}
 
-	if *replicas > 1 {
+	if *replicas > 0 {
 		confirm := cfg
 		confirm.BufferPackets = min
 		rep := experiment.RunLongLivedReplicated(confirm, *replicas)

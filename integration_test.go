@@ -132,10 +132,10 @@ func TestShortFlowsConservation(t *testing.T) {
 		RTTMax:          120 * units.Millisecond,
 	})
 	gen := workload.PoissonSource{
-		Load:  0.6,
-		Sizes: workload.GeometricSize(10),
-		TCP:   tcp.Config{SegmentSize: 1000, MaxWindow: 43},
-	}.Bind(d, rng.Fork())
+		Load:      0.6,
+		Sizes:     workload.GeometricSize(10),
+		MaxWindow: 43,
+	}.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000})
 	gen.Start()
 	sched.Run(units.Time(20 * units.Second))
 	gen.Stop()
@@ -181,14 +181,14 @@ func TestMixedTrafficCoexistence(t *testing.T) {
 	})
 	longs := workload.StartLongLived(d, 15, tcp.Config{SegmentSize: 1000}, rng.Fork(), units.Second)
 	shorts := workload.PoissonSource{
-		Load:  0.2,
-		Sizes: workload.ParetoSize{Shape: 1.3, Min: 2, Max: 500},
-		TCP:   tcp.Config{SegmentSize: 1000, MaxWindow: 43},
-	}.Bind(d, rng.Fork())
+		Load:      0.2,
+		Sizes:     workload.ParetoSize{Shape: 1.3, Min: 2, Max: 500},
+		MaxWindow: 43,
+	}.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000})
 	shorts.Start()
 	cbr := adversary.Pulse{
 		Senders: 1, PeakRate: 500 * units.Kbps, Period: units.Second, Duty: 1, PacketSize: 200,
-	}.Bind(d, nil).(*adversary.PulseDriver)
+	}.Bind(d, nil, tcp.Config{}).(*adversary.PulseDriver)
 	cbr.Start()
 
 	sched.Run(units.Time(30 * units.Second))

@@ -79,7 +79,7 @@ func runPulse(t *testing.T) (*PulseDriver, *topology.Dumbbell) {
 		Period:   200 * units.Millisecond,
 		Duty:     0.25,
 	}
-	drv, ok := src.Bind(d, nil).(*PulseDriver)
+	drv, ok := src.Bind(d, nil, tcp.Config{}).(*PulseDriver)
 	if !ok {
 		t.Fatal("pulse Bind did not return a *PulseDriver")
 	}
@@ -171,7 +171,7 @@ func rttDumbbell(stations, bufferPkts int, rate units.BitRate, lo, hi units.Dura
 func cwndSpread(t *testing.T, lo, hi units.Duration) (float64, []*topology.Flow) {
 	t.Helper()
 	sched, d := rttDumbbell(8, 25, 10*units.Mbps, lo, hi, sim.NewRNG(3))
-	drv := SyncAIMD{N: 8, TCP: tcp.Config{SegmentSize: units.DefaultSegment}}.Bind(d, sim.NewRNG(1)).(*SyncAIMDDriver)
+	drv := SyncAIMD{N: 8}.Bind(d, sim.NewRNG(1), tcp.Config{SegmentSize: units.DefaultSegment}).(*SyncAIMDDriver)
 	drv.Start()
 	var ratios []float64
 	for at := 10 * units.Second; at <= 60*units.Second; at += 100 * units.Millisecond {
@@ -243,7 +243,7 @@ func TestSyncAIMDAmplifiesAggregateSwing(t *testing.T) {
 		return w.CoV()
 	}
 	sync := cov(100*units.Millisecond, 100*units.Millisecond, func(d *topology.Dumbbell) {
-		SyncAIMD{N: n, TCP: spec}.Bind(d, sim.NewRNG(1)).Start()
+		SyncAIMD{N: n}.Bind(d, sim.NewRNG(1), spec).Start()
 	})
 	desync := cov(50*units.Millisecond, 150*units.Millisecond, func(d *topology.Dumbbell) {
 		workload.StartLongLived(d, n, spec, sim.NewRNG(1), 5*units.Second)

@@ -23,26 +23,25 @@ import (
 // drawn from (stagger is zero); any residual desynchronization comes
 // only from the topology, which is the experiment's knob.
 type SyncAIMD struct {
-	// N is the cohort size.
+	// N is the cohort size; its flows run uncapped on the run's sender.
 	N int
-	// TCP is the shared flow template; TotalSegments is forced to 0
-	// (long-lived).
-	TCP tcp.Config
 }
 
 func (s SyncAIMD) String() string { return fmt.Sprintf("aimdsync(%d)", s.N) }
 
 // Bind implements workload.Source.
-func (s SyncAIMD) Bind(d *topology.Dumbbell, rng *sim.RNG) workload.Driver {
+func (s SyncAIMD) Bind(d *topology.Dumbbell, rng *sim.RNG, spec tcp.Config) workload.Driver {
 	if s.N <= 0 {
 		panic(fmt.Sprintf("adversary: SyncAIMD.N = %d", s.N))
 	}
-	return &SyncAIMDDriver{src: s, d: d, rng: rng}
+	spec.MaxWindow = 0
+	return &SyncAIMDDriver{n: s.N, spec: spec, d: d, rng: rng}
 }
 
 // SyncAIMDDriver is the bound cohort.
 type SyncAIMDDriver struct {
-	src   SyncAIMD
+	n     int
+	spec  tcp.Config
 	d     *topology.Dumbbell
 	rng   *sim.RNG
 	flows []*topology.Flow
@@ -54,7 +53,7 @@ func (s *SyncAIMDDriver) Start() {
 	if s.flows != nil {
 		panic("adversary: aimdsync driver started twice")
 	}
-	s.flows = workload.StartLongLived(s.d, s.src.N, s.src.TCP, s.rng, 0)
+	s.flows = workload.StartLongLived(s.d, s.n, s.spec, s.rng, 0)
 }
 
 // Stop implements workload.Driver: long-lived flows run until the

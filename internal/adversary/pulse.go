@@ -6,6 +6,7 @@ import (
 	"bufsim/internal/packet"
 	"bufsim/internal/sim"
 	"bufsim/internal/stats"
+	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
@@ -41,8 +42,9 @@ func (p Pulse) String() string {
 }
 
 // Bind implements workload.Source. Binding validates the pattern and
-// wires one raw flow per sender; traffic begins at Start.
-func (p Pulse) Bind(d *topology.Dumbbell, _ *sim.RNG) workload.Driver {
+// wires one raw flow per sender; traffic begins at Start. The trains are
+// not TCP, so the run's sender template goes unused.
+func (p Pulse) Bind(d *topology.Dumbbell, _ *sim.RNG, _ tcp.Config) workload.Driver {
 	if p.Senders <= 0 {
 		panic(fmt.Sprintf("adversary: Pulse.Senders = %d", p.Senders))
 	}

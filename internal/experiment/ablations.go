@@ -183,9 +183,9 @@ func runSmoothingPoint(cfg SmoothingConfig, ratio float64, moments model.BurstMo
 		accessRate: units.BitRate(ratio * float64(cfg.BottleneckRate)),
 	})
 	gen := b.start(workload.PoissonSource{
-		Load:  cfg.Load,
-		Sizes: workload.FixedSize(cfg.FlowLen),
-		TCP:   cfg.tcp(cfg.MaxWindow),
+		Load:      cfg.Load,
+		Sizes:     workload.FixedSize(cfg.FlowLen),
+		MaxWindow: cfg.MaxWindow,
 	})
 
 	// Sample the queue during the window (arrival sampling, matching the

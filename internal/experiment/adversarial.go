@@ -258,7 +258,7 @@ func runAdversarialDumbbell(sc AdversaryScenario, factor float64) AdversarialRow
 			PacketSize: sc.SegmentSize,
 		})
 	case adversary.PatternSyncAIMD:
-		b.start(adversary.SyncAIMD{N: sc.N, TCP: sc.tcp(0)})
+		b.start(adversary.SyncAIMD{N: sc.N})
 	}
 
 	var aggregate *trace.Series

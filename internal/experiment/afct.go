@@ -161,7 +161,7 @@ func runTrace(cfg TraceConfig) TraceResult {
 	first, last := cfg.Flows[0].Start, cfg.Flows[len(cfg.Flows)-1].Start
 	sc.Warmup, sc.Measure = first, last-first+cfg.Drain
 	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: sc, stations: cfg.Stations, buffer: cfg.BufferPackets})
-	drv := b.start(workload.TraceSource{Flows: cfg.Flows, TCP: cfg.tcp(cfg.MaxWindow)})
+	drv := b.start(workload.TraceSource{Flows: cfg.Flows, MaxWindow: cfg.MaxWindow})
 	w := b.measure(nil)
 
 	// Every flow of the trace counts, whenever it started.
@@ -189,8 +189,8 @@ func runMixedOnce(cfg MixedConfig, label string) AFCTOutcome {
 // runMixedUncached is the uncached body of runMixedOnce.
 func runMixedUncached(cfg MixedConfig, label string) AFCTOutcome {
 	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: cfg.Scenario, stations: cfg.NLong + 50, buffer: cfg.BufferPackets})
-	workload.StartLongLived(b.d, cfg.NLong, cfg.tcp(0), b.rng.Fork(), cfg.Warmup/2)
-	gen := b.start(workload.PoissonSource{Load: cfg.ShortLoad, Sizes: cfg.Sizes, TCP: cfg.tcp(cfg.MaxWindow)})
+	workload.StartLongLived(b.d, cfg.NLong, b.spec, b.rng.Fork(), cfg.Warmup/2)
+	gen := b.start(workload.PoissonSource{Load: cfg.ShortLoad, Sizes: cfg.Sizes, MaxWindow: cfg.MaxWindow})
 
 	w := b.measure(nil)
 	gen.Stop()

@@ -35,7 +35,7 @@ func TestLossyRunAllocationBudget(t *testing.T) {
 			return runProfileUncached(ProfileRunConfig{
 				Scenario: Scenario{Seed: 1, Path: Path{BottleneckRate: 12 * units.Mbps, Warmup: units.Second, Measure: units.Second},
 					Queue: RED, Sender: Sender{Variant: tcp.Sack}}, BufferPackets: 16,
-				Source: workload.PoissonSource{Load: 0.95, Sizes: workload.FixedSize(14), TCP: capped(32)},
+				Source: workload.PoissonSource{Load: 0.95, Sizes: workload.FixedSize(14), MaxWindow: 32},
 				Drain:  2 * units.Second,
 			}.withDefaults()).LossRate
 		}},

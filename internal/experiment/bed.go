@@ -48,10 +48,13 @@ type bed struct {
 	// scenario's results fixed.
 	rng *sim.RNG
 	d   *topology.Dumbbell
+	// spec is the scenario's sender template, which every source bound
+	// here runs (see Scenario.tcp).
+	spec tcp.Config
 }
 
 func newBed(c bedConfig) *bed {
-	b := &bed{rig: newRig(c.env, c.Path), rng: sim.NewRNG(c.Seed)}
+	b := &bed{rig: newRig(c.env, c.Path), rng: sim.NewRNG(c.Seed), spec: c.tcp(0)}
 	tc := topology.Config{
 		Sched:           b.sched,
 		BottleneckRate:  c.BottleneckRate,
@@ -130,10 +133,10 @@ func instrumentPools(reg *metrics.Registry, stats func() packet.PoolStats) {
 }
 
 // start binds src onto the dumbbell with the next fork of the bed's seed
-// and starts it: the one way a scenario body turns a traffic description
-// into traffic.
+// and the scenario's sender, and starts it: the one way a scenario body
+// turns a traffic description into traffic.
 func (b *bed) start(src workload.Source) workload.Driver {
-	drv := src.Bind(b.d, b.rng.Fork())
+	drv := src.Bind(b.d, b.rng.Fork(), b.spec)
 	drv.Start()
 	return drv
 }

@@ -141,10 +141,9 @@ func TestDrainEndsWithLastWindowedFlow(t *testing.T) {
 			Scenario:      Scenario{Seed: 5, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}},
 			BufferPackets: 40,
 			Source: profile.Source{
-				Profile: profile.Constant.Profile().ScaleTo(workload.ArrivalRateForLoad(0.6, rate, units.DefaultSegment, sizes), 5),
-				Sizes:   sizes,
-				TCP:     capped(32),
-				LongTCP: capped(0),
+				Profile:   profile.Constant.Profile().ScaleTo(workload.ArrivalRateForLoad(0.6, rate, units.DefaultSegment, sizes), 5),
+				Sizes:     sizes,
+				MaxWindow: 32,
 			},
 			Drain:  drain,
 			RunEnv: RunEnv{Metrics: reg},

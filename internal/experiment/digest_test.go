@@ -235,7 +235,7 @@ func shortFlowRun(seed int64, rate units.BitRate, load float64, flowLen int64, b
 		Scenario: Scenario{Seed: seed, Path: Path{BottleneckRate: rate, Warmup: warmup, Measure: measure}}, BufferPackets: buffer,
 		Source: workload.PoissonSource{
 			Load: load, Sizes: workload.FixedSize(flowLen),
-			TCP: capped(43),
+			MaxWindow: 43,
 		},
 		RunEnv: env,
 	}

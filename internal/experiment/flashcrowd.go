@@ -25,10 +25,8 @@ type ProfileRunConfig struct {
 	BufferPackets int // 0 = unlimited
 
 	// Source is the workload; required. Sources are pure data, so the
-	// run cache keys on the source's concrete type and fields. RunProfile
-	// rebuilds its TCP templates from the Scenario (see
-	// Scenario.templated): only their receiver-window caps are the
-	// source's.
+	// run cache keys on the source's concrete type and fields. Its flows
+	// run the Scenario's sender; a source adds only its window cap.
 	Source workload.Source
 
 	Stations int
@@ -56,7 +54,6 @@ var shortFlowPath = Path{
 
 func (c ProfileRunConfig) withDefaults() ProfileRunConfig {
 	c.Path = c.Path.or(shortFlowPath)
-	c.Source = c.templated(c.Source)
 	if c.Stations == 0 {
 		c.Stations = 50
 	}
@@ -232,10 +229,9 @@ func flashCrowdSource(cfg FlashCrowdConfig) workload.Source {
 	sizes := workload.FixedSize(cfg.FlowLength)
 	peakRate := workload.ArrivalRateForLoad(cfg.PeakLoad, cfg.BottleneckRate, cfg.SegmentSize, sizes)
 	return profile.Source{
-		Profile: cfg.Profile.ScaleTo(peakRate, float64(cfg.PeakFlows)),
-		Sizes:   sizes,
-		TCP:     capped(cfg.MaxWindow),
-		LongTCP: capped(0),
+		Profile:   cfg.Profile.ScaleTo(peakRate, float64(cfg.PeakFlows)),
+		Sizes:     sizes,
+		MaxWindow: cfg.MaxWindow,
 	}
 }
 

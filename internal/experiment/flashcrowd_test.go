@@ -47,14 +47,14 @@ func TestProfileStationaryMatchesShortFlow(t *testing.T) {
 	// A constant profile at the load-equivalent arrival rate goes
 	// through the thinning engine instead of the closed-form sampler.
 	src := short.Source.(workload.PoissonSource)
-	lambda := workload.ArrivalRateForLoad(src.Load, short.BottleneckRate, src.TCP.SegmentSize, src.Sizes)
+	lambda := workload.ArrivalRateForLoad(src.Load, short.BottleneckRate, short.SegmentSize, src.Sizes)
 	short.Source = profile.Source{
 		Profile: profile.Profile{
 			Name:    "stationary",
 			Arrival: profile.Curve{{T: 0, V: lambda}, {T: 60 * units.Second, V: lambda}},
 		},
-		Sizes: src.Sizes,
-		TCP:   src.TCP,
+		Sizes:     src.Sizes,
+		MaxWindow: src.MaxWindow,
 	}
 	if res2 := RunProfile(short); res2 != res {
 		t.Fatalf("constant profile result %+v != Poisson source result %+v", res2, res)

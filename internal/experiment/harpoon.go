@@ -112,7 +112,7 @@ func runHarpoonUncached(cfg HarpoonConfig, buffer int) harpoonRun {
 		Sessions:  cfg.Sessions,
 		Sizes:     cfg.Sizes,
 		MeanThink: cfg.MeanThink,
-		TCP:       cfg.tcp(64),
+		MaxWindow: 64,
 	})
 	active := b.sample("active", 100*units.Millisecond,
 		func() float64 { return float64(g.Active()) })

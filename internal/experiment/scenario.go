@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"bufsim/internal/tcp"
-	"bufsim/internal/workload"
-	"bufsim/internal/workload/profile"
 )
 
 // Scenario is the apparatus every experiment measures, declared once:
@@ -87,32 +85,3 @@ func (s Scenario) tcp(maxWindow int) tcp.Config {
 		ECN:         s.Queue == REDECN,
 	}
 }
-
-// templated returns src with every TCP template it carries rebuilt by
-// s.tcp, each keeping only its receiver-window cap: a source says how
-// much traffic to offer, the scenario what TCP carries it. A source
-// without templates is returned as it is.
-//
-// Whatever else a source's template sets is dropped, so a source built
-// for RunProfile spells its templates as capped(n).
-func (s Scenario) templated(src workload.Source) workload.Source {
-	switch src := src.(type) {
-	case workload.PoissonSource:
-		src.TCP = s.tcp(src.TCP.MaxWindow)
-		return src
-	case workload.SessionSource:
-		src.TCP = s.tcp(src.TCP.MaxWindow)
-		return src
-	case workload.TraceSource:
-		src.TCP = s.tcp(src.TCP.MaxWindow)
-		return src
-	case profile.Source:
-		src.TCP, src.LongTCP = s.tcp(src.TCP.MaxWindow), s.tcp(src.LongTCP.MaxWindow)
-		return src
-	}
-	return src
-}
-
-// capped is a source's TCP template as RunProfile takes it: the
-// receiver-window cap alone, the rest filled in by Scenario.templated.
-func capped(maxWindow int) tcp.Config { return tcp.Config{MaxWindow: maxWindow} }

@@ -91,9 +91,9 @@ func shortFlowAFCT(cfg ShortFlowBufferConfig, env RunEnv, rate units.BitRate, fl
 		Scenario:      cfg.Scenario,
 		BufferPackets: buffer,
 		Source: workload.PoissonSource{
-			Load:  cfg.Load,
-			Sizes: workload.FixedSize(flowLen),
-			TCP:   capped(cfg.MaxWindow),
+			Load:      cfg.Load,
+			Sizes:     workload.FixedSize(flowLen),
+			MaxWindow: cfg.MaxWindow,
 		},
 		Stations: cfg.Stations,
 		RunEnv:   env,

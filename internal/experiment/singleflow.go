@@ -82,7 +82,7 @@ func runSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
 	sc := cfg.Scenario
 	sc.Path = sc.Path.or(Path{BottleneckDelay: cfg.RTTMin / 4})
 	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: sc, stations: 1, buffer: buffer})
-	f := b.d.AddFlow(b.d.Station(0), cfg.tcp(0))
+	f := b.d.AddFlow(b.d.Station(0), b.spec)
 	f.Sender.Start()
 	cwnd := b.sample("cwnd_pkts", cfg.SampleEvery, f.Sender.Cwnd)
 	qlen := b.sample("queue_pkts", cfg.SampleEvery,

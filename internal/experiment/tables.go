@@ -179,8 +179,8 @@ func RunProduction(cfg ProductionConfig) ProductionTable {
 // runProductionPoint simulates one Fig. 11 buffer point under env.
 func runProductionPoint(cfg ProductionConfig, env RunEnv, buffer int, bdp float64) ProductionRow {
 	b := newBed(bedConfig{env: env, Scenario: cfg.Scenario, stations: cfg.NLong + 100, buffer: buffer})
-	workload.StartLongLived(b.d, cfg.NLong, cfg.tcp(0), b.rng.Fork(), cfg.Warmup/2)
-	gen := b.start(workload.PoissonSource{Load: cfg.ShortLoad, Sizes: cfg.Pareto, TCP: cfg.tcp(43)})
+	workload.StartLongLived(b.d, cfg.NLong, b.spec, b.rng.Fork(), cfg.Warmup/2)
+	gen := b.start(workload.PoissonSource{Load: cfg.ShortLoad, Sizes: cfg.Pareto, MaxWindow: 43})
 	concurrent := b.sample("concurrent", 100*units.Millisecond,
 		func() float64 { return float64(cfg.NLong + gen.Active()) })
 

@@ -86,7 +86,7 @@ func runWindowDist(cfg WindowDistConfig) WindowDistResult {
 	buffer := int(math.Max(1, cfg.BufferFactor*float64(cfg.BDP())/math.Sqrt(float64(cfg.N))))
 
 	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: cfg.Scenario, stations: cfg.N, buffer: buffer})
-	workload.StartLongLived(b.d, cfg.N, cfg.tcp(0), b.rng.Fork(), cfg.Warmup/2)
+	workload.StartLongLived(b.d, cfg.N, b.spec, b.rng.Fork(), cfg.Warmup/2)
 
 	var aggregate *trace.Series
 	b.measure(func() {

@@ -124,7 +124,7 @@ type BurstMoments struct {
 
 // SlowStartBursts returns the burst sizes (packets per RTT) a flow of
 // flowLen segments emits in slow start with the given initial window and
-// receive-window cap: iw, 2*iw, 4*iw, ... capped at maxWindow, with a
+// receive-window cap: iw, 2*iw, 4*iw, ... up to maxWindow, with a
 // final partial burst. This is the §4 "first sends two packets, then
 // four, eight, sixteen" pattern.
 func SlowStartBursts(flowLen int64, iw, maxWindow int) []int64 {

@@ -68,8 +68,8 @@ func (f Flags) String() string {
 // link.Link.Send returns a packet its queue has just rejected (PutDropped)
 // — if the topology gave the link a pool. A topology does so where the
 // link runs on the scheduler whose endpoints draw from that pool (a Pool
-// belongs to one goroutine): every dumbbell's bottleneck, every fabric
-// plane's, the parking lot's core links. Packets for a detached flow and
+// belongs to one goroutine): every dumbbell's bottleneck and the parking
+// lot's core links. Packets for a detached flow and
 // packets a queue drops after admitting them (CoDel) are abandoned to the
 // garbage collector. Nothing else may call
 // Pool.Put. Sources that never see their packets again (CBR, pulse,

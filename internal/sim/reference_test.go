@@ -399,10 +399,10 @@ func FuzzKernelMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) { replayOracle(t, seed) })
 }
 
-// TestShardedAuditClean: a fabric shards one run into planes, each on its
-// own Scheduler and goroutine, so schedulers must share no state. Eight
-// oracle replays run at once, each under its own auditor, and each must
-// still match its oracle with zero audit violations.
+// TestShardedAuditClean: a parallel sweep runs its simulations each on
+// its own Scheduler and goroutine, so schedulers must share no state.
+// Eight oracle replays run at once, each under its own auditor, and each
+// must still match its oracle with zero audit violations.
 func TestShardedAuditClean(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

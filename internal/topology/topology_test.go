@@ -304,10 +304,11 @@ func TestCustomQueueDiscipline(t *testing.T) {
 }
 
 // TestOnePoolPerView: every flow of a dumbbell shares its one packet
-// pool, and a fabric's planes never share one, so a pool is only ever
-// touched by the goroutine running its scheduler; under audit the pool
-// poisons instead of recycling; and every link that drops releases into
-// the pool of the endpoints it serves.
+// pool, and two dumbbells built side by side never share one (nor a
+// sender arena), so a pool is only ever touched by the goroutine running
+// its scheduler; under audit the pool poisons instead of recycling; and
+// every link that drops releases into the pool of the endpoints it
+// serves.
 func TestOnePoolPerView(t *testing.T) {
 	build := func(aud *audit.Auditor) *Dumbbell {
 		return NewDumbbell(Config{
@@ -342,8 +343,8 @@ func TestOnePoolPerView(t *testing.T) {
 		t.Error("audited dumbbell's pool does not poison released packets")
 	}
 
-	// A link that drops releases into the pool its endpoints draw from: a
-	// dumbbell's bottleneck, a fabric plane's, the parking lot's core links.
+	// A link that drops releases into the pool its endpoints draw from:
+	// each dumbbell's bottleneck into its own, the parking lot's core links.
 	overflow := func(l *link.Link, pool *packet.Pool, limit int) int64 {
 		for i := 0; i < limit+2; i++ { // one transmitting, limit queued, one rejected
 			p := pool.Get()
@@ -352,19 +353,14 @@ func TestOnePoolPerView(t *testing.T) {
 		}
 		return l.Queue().Stats().DroppedPackets
 	}
-	d = build(nil)
-	if drops := overflow(d.Bottleneck, d.pool, 50); drops != 1 || d.PoolStats().DropReleases != 1 {
-		t.Errorf("%d drops, %d released to the pool, want 1 and 1", drops, d.PoolStats().DropReleases)
+	pair := [2]*Dumbbell{build(nil), build(nil)}
+	if pair[0].pool == pair[1].pool || pair[0].slab == pair[1].slab {
+		t.Error("two dumbbells share a pool or a sender arena")
 	}
-	fab := NewFabric(FabricConfig{Planes: 2, Plane: fabricPlaneTemplate, RNG: sim.NewRNG(1)})
-	if fab.Plane(0).pool == fab.Plane(1).pool || fab.Plane(0).slab == fab.Plane(1).slab {
-		t.Error("two fabric planes share a pool or a sender arena")
-	}
-	for k := 0; k < fab.Planes(); k++ {
-		d := fab.Plane(k)
-		drops := overflow(d.Bottleneck, d.pool, 60)
+	for k, d := range pair {
+		drops := overflow(d.Bottleneck, d.pool, 50)
 		if got := d.PoolStats().DropReleases; drops != 1 || got != 1 {
-			t.Errorf("fabric plane %d: %d drops, %d released to its pool, want 1 and 1", k, drops, got)
+			t.Errorf("dumbbell %d: %d drops, %d released to its pool, want 1 and 1", k, drops, got)
 		}
 	}
 	lot := NewParkingLot(ParkingLotConfig{

@@ -41,7 +41,7 @@ func attached(sched *sim.Scheduler, d *topology.Dumbbell, flows []*topology.Flow
 
 // TestDriverContract holds every Source to the one Driver contract.
 func TestDriverContract(t *testing.T) {
-	short := tcp.Config{SegmentSize: 1000, MaxWindow: 32}
+	spec := tcp.Config{SegmentSize: 1000}
 	sec := units.Second
 	cases := []struct {
 		name string
@@ -51,13 +51,13 @@ func TestDriverContract(t *testing.T) {
 		finite    bool
 		remainder int
 	}{
-		{"poisson", workload.PoissonSource{Load: 0.3, Sizes: workload.GeometricSize(10), TCP: short}, true, 0},
+		{"poisson", workload.PoissonSource{Load: 0.3, Sizes: workload.GeometricSize(10), MaxWindow: 32}, true, 0},
 		{"sessions", workload.SessionSource{
-			Sessions: 5, Sizes: workload.FixedSize(10), MeanThink: 200 * units.Millisecond, TCP: short,
+			Sessions: 5, Sizes: workload.FixedSize(10), MeanThink: 200 * units.Millisecond, MaxWindow: 32,
 		}, true, 0},
 		{"trace", workload.TraceSource{
-			Flows: []workload.FlowSpec{{Start: 0, Size: 10}, {Start: sec, Size: 30}, {Start: sec, Size: 5}, {Start: 4 * sec, Size: 12}},
-			TCP:   short,
+			Flows:     []workload.FlowSpec{{Start: 0, Size: 10}, {Start: sec, Size: 30}, {Start: sec, Size: 5}, {Start: 4 * sec, Size: 12}},
+			MaxWindow: 32,
 		}, true, 0},
 		{"profile", profile.Source{
 			Profile: profile.Profile{
@@ -65,10 +65,10 @@ func TestDriverContract(t *testing.T) {
 				Arrival:    profile.Curve{{T: 0, V: 10}, {T: 3 * sec, V: 30}},
 				Population: profile.Curve{{T: 0, V: 3}, {T: 4 * sec, V: 1}},
 			},
-			Sizes: workload.FixedSize(8), TCP: short, LongTCP: tcp.Config{SegmentSize: 1000},
+			Sizes: workload.FixedSize(8), MaxWindow: 32,
 		}, true, 1},
 		{"pulse", adversary.Pulse{Senders: 2, PeakRate: 5 * units.Mbps, Period: 200 * units.Millisecond, Duty: 0.5}, false, 0},
-		{"aimdsync", adversary.SyncAIMD{N: 3, TCP: tcp.Config{SegmentSize: 1000}}, false, 3},
+		{"aimdsync", adversary.SyncAIMD{N: 3}, false, 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -81,7 +81,7 @@ func TestDriverContract(t *testing.T) {
 			})
 			var flows []*topology.Flow
 			d.OnAddFlow = func(f *topology.Flow) { flows = append(flows, f) }
-			drv := c.src.Bind(d, rng.Fork())
+			drv := c.src.Bind(d, rng.Fork(), spec)
 			drv.Start()
 			func() {
 				defer func() {

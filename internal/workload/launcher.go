@@ -11,13 +11,14 @@ import (
 // and how large; Records, Generated and Active are the Launcher's.
 type Launcher struct {
 	d       *topology.Dumbbell
+	spec    tcp.Config // every flow's template; TotalSegments is set per flow
 	records []*FlowRecord
 	started int64
 	active  int
 }
 
-// NewLauncher returns a launcher for flows across d.
-func NewLauncher(d *topology.Dumbbell) *Launcher { return &Launcher{d: d} }
+// NewLauncher returns a launcher for flows on spec across d.
+func NewLauncher(d *topology.Dumbbell, spec tcp.Config) *Launcher { return &Launcher{d: d, spec: spec} }
 
 // Records returns one entry per launched flow, in launch order.
 func (l *Launcher) Records() []*FlowRecord { return l.records }
@@ -29,18 +30,20 @@ func (l *Launcher) Generated() int64 { return l.started }
 func (l *Launcher) Active() int { return l.active }
 
 // launch starts a flow of size segments across st at time now (the
-// scheduler's clock) and records it. done, if not nil, runs when the last segment arrives, after the detach is posted —
-// so a generator that schedules from done keeps its events behind the
-// detach in (time, seq) order.
-func (l *Launcher) launch(st *topology.Station, spec tcp.Config, size int64, now units.Time, done func()) {
+// scheduler's clock) and records it. done, if not nil, runs when the last
+// segment arrives, after the detach is posted — so a generator that
+// schedules from done keeps its events behind the detach in (time, seq)
+// order.
+func (l *Launcher) launch(st *topology.Station, size int64, now units.Time, done func()) {
 	rec := &FlowRecord{Size: size, Completed: units.Never}
 	l.records = append(l.records, rec)
-	l.start(rec, st, spec, now, done)
+	l.start(rec, st, now, done)
 }
 
 // start is launch for a record the caller already holds in l.records
 // (replay lists its flows before they start).
-func (l *Launcher) start(rec *FlowRecord, st *topology.Station, spec tcp.Config, now units.Time, done func()) {
+func (l *Launcher) start(rec *FlowRecord, st *topology.Station, now units.Time, done func()) {
+	spec := l.spec
 	spec.TotalSegments = rec.Size
 	f := l.d.AddFlow(st, spec)
 	rec.Start = now

@@ -51,8 +51,8 @@ func TestDelayedAckFlowsFinish(t *testing.T) {
 		}
 		live = kept
 	}
-	src := PoissonSource{Load: 0.3, Sizes: GeometricSize(9), TCP: tcp.Config{SegmentSize: 1000, DelayedAck: true}}
-	drv := src.Bind(d, rng.Fork())
+	src := PoissonSource{Load: 0.3, Sizes: GeometricSize(9)}
+	drv := src.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000, DelayedAck: true})
 	drv.Start()
 	for s.Now() < units.Epoch.Add(6*units.Second) && s.Step() {
 		look()

@@ -32,11 +32,9 @@ type Source struct {
 	// Sizes is the short-flow length distribution; required when the
 	// arrival curve is anywhere positive.
 	Sizes workload.SizeDist
-	// TCP is the short-flow template; TotalSegments is set per flow.
-	TCP tcp.Config
-	// LongTCP is the long-lived flow template; TotalSegments is forced
-	// to zero (unbounded).
-	LongTCP tcp.Config
+	// MaxWindow caps each short flow's window in segments (0: uncapped);
+	// long-lived flows run uncapped.
+	MaxWindow int
 }
 
 func (s Source) String() string {
@@ -46,18 +44,22 @@ func (s Source) String() string {
 // Bind implements workload.Source. The profile must already be valid —
 // Bind is on the hot path of cached sweeps and panics on a defect the
 // API boundary should have reported (see Profile.Validate).
-func (s Source) Bind(d *topology.Dumbbell, rng *sim.RNG) workload.Driver {
+func (s Source) Bind(d *topology.Dumbbell, rng *sim.RNG, spec tcp.Config) workload.Driver {
 	if err := s.Profile.Validate(); err != nil {
 		panic(err)
 	}
 	if s.Profile.Arrival.Max() > 0 && s.Sizes == nil {
 		panic("profile: Source with an arrival curve requires Sizes")
 	}
+	short := spec
+	short.MaxWindow = s.MaxWindow
+	spec.MaxWindow, spec.TotalSegments = 0, 0
 	return &engine{
-		Arrivals: workload.NewArrivals(d, rng, s.Sizes, s.TCP, s.Profile.Arrival.At, s.Profile.Arrival.Max()),
-		src:      s,
-		d:        d,
-		sched:    d.Config().Sched,
+		Arrivals:   workload.NewArrivals(d, rng, s.Sizes, short, s.Profile.Arrival.At, s.Profile.Arrival.Max()),
+		population: s.Profile.Population,
+		longSpec:   spec,
+		d:          d,
+		sched:      d.Config().Sched,
 	}
 }
 
@@ -73,10 +75,11 @@ const (
 // events the profile implies.
 type engine struct {
 	*workload.Arrivals
-	src     Source
-	d       *topology.Dumbbell
-	sched   *sim.Scheduler
-	running bool
+	population Curve
+	longSpec   tcp.Config // the long-lived flows': uncapped and unbounded
+	d          *topology.Dumbbell
+	sched      *sim.Scheduler
+	running    bool
 
 	long       []*topology.Flow // live long-lived flows, newest last
 	longCursor int              // round-robin station assignment
@@ -92,7 +95,7 @@ func (e *engine) Start() {
 	e.running = true
 	base := e.sched.Now()
 
-	initial, changes := compilePopulation(e.src.Profile.Population)
+	initial, changes := compilePopulation(e.population)
 	for i := 0; i < initial; i++ {
 		e.addLong()
 	}
@@ -134,11 +137,9 @@ func (e *engine) OnEvent(op int32, _ any) {
 // Starts are not randomly staggered — the schedule is compiled, not
 // drawn — so desynchronization comes from the topology's RTT spread.
 func (e *engine) addLong() {
-	spec := e.src.LongTCP
-	spec.TotalSegments = 0
 	st := e.d.Station(e.longCursor % e.d.NumStations())
 	e.longCursor++
-	f := e.d.AddFlow(st, spec)
+	f := e.d.AddFlow(st, e.longSpec)
 	e.long = append(e.long, f)
 	f.Sender.Start()
 }

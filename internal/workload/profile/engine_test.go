@@ -43,27 +43,26 @@ func TestConstantProfileMatchesLegacyPoisson(t *testing.T) {
 		load     = 0.6
 	)
 	sizes := workload.GeometricSize(14)
-	tcpCfg := tcp.Config{MaxWindow: 32}
 	horizon := units.Epoch.Add(20 * units.Second)
 
 	// The stationary source.
 	s1, d1, rng1 := testDumbbell(seed, stations, buffer, rate)
-	legacy := workload.PoissonSource{Load: load, Sizes: sizes, TCP: tcpCfg}.Bind(d1, rng1.Fork())
+	legacy := workload.PoissonSource{Load: load, Sizes: sizes, MaxWindow: 32}.Bind(d1, rng1.Fork(), tcp.Config{})
 	legacy.Start()
 	s1.Run(horizon)
 
 	// Constant profile at the equivalent flows-per-second rate.
-	lambda := workload.ArrivalRateForLoad(load, rate, tcpCfg.SegmentSize, sizes)
+	lambda := workload.ArrivalRateForLoad(load, rate, units.DefaultSegment, sizes)
 	s2, d2, rng2 := testDumbbell(seed, stations, buffer, rate)
 	src := Source{
 		Profile: Profile{
 			Name:    "stationary",
 			Arrival: Curve{{T: 0, V: lambda}, {T: 60 * units.Second, V: lambda}},
 		},
-		Sizes: sizes,
-		TCP:   tcpCfg,
+		Sizes:     sizes,
+		MaxWindow: 32,
 	}
-	drv := src.Bind(d2, rng2.Fork())
+	drv := src.Bind(d2, rng2.Fork(), tcp.Config{})
 	drv.Start()
 	s2.Run(horizon)
 
@@ -87,8 +86,8 @@ func TestEngineDeterminism(t *testing.T) {
 	prof := FlashCrowd.Profile().ScaleTo(8, 4)
 	run := func() []workload.FlowRecord {
 		s, d, rng := testDumbbell(3, 8, 20, 10*units.Mbps)
-		src := Source{Profile: prof, Sizes: workload.GeometricSize(10), TCP: tcp.Config{MaxWindow: 16}}
-		drv := src.Bind(d, rng.Fork())
+		src := Source{Profile: prof, Sizes: workload.GeometricSize(10), MaxWindow: 16}
+		drv := src.Bind(d, rng.Fork(), tcp.Config{})
 		drv.Start()
 		s.Run(units.Epoch.Add(70 * units.Second))
 		out := make([]workload.FlowRecord, 0, len(drv.Records()))
@@ -123,10 +122,10 @@ func TestThinningTracksRateCurve(t *testing.T) {
 				{T: 80 * units.Second, V: hi},
 			},
 		},
-		Sizes: workload.FixedSize(2),
-		TCP:   tcp.Config{MaxWindow: 8},
+		Sizes:     workload.FixedSize(2),
+		MaxWindow: 8,
 	}
-	drv := src.Bind(d, rng.Fork())
+	drv := src.Bind(d, rng.Fork(), tcp.Config{})
 	drv.Start()
 	s.Run(units.Epoch.Add(40 * units.Second))
 	firstHalf := drv.Generated()
@@ -191,8 +190,8 @@ func TestPopulationRampTracksCurve(t *testing.T) {
 		{T: 24 * units.Second, V: 2},
 	}
 	s, d, rng := testDumbbell(5, 6, 40, 20*units.Mbps)
-	src := Source{Profile: Profile{Name: "ramp", Population: curve}, LongTCP: tcp.Config{}}
-	drv := src.Bind(d, rng.Fork())
+	src := Source{Profile: Profile{Name: "ramp", Population: curve}}
+	drv := src.Bind(d, rng.Fork(), tcp.Config{})
 	drv.Start()
 
 	checkpoints := []struct {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 )
 
@@ -119,6 +120,6 @@ func FuzzReadFlows(f *testing.F) {
 			t.Fatalf("ReadFlows accepted what ValidateFlows rejects: %v", err)
 		}
 		_, d, _ := testDumbbell(1, 10, units.Mbps)
-		TraceSource{Flows: specs}.Bind(d, nil).Start()
+		TraceSource{Flows: specs}.Bind(d, nil, tcp.Config{}).Start()
 	})
 }

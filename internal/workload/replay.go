@@ -43,8 +43,8 @@ func ValidateFlows(flows []FlowSpec) error {
 type TraceSource struct {
 	// Flows is the trace, ordered by start offset (see ValidateFlows).
 	Flows []FlowSpec
-	// TCP is the per-flow template; TotalSegments is set per flow.
-	TCP tcp.Config
+	// MaxWindow caps each flow's window in segments (0: uncapped).
+	MaxWindow int
 }
 
 func (s TraceSource) String() string {
@@ -52,18 +52,19 @@ func (s TraceSource) String() string {
 }
 
 // Bind implements Source; it panics on a trace ValidateFlows rejects.
-func (s TraceSource) Bind(d *topology.Dumbbell, _ *sim.RNG) Driver {
+func (s TraceSource) Bind(d *topology.Dumbbell, _ *sim.RNG, spec tcp.Config) Driver {
 	if err := ValidateFlows(s.Flows); err != nil {
 		panic(err.Error())
 	}
-	return &replayRun{Launcher: NewLauncher(d), src: s, sched: d.Config().Sched}
+	spec.MaxWindow = s.MaxWindow
+	return &replayRun{Launcher: NewLauncher(d, spec), flows: s.Flows, sched: d.Config().Sched}
 }
 
 // replayRun is a bound TraceSource: a typed event per flow start instead
 // of a scheduled closure per flow.
 type replayRun struct {
 	*Launcher
-	src     TraceSource
+	flows   []FlowSpec
 	sched   *sim.Scheduler
 	stopped bool
 }
@@ -84,8 +85,8 @@ func (r *replayRun) Start() {
 		panic("workload: trace driver started twice")
 	}
 	base := r.sched.Now()
-	r.records = make([]*FlowRecord, len(r.src.Flows))
-	for i, spec := range r.src.Flows {
+	r.records = make([]*FlowRecord, len(r.flows))
+	for i, spec := range r.flows {
 		rec := &FlowRecord{Size: spec.Size, Completed: units.Never}
 		r.records[i] = rec
 		rf := &replayFlow{st: r.d.Station(i % r.d.NumStations()), rec: rec}
@@ -102,5 +103,5 @@ func (r *replayRun) OnEvent(_ int32, arg any) {
 		return
 	}
 	rf := arg.(*replayFlow)
-	r.start(rf.rec, rf.st, r.src.TCP, r.sched.Now(), nil)
+	r.start(rf.rec, rf.st, r.sched.Now(), nil)
 }

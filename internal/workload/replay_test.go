@@ -57,7 +57,7 @@ func TestParseTraceErrors(t *testing.T) {
 
 // replay binds and starts specs as a TraceSource and returns its records.
 func replay(d *topology.Dumbbell, specs []FlowSpec) []*FlowRecord {
-	drv := TraceSource{Flows: specs, TCP: tcp.Config{SegmentSize: 1000, MaxWindow: 43}}.Bind(d, nil)
+	drv := TraceSource{Flows: specs, MaxWindow: 43}.Bind(d, nil, tcp.Config{SegmentSize: 1000})
 	drv.Start()
 	return drv.Records()
 }

@@ -25,8 +25,8 @@ type SessionSource struct {
 	// MeanThink is the average pause between a session's transfers
 	// (default 1 s).
 	MeanThink units.Duration
-	// TCP is the per-transfer template; TotalSegments is set per file.
-	TCP tcp.Config
+	// MaxWindow caps each transfer's window in segments (0: uncapped).
+	MaxWindow int
 }
 
 func (s SessionSource) String() string {
@@ -35,7 +35,7 @@ func (s SessionSource) String() string {
 
 // Bind implements Source: initial pauses, file sizes and think times are
 // all drawn from rng.
-func (s SessionSource) Bind(d *topology.Dumbbell, rng *sim.RNG) Driver {
+func (s SessionSource) Bind(d *topology.Dumbbell, rng *sim.RNG, spec tcp.Config) Driver {
 	if d == nil || rng == nil || s.Sizes == nil {
 		panic("workload: SessionSource requires a dumbbell, an RNG and Sizes")
 	}
@@ -45,7 +45,8 @@ func (s SessionSource) Bind(d *topology.Dumbbell, rng *sim.RNG) Driver {
 	if s.MeanThink <= 0 {
 		s.MeanThink = units.Second
 	}
-	return &Sessions{Launcher: NewLauncher(d), src: s, rng: rng}
+	spec.MaxWindow = s.MaxWindow
+	return &Sessions{Launcher: NewLauncher(d, spec), src: s, rng: rng}
 }
 
 // Sessions is a bound SessionSource. Active is the number of transfers
@@ -88,6 +89,5 @@ func (g *Sessions) OnEvent(_ int32, arg any) {
 		return
 	}
 	station := arg.(*topology.Station)
-	g.launch(station, g.src.TCP, g.src.Sizes.Sample(g.rng), station.Sched().Now(),
-		func() { g.think(station) })
+	g.launch(station, g.src.Sizes.Sample(g.rng), station.Sched().Now(), func() { g.think(station) })
 }

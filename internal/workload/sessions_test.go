@@ -24,8 +24,8 @@ func TestSessionsCycleTransfers(t *testing.T) {
 		Sessions:  20,
 		Sizes:     GeometricSize(20),
 		MeanThink: 500 * units.Millisecond,
-		TCP:       tcp.Config{SegmentSize: 1000, MaxWindow: 43},
-	}.Bind(d, rng.Fork())
+		MaxWindow: 43,
+	}.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000})
 	g.Start()
 	s.Run(units.Time(30 * units.Second))
 	// 20 sessions cycling ~20-segment files with sub-second pauses must
@@ -54,8 +54,8 @@ func TestSessionsEquilibriumLoad(t *testing.T) {
 		Sessions:  5,
 		Sizes:     FixedSize(10),
 		MeanThink: 5 * units.Second,
-		TCP:       tcp.Config{SegmentSize: 1000, MaxWindow: 43},
-	}.Bind(d, rng.Fork())
+		MaxWindow: 43,
+	}.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000})
 	g.Start()
 	warm := units.Time(5 * units.Second)
 	s.Run(warm)
@@ -76,8 +76,7 @@ func TestSessionsStopHalts(t *testing.T) {
 		Sessions:  4,
 		Sizes:     FixedSize(5),
 		MeanThink: 100 * units.Millisecond,
-		TCP:       tcp.Config{SegmentSize: 1000},
-	}.Bind(d, rng.Fork())
+	}.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000})
 	g.Start()
 	s.Run(units.Time(5 * units.Second))
 	g.Stop()
@@ -100,13 +99,13 @@ func TestSessionsValidation(t *testing.T) {
 				t.Errorf("%s did not panic", name)
 			}
 		}()
-		src.Bind(d, rng)
+		src.Bind(d, rng, tcp.Config{})
 	}
 	mustPanic("nil dumbbell", SessionSource{Sizes: FixedSize(1), Sessions: 1}, nil)
 	mustPanic("zero sessions", SessionSource{Sizes: FixedSize(1)}, d)
 	mustPanic("nil sizes", SessionSource{Sessions: 1}, d)
 
-	g := SessionSource{Sizes: FixedSize(1), Sessions: 1}.Bind(d, rng)
+	g := SessionSource{Sizes: FixedSize(1), Sessions: 1}.Bind(d, rng, tcp.Config{})
 	g.Start()
 	defer func() {
 		if recover() == nil {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bufsim/internal/sim"
+	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
 	"bufsim/internal/units"
 )
@@ -18,8 +19,10 @@ import (
 // seed produces the same flow schedule, packet for packet.
 type Source interface {
 	// Bind wires the workload onto d, drawing all randomness from rng,
-	// and returns the stopped driver; the caller starts it.
-	Bind(d *topology.Dumbbell, rng *sim.RNG) Driver
+	// and returns the stopped driver; the caller starts it. Every flow
+	// runs the run's sender template spec; the source sets only each
+	// flow's MaxWindow and TotalSegments.
+	Bind(d *topology.Dumbbell, rng *sim.RNG, spec tcp.Config) Driver
 	// String describes the workload for reports and tables.
 	String() string
 }

@@ -12,8 +12,8 @@ func TestSessionSourceDrives(t *testing.T) {
 	s, d, rng := testDumbbell(6, 40, 10*units.Mbps)
 	drv := SessionSource{
 		Sessions: 4, Sizes: FixedSize(10), MeanThink: 200 * units.Millisecond,
-		TCP: tcp.Config{MaxWindow: 16},
-	}.Bind(d, rng.Fork())
+		MaxWindow: 16,
+	}.Bind(d, rng.Fork(), tcp.Config{})
 	drv.Start()
 	s.Run(units.Time(10 * units.Second))
 	if drv.Generated() == 0 {
@@ -36,7 +36,7 @@ func TestTraceSourceAnchorsAtStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := TraceSource{Flows: specs, TCP: tcp.Config{SegmentSize: 1000, MaxWindow: 43}}.Bind(d, rng.Fork())
+	drv := TraceSource{Flows: specs, MaxWindow: 43}.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000})
 
 	// Nothing runs before Start; the trace anchors when started, not at
 	// the epoch.
@@ -69,7 +69,7 @@ func TestTraceSourceStopAbandonsPending(t *testing.T) {
 		{Start: 0, Size: 5},
 		{Start: 10 * units.Second, Size: 5},
 	}
-	drv := TraceSource{Flows: specs, TCP: tcp.Config{MaxWindow: 16}}.Bind(d, rng.Fork())
+	drv := TraceSource{Flows: specs, MaxWindow: 16}.Bind(d, rng.Fork(), tcp.Config{})
 	drv.Start()
 	s.Run(units.Time(5 * units.Second))
 	drv.Stop()

@@ -135,10 +135,9 @@ type PoissonSource struct {
 	Load float64
 	// Sizes is the flow-length distribution.
 	Sizes SizeDist
-	// TCP is the per-flow template; TotalSegments is overwritten per
-	// flow. The paper's §4 model assumes short flows respect a modest
-	// MaxWindow (12–43).
-	TCP tcp.Config
+	// MaxWindow caps each flow's window in segments (0: uncapped). The
+	// paper's §4 model assumes short flows respect a modest cap (12–43).
+	MaxWindow int
 }
 
 func (s PoissonSource) String() string {
@@ -160,15 +159,16 @@ func ArrivalRateForLoad(load float64, rate units.BitRate, seg units.ByteSize, si
 
 // Bind implements Source: arrivals at the constant rate the load implies
 // (see Arrivals for the order of the draws).
-func (s PoissonSource) Bind(d *topology.Dumbbell, rng *sim.RNG) Driver {
+func (s PoissonSource) Bind(d *topology.Dumbbell, rng *sim.RNG, spec tcp.Config) Driver {
 	if d == nil || rng == nil || s.Sizes == nil {
 		panic("workload: PoissonSource requires a dumbbell, an RNG and Sizes")
 	}
 	if s.Load <= 0 || s.Load >= 1 {
 		panic(fmt.Sprintf("workload: short-flow load %v out of (0,1)", s.Load))
 	}
-	lambda := ArrivalRateForLoad(s.Load, d.Config().BottleneckRate, s.TCP.SegmentSize, s.Sizes)
-	return NewArrivals(d, rng, s.Sizes, s.TCP, func(units.Duration) float64 { return lambda }, lambda)
+	lambda := ArrivalRateForLoad(s.Load, d.Config().BottleneckRate, spec.SegmentSize, s.Sizes)
+	spec.MaxWindow = s.MaxWindow
+	return NewArrivals(d, rng, s.Sizes, spec, func(units.Duration) float64 { return lambda }, lambda)
 }
 
 // Arrivals is the one Poisson arrival process of short flows, stationary
@@ -184,19 +184,18 @@ type Arrivals struct {
 	rng     *sim.RNG
 	sched   *sim.Scheduler
 	sizes   SizeDist
-	spec    tcp.Config
 	rate    func(units.Duration) float64 // flows/s at an offset from Start
 	peak    float64                      // the envelope: rate's maximum
 	base    units.Time                   // simulated time of Start
 	running bool
 }
 
-// NewArrivals returns stopped arrivals of flows sized by sizes on spec's
-// template across d, at rate(t) flows per second t after Start, where
+// NewArrivals returns stopped arrivals of flows sized by sizes on spec
+// across d, at rate(t) flows per second t after Start, where
 // rate never exceeds peak. A zero peak never arrives, and then sizes may
 // be nil.
 func NewArrivals(d *topology.Dumbbell, rng *sim.RNG, sizes SizeDist, spec tcp.Config, rate func(units.Duration) float64, peak float64) *Arrivals {
-	return &Arrivals{Launcher: NewLauncher(d), rng: rng, sched: d.Config().Sched, sizes: sizes, spec: spec, rate: rate, peak: peak}
+	return &Arrivals{Launcher: NewLauncher(d, spec), rng: rng, sched: d.Config().Sched, sizes: sizes, rate: rate, peak: peak}
 }
 
 // Start begins arrivals.
@@ -224,7 +223,7 @@ func (a *Arrivals) OnEvent(int32, any) {
 	now := a.sched.Now()
 	if rate := a.rate(now.Sub(a.base)); rate >= a.peak || a.rng.Uniform(0, a.peak) < rate {
 		size := a.sizes.Sample(a.rng)
-		a.launch(a.d.Station(a.rng.Intn(a.d.NumStations())), a.spec, size, now, nil)
+		a.launch(a.d.Station(a.rng.Intn(a.d.NumStations())), size, now, nil)
 	}
 	a.scheduleNext()
 }

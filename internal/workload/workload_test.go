@@ -127,10 +127,10 @@ func TestShortFlowsPoissonLoad(t *testing.T) {
 	// should carry roughly 0.5 utilization and flows should complete.
 	s, d, rng := testDumbbell(30, 200, 20*units.Mbps)
 	g := PoissonSource{
-		Load:  0.5,
-		Sizes: FixedSize(14),
-		TCP:   tcp.Config{SegmentSize: 1000, MaxWindow: 43},
-	}.Bind(d, rng.Fork())
+		Load:      0.5,
+		Sizes:     FixedSize(14),
+		MaxWindow: 43,
+	}.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000})
 	// lambda = 0.5 * 20e6 / 8000 / 14 = 89.3 flows/s.
 	if r := g.(*Arrivals).peak; math.Abs(r-89.28) > 0.5 {
 		t.Errorf("arrival rate = %v, want ~89.3", r)
@@ -171,8 +171,7 @@ func TestShortFlowsStationsReused(t *testing.T) {
 	g := PoissonSource{
 		Load:  0.3,
 		Sizes: FixedSize(5),
-		TCP:   tcp.Config{SegmentSize: 1000},
-	}.Bind(d, rng.Fork())
+	}.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000})
 	g.Start()
 	s.Run(units.Time(30 * units.Second))
 	// 5 stations, ~75 flows/s for 30 s: thousands of flows over 5
@@ -221,7 +220,7 @@ func TestConfigValidation(t *testing.T) {
 				t.Errorf("%s did not panic", name)
 			}
 		}()
-		src.Bind(d, rng)
+		src.Bind(d, rng, tcp.Config{})
 	}
 	mustPanic("nil dumbbell", PoissonSource{Sizes: FixedSize(1), Load: 0.5}, nil)
 	mustPanic("bad load", PoissonSource{Sizes: FixedSize(1), Load: 1.5}, d)

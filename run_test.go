@@ -128,6 +128,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	long := LongLived{Flows: 5}
 	noWindow := with(func(s *Scenario) { s.Warmup, s.Measure = 0, 0 })
+	population, err := ProfileWorkload(Profile{Name: "population", Population: ProfileCurve{{V: 2}}}, nil, -3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		want string
 		s    Scenario
@@ -161,6 +165,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"Scenario.Measure", with(func(s *Scenario) { s.BufferPackets, s.Warmup = 0, 0 }), kind(SingleFlow{BufferFactor: 1})},
 		{"Scenario.Sender.Variant", with(func(s *Scenario) { s.Sender.Variant = Variant(42) }), kind(long)},
 		{"Scenario.Sender.Variant", with(func(s *Scenario) { s.Sender.Variant = Variant(-1) }), kind(long)},
+		{"PoissonWorkload maxWindow", ok, kind(Generated{Workload: PoissonWorkload(0.5, FixedSize(30), -3)})},
+		{"SessionWorkload maxWindow", ok, kind(Generated{Workload: SessionWorkload(4, FixedSize(30), Second, -3)})},
+		{"TraceWorkload maxWindow", ok, kind(Generated{Workload: TraceWorkload([]TraceFlow{{Size: 30}}, -3)})},
+		{"ProfileWorkload maxWindow", ok, kind(Generated{Workload: population})},
 	}
 	for i, c := range cases {
 		t.Run(fmt.Sprintf("%d-%s", i, c.want), func(t *testing.T) {

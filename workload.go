@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"bufsim/internal/experiment"
-	"bufsim/internal/tcp"
 	"bufsim/internal/workload"
 	"bufsim/internal/workload/profile"
 )
@@ -17,8 +16,8 @@ import (
 // the four families: PoissonWorkload (stationary short flows),
 // SessionWorkload (closed-loop sessions), TraceWorkload (replay a
 // recorded trace) and ProfileWorkload (time-varying traffic from a
-// Profile). Run one with Generated; the scenario's link and Sender fill
-// the workload's TCP templates.
+// Profile). Run one with Generated, whose every flow runs the scenario's
+// Sender; a workload adds only its window cap.
 type Workload = workload.Source
 
 // SizeDist is a flow-length distribution in segments; see Pareto,
@@ -107,15 +106,11 @@ func ArrivalRate(load float64, link Link, sizes SizeDist) float64 {
 
 // PoissonWorkload is the stationary workload: Poisson arrivals of
 // finite flows at offered load (fraction of the bottleneck, in (0,1)),
-// sizes drawn from the given distribution, senders capped at maxWindow
-// segments (0 means the TCP default). Behind Generated, with fixed-size
+// sizes drawn from the given distribution, each sender's window at most
+// maxWindow segments (0 means the TCP default). Behind Generated, with fixed-size
 // flows, it is the paper's §4 short-flow scenario.
 func PoissonWorkload(load float64, sizes SizeDist, maxWindow int) Workload {
-	return workload.PoissonSource{
-		Load:  load,
-		Sizes: sizes,
-		TCP:   tcp.Config{MaxWindow: maxWindow},
-	}
+	return workload.PoissonSource{Load: load, Sizes: sizes, MaxWindow: maxWindow}
 }
 
 // SessionWorkload is the closed-loop Harpoon-style workload: a fixed
@@ -123,21 +118,13 @@ func PoissonWorkload(load float64, sizes SizeDist, maxWindow int) Workload {
 // file sizes from the distribution and exponential thinks of the given
 // mean.
 func SessionWorkload(sessions int, sizes SizeDist, meanThink Duration, maxWindow int) Workload {
-	return workload.SessionSource{
-		Sessions:  sessions,
-		Sizes:     sizes,
-		MeanThink: meanThink,
-		TCP:       tcp.Config{MaxWindow: maxWindow},
-	}
+	return workload.SessionSource{Sessions: sessions, Sizes: sizes, MeanThink: meanThink, MaxWindow: maxWindow}
 }
 
 // TraceWorkload replays recorded flows (see ReadFlows) at their
 // recorded start offsets, anchored to the simulation start.
 func TraceWorkload(flows []TraceFlow, maxWindow int) Workload {
-	return workload.TraceSource{
-		Flows: flows,
-		TCP:   tcp.Config{MaxWindow: maxWindow},
-	}
+	return workload.TraceSource{Flows: flows, MaxWindow: maxWindow}
 }
 
 // ProfileWorkload compiles a time-varying profile into a workload:
@@ -153,12 +140,7 @@ func ProfileWorkload(p Profile, sizes SizeDist, maxWindow int) (Workload, error)
 	if p.Arrival.Max() > 0 && sizes == nil {
 		return nil, errors.New("ProfileWorkload with an arrival curve requires a size distribution")
 	}
-	return profile.Source{
-		Profile: p,
-		Sizes:   sizes,
-		TCP:     tcp.Config{MaxWindow: maxWindow},
-		LongTCP: tcp.Config{},
-	}, nil
+	return profile.Source{Profile: p, Sizes: sizes, MaxWindow: maxWindow}, nil
 }
 
 // Generated is the traffic a Workload generates: the stationary,
@@ -197,25 +179,33 @@ func (t Generated) lower(s Scenario, env experiment.RunEnv) (func() ProfileResul
 	)
 }
 
-// checkWorkload is Generated's check of its workload. The run fills the
-// workload's TCP templates from the scenario (the link's segment size,
-// which the workload's arrival rate and its senders must share with the
-// bottleneck, and the Sender), keeping only each template's window cap.
+// checkWorkload is Generated's check of its workload: what the
+// constructor was given. Everything else about the flows' TCP is the
+// scenario's (the link's segment size, which the arrival rate and the
+// senders share with the bottleneck, and the Sender).
 func checkWorkload(w Workload) error {
 	switch src := w.(type) {
 	case workload.PoissonSource:
-		return must(src.Load > 0 && src.Load < 1 && src.Sizes != nil,
-			"Generated.Workload: PoissonWorkload needs a load in (0, 1) and a size distribution (got %v, %v)", src.Load, src.Sizes)
+		return firstErr(must(src.Load > 0 && src.Load < 1 && src.Sizes != nil,
+			"Generated.Workload: PoissonWorkload needs a load in (0, 1) and a size distribution (got %v, %v)", src.Load, src.Sizes),
+			windowCap("PoissonWorkload", src.MaxWindow))
 	case workload.SessionSource:
-		return must(src.Sessions > 0 && src.Sizes != nil,
-			"Generated.Workload: SessionWorkload needs a positive session count and a size distribution (got %d, %v)", src.Sessions, src.Sizes)
+		return firstErr(must(src.Sessions > 0 && src.Sizes != nil,
+			"Generated.Workload: SessionWorkload needs a positive session count and a size distribution (got %d, %v)", src.Sessions, src.Sizes),
+			windowCap("SessionWorkload", src.MaxWindow))
 	case workload.TraceSource:
 		err := workload.ValidateFlows(src.Flows)
-		return must(err == nil, "Generated.Workload: %w", err)
+		return firstErr(must(err == nil, "Generated.Workload: %w", err), windowCap("TraceWorkload", src.MaxWindow))
 	case profile.Source:
-		return nil
+		return windowCap("ProfileWorkload", src.MaxWindow)
 	case nil:
 		return errors.New("Generated.Workload is nil")
 	}
 	return fmt.Errorf("Generated.Workload: unknown workload %T", w)
+}
+
+// windowCap is the check of a workload constructor's maxWindow: zero
+// leaves the flows uncapped, and a negative cap is no window at all.
+func windowCap(constructor string, maxWindow int) error {
+	return must(maxWindow >= 0, "Generated.Workload: %s maxWindow must not be negative (got %d)", constructor, maxWindow)
 }
