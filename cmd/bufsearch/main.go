@@ -74,6 +74,7 @@ func main() {
 	// Every value is checked before the first line prints: a zero window
 	// would run the default one, and a bad RTT, segment or link would
 	// panic inside the simulator.
+	stations := path.CheckStations()
 	for _, c := range []struct {
 		flag string
 		ok   bool
@@ -82,7 +83,7 @@ func main() {
 		{"rate", rate > 0, "must be positive"},
 		{"rtt", rtt > 0, "must be positive"},
 		{"rtt-spread", spread >= 0 && spread < 2*rtt, "must be in [0, 2 x -rtt): flow RTTs span -rtt +- spread/2"},
-		{"rtt", path.RTTMin >= 2*path.BottleneckDelay, fmt.Sprintf("the shortest flow RTT, -rtt - spread/2, must be at least %v, twice the bottleneck delay", 2*path.BottleneckDelay)},
+		{"rtt", stations == nil, fmt.Sprint(stations)},
 		{"target", *target > 0 && *target < 1, "must be in (0, 1)"},
 		{"segment", *segment > 0, "must be positive"},
 		{"rate", *segment <= 0 || path.BDP() >= 1, "must carry at least one segment per -rtt"},

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -136,11 +137,29 @@ func TestBadFlagsFailBeforePrinting(t *testing.T) {
 		{[]string{"-rtt-spread", "-1ms"}, "-rtt-spread: must not be negative"},
 		{[]string{"-workload", "constant", "-workload-load", "-1"}, "-workload-load: must be positive"},
 		{[]string{"-workload", "constant", "-workload-flow-length", "0"}, "-workload-flow-length: must be positive"},
+		{[]string{"-rate", "100Kbps", "-rtt", "20ms", "-rtt-spread", "0s"}, "-rate: must carry at least one segment per -rtt"},
 	} {
 		stdout, stderr, err := execMain(append([]string{"-rate", "20Mbps", "-flows", "10"}, c.args...)...)
 		if err == nil || !strings.Contains(stderr, c.want) || stdout != "" {
 			t.Errorf("bufsim %v: err %v, stderr %q, stdout %q; want a failure saying %q and no stdout",
 				c.args, err, stderr, stdout, c.want)
+		}
+	}
+}
+
+// TestShortRTTFailsWithoutPanic: a station RTT too short to hold the
+// bottleneck delay both ways is the run's error, naming the field, not a
+// panic inside the topology: the long-lived bed's stations at -rtt, and
+// the workload bed's at 0.6 x -rtt.
+func TestShortRTTFailsWithoutPanic(t *testing.T) {
+	for _, args := range [][]string{
+		{"-rate", "1Mbps", "-flows", "2", "-rtt", "8ms", "-rtt-spread", "0s", "-warmup", "1s", "-measure", "1s"},
+		{"-rate", "10Mbps", "-flows", "5", "-rtt", "30ms", "-workload", "constant", "-warmup", "1s", "-measure", "1s"},
+	} {
+		_, stderr, err := execMain(args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr, "Scenario.Link.RTT") || strings.Contains(stderr, "panic:") {
+			t.Errorf("bufsim %v: err %v, stderr %q; want exit 1 naming Scenario.Link.RTT and no panic", args, err, stderr)
 		}
 	}
 }

@@ -171,6 +171,9 @@ func (sf scenarioFile) scenario() (bufsim.Scenario, bufsim.LongLived, error) {
 		return fail("variant", err)
 	}
 	s.Link.SegmentSize = bufsim.ByteSize(sf.Segment)
+	if s.Link.BDP() < 1 {
+		return fail("rate", errors.New("must carry at least one segment per -rtt"))
+	}
 	s.Seed, s.RED, s.Sender.Paced, s.Sender.DelayedAck = sf.Seed, sf.RED, sf.Paced, sf.DelayedAck
 	s.BufferPackets = sf.Buffer
 	if s.BufferPackets == 0 {

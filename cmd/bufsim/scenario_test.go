@@ -94,6 +94,7 @@ func TestLoadScenarioErrors(t *testing.T) {
 		"negative buffer": `{"rate": "10Mbps", "flows": 10, "buffer": -5}`,
 		"negative spread": `{"rate": "10Mbps", "flows": 10, "rttSpread": "-1ms"}`,
 		"wide spread":     `{"rate": "10Mbps", "flows": 10, "rtt": "50ms", "rttSpread": "100ms"}`,
+		"under a segment": `{"rate": "100Kbps", "flows": 2, "rtt": "20ms", "rttSpread": "0s"}`,
 	}
 	for name, body := range cases {
 		if _, _, err := loadScenario(writeConfig(t, body)); err == nil {
@@ -104,6 +105,11 @@ func TestLoadScenarioErrors(t *testing.T) {
 	_, _, err := loadScenario(writeConfig(t, `{"rate": "10Mbps", "flows": 10, "measure": "0s"}`))
 	if err == nil || !strings.Contains(err.Error(), `field "measure": must be positive`) {
 		t.Errorf("zero measure: err = %v", err)
+	}
+	// So is a link that carries less than a segment per RTT.
+	_, _, err = loadScenario(writeConfig(t, cases["under a segment"]))
+	if err == nil || !strings.Contains(err.Error(), `field "rate": must carry at least one segment`) {
+		t.Errorf("under a segment: err = %v", err)
 	}
 	if _, _, err := loadScenario(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file: no error")

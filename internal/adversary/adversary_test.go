@@ -83,7 +83,7 @@ func runPulse(t *testing.T) (*PulseDriver, *topology.Dumbbell) {
 	if !ok {
 		t.Fatal("pulse Bind did not return a *PulseDriver")
 	}
-	drv.Start()
+	drv.Start(units.Epoch, units.Never)
 	sched.Run(units.Epoch.Add(10 * units.Second))
 	drv.Stop()
 	sched.Run(units.Epoch.Add(12 * units.Second)) // drain in-flight packets
@@ -172,7 +172,7 @@ func cwndSpread(t *testing.T, lo, hi units.Duration) (float64, []*topology.Flow)
 	t.Helper()
 	sched, d := rttDumbbell(8, 25, 10*units.Mbps, lo, hi, sim.NewRNG(3))
 	drv := SyncAIMD{N: 8}.Bind(d, sim.NewRNG(1), tcp.Config{SegmentSize: units.DefaultSegment}).(*SyncAIMDDriver)
-	drv.Start()
+	drv.Start(units.Epoch, units.Never)
 	var ratios []float64
 	for at := 10 * units.Second; at <= 60*units.Second; at += 100 * units.Millisecond {
 		sched.Run(units.Epoch.Add(at))
@@ -243,7 +243,7 @@ func TestSyncAIMDAmplifiesAggregateSwing(t *testing.T) {
 		return w.CoV()
 	}
 	sync := cov(100*units.Millisecond, 100*units.Millisecond, func(d *topology.Dumbbell) {
-		SyncAIMD{N: n}.Bind(d, sim.NewRNG(1), spec).Start()
+		SyncAIMD{N: n}.Bind(d, sim.NewRNG(1), spec).Start(units.Epoch, units.Never)
 	})
 	desync := cov(50*units.Millisecond, 150*units.Millisecond, func(d *topology.Dumbbell) {
 		workload.StartLongLived(d, n, spec, sim.NewRNG(1), 5*units.Second)

@@ -6,6 +6,7 @@ import (
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
+	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
 
@@ -49,7 +50,7 @@ type SyncAIMDDriver struct {
 
 // Start implements workload.Driver: the whole cohort is posted at the
 // current instant (zero stagger).
-func (s *SyncAIMDDriver) Start() {
+func (s *SyncAIMDDriver) Start(_, _ units.Time) {
 	if s.flows != nil {
 		panic("adversary: aimdsync driver started twice")
 	}
@@ -66,8 +67,8 @@ func (s *SyncAIMDDriver) Active() int { return len(s.flows) }
 // Generated implements workload.Driver.
 func (s *SyncAIMDDriver) Generated() int64 { return int64(len(s.flows)) }
 
-// Records implements workload.Driver: the cohort never completes.
-func (s *SyncAIMDDriver) Records() []*workload.FlowRecord { return nil }
+// Window implements workload.Driver: the cohort never completes.
+func (s *SyncAIMDDriver) Window() (units.Duration, int, int) { return 0, 0, 0 }
 
 // Flows exposes the cohort for per-flow inspection (lockstep checks,
 // window sampling).

@@ -93,7 +93,7 @@ type PulseDriver struct {
 
 // Start implements workload.Driver: every train anchors its phase at
 // the current instant, so all pulses are aligned from the first burst.
-func (d *PulseDriver) Start() {
+func (d *PulseDriver) Start(_, _ units.Time) {
 	if d.running {
 		panic("adversary: pulse driver started twice")
 	}
@@ -125,8 +125,8 @@ func (d *PulseDriver) Active() int {
 // Generated implements workload.Driver.
 func (d *PulseDriver) Generated() int64 { return int64(len(d.senders)) }
 
-// Records implements workload.Driver: pulse trains are not finite flows.
-func (d *PulseDriver) Records() []*workload.FlowRecord { return nil }
+// Window implements workload.Driver: pulse trains are not finite flows.
+func (d *PulseDriver) Window() (units.Duration, int, int) { return 0, 0, 0 }
 
 // Sent and Received count packets end to end across all trains; the
 // difference after a drain period is the burst loss.

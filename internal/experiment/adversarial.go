@@ -278,9 +278,8 @@ func runAdversarialDumbbell(sc AdversaryScenario, factor float64) AdversarialRow
 		PeakQueue:     w.PeakQueue,
 	}
 	if aggregate != nil {
-		if mean, sd := fitNormal(aggregate.Values); mean > 0 {
-			row.SyncIndex = (sd / mean) / (sawtoothCoV / math.Sqrt(float64(sc.N)))
-		}
+		mean, sd := fitNormal(aggregate.Values)
+		row.SyncIndex = syncIndex(sd, mean, sc.N)
 	}
 	return row
 }

@@ -164,9 +164,9 @@ func runTrace(cfg TraceConfig) TraceResult {
 	drv := b.start(workload.TraceSource{Flows: cfg.Flows, MaxWindow: cfg.MaxWindow})
 	w := b.measure(nil)
 
-	// Every flow of the trace counts, whenever it started.
+	// Every flow of the trace starts in the window, so every one counts.
 	res := TraceResult{Utilization: w.Utilization}
-	res.AFCT, res.Completed, res.Censored = workload.RecordAFCT(drv.Records(), units.Epoch, units.Never)
+	res.AFCT, res.Completed, res.Censored = drv.Window()
 	return res
 }
 
@@ -194,8 +194,8 @@ func runMixedUncached(cfg MixedConfig, label string) AFCTOutcome {
 
 	w := b.measure(nil)
 	gen.Stop()
-	b.drain(60*units.Second, w, gen)
-	afct, completed, censored := workload.RecordAFCT(gen.Records(), w.from, w.to)
+	b.drain(60*units.Second, gen)
+	afct, completed, censored := gen.Window()
 	return AFCTOutcome{
 		Label: label, BufferPackets: cfg.BufferPackets, AFCT: afct,
 		Completed: completed, Censored: censored,

@@ -133,11 +133,12 @@ func instrumentPools(reg *metrics.Registry, stats func() packet.PoolStats) {
 }
 
 // start binds src onto the dumbbell with the next fork of the bed's seed
-// and the scenario's sender, and starts it: the one way a scenario body
+// and the scenario's sender, and starts it on the bed's measurement
+// window, whose flows the driver counts: the one way a scenario body
 // turns a traffic description into traffic.
 func (b *bed) start(src workload.Source) workload.Driver {
 	drv := src.Bind(b.d, b.rng.Fork(), b.spec)
-	drv.Start()
+	drv.Start(b.bounds())
 	return drv
 }
 
@@ -235,6 +236,13 @@ func lossRate(dropped, offered int64) float64 {
 	return float64(dropped) / float64(offered)
 }
 
+// bounds is the measurement window, both ends inclusive: Measure long,
+// after Warmup.
+func (r *rig) bounds() (from, to units.Time) {
+	from = units.Epoch.Add(r.warmup)
+	return from, from.Add(r.window)
+}
+
 // measure runs to the end of the warm-up and opens the window there:
 // busy time and queue counters are snapshotted and every link's
 // occupancy measurement restarted, so MeanQueue and PeakQueue cover the
@@ -242,7 +250,7 @@ func lossRate(dropped, offered int64) float64 {
 // counters or start a window-only sampler, the window runs, each tap is
 // read and the wall-clock cost so far is published.
 func (r *rig) measure(atWarmEnd func()) []window {
-	from := units.Epoch.Add(r.warmup)
+	from, to := r.bounds()
 	r.sched.Run(from)
 	for i := range r.taps {
 		t := &r.taps[i]
@@ -252,7 +260,6 @@ func (r *rig) measure(atWarmEnd func()) []window {
 	if atWarmEnd != nil {
 		atWarmEnd()
 	}
-	to := from.Add(r.window)
 	r.sched.Run(to)
 
 	ws := make([]window, len(r.taps))
@@ -275,23 +282,16 @@ func (r *rig) measure(atWarmEnd func()) []window {
 // cost nothing.
 const drainSlice = 10 * units.Millisecond
 
-// drain runs the clock on past w until every flow of drv's that started
-// in w has completed, and for at most d: a run left with a censored flow
-// runs all of d. drv must be stopped, so its records no longer grow; a
-// cursor walks them in launch order, passing each settled one once. The
-// clock moves in drainSlice steps and drain posts no event, so what it
-// runs is a prefix of a full drain's and every windowed completion time
-// is the same.
-func (r *rig) drain(d units.Duration, w window, drv workload.Driver) {
+// drain runs the clock on past the window until no flow drv launched in
+// it is open, and for at most d: a run left with a censored flow runs all
+// of d; flows launched after the window never hold it. The clock moves
+// in drainSlice steps and drain posts no event, so what it runs is a
+// prefix of a full drain's and every windowed completion time is the
+// same.
+func (r *rig) drain(d units.Duration, drv workload.Driver) {
 	end := r.sched.Now().Add(d)
-	for now, settled := r.sched.Now(), 0; now < end; {
-		recs := drv.Records()
-		for ; settled < len(recs); settled++ {
-			if r := recs[settled]; r.StartedIn(w.from, w.to) && r.Completed == units.Never {
-				break
-			}
-		}
-		if settled == len(recs) {
+	for now := r.sched.Now(); now < end; {
+		if _, _, open := drv.Window(); open == 0 {
 			break
 		}
 		now = min(now.Add(drainSlice), end)

@@ -115,7 +115,7 @@ func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 	w := b.measure(nil)
 	active = w.of(active)
 	drv.Stop()
-	b.drain(cfg.Drain, w, drv)
+	b.drain(cfg.Drain, drv)
 
 	res := ProfileRunResult{
 		Utilization: w.Utilization,
@@ -126,7 +126,7 @@ func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 		PeakActive:  active.Max(),
 		Generated:   drv.Generated(),
 	}
-	res.AFCT, res.Completed, res.Censored = workload.RecordAFCT(drv.Records(), w.from, w.to)
+	res.AFCT, res.Completed, res.Censored = drv.Window()
 	return res
 }
 

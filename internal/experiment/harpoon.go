@@ -117,15 +117,13 @@ func runHarpoonUncached(cfg HarpoonConfig, buffer int) harpoonRun {
 	active := b.sample("active", 100*units.Millisecond,
 		func() float64 { return float64(g.Active()) })
 
-	w := b.measure(nil)
-	run := harpoonRun{Util: w.Utilization, MeanActive: stats.Mean(w.of(active).Values)}
-	// Transfers that finished inside the window; nothing runs past w.to.
-	for _, r := range g.Records() {
-		if r.Completed > w.from && r.Completed != units.Never {
-			run.Transfers++
-		}
-	}
-	return run
+	// Generated less Active is the transfers finished so far: read where
+	// the window opens (its first instant included) and where it closes,
+	// the difference counts those finished in (from, to].
+	finished := func() int64 { return g.Generated() - int64(g.Active()) }
+	var before int64
+	w := b.measure(func() { before = finished() })
+	return harpoonRun{Util: w.Utilization, MeanActive: stats.Mean(w.of(active).Values), Transfers: finished() - before}
 }
 
 // RunHarpoon executes the two-phase experiment.

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"bufsim/internal/units"
 )
@@ -83,17 +82,13 @@ func RunRTTSpread(cfg RTTSpreadConfig) RTTSpreadTable {
 		wd := arm(cell, "window", func(env RunEnv) WindowDistResult {
 			return RunWindowDist(WindowDistConfig{Scenario: sc, N: cfg.N, BufferFactor: cfg.BufferFactor, RunEnv: env})
 		})
-		cov := 0.0
-		if wd.Mean > 0 {
-			cov = wd.StdDev / wd.Mean
-		}
 		ll := arm(cell, "util", func(env RunEnv) LongLivedResult {
 			return RunLongLived(LongLivedConfig{Scenario: sc, N: cfg.N, BufferPackets: buffer, RunEnv: env})
 		})
 		return RTTSpreadPoint{
 			Spread:      spread,
 			Utilization: ll.Utilization,
-			SyncIndex:   cov / (sawtoothCoV / math.Sqrt(float64(cfg.N))),
+			SyncIndex:   syncIndex(wd.StdDev, wd.Mean, cfg.N),
 		}
 	})
 }

@@ -10,6 +10,17 @@ import (
 // (Wmax/2) / (3Wmax/4) = 1/sqrt(27).
 const sawtoothCoV = 0.19245008972987526 // 1/sqrt(27)
 
+// syncIndex is the synchronization index of n flows whose aggregate
+// window has standard deviation sd about mean: its coefficient of
+// variation over the fully-desynchronized CLT prediction, sawtoothCoV /
+// sqrt(n). It is 0 unless mean is positive.
+func syncIndex(sd, mean float64, n int) float64 {
+	if !(mean > 0) {
+		return 0
+	}
+	return (sd / mean) / (sawtoothCoV / math.Sqrt(float64(n)))
+}
+
 // SyncConfig studies the §3 synchronization claim: with few flows the
 // sawtooths march in lockstep and the aggregate window swings like one
 // giant flow; above a few hundred flows they desynchronize and the
@@ -60,14 +71,9 @@ func RunSyncAblation(cfg SyncConfig) SyncTable {
 		run := WindowDistConfig{Scenario: cfg.Scenario, N: n, BufferFactor: cfg.BufferFactor, RunEnv: cell}
 		run.Seed += int64(n)
 		r := RunWindowDist(run)
-		cov := 0.0
-		if r.Mean > 0 {
-			cov = r.StdDev / r.Mean
-		}
-		cltCoV := sawtoothCoV / math.Sqrt(float64(n))
 		return SyncPoint{
 			N:         n,
-			SyncIndex: cov / cltCoV,
+			SyncIndex: syncIndex(r.StdDev, r.Mean, n),
 			KS:        r.KS,
 			StdDev:    r.StdDev,
 			Mean:      r.Mean,

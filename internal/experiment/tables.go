@@ -186,8 +186,8 @@ func runProductionPoint(cfg ProductionConfig, env RunEnv, buffer int, bdp float6
 
 	w := b.measure(nil)
 	gen.Stop()
-	b.drain(30*units.Second, w, gen)
-	afct, completed, _ := workload.RecordAFCT(gen.Records(), w.from, w.to)
+	b.drain(30*units.Second, gen)
+	afct, completed, _ := gen.Window()
 
 	meanConc := stats.Mean(w.of(concurrent).Values)
 	effN := int(math.Max(1, meanConc))

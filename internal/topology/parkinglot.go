@@ -22,7 +22,6 @@ import (
 // deliberately violated.
 type ParkingLotConfig struct {
 	Sched *sim.Scheduler
-	RNG   *sim.RNG // may be nil if all flows use explicit RTTs
 
 	// Rates, Delays and Buffers describe the k core links; the three
 	// slices must have equal length >= 1.

@@ -46,7 +46,7 @@ func TestDriverContract(t *testing.T) {
 	cases := []struct {
 		name string
 		src  workload.Source
-		// finite sources launch finite flows and record each; remainder
+		// finite sources launch finite flows and count each; remainder
 		// is the long-lived population left when the source has drained.
 		finite    bool
 		remainder int
@@ -82,14 +82,14 @@ func TestDriverContract(t *testing.T) {
 			var flows []*topology.Flow
 			d.OnAddFlow = func(f *topology.Flow) { flows = append(flows, f) }
 			drv := c.src.Bind(d, rng.Fork(), spec)
-			drv.Start()
+			drv.Start(units.Epoch, units.Never)
 			func() {
 				defer func() {
 					if recover() == nil {
 						t.Error("second Start did not panic")
 					}
 				}()
-				drv.Start()
+				drv.Start(units.Epoch, units.Never)
 			}()
 
 			sched.Run(units.Epoch.Add(6 * sec))
@@ -100,21 +100,17 @@ func TestDriverContract(t *testing.T) {
 				t.Errorf("launched %d flows after Stop", got-generated)
 			}
 
-			recs := drv.Records()
+			// The window is the whole run, so after the drain every flow
+			// launched has completed: Generated is the completions plus
+			// what is still active, the long-lived remainder.
+			_, completed, open := drv.Window()
 			if c.finite {
-				if generated == 0 || int64(len(recs)) != generated {
-					t.Errorf("Generated = %d, Records = %d; want equal and positive", generated, len(recs))
+				if generated == 0 || int64(completed+drv.Active()-c.remainder) != generated || open != 0 {
+					t.Errorf("Generated = %d, completed %d, Active %d, open %d; want Generated positive, completed + Active = Generated + %d and none open",
+						generated, completed, drv.Active(), open, c.remainder)
 				}
-			} else if recs != nil {
-				t.Errorf("a source without finite flows has %d records", len(recs))
-			}
-			for i, r := range recs {
-				if i > 0 && r.Start < recs[i-1].Start {
-					t.Errorf("record %d starts at %v, before record %d (%v): not launch order", i, r.Start, i-1, recs[i-1].Start)
-				}
-				if r.Completed == units.Never {
-					t.Errorf("record %d never completed", i)
-				}
+			} else if completed != 0 || open != 0 {
+				t.Errorf("a source without finite flows counts %d completed, %d open", completed, open)
 			}
 
 			if got := drv.Active(); got != c.remainder {

@@ -6,22 +6,21 @@ import (
 	"bufsim/internal/units"
 )
 
-// Launcher is the one place a finite flow is wired, recorded, completed
+// Launcher is the one place a finite flow is wired, counted, completed
 // and unwired. Every generator embeds one and decides only when, where
-// and how large; Records, Generated and Active are the Launcher's.
+// and how large; Generated, Active and Window are the Launcher's. It
+// keeps no state per flow beyond the flows in flight.
 type Launcher struct {
-	d       *topology.Dumbbell
-	spec    tcp.Config // every flow's template; TotalSegments is set per flow
-	records []*FlowRecord
-	started int64
-	active  int
+	d        *topology.Dumbbell
+	spec     tcp.Config // every flow's template; TotalSegments is set per flow
+	from, to units.Time // the measured window; a generator's Start sets it
+	// started and active count every flow; windowed counts those
+	// launched in [from, to], completed those of them finished, and sum
+	// their completion times.
+	started                     int64
+	active, windowed, completed int
+	sum                         units.Duration
 }
-
-// NewLauncher returns a launcher for flows on spec across d.
-func NewLauncher(d *topology.Dumbbell, spec tcp.Config) *Launcher { return &Launcher{d: d, spec: spec} }
-
-// Records returns one entry per launched flow, in launch order.
-func (l *Launcher) Records() []*FlowRecord { return l.records }
 
 // Generated returns the number of flows started so far.
 func (l *Launcher) Generated() int64 { return l.started }
@@ -29,28 +28,35 @@ func (l *Launcher) Generated() int64 { return l.started }
 // Active returns the number of flows currently in flight.
 func (l *Launcher) Active() int { return l.active }
 
+// Window implements Driver's Window. The sum is integer nanoseconds, so
+// the order flows complete in cannot change the mean.
+func (l *Launcher) Window() (afct units.Duration, completed, open int) {
+	if l.completed > 0 {
+		afct = l.sum / units.Duration(l.completed)
+	}
+	return afct, l.completed, l.windowed - l.completed
+}
+
 // launch starts a flow of size segments across st at time now (the
-// scheduler's clock) and records it. done, if not nil, runs when the last
+// scheduler's clock) and counts it. done, if not nil, runs when the last
 // segment arrives, after the detach is posted — so a generator that
 // schedules from done keeps its events behind the detach in (time, seq)
 // order.
 func (l *Launcher) launch(st *topology.Station, size int64, now units.Time, done func()) {
-	rec := &FlowRecord{Size: size, Completed: units.Never}
-	l.records = append(l.records, rec)
-	l.start(rec, st, now, done)
-}
-
-// start is launch for a record the caller already holds in l.records
-// (replay lists its flows before they start).
-func (l *Launcher) start(rec *FlowRecord, st *topology.Station, now units.Time, done func()) {
 	spec := l.spec
-	spec.TotalSegments = rec.Size
+	spec.TotalSegments = size
 	f := l.d.AddFlow(st, spec)
-	rec.Start = now
 	l.started++
 	l.active++
-	f.Receiver.OnComplete = func(now units.Time) {
-		rec.Completed = now
+	windowed := now >= l.from && now <= l.to
+	if windowed {
+		l.windowed++
+	}
+	f.Receiver.OnComplete = func(at units.Time) {
+		if windowed {
+			l.completed++
+			l.sum += at.Sub(now)
+		}
 		l.active--
 		l.Detach(f)
 		if done != nil {

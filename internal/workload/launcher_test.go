@@ -53,7 +53,7 @@ func TestDelayedAckFlowsFinish(t *testing.T) {
 	}
 	src := PoissonSource{Load: 0.3, Sizes: GeometricSize(9)}
 	drv := src.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000, DelayedAck: true})
-	drv.Start()
+	drv.Start(units.Epoch, units.Never)
 	for s.Now() < units.Epoch.Add(6*units.Second) && s.Step() {
 		look()
 	}
@@ -65,10 +65,8 @@ func TestDelayedAckFlowsFinish(t *testing.T) {
 	if flows < 200 {
 		t.Fatalf("%d flows; the scenario should launch 231", flows)
 	}
-	for i, r := range drv.Records() {
-		if r.Completed == units.Never {
-			t.Errorf("flow %d's receiver never completed", i)
-		}
+	if _, completed, open := drv.Window(); completed != flows || open != 0 {
+		t.Errorf("%d of %d receivers completed, %d open", completed, flows, open)
 	}
 	if finished != flows {
 		t.Errorf("%d of %d senders finished", finished, flows)
@@ -82,4 +80,77 @@ func TestDelayedAckFlowsFinish(t *testing.T) {
 	if n := len(d.Flows()); n != 0 {
 		t.Errorf("%d flows still wired after the drain", n)
 	}
+}
+
+// TestLauncherCountsWindow: Window counts the flows launched in [from,
+// to], both ends inclusive, and averages the completion times of those
+// that have completed. A flow launched 1 ns outside either end does not
+// count, and one still in flight counts as open and stays out of the
+// mean.
+func TestLauncherCountsWindow(t *testing.T) {
+	from, to := units.Epoch.Add(units.Second), units.Epoch.Add(3*units.Second)
+	specs := []FlowSpec{
+		{Start: units.Second - 1, Size: 10},        // 1 ns before from
+		{Start: units.Second, Size: 10},            // at from
+		{Start: 2 * units.Second, Size: 1_000_000}, // in the window, still open at the end
+		{Start: 3 * units.Second, Size: 20},        // at to
+		{Start: 3*units.Second + 1, Size: 10},      // 1 ns after to
+	}
+	flows, drv := runTraceWindow(t, specs, from, to, units.Epoch.Add(10*units.Second))
+
+	if flows[1].start != from || flows[3].start != to {
+		t.Fatalf("flows launched at %v and %v, want the window's ends %v and %v", flows[1].start, flows[3].start, from, to)
+	}
+	for _, i := range []int{0, 1, 3, 4} {
+		if flows[i].done == units.Never {
+			t.Fatalf("flow %d never completed", i)
+		}
+	}
+	if flows[2].done != units.Never {
+		t.Fatal("the long flow completed; the case needs it in flight")
+	}
+	afct, completed, open := drv.Window()
+	if completed != 2 || open != 1 {
+		t.Errorf("completed=%d open=%d, want 2, 1", completed, open)
+	}
+	want := (flows[1].done.Sub(flows[1].start) + flows[3].done.Sub(flows[3].start)) / 2
+	if afct != want {
+		t.Errorf("afct = %v, want %v, the mean of the flows at from and at to", afct, want)
+	}
+}
+
+// launched is one trace flow's launch time and its receiver's completion
+// time (Never while in flight).
+type launched struct {
+	f           *topology.Flow
+	start, done units.Time
+}
+
+// runTraceWindow launches specs from the epoch on a fresh dumbbell, with
+// the driver counting the window [from, to], and runs the simulation to
+// until. It returns each flow's launch and completion in launch order,
+// looked at after every event (a finished flow's agents go to a later
+// one, so they are read before), and the driver. Window must read zeros
+// before the first event runs.
+func runTraceWindow(t *testing.T, specs []FlowSpec, from, to, until units.Time) ([]*launched, Driver) {
+	t.Helper()
+	s, d, _ := testDumbbell(5, 200, 10*units.Mbps)
+	var flows []*launched
+	d.OnAddFlow = func(f *topology.Flow) { flows = append(flows, &launched{f: f, start: s.Now(), done: units.Never}) }
+	drv := TraceSource{Flows: specs}.Bind(d, nil, tcp.Config{SegmentSize: 1000})
+	drv.Start(from, to)
+	if afct, completed, open := drv.Window(); afct != 0 || completed != 0 || open != 0 {
+		t.Fatalf("Window before any launch = %v, %d, %d; want zeros", afct, completed, open)
+	}
+	for s.Now() < until && s.Step() {
+		for _, fl := range flows {
+			if fl.done == units.Never {
+				fl.done = fl.f.Receiver.CompletedAt
+			}
+		}
+	}
+	if len(flows) != len(specs) {
+		t.Fatalf("%d flows launched, want %d", len(flows), len(specs))
+	}
+	return flows, drv
 }

@@ -71,7 +71,7 @@ const (
 )
 
 // engine is the bound driver: the short-flow arrivals, whose Launcher
-// also holds Records and Generated, plus one actor owning the population
+// also holds Generated and Window, plus one actor owning the population
 // events the profile implies.
 type engine struct {
 	*workload.Arrivals
@@ -87,8 +87,9 @@ type engine struct {
 
 // Start implements workload.Driver: it anchors the profile at the
 // current simulated time, compiles the population curve into scheduled
-// start/stop events, and then begins the thinned arrival process.
-func (e *engine) Start() {
+// start/stop events, and then begins the thinned arrival process, whose
+// short flows in [from, to] Window counts.
+func (e *engine) Start(from, to units.Time) {
 	if e.running {
 		panic("profile: engine started twice")
 	}
@@ -106,7 +107,7 @@ func (e *engine) Start() {
 		}
 		e.sched.PostAt(base.Add(ch.at), e, op, nil)
 	}
-	e.Arrivals.Start()
+	e.Arrivals.Start(from, to)
 }
 
 // Stop implements workload.Driver: no new short flows launch and the

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
@@ -29,10 +30,40 @@ func testDumbbell(seed int64, stations, bufferPkts int, rate units.BitRate) (*si
 	return s, d, rng
 }
 
-// TestConstantProfileMatchesLegacyPoisson is the record-for-record check
+// launch is one flow as the dumbbell wired it: which flow, on which
+// station, when.
+type launch struct {
+	flow    packet.FlowID
+	station int
+	at      units.Time
+}
+
+// schedule is a driver's flow schedule: every flow launched, in order,
+// and the window's counts.
+type schedule struct {
+	launches          []launch
+	afct              units.Duration
+	completed, active int
+}
+
+// record observes every flow d wires from here on; done returns the
+// schedule once drv has run.
+func record(s *sim.Scheduler, d *topology.Dumbbell) (done func(drv workload.Driver) schedule) {
+	var sc schedule
+	d.OnAddFlow = func(f *topology.Flow) {
+		sc.launches = append(sc.launches, launch{f.ID, f.Station.Index, s.Now()})
+	}
+	return func(drv workload.Driver) schedule {
+		sc.afct, sc.completed, sc.active = drv.Window()
+		return sc
+	}
+}
+
+// TestConstantProfileMatchesLegacyPoisson is the flow-for-flow check
 // that the thinning engine and the stationary generator share a
 // schedule: a constant arrival profile must consume the RNG in exactly
-// PoissonSource's order, so the two produce identical flow schedules — starts, sizes and completions — on identical
+// PoissonSource's order, so the two launch the same flows on the same
+// stations at the same instants, and complete them alike, on identical
 // topologies and seeds.
 func TestConstantProfileMatchesLegacyPoisson(t *testing.T) {
 	const (
@@ -43,17 +74,20 @@ func TestConstantProfileMatchesLegacyPoisson(t *testing.T) {
 		load     = 0.6
 	)
 	sizes := workload.GeometricSize(14)
+	from, to := units.Epoch.Add(5*units.Second), units.Epoch.Add(15*units.Second)
 	horizon := units.Epoch.Add(20 * units.Second)
 
 	// The stationary source.
 	s1, d1, rng1 := testDumbbell(seed, stations, buffer, rate)
+	done1 := record(s1, d1)
 	legacy := workload.PoissonSource{Load: load, Sizes: sizes, MaxWindow: 32}.Bind(d1, rng1.Fork(), tcp.Config{})
-	legacy.Start()
+	legacy.Start(from, to)
 	s1.Run(horizon)
 
 	// Constant profile at the equivalent flows-per-second rate.
 	lambda := workload.ArrivalRateForLoad(load, rate, units.DefaultSegment, sizes)
 	s2, d2, rng2 := testDumbbell(seed, stations, buffer, rate)
+	done2 := record(s2, d2)
 	src := Source{
 		Profile: Profile{
 			Name:    "stationary",
@@ -63,7 +97,7 @@ func TestConstantProfileMatchesLegacyPoisson(t *testing.T) {
 		MaxWindow: 32,
 	}
 	drv := src.Bind(d2, rng2.Fork(), tcp.Config{})
-	drv.Start()
+	drv.Start(from, to)
 	s2.Run(horizon)
 
 	if legacy.Generated() == 0 {
@@ -72,11 +106,18 @@ func TestConstantProfileMatchesLegacyPoisson(t *testing.T) {
 	if got, want := drv.Generated(), legacy.Generated(); got != want {
 		t.Fatalf("profile generated %d flows, legacy %d", got, want)
 	}
-	recs, legacyRecs := drv.Records(), legacy.Records()
-	for i := range legacyRecs {
-		if !reflect.DeepEqual(*recs[i], *legacyRecs[i]) {
-			t.Fatalf("record %d diverged:\nprofile %+v\nlegacy  %+v", i, *recs[i], *legacyRecs[i])
+	got, want := done2(drv), done1(legacy)
+	for i := range want.launches {
+		if got.launches[i] != want.launches[i] {
+			t.Fatalf("flow %d diverged:\nprofile %+v\nlegacy  %+v", i, got.launches[i], want.launches[i])
 		}
+	}
+	if got.afct != want.afct || got.completed != want.completed || got.active != want.active {
+		t.Errorf("window counts diverged: profile %v/%d/%d, legacy %v/%d/%d",
+			got.afct, got.completed, got.active, want.afct, want.completed, want.active)
+	}
+	if want.completed == 0 {
+		t.Error("no flow of the window completed; the case compares nothing")
 	}
 }
 
@@ -84,20 +125,17 @@ func TestConstantProfileMatchesLegacyPoisson(t *testing.T) {
 // schedule, run for run.
 func TestEngineDeterminism(t *testing.T) {
 	prof := FlashCrowd.Profile().ScaleTo(8, 4)
-	run := func() []workload.FlowRecord {
+	run := func() schedule {
 		s, d, rng := testDumbbell(3, 8, 20, 10*units.Mbps)
+		done := record(s, d)
 		src := Source{Profile: prof, Sizes: workload.GeometricSize(10), MaxWindow: 16}
 		drv := src.Bind(d, rng.Fork(), tcp.Config{})
-		drv.Start()
+		drv.Start(units.Epoch.Add(10*units.Second), units.Epoch.Add(50*units.Second))
 		s.Run(units.Epoch.Add(70 * units.Second))
-		out := make([]workload.FlowRecord, 0, len(drv.Records()))
-		for _, r := range drv.Records() {
-			out = append(out, *r)
-		}
-		return out
+		return done(drv)
 	}
 	a, b := run(), run()
-	if len(a) == 0 {
+	if len(a.launches) == 0 || a.completed == 0 {
 		t.Fatal("no flows generated")
 	}
 	if !reflect.DeepEqual(a, b) {
@@ -126,7 +164,7 @@ func TestThinningTracksRateCurve(t *testing.T) {
 		MaxWindow: 8,
 	}
 	drv := src.Bind(d, rng.Fork(), tcp.Config{})
-	drv.Start()
+	drv.Start(units.Epoch, units.Never)
 	s.Run(units.Epoch.Add(40 * units.Second))
 	firstHalf := drv.Generated()
 	s.Run(units.Epoch.Add(80 * units.Second))
@@ -192,7 +230,7 @@ func TestPopulationRampTracksCurve(t *testing.T) {
 	s, d, rng := testDumbbell(5, 6, 40, 20*units.Mbps)
 	src := Source{Profile: Profile{Name: "ramp", Population: curve}}
 	drv := src.Bind(d, rng.Fork(), tcp.Config{})
-	drv.Start()
+	drv.Start(units.Epoch, units.Never)
 
 	checkpoints := []struct {
 		at   units.Duration

@@ -120,6 +120,6 @@ func FuzzReadFlows(f *testing.F) {
 			t.Fatalf("ReadFlows accepted what ValidateFlows rejects: %v", err)
 		}
 		_, d, _ := testDumbbell(1, 10, units.Mbps)
-		TraceSource{Flows: specs}.Bind(d, nil, tcp.Config{}).Start()
+		TraceSource{Flows: specs}.Bind(d, nil, tcp.Config{}).Start(units.Epoch, units.Never)
 	})
 }

@@ -57,7 +57,7 @@ func (s TraceSource) Bind(d *topology.Dumbbell, _ *sim.RNG, spec tcp.Config) Dri
 		panic(err.Error())
 	}
 	spec.MaxWindow = s.MaxWindow
-	return &replayRun{Launcher: NewLauncher(d, spec), flows: s.Flows, sched: d.Config().Sched}
+	return &replayRun{Launcher: &Launcher{d: d, spec: spec}, flows: s.Flows, sched: d.Config().Sched}
 }
 
 // replayRun is a bound TraceSource: a typed event per flow start instead
@@ -66,42 +66,37 @@ type replayRun struct {
 	*Launcher
 	flows   []FlowSpec
 	sched   *sim.Scheduler
+	started bool
 	stopped bool
-}
-
-// replayFlow is the start event's argument: which station to bind and
-// where to record the outcome.
-type replayFlow struct {
-	st  *topology.Station
-	rec *FlowRecord
+	// next is the flow whose start event fires next: the events are
+	// posted in trace order at non-decreasing times, and the kernel fires
+	// them in (time, post) order.
+	next int
 }
 
 // Start implements Driver: it anchors the trace's offsets at the current
 // simulated time and spreads its flows across the stations round-robin.
-// Every flow has its record from here on; one that has not started yet
-// shows a zero Start and Never completion.
-func (r *replayRun) Start() {
-	if r.records != nil {
+func (r *replayRun) Start(from, to units.Time) {
+	if r.started {
 		panic("workload: trace driver started twice")
 	}
+	r.started = true
+	r.from, r.to = from, to
 	base := r.sched.Now()
-	r.records = make([]*FlowRecord, len(r.flows))
-	for i, spec := range r.flows {
-		rec := &FlowRecord{Size: spec.Size, Completed: units.Never}
-		r.records[i] = rec
-		rf := &replayFlow{st: r.d.Station(i % r.d.NumStations()), rec: rec}
-		r.sched.PostAt(base.Add(spec.Start), r, 0, rf)
+	for _, spec := range r.flows {
+		r.sched.PostAt(base.Add(spec.Start), r, 0, nil)
 	}
 }
 
 // Stop implements Driver: flows not yet started are abandoned.
 func (r *replayRun) Stop() { r.stopped = true }
 
-// OnEvent implements sim.Actor: one flow's start time has come.
-func (r *replayRun) OnEvent(_ int32, arg any) {
+// OnEvent implements sim.Actor: flow r.next's start time has come.
+func (r *replayRun) OnEvent(int32, any) {
 	if r.stopped {
 		return
 	}
-	rf := arg.(*replayFlow)
-	r.start(rf.rec, rf.st, r.sched.Now(), nil)
+	i := r.next
+	r.next++
+	r.launch(r.d.Station(i%r.d.NumStations()), r.flows[i].Size, r.sched.Now(), nil)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
 	"bufsim/internal/units"
@@ -55,11 +56,14 @@ func TestParseTraceErrors(t *testing.T) {
 	}
 }
 
-// replay binds and starts specs as a TraceSource and returns its records.
-func replay(d *topology.Dumbbell, specs []FlowSpec) []*FlowRecord {
+// replay binds and starts specs as a TraceSource counting every flow,
+// and returns the driver and the flows' launch times as they come.
+func replay(s *sim.Scheduler, d *topology.Dumbbell, specs []FlowSpec) (Driver, *[]units.Time) {
+	starts := new([]units.Time)
+	d.OnAddFlow = func(*topology.Flow) { *starts = append(*starts, s.Now()) }
 	drv := TraceSource{Flows: specs, MaxWindow: 43}.Bind(d, nil, tcp.Config{SegmentSize: 1000})
-	drv.Start()
-	return drv.Records()
+	drv.Start(units.Epoch, units.Never)
+	return drv, starts
 }
 
 func TestReplayRunsTrace(t *testing.T) {
@@ -69,26 +73,19 @@ func TestReplayRunsTrace(t *testing.T) {
 		{Start: 500 * units.Millisecond, Size: 20},
 		{Start: units.Second, Size: 5},
 	}
-	records := replay(d, specs)
+	drv, starts := replay(s, d, specs)
 	s.Run(units.Time(20 * units.Second))
-	if len(records) != 3 {
-		t.Fatalf("records = %d", len(records))
-	}
-	for i, r := range records {
-		if r.Completed == units.Never {
-			t.Errorf("flow %d never completed", i)
-			continue
-		}
-		if r.Start < units.Epoch.Add(specs[i].Start) {
-			t.Errorf("flow %d started at %v before its trace time %v", i, r.Start, specs[i].Start)
-		}
-		if r.Completed <= r.Start {
-			t.Errorf("flow %d completed before starting", i)
-		}
+	if len(*starts) != 3 {
+		t.Fatalf("flows = %d", len(*starts))
 	}
 	// Start times respect the trace (within scheduling exactness).
-	if records[1].Start != units.Epoch.Add(specs[1].Start) {
-		t.Errorf("flow 1 start = %v, want %v", records[1].Start, specs[1].Start)
+	for i, at := range *starts {
+		if at != units.Epoch.Add(specs[i].Start) {
+			t.Errorf("flow %d started at %v, want its trace time %v", i, at, specs[i].Start)
+		}
+	}
+	if afct, completed, open := drv.Window(); completed != 3 || open != 0 || afct <= 0 {
+		t.Errorf("%d of 3 flows completed, %d open, mean %v", completed, open, afct)
 	}
 }
 
@@ -99,15 +96,9 @@ func TestReplayEndToEndFromCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := replay(d, specs)
+	drv, _ := replay(s, d, specs)
 	s.Run(units.Time(30 * units.Second))
-	var done int
-	for _, r := range records {
-		if r.Completed != units.Never {
-			done++
-		}
-	}
-	if done != len(records) {
-		t.Errorf("%d/%d trace flows completed", done, len(records))
+	if _, done, _ := drv.Window(); done != len(specs) {
+		t.Errorf("%d/%d trace flows completed", done, len(specs))
 	}
 }

@@ -46,12 +46,13 @@ func (s SessionSource) Bind(d *topology.Dumbbell, rng *sim.RNG, spec tcp.Config)
 		s.MeanThink = units.Second
 	}
 	spec.MaxWindow = s.MaxWindow
-	return &Sessions{Launcher: NewLauncher(d, spec), src: s, rng: rng}
+	return &Sessions{Launcher: &Launcher{d: d, spec: spec}, src: s, rng: rng}
 }
 
 // Sessions is a bound SessionSource. Active is the number of transfers
 // in flight — the equilibrium version of the paper's "number of
-// concurrent flows" — and Records keeps one entry per transfer.
+// concurrent flows" — and Generated less Active is the transfers
+// completed.
 type Sessions struct {
 	*Launcher
 	src     SessionSource
@@ -61,11 +62,12 @@ type Sessions struct {
 
 // Start launches every session, desynchronized by an initial random think
 // pause.
-func (g *Sessions) Start() {
+func (g *Sessions) Start(from, to units.Time) {
 	if g.running {
 		panic("workload: Sessions started twice")
 	}
 	g.running = true
+	g.from, g.to = from, to
 	for i := 0; i < g.src.Sessions; i++ {
 		g.think(g.d.Station(i % g.d.NumStations()))
 	}

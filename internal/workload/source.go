@@ -29,44 +29,21 @@ type Source interface {
 
 // Driver is a bound, runnable workload.
 type Driver interface {
-	// Start begins generating traffic at the current simulated time.
-	Start()
-	// Stop halts new flow launches: Records gains no entry and
-	// Generated no count after it. In-flight flows run on for as long as
-	// the simulation does; an experiment's drain runs it at most its
-	// Drain past the window, and ends sooner once every flow that started
-	// in the window has completed.
+	// Start begins generating traffic at the current simulated time;
+	// Window counts the finite flows launched in [from, to].
+	Start(from, to units.Time)
+	// Stop halts new flow launches: Generated gains no count after it.
+	// In-flight flows run on for as long as the simulation does; an
+	// experiment's drain runs it at most its Drain past the window, and
+	// ends sooner once Window has no flow open.
 	Stop()
 	// Active returns the number of flows currently in flight — the
 	// paper's instantaneous n(t).
 	Active() int
 	// Generated returns the total number of flows started so far.
 	Generated() int64
-	// Records returns one entry per launched finite flow, in launch
-	// order, with completion times filling in as flows finish.
-	Records() []*FlowRecord
-}
-
-// RecordAFCT returns the average flow completion time over records whose
-// flow started in [from, to], along with how many such flows completed
-// and how many did not (censored). Censored flows are excluded from the
-// average, so callers should drain the system (or report incomplete)
-// before trusting the number.
-func RecordAFCT(records []*FlowRecord, from, to units.Time) (afct units.Duration, completed, censored int) {
-	var sum units.Duration
-	for _, r := range records {
-		if !r.StartedIn(from, to) {
-			continue
-		}
-		if r.Completed == units.Never {
-			censored++
-			continue
-		}
-		sum += r.Duration()
-		completed++
-	}
-	if completed == 0 {
-		return 0, 0, censored
-	}
-	return sum / units.Duration(completed), completed, censored
+	// Window returns, of the finite flows launched in the window Start
+	// was given, the mean completion time of those completed, how many
+	// completed and how many are still open (censored, if the run ends).
+	Window() (afct units.Duration, completed, open int)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bufsim/internal/tcp"
+	"bufsim/internal/topology"
 	"bufsim/internal/units"
 )
 
@@ -14,13 +15,13 @@ func TestSessionSourceDrives(t *testing.T) {
 		Sessions: 4, Sizes: FixedSize(10), MeanThink: 200 * units.Millisecond,
 		MaxWindow: 16,
 	}.Bind(d, rng.Fork(), tcp.Config{})
-	drv.Start()
+	drv.Start(units.Epoch, units.Never)
 	s.Run(units.Time(10 * units.Second))
 	if drv.Generated() == 0 {
 		t.Fatal("sessions generated no transfers")
 	}
-	if int64(len(drv.Records())) != drv.Generated() {
-		t.Errorf("Records/Generated mismatch: %d vs %d", len(drv.Records()), drv.Generated())
+	if _, completed, open := drv.Window(); int64(completed+open) != drv.Generated() {
+		t.Errorf("Window counts %d completed + %d open, Generated %d", completed, open, drv.Generated())
 	}
 	drv.Stop()
 	gen := drv.Generated()
@@ -37,26 +38,25 @@ func TestTraceSourceAnchorsAtStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	drv := TraceSource{Flows: specs, MaxWindow: 43}.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000})
+	var starts []units.Time
+	d.OnAddFlow = func(*topology.Flow) { starts = append(starts, s.Now()) }
 
 	// Nothing runs before Start; the trace anchors when started, not at
 	// the epoch.
 	s.Run(units.Time(2 * units.Second))
-	if drv.Generated() != 0 || drv.Active() != 0 || drv.Records() != nil {
+	if _, completed, open := drv.Window(); drv.Generated() != 0 || drv.Active() != 0 || completed+open != 0 {
 		t.Fatal("trace driver ran before Start")
 	}
-	drv.Start()
+	drv.Start(units.Epoch, units.Never)
 	s.Run(units.Time(30 * units.Second))
-	if drv.Generated() != 3 {
-		t.Fatalf("generated = %d, want 3", drv.Generated())
+	if drv.Generated() != 3 || len(starts) != 3 {
+		t.Fatalf("generated = %d, %d flows wired; want 3", drv.Generated(), len(starts))
 	}
-	recs := drv.Records()
-	if recs[1].Start != units.Time(2*units.Second).Add(specs[1].Start) {
-		t.Errorf("flow 1 start = %v, want trace offset %v past the driver start", recs[1].Start, specs[1].Start)
+	if starts[1] != units.Time(2*units.Second).Add(specs[1].Start) {
+		t.Errorf("flow 1 start = %v, want trace offset %v past the driver start", starts[1], specs[1].Start)
 	}
-	for i, r := range recs {
-		if r.Completed == units.Never {
-			t.Errorf("flow %d never completed", i)
-		}
+	if _, completed, open := drv.Window(); completed != 3 || open != 0 {
+		t.Errorf("%d of 3 flows completed, %d open", completed, open)
 	}
 	if drv.Active() != 0 {
 		t.Errorf("Active = %d after all flows completed", drv.Active())
@@ -70,7 +70,7 @@ func TestTraceSourceStopAbandonsPending(t *testing.T) {
 		{Start: 10 * units.Second, Size: 5},
 	}
 	drv := TraceSource{Flows: specs, MaxWindow: 16}.Bind(d, rng.Fork(), tcp.Config{})
-	drv.Start()
+	drv.Start(units.Epoch, units.Never)
 	s.Run(units.Time(5 * units.Second))
 	drv.Stop()
 	s.Run(units.Time(30 * units.Second))
@@ -79,26 +79,40 @@ func TestTraceSourceStopAbandonsPending(t *testing.T) {
 	}
 }
 
+// TestRecordAFCT: of flows launched before, inside and after the window
+// [1s, 10s], Window averages the observed completion times of the three
+// completed in-window flows, counts the one still in flight as open, and
+// reads zeros for a trace with no flows.
 func TestRecordAFCT(t *testing.T) {
 	at := func(d units.Duration) units.Time { return units.Epoch.Add(d) }
-	records := []*FlowRecord{
-		{Start: at(1 * units.Second), Completed: at(2 * units.Second)},         // in window: 1s
-		{Start: at(2 * units.Second), Completed: at(5 * units.Second)},         // in window: 3s
-		{Start: at(3 * units.Second), Completed: units.Never},                  // censored
-		{Start: at(20 * units.Second), Completed: at(21 * units.Second)},       // outside window
-		{Start: at(0), Completed: at(10 * units.Second)},                       // before window
-		{Start: at(4 * units.Second), Completed: at(4500 * units.Millisecond)}, // in window: 0.5s
+	specs := []FlowSpec{
+		{Start: 0, Size: 10},                       // before window
+		{Start: 1 * units.Second, Size: 10},        // in window
+		{Start: 2 * units.Second, Size: 30},        // in window
+		{Start: 3 * units.Second, Size: 1_000_000}, // censored
+		{Start: 4 * units.Second, Size: 5},         // in window
+		{Start: 20 * units.Second, Size: 10},       // outside window
 	}
-	afct, completed, censored := RecordAFCT(records, at(units.Second), at(10*units.Second))
-	if completed != 3 || censored != 1 {
-		t.Fatalf("completed=%d censored=%d, want 3, 1", completed, censored)
+	flows, drv := runTraceWindow(t, specs, at(units.Second), at(10*units.Second), at(25*units.Second))
+	for _, i := range []int{0, 1, 2, 4, 5} {
+		if flows[i].done == units.Never {
+			t.Fatalf("flow %d never completed", i)
+		}
 	}
-	if want := units.Duration(1500 * units.Millisecond); afct != want {
+	afct, completed, open := drv.Window()
+	if completed != 3 || open != 1 {
+		t.Fatalf("completed=%d open=%d, want 3, 1", completed, open)
+	}
+	var sum units.Duration
+	for _, i := range []int{1, 2, 4} {
+		sum += flows[i].done.Sub(flows[i].start)
+	}
+	if want := sum / 3; afct != want {
 		t.Errorf("afct = %v, want %v", afct, want)
 	}
-	afct, completed, censored = RecordAFCT(nil, at(0), at(units.Second))
-	if afct != 0 || completed != 0 || censored != 0 {
-		t.Error("empty records should be all zeros")
+	_, drv = runTraceWindow(t, nil, at(0), at(units.Second), at(units.Second))
+	if afct, completed, open := drv.Window(); afct != 0 || completed != 0 || open != 0 {
+		t.Error("an empty trace should count all zeros")
 	}
 }
 

@@ -104,28 +104,6 @@ func StartLongLived(d *topology.Dumbbell, n int, spec tcp.Config, rng *sim.RNG, 
 	return flows
 }
 
-// FlowRecord is one completed (or in-flight) short flow.
-type FlowRecord struct {
-	Size      int64      // segments
-	Start     units.Time // first transmission
-	Completed units.Time // last segment reached the receiver; units.Never if not yet
-}
-
-// Duration returns the flow completion time in the paper's sense (first
-// packet sent until last packet received).
-func (r FlowRecord) Duration() units.Duration {
-	if r.Completed == units.Never {
-		return units.Duration(math.MaxInt64)
-	}
-	return r.Completed.Sub(r.Start)
-}
-
-// StartedIn reports whether the flow started in [from, to], the window
-// RecordAFCT averages over.
-func (r FlowRecord) StartedIn(from, to units.Time) bool {
-	return r.Start >= from && r.Start <= to
-}
-
 // PoissonSource is the stationary workload (§4): Poisson arrivals of
 // finite flows at a fixed offered load.
 type PoissonSource struct {
@@ -195,15 +173,16 @@ type Arrivals struct {
 // rate never exceeds peak. A zero peak never arrives, and then sizes may
 // be nil.
 func NewArrivals(d *topology.Dumbbell, rng *sim.RNG, sizes SizeDist, spec tcp.Config, rate func(units.Duration) float64, peak float64) *Arrivals {
-	return &Arrivals{Launcher: NewLauncher(d, spec), rng: rng, sched: d.Config().Sched, sizes: sizes, rate: rate, peak: peak}
+	return &Arrivals{Launcher: &Launcher{d: d, spec: spec}, rng: rng, sched: d.Config().Sched, sizes: sizes, rate: rate, peak: peak}
 }
 
-// Start begins arrivals.
-func (a *Arrivals) Start() {
+// Start begins arrivals, counting those in [from, to].
+func (a *Arrivals) Start(from, to units.Time) {
 	if a.running {
 		panic("workload: arrivals started twice")
 	}
 	a.running = true
+	a.from, a.to = from, to
 	a.base = a.sched.Now()
 	if a.peak > 0 {
 		a.scheduleNext()

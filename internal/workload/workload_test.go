@@ -135,8 +135,8 @@ func TestShortFlowsPoissonLoad(t *testing.T) {
 	if r := g.(*Arrivals).peak; math.Abs(r-89.28) > 0.5 {
 		t.Errorf("arrival rate = %v, want ~89.3", r)
 	}
-	g.Start()
 	warm := units.Time(5 * units.Second)
+	g.Start(warm, warm+units.Time(20*units.Second))
 	s.Run(warm)
 	busy := d.Bottleneck.BusyTime()
 	s.Run(warm + units.Time(20*units.Second))
@@ -148,7 +148,7 @@ func TestShortFlowsPoissonLoad(t *testing.T) {
 	}
 	g.Stop()
 	s.Run(s.Now() + units.Time(10*units.Second)) // drain
-	afct, completed, censored := RecordAFCT(g.Records(), warm, warm+units.Time(20*units.Second))
+	afct, completed, censored := g.Window()
 	if completed < 1000 {
 		t.Fatalf("only %d flows completed", completed)
 	}
@@ -172,7 +172,7 @@ func TestShortFlowsStationsReused(t *testing.T) {
 		Load:  0.3,
 		Sizes: FixedSize(5),
 	}.Bind(d, rng.Fork(), tcp.Config{SegmentSize: 1000})
-	g.Start()
+	g.Start(units.Epoch, units.Never)
 	s.Run(units.Time(30 * units.Second))
 	// 5 stations, ~75 flows/s for 30 s: thousands of flows over 5
 	// stations proves reuse works.
@@ -181,33 +181,47 @@ func TestShortFlowsStationsReused(t *testing.T) {
 	}
 }
 
+// TestAFCTWindowFiltering: with the window [9s, 20s], a flow launched at
+// 0 does not count, the flow at 10s counts with its observed completion
+// time, and the one at 11s, still in flight, counts as open. A window
+// that no flow launches in counts nothing.
 func TestAFCTWindowFiltering(t *testing.T) {
-	records := []*FlowRecord{
-		{Size: 1, Start: 0, Completed: units.Time(units.Second)},
-		{Size: 1, Start: units.Time(10 * units.Second), Completed: units.Time(12 * units.Second)},
-		{Size: 1, Start: units.Time(11 * units.Second), Completed: units.Never},
+	at := func(d units.Duration) units.Time { return units.Epoch.Add(d) }
+	specs := []FlowSpec{
+		{Start: 0, Size: 10},
+		{Start: 10 * units.Second, Size: 20},
+		{Start: 11 * units.Second, Size: 1_000_000},
 	}
-	afct, completed, censored := RecordAFCT(records, units.Time(9*units.Second), units.Time(20*units.Second))
-	if completed != 1 || censored != 1 {
-		t.Errorf("completed=%d censored=%d", completed, censored)
+	flows, drv := runTraceWindow(t, specs, at(9*units.Second), at(20*units.Second), at(20*units.Second))
+	afct, completed, open := drv.Window()
+	if completed != 1 || open != 1 {
+		t.Errorf("completed=%d open=%d", completed, open)
 	}
-	if afct != 2*units.Second {
-		t.Errorf("AFCT = %v, want 2s", afct)
+	if want := flows[1].done.Sub(flows[1].start); flows[1].done == units.Never || afct != want {
+		t.Errorf("AFCT = %v, want %v", afct, want)
 	}
 	// Empty window.
-	if a, c, _ := RecordAFCT(records, units.Time(100*units.Second), units.Time(200*units.Second)); a != 0 || c != 0 {
-		t.Errorf("empty window AFCT = %v/%d", a, c)
+	_, drv = runTraceWindow(t, specs, at(100*units.Second), at(200*units.Second), at(20*units.Second))
+	if a, c, o := drv.Window(); a != 0 || c != 0 || o != 0 {
+		t.Errorf("empty window AFCT = %v/%d/%d", a, c, o)
 	}
 }
 
+// TestFlowRecordDuration: a completed flow's completion time is its
+// receiver's completion less its launch, exactly; a flow still in flight
+// adds no time and counts as open.
 func TestFlowRecordDuration(t *testing.T) {
-	r := FlowRecord{Start: units.Time(units.Second), Completed: units.Time(3 * units.Second)}
-	if r.Duration() != 2*units.Second {
-		t.Errorf("Duration = %v", r.Duration())
+	at := func(d units.Duration) units.Time { return units.Epoch.Add(d) }
+	flows, drv := runTraceWindow(t, []FlowSpec{{Start: units.Second, Size: 10}}, at(units.Second), at(units.Second), at(3*units.Second))
+	if flows[0].done == units.Never {
+		t.Fatal("the flow never completed")
 	}
-	incomplete := FlowRecord{Start: 0, Completed: units.Never}
-	if incomplete.Duration() != units.Duration(math.MaxInt64) {
-		t.Error("incomplete duration should be MaxInt64")
+	if afct, completed, _ := drv.Window(); completed != 1 || afct != flows[0].done.Sub(at(units.Second)) {
+		t.Errorf("Window = %v over %d, want %v over 1", afct, completed, flows[0].done.Sub(at(units.Second)))
+	}
+	_, drv = runTraceWindow(t, []FlowSpec{{Start: 0, Size: 1_000_000}}, at(0), at(0), at(units.Second))
+	if afct, completed, open := drv.Window(); afct != 0 || completed != 0 || open != 1 {
+		t.Errorf("in-flight flow: Window = %v, %d, %d; want 0, 0, 1", afct, completed, open)
 	}
 }
 

@@ -104,6 +104,13 @@ func (s Scenario) spread(kind string, d Duration) error {
 		"%s.RTTSpread %v must be in [0, 2 x Link.RTT = %v): station RTTs span Link.RTT +- RTTSpread/2", kind, d, 2*s.Link.RTT)
 }
 
+// stations checks the path a kind runs: its shortest station RTT, which
+// the Link's RTT sets, must hold the bottleneck delay both ways.
+func stations(p experiment.Path) error {
+	err := p.CheckStations()
+	return must(err == nil, "Scenario.Link.RTT: %v", err)
+}
+
 // unread rejects a Scenario field set on a kind that does not read it.
 func unread(kind, field string, set bool) error {
 	return must(!set, "%s does not read Scenario.%s; leave it zero", kind, field)
@@ -149,6 +156,7 @@ func (t LongLived) config(s Scenario, env experiment.RunEnv) (experiment.LongLiv
 	return cfg, firstErr(
 		must(t.Flows > 0, "LongLived.Flows must be positive (got %d)", t.Flows),
 		s.spread("LongLived", t.RTTSpread),
+		stations(experiment.RunPath(cfg)),
 		s.redBuffer(),
 	)
 }
@@ -231,6 +239,7 @@ func (t Mix) lower(s Scenario, env experiment.RunEnv) (func() MixResult, error) 
 		must(t.ShortLoad > 0 && t.ShortLoad < 1, "Mix.ShortLoad must be in (0, 1) (got %v)", t.ShortLoad),
 		must(t.MaxWindow >= 0, "Mix.MaxWindow must not be negative (got %d)", t.MaxWindow),
 		s.spread("Mix", t.RTTSpread),
+		stations(experiment.RunPath(cfg.AFCTComparisonConfig)),
 		must(s.BufferPackets > 0, "Mix needs a positive Scenario.BufferPackets"),
 	)
 }
@@ -263,6 +272,7 @@ func (t Trace) lower(s Scenario, env experiment.RunEnv) (func() TraceResult, err
 		must(flows == nil, "Trace.Flows: %w", flows),
 		must(t.MaxWindow >= 0, "Trace.MaxWindow must not be negative (got %d)", t.MaxWindow),
 		s.spread("Trace", t.RTTSpread),
+		stations(experiment.RunPath(cfg)),
 		unread("Trace", "Warmup", s.Warmup != 0),
 		unread("Trace", "Measure", s.Measure != 0),
 		s.redBuffer(),

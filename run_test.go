@@ -169,6 +169,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"SessionWorkload maxWindow", ok, kind(Generated{Workload: SessionWorkload(4, FixedSize(30), Second, -3)})},
 		{"TraceWorkload maxWindow", ok, kind(Generated{Workload: TraceWorkload([]TraceFlow{{Size: 30}}, -3)})},
 		{"ProfileWorkload maxWindow", ok, kind(Generated{Workload: population})},
+		{"Scenario.Link.RTT", with(func(s *Scenario) { s.Link.RTT = 8 * Millisecond }), kind(long)},
+		{"Scenario.Link.RTT", with(func(s *Scenario) { s.Link.RTT = 30 * Millisecond }), kind(Generated{Workload: PoissonWorkload(0.5, FixedSize(14), 0)})},
 	}
 	for i, c := range cases {
 		t.Run(fmt.Sprintf("%d-%s", i, c.want), func(t *testing.T) {

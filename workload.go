@@ -175,6 +175,7 @@ func (t Generated) lower(s Scenario, env experiment.RunEnv) (func() ProfileResul
 	return func() ProfileResult { return experiment.RunProfile(cfg) }, firstErr(
 		checkWorkload(t.Workload),
 		must(t.Stations >= 0 && t.Drain >= 0, "Generated.Stations and Generated.Drain must not be negative (got %d, %v)", t.Stations, t.Drain),
+		stations(experiment.RunPath(cfg)),
 		s.redBuffer(),
 	)
 }
