@@ -7,7 +7,7 @@ import (
 
 // kernelDescription names the kernel generation being measured; it is
 // recorded in BENCH_kernel.json so before/after blocks are labelled.
-const kernelDescription = "inlined 4-ary min-heap over pooled event slots with branch-free child selection ((at, seq) compared as one 128-bit number through the subtraction borrow, a full group of four children reduced as a tournament with an arithmetic winner index), typed actor dispatch on hot paths, FIFO wire lanes (key reserved at post time, one heap entry per wire, items in pooled 8-entry chunks), deferred root pop (a handler's first post takes the firing root's place), packets recycled through a per-view pool at the TCP sinks and at the link that drops them (unsharded views), TCP reassembly and SACK state as sorted runs in reused slices, pluggable congestion-control policy behind a per-flow interface, access and reverse links as one-event pipes and a drop-tail/RED bottleneck that posts each arrival when it admits the packet (link.Link: start = max(now, free), waiting packets kept as values in a lazily popped ring) or, when the packet's path ends at a receiver that acks at once, hands it to that receiver then with the clock dispatched ahead to its arrival (no event), TCP sender with one high-water mark (a late cumulative ACK raises sndNxt; a send below sndMax is a retransmission, counted and never RTT-timed), re-armable timers that keep their heap entry (sim.Timer: a Reset reserves the key, a stale entry is re-keyed when it reaches the root), a dumbbell that delivers by flow through a FlowID-indexed table of agents (no routers or hosts on its packet path), finished flows' quiescent agents renewed for the next flow and a queueing-delay P99 that holds only the top 1-2% of its bound (a run allocates only what is alive at once)"
+const kernelDescription = "inlined 4-ary min-heap over pooled event slots with branch-free child selection ((at, seq) compared as one 128-bit number through the subtraction borrow, a full group of four children reduced as a tournament with an arithmetic winner index), typed actor dispatch on hot paths, FIFO wire lanes (key reserved at post time, one heap entry per wire, items in pooled 8-entry chunks), deferred root pop (a handler's first post takes the firing root's place), packets recycled through a per-view pool at the TCP sinks and at the link that drops them (unsharded views), TCP reassembly and SACK state as sorted runs in reused slices, pluggable congestion-control policy behind a per-flow interface, access and reverse links as one-event pipes and a drop-tail/RED bottleneck that posts each arrival when it admits the packet (link.Link: start = max(now, free), waiting packets kept as values in a lazily popped ring) or, when the packet's path ends at a receiver that acks at once, hands it to that receiver then with the clock dispatched ahead to its arrival (no event), TCP sender with one high-water mark (a late cumulative ACK raises sndNxt; a send below sndMax is a retransmission, counted and never RTT-timed), re-armable timers that keep their heap entry (sim.Timer: a Reset reserves the key, a stale entry is re-keyed when it reaches the root), a dumbbell that delivers by flow through a table of agents slotted by FlowID mask and sized to the flows wired (no routers or hosts on its packet path), finished flows' quiescent agents and Flow values renewed for the next flow, launcher records recycled, and a queueing-delay P99 that holds only the top 1-2% of its bound (a run allocates only what is alive at once)"
 
 // churn is the kernel_churn cell's actor: each firing re-posts it 10 ns
 // out until n events have fired.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bufsim"
 	"bufsim/internal/experiment"
 	"bufsim/internal/metrics"
 	"bufsim/internal/packet"
@@ -21,6 +22,12 @@ import (
 //   - slab_senders_1m: constructs 2^20 TCP senders from one sender
 //     arena; bytes/op / 2^20 is the per-flow memory footprint of the
 //     sender path.
+//   - scale_churn/measure=W: the repository benchmark's churn_red_sack
+//     run with a W window. The 24 s window launches ~13 000 more short
+//     flows than the 6 s one with the same ~600 alive at once, so the
+//     two cells' allocs/op differ by what a flow launched allocates
+//     beyond the flows alive: nothing once the spare agents, flows and
+//     launcher records are warm.
 //
 // The gate checks only the counts (allocs/op, events/op); speed is
 // judged with `make ab`.
@@ -33,6 +40,25 @@ func scaleConfig(flows int) experiment.LongLivedConfig {
 		Scenario:      experiment.Scenario{Seed: 1, Path: experiment.Path{BottleneckRate: units.BitRate(flows) * 2 * units.Mbps, Warmup: units.Second, Measure: 2 * units.Second}},
 		N:             flows,
 		BufferPackets: 25 + flows,
+	}
+}
+
+// churnWindows is the churn cells' window axis.
+var churnWindows = []bufsim.Duration{6 * bufsim.Second, 24 * bufsim.Second}
+
+// churnRun is the repository benchmark's churn_red_sack run, bufsim
+// -rate 100Mbps -flows 50 -workload constant -red -variant sack -warmup
+// 1s, with a measure-long window, under reg (nil: no telemetry).
+func churnRun(measure bufsim.Duration, reg *metrics.Registry) {
+	s := bufsim.Scenario{Seed: 1, Link: bufsim.Link{Rate: 100 * bufsim.Mbps, RTT: 100 * bufsim.Millisecond}, BufferPackets: 177,
+		Warmup: bufsim.Second, Measure: measure, RED: true, Sender: bufsim.Sender{Variant: bufsim.Sack}}
+	sizes := bufsim.FixedSize(14)
+	w, err := bufsim.ProfileWorkload(bufsim.ConstantProfile.Profile().ScaleTo(bufsim.ArrivalRate(0.85, s.Link, sizes), 50), sizes, 0)
+	if err == nil {
+		_, err = bufsim.Run(s, bufsim.Generated{Workload: w}, bufsim.WithMetrics(reg))
+	}
+	if err != nil {
+		panic(err)
 	}
 }
 
@@ -69,6 +95,19 @@ func runScale(f *File) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				experiment.RunLongLived(scaleConfig(flows))
+			}
+		})
+		f.Current.Benchmarks[name] = metric(r, events)
+	}
+
+	for _, measure := range churnWindows {
+		name := fmt.Sprintf("scale_churn/measure=%v", measure)
+		fmt.Println(name + "...")
+		events := eventsProcessed(func(reg *metrics.Registry) { churnRun(measure, reg) })
+		r := fastestOf(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				churnRun(measure, nil)
 			}
 		})
 		f.Current.Benchmarks[name] = metric(r, events)

@@ -102,10 +102,12 @@ func main() {
 	fatalIf(err)
 	wl := profileArgs{*wlArg, *wlLoad, *wlFlowLen}
 	fatalIf(wl.check())
+	if *advArg != "" && *wlArg != "" {
+		log.Fatal("-adversary and -workload are mutually exclusive")
+	}
+	fatalIf(preflight(s, long, *advArg, wl))
 	printRules(s.Link, long.Flows, s.BufferPackets)
 	switch {
-	case *advArg != "" && *wlArg != "":
-		log.Fatal("-adversary and -workload are mutually exclusive")
 	case *advArg != "":
 		fatalIf(runAdversaryAndPrint(*advArg, s, long.Flows, *skipSim, obs))
 	case *wlArg != "":
@@ -119,6 +121,28 @@ func fatalIf(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// preflight makes bufsim.Run's checks of the run the flags chose — the
+// long-lived flows, -adversary's cohort or -workload's profile — before
+// anything prints: a station RTT too short for the bottleneck delay, for
+// one, depends on which of them runs.
+func preflight(s bufsim.Scenario, long bufsim.LongLived, adv string, wl profileArgs) error {
+	switch {
+	case adv != "":
+		p, err := bufsim.ParseAdversary(adv)
+		if err != nil {
+			return fmt.Errorf("-adversary: %v", err)
+		}
+		return bufsim.Check(s, bufsim.Adversary{Pattern: p, Flows: long.Flows})
+	case wl.arg != "":
+		w, _, err := wl.workload(s.Link, long.Flows)
+		if err != nil {
+			return err
+		}
+		return bufsim.Check(s, bufsim.Generated{Workload: w})
+	}
+	return bufsim.Check(s, long)
 }
 
 // observers is what -metrics, -audit and -cache (with -cache-verify) add
@@ -303,24 +327,35 @@ func resolveProfile(arg string) (bufsim.Profile, error) {
 	return preset.Profile(), nil
 }
 
+// workload builds the -workload traffic on link: the profile scaled so
+// its arrival peak offers the load and its population peaks at
+// peakFlows. It returns the profile's name too.
+func (wl profileArgs) workload(link bufsim.Link, peakFlows int) (bufsim.Workload, string, error) {
+	prof, err := resolveProfile(wl.arg)
+	if err != nil {
+		return nil, "", fmt.Errorf("-workload: %v", err)
+	}
+	sizes := bufsim.FixedSize(wl.flowLen)
+	scaled := prof.ScaleTo(bufsim.ArrivalRate(wl.load, link, sizes), float64(peakFlows))
+	w, err := bufsim.ProfileWorkload(scaled, sizes, 0)
+	if err != nil {
+		return nil, "", fmt.Errorf("-workload: %v", err)
+	}
+	return w, prof.Name, nil
+}
+
 // runProfileAndPrint runs the -workload scenario, with a population
 // peak of peakFlows long-lived flows, and reports the surge's outcome.
 func runProfileAndPrint(wl profileArgs, s bufsim.Scenario, peakFlows int, skip bool, obs observers) error {
-	prof, err := resolveProfile(wl.arg)
+	w, name, err := wl.workload(s.Link, peakFlows)
 	if err != nil {
-		return fmt.Errorf("-workload: %v", err)
-	}
-	sizes := bufsim.FixedSize(wl.flowLen)
-	scaled := prof.ScaleTo(bufsim.ArrivalRate(wl.load, s.Link, sizes), float64(peakFlows))
-	w, err := bufsim.ProfileWorkload(scaled, sizes, 0)
-	if err != nil {
-		return fmt.Errorf("-workload: %v", err)
+		return err
 	}
 	if skip {
 		return nil
 	}
 	fmt.Printf("simulating %q workload (peak load %.0f%%, peak %d long flows) for %v (+%v warmup)...\n",
-		prof.Name, 100*wl.load, peakFlows, s.Measure, s.Warmup)
+		name, 100*wl.load, peakFlows, s.Measure, s.Warmup)
 	res, err := bufsim.Run(s, bufsim.Generated{Workload: w}, obs.options()...)
 	if err != nil {
 		return err

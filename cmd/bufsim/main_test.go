@@ -124,7 +124,9 @@ func execMain(args ...string) (stdout, stderr string, err error) {
 // run is an error naming the flag, raised before the sizing rules print.
 // A zero window used to print as 0s and run the default, a zero or
 // negative -buffer-factor to run one packet, a negative -workload-load no
-// flows, and a zero -workload-flow-length to fail inside the profile.
+// flows, a zero -workload-flow-length to fail inside the profile, and a
+// station RTT too short for the bottleneck delay (the long-lived run's
+// at -rtt, the workload's at 0.6 x -rtt) to fail after seven lines.
 func TestBadFlagsFailBeforePrinting(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -138,6 +140,8 @@ func TestBadFlagsFailBeforePrinting(t *testing.T) {
 		{[]string{"-workload", "constant", "-workload-load", "-1"}, "-workload-load: must be positive"},
 		{[]string{"-workload", "constant", "-workload-flow-length", "0"}, "-workload-flow-length: must be positive"},
 		{[]string{"-rate", "100Kbps", "-rtt", "20ms", "-rtt-spread", "0s"}, "-rate: must carry at least one segment per -rtt"},
+		{[]string{"-rate", "1Mbps", "-flows", "2", "-rtt", "8ms", "-rtt-spread", "0s", "-warmup", "1s", "-measure", "1s"}, "Scenario.Link.RTT"},
+		{[]string{"-rate", "10Mbps", "-flows", "5", "-rtt", "30ms", "-workload", "constant", "-warmup", "1s", "-measure", "1s"}, "Scenario.Link.RTT"},
 	} {
 		stdout, stderr, err := execMain(append([]string{"-rate", "20Mbps", "-flows", "10"}, c.args...)...)
 		if err == nil || !strings.Contains(stderr, c.want) || stdout != "" {

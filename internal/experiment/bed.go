@@ -307,6 +307,52 @@ func (r *rig) sample(name string, every units.Duration, probe func() float64) *t
 	return trace.NewSampler(r.sched, name, every, probe).Series()
 }
 
+// tally samples a probe every period, as rig.sample does, but keeps of
+// the samples only the sum, count and maximum of those window.of would
+// keep — both ends of the measurement window included — added in time
+// order, so its mean and max are stats.Mean and Series.Max of the
+// window's series, bit for bit, and a run of any length holds three
+// numbers.
+type tally struct {
+	sched    *sim.Scheduler
+	every    units.Duration
+	probe    func() float64
+	from, to float64 // the window in seconds, as window.of compares
+	sum, max float64
+	n        int
+}
+
+// tally starts a tally of probe every period from now on over the
+// measurement window.
+func (r *rig) tally(every units.Duration, probe func() float64) *tally {
+	from, to := r.bounds()
+	t := &tally{sched: r.sched, every: every, probe: probe, from: from.Seconds(), to: to.Seconds()}
+	r.sched.PostAfter(every, t, 0, nil)
+	return t
+}
+
+// OnEvent implements sim.Actor: each tick takes a sample in the window
+// and re-arms.
+func (t *tally) OnEvent(int32, any) {
+	if now := t.sched.Now().Seconds(); now >= t.from && now <= t.to {
+		v := t.probe()
+		if t.n == 0 || v > t.max {
+			t.max = v
+		}
+		t.sum += v
+		t.n++
+	}
+	t.sched.PostAfter(t.every, t, 0, nil)
+}
+
+// mean is the mean of the window's samples, 0 for none.
+func (t *tally) mean() float64 {
+	if t.n == 0 {
+		return 0
+	}
+	return t.sum / float64(t.n)
+}
+
 // of cuts a sampled series down to the window.
 func (w window) of(s *trace.Series) *trace.Series {
 	return s.Window(w.from.Sub(units.Epoch).Seconds(), w.to.Sub(units.Epoch).Seconds())

@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"bufsim/internal/adversary"
 	"bufsim/internal/metrics"
 	"bufsim/internal/model"
+	"bufsim/internal/stats"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 	"bufsim/internal/workload/profile"
@@ -165,5 +167,36 @@ func TestDrainEndsWithLastWindowedFlow(t *testing.T) {
 	}
 	if want := units.Epoch.Add(warmup + measure + units.Millisecond).Seconds(); clock != want {
 		t.Errorf("1ms drain with a censored flow: clock reads %vs, want the full bound %vs", clock, want)
+	}
+}
+
+// TestTallyMatchesWindowedSeries: a tally of a probe gives, bit for bit,
+// the stats.Mean and Series.Max of the series rig.sample records and
+// window.of cuts to the measurement window, samples on both of its ends
+// included, at a period that lands on them and at one that does not.
+// The probe's values make the sum depend on the order it adds them in.
+func TestTallyMatchesWindowedSeries(t *testing.T) {
+	for _, every := range []units.Duration{100 * units.Millisecond, 70 * units.Millisecond} {
+		r := newRig(RunEnv{}, Path{Warmup: units.Second, Measure: 2 * units.Second})
+		probe := func() float64 {
+			s := r.sched.Now().Seconds()
+			return 1e3*math.Sin(7*s) + s/3
+		}
+		series := r.sample("probe", every, probe)
+		tl := r.tally(every, probe)
+		w := r.measure(nil)
+		if len(w) != 0 {
+			t.Fatalf("a rig with no taps measured %d links", len(w))
+		}
+		r.sched.Run(r.sched.Now().Add(units.Second)) // a drain past the window
+		from, to := r.bounds()
+		in := window{from: from, to: to}.of(series)
+		if every == 100*units.Millisecond && (in.Times[0] != from.Seconds() || in.Times[in.Len()-1] != to.Seconds()) {
+			t.Fatalf("the window's samples span [%v, %v], want its ends [%v, %v]", in.Times[0], in.Times[in.Len()-1], from.Seconds(), to.Seconds())
+		}
+		if tl.n != in.Len() || tl.mean() != stats.Mean(in.Values) || tl.max != in.Max() {
+			t.Errorf("every %v: tally of %d samples: mean %v, max %v; the windowed series' %d: %v, %v",
+				every, tl.n, tl.mean(), tl.max, in.Len(), stats.Mean(in.Values), in.Max())
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"text/tabwriter"
 
-	"bufsim/internal/stats"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 	"bufsim/internal/workload/profile"
@@ -109,11 +108,9 @@ func RunProfile(cfg ProfileRunConfig) ProfileRunResult {
 func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 	b := newBed(bedConfig{env: cfg.RunEnv, Scenario: cfg.Scenario, stations: cfg.Stations, buffer: cfg.BufferPackets})
 	drv := b.start(cfg.Source)
-	active := b.sample("active", 100*units.Millisecond,
-		func() float64 { return float64(drv.Active()) })
+	active := b.tally(100*units.Millisecond, func() float64 { return float64(drv.Active()) })
 
 	w := b.measure(nil)
-	active = w.of(active)
 	drv.Stop()
 	b.drain(cfg.Drain, drv)
 
@@ -122,8 +119,8 @@ func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 		LossRate:    w.LossRate,
 		MeanQueue:   w.MeanQueue,
 		PeakQueue:   w.PeakQueue,
-		MeanActive:  stats.Mean(active.Values),
-		PeakActive:  active.Max(),
+		MeanActive:  active.mean(),
+		PeakActive:  active.max,
 		Generated:   drv.Generated(),
 	}
 	res.AFCT, res.Completed, res.Censored = drv.Window()

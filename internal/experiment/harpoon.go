@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"bufsim/internal/stats"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -114,8 +113,7 @@ func runHarpoonUncached(cfg HarpoonConfig, buffer int) harpoonRun {
 		MeanThink: cfg.MeanThink,
 		MaxWindow: 64,
 	})
-	active := b.sample("active", 100*units.Millisecond,
-		func() float64 { return float64(g.Active()) })
+	active := b.tally(100*units.Millisecond, func() float64 { return float64(g.Active()) })
 
 	// Generated less Active is the transfers finished so far: read where
 	// the window opens (its first instant included) and where it closes,
@@ -123,7 +121,7 @@ func runHarpoonUncached(cfg HarpoonConfig, buffer int) harpoonRun {
 	finished := func() int64 { return g.Generated() - int64(g.Active()) }
 	var before int64
 	w := b.measure(func() { before = finished() })
-	return harpoonRun{Util: w.Utilization, MeanActive: stats.Mean(w.of(active).Values), Transfers: finished() - before}
+	return harpoonRun{Util: w.Utilization, MeanActive: active.mean(), Transfers: finished() - before}
 }
 
 // RunHarpoon executes the two-phase experiment.

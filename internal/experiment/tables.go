@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"bufsim/internal/model"
-	"bufsim/internal/stats"
 	"bufsim/internal/units"
 	"bufsim/internal/workload"
 )
@@ -181,15 +180,14 @@ func runProductionPoint(cfg ProductionConfig, env RunEnv, buffer int, bdp float6
 	b := newBed(bedConfig{env: env, Scenario: cfg.Scenario, stations: cfg.NLong + 100, buffer: buffer})
 	workload.StartLongLived(b.d, cfg.NLong, b.spec, b.rng.Fork(), cfg.Warmup/2)
 	gen := b.start(workload.PoissonSource{Load: cfg.ShortLoad, Sizes: cfg.Pareto, MaxWindow: 43})
-	concurrent := b.sample("concurrent", 100*units.Millisecond,
-		func() float64 { return float64(cfg.NLong + gen.Active()) })
+	concurrent := b.tally(100*units.Millisecond, func() float64 { return float64(cfg.NLong + gen.Active()) })
 
 	w := b.measure(nil)
 	gen.Stop()
 	b.drain(30*units.Second, gen)
 	afct, completed, _ := gen.Window()
 
-	meanConc := stats.Mean(w.of(concurrent).Values)
+	meanConc := concurrent.mean()
 	effN := int(math.Max(1, meanConc))
 	gauss := model.LongFlowGaussian{N: effN, BDP: bdp}
 	return ProductionRow{

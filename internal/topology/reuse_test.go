@@ -2,10 +2,15 @@ package topology
 
 import (
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"bufsim/internal/audit"
+	"bufsim/internal/link"
+	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
@@ -248,5 +253,102 @@ func TestShutDownFlowDropsItsDelayedAck(t *testing.T) {
 	}
 	if err := aud.Err(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRetiredFlowsPacketsMissItsSlotsNextFlow: a flow's slot in the
+// agents table goes to a later flow once the flow is removed, and the
+// segments and ACKs the removed flow still has in flight then reach
+// neither of the new flow's agents: the entry records the new flow's ID,
+// which theirs does not match. A long-lived flow is removed with its
+// window in flight; short flows wired and retired at once use up IDs
+// until the next one falls in the removed flow's slot; that flow is
+// wired and never started, so any packet its agents take is a stray.
+func TestRetiredFlowsPacketsMissItsSlotsNextFlow(t *testing.T) {
+	s := sim.NewScheduler()
+	cfg := smallConfig(s)
+	cfg.Buffer = queue.PacketLimit(100)
+	d := NewDumbbell(cfg)
+	st := d.Station(0)
+	tap := &ackTap{sched: s, d: d, delay: units.Duration(st.RTT / 2), rate: d.Config().AccessRate}
+	st.reverse = link.NewPipe("reverse0", s, tap.rate, tap.delay, tap)
+	old := d.AddFlow(st, tcp.Config{SegmentSize: 1000})
+	old.Sender.Start()
+	s.Run(units.Epoch.Add(2 * units.Second))
+	d.RemoveFlow(old)
+	mask := packet.FlowID(len(d.agents) - 1)
+	for d.nextFlow&mask != old.ID&mask {
+		f := d.AddFlow(d.Station(1), tcp.Config{SegmentSize: 1000, TotalSegments: 1})
+		f.Sender.Shutdown(s.Now())
+		d.RemoveFlow(f)
+	}
+	next := d.AddFlow(d.Station(1), tcp.Config{SegmentSize: 1000, TotalSegments: 10})
+	if len(d.agents) != int(mask)+1 || d.slot(next.ID) != d.slot(old.ID) || next.ID == old.ID {
+		t.Fatalf("flow %d and retired flow %d do not share a slot of a %d-slot table", next.ID, old.ID, len(d.agents))
+	}
+
+	data, acks := d.Bottleneck.DeliveredPackets(), tap.acks
+	s.Run(s.Now().Add(units.Second))
+	data, acks = d.Bottleneck.DeliveredPackets()-data, tap.acks-acks
+	if data == 0 || acks == 0 {
+		t.Fatalf("after the removal the bottleneck carried %d segments and the reverse pipe %d ACKs; the case needs both in flight", data, acks)
+	}
+	rcv, snd := next.Receiver, next.Sender.Stats()
+	if got := rcv.ReceivedSegments + rcv.DupSegments; got != 0 || rcv.AcksSent != 0 || snd.AcksReceived != 0 {
+		t.Errorf("the slot's new flow took %d of the retired flow's %d segments and %d of its %d ACKs", got, data, snd.AcksReceived, acks)
+	}
+}
+
+// TestAgentsTableFollowsFlowsWired: a dumbbell that wires and retires
+// flows by the thousand, at most a few hundred at once and in any order,
+// keeps an agents table at most four times as long as the most flows it
+// had wired at once (or its stations), and at least twice as long as
+// those it has; it gives out increasing IDs, each wired flow's slot
+// holds its agents, and Flows lists the wired flows in the order they
+// were added. An entry and a Flow each take 32 bytes.
+func TestAgentsTableFollowsFlowsWired(t *testing.T) {
+	if e, f := unsafe.Sizeof(agentEntry{}), unsafe.Sizeof(Flow{}); e != 32 || f != 32 {
+		t.Errorf("an agents-table entry takes %d bytes and a Flow %d, want 32 each", e, f)
+	}
+	s := sim.NewScheduler()
+	d := NewDumbbell(smallConfig(s))
+	rng := rand.New(rand.NewPCG(1, 2))
+	var live []*Flow
+	var last packet.FlowID
+	peak := 0
+	for i := range 20_000 {
+		// The population swings between 0 and 300 and back, five times.
+		target := 150 - 150*math.Cos(float64(i)*10*math.Pi/20_000)
+		if float64(len(live)) < target+10*rng.NormFloat64() {
+			f := d.AddFlow(d.Station(i%2), tcp.Config{SegmentSize: 1000, TotalSegments: 1})
+			if f.ID <= last {
+				t.Fatalf("flow %d wired after flow %d", f.ID, last)
+			}
+			last = f.ID
+			live = append(live, f)
+		} else if len(live) > 0 {
+			k := rng.IntN(len(live))
+			f := live[k]
+			live = append(live[:k], live[k+1:]...)
+			f.Sender.Shutdown(s.Now())
+			d.RemoveFlow(f)
+		}
+		peak = max(peak, len(live))
+		if n := len(d.agents); n&(n-1) != 0 || n < 2*len(live) || n > 4*max(peak, d.NumStations()) {
+			t.Fatalf("step %d: %d flows wired (peak %d) in a %d-slot table; want a power of two in [2x wired, 4x peak]", i, len(live), peak, n)
+		}
+		if i%1000 == 0 {
+			if got := d.Flows(); !slices.Equal(got, live) {
+				t.Fatalf("step %d: Flows() lists %d flows, not the %d wired in their order", i, len(got), len(live))
+			}
+		}
+	}
+	for _, f := range live {
+		if e := d.slot(f.ID); e.id != f.ID || e.snd != f.Sender || e.rcv != packet.Handler(f.Receiver) {
+			t.Fatalf("flow %d's slot holds flow %d's agents", f.ID, e.id)
+		}
+	}
+	if peak < 250 || last < 5000 {
+		t.Fatalf("peak %d wired, last ID %d: the case needs hundreds at once and thousands in all", peak, last)
 	}
 }

@@ -19,7 +19,7 @@ package topology
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"bufsim/internal/audit"
 	"bufsim/internal/link"
@@ -110,9 +110,14 @@ type Station struct {
 // starts, teardown timers, completion follow-ups — through it.
 func (st *Station) Sched() *sim.Scheduler { return st.sched }
 
-// Flow is a TCP connection wired across the dumbbell.
+// Flow is a TCP connection wired across the dumbbell. RemoveFlow may
+// hand a retired Flow, agents and all, to a later AddFlow, so a *Flow
+// must not be used once it is removed.
 type Flow struct {
-	ID       packet.FlowID
+	ID packet.FlowID
+	// pos is the flow's index in Dumbbell.flows, -1 once it is removed;
+	// beside the 32-bit ID it keeps the Flow at 32 bytes.
+	pos      int32
 	Station  *Station
 	Sender   *tcp.Sender
 	Receiver *tcp.Receiver
@@ -131,11 +136,18 @@ type Dumbbell struct {
 	OnAddFlow func(*Flow)
 
 	stations []*Station
-	flows    []*Flow
-	// agents holds each wired flow's two agents by FlowID, and spare the
-	// retired flows' quiescent agents, which AddFlow renews.
-	agents   []agentPair
-	spare    []spareAgents
+	// flows holds the flows wired, in the order AddFlow wired them, with
+	// a nil where RemoveFlow took one out; holes counts the nils, which
+	// Flows compacts away.
+	flows []*Flow
+	holes int
+	// agents is the agents table (see slot), wired counts its entries in
+	// use, and spare holds retired flows whose agents are quiescent,
+	// which AddFlow renews. nextFlow is the lowest flow ID not yet given
+	// out.
+	agents   []agentEntry
+	wired    int
+	spare    []*Flow
 	nextFlow packet.FlowID
 	// delayedAck is the first flow's tcp.Config.DelayedAck, which every
 	// later flow must share (see AddFlow).
@@ -151,7 +163,9 @@ type Dumbbell struct {
 // NewDumbbell builds the topology.
 func NewDumbbell(cfg Config) *Dumbbell {
 	cfg = cfg.validate()
-	d := &Dumbbell{cfg: cfg, nextFlow: 1,
+	// The agents table starts at a power of two at least twice the
+	// stations: a long-lived run wires a flow on each.
+	d := &Dumbbell{cfg: cfg, nextFlow: 1, agents: make([]agentEntry, 1<<bits.Len(uint(2*cfg.Stations-1))),
 		slab: tcp.NewSlab(16), pool: packet.NewPool(cfg.Auditor != nil)}
 
 	var q queue.Queue
@@ -205,8 +219,26 @@ func (d *Dumbbell) Station(i int) *Station { return d.stations[i] }
 // NumStations returns the number of attachment points.
 func (d *Dumbbell) NumStations() int { return len(d.stations) }
 
-// Flows returns all flows added so far.
-func (d *Dumbbell) Flows() []*Flow { return d.flows }
+// Flows returns the flows wired, in the order they were added.
+func (d *Dumbbell) Flows() []*Flow {
+	if d.holes > 0 {
+		d.compact()
+	}
+	return d.flows
+}
+
+// compact closes the holes RemoveFlow left in flows, keeping the order.
+func (d *Dumbbell) compact() {
+	live := d.flows[:0]
+	for _, f := range d.flows {
+		if f != nil {
+			f.pos = int32(len(live))
+			live = append(live, f)
+		}
+	}
+	clear(d.flows[len(live):])
+	d.flows, d.holes = live, 0
+}
 
 // Config returns the configuration the dumbbell was built with.
 func (d *Dumbbell) Config() Config { return d.cfg }
@@ -223,7 +255,7 @@ func (d *Dumbbell) Config() Config { return d.cfg }
 // time, behind ACKs already sent ahead, so AddFlow panics on a flow
 // whose DelayedAck differs from the first's.
 func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
-	if len(d.flows) == 0 {
+	if len(d.flows) == d.holes {
 		d.delayedAck = spec.DelayedAck
 		if !spec.DelayedAck {
 			d.Bottleneck.SetHandOff(d.receiverOf)
@@ -231,29 +263,30 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 	} else if spec.DelayedAck != d.delayedAck {
 		panic(fmt.Sprintf("topology: flow with DelayedAck %v on a dumbbell whose flows have DelayedAck %v", spec.DelayedAck, d.delayedAck))
 	}
-	spec.Flow = d.nextFlow
-	d.nextFlow++
+	e := d.claim()
+	spec.Flow = e.id
 
-	var snd *tcp.Sender
-	var rcv *tcp.Receiver
+	var f *Flow
 	if n := len(d.spare); n > 0 {
-		a := d.spare[n-1]
+		f = d.spare[n-1]
 		d.spare = d.spare[:n-1]
-		snd = a.snd.Renew(spec, st.sched, st.access)
-		rcv = a.rcv.Renew(spec, st.sched, st.reverse)
+		f.ID, f.Station = spec.Flow, st
+		f.Sender.Renew(spec, st.sched, st.access)
+		f.Receiver.Renew(spec, st.sched, st.reverse)
 	} else {
-		snd = tcp.NewSenderSlab(d.slab, spec, st.sched, st.access)
-		rcv = tcp.NewReceiver(spec, st.sched, st.reverse)
+		f = &Flow{ID: spec.Flow, Station: st,
+			Sender:   tcp.NewSenderSlab(d.slab, spec, st.sched, st.access),
+			Receiver: tcp.NewReceiver(spec, st.sched, st.reverse)}
 	}
-	snd.SetPool(d.pool)
-	rcv.SetPool(d.pool)
+	f.Sender.SetPool(d.pool)
+	f.Receiver.SetPool(d.pool)
 	if d.cfg.Auditor != nil {
-		snd.SetAuditor(d.cfg.Auditor)
-		rcv.SetAuditor(d.cfg.Auditor)
+		f.Sender.SetAuditor(d.cfg.Auditor)
+		f.Receiver.SetAuditor(d.cfg.Auditor)
 	}
-	*d.wire(spec.Flow) = agentPair{snd, rcv}
+	e.snd, e.rcv = f.Sender, f.Receiver
 
-	f := &Flow{ID: spec.Flow, Station: st, Sender: snd, Receiver: rcv}
+	f.pos = int32(len(d.flows))
 	d.flows = append(d.flows, f)
 	if d.OnAddFlow != nil {
 		d.OnAddFlow(f)
@@ -261,30 +294,55 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 	return f
 }
 
-// agentPair is a wired flow's two ends: snd takes its reverse-path
-// packets and rcv its data. A nil agent drops what it would take.
-type agentPair struct{ snd, rcv packet.Handler }
-
-// spareAgents are a retired flow's agents, waiting for the next flow.
-type spareAgents struct {
-	snd *tcp.Sender
-	rcv *tcp.Receiver
+// agentEntry is one slot of the agents table, which holds each wired
+// flow's two agents: flow id's entry sits in slot id & (len-1) of a
+// power-of-two table at least twice as long as the flows wired, and
+// records id, so a packet of a retired flow reads another flow's ID
+// there, or none, and falls on the floor. A new flow takes the next ID
+// whose slot is free (see claim): IDs are unique and increasing, never
+// reused, and a run holds one entry per flow wired at once, not per flow
+// it ever carried.
+type agentEntry struct {
+	id  packet.FlowID // 0: the slot is free
+	snd *tcp.Sender   // takes the flow's reverse-path packets
+	rcv packet.Handler
 }
 
-// wire returns flow f's entry in the agents table, growing the table.
-func (d *Dumbbell) wire(f packet.FlowID) *agentPair {
-	for int(f) >= len(d.agents) {
-		d.agents = append(d.agents, agentPair{})
-	}
-	return &d.agents[f]
+// slot returns the entry flow id's packets read: id's own if it is
+// wired, a free one or another flow's if not.
+func (d *Dumbbell) slot(id packet.FlowID) *agentEntry {
+	a := d.agents
+	return &a[uint(id)&uint(len(a)-1)]
 }
 
-// ends returns flow f's agents, none for a flow never wired.
-func (d *Dumbbell) ends(f packet.FlowID) agentPair {
-	if uint(f) < uint(len(d.agents)) {
-		return d.agents[f]
+// claim gives out the next flow ID whose slot is free and returns the
+// slot, marked with it; the table doubles first if the new flow would
+// fill more than half of it. Doubling cannot put two live flows in one
+// slot: their IDs differ in the bits the old length masked. Flow IDs are
+// int32, so a dumbbell runs out after 2^31-1 of them, where claim panics
+// rather than reuse one.
+func (d *Dumbbell) claim() *agentEntry {
+	if 2*(d.wired+1) > len(d.agents) {
+		old := d.agents
+		d.agents = make([]agentEntry, 2*len(old))
+		for _, e := range old {
+			if e.id != 0 {
+				*d.slot(e.id) = e
+			}
+		}
 	}
-	return agentPair{}
+	for {
+		id := d.nextFlow
+		if id <= 0 {
+			panic("topology: flow IDs exhausted")
+		}
+		d.nextFlow++
+		if e := d.slot(id); e.id == 0 {
+			e.id = id
+			d.wired++
+			return e
+		}
+	}
 }
 
 // receivers and senders are the dumbbell as the handler its bottleneck
@@ -297,22 +355,24 @@ type (
 )
 
 func (d *receivers) Handle(p *packet.Packet) {
-	if a := (*Dumbbell)(d).ends(p.Flow).rcv; a != nil {
-		a.Handle(p)
+	if e := (*Dumbbell)(d).slot(p.Flow); e.id == p.Flow && e.rcv != nil {
+		e.rcv.Handle(p)
 	}
 }
 
 func (d *senders) Handle(p *packet.Packet) {
-	if a := (*Dumbbell)(d).ends(p.Flow).snd; a != nil {
-		a.Handle(p)
+	if e := (*Dumbbell)(d).slot(p.Flow); e.id == p.Flow && e.snd != nil {
+		e.snd.Handle(p)
 	}
 }
 
 // receiverOf returns p's flow's tcp.Receiver, nil if its data goes
 // anywhere else (see link.Link.SetHandOff).
 func (d *Dumbbell) receiverOf(p *packet.Packet) packet.Handler {
-	if r, ok := d.ends(p.Flow).rcv.(*tcp.Receiver); ok {
-		return r
+	if e := d.slot(p.Flow); e.id == p.Flow {
+		if r, ok := e.rcv.(*tcp.Receiver); ok {
+			return r
+		}
 	}
 	return nil
 }
@@ -330,12 +390,11 @@ type RawFlow struct {
 	Forward packet.Handler
 }
 
-// NewRawFlow allocates a flow ID on station st for a caller-provided
-// protocol (CBR, UDP-like, custom). TCP flows should use AddFlow instead.
+// NewRawFlow allocates a flow ID and its slot in the agents table on
+// station st for a caller-provided protocol (CBR, UDP-like, custom). TCP
+// flows should use AddFlow instead. A raw flow is never removed.
 func (d *Dumbbell) NewRawFlow(st *Station) *RawFlow {
-	id := d.nextFlow
-	d.nextFlow++
-	return &RawFlow{ID: id, Forward: st.access}
+	return &RawFlow{ID: d.claim().id, Forward: st.access}
 }
 
 // BindRawFlow wires the flow's receiver, which takes its data past the
@@ -343,27 +402,38 @@ func (d *Dumbbell) NewRawFlow(st *Station) *RawFlow {
 // station's reverse pipe carries TCP ACKs, which the bottleneck's
 // hand-off may send ahead of the clock (see AddFlow).
 func (d *Dumbbell) BindRawFlow(f *RawFlow, rcv packet.Handler) {
-	*d.wire(f.ID) = agentPair{rcv: rcv}
+	e := d.slot(f.ID)
+	if e.id != f.ID {
+		panic(fmt.Sprintf("topology: raw flow %d was not allocated by this dumbbell", f.ID))
+	}
+	e.rcv = rcv
 }
 
 // RemoveFlow unwires a finished flow's agents so stations can be reused
 // indefinitely; its packets still in flight fall on the floor (flow IDs
 // are never reused). The flow also leaves Flows(), so the dumbbell holds
-// only the flows it carries; the others keep their order.
+// only the flows it carries; the others keep their order. Removal takes
+// amortized constant time: it leaves a hole, and the holes are closed
+// when they are half of Flows or when Flows is read.
 //
-// A flow whose sender is quiescent (tcp.Sender.Quiescent) hands its
-// agents to the next AddFlow, so a run holds only the agents of the flows
-// alive at once, and f.Sender and f.Receiver must not be used once f is
-// removed. A flow whose sender is not keeps its agents, and under audit
-// is reported: a retired flow whose sender still runs is a teardown made
-// too early.
+// A flow whose sender is quiescent (tcp.Sender.Quiescent) is handed,
+// agents and all, to the next AddFlow, so a run holds only the flows
+// alive at once, and f must not be used once it is removed. A flow
+// whose sender is not keeps its agents, and under audit is reported: a
+// retired flow whose sender still runs is a teardown made too early.
 func (d *Dumbbell) RemoveFlow(f *Flow) {
-	d.agents[f.ID] = agentPair{}
-	i := slices.Index(d.flows, f)
-	if i < 0 {
+	if e := d.slot(f.ID); e.id == f.ID {
+		*e = agentEntry{}
+		d.wired--
+	}
+	if f.pos < 0 {
 		return
 	}
-	d.flows = slices.Delete(d.flows, i, i+1)
+	d.flows[f.pos] = nil
+	f.pos = -1
+	if d.holes++; 2*d.holes > len(d.flows) {
+		d.compact()
+	}
 	if !f.Sender.Quiescent() {
 		if d.cfg.Auditor != nil {
 			d.cfg.Auditor.Violationf(d.cfg.Sched.Now(), fmt.Sprintf("topology:flow%d", f.ID), "retire-quiescent",
@@ -375,7 +445,7 @@ func (d *Dumbbell) RemoveFlow(f *Flow) {
 	// delays (a long-lived flow that was shut down) could only fall on the
 	// floor: it is not sent, and the receiver is quiescent too.
 	f.Receiver.CancelDelayedAck()
-	d.spare = append(d.spare, spareAgents{f.Sender, f.Receiver})
+	d.spare = append(d.spare, f)
 }
 
 // MeanRTT returns the average station two-way propagation delay — the
@@ -399,7 +469,7 @@ func (d *Dumbbell) BDPPackets(segment units.ByteSize) int {
 func (d *Dumbbell) AggregateWindow() float64 {
 	var sum float64
 	for _, f := range d.flows {
-		if !f.Sender.Finished() {
+		if f != nil && !f.Sender.Finished() {
 			sum += f.Sender.Cwnd()
 		}
 	}

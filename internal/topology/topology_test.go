@@ -508,7 +508,7 @@ func (a *ackTap) Handle(p *packet.Packet) {
 	}
 	if at, ok := a.removed[p.Flow]; ok && p.Sent > at {
 		a.phantoms++
-		if a.d.ends(p.Flow).snd != nil {
+		if e := a.d.slot(p.Flow); e.id == p.Flow && e.snd != nil {
 			a.attached++
 		}
 	}

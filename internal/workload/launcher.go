@@ -9,17 +9,37 @@ import (
 // Launcher is the one place a finite flow is wired, counted, completed
 // and unwired. Every generator embeds one and decides only when, where
 // and how large; Generated, Active and Window are the Launcher's. It
-// keeps no state per flow beyond the flows in flight.
+// keeps no state per flow beyond the flows in flight, each in a record
+// it recycles.
 type Launcher struct {
 	d        *topology.Dumbbell
 	spec     tcp.Config // every flow's template; TotalSegments is set per flow
 	from, to units.Time // the measured window; a generator's Start sets it
+	// done, if not nil, runs when a flow's last segment arrives, with
+	// the flow's station, after the detach is posted — so a generator
+	// that schedules from done keeps its events behind the detach in
+	// (time, seq) order.
+	done func(*topology.Station)
 	// started and active count every flow; windowed counts those
 	// launched in [from, to], completed those of them finished, and sum
 	// their completion times.
 	started                     int64
 	active, windowed, completed int
 	sum                         units.Duration
+	// free holds the records of flows completed, for the next launches.
+	free []*inFlight
+}
+
+// inFlight is the launcher's record of one flow in flight: when it
+// started and whether the window counts it. complete is the record's
+// completion method, bound once, so that a recycled record costs its
+// flow no allocation.
+type inFlight struct {
+	l        *Launcher
+	f        *topology.Flow
+	start    units.Time
+	windowed bool
+	complete func(units.Time)
 }
 
 // Generated returns the number of flows started so far.
@@ -38,41 +58,54 @@ func (l *Launcher) Window() (afct units.Duration, completed, open int) {
 }
 
 // launch starts a flow of size segments across st at time now (the
-// scheduler's clock) and counts it. done, if not nil, runs when the last
-// segment arrives, after the detach is posted — so a generator that
-// schedules from done keeps its events behind the detach in (time, seq)
-// order.
-func (l *Launcher) launch(st *topology.Station, size int64, now units.Time, done func()) {
+// scheduler's clock) and counts it.
+func (l *Launcher) launch(st *topology.Station, size int64, now units.Time) {
 	spec := l.spec
 	spec.TotalSegments = size
 	f := l.d.AddFlow(st, spec)
 	l.started++
 	l.active++
-	windowed := now >= l.from && now <= l.to
-	if windowed {
+	var r *inFlight
+	if n := len(l.free); n > 0 {
+		r = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		r = &inFlight{l: l}
+		r.complete = r.onComplete
+	}
+	r.f, r.start, r.windowed = f, now, now >= l.from && now <= l.to
+	if r.windowed {
 		l.windowed++
 	}
-	f.Receiver.OnComplete = func(at units.Time) {
-		if windowed {
-			l.completed++
-			l.sum += at.Sub(now)
-		}
-		l.active--
-		l.Detach(f)
-		if done != nil {
-			done()
-		}
-	}
+	f.Receiver.OnComplete = r.complete
 	f.Sender.Start()
+}
+
+// onComplete counts the flow's completion at at, detaches it and hands
+// the record back to the launcher.
+func (r *inFlight) onComplete(at units.Time) {
+	l, f := r.l, r.f
+	if r.windowed {
+		l.completed++
+		l.sum += at.Sub(r.start)
+	}
+	l.active--
+	r.f = nil
+	l.free = append(l.free, r)
+	l.Detach(f)
+	if l.done != nil {
+		l.done(f.Station)
+	}
 }
 
 // Detach unwires f one station RTT from now, so packets in flight drain
 // past the bottleneck, or when its sender finishes, whichever is later:
 // the final ACK, which a delayed-ACK receiver may hold for up to 100 ms,
 // must still reach the sender to cancel its RTO. A flow unwired then is
-// quiescent, and the dumbbell reuses its agents. Until its sender finishes
-// (a lost final ACK is resent on its RTO) the flow stays wired; a
-// completion hook already on the sender still runs, before the unwiring.
+// quiescent, and the dumbbell reuses it, agents and all. Until its
+// sender finishes (a lost final ACK is resent on its RTO) the flow stays
+// wired; a completion hook already on the sender still runs, before the
+// unwiring.
 func (l *Launcher) Detach(f *topology.Flow) {
 	f.Station.Sched().PostAfter(f.Station.RTT, detacher{l.d}, 0, f)
 }

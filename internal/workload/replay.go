@@ -98,5 +98,5 @@ func (r *replayRun) OnEvent(int32, any) {
 	}
 	i := r.next
 	r.next++
-	r.launch(r.d.Station(i%r.d.NumStations()), r.flows[i].Size, r.sched.Now(), nil)
+	r.launch(r.d.Station(i%r.d.NumStations()), r.flows[i].Size, r.sched.Now())
 }

@@ -46,7 +46,9 @@ func (s SessionSource) Bind(d *topology.Dumbbell, rng *sim.RNG, spec tcp.Config)
 		s.MeanThink = units.Second
 	}
 	spec.MaxWindow = s.MaxWindow
-	return &Sessions{Launcher: &Launcher{d: d, spec: spec}, src: s, rng: rng}
+	g := &Sessions{Launcher: &Launcher{d: d, spec: spec}, src: s, rng: rng}
+	g.done = g.think
+	return g
 }
 
 // Sessions is a bound SessionSource. Active is the number of transfers
@@ -77,7 +79,8 @@ func (g *Sessions) Start(from, to units.Time) {
 func (g *Sessions) Stop() { g.running = false }
 
 // think posts the session's next transfer one exponential pause from
-// now.
+// now; it is also the launcher's done, so a session thinks again when
+// its transfer completes.
 func (g *Sessions) think(station *topology.Station) {
 	pause := units.DurationFromSeconds(g.rng.Exp(g.src.MeanThink.Seconds()))
 	station.Sched().PostAfter(pause, g, 0, station)
@@ -91,5 +94,5 @@ func (g *Sessions) OnEvent(_ int32, arg any) {
 		return
 	}
 	station := arg.(*topology.Station)
-	g.launch(station, g.src.Sizes.Sample(g.rng), station.Sched().Now(), func() { g.think(station) })
+	g.launch(station, g.src.Sizes.Sample(g.rng), station.Sched().Now())
 }

@@ -202,7 +202,7 @@ func (a *Arrivals) OnEvent(int32, any) {
 	now := a.sched.Now()
 	if rate := a.rate(now.Sub(a.base)); rate >= a.peak || a.rng.Uniform(0, a.peak) < rate {
 		size := a.sizes.Sample(a.rng)
-		a.launch(a.d.Station(a.rng.Intn(a.d.NumStations())), size, now, nil)
+		a.launch(a.d.Station(a.rng.Intn(a.d.NumStations())), size, now)
 	}
 	a.scheduleNext()
 }

@@ -78,6 +78,14 @@ func Run[R Result](s Scenario, t Traffic[R], opts ...Option) (R, error) {
 	return run(), nil
 }
 
+// Check returns the error Run(s, t) would return for its input, without
+// running anything: a caller can reject bad input before it reports
+// anything else.
+func Check[R Result](s Scenario, t Traffic[R]) error {
+	_, err := t.lower(s, experiment.RunEnv{})
+	return firstErr(s.check(), err)
+}
+
 // check is what every kind needs of a Scenario.
 func (s Scenario) check() error {
 	return firstErr(

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -183,5 +184,43 @@ func TestRunRejectsBadInput(t *testing.T) {
 				t.Errorf("error %v does not name %s", err, c.want)
 			}
 		})
+	}
+}
+
+// TestChurnAllocatesPerFlowAlive: a churn run's memory follows the flows
+// alive at once, not the flows it launched. The repository benchmark's
+// churn_red_sack scenario (bufsim -rate 100Mbps -flows 50 -workload
+// constant -red -variant sack -warmup 1s) runs with a 6 s and a 12 s
+// window: the longer run launches ~4 400 more flows with the same ~600
+// alive at the peak, and may allocate at most 24 B more for each. A flow
+// used to cost ~190 B that stayed live: an agents-table entry, a
+// completion closure and a topology.Flow of its own.
+func TestChurnAllocatesPerFlowAlive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation runs")
+	}
+	run := func(measure Duration) (flows int64, bytes uint64) {
+		s := Scenario{Seed: 1, Link: Link{Rate: 100 * Mbps, RTT: 100 * Millisecond}, BufferPackets: 177,
+			Warmup: Second, Measure: measure, RED: true, Sender: Sender{Variant: Sack}}
+		sizes := FixedSize(14)
+		w, err := ProfileWorkload(ConstantProfile.Profile().ScaleTo(ArrivalRate(0.85, s.Link, sizes), 50), sizes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(s, Generated{Workload: w})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Generated, after.TotalAlloc - before.TotalAlloc
+	}
+	short, shortBytes := run(6 * Second)
+	long, longBytes := run(12 * Second)
+	perFlow := (float64(longBytes) - float64(shortBytes)) / float64(long-short)
+	t.Logf("%d flows: %d B; %d flows: %d B; %.1f B per extra flow", short, shortBytes, long, longBytes, perFlow)
+	if long-short < 4000 || perFlow > 24 {
+		t.Errorf("%d more flows launched, %.1f B allocated for each; want thousands, at most 24 B each", long-short, perFlow)
 	}
 }
