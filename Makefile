@@ -81,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadScenario -fuzztime 30s ./cmd/bufsim/
 	$(GO) test -run '^$$' -fuzz FuzzParsePattern -fuzztime 30s ./internal/adversary/
 	$(GO) test -run '^$$' -fuzz FuzzCachedBlob -fuzztime 30s ./internal/experiment/
+	$(GO) test -run '^$$' -fuzz FuzzRun -fuzztime 30s .
 
 # bench-smoke only checks the benchmarks still compile and run one
 # iteration; -short keeps the expensive paper reproductions out.

@@ -43,7 +43,7 @@ type Adversary struct {
 	Flows int
 }
 
-func (t Adversary) lower(s Scenario, env experiment.RunEnv) (func() AdversaryResult, error) {
+func (t Adversary) lower(s Scenario, env experiment.RunEnv) (func() AdversaryResult, experiment.Path, error) {
 	cfg := experiment.AdversaryScenario{
 		Scenario:        s.over(s.Link.fixedPath(s.Warmup, s.Measure)),
 		Pattern:         t.Pattern,
@@ -51,9 +51,12 @@ func (t Adversary) lower(s Scenario, env experiment.RunEnv) (func() AdversaryRes
 		BufferPackets:   s.BufferPackets,
 		RunEnv:          env,
 	}
-	return func() AdversaryResult { return experiment.RunAdversaryScenario(cfg) }, firstErr(
+	run := experiment.Defaults(cfg)
+	return func() AdversaryResult { return experiment.RunAdversaryScenario(cfg) }, run.Path, firstErr(
 		must(t.Pattern.Doc() != "", "Adversary.Pattern %v is not one of %v", t.Pattern, AdversaryNames()),
 		must(t.Flows > 0, "Adversary.Flows must be positive (got %d)", t.Flows),
+		must(t.Pattern != AdversaryPulse || run.PulsePeakFactor*float64(run.BottleneckRate) >= float64(t.Flows),
+			"Adversary.Flows: %d pulse trains share %v x Scenario.Link.Rate; each needs 1 bit/s or more", t.Flows, run.PulsePeakFactor),
 		unread("Adversary", "RED", s.RED),
 		unread("Adversary", "Sender", s.Sender != Sender{}),
 	)

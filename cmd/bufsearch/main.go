@@ -16,6 +16,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
@@ -23,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 
+	"bufsim"
 	"bufsim/internal/experiment"
 	"bufsim/internal/tcp"
 	"bufsim/internal/units"
@@ -62,40 +64,6 @@ func main() {
 	}
 	rtt, spread := duration("rtt", *rttStr), duration("rtt-spread", *spreadStr)
 	warmup, measure := duration("warmup", *warmStr), duration("measure", *measStr)
-	path := experiment.Path{
-		BottleneckRate:  rate,
-		BottleneckDelay: 5 * units.Millisecond, // the long-lived scenario's
-		RTTMin:          rtt - spread/2,
-		RTTMax:          rtt + spread/2,
-		SegmentSize:     units.ByteSize(*segment),
-		Warmup:          warmup,
-		Measure:         measure,
-	}
-	// Every value is checked before the first line prints: a zero window
-	// would run the default one, and a bad RTT, segment or link would
-	// panic inside the simulator.
-	stations := path.CheckStations()
-	for _, c := range []struct {
-		flag string
-		ok   bool
-		rule string
-	}{
-		{"rate", rate > 0, "must be positive"},
-		{"rtt", rtt > 0, "must be positive"},
-		{"rtt-spread", spread >= 0 && spread < 2*rtt, "must be in [0, 2 x -rtt): flow RTTs span -rtt +- spread/2"},
-		{"rtt", stations == nil, fmt.Sprint(stations)},
-		{"target", *target > 0 && *target < 1, "must be in (0, 1)"},
-		{"segment", *segment > 0, "must be positive"},
-		{"rate", *segment <= 0 || path.BDP() >= 1, "must carry at least one segment per -rtt"},
-		{"warmup", warmup > 0, "must be positive"},
-		{"measure", measure > 0, "must be positive"},
-		{"replicas", *replicas >= 0, "must not be negative"},
-		{"parallel", *par >= 0, "must not be negative"},
-	} {
-		if !c.ok {
-			log.Fatalf("-%s: %s (got %s)", c.flag, c.rule, flag.Lookup(c.flag).Value)
-		}
-	}
 	variant, err := tcp.ParseVariant(*varStr)
 	if err != nil {
 		log.Fatalf("-variant: %v", err)
@@ -107,6 +75,37 @@ func main() {
 			log.Fatalf("-flows: %q is not a positive flow count", s)
 		}
 		flowCounts = append(flowCounts, n)
+	}
+	// Every value is checked before the first line prints: the search's
+	// own here, where a zero window would run the library's default one,
+	// and the link's and flows' by the library's gate.
+	for _, c := range []struct {
+		flag string
+		ok   bool
+		rule string
+	}{
+		{"target", *target > 0 && *target < 1, "must be in (0, 1)"},
+		{"warmup", warmup > 0, "must be positive"},
+		{"measure", measure > 0, "must be positive"},
+		{"replicas", *replicas >= 0, "must not be negative"},
+		{"parallel", *par >= 0, "must not be negative"},
+	} {
+		if !c.ok {
+			log.Fatalf("-%s: %s (got %s)", c.flag, c.rule, flag.Lookup(c.flag).Value)
+		}
+	}
+	link := bufsim.Link{Rate: rate, RTT: rtt, SegmentSize: units.ByteSize(*segment)}
+	if err := bufsim.Check(bufsim.Scenario{Link: link, Warmup: warmup, Measure: measure},
+		bufsim.LongLived{Flows: flowCounts[0], RTTSpread: spread}); err != nil {
+		log.Fatal(err)
+	}
+	path := experiment.Path{
+		BottleneckRate: rate,
+		RTTMin:         rtt - spread/2,
+		RTTMax:         rtt + spread/2,
+		SegmentSize:    cmp.Or(link.SegmentSize, units.DefaultSegment),
+		Warmup:         warmup,
+		Measure:        measure,
 	}
 
 	if *compareCC {

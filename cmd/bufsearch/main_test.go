@@ -33,8 +33,9 @@ func execMain(args ...string) (stdout, stderr string, err error) {
 var tiny = []string{"-rate", "1Mbps", "-flows", "2", "-warmup", "1s", "-measure", "1s"}
 
 // TestBadFlagsFailBeforePrinting: a flag value that cannot describe the
-// search is an error naming the flag, raised before the first line
-// prints. An RTT spread wider than twice the RTT, an RTT too short for
+// search is an error naming the flag, or the bufsim.Scenario or
+// LongLived field bufsim.Check found at fault, raised before the first
+// line prints. An RTT spread wider than twice the RTT, an RTT too short for
 // the bottleneck delay, a link that carries no segment per RTT and a
 // negative segment used to panic inside the simulator, a zero window to
 // print as 0s and run the default one, and a negative warm-up or replica
@@ -44,11 +45,11 @@ func TestBadFlagsFailBeforePrinting(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-rtt", "100ms", "-rtt-spread", "250ms"}, "-rtt-spread: must be in [0, 2 x -rtt)"},
-		{[]string{"-rtt", "0s"}, "-rtt: must be positive"},
-		{[]string{"-rtt", "8ms", "-rtt-spread", "0s"}, "-rtt: the shortest flow RTT"},
-		{[]string{"-rate", "100Kbps", "-rtt", "10ms", "-rtt-spread", "0s"}, "-rate: must carry at least one segment"},
-		{[]string{"-segment", "-100"}, "-segment: must be positive"},
+		{[]string{"-rtt", "100ms", "-rtt-spread", "250ms"}, "LongLived.RTTSpread"},
+		{[]string{"-rtt", "0s"}, "Scenario.Link.RTT"},
+		{[]string{"-rtt", "8ms", "-rtt-spread", "0s"}, "Scenario.Link.RTT"},
+		{[]string{"-rate", "100Kbps", "-rtt", "10ms", "-rtt-spread", "0s"}, "Scenario.Link.Rate"},
+		{[]string{"-segment", "-100"}, "Scenario.Link.SegmentSize"},
 		{[]string{"-measure", "0s"}, "-measure: must be positive"},
 		{[]string{"-warmup", "-1s"}, "-warmup: must be positive"},
 		{[]string{"-target", "1"}, "-target: must be in (0, 1)"},

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
@@ -21,6 +22,7 @@ import (
 	"strings"
 
 	"bufsim"
+	"bufsim/internal/workload/profile"
 )
 
 func main() {
@@ -200,10 +202,7 @@ func (o observers) report() error {
 // printRules shows the sizing rules and hardware verdict for the chosen
 // buffer.
 func printRules(link bufsim.Link, flows, buffer int) {
-	seg := int(link.SegmentSize)
-	if seg == 0 {
-		seg = int(bufsim.DefaultSegment)
-	}
+	seg := cmp.Or(int(link.SegmentSize), int(bufsim.DefaultSegment))
 	rot := link.RuleOfThumb()
 	sqrt := link.SqrtRule(flows)
 	fmt.Printf("link:            %v, RTT %v, %dB segments\n", link.Rate, link.RTT, seg)
@@ -286,8 +285,8 @@ func writeTelemetry(reg *bufsim.Registry, path string) error {
 }
 
 // profileArgs carries the -workload flags: a profile shape (a preset
-// name or .json path) scaled so its arrival peak offers load with
-// flowLen-segment flows.
+// name or a profile file, read by profile.FromArg) scaled so its arrival
+// peak offers load with flowLen-segment flows.
 type profileArgs struct {
 	arg     string
 	load    float64
@@ -306,32 +305,11 @@ func (wl profileArgs) check() error {
 	return nil
 }
 
-// resolveProfile loads a .json profile or looks up a preset by name.
-func resolveProfile(arg string) (bufsim.Profile, error) {
-	if strings.HasSuffix(arg, ".json") {
-		f, err := os.Open(arg)
-		if err != nil {
-			return bufsim.Profile{}, err
-		}
-		defer f.Close()
-		p, err := bufsim.LoadProfile(f)
-		if err != nil {
-			return bufsim.Profile{}, fmt.Errorf("%s: %v", arg, err)
-		}
-		return p, nil
-	}
-	preset, err := bufsim.ParseProfile(arg)
-	if err != nil {
-		return bufsim.Profile{}, err
-	}
-	return preset.Profile(), nil
-}
-
 // workload builds the -workload traffic on link: the profile scaled so
 // its arrival peak offers the load and its population peaks at
 // peakFlows. It returns the profile's name too.
 func (wl profileArgs) workload(link bufsim.Link, peakFlows int) (bufsim.Workload, string, error) {
-	prof, err := resolveProfile(wl.arg)
+	prof, err := profile.FromArg(wl.arg)
 	if err != nil {
 		return nil, "", fmt.Errorf("-workload: %v", err)
 	}

@@ -121,7 +121,8 @@ func execMain(args ...string) (stdout, stderr string, err error) {
 }
 
 // TestBadFlagsFailBeforePrinting: a flag value that cannot describe the
-// run is an error naming the flag, raised before the sizing rules print.
+// run is an error naming the flag, or the field bufsim.Check found at
+// fault, raised before the sizing rules print.
 // A zero window used to print as 0s and run the default, a zero or
 // negative -buffer-factor to run one packet, a negative -workload-load no
 // flows, a zero -workload-flow-length to fail inside the profile, and a
@@ -136,10 +137,10 @@ func TestBadFlagsFailBeforePrinting(t *testing.T) {
 		{[]string{"-warmup", "0s"}, "-warmup: must be positive"},
 		{[]string{"-buffer-factor", "0"}, "-buffer-factor: must be positive"},
 		{[]string{"-buffer-factor", "-1"}, "-buffer-factor: must be positive"},
-		{[]string{"-rtt-spread", "-1ms"}, "-rtt-spread: must not be negative"},
+		{[]string{"-rtt-spread", "-1ms"}, "LongLived.RTTSpread"},
 		{[]string{"-workload", "constant", "-workload-load", "-1"}, "-workload-load: must be positive"},
 		{[]string{"-workload", "constant", "-workload-flow-length", "0"}, "-workload-flow-length: must be positive"},
-		{[]string{"-rate", "100Kbps", "-rtt", "20ms", "-rtt-spread", "0s"}, "-rate: must carry at least one segment per -rtt"},
+		{[]string{"-rate", "100Kbps", "-rtt", "20ms", "-rtt-spread", "0s"}, "Scenario.Link.Rate"},
 		{[]string{"-rate", "1Mbps", "-flows", "2", "-rtt", "8ms", "-rtt-spread", "0s", "-warmup", "1s", "-measure", "1s"}, "Scenario.Link.RTT"},
 		{[]string{"-rate", "10Mbps", "-flows", "5", "-rtt", "30ms", "-workload", "constant", "-warmup", "1s", "-measure", "1s"}, "Scenario.Link.RTT"},
 	} {
@@ -241,5 +242,19 @@ func TestChurnTelemetryCountsRetiredFlows(t *testing.T) {
 		if b.Count != wantBuckets[i] {
 			t.Errorf("tcp.cwnd_segments bucket le=%v holds %d, want %d", b.UpperBound, b.Count, wantBuckets[i])
 		}
+	}
+}
+
+// TestWorkloadFileWithoutSuffix: -workload reads a profile file by any
+// name, as paperexp's -workload does, not only one ending in .json.
+func TestWorkloadFileWithoutSuffix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plateau")
+	body := `{"name": "plateau", "arrival": [{"t": "0s", "v": 1}, {"t": "1s", "v": 0.5}], "population": [{"t": "0s", "v": 1}]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, _ := runMain(t, "-rate", "10Mbps", "-flows", "3", "-workload", path, "-warmup", "1s", "-measure", "1s")
+	if !strings.Contains(stdout, `simulating "plateau" workload`) {
+		t.Errorf("bufsim -workload %s did not run the file's profile:\n%s", path, stdout)
 	}
 }

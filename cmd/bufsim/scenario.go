@@ -49,15 +49,14 @@ type scenarioFile struct {
 // loadScenario reads a scenario file and lowers it (parseScenario).
 func loadScenario(path string) (bufsim.Scenario, bufsim.LongLived, error) {
 	data, err := os.ReadFile(path)
-	var s bufsim.Scenario
-	var long bufsim.LongLived
-	if err == nil {
-		s, long, err = parseScenario(data)
-	}
 	if err != nil {
-		return bufsim.Scenario{}, bufsim.LongLived{}, fmt.Errorf("%s: %v", path, err)
+		return bufsim.Scenario{}, bufsim.LongLived{}, err
 	}
-	return s, long, nil
+	s, long, err := parseScenario(data)
+	if err != nil {
+		err = fmt.Errorf("%s: %v", path, err)
+	}
+	return s, long, err
 }
 
 // parseScenario decodes and lowers a scenario file's contents. A file
@@ -83,9 +82,8 @@ func parseScenario(data []byte) (bufsim.Scenario, bufsim.LongLived, error) {
 		sf.BufferFactor = 1
 	}
 	s, long, err := sf.scenario()
-	// A file describes long-lived flows, whose RTTs span rtt +- rttSpread/2.
-	if err == nil && long.RTTSpread >= 2*s.Link.RTT {
-		err = &fieldError{"rttSpread", fmt.Errorf("must be below 2 x rtt = %v", 2*s.Link.RTT)}
+	if err == nil { // a file describes long-lived flows
+		err = bufsim.Check(s, long)
 	}
 	return s, long, err
 }
@@ -119,9 +117,9 @@ func flagError(err error) error {
 // scenario lowers the parameters onto the Scenario every run of the
 // binary uses, long-lived, -workload or -adversary, and the long-lived
 // traffic they describe. An explicit buffer wins; otherwise it is
-// bufferFactor x RTTxC/sqrt(flows), at least one packet. Every check the
-// sizing rules printed before a run depend on is made here, so bad input
-// fails before anything prints.
+// bufferFactor x RTTxC/sqrt(flows), at least one packet. It checks what
+// only the binary asks of them; what a run needs, bufsim.Check does
+// before anything prints (preflight).
 func (sf scenarioFile) scenario() (bufsim.Scenario, bufsim.LongLived, error) {
 	var s bufsim.Scenario
 	var long bufsim.LongLived
@@ -153,15 +151,10 @@ func (sf scenarioFile) scenario() (bufsim.Scenario, bufsim.LongLived, error) {
 		ok    bool
 		err   error
 	}{
-		{"rate", s.Link.Rate > 0, positive},
-		{"rtt", s.Link.RTT > 0, positive},
 		{"flows", sf.Flows > 0, positive},
 		{"warmup", s.Warmup > 0, positive},
 		{"measure", s.Measure > 0, positive},
-		{"rttSpread", long.RTTSpread >= 0, errors.New("must not be negative")},
-		{"buffer", sf.Buffer >= 0, errors.New("must not be negative")},
 		{"bufferFactor", sf.BufferFactor > 0 && !math.IsInf(sf.BufferFactor, 1), errors.New("must be positive and finite")},
-		{"segment", sf.Segment >= 0, errors.New("must not be negative")},
 	} {
 		if !f.ok {
 			return fail(f.field, f.err)
@@ -171,12 +164,10 @@ func (sf scenarioFile) scenario() (bufsim.Scenario, bufsim.LongLived, error) {
 		return fail("variant", err)
 	}
 	s.Link.SegmentSize = bufsim.ByteSize(sf.Segment)
-	if s.Link.BDP() < 1 {
-		return fail("rate", errors.New("must carry at least one segment per -rtt"))
-	}
 	s.Seed, s.RED, s.Sender.Paced, s.Sender.DelayedAck = sf.Seed, sf.RED, sf.Paced, sf.DelayedAck
 	s.BufferPackets = sf.Buffer
-	if s.BufferPackets == 0 {
+	// A negative segment sizes no buffer; bufsim.Check rejects it.
+	if s.BufferPackets == 0 && s.Link.SegmentSize >= 0 {
 		b := sf.BufferFactor * float64(s.Link.SqrtRule(sf.Flows))
 		if b >= math.MaxInt32 {
 			return fail("bufferFactor", fmt.Errorf("gives a buffer of %.3g packets", b))

@@ -108,7 +108,7 @@ func TestLoadScenarioErrors(t *testing.T) {
 	}
 	// So is a link that carries less than a segment per RTT.
 	_, _, err = loadScenario(writeConfig(t, cases["under a segment"]))
-	if err == nil || !strings.Contains(err.Error(), `field "rate": must carry at least one segment`) {
+	if err == nil || !strings.Contains(err.Error(), "Scenario.Link.Rate") {
 		t.Errorf("under a segment: err = %v", err)
 	}
 	if _, _, err := loadScenario(filepath.Join(t.TempDir(), "missing.json")); err == nil {
@@ -128,9 +128,8 @@ func TestRepoExampleConfigLoads(t *testing.T) {
 }
 
 // FuzzLoadScenario feeds the -config parser arbitrary bytes: it must
-// never panic, and whatever it accepts can run — a positive rate, RTT,
-// flow count, warmup, measurement window and buffer, and RTTs that stay
-// positive across the spread.
+// never panic, whatever it accepts bufsim.Check accepts, and its windows
+// are the ones it prints, not a zero the run would read as its default.
 func FuzzLoadScenario(f *testing.F) {
 	example, err := os.ReadFile("../../configs/oc3-sack.json")
 	if err != nil {
@@ -155,11 +154,11 @@ func FuzzLoadScenario(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if s.Link.Rate <= 0 || s.Link.RTT <= 0 || long.Flows <= 0 || s.Warmup <= 0 || s.Measure <= 0 || s.BufferPackets <= 0 {
-			t.Fatalf("accepted a scenario that cannot run: %+v, %+v", s, long)
+		if err := bufsim.Check(s, long); err != nil {
+			t.Fatalf("accepted a scenario the run rejects: %v", err)
 		}
-		if long.RTTSpread < 0 || long.RTTSpread >= 2*s.Link.RTT {
-			t.Fatalf("accepted RTT spread %v around RTT %v", long.RTTSpread, s.Link.RTT)
+		if s.Warmup <= 0 || s.Measure <= 0 {
+			t.Fatalf("accepted windows %v and %v", s.Warmup, s.Measure)
 		}
 	})
 }

@@ -352,3 +352,17 @@ func TestCCFamiliesSimulateEachCeilingOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkloadFileWithoutSuffix: -workload reads a profile file by any
+// name, as bufsim's -workload does, not only one ending in .json.
+func TestWorkloadFileWithoutSuffix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plateau")
+	body := `{"name": "plateau", "arrival": [{"t": "0s", "v": 1}, {"t": "1s", "v": 0.5}], "population": [{"t": "0s", "v": 1}]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, _ := runMain(t, "-quick", "-exp", "flashcrowd", "-workload", path)
+	if !strings.Contains(stdout, "workload profile: plateau") {
+		t.Errorf("paperexp -workload %s did not run the file's profile:\n%s", path, stdout)
+	}
+}

@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"bufsim/internal/units"
-)
+import "bufsim/internal/units"
 
 // Path is the paper's Fig. 1 dumbbell and the window it is measured
 // over, declared once. Scenario embeds it, so its fields read and assign
@@ -55,27 +51,9 @@ func (p Path) or(d Path) Path {
 	return p
 }
 
-// CheckStations reports a path whose shortest station RTT, RTTMin, is
-// below twice BottleneckDelay: a station's RTT crosses the bottleneck both
-// ways, so the topology cannot build it (and panics if asked to).
-func (p Path) CheckStations() error {
-	if p.RTTMin >= 2*p.BottleneckDelay {
-		return nil
-	}
-	return fmt.Errorf("the shortest flow RTT, %v, is below %v, twice the bottleneck delay", p.RTTMin, 2*p.BottleneckDelay)
-}
-
-// RunPath is the path a run of cfg simulates: cfg's own, each zero field
-// defaulted from the experiment's paper parameters.
-func RunPath[C interface {
-	withDefaults() C
-	path() Path
-}](cfg C) Path {
-	return cfg.withDefaults().path()
-}
-
-// path is p itself, so RunPath can read the Path every config embeds.
-func (p Path) path() Path { return p }
+// Defaults is cfg as a run of it simulates it: each zero field defaulted
+// from the experiment's paper parameters.
+func Defaults[C interface{ withDefaults() C }](cfg C) C { return cfg.withDefaults() }
 
 // at returns p at another line rate.
 func (p Path) at(rate units.BitRate) Path {

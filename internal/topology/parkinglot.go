@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"bufsim/internal/audit"
 	"bufsim/internal/link"
@@ -40,29 +41,20 @@ type ParkingLotConfig struct {
 	Auditor *audit.Auditor
 }
 
+// validate asserts what its callers guarantee and applies the defaults,
+// as Config.validate does.
 func (c ParkingLotConfig) validate() ParkingLotConfig {
-	if c.Sched == nil {
-		panic("topology: ParkingLotConfig.Sched is required")
-	}
 	k := len(c.Rates)
-	if k == 0 || len(c.Delays) != k || len(c.Buffers) != k {
-		panic(fmt.Sprintf("topology: parking lot needs matching slices, got %d/%d/%d",
-			len(c.Rates), len(c.Delays), len(c.Buffers)))
+	bad := c.Sched == nil || k == 0 || len(c.Delays) != k || len(c.Buffers) != k
+	for i := 0; !bad && i < k; i++ {
+		bad = c.Rates[i] <= 0 || c.Delays[i] < 0
 	}
-	var max units.BitRate
-	for i, r := range c.Rates {
-		if r <= 0 {
-			panic(fmt.Sprintf("topology: core link %d rate %v", i, r))
-		}
-		if r > max {
-			max = r
-		}
-		if c.Delays[i] < 0 {
-			panic(fmt.Sprintf("topology: core link %d negative delay", i))
-		}
+	if bad {
+		panic(fmt.Sprintf("topology: bad ParkingLotConfig: rates %v, delays %v, %d buffers, Sched set: %t",
+			c.Rates, c.Delays, len(c.Buffers), c.Sched != nil))
 	}
 	if c.AccessRate == 0 {
-		c.AccessRate = 10 * max
+		c.AccessRate = 10 * slices.Max(c.Rates)
 	}
 	return c
 }

@@ -69,27 +69,16 @@ type Config struct {
 	Auditor *audit.Auditor
 }
 
+// validate asserts what the callers guarantee (bufsim.Check rejects a
+// run's bad input before it gets here) and applies the defaults.
 func (c Config) validate() Config {
-	if c.Sched == nil {
-		panic("topology: Config.Sched is required")
-	}
-	if c.Stations <= 0 {
-		panic("topology: Config.Stations must be positive")
-	}
-	if c.BottleneckRate <= 0 {
-		panic("topology: Config.BottleneckRate must be positive")
+	if c.Sched == nil || c.Stations <= 0 || c.BottleneckRate <= 0 || c.RTTMin <= 0 || c.RTTMax < c.RTTMin ||
+		c.BottleneckDelay*2 > c.RTTMin || c.RTTMin != c.RTTMax && c.RNG == nil {
+		panic(fmt.Sprintf("topology: bad Config: %d stations at %v, RTTs [%v, %v], bottleneck delay %v, Sched and RNG set: %t, %t",
+			c.Stations, c.BottleneckRate, c.RTTMin, c.RTTMax, c.BottleneckDelay, c.Sched != nil, c.RNG != nil))
 	}
 	if c.AccessRate == 0 {
 		c.AccessRate = 10 * c.BottleneckRate
-	}
-	if c.RTTMin <= 0 || c.RTTMax < c.RTTMin {
-		panic(fmt.Sprintf("topology: bad RTT range [%v, %v]", c.RTTMin, c.RTTMax))
-	}
-	if c.BottleneckDelay*2 > c.RTTMin {
-		panic(fmt.Sprintf("topology: bottleneck delay %v exceeds RTTMin/2", c.BottleneckDelay))
-	}
-	if c.RTTMin != c.RTTMax && c.RNG == nil {
-		panic("topology: Config.RNG required for randomized RTTs")
 	}
 	return c
 }
@@ -446,22 +435,6 @@ func (d *Dumbbell) RemoveFlow(f *Flow) {
 	// floor: it is not sent, and the receiver is quiescent too.
 	f.Receiver.CancelDelayedAck()
 	d.spare = append(d.spare, f)
-}
-
-// MeanRTT returns the average station two-way propagation delay — the
-// paper's RTT-bar in B = RTT x C / sqrt(n).
-func (d *Dumbbell) MeanRTT() units.Duration {
-	var sum units.Duration
-	for _, st := range d.stations {
-		sum += st.RTT
-	}
-	return sum / units.Duration(len(d.stations))
-}
-
-// BDPPackets returns the bandwidth-delay product MeanRTT x C in packets of
-// the given segment size.
-func (d *Dumbbell) BDPPackets(segment units.ByteSize) int {
-	return units.PacketsInFlight(d.cfg.BottleneckRate, d.MeanRTT(), segment)
 }
 
 // AggregateWindow returns the instantaneous sum of all senders' congestion

@@ -26,20 +26,22 @@ type Launcher struct {
 	started                     int64
 	active, windowed, completed int
 	sum                         units.Duration
-	// free holds the records of flows completed, for the next launches.
+	// free holds the records of flows unwired, for the next launches.
 	free []*inFlight
 }
 
-// inFlight is the launcher's record of one flow in flight: when it
-// started and whether the window counts it. complete is the record's
-// completion method, bound once, so that a recycled record costs its
-// flow no allocation.
+// inFlight is the launcher's record of one flow from its launch until it
+// is unwired: when it started, whether the window counts it, and a
+// completion hook already on its sender when the detach found it still
+// running. complete and unwire are the record's methods, bound once, so
+// that a recycled record costs its flow no allocation.
 type inFlight struct {
-	l        *Launcher
-	f        *topology.Flow
-	start    units.Time
-	windowed bool
-	complete func(units.Time)
+	l                *Launcher
+	f                *topology.Flow
+	start            units.Time
+	windowed         bool
+	prev             func(units.Time)
+	complete, unwire func(units.Time)
 }
 
 // Generated returns the number of flows started so far.
@@ -65,15 +67,8 @@ func (l *Launcher) launch(st *topology.Station, size int64, now units.Time) {
 	f := l.d.AddFlow(st, spec)
 	l.started++
 	l.active++
-	var r *inFlight
-	if n := len(l.free); n > 0 {
-		r = l.free[n-1]
-		l.free = l.free[:n-1]
-	} else {
-		r = &inFlight{l: l}
-		r.complete = r.onComplete
-	}
-	r.f, r.start, r.windowed = f, now, now >= l.from && now <= l.to
+	r := l.record(f)
+	r.start, r.windowed = now, now >= l.from && now <= l.to
 	if r.windowed {
 		l.windowed++
 	}
@@ -81,20 +76,31 @@ func (l *Launcher) launch(st *topology.Station, size int64, now units.Time) {
 	f.Sender.Start()
 }
 
-// onComplete counts the flow's completion at at, detaches it and hands
-// the record back to the launcher.
+// record returns a record for f, recycled if one is free.
+func (l *Launcher) record(f *topology.Flow) *inFlight {
+	var r *inFlight
+	if n := len(l.free); n > 0 {
+		r = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		r = &inFlight{l: l}
+		r.complete, r.unwire = r.onComplete, r.remove
+	}
+	r.f = f
+	return r
+}
+
+// onComplete counts the flow's completion at at and detaches it.
 func (r *inFlight) onComplete(at units.Time) {
-	l, f := r.l, r.f
+	l := r.l
 	if r.windowed {
 		l.completed++
 		l.sum += at.Sub(r.start)
 	}
 	l.active--
-	r.f = nil
-	l.free = append(l.free, r)
-	l.Detach(f)
+	r.detach()
 	if l.done != nil {
-		l.done(f.Station)
+		l.done(r.f.Station)
 	}
 }
 
@@ -106,24 +112,28 @@ func (r *inFlight) onComplete(at units.Time) {
 // sender finishes (a lost final ACK is resent on its RTO) the flow stays
 // wired; a completion hook already on the sender still runs, before the
 // unwiring.
-func (l *Launcher) Detach(f *topology.Flow) {
-	f.Station.Sched().PostAfter(f.Station.RTT, detacher{l.d}, 0, f)
-}
+func (l *Launcher) Detach(f *topology.Flow) { l.record(f).detach() }
 
-// detacher is the actor behind Detach; its one event carries the flow.
-type detacher struct{ d *topology.Dumbbell }
+func (r *inFlight) detach() { r.f.Station.Sched().PostAfter(r.f.Station.RTT, r, 0, nil) }
 
-func (a detacher) OnEvent(_ int32, arg any) {
-	f := arg.(*topology.Flow)
-	if f.Sender.Finished() {
-		a.d.RemoveFlow(f)
+// OnEvent is the detach, one station RTT on: the flow is unwired now if
+// its sender has finished, else when it does.
+func (r *inFlight) OnEvent(int32, any) {
+	if snd := r.f.Sender; !snd.Finished() {
+		r.prev, snd.OnComplete = snd.OnComplete, r.unwire
 		return
 	}
-	prev := f.Sender.OnComplete
-	f.Sender.OnComplete = func(now units.Time) {
-		if prev != nil {
-			prev(now)
-		}
-		a.d.RemoveFlow(f)
+	r.remove(0)
+}
+
+// remove runs the sender's earlier completion hook, if it had one,
+// unwires the flow and frees the record.
+func (r *inFlight) remove(now units.Time) {
+	if r.prev != nil {
+		r.prev(now)
 	}
+	l := r.l
+	l.d.RemoveFlow(r.f)
+	r.f, r.prev = nil, nil
+	l.free = append(l.free, r)
 }

@@ -54,9 +54,10 @@ func (s Scenario) over(path experiment.Path) experiment.Scenario {
 // LongLived, Replicated, SingleFlow, Mix, Trace, Generated and Adversary.
 // R is the kind's result, which Run returns typed.
 type Traffic[R Result] interface {
-	// lower checks the kind against s and builds its run under env. The
-	// run is called only when the error is nil.
-	lower(s Scenario, env experiment.RunEnv) (func() R, error)
+	// lower checks the kind against s, a checked Scenario, and builds its
+	// run under env and the path it simulates, defaults applied. The run
+	// is called only when the error is nil and the path checks out.
+	lower(s Scenario, env experiment.RunEnv) (func() R, experiment.Path, error)
 }
 
 // Run simulates traffic t on scenario s. It returns an error naming the
@@ -70,8 +71,8 @@ func Run[R Result](s Scenario, t Traffic[R], opts ...Option) (R, error) {
 			o(&env)
 		}
 	}
-	run, err := t.lower(s, env)
-	if err = firstErr(s.check(), err); err != nil {
+	run, err := gate(s, t, env)
+	if err != nil {
 		var zero R
 		return zero, err
 	}
@@ -80,18 +81,31 @@ func Run[R Result](s Scenario, t Traffic[R], opts ...Option) (R, error) {
 
 // Check returns the error Run(s, t) would return for its input, without
 // running anything: a caller can reject bad input before it reports
-// anything else.
+// anything else. It owns every precondition of a run: the simulator's own
+// panics are assertions against programming errors.
 func Check[R Result](s Scenario, t Traffic[R]) error {
-	_, err := t.lower(s, experiment.RunEnv{})
-	return firstErr(s.check(), err)
+	_, err := gate(s, t, experiment.RunEnv{})
+	return err
 }
 
-// check is what every kind needs of a Scenario.
+// gate checks the Scenario, then the kind against it, then the path the
+// kind lowers to, and returns the run when all three hold.
+func gate[R Result](s Scenario, t Traffic[R], env experiment.RunEnv) (func() R, error) {
+	if err := s.check(); err != nil {
+		return nil, err
+	}
+	run, p, err := t.lower(s, env)
+	return run, firstErr(err, checkPath(p))
+}
+
+// check is what every kind needs of a Scenario. The paper's rule sizes a
+// buffer in packets per RTT, so the link must carry at least one.
 func (s Scenario) check() error {
 	return firstErr(
-		must(s.Link.Rate > 0, "Scenario.Link.Rate must be positive (got %v)", s.Link.Rate),
-		must(s.Link.RTT > 0, "Scenario.Link.RTT must be positive (got %v)", s.Link.RTT),
+		must(s.Link.Rate > 0 && s.Link.RTT > 0, "Scenario.Link.Rate and Scenario.Link.RTT must be positive (got %v, %v)", s.Link.Rate, s.Link.RTT),
 		must(s.Link.SegmentSize >= 0, "Scenario.Link.SegmentSize must not be negative (got %v)", s.Link.SegmentSize),
+		must(s.Link.SegmentSize < 0 || s.Link.BDP() >= 1, "Scenario.Link.Rate x Scenario.Link.RTT must carry at least one %v segment (got %v x %v)",
+			s.Link.segment(), s.Link.Rate, s.Link.RTT),
 		must(s.BufferPackets >= 0, "Scenario.BufferPackets must not be negative (got %d)", s.BufferPackets),
 		must(s.Warmup >= 0 && s.Measure >= 0, "Scenario.Warmup and Scenario.Measure must not be negative (got %v, %v)", s.Warmup, s.Measure),
 		must(slices.Contains(tcp.Variants(), s.Sender.Variant), "Scenario.Sender.Variant %d is not registered (want one of %s)",
@@ -112,11 +126,17 @@ func (s Scenario) spread(kind string, d Duration) error {
 		"%s.RTTSpread %v must be in [0, 2 x Link.RTT = %v): station RTTs span Link.RTT +- RTTSpread/2", kind, d, 2*s.Link.RTT)
 }
 
-// stations checks the path a kind runs: its shortest station RTT, which
-// the Link's RTT sets, must hold the bottleneck delay both ways.
-func stations(p experiment.Path) error {
-	err := p.CheckStations()
-	return must(err == nil, "Scenario.Link.RTT: %v", err)
+// checkPath is what the dumbbell needs of the path a kind runs, which the
+// Link sets: a positive rate and segment, and station RTTs that form a
+// range (RTTMax 0 is one RTT) whose shortest holds the bottleneck delay
+// both ways.
+func checkPath(p experiment.Path) error {
+	return firstErr(
+		must(p.BottleneckRate > 0 && p.SegmentSize > 0 && p.RTTMin > 0 && (p.RTTMax == 0 || p.RTTMax >= p.RTTMin),
+			"Scenario.Link: the run needs a rate, segment and RTTs it can build (got %v, %v, [%v, %v])", p.BottleneckRate, p.SegmentSize, p.RTTMin, p.RTTMax),
+		must(p.RTTMin >= 2*p.BottleneckDelay, "Scenario.Link.RTT: the shortest flow RTT, %v, is below %v, twice the bottleneck delay",
+			p.RTTMin, 2*p.BottleneckDelay),
+	)
 }
 
 // unread rejects a Scenario field set on a kind that does not read it.
@@ -164,14 +184,13 @@ func (t LongLived) config(s Scenario, env experiment.RunEnv) (experiment.LongLiv
 	return cfg, firstErr(
 		must(t.Flows > 0, "LongLived.Flows must be positive (got %d)", t.Flows),
 		s.spread("LongLived", t.RTTSpread),
-		stations(experiment.RunPath(cfg)),
 		s.redBuffer(),
 	)
 }
 
-func (t LongLived) lower(s Scenario, env experiment.RunEnv) (func() SimulationResult, error) {
+func (t LongLived) lower(s Scenario, env experiment.RunEnv) (func() SimulationResult, experiment.Path, error) {
 	cfg, err := t.config(s, env)
-	return func() SimulationResult { return experiment.RunLongLived(cfg) }, err
+	return func() SimulationResult { return experiment.RunLongLived(cfg) }, experiment.Defaults(cfg).Path, err
 }
 
 // Replicated is LongLived under Replicas seeds (Scenario.Seed,
@@ -183,9 +202,9 @@ type Replicated struct {
 	Replicas int
 }
 
-func (t Replicated) lower(s Scenario, env experiment.RunEnv) (func() ReplicatedResult, error) {
+func (t Replicated) lower(s Scenario, env experiment.RunEnv) (func() ReplicatedResult, experiment.Path, error) {
 	cfg, err := t.config(s, env)
-	return func() ReplicatedResult { return experiment.RunLongLivedReplicated(cfg, t.Replicas) },
+	return func() ReplicatedResult { return experiment.RunLongLivedReplicated(cfg, t.Replicas) }, experiment.Defaults(cfg).Path,
 		firstErr(err, must(t.Replicas > 0, "Replicated.Replicas must be positive (got %d)", t.Replicas))
 }
 
@@ -199,13 +218,13 @@ type SingleFlow struct {
 	BufferFactor float64
 }
 
-func (t SingleFlow) lower(s Scenario, env experiment.RunEnv) (func() SingleFlowResult, error) {
+func (t SingleFlow) lower(s Scenario, env experiment.RunEnv) (func() SingleFlowResult, experiment.Path, error) {
 	cfg := experiment.SingleFlowConfig{
 		Scenario:     s.over(s.Link.fixedPath(0, 0)),
 		BufferFactor: t.BufferFactor,
 		RunEnv:       env,
 	}
-	return func() SingleFlowResult { return experiment.RunSingleFlow(cfg) }, firstErr(
+	return func() SingleFlowResult { return experiment.RunSingleFlow(cfg) }, experiment.Defaults(cfg).Path, firstErr(
 		must(t.BufferFactor > 0, "SingleFlow.BufferFactor must be positive (got %v)", t.BufferFactor),
 		unread("SingleFlow", "BufferPackets", s.BufferPackets != 0),
 		unread("SingleFlow", "Warmup", s.Warmup != 0),
@@ -230,7 +249,7 @@ type Mix struct {
 	RTTSpread Duration
 }
 
-func (t Mix) lower(s Scenario, env experiment.RunEnv) (func() MixResult, error) {
+func (t Mix) lower(s Scenario, env experiment.RunEnv) (func() MixResult, experiment.Path, error) {
 	cfg := experiment.MixedConfig{
 		AFCTComparisonConfig: experiment.AFCTComparisonConfig{
 			Scenario:  s.over(s.Link.path(t.RTTSpread, s.Warmup, s.Measure)),
@@ -242,12 +261,12 @@ func (t Mix) lower(s Scenario, env experiment.RunEnv) (func() MixResult, error) 
 		},
 		BufferPackets: s.BufferPackets,
 	}
-	return func() MixResult { return experiment.RunMixed(cfg) }, firstErr(
+	return func() MixResult { return experiment.RunMixed(cfg) }, experiment.Defaults(cfg.AFCTComparisonConfig).Path, firstErr(
 		must(t.LongFlows > 0, "Mix.LongFlows must be positive (got %d)", t.LongFlows),
 		must(t.ShortLoad > 0 && t.ShortLoad < 1, "Mix.ShortLoad must be in (0, 1) (got %v)", t.ShortLoad),
+		sized("Mix.ShortSizes", t.ShortSizes),
 		must(t.MaxWindow >= 0, "Mix.MaxWindow must not be negative (got %d)", t.MaxWindow),
 		s.spread("Mix", t.RTTSpread),
-		stations(experiment.RunPath(cfg.AFCTComparisonConfig)),
 		must(s.BufferPackets > 0, "Mix needs a positive Scenario.BufferPackets"),
 	)
 }
@@ -267,7 +286,7 @@ type Trace struct {
 	RTTSpread Duration
 }
 
-func (t Trace) lower(s Scenario, env experiment.RunEnv) (func() TraceResult, error) {
+func (t Trace) lower(s Scenario, env experiment.RunEnv) (func() TraceResult, experiment.Path, error) {
 	cfg := experiment.TraceConfig{
 		Scenario:      s.over(s.Link.path(t.RTTSpread, 0, 0)),
 		Flows:         t.Flows,
@@ -276,11 +295,10 @@ func (t Trace) lower(s Scenario, env experiment.RunEnv) (func() TraceResult, err
 		RunEnv:        env,
 	}
 	flows := workload.ValidateFlows(t.Flows)
-	return func() TraceResult { return experiment.RunTrace(cfg) }, firstErr(
+	return func() TraceResult { return experiment.RunTrace(cfg) }, experiment.Defaults(cfg).Path, firstErr(
 		must(flows == nil, "Trace.Flows: %w", flows),
 		must(t.MaxWindow >= 0, "Trace.MaxWindow must not be negative (got %d)", t.MaxWindow),
 		s.spread("Trace", t.RTTSpread),
-		stations(experiment.RunPath(cfg)),
 		unread("Trace", "Warmup", s.Warmup != 0),
 		unread("Trace", "Measure", s.Measure != 0),
 		s.redBuffer(),

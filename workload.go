@@ -161,7 +161,7 @@ type Generated struct {
 	Drain Duration
 }
 
-func (t Generated) lower(s Scenario, env experiment.RunEnv) (func() ProfileResult, error) {
+func (t Generated) lower(s Scenario, env experiment.RunEnv) (func() ProfileResult, experiment.Path, error) {
 	path := s.Link.path(0, s.Warmup, s.Measure)
 	path.RTTMin, path.RTTMax = s.Link.RTT*6/10, s.Link.RTT*14/10
 	cfg := experiment.ProfileRunConfig{
@@ -172,10 +172,9 @@ func (t Generated) lower(s Scenario, env experiment.RunEnv) (func() ProfileResul
 		Drain:         t.Drain,
 		RunEnv:        env,
 	}
-	return func() ProfileResult { return experiment.RunProfile(cfg) }, firstErr(
+	return func() ProfileResult { return experiment.RunProfile(cfg) }, experiment.Defaults(cfg).Path, firstErr(
 		checkWorkload(t.Workload),
 		must(t.Stations >= 0 && t.Drain >= 0, "Generated.Stations and Generated.Drain must not be negative (got %d, %v)", t.Stations, t.Drain),
-		stations(experiment.RunPath(cfg)),
 		s.redBuffer(),
 	)
 }
@@ -189,20 +188,26 @@ func checkWorkload(w Workload) error {
 	case workload.PoissonSource:
 		return firstErr(must(src.Load > 0 && src.Load < 1 && src.Sizes != nil,
 			"Generated.Workload: PoissonWorkload needs a load in (0, 1) and a size distribution (got %v, %v)", src.Load, src.Sizes),
-			windowCap("PoissonWorkload", src.MaxWindow))
+			sized("Generated.Workload: PoissonWorkload", src.Sizes), windowCap("PoissonWorkload", src.MaxWindow))
 	case workload.SessionSource:
 		return firstErr(must(src.Sessions > 0 && src.Sizes != nil,
 			"Generated.Workload: SessionWorkload needs a positive session count and a size distribution (got %d, %v)", src.Sessions, src.Sizes),
-			windowCap("SessionWorkload", src.MaxWindow))
+			sized("Generated.Workload: SessionWorkload", src.Sizes), windowCap("SessionWorkload", src.MaxWindow))
 	case workload.TraceSource:
 		err := workload.ValidateFlows(src.Flows)
 		return firstErr(must(err == nil, "Generated.Workload: %w", err), windowCap("TraceWorkload", src.MaxWindow))
 	case profile.Source:
-		return windowCap("ProfileWorkload", src.MaxWindow)
+		return firstErr(sized("Generated.Workload: ProfileWorkload", src.Sizes), windowCap("ProfileWorkload", src.MaxWindow))
 	case nil:
 		return errors.New("Generated.Workload is nil")
 	}
 	return fmt.Errorf("Generated.Workload: unknown workload %T", w)
+}
+
+// sized is the check of a flow-size distribution: a flow carries one
+// segment or more, or the arrival rate that offers a load is unbounded.
+func sized(field string, d SizeDist) error {
+	return must(d == nil || d.Mean() >= 1, "%s: flows of %v average under one segment", field, d)
 }
 
 // windowCap is the check of a workload constructor's maxWindow: zero
